@@ -8,13 +8,18 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MonitorMode {
     /// Compile-time instrumentation (RFDet-ci): every instrumented store
-    /// performs the cheap Figure-4 check (is this page already snapshotted
-    /// in the current slice?).
+    /// performs the cheap Figure-4 check — are the lines it touches
+    /// already snapshotted in the current slice? — against the page's
+    /// dirty-line mask. The instrumentation knows each store's address and
+    /// length, so a slice snapshots and later diffs only the lines
+    /// (`max(64, page_size / 64)` bytes) it stored to.
     Ci,
     /// Page protection (RFDet-pf): pages are write-protected at slice
     /// start; the first store to a page takes a simulated fault that pays
     /// a configurable extra cost before snapshotting (models the SIGSEGV
-    /// trap + `mprotect` syscalls the paper measures as slower).
+    /// trap + `mprotect` syscalls the paper measures as slower). A fault
+    /// reveals the page, not the bytes, so the whole page is snapshotted
+    /// and diffed, as in the paper.
     Pf,
 }
 
@@ -46,8 +51,9 @@ pub struct RfdetOpts {
     pub diff_gap_coalesce: usize,
     /// Capacity of the per-thread snapshot buffer pool, in page buffers.
     /// `end_slice` recycles snapshot buffers here after diffing, so
-    /// steady-state slices take page snapshots with zero allocations.
-    /// `0` disables pooling (every snapshot allocates, as pre-pool).
+    /// steady-state slices open page snapshots with zero allocations.
+    /// `0` disables pooling (every page first stored to in a slice
+    /// allocates its buffer, as pre-pool).
     pub snap_pool_pages: usize,
 }
 

@@ -122,8 +122,9 @@ pub trait DmtCtx {
     /// Writes `data` at `addr` into shared memory (this thread's view).
     ///
     /// In deterministic backends this is the instrumented `Store` of paper
-    /// Figure 4: the first write to a page within a slice snapshots the
-    /// page for later diffing.
+    /// Figure 4: the first write within a slice to each 64-byte line of a
+    /// page (RFDet-ci) or to the page (RFDet-pf) snapshots it for later
+    /// diffing.
     fn write_bytes(&mut self, addr: Addr, data: &[u8]);
 
     /// Acquires a mutex (deterministically, in deterministic backends).

@@ -83,16 +83,20 @@ pub struct Stats {
     pub lazy_protect_calls: u64,
 
     // ---- memory-pipeline fast path (diff kernel + snapshot pool) ----
-    /// Bytes compared by the end-of-slice diff kernel (every snapshotted
-    /// page is scanned in full — the per-slice fixed cost of DLRC).
+    /// Bytes compared by the end-of-slice diff kernel: the dirty lines of
+    /// every stored-to page under RFDet-ci (equal to
+    /// `snapshot_bytes_copied`), whole pages under RFDet-pf.
     pub diff_bytes_scanned: u64,
-    /// Bytes copied taking page snapshots at first write (Figure 4 line 6).
+    /// Bytes copied taking snapshots at first write (Figure 4 line 6):
+    /// under RFDet-ci one line (`max(64, page_size / 64)` bytes) per line
+    /// first stored to in a slice, so this over the line size counts line
+    /// copies; under RFDet-pf one page per page first stored to.
     pub snapshot_bytes_copied: u64,
-    /// Page snapshots whose buffer came from the per-thread pool (no
-    /// allocation).
+    /// Pages first stored to in a slice whose snapshot buffer came from
+    /// the per-thread pool (no allocation).
     pub snapshot_pool_hits: u64,
-    /// Page snapshots that had to allocate a fresh buffer (cold pool, or
-    /// pooling disabled).
+    /// Pages first stored to in a slice that had to allocate a fresh
+    /// snapshot buffer (cold pool, or pooling disabled).
     pub snapshot_pool_misses: u64,
     /// Modification runs merged into their predecessor by diff gap
     /// coalescing (`RfdetOpts::diff_gap_coalesce`).

@@ -3,7 +3,7 @@
 //! snapshot + diff, propagation filtering, Kendo arbitration).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use rfdet_mem::{diff, PrivateSpace};
+use rfdet_mem::{diff, Page, PrivateSpace, SliceSnapshots};
 use rfdet_meta::{MetaSpace, SliceRec};
 use rfdet_vclock::VClock;
 use std::hint::black_box;
@@ -105,6 +105,49 @@ fn bench_diff(c: &mut Criterion) {
             diff::diff_page_opts(0, black_box(&snapshot), black_box(&frag), 32, &mut out);
             black_box(out)
         })
+    });
+}
+
+fn bench_slice_snapshots(c: &mut Criterion) {
+    // The dirty-line path in `page-sparse`'s slice shape: one 8-byte
+    // store into each of 128 pages, then the seal. Both cells time one
+    // whole slice's worth (128 first stores; one seal over 128 one-line
+    // pages), the other half running untimed as set-up. The `diff/*`
+    // cells above time the same kernel over a full mask.
+    const PAGES: u64 = 128;
+    let state = std::cell::RefCell::new((
+        PrivateSpace::new(1 << 20, 4096),
+        SliceSnapshots::new(256, 4096, 256),
+        0u64,
+    ));
+    for p in 0..PAGES {
+        state.borrow_mut().0.write(p * 4096, &[1u8; 4096]);
+    }
+    let store_slice = || {
+        let (space, snaps, round) = &mut *state.borrow_mut();
+        *round += 1;
+        for p in 0..PAGES {
+            let (page, off) = (p as usize, 8 * p as usize);
+            let need = snaps.missing_lines(page, off, 8);
+            if need != 0 {
+                let current = space.page(page).map(Page::bytes);
+                black_box(snaps.record(page, need, current));
+            }
+            space.write_page(page, off, &round.to_le_bytes());
+        }
+    };
+    let seal = || {
+        let (space, snaps, _) = &mut *state.borrow_mut();
+        let mut out = Vec::new();
+        black_box(snaps.seal(space, 0, &mut out));
+        out
+    };
+    c.bench_function("snap/first_store_line", |bench| {
+        bench.iter_batched(seal, |_| store_slice(), BatchSize::SmallInput)
+    });
+    seal();
+    c.bench_function("slice/seal_128_sparse_pages", |bench| {
+        bench.iter_batched(store_slice, |()| seal(), BatchSize::SmallInput)
     });
 }
 
@@ -351,6 +394,7 @@ criterion_group!(
     bench_vclock,
     bench_space,
     bench_diff,
+    bench_slice_snapshots,
     bench_meta,
     bench_kendo,
     bench_sync_ops,

@@ -7,10 +7,10 @@ use rfdet_api::{
     Addr, BarrierId, CondId, DmtCtx, MonitorMode, MutexId, Stats, ThreadFn, ThreadHandle, Tid,
 };
 use rfdet_kendo::{Jitter, KendoHandle};
-use rfdet_mem::{PageFlags, PageOverlay, PrivateSpace, ThreadHeap};
+use rfdet_mem::{Page, PageFlags, PageOverlay, PrivateSpace, SliceSnapshots, ThreadHeap};
 use rfdet_meta::{SyncKey, SyncVarRef, ThreadMeta};
 use rfdet_vclock::VClock;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Cached handles to another thread's metadata and mailbox, so the sync
@@ -24,8 +24,8 @@ pub(crate) struct Peer {
 
 /// The per-thread view of the RFDet runtime.
 ///
-/// Owns the thread's private memory space, the in-progress slice (page
-/// snapshots taken at first write, paper Figure 4), the vector clock, the
+/// Owns the thread's private memory space, the in-progress slice (line
+/// snapshots taken at first store, paper Figure 4), the vector clock, the
 /// lazy-write pending queues, and the thread-local profiling counters.
 pub struct RfdetCtx {
     pub(crate) shared: Arc<RuntimeShared>,
@@ -52,14 +52,14 @@ pub struct RfdetCtx {
     /// Timestamp of the in-progress slice (the clock at its start).
     pub(crate) slice_start: VClock,
     pub(crate) slice_seq: u64,
-    /// Pages snapshotted in the current slice (sorted for deterministic
-    /// diff order).
-    pub(crate) snapshots: BTreeMap<usize, Box<[u8]>>,
-    /// Recycled page-sized snapshot buffers (bounded by
-    /// `RfdetOpts::snap_pool_pages`): `end_slice` returns buffers here
-    /// after diffing, so steady-state slices snapshot with zero
-    /// allocations.
-    pub(crate) snap_pool: Vec<Box<[u8]>>,
+    /// The in-progress slice's snapshots, per dirty line, in buffers
+    /// recycled across slices (up to `RfdetOpts::snap_pool_pages`).
+    /// Invariant: between a page's first recorded store and `end_slice`
+    /// nothing but the store path mutates the page — propagation runs
+    /// between slices, and a lazy fault or flush only ever drains a page
+    /// that still has a pending queue, which a stored-to page cannot
+    /// (its first store faulted it, and deposits happen between slices).
+    pub(crate) snaps: SliceSnapshots,
     /// Per-source absolute positions in other threads' slice lists:
     /// everything before the cursor was already filtered-or-propagated
     /// under an earlier upper limit (see `SliceList` for the closure
@@ -114,6 +114,9 @@ pub struct RfdetCtx {
     /// `cfg.detect_races`, cached: the one branch the read path pays
     /// when detection is off.
     pub(crate) track_reads: bool,
+    /// `cfg.rfdet.monitor == MonitorMode::Pf`, cached like `track_reads`
+    /// so the store path does not reach through the shared config.
+    pub(crate) pf: bool,
     /// Word-granular read set of the in-progress slice (marked only when
     /// `track_reads`), sealed into the published slice at `end_slice`.
     pub(crate) read_set: rfdet_mem::ReadTracker,
@@ -167,6 +170,12 @@ impl RfdetCtx {
         let cfg = &shared.cfg;
         let space = space.unwrap_or_else(|| PrivateSpace::new(cfg.space_bytes, cfg.page_size));
         let flags = PageFlags::new(space.num_pages());
+        let snaps = SliceSnapshots::new(
+            space.num_pages(),
+            space.page_size(),
+            cfg.rfdet.snap_pool_pages,
+        );
+        let pf = cfg.rfdet.monitor == MonitorMode::Pf;
         let heap = shared.strips.heap_for(tid);
         let jitter = cfg
             .jitter_seed
@@ -183,8 +192,7 @@ impl RfdetCtx {
             vc,
             slice_start,
             slice_seq: 0,
-            snapshots: BTreeMap::new(),
-            snap_pool: Vec::new(),
+            snaps,
             cursors: HashMap::new(),
             peers: Vec::new(),
             sync_cache: HashMap::new(),
@@ -204,6 +212,7 @@ impl RfdetCtx {
             obs_boundary: None,
             scratch_lower: VClock::new(),
             track_reads: false,
+            pf,
             read_set: rfdet_mem::ReadTracker::new(),
             in_atomic: false,
             detect: None,
@@ -321,7 +330,7 @@ impl RfdetCtx {
         // the access path (like the Figure-4 store checks), and the eager
         // path pays nothing equivalent — charging it here is how the
         // "optimization" lost to eager at the default cost model.
-        if self.shared.cfg.rfdet.monitor == MonitorMode::Pf {
+        if self.pf {
             self.pay_fault_cost();
         }
         self.apply_pending(page, queue);
@@ -376,51 +385,64 @@ impl RfdetCtx {
         }
     }
 
-    /// Takes a page snapshot (Figure 4 line 6) into a recycled buffer
-    /// from the pool when one is available — the steady-state path costs
-    /// one page memcpy and zero allocations.
-    fn take_snapshot(&mut self, page: usize) -> Box<[u8]> {
-        let t0 = self.obs_start();
-        let mut buf = match self.snap_pool.pop() {
-            Some(b) => {
-                self.stats.snapshot_pool_hits += 1;
-                b
+    /// The Figure-4 store instrumentation for a store of `len > 0` bytes
+    /// at byte `off` of `page`: snapshot what the store is about to
+    /// overwrite unless the slice already has. `ci` mode knows the bytes,
+    /// so it snapshots only the lines the store touches; a `pf` write
+    /// fault reveals only the page, so it snapshots all of it.
+    #[inline]
+    fn record_store(&mut self, page: usize, off: usize, len: usize) {
+        let need = if self.pf {
+            if !self.flags.is_protected(page, PageFlags::WRITE_PROTECT) {
+                return;
             }
-            None => {
-                self.stats.snapshot_pool_misses += 1;
-                vec![0u8; self.space.page_size()].into_boxed_slice()
-            }
+            // Simulated write fault.
+            self.stats.page_faults += 1;
+            self.pay_fault_cost();
+            self.flags.unprotect(page, PageFlags::WRITE_PROTECT);
+            self.snaps.full_mask()
+        } else {
+            self.snaps.missing_lines(page, off, len)
         };
-        self.space.snapshot_page_into(page, &mut buf);
-        self.stats.snapshot_bytes_copied += buf.len() as u64;
-        self.obs_since(rfdet_api::obs::Phase::Snapshot, t0);
-        buf
+        if need != 0 {
+            self.snapshot_lines(page, need);
+        }
     }
 
-    /// The Figure-4 store instrumentation: snapshot the page the first
-    /// time it is written within the current slice.
-    #[inline]
-    fn record_store(&mut self, page: usize) {
-        match self.shared.cfg.rfdet.monitor {
-            MonitorMode::Ci => {
-                if !self.snapshots.contains_key(&page) {
-                    let snap = self.take_snapshot(page);
-                    self.snapshots.insert(page, snap);
-                    self.stats.stores_with_copy += 1;
-                }
+    /// Copies the lines of `need` into the slice's snapshot of `page`
+    /// (Figure 4 line 6). Only a page's first touch is timed: it draws
+    /// the buffer and opens the page, and a clock read per further line
+    /// would cost a densely written page up to 64 reads per slice. The
+    /// further copies are counted, in `snapshot_bytes_copied`.
+    fn snapshot_lines(&mut self, page: usize, need: u64) {
+        let t0 = if self.snaps.is_open(page) {
+            None
+        } else {
+            self.obs_start()
+        };
+        let current = self.space.page(page).map(Page::bytes);
+        let rec = self.snaps.record(page, need, current);
+        self.stats.snapshot_bytes_copied += rec.bytes_copied;
+        if let Some(recycled) = rec.first_touch {
+            self.stats.stores_with_copy += 1;
+            if recycled {
+                self.stats.snapshot_pool_hits += 1;
+            } else {
+                self.stats.snapshot_pool_misses += 1;
             }
-            MonitorMode::Pf => {
-                if self.flags.is_protected(page, PageFlags::WRITE_PROTECT) {
-                    // Simulated write fault.
-                    self.stats.page_faults += 1;
-                    self.pay_fault_cost();
-                    let snap = self.take_snapshot(page);
-                    self.snapshots.insert(page, snap);
-                    self.stats.stores_with_copy += 1;
-                    self.flags.unprotect(page, PageFlags::WRITE_PROTECT);
-                }
-            }
+            self.obs_since(rfdet_api::obs::Phase::Snapshot, t0);
         }
+    }
+
+    /// The instrumented store of `data` (not empty) at byte `off` of
+    /// `page`: lazy fault, snapshot, write — one page resolved once.
+    #[inline]
+    fn store_in_page(&mut self, page: usize, off: usize, data: &[u8]) {
+        if !self.pending.is_empty() && self.flags.is_protected(page, PageFlags::NO_ACCESS) {
+            self.lazy_fault(page);
+        }
+        self.record_store(page, off, data.len());
+        self.space.write_page(page, off, data);
     }
 
     /// Read without advancing the Kendo clock — for use *inside* a turn
@@ -443,17 +465,30 @@ impl RfdetCtx {
 
     /// Write without advancing the Kendo clock (see [`Self::read_in_turn`]);
     /// still goes through the Figure-4 store instrumentation. A
-    /// zero-length write touches no page (empty `page_range`), so it
-    /// neither faults nor snapshots.
+    /// zero-length write touches no page, so it neither faults nor
+    /// snapshots.
     pub(crate) fn write_in_turn(&mut self, addr: Addr, data: &[u8]) {
-        for page in self.page_range(addr, data.len()) {
-            if !self.pending.is_empty() && self.flags.is_protected(page, PageFlags::NO_ACCESS) {
-                self.lazy_fault(page);
-            }
-            self.record_store(page);
-        }
         self.stats.stores += 1;
-        self.space.write(addr, data);
+        let off = self.space.page_offset(addr);
+        if !data.is_empty() && off + data.len() <= self.space.page_size() {
+            self.store_in_page(self.space.page_of(addr), off, data);
+        } else {
+            self.write_straddling(addr, data);
+        }
+    }
+
+    /// The store that is empty or crosses a page boundary: range-checked
+    /// as a whole before any page is touched, then stored page by page.
+    #[cold]
+    fn write_straddling(&mut self, mut addr: Addr, mut data: &[u8]) {
+        self.space.check_range(addr, data.len());
+        while !data.is_empty() {
+            let off = self.space.page_offset(addr);
+            let n = data.len().min(self.space.page_size() - off);
+            self.store_in_page(self.space.page_of(addr), off, &data[..n]);
+            data = &data[n..];
+            addr += n as u64;
+        }
     }
 
     /// `Instant::now()` iff the run is collecting metrics — the only

@@ -355,6 +355,58 @@ mod tests {
         assert_eq!(b.stats.page_faults, 1);
     }
 
+    /// A store to a page with pending lazy writes, in the slice that
+    /// faults it: the line snapshot must be taken *after* the pending
+    /// runs are applied, or the remote bytes would seal as local
+    /// modifications. Returns the storing thread's published runs and the
+    /// page it ends with.
+    fn store_onto_pending_page(lazy: bool) -> (Vec<rfdet_mem::ModRun>, Vec<u8>) {
+        let (mut a, mut b) = two_ctxs(lazy);
+        a.write::<u64>(64, 0x1111_1111_1111_1111); // line 1
+        a.write::<u64>(256, 0x2222_2222_2222_2222); // line 4
+        let t = a.vc.clone();
+        a.end_slice();
+        a.vc.tick(0);
+
+        let lower = b.vc.clone();
+        b.vc.join(&t);
+        b.propagate_from(0, &t, &lower);
+        b.begin_slice();
+        b.write::<u8>(70, 0x33); // into line 1, inside a's run
+        b.write::<u64>(128, 0x4444_4444_4444_4444); // line 2, untouched by a
+        b.end_slice();
+        assert_eq!(b.stats.page_faults, u64::from(lazy));
+        // b's list also carries a's slice (transitive propagation).
+        let list = b.shared.meta.snapshot_list(1);
+        let own: Vec<_> = list.iter().filter(|s| s.tid == 1).collect();
+        assert_eq!(own.len(), 1);
+        let mut page = vec![0u8; 4096];
+        b.space.read(0, &mut page);
+        (own[0].mods.to_vec(), page)
+    }
+
+    #[test]
+    fn store_after_lazy_fault_snapshots_post_apply_bytes() {
+        use rfdet_mem::ModRun;
+        let (lazy_mods, lazy_page) = store_onto_pending_page(true);
+        assert_eq!(
+            lazy_mods,
+            vec![
+                ModRun::new(70, vec![0x33].into()),
+                ModRun::new(128, vec![0x44; 8].into())
+            ],
+            "only b's own bytes: a's run was applied before the snapshot"
+        );
+        let (eager_mods, eager_page) = store_onto_pending_page(false);
+        assert_eq!(lazy_mods, eager_mods);
+        assert_eq!(lazy_page, eager_page);
+        assert_eq!(
+            &lazy_page[64..72],
+            &[0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x33, 0x11]
+        );
+        assert_eq!(&lazy_page[256..264], &[0x22; 8]);
+    }
+
     #[test]
     fn lazy_writes_share_runs_without_deep_copies() {
         let (mut a, mut b) = two_ctxs(true);

@@ -1,7 +1,7 @@
 //! Slice lifecycle (paper §4.2).
 //!
 //! A *slice* is a synchronization-free interval of one thread's execution.
-//! Every synchronization operation ends the current slice: the pages
+//! Every synchronization operation ends the current slice: the lines
 //! snapshotted by the store instrumentation are diffed byte-by-byte
 //! against their current contents, the resulting modification list is
 //! sealed into a [`rfdet_meta::SliceRec`] stamped with the slice's vector
@@ -9,15 +9,14 @@
 
 use crate::ctx::RfdetCtx;
 use rfdet_api::obs::Phase;
-use rfdet_api::MonitorMode;
-use rfdet_mem::{diff, PageFlags};
+use rfdet_mem::PageFlags;
 use rfdet_meta::SliceRec;
 
 impl RfdetCtx {
     /// Ends the current slice: diff, seal, publish. Runs GC if the
-    /// publication crossed the metadata threshold (§4.5). Snapshot
-    /// buffers are recycled into the bounded pool after diffing, so the
-    /// next slice's first writes snapshot allocation-free.
+    /// publication crossed the metadata threshold (§4.5). The seal
+    /// recycles the snapshot buffers, so the next slice's first stores
+    /// snapshot allocation-free.
     pub(crate) fn end_slice(&mut self) {
         // One clock read serves as the end of the *previous* boundary
         // phase (WaitTurn, usually), the slice-wall end, and the diff
@@ -31,28 +30,9 @@ impl RfdetCtx {
         }
         let mut mods = Vec::new();
         let gap = self.shared.cfg.rfdet.diff_gap_coalesce;
-        let pool_cap = self.shared.cfg.rfdet.snap_pool_pages;
-        let snapshots = std::mem::take(&mut self.snapshots);
-        // BTreeMap iteration is page-index order — the deterministic
-        // modification order within a slice.
-        for (page, snap) in snapshots {
-            if let Some(current) = self.space.page(page) {
-                let outcome = diff::diff_page_opts(
-                    self.space.page_base(page),
-                    &snap,
-                    current.bytes(),
-                    gap,
-                    &mut mods,
-                );
-                self.stats.diff_bytes_scanned += outcome.bytes_scanned;
-                self.stats.runs_coalesced += outcome.runs_coalesced;
-            }
-            // else: snapshot taken but page never materialized —
-            // impossible through the write path, and harmless (no diff).
-            if self.snap_pool.len() < pool_cap {
-                self.snap_pool.push(snap);
-            }
-        }
+        let outcome = self.snaps.seal(&self.space, gap, &mut mods);
+        self.stats.diff_bytes_scanned += outcome.bytes_scanned;
+        self.stats.runs_coalesced += outcome.runs_coalesced;
         self.stats.slices += 1;
         self.obs_since_boundary(Phase::Diff, diff_t0);
         // Race detection seals the slice's word-read set alongside the
@@ -102,8 +82,12 @@ impl RfdetCtx {
         self.slice_t0 = self.obs_boundary_start();
         self.slice_ops_base = self.stats.loads + self.stats.stores;
         self.slice_start = self.vc.clone();
-        debug_assert!(self.snapshots.is_empty(), "begin_slice with open snapshots");
-        if self.shared.cfg.rfdet.monitor == MonitorMode::Pf {
+        debug_assert_eq!(
+            self.snaps.dirty_pages(),
+            0,
+            "begin_slice with open snapshots"
+        );
+        if self.pf {
             self.flags.protect_all(PageFlags::WRITE_PROTECT);
         }
     }
@@ -198,7 +182,7 @@ mod tests {
     #[test]
     fn steady_state_slices_hit_the_snapshot_pool() {
         let mut ctx = ctx_with(MonitorMode::Ci);
-        // First slice: cold pool, one miss per snapshotted page.
+        // First slice: cold pool, one miss per stored-to page.
         ctx.write::<u64>(0, 1);
         ctx.write::<u64>(4096, 2);
         assert_eq!(ctx.stats.snapshot_pool_misses, 2);
@@ -210,10 +194,89 @@ mod tests {
         ctx.write::<u64>(4096, 4);
         assert_eq!(ctx.stats.snapshot_pool_hits, 2);
         assert_eq!(ctx.stats.snapshot_pool_misses, 2);
-        let page = ctx.shared.cfg.page_size;
-        assert_eq!(ctx.stats.snapshot_bytes_copied, 4 * page);
+        // One line per store, not one page.
+        let line = ctx.snaps.line_bytes() as u64;
+        assert_eq!(line, 64);
+        assert_eq!(ctx.stats.snapshot_bytes_copied, 4 * line);
         ctx.end_slice();
-        assert_eq!(ctx.stats.diff_bytes_scanned, 4 * page);
+        assert_eq!(ctx.stats.diff_bytes_scanned, 4 * line);
+    }
+
+    #[test]
+    fn one_store_slice_copies_and_scans_one_line() {
+        let mut ctx = ctx_with(MonitorMode::Ci);
+        ctx.write::<u64>(4096 + 200, 7);
+        ctx.end_slice();
+        assert_eq!(ctx.stats.snapshot_bytes_copied, 64);
+        assert_eq!(ctx.stats.diff_bytes_scanned, 64);
+        assert_eq!(ctx.stats.stores_with_copy, 1);
+        // A store straddling two lines, and one straddling two pages.
+        ctx.begin_slice();
+        ctx.write::<u64>(60, u64::MAX);
+        ctx.write::<u64>(2 * 4096 - 4, u64::MAX);
+        ctx.end_slice();
+        assert_eq!(ctx.stats.snapshot_bytes_copied, 64 + 128 + 128);
+        assert_eq!(ctx.stats.diff_bytes_scanned, 64 + 128 + 128);
+        assert_eq!(ctx.stats.stores_with_copy, 1 + 3, "pages 0, 1 and 2");
+        let list = ctx.shared.meta.snapshot_list(0);
+        let runs: Vec<(u64, usize)> = list[1].mods.iter().map(|r| (r.addr, r.len())).collect();
+        assert_eq!(
+            runs,
+            vec![(60, 8), (2 * 4096 - 4, 4), (2 * 4096, 4)],
+            "a run crosses a line boundary whole; diffing stays per page"
+        );
+    }
+
+    #[test]
+    fn atomic_mini_slice_copies_and_scans_one_line() {
+        let mut ctx = ctx_with(MonitorMode::Ci);
+        assert_eq!(ctx.atomic_rmw(4096, rfdet_api::AtomicOp::Add(5)), 0);
+        assert_eq!(ctx.stats.snapshot_bytes_copied, 64);
+        assert_eq!(ctx.stats.diff_bytes_scanned, 64);
+        assert_eq!(ctx.atomic_rmw(4096, rfdet_api::AtomicOp::Add(1)), 5);
+        assert_eq!(ctx.stats.snapshot_bytes_copied, 128);
+        assert_eq!(ctx.stats.diff_bytes_scanned, 128);
+        // A pure load stores nothing, so it snapshots nothing.
+        assert_eq!(ctx.atomic_load(4096), 6);
+        assert_eq!(ctx.stats.snapshot_bytes_copied, 128);
+    }
+
+    /// A slice with line-straddling, page-straddling, repeated and
+    /// same-value stores.
+    fn mixed_stores(ctx: &mut RfdetCtx) {
+        ctx.write::<u64>(100, 1);
+        ctx.write::<u64>(60, 2);
+        ctx.write::<u64>(4096 - 3, u64::MAX);
+        ctx.write::<u64>(3 * 4096 + 512, 0); // same value: no run
+        ctx.write::<u8>(3 * 4096 + 4095, 9);
+        ctx.write::<u64>(100, 3);
+    }
+
+    #[test]
+    fn pf_mode_copies_and_scans_whole_pages_and_publishes_what_ci_does() {
+        let mut pf = ctx_with(MonitorMode::Pf);
+        let mut ci = ctx_with(MonitorMode::Ci);
+        for ctx in [&mut pf, &mut ci] {
+            mixed_stores(ctx);
+            ctx.end_slice();
+            ctx.begin_slice();
+            mixed_stores(ctx); // second slice: everything is a same-value store
+            ctx.write::<u16>(4095, 0x0102);
+            ctx.end_slice();
+        }
+        let page = pf.shared.cfg.page_size;
+        assert_eq!(pf.stats.stores_with_copy, 6, "pages 0, 1, 3, twice");
+        assert_eq!(pf.stats.snapshot_bytes_copied, 6 * page);
+        assert_eq!(pf.stats.diff_bytes_scanned, 6 * page);
+        assert_eq!(ci.stats.stores_with_copy, 6);
+        assert!(ci.stats.snapshot_bytes_copied < page);
+        assert_eq!(ci.stats.diff_bytes_scanned, ci.stats.snapshot_bytes_copied);
+        let mods = |ctx: &RfdetCtx| -> Vec<Vec<rfdet_mem::ModRun>> {
+            let list = ctx.shared.meta.snapshot_list(0);
+            list.iter().map(|s| s.mods.to_vec()).collect()
+        };
+        assert_eq!(mods(&pf).len(), 2);
+        assert_eq!(mods(&pf), mods(&ci));
     }
 
     #[test]

@@ -1,26 +1,32 @@
 //! Byte-granularity page diffing (paper §4.2 "Monitoring Memory
 //! Modifications" and §4.6 "Correctness of Page Diffing").
 //!
-//! At the end of each slice, every snapshotted page is compared with its
-//! current contents and runs of differing bytes become [`ModRun`]s. A byte
-//! overwritten with the *same* value produces no run — that is
-//! load-bearing: it implements the paper's "prefer local writes when the
-//! remote write is redundant" conflict policy (§4.6), and the modification
-//! granularity of one byte matches the smallest C++ scalar.
+//! At the end of each slice, the snapshotted part of every stored-to page
+//! is compared with its current contents and runs of differing bytes
+//! become [`ModRun`]s. A byte overwritten with the *same* value produces no
+//! run — that is load-bearing: it implements the paper's "prefer local
+//! writes when the remote write is redundant" conflict policy (§4.6), and
+//! the modification granularity of one byte matches the smallest C++
+//! scalar.
 //!
-//! # The chunked kernel
+//! # The chunked, line-masked kernel
 //!
-//! Diffing is the per-slice fixed cost of DLRC: every snapshotted page is
-//! scanned in full at every slice end, whether one byte changed or none
-//! (TreadMarks-style LRC systems are historically diff-bandwidth-bound).
-//! [`diff_page`] therefore compares eight bytes at a time: a `u64` XOR of
+//! Diffing is the per-slice fixed cost of DLRC (TreadMarks-style LRC
+//! systems are historically diff-bandwidth-bound), so the kernel
+//! ([`diff_lines`]) cuts it two ways. It scans only the *dirty lines* the
+//! caller names in a `u64` mask — [`crate::SliceSnapshots`] passes the
+//! lines the slice stored to; [`diff_page`] passes a full mask and scans
+//! everything, which is the paper's whole-page `pf` behaviour. And within
+//! a span of dirty lines it compares eight bytes at a time: a `u64` XOR of
 //! snapshot and current words is zero iff the whole word is unchanged, and
 //! when it is nonzero, `trailing_zeros / 8` (on the little-endian word
 //! load) names the exact first differing byte — so run boundaries stay
 //! byte-exact while the scan runs at word speed. The byte-at-a-time
-//! [`diff_page_scalar`] is retained as the executable specification; the
-//! two are pinned byte-for-byte equal by a differential property test.
+//! whole-page [`diff_page_scalar`] is retained as the executable
+//! specification; differential property tests pin both the full-mask and
+//! the dirty-line results byte-for-byte equal to it.
 
+use crate::bit_spans;
 use rfdet_api::Addr;
 use std::sync::Arc;
 
@@ -184,11 +190,13 @@ impl RunRange {
     }
 }
 
-/// Per-call accounting returned by [`diff_page_opts`]: the raw material of
+/// Per-call accounting returned by [`diff_lines`]: the raw material of
 /// the `diff_bytes_scanned` / `runs_coalesced` Stats counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiffOutcome {
-    /// Bytes compared (always the full page: diffing scans everything).
+    /// Bytes compared: the dirty lines of the mask, so the whole buffer
+    /// for [`diff_page`] / [`diff_page_opts`] and only the stored-to lines
+    /// for a [`crate::SliceSnapshots::seal`].
     pub bytes_scanned: u64,
     /// Adjacent runs merged into their predecessor by gap coalescing.
     pub runs_coalesced: u64,
@@ -264,7 +272,36 @@ pub fn diff_page(page_base: Addr, snapshot: &[u8], current: &[u8], out: &mut Vec
     diff_page_opts(page_base, snapshot, current, 0, out);
 }
 
-/// [`diff_page`] with gap coalescing and scan accounting.
+/// [`diff_page`] with gap coalescing and scan accounting: [`diff_lines`]
+/// over a full mask (the whole buffer is one dirty line).
+pub fn diff_page_opts(
+    page_base: Addr,
+    snapshot: &[u8],
+    current: &[u8],
+    gap_coalesce: usize,
+    out: &mut Vec<ModRun>,
+) -> DiffOutcome {
+    diff_lines(
+        page_base,
+        snapshot,
+        current,
+        1,
+        current.len(),
+        gap_coalesce,
+        out,
+    )
+}
+
+/// The diff kernel: compares `snapshot` and `current` on the dirty lines
+/// of `mask` only (bit `l` set = bytes `l * line_bytes ..` of the page, one
+/// line long, clipped to the page) and appends the runs of changed bytes
+/// to `out`.
+///
+/// Bytes outside the mask are never read from `snapshot` and are taken to
+/// be unchanged. Under that premise the output equals the whole-page diff:
+/// each maximal span of consecutive dirty lines is scanned as one piece,
+/// so a run crossing a line boundary stays one run, and a run never
+/// extends into a clean line because nothing differs there.
 ///
 /// `gap_coalesce` is the §4.5-style space/time trade: when two runs are
 /// separated by at most `gap_coalesce` *unchanged* bytes, they are merged
@@ -275,46 +312,67 @@ pub fn diff_page(page_base: Addr, snapshot: &[u8], current: &[u8], out: &mut Vec
 ///
 /// Coalescing trades run-count (allocation, per-run apply overhead,
 /// metadata) against modification bytes. Determinism is unaffected — the
-/// output is a pure function of `(snapshot, current, gap_coalesce)`, so
-/// every run of the program produces identical run lists. Whether the
-/// *propagated values* match the uncoalesced baseline is subtler (a gap
-/// byte re-applies the producer's pre-slice value, which is a no-op unless
-/// another thread wrote that byte concurrently with the slice); see
-/// DESIGN.md "Gap coalescing and §4.6" for the full argument. The knob
-/// defaults off (`RfdetOpts::diff_gap_coalesce = 0`) for A/B measurement.
-pub fn diff_page_opts(
+/// output is a pure function of `(snapshot, current, mask, gap_coalesce)`
+/// on the dirty lines, so every run of the program produces identical run
+/// lists. Whether the *propagated values* match the uncoalesced baseline
+/// is subtler (a gap byte re-applies the producer's pre-slice value, which
+/// is a no-op unless another thread wrote that byte concurrently with the
+/// slice); see DESIGN.md "Gap coalescing and §4.6" for the full argument.
+/// The knob defaults off (`RfdetOpts::diff_gap_coalesce = 0`) for A/B
+/// measurement.
+///
+/// # Panics
+/// Panics if the buffers differ in length or `mask` names a line that
+/// starts beyond them.
+pub fn diff_lines(
     page_base: Addr,
     snapshot: &[u8],
     current: &[u8],
+    mask: u64,
+    line_bytes: usize,
     gap_coalesce: usize,
     out: &mut Vec<ModRun>,
 ) -> DiffOutcome {
     assert_eq!(snapshot.len(), current.len(), "snapshot/page size mismatch");
     let n = current.len();
-    let mut outcome = DiffOutcome {
-        bytes_scanned: n as u64,
-        runs_coalesced: 0,
+    let mut outcome = DiffOutcome::default();
+    let mut push = |start: usize, end: usize| {
+        out.push(ModRun::new(
+            page_base + start as u64,
+            current[start..end].into(),
+        ));
     };
-    let mut i = next_diff(snapshot, current, 0);
-    while i < n {
-        let start = i;
-        let mut end = next_same(snapshot, current, i);
-        // Look ahead: small unchanged gaps are folded into the run, so a
-        // cluster of nearby writes seals as one run instead of many.
-        loop {
-            let nxt = next_diff(snapshot, current, end);
-            if gap_coalesce > 0 && nxt < n && nxt - end <= gap_coalesce {
-                outcome.runs_coalesced += 1;
-                end = next_same(snapshot, current, nxt);
-            } else {
-                out.push(ModRun::new(
-                    page_base + start as u64,
-                    current[start..end].into(),
-                ));
-                i = nxt;
-                break;
-            }
+    // The last run found, held back until the next one shows whether the
+    // gap between them is small enough to fold (spans included: the clean
+    // lines between two spans are unchanged bytes like any other gap).
+    let mut open: Option<(usize, usize)> = None;
+    for (first, end_line) in bit_spans(mask) {
+        let lo = first * line_bytes;
+        let hi = (end_line * line_bytes).min(n);
+        assert!(lo <= hi, "dirty-line mask exceeds the page");
+        outcome.bytes_scanned += (hi - lo) as u64;
+        let (snap, cur) = (&snapshot[..hi], &current[..hi]);
+        let mut i = next_diff(snap, cur, lo);
+        while i < hi {
+            let end = next_same(snap, cur, i);
+            open = match open {
+                // Runs are maximal, so `i > prev_end`: a zero threshold
+                // never folds.
+                Some((start, prev_end)) if i - prev_end <= gap_coalesce => {
+                    outcome.runs_coalesced += 1;
+                    Some((start, end))
+                }
+                Some((start, prev_end)) => {
+                    push(start, prev_end);
+                    Some((i, end))
+                }
+                None => Some((i, end)),
+            };
+            i = next_diff(snap, cur, end);
         }
+    }
+    if let Some((start, end)) = open {
+        push(start, end);
     }
     outcome
 }

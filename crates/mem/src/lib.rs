@@ -7,6 +7,8 @@
 //!
 //! * [`diff`] — byte-granularity page diffing that converts a page snapshot
 //!   plus the current page into a modification list (§4.2, §4.6);
+//! * [`SliceSnapshots`] — the open slice's snapshots at dirty-line
+//!   granularity: copy and diff only the lines a slice stored to;
 //! * [`PageFlags`] — emulated page protection used by the `pf` monitoring
 //!   mode and the lazy-writes optimization (§4.2, §4.5);
 //! * [`StripAllocator`]/[`ThreadHeap`] — the deterministic shared allocator
@@ -25,6 +27,7 @@ mod overlay;
 mod page;
 mod prot;
 pub mod race;
+mod snap;
 mod space;
 
 pub use alloc::{HeapState, StripAllocator, ThreadHeap, MAX_HEAP_THREADS};
@@ -33,7 +36,23 @@ pub use overlay::PageOverlay;
 pub use page::Page;
 pub use prot::PageFlags;
 pub use race::{RaceCollector, ReadRun, ReadTracker, SliceAccess, WORD_BYTES};
+pub use snap::{Recorded, SliceSnapshots};
 pub use space::PrivateSpace;
+
+/// The maximal spans of consecutive set bits of `mask`, in ascending
+/// order, as `(first bit, one past the last bit)`.
+pub(crate) fn bit_spans(mask: u64) -> impl Iterator<Item = (usize, usize)> {
+    let mut bits = mask;
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            return None;
+        }
+        let first = bits.trailing_zeros();
+        let end = first + (!(bits >> first)).trailing_zeros();
+        bits = u64::MAX.checked_shl(end).map_or(0, |above| bits & above);
+        Some((first as usize, end as usize))
+    })
+}
 
 /// Returns the base address of the heap area managed by the shared
 /// allocator. Addresses below this (excluding page zero, which is kept

@@ -71,6 +71,13 @@ impl PrivateSpace {
         (addr >> self.shift) as usize
     }
 
+    /// Byte offset of `addr` within its page.
+    #[inline]
+    #[must_use]
+    pub fn page_offset(&self, addr: Addr) -> usize {
+        (addr as usize) & (self.page_size - 1)
+    }
+
     /// First address of page `idx`.
     #[inline]
     #[must_use]
@@ -106,7 +113,11 @@ impl PrivateSpace {
         }
     }
 
-    fn check_range(&self, addr: Addr, len: usize) {
+    /// Asserts that `len` bytes at `addr` lie within the space.
+    ///
+    /// # Panics
+    /// Panics if they do not.
+    pub fn check_range(&self, addr: Addr, len: usize) {
         let end = addr.checked_add(len as u64).expect("address overflow");
         let space = (self.pages.len() * self.page_size) as u64;
         assert!(
@@ -122,7 +133,7 @@ impl PrivateSpace {
         let mut buf = buf;
         while !buf.is_empty() {
             let idx = self.page_of(addr);
-            let off = (addr as usize) & (self.page_size - 1);
+            let off = self.page_offset(addr);
             let n = buf.len().min(self.page_size - off);
             let (head, tail) = buf.split_at_mut(n);
             match &self.pages[idx] {
@@ -141,13 +152,24 @@ impl PrivateSpace {
         let mut data = data;
         while !data.is_empty() {
             let idx = self.page_of(addr);
-            let off = (addr as usize) & (self.page_size - 1);
+            let off = self.page_offset(addr);
             let n = data.len().min(self.page_size - off);
-            let page = self.ensure_page(idx);
-            page.bytes_mut()[off..off + n].copy_from_slice(&data[..n]);
+            self.write_page(idx, off, &data[..n]);
             data = &data[n..];
             addr += n as u64;
         }
+    }
+
+    /// Writes `data` at byte `off` of page `idx`, materializing the page:
+    /// the store that is known to stay within one page, so it needs no
+    /// range check beyond the page index and no page loop.
+    ///
+    /// # Panics
+    /// Panics if `idx` is not a page of this space or `off + data.len()`
+    /// exceeds the page.
+    #[inline]
+    pub fn write_page(&mut self, idx: usize, off: usize, data: &[u8]) {
+        self.ensure_page(idx).bytes_mut()[off..off + data.len()].copy_from_slice(data);
     }
 
     /// Applies one modification run (a contiguous byte write) to this
@@ -225,19 +247,10 @@ impl PrivateSpace {
         let dst = self.ensure_page(idx).bytes_mut();
         let mut applied: u64 = 0;
         for w in overlay.occupied_words() {
-            let mut bits = overlay.words()[w];
-            while bits != 0 {
-                let start = bits.trailing_zeros() as usize;
-                // Length of the consecutive-ones span starting at `start`.
-                let span = (!(bits >> start)).trailing_zeros() as usize;
-                let s = w * 64 + start;
-                let e = s + span;
+            for (first, end) in crate::bit_spans(overlay.words()[w]) {
+                let (s, e) = (w * 64 + first, w * 64 + end);
                 dst[s..e].copy_from_slice(&src[s..e]);
-                applied += span as u64;
-                if start + span >= 64 {
-                    break;
-                }
-                bits &= u64::MAX << (start + span);
+                applied += (e - s) as u64;
             }
         }
         applied

@@ -1,7 +1,7 @@
 //! Property tests for the memory substrate.
 
 use proptest::prelude::*;
-use rfdet_mem::{diff, PrivateSpace, StripAllocator};
+use rfdet_mem::{diff, Page, PrivateSpace, SliceSnapshots, StripAllocator};
 
 const SPACE: u64 = 16 * 4096;
 
@@ -19,7 +19,154 @@ fn arb_writes() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
     )
 }
 
+/// One generated store for the dirty-line differential test, still in
+/// page-size-independent form.
+#[derive(Clone, Debug)]
+struct RawStore {
+    /// 0: anywhere; 1: ending just past a line boundary; 2: just before
+    /// the end of a page (so longer stores straddle into the next).
+    place: u8,
+    page: usize,
+    pos: usize,
+    len: usize,
+    /// Seeds the stored bytes; a multiple of four stores the bytes already
+    /// there instead (a same-value overwrite).
+    fill: u8,
+}
+
+fn arb_raw_stores() -> impl Strategy<Value = Vec<RawStore>> {
+    prop::collection::vec(
+        (
+            0u8..3,
+            0usize..DL_PAGES,
+            any::<u16>(),
+            any::<u16>(),
+            any::<u8>(),
+        )
+            .prop_map(|(place, page, pos, len, fill)| RawStore {
+                place,
+                page,
+                pos: pos as usize,
+                len: len as usize,
+                fill,
+            }),
+        0..24,
+    )
+}
+
+const DL_PAGES: usize = 4;
+
+/// Resolves a [`RawStore`] against a page size: `(addr, data)`, clipped
+/// to the space. Lengths run from zero to a little over two lines.
+fn resolve(raw: &RawStore, page_size: usize, line: usize, space: &PrivateSpace) -> (u64, Vec<u8>) {
+    let space_bytes = DL_PAGES * page_size;
+    let len = if raw.len.is_multiple_of(2) {
+        (raw.len / 2) % 17
+    } else {
+        raw.len % (2 * line + 10)
+    };
+    let off = match raw.place {
+        0 => raw.pos % page_size,
+        1 => ((raw.pos % (page_size / line)) * line + line).saturating_sub(raw.pos % 9 + len / 2),
+        _ => page_size - 1 - raw.pos % 9,
+    };
+    let addr = (raw.page * page_size + off).min(space_bytes);
+    let len = len.min(space_bytes - addr);
+    let mut data = vec![0u8; len];
+    space.read(addr as u64, &mut data);
+    if !raw.fill.is_multiple_of(4) {
+        for (i, b) in data.iter_mut().enumerate() {
+            // Every third byte keeps its value: runs split mid-store.
+            if !(raw.fill as usize + i).is_multiple_of(3) {
+                *b = raw.fill.wrapping_add(i as u8);
+            }
+        }
+    }
+    (addr as u64, data)
+}
+
+/// The runtime's instrumented store: per page, snapshot the missing
+/// lines, then write.
+fn tracked_store(
+    snaps: &mut SliceSnapshots,
+    space: &mut PrivateSpace,
+    mut addr: u64,
+    mut data: &[u8],
+) {
+    while !data.is_empty() {
+        let (page, off) = (space.page_of(addr), space.page_offset(addr));
+        let n = data.len().min(space.page_size() - off);
+        let need = snaps.missing_lines(page, off, n);
+        if need != 0 {
+            let rec = snaps.record(page, need, space.page(page).map(Page::bytes));
+            assert_eq!(
+                rec.bytes_copied,
+                u64::from(need.count_ones()) * snaps.line_bytes() as u64
+            );
+        }
+        space.write_page(page, off, &data[..n]);
+        data = &data[n..];
+        addr += n as u64;
+    }
+}
+
 proptest! {
+    /// Differential pin of dirty-line tracking: whatever the store
+    /// sequence — line- and page-straddling stores, zero-length stores,
+    /// same-value overwrites, several slices over recycled buffers — the
+    /// sealed run list equals, run for run, the scalar whole-page diff of
+    /// every stored-to page against a whole-page snapshot taken at the
+    /// slice start. With gap coalescing on, it equals the whole-page
+    /// kernel's coalesced output instead.
+    #[test]
+    fn dirty_line_seal_matches_whole_page_scalar_diff(
+        size_idx in 0usize..4,
+        prefill in prop::collection::vec((0usize..DL_PAGES, any::<u8>()), 0..4),
+        slices in prop::collection::vec(arb_raw_stores(), 1..4),
+        gap in 0usize..3,
+        pool_cap in 0usize..3,
+    ) {
+        let page_size = [64usize, 256, 4096, 65536][size_idx];
+        let gap = gap * 40; // 0, under a line, over a line
+        let mut space = PrivateSpace::new((DL_PAGES * page_size) as u64, page_size as u64);
+        for (page, seed) in prefill {
+            let bytes: Vec<u8> = (0..page_size).map(|i| seed.wrapping_mul(31).wrapping_add(i as u8)).collect();
+            space.write((page * page_size) as u64, &bytes);
+        }
+        let mut snaps = SliceSnapshots::new(DL_PAGES, page_size, pool_cap);
+        let line = snaps.line_bytes();
+        prop_assert_eq!(line, 64.max(page_size / 64));
+        for stores in slices {
+            let before: Vec<Box<[u8]>> = (0..DL_PAGES).map(|p| space.snapshot_page(p)).collect();
+            for raw in &stores {
+                let (addr, data) = resolve(raw, page_size, line, &space);
+                tracked_store(&mut snaps, &mut space, addr, &data);
+            }
+            let mut sealed = Vec::new();
+            let outcome = snaps.seal(&space, gap, &mut sealed);
+            prop_assert_eq!(snaps.dirty_pages(), 0);
+            prop_assert_eq!(outcome.bytes_scanned % line as u64, 0);
+            prop_assert!(outcome.bytes_scanned <= (DL_PAGES * page_size) as u64);
+
+            // The reference diffs every page whole; pages not stored to
+            // are unchanged and contribute nothing.
+            let mut whole = Vec::new();
+            let mut coalesced = 0;
+            for (p, before) in before.iter().enumerate() {
+                let current = space.snapshot_page(p);
+                let base = space.page_base(p);
+                if gap == 0 {
+                    diff::diff_page_scalar(base, before, &current, &mut whole);
+                } else {
+                    coalesced += diff::diff_page_opts(base, before, &current, gap, &mut whole)
+                        .runs_coalesced;
+                }
+            }
+            prop_assert_eq!(&sealed, &whole);
+            prop_assert_eq!(outcome.runs_coalesced, coalesced);
+        }
+    }
+
     /// PrivateSpace behaves exactly like a flat byte array.
     #[test]
     fn space_matches_flat_model(writes in arb_writes()) {

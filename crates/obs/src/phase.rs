@@ -40,7 +40,9 @@ pub enum Phase {
     SliceWall,
     /// End-of-slice byte diff over the slice's snapshots.
     Diff,
-    /// Copy-on-first-write page snapshot.
+    /// Copy-on-first-write snapshot: one sample per page first stored to
+    /// in a slice. RFDet-ci copies further lines of an already-open page
+    /// untimed (counted in `Stats::snapshot_bytes_copied`).
     Snapshot,
     /// Propagation / modification apply (Figure-5 scan, mailbox and
     /// lazy-write application).
