@@ -28,12 +28,7 @@ impl RunOutput {
     /// determinism tests to compare runs cheaply.
     #[must_use]
     pub fn output_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &self.output {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        crate::digest::fnv1a(&self.output)
     }
 }
 

@@ -148,16 +148,6 @@ pub struct RunConfig {
     /// liveness/latency trade-off — wakeups themselves are delivered
     /// deterministically — so it never enters the trace projection.
     pub idle_poll_ms: u64,
-    /// Fall back to the original broadcast spin-scan turn arbitration
-    /// instead of successor handoff (every waiter scans every slot,
-    /// O(T²) coherence traffic per turn transition). Both strategies
-    /// admit the identical turn sequence — *which* thread is minimal is
-    /// a pure function of logical clocks; arbitration only decides how
-    /// the winner finds out — so, like `idle_poll_ms`, this is a
-    /// latency/throughput knob that stays out of the trace projection.
-    /// Kept for A/B measurement and as the oracle mode the handoff
-    /// protocol is pinned against.
-    pub spin_arbitration: bool,
     /// Deterministic checkpointing (core backend only): capture a
     /// [`rfdet_trace::Checkpoint`] at every Nth *eligible* barrier
     /// episode — a full-membership barrier where no mutex is held and
@@ -191,12 +181,14 @@ pub struct RunConfig {
     /// output and failure digests are identical with the detector on or
     /// off (reports live outside `output_digest`), so, like `metrics`,
     /// this knob stays out of the trace projection and a replay decides
-    /// for itself whether to re-detect. Backends force `supervise` on
-    /// (sync-op coordinates ride the supervision counter) and disable
-    /// the slice-merging and gap-coalescing optimizations (both are
-    /// semantics-neutral but change slice granularity, which would skew
-    /// cross-backend coordinates). `false` (the default) keeps the cost
-    /// at one branch per slice.
+    /// for itself whether to re-detect. A detecting run forces
+    /// `supervise` on (sync-op coordinates ride the supervision counter)
+    /// and, on the core, disables the slice-merging and gap-coalescing
+    /// optimizations (both are semantics-neutral but change slice
+    /// granularity, which would skew cross-backend coordinates);
+    /// [`crate::RunHarness::new`] applies these once and lists each one
+    /// it actually changed in [`crate::TracedRun::warnings`]. `false`
+    /// (the default) keeps the cost at one branch per slice.
     pub detect_races: bool,
 }
 
@@ -219,7 +211,6 @@ impl Default for RunConfig {
             trace: None,
             metrics: false,
             idle_poll_ms: 20,
-            spin_arbitration: false,
             checkpoint_every: 0,
             stop_at_checkpoint: None,
             checkpoint_dir: None,
@@ -322,9 +313,8 @@ impl RunConfig {
             deadlock_after_ms: c.deadlock_after_ms,
             trace: Some(trace.workload.clone()),
             // Not part of the determinism-relevant projection: metrics
-            // never influence results, the idle-poll period only affects
-            // wakeup latency, and both arbitration strategies admit the
-            // identical turn sequence. Checkpoint capture is likewise
+            // never influence results and the idle-poll period only
+            // affects wakeup latency. Checkpoint capture is likewise
             // schedule-neutral (decisions ride an existing turn, capture
             // runs off-turn), so whether and where a run checkpoints is
             // replay-side policy, not a recorded input. Replays use the
@@ -332,7 +322,6 @@ impl RunConfig {
             // knobs explicitly on top of this reconstruction.
             metrics: false,
             idle_poll_ms: RunConfig::default().idle_poll_ms,
-            spin_arbitration: false,
             checkpoint_every: 0,
             stop_at_checkpoint: None,
             checkpoint_dir: None,
@@ -394,6 +383,23 @@ impl RunConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `cfg` as a replay reconstructs it from a clean run's trace.
+    fn through_a_trace(cfg: &RunConfig) -> RunConfig {
+        RunConfig::from_trace(&rfdet_trace::RunTrace {
+            backend: "b".into(),
+            workload: "w".into(),
+            seed: None,
+            config: cfg.trace_config(),
+            faults: Vec::new(),
+            events: Vec::new(),
+            failure: rfdet_trace::FailureSummary {
+                kind: rfdet_trace::KIND_NONE,
+                tid: 0,
+                report_digest: 0,
+            },
+        })
+    }
 
     #[test]
     fn default_is_valid() {
@@ -473,28 +479,10 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.metrics = true;
         cfg.idle_poll_ms = 3;
-        cfg.spin_arbitration = true;
         cfg.trace = Some("w".to_owned());
-        let trace = rfdet_trace::RunTrace {
-            backend: "b".into(),
-            workload: "w".into(),
-            seed: None,
-            config: cfg.trace_config(),
-            faults: Vec::new(),
-            events: Vec::new(),
-            failure: rfdet_trace::FailureSummary {
-                kind: rfdet_trace::KIND_NONE,
-                tid: 0,
-                report_digest: 0,
-            },
-        };
-        let back = RunConfig::from_trace(&trace);
+        let back = through_a_trace(&cfg);
         assert!(!back.metrics, "replays run with metrics off by default");
         assert_eq!(back.idle_poll_ms, RunConfig::default().idle_poll_ms);
-        assert!(
-            !back.spin_arbitration,
-            "arbitration strategy is schedule-neutral: replays use handoff"
-        );
     }
 
     #[test]
@@ -505,20 +493,7 @@ mod tests {
         cfg.checkpoint_dir = Some(std::path::PathBuf::from("/tmp/nowhere"));
         cfg.persist_checkpoints = false;
         cfg.trace = Some("w".to_owned());
-        let trace = rfdet_trace::RunTrace {
-            backend: "b".into(),
-            workload: "w".into(),
-            seed: None,
-            config: cfg.trace_config(),
-            faults: Vec::new(),
-            events: Vec::new(),
-            failure: rfdet_trace::FailureSummary {
-                kind: rfdet_trace::KIND_NONE,
-                tid: 0,
-                report_digest: 0,
-            },
-        };
-        let back = RunConfig::from_trace(&trace);
+        let back = through_a_trace(&cfg);
         assert_eq!(back.checkpoint_every, 0, "capture is replay-side policy");
         assert_eq!(back.stop_at_checkpoint, None);
         assert_eq!(back.checkpoint_dir, None);
@@ -530,20 +505,7 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.detect_races = true;
         cfg.trace = Some("w".to_owned());
-        let trace = rfdet_trace::RunTrace {
-            backend: "b".into(),
-            workload: "w".into(),
-            seed: None,
-            config: cfg.trace_config(),
-            faults: Vec::new(),
-            events: Vec::new(),
-            failure: rfdet_trace::FailureSummary {
-                kind: rfdet_trace::KIND_NONE,
-                tid: 0,
-                report_digest: 0,
-            },
-        };
-        let back = RunConfig::from_trace(&trace);
+        let back = through_a_trace(&cfg);
         assert!(
             !back.detect_races,
             "detection is digest-neutral: re-detecting is replay-side policy"

@@ -246,13 +246,8 @@ impl FailureReport {
     /// produce byte-identical digests. Peer diagnostics are excluded.
     #[must_use]
     pub fn report_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = crate::digest::Fnv1a::new();
+        let mut eat = |bytes: &[u8]| h.write(bytes);
         eat(self.backend.as_bytes());
         eat(&[self.kind as u8]);
         eat(&self.tid.to_le_bytes());
@@ -274,7 +269,7 @@ impl FailureReport {
         for t in &self.cycle {
             eat(&t.to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Renders the full report (deterministic projection first, then the

@@ -1,0 +1,467 @@
+//! The run harness: everything about a run that is *not* "how sync ops
+//! are ordered and when memory becomes visible" — the part a backend
+//! actually implements.
+//!
+//! Three pieces, owned and called directly by each backend's contexts
+//! (plain structs, no trait object, per-op methods `#[inline]`):
+//!
+//! * [`ThreadHarness`] — per thread: the sync-op and allocation
+//!   coordinates, the last op, the flight-recorder and metrics buffers,
+//!   the profiling counters. [`ThreadHarness::enter_sync`] is the one
+//!   definition of what a sync-op coordinate is and what happens at one.
+//! * [`RunHarness`] — per run: the resolved [`RunConfig`](crate::RunConfig)
+//!   (with the overrides it applied), the fault plan, both sinks, the OS
+//!   thread handles and the failure slot.
+//! * [`RunHarness::finish`] — the run tail, in the one order it must
+//!   happen in.
+//!
+//! A backend supplies only what differs: the clock stamped on each
+//! event, what jitter ticks mean, *when* a planned panic is delivered
+//! (deterministic backends deliver it once the op is ordered), and how a
+//! failed run is stopped.
+
+mod run;
+mod thread;
+
+pub use run::{Family, RunHarness};
+pub use thread::{PlannedPanic, ThreadHarness};
+
+use crate::{Addr, BarrierId, CondId, MutexId, Stats, Tid};
+use rfdet_trace::op;
+
+/// One synchronization operation, as every backend reports it to
+/// [`ThreadHarness::enter_sync`]. The variant decides the trace kind, the
+/// trace argument, how failure reports render it, and which [`Stats`]
+/// counter it bumps — so a new op kind is one variant here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SyncOp {
+    /// `lock(m)`.
+    Lock(MutexId),
+    /// `unlock(m)`.
+    Unlock(MutexId),
+    /// `cond_wait(c, _)`.
+    CondWait(CondId),
+    /// `cond_signal(c)`.
+    CondSignal(CondId),
+    /// `cond_broadcast(c)`.
+    CondBroadcast(CondId),
+    /// `barrier(b, _)`.
+    Barrier(BarrierId),
+    /// `spawn(_)`.
+    Spawn,
+    /// `join` of the given thread.
+    Join(Tid),
+    /// `atomic_rmw` / `atomic_load` / `atomic_store` on the given cell.
+    Atomic(Addr),
+    /// The implicit operation a thread performs when its entry function
+    /// returns.
+    Exit,
+}
+
+impl SyncOp {
+    /// The codec-stable trace kind ([`rfdet_trace::op`]).
+    #[must_use]
+    #[inline]
+    pub fn kind(self) -> u8 {
+        match self {
+            SyncOp::Lock(_) => op::LOCK,
+            SyncOp::Unlock(_) => op::UNLOCK,
+            SyncOp::CondWait(_) => op::COND_WAIT,
+            SyncOp::CondSignal(_) => op::COND_SIGNAL,
+            SyncOp::CondBroadcast(_) => op::COND_BROADCAST,
+            SyncOp::Barrier(_) => op::BARRIER,
+            SyncOp::Spawn => op::SPAWN,
+            SyncOp::Join(_) => op::JOIN,
+            SyncOp::Atomic(_) => op::ATOMIC,
+            SyncOp::Exit => op::EXIT,
+        }
+    }
+
+    /// The operation's argument (sync-object id, joined tid, atomic
+    /// address), when it has one.
+    #[must_use]
+    #[inline]
+    pub fn arg(self) -> Option<u64> {
+        match self {
+            SyncOp::Lock(m) | SyncOp::Unlock(m) => Some(u64::from(m.0)),
+            SyncOp::CondWait(c) | SyncOp::CondSignal(c) | SyncOp::CondBroadcast(c) => {
+                Some(u64::from(c.0))
+            }
+            SyncOp::Barrier(b) => Some(u64::from(b.0)),
+            SyncOp::Join(t) => Some(u64::from(t)),
+            SyncOp::Atomic(a) => Some(a),
+            SyncOp::Spawn | SyncOp::Exit => None,
+        }
+    }
+
+    /// Counts the operation in the Table-1 sync-op columns.
+    #[inline]
+    fn count(self, stats: &mut Stats) {
+        match self {
+            SyncOp::Lock(_) => stats.locks += 1,
+            SyncOp::Unlock(_) => stats.unlocks += 1,
+            SyncOp::CondWait(_) => stats.waits += 1,
+            SyncOp::CondSignal(_) | SyncOp::CondBroadcast(_) => stats.signals += 1,
+            SyncOp::Barrier(_) => stats.barriers += 1,
+            SyncOp::Spawn => stats.forks += 1,
+            SyncOp::Join(_) => stats.joins += 1,
+            SyncOp::Atomic(_) => stats.atomics += 1,
+            SyncOp::Exit => {}
+        }
+    }
+
+    /// How failure reports render the operation, e.g. `lock(3)`.
+    #[must_use]
+    pub fn render(self) -> String {
+        let name = op::name(self.kind());
+        match self.arg() {
+            Some(a) => format!("{name}({a})"),
+            None => name.to_owned(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{
+        FailureKind, FaultPlan, RunConfig, RunError, RunOutput, SyncOpFault, ThreadReport,
+        TracedRun,
+    };
+    use rfdet_obs::Phase;
+    use rfdet_trace::{persist, TraceEvent, KIND_NONE, KIND_PANIC};
+
+    fn cfg(f: impl FnOnce(&mut RunConfig)) -> RunConfig {
+        let mut cfg = RunConfig::small();
+        f(&mut cfg);
+        cfg
+    }
+
+    /// Finishes a run whose only context is `main` and whose output is
+    /// `b"ok"`.
+    fn finish(run: &RunHarness, main: ThreadHarness) -> TracedRun {
+        let stats = main.stats;
+        run.finish(
+            "test",
+            main,
+            |_| Default::default(),
+            || (b"ok".to_vec(), stats),
+        )
+    }
+
+    fn events(run: TracedRun) -> Vec<TraceEvent> {
+        run.trace.expect("recording on").events
+    }
+
+    fn report_of(tid: Tid) -> Option<ThreadReport> {
+        Some(ThreadReport {
+            tid,
+            ..ThreadReport::default()
+        })
+    }
+
+    #[test]
+    fn sync_op_indices_are_per_thread_and_dense() {
+        let run = RunHarness::new(&cfg(|c| c.trace = Some("w".into())), Family::Native);
+        let mut a = ThreadHarness::new(&run, 0);
+        let mut b = ThreadHarness::new(&run, 1);
+        a.enter_sync(SyncOp::Lock(MutexId(3)), || 10);
+        b.enter_sync(SyncOp::Spawn, || 0);
+        a.enter_alloc(|| 11, 64);
+        a.enter_sync(SyncOp::Unlock(MutexId(3)), || 12);
+        b.enter_sync(SyncOp::Exit, || 0);
+        assert_eq!((a.sync_ops(), a.allocs(), b.sync_ops()), (2, 1, 2));
+        assert_eq!(a.report().last_op.as_deref(), Some("unlock(3)"));
+        assert_eq!(b.report().last_op.as_deref(), Some("exit"));
+        assert_eq!(a.stats.shared_bytes, 64);
+        drop(b);
+        let projected: Vec<_> = events(finish(&run, a))
+            .iter()
+            .map(|e| (e.tid, e.op, e.kind, e.arg, e.clock))
+            .collect();
+        assert_eq!(
+            projected,
+            vec![
+                (0, 0, op::LOCK, Some(3), 10),
+                (0, 0, op::ALLOC, None, 11),
+                (0, 1, op::UNLOCK, Some(3), 12),
+                (1, 0, op::SPAWN, None, 0),
+                (1, 1, op::EXIT, None, 0),
+            ]
+        );
+    }
+
+    #[test]
+    fn every_op_kind_names_its_counter_and_its_rendering() {
+        let run = RunHarness::new(&RunConfig::small(), Family::Native);
+        let mut h = ThreadHarness::new(&run, 0);
+        for (op, rendered) in [
+            (SyncOp::Lock(MutexId(1)), "lock(1)"),
+            (SyncOp::Unlock(MutexId(1)), "unlock(1)"),
+            (SyncOp::CondWait(CondId(2)), "cond_wait(2)"),
+            (SyncOp::CondSignal(CondId(2)), "cond_signal(2)"),
+            (SyncOp::CondBroadcast(CondId(2)), "cond_broadcast(2)"),
+            (SyncOp::Barrier(BarrierId(4)), "barrier(4)"),
+            (SyncOp::Spawn, "spawn"),
+            (SyncOp::Join(5), "join(5)"),
+            (SyncOp::Atomic(64), "atomic(64)"),
+            (SyncOp::Exit, "exit"),
+        ] {
+            h.enter_sync(op, || 0);
+            assert_eq!(h.report().last_op.as_deref(), Some(rendered));
+        }
+        let s = h.stats;
+        assert_eq!(
+            [s.locks, s.unlocks, s.waits, s.signals, s.barriers, s.forks, s.joins, s.atomics],
+            [1, 1, 1, 2, 1, 1, 1, 1]
+        );
+        assert_eq!(h.sync_ops(), 10, "exit is a coordinate, not a counter");
+        h.count_app_events(3, 1);
+        assert_eq!((h.stats.app_retries, h.stats.app_shed), (3, 1));
+    }
+
+    #[test]
+    fn unsupervised_runs_record_nothing_and_inject_nothing() {
+        let run = RunHarness::new(
+            &cfg(|c| {
+                c.supervise = false;
+                c.trace = Some("w".into());
+                c.fault_plan = FaultPlan::new()
+                    .panic_at(0, 0)
+                    .jitter_at(0, 0, 9)
+                    .fail_alloc(0, 0);
+            }),
+            Family::Dlrc,
+        );
+        let mut h = ThreadHarness::new(&run, 0);
+        assert_eq!(
+            h.enter_sync(SyncOp::Lock(MutexId(0)), || 5),
+            SyncOpFault::default()
+        );
+        h.raise_planned();
+        assert!(h.planned_panic().is_none());
+        h.enter_alloc(|| 5, 8);
+        assert_eq!((h.sync_ops(), h.allocs()), (0, 0));
+        assert_eq!(h.report().last_op, None);
+        assert_eq!(h.stats.locks, 1, "profiling counters are not supervision");
+        assert!(events(finish(&run, h)).is_empty());
+    }
+
+    #[test]
+    fn the_event_is_recorded_before_the_fault_is_reported() {
+        let run = RunHarness::new(
+            &cfg(|c| {
+                c.trace = Some("w".into());
+                c.fault_plan = FaultPlan::new().jitter_at(0, 1, 7).panic_at(0, 1);
+            }),
+            Family::Lockstep,
+        );
+        let mut h = ThreadHarness::new(&run, 0);
+        assert_eq!(h.enter_sync(SyncOp::Spawn, || 40), SyncOpFault::default());
+        h.raise_planned();
+        let fault = h.enter_sync(SyncOp::Join(1), || 45);
+        assert_eq!((fault.panic, fault.jitter_ticks), (true, 7));
+        let (message, culprit) = h.planned_panic().expect("planned at op 1");
+        assert_eq!(message, FaultPlan::panic_message(0, 1));
+        assert_eq!(
+            (culprit.sync_ops, culprit.last_op.as_deref()),
+            (2, Some("join(1)"))
+        );
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.raise_planned()))
+            .expect_err("the planned panic fires");
+        assert_eq!(raised.downcast_ref::<String>(), Some(&message));
+        // The faulting op is in the stream, keyed to its pre-jitter clock.
+        let recorded = events(finish(&run, h));
+        assert_eq!(recorded.len(), 2);
+        assert_eq!((recorded[1].op, recorded[1].clock), (1, 45));
+    }
+
+    #[test]
+    fn first_root_cause_wins_and_later_unwinds_become_peers() {
+        let run = RunHarness::new(&RunConfig::small(), Family::Dlrc);
+        let any_panic = |_: &(dyn std::any::Any + Send), _: &str| Some(FailureKind::Panic);
+        assert!(run.record_unwind(0, Box::new("first"), None, any_panic));
+        assert!(run.record_unwind(1, Box::new("second".to_owned()), report_of(1), any_panic));
+        // The culprit's own later unwind (a lockstep culprit tears down
+        // with everyone else) and a structural failure lose the slot too.
+        run.record_failure(
+            FailureKind::Wedged,
+            0,
+            "late".into(),
+            report_of(0),
+            Vec::new(),
+            Vec::new(),
+        );
+        run.record_deadlock(2, 1, Vec::new());
+        let err = run.take_run_error("test").expect("failure recorded");
+        let r = err.report();
+        assert!(matches!(err, RunError::WorkerPanicked(_)));
+        assert_eq!(
+            (r.kind, r.tid, r.message.as_str()),
+            (FailureKind::Panic, 0, "first")
+        );
+        assert_eq!(r.backend, "test");
+        assert_eq!(r.peers.len(), 1, "second panic kept, culprit filtered");
+        assert_eq!(r.peers[0].tid, 1);
+        assert!(
+            run.take_run_error("test").is_none(),
+            "the slot is taken once"
+        );
+    }
+
+    #[test]
+    fn secondary_unwinds_are_not_root_causes() {
+        struct Token;
+        let run = RunHarness::new(&RunConfig::small(), Family::Lockstep);
+        let root = run.record_unwind(2, Box::new(Token), report_of(2), |p, message| {
+            assert_eq!(message, "panic with non-string payload");
+            (!p.is::<Token>()).then_some(FailureKind::Panic)
+        });
+        assert!(!root);
+        assert!(run.take_run_error("test").is_none());
+        // Classification decides the kind as well.
+        run.record_unwind(0, Box::new("starved".to_owned()), None, |_, m| {
+            m.starts_with("starved").then_some(FailureKind::Wedged)
+        });
+        let err = run.take_run_error("test").expect("wedge recorded");
+        assert!(matches!(err, RunError::Wedged(_)));
+        assert_eq!(
+            err.report().peers.len(),
+            1,
+            "the token's state is a diagnostic"
+        );
+    }
+
+    #[test]
+    fn detector_overrides_are_resolved_once_and_listed() {
+        let detecting = cfg(|c| {
+            c.detect_races = true;
+            c.supervise = false;
+            c.rfdet.diff_gap_coalesce = 16;
+        });
+        let core = RunHarness::new(&detecting, Family::Dlrc);
+        assert!(core.cfg.supervise && !core.cfg.rfdet.slice_merging);
+        assert_eq!(core.cfg.rfdet.diff_gap_coalesce, 0);
+        assert_eq!(
+            core.overrides,
+            [
+                "detect_races: supervise false→true",
+                "detect_races: rfdet.slice_merging true→false",
+                "detect_races: rfdet.diff_gap_coalesce 16→0",
+            ]
+        );
+        let lockstep = RunHarness::new(&detecting, Family::Lockstep);
+        assert_eq!(lockstep.overrides, ["detect_races: supervise false→true"]);
+        assert!(lockstep.cfg.rfdet.slice_merging, "not a lockstep knob");
+        let native = RunHarness::new(&detecting, Family::Native);
+        assert!(native.overrides.is_empty() && !native.cfg.supervise);
+        // A config that needs no override gets no note — and no warning.
+        let quiet = RunHarness::new(
+            &cfg(|c| {
+                c.detect_races = true;
+                c.rfdet.slice_merging = false;
+            }),
+            Family::Dlrc,
+        );
+        assert!(quiet.overrides.is_empty());
+        let h = ThreadHarness::new(&quiet, 0);
+        assert!(finish(&quiet, h).warnings.is_empty());
+        let h = ThreadHarness::new(&core, 0);
+        assert_eq!(finish(&core, h).warnings, core.overrides);
+    }
+
+    #[test]
+    fn a_plain_run_has_no_trace_and_no_metrics() {
+        let run = RunHarness::new(&RunConfig::small(), Family::Dlrc);
+        assert!(run.trace_sink.is_none() && run.obs_sink.is_none());
+        let h = ThreadHarness::new(&run, 0);
+        assert!(!h.metered() && h.start().is_none());
+        run.record_unwind(1, Box::new("boom"), None, |_, _| Some(FailureKind::Panic));
+        let done = finish(&run, h);
+        assert!(done.trace.is_none());
+        assert!(done
+            .result
+            .expect_err("failed")
+            .report()
+            .trace_path
+            .is_none());
+        let run = RunHarness::new(&RunConfig::small(), Family::Dlrc);
+        let done = finish(&run, ThreadHarness::new(&run, 0));
+        assert!(done.result.expect("clean").metrics.is_none());
+    }
+
+    #[test]
+    fn a_clean_run_is_traced_but_not_persisted_and_gets_the_rollup() {
+        let run = RunHarness::new(
+            &cfg(|c| {
+                c.trace = Some("wl".into());
+                c.metrics = true;
+            }),
+            Family::Dlrc,
+        );
+        let mut h = ThreadHarness::new(&run, 0);
+        let t0 = h.start();
+        assert!(h.metered() && t0.is_some());
+        h.since(Phase::SyncOp, t0);
+        h.sample(Phase::IdleWakeups, 3);
+        let sink = run.obs_sink.as_ref().expect("metrics on");
+        sink.record(Phase::SerialApply, 1_500);
+        let done = finish(&run, h);
+        let trace = done.trace.expect("trace");
+        let mut out = done.result.expect("clean");
+        assert_eq!(trace.failure.kind, KIND_NONE);
+        assert!(!trace.failure.is_failure());
+        assert_eq!(trace.failure.report_digest, out.output_digest());
+        let snap = out.metrics.take().expect("snapshot attached");
+        assert_eq!(snap.backend, "test");
+        assert_eq!(snap.phase(Phase::SyncOp).expect("phase").count, 1);
+        assert_eq!(snap.phase(Phase::IdleWakeups).expect("phase").count, 1);
+        assert_eq!(snap.phase(Phase::SerialApply).expect("phase").count, 1);
+        // The digest never covers metrics.
+        let bare = RunOutput {
+            output: b"ok".to_vec(),
+            ..RunOutput::default()
+        };
+        assert_eq!(out.output_digest(), bare.output_digest());
+    }
+
+    #[test]
+    fn a_failing_run_persists_its_trace_and_keeps_its_report_untouched() {
+        let dir = std::env::temp_dir().join(format!("rfdet-harness-test-{}", std::process::id()));
+        // The env var is process-wide: this is the only test in the crate
+        // that may set it.
+        std::env::set_var("RFDET_TRACE_DIR", &dir);
+        let run = RunHarness::new(
+            &cfg(|c| {
+                c.trace = Some("wl".into());
+                c.metrics = true;
+                c.jitter_seed = Some(5);
+                c.fault_plan = FaultPlan::new().panic_at(1, 0);
+            }),
+            Family::Dlrc,
+        );
+        run.record_unwind(1, Box::new("boom"), report_of(1), |_, _| {
+            Some(FailureKind::Panic)
+        });
+        let mut h = ThreadHarness::new(&run, 0);
+        h.sample(Phase::SyncOp, 10);
+        let done = finish(&run, h);
+        std::env::remove_var("RFDET_TRACE_DIR");
+
+        let trace = done.trace.expect("trace");
+        assert_eq!(trace.workload, "wl");
+        assert_eq!(trace.seed, Some(5));
+        assert_eq!(trace.faults.len(), 1);
+        assert_eq!(trace.failure.kind, KIND_PANIC);
+        let err = done.result.expect_err("failed");
+        assert_eq!(trace.failure.report_digest, err.report_digest());
+        let path = err.report().trace_path.clone().expect("path stamped");
+        assert_eq!(persist::load(&path).expect("loads back"), *trace);
+        // Timing never reaches a failure report: its digest is the bare
+        // report's.
+        let mut bare = err.report().clone();
+        bare.trace_path = None;
+        assert_eq!(bare.report_digest(), err.report_digest());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -1,0 +1,335 @@
+//! Per-run harness state: resolved config, sinks, OS handles, the
+//! failure slot and the run tail.
+
+use crate::{
+    FailureKind, FailureReport, FaultPlan, RaceReport, RunConfig, RunError, RunOutput, Stats,
+    ThreadReport, Tid, TracedRun, WaitEdge,
+};
+use rfdet_obs::ObsSink;
+use rfdet_trace::{persist, FailureSummary, RunTrace, TraceSink, KIND_NONE};
+use std::any::Any;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+
+/// The backend families, which differ in which of the config's
+/// cross-knob overrides apply to them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Family {
+    /// The DLRC core: honors [`crate::RfdetOpts`] and detects races per
+    /// sealed slice.
+    Dlrc,
+    /// The lockstep engines (DThreads, quantum): detect races per
+    /// parallel interval, ignore [`crate::RfdetOpts`].
+    Lockstep,
+    /// The native baseline: no race detection, nothing to override.
+    Native,
+}
+
+/// The harness mutexes guard plain data that stays coherent when some
+/// unrelated panic unwinds past a guard.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Extracts a printable message from a panic payload.
+fn payload_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_owned()
+    }
+}
+
+/// Everything one run shares across its threads that is not the
+/// backend's ordering or memory machinery.
+#[derive(Debug)]
+pub struct RunHarness {
+    /// The resolved configuration: the caller's, validated, with the
+    /// overrides in [`Self::overrides`] applied. The one copy every
+    /// layer of the run reads.
+    pub cfg: RunConfig,
+    pub(super) plan: Arc<FaultPlan>,
+    /// The overrides [`Self::new`] applied, one note each (empty when the
+    /// config needed none). They surface in [`TracedRun::warnings`].
+    pub overrides: Vec<String>,
+    /// The flight-recorder sink — `Some` exactly when the config asks for
+    /// a recording. Public for events no thread context records (wake
+    /// taps).
+    pub trace_sink: Option<Arc<TraceSink>>,
+    /// The metrics sink — `Some` exactly when the config asks for
+    /// metrics. Public for phases no thread context times (serial
+    /// sections).
+    pub obs_sink: Option<Arc<ObsSink>>,
+    /// OS join handles of spawned threads, harvested by [`Self::finish`].
+    handles: Mutex<HashMap<Tid, JoinHandle<()>>>,
+    /// The root cause. First writer wins; `backend` is filled in at
+    /// teardown.
+    failure: Mutex<Option<FailureReport>>,
+    /// Best-effort states of threads that unwound *after* the root cause
+    /// was recorded (excluded from the report digest).
+    peers: Mutex<BTreeMap<Tid, ThreadReport>>,
+}
+
+impl RunHarness {
+    /// Validates `cfg`, resolves the knobs that force others and creates
+    /// the sinks the resolved config asks for.
+    ///
+    /// Race detection's logical coordinates ride the supervision sync-op
+    /// counter and must mean the same thing on every backend, so a
+    /// detecting run forces supervision on and, on the core, one sealed
+    /// slice per sync op (no merged slices) with exact byte diffs (no
+    /// coalesced gap bytes widening the written-word set). All three are
+    /// semantics-neutral — schedule and digests are unchanged — and each
+    /// one actually applied is listed in [`Self::overrides`].
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration ([`RunConfig::validate`]).
+    #[must_use]
+    pub fn new(cfg: &RunConfig, family: Family) -> Self {
+        cfg.validate();
+        let mut cfg = cfg.clone();
+        let mut overrides = Vec::new();
+        if cfg.detect_races && family != Family::Native {
+            if !cfg.supervise {
+                cfg.supervise = true;
+                overrides.push("detect_races: supervise false→true".to_owned());
+            }
+            if family == Family::Dlrc {
+                if cfg.rfdet.slice_merging {
+                    cfg.rfdet.slice_merging = false;
+                    overrides.push("detect_races: rfdet.slice_merging true→false".to_owned());
+                }
+                if cfg.rfdet.diff_gap_coalesce != 0 {
+                    overrides.push(format!(
+                        "detect_races: rfdet.diff_gap_coalesce {}→0",
+                        cfg.rfdet.diff_gap_coalesce
+                    ));
+                    cfg.rfdet.diff_gap_coalesce = 0;
+                }
+            }
+        }
+        Self {
+            plan: Arc::new(cfg.fault_plan.clone()),
+            overrides,
+            trace_sink: cfg.trace.as_ref().map(|_| Arc::default()),
+            obs_sink: cfg.metrics.then(Arc::default),
+            handles: Mutex::default(),
+            failure: Mutex::default(),
+            peers: Mutex::default(),
+            cfg,
+        }
+    }
+
+    /// Hands the harness a spawned thread's OS handle; [`Self::finish`]
+    /// joins whatever was not claimed back.
+    pub fn adopt(&self, tid: Tid, handle: JoinHandle<()>) {
+        lock(&self.handles).insert(tid, handle);
+    }
+
+    /// Claims `tid`'s OS handle back (a backend whose `join` is the OS
+    /// join). `None` when unknown or already claimed.
+    #[must_use]
+    pub fn claim(&self, tid: Tid) -> Option<JoinHandle<()>> {
+        lock(&self.handles).remove(&tid)
+    }
+
+    /// Records a failure. The first one is the run's root cause; a later
+    /// one only contributes its culprit state as a peer diagnostic.
+    /// Stopping the run is the caller's job.
+    pub fn record_failure(
+        &self,
+        kind: FailureKind,
+        tid: Tid,
+        message: String,
+        culprit: Option<ThreadReport>,
+        wait_graph: Vec<WaitEdge>,
+        cycle: Vec<Tid>,
+    ) {
+        let mut slot = lock(&self.failure);
+        if slot.is_none() {
+            *slot = Some(FailureReport {
+                backend: String::new(),
+                kind,
+                tid,
+                message,
+                culprit,
+                wait_graph,
+                cycle,
+                peers: Vec::new(),
+                trace_path: None,
+                warnings: Vec::new(),
+            });
+        } else if let Some(c) = culprit {
+            lock(&self.peers).entry(tid).or_insert(c);
+        }
+    }
+
+    /// Records a structural deadlock: every one of the `live` remaining
+    /// threads is blocked, `wait_graph` holds one edge per blocked thread
+    /// sorted by waiter, `tid` is the culprit the backend names. The
+    /// cycle and the message derive from the graph, which is read off
+    /// deterministic queue state, so the report reproduces across reruns.
+    pub fn record_deadlock(&self, tid: Tid, live: usize, wait_graph: Vec<WaitEdge>) {
+        let cycle = FailureReport::find_cycle(&wait_graph);
+        let message = if cycle.is_empty() {
+            format!("all {live} live threads blocked with no possible waker")
+        } else {
+            let cyc: Vec<String> = cycle.iter().map(|t| format!("t{t}")).collect();
+            format!("wait-for cycle {}", cyc.join(" -> "))
+        };
+        self.record_failure(FailureKind::Deadlock, tid, message, None, wait_graph, cycle);
+    }
+
+    /// Records a thread's unwind. `classify` sees the payload and its
+    /// message and names the root-cause kind, or `None` for the
+    /// secondary unwinds a backend's own stop mechanism produces in
+    /// peers — those only contribute `report` as a peer diagnostic.
+    /// Returns whether the unwind was classified as a root cause.
+    pub fn record_unwind(
+        &self,
+        tid: Tid,
+        payload: Box<dyn Any + Send>,
+        report: Option<ThreadReport>,
+        classify: impl FnOnce(&(dyn Any + Send), &str) -> Option<FailureKind>,
+    ) -> bool {
+        let message = payload_message(payload.as_ref());
+        match classify(payload.as_ref(), &message) {
+            Some(kind) => {
+                self.record_failure(kind, tid, message, report, Vec::new(), Vec::new());
+                true
+            }
+            None => {
+                if let Some(r) = report {
+                    lock(&self.peers).entry(tid).or_insert(r);
+                }
+                false
+            }
+        }
+    }
+
+    /// Assembles the final [`RunError`] at teardown, if the run failed.
+    pub fn take_run_error(&self, backend: &str) -> Option<RunError> {
+        let mut f = lock(&self.failure).take()?;
+        f.backend = backend.to_owned();
+        let culprit = f.tid;
+        f.peers = std::mem::take(&mut *lock(&self.peers))
+            .into_iter()
+            .filter(|&(t, _)| t != culprit)
+            .map(|(_, r)| r)
+            .collect();
+        Some(RunError::from_report(f))
+    }
+
+    /// The run tail, once the main thread's body has returned or
+    /// unwound. In order: joins every adopted OS thread (children may
+    /// keep spawning while we join, so until the map stays empty —
+    /// workers catch their own panics, so the joins cannot fail);
+    /// harvests the race reports through `races`, which may still need
+    /// the main context (the flag says the report list hit its cap);
+    /// drops `main` so its trace and metrics buffers flush (workers'
+    /// flushed when their contexts dropped); builds the result — the
+    /// recorded failure, or `output`'s bytes and counters; assembles and,
+    /// for a failed run, persists the trace; attaches the metrics rollup
+    /// to a successful run.
+    pub fn finish<C>(
+        &self,
+        backend: &str,
+        mut main: C,
+        races: impl FnOnce(&mut C) -> (Vec<RaceReport>, bool),
+        output: impl FnOnce() -> (Vec<u8>, Stats),
+    ) -> TracedRun {
+        loop {
+            let handles: Vec<_> = lock(&self.handles).drain().map(|(_, h)| h).collect();
+            if handles.is_empty() {
+                break;
+            }
+            for h in handles {
+                let _ = h.join();
+            }
+        }
+        let (races, truncated) = races(&mut main);
+        drop(main);
+        let mut warnings = self.overrides.clone();
+        if truncated {
+            warnings.push(format!(
+                "race reports truncated at {} — distinct racy pairs beyond the cap were not recorded",
+                races.len()
+            ));
+        }
+        let mut result = match self.take_run_error(backend) {
+            Some(mut err) => {
+                err.report_mut().warnings.extend(warnings.iter().cloned());
+                Err(err)
+            }
+            None => {
+                let (output, stats) = output();
+                Ok(RunOutput {
+                    output,
+                    stats,
+                    metrics: None,
+                    races,
+                })
+            }
+        };
+        let trace = self.finish_trace(backend, &mut result);
+        // Failing runs keep their report untouched: the report digest is
+        // rerun-stable and timing is not.
+        if let (Some(sink), Ok(out)) = (&self.obs_sink, &mut result) {
+            out.metrics = Some(Box::new(sink.snapshot(backend)));
+        }
+        TracedRun {
+            result,
+            trace,
+            checkpoints: Vec::new(),
+            warnings,
+        }
+    }
+
+    /// Assembles the run's [`RunTrace`] from the drained sink, persists
+    /// it when the run failed (atomic rename; best effort — a full disk
+    /// must not turn a reproducible failure into an I/O panic), and
+    /// stamps the persisted path into the error's report. A persist
+    /// failure degrades to a warning on the report instead of vanishing
+    /// silently. `None` when the run was not recording.
+    fn finish_trace(
+        &self,
+        backend: &str,
+        result: &mut Result<RunOutput, RunError>,
+    ) -> Option<Box<RunTrace>> {
+        let sink = self.trace_sink.as_ref()?;
+        let failure = match result {
+            Ok(out) => FailureSummary {
+                kind: KIND_NONE,
+                tid: 0,
+                report_digest: out.output_digest(),
+            },
+            Err(e) => FailureSummary {
+                kind: e.report().kind.code(),
+                tid: e.report().tid,
+                report_digest: e.report_digest(),
+            },
+        };
+        let trace = RunTrace {
+            backend: backend.to_owned(),
+            workload: self.cfg.trace.clone().unwrap_or_default(),
+            seed: self.cfg.jitter_seed,
+            config: self.cfg.trace_config(),
+            faults: self.cfg.fault_plan.to_trace_faults(),
+            events: sink.drain_sorted(),
+            failure,
+        };
+        if let Err(e) = result {
+            match persist::save(&trace) {
+                Ok(path) => e.report_mut().trace_path = Some(path),
+                Err(io) => e
+                    .report_mut()
+                    .warnings
+                    .push(format!("trace not persisted: {io}")),
+            }
+        }
+        Some(Box::new(trace))
+    }
+}

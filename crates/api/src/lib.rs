@@ -26,10 +26,9 @@ mod config;
 mod ctx;
 mod error;
 mod fault;
-mod metrics;
+pub mod harness;
 mod pod;
 mod race;
-mod record;
 mod retry;
 mod rng;
 mod stats;
@@ -39,16 +38,16 @@ pub use config::{MonitorMode, RfdetOpts, RunConfig};
 pub use ctx::{AtomicOp, BarrierId, CondId, DmtCtx, DmtCtxExt, MutexId, ThreadFn, ThreadHandle};
 pub use error::{FailureKind, FailureReport, RunError, ThreadReport, WaitEdge, WaitTarget};
 pub use fault::{FaultAction, FaultPlan, FaultSpec, SyncOpFault};
-pub use metrics::{finish_metrics, obs_sink};
+pub use harness::{Family, RunHarness, SyncOp, ThreadHarness};
 pub use pod::Pod;
 pub use race::{races_digest, render_races, AccessKind, RaceReport, RaceSite};
-pub use record::{finish_trace, trace_sink};
 pub use retry::RetryPolicy;
 pub use rng::DetRng;
 pub use stats::Stats;
 
 pub use rfdet_obs as obs;
 pub use rfdet_trace as trace;
+pub use rfdet_trace::digest;
 pub use rfdet_trace::RunTrace;
 pub use rfdet_vclock::Tid;
 

@@ -112,20 +112,15 @@ impl RaceReport {
         } else {
             (&self.first, &self.second)
         };
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = crate::digest::Fnv1a::new();
+        let mut mix = |v: u64| h.write(&v.to_le_bytes());
         mix(self.addr);
         for s in [a, b] {
             mix(u64::from(s.tid));
             mix(s.sync_op);
             mix(u64::from(s.kind.code()));
         }
-        h
+        h.finish()
     }
 
     /// One human-readable line: `race @0x00001040 (page 1 +0x40) t1 write@op3 <-> t2 read@op5 digest=…`.
@@ -152,14 +147,11 @@ impl RaceReport {
 /// number instead of walking report lists.
 #[must_use]
 pub fn races_digest(reports: &[RaceReport]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = crate::digest::Fnv1a::new();
     for r in reports {
-        for byte in r.digest().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h.write(&r.digest().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Renders a report list as the text sidecar persisted alongside

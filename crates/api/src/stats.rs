@@ -132,8 +132,8 @@ pub struct Stats {
     pub app_shed: u64,
 
     // ---- turn arbitration (Kendo successor handoff) ----
-    /// Successor scans run by turn holders at release (handoff mode: one
-    /// per turn transition; zero in spin-scan mode).
+    /// Successor scans run by turn holders at release (one per turn
+    /// transition).
     pub handoff_scans: u64,
     /// Targeted unparks of a designated successor (scans where the next
     /// thread was parked rather than still polling).

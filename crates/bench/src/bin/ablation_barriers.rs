@@ -66,31 +66,26 @@ fn scenario(lockers_done: Arc<Mutex<Option<Duration>>>, start: Instant) -> rfdet
 fn main() {
     let _opts = BenchOpts::from_args();
     let cfg = bench_config();
-    // RFDet appears twice: handoff arbitration (default) and the
-    // broadcast-spin foil, so the §3.1 shape is checked under both.
-    let mut spin_cfg = bench_config();
-    spin_cfg.spin_arbitration = true;
-    let backends: Vec<(Box<dyn DmtBackend>, &rfdet_api::RunConfig, &str)> = vec![
-        (Box::new(NativeBackend), &cfg, ""),
-        (Box::new(RfdetBackend::ci()), &cfg, ""),
-        (Box::new(RfdetBackend::ci()), &spin_cfg, " (spin)"),
-        (Box::new(DthreadsBackend), &cfg, ""),
-        (Box::new(QuantumBackend), &cfg, ""),
+    let backends: Vec<Box<dyn DmtBackend>> = vec![
+        Box::new(NativeBackend),
+        Box::new(RfdetBackend::ci()),
+        Box::new(DthreadsBackend),
+        Box::new(QuantumBackend),
     ];
     println!(
         "Barrier-cost ablation (paper §3.1): 2 lock threads ({LOCK_ITERS} \
          acquisitions each) + 1 compute thread\n"
     );
     let mut rows = Vec::new();
-    for (b, cfg, suffix) in &backends {
+    for b in &backends {
         let done = Arc::new(Mutex::new(None));
         let start = Instant::now();
-        let out = b.run_expect(cfg, scenario(Arc::clone(&done), start));
+        let out = b.run_expect(&cfg, scenario(Arc::clone(&done), start));
         let total = start.elapsed();
         let lockers = done.lock().expect("scenario records locker time");
         assert_eq!(out.output, format!("locks={}", 2 * LOCK_ITERS).as_bytes());
         rows.push(vec![
-            format!("{}{suffix}", b.name()),
+            b.name(),
             ms(lockers),
             ms(total),
             format!(

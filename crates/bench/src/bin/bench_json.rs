@@ -3,10 +3,11 @@
 //! the propagate-heavy workload swept over {2, 4, 8, 16} threads as a
 //! paired eager-vs-lazy thread-scaling curve (the paper's Figure-6 axis;
 //! also written to `results/thread_scaling.txt`), the pool/diff/lazy
-//! stats counters from instrumented runs — plus the turn-arbitration A/B
-//! (successor handoff vs broadcast spin-scan on the sync-heavy
-//! adversary, swept over the same thread counts; DESIGN.md §4.10; also
-//! written to `results/sync_heavy_scaling.txt`), the supervisor-overhead
+//! stats counters from instrumented runs — plus the turn-arbitration
+//! scaling curve (successor handoff on the sync-heavy adversary, swept
+//! over the same thread counts, with the 16t/8t `scaling_guard`;
+//! DESIGN.md §4.10; also written to
+//! `results/sync_heavy_scaling.txt`), the supervisor-overhead
 //! A/B (`cfg.supervise` on vs off on the 4-thread contended-mutex
 //! workload; DESIGN.md §4.7 budgets this at <2%), the
 //! flight-recorder A/B (`cfg.trace` on vs off on the same workload;
@@ -128,7 +129,7 @@ fn propagate_heavy(threads: usize) -> ThreadFn {
 
 /// The registered sync-heavy workload at bench scale: tiny critical
 /// sections, maximal turn churn — arbitration cost dominates, so this is
-/// the handoff-vs-spin A/B substrate (`rfdet/{t}t_sync_heavy_*`).
+/// the handoff scaling substrate (`rfdet/{t}t_sync_heavy_handoff`).
 fn sync_heavy(threads: usize) -> ThreadFn {
     let w = rfdet_workloads::by_name("sync_heavy").expect("registered");
     (w.factory)(rfdet_workloads::Params::new(
@@ -140,9 +141,9 @@ fn sync_heavy(threads: usize) -> ThreadFn {
 /// Oversubscription guard ceiling for the 16t/8t sync-heavy handoff
 /// ratio. Doubling the thread count doubles the total turn count, so the
 /// ideal ratio is 2.0; measured handoff cells on the 1-CPU reference
-/// host sit at ~2.1-2.4, and the broadcast spin-scan this PR replaced
-/// sat well above 4. The ceiling is the regression tripwire between
-/// those two regimes.
+/// host sit at ~2.1-2.4, and the broadcast spin-scan that handoff
+/// replaced sat well above 4. The ceiling is the regression tripwire
+/// between those two regimes.
 const SCALING_GUARD_MAX_RATIO: f64 = 3.5;
 
 /// Sharded-replay A/B (§4.11): records a checkpointed `chaos.long_haul`
@@ -332,30 +333,19 @@ fn main() {
         scaling.push((t, eager_ns, lazy_ns));
     }
 
-    // Turn-arbitration A/B: successor handoff (the default) vs broadcast
-    // spin-scan (`spin_arbitration: true`) on the sync-heavy adversary,
-    // paired per thread count. Handoff's win grows with oversubscription
-    // — the 16-thread cell on a small host is where spin-scan burns
-    // whole scheduler quanta rescanning while parked handoff waiters
-    // cost nothing.
-    let mut sync_scaling: Vec<(usize, f64, f64)> = Vec::new();
+    // Turn-arbitration scaling: successor handoff on the sync-heavy
+    // adversary per thread count. The 16t/8t ratio is the
+    // oversubscription tripwire (`scaling_guard`): parked handoff waiters
+    // cost nothing, so the curve must stay near-linear in thread count.
+    let mut sync_scaling: Vec<(usize, f64)> = Vec::new();
     for &t in &thread_counts {
         let mut handoff_cfg = RunConfig::small();
         handoff_cfg.rfdet.fault_cost_spins = 0;
-        let mut spin_cfg = handoff_cfg.clone();
-        spin_cfg.spin_arbitration = true;
-        let (handoff_ns, spin_ns, iters) = measure_ab(
-            target * 2,
-            || {
-                black_box(RfdetBackend::ci().run_expect(&handoff_cfg, sync_heavy(t)));
-            },
-            || {
-                black_box(RfdetBackend::ci().run_expect(&spin_cfg, sync_heavy(t)));
-            },
-        );
+        let (handoff_ns, iters) = measure(target, || {
+            black_box(RfdetBackend::ci().run_expect(&handoff_cfg, sync_heavy(t)));
+        });
         results.push((format!("rfdet/{t}t_sync_heavy_handoff"), handoff_ns, iters));
-        results.push((format!("rfdet/{t}t_sync_heavy_spin"), spin_ns, iters));
-        sync_scaling.push((t, handoff_ns, spin_ns));
+        sync_scaling.push((t, handoff_ns));
     }
 
     // Supervisor-overhead A/B on the same 4-thread contended-mutex
@@ -697,11 +687,11 @@ fn main() {
     let _ = writeln!(json, "    \"budget_improvement_frac\": 0.20,");
     let _ = writeln!(
         json,
-        "    \"note\": \"baseline is the BENCH_6 reference-host cell; the sync_heavy_scaling table below is the within-run A/B\""
+        "    \"note\": \"baseline is the BENCH_6 reference-host cell (cross-run; authoritative only there)\""
     );
     json.push_str("  },\n");
     json.push_str("  \"sync_heavy_scaling\": [\n");
-    for (idx, &(t, handoff_ns, spin_ns)) in sync_scaling.iter().enumerate() {
+    for (idx, &(t, handoff_ns)) in sync_scaling.iter().enumerate() {
         let comma = if idx + 1 < sync_scaling.len() {
             ","
         } else {
@@ -709,19 +699,17 @@ fn main() {
         };
         let _ = writeln!(
             json,
-            "    {{\"threads\": {t}, \"handoff_ns\": {handoff_ns:.1}, \"spin_ns\": {spin_ns:.1}, \"spin_over_handoff\": {:.4}}}{comma}",
-            spin_ns / handoff_ns
+            "    {{\"threads\": {t}, \"handoff_ns\": {handoff_ns:.1}}}{comma}"
         );
     }
     json.push_str("  ],\n");
     // Oversubscription tripwire: sync-heavy cost under handoff must stay
-    // near-linear in thread count (ideal 16t/8t ratio = 2.0); broadcast
-    // spin-scan blows well past the ceiling on a small host.
+    // near-linear in thread count (ideal 16t/8t ratio = 2.0).
     let sync_at = |threads: usize| -> f64 {
         sync_scaling
             .iter()
-            .find(|(t, _, _)| *t == threads)
-            .map_or(f64::NAN, |&(_, h, _)| h)
+            .find(|(t, _)| *t == threads)
+            .map_or(f64::NAN, |&(_, h)| h)
     };
     let guard_ratio = sync_at(16) / sync_at(8);
     json.push_str("  \"scaling_guard\": {\n");
@@ -933,21 +921,15 @@ fn main() {
 
     // The human-readable arbitration curve for results/.
     let mut sync_curve = String::new();
-    sync_curve.push_str(
-        "sync-heavy thread scaling: successor handoff vs broadcast spin-scan (RFDet-ci)\n",
-    );
-    sync_curve.push_str("paired measure_ab cells, min-over-rounds ns per run");
+    sync_curve.push_str("sync-heavy thread scaling: successor handoff (RFDet-ci)\n");
+    sync_curve.push_str("mean ns per run");
     if quick {
         sync_curve.push_str(" [QUICK MODE: plumbing numbers, not comparisons]");
     }
     sync_curve.push('\n');
-    sync_curve.push_str("threads  handoff_ns    spin_ns       spin/handoff\n");
-    for &(t, handoff_ns, spin_ns) in &sync_scaling {
-        let _ = writeln!(
-            sync_curve,
-            "{t:>7}  {handoff_ns:>12.0}  {spin_ns:>12.0}  {:>12.3}",
-            spin_ns / handoff_ns
-        );
+    sync_curve.push_str("threads  handoff_ns\n");
+    for &(t, handoff_ns) in &sync_scaling {
+        let _ = writeln!(sync_curve, "{t:>7}  {handoff_ns:>12.0}");
     }
     if let Err(e) = std::fs::create_dir_all("results")
         .and_then(|()| std::fs::write("results/sync_heavy_scaling.txt", &sync_curve))

@@ -36,50 +36,59 @@ impl Default for BenchOpts {
     }
 }
 
+/// The flags [`BenchOpts::parse`] accepts, for usage errors.
+const USAGE: &str =
+    "options: [--threads N] [--reps N] [--runs N] [--size test|bench] [--filter S] [--quick]";
+
 impl BenchOpts {
     /// Parses `--threads N --reps N --runs N --size test|bench
-    /// --filter S --quick` from `std::env::args`.
+    /// --filter S --quick` from `std::env::args`. On a malformed command
+    /// line, prints the error and the accepted flags to stderr and exits
+    /// with status 2.
     #[must_use]
     pub fn from_args() -> Self {
-        let mut opts = Self::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--threads" => {
-                    opts.threads = args[i + 1].parse().expect("--threads N");
-                    i += 2;
-                }
-                "--reps" => {
-                    opts.reps = args[i + 1].parse().expect("--reps N");
-                    i += 2;
-                }
-                "--runs" => {
-                    opts.runs = args[i + 1].parse().expect("--runs N");
-                    i += 2;
-                }
+        Self::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses the flags of [`Self::from_args`] from `args`.
+    ///
+    /// # Errors
+    /// Names the offending argument: an unknown flag, a flag missing its
+    /// value, a non-numeric count, or an unknown size.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        fn count<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+            v.parse()
+                .map_err(|_| format!("{flag} expects a number, got {v:?}"))
+        }
+        let mut opts = Self::default();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or(format!("{flag} expects a value"));
+            match flag.as_str() {
+                "--threads" => opts.threads = count(flag, value()?)?,
+                "--reps" => opts.reps = count(flag, value()?)?,
+                "--runs" => opts.runs = count(flag, value()?)?,
                 "--size" => {
-                    opts.size = match args[i + 1].as_str() {
+                    opts.size = match value()?.as_str() {
                         "test" => Size::Test,
                         "bench" => Size::Bench,
-                        other => panic!("unknown size {other}"),
-                    };
-                    i += 2;
+                        other => return Err(format!("unknown size {other:?}")),
+                    }
                 }
-                "--filter" => {
-                    opts.filter = Some(args[i + 1].clone());
-                    i += 2;
-                }
+                "--filter" => opts.filter = Some(value()?.clone()),
                 "--quick" => {
                     opts.reps = 1;
                     opts.runs = 5;
                     opts.size = Size::Test;
-                    i += 1;
                 }
-                other => panic!("unknown argument {other} (see --threads/--reps/--runs/--size/--filter/--quick)"),
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// Applies the workload filter.
@@ -200,6 +209,44 @@ mod tests {
         let o = BenchOpts::default();
         assert_eq!(o.threads, 4);
         assert_eq!(o.size, Size::Bench);
+    }
+
+    fn parse(args: &[&str]) -> Result<BenchOpts, String> {
+        let args: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
+        BenchOpts::parse(&args)
+    }
+
+    #[test]
+    fn parse_reads_every_flag() {
+        let o = parse(&[
+            "--threads",
+            "8",
+            "--reps",
+            "2",
+            "--runs",
+            "7",
+            "--size",
+            "test",
+            "--filter",
+            "fft",
+        ])
+        .expect("well-formed");
+        assert_eq!((o.threads, o.reps, o.runs), (8, 2, 7));
+        assert_eq!(o.size, Size::Test);
+        assert_eq!(o.filter.as_deref(), Some("fft"));
+        let quick = parse(&["--quick"]).expect("well-formed");
+        assert_eq!((quick.reps, quick.runs, quick.size), (1, 5, Size::Test));
+        assert_eq!(parse(&[]).expect("empty is fine").threads, 4);
+    }
+
+    #[test]
+    fn parse_reports_usage_errors_instead_of_panicking() {
+        let err = |args: &[&str]| parse(args).expect_err("malformed");
+        assert!(err(&["--threads"]).contains("--threads expects a value"));
+        assert!(err(&["--reps", "many"]).contains("expects a number"));
+        assert!(err(&["--frobnicate"]).contains("unknown argument"));
+        assert!(err(&["--size", "huge"]).contains("unknown size"));
+        assert!(err(&["--quick", "--filter"]).contains("--filter expects a value"));
     }
 
     #[test]

@@ -2,8 +2,7 @@
 
 use crate::ctx::RfdetCtx;
 use crate::shared::RuntimeShared;
-use rfdet_api::{DmtBackend, MonitorMode, RunConfig, RunOutput, ThreadFn, TracedRun};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use rfdet_api::{DmtBackend, MonitorMode, RunConfig, ThreadFn, TracedRun};
 use std::sync::Arc;
 
 /// The RFDet deterministic-multithreading backend.
@@ -63,124 +62,55 @@ impl DmtBackend for RfdetBackend {
     }
 
     fn run_traced(&self, cfg: &RunConfig, root: ThreadFn) -> TracedRun {
-        let mut cfg = cfg.clone();
-        if let Some(m) = self.monitor_override {
-            cfg.rfdet.monitor = m;
-        }
-        if cfg.detect_races {
-            // Race detection's logical coordinates ride the supervision
-            // sync-op counter, and must mean the same thing on every
-            // backend: supervision on, one sealed slice per sync op (no
-            // merged slices spanning several ops), exact byte diffs (no
-            // coalesced gap bytes widening the written-word set). All
-            // three adjustments are semantics-neutral — the schedule and
-            // every digest are unchanged — which is what lets a detecting
-            // run stand in for a plain one.
-            cfg.supervise = true;
-            cfg.rfdet.slice_merging = false;
-            cfg.rfdet.diff_gap_coalesce = 0;
-        }
-        let mut shared = RuntimeShared::new(cfg);
-        shared.backend_name = self.name();
-        let shared = Arc::new(shared);
+        let shared = Arc::new(self.runtime(cfg));
         let mut main = RfdetCtx::new_main(Arc::clone(&shared));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            root(&mut main);
-            main.on_exit();
-        }));
-        if let Err(payload) = result {
-            handle_main_unwind(&shared, &mut main, payload);
-        }
+        main.run_body(root);
         teardown(&self.name(), &shared, main)
     }
 }
 
-/// Routes the main thread's unwind: a [`crate::checkpoint::CkptStop`]
-/// token is a clean shard stop (finish the slot, no failure); anything
-/// else is a recorded panic.
-pub(crate) fn handle_main_unwind(
-    shared: &Arc<RuntimeShared>,
-    main: &mut RfdetCtx,
-    payload: Box<dyn std::any::Any + Send>,
-) {
-    if payload
-        .downcast_ref::<crate::checkpoint::CkptStop>()
-        .is_some()
-    {
-        shared.kendo.finish_forced(0);
-    } else {
-        let state = main.thread_report();
-        shared.record_panic(0, payload, Some(state));
+impl RfdetBackend {
+    /// A fresh runtime for `cfg` under this backend's monitor mode.
+    pub(crate) fn runtime(&self, cfg: &RunConfig) -> RuntimeShared {
+        let mut cfg = cfg.clone();
+        if let Some(m) = self.monitor_override {
+            cfg.rfdet.monitor = m;
+        }
+        let mut shared = RuntimeShared::new(&cfg);
+        shared.backend_name = self.name();
+        shared
     }
 }
 
-/// The shared tail of every core-backend run (fresh or resumed): harvest
-/// workers, assemble the result, finish the trace and metrics, and drain
-/// the checkpoint collector.
-pub(crate) fn teardown(name: &str, shared: &Arc<RuntimeShared>, mut main: RfdetCtx) -> TracedRun {
-    // Harvest every worker; children may keep spawning while we join,
-    // so loop until the handle map stays empty. Workers never unwind
-    // out of their closure (panics route through record_panic), so
-    // these joins cannot themselves fail.
-    loop {
-        let handles: Vec<_> = {
-            let mut map = shared.os_handles.lock();
-            map.drain().map(|(_, h)| h).collect()
-        };
-        if handles.is_empty() {
-            break;
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-    // Harvest the detector (main-thread state) before dropping the
-    // context. By this point every joined worker's slices have been
-    // applied at main, so the report list is sealed.
-    let (races, races_truncated) = match main.detect.take() {
-        Some(det) => {
-            let (races, truncated) = det.finish();
-            (races, truncated)
-        }
-        None => (Vec::new(), false),
-    };
-    // Flush the main context's trace buffer before assembling the
-    // trace (worker buffers flushed when their contexts dropped).
-    drop(main);
-    let mut result = match shared.take_run_error(name) {
-        Some(err) => Err(err),
-        None => Ok(RunOutput {
-            output: shared.meta.collect_output(),
-            stats: {
-                let mut stats = shared.meta.stats.snapshot();
-                // Arbitration counters live on the Kendo state, not
-                // the per-thread contexts: fold them in here.
-                (stats.handoff_scans, stats.handoff_wakes, stats.turn_parks) =
-                    shared.kendo.handoff_counters();
-                stats
-            },
-            metrics: None,
-            races,
-        }),
-    };
-    let trace = rfdet_api::finish_trace(name, &shared.cfg, shared.trace_sink.as_ref(), &mut result);
-    rfdet_api::finish_metrics(name, shared.obs.as_ref(), &mut result);
-    let (checkpoints, mut warnings) = shared.ckpt.take_results();
-    if races_truncated {
-        warnings.push(format!(
-            "race reports truncated at {} — distinct racy pairs beyond the cap were not materialized",
-            rfdet_mem::race::RaceCollector::DEFAULT_CAP
-        ));
-    }
-    if let Err(e) = &mut result {
+/// The shared tail of every core-backend run (fresh or resumed): the
+/// harness's run tail, plus what only this backend has — the detector
+/// lives on the main context, the arbitration counters on the Kendo
+/// state, and the checkpoint collector holds the captured chain.
+pub(crate) fn teardown(name: &str, shared: &Arc<RuntimeShared>, main: RfdetCtx) -> TracedRun {
+    let mut run = shared.run.finish(
+        name,
+        main,
+        // By the time the workers are joined every one of their slices
+        // has been applied at main, so the report list is sealed.
+        |main| {
+            main.detect
+                .take()
+                .map_or_else(Default::default, |d| d.finish())
+        },
+        || {
+            let mut stats = shared.meta.stats.snapshot();
+            (stats.handoff_scans, stats.handoff_wakes, stats.turn_parks) =
+                shared.kendo.handoff_counters();
+            (shared.meta.collect_output(), stats)
+        },
+    );
+    let (checkpoints, warnings) = shared.ckpt.take_results();
+    if let Err(e) = &mut run.result {
         e.report_mut().warnings.extend(warnings.iter().cloned());
     }
-    TracedRun {
-        result,
-        trace,
-        checkpoints,
-        warnings,
-    }
+    run.checkpoints = checkpoints;
+    run.warnings.extend(warnings);
+    run
 }
 
 #[cfg(test)]
@@ -293,7 +223,7 @@ mod tests {
         cfg.jitter_seed = seed;
         cfg.jitter_max_us = 20;
         cfg.meta_capacity_bytes = 64 << 20; // headroom: no GC pruning mid-run
-        let shared = Arc::new(RuntimeShared::new(cfg));
+        let shared = Arc::new(RuntimeShared::new(&cfg));
         let mut main = RfdetCtx::new_main(Arc::clone(&shared));
         let m = MutexId(3);
         let handles: Vec<_> = (0..3u64)
@@ -315,18 +245,9 @@ mod tests {
             main.join(h);
         }
         main.on_exit();
-        loop {
-            let hs: Vec<_> = {
-                let mut map = shared.os_handles.lock();
-                map.drain().map(|(_, h)| h).collect()
-            };
-            if hs.is_empty() {
-                break;
-            }
-            for h in hs {
-                let _ = h.join();
-            }
-        }
+        let _ = shared
+            .run
+            .finish("test", main, |_| Default::default(), Default::default);
         let mut all = Vec::new();
         for tid in 0..4 {
             for s in shared.meta.snapshot_list(tid) {

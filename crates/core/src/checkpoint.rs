@@ -181,7 +181,7 @@ pub(crate) fn ckpt_to_heap(c: &CkptHeap) -> HeapState {
 /// other thread can execute an op boundary until this turn releases, and
 /// the woken participants run only off-turn work until their next op.
 pub(crate) fn decide(ctx: &mut RfdetCtx, participants: &[Tid], upper: &VClock) -> Option<u64> {
-    let every = ctx.shared.cfg.checkpoint_every;
+    let every = ctx.shared.run.cfg.checkpoint_every;
     if every == 0 {
         return None;
     }
@@ -235,7 +235,7 @@ pub(crate) fn decide(ctx: &mut RfdetCtx, participants: &[Tid], upper: &VClock) -
     // Dead threads' deterministic residue is their output stream (their
     // writes are, by eligibility, already propagated everywhere). Safe
     // to read in-turn: dead threads no longer mutate anything.
-    let cfg = &ctx.shared.cfg;
+    let cfg = &ctx.shared.run.cfg;
     let mut threads: Vec<CkptThread> = Vec::with_capacity(ctx.shared.meta.num_threads());
     for &tid in &finished {
         threads.push(CkptThread {
@@ -286,8 +286,8 @@ pub(crate) fn contribute(ctx: &mut RfdetCtx, epoch: u64) {
         clock: ctx.kendo.clock(),
         vc: ctx.vc.components(),
         slice_seq: ctx.slice_seq,
-        sync_ops: ctx.sync_ops,
-        allocs: ctx.allocs,
+        sync_ops: ctx.h.sync_ops(),
+        allocs: ctx.h.allocs(),
         output: ctx.meta_thread.output.lock().clone(),
         heap: heap_to_ckpt(&ctx.heap.export_state()),
         pages: pages
@@ -298,14 +298,15 @@ pub(crate) fn contribute(ctx: &mut RfdetCtx, epoch: u64) {
             })
             .collect(),
     };
-    ctx.stats.checkpoints_contributed += 1;
+    ctx.h.stats.checkpoints_contributed += 1;
     if let Some(sealed) = ctx.shared.ckpt.add_fragment(frag) {
         debug_assert_eq!(sealed.epoch, epoch);
         // Persistence runs outside the collector lock: disk latency must
         // not serialize against other threads' (hypothetical) bookkeeping.
-        if ctx.shared.cfg.persist_checkpoints {
+        if ctx.shared.run.cfg.persist_checkpoints {
             let dir = ctx
                 .shared
+                .run
                 .cfg
                 .checkpoint_dir
                 .clone()
@@ -319,7 +320,7 @@ pub(crate) fn contribute(ctx: &mut RfdetCtx, epoch: u64) {
         }
         ctx.shared.ckpt.inner.lock().collected.push(sealed);
     }
-    if ctx.shared.cfg.stop_at_checkpoint == Some(epoch) {
+    if ctx.shared.run.cfg.stop_at_checkpoint == Some(epoch) {
         silence_ckpt_stop_panics();
         std::panic::panic_any(CkptStop);
     }

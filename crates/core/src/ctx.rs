@@ -3,8 +3,10 @@
 use crate::handoff::Mailbox;
 use crate::shared::RuntimeShared;
 use parking_lot::Mutex;
+use rfdet_api::obs::Phase;
 use rfdet_api::{
-    Addr, BarrierId, CondId, DmtCtx, MonitorMode, MutexId, Stats, ThreadFn, ThreadHandle, Tid,
+    Addr, BarrierId, CondId, DmtCtx, MonitorMode, MutexId, SyncOp, ThreadFn, ThreadHandle,
+    ThreadHarness, ThreadReport, Tid,
 };
 use rfdet_kendo::{Jitter, KendoHandle};
 use rfdet_mem::{Page, PageFlags, PageOverlay, PrivateSpace, SliceSnapshots, ThreadHeap};
@@ -71,29 +73,14 @@ pub struct RfdetCtx {
     /// path locks only the var itself — no table shard, no registry.
     sync_cache: HashMap<SyncKey, SyncVarRef>,
     pub(crate) heap: ThreadHeap,
-    pub(crate) stats: Stats,
+    /// Fault coordinates, trace and metrics buffers, profiling counters.
+    pub(crate) h: ThreadHarness,
     pub(crate) jitter: Option<Jitter>,
     pub(crate) meta_thread: Arc<ThreadMeta>,
     pub(crate) mailbox: Arc<Mutex<Mailbox>>,
     /// A slice publication crossed the GC threshold; a pass runs at the
     /// next off-turn point.
     pub(crate) gc_pending: bool,
-    /// Synchronization operations started (the `FaultPlan` trigger
-    /// coordinate and the `sync_ops` field of failure reports).
-    pub(crate) sync_ops: u64,
-    /// The last sync op started, as `(kind, argument)` (for reports).
-    pub(crate) last_op: Option<(&'static str, Option<u64>)>,
-    /// Allocations performed (the `FaultPlan::fail_alloc` coordinate).
-    pub(crate) allocs: u64,
-    /// Flight-recorder buffer, `Some` iff the run is recording. Flushes
-    /// to the shared sink on drop — which covers panic unwinds, since
-    /// the context outlives the `catch_unwind` around the thread body.
-    pub(crate) trace: Option<rfdet_api::trace::TraceBuf>,
-    /// Metrics recorder, `Some` iff the run is collecting metrics. Like
-    /// `trace`, it flushes to the shared sink on drop. Timing read when
-    /// this is `Some` flows only into these buffers, never into a
-    /// scheduling decision.
-    pub(crate) obs: Option<rfdet_api::obs::ObsRecorder>,
     /// Wall-clock start of the in-progress slice; `Some` iff metrics on.
     pub(crate) slice_t0: Option<std::time::Instant>,
     /// `loads + stores` at slice start (metrics-only baseline).
@@ -146,9 +133,9 @@ impl RfdetCtx {
         let mut vc = VClock::new();
         vc.tick(0);
         let mut ctx = Self::from_parts(shared, kendo, meta_thread, mailbox, None, vc);
-        if ctx.shared.cfg.detect_races {
+        if ctx.shared.run.cfg.detect_races {
             ctx.detect = Some(Box::new(crate::race::CoreDetect::new(
-                ctx.shared.cfg.page_size,
+                ctx.shared.run.cfg.page_size,
             )));
         }
         ctx.publish_vcs();
@@ -167,7 +154,7 @@ impl RfdetCtx {
         vc: VClock,
     ) -> Self {
         let tid = kendo.tid();
-        let cfg = &shared.cfg;
+        let cfg = &shared.run.cfg;
         let space = space.unwrap_or_else(|| PrivateSpace::new(cfg.space_bytes, cfg.page_size));
         let flags = PageFlags::new(space.num_pages());
         let snaps = SliceSnapshots::new(
@@ -177,6 +164,7 @@ impl RfdetCtx {
         );
         let pf = cfg.rfdet.monitor == MonitorMode::Pf;
         let heap = shared.strips.heap_for(tid);
+        let h = ThreadHarness::new(&shared.run, tid);
         let jitter = cfg
             .jitter_seed
             .map(|seed| Jitter::new(seed, tid, cfg.jitter_max_us));
@@ -197,16 +185,11 @@ impl RfdetCtx {
             peers: Vec::new(),
             sync_cache: HashMap::new(),
             heap,
-            stats: Stats::default(),
+            h,
             jitter,
             meta_thread,
             mailbox,
             gc_pending: false,
-            sync_ops: 0,
-            last_op: None,
-            allocs: 0,
-            trace: None,
-            obs: None,
             slice_t0: None,
             slice_ops_base: 0,
             obs_boundary: None,
@@ -218,17 +201,7 @@ impl RfdetCtx {
             detect: None,
             exited: false,
         };
-        ctx.track_reads = ctx.shared.cfg.detect_races;
-        ctx.trace = ctx
-            .shared
-            .trace_sink
-            .as_ref()
-            .map(|s| rfdet_api::trace::TraceBuf::new(Arc::clone(s)));
-        ctx.obs = ctx
-            .shared
-            .obs
-            .as_ref()
-            .map(|s| rfdet_api::obs::ObsRecorder::new(Arc::clone(s)));
+        ctx.track_reads = ctx.shared.run.cfg.detect_races;
         // `begin_slice` applies pf protection; safe to call here because
         // the slice state is empty.
         ctx.begin_slice();
@@ -268,10 +241,10 @@ impl RfdetCtx {
     /// Cached sync-var handle for `key` (see `MetaSpace::sync_var`).
     pub(crate) fn sync_var(&mut self, key: SyncKey) -> SyncVarRef {
         if let Some(v) = self.sync_cache.get(&key) {
-            self.stats.sync_var_cache_hits += 1;
+            self.h.stats.sync_var_cache_hits += 1;
             return Arc::clone(v);
         }
-        self.stats.sync_var_cache_misses += 1;
+        self.h.stats.sync_var_cache_misses += 1;
         let v = self.shared.meta.sync_var(key);
         self.sync_cache.insert(key, Arc::clone(&v));
         v
@@ -322,8 +295,8 @@ impl RfdetCtx {
         let Some(queue) = self.pending.take(page) else {
             return;
         };
-        let t0 = self.obs_start();
-        self.stats.page_faults += 1;
+        let t0 = self.h.start();
+        self.h.stats.page_faults += 1;
         // Only `pf` monitoring pays the simulated trap + `mprotect` cost:
         // there the fault is a real protection fault. Under `ci`
         // monitoring the pending check is compiled-in instrumentation on
@@ -334,7 +307,7 @@ impl RfdetCtx {
             self.pay_fault_cost();
         }
         self.apply_pending(page, queue);
-        self.obs_since(rfdet_api::obs::Phase::LazyFault, t0);
+        self.h.since(Phase::LazyFault, t0);
     }
 
     /// Drains `page`'s detached queue into local memory and lifts the
@@ -346,7 +319,7 @@ impl RfdetCtx {
     fn apply_pending(&mut self, page: usize, mut queue: Vec<rfdet_mem::RunRange>) {
         if queue.len() < Self::OVERLAY_MIN_GROUPS {
             for group in &queue {
-                self.stats.mod_bytes_applied += self.space.apply_runs(group.runs());
+                self.h.stats.mod_bytes_applied += self.space.apply_runs(group.runs());
             }
         } else {
             let base = self.space.page_base(page);
@@ -359,8 +332,8 @@ impl RfdetCtx {
                     superseded += overlay.write(off, &run.data);
                 }
             }
-            self.stats.lazy_elided_bytes += superseded;
-            self.stats.mod_bytes_applied += self.space.apply_overlay(page, &overlay);
+            self.h.stats.lazy_elided_bytes += superseded;
+            self.h.stats.mod_bytes_applied += self.space.apply_overlay(page, &overlay);
             self.lazy_overlay = overlay;
         }
         self.flags.unprotect(page, PageFlags::NO_ACCESS);
@@ -380,7 +353,7 @@ impl RfdetCtx {
 
     /// Simulated cost of a page fault (trap + `mprotect` syscalls).
     pub(crate) fn pay_fault_cost(&self) {
-        for _ in 0..self.shared.cfg.rfdet.fault_cost_spins {
+        for _ in 0..self.shared.run.cfg.rfdet.fault_cost_spins {
             std::hint::spin_loop();
         }
     }
@@ -397,7 +370,7 @@ impl RfdetCtx {
                 return;
             }
             // Simulated write fault.
-            self.stats.page_faults += 1;
+            self.h.stats.page_faults += 1;
             self.pay_fault_cost();
             self.flags.unprotect(page, PageFlags::WRITE_PROTECT);
             self.snaps.full_mask()
@@ -418,19 +391,19 @@ impl RfdetCtx {
         let t0 = if self.snaps.is_open(page) {
             None
         } else {
-            self.obs_start()
+            self.h.start()
         };
         let current = self.space.page(page).map(Page::bytes);
         let rec = self.snaps.record(page, need, current);
-        self.stats.snapshot_bytes_copied += rec.bytes_copied;
+        self.h.stats.snapshot_bytes_copied += rec.bytes_copied;
         if let Some(recycled) = rec.first_touch {
-            self.stats.stores_with_copy += 1;
+            self.h.stats.stores_with_copy += 1;
             if recycled {
-                self.stats.snapshot_pool_hits += 1;
+                self.h.stats.snapshot_pool_hits += 1;
             } else {
-                self.stats.snapshot_pool_misses += 1;
+                self.h.stats.snapshot_pool_misses += 1;
             }
-            self.obs_since(rfdet_api::obs::Phase::Snapshot, t0);
+            self.h.since(Phase::Snapshot, t0);
         }
     }
 
@@ -455,10 +428,10 @@ impl RfdetCtx {
                 }
             }
         }
-        self.stats.loads += 1;
+        self.h.stats.loads += 1;
         if self.track_reads {
             self.read_set
-                .mark(addr, buf.len() as u64, self.shared.cfg.page_size);
+                .mark(addr, buf.len() as u64, self.shared.run.cfg.page_size);
         }
         self.space.read(addr, buf);
     }
@@ -468,7 +441,7 @@ impl RfdetCtx {
     /// zero-length write touches no page, so it neither faults nor
     /// snapshots.
     pub(crate) fn write_in_turn(&mut self, addr: Addr, data: &[u8]) {
-        self.stats.stores += 1;
+        self.h.stats.stores += 1;
         let off = self.space.page_offset(addr);
         if !data.is_empty() && off + data.len() <= self.space.page_size() {
             self.store_in_page(self.space.page_of(addr), off, data);
@@ -491,40 +464,14 @@ impl RfdetCtx {
         }
     }
 
-    /// `Instant::now()` iff the run is collecting metrics — the only
-    /// gate under which this backend reads the clock. Pair with
-    /// [`Self::obs_since`].
-    #[inline]
-    pub(crate) fn obs_start(&self) -> Option<std::time::Instant> {
-        self.obs.as_ref().map(|_| std::time::Instant::now())
-    }
-
-    /// Records the elapsed nanoseconds since `t0` into `phase`.
-    #[inline]
-    pub(crate) fn obs_since(
-        &mut self,
-        phase: rfdet_api::obs::Phase,
-        t0: Option<std::time::Instant>,
-    ) {
-        if let (Some(obs), Some(t0)) = (self.obs.as_mut(), t0) {
-            obs.record(phase, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Records a raw count into `phase` (metrics on only).
-    #[inline]
-    pub(crate) fn obs_count(&mut self, phase: rfdet_api::obs::Phase, n: u64) {
-        if let Some(obs) = self.obs.as_mut() {
-            obs.record(phase, n);
-        }
-    }
-
     /// Start instant for a phase adjacent to the previously recorded
     /// one: reuses the stored boundary read when there is one (see
     /// `obs_boundary`), otherwise reads the clock.
     #[inline]
     pub(crate) fn obs_boundary_start(&mut self) -> Option<std::time::Instant> {
-        self.obs.as_ref()?;
+        if !self.h.metered() {
+            return None;
+        }
         self.obs_boundary
             .take()
             .or_else(|| Some(std::time::Instant::now()))
@@ -533,14 +480,11 @@ impl RfdetCtx {
     /// Records `phase` from `t0` to now, storing the end instant as the
     /// boundary for the next adjacent phase.
     #[inline]
-    pub(crate) fn obs_since_boundary(
-        &mut self,
-        phase: rfdet_api::obs::Phase,
-        t0: Option<std::time::Instant>,
-    ) {
-        if let (Some(obs), Some(t0)) = (self.obs.as_mut(), t0) {
+    pub(crate) fn obs_since_boundary(&mut self, phase: Phase, t0: Option<std::time::Instant>) {
+        if let Some(t0) = t0 {
             let now = std::time::Instant::now();
-            obs.record(phase, now.duration_since(t0).as_nanos() as u64);
+            self.h
+                .sample(phase, now.duration_since(t0).as_nanos() as u64);
             self.obs_boundary = Some(now);
         }
     }
@@ -553,48 +497,87 @@ impl RfdetCtx {
     /// time.
     #[inline]
     pub(crate) fn obs_reseed_boundary(&mut self) {
-        if self.obs.is_some() {
-            self.obs_boundary = Some(std::time::Instant::now());
-        }
+        self.obs_boundary = self.h.start();
     }
 
-    /// [`KendoState::wait_for_turn`] with the stall attributed to
-    /// [`Phase::WaitTurn`](rfdet_api::obs::Phase::WaitTurn). The stall
-    /// starts at the sync-op envelope's clock read and its end seeds the
-    /// next boundary.
-    pub(crate) fn wait_for_turn_timed(&mut self) {
+    /// Entry of every synchronization operation. The harness assigns the
+    /// op its coordinate and records it; plan jitter ticks the Kendo
+    /// clock; then the thread takes its deterministic turn — the stall is
+    /// attributed to [`Phase::WaitTurn`], starting at the sync-op
+    /// envelope's clock read, and its end seeds the next boundary. A
+    /// planned panic is delivered only now, with the op *ordered*: which
+    /// of several planned panics becomes the run's root cause is then a
+    /// function of the sync order, not of who reached its op first.
+    pub(crate) fn enter_op(&mut self, op: SyncOp) {
+        // The clock read is deterministic: a thread's clock changes only
+        // through its own ticks and deterministic wake handoffs, so its
+        // value at a program point is schedule-pure.
+        let fault = self.h.enter_sync(op, || self.kendo.clock());
+        if fault.jitter_ticks > 0 {
+            self.shared
+                .kendo
+                .tick_off_turn(&self.kendo, fault.jitter_ticks);
+        }
+        if let Some(j) = &mut self.jitter {
+            j.pause();
+        }
         let t0 = self.obs_boundary_start();
         self.shared.kendo.wait_for_turn(&self.kendo);
-        self.obs_since_boundary(rfdet_api::obs::Phase::WaitTurn, t0);
+        self.obs_since_boundary(Phase::WaitTurn, t0);
+        self.h.raise_planned();
     }
 
     /// Releases the Kendo turn after a sync operation — the final tick
-    /// plus, in handoff mode, the successor scan and targeted unpark —
-    /// attributed to [`Phase::Arbitration`](rfdet_api::obs::Phase::Arbitration).
+    /// plus the successor scan and targeted unpark —
+    /// attributed to [`Phase::Arbitration`].
     #[inline]
     pub(crate) fn release_turn(&mut self) {
         let t0 = self.obs_boundary_start();
         self.shared
             .kendo
             .release_turn(&self.kendo, crate::shared::SYNC_TICK);
-        self.obs_since_boundary(rfdet_api::obs::Phase::Arbitration, t0);
+        self.obs_since_boundary(Phase::Arbitration, t0);
     }
 
     /// Runs one sync operation under the end-to-end
-    /// [`Phase::SyncOp`](rfdet_api::obs::Phase::SyncOp) envelope. The
+    /// [`Phase::SyncOp`] envelope. The
     /// envelope's start read doubles as the WaitTurn boundary.
     #[inline]
-    fn sync_timed<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let t0 = self.obs_start();
+    fn sync_envelope<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        let t0 = self.h.start();
         self.obs_boundary = t0;
         let r = f(self);
-        self.obs_since(rfdet_api::obs::Phase::SyncOp, t0);
+        self.h.since(Phase::SyncOp, t0);
         r
     }
 
-    pub(crate) fn jitter_pause(&mut self) {
-        if let Some(j) = &mut self.jitter {
-            j.pause();
+    /// Runs a thread's entry function to its exit operation, routing an
+    /// unwind out of either through [`Self::unwound`].
+    pub(crate) fn run_body(&mut self, body: ThreadFn) {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            body(self);
+            self.on_exit();
+        }));
+        if let Err(payload) = result {
+            self.unwound(payload);
+        }
+    }
+
+    /// Routes this thread's unwind: a [`CkptStop`](crate::checkpoint::CkptStop)
+    /// token is a clean shard stop (§4.11) — the thread contributed its
+    /// fragment to the target epoch and is done, so just finish the slot
+    /// and let arbitration ignore it; anything else is recorded with the
+    /// thread's deterministic state, and aborts the protocol.
+    pub(crate) fn unwound(&self, payload: Box<dyn std::any::Any + Send>) {
+        if payload.is::<crate::checkpoint::CkptStop>() {
+            self.shared.kendo.finish_forced(self.tid);
+        } else {
+            let state = ThreadReport {
+                vc: self.vc.clone(),
+                slices: self.slice_seq,
+                ..self.h.report()
+            };
+            self.shared.record_panic(self.tid, payload, Some(state));
         }
     }
 
@@ -630,41 +613,40 @@ impl DmtCtx for RfdetCtx {
     }
 
     fn lock(&mut self, m: MutexId) {
-        self.sync_timed(|ctx| crate::sync::lock_impl(ctx, m));
+        self.sync_envelope(|ctx| crate::sync::lock_impl(ctx, m));
     }
 
     fn unlock(&mut self, m: MutexId) {
-        self.sync_timed(|ctx| crate::sync::unlock_impl(ctx, m));
+        self.sync_envelope(|ctx| crate::sync::unlock_impl(ctx, m));
     }
 
     fn cond_wait(&mut self, c: CondId, m: MutexId) {
-        self.sync_timed(|ctx| crate::sync::wait_impl(ctx, c, m));
+        self.sync_envelope(|ctx| crate::sync::wait_impl(ctx, c, m));
     }
 
     fn cond_signal(&mut self, c: CondId) {
-        self.sync_timed(|ctx| crate::sync::signal_impl(ctx, c, false));
+        self.sync_envelope(|ctx| crate::sync::signal_impl(ctx, c, false));
     }
 
     fn cond_broadcast(&mut self, c: CondId) {
-        self.sync_timed(|ctx| crate::sync::signal_impl(ctx, c, true));
+        self.sync_envelope(|ctx| crate::sync::signal_impl(ctx, c, true));
     }
 
     fn barrier(&mut self, b: BarrierId, parties: usize) {
-        self.sync_timed(|ctx| crate::sync::barrier_impl(ctx, b, parties));
+        self.sync_envelope(|ctx| crate::sync::barrier_impl(ctx, b, parties));
     }
 
     fn spawn(&mut self, f: ThreadFn) -> ThreadHandle {
-        self.sync_timed(|ctx| crate::sync::spawn_impl(ctx, f))
+        self.sync_envelope(|ctx| crate::sync::spawn_impl(ctx, f))
     }
 
     fn join(&mut self, h: ThreadHandle) {
-        self.sync_timed(|ctx| crate::sync::join_impl(ctx, h));
+        self.sync_envelope(|ctx| crate::sync::join_impl(ctx, h));
     }
 
     fn alloc(&mut self, size: u64, align: u64) -> Addr {
         self.shared.kendo.tick_off_turn(&self.kendo, 1);
-        self.alloc_fault_point();
-        self.stats.shared_bytes += size;
+        self.h.enter_alloc(|| self.kendo.clock(), size);
         self.heap.alloc(size, align)
     }
 
@@ -678,20 +660,19 @@ impl DmtCtx for RfdetCtx {
     }
 
     fn atomic_rmw(&mut self, addr: Addr, op: rfdet_api::AtomicOp) -> u64 {
-        self.sync_timed(|ctx| crate::sync::atomic_impl(ctx, addr, Some(op), None))
+        self.sync_envelope(|ctx| crate::sync::atomic_impl(ctx, addr, Some(op), None))
     }
 
     fn atomic_load(&mut self, addr: Addr) -> u64 {
-        self.sync_timed(|ctx| crate::sync::atomic_impl(ctx, addr, None, None))
+        self.sync_envelope(|ctx| crate::sync::atomic_impl(ctx, addr, None, None))
     }
 
     fn atomic_store(&mut self, addr: Addr, value: u64) {
-        self.sync_timed(|ctx| crate::sync::atomic_impl(ctx, addr, None, Some(value)));
+        self.sync_envelope(|ctx| crate::sync::atomic_impl(ctx, addr, None, Some(value)));
     }
 
     fn count_app_events(&mut self, retries: u64, shed: u64) {
-        self.stats.app_retries += retries;
-        self.stats.app_shed += shed;
+        self.h.count_app_events(retries, shed);
     }
 }
 
@@ -706,7 +687,7 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.rfdet.lazy_writes = true;
         cfg.rfdet.fault_cost_spins = 0;
-        RfdetCtx::new_main(Arc::new(RuntimeShared::new(cfg)))
+        RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg)))
     }
 
     #[test]
@@ -727,7 +708,7 @@ mod tests {
         // The old `(first, last)` encoding rounded len==0 up to one byte;
         // at the very end of the space that byte names a page past the
         // flag table. The empty range makes the boundary a no-op instead.
-        let space_end = c.shared.cfg.space_bytes;
+        let space_end = c.shared.run.cfg.space_bytes;
         assert!(c.page_range(space_end, 0).is_empty());
     }
 
@@ -746,12 +727,12 @@ mod tests {
 
         c.read_in_turn(64, &mut []);
         c.write_in_turn(64, &[]);
-        assert_eq!(c.stats.page_faults, 0, "no fault for a no-op access");
+        assert_eq!(c.h.stats.page_faults, 0, "no fault for a no-op access");
         assert_eq!(c.pending.len(), 1, "queue still pending");
-        assert_eq!(c.stats.stores_with_copy, 0, "no snapshot taken");
+        assert_eq!(c.h.stats.stores_with_copy, 0, "no snapshot taken");
 
         // Zero-length access at the space boundary: must not panic.
-        let space_end = c.shared.cfg.space_bytes;
+        let space_end = c.shared.run.cfg.space_bytes;
         c.read_in_turn(space_end, &mut []);
         c.write_in_turn(space_end, &[]);
 
@@ -759,7 +740,7 @@ mod tests {
         let mut buf = [0u8; 1];
         c.read_in_turn(64, &mut buf);
         assert_eq!(buf[0], 7);
-        assert_eq!(c.stats.page_faults, 1);
+        assert_eq!(c.h.stats.page_faults, 1);
         assert!(c.pending.is_empty());
     }
 }

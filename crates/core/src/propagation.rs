@@ -25,9 +25,9 @@ impl RfdetCtx {
         let source = self.peer(from).meta;
         let (batch, redundant, new_cursor) = source.filter_slices_from(upper, lower, cursor, true);
         self.cursors.insert(from, new_cursor);
-        self.stats.slices_filtered_redundant += redundant;
+        self.h.stats.slices_filtered_redundant += redundant;
         for s in &batch {
-            self.stats.slices_propagated += 1;
+            self.h.stats.slices_propagated += 1;
             self.apply_slice(s);
         }
         self.meta_thread.append_slices(&batch);
@@ -54,7 +54,7 @@ impl RfdetCtx {
                 .filter(|s| seen.insert((s.tid, s.seq)))
                 .collect();
             for s in &batch {
-                self.stats.slices_propagated += 1;
+                self.h.stats.slices_propagated += 1;
                 self.apply_slice(s);
             }
             self.meta_thread.append_slices(&batch);
@@ -79,7 +79,7 @@ impl RfdetCtx {
         if let Some(det) = self.detect.as_mut() {
             det.observe_slice(s);
         }
-        if self.shared.cfg.rfdet.lazy_writes {
+        if self.shared.run.cfg.rfdet.lazy_writes {
             let runs = &s.mods;
             let mut k = 0;
             while k < runs.len() {
@@ -89,7 +89,7 @@ impl RfdetCtx {
                     end += 1;
                 }
                 let group = rfdet_mem::RunRange::new(&s.mods, k, end);
-                self.stats.lazy_deferred_bytes += group.byte_len() as u64;
+                self.h.stats.lazy_deferred_bytes += group.byte_len() as u64;
                 // The first deposit on a page protects it; repeats add
                 // nothing (invariant: a page is `NO_ACCESS` iff it has a
                 // pending queue), so run lists that interleave pages, and
@@ -98,12 +98,12 @@ impl RfdetCtx {
                 if self.pending.push(page, group) {
                     debug_assert!(!self.flags.is_protected(page, PageFlags::NO_ACCESS));
                     self.flags.protect(page, PageFlags::NO_ACCESS);
-                    self.stats.lazy_protect_calls += 1;
+                    self.h.stats.lazy_protect_calls += 1;
                 }
                 k = end;
             }
         } else {
-            self.stats.mod_bytes_applied += self.space.apply_runs(&s.mods);
+            self.h.stats.mod_bytes_applied += self.space.apply_runs(&s.mods);
         }
     }
 
@@ -121,7 +121,7 @@ impl RfdetCtx {
         if let Some(det) = self.detect.as_mut() {
             det.observe_slice(s);
         }
-        if self.shared.cfg.rfdet.lazy_writes && !self.pending.is_empty() {
+        if self.shared.run.cfg.rfdet.lazy_writes && !self.pending.is_empty() {
             let runs = &s.mods;
             let mut k = 0;
             while k < runs.len() {
@@ -136,7 +136,7 @@ impl RfdetCtx {
                 k = end;
             }
         }
-        self.stats.mod_bytes_applied += self.space.apply_runs(&s.mods);
+        self.h.stats.mod_bytes_applied += self.space.apply_runs(&s.mods);
     }
 
     /// Prelock pre-merge (§4.5): while blocked behind `source` (the lock
@@ -189,7 +189,7 @@ impl RfdetCtx {
         let (batch, _, new_cursor) = source_meta.filter_slices_from(&bound, &lower, cursor, true);
         self.cursors.insert(source, new_cursor);
         for s in &batch {
-            self.stats.prelock_premerged += 1;
+            self.h.stats.prelock_premerged += 1;
             self.apply_slice_idle(s);
         }
         self.meta_thread.append_slices(&batch);
@@ -236,7 +236,7 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.rfdet.lazy_writes = lazy;
         cfg.rfdet.fault_cost_spins = 0;
-        let shared = Arc::new(RuntimeShared::new(cfg));
+        let shared = Arc::new(RuntimeShared::new(&cfg));
         let a = RfdetCtx::new_main(Arc::clone(&shared));
         let meta = shared.meta.register_thread();
         let kendo = shared.kendo.register(1);
@@ -260,7 +260,7 @@ mod tests {
         b.vc.join(&release_time);
         b.propagate_from(0, &release_time, &lower);
         assert_eq!(b.read::<u64>(64), 99);
-        assert_eq!(b.stats.slices_propagated, 1);
+        assert_eq!(b.h.stats.slices_propagated, 1);
     }
 
     #[test]
@@ -291,17 +291,17 @@ mod tests {
         let lower = b.vc.clone();
         b.vc.join(&t1);
         b.propagate_from(0, &t1, &lower);
-        assert_eq!(b.stats.slices_propagated, 1);
+        assert_eq!(b.h.stats.slices_propagated, 1);
 
         // Second propagation from the same release: nothing new — the
         // cursor skips the already-consumed prefix outright (and the
         // lowerlimit would filter anything it still scanned).
-        let applied_before = b.stats.mod_bytes_applied;
+        let applied_before = b.h.stats.mod_bytes_applied;
         let lower2 = b.vc.clone();
         b.propagate_from(0, &t1, &lower2);
-        assert_eq!(b.stats.slices_propagated, 1);
+        assert_eq!(b.h.stats.slices_propagated, 1);
         assert_eq!(
-            b.stats.mod_bytes_applied, applied_before,
+            b.h.stats.mod_bytes_applied, applied_before,
             "no re-application"
         );
     }
@@ -348,11 +348,11 @@ mod tests {
         let lower = b.vc.clone();
         b.vc.join(&t);
         b.propagate_from(0, &t, &lower);
-        assert!(b.stats.lazy_deferred_bytes >= 1);
-        assert_eq!(b.stats.mod_bytes_applied, 0, "nothing applied yet");
+        assert!(b.h.stats.lazy_deferred_bytes >= 1);
+        assert_eq!(b.h.stats.mod_bytes_applied, 0, "nothing applied yet");
         assert_eq!(b.read::<u64>(64), 7, "fault applies on first access");
-        assert!(b.stats.mod_bytes_applied >= 1);
-        assert_eq!(b.stats.page_faults, 1);
+        assert!(b.h.stats.mod_bytes_applied >= 1);
+        assert_eq!(b.h.stats.page_faults, 1);
     }
 
     /// A store to a page with pending lazy writes, in the slice that
@@ -375,7 +375,7 @@ mod tests {
         b.write::<u8>(70, 0x33); // into line 1, inside a's run
         b.write::<u64>(128, 0x4444_4444_4444_4444); // line 2, untouched by a
         b.end_slice();
-        assert_eq!(b.stats.page_faults, u64::from(lazy));
+        assert_eq!(b.h.stats.page_faults, u64::from(lazy));
         // b's list also carries a's slice (transitive propagation).
         let list = b.shared.meta.snapshot_list(1);
         let own: Vec<_> = list.iter().filter(|s| s.tid == 1).collect();
@@ -440,7 +440,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(b.stats.lazy_protect_calls, b.pending.len() as u64);
+        assert_eq!(b.h.stats.lazy_protect_calls, b.pending.len() as u64);
     }
 
     #[test]
@@ -464,15 +464,15 @@ mod tests {
         let s: SliceRef = std::sync::Arc::new(SliceRec::new(0, 0, t, mods));
         b.apply_slice(&s);
         assert_eq!(
-            b.stats.lazy_protect_calls, 2,
+            b.h.stats.lazy_protect_calls, 2,
             "two distinct pages, two protection transitions"
         );
         // Alternation costs a group per switch, but a re-deposit on the
         // still-pending pages adds no further protection calls.
         b.apply_slice(&s);
-        assert_eq!(b.stats.lazy_protect_calls, 2);
+        assert_eq!(b.h.stats.lazy_protect_calls, 2);
         assert_eq!(b.read::<u64>(0) & 0xFF, 1, "fault still applies runs");
-        assert_eq!(b.stats.page_faults, 1);
+        assert_eq!(b.h.stats.page_faults, 1);
     }
 
     #[test]
@@ -496,9 +496,9 @@ mod tests {
         // Byte-granularity diffing means each update is one changed byte;
         // earlier ones are superseded before the fault applies them.
         assert!(
-            b.stats.lazy_elided_bytes >= 1,
+            b.h.stats.lazy_elided_bytes >= 1,
             "superseded update bytes were never written (elided {})",
-            b.stats.lazy_elided_bytes
+            b.h.stats.lazy_elided_bytes
         );
     }
 

@@ -15,8 +15,8 @@
 //! continue from deterministic memory — typically a round index each
 //! thread keeps in its own private space, restored with the pages.
 
-use crate::backend::{handle_main_unwind, teardown};
-use crate::checkpoint::{ckpt_to_heap, class_to_key, CkptStop};
+use crate::backend::teardown;
+use crate::checkpoint::{ckpt_to_heap, class_to_key};
 use crate::ctx::RfdetCtx;
 use crate::handoff::Mailbox;
 use crate::shared::RuntimeShared;
@@ -28,7 +28,6 @@ use rfdet_mem::PrivateSpace;
 use rfdet_meta::ThreadMeta;
 use rfdet_trace::{Checkpoint, CkptThread};
 use rfdet_vclock::VClock;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Everything a live thread needs to rebuild its context, prepared in
@@ -43,7 +42,7 @@ struct LiveSeed {
 
 /// Rebuilds one thread's context from its checkpoint fragment.
 fn build_ctx(shared: Arc<RuntimeShared>, seed: LiveSeed) -> RfdetCtx {
-    let mut space = PrivateSpace::new(shared.cfg.space_bytes, shared.cfg.page_size);
+    let mut space = PrivateSpace::new(shared.run.cfg.space_bytes, shared.run.cfg.page_size);
     // Re-materialize exactly the recorded page set: the next
     // checkpoint's page list must be byte-identical to the original
     // run's, and `write` materializes precisely the page it touches.
@@ -59,10 +58,8 @@ fn build_ctx(shared: Arc<RuntimeShared>, seed: LiveSeed) -> RfdetCtx {
         seed.vc,
     );
     ctx.slice_seq = seed.frag.slice_seq;
-    // Restored fault-plan coordinates keep pre-cut faults from
-    // re-firing and post-cut faults firing at their recorded ops.
-    ctx.sync_ops = seed.frag.sync_ops;
-    ctx.allocs = seed.frag.allocs;
+    ctx.h
+        .restore_coordinates(seed.frag.sync_ops, seed.frag.allocs);
     ctx.heap.restore_state(&ckpt_to_heap(&seed.frag.heap));
     ctx
 }
@@ -90,12 +87,7 @@ impl RfdetBackend {
         ckpt: &Checkpoint,
         body_for: &dyn Fn(Tid) -> ThreadFn,
     ) -> TracedRun {
-        let mut cfg = cfg.clone();
-        if let Some(m) = self.monitor_override {
-            cfg.rfdet.monitor = m;
-        }
-        let mut shared = RuntimeShared::new(cfg);
-        shared.backend_name = self.name();
+        let shared = self.runtime(cfg);
         assert_eq!(
             ckpt.backend, shared.backend_name,
             "checkpoint was recorded by backend {:?}, resuming under {:?}",
@@ -103,7 +95,7 @@ impl RfdetBackend {
         );
         assert_eq!(
             ckpt.config,
-            shared.cfg.trace_config(),
+            shared.run.cfg.trace_config(),
             "checkpoint config does not match the resume config"
         );
         // Continue the original epoch numbering, so the resumed run's
@@ -164,26 +156,12 @@ impl RfdetBackend {
                 continue;
             }
             let body = body_for(tid);
-            let shared2 = Arc::clone(&shared);
+            let worker_shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("rfdet-{tid}"))
-                .spawn(move || {
-                    let mut ctx = build_ctx(Arc::clone(&shared2), seed);
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        body(&mut ctx);
-                        ctx.on_exit();
-                    }));
-                    if let Err(payload) = result {
-                        if payload.downcast_ref::<CkptStop>().is_some() {
-                            shared2.kendo.finish_forced(tid);
-                        } else {
-                            let state = ctx.thread_report();
-                            shared2.record_panic(tid, payload, Some(state));
-                        }
-                    }
-                })
+                .spawn(move || build_ctx(worker_shared, seed).run_body(body))
                 .expect("failed to spawn OS thread");
-            shared.os_handles.lock().insert(tid, handle);
+            shared.run.adopt(tid, handle);
         }
         // Main (tid 0) runs on the calling thread, like a fresh run —
         // but rebuilt from its fragment instead of `new_main`.
@@ -191,14 +169,7 @@ impl RfdetBackend {
             "checkpoint has no live main thread (full membership requires main at the barrier)",
         );
         let mut main = build_ctx(Arc::clone(&shared), main_seed);
-        let body = body_for(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            body(&mut main);
-            main.on_exit();
-        }));
-        if let Err(payload) = result {
-            handle_main_unwind(&shared, &mut main, payload);
-        }
+        main.run_body(body_for(0));
         teardown(&self.name(), &shared, main)
     }
 }

@@ -1,10 +1,9 @@
 //! Run-wide shared state.
 
 use crate::handoff::Mailbox;
-use crate::supervise::Supervisor;
 use parking_lot::{Mutex, RwLock};
-use rfdet_api::trace::{op, TraceEvent, TraceSink};
-use rfdet_api::{RunConfig, Tid};
+use rfdet_api::trace::{op, TraceEvent};
+use rfdet_api::{Family, RunConfig, RunHarness, Tid};
 use rfdet_kendo::KendoState;
 use rfdet_mem::StripAllocator;
 use rfdet_meta::MetaSpace;
@@ -63,7 +62,9 @@ pub(crate) struct SyncQueues {
 
 /// Everything shared by all threads of one RFDet run.
 pub(crate) struct RuntimeShared {
-    pub cfg: RunConfig,
+    /// The run harness: resolved config (`run.cfg`), fault plan, sinks,
+    /// OS handles and the failure slot.
+    pub run: RunHarness,
     /// The running backend's display name ("RFDet", "RFDet-ci",
     /// "RFDet-pf"). Stamped into checkpoints, whose `run_key` covers it:
     /// two monitor modes of the same workload are different runs.
@@ -77,35 +78,19 @@ pub(crate) struct RuntimeShared {
     pub queues: SyncQueues,
     /// Wakeup mailboxes, indexed by tid.
     pub mailboxes: RwLock<Vec<Arc<Mutex<Mailbox>>>>,
-    /// OS join handles of spawned threads, harvested at run teardown.
-    pub os_handles: Mutex<HashMap<Tid, std::thread::JoinHandle<()>>>,
-    /// Failure recording and teardown coordination (see `supervise`).
-    pub supervisor: Supervisor,
-    /// Flight-recorder event sink, `Some` iff `cfg.trace` is on. Thread
-    /// contexts buffer into it; the Kendo wake tap pushes directly.
-    pub trace_sink: Option<Arc<TraceSink>>,
-    /// Metrics sink, `Some` iff `cfg.metrics` is on. Thread contexts
-    /// record into per-thread `ObsRecorder`s draining into it; timing is
-    /// observed strictly off the deterministic decision path.
-    pub obs: Option<Arc<rfdet_api::obs::ObsSink>>,
 }
 
 impl RuntimeShared {
-    pub fn new(cfg: RunConfig) -> Self {
-        cfg.validate();
+    pub fn new(cfg: &RunConfig) -> Self {
+        let run = RunHarness::new(cfg, Family::Dlrc);
+        let cfg = &run.cfg;
         let heap_base = rfdet_mem::heap_base(cfg.space_bytes);
         // The wall-clock bound is only the *fallback*: structural
         // deadlock detection (supervise.rs) normally fires first.
         let kendo = KendoState::new()
             .with_deadlock_timeout(cfg.deadlock_after())
-            .with_idle_poll(cfg.idle_poll())
-            .with_arbitration(if cfg.spin_arbitration {
-                rfdet_kendo::ArbitrationMode::SpinScan
-            } else {
-                rfdet_kendo::ArbitrationMode::Handoff
-            });
-        let trace_sink = rfdet_api::trace_sink(&cfg);
-        if let Some(sink) = &trace_sink {
+            .with_idle_poll(cfg.idle_poll());
+        if let Some(sink) = &run.trace_sink {
             // Wakes run inside the waker's turn, so they are schedule
             // events in their own right: record (woken tid, new clock).
             let sink = Arc::clone(sink);
@@ -132,11 +117,7 @@ impl RuntimeShared {
             strips: StripAllocator::new(heap_base, cfg.space_bytes - heap_base),
             queues: SyncQueues::default(),
             mailboxes: RwLock::new(Vec::new()),
-            os_handles: Mutex::new(HashMap::new()),
-            supervisor: Supervisor::default(),
-            trace_sink,
-            obs: rfdet_api::obs_sink(&cfg),
-            cfg,
+            run,
         }
     }
 
@@ -161,7 +142,7 @@ mod tests {
 
     #[test]
     fn shared_construction_validates_config() {
-        let s = RuntimeShared::new(RunConfig::small());
+        let s = RuntimeShared::new(&RunConfig::small());
         assert_eq!(s.meta.num_threads(), 0);
         assert_eq!(s.kendo.num_threads(), 0);
         assert!(s.strips.strip_size() > 0);
@@ -169,7 +150,7 @@ mod tests {
 
     #[test]
     fn mailboxes_register_in_order() {
-        let s = RuntimeShared::new(RunConfig::small());
+        let s = RuntimeShared::new(&RunConfig::small());
         let a = s.register_mailbox();
         let _b = s.register_mailbox();
         a.lock().sources.push(crate::handoff::AcquireSource {
@@ -182,12 +163,12 @@ mod tests {
 
     #[test]
     fn record_panic_keeps_first_message_and_aborts() {
-        let s = RuntimeShared::new(RunConfig::small());
+        let s = RuntimeShared::new(&RunConfig::small());
         let _h = s.kendo.register(0);
         s.record_panic(0, Box::new("first"), None);
         s.record_panic(0, Box::new("second"), None);
         assert!(s.kendo.aborted());
-        let err = s.take_run_error("test").unwrap();
+        let err = s.run.take_run_error("test").unwrap();
         assert_eq!(err.report().message, "first");
     }
 }

@@ -24,16 +24,18 @@ impl RfdetCtx {
         // runs, so adjacent phase boundaries share them).
         let diff_t0 = self.obs_boundary_start();
         if let (Some(t0), Some(now)) = (self.slice_t0.take(), diff_t0) {
-            let ops = (self.stats.loads + self.stats.stores).saturating_sub(self.slice_ops_base);
-            self.obs_count(Phase::SliceOps, ops);
-            self.obs_count(Phase::SliceWall, now.duration_since(t0).as_nanos() as u64);
+            let ops =
+                (self.h.stats.loads + self.h.stats.stores).saturating_sub(self.slice_ops_base);
+            self.h.sample(Phase::SliceOps, ops);
+            self.h
+                .sample(Phase::SliceWall, now.duration_since(t0).as_nanos() as u64);
         }
         let mut mods = Vec::new();
-        let gap = self.shared.cfg.rfdet.diff_gap_coalesce;
+        let gap = self.shared.run.cfg.rfdet.diff_gap_coalesce;
         let outcome = self.snaps.seal(&self.space, gap, &mut mods);
-        self.stats.diff_bytes_scanned += outcome.bytes_scanned;
-        self.stats.runs_coalesced += outcome.runs_coalesced;
-        self.stats.slices += 1;
+        self.h.stats.diff_bytes_scanned += outcome.bytes_scanned;
+        self.h.stats.runs_coalesced += outcome.runs_coalesced;
+        self.h.stats.slices += 1;
         self.obs_since_boundary(Phase::Diff, diff_t0);
         // Race detection seals the slice's word-read set alongside the
         // diff. Read-only slices must then publish too — a remote read
@@ -41,14 +43,14 @@ impl RfdetCtx {
         // that reach it as published slices. Their empty mod list applies
         // as a no-op everywhere, so propagation results are unchanged.
         let reads = if self.track_reads {
-            self.read_set.seal(self.shared.cfg.page_size)
+            self.read_set.seal(self.shared.run.cfg.page_size)
         } else {
             Vec::new()
         };
         if !mods.is_empty() || !reads.is_empty() {
             let mut rec = SliceRec::new(self.tid, self.slice_seq, self.slice_start.clone(), mods);
             if self.track_reads {
-                rec = rec.with_access(reads, self.sync_ops, self.in_atomic);
+                rec = rec.with_access(reads, self.h.sync_ops(), self.in_atomic);
             }
             // Main's own slices never come back to it through propagation
             // — observe them at the seal (the detector lives on tid 0).
@@ -80,7 +82,7 @@ impl RfdetCtx {
         // the previous phase's end read, and whatever runs next is user
         // code, not an adjacent instrumented phase.
         self.slice_t0 = self.obs_boundary_start();
-        self.slice_ops_base = self.stats.loads + self.stats.stores;
+        self.slice_ops_base = self.h.stats.loads + self.h.stats.stores;
         self.slice_start = self.vc.clone();
         debug_assert_eq!(
             self.snaps.dirty_pages(),
@@ -104,19 +106,19 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.rfdet.monitor = monitor;
         cfg.rfdet.fault_cost_spins = 0;
-        RfdetCtx::new_main(Arc::new(RuntimeShared::new(cfg)))
+        RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg)))
     }
 
     #[test]
     fn first_write_snapshots_page_ci() {
         let mut ctx = ctx_with(MonitorMode::Ci);
         ctx.write::<u64>(100, 7);
-        assert_eq!(ctx.stats.stores_with_copy, 1);
+        assert_eq!(ctx.h.stats.stores_with_copy, 1);
         ctx.write::<u64>(108, 8); // same page: no second snapshot
-        assert_eq!(ctx.stats.stores_with_copy, 1);
+        assert_eq!(ctx.h.stats.stores_with_copy, 1);
         ctx.write::<u64>(5000, 9); // second page
-        assert_eq!(ctx.stats.stores_with_copy, 2);
-        assert_eq!(ctx.stats.stores, 3);
+        assert_eq!(ctx.h.stats.stores_with_copy, 2);
+        assert_eq!(ctx.h.stats.stores, 3);
     }
 
     #[test]
@@ -124,8 +126,8 @@ mod tests {
         let mut ctx = ctx_with(MonitorMode::Pf);
         ctx.write::<u64>(100, 7);
         ctx.write::<u64>(108, 8);
-        assert_eq!(ctx.stats.page_faults, 1, "one fault per page per slice");
-        assert_eq!(ctx.stats.stores_with_copy, 1);
+        assert_eq!(ctx.h.stats.page_faults, 1, "one fault per page per slice");
+        assert_eq!(ctx.h.stats.stores_with_copy, 1);
     }
 
     #[test]
@@ -148,7 +150,7 @@ mod tests {
         ctx.write::<u64>(64, 0);
         ctx.end_slice();
         assert!(ctx.shared.meta.snapshot_list(0).is_empty());
-        assert_eq!(ctx.stats.slices, 1, "the slice still happened");
+        assert_eq!(ctx.h.stats.slices, 1, "the slice still happened");
     }
 
     #[test]
@@ -159,7 +161,7 @@ mod tests {
         ctx.begin_slice();
         ctx.write::<u8>(1, 2);
         assert_eq!(
-            ctx.stats.stores_with_copy, 2,
+            ctx.h.stats.stores_with_copy, 2,
             "same page snapshots again in a new slice"
         );
         ctx.end_slice();
@@ -176,7 +178,7 @@ mod tests {
         ctx.end_slice();
         ctx.begin_slice();
         ctx.write::<u8>(0, 2);
-        assert_eq!(ctx.stats.page_faults, 2);
+        assert_eq!(ctx.h.stats.page_faults, 2);
     }
 
     #[test]
@@ -185,21 +187,21 @@ mod tests {
         // First slice: cold pool, one miss per stored-to page.
         ctx.write::<u64>(0, 1);
         ctx.write::<u64>(4096, 2);
-        assert_eq!(ctx.stats.snapshot_pool_misses, 2);
-        assert_eq!(ctx.stats.snapshot_pool_hits, 0);
+        assert_eq!(ctx.h.stats.snapshot_pool_misses, 2);
+        assert_eq!(ctx.h.stats.snapshot_pool_hits, 0);
         ctx.end_slice();
         ctx.begin_slice();
         // Steady state: both buffers come back from the pool.
         ctx.write::<u64>(0, 3);
         ctx.write::<u64>(4096, 4);
-        assert_eq!(ctx.stats.snapshot_pool_hits, 2);
-        assert_eq!(ctx.stats.snapshot_pool_misses, 2);
+        assert_eq!(ctx.h.stats.snapshot_pool_hits, 2);
+        assert_eq!(ctx.h.stats.snapshot_pool_misses, 2);
         // One line per store, not one page.
         let line = ctx.snaps.line_bytes() as u64;
         assert_eq!(line, 64);
-        assert_eq!(ctx.stats.snapshot_bytes_copied, 4 * line);
+        assert_eq!(ctx.h.stats.snapshot_bytes_copied, 4 * line);
         ctx.end_slice();
-        assert_eq!(ctx.stats.diff_bytes_scanned, 4 * line);
+        assert_eq!(ctx.h.stats.diff_bytes_scanned, 4 * line);
     }
 
     #[test]
@@ -207,17 +209,17 @@ mod tests {
         let mut ctx = ctx_with(MonitorMode::Ci);
         ctx.write::<u64>(4096 + 200, 7);
         ctx.end_slice();
-        assert_eq!(ctx.stats.snapshot_bytes_copied, 64);
-        assert_eq!(ctx.stats.diff_bytes_scanned, 64);
-        assert_eq!(ctx.stats.stores_with_copy, 1);
+        assert_eq!(ctx.h.stats.snapshot_bytes_copied, 64);
+        assert_eq!(ctx.h.stats.diff_bytes_scanned, 64);
+        assert_eq!(ctx.h.stats.stores_with_copy, 1);
         // A store straddling two lines, and one straddling two pages.
         ctx.begin_slice();
         ctx.write::<u64>(60, u64::MAX);
         ctx.write::<u64>(2 * 4096 - 4, u64::MAX);
         ctx.end_slice();
-        assert_eq!(ctx.stats.snapshot_bytes_copied, 64 + 128 + 128);
-        assert_eq!(ctx.stats.diff_bytes_scanned, 64 + 128 + 128);
-        assert_eq!(ctx.stats.stores_with_copy, 1 + 3, "pages 0, 1 and 2");
+        assert_eq!(ctx.h.stats.snapshot_bytes_copied, 64 + 128 + 128);
+        assert_eq!(ctx.h.stats.diff_bytes_scanned, 64 + 128 + 128);
+        assert_eq!(ctx.h.stats.stores_with_copy, 1 + 3, "pages 0, 1 and 2");
         let list = ctx.shared.meta.snapshot_list(0);
         let runs: Vec<(u64, usize)> = list[1].mods.iter().map(|r| (r.addr, r.len())).collect();
         assert_eq!(
@@ -231,14 +233,14 @@ mod tests {
     fn atomic_mini_slice_copies_and_scans_one_line() {
         let mut ctx = ctx_with(MonitorMode::Ci);
         assert_eq!(ctx.atomic_rmw(4096, rfdet_api::AtomicOp::Add(5)), 0);
-        assert_eq!(ctx.stats.snapshot_bytes_copied, 64);
-        assert_eq!(ctx.stats.diff_bytes_scanned, 64);
+        assert_eq!(ctx.h.stats.snapshot_bytes_copied, 64);
+        assert_eq!(ctx.h.stats.diff_bytes_scanned, 64);
         assert_eq!(ctx.atomic_rmw(4096, rfdet_api::AtomicOp::Add(1)), 5);
-        assert_eq!(ctx.stats.snapshot_bytes_copied, 128);
-        assert_eq!(ctx.stats.diff_bytes_scanned, 128);
+        assert_eq!(ctx.h.stats.snapshot_bytes_copied, 128);
+        assert_eq!(ctx.h.stats.diff_bytes_scanned, 128);
         // A pure load stores nothing, so it snapshots nothing.
         assert_eq!(ctx.atomic_load(4096), 6);
-        assert_eq!(ctx.stats.snapshot_bytes_copied, 128);
+        assert_eq!(ctx.h.stats.snapshot_bytes_copied, 128);
     }
 
     /// A slice with line-straddling, page-straddling, repeated and
@@ -264,13 +266,16 @@ mod tests {
             ctx.write::<u16>(4095, 0x0102);
             ctx.end_slice();
         }
-        let page = pf.shared.cfg.page_size;
-        assert_eq!(pf.stats.stores_with_copy, 6, "pages 0, 1, 3, twice");
-        assert_eq!(pf.stats.snapshot_bytes_copied, 6 * page);
-        assert_eq!(pf.stats.diff_bytes_scanned, 6 * page);
-        assert_eq!(ci.stats.stores_with_copy, 6);
-        assert!(ci.stats.snapshot_bytes_copied < page);
-        assert_eq!(ci.stats.diff_bytes_scanned, ci.stats.snapshot_bytes_copied);
+        let page = pf.shared.run.cfg.page_size;
+        assert_eq!(pf.h.stats.stores_with_copy, 6, "pages 0, 1, 3, twice");
+        assert_eq!(pf.h.stats.snapshot_bytes_copied, 6 * page);
+        assert_eq!(pf.h.stats.diff_bytes_scanned, 6 * page);
+        assert_eq!(ci.h.stats.stores_with_copy, 6);
+        assert!(ci.h.stats.snapshot_bytes_copied < page);
+        assert_eq!(
+            ci.h.stats.diff_bytes_scanned,
+            ci.h.stats.snapshot_bytes_copied
+        );
         let mods = |ctx: &RfdetCtx| -> Vec<Vec<rfdet_mem::ModRun>> {
             let list = ctx.shared.meta.snapshot_list(0);
             list.iter().map(|s| s.mods.to_vec()).collect()
@@ -284,14 +289,14 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.rfdet.fault_cost_spins = 0;
         cfg.rfdet.snap_pool_pages = 0;
-        let mut ctx = RfdetCtx::new_main(Arc::new(RuntimeShared::new(cfg)));
+        let mut ctx = RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg)));
         for i in 0..3 {
             ctx.write::<u64>(0, i);
             ctx.end_slice();
             ctx.begin_slice();
         }
-        assert_eq!(ctx.stats.snapshot_pool_hits, 0);
-        assert_eq!(ctx.stats.snapshot_pool_misses, 3);
+        assert_eq!(ctx.h.stats.snapshot_pool_hits, 0);
+        assert_eq!(ctx.h.stats.snapshot_pool_misses, 3);
     }
 
     #[test]
@@ -299,11 +304,11 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.rfdet.fault_cost_spins = 0;
         cfg.rfdet.diff_gap_coalesce = 8;
-        let mut ctx = RfdetCtx::new_main(Arc::new(RuntimeShared::new(cfg)));
+        let mut ctx = RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg)));
         ctx.write::<u8>(100, 1);
         ctx.write::<u8>(104, 2); // 3-byte unchanged gap: coalesces
         ctx.end_slice();
-        assert_eq!(ctx.stats.runs_coalesced, 1);
+        assert_eq!(ctx.h.stats.runs_coalesced, 1);
         let list = ctx.shared.meta.snapshot_list(0);
         assert_eq!(list.len(), 1);
         assert_eq!(list[0].mods.len(), 1, "one coalesced run");
@@ -314,8 +319,8 @@ mod tests {
     fn reads_do_not_snapshot() {
         let mut ctx = ctx_with(MonitorMode::Ci);
         let _: u64 = ctx.read(128);
-        assert_eq!(ctx.stats.stores_with_copy, 0);
-        assert_eq!(ctx.stats.loads, 1);
+        assert_eq!(ctx.h.stats.stores_with_copy, 0);
+        assert_eq!(ctx.h.stats.loads, 1);
         ctx.end_slice();
         assert!(ctx.shared.meta.snapshot_list(0).is_empty());
     }
@@ -324,8 +329,8 @@ mod tests {
     fn alloc_tracks_shared_bytes() {
         let mut ctx = ctx_with(MonitorMode::Ci);
         let a = ctx.alloc(100, 8);
-        assert!(a >= rfdet_mem::heap_base(ctx.shared.cfg.space_bytes));
-        assert_eq!(ctx.stats.shared_bytes, 100);
+        assert!(a >= rfdet_mem::heap_base(ctx.shared.run.cfg.space_bytes));
+        assert_eq!(ctx.h.stats.shared_bytes, 100);
         ctx.dealloc(a);
     }
 }

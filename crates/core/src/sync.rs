@@ -2,8 +2,9 @@
 //!
 //! Every operation follows the same shape:
 //!
-//! 1. `wait_for_turn` — Kendo admits the op at a deterministic point in
-//!    the global synchronization order;
+//! 1. [`RfdetCtx::enter_op`] — the harness assigns the op its per-thread
+//!    coordinate, then Kendo admits it at a deterministic point in the
+//!    global synchronization order (`wait_for_turn`);
 //! 2. *in turn*: end the current slice, record releases in the internal
 //!    sync-var table, tick the vector clock, mutate the deterministic
 //!    queues, deposit handoffs into blocked threads' mailboxes, publish
@@ -20,10 +21,10 @@
 use crate::ctx::RfdetCtx;
 use crate::handoff::{AcquireSource, BarrierHandoff};
 use parking_lot::{Mutex, MutexGuard};
-use rfdet_api::{BarrierId, CondId, MutexId, ThreadFn, ThreadHandle, Tid};
+use rfdet_api::obs::Phase;
+use rfdet_api::{BarrierId, CondId, MutexId, SyncOp, ThreadFn, ThreadHandle, Tid};
 use rfdet_meta::SyncKey;
 use rfdet_vclock::VClock;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Locks a queue-class mutex, counting the case where another thread held
@@ -69,7 +70,7 @@ fn block_and_acquire(ctx: &mut RfdetCtx, premerge_source: Option<Tid>) {
     // callback runs the cheap all-blocked scan (supervise.rs), so a
     // stable deadlock is found by the threads inside it — no watchdog
     // thread, no wall clock.
-    let idles = match premerge_source.filter(|_| ctx.shared.cfg.rfdet.prelock) {
+    let idles = match premerge_source.filter(|_| ctx.shared.run.cfg.rfdet.prelock) {
         Some(src) => {
             // First round immediately, then periodically while parked.
             ctx.premerge_round(src);
@@ -82,7 +83,7 @@ fn block_and_acquire(ctx: &mut RfdetCtx, premerge_source: Option<Tid>) {
             .kendo
             .park_until_active_with(&kendo_handle, || shared.check_deadlock()),
     };
-    ctx.obs_count(rfdet_api::obs::Phase::IdleWakeups, idles);
+    ctx.h.sample(Phase::IdleWakeups, idles);
     // The boundary stored at sync-op entry predates the park; reseed so
     // the mailbox propagation below is not billed for the blocked time.
     ctx.obs_reseed_boundary();
@@ -115,15 +116,12 @@ enum LockPath {
 }
 
 pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
-    ctx.fault_point("lock", Some(u64::from(m.0)));
-    ctx.jitter_pause();
-    ctx.wait_for_turn_timed();
-    ctx.stats.locks += 1;
+    ctx.enter_op(SyncOp::Lock(m));
     let key = SyncKey::Mutex(m.0);
     let enqueued = {
         let mut mxs = lock_counted(
             &ctx.shared.queues.mutexes,
-            &mut ctx.stats.queue_lock_contended,
+            &mut ctx.h.stats.queue_lock_contended,
         );
         let mx = mxs.entry(m.0).or_default();
         assert_ne!(
@@ -152,7 +150,7 @@ pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
         None => {
             let var = ctx.sync_var(key);
             let sv = var.lock();
-            if ctx.shared.cfg.rfdet.slice_merging && sv.last_tid == Some(ctx.tid) {
+            if ctx.shared.run.cfg.rfdet.slice_merging && sv.last_tid == Some(ctx.tid) {
                 LockPath::Merged
             } else if sv.needs_propagation(ctx.tid) {
                 let from = sv.last_tid.expect("needs_propagation implies a releaser");
@@ -164,7 +162,7 @@ pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
     };
     match path {
         LockPath::Merged => {
-            ctx.stats.slices_merged += 1;
+            ctx.h.stats.slices_merged += 1;
             ctx.release_turn();
         }
         LockPath::Fast(edge) => {
@@ -197,16 +195,13 @@ pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
 }
 
 pub(crate) fn unlock_impl(ctx: &mut RfdetCtx, m: MutexId) {
-    ctx.fault_point("unlock", Some(u64::from(m.0)));
-    ctx.jitter_pause();
-    ctx.wait_for_turn_timed();
-    ctx.stats.unlocks += 1;
+    ctx.enter_op(SyncOp::Unlock(m));
     let lower = op_boundary(ctx, Some(SyncKey::Mutex(m.0)));
     ctx.meta_thread.set_turn_vc(&ctx.vc);
     let next = {
         let mut mxs = lock_counted(
             &ctx.shared.queues.mutexes,
-            &mut ctx.stats.queue_lock_contended,
+            &mut ctx.h.stats.queue_lock_contended,
         );
         let mx = mxs
             .get_mut(&m.0)
@@ -241,17 +236,14 @@ fn handoff_release(ctx: &mut RfdetCtx, target: Tid, time: VClock) {
 }
 
 pub(crate) fn wait_impl(ctx: &mut RfdetCtx, c: CondId, m: MutexId) {
-    ctx.fault_point("cond_wait", Some(u64::from(c.0)));
-    ctx.jitter_pause();
-    ctx.wait_for_turn_timed();
-    ctx.stats.waits += 1;
+    ctx.enter_op(SyncOp::CondWait(c));
     // cond_wait releases the mutex…
     let lower = op_boundary(ctx, Some(SyncKey::Mutex(m.0)));
     ctx.meta_thread.set_turn_vc(&ctx.vc);
     let next = {
         let mut mxs = lock_counted(
             &ctx.shared.queues.mutexes,
-            &mut ctx.stats.queue_lock_contended,
+            &mut ctx.h.stats.queue_lock_contended,
         );
         let mx = mxs
             .get_mut(&m.0)
@@ -269,7 +261,7 @@ pub(crate) fn wait_impl(ctx: &mut RfdetCtx, c: CondId, m: MutexId) {
     };
     lock_counted(
         &ctx.shared.queues.conds,
-        &mut ctx.stats.queue_lock_contended,
+        &mut ctx.h.stats.queue_lock_contended,
     )
     .entry(c.0)
     .or_default()
@@ -287,17 +279,11 @@ pub(crate) fn wait_impl(ctx: &mut RfdetCtx, c: CondId, m: MutexId) {
 }
 
 pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
-    ctx.fault_point(
-        if broadcast {
-            "cond_broadcast"
-        } else {
-            "cond_signal"
-        },
-        Some(u64::from(c.0)),
-    );
-    ctx.jitter_pause();
-    ctx.wait_for_turn_timed();
-    ctx.stats.signals += 1;
+    ctx.enter_op(if broadcast {
+        SyncOp::CondBroadcast(c)
+    } else {
+        SyncOp::CondSignal(c)
+    });
     let lower = op_boundary(ctx, Some(SyncKey::Cond(c.0)));
     ctx.meta_thread.set_turn_vc(&ctx.vc);
     // Pop waiters deterministically (FIFO — enqueue order was itself
@@ -305,7 +291,7 @@ pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
     let popped: Vec<(Tid, u32)> = {
         let mut conds = lock_counted(
             &ctx.shared.queues.conds,
-            &mut ctx.stats.queue_lock_contended,
+            &mut ctx.h.stats.queue_lock_contended,
         );
         let queue = conds.entry(c.0).or_default();
         let n = if broadcast {
@@ -327,7 +313,7 @@ pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
         let granted = {
             let mut mxs = lock_counted(
                 &ctx.shared.queues.mutexes,
-                &mut ctx.stats.queue_lock_contended,
+                &mut ctx.h.stats.queue_lock_contended,
             );
             let mx = mxs.entry(mid).or_default();
             if mx.owner.is_none() && mx.queue.is_empty() {
@@ -372,16 +358,13 @@ pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
 
 pub(crate) fn barrier_impl(ctx: &mut RfdetCtx, b: BarrierId, parties: usize) {
     assert!(parties > 0, "barrier with zero parties");
-    ctx.fault_point("barrier", Some(u64::from(b.0)));
-    ctx.jitter_pause();
-    ctx.wait_for_turn_timed();
-    ctx.stats.barriers += 1;
+    ctx.enter_op(SyncOp::Barrier(b));
     let lower = op_boundary(ctx, Some(SyncKey::Barrier(b.0)));
     ctx.meta_thread.set_turn_vc(&ctx.vc);
     let arrivals = {
         let mut barriers = lock_counted(
             &ctx.shared.queues.barriers,
-            &mut ctx.stats.queue_lock_contended,
+            &mut ctx.h.stats.queue_lock_contended,
         );
         let st = barriers.entry(b.0).or_default();
         st.arrivals.push((ctx.tid, lower));
@@ -445,10 +428,7 @@ pub(crate) fn barrier_impl(ctx: &mut RfdetCtx, b: BarrierId, parties: usize) {
 }
 
 pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
-    ctx.fault_point("spawn", None);
-    ctx.jitter_pause();
-    ctx.wait_for_turn_timed();
-    ctx.stats.forks += 1;
+    ctx.enter_op(SyncOp::Spawn);
     // Lazy pending must be materialized before the child inherits the
     // space, or the child would read stale bytes.
     ctx.flush_pending();
@@ -496,31 +476,10 @@ pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
                 child_vc,
             );
             child.cursors = child_cursors;
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                f(&mut child);
-                child.on_exit();
-            }));
-            if let Err(payload) = result {
-                if payload
-                    .downcast_ref::<crate::checkpoint::CkptStop>()
-                    .is_some()
-                {
-                    // Clean shard stop (§4.11): the thread contributed
-                    // its fragment to the target epoch and is done. Not
-                    // a failure, not an exit — just finish the slot so
-                    // arbitration ignores it.
-                    shared.kendo.finish_forced(child_tid);
-                } else {
-                    // Capture the unwound thread's deterministic state
-                    // while the context is still alive, then abort the
-                    // protocol.
-                    let state = child.thread_report();
-                    shared.record_panic(child_tid, payload, Some(state));
-                }
-            }
+            child.run_body(f);
         })
         .expect("failed to spawn OS thread");
-    ctx.shared.os_handles.lock().insert(child_tid, handle);
+    ctx.shared.run.adopt(child_tid, handle);
     ctx.release_turn();
     op_epilogue(ctx);
     ThreadHandle(child_tid)
@@ -529,14 +488,11 @@ pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
 pub(crate) fn join_impl(ctx: &mut RfdetCtx, h: ThreadHandle) {
     let target = h.0;
     assert_ne!(target, ctx.tid, "thread joining itself");
-    ctx.fault_point("join", Some(u64::from(target)));
-    ctx.jitter_pause();
-    ctx.wait_for_turn_timed();
-    ctx.stats.joins += 1;
+    ctx.enter_op(SyncOp::Join(target));
     let already_finished = {
         let mut joins = lock_counted(
             &ctx.shared.queues.joins,
-            &mut ctx.stats.queue_lock_contended,
+            &mut ctx.h.stats.queue_lock_contended,
         );
         if joins.finished.contains(&target) {
             true
@@ -584,10 +540,7 @@ pub(crate) fn atomic_impl(
     store: Option<u64>,
 ) -> u64 {
     assert_eq!(addr % 8, 0, "atomic cells must be 8-byte aligned");
-    ctx.fault_point("atomic", Some(addr));
-    ctx.jitter_pause();
-    ctx.wait_for_turn_timed();
-    ctx.stats.atomics += 1;
+    ctx.enter_op(SyncOp::Atomic(addr));
     let key = SyncKey::Atomic(addr);
     let var = ctx.sync_var(key);
     let edge = {
@@ -636,16 +589,14 @@ pub(crate) fn atomic_impl(
 /// The implicit exit operation: releases `SyncKey::Thread(tid)` and wakes
 /// joiners. Runs when the thread's entry function returns.
 pub(crate) fn exit_impl(ctx: &mut RfdetCtx) {
-    ctx.fault_point("exit", None);
-    ctx.jitter_pause();
-    ctx.wait_for_turn_timed();
+    ctx.enter_op(SyncOp::Exit);
     let lower = op_boundary(ctx, Some(SyncKey::Thread(ctx.tid)));
     ctx.meta_thread.set_turn_vc(&ctx.vc);
     ctx.meta_thread.set_published_vc(&ctx.vc);
     let waiters = {
         let mut joins = lock_counted(
             &ctx.shared.queues.joins,
-            &mut ctx.stats.queue_lock_contended,
+            &mut ctx.h.stats.queue_lock_contended,
         );
         joins.finished.insert(ctx.tid);
         joins.waiters.remove(&ctx.tid).unwrap_or_default()
@@ -656,8 +607,8 @@ pub(crate) fn exit_impl(ctx: &mut RfdetCtx) {
     }
     ctx.shared.meta.mark_dead(ctx.tid);
     // Flush thread-local profiling into the shared aggregate.
-    ctx.stats.private_pages = ctx.space.materialized_pages() as u64;
-    ctx.shared.meta.stats.merge(&ctx.stats);
+    ctx.h.stats.private_pages = ctx.space.materialized_pages() as u64;
+    ctx.shared.meta.stats.merge(&ctx.h.stats);
     ctx.shared.kendo.finish(&ctx.kendo);
 }
 

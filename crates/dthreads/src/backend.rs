@@ -2,8 +2,7 @@
 
 use crate::ctx::DtCtx;
 use crate::engine::{Engine, EngineMode};
-use rfdet_api::{DmtBackend, RunConfig, RunOutput, ThreadFn, TracedRun};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use rfdet_api::{DmtBackend, RunConfig, ThreadFn, TracedRun};
 use std::sync::Arc;
 
 /// Drives one complete run of the lockstep engine in `mode`. Shared by
@@ -13,45 +12,12 @@ pub fn run_lockstep(cfg: &RunConfig, mode: EngineMode, backend: &str, root: Thre
     let engine = Arc::new(Engine::new(cfg, mode));
     let (tid, image) = engine.register_main();
     let mut main = DtCtx::new(Arc::clone(&engine), tid, image);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        root(&mut main);
-        main.exit();
-    }));
-    if let Err(payload) = result {
-        let report = main.thread_report();
-        engine.record_worker_panic(tid, payload, report);
-        engine.force_exit(tid);
-    }
-    // Harvest every worker; children may keep spawning while we join, so
-    // loop until the handle map stays empty. Workers never unwind out of
-    // their closure (panics route through record_worker_panic), so these
-    // joins cannot themselves fail.
-    loop {
-        let handles: Vec<_> = {
-            let mut map = engine.handles.lock();
-            map.drain().map(|(_, h)| h).collect()
-        };
-        if handles.is_empty() {
-            break;
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-    // Flush the main context's trace buffer before assembly (worker
-    // buffers flushed when their contexts dropped).
-    drop(main);
-    let (races, races_truncated) = engine.take_races();
-    let mut warnings = Vec::new();
-    if races_truncated {
-        warnings.push(format!(
-            "race reports truncated at {} — epoch checks continued, but later races went unrecorded",
-            rfdet_mem::race::RaceCollector::DEFAULT_CAP
-        ));
-    }
-    let mut result = match engine.take_run_error(backend) {
-        Some(err) => Err(err),
-        None => {
+    main.run_body(root);
+    engine.run.finish(
+        backend,
+        main,
+        |_| engine.take_races(),
+        || {
             // Report the global store's materialized size as the run's
             // shared footprint (workloads lay data out directly, so
             // allocator byte counts alone would under-report).
@@ -59,22 +25,9 @@ pub fn run_lockstep(cfg: &RunConfig, mode: EngineMode, backend: &str, root: Thre
                 engine.global_store_bytes(),
                 std::sync::atomic::Ordering::Relaxed,
             );
-            Ok(RunOutput {
-                output: engine.meta.collect_output(),
-                stats: engine.meta.stats.snapshot(),
-                metrics: None,
-                races,
-            })
-        }
-    };
-    let trace = rfdet_api::finish_trace(backend, cfg, engine.trace_sink.as_ref(), &mut result);
-    rfdet_api::finish_metrics(backend, engine.obs.as_ref(), &mut result);
-    TracedRun {
-        result,
-        trace,
-        checkpoints: Vec::new(),
-        warnings,
-    }
+            (engine.meta.collect_output(), engine.meta.stats.snapshot())
+        },
+    )
 }
 
 /// The DThreads-model backend: strong determinism via isolated threads,

@@ -1,9 +1,10 @@
 //! The per-thread DThreads context.
 
-use crate::engine::{ChildSeed, Engine, EngineMode, PendingOp};
+use crate::engine::{Arrival, ChildSeed, Engine, EngineMode, PendingOp};
+use rfdet_api::harness::PlannedPanic;
+use rfdet_api::obs::Phase;
 use rfdet_api::{
-    Addr, BarrierId, CondId, DmtCtx, FaultPlan, MutexId, Stats, ThreadFn, ThreadHandle,
-    ThreadReport, Tid,
+    Addr, BarrierId, CondId, DmtCtx, MutexId, SyncOp, ThreadFn, ThreadHandle, ThreadHarness, Tid,
 };
 use rfdet_mem::race::{ReadRun, ReadTracker};
 use rfdet_mem::{diff, ModRun, PrivateSpace, ThreadHeap};
@@ -32,17 +33,10 @@ pub(crate) struct DtCtx {
     /// Tid of the child created by the most recent `Spawn` op.
     last_spawned_tid: Option<Tid>,
     pub heap: ThreadHeap,
-    pub stats: Stats,
-    /// Sync ops executed, in program order — the trigger index for
-    /// [`FaultPlan`] and the progress metric in failure reports.
-    sync_ops: u64,
-    last_op: Option<(&'static str, Option<u64>)>,
-    allocs: u64,
-    /// Flight-recorder buffer; flushed to the engine sink on drop.
-    trace: Option<rfdet_api::trace::TraceBuf>,
-    /// Metrics recorder; flushed to the engine sink on drop. Timing is
-    /// read only when this is `Some` and never feeds a decision.
-    obs: Option<rfdet_api::obs::ObsRecorder>,
+    /// Fault coordinates, trace and metrics buffers, profiling counters.
+    /// The lockstep engine has no logical clock, so events are stamped
+    /// `0` and per-thread op indices alone order each thread's stream.
+    pub h: ThreadHarness,
 }
 
 impl DtCtx {
@@ -52,15 +46,8 @@ impl DtCtx {
             EngineMode::SyncOnly => u64::MAX,
             EngineMode::Quantum(q) => q,
         };
-        let trace = engine
-            .trace_sink
-            .as_ref()
-            .map(|s| rfdet_api::trace::TraceBuf::new(Arc::clone(s)));
-        let obs = engine
-            .obs
-            .as_ref()
-            .map(|s| rfdet_api::obs::ObsRecorder::new(Arc::clone(s)));
-        let track_reads = engine.detect_races;
+        let h = ThreadHarness::new(&engine.run, tid);
+        let track_reads = engine.run.cfg.detect_races;
         let page_size = space.page_size() as u64;
         Self {
             engine,
@@ -73,114 +60,38 @@ impl DtCtx {
             page_size,
             last_spawned_tid: None,
             heap,
-            stats: Stats::default(),
-            sync_ops: 0,
-            last_op: None,
-            allocs: 0,
-            trace,
-            obs,
+            h,
         }
     }
 
-    /// `Instant::now()` iff the run is collecting metrics — the only
-    /// gate under which this backend reads the clock.
-    #[inline]
-    fn obs_start(&self) -> Option<std::time::Instant> {
-        self.obs.as_ref().map(|_| std::time::Instant::now())
+    /// Entry of every synchronization operation: the harness assigns the
+    /// coordinate; plan jitter is charged to the quantum budget,
+    /// deterministically perturbing round boundaries in quantum mode.
+    /// Returns the panic planned at this op, to ride the arrival: the
+    /// serial phase delivers it in token order, so which of several
+    /// planned panics is the run's root cause does not depend on who
+    /// reached its op first.
+    fn enter(&mut self, op: SyncOp) -> Option<PlannedPanic> {
+        let fault = self.h.enter_sync(op, || 0);
+        if fault.jitter_ticks > 0 {
+            self.charge(fault.jitter_ticks);
+        }
+        self.h.planned_panic()
     }
 
-    /// Records the elapsed nanoseconds since `t0` into `phase`.
-    #[inline]
-    fn obs_since(&mut self, phase: rfdet_api::obs::Phase, t0: Option<std::time::Instant>) {
-        if let (Some(obs), Some(t0)) = (self.obs.as_mut(), t0) {
-            obs.record(phase, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Runs one sync operation under the end-to-end
-    /// [`Phase::SyncOp`](rfdet_api::obs::Phase::SyncOp) envelope.
-    #[inline]
-    fn sync_timed<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let t0 = self.obs_start();
-        let r = f(self);
-        self.obs_since(rfdet_api::obs::Phase::SyncOp, t0);
-        r
-    }
-
-    /// Entry hook of every synchronization operation: counts the op,
-    /// remembers it for failure reports, and applies any matching
-    /// [`FaultPlan`] entry. Op indices are per-thread program order, so
-    /// a plan written against one backend triggers at the same source
-    /// point on every backend. Jitter ticks are charged to the quantum
-    /// budget, deterministically perturbing round boundaries in
-    /// quantum mode.
-    fn fault_point(&mut self, kind: &'static str, arg: Option<u64>) {
-        if !self.engine.supervise {
-            return;
-        }
-        let op = self.sync_ops;
-        self.sync_ops += 1;
-        self.last_op = Some((kind, arg));
-        if let Some(trace) = self.trace.as_mut() {
-            // The lockstep engine has no logical clock; per-thread op
-            // indices alone order each thread's stream.
-            trace.push(rfdet_api::trace::TraceEvent {
-                tid: self.tid,
-                op,
-                kind: rfdet_api::trace::op::code(kind),
-                arg,
-                clock: 0,
-            });
-        }
-        if !self.engine.fault_plan.is_empty() {
-            let f = self.engine.fault_plan.on_sync_op(self.tid, op);
-            if f.jitter_ticks > 0 {
-                self.charge(f.jitter_ticks);
-            }
-            if f.panic {
-                panic!("{}", FaultPlan::panic_message(self.tid, op));
-            }
-        }
-    }
-
-    /// Allocation hook for `FaultPlan::fail_alloc`.
-    fn alloc_fault_point(&mut self) {
-        if !self.engine.supervise {
-            return;
-        }
-        let nth = self.allocs;
-        self.allocs += 1;
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(rfdet_api::trace::TraceEvent {
-                tid: self.tid,
-                op: nth,
-                kind: rfdet_api::trace::op::ALLOC,
-                arg: None,
-                clock: 0,
-            });
-        }
-        if !self.engine.fault_plan.is_empty() && self.engine.fault_plan.on_alloc(self.tid, nth) {
-            panic!("{}", FaultPlan::alloc_panic_message(self.tid, nth));
-        }
-    }
-
-    /// This thread's deterministic progress summary for failure reports
-    /// (the lockstep engine keeps no vector clocks or slice counts).
-    pub(crate) fn thread_report(&self) -> ThreadReport {
-        ThreadReport {
-            tid: self.tid,
-            sync_ops: self.sync_ops,
-            last_op: self.last_op.map(|(k, a)| match a {
-                Some(a) => format!("{k}({a})"),
-                None => k.to_owned(),
-            }),
-            ..ThreadReport::default()
-        }
+    /// One synchronization operation, end to end under the
+    /// [`Phase::SyncOp`] envelope.
+    fn sync_op(&mut self, op: SyncOp, pending: PendingOp) -> Option<u64> {
+        let t0 = self.h.start();
+        let planned = self.enter(op);
+        let value = self.sync_point(pending, planned);
+        self.h.since(Phase::SyncOp, t0);
+        value
     }
 
     /// Ends the parallel interval: diff all snapshotted pages.
     fn take_diff(&mut self) -> Vec<ModRun> {
-        let t0 = self.obs_start();
+        let t0 = self.h.start();
         let mut mods = Vec::new();
         for (page, snap) in std::mem::take(&mut self.snapshots) {
             if let Some(current) = self.space.page(page) {
@@ -192,7 +103,7 @@ impl DtCtx {
                 );
             }
         }
-        self.obs_since(rfdet_api::obs::Phase::Diff, t0);
+        self.h.since(Phase::Diff, t0);
         mods
     }
 
@@ -206,15 +117,26 @@ impl DtCtx {
         }
     }
 
+    /// Ends the parallel interval: its diff and word-read set, stamped
+    /// with the sync-op coordinate race reports carry.
+    fn seal_interval(&mut self, op: PendingOp, planned: Option<PlannedPanic>) -> Arrival {
+        Arrival {
+            op,
+            diff: Some(self.take_diff()),
+            reads: Some(self.take_reads()),
+            sync_op: self.h.sync_ops(),
+            planned,
+        }
+    }
+
     /// Arrives at a synchronization point and re-bases on the returned
     /// global image.
-    fn sync_point(&mut self, op: PendingOp) -> Option<u64> {
-        let diff = self.take_diff();
-        let reads = self.take_reads();
+    fn sync_point(&mut self, op: PendingOp, planned: Option<PlannedPanic>) -> Option<u64> {
+        let arrival = self.seal_interval(op, planned);
         // The fence stall: from arrival to the serial phase releasing us.
-        let t0 = self.obs_start();
-        let (image, seed, value) = self.engine.arrive(self.tid, op, diff, reads, self.sync_ops);
-        self.obs_since(rfdet_api::obs::Phase::FenceWait, t0);
+        let t0 = self.h.start();
+        let (image, seed, value) = self.engine.arrive(self.tid, arrival);
+        self.h.since(Phase::FenceWait, t0);
         if let Some(img) = image {
             self.space = img;
         }
@@ -233,33 +155,33 @@ impl DtCtx {
         self.last_spawned_tid = Some(tid);
         let handle = std::thread::Builder::new()
             .name(format!("dthreads-{tid}"))
-            .spawn(move || {
-                let mut child = DtCtx::new(Arc::clone(&engine), tid, space);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    entry(&mut child);
-                    child.exit();
-                }));
-                if let Err(payload) = result {
-                    // Root-cause panics poison the engine (waking every
-                    // parked peer); Poisoned tokens just add diagnostics.
-                    let report = child.thread_report();
-                    child.engine.record_worker_panic(tid, payload, report);
-                    child.engine.force_exit(tid);
-                }
-            })
+            .spawn(move || DtCtx::new(engine, tid, space).run_body(entry))
             .expect("failed to spawn OS thread");
-        self.engine.handles.lock().insert(tid, handle);
+        self.engine.run.adopt(tid, handle);
     }
 
-    pub fn exit(&mut self) {
-        self.fault_point("exit", None);
-        let diff = self.take_diff();
-        let reads = self.take_reads();
-        let (_, _, _) = self
-            .engine
-            .arrive(self.tid, PendingOp::Exit, diff, reads, self.sync_ops);
-        self.stats.private_pages = self.space.materialized_pages() as u64;
-        self.engine.meta.stats.merge(&self.stats);
+    /// Runs a thread's entry function to its exit operation. An unwind
+    /// out of either is recorded and the thread taken out of the fence:
+    /// root-cause panics poison the engine (waking every parked peer);
+    /// `Poisoned` tokens just add diagnostics.
+    pub fn run_body(&mut self, body: ThreadFn) {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            body(self);
+            self.exit();
+        }));
+        if let Err(payload) = result {
+            self.engine
+                .record_worker_panic(self.tid, payload, self.h.report());
+            self.engine.force_exit(self.tid);
+        }
+    }
+
+    fn exit(&mut self) {
+        let planned = self.enter(SyncOp::Exit);
+        let arrival = self.seal_interval(PendingOp::Exit, planned);
+        let _ = self.engine.arrive(self.tid, arrival);
+        self.h.stats.private_pages = self.space.materialized_pages() as u64;
+        self.engine.meta.stats.merge(&self.h.stats);
     }
 
     #[inline]
@@ -269,9 +191,14 @@ impl DtCtx {
             if self.budget == 0 {
                 // Quantum expired: lockstep round even without sync —
                 // the Figure-1 behaviour of CoreDet/DMP.
-                let _ = self.sync_point(PendingOp::QuantumBreak);
+                let _ = self.sync_point(PendingOp::QuantumBreak, None);
             }
         }
+    }
+
+    fn atomic(&mut self, addr: Addr, op: Option<rfdet_api::AtomicOp>, store: Option<u64>) -> u64 {
+        self.sync_op(SyncOp::Atomic(addr), PendingOp::Atomic { addr, op, store })
+            .expect("atomic op returns a value")
     }
 
     fn record_store(&mut self, addr: Addr, len: usize) {
@@ -281,7 +208,7 @@ impl DtCtx {
             if !self.snapshots.contains_key(&page) {
                 let snap = self.space.snapshot_page(page);
                 self.snapshots.insert(page, snap);
-                self.stats.stores_with_copy += 1;
+                self.h.stats.stores_with_copy += 1;
             }
         }
     }
@@ -297,7 +224,7 @@ impl DmtCtx for DtCtx {
     }
 
     fn read_bytes(&mut self, addr: Addr, buf: &mut [u8]) {
-        self.stats.loads += 1;
+        self.h.stats.loads += 1;
         self.charge(1);
         if self.track_reads {
             self.reads.mark(addr, buf.len() as u64, self.page_size);
@@ -306,7 +233,7 @@ impl DmtCtx for DtCtx {
     }
 
     fn write_bytes(&mut self, addr: Addr, data: &[u8]) {
-        self.stats.stores += 1;
+        self.h.stats.stores += 1;
         self.charge(1);
         if data.is_empty() {
             return;
@@ -316,77 +243,44 @@ impl DmtCtx for DtCtx {
     }
 
     fn lock(&mut self, m: MutexId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("lock", Some(u64::from(m.0)));
-            ctx.stats.locks += 1;
-            let _ = ctx.sync_point(PendingOp::Lock(m.0));
-        });
+        self.sync_op(SyncOp::Lock(m), PendingOp::Lock(m.0));
     }
 
     fn unlock(&mut self, m: MutexId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("unlock", Some(u64::from(m.0)));
-            ctx.stats.unlocks += 1;
-            let _ = ctx.sync_point(PendingOp::Unlock(m.0));
-        });
+        self.sync_op(SyncOp::Unlock(m), PendingOp::Unlock(m.0));
     }
 
     fn cond_wait(&mut self, c: CondId, m: MutexId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("cond_wait", Some(u64::from(c.0)));
-            ctx.stats.waits += 1;
-            let _ = ctx.sync_point(PendingOp::Wait(c.0, m.0));
-        });
+        self.sync_op(SyncOp::CondWait(c), PendingOp::Wait(c.0, m.0));
     }
 
     fn cond_signal(&mut self, c: CondId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("cond_signal", Some(u64::from(c.0)));
-            ctx.stats.signals += 1;
-            let _ = ctx.sync_point(PendingOp::Signal(c.0, false));
-        });
+        self.sync_op(SyncOp::CondSignal(c), PendingOp::Signal(c.0, false));
     }
 
     fn cond_broadcast(&mut self, c: CondId) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("cond_broadcast", Some(u64::from(c.0)));
-            ctx.stats.signals += 1;
-            let _ = ctx.sync_point(PendingOp::Signal(c.0, true));
-        });
+        self.sync_op(SyncOp::CondBroadcast(c), PendingOp::Signal(c.0, true));
     }
 
     fn barrier(&mut self, b: BarrierId, parties: usize) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("barrier", Some(u64::from(b.0)));
-            ctx.stats.barriers += 1;
-            let _ = ctx.sync_point(PendingOp::Barrier(b.0, parties));
-        });
+        self.sync_op(SyncOp::Barrier(b), PendingOp::Barrier(b.0, parties));
     }
 
     fn spawn(&mut self, f: ThreadFn) -> ThreadHandle {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("spawn", None);
-            ctx.stats.forks += 1;
-            let _ = ctx.sync_point(PendingOp::Spawn(f));
-            ThreadHandle(
-                ctx.last_spawned_tid
-                    .take()
-                    .expect("spawn must produce a child"),
-            )
-        })
+        self.sync_op(SyncOp::Spawn, PendingOp::Spawn(f));
+        ThreadHandle(
+            self.last_spawned_tid
+                .take()
+                .expect("spawn must produce a child"),
+        )
     }
 
     fn join(&mut self, h: ThreadHandle) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("join", Some(u64::from(h.0)));
-            ctx.stats.joins += 1;
-            let _ = ctx.sync_point(PendingOp::Join(h.0));
-        });
+        self.sync_op(SyncOp::Join(h.0), PendingOp::Join(h.0));
     }
 
     fn alloc(&mut self, size: u64, align: u64) -> Addr {
-        self.alloc_fault_point();
-        self.stats.shared_bytes += size;
+        self.h.enter_alloc(|| 0, size);
         self.heap.alloc(size, align)
     }
 
@@ -399,45 +293,18 @@ impl DmtCtx for DtCtx {
     }
 
     fn atomic_rmw(&mut self, addr: Addr, op: rfdet_api::AtomicOp) -> u64 {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("atomic", Some(addr));
-            ctx.stats.atomics += 1;
-            ctx.sync_point(PendingOp::Atomic {
-                addr,
-                op: Some(op),
-                store: None,
-            })
-            .expect("atomic op returns a value")
-        })
+        self.atomic(addr, Some(op), None)
     }
 
     fn atomic_load(&mut self, addr: Addr) -> u64 {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("atomic", Some(addr));
-            ctx.stats.atomics += 1;
-            ctx.sync_point(PendingOp::Atomic {
-                addr,
-                op: None,
-                store: None,
-            })
-            .expect("atomic op returns a value")
-        })
+        self.atomic(addr, None, None)
     }
 
     fn atomic_store(&mut self, addr: Addr, value: u64) {
-        self.sync_timed(|ctx| {
-            ctx.fault_point("atomic", Some(addr));
-            ctx.stats.atomics += 1;
-            ctx.sync_point(PendingOp::Atomic {
-                addr,
-                op: None,
-                store: Some(value),
-            });
-        });
+        self.atomic(addr, None, Some(value));
     }
 
     fn count_app_events(&mut self, retries: u64, shed: u64) {
-        self.stats.app_retries += retries;
-        self.stats.app_shed += shed;
+        self.h.count_app_events(retries, shed);
     }
 }

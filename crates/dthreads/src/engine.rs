@@ -2,9 +2,10 @@
 
 use crate::detect::EngineDetect;
 use parking_lot::{Condvar, Mutex};
+use rfdet_api::harness::PlannedPanic;
 use rfdet_api::{
-    AtomicOp, FailureKind, FailureReport, FaultPlan, RaceReport, RunConfig, RunError, ThreadFn,
-    ThreadReport, Tid, WaitEdge, WaitTarget,
+    AtomicOp, FailureKind, RaceReport, RunConfig, RunHarness, ThreadFn, ThreadReport, Tid,
+    WaitEdge, WaitTarget,
 };
 use rfdet_mem::race::ReadRun;
 use rfdet_mem::{ModRun, PrivateSpace};
@@ -13,7 +14,6 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::panic_any;
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Panic token used to tear down peers once the engine is poisoned. A
@@ -90,6 +90,23 @@ pub(crate) struct Arrival {
     /// The arriving thread's sync-op count at the seal — the
     /// backend-invariant logical coordinate stamped on race reports.
     pub sync_op: u64,
+    /// The panic the fault plan attaches to this op (message and culprit
+    /// state), delivered by the serial phase that first sees the arrival.
+    pub planned: Option<PlannedPanic>,
+}
+
+impl Arrival {
+    /// A bare re-arm (woken waiter, released joiner): no interval, no
+    /// coordinate, nothing planned.
+    fn rearm(op: PendingOp) -> Self {
+        Self {
+            op,
+            diff: None,
+            reads: None,
+            sync_op: 0,
+            planned: None,
+        }
+    }
 }
 
 /// Result delivered back to an arrived thread.
@@ -135,33 +152,16 @@ pub(crate) struct Engine {
     cv: Condvar,
     pub meta: MetaSpace,
     pub mode: EngineMode,
-
-    pub handles: Mutex<HashMap<Tid, std::thread::JoinHandle<()>>>,
     pub strips: rfdet_mem::StripAllocator,
-
-    /// Fault-injection / bookkeeping gate (`RunConfig::supervise`).
-    pub supervise: bool,
-    /// Whether contexts should collect word-read sets for the detector
-    /// (`RunConfig::detect_races`).
-    pub detect_races: bool,
-    pub fault_plan: FaultPlan,
+    /// The run harness: resolved config (`run.cfg`), fault plan, sinks,
+    /// OS handles and the failure slot.
+    pub run: RunHarness,
     /// Wall-clock fallback for runs that stall without a provable
     /// structural deadlock (`RunConfig::deadlock_after_ms`).
     wedge_after: Option<Duration>,
     /// Once set, every thread unwinds with a [`Poisoned`] token at its
     /// next engine interaction; no further serial phases run.
     poisoned: AtomicBool,
-    /// The root-cause failure. First writer wins; `backend` is filled in
-    /// at teardown.
-    failure: Mutex<Option<FailureReport>>,
-    /// Best-effort states of threads that unwound after the root cause
-    /// (excluded from the report digest).
-    peers: Mutex<BTreeMap<Tid, ThreadReport>>,
-    /// Flight-recorder sink (`RunConfig::trace`); `None` when disabled.
-    pub trace_sink: Option<Arc<rfdet_api::trace::TraceSink>>,
-    /// Metrics sink (`RunConfig::metrics`); `None` when disabled. Timing
-    /// is read only when this is `Some` and never feeds a decision.
-    pub obs: Option<Arc<rfdet_api::obs::ObsSink>>,
 }
 
 /// Everything a freshly spawned thread needs.
@@ -173,7 +173,8 @@ pub(crate) struct ChildSeed {
 
 impl Engine {
     pub fn new(cfg: &RunConfig, mode: EngineMode) -> Self {
-        cfg.validate();
+        let run = RunHarness::new(cfg, rfdet_api::Family::Lockstep);
+        let cfg = &run.cfg;
         let heap_base = rfdet_mem::heap_base(cfg.space_bytes);
         Self {
             state: Mutex::new(EngineState {
@@ -194,20 +195,10 @@ impl Engine {
             cv: Condvar::new(),
             meta: MetaSpace::new(cfg.meta_capacity_bytes as usize, cfg.gc_threshold),
             mode,
-            handles: Mutex::new(HashMap::new()),
             strips: rfdet_mem::StripAllocator::new(heap_base, cfg.space_bytes - heap_base),
-            // Detection needs the per-thread sync-op counters that give
-            // race reports their backend-invariant coordinates, so it
-            // forces supervision on (semantics- and digest-neutral).
-            supervise: cfg.supervise || cfg.detect_races,
-            detect_races: cfg.detect_races,
-            fault_plan: cfg.fault_plan.clone(),
             wedge_after: cfg.deadlock_after(),
             poisoned: AtomicBool::new(false),
-            failure: Mutex::new(None),
-            peers: Mutex::new(BTreeMap::new()),
-            trace_sink: rfdet_api::trace_sink(cfg),
-            obs: rfdet_api::obs_sink(cfg),
+            run,
         }
     }
 
@@ -215,9 +206,9 @@ impl Engine {
         self.poisoned.load(SeqCst)
     }
 
-    /// Records the run's root-cause failure (first writer wins), poisons
-    /// the engine and wakes every parked thread so teardown is bounded.
-    fn record_failure(
+    /// Records a failure (first root cause wins), poisons the engine and
+    /// wakes every parked thread so teardown is bounded.
+    fn fail(
         &self,
         kind: FailureKind,
         tid: Tid,
@@ -226,25 +217,12 @@ impl Engine {
         wait_graph: Vec<WaitEdge>,
         cycle: Vec<Tid>,
     ) {
-        {
-            let mut slot = self.failure.lock();
-            if slot.is_none() {
-                *slot = Some(FailureReport {
-                    backend: String::new(),
-                    kind,
-                    tid,
-                    message,
-                    culprit,
-                    wait_graph,
-                    cycle,
-                    peers: Vec::new(),
-                    trace_path: None,
-                    warnings: Vec::new(),
-                });
-            } else if let Some(c) = culprit {
-                self.peers.lock().entry(tid).or_insert(c);
-            }
-        }
+        self.run
+            .record_failure(kind, tid, message, culprit, wait_graph, cycle);
+        self.poison();
+    }
+
+    fn poison(&self) {
         self.poisoned.store(true, SeqCst);
         self.cv.notify_all();
     }
@@ -258,38 +236,12 @@ impl Engine {
         payload: Box<dyn std::any::Any + Send>,
         report: ThreadReport,
     ) {
-        if payload.is::<Poisoned>() {
-            self.peers.lock().entry(tid).or_insert(report);
-            return;
+        let root_cause = self.run.record_unwind(tid, payload, Some(report), |p, _| {
+            (!p.is::<Poisoned>()).then_some(FailureKind::Panic)
+        });
+        if root_cause {
+            self.poison();
         }
-        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
-            (*s).to_owned()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "panic with non-string payload".to_owned()
-        };
-        self.record_failure(
-            FailureKind::Panic,
-            tid,
-            message,
-            Some(report),
-            Vec::new(),
-            Vec::new(),
-        );
-    }
-
-    /// Assembles the final [`RunError`] at teardown, if the run failed.
-    pub fn take_run_error(&self, backend: &str) -> Option<RunError> {
-        let mut f = self.failure.lock().take()?;
-        f.backend = backend.to_owned();
-        let tid = f.tid;
-        f.peers = std::mem::take(&mut *self.peers.lock())
-            .into_iter()
-            .filter(|&(t, _)| t != tid)
-            .map(|(_, r)| r)
-            .collect();
-        Some(RunError::from_report(f))
     }
 
     /// The wait-for graph read off the engine's deterministic queueing
@@ -347,18 +299,9 @@ impl Engine {
     /// function of the schedule, so this reproduces across reruns.
     fn record_deadlock(&self, st: &EngineState) {
         let wait_graph = Self::wait_graph(st);
-        let cycle = FailureReport::find_cycle(&wait_graph);
         let tid = wait_graph.first().map_or(0, |e| e.waiter);
-        let message = if cycle.is_empty() {
-            format!(
-                "all {} live threads blocked with no possible waker",
-                wait_graph.len()
-            )
-        } else {
-            let cyc: Vec<String> = cycle.iter().map(|t| format!("t{t}")).collect();
-            format!("wait-for cycle {}", cyc.join(" -> "))
-        };
-        self.record_failure(FailureKind::Deadlock, tid, message, None, wait_graph, cycle);
+        self.run.record_deadlock(tid, wait_graph.len(), wait_graph);
+        self.poison();
     }
 
     /// Registers the main thread (tid 0) and returns its starting image.
@@ -390,21 +333,10 @@ impl Engine {
     pub fn arrive(
         &self,
         tid: Tid,
-        op: PendingOp,
-        diff: Vec<ModRun>,
-        reads: Vec<ReadRun>,
-        sync_op: u64,
+        arrival: Arrival,
     ) -> (Option<PrivateSpace>, Option<ChildSeed>, Option<u64>) {
         let mut st = self.state.lock();
-        st.arrived.insert(
-            tid,
-            Arrival {
-                op,
-                diff: Some(diff),
-                reads: Some(reads),
-                sync_op,
-            },
-        );
+        st.arrived.insert(tid, arrival);
         self.maybe_phases(&mut st);
         loop {
             if self.is_poisoned() {
@@ -436,7 +368,7 @@ impl Engine {
                         .collect::<Vec<_>>(),
                 );
                 let wait_graph = Self::wait_graph(&st);
-                self.record_failure(
+                self.fail(
                     FailureKind::Wedged,
                     tid,
                     message,
@@ -468,7 +400,29 @@ impl Engine {
 
     /// One serial phase: token order = ascending tid.
     fn run_serial_phase(&self, st: &mut EngineState) {
-        let t0 = self.obs.as_ref().map(|_| std::time::Instant::now());
+        // A planned panic is delivered here, where its op is ordered: the
+        // first flagged arrival in token order is the root cause, however
+        // the flagged threads' arrivals were timed.
+        let planned = st
+            .arrived
+            .iter_mut()
+            .find_map(|(&tid, a)| a.planned.take().map(|p| (tid, p)));
+        if let Some((tid, (message, report))) = planned {
+            self.fail(
+                FailureKind::Panic,
+                tid,
+                message,
+                Some(report),
+                Vec::new(),
+                Vec::new(),
+            );
+            return;
+        }
+        let t0 = self
+            .run
+            .obs_sink
+            .as_ref()
+            .map(|_| std::time::Instant::now());
         let order: Vec<Tid> = st.arrived.keys().copied().collect();
         let mut done: Vec<Tid> = Vec::new();
         let mut exited: Vec<Tid> = Vec::new();
@@ -556,15 +510,7 @@ impl Engine {
                     for (w, m) in woken {
                         // Re-arm as a mutex acquisition next phase.
                         st.active.insert(w);
-                        st.arrived.insert(
-                            w,
-                            Arrival {
-                                op: PendingOp::Lock(m),
-                                diff: None,
-                                reads: None,
-                                sync_op: 0,
-                            },
-                        );
+                        st.arrived.insert(w, Arrival::rearm(PendingOp::Lock(m)));
                     }
                     done.push(tid);
                 }
@@ -650,15 +596,7 @@ impl Engine {
                     }
                     for j in joiners {
                         st.active.insert(j);
-                        st.arrived.insert(
-                            j,
-                            Arrival {
-                                op: PendingOp::Noop,
-                                diff: None,
-                                reads: None,
-                                sync_op: 0,
-                            },
-                        );
+                        st.arrived.insert(j, Arrival::rearm(PendingOp::Noop));
                     }
                     exited.push(tid);
                 }
@@ -693,7 +631,7 @@ impl Engine {
     /// straight into the sink, since the phase runs under the engine
     /// monitor rather than in any one thread's recorder.
     fn record_serial_apply(&self, t0: Option<std::time::Instant>) {
-        if let (Some(sink), Some(t0)) = (&self.obs, t0) {
+        if let (Some(sink), Some(t0)) = (&self.run.obs_sink, t0) {
             sink.record(
                 rfdet_api::obs::Phase::SerialApply,
                 t0.elapsed().as_nanos() as u64,
@@ -721,15 +659,7 @@ impl Engine {
         let joiners = st.join_waiters.remove(&tid).unwrap_or_default();
         for j in joiners {
             st.active.insert(j);
-            st.arrived.insert(
-                j,
-                Arrival {
-                    op: PendingOp::Noop,
-                    diff: None,
-                    reads: None,
-                    sync_op: 0,
-                },
-            );
+            st.arrived.insert(j, Arrival::rearm(PendingOp::Noop));
         }
         if !self.is_poisoned() {
             self.maybe_phases(&mut st);

@@ -14,14 +14,14 @@
 //! `(clock, tid)` over all `Active` threads — [`KendoState::wait_for_turn`]
 //! blocks until then. The operation runs, mutates whatever deterministic
 //! state it needs, and finally calls [`KendoState::release_turn`] (a tick
-//! plus, in handoff mode, the successor scan), which releases the turn.
+//! plus the successor scan), which releases the turn.
 //!
 //! *Which* thread runs next is a pure function of the clocks; *how* the
-//! next thread finds out is an implementation choice ([`ArbitrationMode`]):
-//! either the releasing turn holder computes the successor and hands it a
-//! baton (default — one scan per transition, everyone else parks), or every
-//! waiter broadcast-scans all slots (the original protocol, kept as the
-//! oracle). Both admit the identical turn sequence.
+//! next thread finds out is an implementation choice: the releasing turn
+//! holder computes the successor and hands it a baton (one scan per
+//! transition, everyone else parks). The original protocol — every waiter
+//! broadcast-scans all slots — admits the identical turn sequence and is
+//! kept as the oracle this crate's tests check the handoff against.
 //!
 //! # The invariants that make this deterministic
 //!
@@ -49,4 +49,4 @@ mod jitter;
 mod state;
 
 pub use jitter::Jitter;
-pub use state::{ArbitrationMode, KendoHandle, KendoState, Status, WakeTap, MAX_THREADS};
+pub use state::{KendoHandle, KendoState, Status, WakeTap, MAX_THREADS};

@@ -1,22 +1,20 @@
 //! The arbitration state machine.
 //!
-//! Two arbitration strategies share one protocol (see
-//! [`ArbitrationMode`]):
+//! **Successor handoff**: the turn holder alone computes the next
+//! minimal `(clock, tid)` when it releases the turn and publishes it in
+//! a packed [`AtomicU64`] baton. Waiters check one uncontended load;
+//! non-designated waiters park on their own slot condvar and are woken
+//! by a targeted notify. One O(T) scan per turn *transition*, by one
+//! thread.
 //!
-//! * **Successor handoff** (the default): the turn holder alone computes
-//!   the next minimal `(clock, tid)` when it releases the turn and
-//!   publishes it in a packed [`AtomicU64`] baton. Waiters check one
-//!   uncontended load; non-designated waiters park on their own slot
-//!   condvar and are woken by a targeted notify. One O(T) scan per turn
-//!   *transition*, by one thread.
-//! * **Broadcast spin-scan** (the original protocol, kept as the debug
-//!   oracle): every waiter repeatedly runs the O(T) epoch-stable scan,
-//!   which costs O(T²) cache-coherence traffic per transition and
-//!   collapses once threads oversubscribe the CPUs.
-//!
-//! Both admit the identical turn sequence — the turn is always granted
-//! to the unique minimal `(clock, tid)` over `Active` threads — which
-//! the cross-mode tests pin.
+//! The original protocol — **broadcast spin-scan**, every waiter
+//! repeatedly running the O(T) epoch-stable scan, O(T²) cache-coherence
+//! traffic per transition — survives as the oracle handoff is checked
+//! against: its predicate (`has_turn`) backs the `debug_assert` on every
+//! baton grant, and its waiter is compiled into this crate's tests,
+//! which pin that both admit the identical turn sequence (the turn is
+//! always granted to the unique minimal `(clock, tid)` over `Active`
+//! threads).
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use rfdet_vclock::Tid;
@@ -81,7 +79,9 @@ impl Status {
     }
 }
 
-/// Which turn-arbitration strategy a [`KendoState`] runs.
+/// Which turn-arbitration strategy a [`KendoState`] runs. Test-only: the
+/// runtime always hands off; the scan is the tests' reference.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ArbitrationMode {
     /// Successor handoff via the packed baton (one scan per transition,
@@ -259,6 +259,7 @@ pub struct KendoState {
     /// concurrently with the unique baton owner's scan — and clocks are
     /// monotone, so an observed minimum stays a minimum.
     baton: CachePadded<AtomicU64>,
+    #[cfg(test)]
     mode: ArbitrationMode,
     /// How long a parked thread waits between deadlock scans.
     deadlock_after: Option<Duration>,
@@ -278,7 +279,7 @@ pub struct KendoState {
     /// whose clock the scan already saw (and rejected, had it been
     /// smaller).
     wake_epoch: AtomicU64,
-    /// Successor scans run (one per turn transition in handoff mode).
+    /// Successor scans run (one per turn transition).
     handoff_scans: AtomicU64,
     /// Targeted unparks issued to a designated successor.
     handoff_wakes: AtomicU64,
@@ -301,7 +302,6 @@ impl std::fmt::Debug for KendoState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KendoState")
             .field("threads", &self.num_threads())
-            .field("mode", &self.mode)
             .field("deadlock_after", &self.deadlock_after)
             .field("aborted", &self.aborted())
             .field("state", &self.debug_state())
@@ -323,6 +323,7 @@ impl KendoState {
             slots: SlotTable::new(),
             register_lock: Mutex::new(()),
             baton: CachePadded::new(AtomicU64::new(BATON_NONE)),
+            #[cfg(test)]
             mode: ArbitrationMode::Handoff,
             deadlock_after: Some(Duration::from_secs(30)),
             idle_poll: Duration::from_millis(20),
@@ -403,20 +404,25 @@ impl KendoState {
     }
 
     /// Selects the arbitration strategy (default: [`ArbitrationMode::Handoff`]).
+    #[cfg(test)]
     #[must_use]
     pub fn with_arbitration(mut self, mode: ArbitrationMode) -> Self {
         self.mode = mode;
         self
     }
 
-    /// The active arbitration strategy.
-    #[must_use]
-    pub fn arbitration(&self) -> ArbitrationMode {
-        self.mode
+    /// `true` when this state runs the scan oracle instead of handoff —
+    /// only ever in this crate's tests.
+    #[inline]
+    fn spin_scan(&self) -> bool {
+        #[cfg(test)]
+        return self.mode == ArbitrationMode::SpinScan;
+        #[cfg(not(test))]
+        false
     }
 
     /// Handoff-protocol counters: `(successor scans, targeted unparks,
-    /// turn-waiter parks)`. All zero in spin-scan mode.
+    /// turn-waiter parks)`.
     #[must_use]
     pub fn handoff_counters(&self) -> (u64, u64, u64) {
         (
@@ -497,8 +503,8 @@ impl KendoState {
 
     /// `true` iff `(clock, tid)` is minimal over all `Active` threads —
     /// verified by an epoch-stable scan (see `wake_epoch`). This is the
-    /// spin-scan arbitration predicate, retained in handoff mode as the
-    /// debug oracle the baton grant is checked against.
+    /// spin-scan arbitration predicate, retained as the debug oracle the
+    /// baton grant is checked against.
     fn has_turn(&self, me: &KendoHandle) -> bool {
         let epoch_before = self.wake_epoch.load(SeqCst);
         let my_clock = me.clock();
@@ -570,12 +576,12 @@ impl KendoState {
     }
 
     /// Releases the turn after a sync operation: advances the caller's
-    /// clock by `n` and, in handoff mode, runs the successor scan. The
-    /// caller must hold the turn. (In spin-scan mode the tick alone
-    /// releases it — every waiter is scanning.)
+    /// clock by `n` and runs the successor scan. The caller must hold the
+    /// turn. (Under the scan oracle the tick alone releases it — every
+    /// waiter is scanning.)
     pub fn release_turn(&self, me: &KendoHandle, n: u64) {
         me.tick(n);
-        if self.mode == ArbitrationMode::Handoff {
+        if !self.spin_scan() {
             self.scan_and_publish(me);
         }
     }
@@ -609,7 +615,7 @@ impl KendoState {
     /// exactly the minimal `(clock, tid)`, whenever the scan runs.
     pub fn tick_off_turn(&self, me: &KendoHandle, n: u64) {
         let old = me.slot.clock.fetch_add(n, SeqCst);
-        if self.mode != ArbitrationMode::Handoff {
+        if self.spin_scan() {
             return;
         }
         let new = old + n;
@@ -628,10 +634,11 @@ impl KendoState {
     /// so until it ticks; everything it does in between is serialized
     /// against every other turn body, in deterministic order.
     pub fn wait_for_turn(&self, me: &KendoHandle) {
-        match self.mode {
-            ArbitrationMode::Handoff => self.wait_for_turn_handoff(me),
-            ArbitrationMode::SpinScan => self.wait_for_turn_scan(me),
+        #[cfg(test)]
+        if self.spin_scan() {
+            return self.wait_for_turn_scan(me);
         }
+        self.wait_for_turn_handoff(me);
     }
 
     /// Handoff waiter: one uncontended baton load per check. The
@@ -752,6 +759,7 @@ impl KendoState {
     }
 
     /// The original broadcast waiter: every waiter spin-scans all slots.
+    #[cfg(test)]
     fn wait_for_turn_scan(&self, me: &KendoHandle) {
         let mut spins: u32 = 0;
         let start = Instant::now();
@@ -815,12 +823,11 @@ impl KendoState {
 
     /// Marks the calling thread finished. Must be called while holding
     /// the turn; the turn is implicitly released (finished threads are
-    /// skipped by arbitration), so in handoff mode this also runs the
-    /// successor scan.
+    /// skipped by arbitration), so this also runs the successor scan.
     pub fn finish(&self, me: &KendoHandle) {
         debug_assert!(self.has_turn(me), "finish() outside of turn");
         me.slot.status.store(Status::Finished as u8, SeqCst);
-        if self.mode == ArbitrationMode::Handoff {
+        if !self.spin_scan() {
             self.scan_and_publish(me);
         }
     }

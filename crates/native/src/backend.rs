@@ -1,8 +1,7 @@
 //! The [`NativeBackend`] entry point.
 
 use crate::ctx::{NativeCtx, NativeShared};
-use rfdet_api::{DmtBackend, RunConfig, RunOutput, ThreadFn, TracedRun};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use rfdet_api::{DmtBackend, RunConfig, ThreadFn, TracedRun};
 use std::sync::Arc;
 
 /// Conventional nondeterministic multithreading ("pthreads" in the
@@ -22,48 +21,14 @@ impl DmtBackend for NativeBackend {
     fn run_traced(&self, cfg: &RunConfig, root: ThreadFn) -> TracedRun {
         let shared = Arc::new(NativeShared::new(cfg));
         let mut main = NativeCtx::new(Arc::clone(&shared));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            root(&mut main);
-            main.flush_stats();
-        }));
-        if let Err(payload) = result {
-            let report = main.thread_report();
-            shared.sup.record_worker_panic(0, payload, report);
-        }
-        // Harvest leaked (never-joined) threads so the run quiesces;
-        // workers catch their own panics, so joins cannot fail.
-        loop {
-            let handles: Vec<_> = {
-                let mut map = shared.handles.lock();
-                map.drain().map(|(_, h)| h).collect()
-            };
-            if handles.is_empty() {
-                break;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
-        // Flush the main context's trace buffer before assembly (worker
-        // buffers flushed when their contexts dropped).
-        drop(main);
-        let mut result = match shared.sup.take_run_error(&self.name()) {
-            Some(err) => Err(err),
-            None => Ok(RunOutput {
-                output: shared.meta.collect_output(),
-                stats: shared.meta.stats.snapshot(),
-                metrics: None,
-                races: Vec::new(),
-            }),
-        };
-        let trace =
-            rfdet_api::finish_trace(&self.name(), cfg, shared.trace_sink.as_ref(), &mut result);
-        rfdet_api::finish_metrics(&self.name(), shared.obs.as_ref(), &mut result);
-        TracedRun {
-            result,
-            trace,
-            checkpoints: Vec::new(),
-            warnings: Vec::new(),
-        }
+        main.run_body(root);
+        // Native has no race detector; never-joined threads are harvested
+        // by the tail so the run quiesces.
+        shared.sup.run.finish(
+            &self.name(),
+            main,
+            |_| Default::default(),
+            || (shared.meta.collect_output(), shared.meta.stats.snapshot()),
+        )
     }
 }

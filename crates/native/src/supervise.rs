@@ -10,43 +10,34 @@
 //! the blocked-set scan cannot be made stable — so deadlocks surface as
 //! `Wedged` here.
 
-use parking_lot::Mutex;
-use rfdet_api::{FailureKind, FailureReport, FaultPlan, RunConfig, RunError, ThreadReport, Tid};
-use std::collections::BTreeMap;
+use parking_lot::{Condvar, MutexGuard};
+use rfdet_api::{FailureKind, Family, RunConfig, RunHarness, ThreadReport, Tid};
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::time::{Duration, Instant};
 
-/// Poll period of every supervised wait loop.
-pub(crate) const POLL: Duration = Duration::from_millis(10);
+/// Poll period of the supervised wait loop.
+const POLL: Duration = Duration::from_millis(10);
 
 /// Panic token used to tear down peers once the run is poisoned.
 pub(crate) struct Poisoned;
 
-/// Shared supervision state (one per run).
+/// Shared supervision state (one per run): the run harness — whose
+/// failure slot stays first-writer-wins in *physical* order here, this
+/// backend being nondeterministic by contract — plus the poison flag
+/// that stops a failed run.
 pub(crate) struct Supervision {
-    /// Fault-injection / bookkeeping gate (`RunConfig::supervise`).
-    pub supervise: bool,
-    pub fault_plan: FaultPlan,
+    pub run: RunHarness,
     wedge_after: Option<Duration>,
     poisoned: AtomicBool,
-    /// The root-cause failure. First writer wins; `backend` is filled
-    /// in at teardown.
-    failure: Mutex<Option<FailureReport>>,
-    /// Best-effort states of threads that unwound after the root cause
-    /// (excluded from the report digest).
-    peers: Mutex<BTreeMap<Tid, ThreadReport>>,
 }
 
 impl Supervision {
     pub fn new(cfg: &RunConfig) -> Self {
         Self {
-            supervise: cfg.supervise,
-            fault_plan: cfg.fault_plan.clone(),
+            run: RunHarness::new(cfg, Family::Native),
             wedge_after: cfg.deadlock_after(),
             poisoned: AtomicBool::new(false),
-            failure: Mutex::new(None),
-            peers: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -61,85 +52,58 @@ impl Supervision {
         }
     }
 
-    /// Deadline for the wedge fallback, armed when a wait starts.
-    pub fn wedge_deadline(&self) -> Option<Instant> {
-        self.wedge_after.map(|d| Instant::now() + d)
-    }
-
-    pub fn deadline_passed(deadline: Option<Instant>) -> bool {
-        deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Records the run's root-cause failure (first writer wins) and
-    /// poisons the run so every polling wait unwinds.
-    fn record_failure(
+    /// The one supervised wait loop: blocks on `cv` until `done` holds
+    /// for the guarded state, polling on a short period. A poisoned run
+    /// unwinds the waiter with a [`Poisoned`] token, and a wait that
+    /// outlives the wedge bound records a `Wedged` failure (then unwinds
+    /// on the next poll).
+    pub fn wait_until<T>(
         &self,
-        kind: FailureKind,
+        cv: &Condvar,
+        guard: &mut MutexGuard<'_, T>,
         tid: Tid,
-        message: String,
-        culprit: Option<ThreadReport>,
+        stuck: &str,
+        done: impl Fn(&T) -> bool,
     ) {
-        {
-            let mut slot = self.failure.lock();
-            if slot.is_none() {
-                *slot = Some(FailureReport {
-                    backend: String::new(),
-                    kind,
-                    tid,
-                    message,
-                    culprit,
-                    wait_graph: Vec::new(),
-                    cycle: Vec::new(),
-                    peers: Vec::new(),
-                    trace_path: None,
-                    warnings: Vec::new(),
-                });
-            } else if let Some(c) = culprit {
-                self.peers.lock().entry(tid).or_insert(c);
+        let deadline = self.wedge_after.map(|d| Instant::now() + d);
+        while !done(guard) {
+            self.check_poison();
+            let timed_out = cv.wait_for(guard, POLL).timed_out();
+            if timed_out && !done(guard) && deadline.is_some_and(|d| Instant::now() >= d) {
+                self.record_wedge(tid, format!("native: thread {tid} stuck {stuck}"));
             }
         }
-        self.poisoned.store(true, SeqCst);
     }
 
     /// A worker (or the root) unwound. [`Poisoned`] tokens are the
     /// secondary unwinds of an already-failed run and only contribute
-    /// peer diagnostics; anything else is a root-cause panic.
+    /// peer diagnostics; anything else is a root-cause panic, which
+    /// poisons the run so every polling wait unwinds.
     pub fn record_worker_panic(
         &self,
         tid: Tid,
         payload: Box<dyn std::any::Any + Send>,
         report: ThreadReport,
     ) {
-        if payload.is::<Poisoned>() {
-            self.peers.lock().entry(tid).or_insert(report);
-            return;
+        let root_cause = self.run.record_unwind(tid, payload, Some(report), |p, _| {
+            (!p.is::<Poisoned>()).then_some(FailureKind::Panic)
+        });
+        if root_cause {
+            self.poisoned.store(true, SeqCst);
         }
-        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
-            (*s).to_owned()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "panic with non-string payload".to_owned()
-        };
-        self.record_failure(FailureKind::Panic, tid, message, Some(report));
     }
 
     /// A wait loop outlived the wall-clock bound.
     pub fn record_wedge(&self, tid: Tid, message: String) {
-        self.record_failure(FailureKind::Wedged, tid, message, None);
-    }
-
-    /// Assembles the final [`RunError`] at teardown, if the run failed.
-    pub fn take_run_error(&self, backend: &str) -> Option<RunError> {
-        let mut f = self.failure.lock().take()?;
-        f.backend = backend.to_owned();
-        let tid = f.tid;
-        f.peers = std::mem::take(&mut *self.peers.lock())
-            .into_iter()
-            .filter(|&(t, _)| t != tid)
-            .map(|(_, r)| r)
-            .collect();
-        Some(RunError::from_report(f))
+        self.run.record_failure(
+            FailureKind::Wedged,
+            tid,
+            message,
+            None,
+            Vec::new(),
+            Vec::new(),
+        );
+        self.poisoned.store(true, SeqCst);
     }
 }
 
@@ -153,7 +117,10 @@ mod tests {
         sup.record_worker_panic(1, Box::new("boom"), ThreadReport::default());
         sup.record_wedge(0, "late wedge".into());
         assert!(sup.is_poisoned());
-        let err = sup.take_run_error("pthreads").expect("failure recorded");
+        let err = sup
+            .run
+            .take_run_error("pthreads")
+            .expect("failure recorded");
         let r = err.report();
         assert_eq!(r.kind, FailureKind::Panic);
         assert_eq!(r.message, "boom");
@@ -165,7 +132,7 @@ mod tests {
         let sup = Supervision::new(&RunConfig::small());
         sup.record_worker_panic(2, Box::new(Poisoned), ThreadReport::default());
         assert!(!sup.is_poisoned(), "a secondary unwind is not a root cause");
-        assert!(sup.take_run_error("pthreads").is_none());
+        assert!(sup.run.take_run_error("pthreads").is_none());
     }
 
     #[test]

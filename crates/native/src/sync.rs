@@ -1,16 +1,12 @@
 //! Conventional synchronization primitives keyed by application IDs.
 //!
-//! Every blocking wait polls the run's [`Supervision`] state on a short
-//! period: a poisoned run unwinds the waiter with a `Poisoned` token,
-//! and a wait that outlives the wedge deadline records a `Wedged`
-//! failure (then unwinds on the next poll). That keeps teardown bounded
-//! even when peers are parked forever.
+//! Every blocking wait goes through [`Supervision::wait_until`], which
+//! keeps teardown bounded even when peers are parked forever.
 
-use crate::supervise::{Poisoned, Supervision, POLL};
+use crate::supervise::Supervision;
 use parking_lot::{Condvar, Mutex};
 use rfdet_api::Tid;
 use std::collections::HashMap;
-use std::panic::panic_any;
 use std::sync::Arc;
 
 /// A pthreads-style mutex usable through split `lock`/`unlock` calls.
@@ -23,17 +19,7 @@ pub(crate) struct LockVar {
 impl LockVar {
     pub fn lock(&self, sup: &Supervision, tid: Tid) {
         let mut g = self.locked.lock();
-        let deadline = sup.wedge_deadline();
-        while *g {
-            if sup.is_poisoned() {
-                drop(g);
-                panic_any(Poisoned);
-            }
-            let timed_out = self.cv.wait_for(&mut g, POLL).timed_out();
-            if timed_out && *g && Supervision::deadline_passed(deadline) {
-                sup.record_wedge(tid, format!("native: thread {tid} stuck acquiring a mutex"));
-            }
-        }
+        sup.wait_until(&self.cv, &mut g, tid, "acquiring a mutex", |held| !*held);
         *g = true;
     }
 
@@ -61,17 +47,7 @@ impl CondVar {
         let mut g = self.gen.lock();
         let my_gen = *g;
         mutex.unlock();
-        let deadline = sup.wedge_deadline();
-        while *g == my_gen {
-            if sup.is_poisoned() {
-                drop(g);
-                panic_any(Poisoned);
-            }
-            let timed_out = self.cv.wait_for(&mut g, POLL).timed_out();
-            if timed_out && *g == my_gen && Supervision::deadline_passed(deadline) {
-                sup.record_wedge(tid, format!("native: thread {tid} stuck in cond_wait"));
-            }
-        }
+        sup.wait_until(&self.cv, &mut g, tid, "in cond_wait", |gen| *gen != my_gen);
         drop(g);
         mutex.lock(sup, tid);
     }
@@ -105,17 +81,7 @@ impl BarrierVar {
             self.cv.notify_all();
         } else {
             let gen = g.1;
-            let deadline = sup.wedge_deadline();
-            while g.1 == gen {
-                if sup.is_poisoned() {
-                    drop(g);
-                    panic_any(Poisoned);
-                }
-                let timed_out = self.cv.wait_for(&mut g, POLL).timed_out();
-                if timed_out && g.1 == gen && Supervision::deadline_passed(deadline) {
-                    sup.record_wedge(tid, format!("native: thread {tid} stuck at a barrier"));
-                }
-            }
+            sup.wait_until(&self.cv, &mut g, tid, "at a barrier", |st| st.1 != gen);
         }
     }
 }

@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 use rfdet_api::{DmtBackend, RunConfig, ThreadFn, TracedRun};
 use rfdet_dthreads::{run_lockstep, EngineMode};

@@ -16,7 +16,8 @@
 //! little-endian, decode rejecting torn, bit-flipped, trailing-garbage
 //! and future-version buffers with a typed [`TraceError`].
 
-use crate::codec::{fnv, read_config, write_config, Reader, Writer};
+use crate::codec::{read_config, write_config, Reader, Writer};
+use crate::digest::fnv1a;
 use crate::{TraceConfig, TraceError};
 use rfdet_vclock::Tid;
 
@@ -152,7 +153,7 @@ impl Checkpoint {
         w.str(&self.workload);
         w.opt_u64(self.seed);
         write_config(&mut w, &self.config);
-        fnv(&w.buf)
+        fnv1a(&w.buf)
     }
 
     /// FNV digest of the encoded checkpoint — the shard-verification
@@ -160,7 +161,7 @@ impl Checkpoint {
     /// recorded one's digest exactly.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        fnv(&self.encode())
+        fnv1a(&self.encode())
     }
 
     /// Serializes the checkpoint (see the module docs for the layout).
@@ -226,7 +227,7 @@ impl Checkpoint {
                 w.bytes(&p.data);
             }
         }
-        let checksum = fnv(&w.buf);
+        let checksum = fnv1a(&w.buf);
         w.u64(checksum);
         w.buf
     }
@@ -252,7 +253,7 @@ impl Checkpoint {
         let body = &bytes[..bytes.len() - 8];
         let mut tail = [0u8; 8];
         tail.copy_from_slice(&bytes[bytes.len() - 8..]);
-        if fnv(body) != u64::from_le_bytes(tail) {
+        if fnv1a(body) != u64::from_le_bytes(tail) {
             return Err(TraceError::BadChecksum);
         }
         let mut r = Reader { buf: body, pos: 4 };
@@ -496,7 +497,7 @@ mod tests {
         let mut bytes = sample().encode();
         bytes[4] = 99;
         let body_len = bytes.len() - 8;
-        let sum = fnv(&bytes[..body_len]);
+        let sum = fnv1a(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             Checkpoint::decode(&bytes),

@@ -13,6 +13,7 @@
 //! migrated: a trace is a debugging artifact of one build lineage, not a
 //! long-term archive format.
 
+use crate::digest::fnv1a;
 use crate::{FailureSummary, RunTrace, TraceConfig, TraceEvent, TraceFault};
 use std::fmt;
 
@@ -52,15 +53,6 @@ impl fmt::Display for TraceError {
 }
 
 impl std::error::Error for TraceError {}
-
-pub(crate) fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 pub(crate) struct Writer {
     pub(crate) buf: Vec<u8>,
@@ -227,7 +219,7 @@ impl RunTrace {
         w.u8(self.failure.kind);
         w.u32(self.failure.tid);
         w.u64(self.failure.report_digest);
-        let checksum = fnv(&w.buf);
+        let checksum = fnv1a(&w.buf);
         w.u64(checksum);
         w.buf
     }
@@ -251,7 +243,7 @@ impl RunTrace {
         let body = &bytes[..bytes.len() - 8];
         let mut tail = [0u8; 8];
         tail.copy_from_slice(&bytes[bytes.len() - 8..]);
-        if fnv(body) != u64::from_le_bytes(tail) {
+        if fnv1a(body) != u64::from_le_bytes(tail) {
             return Err(TraceError::BadChecksum);
         }
         let mut r = Reader { buf: body, pos: 4 };
@@ -382,7 +374,7 @@ mod tests {
         bytes[4] = 99;
         // Fix up the checksum so the version check is what fires.
         let body_len = bytes.len() - 8;
-        let sum = super::fnv(&bytes[..body_len]);
+        let sum = crate::digest::fnv1a(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             RunTrace::decode(&bytes),

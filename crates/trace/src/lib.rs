@@ -28,6 +28,7 @@
 
 mod ckpt;
 mod codec;
+pub mod digest;
 pub mod persist;
 mod shrink;
 mod sink;
@@ -80,27 +81,6 @@ pub mod op {
     /// A Kendo wakeup: `tid` is the woken thread, `clock` its new clock,
     /// `op` is [`u64::MAX`] (wakes are not sync ops of the woken thread).
     pub const WAKE: u8 = 11;
-    /// A sync-op kind this trace version does not know by name.
-    pub const OTHER: u8 = 254;
-
-    /// Maps a backend's `fault_point` kind string to its code.
-    #[must_use]
-    pub fn code(kind: &str) -> u8 {
-        match kind {
-            "lock" => LOCK,
-            "unlock" => UNLOCK,
-            "cond_wait" => COND_WAIT,
-            "cond_signal" => COND_SIGNAL,
-            "cond_broadcast" => COND_BROADCAST,
-            "barrier" => BARRIER,
-            "spawn" => SPAWN,
-            "join" => JOIN,
-            "atomic" => ATOMIC,
-            "exit" => EXIT,
-            _ => OTHER,
-        }
-    }
-
     /// Human-readable name of a code (for trace dumps).
     #[must_use]
     pub fn name(code: u8) -> &'static str {
@@ -297,22 +277,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn op_codes_round_trip_names() {
-        for kind in [
-            "lock",
-            "unlock",
-            "cond_wait",
-            "cond_signal",
-            "cond_broadcast",
-            "barrier",
-            "spawn",
-            "join",
-            "atomic",
-            "exit",
+    fn op_codes_have_stable_names() {
+        for (code, name) in [
+            (op::LOCK, "lock"),
+            (op::UNLOCK, "unlock"),
+            (op::COND_WAIT, "cond_wait"),
+            (op::COND_SIGNAL, "cond_signal"),
+            (op::COND_BROADCAST, "cond_broadcast"),
+            (op::BARRIER, "barrier"),
+            (op::SPAWN, "spawn"),
+            (op::JOIN, "join"),
+            (op::ATOMIC, "atomic"),
+            (op::EXIT, "exit"),
         ] {
-            assert_eq!(op::name(op::code(kind)), kind);
+            assert_eq!(op::name(code), name);
         }
-        assert_eq!(op::code("frobnicate"), op::OTHER);
+        assert_eq!(op::name(254), "other");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Shared-memory building blocks for the workloads.
 
+use rfdet_api::digest::Fnv1a;
 use rfdet_api::{Addr, CondId, DmtCtx, DmtCtxExt, MutexId};
 
 /// A SPLASH-2 `c.m4.null.POSIX`-style barrier built from one mutex and
@@ -55,28 +56,22 @@ impl LockBarrier {
 /// FNV-1a over a shared `u64` array — workloads use this to fold their
 /// results into a deterministic checksum.
 pub fn checksum_u64s(ctx: &mut dyn DmtCtx, base: Addr, count: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for i in 0..count {
         let v: u64 = ctx.read_idx(base, i);
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h.write(&v.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// FNV-1a over a shared `f64` array via bit patterns.
 pub fn checksum_f64s(ctx: &mut dyn DmtCtx, base: Addr, count: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for i in 0..count {
         let v: f64 = ctx.read_idx(base, i);
-        for b in v.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h.write(&v.to_bits().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Q31.32 fixed-point scale for order-invariant shared reductions.

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_10.json — machine-readable micro-bench numbers for
 # the memory-pipeline fast path (chunked diff kernel, zero-copy
-# propagation, snapshot pooling) plus the turn-arbitration A/B
-# (successor handoff vs broadcast spin-scan on sync-heavy, with the
-# 2/4/8/16-thread scaling table and the 16t/8t regression guard, see
-# DESIGN.md §4.10), the supervisor-overhead A/B (cfg.supervise on vs
+# propagation, snapshot pooling) plus the turn-arbitration scaling
+# curve (successor handoff on sync-heavy: the 2/4/8/16-thread table and
+# the 16t/8t regression guard, see DESIGN.md §4.10), the
+# supervisor-overhead A/B (cfg.supervise on vs
 # off; budget <2%, see DESIGN.md §4.7), the flight-recorder A/B
 # (cfg.trace on vs off; budget <5% recording, ~0 disabled, see
 # DESIGN.md §4.8), the metrics-layer A/B (cfg.metrics on vs off;

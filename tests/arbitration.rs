@@ -1,26 +1,20 @@
-//! Turn-arbitration equivalence (ISSUE 7 tentpole property).
+//! Successor-handoff arbitration, seen from the whole runtime.
 //!
-//! Successor handoff must be *invisible*: which thread is admitted next
-//! is a pure function of logical clocks, and arbitration only changes
-//! how the winner finds out (a baton handoff + targeted unpark instead
-//! of a broadcast spin-scan). These properties pin that: every terminal
-//! digest is identical with `spin_arbitration` on and off, on every
-//! deterministic backend, across thread counts and under random
-//! fault-plan jitter. The kendo crate pins the raw turn *sequence*
-//! against the scan oracle at the unit level; here the whole runtime —
-//! wakes, blocks, mailboxes, propagation — rides on top.
+//! Handoff must be *invisible*: which thread is admitted next is a pure
+//! function of logical clocks, and arbitration only changes how the
+//! winner finds out (a baton handoff + targeted unpark). The kendo crate
+//! pins the raw turn *sequence* against the broadcast spin-scan oracle
+//! at the unit level (the scan survives only there, as a test
+//! reference); here the whole runtime — wakes, blocks, mailboxes,
+//! propagation — rides on top, and these tests pin that the machinery
+//! engages and that parked waiters do not hide a deadlock.
 
-use proptest::prelude::*;
 use rfdet::workloads::{chaos, stress, Params, Size};
-use rfdet::{
-    all_backends, DmtBackend, FaultPlan, RfdetBackend, RunConfig, RunError, RunOutput, ThreadFn,
-};
+use rfdet::{DmtBackend, RfdetBackend, RunConfig, RunError};
 
-fn cfg(spin: bool, plan: FaultPlan, seed: Option<u64>) -> RunConfig {
+fn cfg(seed: Option<u64>) -> RunConfig {
     let mut c = RunConfig::small();
     c.rfdet.fault_cost_spins = 0;
-    c.spin_arbitration = spin;
-    c.fault_plan = plan;
     c.jitter_seed = seed;
     // Plenty for a Size::Test workload; short enough that a handoff
     // liveness bug fails the suite instead of hanging it.
@@ -28,97 +22,37 @@ fn cfg(spin: bool, plan: FaultPlan, seed: Option<u64>) -> RunConfig {
     c
 }
 
-/// The terminal digest of a run, whichever way it ended (same shape as
-/// tests/metrics.rs): clean runs compare `output_digest()`, failing runs
-/// `report_digest()`, and the bool keeps the two from aliasing.
-fn terminal_digest(result: &Result<RunOutput, RunError>) -> (bool, u64) {
-    match result {
-        Ok(out) => (true, out.output_digest()),
-        Err(err) => (false, err.report_digest()),
-    }
-}
-
-fn sync_heavy(threads: usize) -> ThreadFn {
-    stress::sync_heavy(Params::new(threads, Size::Test))
-}
-
-proptest! {
-    // Every case runs {2,4,8,16} threads × both arbitration modes on
-    // each deterministic backend — keep the case count modest.
-    #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
-
-    /// Handoff and spin-scan arbitration land on the same terminal
-    /// digest for the sync-dense adversary at every thread count, under
-    /// randomized fault plans (panics + logical jitter) and jittered
-    /// physical schedules.
-    #[test]
-    fn handoff_and_spin_scan_agree_on_all_backends(
-        jitter_seed in 0u64..1_000,
-        plan_seed in 0u64..1_000,
-        faults in 1usize..4,
-    ) {
-        for threads in [2usize, 4, 8, 16] {
-            let plan = FaultPlan::random(plan_seed, threads as u32, 40, faults);
-            for backend in all_backends().into_iter().filter(|b| b.is_deterministic()) {
-                let name = backend.name();
-                let spin = backend
-                    .run(&cfg(true, plan.clone(), Some(jitter_seed)), sync_heavy(threads));
-                let handoff = backend
-                    .run(&cfg(false, plan.clone(), Some(jitter_seed)), sync_heavy(threads));
-                prop_assert_eq!(
-                    terminal_digest(&spin),
-                    terminal_digest(&handoff),
-                    "{}@{}t: arbitration mode changed the outcome",
-                    &name,
-                    threads
-                );
-            }
-        }
-    }
-}
-
 /// The handoff machinery actually engages on the RFDet backend: turn
-/// transitions run successor scans, and oversubscribed waiters park
-/// rather than spin. Spin-scan mode reports all-zero counters — so the
-/// bench A/B really compares two different mechanisms.
+/// transitions run successor scans.
 #[test]
 fn handoff_counters_report_engagement() {
-    let backend = RfdetBackend::ci();
-    let out = backend
-        .run(&cfg(false, FaultPlan::new(), None), sync_heavy(8))
+    let out = RfdetBackend::ci()
+        .run(&cfg(None), stress::sync_heavy(Params::new(8, Size::Test)))
         .expect("clean run");
     assert!(
         out.stats.handoff_scans > 0,
-        "handoff mode must run successor scans"
+        "handoff must run successor scans"
     );
-    let spin = backend
-        .run(&cfg(true, FaultPlan::new(), None), sync_heavy(8))
-        .expect("clean run");
-    assert_eq!(
-        spin.stats.handoff_scans, 0,
-        "spin-scan never scans at release"
-    );
-    assert_eq!(spin.stats.turn_parks, 0, "spin-scan never parks");
 }
 
 /// Structural deadlock detection still fires promptly when the
 /// non-successor waiters are *parked* (not spinning): an AB-BA deadlock
-/// under handoff is typed and carries the same reproducible digest as
-/// under spin-scan.
+/// is typed and carries the same reproducible digest on a rerun under a
+/// jittered physical schedule.
 #[test]
 fn parked_waiters_do_not_mask_deadlock_detection() {
     let threads = 2;
     let mk = || chaos::abba_deadlock(Params::new(threads, Size::Test));
     let backend = RfdetBackend::ci();
     let t0 = std::time::Instant::now();
-    let handoff = backend.run(&cfg(false, FaultPlan::new(), None), mk());
+    let first = backend.run(&cfg(None), mk());
     let elapsed = t0.elapsed();
-    let spin = backend.run(&cfg(true, FaultPlan::new(), None), mk());
-    let (h, s) = match (&handoff, &spin) {
-        (Err(h @ RunError::Deadlock(_)), Err(s @ RunError::Deadlock(_))) => (h, s),
+    let rerun = backend.run(&cfg(Some(7)), mk());
+    let (a, b) = match (&first, &rerun) {
+        (Err(a @ RunError::Deadlock(_)), Err(b @ RunError::Deadlock(_))) => (a, b),
         other => panic!("expected two Deadlock errors, got {other:?}"),
     };
-    assert_eq!(h.report_digest(), s.report_digest());
+    assert_eq!(a.report_digest(), b.report_digest());
     assert!(
         elapsed < std::time::Duration::from_secs(15),
         "structural detection must beat the wall-clock fallback (took {elapsed:?})"

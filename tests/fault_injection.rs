@@ -358,6 +358,58 @@ fn jitter_plan_keeps_runs_deterministic() {
     }
 }
 
+/// With a panic planned on two threads, the root cause is a function of
+/// the sync order, not of who reaches its op first in wall time. Workers
+/// A (t1) and B (t2) meet at a barrier, then each takes the mutex — the
+/// planned point, op 1 on both. A is logically earlier: B charges 1000
+/// ticks first (and A has the lower tid, the lockstep token order). One
+/// run stalls A for 100 ms of wall time before its `lock`, the other
+/// stalls B; every deterministic backend must blame A both times, with
+/// one report digest. (Delivering the panic where the op is *reached*
+/// blames B whenever A is the slow one.)
+#[test]
+fn the_ordered_panic_is_the_root_cause_whichever_thread_is_slow() {
+    fn scenario(stall_a: bool) -> ThreadFn {
+        let worker = move |is_b: bool| -> ThreadFn {
+            Box::new(move |ctx: &mut dyn DmtCtx| {
+                ctx.barrier(BarrierId(0), 2); // op 0
+                if is_b {
+                    ctx.tick(1000);
+                }
+                if is_b != stall_a {
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+                ctx.lock(MutexId(0)); // op 1 — planned on both workers
+                ctx.unlock(MutexId(0));
+            })
+        };
+        Box::new(move |ctx: &mut dyn DmtCtx| {
+            let a = ctx.spawn(worker(false));
+            let b = ctx.spawn(worker(true));
+            ctx.join(a);
+            ctx.join(b);
+        })
+    }
+    let plan = FaultPlan::new().panic_at(1, 1).panic_at(2, 1);
+    for make in deterministic_backends() {
+        let name = make().name();
+        let digests: Vec<u64> = [true, false]
+            .into_iter()
+            .map(|stall_a| {
+                let result = run_bounded(make(), small_cfg(plan.clone()), scenario(stall_a));
+                let err = result.expect_err("a planned panic fails the run");
+                assert_eq!(
+                    err.report().tid,
+                    1,
+                    "{name} (A stalled: {stall_a}): the logically earlier panic is the root cause"
+                );
+                err.report_digest()
+            })
+            .collect();
+        assert_eq!(digests[0], digests[1], "{name}: one failure, one digest");
+    }
+}
+
 /// Fresh-instance constructors for the deterministic backends, so
 /// reproducibility tests can run each one twice.
 fn deterministic_backends() -> [fn() -> Box<dyn DmtBackend>; 4] {

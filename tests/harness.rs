@@ -1,0 +1,160 @@
+//! The run harness's cross-backend contract (DESIGN.md §4.14).
+//!
+//! "Thread t's k-th sync op" must be the same program point on every
+//! backend, or a `FaultPlan` — and every comparison between backends —
+//! means something different on each. One race-free program uses every
+//! op kind once its schedule cannot change any thread's op sequence;
+//! its recorded per-thread `(op, kind, arg)` streams must then be
+//! identical on all five backends (clocks differ by design), and one
+//! `panic_at(t, k)` must name the same operation everywhere.
+
+use rfdet::trace::{op, TraceEvent};
+use rfdet::{
+    all_backends, AtomicOp, BarrierId, CondId, DmtCtx, DmtCtxExt, FaultPlan, MutexId, RunConfig,
+    RunError, ThreadFn, Tid,
+};
+
+const FLAG: u64 = 64;
+const CELL: u64 = 128;
+
+/// Main spawns a waiter (t1) and a signaller (t2). The waiter holds the
+/// mutex across the barrier, so the signaller cannot set the flag before
+/// the waiter has checked it: exactly one `cond_wait`, on any schedule.
+/// Atomics and allocations come in fixed counts — nothing spins.
+fn every_op_kind() -> ThreadFn {
+    Box::new(|ctx: &mut dyn DmtCtx| {
+        let (m, c, idle, b) = (MutexId(1), CondId(2), CondId(3), BarrierId(4));
+        let waiter = ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
+            ctx.lock(m); // op 0
+            ctx.barrier(b, 2); // op 1
+            while ctx.read::<u64>(FLAG) == 0 {
+                ctx.cond_wait(c, m); // op 2
+            }
+            ctx.unlock(m); // op 3
+            let a = ctx.alloc(32, 8);
+            ctx.dealloc(a);
+            ctx.atomic_rmw(CELL, AtomicOp::Add(1)); // op 4, then exit = op 5
+        }));
+        let signaller = ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
+            ctx.barrier(b, 2);
+            ctx.lock(m);
+            ctx.write::<u64>(FLAG, 1);
+            ctx.cond_signal(c);
+            ctx.unlock(m);
+            ctx.cond_broadcast(idle); // nobody waits: still an op
+            ctx.atomic_store(CELL + 8, 7);
+        }));
+        let a = ctx.alloc(16, 8);
+        ctx.dealloc(a);
+        ctx.join(waiter);
+        ctx.join(signaller);
+        let total = ctx.atomic_load(CELL);
+        ctx.emit_str(&format!("cell={total}"));
+    })
+}
+
+fn traced_cfg(plan: FaultPlan) -> RunConfig {
+    let mut cfg = RunConfig::small();
+    cfg.rfdet.fault_cost_spins = 0;
+    cfg.trace = Some("harness.every_op_kind".to_owned());
+    cfg.fault_plan = plan;
+    cfg.deadlock_after_ms = Some(10_000);
+    cfg
+}
+
+/// One thread's sync-op stream as `(op, kind, arg)` and its allocation
+/// indices.
+type ThreadStreams = (Vec<(u64, u8, Option<u64>)>, Vec<u64>);
+
+/// Each thread's streams. The two counters are separate coordinates, and
+/// wakes (core only) belong to the waker's turn, not to the woken
+/// thread's program.
+fn projection(events: &[TraceEvent], threads: Tid) -> Vec<ThreadStreams> {
+    (0..threads)
+        .map(|tid| {
+            let of = |alloc: bool| {
+                let mut evs: Vec<_> = events
+                    .iter()
+                    .filter(|e| {
+                        e.tid == tid && e.kind != op::WAKE && (e.kind == op::ALLOC) == alloc
+                    })
+                    .map(|e| (e.op, e.kind, e.arg))
+                    .collect();
+                evs.sort_unstable();
+                evs
+            };
+            (of(false), of(true).into_iter().map(|e| e.0).collect())
+        })
+        .collect()
+}
+
+#[test]
+fn sync_op_coordinates_are_the_same_program_points_on_every_backend() {
+    let mut reference = None;
+    for backend in all_backends() {
+        let name = backend.name();
+        let run = backend.run_traced(&traced_cfg(FaultPlan::new()), every_op_kind());
+        let out = run.result.unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(out.output, b"cell=1", "{name}");
+        let trace = run
+            .trace
+            .unwrap_or_else(|| panic!("{name}: recording was on"));
+        let got = projection(&trace.events, 3);
+        // Every kind really is in there, at the indices the program's
+        // comments name.
+        let waiter: Vec<u8> = got[1].0.iter().map(|e| e.1).collect();
+        assert_eq!(
+            waiter,
+            [
+                op::LOCK,
+                op::BARRIER,
+                op::COND_WAIT,
+                op::UNLOCK,
+                op::ATOMIC,
+                op::EXIT
+            ],
+            "{name}"
+        );
+        assert_eq!(got[1].0[2], (2, op::COND_WAIT, Some(2)), "{name}");
+        assert_eq!(got[0].0[0], (0, op::SPAWN, None), "{name}");
+        assert_eq!(got[0].0[2], (2, op::JOIN, Some(1)), "{name}");
+        assert!(got[2].0.iter().any(|e| e.1 == op::COND_BROADCAST), "{name}");
+        assert!(got[2].0.iter().any(|e| e.1 == op::COND_SIGNAL), "{name}");
+        assert_eq!(got[0].1, [0], "{name}: main allocates once");
+        assert_eq!(got[1].1, [0], "{name}: the waiter allocates once");
+        match &reference {
+            None => reference = Some((name, got)),
+            Some((ref_name, want)) => {
+                assert_eq!(&got, want, "{name} and {ref_name} disagree on a coordinate");
+            }
+        }
+    }
+}
+
+#[test]
+fn one_fault_plan_names_the_same_operation_on_every_backend() {
+    // The waiter's op 2 is its `cond_wait` — while it holds the mutex the
+    // signaller queues on, and main sits in `join`.
+    for backend in all_backends() {
+        let name = backend.name();
+        let err = backend
+            .run_traced(
+                &traced_cfg(FaultPlan::new().panic_at(1, 2)),
+                every_op_kind(),
+            )
+            .result
+            .expect_err("the planned panic fails the run");
+        assert!(matches!(err, RunError::WorkerPanicked(_)), "{name}: {err}");
+        let r = err.report();
+        assert_eq!(r.message, FaultPlan::panic_message(1, 2), "{name}");
+        let culprit = r
+            .culprit
+            .as_ref()
+            .unwrap_or_else(|| panic!("{name}: no culprit"));
+        assert_eq!(
+            (culprit.tid, culprit.sync_ops, culprit.last_op.as_deref()),
+            (1, 3, Some("cond_wait(2)")),
+            "{name}"
+        );
+    }
+}

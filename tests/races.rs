@@ -58,6 +58,40 @@ fn detection_capability_is_pinned_per_backend() {
     );
 }
 
+/// The knobs a detecting run forces are resolved in one place and are
+/// visible: each override actually applied is a `TracedRun` warning, a
+/// config that needed none gets none, and both runs are the same run.
+#[test]
+fn detector_overrides_are_listed_and_digest_neutral() {
+    let w = rfdet::workloads::by_name("races.counter").expect("registered");
+    let mut overridden = detect_cfg();
+    overridden.supervise = false;
+    overridden.rfdet.slice_merging = true;
+    let mut explicit = detect_cfg();
+    explicit.rfdet.slice_merging = false;
+    for b in det_backends() {
+        let name = b.name();
+        let run = |cfg: &RunConfig| {
+            let run = b.run_traced(cfg, (w.factory)(Params::new(4, Size::Test)));
+            let out = run.result.unwrap_or_else(|e| panic!("{name}: {e}"));
+            (run.warnings, out.output_digest(), races_digest(&out.races))
+        };
+        let (warnings, output, races) = run(&overridden);
+        let mut want = vec!["detect_races: supervise false→true"];
+        if name.starts_with("RFDet") {
+            want.push("detect_races: rfdet.slice_merging true→false");
+        }
+        assert_eq!(warnings, want, "{name}");
+        let (quiet, explicit_output, explicit_races) = run(&explicit);
+        assert!(
+            quiet.is_empty(),
+            "{name}: nothing to override, got {quiet:?}"
+        );
+        assert_eq!((output, races), (explicit_output, explicit_races), "{name}");
+        assert_ne!(races, races_digest(&[]), "{name}: the corpus entry is racy");
+    }
+}
+
 /// The central oracle: every corpus entry reports exactly its expected
 /// number of races, and the full report digest — addresses plus both
 /// sites' (tid, sync-op, kind) coordinates — is identical on every
