@@ -1,6 +1,9 @@
 //! The backend abstraction: anything that can execute a DMT workload.
 
-use crate::{FaultPlan, RaceReport, RunConfig, RunError, Stats, ThreadFn};
+use crate::{
+    ConfigError, FailureKind, FailureReport, FaultPlan, RaceReport, RunConfig, RunError, Stats,
+    ThreadFn,
+};
 use rfdet_trace::{ddmin, Checkpoint, RunTrace, TraceFault};
 
 /// The result of running a workload to completion under some backend.
@@ -51,6 +54,32 @@ pub struct TracedRun {
     pub warnings: Vec<String>,
 }
 
+impl TracedRun {
+    /// The result of a run `backend` refused to start because `err`
+    /// rejects its configuration: the typed error, nothing recorded.
+    #[must_use]
+    pub fn rejected(backend: &str, err: &ConfigError) -> Self {
+        let report = FailureReport {
+            backend: backend.to_owned(),
+            kind: FailureKind::InvalidConfig,
+            tid: 0,
+            message: err.to_string(),
+            culprit: None,
+            wait_graph: Vec::new(),
+            cycle: Vec::new(),
+            peers: Vec::new(),
+            trace_path: None,
+            warnings: Vec::new(),
+        };
+        Self {
+            result: Err(RunError::from_report(report)),
+            trace: None,
+            checkpoints: Vec::new(),
+            warnings: Vec::new(),
+        }
+    }
+}
+
 /// The outcome of re-executing a recorded trace.
 #[derive(Debug)]
 pub struct Replay {
@@ -64,7 +93,7 @@ pub struct Replay {
     pub digest_match: bool,
     /// Whether the culprit thread's recorded event stream reproduced
     /// exactly ([`RunTrace::culprit_events`]). `None` when either side
-    /// recorded no schedule (e.g. unsupervised runs).
+    /// recorded no schedule.
     pub schedule_match: Option<bool>,
 }
 
@@ -130,9 +159,10 @@ pub trait DmtBackend: Send + Sync {
     ///
     /// # Errors
     /// Returns a [`RunError`] — carrying a reproducible
-    /// [`crate::FailureReport`] — when any thread panics, when every
-    /// live thread is provably blocked on another, or when the run makes
-    /// no progress for the configured wall-clock bound.
+    /// [`crate::FailureReport`] — when the configuration is invalid,
+    /// when any thread panics, when every live thread is provably
+    /// blocked on another, or when the run makes no progress for the
+    /// configured wall-clock bound.
     fn run(&self, cfg: &RunConfig, root: ThreadFn) -> Result<RunOutput, RunError> {
         self.run_traced(cfg, root).result
     }

@@ -2,6 +2,7 @@
 
 use crate::FaultPlan;
 use rfdet_trace::{RunTrace, TraceConfig};
+use std::fmt;
 use std::time::Duration;
 
 /// How RFDet monitors memory modifications (paper §4.2 and Figure 7).
@@ -38,23 +39,11 @@ pub struct RfdetOpts {
     /// touched (§4.5 "Lazy Writes").
     pub lazy_writes: bool,
     /// Simulated cost, in no-op iterations, of one page fault in `Pf` mode
-    /// (trap + two `mprotect` calls). Zero disables the cost model.
+    /// (trap + two `mprotect` calls). Zero disables the cost model. A
+    /// knob because callers differ: fig7, table1 and the repo benchmark's
+    /// pf comparator charge the default 2000, `bench_json` measures the
+    /// runtime itself at 0.
     pub fault_cost_spins: u32,
-    /// Diff-kernel gap coalescing threshold, in bytes: two modification
-    /// runs separated by at most this many *unchanged* bytes seal as one
-    /// run carrying the gap (whose bytes equal the snapshot, so
-    /// re-applying them onto an unchanged byte is a no-op). Trades
-    /// modification bytes for run count. `0` (the default) disables
-    /// coalescing, reproducing the scalar reference semantics exactly —
-    /// keep it off for A/B comparison and for workloads with heavy
-    /// intra-page write sharing (see DESIGN.md "Gap coalescing and §4.6").
-    pub diff_gap_coalesce: usize,
-    /// Capacity of the per-thread snapshot buffer pool, in page buffers.
-    /// `end_slice` recycles snapshot buffers here after diffing, so
-    /// steady-state slices open page snapshots with zero allocations.
-    /// `0` disables pooling (every page first stored to in a slice
-    /// allocates its buffer, as pre-pool).
-    pub snap_pool_pages: usize,
 }
 
 impl Default for RfdetOpts {
@@ -65,25 +54,54 @@ impl Default for RfdetOpts {
             prelock: true,
             lazy_writes: false,
             fault_cost_spins: 2000,
-            diff_gap_coalesce: 0,
-            snap_pool_pages: 256,
         }
     }
 }
 
+/// Smallest valid [`RunConfig::space_bytes`]: the upper half of the space
+/// is the shared heap, split into 256 per-thread strips
+/// (`rfdet_mem::MAX_HEAP_THREADS`) that must each hold one 16-byte
+/// minimum allocation. `rfdet-mem` pins the arithmetic in a unit test.
+pub const MIN_SPACE_BYTES: u64 = 2 * 256 * 16;
+
+/// Why a [`RunConfig`] was rejected: the field, the value it has and the
+/// constraint that value breaks.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending `RunConfig` field.
+    pub field: &'static str,
+    /// Its value.
+    pub value: u64,
+    /// What the value must be instead.
+    pub constraint: String,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "invalid RunConfig: {} = {} must be {}",
+            self.field, self.value, self.constraint
+        )
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// Configuration for one run of a workload under some backend.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
-    /// Size of the logical shared memory space, in bytes.
+    /// Size of the logical shared memory space, in bytes: a multiple of
+    /// `page_size`, at least [`MIN_SPACE_BYTES`]. With `page_size`,
+    /// `meta_capacity_bytes` and `meta_max_slices`, one of the four
+    /// resource limits hostile-configuration sweeps vary.
     pub space_bytes: u64,
     /// Page size (power of two). The paper uses the OS page size, 4096.
     pub page_size: u64,
     /// Capacity of the metadata space in bytes (the paper evaluates 256 MB
     /// and 512 MB, §5.4). Slices are garbage-collected when usage crosses
-    /// `gc_threshold` of this capacity.
+    /// `rfdet_meta::GC_THRESHOLD` (the paper's 0.9) of this capacity.
     pub meta_capacity_bytes: u64,
-    /// Fraction of `meta_capacity_bytes` at which GC triggers (paper: 0.9).
-    pub gc_threshold: f64,
     /// Additional GC trigger: live-slice count. The paper's metadata
     /// pressure comes mostly from 4 KiB page snapshots, so its byte
     /// threshold fires early; our sealed slices store only byte diffs,
@@ -91,15 +109,10 @@ pub struct RunConfig {
     /// the Figure-5 scan dominates. Bounding live slices keeps
     /// propagation amortized-O(live slices) exactly as in the paper.
     pub meta_max_slices: u64,
-    /// Shard count for the runtime-internal sync-var table (rounded up to
-    /// a power of two). More shards means independent sync objects almost
-    /// never contend on table buckets; 1 degenerates to a single global
-    /// table lock (useful for measuring the sharding win).
-    pub sync_shards: usize,
     /// RFDet-specific options (ignored by other backends).
     pub rfdet: RfdetOpts,
     /// Quantum length in ticks for the CoreDet/DMP-style backend
-    /// (ignored by other backends).
+    /// (ignored by other backends): the one parameter of that comparator.
     pub quantum_ticks: u64,
     /// When `Some(seed)`, deterministic backends inject pseudo-random
     /// physical delays at internal scheduling points. Results must be
@@ -112,10 +125,6 @@ pub struct RunConfig {
     /// logical-clock jitter), keyed off per-thread sync-op/allocation
     /// counts. Empty by default. See [`FaultPlan`].
     pub fault_plan: FaultPlan,
-    /// Run supervision: convert worker panics, provable deadlocks and
-    /// wedged runs into a typed `RunError` with every parked thread
-    /// woken in bounded time. Disable only to measure its overhead.
-    pub supervise: bool,
     /// Wall-clock fallback bound, in milliseconds: a thread making no
     /// progress for this long fails the run as wedged (deadlocks are
     /// normally detected structurally, long before this fires). `None`
@@ -126,10 +135,8 @@ pub struct RunConfig {
     /// `target/rfdet-traces/<digest>.trace` (override the directory with
     /// `RFDET_TRACE_DIR`). The name labels the trace so the `replay` CLI
     /// can resolve the root function again — closures do not serialize.
-    /// Recording points piggyback on the supervision hooks, so traces of
-    /// unsupervised runs (`supervise: false`) contain no events. `None`
-    /// (the default) keeps the recorder off at the cost of one branch
-    /// per sync op.
+    /// `None` (the default) keeps the recorder off at the cost of one
+    /// branch per sync op.
     pub trace: Option<String>,
     /// Deterministic-safe metrics (`rfdet_api::obs`): when `true`, the
     /// run times its hot phases — `wait_for_turn` stall, sync-op
@@ -142,12 +149,6 @@ pub struct RunConfig {
     /// proptest suites pin this). `false` (the default) keeps the cost
     /// at one branch per instrumented site, like `trace`.
     pub metrics: bool,
-    /// Period, in milliseconds, of a parked thread's idle re-check: how
-    /// long a blocked thread sleeps between looking for its wakeup (or
-    /// a supervised-abort flag) when no one has signalled it. Purely a
-    /// liveness/latency trade-off — wakeups themselves are delivered
-    /// deterministically — so it never enters the trace projection.
-    pub idle_poll_ms: u64,
     /// Deterministic checkpointing (core backend only): capture a
     /// [`rfdet_trace::Checkpoint`] at every Nth *eligible* barrier
     /// episode — a full-membership barrier where no mutex is held and
@@ -167,11 +168,13 @@ pub struct RunConfig {
     pub stop_at_checkpoint: Option<u64>,
     /// Where captured checkpoints persist (atomic rename, best-effort:
     /// an unwritable directory degrades to a warning, never a failed
-    /// run). `None` uses `rfdet_trace::persist::trace_dir()`.
+    /// run). `None` uses `rfdet_trace::persist::trace_dir()`. A
+    /// deployment path: `replay` sets it from its `--ckpt-dir` flag.
     pub checkpoint_dir: Option<std::path::PathBuf>,
     /// Persist captured checkpoints to disk as they seal. `false` keeps
     /// them in-memory only (`TracedRun::checkpoints`) — sharded replay
-    /// uses this so verification shards do not re-write the chain.
+    /// and failover's replicas use this so verification runs do not
+    /// re-write the chain a recording run persisted.
     pub persist_checkpoints: bool,
     /// Happens-before data-race detection (deterministic backends with
     /// [`crate::DmtBackend::supports_race_detection`] only): track
@@ -181,14 +184,12 @@ pub struct RunConfig {
     /// output and failure digests are identical with the detector on or
     /// off (reports live outside `output_digest`), so, like `metrics`,
     /// this knob stays out of the trace projection and a replay decides
-    /// for itself whether to re-detect. A detecting run forces
-    /// `supervise` on (sync-op coordinates ride the supervision counter)
-    /// and, on the core, disables the slice-merging and gap-coalescing
-    /// optimizations (both are semantics-neutral but change slice
+    /// for itself whether to re-detect. On the core a detecting run
+    /// disables slice merging (semantics-neutral, but it changes slice
     /// granularity, which would skew cross-backend coordinates);
-    /// [`crate::RunHarness::new`] applies these once and lists each one
-    /// it actually changed in [`crate::TracedRun::warnings`]. `false`
-    /// (the default) keeps the cost at one branch per slice.
+    /// [`crate::RunHarness::new`] applies that once and, when it changed
+    /// anything, says so in [`crate::TracedRun::warnings`]. `false` (the
+    /// default) keeps the cost at one branch per slice.
     pub detect_races: bool,
 }
 
@@ -198,19 +199,15 @@ impl Default for RunConfig {
             space_bytes: 16 << 20,
             page_size: 4096,
             meta_capacity_bytes: 256 << 20,
-            gc_threshold: 0.9,
             meta_max_slices: 1024,
-            sync_shards: 16,
             rfdet: RfdetOpts::default(),
             quantum_ticks: 10_000,
             jitter_seed: None,
             jitter_max_us: 50,
             fault_plan: FaultPlan::new(),
-            supervise: true,
             deadlock_after_ms: Some(30_000),
             trace: None,
             metrics: false,
-            idle_poll_ms: 20,
             checkpoint_every: 0,
             stop_at_checkpoint: None,
             checkpoint_dir: None,
@@ -243,13 +240,6 @@ impl RunConfig {
         self.deadlock_after_ms.map(Duration::from_millis)
     }
 
-    /// The idle re-check period as a [`Duration`] (clamped to ≥ 1 ms so
-    /// a zero knob cannot turn parked threads into spinners).
-    #[must_use]
-    pub fn idle_poll(&self) -> Duration {
-        Duration::from_millis(self.idle_poll_ms.max(1))
-    }
-
     /// The determinism-relevant projection of this configuration in the
     /// codec-stable trace form ([`TraceConfig`]). The jitter seed and
     /// fault plan travel as separate [`RunTrace`] fields.
@@ -259,9 +249,7 @@ impl RunConfig {
             space_bytes: self.space_bytes,
             page_size: self.page_size,
             meta_capacity_bytes: self.meta_capacity_bytes,
-            gc_threshold_bits: self.gc_threshold.to_bits(),
             meta_max_slices: self.meta_max_slices,
-            sync_shards: self.sync_shards as u64,
             monitor: match self.rfdet.monitor {
                 MonitorMode::Ci => 0,
                 MonitorMode::Pf => 1,
@@ -270,11 +258,8 @@ impl RunConfig {
             prelock: self.rfdet.prelock,
             lazy_writes: self.rfdet.lazy_writes,
             fault_cost_spins: self.rfdet.fault_cost_spins,
-            diff_gap_coalesce: self.rfdet.diff_gap_coalesce as u64,
-            snap_pool_pages: self.rfdet.snap_pool_pages as u64,
             quantum_ticks: self.quantum_ticks,
             jitter_max_us: self.jitter_max_us,
-            supervise: self.supervise,
             deadlock_after_ms: self.deadlock_after_ms,
         }
     }
@@ -289,9 +274,7 @@ impl RunConfig {
             space_bytes: c.space_bytes,
             page_size: c.page_size,
             meta_capacity_bytes: c.meta_capacity_bytes,
-            gc_threshold: f64::from_bits(c.gc_threshold_bits),
             meta_max_slices: c.meta_max_slices,
-            sync_shards: c.sync_shards as usize,
             rfdet: RfdetOpts {
                 monitor: if c.monitor == 1 {
                     MonitorMode::Pf
@@ -302,26 +285,21 @@ impl RunConfig {
                 prelock: c.prelock,
                 lazy_writes: c.lazy_writes,
                 fault_cost_spins: c.fault_cost_spins,
-                diff_gap_coalesce: c.diff_gap_coalesce as usize,
-                snap_pool_pages: c.snap_pool_pages as usize,
             },
             quantum_ticks: c.quantum_ticks,
             jitter_seed: trace.seed,
             jitter_max_us: c.jitter_max_us,
             fault_plan: FaultPlan::from_trace_faults(&trace.faults),
-            supervise: c.supervise,
             deadlock_after_ms: c.deadlock_after_ms,
             trace: Some(trace.workload.clone()),
             // Not part of the determinism-relevant projection: metrics
-            // never influence results and the idle-poll period only
-            // affects wakeup latency. Checkpoint capture is likewise
+            // never influence results. Checkpoint capture is likewise
             // schedule-neutral (decisions ride an existing turn, capture
             // runs off-turn), so whether and where a run checkpoints is
             // replay-side policy, not a recorded input. Replays use the
             // defaults; `replay resume`/`replay shard` set the checkpoint
             // knobs explicitly on top of this reconstruction.
             metrics: false,
-            idle_poll_ms: RunConfig::default().idle_poll_ms,
             checkpoint_every: 0,
             stop_at_checkpoint: None,
             checkpoint_dir: None,
@@ -356,27 +334,44 @@ impl RunConfig {
         Self::from_trace(&synthetic)
     }
 
-    /// Validates invariants (power-of-two page size, nonzero space).
+    /// Checks the constraints every backend relies on. [`crate::RunHarness::new`]
+    /// calls it, so a backend returns a rejected configuration as
+    /// [`crate::RunError::InvalidConfig`] before any thread starts.
     ///
-    /// # Panics
-    /// Panics on an invalid configuration; called by every backend at run
-    /// start so misconfiguration fails fast.
-    pub fn validate(&self) {
-        assert!(
-            self.page_size.is_power_of_two(),
-            "page_size must be a power of two"
-        );
-        assert!(self.space_bytes > 0, "space_bytes must be nonzero");
-        assert!(
-            self.space_bytes.is_multiple_of(self.page_size),
-            "space_bytes must be page-aligned"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.gc_threshold),
-            "gc_threshold must be in [0,1]"
-        );
-        assert!(self.quantum_ticks > 0, "quantum_ticks must be nonzero");
-        assert!(self.sync_shards > 0, "sync_shards must be nonzero");
+    /// # Errors
+    /// The first broken constraint, as a [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let reject = |field, value, constraint: String| {
+            Err(ConfigError {
+                field,
+                value,
+                constraint,
+            })
+        };
+        if !self.page_size.is_power_of_two() {
+            return reject("page_size", self.page_size, "a power of two".to_owned());
+        }
+        if self.space_bytes == 0 || !self.space_bytes.is_multiple_of(self.page_size) {
+            return reject(
+                "space_bytes",
+                self.space_bytes,
+                format!("a nonzero multiple of page_size ({})", self.page_size),
+            );
+        }
+        if self.space_bytes < MIN_SPACE_BYTES {
+            return reject(
+                "space_bytes",
+                self.space_bytes,
+                format!(
+                    "at least {MIN_SPACE_BYTES}: the heap half of the space is split into \
+                     256 per-thread strips of at least 16 bytes"
+                ),
+            );
+        }
+        if self.quantum_ticks == 0 {
+            return reject("quantum_ticks", 0, "nonzero".to_owned());
+        }
+        Ok(())
     }
 }
 
@@ -403,8 +398,8 @@ mod tests {
 
     #[test]
     fn default_is_valid() {
-        RunConfig::default().validate();
-        RunConfig::small().validate();
+        assert_eq!(RunConfig::default().validate(), Ok(()));
+        assert_eq!(RunConfig::small().validate(), Ok(()));
     }
 
     #[test]
@@ -414,26 +409,66 @@ mod tests {
         assert_eq!(c.num_pages(), 3);
     }
 
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn rejects_bad_page_size() {
+    /// `f` applied to the small config must be rejected at `field`.
+    fn rejected(f: impl FnOnce(&mut RunConfig), field: &str) -> ConfigError {
         let mut c = RunConfig::small();
-        c.page_size = 1000;
-        c.validate();
+        f(&mut c);
+        let err = c.validate().expect_err("rejected");
+        assert_eq!(err.field, field, "{err}");
+        err
     }
 
     #[test]
-    #[should_panic(expected = "page-aligned")]
-    fn rejects_unaligned_space() {
-        let mut c = RunConfig::small();
-        c.space_bytes = 4096 + 7;
-        c.validate();
+    fn rejects_bad_page_size() {
+        let err = rejected(|c| c.page_size = 1000, "page_size");
+        assert_eq!(err.value, 1000);
+        assert_eq!(
+            err.to_string(),
+            "invalid RunConfig: page_size = 1000 must be a power of two"
+        );
+        rejected(|c| c.page_size = 0, "page_size");
+    }
+
+    #[test]
+    fn rejects_unaligned_empty_and_heapless_spaces() {
+        let err = rejected(|c| c.space_bytes = 4096 + 7, "space_bytes");
+        assert!(err.constraint.contains("multiple of page_size (4096)"));
+        rejected(|c| c.space_bytes = 0, "space_bytes");
+        // Page-aligned, but the heap half cannot hold 256 strips.
+        let err = rejected(|c| c.space_bytes = 4096, "space_bytes");
+        assert_eq!(err.value, 4096);
+        assert!(err.constraint.starts_with("at least 8192"), "{err}");
+        let mut smallest = RunConfig::small();
+        smallest.space_bytes = MIN_SPACE_BYTES;
+        assert_eq!(smallest.validate(), Ok(()));
+    }
+
+    #[test]
+    fn rejects_a_zero_quantum() {
+        rejected(|c| c.quantum_ticks = 0, "quantum_ticks");
     }
 
     #[test]
     fn trace_config_round_trips_through_a_trace() {
-        let mut cfg = RunConfig::small();
-        cfg.rfdet.monitor = MonitorMode::Pf;
+        // Every projected field away from its default, so a field that
+        // `from_trace` drops shows up in the comparison.
+        let mut cfg = RunConfig {
+            space_bytes: 1 << 19,
+            page_size: 256,
+            meta_capacity_bytes: 1 << 18,
+            meta_max_slices: 7,
+            rfdet: RfdetOpts {
+                monitor: MonitorMode::Pf,
+                slice_merging: false,
+                prelock: false,
+                lazy_writes: true,
+                fault_cost_spins: 3,
+            },
+            quantum_ticks: 11,
+            jitter_max_us: 13,
+            deadlock_after_ms: None,
+            ..RunConfig::default()
+        };
         cfg.jitter_seed = Some(99);
         cfg.fault_plan = FaultPlan::new().panic_at(1, 3).jitter_at(2, 0, 7);
         cfg.trace = Some("w".to_owned());
@@ -451,38 +486,21 @@ mod tests {
             },
         };
         let back = RunConfig::from_trace(&trace);
-        assert_eq!(back.space_bytes, cfg.space_bytes);
-        assert_eq!(back.gc_threshold.to_bits(), cfg.gc_threshold.to_bits());
-        assert_eq!(back.rfdet.monitor, MonitorMode::Pf);
+        assert_eq!(back.trace_config(), cfg.trace_config());
         assert_eq!(back.jitter_seed, Some(99));
         assert_eq!(back.fault_plan, cfg.fault_plan);
         assert_eq!(back.trace.as_deref(), Some("w"));
-        back.validate();
+        assert_eq!(back.validate(), Ok(()));
     }
 
     #[test]
-    fn metrics_and_idle_poll_default_off_and_20ms() {
-        let cfg = RunConfig::default();
-        assert!(!cfg.metrics);
-        assert_eq!(cfg.idle_poll(), Duration::from_millis(20));
-        let mut zero = RunConfig::small();
-        zero.idle_poll_ms = 0;
-        assert_eq!(
-            zero.idle_poll(),
-            Duration::from_millis(1),
-            "zero clamps: parked threads must not spin"
-        );
-    }
-
-    #[test]
-    fn observability_knobs_stay_out_of_the_trace_projection() {
+    fn metrics_default_off_and_stay_out_of_the_trace_projection() {
+        assert!(!RunConfig::default().metrics);
         let mut cfg = RunConfig::small();
         cfg.metrics = true;
-        cfg.idle_poll_ms = 3;
         cfg.trace = Some("w".to_owned());
         let back = through_a_trace(&cfg);
         assert!(!back.metrics, "replays run with metrics off by default");
-        assert_eq!(back.idle_poll_ms, RunConfig::default().idle_poll_ms);
     }
 
     #[test]

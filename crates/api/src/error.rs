@@ -36,6 +36,9 @@ pub enum FailureKind {
     /// time, so *when* it fires is not deterministic — only that the
     /// underlying schedule never finishes is.
     Wedged,
+    /// [`crate::RunConfig::validate`] rejected the configuration: no
+    /// thread ran, the report's message is the [`crate::ConfigError`].
+    InvalidConfig,
 }
 
 impl FailureKind {
@@ -47,6 +50,7 @@ impl FailureKind {
             FailureKind::Panic => rfdet_trace::KIND_PANIC,
             FailureKind::Deadlock => rfdet_trace::KIND_DEADLOCK,
             FailureKind::Wedged => rfdet_trace::KIND_WEDGED,
+            FailureKind::InvalidConfig => rfdet_trace::KIND_INVALID_CONFIG,
         }
     }
 
@@ -58,6 +62,7 @@ impl FailureKind {
             rfdet_trace::KIND_PANIC => Some(FailureKind::Panic),
             rfdet_trace::KIND_DEADLOCK => Some(FailureKind::Deadlock),
             rfdet_trace::KIND_WEDGED => Some(FailureKind::Wedged),
+            rfdet_trace::KIND_INVALID_CONFIG => Some(FailureKind::InvalidConfig),
             _ => None,
         }
     }
@@ -321,6 +326,8 @@ pub enum RunError {
     /// No progress for the configured wall-clock bound, without a
     /// provable deadlock.
     Wedged(Box<FailureReport>),
+    /// The configuration was rejected before any thread ran.
+    InvalidConfig(Box<FailureReport>),
 }
 
 impl RunError {
@@ -328,7 +335,10 @@ impl RunError {
     #[must_use]
     pub fn report(&self) -> &FailureReport {
         match self {
-            RunError::WorkerPanicked(r) | RunError::Deadlock(r) | RunError::Wedged(r) => r,
+            RunError::WorkerPanicked(r)
+            | RunError::Deadlock(r)
+            | RunError::Wedged(r)
+            | RunError::InvalidConfig(r) => r,
         }
     }
 
@@ -336,7 +346,10 @@ impl RunError {
     /// [`FailureReport::trace_path`] after persisting).
     pub fn report_mut(&mut self) -> &mut FailureReport {
         match self {
-            RunError::WorkerPanicked(r) | RunError::Deadlock(r) | RunError::Wedged(r) => r,
+            RunError::WorkerPanicked(r)
+            | RunError::Deadlock(r)
+            | RunError::Wedged(r)
+            | RunError::InvalidConfig(r) => r,
         }
     }
 
@@ -353,6 +366,7 @@ impl RunError {
             FailureKind::Panic => RunError::WorkerPanicked(Box::new(report)),
             FailureKind::Deadlock => RunError::Deadlock(Box::new(report)),
             FailureKind::Wedged => RunError::Wedged(Box::new(report)),
+            FailureKind::InvalidConfig => RunError::InvalidConfig(Box::new(report)),
         }
     }
 }
@@ -369,6 +383,7 @@ impl fmt::Display for RunError {
             }
             RunError::Deadlock(_) => writeln!(f, "deadlock: {}", r.message)?,
             RunError::Wedged(_) => writeln!(f, "run wedged: {}", r.message)?,
+            RunError::InvalidConfig(_) => writeln!(f, "run not started: {}", r.message)?,
         }
         write!(
             f,

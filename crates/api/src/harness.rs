@@ -9,9 +9,10 @@
 //!   coordinates, the last op, the flight-recorder and metrics buffers,
 //!   the profiling counters. [`ThreadHarness::enter_sync`] is the one
 //!   definition of what a sync-op coordinate is and what happens at one.
-//! * [`RunHarness`] — per run: the resolved [`RunConfig`](crate::RunConfig)
-//!   (with the overrides it applied), the fault plan, both sinks, the OS
-//!   thread handles and the failure slot.
+//! * [`RunHarness`] — per run: the validated, resolved
+//!   [`RunConfig`](crate::RunConfig) (with the override it applied, if
+//!   any), the fault plan, both sinks, the OS thread handles and the
+//!   failure slot.
 //! * [`RunHarness::finish`] — the run tail, in the one order it must
 //!   happen in.
 //!
@@ -137,6 +138,10 @@ mod tests {
         cfg
     }
 
+    fn harness(cfg: &RunConfig, family: Family) -> RunHarness {
+        RunHarness::new(cfg, family).expect("valid config")
+    }
+
     /// Finishes a run whose only context is `main` and whose output is
     /// `b"ok"`.
     fn finish(run: &RunHarness, main: ThreadHarness) -> TracedRun {
@@ -162,7 +167,7 @@ mod tests {
 
     #[test]
     fn sync_op_indices_are_per_thread_and_dense() {
-        let run = RunHarness::new(&cfg(|c| c.trace = Some("w".into())), Family::Native);
+        let run = harness(&cfg(|c| c.trace = Some("w".into())), Family::Native);
         let mut a = ThreadHarness::new(&run, 0);
         let mut b = ThreadHarness::new(&run, 1);
         a.enter_sync(SyncOp::Lock(MutexId(3)), || 10);
@@ -193,7 +198,7 @@ mod tests {
 
     #[test]
     fn every_op_kind_names_its_counter_and_its_rendering() {
-        let run = RunHarness::new(&RunConfig::small(), Family::Native);
+        let run = harness(&RunConfig::small(), Family::Native);
         let mut h = ThreadHarness::new(&run, 0);
         for (op, rendered) in [
             (SyncOp::Lock(MutexId(1)), "lock(1)"),
@@ -221,35 +226,8 @@ mod tests {
     }
 
     #[test]
-    fn unsupervised_runs_record_nothing_and_inject_nothing() {
-        let run = RunHarness::new(
-            &cfg(|c| {
-                c.supervise = false;
-                c.trace = Some("w".into());
-                c.fault_plan = FaultPlan::new()
-                    .panic_at(0, 0)
-                    .jitter_at(0, 0, 9)
-                    .fail_alloc(0, 0);
-            }),
-            Family::Dlrc,
-        );
-        let mut h = ThreadHarness::new(&run, 0);
-        assert_eq!(
-            h.enter_sync(SyncOp::Lock(MutexId(0)), || 5),
-            SyncOpFault::default()
-        );
-        h.raise_planned();
-        assert!(h.planned_panic().is_none());
-        h.enter_alloc(|| 5, 8);
-        assert_eq!((h.sync_ops(), h.allocs()), (0, 0));
-        assert_eq!(h.report().last_op, None);
-        assert_eq!(h.stats.locks, 1, "profiling counters are not supervision");
-        assert!(events(finish(&run, h)).is_empty());
-    }
-
-    #[test]
     fn the_event_is_recorded_before_the_fault_is_reported() {
-        let run = RunHarness::new(
+        let run = harness(
             &cfg(|c| {
                 c.trace = Some("w".into());
                 c.fault_plan = FaultPlan::new().jitter_at(0, 1, 7).panic_at(0, 1);
@@ -278,7 +256,7 @@ mod tests {
 
     #[test]
     fn first_root_cause_wins_and_later_unwinds_become_peers() {
-        let run = RunHarness::new(&RunConfig::small(), Family::Dlrc);
+        let run = harness(&RunConfig::small(), Family::Dlrc);
         let any_panic = |_: &(dyn std::any::Any + Send), _: &str| Some(FailureKind::Panic);
         assert!(run.record_unwind(0, Box::new("first"), None, any_panic));
         assert!(run.record_unwind(1, Box::new("second".to_owned()), report_of(1), any_panic));
@@ -312,7 +290,7 @@ mod tests {
     #[test]
     fn secondary_unwinds_are_not_root_causes() {
         struct Token;
-        let run = RunHarness::new(&RunConfig::small(), Family::Lockstep);
+        let run = harness(&RunConfig::small(), Family::Lockstep);
         let root = run.record_unwind(2, Box::new(Token), report_of(2), |p, message| {
             assert_eq!(message, "panic with non-string payload");
             (!p.is::<Token>()).then_some(FailureKind::Panic)
@@ -333,30 +311,21 @@ mod tests {
     }
 
     #[test]
-    fn detector_overrides_are_resolved_once_and_listed() {
-        let detecting = cfg(|c| {
-            c.detect_races = true;
-            c.supervise = false;
-            c.rfdet.diff_gap_coalesce = 16;
-        });
-        let core = RunHarness::new(&detecting, Family::Dlrc);
-        assert!(core.cfg.supervise && !core.cfg.rfdet.slice_merging);
-        assert_eq!(core.cfg.rfdet.diff_gap_coalesce, 0);
+    fn the_detector_override_is_resolved_once_and_listed() {
+        let detecting = cfg(|c| c.detect_races = true);
+        let core = harness(&detecting, Family::Dlrc);
+        assert!(!core.cfg.rfdet.slice_merging);
         assert_eq!(
             core.overrides,
-            [
-                "detect_races: supervise false→true",
-                "detect_races: rfdet.slice_merging true→false",
-                "detect_races: rfdet.diff_gap_coalesce 16→0",
-            ]
+            ["detect_races: rfdet.slice_merging true→false"]
         );
-        let lockstep = RunHarness::new(&detecting, Family::Lockstep);
-        assert_eq!(lockstep.overrides, ["detect_races: supervise false→true"]);
-        assert!(lockstep.cfg.rfdet.slice_merging, "not a lockstep knob");
-        let native = RunHarness::new(&detecting, Family::Native);
-        assert!(native.overrides.is_empty() && !native.cfg.supervise);
+        for family in [Family::Lockstep, Family::Native] {
+            let other = harness(&detecting, family);
+            assert!(other.overrides.is_empty(), "{family:?}");
+            assert!(other.cfg.rfdet.slice_merging, "not a {family:?} knob");
+        }
         // A config that needs no override gets no note — and no warning.
-        let quiet = RunHarness::new(
+        let quiet = harness(
             &cfg(|c| {
                 c.detect_races = true;
                 c.rfdet.slice_merging = false;
@@ -371,8 +340,25 @@ mod tests {
     }
 
     #[test]
+    fn an_invalid_config_is_an_error_not_a_harness() {
+        let err = RunHarness::new(&cfg(|c| c.space_bytes = 4096), Family::Native)
+            .expect_err("no heap strips");
+        assert_eq!((err.field, err.value), ("space_bytes", 4096));
+        let rejected = TracedRun::rejected("test", &err);
+        assert!(rejected.trace.is_none() && rejected.checkpoints.is_empty());
+        let run_err = rejected.result.expect_err("typed");
+        assert!(matches!(run_err, RunError::InvalidConfig(_)));
+        let r = run_err.report();
+        assert_eq!(
+            (r.kind, r.backend.as_str()),
+            (FailureKind::InvalidConfig, "test")
+        );
+        assert_eq!(r.message, err.to_string());
+    }
+
+    #[test]
     fn a_plain_run_has_no_trace_and_no_metrics() {
-        let run = RunHarness::new(&RunConfig::small(), Family::Dlrc);
+        let run = harness(&RunConfig::small(), Family::Dlrc);
         assert!(run.trace_sink.is_none() && run.obs_sink.is_none());
         let h = ThreadHarness::new(&run, 0);
         assert!(!h.metered() && h.start().is_none());
@@ -385,14 +371,14 @@ mod tests {
             .report()
             .trace_path
             .is_none());
-        let run = RunHarness::new(&RunConfig::small(), Family::Dlrc);
+        let run = harness(&RunConfig::small(), Family::Dlrc);
         let done = finish(&run, ThreadHarness::new(&run, 0));
         assert!(done.result.expect("clean").metrics.is_none());
     }
 
     #[test]
     fn a_clean_run_is_traced_but_not_persisted_and_gets_the_rollup() {
-        let run = RunHarness::new(
+        let run = harness(
             &cfg(|c| {
                 c.trace = Some("wl".into());
                 c.metrics = true;
@@ -431,7 +417,7 @@ mod tests {
         // The env var is process-wide: this is the only test in the crate
         // that may set it.
         std::env::set_var("RFDET_TRACE_DIR", &dir);
-        let run = RunHarness::new(
+        let run = harness(
             &cfg(|c| {
                 c.trace = Some("wl".into());
                 c.metrics = true;

@@ -2,8 +2,8 @@
 //! failure slot and the run tail.
 
 use crate::{
-    FailureKind, FailureReport, FaultPlan, RaceReport, RunConfig, RunError, RunOutput, Stats,
-    ThreadReport, Tid, TracedRun, WaitEdge,
+    ConfigError, FailureKind, FailureReport, FaultPlan, RaceReport, RunConfig, RunError, RunOutput,
+    Stats, ThreadReport, Tid, TracedRun, WaitEdge,
 };
 use rfdet_obs::ObsSink;
 use rfdet_trace::{persist, FailureSummary, RunTrace, TraceSink, KIND_NONE};
@@ -12,8 +12,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// The backend families, which differ in which of the config's
-/// cross-knob overrides apply to them.
+/// The backend families: only the DLRC core has a knob race detection
+/// overrides.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
     /// The DLRC core: honors [`crate::RfdetOpts`] and detects races per
@@ -22,7 +22,7 @@ pub enum Family {
     /// The lockstep engines (DThreads, quantum): detect races per
     /// parallel interval, ignore [`crate::RfdetOpts`].
     Lockstep,
-    /// The native baseline: no race detection, nothing to override.
+    /// The native baseline: no race detection.
     Native,
 }
 
@@ -74,44 +74,28 @@ pub struct RunHarness {
 }
 
 impl RunHarness {
-    /// Validates `cfg`, resolves the knobs that force others and creates
+    /// Validates `cfg`, resolves the one knob another forces and creates
     /// the sinks the resolved config asks for.
     ///
-    /// Race detection's logical coordinates ride the supervision sync-op
-    /// counter and must mean the same thing on every backend, so a
-    /// detecting run forces supervision on and, on the core, one sealed
-    /// slice per sync op (no merged slices) with exact byte diffs (no
-    /// coalesced gap bytes widening the written-word set). All three are
-    /// semantics-neutral — schedule and digests are unchanged — and each
-    /// one actually applied is listed in [`Self::overrides`].
+    /// Race detection's logical coordinates must mean the same thing on
+    /// every backend, so on the core a detecting run seals one slice per
+    /// sync op (no merged slices). That is semantics-neutral — schedule
+    /// and digests are unchanged — and listed in [`Self::overrides`]
+    /// when applied.
     ///
-    /// # Panics
-    /// Panics on an invalid configuration ([`RunConfig::validate`]).
-    #[must_use]
-    pub fn new(cfg: &RunConfig, family: Family) -> Self {
-        cfg.validate();
+    /// # Errors
+    /// The [`ConfigError`] of an invalid configuration
+    /// ([`RunConfig::validate`]); the backend returns it as
+    /// [`TracedRun::rejected`].
+    pub fn new(cfg: &RunConfig, family: Family) -> Result<Self, ConfigError> {
+        cfg.validate()?;
         let mut cfg = cfg.clone();
         let mut overrides = Vec::new();
-        if cfg.detect_races && family != Family::Native {
-            if !cfg.supervise {
-                cfg.supervise = true;
-                overrides.push("detect_races: supervise false→true".to_owned());
-            }
-            if family == Family::Dlrc {
-                if cfg.rfdet.slice_merging {
-                    cfg.rfdet.slice_merging = false;
-                    overrides.push("detect_races: rfdet.slice_merging true→false".to_owned());
-                }
-                if cfg.rfdet.diff_gap_coalesce != 0 {
-                    overrides.push(format!(
-                        "detect_races: rfdet.diff_gap_coalesce {}→0",
-                        cfg.rfdet.diff_gap_coalesce
-                    ));
-                    cfg.rfdet.diff_gap_coalesce = 0;
-                }
-            }
+        if cfg.detect_races && family == Family::Dlrc && cfg.rfdet.slice_merging {
+            cfg.rfdet.slice_merging = false;
+            overrides.push("detect_races: rfdet.slice_merging true→false".to_owned());
         }
-        Self {
+        Ok(Self {
             plan: Arc::new(cfg.fault_plan.clone()),
             overrides,
             trace_sink: cfg.trace.as_ref().map(|_| Arc::default()),
@@ -120,7 +104,7 @@ impl RunHarness {
             failure: Mutex::default(),
             peers: Mutex::default(),
             cfg,
-        }
+        })
     }
 
     /// Hands the harness a spawned thread's OS handle; [`Self::finish`]

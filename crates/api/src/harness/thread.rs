@@ -22,9 +22,6 @@ pub type PlannedPanic = (String, ThreadReport);
 #[derive(Debug)]
 pub struct ThreadHarness {
     tid: Tid,
-    /// Resolved `RunConfig::supervise`: gates counting, recording and
-    /// injection alike, so the bookkeeping can be A/B-measured.
-    supervise: bool,
     plan: Arc<FaultPlan>,
     /// Sync ops started — the `FaultPlan` trigger coordinate and the
     /// `sync_ops` field of failure and race reports.
@@ -47,7 +44,6 @@ impl ThreadHarness {
     pub fn new(run: &RunHarness, tid: Tid) -> Self {
         Self {
             tid,
-            supervise: run.cfg.supervise,
             plan: Arc::clone(&run.plan),
             sync_ops: 0,
             last_op: None,
@@ -77,9 +73,6 @@ impl ThreadHarness {
     #[inline]
     pub fn enter_sync(&mut self, op: SyncOp, clock: impl FnOnce() -> u64) -> SyncOpFault {
         op.count(&mut self.stats);
-        if !self.supervise {
-            return SyncOpFault::default();
-        }
         let idx = self.sync_ops;
         self.sync_ops += 1;
         self.last_op = Some(op);
@@ -135,9 +128,6 @@ impl ThreadHarness {
     #[inline]
     pub fn enter_alloc(&mut self, clock: impl FnOnce() -> u64, size: u64) {
         self.stats.shared_bytes += size;
-        if !self.supervise {
-            return;
-        }
         let nth = self.allocs;
         self.allocs += 1;
         if let Some(buf) = &mut self.trace {

@@ -98,9 +98,6 @@ pub struct Stats {
     /// Pages first stored to in a slice that had to allocate a fresh
     /// snapshot buffer (cold pool, or pooling disabled).
     pub snapshot_pool_misses: u64,
-    /// Modification runs merged into their predecessor by diff gap
-    /// coalescing (`RfdetOpts::diff_gap_coalesce`).
-    pub runs_coalesced: u64,
 
     // ---- DThreads / quantum internals ----
     /// Global fence phases executed (DThreads / quantum backends).
@@ -220,7 +217,6 @@ impl AddAssign for Stats {
             snapshot_bytes_copied,
             snapshot_pool_hits,
             snapshot_pool_misses,
-            runs_coalesced,
             global_fences,
             serial_commits,
             private_pages,

@@ -86,8 +86,8 @@ fn bench_diff(c: &mut Criterion) {
             })
         });
     }
-    // Fragmented page: short runs separated by short gaps — the shape gap
-    // coalescing exists for.
+    // Fragmented page: short runs separated by short gaps — the shape on
+    // which per-run cost dominates the scan.
     let mut frag = snapshot.clone();
     for i in (0..4096).step_by(24) {
         frag[i..i + 8].copy_from_slice(&[7u8; 8]);
@@ -96,13 +96,6 @@ fn bench_diff(c: &mut Criterion) {
         bench.iter(|| {
             let mut out = Vec::new();
             diff::diff_page(0, black_box(&snapshot), black_box(&frag), &mut out);
-            black_box(out)
-        })
-    });
-    c.bench_function("diff/page_fragmented_coalesce32", |bench| {
-        bench.iter(|| {
-            let mut out = Vec::new();
-            diff::diff_page_opts(0, black_box(&snapshot), black_box(&frag), 32, &mut out);
             black_box(out)
         })
     });
@@ -139,7 +132,7 @@ fn bench_slice_snapshots(c: &mut Criterion) {
     let seal = || {
         let (space, snaps, _) = &mut *state.borrow_mut();
         let mut out = Vec::new();
-        black_box(snaps.seal(space, 0, &mut out));
+        black_box(snaps.seal(space, &mut out));
         out
     };
     c.bench_function("snap/first_store_line", |bench| {

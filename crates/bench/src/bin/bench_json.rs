@@ -1,16 +1,14 @@
 //! Emits `BENCH_10.json`: machine-readable numbers for the memory-
-//! pipeline fast path — chunked vs scalar diff kernel, gap coalescing,
-//! the propagate-heavy workload swept over {2, 4, 8, 16} threads as a
+//! pipeline fast path — chunked vs scalar diff kernel, the
+//! propagate-heavy workload swept over {2, 4, 8, 16} threads as a
 //! paired eager-vs-lazy thread-scaling curve (the paper's Figure-6 axis;
 //! also written to `results/thread_scaling.txt`), the pool/diff/lazy
 //! stats counters from instrumented runs — plus the turn-arbitration
 //! scaling curve (successor handoff on the sync-heavy adversary, swept
 //! over the same thread counts, with the 16t/8t `scaling_guard`;
 //! DESIGN.md §4.10; also written to
-//! `results/sync_heavy_scaling.txt`), the supervisor-overhead
-//! A/B (`cfg.supervise` on vs off on the 4-thread contended-mutex
-//! workload; DESIGN.md §4.7 budgets this at <2%), the
-//! flight-recorder A/B (`cfg.trace` on vs off on the same workload;
+//! `results/sync_heavy_scaling.txt`), the flight-recorder A/B
+//! (`cfg.trace` on vs off on the 4-thread contended-mutex workload;
 //! DESIGN.md §4.8 budgets recording at <5%, and the disabled path at
 //! one branch per sync op, ~0%), and the metrics-layer A/B
 //! (`cfg.metrics` on vs off; DESIGN.md §4.9 budgets collection at <2%,
@@ -32,9 +30,9 @@
 //! shrinks the measurement target so CI can smoke-test the emission
 //! path in seconds; numbers from quick mode are for plumbing, not
 //! comparison. `--enforce` exits non-zero when any within-run budget is
-//! breached (lazy-vs-eager ratio, supervisor overhead, metrics
-//! overhead, the 16t/8t sync-heavy scaling guard) — the regression gate
-//! the CI scaling job runs.
+//! breached (lazy-vs-eager ratio, detector and metrics overhead, the
+//! 16t/8t sync-heavy scaling guard, sharded replay, failover) — the
+//! regression gate the CI scaling job runs.
 
 use rfdet_api::{DmtBackend, RunConfig, ThreadFn};
 use rfdet_core::RfdetBackend;
@@ -269,8 +267,8 @@ fn main() {
 
     let mut results: Vec<(String, f64, u64)> = Vec::new();
 
-    // Diff-kernel A/B on the three canonical page shapes plus the
-    // fragmented shape gap coalescing targets.
+    // Diff-kernel A/B on the three canonical page shapes plus a
+    // fragmented one (an 8-byte run every 24 bytes).
     let snapshot = vec![0u8; 4096];
     let mut sparse = snapshot.clone();
     for i in (0..4096).step_by(512) {
@@ -301,13 +299,6 @@ fn main() {
         });
         results.push((format!("diff/page_{name}_scalar"), ns, iters));
     }
-    let (ns, iters) = measure(target, || {
-        let mut out = Vec::new();
-        diff::diff_page_opts(0, black_box(&snapshot), black_box(&frag), 32, &mut out);
-        black_box(out);
-    });
-    results.push(("diff/page_fragmented_coalesce32".to_owned(), ns, iters));
-
     // Propagate-heavy eager-vs-lazy, paired per thread count — the
     // thread-scaling curve. `measure_ab` interleaves the two sides, so
     // each cell is a fair A/B; the 4-thread cell doubles as the
@@ -348,48 +339,14 @@ fn main() {
         sync_scaling.push((t, handoff_ns));
     }
 
-    // Supervisor-overhead A/B on the same 4-thread contended-mutex
-    // workload: `supervise: true` (fault hooks armed, structural
-    // deadlock scans enabled — the default) vs `supervise: false`.
-    // Paired (`measure_ab`) since BENCH_7: the unpaired cells this
-    // replaced let one-sided drift on the shared host masquerade as
-    // overhead (BENCH_6 read 4.04% where the paired estimator reads the
-    // real sub-2% cost).
-    {
-        let mut sup_cfg = RunConfig::small();
-        sup_cfg.rfdet.fault_cost_spins = 0;
-        sup_cfg.supervise = true;
-        let mut unsup_cfg = sup_cfg.clone();
-        unsup_cfg.supervise = false;
-        // target*6 like the metrics cell: these ratios gate the nightly
-        // enforce run, and at *2 the min-over-rounds estimator still
-        // swings ±3 % run to run on this host.
-        let (sup_ns, unsup_ns, iters) = measure_ab(
-            target * 6,
-            || {
-                black_box(RfdetBackend::ci().run_expect(&sup_cfg, propagate_heavy(4)));
-            },
-            || {
-                black_box(RfdetBackend::ci().run_expect(&unsup_cfg, propagate_heavy(4)));
-            },
-        );
-        results.push((
-            "rfdet/4t_propagate_heavy_supervised".to_owned(),
-            sup_ns,
-            iters,
-        ));
-        results.push((
-            "rfdet/4t_propagate_heavy_unsupervised".to_owned(),
-            unsup_ns,
-            iters,
-        ));
-    }
-
     // Flight-recorder A/B on the contended workload: recorder on
     // (`cfg.trace` set — every sync op buffers a TraceEvent) vs off
-    // (the default; one `Option` branch per sync op). Paired since
-    // BENCH_7 for the same reason as the supervisor cell: the unpaired
-    // blocks read anywhere from −0.5 % to +18 % for the same code.
+    // (the default; one `Option` branch per sync op). Paired
+    // (`measure_ab`) since BENCH_7: unpaired blocks let one-sided drift
+    // on the shared host masquerade as overhead — they read anywhere
+    // from −0.5 % to +18 % for the same code. target*6: these ratios
+    // gate the nightly enforce run, and at *2 the min-over-rounds
+    // estimator still swings ±3 % run to run on this host.
     {
         let mut traced_cfg = RunConfig::small();
         traced_cfg.rfdet.fault_cost_spins = 0;
@@ -717,19 +674,6 @@ fn main() {
     let _ = writeln!(json, "    \"ratio_16t_over_8t\": {guard_ratio:.4},");
     let _ = writeln!(json, "    \"max_ratio\": {SCALING_GUARD_MAX_RATIO}");
     json.push_str("  },\n");
-    let sup_ns = lookup("rfdet/4t_propagate_heavy_supervised");
-    let unsup_ns = lookup("rfdet/4t_propagate_heavy_unsupervised");
-    json.push_str("  \"supervisor_overhead\": {\n");
-    let _ = writeln!(json, "    \"bench\": \"rfdet/4t_propagate_heavy\",");
-    let _ = writeln!(json, "    \"supervised_ns\": {sup_ns:.1},");
-    let _ = writeln!(json, "    \"unsupervised_ns\": {unsup_ns:.1},");
-    let _ = writeln!(
-        json,
-        "    \"overhead_frac\": {:.4},",
-        sup_ns / unsup_ns - 1.0
-    );
-    let _ = writeln!(json, "    \"budget_frac\": 0.02");
-    json.push_str("  },\n");
     let traced_ns = lookup("rfdet/4t_propagate_heavy_traced");
     let untraced_ns = lookup("rfdet/4t_propagate_heavy_untraced");
     json.push_str("  \"trace_overhead\": {\n");
@@ -866,10 +810,9 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"snapshot_pool_misses\": {},",
+        "    \"snapshot_pool_misses\": {}",
         s.snapshot_pool_misses
     );
-    let _ = writeln!(json, "    \"runs_coalesced\": {}", s.runs_coalesced);
     json.push_str("  },\n");
     let ls = &lazy_run.stats;
     json.push_str("  \"lazy_counters\": {\n");
@@ -963,7 +906,6 @@ fn main() {
             lazy_pair_lazy / lazy_pair_eager,
             1.10,
         ),
-        ("supervisor_overhead frac", sup_ns / unsup_ns - 1.0, 0.02),
         (
             "race_detector_overhead frac",
             detect_ns / nodetect_ns - 1.0,

@@ -139,6 +139,16 @@ fn failure_code(e: &RunError) -> i32 {
     }
 }
 
+/// The configuration every verb that starts a fresh run builds on: the
+/// small space, no pf cost model, and a wedge bound short enough for an
+/// interactive tool.
+fn cli_config() -> RunConfig {
+    let mut cfg = RunConfig::small();
+    cfg.rfdet.fault_cost_spins = 0;
+    cfg.deadlock_after_ms = Some(5_000);
+    cfg
+}
+
 /// Backend registry keyed by the names backends report (and traces
 /// store).
 fn backend_by_name(name: &str) -> Option<Box<dyn DmtBackend>> {
@@ -315,9 +325,7 @@ fn cmd_record(args: &[String]) -> i32 {
         eprintln!("error: unknown backend {backend_name:?}");
         return 2;
     };
-    let mut cfg = RunConfig::small();
-    cfg.rfdet.fault_cost_spins = 0;
-    cfg.deadlock_after_ms = Some(5_000);
+    let mut cfg = cli_config();
     cfg.fault_plan = plan;
     cfg.jitter_seed = seed;
     cfg.trace = Some(format!("{}@{}", workload.name, params.threads));
@@ -758,9 +766,7 @@ fn cmd_failover(args: &[String]) -> i32 {
         eprintln!("error: workload {:?} is not resumable", workload.name);
         return EXIT_USAGE;
     };
-    let mut cfg = RunConfig::small();
-    cfg.rfdet.fault_cost_spins = 0;
-    cfg.deadlock_after_ms = Some(5_000);
+    let mut cfg = cli_config();
     cfg.fault_plan = plan;
     cfg.trace = Some(format!("{}@{}", workload.name, params.threads));
     cfg.checkpoint_every = every;
@@ -964,9 +970,7 @@ fn cmd_sweep(args: &[String]) -> i32 {
         return EXIT_USAGE;
     }
 
-    let mut cfg = RunConfig::small();
-    cfg.rfdet.fault_cost_spins = 0;
-    cfg.deadlock_after_ms = Some(5_000);
+    let mut cfg = cli_config();
     cfg.trace = Some(format!("{}@{}", workload.name, params.threads));
     cfg.checkpoint_every = every;
 
@@ -1157,9 +1161,7 @@ fn cmd_metrics(args: &[String]) -> i32 {
         eprintln!("error: unknown backend {backend_name:?}");
         return 2;
     };
-    let mut cfg = RunConfig::small();
-    cfg.rfdet.fault_cost_spins = 0;
-    cfg.deadlock_after_ms = Some(5_000);
+    let mut cfg = cli_config();
     cfg.metrics = true;
     match backend.run(&cfg, make_root(&workload, params)) {
         Ok(out) => {
@@ -1216,9 +1218,7 @@ fn cmd_races(args: &[String]) -> i32 {
         );
         return EXIT_USAGE;
     }
-    let mut cfg = RunConfig::small();
-    cfg.rfdet.fault_cost_spins = 0;
-    cfg.deadlock_after_ms = Some(5_000);
+    let mut cfg = cli_config();
     cfg.detect_races = true;
     let out = {
         let cfg = cfg.clone();

@@ -2,7 +2,7 @@
 
 use crate::ctx::RfdetCtx;
 use crate::shared::RuntimeShared;
-use rfdet_api::{DmtBackend, MonitorMode, RunConfig, ThreadFn, TracedRun};
+use rfdet_api::{ConfigError, DmtBackend, MonitorMode, RunConfig, ThreadFn, TracedRun};
 use std::sync::Arc;
 
 /// The RFDet deterministic-multithreading backend.
@@ -62,7 +62,10 @@ impl DmtBackend for RfdetBackend {
     }
 
     fn run_traced(&self, cfg: &RunConfig, root: ThreadFn) -> TracedRun {
-        let shared = Arc::new(self.runtime(cfg));
+        let shared = match self.runtime(cfg) {
+            Ok(shared) => Arc::new(shared),
+            Err(e) => return TracedRun::rejected(&self.name(), &e),
+        };
         let mut main = RfdetCtx::new_main(Arc::clone(&shared));
         main.run_body(root);
         teardown(&self.name(), &shared, main)
@@ -71,14 +74,14 @@ impl DmtBackend for RfdetBackend {
 
 impl RfdetBackend {
     /// A fresh runtime for `cfg` under this backend's monitor mode.
-    pub(crate) fn runtime(&self, cfg: &RunConfig) -> RuntimeShared {
+    pub(crate) fn runtime(&self, cfg: &RunConfig) -> Result<RuntimeShared, ConfigError> {
         let mut cfg = cfg.clone();
         if let Some(m) = self.monitor_override {
             cfg.rfdet.monitor = m;
         }
-        let mut shared = RuntimeShared::new(&cfg);
+        let mut shared = RuntimeShared::new(&cfg)?;
         shared.backend_name = self.name();
-        shared
+        Ok(shared)
     }
 }
 
@@ -223,7 +226,7 @@ mod tests {
         cfg.jitter_seed = seed;
         cfg.jitter_max_us = 20;
         cfg.meta_capacity_bytes = 64 << 20; // headroom: no GC pruning mid-run
-        let shared = Arc::new(RuntimeShared::new(&cfg));
+        let shared = Arc::new(RuntimeShared::new(&cfg).expect("valid config"));
         let mut main = RfdetCtx::new_main(Arc::clone(&shared));
         let m = MutexId(3);
         let handles: Vec<_> = (0..3u64)

@@ -15,6 +15,12 @@ use rfdet_vclock::VClock;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Page buffers a thread's snapshot pool keeps across slices, so
+/// steady-state slices open page snapshots with zero allocations. The
+/// pool itself is measured as needed (`page-sparse` is 2.3× slower
+/// without it, DESIGN.md §4.6); nothing has needed a second size.
+pub(crate) const SNAP_POOL_PAGES: usize = 256;
+
 /// Cached handles to another thread's metadata and mailbox, so the sync
 /// hot path pays each registry `RwLock` read at most once per (thread,
 /// peer) pair instead of once per operation.
@@ -55,7 +61,7 @@ pub struct RfdetCtx {
     pub(crate) slice_start: VClock,
     pub(crate) slice_seq: u64,
     /// The in-progress slice's snapshots, per dirty line, in buffers
-    /// recycled across slices (up to `RfdetOpts::snap_pool_pages`).
+    /// recycled across slices (up to [`SNAP_POOL_PAGES`]).
     /// Invariant: between a page's first recorded store and `end_slice`
     /// nothing but the store path mutates the page — propagation runs
     /// between slices, and a lazy fault or flush only ever drains a page
@@ -157,11 +163,7 @@ impl RfdetCtx {
         let cfg = &shared.run.cfg;
         let space = space.unwrap_or_else(|| PrivateSpace::new(cfg.space_bytes, cfg.page_size));
         let flags = PageFlags::new(space.num_pages());
-        let snaps = SliceSnapshots::new(
-            space.num_pages(),
-            space.page_size(),
-            cfg.rfdet.snap_pool_pages,
-        );
+        let snaps = SliceSnapshots::new(space.num_pages(), space.page_size(), SNAP_POOL_PAGES);
         let pf = cfg.rfdet.monitor == MonitorMode::Pf;
         let heap = shared.strips.heap_for(tid);
         let h = ThreadHarness::new(&shared.run, tid);
@@ -687,7 +689,7 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.rfdet.lazy_writes = true;
         cfg.rfdet.fault_cost_spins = 0;
-        RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg)))
+        RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg).expect("valid config")))
     }
 
     #[test]

@@ -236,7 +236,7 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.rfdet.lazy_writes = lazy;
         cfg.rfdet.fault_cost_spins = 0;
-        let shared = Arc::new(RuntimeShared::new(&cfg));
+        let shared = Arc::new(RuntimeShared::new(&cfg).expect("valid config"));
         let a = RfdetCtx::new_main(Arc::clone(&shared));
         let meta = shared.meta.register_thread();
         let kendo = shared.kendo.register(1);

@@ -87,7 +87,10 @@ impl RfdetBackend {
         ckpt: &Checkpoint,
         body_for: &dyn Fn(Tid) -> ThreadFn,
     ) -> TracedRun {
-        let shared = self.runtime(cfg);
+        let shared = match self.runtime(cfg) {
+            Ok(shared) => shared,
+            Err(e) => return TracedRun::rejected(&self.name(), &e),
+        };
         assert_eq!(
             ckpt.backend, shared.backend_name,
             "checkpoint was recorded by backend {:?}, resuming under {:?}",

@@ -3,10 +3,10 @@
 use crate::handoff::Mailbox;
 use parking_lot::{Mutex, RwLock};
 use rfdet_api::trace::{op, TraceEvent};
-use rfdet_api::{Family, RunConfig, RunHarness, Tid};
+use rfdet_api::{ConfigError, Family, RunConfig, RunHarness, Tid};
 use rfdet_kendo::KendoState;
 use rfdet_mem::StripAllocator;
-use rfdet_meta::MetaSpace;
+use rfdet_meta::{MetaSpace, GC_THRESHOLD};
 use rfdet_vclock::VClock;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -81,15 +81,15 @@ pub(crate) struct RuntimeShared {
 }
 
 impl RuntimeShared {
-    pub fn new(cfg: &RunConfig) -> Self {
-        let run = RunHarness::new(cfg, Family::Dlrc);
+    /// # Errors
+    /// The [`ConfigError`] of an invalid `cfg`.
+    pub fn new(cfg: &RunConfig) -> Result<Self, ConfigError> {
+        let run = RunHarness::new(cfg, Family::Dlrc)?;
         let cfg = &run.cfg;
         let heap_base = rfdet_mem::heap_base(cfg.space_bytes);
         // The wall-clock bound is only the *fallback*: structural
         // deadlock detection (supervise.rs) normally fires first.
-        let kendo = KendoState::new()
-            .with_deadlock_timeout(cfg.deadlock_after())
-            .with_idle_poll(cfg.idle_poll());
+        let kendo = KendoState::new().with_deadlock_timeout(cfg.deadlock_after());
         if let Some(sink) = &run.trace_sink {
             // Wakes run inside the waker's turn, so they are schedule
             // events in their own right: record (woken tid, new clock).
@@ -104,21 +104,20 @@ impl RuntimeShared {
                 });
             }));
         }
-        Self {
+        Ok(Self {
             backend_name: "RFDet".to_owned(),
             ckpt: crate::checkpoint::CkptCollector::default(),
             kendo,
-            meta: MetaSpace::with_options(
+            meta: MetaSpace::with_max_slices(
                 cfg.meta_capacity_bytes as usize,
-                cfg.gc_threshold,
+                GC_THRESHOLD,
                 cfg.meta_max_slices as usize,
-                cfg.sync_shards,
             ),
             strips: StripAllocator::new(heap_base, cfg.space_bytes - heap_base),
             queues: SyncQueues::default(),
             mailboxes: RwLock::new(Vec::new()),
             run,
-        }
+        })
     }
 
     /// Registers the mailbox for the next thread (call in tid order,
@@ -142,7 +141,7 @@ mod tests {
 
     #[test]
     fn shared_construction_validates_config() {
-        let s = RuntimeShared::new(&RunConfig::small());
+        let s = RuntimeShared::new(&RunConfig::small()).expect("valid config");
         assert_eq!(s.meta.num_threads(), 0);
         assert_eq!(s.kendo.num_threads(), 0);
         assert!(s.strips.strip_size() > 0);
@@ -150,7 +149,7 @@ mod tests {
 
     #[test]
     fn mailboxes_register_in_order() {
-        let s = RuntimeShared::new(&RunConfig::small());
+        let s = RuntimeShared::new(&RunConfig::small()).expect("valid config");
         let a = s.register_mailbox();
         let _b = s.register_mailbox();
         a.lock().sources.push(crate::handoff::AcquireSource {
@@ -163,7 +162,7 @@ mod tests {
 
     #[test]
     fn record_panic_keeps_first_message_and_aborts() {
-        let s = RuntimeShared::new(&RunConfig::small());
+        let s = RuntimeShared::new(&RunConfig::small()).expect("valid config");
         let _h = s.kendo.register(0);
         s.record_panic(0, Box::new("first"), None);
         s.record_panic(0, Box::new("second"), None);

@@ -31,10 +31,7 @@ impl RfdetCtx {
                 .sample(Phase::SliceWall, now.duration_since(t0).as_nanos() as u64);
         }
         let mut mods = Vec::new();
-        let gap = self.shared.run.cfg.rfdet.diff_gap_coalesce;
-        let outcome = self.snaps.seal(&self.space, gap, &mut mods);
-        self.h.stats.diff_bytes_scanned += outcome.bytes_scanned;
-        self.h.stats.runs_coalesced += outcome.runs_coalesced;
+        self.h.stats.diff_bytes_scanned += self.snaps.seal(&self.space, &mut mods);
         self.h.stats.slices += 1;
         self.obs_since_boundary(Phase::Diff, diff_t0);
         // Race detection seals the slice's word-read set alongside the
@@ -106,7 +103,7 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.rfdet.monitor = monitor;
         cfg.rfdet.fault_cost_spins = 0;
-        RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg)))
+        RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg).expect("valid config")))
     }
 
     #[test]
@@ -282,37 +279,6 @@ mod tests {
         };
         assert_eq!(mods(&pf).len(), 2);
         assert_eq!(mods(&pf), mods(&ci));
-    }
-
-    #[test]
-    fn disabled_pool_always_allocates() {
-        let mut cfg = RunConfig::small();
-        cfg.rfdet.fault_cost_spins = 0;
-        cfg.rfdet.snap_pool_pages = 0;
-        let mut ctx = RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg)));
-        for i in 0..3 {
-            ctx.write::<u64>(0, i);
-            ctx.end_slice();
-            ctx.begin_slice();
-        }
-        assert_eq!(ctx.h.stats.snapshot_pool_hits, 0);
-        assert_eq!(ctx.h.stats.snapshot_pool_misses, 3);
-    }
-
-    #[test]
-    fn gap_coalescing_knob_merges_runs_and_counts() {
-        let mut cfg = RunConfig::small();
-        cfg.rfdet.fault_cost_spins = 0;
-        cfg.rfdet.diff_gap_coalesce = 8;
-        let mut ctx = RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg)));
-        ctx.write::<u8>(100, 1);
-        ctx.write::<u8>(104, 2); // 3-byte unchanged gap: coalesces
-        ctx.end_slice();
-        assert_eq!(ctx.h.stats.runs_coalesced, 1);
-        let list = ctx.shared.meta.snapshot_list(0);
-        assert_eq!(list.len(), 1);
-        assert_eq!(list[0].mods.len(), 1, "one coalesced run");
-        assert_eq!(list[0].mod_bytes(), 5, "run carries the gap bytes");
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl RuntimeShared {
     /// park-idle callback. Cheap when the run is alive: one epoch-stable
     /// status scan that bails at the first `Active` thread.
     pub fn check_deadlock(&self) {
-        if !self.run.cfg.supervise || self.kendo.aborted() {
+        if self.kendo.aborted() {
             return;
         }
         let Some(blocked) = self.kendo.blocked_snapshot() else {
@@ -143,7 +143,7 @@ mod tests {
     fn shared() -> RuntimeShared {
         let mut cfg = RunConfig::small();
         cfg.rfdet.fault_cost_spins = 0;
-        RuntimeShared::new(&cfg)
+        RuntimeShared::new(&cfg).expect("valid config")
     }
 
     #[test]
@@ -217,17 +217,5 @@ mod tests {
         s.check_deadlock();
         assert!(!s.kendo.aborted());
         assert!(s.run.take_run_error("test").is_none());
-    }
-
-    #[test]
-    fn check_deadlock_respects_supervise_flag() {
-        let mut cfg = RunConfig::small();
-        cfg.rfdet.fault_cost_spins = 0;
-        cfg.supervise = false;
-        let s = RuntimeShared::new(&cfg);
-        let a = s.kendo.register(0);
-        s.kendo.block(&a);
-        s.check_deadlock();
-        assert!(!s.kendo.aborted(), "supervision off: no structural scan");
     }
 }

@@ -344,7 +344,6 @@ fn gc_reclaims_under_pressure_without_changing_results() {
     }
     let mut tight = cfg(None);
     tight.meta_capacity_bytes = 8 << 10; // force GC
-    tight.gc_threshold = 0.5;
     let out = RfdetBackend::ci().run_expect(&tight, Box::new(root));
     assert!(out.stats.gc_count > 0, "GC must have triggered");
     let mut roomy = cfg(None);
@@ -394,7 +393,6 @@ fn barrier_reused_across_episodes_survives_gc() {
     }
     let mut tight = cfg(None);
     tight.meta_capacity_bytes = 8 << 10;
-    tight.gc_threshold = 0.5;
     let out = RfdetBackend::ci().run_expect(&tight, Box::new(root));
     assert!(out.stats.gc_count > 0, "GC must trigger between episodes");
     assert_eq!(out.stats.barriers, 2 * 20 * 2);

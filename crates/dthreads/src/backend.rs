@@ -9,7 +9,10 @@ use std::sync::Arc;
 /// the DThreads and quantum backends (`backend` names the caller in
 /// failure reports).
 pub fn run_lockstep(cfg: &RunConfig, mode: EngineMode, backend: &str, root: ThreadFn) -> TracedRun {
-    let engine = Arc::new(Engine::new(cfg, mode));
+    let engine = match Engine::new(cfg, mode) {
+        Ok(engine) => Arc::new(engine),
+        Err(e) => return TracedRun::rejected(backend, &e),
+    };
     let (tid, image) = engine.register_main();
     let mut main = DtCtx::new(Arc::clone(&engine), tid, image);
     main.run_body(root);

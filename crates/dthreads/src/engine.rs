@@ -4,12 +4,12 @@ use crate::detect::EngineDetect;
 use parking_lot::{Condvar, Mutex};
 use rfdet_api::harness::PlannedPanic;
 use rfdet_api::{
-    AtomicOp, FailureKind, RaceReport, RunConfig, RunHarness, ThreadFn, ThreadReport, Tid,
-    WaitEdge, WaitTarget,
+    AtomicOp, ConfigError, FailureKind, RaceReport, RunConfig, RunHarness, ThreadFn, ThreadReport,
+    Tid, WaitEdge, WaitTarget,
 };
 use rfdet_mem::race::ReadRun;
 use rfdet_mem::{ModRun, PrivateSpace};
-use rfdet_meta::MetaSpace;
+use rfdet_meta::{MetaSpace, GC_THRESHOLD};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::panic_any;
 use std::sync::atomic::AtomicBool;
@@ -172,11 +172,11 @@ pub(crate) struct ChildSeed {
 }
 
 impl Engine {
-    pub fn new(cfg: &RunConfig, mode: EngineMode) -> Self {
-        let run = RunHarness::new(cfg, rfdet_api::Family::Lockstep);
+    pub fn new(cfg: &RunConfig, mode: EngineMode) -> Result<Self, ConfigError> {
+        let run = RunHarness::new(cfg, rfdet_api::Family::Lockstep)?;
         let cfg = &run.cfg;
         let heap_base = rfdet_mem::heap_base(cfg.space_bytes);
-        Self {
+        Ok(Self {
             state: Mutex::new(EngineState {
                 global: PrivateSpace::new(cfg.space_bytes, cfg.page_size),
                 active: HashSet::new(),
@@ -193,13 +193,13 @@ impl Engine {
                     .then(|| Box::new(EngineDetect::new(cfg.page_size))),
             }),
             cv: Condvar::new(),
-            meta: MetaSpace::new(cfg.meta_capacity_bytes as usize, cfg.gc_threshold),
+            meta: MetaSpace::new(cfg.meta_capacity_bytes as usize, GC_THRESHOLD),
             mode,
             strips: rfdet_mem::StripAllocator::new(heap_base, cfg.space_bytes - heap_base),
             wedge_after: cfg.deadlock_after(),
             poisoned: AtomicBool::new(false),
             run,
-        }
+        })
     }
 
     pub fn is_poisoned(&self) -> bool {

@@ -123,6 +123,12 @@ pub const MAX_THREADS: usize = 255;
 /// `0xFF`, which no valid tid can match.
 const BATON_NONE: u64 = u64::MAX;
 
+/// How long a parked thread sleeps between looking for its wakeup (or
+/// the abort flag) when no one has signalled it: 20 ms, per the paper's
+/// Kendo lineage. Purely a liveness/latency trade-off — the wakeups
+/// themselves are delivered deterministically.
+const IDLE_POLL: Duration = Duration::from_millis(20);
+
 #[inline]
 fn pack(clock: u64, tid: Tid) -> u64 {
     debug_assert!(clock < 1 << 56, "kendo clock overflows the baton");
@@ -264,8 +270,8 @@ pub struct KendoState {
     /// How long a parked thread waits between deadlock scans.
     deadlock_after: Option<Duration>,
     /// Period of a parked thread's idle re-check (condvar wait timeout
-    /// and idle-callback cadence). Purely a liveness/latency knob: the
-    /// wakeups themselves are deterministic.
+    /// and idle-callback cadence): [`IDLE_POLL`] unless a test overrides
+    /// it.
     idle_poll: Duration,
     /// Set when some thread panicked: every waiter unwinds instead of
     /// spinning forever on a protocol that will never advance.
@@ -326,7 +332,7 @@ impl KendoState {
             #[cfg(test)]
             mode: ArbitrationMode::Handoff,
             deadlock_after: Some(Duration::from_secs(30)),
-            idle_poll: Duration::from_millis(20),
+            idle_poll: IDLE_POLL,
             abort: AtomicBool::new(false),
             wake_epoch: AtomicU64::new(0),
             handoff_scans: AtomicU64::new(0),
@@ -845,7 +851,7 @@ impl KendoState {
     }
 
     /// Re-aims the baton at the true minimal `(clock, tid)` over `Active`
-    /// threads (or [`BATON_NONE`] when none remain). For checkpoint
+    /// threads (or the empty baton when none remain). For checkpoint
     /// restore, **before the run starts**: `register` seeds the baton
     /// with the minimum over *all* registrations, but restore also
     /// registers already-finished threads (tids must stay dense), and

@@ -205,6 +205,22 @@ mod tests {
         StripAllocator::new(1 << 20, 16 << 20).heap_for(0)
     }
 
+    /// `RunConfig::validate` rejects spaces below `MIN_SPACE_BYTES` so
+    /// that `StripAllocator::new` never panics inside a run; the constant
+    /// lives in `rfdet-api` (which this crate depends on), the
+    /// arithmetic it summarises lives here.
+    #[test]
+    fn min_space_bytes_gives_each_strip_exactly_one_minimum_allocation() {
+        let min = rfdet_api::MIN_SPACE_BYTES;
+        let heap = |space: u64| space - crate::heap_base(space);
+        assert_eq!(
+            StripAllocator::new(0, heap(min)).strip_size(),
+            1 << MIN_CLASS_LOG
+        );
+        // The next smaller even space (any page size ≥ 2) is too small.
+        assert!(heap(min - 2) / u64::from(MAX_HEAP_THREADS) < 1 << MIN_CLASS_LOG);
+    }
+
     #[test]
     fn alloc_is_aligned_and_disjoint() {
         let mut h = heap();

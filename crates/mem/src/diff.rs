@@ -50,7 +50,7 @@ impl ModRun {
     /// Creates a run.
     ///
     /// Runs are never empty: diffing only materializes a run once it has
-    /// found a differing byte, and coalescing only merges *existing* runs.
+    /// found a differing byte.
     /// Downstream code (per-page pending queues, `mod_bytes` accounting,
     /// GC byte budgets) relies on that, so it is asserted here rather than
     /// documented away.
@@ -190,18 +190,6 @@ impl RunRange {
     }
 }
 
-/// Per-call accounting returned by [`diff_lines`]: the raw material of
-/// the `diff_bytes_scanned` / `runs_coalesced` Stats counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DiffOutcome {
-    /// Bytes compared: the dirty lines of the mask, so the whole buffer
-    /// for [`diff_page`] / [`diff_page_opts`] and only the stored-to lines
-    /// for a [`crate::SliceSnapshots::seal`].
-    pub bytes_scanned: u64,
-    /// Adjacent runs merged into their predecessor by gap coalescing.
-    pub runs_coalesced: u64,
-}
-
 const WORD: usize = std::mem::size_of::<u64>();
 const LO: u64 = 0x0101_0101_0101_0101;
 const HI: u64 = 0x8080_8080_8080_8080;
@@ -267,35 +255,17 @@ fn next_same(snapshot: &[u8], current: &[u8], mut i: usize) -> usize {
 ///
 /// Chunked fast path of the retained [`diff_page_scalar`] reference:
 /// byte-for-byte identical output (differentially property-tested), word
-///-at-a-time scan speed.
+///-at-a-time scan speed. [`diff_lines`] over a full mask (the whole
+/// buffer is one dirty line).
 pub fn diff_page(page_base: Addr, snapshot: &[u8], current: &[u8], out: &mut Vec<ModRun>) {
-    diff_page_opts(page_base, snapshot, current, 0, out);
-}
-
-/// [`diff_page`] with gap coalescing and scan accounting: [`diff_lines`]
-/// over a full mask (the whole buffer is one dirty line).
-pub fn diff_page_opts(
-    page_base: Addr,
-    snapshot: &[u8],
-    current: &[u8],
-    gap_coalesce: usize,
-    out: &mut Vec<ModRun>,
-) -> DiffOutcome {
-    diff_lines(
-        page_base,
-        snapshot,
-        current,
-        1,
-        current.len(),
-        gap_coalesce,
-        out,
-    )
+    diff_lines(page_base, snapshot, current, 1, current.len(), out);
 }
 
 /// The diff kernel: compares `snapshot` and `current` on the dirty lines
 /// of `mask` only (bit `l` set = bytes `l * line_bytes ..` of the page, one
-/// line long, clipped to the page) and appends the runs of changed bytes
-/// to `out`.
+/// line long, clipped to the page), appends the runs of changed bytes to
+/// `out` and returns the number of bytes compared (the raw material of
+/// the `diff_bytes_scanned` Stats counter).
 ///
 /// Bytes outside the mask are never read from `snapshot` and are taken to
 /// be unchanged. Under that premise the output equals the whole-page diff:
@@ -303,23 +273,11 @@ pub fn diff_page_opts(
 /// so a run crossing a line boundary stays one run, and a run never
 /// extends into a clean line because nothing differs there.
 ///
-/// `gap_coalesce` is the §4.5-style space/time trade: when two runs are
-/// separated by at most `gap_coalesce` *unchanged* bytes, they are merged
-/// into one run that also carries the gap bytes (whose current value
-/// equals the snapshot value, by construction — the run data is read from
-/// `current`). Zero disables coalescing and reproduces
-/// [`diff_page_scalar`] exactly.
-///
-/// Coalescing trades run-count (allocation, per-run apply overhead,
-/// metadata) against modification bytes. Determinism is unaffected — the
-/// output is a pure function of `(snapshot, current, mask, gap_coalesce)`
-/// on the dirty lines, so every run of the program produces identical run
-/// lists. Whether the *propagated values* match the uncoalesced baseline
-/// is subtler (a gap byte re-applies the producer's pre-slice value, which
-/// is a no-op unless another thread wrote that byte concurrently with the
-/// slice); see DESIGN.md "Gap coalescing and §4.6" for the full argument.
-/// The knob defaults off (`RfdetOpts::diff_gap_coalesce = 0`) for A/B
-/// measurement.
+/// A run carries changed bytes only — never an unchanged byte between two
+/// changes. That is the byte granularity DLRC's guarantee rests on
+/// (§4.2/§4.3): a byte the slice did not change produces no modification,
+/// so applying the slice can never overwrite a concurrent writer of that
+/// byte (DESIGN.md §4.6).
 ///
 /// # Panics
 /// Panics if the buffers differ in length or `mask` names a line that
@@ -330,51 +288,25 @@ pub fn diff_lines(
     current: &[u8],
     mask: u64,
     line_bytes: usize,
-    gap_coalesce: usize,
     out: &mut Vec<ModRun>,
-) -> DiffOutcome {
+) -> u64 {
     assert_eq!(snapshot.len(), current.len(), "snapshot/page size mismatch");
     let n = current.len();
-    let mut outcome = DiffOutcome::default();
-    let mut push = |start: usize, end: usize| {
-        out.push(ModRun::new(
-            page_base + start as u64,
-            current[start..end].into(),
-        ));
-    };
-    // The last run found, held back until the next one shows whether the
-    // gap between them is small enough to fold (spans included: the clean
-    // lines between two spans are unchanged bytes like any other gap).
-    let mut open: Option<(usize, usize)> = None;
+    let mut scanned = 0;
     for (first, end_line) in bit_spans(mask) {
         let lo = first * line_bytes;
         let hi = (end_line * line_bytes).min(n);
         assert!(lo <= hi, "dirty-line mask exceeds the page");
-        outcome.bytes_scanned += (hi - lo) as u64;
+        scanned += (hi - lo) as u64;
         let (snap, cur) = (&snapshot[..hi], &current[..hi]);
         let mut i = next_diff(snap, cur, lo);
         while i < hi {
             let end = next_same(snap, cur, i);
-            open = match open {
-                // Runs are maximal, so `i > prev_end`: a zero threshold
-                // never folds.
-                Some((start, prev_end)) if i - prev_end <= gap_coalesce => {
-                    outcome.runs_coalesced += 1;
-                    Some((start, end))
-                }
-                Some((start, prev_end)) => {
-                    push(start, prev_end);
-                    Some((i, end))
-                }
-                None => Some((i, end)),
-            };
+            out.push(ModRun::new(page_base + i as u64, current[i..end].into()));
             i = next_diff(snap, cur, end);
         }
     }
-    if let Some((start, end)) = open {
-        push(start, end);
-    }
-    outcome
+    scanned
 }
 
 /// The byte-at-a-time reference implementation of [`diff_page`] —
@@ -568,54 +500,6 @@ mod tests {
         diff_page(0, &old, &new, &mut a);
         diff_page_scalar(0, &old, &new, &mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn coalescing_merges_across_small_gaps() {
-        let old = vec![0u8; 64];
-        let mut new = old.clone();
-        new[10] = 1;
-        new[14] = 2; // gap of 3 unchanged bytes (11..14)
-        new[40] = 3; // gap of 25: never coalesced at threshold 8
-        let mut out = Vec::new();
-        let outcome = diff_page_opts(0, &old, &new, 8, &mut out);
-        assert_eq!(outcome.runs_coalesced, 1);
-        assert_eq!(outcome.bytes_scanned, 64);
-        assert_eq!(
-            out,
-            vec![
-                ModRun::new(10, vec![1, 0, 0, 0, 2].into()),
-                ModRun::new(40, vec![3].into()),
-            ]
-        );
-        // The gap bytes carry the snapshot value — re-applying them onto
-        // the snapshot is a no-op (the §4.6-preservation argument).
-        assert_eq!(out[0].data[1..4], old[11..14]);
-    }
-
-    #[test]
-    fn coalescing_off_means_identical_to_scalar() {
-        let old = vec![0u8; 32];
-        let mut new = old.clone();
-        new[1] = 1;
-        new[3] = 3;
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let outcome = diff_page_opts(0, &old, &new, 0, &mut a);
-        diff_page_scalar(0, &old, &new, &mut b);
-        assert_eq!(a, b);
-        assert_eq!(outcome.runs_coalesced, 0);
-    }
-
-    #[test]
-    fn coalescing_never_merges_past_threshold() {
-        let old = vec![0u8; 32];
-        let mut new = old.clone();
-        new[0] = 1;
-        new[10] = 2; // gap of 9 > threshold 8
-        let mut out = Vec::new();
-        let outcome = diff_page_opts(0, &old, &new, 8, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(outcome.runs_coalesced, 0);
     }
 
     #[test]

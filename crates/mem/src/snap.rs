@@ -17,7 +17,7 @@
 //! since a protection fault reveals the page but not the bytes.
 
 use crate::bit_spans;
-use crate::diff::{diff_lines, DiffOutcome, ModRun};
+use crate::diff::{diff_lines, ModRun};
 use crate::space::PrivateSpace;
 
 /// Shortest dirty line, in bytes: one cache line. Pages up to 4 KiB get
@@ -163,16 +163,12 @@ impl SliceSnapshots {
     /// Ends the slice: diffs the dirty lines of every stored-to page of
     /// `space` against their snapshots, in page-index order, appending the
     /// runs to `out`; then forgets the slice and recycles its buffers.
-    pub fn seal(
-        &mut self,
-        space: &PrivateSpace,
-        gap_coalesce: usize,
-        out: &mut Vec<ModRun>,
-    ) -> DiffOutcome {
+    /// Returns the bytes compared.
+    pub fn seal(&mut self, space: &PrivateSpace, out: &mut Vec<ModRun>) -> u64 {
         // Page-index order is the deterministic modification order within
         // a slice.
         self.dirty.sort_unstable();
-        let mut total = DiffOutcome::default();
+        let mut scanned = 0;
         for &page in &self.dirty {
             let page = page as usize;
             let mask = std::mem::take(&mut self.masks[page]);
@@ -180,22 +176,19 @@ impl SliceSnapshots {
             // followed the record; a caller that recorded without storing
             // changed nothing.
             if let Some(current) = space.page(page) {
-                let outcome = diff_lines(
+                scanned += diff_lines(
                     space.page_base(page),
                     &self.bufs[self.slots[page] as usize],
                     current.bytes(),
                     mask,
                     self.line_bytes(),
-                    gap_coalesce,
                     out,
                 );
-                total.bytes_scanned += outcome.bytes_scanned;
-                total.runs_coalesced += outcome.runs_coalesced;
             }
         }
         self.dirty.clear();
         self.bufs.truncate(self.pool_cap);
-        total
+        scanned
     }
 }
 
@@ -243,8 +236,8 @@ mod tests {
         assert_eq!(store(&mut snaps, &mut sp, 100, &[7; 8]), 64);
         assert_eq!(store(&mut snaps, &mut sp, 104, &[8; 8]), 0, "same line");
         let mut out = Vec::new();
-        let outcome = snaps.seal(&sp, 0, &mut out);
-        assert_eq!(outcome.bytes_scanned, 64);
+        let scanned = snaps.seal(&sp, &mut out);
+        assert_eq!(scanned, 64);
         assert_eq!(
             out,
             vec![ModRun::new(
@@ -261,8 +254,8 @@ mod tests {
         assert_eq!(store(&mut snaps, &mut sp, 60, &[1; 8]), 128, "two lines");
         assert_eq!(store(&mut snaps, &mut sp, 124, &[2; 8]), 64, "one new line");
         let mut out = Vec::new();
-        let outcome = snaps.seal(&sp, 0, &mut out);
-        assert_eq!(outcome.bytes_scanned, 192);
+        let scanned = snaps.seal(&sp, &mut out);
+        assert_eq!(scanned, 192);
         assert_eq!(
             out,
             vec![
@@ -279,13 +272,13 @@ mod tests {
         store(&mut snaps, &mut sp, 2 * PAGE as u64 + 4095, &[2]);
         assert_eq!(snaps.dirty_pages(), 2);
         let mut out = Vec::new();
-        snaps.seal(&sp, 0, &mut out);
+        snaps.seal(&sp, &mut out);
         let addrs: Vec<u64> = out.iter().map(|r| r.addr).collect();
         assert_eq!(addrs, vec![2 * PAGE as u64 + 4095, 5 * PAGE as u64]);
         // Next slice: the same line is snapshotted afresh, post-store.
         assert_eq!(store(&mut snaps, &mut sp, 5 * PAGE as u64, &[5]), 64);
         out.clear();
-        snaps.seal(&sp, 0, &mut out);
+        snaps.seal(&sp, &mut out);
         assert!(out.is_empty(), "same-value overwrite publishes nothing");
     }
 
@@ -302,27 +295,15 @@ mod tests {
         sp.write(PAGE as u64 + 10, &[1, 2, 3]);
         sp.write(PAGE as u64 + 4000, &[4]);
         let (mut sealed, mut whole) = (Vec::new(), Vec::new());
-        let outcome = snaps.seal(&sp, 0, &mut sealed);
+        let scanned = snaps.seal(&sp, &mut sealed);
         diff_page_scalar(
             PAGE as u64,
             &before,
             sp.page(1).expect("written").bytes(),
             &mut whole,
         );
-        assert_eq!(outcome.bytes_scanned, PAGE as u64);
+        assert_eq!(scanned, PAGE as u64);
         assert_eq!(sealed, whole);
-    }
-
-    #[test]
-    fn gap_coalescing_folds_across_clean_lines() {
-        let (mut snaps, mut sp) = (SliceSnapshots::new(16, PAGE, 8), space());
-        store(&mut snaps, &mut sp, 63, &[1]);
-        store(&mut snaps, &mut sp, 128, &[2]); // line 1 stays clean between
-        let mut out = Vec::new();
-        let outcome = snaps.seal(&sp, 64, &mut out);
-        assert_eq!(outcome.runs_coalesced, 1);
-        assert_eq!(out.len(), 1);
-        assert_eq!((out[0].addr, out[0].len()), (63, 66));
     }
 
     #[test]
@@ -335,7 +316,7 @@ mod tests {
                 firsts.push((round, snaps.record(page as usize, need, None).first_touch));
                 sp.write(page * PAGE as u64, &[round + 1]);
             }
-            snaps.seal(&sp, 0, &mut Vec::new());
+            snaps.seal(&sp, &mut Vec::new());
         }
         let recycled: Vec<bool> = firsts
             .iter()
@@ -349,10 +330,10 @@ mod tests {
         let (mut snaps, mut sp) = (SliceSnapshots::new(16, PAGE, 1), space());
         // Dirty the recycled buffer first, so stale bytes would show.
         store(&mut snaps, &mut sp, 0, &[0xFF; 64]);
-        snaps.seal(&sp, 0, &mut Vec::new());
+        snaps.seal(&sp, &mut Vec::new());
         store(&mut snaps, &mut sp, 3 * PAGE as u64, &[0, 0, 6]);
         let mut out = Vec::new();
-        snaps.seal(&sp, 0, &mut out);
+        snaps.seal(&sp, &mut out);
         assert_eq!(out, vec![ModRun::new(3 * PAGE as u64 + 2, [6].into())]);
     }
 }

@@ -116,18 +116,15 @@ proptest! {
     /// same-value overwrites, several slices over recycled buffers — the
     /// sealed run list equals, run for run, the scalar whole-page diff of
     /// every stored-to page against a whole-page snapshot taken at the
-    /// slice start. With gap coalescing on, it equals the whole-page
-    /// kernel's coalesced output instead.
+    /// slice start.
     #[test]
     fn dirty_line_seal_matches_whole_page_scalar_diff(
         size_idx in 0usize..4,
         prefill in prop::collection::vec((0usize..DL_PAGES, any::<u8>()), 0..4),
         slices in prop::collection::vec(arb_raw_stores(), 1..4),
-        gap in 0usize..3,
         pool_cap in 0usize..3,
     ) {
         let page_size = [64usize, 256, 4096, 65536][size_idx];
-        let gap = gap * 40; // 0, under a line, over a line
         let mut space = PrivateSpace::new((DL_PAGES * page_size) as u64, page_size as u64);
         for (page, seed) in prefill {
             let bytes: Vec<u8> = (0..page_size).map(|i| seed.wrapping_mul(31).wrapping_add(i as u8)).collect();
@@ -143,27 +140,19 @@ proptest! {
                 tracked_store(&mut snaps, &mut space, addr, &data);
             }
             let mut sealed = Vec::new();
-            let outcome = snaps.seal(&space, gap, &mut sealed);
+            let scanned = snaps.seal(&space, &mut sealed);
             prop_assert_eq!(snaps.dirty_pages(), 0);
-            prop_assert_eq!(outcome.bytes_scanned % line as u64, 0);
-            prop_assert!(outcome.bytes_scanned <= (DL_PAGES * page_size) as u64);
+            prop_assert_eq!(scanned % line as u64, 0);
+            prop_assert!(scanned <= (DL_PAGES * page_size) as u64);
 
             // The reference diffs every page whole; pages not stored to
             // are unchanged and contribute nothing.
             let mut whole = Vec::new();
-            let mut coalesced = 0;
             for (p, before) in before.iter().enumerate() {
                 let current = space.snapshot_page(p);
-                let base = space.page_base(p);
-                if gap == 0 {
-                    diff::diff_page_scalar(base, before, &current, &mut whole);
-                } else {
-                    coalesced += diff::diff_page_opts(base, before, &current, gap, &mut whole)
-                        .runs_coalesced;
-                }
+                diff::diff_page_scalar(space.page_base(p), before, &current, &mut whole);
             }
             prop_assert_eq!(&sealed, &whole);
-            prop_assert_eq!(outcome.runs_coalesced, coalesced);
         }
     }
 
@@ -288,46 +277,35 @@ proptest! {
         }
     }
 
-    /// Gap coalescing preserves the diff round-trip (coalesced runs
-    /// applied onto the snapshot still rebuild `current` exactly) and
-    /// only ever covers extra bytes whose current value equals the
-    /// snapshot value — the semantics-preservation invariant.
+    /// A sparsely modified page: the runs applied onto the snapshot
+    /// rebuild `current` exactly, and every run byte is a real
+    /// modification — a run never carries an unchanged byte, so applying
+    /// it cannot overwrite a concurrent writer of a byte this page's
+    /// writer left alone (DLRC's byte granularity, DESIGN.md §4.6).
     #[test]
-    fn coalesced_diff_roundtrip_and_gap_invariant(
+    fn sparse_diff_roundtrip_and_runs_carry_only_changed_bytes(
         snapshot in prop::collection::vec(any::<u8>(), 256),
         flips in prop::collection::vec((0usize..256, any::<u8>()), 0..64),
-        gap in 0usize..32,
     ) {
         let mut current = snapshot.clone();
         for (pos, val) in flips {
             current[pos] = val;
         }
         let mut runs = Vec::new();
-        let outcome = diff::diff_page_opts(0, &snapshot, &current, gap, &mut runs);
-        prop_assert_eq!(outcome.bytes_scanned, 256);
+        diff::diff_page(0, &snapshot, &current, &mut runs);
         let mut rebuilt = snapshot.clone();
         for r in &runs {
             prop_assert!(!r.is_empty());
             rebuilt[r.addr as usize..r.end() as usize].copy_from_slice(&r.data);
+            for (i, &b) in r.data.iter().enumerate() {
+                prop_assert_ne!(b, snapshot[r.addr as usize + i]);
+            }
         }
         prop_assert_eq!(&rebuilt, &current);
-        // Every run byte either differs from the snapshot (a real
-        // modification) or equals it (a coalesced gap byte — re-applying
-        // it onto an unchanged byte is a no-op by construction).
-        for r in &runs {
-            for (i, &b) in r.data.iter().enumerate() {
-                let idx = r.addr as usize + i;
-                prop_assert_eq!(b, current[idx]);
-            }
-            // Run boundaries are always real modifications.
-            prop_assert_ne!(r.data[0], snapshot[r.addr as usize]);
-            prop_assert_ne!(r.data[r.len() - 1], snapshot[r.end() as usize - 1]);
-        }
-        // Runs stay sorted, non-overlapping, and separated by more than
-        // `gap` unchanged bytes (otherwise they would have merged).
+        // Runs are sorted and maximal: at least one unchanged byte
+        // separates two of them.
         for w in runs.windows(2) {
-            prop_assert!(w[0].end() <= w[1].addr);
-            prop_assert!((w[1].addr - w[0].end()) as usize > gap);
+            prop_assert!(w[0].end() < w[1].addr);
         }
     }
 

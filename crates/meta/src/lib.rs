@@ -27,6 +27,6 @@ mod stats;
 mod syncvar;
 
 pub use slice::{SliceRec, SliceRef};
-pub use space::{GcOutcome, MetaSpace, SyncVarRef, ThreadMeta, DEFAULT_SYNC_SHARDS};
+pub use space::{GcOutcome, MetaSpace, SyncVarRef, ThreadMeta, DEFAULT_SYNC_SHARDS, GC_THRESHOLD};
 pub use stats::AtomicStats;
 pub use syncvar::{SyncKey, SyncVar};

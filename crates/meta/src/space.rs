@@ -13,10 +13,16 @@ use std::sync::Arc;
 /// steady-state acquire path locks only the var itself — never the table.
 pub type SyncVarRef = Arc<Mutex<SyncVar>>;
 
-/// Default shard count for the sync-var table (see
-/// `RunConfig::sync_shards`). Sixteen shards keep the expected collision
-/// probability low at the 4–16 thread counts the paper evaluates.
+/// Shard count of the sync-var table. Sixteen shards keep the expected
+/// collision probability low at the 4–16 thread counts the paper
+/// evaluates.
 pub const DEFAULT_SYNC_SHARDS: usize = 16;
+// The shard index is a hash masked by `DEFAULT_SYNC_SHARDS - 1`.
+const _: () = assert!(DEFAULT_SYNC_SHARDS.is_power_of_two());
+
+/// Fraction of the metadata capacity at which GC triggers (the paper's
+/// value, §4.5 "Garbage Collection").
+pub const GC_THRESHOLD: f64 = 0.9;
 
 /// A slice-pointer list with a monotone count of prefix-pruned entries,
 /// so consumers can keep *absolute* cursors across GC.
@@ -198,30 +204,12 @@ impl MetaSpace {
     /// [`MetaSpace::new`] with an explicit live-slice GC trigger.
     #[must_use]
     pub fn with_max_slices(capacity_bytes: usize, gc_threshold: f64, max_slices: usize) -> Self {
-        Self::with_options(
-            capacity_bytes,
-            gc_threshold,
-            max_slices,
-            DEFAULT_SYNC_SHARDS,
-        )
-    }
-
-    /// Fully explicit constructor. `sync_shards` is rounded up to a power
-    /// of two (the shard index is a hash masked by `shards - 1`).
-    #[must_use]
-    pub fn with_options(
-        capacity_bytes: usize,
-        gc_threshold: f64,
-        max_slices: usize,
-        sync_shards: usize,
-    ) -> Self {
         #[allow(
             clippy::cast_precision_loss,
             clippy::cast_possible_truncation,
             clippy::cast_sign_loss
         )]
         let trigger = (capacity_bytes as f64 * gc_threshold) as usize;
-        let shards = sync_shards.max(1).next_power_of_two();
         Self {
             threads: RwLock::new(Vec::new()),
             store: Mutex::new(Vec::new()),
@@ -231,7 +219,9 @@ impl MetaSpace {
             gc_trigger_bytes: trigger,
             max_slices,
             gc_floor: AtomicUsize::new(max_slices),
-            sync_vars: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            sync_vars: (0..DEFAULT_SYNC_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
             stats: AtomicStats::default(),
         }
     }
@@ -440,12 +430,6 @@ impl MetaSpace {
         outcome
     }
 
-    /// Number of shards in the sync-var table (power of two).
-    #[must_use]
-    pub fn sync_shard_count(&self) -> usize {
-        self.sync_vars.len()
-    }
-
     /// The shard a key lives in: a SplitMix64-style mix of the variant
     /// tag and payload, masked to the (power-of-two) shard count. Cheaper
     /// and better-spread than SipHash for these tiny keys, and stable
@@ -639,18 +623,6 @@ mod tests {
         // Mutating through one handle is visible through the other.
         a.lock().record_release(3, VClock::from_components(vec![1]));
         assert_eq!(b.lock().last_tid, Some(3));
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        let m = MetaSpace::with_options(10_000, 0.5, 4096, 5);
-        assert_eq!(m.sync_shard_count(), 8);
-        let m1 = MetaSpace::with_options(10_000, 0.5, 4096, 0);
-        assert_eq!(m1.sync_shard_count(), 1, "degenerate single shard works");
-        m1.with_sync_var(SyncKey::Atomic(64), |v| {
-            v.record_release(0, VClock::from_components(vec![1]));
-        });
-        assert_eq!(m1.sync_var(SyncKey::Atomic(64)).lock().last_tid, Some(0));
     }
 
     #[test]

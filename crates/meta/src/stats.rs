@@ -72,7 +72,6 @@ atomic_stats!(
     snapshot_bytes_copied,
     snapshot_pool_hits,
     snapshot_pool_misses,
-    runs_coalesced,
     global_fences,
     serial_commits,
     private_pages,

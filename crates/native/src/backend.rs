@@ -19,7 +19,10 @@ impl DmtBackend for NativeBackend {
     }
 
     fn run_traced(&self, cfg: &RunConfig, root: ThreadFn) -> TracedRun {
-        let shared = Arc::new(NativeShared::new(cfg));
+        let shared = match NativeShared::new(cfg) {
+            Ok(shared) => Arc::new(shared),
+            Err(e) => return TracedRun::rejected(&self.name(), &e),
+        };
         let mut main = NativeCtx::new(Arc::clone(&shared));
         main.run_body(root);
         // Native has no race detector; never-joined threads are harvested

@@ -5,11 +5,11 @@ use crate::sync::{BarrierVar, CondVar, LockVar, Registry};
 use parking_lot::Mutex;
 use rfdet_api::obs::Phase;
 use rfdet_api::{
-    Addr, BarrierId, CondId, DmtCtx, MutexId, RunConfig, Stats, SyncOp, ThreadFn, ThreadHandle,
-    ThreadHarness, Tid,
+    Addr, BarrierId, CondId, ConfigError, DmtCtx, MutexId, RunConfig, Stats, SyncOp, ThreadFn,
+    ThreadHandle, ThreadHarness, Tid,
 };
 use rfdet_mem::{StripAllocator, ThreadHeap};
-use rfdet_meta::MetaSpace;
+use rfdet_meta::{MetaSpace, GC_THRESHOLD};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 use std::sync::Arc;
@@ -34,20 +34,20 @@ pub(crate) struct NativeShared {
 }
 
 impl NativeShared {
-    pub fn new(cfg: &RunConfig) -> Self {
-        let sup = Supervision::new(cfg);
+    pub fn new(cfg: &RunConfig) -> Result<Self, ConfigError> {
+        let sup = Supervision::new(cfg)?;
         let cfg = &sup.run.cfg;
         let heap_base = rfdet_mem::heap_base(cfg.space_bytes);
-        Self {
+        Ok(Self {
             mem: (0..cfg.space_bytes).map(|_| AtomicU8::new(0)).collect(),
             locks: Registry::default(),
             conds: Registry::default(),
             barriers: Registry::default(),
             strips: StripAllocator::new(heap_base, cfg.space_bytes - heap_base),
-            meta: MetaSpace::new(cfg.meta_capacity_bytes as usize, cfg.gc_threshold),
+            meta: MetaSpace::new(cfg.meta_capacity_bytes as usize, GC_THRESHOLD),
             atomic_stripes: (0..64).map(|_| Mutex::new(())).collect(),
             sup,
-        }
+        })
     }
 }
 

@@ -11,7 +11,7 @@
 //! `Wedged` here.
 
 use parking_lot::{Condvar, MutexGuard};
-use rfdet_api::{FailureKind, Family, RunConfig, RunHarness, ThreadReport, Tid};
+use rfdet_api::{ConfigError, FailureKind, Family, RunConfig, RunHarness, ThreadReport, Tid};
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::time::{Duration, Instant};
@@ -33,12 +33,12 @@ pub(crate) struct Supervision {
 }
 
 impl Supervision {
-    pub fn new(cfg: &RunConfig) -> Self {
-        Self {
-            run: RunHarness::new(cfg, Family::Native),
+    pub fn new(cfg: &RunConfig) -> Result<Self, ConfigError> {
+        Ok(Self {
+            run: RunHarness::new(cfg, Family::Native)?,
             wedge_after: cfg.deadlock_after(),
             poisoned: AtomicBool::new(false),
-        }
+        })
     }
 
     pub fn is_poisoned(&self) -> bool {
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn first_failure_wins_and_poisons() {
-        let sup = Supervision::new(&RunConfig::small());
+        let sup = Supervision::new(&RunConfig::small()).expect("valid config");
         sup.record_worker_panic(1, Box::new("boom"), ThreadReport::default());
         sup.record_wedge(0, "late wedge".into());
         assert!(sup.is_poisoned());
@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn poisoned_tokens_only_add_peer_diagnostics() {
-        let sup = Supervision::new(&RunConfig::small());
+        let sup = Supervision::new(&RunConfig::small()).expect("valid config");
         sup.record_worker_panic(2, Box::new(Poisoned), ThreadReport::default());
         assert!(!sup.is_poisoned(), "a secondary unwind is not a root cause");
         assert!(sup.run.take_run_error("pthreads").is_none());
@@ -138,7 +138,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn check_poison_unwinds_once_poisoned() {
-        let sup = Supervision::new(&RunConfig::small());
+        let sup = Supervision::new(&RunConfig::small()).expect("valid config");
         sup.record_wedge(0, "stuck".into());
         sup.check_poison();
     }

@@ -105,7 +105,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn sup() -> Arc<Supervision> {
-        Arc::new(Supervision::new(&RunConfig::small()))
+        Arc::new(Supervision::new(&RunConfig::small()).expect("valid config"))
     }
 
     #[test]

@@ -23,8 +23,9 @@ use rfdet_vclock::Tid;
 
 /// Checkpoint file magic.
 pub const CKPT_MAGIC: [u8; 4] = *b"RFCK";
-/// Current checkpoint format version.
-pub const CKPT_VERSION: u32 = 1;
+/// Current checkpoint format version. Version 1 embedded the 17-field
+/// [`TraceConfig`]; its checkpoints are rejected, not migrated.
+pub const CKPT_VERSION: u32 = 2;
 
 /// Sync-var class codes (mirror `rfdet_meta::SyncKey`, kept numeric so
 /// this crate stays meta-independent).
@@ -493,16 +494,18 @@ mod tests {
     }
 
     #[test]
-    fn rejects_unknown_version() {
-        let mut bytes = sample().encode();
-        bytes[4] = 99;
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            Checkpoint::decode(&bytes),
-            Err(TraceError::UnsupportedVersion(99))
-        );
+    fn rejects_retired_and_unknown_versions() {
+        for version in [1, 99] {
+            let mut bytes = sample().encode();
+            bytes[4] = version;
+            let body_len = bytes.len() - 8;
+            let sum = fnv1a(&bytes[..body_len]);
+            bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                Checkpoint::decode(&bytes),
+                Err(TraceError::UnsupportedVersion(u32::from(version)))
+            );
+        }
     }
 
     #[test]

@@ -19,15 +19,16 @@ use std::fmt;
 
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"RFDT";
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// Current format version. Version 1 carried a 17-field [`TraceConfig`];
+/// its traces are rejected, not migrated.
+pub const VERSION: u32 = 2;
 
 /// Why a byte buffer failed to decode as a [`RunTrace`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceError {
     /// The buffer does not start with the `RFDT` magic.
     BadMagic,
-    /// The format version is not [`VERSION`].
+    /// The format version is not the one this build reads and writes.
     UnsupportedVersion(u32),
     /// The buffer ended mid-field (torn file).
     Truncated,
@@ -152,19 +153,14 @@ pub(crate) fn write_config(w: &mut Writer, c: &TraceConfig) {
     w.u64(c.space_bytes);
     w.u64(c.page_size);
     w.u64(c.meta_capacity_bytes);
-    w.u64(c.gc_threshold_bits);
     w.u64(c.meta_max_slices);
-    w.u64(c.sync_shards);
     w.u8(c.monitor);
     w.boolean(c.slice_merging);
     w.boolean(c.prelock);
     w.boolean(c.lazy_writes);
     w.u32(c.fault_cost_spins);
-    w.u64(c.diff_gap_coalesce);
-    w.u64(c.snap_pool_pages);
     w.u64(c.quantum_ticks);
     w.u64(c.jitter_max_us);
-    w.boolean(c.supervise);
     w.opt_u64(c.deadlock_after_ms);
 }
 
@@ -173,19 +169,14 @@ pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<TraceConfig, TraceError>
         space_bytes: r.u64()?,
         page_size: r.u64()?,
         meta_capacity_bytes: r.u64()?,
-        gc_threshold_bits: r.u64()?,
         meta_max_slices: r.u64()?,
-        sync_shards: r.u64()?,
         monitor: r.u8()?,
         slice_merging: r.boolean()?,
         prelock: r.boolean()?,
         lazy_writes: r.boolean()?,
         fault_cost_spins: r.u32()?,
-        diff_gap_coalesce: r.u64()?,
-        snap_pool_pages: r.u64()?,
         quantum_ticks: r.u64()?,
         jitter_max_us: r.u64()?,
-        supervise: r.boolean()?,
         deadlock_after_ms: r.opt_u64()?,
     })
 }
@@ -368,18 +359,19 @@ mod tests {
     }
 
     #[test]
-    fn rejects_unknown_version() {
-        let t = sample();
-        let mut bytes = t.encode();
-        bytes[4] = 99;
-        // Fix up the checksum so the version check is what fires.
-        let body_len = bytes.len() - 8;
-        let sum = crate::digest::fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            RunTrace::decode(&bytes),
-            Err(TraceError::UnsupportedVersion(99))
-        );
+    fn rejects_retired_and_unknown_versions() {
+        for version in [1, 99] {
+            let mut bytes = sample().encode();
+            bytes[4] = version;
+            // Fix up the checksum so the version check is what fires.
+            let body_len = bytes.len() - 8;
+            let sum = crate::digest::fnv1a(&bytes[..body_len]);
+            bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                RunTrace::decode(&bytes),
+                Err(TraceError::UnsupportedVersion(u32::from(version)))
+            );
+        }
     }
 
     #[test]

@@ -49,6 +49,9 @@ pub const KIND_PANIC: u8 = 0;
 pub const KIND_DEADLOCK: u8 = 1;
 /// Failure-kind code: wall-clock wedge.
 pub const KIND_WEDGED: u8 = 2;
+/// Failure-kind code: the configuration was rejected before any thread
+/// ran (such a run records no trace; the code keeps the kind table total).
+pub const KIND_INVALID_CONFIG: u8 = 3;
 /// Failure-kind code: the run completed cleanly (the trace's digest is
 /// then the output digest, not a report digest).
 pub const KIND_NONE: u8 = 255;
@@ -161,29 +164,22 @@ pub struct TraceFault {
     pub b: u64,
 }
 
-/// The determinism-relevant `RunConfig` fields, codec-stable. Floats are
-/// stored as IEEE-754 bits so round-trips are exact.
+/// The determinism-relevant `RunConfig` fields, codec-stable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[allow(missing_docs)] // field names mirror RunConfig; see its docs
 pub struct TraceConfig {
     pub space_bytes: u64,
     pub page_size: u64,
     pub meta_capacity_bytes: u64,
-    /// `RunConfig::gc_threshold` as `f64::to_bits`.
-    pub gc_threshold_bits: u64,
     pub meta_max_slices: u64,
-    pub sync_shards: u64,
     /// Monitor mode: 0 = compile-time instrumentation, 1 = page faults.
     pub monitor: u8,
     pub slice_merging: bool,
     pub prelock: bool,
     pub lazy_writes: bool,
     pub fault_cost_spins: u32,
-    pub diff_gap_coalesce: u64,
-    pub snap_pool_pages: u64,
     pub quantum_ticks: u64,
     pub jitter_max_us: u64,
-    pub supervise: bool,
     pub deadlock_after_ms: Option<u64>,
 }
 
@@ -345,19 +341,14 @@ mod tests {
             space_bytes: 1 << 20,
             page_size: 4096,
             meta_capacity_bytes: 4 << 20,
-            gc_threshold_bits: 0.9f64.to_bits(),
             meta_max_slices: 1024,
-            sync_shards: 16,
             monitor: 0,
             slice_merging: true,
             prelock: true,
             lazy_writes: false,
             fault_cost_spins: 0,
-            diff_gap_coalesce: 0,
-            snap_pool_pages: 256,
             quantum_ticks: 10_000,
             jitter_max_us: 50,
-            supervise: true,
             deadlock_after_ms: Some(30_000),
         }
     }

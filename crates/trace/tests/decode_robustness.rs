@@ -26,19 +26,14 @@ fn config() -> TraceConfig {
         space_bytes: 1 << 20,
         page_size: 4096,
         meta_capacity_bytes: 1 << 16,
-        gc_threshold_bits: 0.5f64.to_bits(),
         meta_max_slices: 64,
-        sync_shards: 8,
         monitor: 0,
         slice_merging: true,
         prelock: false,
         lazy_writes: true,
         fault_cost_spins: 50,
-        diff_gap_coalesce: 32,
-        snap_pool_pages: 16,
         quantum_ticks: 1000,
         jitter_max_us: 0,
-        supervise: true,
         deadlock_after_ms: Some(2000),
     }
 }

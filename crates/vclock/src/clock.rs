@@ -26,7 +26,7 @@ enum Repr {
 /// clocks created before a thread existed compare correctly against clocks
 /// created after it. Storage is indexed by [`Tid`]; thread IDs are dense
 /// (assigned in creation order) so this is compact, and clocks of up to
-/// [`INLINE`] threads live entirely inline (no heap allocation — the hot
+/// 16 threads live entirely inline (no heap allocation — the hot
 /// propagation paths clone and scratch-copy clocks constantly).
 ///
 /// `VClock` implements the standard partial order used by DLRC:

@@ -14,7 +14,7 @@ const PAGES: u64 = 4;
 /// Page stride (matches the default `RunConfig` page size).
 const PAGE_STRIDE: u64 = 4096;
 
-/// The §4.5 lazy-writes adversary: every slice dirties [`PAGES`] pages
+/// The §4.5 lazy-writes adversary: every slice dirties four pages
 /// under one contended lock, so modification propagation dominates the
 /// run. Each worker owns one 8-byte cell per page (race-free), and the
 /// root emits a checksum over all cells so conformance digests compare.

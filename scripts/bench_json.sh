@@ -4,10 +4,8 @@
 # propagation, snapshot pooling) plus the turn-arbitration scaling
 # curve (successor handoff on sync-heavy: the 2/4/8/16-thread table and
 # the 16t/8t regression guard, see DESIGN.md §4.10), the
-# supervisor-overhead A/B (cfg.supervise on vs
-# off; budget <2%, see DESIGN.md §4.7), the flight-recorder A/B
-# (cfg.trace on vs off; budget <5% recording, ~0 disabled, see
-# DESIGN.md §4.8), the metrics-layer A/B (cfg.metrics on vs off;
+# flight-recorder A/B (cfg.trace on vs off; budget <5% recording, ~0
+# disabled, see DESIGN.md §4.8), the metrics-layer A/B (cfg.metrics on vs off;
 # budget <2% collecting, one branch per timed site disabled, see
 # DESIGN.md §4.9), and the lazy-vs-eager writes A/B with its
 # 2/4/8/16-thread scaling curve (budget: lazy ≤ 1.05× eager on

@@ -58,15 +58,14 @@ fn detection_capability_is_pinned_per_backend() {
     );
 }
 
-/// The knobs a detecting run forces are resolved in one place and are
-/// visible: each override actually applied is a `TracedRun` warning, a
+/// The one knob a detecting run forces is resolved in one place and is
+/// visible: the override, where applied, is a `TracedRun` warning, a
 /// config that needed none gets none, and both runs are the same run.
 #[test]
-fn detector_overrides_are_listed_and_digest_neutral() {
+fn the_detector_override_is_listed_and_digest_neutral() {
     let w = rfdet::workloads::by_name("races.counter").expect("registered");
-    let mut overridden = detect_cfg();
-    overridden.supervise = false;
-    overridden.rfdet.slice_merging = true;
+    let overridden = detect_cfg();
+    assert!(overridden.rfdet.slice_merging, "the default merges slices");
     let mut explicit = detect_cfg();
     explicit.rfdet.slice_merging = false;
     for b in det_backends() {
@@ -77,10 +76,11 @@ fn detector_overrides_are_listed_and_digest_neutral() {
             (run.warnings, out.output_digest(), races_digest(&out.races))
         };
         let (warnings, output, races) = run(&overridden);
-        let mut want = vec!["detect_races: supervise false→true"];
-        if name.starts_with("RFDet") {
-            want.push("detect_races: rfdet.slice_merging true→false");
-        }
+        let want: &[&str] = if name.starts_with("RFDet") {
+            &["detect_races: rfdet.slice_merging true→false"]
+        } else {
+            &[]
+        };
         assert_eq!(warnings, want, "{name}");
         let (quiet, explicit_output, explicit_races) = run(&explicit);
         assert!(
