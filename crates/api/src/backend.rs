@@ -109,9 +109,9 @@ impl Replay {
 
 /// A deterministic-multithreading execution engine.
 ///
-/// Implementations: `rfdet-core` (the paper), `rfdet-dthreads`,
-/// `rfdet-quantum`, `rfdet-native`. Each spins up a *main thread* (tid 0)
-/// running `root`; the root spawns workers through its
+/// Implementations: `rfdet-core` (the paper), `rfdet-dthreads` (DThreads
+/// and the quantum design), `rfdet-native`. Each spins up a *main thread*
+/// (tid 0) running `root`; the root spawns workers through its
 /// [`crate::DmtCtx::spawn`].
 pub trait DmtBackend: Send + Sync {
     /// Human-readable backend name, used in experiment tables

@@ -7,8 +7,8 @@
 //! `&mut dyn DmtCtx` and can then run on any backend —
 //!
 //! * `rfdet-core` — the paper's contribution (DLRC, no global barriers),
-//! * `rfdet-dthreads` — the DThreads comparison point,
-//! * `rfdet-quantum` — a CoreDet/DMP-style lockstep-quantum design,
+//! * `rfdet-dthreads` — the DThreads comparison point and a
+//!   CoreDet/DMP-style lockstep-quantum design over the same engine,
 //! * `rfdet-native` — plain nondeterministic "pthreads".
 //!
 //! Shared memory is a flat logical byte space addressed by [`Addr`];

@@ -16,9 +16,8 @@ use parking_lot::Mutex;
 use rfdet_api::{DmtBackend, DmtCtx, DmtCtxExt, MutexId};
 use rfdet_bench::{bench_config, ms, render_table, BenchOpts};
 use rfdet_core::RfdetBackend;
-use rfdet_dthreads::DthreadsBackend;
+use rfdet_dthreads::{DthreadsBackend, QuantumBackend};
 use rfdet_native::NativeBackend;
-use rfdet_quantum::QuantumBackend;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -13,9 +13,8 @@
 use rfdet_api::DmtBackend;
 use rfdet_bench::{bench_config, geomean, ms, render_table, time_workload, BenchOpts};
 use rfdet_core::RfdetBackend;
-use rfdet_dthreads::DthreadsBackend;
+use rfdet_dthreads::{DthreadsBackend, QuantumBackend};
 use rfdet_native::NativeBackend;
-use rfdet_quantum::QuantumBackend;
 use rfdet_workloads::{benchmarks, Params};
 
 fn main() {

@@ -17,8 +17,7 @@
 use rfdet_api::{races_digest, DmtBackend, RunError, RunOutput};
 use rfdet_bench::{bench_config, render_table, BenchOpts};
 use rfdet_core::RfdetBackend;
-use rfdet_dthreads::DthreadsBackend;
-use rfdet_quantum::QuantumBackend;
+use rfdet_dthreads::{DthreadsBackend, QuantumBackend};
 use rfdet_workloads::{by_name, Params};
 
 fn main() {

@@ -73,8 +73,6 @@ use rfdet_core::RfdetBackend;
 use rfdet_workloads::{by_name, Params, Size, Workload};
 use std::path::{Path, PathBuf};
 use std::process::exit;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Divergence: a digest or schedule did not reproduce.
@@ -157,7 +155,7 @@ fn backend_by_name(name: &str) -> Option<Box<dyn DmtBackend>> {
         "RFDet" | "RFDet-ci" => Some(Box::new(RfdetBackend::ci())),
         "RFDet-pf" => Some(Box::new(RfdetBackend::pf())),
         "DThreads" => Some(Box::new(rfdet_dthreads::DthreadsBackend)),
-        "CoreDet-q" => Some(Box::new(rfdet_quantum::QuantumBackend)),
+        "CoreDet-q" => Some(Box::new(rfdet_dthreads::QuantumBackend)),
         _ => None,
     }
 }
@@ -270,7 +268,13 @@ fn cmd_record(args: &[String]) -> i32 {
                 i += 2;
             }
             "--seed" => {
-                seed = args.get(i + 1).and_then(|s| s.parse().ok());
+                // A seed that does not parse must not fall back to an
+                // unjittered run: the recording would look seeded.
+                let v = args.get(i + 1).map_or("", String::as_str);
+                seed = Some(v.parse().unwrap_or_else(|_| {
+                    eprintln!("error: --seed expects a number, got {v:?}");
+                    usage()
+                }));
                 i += 2;
             }
             "--timeout" => {
@@ -577,40 +581,21 @@ fn cmd_shard(args: &[String]) -> i32 {
             }
         }
 
-        // Parallel shards: 0 replays from the start to the first
-        // checkpoint, k resumes at checkpoint k-1 and stops at k, and
-        // the tail shard (id == chain.len()) runs to completion.
+        // Parallel shards; the tail shard (id == chain.len()) runs to
+        // completion and is compared by output, the rest by checkpoint.
         let n_shards = chain.len() + 1;
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<rfdet_api::TracedRun>>> =
-            (0..n_shards).map(|_| Mutex::new(None)).collect();
         let t1 = Instant::now();
-        std::thread::scope(|s| {
-            for _ in 0..jobs.clamp(1, n_shards) {
-                s.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= n_shards {
-                        break;
-                    }
-                    let mut shard_cfg = cfg.clone();
-                    shard_cfg.stop_at_checkpoint = chain.get(k).map(|c| c.epoch);
-                    let run = if k == 0 {
-                        backend.run_traced(&shard_cfg, (workload.factory)(params))
-                    } else {
-                        backend.run_resumed(&shard_cfg, &chain[k - 1], &|tid| bodies(tid))
-                    };
-                    *results[k].lock().expect("shard result lock") = Some(run);
-                });
-            }
-        });
+        let shards = rfdet_bench::replay_shards(
+            &backend,
+            &cfg,
+            &chain,
+            &|| (workload.factory)(params),
+            &*bodies,
+            jobs,
+        );
         let sharded_ms = t1.elapsed().as_millis();
 
-        for (k, slot) in results.iter().enumerate() {
-            let run = slot
-                .lock()
-                .expect("shard result lock")
-                .take()
-                .expect("shard ran");
+        for (k, run) in shards.iter().enumerate() {
             match &run.result {
                 Err(e) => {
                     println!("shard {k}: {e}");

@@ -1,6 +1,7 @@
-//! Direct coverage of the replay CLI's exit-code contract, in
-//! particular the wedged path (code 4): a deliberately-hung workload
-//! under `--timeout` must exit 4 — not 1 (diverged) and not 3 (io).
+//! Direct coverage of the replay CLI's exit-code contract (and of
+//! `bench_json`'s usage errors), in particular the wedged path (code
+//! 4): a deliberately-hung workload under `--timeout` must exit 4 — not
+//! 1 (diverged) and not 3 (io).
 //! Exercised against the real binary so the process-level `exit` calls
 //! are what's tested, not library plumbing.
 
@@ -47,6 +48,27 @@ fn injected_failure_exits_diverged() {
 fn unknown_workload_exits_usage() {
     let out = replay(&["record", "nonesuch@2"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn non_numeric_seed_exits_usage_instead_of_recording_unjittered() {
+    let out = replay(&["record", "chaos.lock_panic@2", "--seed", "lucky"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--seed expects a number"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
+fn bench_json_out_without_a_value_exits_usage_instead_of_panicking() {
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_json"))
+        .arg("--out")
+        .output()
+        .expect("spawn bench_json binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--out expects a value"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
 }
 
 #[test]

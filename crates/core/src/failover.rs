@@ -44,9 +44,10 @@ pub struct FailoverReport {
 }
 
 impl FailoverReport {
-    /// `recovery_ms / full_run_ms` — the time-to-converge ratio the
-    /// BENCH_9 `failover_recovery` cell budgets (≤ 0.6 when the crash
-    /// lands late enough that the checkpoint skips most of the run).
+    /// `recovery_ms / full_run_ms` — the time-to-converge ratio that
+    /// `bench_json`'s `failover_recovery` row budgets (small when the
+    /// crash lands late enough that the checkpoint skips most of the
+    /// run).
     #[must_use]
     pub fn recovery_ratio(&self) -> f64 {
         if self.full_run_ms <= 0.0 {

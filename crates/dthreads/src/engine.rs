@@ -23,7 +23,7 @@ pub(crate) struct Poisoned;
 
 /// What ends a parallel phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineMode {
+pub(crate) enum EngineMode {
     /// DThreads: only synchronization operations end a thread's parallel
     /// interval.
     SyncOnly,

@@ -1,6 +1,6 @@
 //! A from-scratch DThreads-model backend (Liu, Curtsinger, Berger —
-//! SOSP'11), the paper's main comparison point, plus the shared
-//! *lockstep engine* also used by the CoreDet/DMP-style quantum backend.
+//! SOSP'11), the paper's main comparison point, plus the
+//! CoreDet/DMP-style quantum backend over the same *lockstep engine*.
 //!
 //! # The model (paper §2, Figure 1)
 //!
@@ -29,8 +29,4 @@ mod ctx;
 mod detect;
 mod engine;
 
-pub use backend::DthreadsBackend;
-pub use engine::EngineMode;
-
-// Exposed for the quantum backend, which wraps the same engine.
-pub use backend::run_lockstep;
+pub use backend::{DthreadsBackend, QuantumBackend};

@@ -23,8 +23,7 @@
 //! | [`kendo`] | `rfdet-kendo` | deterministic turn arbitration |
 //! | [`core`] | `rfdet-core` | **the paper's contribution: the DLRC runtime** |
 //! | [`native`] | `rfdet-native` | nondeterministic "pthreads" baseline |
-//! | [`dthreads`] | `rfdet-dthreads` | DThreads-model comparator |
-//! | [`quantum`] | `rfdet-quantum` | CoreDet/DMP-style comparator |
+//! | [`dthreads`] | `rfdet-dthreads` | DThreads-model and CoreDet/DMP-style quantum comparators (one lockstep engine) |
 //! | [`workloads`] | `rfdet-workloads` | racey + 16 benchmark kernels |
 
 #![forbid(unsafe_code)]
@@ -37,7 +36,6 @@ pub use rfdet_kendo as kendo;
 pub use rfdet_mem as mem;
 pub use rfdet_meta as meta;
 pub use rfdet_native as native;
-pub use rfdet_quantum as quantum;
 pub use rfdet_vclock as vclock;
 pub use rfdet_workloads as workloads;
 
@@ -49,9 +47,8 @@ pub use rfdet_api::{
     WaitEdge, WaitTarget,
 };
 pub use rfdet_core::RfdetBackend;
-pub use rfdet_dthreads::DthreadsBackend;
+pub use rfdet_dthreads::{DthreadsBackend, QuantumBackend};
 pub use rfdet_native::NativeBackend;
-pub use rfdet_quantum::QuantumBackend;
 
 /// All four backends, labelled as in the paper's figures.
 #[must_use]
