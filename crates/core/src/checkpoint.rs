@@ -283,7 +283,7 @@ pub(crate) fn contribute(ctx: &mut RfdetCtx, epoch: u64) {
     let frag = CkptThread {
         tid: ctx.tid,
         alive: true,
-        clock: ctx.kendo.clock(),
+        clock: ctx.clock(),
         vc: ctx.vc.components(),
         slice_seq: ctx.slice_seq,
         sync_ops: ctx.h.sync_ops(),

@@ -8,7 +8,7 @@ use rfdet_api::{
     Addr, BarrierId, CondId, DmtCtx, MonitorMode, MutexId, SyncOp, ThreadFn, ThreadHandle,
     ThreadHarness, ThreadReport, Tid,
 };
-use rfdet_kendo::{Jitter, KendoHandle};
+use rfdet_kendo::{Jitter, KendoHandle, TickBatch};
 use rfdet_mem::{Page, PageFlags, PageOverlay, PrivateSpace, SliceSnapshots, ThreadHeap};
 use rfdet_meta::{SyncKey, SyncVarRef, ThreadMeta};
 use rfdet_vclock::VClock;
@@ -38,6 +38,9 @@ pub(crate) struct Peer {
 pub struct RfdetCtx {
     pub(crate) shared: Arc<RuntimeShared>,
     pub(crate) kendo: KendoHandle,
+    /// Off-turn ticks not yet published to the Kendo slot. Empty inside
+    /// every turn and while blocked: [`Self::enter_op`] flushes it.
+    ticks: TickBatch,
     pub(crate) tid: Tid,
     pub(crate) space: PrivateSpace,
     /// Emulated page protection: `WRITE_PROTECT` drives `pf` monitoring,
@@ -174,6 +177,7 @@ impl RfdetCtx {
         let mut ctx = Self {
             shared,
             kendo,
+            ticks: TickBatch::default(),
             tid,
             space,
             flags,
@@ -413,47 +417,64 @@ impl RfdetCtx {
     /// `page`: lazy fault, snapshot, write — one page resolved once.
     #[inline]
     fn store_in_page(&mut self, page: usize, off: usize, data: &[u8]) {
-        if !self.pending.is_empty() && self.flags.is_protected(page, PageFlags::NO_ACCESS) {
-            self.lazy_fault(page);
-        }
+        self.fault_if_pending(page);
         self.record_store(page, off, data.len());
         self.space.write_page(page, off, data);
     }
 
     /// Read without advancing the Kendo clock — for use *inside* a turn
     /// (atomic operations), where a tick would release the turn early.
+    #[inline]
     pub(crate) fn read_in_turn(&mut self, addr: Addr, buf: &mut [u8]) {
-        if !self.pending.is_empty() {
-            for page in self.page_range(addr, buf.len()) {
-                if self.flags.is_protected(page, PageFlags::NO_ACCESS) {
-                    self.lazy_fault(page);
-                }
-            }
-        }
         self.h.stats.loads += 1;
         if self.track_reads {
             self.read_set
                 .mark(addr, buf.len() as u64, self.shared.run.cfg.page_size);
         }
+        match self.space.in_page(addr, buf.len()) {
+            Some((page, off)) => {
+                self.fault_if_pending(page);
+                self.space.read_page(page, off, buf);
+            }
+            None => self.read_straddling(addr, buf),
+        }
+    }
+
+    /// The load that is empty, crosses a page boundary or is out of
+    /// range: range-checked as a whole before any page is touched.
+    #[cold]
+    fn read_straddling(&mut self, addr: Addr, buf: &mut [u8]) {
+        self.space.check_range(addr, buf.len());
+        for page in self.page_range(addr, buf.len()) {
+            self.fault_if_pending(page);
+        }
         self.space.read(addr, buf);
+    }
+
+    /// The compiled-in pending check of every access (§4.5 *Lazy Writes*).
+    #[inline]
+    fn fault_if_pending(&mut self, page: usize) {
+        if !self.pending.is_empty() && self.flags.is_protected(page, PageFlags::NO_ACCESS) {
+            self.lazy_fault(page);
+        }
     }
 
     /// Write without advancing the Kendo clock (see [`Self::read_in_turn`]);
     /// still goes through the Figure-4 store instrumentation. A
     /// zero-length write touches no page, so it neither faults nor
     /// snapshots.
+    #[inline]
     pub(crate) fn write_in_turn(&mut self, addr: Addr, data: &[u8]) {
         self.h.stats.stores += 1;
-        let off = self.space.page_offset(addr);
-        if !data.is_empty() && off + data.len() <= self.space.page_size() {
-            self.store_in_page(self.space.page_of(addr), off, data);
-        } else {
-            self.write_straddling(addr, data);
+        match self.space.in_page(addr, data.len()) {
+            Some((page, off)) => self.store_in_page(page, off, data),
+            None => self.write_straddling(addr, data),
         }
     }
 
-    /// The store that is empty or crosses a page boundary: range-checked
-    /// as a whole before any page is touched, then stored page by page.
+    /// The store that is empty, crosses a page boundary or is out of
+    /// range: range-checked as a whole before any page is touched, then
+    /// stored page by page.
     #[cold]
     fn write_straddling(&mut self, mut addr: Addr, mut data: &[u8]) {
         self.space.check_range(addr, data.len());
@@ -511,6 +532,10 @@ impl RfdetCtx {
     /// of several planned panics becomes the run's root cause is then a
     /// function of the sync order, not of who reached its op first.
     pub(crate) fn enter_op(&mut self, op: SyncOp) {
+        // Publish the chunk in progress: the op is recorded with, waits
+        // for its turn on, and hands clocks to the threads it wakes from
+        // this thread's exact clock.
+        self.publish_ticks();
         // The clock read is deterministic: a thread's clock changes only
         // through its own ticks and deterministic wake handoffs, so its
         // value at a program point is schedule-pure.
@@ -527,6 +552,20 @@ impl RfdetCtx {
         self.shared.kendo.wait_for_turn(&self.kendo);
         self.obs_since_boundary(Phase::WaitTurn, t0);
         self.h.raise_planned();
+    }
+
+    /// Publishes the pending off-turn ticks (see [`TickBatch`]).
+    #[inline]
+    fn publish_ticks(&mut self) {
+        self.ticks.flush(&self.shared.kendo, &self.kendo);
+    }
+
+    /// This thread's exact Kendo clock, at a point where nothing is
+    /// unpublished: inside a turn, or after one with no access since.
+    #[inline]
+    pub(crate) fn clock(&self) -> u64 {
+        debug_assert_eq!(self.ticks.pending(), 0, "clock read with unpublished ticks");
+        self.kendo.clock()
     }
 
     /// Releases the Kendo turn after a sync operation — the final tick
@@ -569,8 +608,11 @@ impl RfdetCtx {
     /// token is a clean shard stop (§4.11) — the thread contributed its
     /// fragment to the target epoch and is done, so just finish the slot
     /// and let arbitration ignore it; anything else is recorded with the
-    /// thread's deterministic state, and aborts the protocol.
-    pub(crate) fn unwound(&self, payload: Box<dyn std::any::Any + Send>) {
+    /// thread's deterministic state, and aborts the protocol. Either way
+    /// the thread first publishes its partial chunk: a slot that stops
+    /// participating holds its exact clock (DESIGN.md §4.3).
+    pub(crate) fn unwound(&mut self, payload: Box<dyn std::any::Any + Send>) {
+        self.publish_ticks();
         if payload.is::<crate::checkpoint::CkptStop>() {
             self.shared.kendo.finish_forced(self.tid);
         } else {
@@ -601,16 +643,16 @@ impl DmtCtx for RfdetCtx {
 
     #[inline]
     fn tick(&mut self, n: u64) {
-        self.shared.kendo.tick_off_turn(&self.kendo, n);
+        self.ticks.tick(&self.shared.kendo, &self.kendo, n);
     }
 
     fn read_bytes(&mut self, addr: Addr, buf: &mut [u8]) {
-        self.shared.kendo.tick_off_turn(&self.kendo, 1);
+        self.tick(1);
         self.read_in_turn(addr, buf);
     }
 
     fn write_bytes(&mut self, addr: Addr, data: &[u8]) {
-        self.shared.kendo.tick_off_turn(&self.kendo, 1);
+        self.tick(1);
         self.write_in_turn(addr, data);
     }
 
@@ -647,13 +689,15 @@ impl DmtCtx for RfdetCtx {
     }
 
     fn alloc(&mut self, size: u64, align: u64) -> Addr {
-        self.shared.kendo.tick_off_turn(&self.kendo, 1);
+        self.tick(1);
+        // The allocation event is stamped with the exact clock.
+        self.publish_ticks();
         self.h.enter_alloc(|| self.kendo.clock(), size);
         self.heap.alloc(size, align)
     }
 
     fn dealloc(&mut self, addr: Addr) {
-        self.shared.kendo.tick_off_turn(&self.kendo, 1);
+        self.tick(1);
         self.heap.dealloc(addr);
     }
 

@@ -218,7 +218,7 @@ pub(crate) fn unlock_impl(ctx: &mut RfdetCtx, m: MutexId) {
     };
     if let Some(w) = next {
         handoff_release(ctx, w, lower);
-        ctx.shared.kendo.wake(w, ctx.kendo.clock() + 1);
+        ctx.shared.kendo.wake(w, ctx.clock() + 1);
     }
     ctx.release_turn();
     op_epilogue(ctx);
@@ -268,7 +268,7 @@ pub(crate) fn wait_impl(ctx: &mut RfdetCtx, c: CondId, m: MutexId) {
     .push_back((ctx.tid, m.0));
     if let Some(w) = next {
         handoff_release(ctx, w, lower);
-        ctx.shared.kendo.wake(w, ctx.kendo.clock() + 1);
+        ctx.shared.kendo.wake(w, ctx.clock() + 1);
     }
     // …then blocks until signalled (and until it re-owns the mutex: the
     // signaler either grants it immediately or moves us to the mutex
@@ -350,7 +350,7 @@ pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
         }
     }
     for w in wake_now {
-        ctx.shared.kendo.wake(w, ctx.kendo.clock() + 1);
+        ctx.shared.kendo.wake(w, ctx.clock() + 1);
     }
     ctx.release_turn();
     op_epilogue(ctx);
@@ -411,7 +411,7 @@ pub(crate) fn barrier_impl(ctx: &mut RfdetCtx, b: BarrierId, parties: usize) {
                 let peer = ctx.peer(w);
                 peer.mailbox.lock().barrier = Some(handoff.clone());
                 peer.meta.join_turn_vc(&upper);
-                ctx.shared.kendo.wake(w, ctx.kendo.clock() + 1);
+                ctx.shared.kendo.wake(w, ctx.clock() + 1);
             }
             ctx.meta_thread.join_turn_vc(&upper);
             ctx.release_turn();
@@ -440,7 +440,7 @@ pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
     // Deterministic registration inside the parent's turn.
     let child_meta = ctx.shared.meta.register_thread();
     let child_tid = child_meta.tid;
-    let child_kendo = ctx.shared.kendo.register(ctx.kendo.clock() + 1);
+    let child_kendo = ctx.shared.kendo.register(ctx.clock() + 1);
     assert_eq!(child_kendo.tid(), child_tid, "registry tid mismatch");
     let child_mailbox = ctx.shared.register_mailbox();
     // The child's clock starts from the *pre-tick* boundary clock, not
@@ -603,7 +603,7 @@ pub(crate) fn exit_impl(ctx: &mut RfdetCtx) {
     };
     for w in waiters {
         handoff_release(ctx, w, lower.clone());
-        ctx.shared.kendo.wake(w, ctx.kendo.clock() + 1);
+        ctx.shared.kendo.wake(w, ctx.clock() + 1);
     }
     ctx.shared.meta.mark_dead(ctx.tid);
     // Flush thread-local profiling into the shared aggregate.

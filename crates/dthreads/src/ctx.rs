@@ -201,15 +201,26 @@ impl DtCtx {
             .expect("atomic op returns a value")
     }
 
-    fn record_store(&mut self, addr: Addr, len: usize) {
-        let first = self.space.page_of(addr);
-        let last = self.space.page_of(addr + len.saturating_sub(1) as u64);
-        for page in first..=last {
-            if !self.snapshots.contains_key(&page) {
-                let snap = self.space.snapshot_page(page);
-                self.snapshots.insert(page, snap);
-                self.h.stats.stores_with_copy += 1;
+    /// First-write snapshot of `page` for the interval's diff.
+    #[inline]
+    fn record_store(&mut self, page: usize) {
+        if !self.snapshots.contains_key(&page) {
+            let snap = self.space.snapshot_page(page);
+            self.snapshots.insert(page, snap);
+            self.h.stats.stores_with_copy += 1;
+        }
+    }
+
+    /// The store that is empty, crosses a page boundary or is out of
+    /// range: range-checked as a whole before any page is snapshotted.
+    #[cold]
+    fn write_straddling(&mut self, addr: Addr, data: &[u8]) {
+        self.space.check_range(addr, data.len());
+        if let Some(last) = data.len().checked_sub(1) {
+            for page in self.space.page_of(addr)..=self.space.page_of(addr + last as u64) {
+                self.record_store(page);
             }
+            self.space.write(addr, data);
         }
     }
 }
@@ -235,11 +246,13 @@ impl DmtCtx for DtCtx {
     fn write_bytes(&mut self, addr: Addr, data: &[u8]) {
         self.h.stats.stores += 1;
         self.charge(1);
-        if data.is_empty() {
-            return;
+        match self.space.in_page(addr, data.len()) {
+            Some((page, off)) => {
+                self.record_store(page);
+                self.space.write_page(page, off, data);
+            }
+            None => self.write_straddling(addr, data),
         }
-        self.record_store(addr, data.len());
-        self.space.write(addr, data);
     }
 
     fn lock(&mut self, m: MutexId) {

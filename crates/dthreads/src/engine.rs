@@ -314,7 +314,7 @@ impl Engine {
         if let Some(det) = st.detect.as_mut() {
             det.register(tid);
         }
-        let img = st.global.clone();
+        let img = st.global.fork();
         (tid, img)
     }
 
@@ -547,8 +547,8 @@ impl Engine {
                     let seed = ChildSeed {
                         tid: child,
                         // The child inherits the global store as of the
-                        // parent's commit (a COW clone).
-                        space: st.global.clone(),
+                        // parent's commit (a COW fork).
+                        space: st.global.fork(),
                         entry,
                     };
                     st.slots[tid as usize].seed = Some(seed);
@@ -614,7 +614,7 @@ impl Engine {
 
         for tid in done {
             st.arrived.remove(&tid);
-            let img = st.global.clone();
+            let img = st.global.fork();
             st.slots[tid as usize].outcome = Some(Outcome::Done(Some(img)));
         }
         for tid in exited {

@@ -37,6 +37,13 @@
 //!    later turn-taker in every run, and the waker stays minimal until its
 //!    own tick.
 //!
+//! 4. A thread publishes its clock in chunks ([`TickBatch`], one
+//!    [`PUBLISH_STRIDE`] at a time, as Kendo does) and exactly at every
+//!    point that reads or orders by it. A published clock is a lower bound
+//!    of the true one; admission compares the candidate's *exact* clock
+//!    against those lower bounds, so a lagging peer delays an admission
+//!    and never changes which thread is admitted.
+//!
 //! Together these give: the sequence of turn bodies, and everything they
 //! observe, is a pure function of logical clocks — physical timing only
 //! affects *when* things happen, never *what* happens.
@@ -49,4 +56,4 @@ mod jitter;
 mod state;
 
 pub use jitter::Jitter;
-pub use state::{KendoHandle, KendoState, Status, WakeTap, MAX_THREADS};
+pub use state::{KendoHandle, KendoState, Status, TickBatch, WakeTap, MAX_THREADS, PUBLISH_STRIDE};

@@ -129,6 +129,59 @@ const BATON_NONE: u64 = u64::MAX;
 /// themselves are delivered deterministically.
 const IDLE_POLL: Duration = Duration::from_millis(20);
 
+/// Logical-clock units a thread may accumulate before publishing them to
+/// its slot (Kendo's chunked clock publication), and — the same number —
+/// the published-clock boundary at which [`KendoState::tick_off_turn`]
+/// checks for a stale designation. One constant because one event: a
+/// [`TickBatch`] publishes at least a stride at a time, so every
+/// off-turn publication crosses a boundary and pays the single baton load
+/// that keeps a compute-bound designated thread from stranding waiters.
+/// A larger chunk bought no wall time on any workload (EXPERIMENTS.md
+/// "Access fast path"); a smaller one puts the shared `lock xadd` back on
+/// the access path.
+pub const PUBLISH_STRIDE: u64 = 64;
+
+/// A thread's unpublished off-turn ticks: a plain counter beside the
+/// thread's [`KendoHandle`], so an instrumented access costs an add and a
+/// compare, not a read-modify-write of the shared slot.
+///
+/// The published clock is then a *lower bound* of the thread's true
+/// clock, which arbitration tolerates (admission needs the baton clock
+/// to equal the candidate's exact clock; a lagging peer can only delay
+/// it) — provided the owner [`flush`](Self::flush)es before every point
+/// that reads its clock or orders by it: sync-op entry, a recorded
+/// allocation, exit and unwind. A thread waiting for its turn, `Blocked`
+/// or `Finished` therefore never holds unpublished ticks.
+#[derive(Debug, Default)]
+pub struct TickBatch {
+    pending: u64,
+}
+
+impl TickBatch {
+    /// Advances the owner's clock by `n`, publishing once a
+    /// [`PUBLISH_STRIDE`] is pending.
+    #[inline]
+    pub fn tick(&mut self, kendo: &KendoState, me: &KendoHandle, n: u64) {
+        self.pending += n;
+        if self.pending >= PUBLISH_STRIDE {
+            self.flush(kendo, me);
+        }
+    }
+
+    /// Publishes whatever is pending; afterwards `me.clock()` is exact.
+    pub fn flush(&mut self, kendo: &KendoState, me: &KendoHandle) {
+        if self.pending > 0 {
+            kendo.tick_off_turn(me, std::mem::take(&mut self.pending));
+        }
+    }
+
+    /// Ticks not yet published.
+    #[must_use]
+    pub fn pending(&self) -> u64 {
+        self.pending
+    }
+}
+
 #[inline]
 fn pack(clock: u64, tid: Tid) -> u64 {
     debug_assert!(clock < 1 << 56, "kendo clock overflows the baton");
@@ -601,9 +654,10 @@ impl KendoState {
     /// only ever advanced its clock through the plain [`KendoHandle::tick`],
     /// waiters it has since ticked past would stay parked until it next
     /// entered a sync op — potentially forever. So off-turn ticks route
-    /// here: whenever the clock crosses a 64-unit boundary, the thread
-    /// checks one baton load and, if it is named with a now-stale clock,
-    /// repairs the designation by rescanning.
+    /// here: whenever the clock crosses a [`PUBLISH_STRIDE`] boundary, the
+    /// thread checks one baton load and, if it is named with a now-stale
+    /// clock, repairs the designation by rescanning. The runtime's threads
+    /// call this through a [`TickBatch`], a stride's worth at a time.
     ///
     /// Soundness: a stale designation can never be *taken* (admission
     /// requires the baton clock to equal the thread's current clock, and
@@ -616,7 +670,7 @@ impl KendoState {
     /// Liveness of the amortization: if the designated thread stops
     /// ticking entirely its clock is frozen, so by the admission rule
     /// every waiter must wait for it regardless — no repair could help.
-    /// If it keeps ticking, it crosses a boundary within 64 units and
+    /// If it keeps ticking, it crosses a boundary within a stride and
     /// repairs. Wall-clock only: which thread is admitted next is still
     /// exactly the minimal `(clock, tid)`, whenever the scan runs.
     pub fn tick_off_turn(&self, me: &KendoHandle, n: u64) {
@@ -625,7 +679,7 @@ impl KendoState {
             return;
         }
         let new = old + n;
-        if (old >> 6) == (new >> 6) {
+        if old / PUBLISH_STRIDE == new / PUBLISH_STRIDE {
             return;
         }
         let b = self.baton.load(SeqCst);
@@ -1031,6 +1085,7 @@ impl KendoState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -1194,27 +1249,50 @@ mod tests {
         assert_eq!(k.idle_poll, Duration::from_millis(1));
     }
 
-    /// N threads each take `rounds` turns appending their tid, ticking by
-    /// a schedule-determined amount; returns the admission order.
-    fn contended_order(k: Arc<KendoState>, n: u64, rounds: u64) -> Vec<Tid> {
+    /// How a test thread's off-turn ticks reach its slot.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Publish {
+        /// Every tick at once: the published clock is exact.
+        Exact,
+        /// Through a [`TickBatch`], flushed before each turn.
+        Chunked,
+    }
+
+    /// One thread's program: per round, the off-turn ticks it executes
+    /// before its next turn, and the tick that releases that turn.
+    type Program = Vec<(Vec<u64>, u64)>;
+
+    /// Runs one thread per program (all registered at clock 0 before any
+    /// starts, each finishing in a last turn of its own) and returns the
+    /// admission order with the clock each turn was admitted at.
+    fn admissions(k: Arc<KendoState>, programs: Vec<Program>, publish: Publish) -> Vec<(Tid, u64)> {
         let order = Arc::new(Mutex::new(Vec::new()));
         let started = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
+        let n = programs.len();
+        let handles: Vec<_> = programs
+            .into_iter()
+            .map(|program| {
                 let k = Arc::clone(&k);
                 let order = Arc::clone(&order);
                 let started = Arc::clone(&started);
                 let h = k.register(0);
                 std::thread::spawn(move || {
                     started.fetch_add(1, SeqCst);
-                    while started.load(SeqCst) < n as usize {
+                    while started.load(SeqCst) < n {
                         std::hint::spin_loop();
                     }
-                    for round in 0..rounds {
+                    let mut batch = TickBatch::default();
+                    for (off_turn, release) in program {
+                        for t in off_turn {
+                            match publish {
+                                Publish::Exact => k.tick_off_turn(&h, t),
+                                Publish::Chunked => batch.tick(&k, &h, t),
+                            }
+                        }
+                        batch.flush(&k, &h);
                         k.wait_for_turn(&h);
-                        order.lock().push(h.tid());
-                        // Uneven, deterministic progress per thread.
-                        k.release_turn(&h, 1 + (i + round) % 3);
+                        order.lock().push((h.tid(), h.clock()));
+                        k.release_turn(&h, release);
                     }
                     k.wait_for_turn(&h);
                     k.finish(&h);
@@ -1225,6 +1303,22 @@ mod tests {
             t.join().unwrap();
         }
         Arc::try_unwrap(order).unwrap().into_inner()
+    }
+
+    /// N threads each take `rounds` turns, releasing by an uneven,
+    /// deterministic amount; returns the admission order.
+    fn contended_order(k: Arc<KendoState>, n: u64, rounds: u64) -> Vec<Tid> {
+        let programs = (0..n)
+            .map(|i| {
+                (0..rounds)
+                    .map(|round| (vec![], 1 + (i + round) % 3))
+                    .collect()
+            })
+            .collect();
+        admissions(k, programs, Publish::Exact)
+            .into_iter()
+            .map(|(tid, _)| tid)
+            .collect()
     }
 
     #[test]
@@ -1257,6 +1351,157 @@ mod tests {
             assert_eq!(handoff, scan, "mode divergence at {n} threads");
             assert_eq!(handoff.len() as u64, n * rounds);
         }
+    }
+
+    /// Programs for `threads` threads: a few rounds each of off-turn
+    /// ticks — mostly access-sized, some spanning several strides, some
+    /// rounds with none — and a small release tick.
+    fn arb_programs(threads: usize) -> impl Strategy<Value = Vec<Program>> {
+        let tick = prop_oneof![1u64..4, 1u64..4, 1u64..4, 1u64..3 * PUBLISH_STRIDE];
+        let round = (prop::collection::vec(tick, 0..40), 1u64..4);
+        prop::collection::vec(prop::collection::vec(round, 1..6), threads..threads + 1)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+        /// Lagging publication changes when a turn is admitted, never
+        /// which: handoff over chunk-published clocks admits the very
+        /// `(tid, clock)` sequence the scan oracle admits over exact ones.
+        #[test]
+        fn chunked_publication_admits_the_scan_oracles_turn_sequence(
+            two in arb_programs(2),
+            four in arb_programs(4),
+            eight in arb_programs(8),
+        ) {
+            for programs in [two, four, eight] {
+                let turns: usize = programs.iter().map(Vec::len).sum();
+                let oracle = admissions(
+                    Arc::new(KendoState::new().with_arbitration(ArbitrationMode::SpinScan)),
+                    programs.clone(),
+                    Publish::Exact,
+                );
+                let chunked = admissions(Arc::new(KendoState::new()), programs, Publish::Chunked);
+                prop_assert_eq!(oracle.len(), turns);
+                prop_assert_eq!(chunked, oracle);
+            }
+        }
+    }
+
+    #[test]
+    fn tick_batch_publishes_a_stride_at_a_time_and_on_flush() {
+        let k = KendoState::new();
+        let h = k.register(0);
+        let mut batch = TickBatch::default();
+        for _ in 0..PUBLISH_STRIDE - 1 {
+            batch.tick(&k, &h, 1);
+        }
+        assert_eq!((h.clock(), batch.pending()), (0, PUBLISH_STRIDE - 1));
+        batch.tick(&k, &h, 1);
+        assert_eq!((h.clock(), batch.pending()), (PUBLISH_STRIDE, 0));
+        batch.tick(&k, &h, 5);
+        batch.flush(&k, &h);
+        batch.flush(&k, &h); // nothing pending: publishes nothing
+        assert_eq!((h.clock(), batch.pending()), (PUBLISH_STRIDE + 5, 0));
+        batch.tick(&k, &h, 3 * PUBLISH_STRIDE); // a large tick goes out whole
+        assert_eq!(h.clock(), 4 * PUBLISH_STRIDE + 5);
+    }
+
+    /// How the compute-bound thread of the liveness regression below
+    /// stops computing.
+    #[derive(Clone, Copy, Debug)]
+    enum Leave {
+        SyncOp,
+        Exit,
+        Unwind,
+    }
+
+    /// A designated compute-bound thread sitting on less than a stride of
+    /// unpublished ticks never crosses a repair boundary, so nothing it
+    /// does off-turn releases the waiter parked behind its stale
+    /// designation. Its flush points must: entering a sync op or exiting
+    /// hands the turn to the waiter first (the waiter's clock is the
+    /// smaller), and an unwind ends the waiter's wait through the abort.
+    #[test]
+    fn partial_chunk_holder_never_strands_a_parked_waiter() {
+        for leave in [Leave::SyncOp, Leave::Exit, Leave::Unwind] {
+            let k =
+                Arc::new(KendoState::new().with_deadlock_timeout(Some(Duration::from_secs(30))));
+            let a = k.register(0);
+            let compute = k.register(0);
+            k.wait_for_turn(&a);
+            k.release_turn(&a, 1); // a@1; the scan designates compute@0
+            assert_eq!(baton_tid(k.baton.load(SeqCst)), compute.tid());
+            let order = Arc::new(Mutex::new(Vec::new()));
+            let waiter = {
+                let (k, order) = (Arc::clone(&k), Arc::clone(&order));
+                std::thread::spawn(move || {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        k.wait_for_turn(&a);
+                        order.lock().push(a.tid());
+                        k.release_turn(&a, 100);
+                    }))
+                    .is_ok()
+                })
+            };
+            // Let the waiter park behind the designation.
+            while k.handoff_counters().2 == 0 {
+                std::thread::yield_now();
+            }
+            let mut batch = TickBatch::default();
+            batch.tick(&k, &compute, 10); // true clock 10 > a's 1, published 0
+            assert_eq!((k.clock_of(compute.tid()), batch.pending()), (0, 10));
+            assert!(order.lock().is_empty(), "{leave:?}: waiter admitted early");
+            batch.flush(&k, &compute);
+            match leave {
+                Leave::SyncOp | Leave::Exit => {
+                    k.wait_for_turn(&compute);
+                    order.lock().push(compute.tid());
+                    if matches!(leave, Leave::SyncOp) {
+                        k.release_turn(&compute, 1);
+                    } else {
+                        k.finish(&compute);
+                    }
+                    assert!(waiter.join().unwrap(), "{leave:?}");
+                    assert_eq!(*order.lock(), [0, 1], "{leave:?}: waiter goes first");
+                }
+                Leave::Unwind => {
+                    k.set_abort();
+                    k.finish_forced(compute.tid());
+                    assert!(!waiter.join().unwrap(), "the abort unwinds the waiter");
+                    assert_eq!(k.clock_of(compute.tid()), 10, "nothing left unpublished");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn woken_thread_resumes_from_the_wake_clock_with_nothing_pending() {
+        let k = Arc::new(KendoState::new());
+        let a = k.register(0);
+        let b = k.register(0);
+        let mut batch = TickBatch::default();
+        batch.tick(&k, &a, 10);
+        batch.flush(&k, &a); // sync-op entry
+        let waker = {
+            let k = Arc::clone(&k);
+            std::thread::spawn(move || {
+                k.wait_for_turn(&b); // b@0 goes first and is not the waker yet
+                k.release_turn(&b, 50);
+                k.wait_for_turn(&b); // after a blocked at 10: b@50 holds the turn
+                k.wake(0, b.clock() + 1);
+                k.release_turn(&b, 1);
+            })
+        };
+        k.wait_for_turn(&a);
+        k.block(&a);
+        k.release_turn(&a, 1);
+        k.park_until_active(&a);
+        waker.join().unwrap();
+        assert_eq!((a.clock(), batch.pending()), (51, 0));
+        batch.tick(&k, &a, 5);
+        batch.flush(&k, &a);
+        assert_eq!(a.clock(), 56, "pre-block ticks are not published twice");
     }
 
     #[test]
@@ -1388,10 +1633,10 @@ mod tests {
         });
         // The compute thread never calls wait_for_turn; its off-turn
         // ticks alone must republish the baton to `a` once they cross a
-        // 64-unit boundary past a's clock.
+        // stride boundary past a's clock.
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            k.tick_off_turn(&compute, 64);
+            k.tick_off_turn(&compute, PUBLISH_STRIDE);
             match rx.try_recv() {
                 Ok(()) => break,
                 Err(_) => assert!(Instant::now() < deadline, "waiter still parked"),

@@ -7,15 +7,22 @@ use rfdet_api::Addr;
 /// A thread-private, paged view of the logical shared memory space.
 ///
 /// Pages are materialized lazily: an absent page reads as zeros, and the
-/// first write allocates it. Forking a space (thread creation) clones the
-/// page table; all pages become shared copy-on-write, so the child inherits
-/// the parent's memory at cost O(pages), without copying data.
-#[derive(Clone, Debug)]
+/// first write allocates it. A page the space wrote since its last fork
+/// is exclusively owned and stored to at memory speed; [`fork`](Self::fork)
+/// — the one way to duplicate a space — turns every page shared
+/// copy-on-write, so the child inherits the parent's memory at cost
+/// O(pages), without copying data.
+#[derive(Debug)]
 pub struct PrivateSpace {
-    pages: Vec<Option<Page>>,
+    /// Page index → 1 + the page's position in `bufs`; 0 for a page not
+    /// materialized. Four bytes a page, so a fork — the lockstep engines
+    /// fork their global store once per thread per phase — copies a
+    /// quarter of what a table of pointers would.
+    table: Vec<u32>,
+    /// The materialized pages, in first-write order.
+    bufs: Vec<Page>,
     page_size: usize,
     shift: u32,
-    materialized: usize,
 }
 
 impl PrivateSpace {
@@ -31,19 +38,32 @@ impl PrivateSpace {
             space_bytes.is_multiple_of(page_size),
             "space must be page-aligned"
         );
-        let n = (space_bytes / page_size) as usize;
+        let n = space_bytes / page_size;
+        assert!(
+            u32::try_from(n).is_ok(),
+            "page count exceeds the page table's index width"
+        );
         Self {
-            pages: vec![None; n],
+            table: vec![0; n as usize],
+            bufs: Vec::new(),
             page_size: page_size as usize,
             shift: page_size.trailing_zeros(),
-            materialized: 0,
         }
     }
 
-    /// Forks this space for a child thread (COW inheritance).
+    /// Forks this space for a child thread (COW inheritance): the result
+    /// reads exactly what `self` reads now, and a later write on either
+    /// side is invisible to the other. Every materialized page of `self`
+    /// becomes shared, so each side's next write to a page copies it (or,
+    /// once the other side is gone, takes it back without copying).
     #[must_use]
-    pub fn fork(&self) -> Self {
-        self.clone()
+    pub fn fork(&mut self) -> Self {
+        Self {
+            table: self.table.clone(),
+            bufs: self.bufs.iter_mut().map(Page::share).collect(),
+            page_size: self.page_size,
+            shift: self.shift,
+        }
     }
 
     /// Page size in bytes.
@@ -55,13 +75,13 @@ impl PrivateSpace {
     /// Total number of pages (materialized or not).
     #[must_use]
     pub fn num_pages(&self) -> usize {
-        self.pages.len()
+        self.table.len()
     }
 
     /// Number of pages this space has materialized (its private footprint).
     #[must_use]
     pub fn materialized_pages(&self) -> usize {
-        self.materialized
+        self.bufs.len()
     }
 
     /// The page index containing `addr`.
@@ -88,13 +108,16 @@ impl PrivateSpace {
     /// Read-only view of page `idx` if materialized.
     #[must_use]
     pub fn page(&self, idx: usize) -> Option<&Page> {
-        self.pages.get(idx).and_then(Option::as_ref)
+        match *self.table.get(idx)? {
+            0 => None,
+            slot => Some(&self.bufs[slot as usize - 1]),
+        }
     }
 
     /// Snapshot of page `idx` (zeros if not materialized).
     #[must_use]
     pub fn snapshot_page(&self, idx: usize) -> Box<[u8]> {
-        match &self.pages[idx] {
+        match self.page(idx) {
             Some(p) => p.snapshot(),
             None => vec![0; self.page_size].into(),
         }
@@ -107,7 +130,7 @@ impl PrivateSpace {
     /// Panics if `buf` is not exactly one page long.
     pub fn snapshot_page_into(&self, idx: usize, buf: &mut [u8]) {
         assert_eq!(buf.len(), self.page_size, "snapshot buffer size mismatch");
-        match &self.pages[idx] {
+        match self.page(idx) {
             Some(p) => buf.copy_from_slice(p.bytes()),
             None => buf.fill(0),
         }
@@ -116,60 +139,100 @@ impl PrivateSpace {
     /// Asserts that `len` bytes at `addr` lie within the space.
     ///
     /// # Panics
-    /// Panics if they do not.
+    /// Panics if they do not — the one out-of-bounds message of every
+    /// backend built on this space, load or store.
     pub fn check_range(&self, addr: Addr, len: usize) {
-        let end = addr.checked_add(len as u64).expect("address overflow");
-        let space = (self.pages.len() * self.page_size) as u64;
+        let space = (self.table.len() * self.page_size) as u64;
         assert!(
-            end <= space,
+            addr.checked_add(len as u64).is_some_and(|end| end <= space),
             "shared-memory access out of bounds: addr={addr:#x} len={len} space={space:#x}"
         );
     }
 
+    /// The access path's one bounds decision: `Some((page, offset))` iff
+    /// the `len` bytes at `addr` are a non-empty range inside one page of
+    /// this space. `None` — empty, page-straddling or out of range — sends
+    /// the caller to its slow path, which starts with
+    /// [`check_range`](Self::check_range).
+    #[inline]
+    #[must_use]
+    pub fn in_page(&self, addr: Addr, len: usize) -> Option<(usize, usize)> {
+        let (idx, off) = (self.page_of(addr), self.page_offset(addr));
+        (len != 0 && off + len <= self.page_size && idx < self.table.len()).then_some((idx, off))
+    }
+
     /// Reads `buf.len()` bytes starting at `addr`.
+    #[inline]
     pub fn read(&self, addr: Addr, buf: &mut [u8]) {
+        match self.in_page(addr, buf.len()) {
+            Some((idx, off)) => self.read_page(idx, off, buf),
+            None => self.read_straddling(addr, buf),
+        }
+    }
+
+    /// Reads `buf.len()` bytes at byte `off` of page `idx` (zeros if the
+    /// page is not materialized): the load known to stay within one page,
+    /// as [`in_page`](Self::in_page) decides.
+    ///
+    /// # Panics
+    /// Panics if `idx` is not a page of this space or `off + buf.len()`
+    /// exceeds the page.
+    #[inline]
+    pub fn read_page(&self, idx: usize, off: usize, buf: &mut [u8]) {
+        match self.table[idx] {
+            0 => buf.fill(0),
+            slot => copy_access(
+                buf,
+                &self.bufs[slot as usize - 1].bytes()[off..off + buf.len()],
+            ),
+        }
+    }
+
+    #[cold]
+    fn read_straddling(&self, mut addr: Addr, mut buf: &mut [u8]) {
         self.check_range(addr, buf.len());
-        let mut addr = addr;
-        let mut buf = buf;
         while !buf.is_empty() {
-            let idx = self.page_of(addr);
             let off = self.page_offset(addr);
             let n = buf.len().min(self.page_size - off);
             let (head, tail) = buf.split_at_mut(n);
-            match &self.pages[idx] {
-                Some(p) => head.copy_from_slice(&p.bytes()[off..off + n]),
-                None => head.fill(0),
-            }
+            self.read_page(self.page_of(addr), off, head);
             buf = tail;
             addr += n as u64;
         }
     }
 
     /// Writes `data` starting at `addr`, materializing pages as needed.
+    #[inline]
     pub fn write(&mut self, addr: Addr, data: &[u8]) {
-        self.check_range(addr, data.len());
-        let mut addr = addr;
-        let mut data = data;
-        while !data.is_empty() {
-            let idx = self.page_of(addr);
-            let off = self.page_offset(addr);
-            let n = data.len().min(self.page_size - off);
-            self.write_page(idx, off, &data[..n]);
-            data = &data[n..];
-            addr += n as u64;
+        match self.in_page(addr, data.len()) {
+            Some((idx, off)) => self.write_page(idx, off, data),
+            None => self.write_straddling(addr, data),
         }
     }
 
     /// Writes `data` at byte `off` of page `idx`, materializing the page:
-    /// the store that is known to stay within one page, so it needs no
-    /// range check beyond the page index and no page loop.
+    /// the store known to stay within one page, as
+    /// [`in_page`](Self::in_page) decides.
     ///
     /// # Panics
     /// Panics if `idx` is not a page of this space or `off + data.len()`
     /// exceeds the page.
     #[inline]
     pub fn write_page(&mut self, idx: usize, off: usize, data: &[u8]) {
-        self.ensure_page(idx).bytes_mut()[off..off + data.len()].copy_from_slice(data);
+        let bytes = self.ensure_page(idx).bytes_mut();
+        copy_access(&mut bytes[off..off + data.len()], data);
+    }
+
+    #[cold]
+    fn write_straddling(&mut self, mut addr: Addr, mut data: &[u8]) {
+        self.check_range(addr, data.len());
+        while !data.is_empty() {
+            let off = self.page_offset(addr);
+            let n = data.len().min(self.page_size - off);
+            self.write_page(self.page_of(addr), off, &data[..n]);
+            data = &data[n..];
+            addr += n as u64;
+        }
     }
 
     /// Applies one modification run (a contiguous byte write) to this
@@ -256,22 +319,44 @@ impl PrivateSpace {
         applied
     }
 
+    #[inline]
     fn ensure_page(&mut self, idx: usize) -> &mut Page {
-        let slot = &mut self.pages[idx];
-        if slot.is_none() {
-            *slot = Some(Page::zeroed(self.page_size));
-            self.materialized += 1;
+        if self.table[idx] == 0 {
+            self.bufs.push(Page::zeroed(self.page_size));
+            self.table[idx] = self.bufs.len() as u32;
         }
-        slot.as_mut().expect("just materialized")
+        &mut self.bufs[self.table[idx] as usize - 1]
     }
 
     /// Iterates the indices of materialized pages.
     pub fn materialized_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.pages
+        self.table
             .iter()
             .enumerate()
-            .filter(|(_, p)| p.is_some())
+            .filter(|(_, &slot)| slot != 0)
             .map(|(i, _)| i)
+    }
+}
+
+/// `dst ← src` (equal lengths) with the scalar widths — what nearly every
+/// instrumented access is — as fixed-size moves the compiler turns into
+/// one load and one store, where a variable-length copy is a call.
+#[inline(always)]
+fn copy_access(dst: &mut [u8], src: &[u8]) {
+    #[inline(always)]
+    fn fixed<const N: usize>(dst: &mut [u8], src: &[u8]) {
+        let (d, s): (&mut [u8; N], &[u8; N]) = (
+            dst.try_into().expect("width matched"),
+            src.try_into().expect("equal lengths"),
+        );
+        *d = *s;
+    }
+    match dst.len() {
+        8 => fixed::<8>(dst, src),
+        4 => fixed::<4>(dst, src),
+        2 => fixed::<2>(dst, src),
+        1 => fixed::<1>(dst, src),
+        _ => dst.copy_from_slice(src),
     }
 }
 
@@ -316,6 +401,18 @@ mod tests {
         // Each half landed on the right page.
         assert_eq!(s.page(0).unwrap().bytes()[4093..], *b"abc");
         assert_eq!(s.page(1).unwrap().bytes()[..3], *b"def");
+    }
+
+    #[test]
+    fn in_page_is_the_non_empty_single_page_accesses_of_the_space() {
+        let s = space();
+        assert_eq!(s.in_page(0, 1), Some((0, 0)));
+        assert_eq!(s.in_page(4088, 8), Some((0, 4088)), "ends at the page end");
+        assert_eq!(s.in_page(SPACE_BYTES - 1, 1), Some((15, 4095)));
+        assert_eq!(s.in_page(100, 0), None, "empty");
+        assert_eq!(s.in_page(4089, 8), None, "straddles");
+        assert_eq!(s.in_page(SPACE_BYTES, 1), None, "first byte past the end");
+        assert_eq!(s.in_page(u64::MAX - 3, 4), None, "far past the end");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the memory substrate.
 
 use proptest::prelude::*;
-use rfdet_mem::{diff, Page, PrivateSpace, SliceSnapshots, StripAllocator};
+use rfdet_mem::{diff, ModRun, Page, PrivateSpace, SliceSnapshots, StripAllocator};
 
 const SPACE: u64 = 16 * 4096;
 
@@ -110,19 +110,85 @@ fn tracked_store(
     }
 }
 
+/// A [`PrivateSpace`] beside its model: the bytes it must read, and per
+/// page the identity of the buffer it must be holding (`None`: not
+/// materialized) — two spaces share a page iff the identities are equal.
+struct ModelledSpace {
+    space: PrivateSpace,
+    model: Vec<u8>,
+    bufs: Vec<Option<u32>>,
+}
+
+impl ModelledSpace {
+    fn new() -> Self {
+        Self {
+            space: PrivateSpace::new(SPACE, 4096),
+            model: vec![0; SPACE as usize],
+            bufs: vec![None; (SPACE / 4096) as usize],
+        }
+    }
+
+    fn fork(&mut self) -> Self {
+        Self {
+            space: self.space.fork(),
+            model: self.model.clone(),
+            bufs: self.bufs.clone(),
+        }
+    }
+}
+
+#[derive(Clone, Debug)]
+enum TreeOp {
+    Fork(usize),
+    Drop(usize),
+    /// `via`: 0 `write`, 1 `write_page` (when in one page), 2 `apply_runs`.
+    Store {
+        sel: usize,
+        via: u8,
+        addr: u64,
+        data: Vec<u8>,
+    },
+}
+
+fn arb_tree_op() -> impl Strategy<Value = TreeOp> {
+    (
+        0u8..5,
+        0usize..4,
+        0u8..3,
+        // Few pages, so forks and stores meet; some stores straddle.
+        (0u64..4, 0u64..4096),
+        prop::collection::vec(any::<u8>(), 1..24),
+    )
+        .prop_map(|(kind, sel, via, (page, off), data)| match kind {
+            3 => TreeOp::Fork(sel),
+            4 => TreeOp::Drop(sel),
+            _ => TreeOp::Store {
+                sel,
+                via,
+                addr: page * 4096 + off,
+                data,
+            },
+        })
+}
+
 proptest! {
     /// Differential pin of dirty-line tracking: whatever the store
     /// sequence — line- and page-straddling stores, zero-length stores,
-    /// same-value overwrites, several slices over recycled buffers — the
-    /// sealed run list equals, run for run, the scalar whole-page diff of
-    /// every stored-to page against a whole-page snapshot taken at the
-    /// slice start.
+    /// same-value overwrites, several slices over recycled buffers — and
+    /// whatever ownership state a fork left the pages in, the sealed run
+    /// list equals, run for run, the scalar whole-page diff of every
+    /// stored-to page against a whole-page snapshot taken at the slice
+    /// start.
     #[test]
     fn dirty_line_seal_matches_whole_page_scalar_diff(
         size_idx in 0usize..4,
         prefill in prop::collection::vec((0usize..DL_PAGES, any::<u8>()), 0..4),
         slices in prop::collection::vec(arb_raw_stores(), 1..4),
         pool_cap in 0usize..3,
+        // Per slice: 0 leaves the space alone; 1 forks a sibling that
+        // outlives the slice (stores copy); 2 forks one and drops it
+        // (stores unwrap); 3 continues in the child, the parent dropped.
+        forks in prop::collection::vec(0u8..4, 3),
     ) {
         let page_size = [64usize, 256, 4096, 65536][size_idx];
         let mut space = PrivateSpace::new((DL_PAGES * page_size) as u64, page_size as u64);
@@ -133,7 +199,19 @@ proptest! {
         let mut snaps = SliceSnapshots::new(DL_PAGES, page_size, pool_cap);
         let line = snaps.line_bytes();
         prop_assert_eq!(line, 64.max(page_size / 64));
-        for stores in slices {
+        for (stores, fork) in slices.into_iter().zip(forks) {
+            let _sibling = match fork {
+                1 => Some(space.fork()),
+                2 => {
+                    drop(space.fork());
+                    None
+                }
+                3 => {
+                    space = space.fork();
+                    None
+                }
+                _ => None,
+            };
             let before: Vec<Box<[u8]>> = (0..DL_PAGES).map(|p| space.snapshot_page(p)).collect();
             for raw in &stores {
                 let (addr, data) = resolve(raw, page_size, line, &space);
@@ -200,6 +278,95 @@ proptest! {
         prop_assert_eq!(&got, &pmodel);
         child.read(0, &mut got);
         prop_assert_eq!(&got, &cmodel);
+    }
+
+    /// Owned/shared page states against a model: every space of a fork
+    /// tree (parent, children, grandchildren, some dropped along the way)
+    /// reads exactly what a plain byte array per space holds — isolation
+    /// in both directions — and counts the pages its lineage materialized;
+    /// and a store copies a page exactly when another live space still
+    /// holds the same bytes — a survivor whose siblings are all gone
+    /// takes its page back in place.
+    #[test]
+    fn fork_tree_matches_per_space_model(ops in prop::collection::vec(arb_tree_op(), 1..60)) {
+        let mut tree = vec![ModelledSpace::new()];
+        let mut next_buf = 0u32;
+        for op in ops {
+            let live = tree.len();
+            match op {
+                TreeOp::Fork(sel) if live < 4 => {
+                    let child = tree[sel % live].fork();
+                    tree.push(child);
+                }
+                TreeOp::Drop(sel) if live > 1 => {
+                    tree.swap_remove(sel % live);
+                }
+                TreeOp::Fork(_) | TreeOp::Drop(_) => {}
+                TreeOp::Store { sel, via, addr, data } => {
+                    let sel = sel % live;
+                    let pages = tree[sel].space.page_of(addr)
+                        ..=tree[sel].space.page_of(addr + data.len() as u64 - 1);
+                    // What the model says each touched page's store does.
+                    let mut expect = Vec::new();
+                    for p in pages.clone() {
+                        let held = tree[sel].bufs[p];
+                        let elsewhere = (0..live).any(|o| o != sel && held.is_some() && tree[o].bufs[p] == held);
+                        let before = tree[sel].space.page(p).map(|pg| pg.bytes().as_ptr());
+                        if held.is_none() || elsewhere {
+                            next_buf += 1;
+                            tree[sel].bufs[p] = Some(next_buf);
+                        }
+                        expect.push((p, before.filter(|_| !elsewhere)));
+                    }
+                    let s = &mut tree[sel];
+                    model_write(&mut s.model, addr, &data);
+                    match via {
+                        0 => s.space.write(addr, &data),
+                        1 if pages.clone().count() == 1 => {
+                            let (p, off) = (s.space.page_of(addr), s.space.page_offset(addr));
+                            s.space.write_page(p, off, &data);
+                        }
+                        _ => {
+                            let half = data.len().div_ceil(2);
+                            let runs: Vec<ModRun> = data
+                                .chunks(half)
+                                .enumerate()
+                                .map(|(i, c)| ModRun::new(addr + (i * half) as u64, c.into()))
+                                .collect();
+                            let applied = s.space.apply_runs(&runs);
+                            prop_assert_eq!(applied, data.len() as u64);
+                        }
+                    }
+                    for (p, in_place) in expect {
+                        let after = s.space.page(p).expect("stored to").bytes().as_ptr();
+                        if let Some(before) = in_place {
+                            prop_assert_eq!(after, before, "page {} copied with no other holder", p);
+                        }
+                    }
+                }
+            }
+            for (i, s) in tree.iter().enumerate() {
+                let mut got = vec![0u8; SPACE as usize];
+                s.space.read(0, &mut got);
+                prop_assert_eq!(&got, &s.model, "space {}", i);
+                let held = s.bufs.iter().flatten().count();
+                prop_assert_eq!(s.space.materialized_pages(), held, "space {}", i);
+                prop_assert_eq!(s.space.materialized_indices().count(), held);
+                // Two live spaces hold one buffer exactly when the model
+                // says the page is still shared between them.
+                for o in &tree[..i] {
+                    for p in 0..s.bufs.len() {
+                        if let (Some(a), Some(b)) = (s.space.page(p), o.space.page(p)) {
+                            prop_assert_eq!(
+                                a.bytes().as_ptr() == b.bytes().as_ptr(),
+                                s.bufs[p] == o.bufs[p],
+                                "page {}", p
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// diff(snapshot, current) applied onto the snapshot reproduces the

@@ -2,8 +2,8 @@
 //! condition-variable wake ordering, barrier reuse, misuse panics.
 
 use rfdet::{
-    BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, DthreadsBackend, MutexId, QuantumBackend,
-    RfdetBackend, RunConfig, RunError,
+    all_backends, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, DthreadsBackend, MutexId,
+    QuantumBackend, RfdetBackend, RunConfig, RunError,
 };
 
 fn cfg() -> RunConfig {
@@ -136,6 +136,60 @@ fn rfdet_rejects_unlock_of_unheld_mutex() {
         .expect_err("unlocking an unheld mutex must fail the run");
     assert!(matches!(err, RunError::WorkerPanicked(_)));
     assert_eq!(err.report().tid, 0);
+}
+
+/// A load or store outside the configured space fails the run with the
+/// one out-of-bounds message — the access's `addr` and `len`, and the
+/// `space` it missed on the backends that page it — whether it stays in
+/// one (nonexistent) page or straddles into it, by one byte or by pages.
+/// Stores used to escape from a page-table or dirty-line index instead.
+#[test]
+fn out_of_range_accesses_are_one_typed_error_on_every_backend() {
+    let (space, page) = (cfg().space_bytes, cfg().page_size);
+    let cases: [(&str, u64, usize); 4] = [
+        ("in-page, one byte past", space, 1),
+        ("straddling, one byte past", space - 7, 8),
+        ("in-page, far past", space + page + 16, 8),
+        ("straddling, far past", space + 2 * page - 4, 8),
+    ];
+    for backend in all_backends() {
+        for (what, addr, len) in cases {
+            for store in [false, true] {
+                let name = format!(
+                    "{} {} {what}",
+                    backend.name(),
+                    if store { "store" } else { "load" }
+                );
+                let err = backend
+                    .run(
+                        &cfg(),
+                        Box::new(move |ctx| {
+                            let mut buf = vec![1u8; len];
+                            if store {
+                                ctx.write_bytes(addr, &buf);
+                            } else {
+                                ctx.read_bytes(addr, &mut buf);
+                            }
+                        }),
+                    )
+                    .expect_err(&name);
+                assert!(matches!(err, RunError::WorkerPanicked(_)), "{name}: {err}");
+                let msg = &err.report().message;
+                let mut want = vec![
+                    "shared-memory access out of bounds".to_owned(),
+                    format!("addr={addr:#x}"),
+                    format!("len={len}"),
+                ];
+                if backend.is_deterministic() {
+                    want.push(format!("space={space:#x}"));
+                }
+                for part in want {
+                    assert!(msg.contains(&part), "{name}: no {part:?} in {msg:?}");
+                }
+                assert!(!msg.contains("index"), "{name}: raw slice panic {msg:?}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -7,11 +7,19 @@
 //! its recorded per-thread `(op, kind, arg)` streams must then be
 //! identical on all five backends (clocks differ by design), and one
 //! `panic_at(t, k)` must name the same operation everywhere.
+//!
+//! Within RFDet the clocks are part of the contract too: the Kendo clock
+//! a thread has at each of its sync ops is a function of the program, so
+//! the full `(op, kind, arg, clock)` streams of two sync-dense programs
+//! are pinned against goldens — however and whenever the runtime chooses
+//! to *publish* that clock.
 
+use rfdet::trace::digest::Fnv1a;
 use rfdet::trace::{op, TraceEvent};
+use rfdet::workloads::{by_name, Params, Size};
 use rfdet::{
-    all_backends, AtomicOp, BarrierId, CondId, DmtCtx, DmtCtxExt, FaultPlan, MutexId, RunConfig,
-    RunError, ThreadFn, Tid,
+    all_backends, AtomicOp, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, FaultPlan, MutexId,
+    RfdetBackend, RunConfig, RunError, ThreadFn, Tid,
 };
 
 const FLAG: u64 = 64;
@@ -156,5 +164,42 @@ fn one_fault_plan_names_the_same_operation_on_every_backend() {
             (1, 3, Some("cond_wait(2)")),
             "{name}"
         );
+    }
+}
+
+/// Event count and FNV-1a of every recorded event of `workload` at four
+/// threads under RFDet-ci — sync ops, allocations and wakes, each with
+/// its Kendo clock, in the trace's deterministic order.
+fn clocked_stream_digest(workload: &str) -> (usize, u64) {
+    let w = by_name(workload).expect("registered");
+    let mut cfg = RunConfig::small();
+    cfg.rfdet.fault_cost_spins = 0;
+    cfg.trace = Some(workload.to_owned());
+    let run = RfdetBackend::ci().run_traced(&cfg, (w.factory)(Params::new(4, Size::Test)));
+    run.result.unwrap_or_else(|e| panic!("{workload}: {e}"));
+    let events = run.trace.expect("recording was on").events;
+    let mut h = Fnv1a::new();
+    for e in &events {
+        h.write(&e.tid.to_le_bytes());
+        h.write(&e.op.to_le_bytes());
+        h.write(&[e.kind]);
+        h.write(&e.arg.unwrap_or(u64::MAX).to_le_bytes());
+        h.write(&e.clock.to_le_bytes());
+    }
+    (events.len(), h.finish())
+}
+
+/// Goldens generated by this very function at the commit before clock
+/// publication became chunked (PR 18's parent): every recorded clock is
+/// the value it was when each access published its own tick.
+#[test]
+fn per_op_clocks_match_the_per_access_publication_golden() {
+    for (workload, golden) in [
+        ("sync_heavy", (496, 0x3866_c0de_43cb_8923)),
+        ("racey", (17, 0x5fc3_9a43_839c_7b6e)),
+    ] {
+        let got = clocked_stream_digest(workload);
+        assert_eq!(got, clocked_stream_digest(workload), "{workload}: rerun");
+        assert_eq!(got, golden, "{workload}: got ({}, {:#018x})", got.0, got.1);
     }
 }
