@@ -69,7 +69,7 @@ impl FailureKind {
 }
 
 /// What a blocked thread is waiting on.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WaitTarget {
     /// Queued on a mutex; `holder` is the current owner if any.
     Mutex {
@@ -126,12 +126,46 @@ impl fmt::Display for WaitTarget {
 }
 
 /// One edge of the wait-for graph at the moment of a deadlock.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct WaitEdge {
     /// The blocked thread.
     pub waiter: Tid,
     /// What it is blocked on.
     pub target: WaitTarget,
+}
+
+impl WaitEdge {
+    /// The wait-for graph of a stalled run, read off a backend's queue
+    /// state: `(waiter, mutex, holder)` per queued locker, `(waiter, id)`
+    /// per parked condvar waiter and per early barrier arrival,
+    /// `(waiter, joined thread)` per joiner. Sorted by waiter (a blocked
+    /// thread has one edge; ties would order by target), so the graph —
+    /// and the report digest over it — does not depend on the order the
+    /// backend's maps were visited in.
+    #[must_use]
+    pub fn graph(
+        lockers: impl IntoIterator<Item = (Tid, u32, Option<Tid>)>,
+        cond_waiters: impl IntoIterator<Item = (Tid, u32)>,
+        barrier_arrivals: impl IntoIterator<Item = (Tid, u32)>,
+        joiners: impl IntoIterator<Item = (Tid, Tid)>,
+    ) -> Vec<WaitEdge> {
+        let mut edges = Vec::new();
+        let mut push = |waiter, target| edges.push(WaitEdge { waiter, target });
+        for (w, id, holder) in lockers {
+            push(w, WaitTarget::Mutex { id, holder });
+        }
+        for (w, id) in cond_waiters {
+            push(w, WaitTarget::Cond { id });
+        }
+        for (w, id) in barrier_arrivals {
+            push(w, WaitTarget::Barrier { id });
+        }
+        for (w, target) in joiners {
+            push(w, WaitTarget::Join { target });
+        }
+        edges.sort_unstable();
+        edges
+    }
 }
 
 /// Deterministic progress summary of one thread.
@@ -450,6 +484,32 @@ mod tests {
         let mut c = a.clone();
         c.culprit.as_mut().unwrap().sync_ops = 8;
         assert_ne!(a.report_digest(), c.report_digest());
+    }
+
+    #[test]
+    fn graph_is_sorted_by_waiter_whatever_order_the_queues_were_read_in() {
+        let graph = WaitEdge::graph(
+            [(3, 9, None), (1, 4, Some(2))],
+            [(5, 1)],
+            [(0, 7)],
+            [(4, 3), (2, 1)],
+        );
+        let rendered: Vec<String> = graph
+            .iter()
+            .map(|e| format!("t{} -> {}", e.waiter, e.target))
+            .collect();
+        assert_eq!(
+            rendered,
+            [
+                "t0 -> barrier 7",
+                "t1 -> mutex 4 held by t2",
+                "t2 -> join of t1",
+                "t3 -> mutex 9 (in handoff)",
+                "t4 -> join of t3",
+                "t5 -> cond 1",
+            ]
+        );
+        assert_eq!(FailureReport::find_cycle(&graph), vec![1, 2]);
     }
 
     #[test]

@@ -11,20 +11,22 @@
 //!   definition of what a sync-op coordinate is and what happens at one.
 //! * [`RunHarness`] — per run: the validated, resolved
 //!   [`RunConfig`](crate::RunConfig) (with the override it applied, if
-//!   any), the fault plan, both sinks, the OS thread handles and the
-//!   failure slot.
+//!   any), the fault plan, both sinks, the OS thread handles, the
+//!   failure slot and the stop protocol — recording a failure *is*
+//!   stopping the run: the stop flag, the one [`Stopped`] unwind token
+//!   and the supervised wait ([`RunHarness::wait_until`]) live here.
 //! * [`RunHarness::finish`] — the run tail, in the one order it must
 //!   happen in.
 //!
 //! A backend supplies only what differs: the clock stamped on each
 //! event, what jitter ticks mean, *when* a planned panic is delivered
-//! (deterministic backends deliver it once the op is ordered), and how a
-//! failed run is stopped.
+//! (deterministic backends deliver it once the op is ordered), and how
+//! the sleepers of a stopped run are woken.
 
 mod run;
 mod thread;
 
-pub use run::{Family, RunHarness};
+pub use run::{Family, RunHarness, Stopped};
 pub use thread::{PlannedPanic, ThreadHarness};
 
 use crate::{Addr, BarrierId, CondId, MutexId, Stats, Tid};
@@ -257,9 +259,15 @@ mod tests {
     #[test]
     fn first_root_cause_wins_and_later_unwinds_become_peers() {
         let run = harness(&RunConfig::small(), Family::Dlrc);
-        let any_panic = |_: &(dyn std::any::Any + Send), _: &str| Some(FailureKind::Panic);
-        assert!(run.record_unwind(0, Box::new("first"), None, any_panic));
-        assert!(run.record_unwind(1, Box::new("second".to_owned()), report_of(1), any_panic));
+        assert!(!run.is_stopped());
+        run.record_unwind(0, Box::new("first"), None, Some(FailureKind::Panic));
+        assert!(run.is_stopped(), "recording is stopping");
+        run.record_unwind(
+            1,
+            Box::new("second".to_owned()),
+            report_of(1),
+            Some(FailureKind::Panic),
+        );
         // The culprit's own later unwind (a lockstep culprit tears down
         // with everyone else) and a structural failure lose the slot too.
         run.record_failure(
@@ -289,24 +297,75 @@ mod tests {
 
     #[test]
     fn secondary_unwinds_are_not_root_causes() {
-        struct Token;
         let run = harness(&RunConfig::small(), Family::Lockstep);
-        let root = run.record_unwind(2, Box::new(Token), report_of(2), |p, message| {
-            assert_eq!(message, "panic with non-string payload");
-            (!p.is::<Token>()).then_some(FailureKind::Panic)
-        });
-        assert!(!root);
+        // The harness's own token, whatever kind the backend passes, and
+        // the backend's own (`None`): neither is a root cause.
+        run.record_unwind(2, Box::new(Stopped), report_of(2), Some(FailureKind::Panic));
+        run.record_unwind(3, Box::new("a backend's token"), report_of(3), None);
+        assert!(!run.is_stopped(), "a secondary unwind is not a root cause");
         assert!(run.take_run_error("test").is_none());
-        // Classification decides the kind as well.
-        run.record_unwind(0, Box::new("starved".to_owned()), None, |_, m| {
-            m.starts_with("starved").then_some(FailureKind::Wedged)
-        });
+        // The caller decides the kind; the message is the payload's, and a
+        // payload that is no string still names its thread.
+        run.record_unwind(0, Box::new(42u32), None, Some(FailureKind::Wedged));
+        let err = run.take_run_error("test").expect("wedge recorded");
+        assert!(matches!(err, RunError::Wedged(_)));
+        assert_eq!(err.report().message, "panic with non-string payload");
+        assert_eq!(
+            err.report().peers.len(),
+            2,
+            "the tokens' states are diagnostics"
+        );
+    }
+
+    #[test]
+    fn a_stopped_run_unwinds_its_waiters_with_the_token() {
+        use std::sync::Arc;
+        let run = Arc::new(harness(&RunConfig::small(), Family::Native));
+        run.check_stop(); // not stopped: returns
+        let gate = Arc::new((parking_lot::Mutex::new(false), parking_lot::Condvar::new()));
+        let waiter = {
+            let (run, gate) = (Arc::clone(&run), Arc::clone(&gate));
+            std::thread::spawn(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut open = gate.0.lock();
+                    run.wait_until(&gate.1, &mut open, 1, |open| *open, |_| unreachable!());
+                }))
+            })
+        };
+        // Nobody notifies the condvar: the poll alone observes the stop.
+        run.record_failure(
+            FailureKind::Wedged,
+            0,
+            "stuck".into(),
+            None,
+            Vec::new(),
+            Vec::new(),
+        );
+        let payload = waiter.join().expect("caught").expect_err("waiter unwinds");
+        assert!(payload.is::<Stopped>());
+    }
+
+    #[test]
+    fn a_wait_that_outlives_the_bound_records_the_wedge_it_describes() {
+        let run = harness(&cfg(|c| c.deadlock_after_ms = Some(30)), Family::Native);
+        let (m, cv) = (parking_lot::Mutex::new(7u32), parking_lot::Condvar::new());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run.wait_until(
+                &cv,
+                &mut m.lock(),
+                3,
+                |_| false,
+                |v| (format!("stuck on {v}"), Vec::new()),
+            );
+        }));
+        assert!(unwound
+            .expect_err("unwinds on the next poll")
+            .is::<Stopped>());
         let err = run.take_run_error("test").expect("wedge recorded");
         assert!(matches!(err, RunError::Wedged(_)));
         assert_eq!(
-            err.report().peers.len(),
-            1,
-            "the token's state is a diagnostic"
+            (err.report().tid, err.report().message.as_str()),
+            (3, "stuck on 7")
         );
     }
 
@@ -362,7 +421,7 @@ mod tests {
         assert!(run.trace_sink.is_none() && run.obs_sink.is_none());
         let h = ThreadHarness::new(&run, 0);
         assert!(!h.metered() && h.start().is_none());
-        run.record_unwind(1, Box::new("boom"), None, |_, _| Some(FailureKind::Panic));
+        run.record_unwind(1, Box::new("boom"), None, Some(FailureKind::Panic));
         let done = finish(&run, h);
         assert!(done.trace.is_none());
         assert!(done
@@ -426,9 +485,7 @@ mod tests {
             }),
             Family::Dlrc,
         );
-        run.record_unwind(1, Box::new("boom"), report_of(1), |_, _| {
-            Some(FailureKind::Panic)
-        });
+        run.record_unwind(1, Box::new("boom"), report_of(1), Some(FailureKind::Panic));
         let mut h = ThreadHarness::new(&run, 0);
         h.sample(Phase::SyncOp, 10);
         let done = finish(&run, h);

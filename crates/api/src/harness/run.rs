@@ -1,16 +1,29 @@
 //! Per-run harness state: resolved config, sinks, OS handles, the
-//! failure slot and the run tail.
+//! failure slot, the stop protocol and the run tail.
 
 use crate::{
     ConfigError, FailureKind, FailureReport, FaultPlan, RaceReport, RunConfig, RunError, RunOutput,
     Stats, ThreadReport, Tid, TracedRun, WaitEdge,
 };
+use parking_lot::Condvar;
 use rfdet_obs::ObsSink;
 use rfdet_trace::{persist, FailureSummary, RunTrace, TraceSink, KIND_NONE};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
+use std::panic::panic_any;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// Poll period of [`RunHarness::wait_until`].
+const POLL: Duration = Duration::from_millis(10);
+
+/// The unwind payload of a thread torn down because the run has already
+/// failed ([`RunHarness::check_stop`]): a secondary unwind, never a root
+/// cause.
+#[derive(Debug)]
+pub struct Stopped;
 
 /// The backend families: only the DLRC core has a knob race detection
 /// overrides.
@@ -71,6 +84,12 @@ pub struct RunHarness {
     /// Best-effort states of threads that unwound *after* the root cause
     /// was recorded (excluded from the report digest).
     peers: Mutex<BTreeMap<Tid, ThreadReport>>,
+    /// Set once a failure is in the slot: the run is over, every thread
+    /// unwinds with [`Stopped`] at its next [`Self::check_stop`].
+    stopped: AtomicBool,
+    /// Wall-clock bound on one supervised wait
+    /// ([`RunConfig::deadlock_after`]).
+    wedge_after: Option<Duration>,
 }
 
 impl RunHarness {
@@ -103,6 +122,8 @@ impl RunHarness {
             handles: Mutex::default(),
             failure: Mutex::default(),
             peers: Mutex::default(),
+            stopped: AtomicBool::new(false),
+            wedge_after: cfg.deadlock_after(),
             cfg,
         })
     }
@@ -120,9 +141,55 @@ impl RunHarness {
         lock(&self.handles).remove(&tid)
     }
 
-    /// Records a failure. The first one is the run's root cause; a later
-    /// one only contributes its culprit state as a peer diagnostic.
-    /// Stopping the run is the caller's job.
+    /// `true` once a failure has been recorded.
+    pub fn is_stopped(&self) -> bool {
+        self.stopped.load(SeqCst)
+    }
+
+    /// Unwinds with a [`Stopped`] token if the run has failed.
+    pub fn check_stop(&self) {
+        if self.is_stopped() {
+            panic_any(Stopped);
+        }
+    }
+
+    /// The one supervised wait loop: blocks on `cv` until `done` holds
+    /// for the guarded state, polling on a short period — so a stopped
+    /// run unwinds the waiter with a [`Stopped`] token within `POLL`
+    /// even if nobody notifies `cv`. A wait that outlives the wedge bound
+    /// records a `Wedged` failure with the message and wait-for graph
+    /// `stuck` reads off the guarded state (then unwinds on the next
+    /// poll).
+    pub fn wait_until<T>(
+        &self,
+        cv: &Condvar,
+        guard: &mut parking_lot::MutexGuard<'_, T>,
+        tid: Tid,
+        done: impl Fn(&T) -> bool,
+        stuck: impl Fn(&T) -> (String, Vec<WaitEdge>),
+    ) {
+        let deadline = self.wedge_after.map(|d| Instant::now() + d);
+        while !done(guard) {
+            self.check_stop();
+            let timed_out = cv.wait_for(guard, POLL).timed_out();
+            if timed_out && !done(guard) && deadline.is_some_and(|d| Instant::now() >= d) {
+                let (message, wait_graph) = stuck(guard);
+                self.record_failure(
+                    FailureKind::Wedged,
+                    tid,
+                    message,
+                    None,
+                    wait_graph,
+                    Vec::new(),
+                );
+            }
+        }
+    }
+
+    /// Records a failure and stops the run. The first one is the run's
+    /// root cause; a later one only contributes its culprit state as a
+    /// peer diagnostic. What is left to the backend is waking whichever
+    /// of its sleepers do not poll [`Self::is_stopped`].
     pub fn record_failure(
         &self,
         kind: FailureKind,
@@ -149,6 +216,8 @@ impl RunHarness {
         } else if let Some(c) = culprit {
             lock(&self.peers).entry(tid).or_insert(c);
         }
+        drop(slot);
+        self.stopped.store(true, SeqCst);
     }
 
     /// Records a structural deadlock: every one of the `live` remaining
@@ -167,29 +236,27 @@ impl RunHarness {
         self.record_failure(FailureKind::Deadlock, tid, message, None, wait_graph, cycle);
     }
 
-    /// Records a thread's unwind. `classify` sees the payload and its
-    /// message and names the root-cause kind, or `None` for the
-    /// secondary unwinds a backend's own stop mechanism produces in
-    /// peers — those only contribute `report` as a peer diagnostic.
-    /// Returns whether the unwind was classified as a root cause.
+    /// Records a thread's unwind as a root cause of `kind`, with the
+    /// payload's message. A [`Stopped`] payload, or `kind` `None` (the
+    /// backend recognised its own arbitration's stop token), is the
+    /// secondary unwind of an already-failed run and only contributes
+    /// `report` as a peer diagnostic.
     pub fn record_unwind(
         &self,
         tid: Tid,
         payload: Box<dyn Any + Send>,
         report: Option<ThreadReport>,
-        classify: impl FnOnce(&(dyn Any + Send), &str) -> Option<FailureKind>,
-    ) -> bool {
-        let message = payload_message(payload.as_ref());
-        match classify(payload.as_ref(), &message) {
+        kind: Option<FailureKind>,
+    ) {
+        match kind.filter(|_| !payload.is::<Stopped>()) {
             Some(kind) => {
+                let message = payload_message(payload.as_ref());
                 self.record_failure(kind, tid, message, report, Vec::new(), Vec::new());
-                true
             }
             None => {
                 if let Some(r) = report {
                     lock(&self.peers).entry(tid).or_insert(r);
                 }
-                false
             }
         }
     }

@@ -619,15 +619,15 @@ fn write_curves(b: &Bench) {
 /// `(out, quick, enforce)` from the command line.
 fn parse(args: &[String]) -> Result<(String, bool, bool), String> {
     let (mut out, mut quick, mut enforce) = ("bench.json".to_owned(), false, false);
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--out" => out = args.next().ok_or("--out expects a value")?.clone(),
+    rfdet_bench::each_flag(args, |flag, value| {
+        match flag {
+            "--out" => out = value()?.to_owned(),
             "--quick" => quick = true,
             "--enforce" => enforce = true,
             other => return Err(format!("unknown argument {other:?}")),
         }
-    }
+        Ok(())
+    })?;
     Ok((out, quick, enforce))
 }
 

@@ -1,23 +1,7 @@
 //! Flight-recorder CLI: record failing runs, replay persisted traces,
 //! and shrink their fault plans to minimal repros.
 //!
-//! ```text
-//! replay record <workload>[@threads] [--backend NAME] [--seed S]
-//!               [--checkpoint-every N] [--ckpt-dir DIR] [--timeout MS]
-//!               [--panic TID:OP]... [--jitter TID:OP:TICKS]...
-//!               [--fail-alloc TID:NTH]...
-//! replay replay <trace-file> [--timeout MS]
-//! replay shrink <trace-file>
-//! replay resume <ckpt-file> [--every N] [--timeout MS]
-//! replay shard  <ckpt-file> [-j N] [--timeout MS]
-//! replay failover <workload>[@threads] [--backend NAME] [--every N]
-//!               [--ckpt-dir DIR] [--timeout MS] [--panic TID:OP]...
-//!               [--fail-alloc TID:NTH]...
-//! replay sweep <workload>[@threads] [--backend NAME] [--plans N]
-//!              [--every N] [--timeout MS] [--out PATH]
-//! replay metrics <workload>[@threads] [--backend NAME] [--format json|prom]
-//! replay races <workload>[@threads] [--backend NAME] [--timeout MS]
-//! ```
+//! Verbs and flags are the rows of [`VERBS`]; `replay` alone prints them.
 //!
 //! `record` runs a workload with the recorder on; if the run fails the
 //! trace is persisted (honouring `RFDET_TRACE_DIR`, default
@@ -69,62 +53,64 @@
 
 use rfdet_api::trace::Checkpoint;
 use rfdet_api::{trace::persist, DmtBackend, FaultPlan, RunConfig, RunError, RunTrace, ThreadFn};
+use rfdet_bench::{each_flag, number};
 use rfdet_core::RfdetBackend;
 use rfdet_workloads::{by_name, Params, Size, Workload};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::time::{Duration, Instant};
 
-/// Divergence: a digest or schedule did not reproduce.
+// The exit codes of the module header.
 const EXIT_DIVERGED: i32 = 1;
-/// Usage error or unsupported backend/workload combination.
 const EXIT_USAGE: i32 = 2;
-/// File I/O or codec failure.
 const EXIT_IO: i32 = 3;
-/// The run wedged: `--timeout` exceeded or [`RunError::Wedged`].
 const EXIT_WEDGED: i32 = 4;
 
+/// Prints `error: <message>` and exits with `code` — the one way a verb
+/// gives up.
+fn die(code: i32, message: impl std::fmt::Display) -> ! {
+    eprintln!("error: {message}");
+    exit(code);
+}
+
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  \
-         replay record <workload>[@threads] [--backend NAME] [--seed S]\n    \
-           [--checkpoint-every N] [--ckpt-dir DIR] [--timeout MS]\n    \
-           [--panic TID:OP]... [--jitter TID:OP:TICKS]... [--fail-alloc TID:NTH]...\n  \
-         replay replay <trace-file> [--timeout MS]\n  \
-         replay shrink <trace-file>\n  \
-         replay resume <ckpt-file> [--every N] [--timeout MS]\n  \
-         replay shard  <ckpt-file> [-j N] [--timeout MS]\n  \
-         replay failover <workload>[@threads] [--backend NAME] [--every N]\n    \
-           [--ckpt-dir DIR] [--timeout MS] [--panic TID:OP]... [--fail-alloc TID:NTH]...\n  \
-         replay sweep <workload>[@threads] [--backend NAME] [--plans N]\n    \
-           [--every N] [--timeout MS] [--out PATH]\n  \
-         replay metrics <workload>[@threads] [--backend NAME] [--format json|prom]\n  \
-         replay races <workload>[@threads] [--backend NAME] [--timeout MS]\n\
-         exit codes: 0 ok, 1 diverged, 2 usage, 3 io, 4 wedged"
-    );
+    eprintln!("usage:");
+    for (synopsis, _) in VERBS {
+        eprintln!("  replay {synopsis}");
+    }
+    eprintln!("exit codes: 0 ok, 1 diverged, 2 usage, 3 io, 4 wedged");
     exit(EXIT_USAGE);
 }
 
-/// Runs `f` on a worker thread, bounding it to `ms` when given. A run
-/// that cannot finish in time is wedged by definition here: the process
-/// exits `4` and the stuck thread dies with it.
+/// Runs `f` on a worker thread, bounding it to `ms` when given; `None`
+/// when it did not finish in time (the stuck thread is leaked).
+fn try_with_timeout<T: Send + 'static>(
+    ms: Option<u64>,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> Option<T> {
+    let Some(ms) = ms else { return Some(f()) };
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_millis(ms)).ok()
+}
+
+/// [`try_with_timeout`] for the single-run verbs: a run that cannot
+/// finish in time is wedged by definition here, so the process exits `4`
+/// and the stuck thread dies with it.
 fn run_with_timeout<T: Send + 'static>(
     ms: Option<u64>,
     what: &str,
     f: impl FnOnce() -> T + Send + 'static,
 ) -> T {
-    let Some(ms) = ms else { return f() };
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(Duration::from_millis(ms)) {
-        Ok(v) => v,
-        Err(_) => {
-            eprintln!("error: {what} did not finish within {ms} ms: wedged");
-            exit(EXIT_WEDGED);
-        }
-    }
+    try_with_timeout(ms, f).unwrap_or_else(|| {
+        let ms = ms.unwrap_or(0);
+        die(
+            EXIT_WEDGED,
+            format!("{what} did not finish within {ms} ms: wedged"),
+        )
+    })
 }
 
 /// Maps a run failure to its exit code: wedged runs are a distinct
@@ -171,6 +157,13 @@ fn core_backend(name: &str) -> Option<RfdetBackend> {
     }
 }
 
+fn core_backend_or_die(name: &str) -> RfdetBackend {
+    core_backend(name).unwrap_or_else(|| {
+        let why = format!("backend {name:?} does not support checkpoint restore");
+        die(EXIT_USAGE, why)
+    })
+}
+
 /// Resolves a `name[@threads]` workload string (the form `record` puts
 /// in the trace) to its registry entry and parameters.
 fn resolve_workload(spec: &str) -> Option<(Workload, Params)> {
@@ -181,166 +174,171 @@ fn resolve_workload(spec: &str) -> Option<(Workload, Params)> {
     Some((by_name(name)?, Params::new(threads, Size::Test)))
 }
 
-fn make_root(w: &Workload, p: Params) -> ThreadFn {
-    (w.factory)(p)
+fn workload_or_die(spec: &str) -> (Workload, Params) {
+    resolve_workload(spec).unwrap_or_else(|| die(EXIT_USAGE, format!("unknown workload {spec:?}")))
 }
 
-fn parse_pair(s: &str) -> Option<(u32, u64)> {
-    let (a, b) = s.split_once(':')?;
-    Some((a.parse().ok()?, b.parse().ok()?))
+fn backend_or_die(name: &str) -> Box<dyn DmtBackend> {
+    backend_by_name(name).unwrap_or_else(|| die(EXIT_USAGE, format!("unknown backend {name:?}")))
 }
 
-fn parse_triple(s: &str) -> Option<(u32, u64, u64)> {
-    let mut it = s.splitn(3, ':');
-    let a = it.next()?.parse().ok()?;
-    let b = it.next()?.parse().ok()?;
-    let c = it.next()?.parse().ok()?;
-    Some((a, b, c))
+/// The per-tid resume bodies of a workload a checkpoint can restore.
+fn bodies_or_die(workload: &Workload, params: Params, why: &str) -> ResumeBodies {
+    rfdet_workloads::resume_bodies(workload.name, params).unwrap_or_else(|| {
+        let name = workload.name;
+        die(
+            EXIT_USAGE,
+            format!("workload {name:?} is not resumable{why}"),
+        )
+    })
 }
 
-fn load_or_die(path: &str) -> RunTrace {
-    match persist::load(Path::new(path)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot load trace {path}: {e}");
-            exit(EXIT_IO);
+/// Loads the trace at `path` and resolves the backend and workload it
+/// names.
+fn trace_setup(path: &str) -> (RunTrace, Box<dyn DmtBackend>, Workload, Params) {
+    let trace = persist::load(Path::new(path))
+        .unwrap_or_else(|e| die(EXIT_IO, format!("cannot load trace {path}: {e}")));
+    println!("{}", trace.summary());
+    let Some(backend) = backend_by_name(&trace.backend) else {
+        die(
+            EXIT_USAGE,
+            format!("trace names unknown backend {:?}", trace.backend),
+        );
+    };
+    let Some((workload, params)) = resolve_workload(&trace.workload) else {
+        die(
+            EXIT_USAGE,
+            format!("trace names unknown workload {:?}", trace.workload),
+        );
+    };
+    (trace, backend, workload, params)
+}
+
+/// Every flag any verb takes, parsed once. Which of them a verb accepts
+/// is its row of [`VERBS`]; the rest keep their defaults.
+#[derive(Default)]
+struct Flags {
+    backend: String,
+    seed: Option<u64>,
+    timeout: Option<u64>,
+    /// `--every`, and `record`'s `--checkpoint-every`.
+    every: Option<u64>,
+    ckpt_dir: Option<PathBuf>,
+    plan: FaultPlan,
+    jobs: Option<usize>,
+    plans: Option<usize>,
+    out: Option<PathBuf>,
+    format: Option<String>,
+}
+
+/// A fault-plan coordinate `TID:A[:B]` with exactly `N` numbers after
+/// the thread.
+fn coord<const N: usize>(s: &str) -> Option<(u32, [u64; N])> {
+    let (tid, rest) = s.split_once(':')?;
+    let mut parts = rest.splitn(N, ':');
+    let mut nums = [0; N];
+    for n in &mut nums {
+        *n = parts.next()?.parse().ok()?;
+    }
+    Some((tid.parse().ok()?, nums))
+}
+
+/// Parses a verb's flags, strictly: a flag its synopsis does not show, a
+/// missing value or a value that does not parse is a usage error (exit
+/// 2) — never a silent default.
+fn parse_flags(synopsis: &str, args: &[String]) -> Flags {
+    /// A flag's value, parsed; the error is left empty because a bare
+    /// `usage()` is what these flags have always answered with.
+    fn val<T: std::str::FromStr>(v: Result<&str, String>) -> Result<T, String> {
+        v.ok().and_then(|v| v.parse().ok()).ok_or_else(String::new)
+    }
+    let mut f = Flags {
+        backend: "RFDet-ci".to_owned(),
+        ..Flags::default()
+    };
+    let parsed = each_flag(args, |flag, value| {
+        if !synopsis.contains(&format!("[{flag} ")) {
+            return Err(String::new());
+        }
+        match flag {
+            "--backend" => f.backend = val(value())?,
+            // A seed that does not parse must not fall back to an
+            // unjittered run: the recording would look seeded.
+            "--seed" => f.seed = Some(number(flag, value().unwrap_or_default())?),
+            "--timeout" => f.timeout = Some(val(value())?),
+            "--every" | "--checkpoint-every" => f.every = Some(val(value())?),
+            "--ckpt-dir" => f.ckpt_dir = Some(val(value())?),
+            "-j" => f.jobs = Some(val(value())?),
+            "--plans" => f.plans = Some(val(value())?),
+            "--out" => f.out = Some(val(value())?),
+            "--format" => f.format = Some(val(value())?),
+            "--panic" | "--fail-alloc" => {
+                let (tid, [n]) = value().ok().and_then(coord).ok_or_else(String::new)?;
+                let plan = std::mem::take(&mut f.plan);
+                f.plan = match flag {
+                    "--panic" => plan.panic_at(tid, n),
+                    _ => plan.fail_alloc(tid, n),
+                };
+            }
+            "--jitter" => {
+                let (tid, [op, ticks]) = value().ok().and_then(coord).ok_or_else(String::new)?;
+                f.plan = std::mem::take(&mut f.plan).jitter_at(tid, op, ticks);
+            }
+            _ => unreachable!("{flag} is in a synopsis but has no parser"),
+        }
+        Ok(())
+    });
+    match parsed {
+        Ok(()) => f,
+        Err(message) if message.is_empty() => usage(),
+        Err(message) => {
+            eprintln!("error: {message}");
+            usage()
         }
     }
 }
 
 fn load_ckpt_or_die(path: &Path) -> Checkpoint {
-    match persist::load_checkpoint(path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot load checkpoint {}: {e}", path.display());
-            exit(EXIT_IO);
-        }
-    }
+    persist::load_checkpoint(path).unwrap_or_else(|e| {
+        let path = path.display();
+        die(EXIT_IO, format!("cannot load checkpoint {path}: {e}"))
+    })
 }
 
-/// Resolves a checkpoint's workload to its per-tid resume bodies, or
-/// exits: both failures are configuration errors, not divergence.
-fn resume_setup(ckpt: &Checkpoint) -> (RfdetBackend, ResumeBodies) {
-    let Some(backend) = core_backend(&ckpt.backend) else {
-        eprintln!(
-            "error: backend {:?} does not support checkpoint restore",
-            ckpt.backend
-        );
-        exit(EXIT_USAGE);
-    };
+/// Resolves a checkpoint's backend and workload, or exits: both failures
+/// are configuration errors, not divergence.
+fn resume_setup(ckpt: &Checkpoint) -> (RfdetBackend, Workload, Params, ResumeBodies) {
+    let backend = core_backend_or_die(&ckpt.backend);
     let Some((workload, params)) = resolve_workload(&ckpt.workload) else {
-        eprintln!(
-            "error: checkpoint names unknown workload {:?}",
-            ckpt.workload
+        die(
+            EXIT_USAGE,
+            format!("checkpoint names unknown workload {:?}", ckpt.workload),
         );
-        exit(EXIT_USAGE);
     };
-    let Some(bodies) = rfdet_workloads::resume_bodies(workload.name, params) else {
-        eprintln!(
-            "error: workload {:?} is not resumable (its control state does not \
-             live in deterministic memory)",
-            workload.name
-        );
-        exit(EXIT_USAGE);
-    };
-    (backend, bodies)
+    let why = " (its control state does not live in deterministic memory)";
+    let bodies = bodies_or_die(&workload, params, why);
+    (backend, workload, params, bodies)
 }
 
 type ResumeBodies = Box<dyn Fn(rfdet_api::Tid) -> ThreadFn + Send + Sync>;
 
-fn cmd_record(args: &[String]) -> i32 {
-    let Some(spec) = args.first() else { usage() };
-    let Some((workload, params)) = resolve_workload(spec) else {
-        eprintln!("error: unknown workload {spec:?}");
-        return 2;
-    };
-    let mut backend_name = "RFDet-ci".to_owned();
-    let mut plan = FaultPlan::new();
-    let mut seed = None;
-    let mut checkpoint_every = 0u64;
-    let mut ckpt_dir: Option<PathBuf> = None;
-    let mut timeout = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--backend" => {
-                backend_name = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--seed" => {
-                // A seed that does not parse must not fall back to an
-                // unjittered run: the recording would look seeded.
-                let v = args.get(i + 1).map_or("", String::as_str);
-                seed = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("error: --seed expects a number, got {v:?}");
-                    usage()
-                }));
-                i += 2;
-            }
-            "--timeout" => {
-                timeout = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-                i += 2;
-            }
-            "--checkpoint-every" => {
-                checkpoint_every = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--ckpt-dir" => {
-                ckpt_dir = Some(PathBuf::from(
-                    args.get(i + 1).cloned().unwrap_or_else(|| usage()),
-                ));
-                i += 2;
-            }
-            "--panic" => {
-                let (tid, op) = args
-                    .get(i + 1)
-                    .and_then(|s| parse_pair(s))
-                    .unwrap_or_else(|| usage());
-                plan = plan.panic_at(tid, op);
-                i += 2;
-            }
-            "--jitter" => {
-                let (tid, op, ticks) = args
-                    .get(i + 1)
-                    .and_then(|s| parse_triple(s))
-                    .unwrap_or_else(|| usage());
-                plan = plan.jitter_at(tid, op, ticks);
-                i += 2;
-            }
-            "--fail-alloc" => {
-                let (tid, nth) = args
-                    .get(i + 1)
-                    .and_then(|s| parse_pair(s))
-                    .unwrap_or_else(|| usage());
-                plan = plan.fail_alloc(tid, nth);
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
-    let Some(backend) = backend_by_name(&backend_name) else {
-        eprintln!("error: unknown backend {backend_name:?}");
-        return 2;
-    };
+fn cmd_record(spec: &str, f: Flags) -> i32 {
+    let (workload, params) = workload_or_die(spec);
+    let backend = backend_or_die(&f.backend);
     let mut cfg = cli_config();
-    cfg.fault_plan = plan;
-    cfg.jitter_seed = seed;
+    cfg.fault_plan = f.plan;
+    cfg.jitter_seed = f.seed;
     cfg.trace = Some(format!("{}@{}", workload.name, params.threads));
-    cfg.checkpoint_every = checkpoint_every;
-    cfg.checkpoint_dir = ckpt_dir;
-    if checkpoint_every > 0 && !backend.supports_checkpoints() {
-        eprintln!("error: backend {backend_name:?} does not support checkpoints");
-        return EXIT_USAGE;
+    cfg.checkpoint_every = f.every.unwrap_or(0);
+    cfg.checkpoint_dir = f.ckpt_dir;
+    if cfg.checkpoint_every > 0 && !backend.supports_checkpoints() {
+        die(
+            EXIT_USAGE,
+            format!("backend {:?} does not support checkpoints", f.backend),
+        );
     }
-    let run = run_with_timeout(timeout, "record", move || {
-        backend.run_traced(&cfg, make_root(&workload, params))
+    let run = run_with_timeout(f.timeout, "record", move || {
+        backend.run_traced(&cfg, (workload.factory)(params))
     });
     for w in &run.warnings {
         eprintln!("warning: {w}");
@@ -374,23 +372,12 @@ fn cmd_record(args: &[String]) -> i32 {
     }
 }
 
-fn cmd_replay(args: &[String]) -> i32 {
-    let Some(path) = args.first() else { usage() };
-    let timeout = parse_timeout(&args[1..]);
-    let trace = load_or_die(path);
-    println!("{}", trace.summary());
-    let Some(backend) = backend_by_name(&trace.backend) else {
-        eprintln!("error: trace names unknown backend {:?}", trace.backend);
-        return EXIT_USAGE;
-    };
-    let Some((workload, params)) = resolve_workload(&trace.workload) else {
-        eprintln!("error: trace names unknown workload {:?}", trace.workload);
-        return EXIT_USAGE;
-    };
+fn cmd_replay(path: &str, f: Flags) -> i32 {
+    let (trace, backend, workload, params) = trace_setup(path);
     let replay = {
-        let root = make_root(&workload, params);
+        let root = (workload.factory)(params);
         let trace = trace.clone();
-        run_with_timeout(timeout, "replay", move || backend.replay(&trace, root))
+        run_with_timeout(f.timeout, "replay", move || backend.replay(&trace, root))
     };
     let digest = match &replay.result {
         Ok(out) => out.output_digest(),
@@ -416,65 +403,21 @@ fn cmd_replay(args: &[String]) -> i32 {
         0
     } else {
         println!("REPLAY FAILED");
-        match &replay.result {
-            // A replay that wedged did not diverge — it never finished.
-            Err(RunError::Wedged(_)) => EXIT_WEDGED,
-            _ => EXIT_DIVERGED,
-        }
+        // A replay that wedged did not diverge — it never finished.
+        let failure = replay.result.as_ref().err();
+        failure.map_or(EXIT_DIVERGED, failure_code)
     }
 }
 
-/// Parses a trailing `--timeout MS` flag (shared by the run-executing
-/// verbs); any other flag here is a usage error.
-fn parse_timeout(args: &[String]) -> Option<u64> {
-    let mut timeout = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--timeout" => {
-                timeout = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
-    timeout
-}
-
-/// `replay resume <ckpt-file>`: crash recovery. Rebuilds the run at the
-/// checkpoint's consistent cut and lets it finish under the recorded
-/// config — minus the fault plan, because the plan is what killed it.
-fn cmd_resume(args: &[String]) -> i32 {
-    let Some(path) = args.first() else { usage() };
-    let mut timeout = None;
-    let mut every = 0u64;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--timeout" => {
-                timeout = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--every" => {
-                every = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
+/// Resumes under the recorded config minus the fault plan, because the
+/// plan is what killed the run.
+fn cmd_resume(path: &str, f: Flags) -> i32 {
     let ckpt = load_ckpt_or_die(Path::new(path));
     println!("{}", ckpt.summary());
-    let (backend, bodies) = resume_setup(&ckpt);
+    let (backend, _, _, bodies) = resume_setup(&ckpt);
     let mut cfg = RunConfig::from_checkpoint(&ckpt);
-    cfg.checkpoint_every = every;
-    let run = run_with_timeout(timeout, "resume", move || {
+    cfg.checkpoint_every = f.every.unwrap_or(0);
+    let run = run_with_timeout(f.timeout, "resume", move || {
         backend.run_resumed(&cfg, &ckpt, &|tid| bodies(tid))
     });
     for w in &run.warnings {
@@ -496,32 +439,8 @@ fn cmd_resume(args: &[String]) -> i32 {
     }
 }
 
-/// `replay shard <ckpt-file> -j N`: replays every inter-checkpoint
-/// window of the chain in parallel and proves each shard's terminal
-/// checkpoint bit-identical to the recorded one; the tail shard's
-/// output must match the serial replay, which also provides the
-/// wall-time baseline.
-fn cmd_shard(args: &[String]) -> i32 {
-    let Some(path) = args.first() else { usage() };
-    let mut jobs = 4usize;
-    let mut timeout = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-j" => {
-                jobs = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--timeout" => {
-                timeout = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
+fn cmd_shard(path: &str, f: Flags) -> i32 {
+    let jobs = f.jobs.unwrap_or(4);
     let anchor_path = Path::new(path);
     let anchor = load_ckpt_or_die(anchor_path);
     let dir = anchor_path.parent().unwrap_or_else(|| Path::new("."));
@@ -533,12 +452,13 @@ fn cmd_shard(args: &[String]) -> i32 {
     let every = chain[0].epoch;
     for (k, c) in chain.iter().enumerate() {
         if every == 0 || c.epoch != every * (k as u64 + 1) {
-            eprintln!(
-                "error: checkpoint chain is not a uniform cadence \
-                 (epochs {:?}); cannot shard",
-                chain.iter().map(|c| c.epoch).collect::<Vec<_>>()
+            let epochs: Vec<u64> = chain.iter().map(|c| c.epoch).collect();
+            die(
+                EXIT_USAGE,
+                format!(
+                    "checkpoint chain is not a uniform cadence (epochs {epochs:?}); cannot shard"
+                ),
             );
-            return EXIT_USAGE;
         }
     }
     println!(
@@ -546,15 +466,12 @@ fn cmd_shard(args: &[String]) -> i32 {
         chain.len(),
         anchor.run_key()
     );
-    let (backend, bodies) = resume_setup(&chain[0]);
-    let Some((workload, params)) = resolve_workload(&chain[0].workload) else {
-        unreachable!("resume_setup already resolved the workload");
-    };
+    let (backend, workload, params, bodies) = resume_setup(&chain[0]);
     let mut cfg = RunConfig::from_checkpoint(&chain[0]);
     cfg.checkpoint_every = every;
     cfg.persist_checkpoints = false;
 
-    run_with_timeout(timeout, "shard replay", move || {
+    run_with_timeout(f.timeout, "shard replay", move || {
         // Serial baseline: the full run, start to finish.
         let t0 = Instant::now();
         let serial = backend.run_traced(&cfg, (workload.factory)(params));
@@ -563,21 +480,25 @@ fn cmd_shard(args: &[String]) -> i32 {
             Ok(out) => out.output_digest(),
             Err(e) => {
                 println!("{e}");
-                eprintln!("error: serial replay failed; chain is not replayable");
-                return failure_code(e);
+                die(
+                    failure_code(e),
+                    "serial replay failed; chain is not replayable",
+                );
             }
         };
         for (k, c) in chain.iter().enumerate() {
+            let epoch = c.epoch;
             let Some(own) = serial.checkpoints.get(k) else {
-                eprintln!(
-                    "error: serial replay produced no epoch-{} checkpoint",
-                    c.epoch
+                die(
+                    EXIT_DIVERGED,
+                    format!("serial replay produced no epoch-{epoch} checkpoint"),
                 );
-                return EXIT_DIVERGED;
             };
             if own.digest() != c.digest() {
-                eprintln!("error: serial replay diverged at epoch {}", c.epoch);
-                return EXIT_DIVERGED;
+                die(
+                    EXIT_DIVERGED,
+                    format!("serial replay diverged at epoch {epoch}"),
+                );
             }
         }
 
@@ -603,21 +524,25 @@ fn cmd_shard(args: &[String]) -> i32 {
                 }
                 Ok(out) if k == n_shards - 1 => {
                     if out.output_digest() != serial_digest {
-                        eprintln!("error: tail shard output diverged from serial replay");
-                        return EXIT_DIVERGED;
+                        die(
+                            EXIT_DIVERGED,
+                            "tail shard output diverged from serial replay",
+                        );
                     }
                 }
                 Ok(_) => {
                     let Some(last) = run.checkpoints.last() else {
-                        eprintln!("error: shard {k} produced no terminal checkpoint");
-                        return EXIT_DIVERGED;
+                        die(
+                            EXIT_DIVERGED,
+                            format!("shard {k} produced no terminal checkpoint"),
+                        );
                     };
                     if last.digest() != chain[k].digest() {
-                        eprintln!(
-                            "error: shard {k} terminal checkpoint diverged at epoch {}",
-                            chain[k].epoch
+                        let epoch = chain[k].epoch;
+                        die(
+                            EXIT_DIVERGED,
+                            format!("shard {k} terminal checkpoint diverged at epoch {epoch}"),
                         );
-                        return EXIT_DIVERGED;
                     }
                 }
             }
@@ -630,140 +555,39 @@ fn cmd_shard(args: &[String]) -> i32 {
     })
 }
 
-fn cmd_shrink(args: &[String]) -> i32 {
-    let Some(path) = args.first() else { usage() };
-    let trace = load_or_die(path);
-    println!("{}", trace.summary());
-    let Some(backend) = backend_by_name(&trace.backend) else {
-        eprintln!("error: trace names unknown backend {:?}", trace.backend);
-        return 2;
+fn cmd_shrink(path: &str, _: Flags) -> i32 {
+    let (trace, backend, workload, params) = trace_setup(path);
+    let mut mk = || (workload.factory)(params);
+    let Some(min) = backend.shrink_plan(&trace, &mut mk) else {
+        println!("plan is already minimal (or the trace did not fail); nothing written");
+        return 0;
     };
-    let Some((workload, params)) = resolve_workload(&trace.workload) else {
-        eprintln!("error: trace names unknown workload {:?}", trace.workload);
-        return 2;
-    };
-    let mut mk = || make_root(&workload, params);
-    match backend.shrink_plan(&trace, &mut mk) {
-        Some(min) => {
-            let dir = Path::new(path)
-                .parent()
-                .unwrap_or_else(|| Path::new("."))
-                .to_path_buf();
-            match persist::save_in(&dir, &min, ".min") {
-                Ok(out) => {
-                    println!(
-                        "shrunk fault plan {} -> {} entries",
-                        trace.faults.len(),
-                        min.faults.len()
-                    );
-                    println!("MINTRACE {}", out.display());
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: cannot save minimized trace: {e}");
-                    2
-                }
-            }
-        }
-        None => {
-            println!("plan is already minimal (or the trace did not fail); nothing written");
-            0
-        }
-    }
+    let dir = Path::new(path).parent().unwrap_or_else(|| Path::new("."));
+    let out = persist::save_in(dir, &min, ".min")
+        .unwrap_or_else(|e| die(EXIT_USAGE, format!("cannot save minimized trace: {e}")));
+    let (from, to) = (trace.faults.len(), min.faults.len());
+    println!("shrunk fault plan {from} -> {to} entries");
+    println!("MINTRACE {}", out.display());
+    0
 }
 
-/// Like [`run_with_timeout`] but non-fatal: returns `None` on timeout
-/// (the stuck worker thread is leaked) so a sweep can classify one
-/// wedged plan and keep going instead of killing the whole process.
-fn try_with_timeout<T: Send + 'static>(
-    ms: u64,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> Option<T> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx.recv_timeout(Duration::from_millis(ms)).ok()
-}
-
-/// `replay failover <workload>`: the full record/kill/restore/replay
-/// cycle via [`rfdet_core::run_failover`], reported and exit-coded on
-/// byte-identical convergence.
-fn cmd_failover(args: &[String]) -> i32 {
-    let Some(spec) = args.first() else { usage() };
-    let Some((workload, params)) = resolve_workload(spec) else {
-        eprintln!("error: unknown workload {spec:?}");
-        return EXIT_USAGE;
-    };
-    let mut backend_name = "RFDet-ci".to_owned();
-    let mut plan = FaultPlan::new();
-    let mut every = 2u64;
-    let mut ckpt_dir: Option<PathBuf> = None;
-    let mut timeout = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--backend" => {
-                backend_name = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--every" => {
-                every = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--ckpt-dir" => {
-                ckpt_dir = Some(PathBuf::from(
-                    args.get(i + 1).cloned().unwrap_or_else(|| usage()),
-                ));
-                i += 2;
-            }
-            "--timeout" => {
-                timeout = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--panic" => {
-                let (tid, op) = args
-                    .get(i + 1)
-                    .and_then(|s| parse_pair(s))
-                    .unwrap_or_else(|| usage());
-                plan = plan.panic_at(tid, op);
-                i += 2;
-            }
-            "--fail-alloc" => {
-                let (tid, nth) = args
-                    .get(i + 1)
-                    .and_then(|s| parse_pair(s))
-                    .unwrap_or_else(|| usage());
-                plan = plan.fail_alloc(tid, nth);
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
-    let Some(backend) = core_backend(&backend_name) else {
-        eprintln!("error: backend {backend_name:?} does not support checkpoint restore");
-        return EXIT_USAGE;
-    };
-    let Some(bodies) = rfdet_workloads::resume_bodies(workload.name, params) else {
-        eprintln!("error: workload {:?} is not resumable", workload.name);
-        return EXIT_USAGE;
-    };
+fn cmd_failover(spec: &str, f: Flags) -> i32 {
+    let (workload, params) = workload_or_die(spec);
+    let backend = core_backend_or_die(&f.backend);
+    let bodies = bodies_or_die(&workload, params, "");
     let mut cfg = cli_config();
-    cfg.fault_plan = plan;
+    cfg.fault_plan = f.plan;
     cfg.trace = Some(format!("{}@{}", workload.name, params.threads));
-    cfg.checkpoint_every = every;
-    if let Some(dir) = ckpt_dir {
+    cfg.checkpoint_every = f.every.unwrap_or(2);
+    if let Some(dir) = f.ckpt_dir {
         cfg.persist_checkpoints = true;
         cfg.checkpoint_dir = Some(dir);
     }
-    let report = run_with_timeout(timeout, "failover", move || {
+    let report = run_with_timeout(f.timeout, "failover", move || {
         rfdet_core::run_failover(
             &backend,
             &cfg,
-            &move || make_root(&workload, params),
+            &move || (workload.factory)(params),
             &*bodies,
         )
     });
@@ -794,13 +618,30 @@ fn cmd_failover(args: &[String]) -> i32 {
     }
 }
 
-/// One sweep row: a fault-plan coordinate and its classified outcome.
-struct PlanRow {
-    kind: &'static str,
-    tid: u32,
-    op: u64,
-    outcome: &'static str,
-    epoch: Option<u64>,
+/// Re-runs a failed plan's run without its faults — resumed from the
+/// failed run's last checkpoint, from scratch when it took none — and
+/// names the epoch recovered from.
+fn recover(
+    backend: &RfdetBackend,
+    cfg: &RunConfig,
+    failed: &rfdet_api::TracedRun,
+    workload: Workload,
+    params: Params,
+) -> (Result<rfdet_api::RunOutput, RunError>, Option<u64>) {
+    let mut clean = cfg.clone();
+    clean.fault_plan = FaultPlan::new();
+    match failed.checkpoints.last() {
+        Some(ckpt) => {
+            let bodies = rfdet_workloads::resume_bodies(workload.name, params)
+                .expect("sweep workloads are resumable");
+            let resumed = backend.run_resumed(&clean, ckpt, &|tid| bodies(tid));
+            (resumed.result, Some(ckpt.epoch))
+        }
+        None => {
+            let rerun = backend.run_traced(&clean, (workload.factory)(params));
+            (rerun.result, None)
+        }
+    }
 }
 
 /// Classifies one non-jitter plan: converged (clean, digest matches the
@@ -813,39 +654,15 @@ fn classify_kill_plan(
     workload: Workload,
     params: Params,
 ) -> (&'static str, Option<u64>) {
-    let run = backend.run_traced(cfg, make_root(&workload, params));
-    match run.result {
-        Ok(out) => {
-            if out.output == reference {
-                ("converged", None)
-            } else {
-                ("diverged", None)
-            }
-        }
+    let run = backend.run_traced(cfg, (workload.factory)(params));
+    match &run.result {
+        Ok(out) if out.output == reference => ("converged", None),
+        Ok(_) => ("diverged", None),
         Err(RunError::Wedged(_)) => ("wedged", None),
-        Err(_) => {
-            let mut clean = cfg.clone();
-            clean.fault_plan = FaultPlan::new();
-            let (resumed, epoch) = match run.checkpoints.last() {
-                Some(ckpt) => {
-                    let bodies = rfdet_workloads::resume_bodies(workload.name, params)
-                        .expect("sweep workloads are resumable");
-                    (
-                        backend.run_resumed(&clean, ckpt, &|tid| bodies(tid)),
-                        Some(ckpt.epoch),
-                    )
-                }
-                None => (
-                    backend.run_traced(&clean, make_root(&workload, params)),
-                    None,
-                ),
-            };
-            match resumed.result {
-                Ok(out) if out.output == reference => ("recovered", epoch),
-                Ok(_) => ("diverged", epoch),
-                Err(_) => ("diverged", epoch),
-            }
-        }
+        Err(_) => match recover(backend, cfg, &run, workload, params) {
+            (Ok(out), epoch) if out.output == reference => ("recovered", epoch),
+            (_, epoch) => ("diverged", epoch),
+        },
     }
 }
 
@@ -860,100 +677,36 @@ fn classify_jitter_plan(
     workload: Workload,
     params: Params,
 ) -> (&'static str, Option<u64>) {
-    let a = backend.run_traced(cfg, make_root(&workload, params));
-    let b = backend.run_traced(cfg, make_root(&workload, params));
+    let a = backend.run_traced(cfg, (workload.factory)(params));
+    let b = backend.run_traced(cfg, (workload.factory)(params));
     match (&a.result, &b.result) {
-        (Ok(x), Ok(y)) => {
-            if x.output == y.output {
-                ("converged", None)
-            } else {
-                ("diverged", None)
-            }
-        }
+        (Ok(x), Ok(y)) if x.output == y.output => ("converged", None),
         (Err(RunError::Wedged(_)), _) | (_, Err(RunError::Wedged(_))) => ("wedged", None),
-        (Err(x), Err(y)) => {
-            if x.report().report_digest() != y.report().report_digest() {
-                return ("diverged", None);
+        (Err(x), Err(y)) if x.report().report_digest() == y.report().report_digest() => {
+            if a.checkpoints.is_empty() {
+                return ("recovered", None);
             }
-            let mut clean = cfg.clone();
-            clean.fault_plan = FaultPlan::new();
-            match a.checkpoints.last() {
-                Some(ckpt) => {
-                    let bodies = rfdet_workloads::resume_bodies(workload.name, params)
-                        .expect("sweep workloads are resumable");
-                    let resumed = backend.run_resumed(&clean, ckpt, &|tid| bodies(tid));
-                    match resumed.result {
-                        Ok(_) => ("recovered", Some(ckpt.epoch)),
-                        Err(_) => ("diverged", Some(ckpt.epoch)),
-                    }
-                }
-                None => ("recovered", None),
+            match recover(backend, cfg, &a, workload, params) {
+                (Ok(_), epoch) => ("recovered", epoch),
+                (Err(_), epoch) => ("diverged", epoch),
             }
         }
         _ => ("diverged", None),
     }
 }
 
-/// `replay sweep <workload>`: enumerate the fault-plan grid
-/// (kind × thread × sync-op stratum), classify every plan, write the
-/// JSON report, and fail on any diverged or wedged outcome.
-fn cmd_sweep(args: &[String]) -> i32 {
-    let Some(spec) = args.first() else { usage() };
-    let Some((workload, params)) = resolve_workload(spec) else {
-        eprintln!("error: unknown workload {spec:?}");
-        return EXIT_USAGE;
+fn cmd_sweep(spec: &str, f: Flags) -> i32 {
+    let (workload, params) = workload_or_die(spec);
+    let (backend_name, every) = (f.backend, f.every.unwrap_or(2));
+    let timeout_ms = f.timeout.unwrap_or(10_000);
+    let Some(backend) = core_backend(&backend_name) else {
+        die(
+            EXIT_USAGE,
+            format!("sweep needs a checkpoint-capable backend (RFDet*), got {backend_name:?}"),
+        );
     };
-    let mut backend_name = "RFDet-ci".to_owned();
-    let mut every = 2u64;
-    let mut timeout_ms = 10_000u64;
-    let mut max_plans: Option<usize> = None;
-    let mut out_path: Option<PathBuf> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--backend" => {
-                backend_name = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--every" => {
-                every = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--timeout" => {
-                timeout_ms = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--plans" => {
-                max_plans = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-                i += 2;
-            }
-            "--out" => {
-                out_path = Some(PathBuf::from(
-                    args.get(i + 1).cloned().unwrap_or_else(|| usage()),
-                ));
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
-    if core_backend(&backend_name).is_none() {
-        eprintln!("error: sweep needs a checkpoint-capable backend (RFDet*), got {backend_name:?}");
-        return EXIT_USAGE;
-    }
-    if rfdet_workloads::resume_bodies(workload.name, params).is_none() {
-        eprintln!("error: workload {:?} is not resumable", workload.name);
-        return EXIT_USAGE;
-    }
+    // Checked up front; `recover` resolves the bodies per plan.
+    let _ = bodies_or_die(&workload, params, "");
 
     let mut cfg = cli_config();
     cfg.trace = Some(format!("{}@{}", workload.name, params.threads));
@@ -961,20 +714,17 @@ fn cmd_sweep(args: &[String]) -> i32 {
 
     // The unfaulted reference replica every kill plan must converge to.
     let reference = {
-        let backend = core_backend(&backend_name).expect("checked above");
         let cfg = cfg.clone();
-        let Some(run) = try_with_timeout(timeout_ms, move || {
-            backend.run_traced(&cfg, make_root(&workload, params))
-        }) else {
-            eprintln!("error: unfaulted reference run wedged");
-            return EXIT_WEDGED;
-        };
+        let run = try_with_timeout(Some(timeout_ms), move || {
+            backend.run_traced(&cfg, (workload.factory)(params))
+        })
+        .unwrap_or_else(|| die(EXIT_WEDGED, "unfaulted reference run wedged"));
         match run.result {
             Ok(out) => out.output,
-            Err(e) => {
-                eprintln!("error: unfaulted reference run failed: {e}");
-                return EXIT_DIVERGED;
-            }
+            Err(e) => die(
+                EXIT_DIVERGED,
+                format!("unfaulted reference run failed: {e}"),
+            ),
         }
     };
 
@@ -992,7 +742,7 @@ fn cmd_sweep(args: &[String]) -> i32 {
             }
         }
     }
-    if let Some(n) = max_plans {
+    if let Some(n) = f.plans {
         coords.truncate(n);
     }
 
@@ -1002,8 +752,9 @@ fn cmd_sweep(args: &[String]) -> i32 {
         workload.name,
         params.threads
     );
-    let mut rows: Vec<PlanRow> = Vec::new();
-    let mut counts = [0usize; 4]; // converged, recovered, diverged, wedged
+    // One report row per plan, and how many plans ended in each outcome.
+    let mut rows: Vec<String> = Vec::new();
+    let mut tally = std::collections::BTreeMap::<&str, usize>::new();
     for (kind, tid, op) in coords {
         let mut plan_cfg = cfg.clone();
         plan_cfg.fault_plan = match kind {
@@ -1012,9 +763,7 @@ fn cmd_sweep(args: &[String]) -> i32 {
             _ => FaultPlan::new().jitter_at(tid, op, JITTER_TICKS),
         };
         let reference = reference.clone();
-        let backend_name = backend_name.clone();
-        let (outcome, epoch) = try_with_timeout(timeout_ms, move || {
-            let backend = core_backend(&backend_name).expect("checked above");
+        let (outcome, epoch) = try_with_timeout(Some(timeout_ms), move || {
             if kind == "jitter" {
                 classify_jitter_plan(&backend, &plan_cfg, workload, params)
             } else {
@@ -1022,137 +771,88 @@ fn cmd_sweep(args: &[String]) -> i32 {
             }
         })
         .unwrap_or(("wedged", None));
-        let slot = match outcome {
-            "converged" => 0,
-            "recovered" => 1,
-            "diverged" => 2,
-            _ => 3,
-        };
-        counts[slot] += 1;
         if outcome == "diverged" || outcome == "wedged" {
             eprintln!("plan {kind} tid={tid} op={op}: {outcome}");
         }
-        rows.push(PlanRow {
-            kind,
-            tid,
-            op,
-            outcome,
-            epoch,
-        });
+        *tally.entry(outcome).or_default() += 1;
+        let epoch = epoch.map_or("null".to_owned(), |e| e.to_string());
+        rows.push(format!(
+            "    {{\"kind\": \"{kind}\", \"tid\": {tid}, \"op\": {op}, \
+             \"outcome\": \"{outcome}\", \"recovered_from_epoch\": {epoch}}}"
+        ));
     }
 
-    let out_path = out_path.unwrap_or_else(|| {
+    let out_path = f.out.unwrap_or_else(|| {
         PathBuf::from(format!(
             "results/sweep_{}_{}t.json",
             workload.name, params.threads
         ))
     });
-    let mut json = String::new();
-    use std::fmt::Write as _;
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"workload\": \"{}\",", workload.name);
-    let _ = writeln!(json, "  \"threads\": {},", params.threads);
-    let _ = writeln!(json, "  \"backend\": \"{backend_name}\",");
-    let _ = writeln!(json, "  \"checkpoint_every\": {every},");
-    let _ = writeln!(json, "  \"timeout_ms\": {timeout_ms},");
-    let _ = writeln!(
-        json,
-        "  \"grid\": {{\"kinds\": [\"panic\", \"fail_alloc\", \"jitter\"], \
-         \"jitter_ticks\": {JITTER_TICKS}, \"tids\": {}, \"op_strata\": {STRATA:?}}},",
-        params.threads + 1
+    let count = |outcome| tally.get(outcome).copied().unwrap_or(0);
+    let (converged, recovered) = (count("converged"), count("recovered"));
+    let (diverged, wedged) = (count("diverged"), count("wedged"));
+    let (name, threads, plans) = (workload.name, params.threads, rows.len());
+    let tids = threads + 1;
+    let rows_json = rows.join(",\n") + if rows.is_empty() { "" } else { "\n" };
+    let json = format!(
+        r#"{{
+  "workload": "{name}",
+  "threads": {threads},
+  "backend": "{backend_name}",
+  "checkpoint_every": {every},
+  "timeout_ms": {timeout_ms},
+  "grid": {{"kinds": ["panic", "fail_alloc", "jitter"], "jitter_ticks": {JITTER_TICKS}, "tids": {tids}, "op_strata": {STRATA:?}}},
+  "plans": {plans},
+  "outcomes": {{"converged": {converged}, "recovered": {recovered}, "diverged": {diverged}, "wedged": {wedged}}},
+  "rows": [
+{rows_json}  ]
+}}
+"#
     );
-    let _ = writeln!(json, "  \"plans\": {},", rows.len());
-    let _ = writeln!(
-        json,
-        "  \"outcomes\": {{\"converged\": {}, \"recovered\": {}, \"diverged\": {}, \"wedged\": {}}},",
-        counts[0], counts[1], counts[2], counts[3]
-    );
-    let _ = writeln!(json, "  \"rows\": [");
-    for (k, r) in rows.iter().enumerate() {
-        let epoch = r.epoch.map_or("null".to_owned(), |e| e.to_string());
-        let _ = writeln!(
-            json,
-            "    {{\"kind\": \"{}\", \"tid\": {}, \"op\": {}, \"outcome\": \"{}\", \
-             \"recovered_from_epoch\": {}}}{}",
-            r.kind,
-            r.tid,
-            r.op,
-            r.outcome,
-            epoch,
-            if k + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
     if let Some(parent) = out_path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
     if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!(
-            "error: cannot write sweep report {}: {e}",
-            out_path.display()
+        die(
+            EXIT_IO,
+            format!("cannot write sweep report {}: {e}", out_path.display()),
         );
-        return EXIT_IO;
     }
+    let verdict = if diverged + wedged == 0 {
+        "OK"
+    } else {
+        "FAILED"
+    };
     println!(
-        "SWEEP {}: {} converged, {} recovered, {} diverged, {} wedged -> {}",
-        if counts[2] == 0 && counts[3] == 0 {
-            "OK"
-        } else {
-            "FAILED"
-        },
-        counts[0],
-        counts[1],
-        counts[2],
-        counts[3],
+        "SWEEP {verdict}: {converged} converged, {recovered} recovered, {diverged} diverged, \
+         {wedged} wedged -> {}",
         out_path.display()
     );
-    if counts[3] > 0 {
+    if wedged > 0 {
         EXIT_WEDGED
-    } else if counts[2] > 0 {
+    } else if diverged > 0 {
         EXIT_DIVERGED
     } else {
         0
     }
 }
 
-fn cmd_metrics(args: &[String]) -> i32 {
-    let Some(spec) = args.first() else { usage() };
-    let Some((workload, params)) = resolve_workload(spec) else {
-        eprintln!("error: unknown workload {spec:?}");
-        return 2;
-    };
-    let mut backend_name = "RFDet-ci".to_owned();
-    let mut format = "json".to_owned();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--backend" => {
-                backend_name = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--format" => {
-                format = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
+fn cmd_metrics(spec: &str, f: Flags) -> i32 {
+    let (workload, params) = workload_or_die(spec);
+    let format = f.format.unwrap_or_else(|| "json".to_owned());
     if format != "json" && format != "prom" {
-        eprintln!("error: unknown format {format:?} (expected json or prom)");
-        return 2;
+        die(
+            EXIT_USAGE,
+            format!("unknown format {format:?} (expected json or prom)"),
+        );
     }
-    let Some(backend) = backend_by_name(&backend_name) else {
-        eprintln!("error: unknown backend {backend_name:?}");
-        return 2;
-    };
+    let backend = backend_or_die(&f.backend);
     let mut cfg = cli_config();
     cfg.metrics = true;
-    match backend.run(&cfg, make_root(&workload, params)) {
+    match backend.run(&cfg, (workload.factory)(params)) {
         Ok(out) => {
             let Some(snap) = out.metrics else {
-                eprintln!("error: metrics requested but no snapshot attached");
-                return 2;
+                die(EXIT_USAGE, "metrics requested but no snapshot attached");
             };
             if format == "prom" {
                 print!("{}", snap.to_prometheus());
@@ -1168,46 +868,21 @@ fn cmd_metrics(args: &[String]) -> i32 {
     }
 }
 
-/// `replay races <workload>`: one detecting run, a printed + persisted
-/// typed race report, and — for the seeded corpus — a ddmin-shrunk
-/// 1-minimal worker set that still reproduces the first race.
-fn cmd_races(args: &[String]) -> i32 {
-    let Some(spec) = args.first() else { usage() };
-    let Some((workload, params)) = resolve_workload(spec) else {
-        eprintln!("error: unknown workload {spec:?}");
-        return EXIT_USAGE;
-    };
-    let mut backend_name = "RFDet-ci".to_owned();
-    let mut timeout = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--backend" => {
-                backend_name = args.get(i + 1).cloned().unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--timeout" => {
-                timeout = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
-    let Some(backend) = backend_by_name(&backend_name) else {
-        eprintln!("error: unknown backend {backend_name:?}");
-        return EXIT_USAGE;
-    };
+fn cmd_races(spec: &str, f: Flags) -> i32 {
+    let (workload, params) = workload_or_die(spec);
+    let (backend_name, timeout) = (f.backend, f.timeout);
+    let backend = backend_or_die(&backend_name);
     if !backend.supports_race_detection() {
-        eprintln!(
-            "error: backend {backend_name:?} has no happens-before substrate to check against"
+        die(
+            EXIT_USAGE,
+            format!("backend {backend_name:?} has no happens-before substrate to check against"),
         );
-        return EXIT_USAGE;
     }
     let mut cfg = cli_config();
     cfg.detect_races = true;
     let out = {
         let cfg = cfg.clone();
-        let root = make_root(&workload, params);
+        let root = (workload.factory)(params);
         run_with_timeout(timeout, "race detection", move || backend.run(&cfg, root))
     };
     let out = match out {
@@ -1237,10 +912,7 @@ fn cmd_races(args: &[String]) -> i32 {
     );
     match persist::save_sidecar(&persist::trace_dir(), &name, &sidecar) {
         Ok(path) => println!("RACES {}", path.display()),
-        Err(e) => {
-            eprintln!("error: cannot persist race report: {e}");
-            return EXIT_IO;
-        }
+        Err(e) => die(EXIT_IO, format!("cannot persist race report: {e}")),
     }
     if out.races.is_empty() {
         println!("no races detected");
@@ -1274,19 +946,47 @@ fn cmd_races(args: &[String]) -> i32 {
     0
 }
 
+/// One verb: its synopsis — the verb's name, its argument, and the
+/// declaration of the flags it accepts (those shown as `[flag …]`) — and
+/// its body, called with the argument and the parsed flags.
+type Verb = (&'static str, fn(&str, Flags) -> i32);
+
+const VERBS: &[Verb] = &[
+    (
+        "record <workload>[@threads] [--backend NAME] [--seed S]\n    \
+         [--checkpoint-every N] [--ckpt-dir DIR] [--timeout MS]\n    \
+         [--panic TID:OP]... [--jitter TID:OP:TICKS]... [--fail-alloc TID:NTH]...",
+        cmd_record,
+    ),
+    ("replay <trace-file> [--timeout MS]", cmd_replay),
+    ("shrink <trace-file>", cmd_shrink),
+    ("resume <ckpt-file> [--every N] [--timeout MS]", cmd_resume),
+    ("shard  <ckpt-file> [-j N] [--timeout MS]", cmd_shard),
+    (
+        "failover <workload>[@threads] [--backend NAME] [--every N]\n    \
+         [--ckpt-dir DIR] [--timeout MS] [--panic TID:OP]... [--fail-alloc TID:NTH]...",
+        cmd_failover,
+    ),
+    (
+        "sweep <workload>[@threads] [--backend NAME] [--plans N]\n    \
+         [--every N] [--timeout MS] [--out PATH]",
+        cmd_sweep,
+    ),
+    (
+        "metrics <workload>[@threads] [--backend NAME] [--format json|prom]",
+        cmd_metrics,
+    ),
+    (
+        "races <workload>[@threads] [--backend NAME] [--timeout MS]",
+        cmd_races,
+    ),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("record") => cmd_record(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("shrink") => cmd_shrink(&args[1..]),
-        Some("resume") => cmd_resume(&args[1..]),
-        Some("shard") => cmd_shard(&args[1..]),
-        Some("failover") => cmd_failover(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..]),
-        Some("races") => cmd_races(&args[1..]),
-        _ => usage(),
+    let named = |v: &String| VERBS.iter().find(|(s, _)| s.split(' ').next() == Some(v));
+    let (Some(&(synopsis, body)), Some(arg)) = (args.first().and_then(named), args.get(1)) else {
+        usage()
     };
-    exit(code);
+    exit(body(arg, parse_flags(synopsis, &args[2..])));
 }

@@ -65,26 +65,20 @@ impl BenchOpts {
     /// Names the offending argument: an unknown flag, a flag missing its
     /// value, a non-numeric count, or an unknown size.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        fn count<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-            v.parse()
-                .map_err(|_| format!("{flag} expects a number, got {v:?}"))
-        }
         let mut opts = Self::default();
-        let mut args = args.iter();
-        while let Some(flag) = args.next() {
-            let mut value = || args.next().ok_or(format!("{flag} expects a value"));
-            match flag.as_str() {
-                "--threads" => opts.threads = count(flag, value()?)?,
-                "--reps" => opts.reps = count(flag, value()?)?,
-                "--runs" => opts.runs = count(flag, value()?)?,
+        each_flag(args, |flag, value| {
+            match flag {
+                "--threads" => opts.threads = number(flag, value()?)?,
+                "--reps" => opts.reps = number(flag, value()?)?,
+                "--runs" => opts.runs = number(flag, value()?)?,
                 "--size" => {
-                    opts.size = match value()?.as_str() {
+                    opts.size = match value()? {
                         "test" => Size::Test,
                         "bench" => Size::Bench,
                         other => return Err(format!("unknown size {other:?}")),
                     }
                 }
-                "--filter" => opts.filter = Some(value()?.clone()),
+                "--filter" => opts.filter = Some(value()?.to_owned()),
                 "--quick" => {
                     opts.reps = 1;
                     opts.runs = 5;
@@ -92,7 +86,8 @@ impl BenchOpts {
                 }
                 other => return Err(format!("unknown argument {other:?}")),
             }
-        }
+            Ok(())
+        })?;
         Ok(opts)
     }
 
@@ -107,6 +102,37 @@ impl BenchOpts {
                 .collect(),
         }
     }
+}
+
+/// The one command-line walker of this crate's binaries: calls
+/// `set(flag, value)` for each flag in turn, where `value()` consumes the
+/// flag's value — so a flag that takes none simply does not ask.
+///
+/// # Errors
+/// `set`'s error, or `"<flag> expects a value"` from a `value()` with
+/// nothing left to consume.
+pub fn each_flag<'a>(
+    args: &'a [String],
+    mut set: impl FnMut(&'a str, &mut dyn FnMut() -> Result<&'a str, String>) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            let v = args.next().ok_or(format!("{flag} expects a value"))?;
+            Ok(v.as_str())
+        };
+        set(flag, &mut value)?;
+    }
+    Ok(())
+}
+
+/// Parses a numeric flag value.
+///
+/// # Errors
+/// `"<flag> expects a number, got <v>"`.
+pub fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} expects a number, got {v:?}"))
 }
 
 /// The standard experiment configuration (16 MiB space, paper-like

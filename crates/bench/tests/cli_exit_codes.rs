@@ -59,6 +59,27 @@ fn non_numeric_seed_exits_usage_instead_of_recording_unjittered() {
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
+/// `resume`, `shard`, `failover` and `races` used to read `--timeout 5s`
+/// as "no timeout" and run with no watchdog at all; `shrink` ignored
+/// whatever followed its file. Every verb parses the same way now.
+#[test]
+fn an_unparsable_or_unaccepted_flag_is_a_usage_error_on_every_verb() {
+    let cases: [&[&str]; 6] = [
+        &["resume", "/nonexistent/x.ckpt", "--timeout", "5s"],
+        &["shard", "/nonexistent/x.ckpt", "--timeout", "5s"],
+        &["failover", "service.ledger@2", "--timeout", "5s"],
+        &["races", "chaos.lock_panic@2", "--timeout", "5s"],
+        &["shrink", "/nonexistent/trace.bin", "--timeout", "500"],
+        &["metrics", "chaos.lock_panic@2", "--every", "2"],
+    ];
+    for args in cases {
+        let out = replay(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("usage:"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn bench_json_out_without_a_value_exits_usage_instead_of_panicking() {
     let out = Command::new(env!("CARGO_BIN_EXE_bench_json"))

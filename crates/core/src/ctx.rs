@@ -214,12 +214,6 @@ impl RfdetCtx {
         ctx
     }
 
-    /// The deterministic thread ID.
-    #[must_use]
-    pub fn thread_id(&self) -> Tid {
-        self.tid
-    }
-
     /// Publishes both clocks (post-propagation and in-turn views agree at
     /// this point).
     pub(crate) fn publish_vcs(&self) {

@@ -1,13 +1,16 @@
 //! Run supervision: panics, deadlocks and wedges become typed failures.
 //!
 //! The supervisor turns the three ways a deterministic run can die into
-//! a [`RunError`] with every parked thread woken in bounded time:
+//! a [`RunError`](rfdet_api::RunError) with every parked thread woken in
+//! bounded time. Recording a failure in the run harness stops the run;
+//! what this family adds is waking Kendo's sleepers
+//! ([`KendoState::set_abort`](rfdet_kendo::KendoState::set_abort)):
 //!
 //! * **Panic** — the unwinding thread records its payload and
 //!   deterministic state here, then flips the Kendo abort flag, which
 //!   wakes every thread spinning in `wait_for_turn` or parked on a slot
-//!   condvar. First panic wins; the secondary "run aborted" unwinds it
-//!   triggers in peers only contribute best-effort peer diagnostics.
+//!   condvar. First panic wins; the [`Aborted`] unwinds it triggers in
+//!   peers only contribute best-effort peer diagnostics.
 //! * **Deadlock** — parked threads periodically run [`RuntimeShared::
 //!   check_deadlock`] from their idle callback. An epoch-stable Kendo
 //!   scan showing *every* live thread `Blocked` proves a stable
@@ -15,36 +18,40 @@
 //!   only persist); the wait-for graph is then read off the
 //!   deterministic sync queues — no wall clock involved.
 //! * **Wedge** — the wall-clock fallback (`deadlock_after_ms`) still
-//!   exists for runs that starve without a provable deadlock; the
-//!   kendo timeout panic is classified here by its message prefix.
+//!   exists for runs that starve without a provable deadlock; Kendo's
+//!   timeout unwinds with a [`Starved`] payload, recognised here by type.
 
 use crate::shared::RuntimeShared;
-use rfdet_api::{FailureKind, ThreadReport, Tid, WaitEdge, WaitTarget};
-
-/// Classifies a panic message into a root-cause kind, or `None` for the
-/// secondary unwinds the abort flag itself produces.
-fn classify(message: &str) -> Option<FailureKind> {
-    if message.starts_with("kendo: run aborted") {
-        None
-    } else if message.starts_with("kendo: thread") {
-        // The wall-clock starvation/park timeouts.
-        Some(FailureKind::Wedged)
-    } else {
-        Some(FailureKind::Panic)
-    }
-}
+use rfdet_api::{FailureKind, ThreadReport, Tid, WaitEdge};
+use rfdet_kendo::{Aborted, Starved};
+use std::any::Any;
 
 impl RuntimeShared {
     /// Records a thread's unwind (first root cause wins) and aborts the
     /// arbitration protocol so every other thread wakes and unwinds too.
+    /// The payload's type decides what the unwind was: Kendo's own
+    /// [`Aborted`] token is secondary, its [`Starved`] diagnosis is the
+    /// wall-clock wedge, anything else is the thread's own panic.
     pub fn record_panic(
         &self,
         tid: Tid,
-        payload: Box<dyn std::any::Any + Send>,
+        payload: Box<dyn Any + Send>,
         state: Option<ThreadReport>,
     ) {
-        self.run
-            .record_unwind(tid, payload, state, |_, message| classify(message));
+        match payload.downcast::<Starved>() {
+            Ok(starved) => self.run.record_failure(
+                FailureKind::Wedged,
+                tid,
+                starved.to_string(),
+                state,
+                Vec::new(),
+                Vec::new(),
+            ),
+            Err(other) => {
+                let kind = (!other.is::<Aborted>()).then_some(FailureKind::Panic);
+                self.run.record_unwind(tid, other, state, kind);
+            }
+        }
         self.kendo.set_abort();
         self.kendo.finish_forced(tid);
     }
@@ -69,69 +76,28 @@ impl RuntimeShared {
         self.kendo.set_abort();
     }
 
-    /// One wait-for edge per blocked thread, read from the sync queues,
-    /// sorted by waiter tid. Only sound once `blocked_snapshot`
-    /// succeeded (the queues are then quiescent).
+    /// One wait-for edge per blocked thread, read from the sync queues.
+    /// Only sound once `blocked_snapshot` succeeded (the queues are then
+    /// quiescent).
     fn wait_graph(&self) -> Vec<WaitEdge> {
-        let mut edges = Vec::new();
-        {
-            let mxs = self.queues.mutexes.lock();
-            let mut ids: Vec<u32> = mxs.keys().copied().collect();
-            ids.sort_unstable();
-            for id in ids {
-                let mx = &mxs[&id];
-                for &w in &mx.queue {
-                    edges.push(WaitEdge {
-                        waiter: w,
-                        target: WaitTarget::Mutex {
-                            id,
-                            holder: mx.owner,
-                        },
-                    });
-                }
-            }
-        }
-        {
-            let conds = self.queues.conds.lock();
-            let mut ids: Vec<u32> = conds.keys().copied().collect();
-            ids.sort_unstable();
-            for id in ids {
-                for &(w, _) in &conds[&id] {
-                    edges.push(WaitEdge {
-                        waiter: w,
-                        target: WaitTarget::Cond { id },
-                    });
-                }
-            }
-        }
-        {
-            let barriers = self.queues.barriers.lock();
-            let mut ids: Vec<u32> = barriers.keys().copied().collect();
-            ids.sort_unstable();
-            for id in ids {
-                for &(w, _) in barriers[&id].arrivals.iter() {
-                    edges.push(WaitEdge {
-                        waiter: w,
-                        target: WaitTarget::Barrier { id },
-                    });
-                }
-            }
-        }
-        {
-            let joins = self.queues.joins.lock();
-            let mut targets: Vec<Tid> = joins.waiters.keys().copied().collect();
-            targets.sort_unstable();
-            for target in targets {
-                for &w in &joins.waiters[&target] {
-                    edges.push(WaitEdge {
-                        waiter: w,
-                        target: WaitTarget::Join { target },
-                    });
-                }
-            }
-        }
-        edges.sort_by_key(|e| e.waiter);
-        edges
+        let q = &self.queues;
+        let (mutexes, conds) = (q.mutexes.lock(), q.conds.lock());
+        let (barriers, joins) = (q.barriers.lock(), q.joins.lock());
+        WaitEdge::graph(
+            mutexes
+                .iter()
+                .flat_map(|(&id, mx)| mx.queue.iter().map(move |&w| (w, id, mx.owner))),
+            conds
+                .iter()
+                .flat_map(|(&id, ws)| ws.iter().map(move |&(w, _)| (w, id))),
+            barriers
+                .iter()
+                .flat_map(|(&id, b)| b.arrivals.iter().map(move |&(w, _)| (w, id))),
+            joins
+                .waiters
+                .iter()
+                .flat_map(|(&target, ws)| ws.iter().map(move |&w| (w, target))),
+        )
     }
 }
 
@@ -146,17 +112,20 @@ mod tests {
         RuntimeShared::new(&cfg).expect("valid config")
     }
 
+    /// What `body` unwinds with.
+    fn unwind_of(body: impl FnOnce()) -> Box<dyn Any + Send> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).expect_err("unwinds")
+    }
+
     #[test]
     fn record_panic_aborts_for_root_causes_and_secondary_unwinds_alike() {
         let s = shared();
+        let h = s.kendo.register(0);
+        s.kendo.set_abort();
+        let token = unwind_of(|| s.kendo.wait_for_turn(&h));
+        let s = shared();
         let _h = s.kendo.register(0);
-        s.record_panic(
-            0,
-            Box::new(
-                "kendo: run aborted by supervisor (peer panic, deadlock, or wedge)".to_owned(),
-            ),
-            None,
-        );
+        s.record_panic(0, token, None);
         assert!(s.kendo.aborted(), "abort still propagates");
         assert!(
             s.run.take_run_error("test").is_none(),
@@ -172,16 +141,29 @@ mod tests {
     }
 
     #[test]
-    fn kendo_timeout_classifies_as_wedged() {
-        let s = shared();
-        let _h = s.kendo.register(0);
-        s.record_panic(
-            0,
-            Box::new("kendo: thread 0 starved waiting for its turn".to_owned()),
-            None,
-        );
+    fn kendo_starvation_is_wedged_by_type_and_a_lookalike_message_is_a_panic() {
+        let mut cfg = RunConfig::small();
+        cfg.deadlock_after_ms = Some(50);
+        let s = RuntimeShared::new(&cfg).expect("valid config");
+        let _leader = s.kendo.register(0); // never progresses
+        let starving = s.kendo.register(10);
+        s.record_panic(1, unwind_of(|| s.kendo.wait_for_turn(&starving)), None);
         let err = s.run.take_run_error("test").expect("wedge recorded");
         assert!(matches!(err, RunError::Wedged(_)));
+        let (message, diagnosis) = (
+            &err.report().message,
+            "kendo: thread 1 starved waiting for its turn for 50ms",
+        );
+        assert!(message.starts_with(diagnosis), "{message}");
+
+        for lookalike in ["kendo: thread 7 is unhappy", "kendo: run aborted by me"] {
+            let s = shared();
+            let _h = s.kendo.register(0);
+            s.record_panic(0, Box::new(lookalike.to_owned()), None);
+            let err = s.run.take_run_error("test").expect("root cause recorded");
+            assert!(matches!(err, RunError::WorkerPanicked(_)), "{lookalike}");
+            assert_eq!(err.report().message, lookalike);
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@ use crate::engine::{Arrival, ChildSeed, Engine, EngineMode, PendingOp};
 use rfdet_api::harness::PlannedPanic;
 use rfdet_api::obs::Phase;
 use rfdet_api::{
-    Addr, BarrierId, CondId, DmtCtx, MutexId, SyncOp, ThreadFn, ThreadHandle, ThreadHarness, Tid,
+    Addr, BarrierId, CondId, DmtCtx, FailureKind, MutexId, SyncOp, ThreadFn, ThreadHandle,
+    ThreadHarness, Tid,
 };
 use rfdet_mem::race::{ReadRun, ReadTracker};
 use rfdet_mem::{diff, ModRun, PrivateSpace, ThreadHeap};
@@ -162,16 +163,18 @@ impl DtCtx {
 
     /// Runs a thread's entry function to its exit operation. An unwind
     /// out of either is recorded and the thread taken out of the fence:
-    /// root-cause panics poison the engine (waking every parked peer);
-    /// `Poisoned` tokens just add diagnostics.
+    /// a root-cause panic stops the run (`force_exit` wakes every parked
+    /// peer); `Stopped` tokens just add diagnostics.
     pub fn run_body(&mut self, body: ThreadFn) {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             body(self);
             self.exit();
         }));
         if let Err(payload) = result {
+            let (report, kind) = (Some(self.h.report()), Some(FailureKind::Panic));
             self.engine
-                .record_worker_panic(self.tid, payload, self.h.report());
+                .run
+                .record_unwind(self.tid, payload, report, kind);
             self.engine.force_exit(self.tid);
         }
     }

@@ -4,22 +4,13 @@ use crate::detect::EngineDetect;
 use parking_lot::{Condvar, Mutex};
 use rfdet_api::harness::PlannedPanic;
 use rfdet_api::{
-    AtomicOp, ConfigError, FailureKind, RaceReport, RunConfig, RunHarness, ThreadFn, ThreadReport,
-    Tid, WaitEdge, WaitTarget,
+    AtomicOp, ConfigError, FailureKind, RaceReport, RunConfig, RunHarness, ThreadFn, Tid, WaitEdge,
 };
 use rfdet_mem::race::ReadRun;
 use rfdet_mem::{ModRun, PrivateSpace};
 use rfdet_meta::{MetaSpace, GC_THRESHOLD};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::panic::panic_any;
-use std::sync::atomic::AtomicBool;
-use std::sync::atomic::Ordering::{Relaxed, SeqCst};
-use std::time::Duration;
-
-/// Panic token used to tear down peers once the engine is poisoned. A
-/// recognizable payload lets the worker catch distinguish the secondary
-/// unwinds it causes from real (root-cause) panics.
-pub(crate) struct Poisoned;
+use std::sync::atomic::Ordering::Relaxed;
 
 /// What ends a parallel phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -154,14 +145,11 @@ pub(crate) struct Engine {
     pub mode: EngineMode,
     pub strips: rfdet_mem::StripAllocator,
     /// The run harness: resolved config (`run.cfg`), fault plan, sinks,
-    /// OS handles and the failure slot.
+    /// OS handles, the failure slot and the stop flag — once a failure is
+    /// recorded, every thread unwinds at its next engine interaction and
+    /// no further serial phases run. The engine's part of a stop is
+    /// `cv.notify_all()`, so fence waiters need not wait out a poll.
     pub run: RunHarness,
-    /// Wall-clock fallback for runs that stall without a provable
-    /// structural deadlock (`RunConfig::deadlock_after_ms`).
-    wedge_after: Option<Duration>,
-    /// Once set, every thread unwinds with a [`Poisoned`] token at its
-    /// next engine interaction; no further serial phases run.
-    poisoned: AtomicBool,
 }
 
 /// Everything a freshly spawned thread needs.
@@ -196,102 +184,28 @@ impl Engine {
             meta: MetaSpace::new(cfg.meta_capacity_bytes as usize, GC_THRESHOLD),
             mode,
             strips: rfdet_mem::StripAllocator::new(heap_base, cfg.space_bytes - heap_base),
-            wedge_after: cfg.deadlock_after(),
-            poisoned: AtomicBool::new(false),
             run,
         })
     }
 
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(SeqCst)
-    }
-
-    /// Records a failure (first root cause wins), poisons the engine and
-    /// wakes every parked thread so teardown is bounded.
-    fn fail(
-        &self,
-        kind: FailureKind,
-        tid: Tid,
-        message: String,
-        culprit: Option<ThreadReport>,
-        wait_graph: Vec<WaitEdge>,
-        cycle: Vec<Tid>,
-    ) {
-        self.run
-            .record_failure(kind, tid, message, culprit, wait_graph, cycle);
-        self.poison();
-    }
-
-    fn poison(&self) {
-        self.poisoned.store(true, SeqCst);
-        self.cv.notify_all();
-    }
-
-    /// A worker (or the root) unwound. [`Poisoned`] tokens are the
-    /// secondary unwinds of an already-failed run and only contribute
-    /// peer diagnostics; anything else is a root-cause panic.
-    pub fn record_worker_panic(
-        &self,
-        tid: Tid,
-        payload: Box<dyn std::any::Any + Send>,
-        report: ThreadReport,
-    ) {
-        let root_cause = self.run.record_unwind(tid, payload, Some(report), |p, _| {
-            (!p.is::<Poisoned>()).then_some(FailureKind::Panic)
-        });
-        if root_cause {
-            self.poison();
-        }
-    }
-
     /// The wait-for graph read off the engine's deterministic queueing
-    /// state: retrying `Lock` arrivals plus every parked waiter, sorted
-    /// by waiter tid.
+    /// state: retrying `Lock` arrivals plus every parked waiter.
     fn wait_graph(st: &EngineState) -> Vec<WaitEdge> {
-        let mut edges = Vec::new();
-        for (&tid, a) in &st.arrived {
-            if let PendingOp::Lock(m) = a.op {
-                edges.push(WaitEdge {
-                    waiter: tid,
-                    target: WaitTarget::Mutex {
-                        id: m,
-                        holder: st.lock_owner.get(&m).copied().flatten(),
-                    },
-                });
-            }
-        }
-        let mut cond_ids: Vec<u32> = st.cond_waiters.keys().copied().collect();
-        cond_ids.sort_unstable();
-        for id in cond_ids {
-            for &(w, _) in &st.cond_waiters[&id] {
-                edges.push(WaitEdge {
-                    waiter: w,
-                    target: WaitTarget::Cond { id },
-                });
-            }
-        }
-        let mut barrier_ids: Vec<u32> = st.barrier_waiters.keys().copied().collect();
-        barrier_ids.sort_unstable();
-        for id in barrier_ids {
-            for &w in &st.barrier_waiters[&id] {
-                edges.push(WaitEdge {
-                    waiter: w,
-                    target: WaitTarget::Barrier { id },
-                });
-            }
-        }
-        let mut join_targets: Vec<Tid> = st.join_waiters.keys().copied().collect();
-        join_targets.sort_unstable();
-        for target in join_targets {
-            for &w in &st.join_waiters[&target] {
-                edges.push(WaitEdge {
-                    waiter: w,
-                    target: WaitTarget::Join { target },
-                });
-            }
-        }
-        edges.sort_by_key(|e| e.waiter);
-        edges
+        WaitEdge::graph(
+            st.arrived.iter().filter_map(|(&tid, a)| match a.op {
+                PendingOp::Lock(m) => Some((tid, m, st.lock_owner.get(&m).copied().flatten())),
+                _ => None,
+            }),
+            st.cond_waiters
+                .iter()
+                .flat_map(|(&id, ws)| ws.iter().map(move |&(w, _)| (w, id))),
+            st.barrier_waiters
+                .iter()
+                .flat_map(|(&id, ws)| ws.iter().map(move |&w| (w, id))),
+            st.join_waiters
+                .iter()
+                .flat_map(|(&target, ws)| ws.iter().map(move |&w| (w, target))),
+        )
     }
 
     /// Records a structural deadlock discovered from the engine state.
@@ -301,7 +215,7 @@ impl Engine {
         let wait_graph = Self::wait_graph(st);
         let tid = wait_graph.first().map_or(0, |e| e.waiter);
         self.run.record_deadlock(tid, wait_graph.len(), wait_graph);
-        self.poison();
+        self.cv.notify_all();
     }
 
     /// Registers the main thread (tid 0) and returns its starting image.
@@ -338,26 +252,15 @@ impl Engine {
         let mut st = self.state.lock();
         st.arrived.insert(tid, arrival);
         self.maybe_phases(&mut st);
-        loop {
-            if self.is_poisoned() {
-                drop(st);
-                panic_any(Poisoned);
-            }
-            if let Some(Outcome::Done(img)) = st.slots[tid as usize].outcome.take() {
-                let seed = st.slots[tid as usize].seed.take();
-                let value = st.slots[tid as usize].value.take();
-                return (img, seed, value);
-            }
-            let timeout = self.wedge_after.unwrap_or(Duration::from_secs(60));
-            let timed_out = self.cv.wait_for(&mut st, timeout).timed_out();
-            if timed_out
-                && self.wedge_after.is_some()
-                && !self.is_poisoned()
-                && st.slots[tid as usize].outcome.is_none()
-            {
-                // Wall-clock fallback: the run stalled without tripping
-                // the structural detector (e.g. an active thread spinning
-                // forever). Record a wedge and tear everything down.
+        // The wall-clock fallback of the supervised wait: the run stalled
+        // without tripping the structural detector (e.g. an active thread
+        // spinning forever).
+        self.run.wait_until(
+            &self.cv,
+            &mut st,
+            tid,
+            |st| st.slots[tid as usize].outcome.is_some(),
+            |st| {
                 let message = format!(
                     "dthreads engine stalled: tid={tid} phase={} active={:?} arrived={:?}",
                     st.phase,
@@ -367,28 +270,27 @@ impl Engine {
                         .map(|(t, a)| (*t, a.op.describe()))
                         .collect::<Vec<_>>(),
                 );
-                let wait_graph = Self::wait_graph(&st);
-                self.fail(
-                    FailureKind::Wedged,
-                    tid,
-                    message,
-                    None,
-                    wait_graph,
-                    Vec::new(),
-                );
-            }
-        }
+                (message, Self::wait_graph(st))
+            },
+        );
+        self.run.check_stop();
+        let slot = &mut st.slots[tid as usize];
+        let Some(Outcome::Done(img)) = slot.outcome.take() else {
+            unreachable!("the wait ends on an outcome");
+        };
+        (img, slot.seed.take(), slot.value.take())
     }
 
     /// Runs serial phases for as long as the fence condition holds, then
     /// checks for the everyone-parked deadlock (no thread left to wake
     /// the waiters).
     fn maybe_phases(&self, st: &mut EngineState) {
-        while !self.is_poisoned() && !st.active.is_empty() && st.arrived.len() == st.active.len() {
+        while !self.run.is_stopped() && !st.active.is_empty() && st.arrived.len() == st.active.len()
+        {
             self.run_serial_phase(st);
             self.cv.notify_all();
         }
-        if !self.is_poisoned()
+        if !self.run.is_stopped()
             && st.active.is_empty()
             && (st.cond_waiters.values().any(|q| !q.is_empty())
                 || st.barrier_waiters.values().any(|v| !v.is_empty())
@@ -408,7 +310,8 @@ impl Engine {
             .iter_mut()
             .find_map(|(&tid, a)| a.planned.take().map(|p| (tid, p)));
         if let Some((tid, (message, report))) = planned {
-            self.fail(
+            // (The caller's `notify_all` after this phase wakes the fence.)
+            self.run.record_failure(
                 FailureKind::Panic,
                 tid,
                 message,
@@ -649,8 +552,8 @@ impl Engine {
 
     /// Emergency removal of a panicked thread so the fence can still
     /// close; joiners are released as if the thread exited. With the
-    /// engine poisoned this is pure bookkeeping — no phases run, the
-    /// notify just hastens peer teardown.
+    /// run stopped this is pure bookkeeping — no phases run, the notify
+    /// just hastens peer teardown.
     pub fn force_exit(&self, tid: Tid) {
         let mut st = self.state.lock();
         st.active.remove(&tid);
@@ -661,9 +564,7 @@ impl Engine {
             st.active.insert(j);
             st.arrived.insert(j, Arrival::rearm(PendingOp::Noop));
         }
-        if !self.is_poisoned() {
-            self.maybe_phases(&mut st);
-        }
+        self.maybe_phases(&mut st);
         self.cv.notify_all();
     }
 }

@@ -56,4 +56,7 @@ mod jitter;
 mod state;
 
 pub use jitter::Jitter;
-pub use state::{KendoHandle, KendoState, Status, TickBatch, WakeTap, MAX_THREADS, PUBLISH_STRIDE};
+pub use state::{
+    Aborted, KendoHandle, KendoState, Starved, Status, TickBatch, WakeTap, MAX_THREADS,
+    PUBLISH_STRIDE,
+};

@@ -18,6 +18,7 @@
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use rfdet_vclock::Tid;
+use std::panic::panic_any;
 use std::sync::atomic::{
     AtomicBool, AtomicU64, AtomicU8, AtomicUsize,
     Ordering::{Acquire, Relaxed, Release, SeqCst},
@@ -198,11 +199,22 @@ fn baton_clock(b: u64) -> u64 {
     b >> 8
 }
 
-/// `RFDET_KENDO_TRACE` looked up once per process — the wait loop used
-/// to call `env::var_os` every 1000 spins.
-fn kendo_trace_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var_os("RFDET_KENDO_TRACE").is_some())
+/// The unwind payload of every waiter once the run is aborted
+/// ([`KendoState::set_abort`]): the secondary unwind of a run that has
+/// already failed, never a root cause.
+#[derive(Debug)]
+pub struct Aborted;
+
+/// The unwind payload of the waiter whose wall-clock starvation bound
+/// tripped (it aborts the run first, so every peer unwinds [`Aborted`]).
+/// Displays the diagnosis: who starved, for how long, the slot table.
+#[derive(Debug)]
+pub struct Starved(String);
+
+impl std::fmt::Display for Starved {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
 }
 
 /// Grow-only lock-free slot table: a fixed array of `OnceLock` cells
@@ -441,10 +453,9 @@ impl KendoState {
     }
 
     fn check_abort(&self) {
-        assert!(
-            !self.aborted(),
-            "kendo: run aborted by supervisor (peer panic, deadlock, or wedge)"
-        );
+        if self.aborted() {
+            panic_any(Aborted);
+        }
     }
 
     /// Overrides the deadlock-detection timeout (`None` disables it).
@@ -790,14 +801,6 @@ impl KendoState {
                 return;
             }
             me.slot.park_cv.wait_for(&mut guard, self.idle_poll);
-            if kendo_trace_enabled() {
-                eprintln!(
-                    "[kendo-trace] t{} parked for turn at clock {}: {}",
-                    me.tid,
-                    me.clock(),
-                    self.debug_state()
-                );
-            }
             if let Some(limit) = self.deadlock_after {
                 if start.elapsed() > limit {
                     // Abort first so every *other* waiter (parked or
@@ -805,14 +808,14 @@ impl KendoState {
                     // the thread that noticed.
                     drop(guard);
                     self.set_abort();
-                    panic!(
+                    panic_any(Starved(format!(
                         "kendo: thread {} starved waiting for its turn for {:?} \
                          (parked; clock={}, state={})",
                         me.tid,
                         limit,
                         me.clock(),
                         self.debug_state()
-                    );
+                    )));
                 }
             }
         }
@@ -839,28 +842,20 @@ impl KendoState {
                 std::thread::yield_now();
             } else {
                 std::thread::sleep(Duration::from_micros(20));
-                if spins.is_multiple_of(1_000) && kendo_trace_enabled() {
-                    eprintln!(
-                        "[kendo-trace] t{} waiting at clock {}: {}",
-                        me.tid,
-                        me.clock(),
-                        self.debug_state()
-                    );
-                }
                 if let Some(limit) = self.deadlock_after {
                     if start.elapsed() > limit {
                         // Abort first so every *other* waiter (parked or
                         // spinning) wakes and unwinds too, instead of
                         // only the thread that noticed.
                         self.set_abort();
-                        panic!(
+                        panic_any(Starved(format!(
                             "kendo: thread {} starved waiting for its turn for {:?} \
                              (clock={}, state={})",
                             me.tid,
                             limit,
                             me.clock(),
                             self.debug_state()
-                        );
+                        )));
                     }
                 }
             }
@@ -1044,13 +1039,13 @@ impl KendoState {
                     // slots must not be left behind.
                     drop(guard);
                     self.set_abort();
-                    panic!(
+                    panic_any(Starved(format!(
                         "kendo: thread {} parked for {:?} without wakeup — \
                          likely an application deadlock (state={})",
                         me.tid,
                         limit,
                         self.debug_state()
-                    );
+                    )));
                 }
             }
         }
@@ -1590,23 +1585,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "starved")]
-    fn starvation_detector_fires() {
-        let k = KendoState::new().with_deadlock_timeout(Some(Duration::from_millis(150)));
-        let _a = k.register(0); // never ticks, never blocked
-        let b = k.register(10);
-        k.wait_for_turn(&b); // can never win
-    }
-
-    #[test]
-    #[should_panic(expected = "starved")]
-    fn starvation_detector_fires_in_spin_scan_mode() {
-        let k = KendoState::new()
-            .with_arbitration(ArbitrationMode::SpinScan)
-            .with_deadlock_timeout(Some(Duration::from_millis(150)));
-        let _a = k.register(0);
-        let b = k.register(10);
-        k.wait_for_turn(&b);
+    fn starvation_unwinds_with_the_typed_diagnosis_in_both_modes() {
+        for mode in [ArbitrationMode::Handoff, ArbitrationMode::SpinScan] {
+            let k = KendoState::new()
+                .with_arbitration(mode)
+                .with_deadlock_timeout(Some(Duration::from_millis(150)));
+            let _a = k.register(0); // never ticks, never blocked
+            let b = k.register(10);
+            // b can never win.
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.wait_for_turn(&b)))
+                    .expect_err("the bound trips");
+            let starved = payload.downcast::<Starved>().expect("typed payload");
+            let message = starved.to_string();
+            let who = "kendo: thread 1 starved waiting for its turn for 150ms";
+            let slots = "[t0 Active@0][t1 Active@10] baton=t0@0)";
+            assert!(
+                message.starts_with(who) && message.ends_with(slots),
+                "{mode:?}: {message}"
+            );
+            // Everyone else leaves through the abort, with the other token.
+            assert!(k.aborted());
+            let peer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.check_abort()))
+                .expect_err("aborted");
+            assert!(peer.is::<Aborted>());
+        }
     }
 
     /// §3.1 repair: a compute-bound thread that the successor scan

@@ -132,12 +132,6 @@ impl ThreadHeap {
         self.allocated_bytes
     }
 
-    /// High-water mark of the bump pointer (bytes of the strip ever used).
-    #[must_use]
-    pub fn used_bytes(&self) -> u64 {
-        self.cursor - self.start
-    }
-
     /// The allocator state in canonical order, for checkpointing: free
     /// lists ascending by class with their LIFO order preserved (reuse
     /// order is allocation-visible), live blocks ascending by address.

@@ -319,47 +319,16 @@ impl MetaSpace {
             .filter_slices_from(upper, lower, cursor, prefix_closed)
     }
 
-    /// Cursor-less variant of [`MetaSpace::filter_list_from`] for callers
-    /// without a stable upper-limit ordering (barrier merges, tests).
-    #[must_use]
-    pub fn filter_list(&self, from: Tid, upper: &VClock, lower: &VClock) -> (Vec<SliceRef>, u64) {
-        let (batch, redundant, _) = self.filter_list_from(from, upper, lower, 0, false);
-        (batch, redundant)
-    }
-
-    /// Appends propagated slices to `tid`'s list (transitive propagation,
-    /// paper Figure 5 line 8).
-    pub fn append_to_list(&self, tid: Tid, slices: &[SliceRef]) {
-        self.thread(tid).append_slices(slices);
-    }
-
     /// Publishes `tid`'s vector clock — call only after the memory
     /// reflects every slice ≤ `vc`.
     pub fn publish_vc(&self, tid: Tid, vc: &VClock) {
         self.thread(tid).set_published_vc(vc);
     }
 
-    /// Reads a thread's published vector clock.
-    #[must_use]
-    pub fn published_vc(&self, tid: Tid) -> VClock {
-        self.thread(tid).get_published_vc()
-    }
-
-    /// Publishes `tid`'s in-turn decided clock (see [`ThreadMeta::turn_vc`]).
-    pub fn publish_turn_vc(&self, tid: Tid, vc: &VClock) {
-        self.thread(tid).set_turn_vc(vc);
-    }
-
     /// Joins extra time into `tid`'s in-turn clock — used by wakers that
     /// extend a blocked thread's eventual acquire (§4.5 prelock bound).
     pub fn join_turn_vc(&self, tid: Tid, extra: &VClock) {
         self.thread(tid).join_turn_vc(extra);
-    }
-
-    /// Reads a thread's in-turn decided clock.
-    #[must_use]
-    pub fn turn_vc(&self, tid: Tid) -> VClock {
-        self.thread(tid).get_turn_vc()
     }
 
     /// Marks a thread dead (it stops holding back GC).
@@ -466,15 +435,6 @@ impl MetaSpace {
             }
         };
         Arc::clone(table.entry(key).or_default())
-    }
-
-    /// Runs `f` with exclusive access to the internal sync var for `key`,
-    /// creating it on first touch. Convenience wrapper over
-    /// [`MetaSpace::sync_var`] for cold paths and tests.
-    pub fn with_sync_var<R>(&self, key: SyncKey, f: impl FnOnce(&mut SyncVar) -> R) -> R {
-        let var = self.sync_var(key);
-        let mut guard = var.lock();
-        f(&mut guard)
     }
 
     /// Every sync var with a recorded release, as `(key, lastTid,
@@ -603,13 +563,11 @@ mod tests {
     #[test]
     fn sync_var_table_is_keyed() {
         let m = meta();
-        m.with_sync_var(SyncKey::Mutex(3), |v| {
-            v.record_release(2, VClock::from_components(vec![0, 0, 7]));
-        });
-        let needs = m.with_sync_var(SyncKey::Mutex(3), |v| v.needs_propagation(0));
-        assert!(needs);
-        let fresh = m.with_sync_var(SyncKey::Mutex(4), |v| v.last_tid);
-        assert_eq!(fresh, None);
+        m.sync_var(SyncKey::Mutex(3))
+            .lock()
+            .record_release(2, VClock::from_components(vec![0, 0, 7]));
+        assert!(m.sync_var(SyncKey::Mutex(3)).lock().needs_propagation(0));
+        assert_eq!(m.sync_var(SyncKey::Mutex(4)).lock().last_tid, None);
     }
 
     #[test]
@@ -648,9 +606,9 @@ mod tests {
     #[test]
     fn published_vc_roundtrip() {
         let m = meta();
-        m.register_thread();
+        let t = m.register_thread();
         let vc = VClock::from_components(vec![4, 2]);
         m.publish_vc(0, &vc);
-        assert_eq!(m.published_vc(0), vc);
+        assert_eq!(t.get_published_vc(), vc);
     }
 }

@@ -27,7 +27,7 @@ impl DmtBackend for NativeBackend {
         main.run_body(root);
         // Native has no race detector; never-joined threads are harvested
         // by the tail so the run quiesces.
-        shared.sup.run.finish(
+        shared.run.finish(
             &self.name(),
             main,
             |_| Default::default(),

@@ -1,12 +1,11 @@
 //! The native per-thread context.
 
-use crate::supervise::Supervision;
 use crate::sync::{BarrierVar, CondVar, LockVar, Registry};
 use parking_lot::Mutex;
 use rfdet_api::obs::Phase;
 use rfdet_api::{
-    Addr, BarrierId, CondId, ConfigError, DmtCtx, MutexId, RunConfig, Stats, SyncOp, ThreadFn,
-    ThreadHandle, ThreadHarness, Tid,
+    Addr, BarrierId, CondId, ConfigError, DmtCtx, FailureKind, Family, MutexId, RunConfig,
+    RunHarness, Stats, SyncOp, ThreadFn, ThreadHandle, ThreadHarness, Tid,
 };
 use rfdet_mem::{StripAllocator, ThreadHeap};
 use rfdet_meta::{MetaSpace, GC_THRESHOLD};
@@ -28,15 +27,16 @@ pub(crate) struct NativeShared {
     /// Striped locks making 8-byte atomics atomic over the byte-cell
     /// memory (§4.6 extension).
     pub atomic_stripes: Vec<Mutex<()>>,
-    /// The run harness (`sup.run`) and poison-based teardown (see
-    /// `supervise`).
-    pub sup: Supervision,
+    /// The run harness. Its failure slot stays first-writer-wins in
+    /// *physical* order here, this backend being nondeterministic by
+    /// contract; its stop flag is what every blocking wait polls.
+    pub run: RunHarness,
 }
 
 impl NativeShared {
     pub fn new(cfg: &RunConfig) -> Result<Self, ConfigError> {
-        let sup = Supervision::new(cfg)?;
-        let cfg = &sup.run.cfg;
+        let run = RunHarness::new(cfg, Family::Native)?;
+        let cfg = &run.cfg;
         let heap_base = rfdet_mem::heap_base(cfg.space_bytes);
         Ok(Self {
             mem: (0..cfg.space_bytes).map(|_| AtomicU8::new(0)).collect(),
@@ -46,7 +46,7 @@ impl NativeShared {
             strips: StripAllocator::new(heap_base, cfg.space_bytes - heap_base),
             meta: MetaSpace::new(cfg.meta_capacity_bytes as usize, GC_THRESHOLD),
             atomic_stripes: (0..64).map(|_| Mutex::new(())).collect(),
-            sup,
+            run,
         })
     }
 }
@@ -69,7 +69,7 @@ impl NativeCtx {
     pub fn new(shared: Arc<NativeShared>) -> Self {
         let tid = shared.meta.register_thread().tid;
         let heap = shared.strips.heap_for(tid);
-        let h = ThreadHarness::new(&shared.sup.run, tid);
+        let h = ThreadHarness::new(&shared.run, tid);
         Self {
             shared,
             tid,
@@ -97,8 +97,8 @@ impl NativeCtx {
     }
 
     /// Runs a thread's entry function; an unwind is recorded with the
-    /// thread's progress. Root-cause panics poison the run (unparking
-    /// every polling waiter); `Poisoned` tokens add diagnostics.
+    /// thread's progress. A root-cause panic stops the run (every polling
+    /// waiter unwinds); `Stopped` tokens add diagnostics.
     pub fn run_body(&mut self, body: ThreadFn) {
         let result = catch_unwind(AssertUnwindSafe(|| {
             body(self);
@@ -108,9 +108,10 @@ impl NativeCtx {
             self.flush_stats();
         }));
         if let Err(payload) = result {
+            let (report, kind) = (Some(self.h.report()), Some(FailureKind::Panic));
             self.shared
-                .sup
-                .record_worker_panic(self.tid, payload, self.h.report());
+                .run
+                .record_unwind(self.tid, payload, report, kind);
         }
     }
 
@@ -124,7 +125,7 @@ impl NativeCtx {
     /// returns the old value.
     fn atomic(&mut self, addr: Addr, update: impl FnOnce(u64) -> Option<u64>) -> u64 {
         self.sync_op(SyncOp::Atomic(addr), |ctx| {
-            ctx.shared.sup.check_poison();
+            ctx.shared.run.check_stop();
             ctx.check_range(addr, 8);
             let _guard = ctx.shared.atomic_stripes[(addr >> 3) as usize % 64].lock();
             let cell = &ctx.shared.mem[addr as usize..addr as usize + 8];
@@ -179,7 +180,7 @@ impl DmtCtx for NativeCtx {
 
     fn lock(&mut self, m: MutexId) {
         self.sync_op(SyncOp::Lock(m), |ctx| {
-            ctx.shared.locks.get(m.0).lock(&ctx.shared.sup, ctx.tid);
+            ctx.shared.locks.get(m.0).lock(&ctx.shared.run, ctx.tid);
         });
     }
 
@@ -191,7 +192,7 @@ impl DmtCtx for NativeCtx {
         self.sync_op(SyncOp::CondWait(c), |ctx| {
             let cond = ctx.shared.conds.get(c.0);
             let mutex = ctx.shared.locks.get(m.0);
-            cond.wait(&mutex, &ctx.shared.sup, ctx.tid);
+            cond.wait(&mutex, &ctx.shared.run, ctx.tid);
         });
     }
 
@@ -212,7 +213,7 @@ impl DmtCtx for NativeCtx {
             ctx.shared
                 .barriers
                 .get(b.0)
-                .wait(parties, &ctx.shared.sup, ctx.tid);
+                .wait(parties, &ctx.shared.run, ctx.tid);
         });
     }
 
@@ -224,7 +225,7 @@ impl DmtCtx for NativeCtx {
                 .name(format!("native-{tid}"))
                 .spawn(move || child.run_body(f))
                 .expect("failed to spawn OS thread");
-            ctx.shared.sup.run.adopt(tid, handle);
+            ctx.shared.run.adopt(tid, handle);
             ThreadHandle(tid)
         })
     }
@@ -233,15 +234,14 @@ impl DmtCtx for NativeCtx {
         self.sync_op(SyncOp::Join(h.0), |ctx| {
             let handle = ctx
                 .shared
-                .sup
                 .run
                 .claim(h.0)
                 .unwrap_or_else(|| panic!("join of unknown or already-joined thread {}", h.0));
             // The child caught its own panic (recording it as the root
             // cause), so the join itself cannot fail — but if the run is
-            // now poisoned the joiner must unwind too.
+            // now stopped the joiner must unwind too.
             let _ = handle.join();
-            ctx.shared.sup.check_poison();
+            ctx.shared.run.check_stop();
         });
     }
 

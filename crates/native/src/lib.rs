@@ -16,7 +16,6 @@
 
 mod backend;
 mod ctx;
-mod supervise;
 mod sync;
 
 pub use backend::NativeBackend;

@@ -1,13 +1,31 @@
 //! Conventional synchronization primitives keyed by application IDs.
 //!
-//! Every blocking wait goes through [`Supervision::wait_until`], which
-//! keeps teardown bounded even when peers are parked forever.
+//! The native backend has no arbitration protocol to abort, so
+//! supervision is cooperative: every blocking wait goes through
+//! [`RunHarness::wait_until`], which polls the run's stop flag — a failed
+//! run unwinds its parked peers within a poll period, and a wait that
+//! outlives `RunConfig::deadlock_after_ms` records `Wedged`. Unlike the
+//! deterministic backends there is no structural deadlock detector —
+//! without a logical clock the blocked-set scan cannot be made stable —
+//! so deadlocks surface as `Wedged` here.
 
-use crate::supervise::Supervision;
-use parking_lot::{Condvar, Mutex};
-use rfdet_api::Tid;
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use rfdet_api::{RunHarness, Tid};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// [`RunHarness::wait_until`] with this backend's wedge message.
+fn wait_until<T>(
+    run: &RunHarness,
+    cv: &Condvar,
+    guard: &mut MutexGuard<'_, T>,
+    tid: Tid,
+    stuck: &str,
+    done: impl Fn(&T) -> bool,
+) {
+    let wedge = |_: &T| (format!("native: thread {tid} stuck {stuck}"), Vec::new());
+    run.wait_until(cv, guard, tid, done, wedge);
+}
 
 /// A pthreads-style mutex usable through split `lock`/`unlock` calls.
 #[derive(Debug, Default)]
@@ -17,9 +35,11 @@ pub(crate) struct LockVar {
 }
 
 impl LockVar {
-    pub fn lock(&self, sup: &Supervision, tid: Tid) {
+    pub fn lock(&self, run: &RunHarness, tid: Tid) {
         let mut g = self.locked.lock();
-        sup.wait_until(&self.cv, &mut g, tid, "acquiring a mutex", |held| !*held);
+        wait_until(run, &self.cv, &mut g, tid, "acquiring a mutex", |held| {
+            !*held
+        });
         *g = true;
     }
 
@@ -43,13 +63,15 @@ pub(crate) struct CondVar {
 impl CondVar {
     /// Atomically releases `mutex` and waits for a signal; re-acquires
     /// `mutex` before returning.
-    pub fn wait(&self, mutex: &LockVar, sup: &Supervision, tid: Tid) {
+    pub fn wait(&self, mutex: &LockVar, run: &RunHarness, tid: Tid) {
         let mut g = self.gen.lock();
         let my_gen = *g;
         mutex.unlock();
-        sup.wait_until(&self.cv, &mut g, tid, "in cond_wait", |gen| *gen != my_gen);
+        wait_until(run, &self.cv, &mut g, tid, "in cond_wait", |gen| {
+            *gen != my_gen
+        });
         drop(g);
-        mutex.lock(sup, tid);
+        mutex.lock(run, tid);
     }
 
     pub fn signal(&self) {
@@ -71,7 +93,7 @@ pub(crate) struct BarrierVar {
 }
 
 impl BarrierVar {
-    pub fn wait(&self, parties: usize, sup: &Supervision, tid: Tid) {
+    pub fn wait(&self, parties: usize, run: &RunHarness, tid: Tid) {
         let mut g = self.state.lock();
         g.0 += 1;
         if g.0 >= parties {
@@ -81,7 +103,7 @@ impl BarrierVar {
             self.cv.notify_all();
         } else {
             let gen = g.1;
-            sup.wait_until(&self.cv, &mut g, tid, "at a barrier", |st| st.1 != gen);
+            wait_until(run, &self.cv, &mut g, tid, "at a barrier", |st| st.1 != gen);
         }
     }
 }
@@ -101,11 +123,11 @@ impl<T: Default> Registry<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfdet_api::RunConfig;
+    use rfdet_api::{FailureKind, Family, RunConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn sup() -> Arc<Supervision> {
-        Arc::new(Supervision::new(&RunConfig::small()).expect("valid config"))
+    fn sup() -> Arc<RunHarness> {
+        Arc::new(RunHarness::new(&RunConfig::small(), Family::Native).expect("valid config"))
     }
 
     #[test]
@@ -166,7 +188,7 @@ mod tests {
     }
 
     #[test]
-    fn poisoning_releases_a_parked_lock_waiter() {
+    fn stopping_the_run_releases_a_parked_lock_waiter() {
         let lv = Arc::new(LockVar::default());
         let sup = sup();
         lv.lock(&sup, 0);
@@ -177,11 +199,18 @@ mod tests {
                 let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     lv.lock(&sup, 1);
                 }));
-                assert!(r.is_err(), "waiter must unwind once poisoned");
+                assert!(r.is_err(), "waiter must unwind once the run is stopped");
             })
         };
         std::thread::sleep(std::time::Duration::from_millis(30));
-        sup.record_wedge(0, "test poison".into());
+        sup.record_failure(
+            FailureKind::Wedged,
+            0,
+            "test stop".into(),
+            None,
+            Vec::new(),
+            Vec::new(),
+        );
         h.join().unwrap();
     }
 

@@ -86,14 +86,6 @@ pub fn ckpt_file_name(ckpt: &Checkpoint) -> String {
     format!("{:016x}.e{:06}.ckpt", ckpt.run_key(), ckpt.epoch)
 }
 
-/// Saves `ckpt` into [`trace_dir`] under its canonical name, atomically.
-///
-/// # Errors
-/// Propagates filesystem errors (directory creation, write, rename).
-pub fn save_checkpoint(ckpt: &Checkpoint) -> std::io::Result<PathBuf> {
-    save_checkpoint_in(&trace_dir(), ckpt)
-}
-
 /// Saves `ckpt` into `dir` under its canonical name, atomically.
 ///
 /// # Errors

@@ -95,23 +95,6 @@ impl VClock {
         Self::default()
     }
 
-    /// A zero clock with room for `n` threads (avoids regrowth).
-    #[must_use]
-    pub fn with_threads(n: usize) -> Self {
-        if n <= INLINE {
-            Self {
-                repr: Repr::Inline {
-                    len: n as u8,
-                    buf: [0; INLINE],
-                },
-            }
-        } else {
-            Self {
-                repr: Repr::Heap(vec![0; n]),
-            }
-        }
-    }
-
     /// Builds a clock from raw components (mostly for tests).
     #[must_use]
     pub fn from_components(components: Vec<LTime>) -> Self {

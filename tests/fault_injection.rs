@@ -285,6 +285,88 @@ fn native_abba_surfaces_as_wedged_within_the_configured_bound() {
     assert!(err.report().message.contains("stuck"));
 }
 
+/// What a worker's panic *says* never decides what it *is*: the core
+/// once classified unwinds by message prefix, so a worker panicking with
+/// the arbiter's own words ended the run `Ok("")` or `Wedged` on
+/// RFDet-ci/pf. Payload types decide; a payload that is no string still
+/// names its thread.
+#[test]
+fn a_worker_panic_is_a_panic_whatever_its_payload_says() {
+    type Raise = fn() -> !;
+    let cases: [(Raise, &str); 4] = [
+        (|| panic!("plain boom"), "plain boom"),
+        (
+            || panic!("kendo: run aborted by me"),
+            "kendo: run aborted by me",
+        ),
+        (
+            || panic!("kendo: thread 7 is unhappy"),
+            "kendo: thread 7 is unhappy",
+        ),
+        (
+            || std::panic::panic_any(42u32),
+            "panic with non-string payload",
+        ),
+    ];
+    for (raise, message) in cases {
+        for backend in all_backends() {
+            let name = backend.name();
+            let root: ThreadFn = Box::new(move |ctx: &mut dyn DmtCtx| {
+                let h = ctx.spawn(Box::new(move |_: &mut dyn DmtCtx| raise()));
+                ctx.join(h);
+                ctx.emit_str("done");
+            });
+            let err = match run_bounded(backend, small_cfg(FaultPlan::new()), root) {
+                Ok(out) => panic!(
+                    "{name}: {message:?} must fail the run, got Ok({:?})",
+                    String::from_utf8_lossy(&out.output)
+                ),
+                Err(e) => e,
+            };
+            assert!(
+                matches!(err, RunError::WorkerPanicked(_)),
+                "{name}: {message:?}: expected WorkerPanicked, got {err}"
+            );
+            assert_eq!(
+                (err.report().tid, err.report().message.as_str()),
+                (1, message),
+                "{name}"
+            );
+        }
+    }
+}
+
+/// The mirror case: a *real* arbitration starvation is still `Wedged`.
+/// The worker holds the minimal clock and never ticks (it sleeps past the
+/// bound without a `DmtCtx` call), so main starves waiting for its turn.
+#[test]
+fn a_real_kendo_starvation_still_ends_wedged() {
+    for backend in [rfdet::RfdetBackend::ci(), rfdet::RfdetBackend::pf()] {
+        let name = backend.name();
+        let mut cfg = small_cfg(FaultPlan::new());
+        cfg.deadlock_after_ms = Some(300);
+        let root: ThreadFn = Box::new(|ctx: &mut dyn DmtCtx| {
+            let h = ctx.spawn(Box::new(|_: &mut dyn DmtCtx| {
+                std::thread::sleep(Duration::from_millis(700));
+            }));
+            ctx.join(h);
+        });
+        let err = run_bounded(Box::new(backend), cfg, root).expect_err("main starves");
+        assert!(
+            matches!(err, RunError::Wedged(_)),
+            "{name}: expected Wedged, got {err}"
+        );
+        let r = err.report();
+        assert_eq!(r.tid, 0, "{name}");
+        assert!(
+            r.message
+                .starts_with("kendo: thread 0 starved waiting for its turn for 300ms (parked; "),
+            "{name}: {}",
+            r.message
+        );
+    }
+}
+
 #[test]
 fn failed_allocation_is_an_injected_typed_panic() {
     for backend in all_backends() {
