@@ -370,6 +370,25 @@ mod tests {
     }
 
     #[test]
+    fn the_bound_is_quiet_time_so_a_notified_wait_may_outlast_it() {
+        let run = harness(&cfg(|c| c.deadlock_after_ms = Some(200)), Family::Lockstep);
+        let (m, cv) = (parking_lot::Mutex::new(false), parking_lot::Condvar::new());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Three bounds of peers' progress, then the outcome.
+                for _ in 0..60 {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    cv.notify_all();
+                }
+                *m.lock() = true;
+                cv.notify_all();
+            });
+            run.wait_until(&cv, &mut m.lock(), 0, |open| *open, |_| unreachable!());
+        });
+        assert!(!run.is_stopped());
+    }
+
+    #[test]
     fn the_detector_override_is_resolved_once_and_listed() {
         let detecting = cfg(|c| c.detect_races = true);
         let core = harness(&detecting, Family::Dlrc);

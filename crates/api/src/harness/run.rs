@@ -156,7 +156,10 @@ impl RunHarness {
     /// The one supervised wait loop: blocks on `cv` until `done` holds
     /// for the guarded state, polling on a short period — so a stopped
     /// run unwinds the waiter with a [`Stopped`] token within `POLL`
-    /// even if nobody notifies `cv`. A wait that outlives the wedge bound
+    /// even if nobody notifies `cv`. The wedge bound measures *quiet*
+    /// time: every notify of `cv` is progress by some peer and restarts
+    /// it, so a thread parked for long (a join, a barrier) while its peers
+    /// keep running is not wedged. A wait nobody notifies for the bound
     /// records a `Wedged` failure with the message and wait-for graph
     /// `stuck` reads off the guarded state (then unwinds on the next
     /// poll).
@@ -168,11 +171,15 @@ impl RunHarness {
         done: impl Fn(&T) -> bool,
         stuck: impl Fn(&T) -> (String, Vec<WaitEdge>),
     ) {
-        let deadline = self.wedge_after.map(|d| Instant::now() + d);
+        // Native takes this path on every lock, contended or not, and is
+        // the denominator of every slowdown: one clock read on entry and
+        // one more only after a notified sleep (ROADMAP, open item 8).
+        let mut deadline = self.wedge_after.map(|d| Instant::now() + d);
         while !done(guard) {
             self.check_stop();
-            let timed_out = cv.wait_for(guard, POLL).timed_out();
-            if timed_out && !done(guard) && deadline.is_some_and(|d| Instant::now() >= d) {
+            if !cv.wait_for(guard, POLL).timed_out() {
+                deadline = self.wedge_after.map(|d| Instant::now() + d);
+            } else if !done(guard) && deadline.is_some_and(|d| Instant::now() >= d) {
                 let (message, wait_graph) = stuck(guard);
                 self.record_failure(
                     FailureKind::Wedged,

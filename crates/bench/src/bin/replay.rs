@@ -75,7 +75,7 @@ fn die(code: i32, message: impl std::fmt::Display) -> ! {
 
 fn usage() -> ! {
     eprintln!("usage:");
-    for (synopsis, _) in VERBS {
+    for (synopsis, ..) in VERBS {
         eprintln!("  replay {synopsis}");
     }
     eprintln!("exit codes: 0 ok, 1 diverged, 2 usage, 3 io, 4 wedged");
@@ -199,23 +199,16 @@ fn trace_setup(path: &str) -> (RunTrace, Box<dyn DmtBackend>, Workload, Params) 
     let trace = persist::load(Path::new(path))
         .unwrap_or_else(|e| die(EXIT_IO, format!("cannot load trace {path}: {e}")));
     println!("{}", trace.summary());
-    let Some(backend) = backend_by_name(&trace.backend) else {
-        die(
-            EXIT_USAGE,
-            format!("trace names unknown backend {:?}", trace.backend),
-        );
-    };
-    let Some((workload, params)) = resolve_workload(&trace.workload) else {
-        die(
-            EXIT_USAGE,
-            format!("trace names unknown workload {:?}", trace.workload),
-        );
-    };
+    let (name, spec) = (&trace.backend, &trace.workload);
+    let backend = backend_by_name(name)
+        .unwrap_or_else(|| die(EXIT_USAGE, format!("trace names unknown backend {name:?}")));
+    let (workload, params) = resolve_workload(spec)
+        .unwrap_or_else(|| die(EXIT_USAGE, format!("trace names unknown workload {spec:?}")));
     (trace, backend, workload, params)
 }
 
 /// Every flag any verb takes, parsed once. Which of them a verb accepts
-/// is its row of [`VERBS`]; the rest keep their defaults.
+/// is in its row of [`VERBS`]; the rest keep their defaults.
 #[derive(Default)]
 struct Flags {
     backend: String,
@@ -243,12 +236,11 @@ fn coord<const N: usize>(s: &str) -> Option<(u32, [u64; N])> {
     Some((tid.parse().ok()?, nums))
 }
 
-/// Parses a verb's flags, strictly: a flag its synopsis does not show, a
-/// missing value or a value that does not parse is a usage error (exit
-/// 2) — never a silent default.
-fn parse_flags(synopsis: &str, args: &[String]) -> Flags {
-    /// A flag's value, parsed; the error is left empty because a bare
-    /// `usage()` is what these flags have always answered with.
+/// Parses a verb's flags, strictly: a flag its row of [`VERBS`] does not
+/// list, a missing value or a value that does not parse is a usage error
+/// (exit 2) — never a silent default. An empty error is a bare `usage()`,
+/// what these flags have always answered with.
+fn parse_flags(accepted: &[&str], args: &[String]) -> Result<Flags, String> {
     fn val<T: std::str::FromStr>(v: Result<&str, String>) -> Result<T, String> {
         v.ok().and_then(|v| v.parse().ok()).ok_or_else(String::new)
     }
@@ -256,8 +248,8 @@ fn parse_flags(synopsis: &str, args: &[String]) -> Flags {
         backend: "RFDet-ci".to_owned(),
         ..Flags::default()
     };
-    let parsed = each_flag(args, |flag, value| {
-        if !synopsis.contains(&format!("[{flag} ")) {
+    each_flag(args, |flag, value| {
+        if !accepted.contains(&flag) {
             return Err(String::new());
         }
         match flag {
@@ -284,18 +276,11 @@ fn parse_flags(synopsis: &str, args: &[String]) -> Flags {
                 let (tid, [op, ticks]) = value().ok().and_then(coord).ok_or_else(String::new)?;
                 f.plan = std::mem::take(&mut f.plan).jitter_at(tid, op, ticks);
             }
-            _ => unreachable!("{flag} is in a synopsis but has no parser"),
+            _ => return Err(format!("{flag} is listed for a verb but has no parser")),
         }
         Ok(())
-    });
-    match parsed {
-        Ok(()) => f,
-        Err(message) if message.is_empty() => usage(),
-        Err(message) => {
-            eprintln!("error: {message}");
-            usage()
-        }
-    }
+    })?;
+    Ok(f)
 }
 
 fn load_ckpt_or_die(path: &Path) -> Checkpoint {
@@ -383,19 +368,14 @@ fn cmd_replay(path: &str, f: Flags) -> i32 {
         Ok(out) => out.output_digest(),
         Err(e) => e.report_digest(),
     };
+    let verdict = |matched| if matched { "MATCH" } else { "DIVERGED" };
     println!(
-        "replay digest {:#018x} vs recorded {:#018x}: {}",
-        digest,
+        "replay digest {digest:#018x} vs recorded {:#018x}: {}",
         trace.failure.report_digest,
-        if replay.digest_match {
-            "MATCH"
-        } else {
-            "DIVERGED"
-        }
+        verdict(replay.digest_match)
     );
     match replay.schedule_match {
-        Some(true) => println!("culprit schedule: MATCH"),
-        Some(false) => println!("culprit schedule: DIVERGED"),
+        Some(matched) => println!("culprit schedule: {}", verdict(matched)),
         None => println!("culprit schedule: not comparable (no events recorded)"),
     }
     if replay.reproduced() {
@@ -892,19 +872,14 @@ fn cmd_races(spec: &str, f: Flags) -> i32 {
             return failure_code(&e);
         }
     };
-    print!("{}", rfdet_api::render_races(&out.races));
-    println!(
-        "race digest {:016x} (output digest {:#018x})",
-        rfdet_api::races_digest(&out.races),
-        out.output_digest()
-    );
+    let digest = rfdet_api::races_digest(&out.races);
+    let rendered = rfdet_api::render_races(&out.races);
+    let output_digest = out.output_digest();
+    print!("{rendered}");
+    println!("race digest {digest:016x} (output digest {output_digest:#018x})");
     let sidecar = format!(
-        "workload {}@{}\nbackend {}\nrace digest {:016x}\n{}",
-        workload.name,
-        params.threads,
-        backend_name,
-        rfdet_api::races_digest(&out.races),
-        rfdet_api::render_races(&out.races)
+        "workload {}@{}\nbackend {backend_name}\nrace digest {digest:016x}\n{rendered}",
+        workload.name, params.threads
     );
     let name = format!(
         "races_{}@{}.{}.races",
@@ -946,47 +921,80 @@ fn cmd_races(spec: &str, f: Flags) -> i32 {
     0
 }
 
-/// One verb: its synopsis — the verb's name, its argument, and the
-/// declaration of the flags it accepts (those shown as `[flag …]`) — and
-/// its body, called with the argument and the parsed flags.
-type Verb = (&'static str, fn(&str, Flags) -> i32);
+type Body = fn(&str, Flags) -> i32;
 
-const VERBS: &[Verb] = &[
+/// One row per verb: its synopsis (the usage text), the flags it accepts,
+/// and its body, called with the argument and the parsed flags.
+#[rustfmt::skip] // a table: a row's flag list is not one flag per line
+const VERBS: &[(&str, &[&str], Body)] = &[
     (
         "record <workload>[@threads] [--backend NAME] [--seed S]\n    \
          [--checkpoint-every N] [--ckpt-dir DIR] [--timeout MS]\n    \
          [--panic TID:OP]... [--jitter TID:OP:TICKS]... [--fail-alloc TID:NTH]...",
+        &["--backend", "--seed", "--checkpoint-every", "--ckpt-dir", "--timeout",
+          "--panic", "--jitter", "--fail-alloc"],
         cmd_record,
     ),
-    ("replay <trace-file> [--timeout MS]", cmd_replay),
-    ("shrink <trace-file>", cmd_shrink),
-    ("resume <ckpt-file> [--every N] [--timeout MS]", cmd_resume),
-    ("shard  <ckpt-file> [-j N] [--timeout MS]", cmd_shard),
+    ("replay <trace-file> [--timeout MS]", &["--timeout"], cmd_replay),
+    ("shrink <trace-file>", &[], cmd_shrink),
+    ("resume <ckpt-file> [--every N] [--timeout MS]", &["--every", "--timeout"], cmd_resume),
+    ("shard  <ckpt-file> [-j N] [--timeout MS]", &["-j", "--timeout"], cmd_shard),
     (
         "failover <workload>[@threads] [--backend NAME] [--every N]\n    \
          [--ckpt-dir DIR] [--timeout MS] [--panic TID:OP]... [--fail-alloc TID:NTH]...",
+        &["--backend", "--every", "--ckpt-dir", "--timeout", "--panic", "--fail-alloc"],
         cmd_failover,
     ),
     (
         "sweep <workload>[@threads] [--backend NAME] [--plans N]\n    \
          [--every N] [--timeout MS] [--out PATH]",
+        &["--backend", "--plans", "--every", "--timeout", "--out"],
         cmd_sweep,
     ),
     (
         "metrics <workload>[@threads] [--backend NAME] [--format json|prom]",
+        &["--backend", "--format"],
         cmd_metrics,
     ),
     (
         "races <workload>[@threads] [--backend NAME] [--timeout MS]",
+        &["--backend", "--timeout"],
         cmd_races,
     ),
 ];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let named = |v: &String| VERBS.iter().find(|(s, _)| s.split(' ').next() == Some(v));
-    let (Some(&(synopsis, body)), Some(arg)) = (args.first().and_then(named), args.get(1)) else {
+    let named = |v: &String| VERBS.iter().find(|(s, ..)| s.split(' ').next() == Some(v));
+    let (Some(&(_, accepted, body)), Some(arg)) = (args.first().and_then(named), args.get(1))
+    else {
         usage()
     };
-    exit(body(arg, parse_flags(synopsis, &args[2..])));
+    let flags = parse_flags(accepted, &args[2..]).unwrap_or_else(|message| {
+        if !message.is_empty() {
+            eprintln!("error: {message}");
+        }
+        usage()
+    });
+    exit(body(arg, flags));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The usage text shows exactly the flags a verb accepts, and every
+    /// one of them has a parser (taking one of the sample values).
+    #[test]
+    fn every_verb_lists_the_flags_its_usage_shows_and_each_one_parses() {
+        for &(synopsis, accepted, _) in VERBS {
+            let shown = synopsis.split('[').filter(|s| s.starts_with('-'));
+            let shown: Vec<&str> = shown.filter_map(|s| s.split(' ').next()).collect();
+            assert_eq!(shown, accepted, "{synopsis}");
+            for &flag in accepted {
+                let parses = |v: &&str| parse_flags(accepted, &[flag.into(), (*v).into()]).is_ok();
+                assert!(["1", "1:2", "1:2:3"].iter().any(parses), "{flag}");
+            }
+        }
+    }
 }

@@ -38,20 +38,14 @@ impl RuntimeShared {
         payload: Box<dyn Any + Send>,
         state: Option<ThreadReport>,
     ) {
-        match payload.downcast::<Starved>() {
-            Ok(starved) => self.run.record_failure(
-                FailureKind::Wedged,
-                tid,
-                starved.to_string(),
-                state,
-                Vec::new(),
-                Vec::new(),
-            ),
+        let (payload, kind): (Box<dyn Any + Send>, _) = match payload.downcast::<Starved>() {
+            Ok(starved) => (Box::new(starved.to_string()), Some(FailureKind::Wedged)),
             Err(other) => {
                 let kind = (!other.is::<Aborted>()).then_some(FailureKind::Panic);
-                self.run.record_unwind(tid, other, state, kind);
+                (other, kind)
             }
-        }
+        };
+        self.run.record_unwind(tid, payload, state, kind);
         self.kendo.set_abort();
         self.kendo.finish_forced(tid);
     }

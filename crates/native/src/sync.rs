@@ -3,8 +3,8 @@
 //! The native backend has no arbitration protocol to abort, so
 //! supervision is cooperative: every blocking wait goes through
 //! [`RunHarness::wait_until`], which polls the run's stop flag — a failed
-//! run unwinds its parked peers within a poll period, and a wait that
-//! outlives `RunConfig::deadlock_after_ms` records `Wedged`. Unlike the
+//! run unwinds its parked peers within a poll period, and a wait nobody
+//! notifies for `RunConfig::deadlock_after_ms` records `Wedged`. Unlike the
 //! deterministic backends there is no structural deadlock detector —
 //! without a logical clock the blocked-set scan cannot be made stable —
 //! so deadlocks surface as `Wedged` here.

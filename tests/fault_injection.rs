@@ -367,6 +367,43 @@ fn a_real_kendo_starvation_still_ends_wedged() {
     }
 }
 
+/// The wedge bound measures time without progress, not time parked: main
+/// sits in `join` for over three bounds while the workers keep taking a
+/// lock, and the run is clean. (The lockstep fence wait once counted from
+/// the moment it began, and ended this run `Wedged`.) Not on the core:
+/// Kendo bounds every park by itself, so a join this long is `Wedged`
+/// there, as it always was.
+#[test]
+fn a_long_park_while_peers_make_progress_is_not_a_wedge() {
+    let supervised_waits: [Box<dyn DmtBackend>; 3] = [
+        Box::new(rfdet::NativeBackend),
+        Box::new(rfdet::DthreadsBackend),
+        Box::new(rfdet::QuantumBackend),
+    ];
+    for backend in supervised_waits {
+        let name = backend.name();
+        let mut cfg = small_cfg(FaultPlan::new());
+        cfg.deadlock_after_ms = Some(300);
+        let root: ThreadFn = Box::new(|ctx: &mut dyn DmtCtx| {
+            let worker = || -> ThreadFn {
+                Box::new(|ctx: &mut dyn DmtCtx| {
+                    for _ in 0..20 {
+                        std::thread::sleep(Duration::from_millis(50));
+                        ctx.lock(MutexId(0));
+                        ctx.unlock(MutexId(0));
+                    }
+                })
+            };
+            let (a, b) = (ctx.spawn(worker()), ctx.spawn(worker()));
+            ctx.join(a);
+            ctx.join(b);
+            ctx.emit_str("done");
+        });
+        let out = run_bounded(backend, cfg, root).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(out.output, b"done", "{name}");
+    }
+}
+
 #[test]
 fn failed_allocation_is_an_injected_typed_panic() {
     for backend in all_backends() {
