@@ -158,11 +158,12 @@ impl RunHarness {
     /// run unwinds the waiter with a [`Stopped`] token within `POLL`
     /// even if nobody notifies `cv`. The wedge bound measures *quiet*
     /// time: every notify of `cv` is progress by some peer and restarts
-    /// it, so a thread parked for long (a join, a barrier) while its peers
-    /// keep running is not wedged. A wait nobody notifies for the bound
-    /// records a `Wedged` failure with the message and wait-for graph
-    /// `stuck` reads off the guarded state (then unwinds on the next
-    /// poll).
+    /// it (at the first quiet poll after the notify, so a wake-up reads
+    /// no clock), so a thread parked for long (a join, a barrier) while
+    /// its peers keep running is not wedged. A wait nobody notifies for
+    /// the bound records a `Wedged` failure with the message and
+    /// wait-for graph `stuck` reads off the guarded state (then unwinds
+    /// on the next poll).
     pub fn wait_until<T>(
         &self,
         cv: &Condvar,
@@ -172,14 +173,21 @@ impl RunHarness {
         stuck: impl Fn(&T) -> (String, Vec<WaitEdge>),
     ) {
         // Native takes this path on every lock, contended or not, and is
-        // the denominator of every slowdown: one clock read on entry and
-        // one more only after a notified sleep (ROADMAP, open item 8).
+        // the denominator of every slowdown: one clock read on entry
+        // (ROADMAP, open item 8) and none on a notified wake-up — a notify
+        // only marks the bound stale, and the next quiet poll restarts it.
         let mut deadline = self.wedge_after.map(|d| Instant::now() + d);
+        let mut notified = false;
         while !done(guard) {
             self.check_stop();
             if !cv.wait_for(guard, POLL).timed_out() {
+                notified = true;
+            } else if done(guard) {
+                break;
+            } else if notified {
+                notified = false;
                 deadline = self.wedge_after.map(|d| Instant::now() + d);
-            } else if !done(guard) && deadline.is_some_and(|d| Instant::now() >= d) {
+            } else if deadline.is_some_and(|d| Instant::now() >= d) {
                 let (message, wait_graph) = stuck(guard);
                 self.record_failure(
                     FailureKind::Wedged,
