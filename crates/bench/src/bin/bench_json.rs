@@ -13,7 +13,7 @@
 use rfdet_api::{AtomicOp, DmtBackend, DmtCtx, FaultPlan, MutexId, RunConfig, ThreadFn};
 use rfdet_bench::{render_table, replay_shards};
 use rfdet_core::RfdetBackend;
-use rfdet_mem::{diff, Page, PrivateSpace, SliceSnapshots};
+use rfdet_mem::{diff, Page, PrivateSpace, RunBuilder, SliceSnapshots};
 use rfdet_meta::{MetaSpace, SliceRec, SliceRef};
 use rfdet_vclock::VClock;
 use rfdet_workloads::{by_name, service, Params, Size};
@@ -243,6 +243,7 @@ fn table(b: &mut Bench) {
     let slice = RefCell::new((
         PrivateSpace::new(1 << 20, 4096),
         SliceSnapshots::new(256, 4096, 256),
+        RunBuilder::default(),
         0u64,
     ));
     for p in 0..SLICE_PAGES {
@@ -367,10 +368,10 @@ fn table(b: &mut Bench) {
 }
 
 const SLICE_PAGES: u64 = 128;
-type SliceState = RefCell<(PrivateSpace, SliceSnapshots, u64)>;
+type SliceState = RefCell<(PrivateSpace, SliceSnapshots, RunBuilder, u64)>;
 
 fn store_slice(state: &SliceState) {
-    let (space, snaps, round) = &mut *state.borrow_mut();
+    let (space, snaps, _, round) = &mut *state.borrow_mut();
     *round += 1;
     for p in 0..SLICE_PAGES {
         let (page, off) = (p as usize, 8 * p as usize);
@@ -384,10 +385,9 @@ fn store_slice(state: &SliceState) {
 }
 
 fn seal_slice(state: &SliceState) {
-    let (space, snaps, _) = &mut *state.borrow_mut();
-    let mut out = Vec::new();
-    black_box(snaps.seal(space, &mut out));
-    black_box(out);
+    let (space, snaps, runs, _) = &mut *state.borrow_mut();
+    black_box(snaps.seal(space, runs));
+    black_box(runs.finish());
 }
 
 const CONTENDED_OPS: u64 = 250;

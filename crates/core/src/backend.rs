@@ -254,7 +254,7 @@ mod tests {
         let mut all = Vec::new();
         for tid in 0..4 {
             for s in shared.meta.snapshot_list(tid) {
-                all.push((s.tid, s.seq, s.mods.to_vec()));
+                all.push((s.tid, s.seq, crate::slices::tests::boxed(&s.mods)));
             }
         }
         all

@@ -45,6 +45,7 @@ use rfdet_vclock::VClock;
 /// the target epoch every participant unwinds with this token, the
 /// backend recognizes it and finishes the thread without recording a
 /// failure. Partial output plus the terminal checkpoint *are* the result.
+/// The panic hook keeps it off stderr (`supervise::filter_control_unwinds`).
 pub(crate) struct CkptStop;
 
 /// One live thread's contribution to a pending checkpoint.
@@ -321,27 +322,8 @@ pub(crate) fn contribute(ctx: &mut RfdetCtx, epoch: u64) {
         ctx.shared.ckpt.inner.lock().collected.push(sealed);
     }
     if ctx.shared.run.cfg.stop_at_checkpoint == Some(epoch) {
-        silence_ckpt_stop_panics();
         std::panic::panic_any(CkptStop);
     }
-}
-
-/// Installs (once, process-wide) a panic-hook filter that swallows
-/// [`CkptStop`] unwinds. They are control flow — every one is caught and
-/// turned into a clean slot finish — but the default hook would still
-/// print a "thread panicked" banner plus backtrace per stopping thread,
-/// burying shard-replay output under pages of noise. All other payloads
-/// pass through to whatever hook was installed before.
-fn silence_ckpt_stop_panics() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<CkptStop>().is_none() {
-                prev(info);
-            }
-        }));
-    });
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use rfdet_api::{
     ThreadHarness, ThreadReport, Tid,
 };
 use rfdet_kendo::{Jitter, KendoHandle, TickBatch};
-use rfdet_mem::{Page, PageFlags, PageOverlay, PrivateSpace, SliceSnapshots, ThreadHeap};
+use rfdet_mem::{Page, PageFlags, PageOverlay, PrivateSpace, Runs, SliceSnapshots, ThreadHeap};
 use rfdet_meta::{SyncKey, SyncVarRef, ThreadMeta};
 use rfdet_vclock::VClock;
 use std::collections::HashMap;
@@ -48,8 +48,8 @@ pub struct RfdetCtx {
     pub(crate) flags: PageFlags,
     /// Lazy-writes pending queues, per page, in propagation order. The
     /// entries are zero-copy handles to per-page run *groups* inside
-    /// published slices' shared run lists (one `Arc` bump per group, not
-    /// per run); the handles keep the backing runs alive, so GC dropping
+    /// published slices' arenas (one `Arc` bump per group, not per run);
+    /// the handles keep the backing runs alive, so GC dropping
     /// a slice from every slice-pointer list never invalidates them.
     /// Flat page-indexed storage: deposit and fault are O(1) slot hits,
     /// not tree walks (see [`crate::pending::PendingTable`]).
@@ -71,6 +71,11 @@ pub struct RfdetCtx {
     /// that still has a pending queue, which a stored-to page cannot
     /// (its first store faulted it, and deposits happen between slices).
     pub(crate) snaps: SliceSnapshots,
+    /// Where seals pack runs, its capacity kept from slice to slice.
+    pub(crate) runs: rfdet_mem::RunBuilder,
+    /// The slice [`Self::enter_op`] sealed ahead of the turn: its runs
+    /// (`None` if it changed nothing) and the bytes diffed.
+    pub(crate) sealed: Option<(Option<rfdet_mem::RunList>, u64)>,
     /// Per-source absolute positions in other threads' slice lists:
     /// everything before the cursor was already filtered-or-propagated
     /// under an earlier upper limit (see `SliceList` for the closure
@@ -187,6 +192,8 @@ impl RfdetCtx {
             slice_start,
             slice_seq: 0,
             snaps,
+            runs: Default::default(),
+            sealed: None,
             cursors: HashMap::new(),
             peers: Vec::new(),
             sync_cache: HashMap::new(),
@@ -319,18 +326,15 @@ impl RfdetCtx {
     fn apply_pending(&mut self, page: usize, mut queue: Vec<rfdet_mem::RunRange>) {
         if queue.len() < Self::OVERLAY_MIN_GROUPS {
             for group in &queue {
-                self.h.stats.mod_bytes_applied += self.space.apply_runs(group.runs());
+                self.h.stats.mod_bytes_applied += self.space.apply(group);
             }
         } else {
             let base = self.space.page_base(page);
             let mut overlay = std::mem::take(&mut self.lazy_overlay);
             overlay.reset(self.space.page_size());
             let mut superseded: u64 = 0;
-            for group in &queue {
-                for run in group.runs() {
-                    let off = (run.addr - base) as usize;
-                    superseded += overlay.write(off, &run.data);
-                }
+            for (addr, data) in queue.iter().flat_map(Runs::iter_runs) {
+                superseded += overlay.write((addr - base) as usize, data);
             }
             self.h.stats.lazy_elided_bytes += superseded;
             self.h.stats.mod_bytes_applied += self.space.apply_overlay(page, &overlay);
@@ -518,10 +522,10 @@ impl RfdetCtx {
     }
 
     /// Entry of every synchronization operation. The harness assigns the
-    /// op its coordinate and records it; plan jitter ticks the Kendo
-    /// clock; then the thread takes its deterministic turn — the stall is
-    /// attributed to [`Phase::WaitTurn`], starting at the sync-op
-    /// envelope's clock read, and its end seeds the next boundary. A
+    /// op its coordinate and records it; every op but `lock` seals the
+    /// slice off turn (DESIGN.md §4.2); plan jitter ticks the Kendo clock;
+    /// then the thread takes its deterministic turn — the stall is
+    /// [`Phase::WaitTurn`], and its end seeds the next boundary. A
     /// planned panic is delivered only now, with the op *ordered*: which
     /// of several planned panics becomes the run's root cause is then a
     /// function of the sync order, not of who reached its op first.
@@ -534,6 +538,9 @@ impl RfdetCtx {
         // through its own ticks and deterministic wake handoffs, so its
         // value at a program point is schedule-pure.
         let fault = self.h.enter_sync(op, || self.kendo.clock());
+        if !matches!(op, SyncOp::Lock(_)) {
+            self.sealed = Some(self.seal_slice());
+        }
         if fault.jitter_ticks > 0 {
             self.shared
                 .kendo
@@ -782,5 +789,35 @@ mod tests {
         assert_eq!(buf[0], 7);
         assert_eq!(c.h.stats.page_faults, 1);
         assert!(c.pending.is_empty());
+    }
+
+    /// The twin of `store_after_lazy_fault_snapshots_post_apply_bytes` for
+    /// a slice sealed ahead of its turn: `spawn` seals, then flushes the
+    /// pending pages in turn — and a flush drains only pages the slice
+    /// never stored to, so the slice carries the thread's own bytes and
+    /// none of the flushed remote ones.
+    #[test]
+    fn a_slice_sealed_before_spawns_flush_carries_only_its_own_bytes() {
+        use rfdet_api::{DmtCtx, DmtCtxExt};
+        use rfdet_mem::ModRun;
+        use rfdet_meta::SliceRec;
+        use rfdet_vclock::VClock;
+        let mut c = ctx();
+        let mut t = VClock::new();
+        t.tick(1);
+        let remote = vec![ModRun::new(64, vec![7].into())];
+        c.apply_slice(&Arc::new(SliceRec::new(1, 0, t, remote)));
+        c.write::<u64>(4096 + 8, 0x55);
+        let child = c.spawn(Box::new(|_: &mut dyn DmtCtx| {}));
+        assert!(c.pending.is_empty(), "spawn flushed the remote run");
+        assert_eq!(c.h.stats.page_faults, 0, "a runtime flush, not a fault");
+        let published = c.shared.meta.snapshot_list(0);
+        assert_eq!(published.len(), 1);
+        assert_eq!(
+            crate::slices::tests::boxed(&published[0].mods),
+            vec![ModRun::new(4096 + 8, vec![0x55].into())]
+        );
+        c.join(child);
+        assert_eq!(c.read::<u8>(64), 7);
     }
 }

@@ -109,7 +109,7 @@ mod tests {
     use rfdet_mem::{ModRun, RunList};
 
     fn group() -> RunRange {
-        let list: RunList = vec![ModRun::new(0, vec![1, 2].into())].into();
+        let list = RunList::pack(&[ModRun::new(0, vec![1, 2].into())]);
         RunRange::new(&list, 0, 1)
     }
 

@@ -4,7 +4,7 @@ use crate::ctx::RfdetCtx;
 use crate::handoff::{BarrierHandoff, Mailbox};
 use rfdet_api::obs::Phase;
 use rfdet_api::Tid;
-use rfdet_mem::PageFlags;
+use rfdet_mem::{page_groups, PageFlags, RunRange, Runs};
 use rfdet_meta::SliceRef;
 use rfdet_vclock::VClock;
 use std::collections::HashSet;
@@ -65,11 +65,11 @@ impl RfdetCtx {
     /// Applies one slice's modifications to local memory — directly, or
     /// deferred into per-page pending queues when lazy writes are on.
     ///
-    /// Both paths are zero-copy over the slice's shared run list: the lazy
-    /// path pushes one [`rfdet_mem::RunRange`] per per-page run group (a
-    /// single `Arc` bump per group, no byte copies), and the eager path
-    /// hands the whole list to the batched `apply_runs`, which resolves
-    /// each target page once per group instead of once per run.
+    /// Both paths are zero-copy over the slice's shared arena and walk it
+    /// in [`page_groups`]: the lazy path pushes one
+    /// [`rfdet_mem::RunRange`] per group (a single `Arc` bump, no byte
+    /// copies), and the eager path's batched apply resolves each target
+    /// page once per group instead of once per run.
     pub(crate) fn apply_slice(&mut self, s: &SliceRef) {
         // Race detection: main (the only thread with a detector) checks
         // every incoming slice's accesses against its epoch table before
@@ -80,15 +80,9 @@ impl RfdetCtx {
             det.observe_slice(s);
         }
         if self.shared.run.cfg.rfdet.lazy_writes {
-            let runs = &s.mods;
-            let mut k = 0;
-            while k < runs.len() {
-                let page = self.space.page_of(runs[k].addr);
-                let mut end = k + 1;
-                while end < runs.len() && self.space.page_of(runs[end].addr) == page {
-                    end += 1;
-                }
-                let group = rfdet_mem::RunRange::new(&s.mods, k, end);
+            for group in page_groups(&s.mods, self.space.page_size()) {
+                let page = self.space.page_of(s.mods.run(group.start).0);
+                let group = RunRange::new(&s.mods, group.start, group.end);
                 self.h.stats.lazy_deferred_bytes += group.byte_len() as u64;
                 // The first deposit on a page protects it; repeats add
                 // nothing (invariant: a page is `NO_ACCESS` iff it has a
@@ -100,10 +94,9 @@ impl RfdetCtx {
                     self.flags.protect(page, PageFlags::NO_ACCESS);
                     self.h.stats.lazy_protect_calls += 1;
                 }
-                k = end;
             }
         } else {
-            self.h.stats.mod_bytes_applied += self.space.apply_runs(&s.mods);
+            self.h.stats.mod_bytes_applied += self.space.apply(&s.mods);
         }
     }
 
@@ -122,21 +115,14 @@ impl RfdetCtx {
             det.observe_slice(s);
         }
         if self.shared.run.cfg.rfdet.lazy_writes && !self.pending.is_empty() {
-            let runs = &s.mods;
-            let mut k = 0;
-            while k < runs.len() {
-                let page = self.space.page_of(runs[k].addr);
+            for group in page_groups(&s.mods, self.space.page_size()) {
+                let page = self.space.page_of(s.mods.run(group.start).0);
                 if self.flags.is_protected(page, PageFlags::NO_ACCESS) {
                     self.drain_pending(page);
                 }
-                let mut end = k + 1;
-                while end < runs.len() && self.space.page_of(runs[end].addr) == page {
-                    end += 1;
-                }
-                k = end;
             }
         }
-        self.h.stats.mod_bytes_applied += self.space.apply_runs(&s.mods);
+        self.h.stats.mod_bytes_applied += self.space.apply(&s.mods);
     }
 
     /// Prelock pre-merge (§4.5): while blocked behind `source` (the lock
@@ -227,6 +213,7 @@ mod tests {
     use crate::shared::RuntimeShared;
     use crate::RfdetCtx;
     use rfdet_api::{DmtCtxExt, RunConfig};
+    use rfdet_mem::Runs;
     use rfdet_vclock::VClock;
     use std::sync::Arc;
 
@@ -382,7 +369,7 @@ mod tests {
         assert_eq!(own.len(), 1);
         let mut page = vec![0u8; 4096];
         b.space.read(0, &mut page);
-        (own[0].mods.to_vec(), page)
+        (crate::slices::tests::boxed(&own[0].mods), page)
     }
 
     #[test]
@@ -423,21 +410,20 @@ mod tests {
         b.propagate_from(0, &t, &lower);
         let published = b.shared.meta.snapshot_list(0);
         assert_eq!(published.len(), 1);
-        // Every pending entry aliases the published slice's run storage —
-        // the lazy path defers by Arc bump, not by copying run bytes —
-        // and one slice contributes exactly one group per touched page.
+        // Every pending entry aliases the published slice's arena — the
+        // lazy path defers by Arc bump, not by copying run bytes — and one
+        // slice contributes exactly one group per touched page.
         let queued_runs: usize = b
             .pending
             .values()
-            .flat_map(|groups| groups.iter().map(rfdet_mem::RunRange::len))
+            .flat_map(|groups| groups.iter().map(Runs::count))
             .sum();
-        assert_eq!(queued_runs, published[0].mods.len());
+        assert_eq!(queued_runs, published[0].mods.count());
         for groups in b.pending.values() {
             assert_eq!(groups.len(), 1, "one RunRange per (slice, page) group");
-            for g in groups {
-                for r in g.runs() {
-                    assert!(published[0].mods.iter().any(|m| std::ptr::eq(m, r)));
-                }
+            for (_, data) in groups.iter().flat_map(Runs::iter_runs) {
+                let mut arena = published[0].mods.iter_runs();
+                assert!(arena.any(|(_, d)| std::ptr::eq(d, data)));
             }
         }
         assert_eq!(b.h.stats.lazy_protect_calls, b.pending.len() as u64);

@@ -85,6 +85,7 @@ impl RuntimeShared {
     /// The [`ConfigError`] of an invalid `cfg`.
     pub fn new(cfg: &RunConfig) -> Result<Self, ConfigError> {
         let run = RunHarness::new(cfg, Family::Dlrc)?;
+        crate::supervise::filter_control_unwinds();
         let cfg = &run.cfg;
         let heap_base = rfdet_mem::heap_base(cfg.space_bytes);
         // The wall-clock bound is only the *fallback*: structural

@@ -1,27 +1,23 @@
 //! Slice lifecycle (paper §4.2).
 //!
 //! A *slice* is a synchronization-free interval of one thread's execution.
-//! Every synchronization operation ends the current slice: the lines
-//! snapshotted by the store instrumentation are diffed byte-by-byte
-//! against their current contents, the resulting modification list is
-//! sealed into a [`rfdet_meta::SliceRec`] stamped with the slice's vector
-//! time, and the record is published to the metadata space.
+//! Every synchronization operation ends the current slice: the *seal*
+//! diffs the snapshotted lines and packs the runs into one arena (ahead of
+//! the op's turn unless it is a `lock`), and in turn the *publication*
+//! stamps them with the slice's vector time into a
+//! [`rfdet_meta::SliceRec`] in the metadata space.
 
 use crate::ctx::RfdetCtx;
 use rfdet_api::obs::Phase;
-use rfdet_mem::PageFlags;
+use rfdet_mem::{PageFlags, RunList};
 use rfdet_meta::SliceRec;
 
 impl RfdetCtx {
-    /// Ends the current slice: diff, seal, publish. Runs GC if the
-    /// publication crossed the metadata threshold (§4.5). The seal
-    /// recycles the snapshot buffers, so the next slice's first stores
-    /// snapshot allocation-free.
-    pub(crate) fn end_slice(&mut self) {
-        // One clock read serves as the end of the *previous* boundary
-        // phase (WaitTurn, usually), the slice-wall end, and the diff
-        // start (clock reads dominate observation cost on sync-dense
-        // runs, so adjacent phase boundaries share them).
+    /// Seals the open slice: diffs its dirty lines and packs the runs into
+    /// one arena, recycling the snapshot buffers. Thread-local work, so
+    /// [`Self::enter_op`] runs it ahead of the turn.
+    pub(crate) fn seal_slice(&mut self) -> (Option<RunList>, u64) {
+        // One clock read ends the slice wall and starts the diff.
         let diff_t0 = self.obs_boundary_start();
         if let (Some(t0), Some(now)) = (self.slice_t0.take(), diff_t0) {
             let ops =
@@ -30,10 +26,19 @@ impl RfdetCtx {
             self.h
                 .sample(Phase::SliceWall, now.duration_since(t0).as_nanos() as u64);
         }
-        let mut mods = Vec::new();
-        self.h.stats.diff_bytes_scanned += self.snaps.seal(&self.space, &mut mods);
-        self.h.stats.slices += 1;
+        let scanned = self.snaps.seal(&self.space, &mut self.runs);
+        let mods = self.runs.finish();
         self.obs_since_boundary(Phase::Diff, diff_t0);
+        (mods, scanned)
+    }
+
+    /// Ends the current slice: seals it unless its op already did, then
+    /// publishes it — the in-turn half. Runs GC if the publication crossed
+    /// the metadata threshold (§4.5).
+    pub(crate) fn end_slice(&mut self) {
+        let (mods, scanned) = self.sealed.take().unwrap_or_else(|| self.seal_slice());
+        self.h.stats.diff_bytes_scanned += scanned;
+        self.h.stats.slices += 1;
         // Race detection seals the slice's word-read set alongside the
         // diff. Read-only slices must then publish too — a remote read
         // can race a write, and the detecting thread only sees accesses
@@ -44,8 +49,9 @@ impl RfdetCtx {
         } else {
             Vec::new()
         };
-        if !mods.is_empty() || !reads.is_empty() {
-            let mut rec = SliceRec::new(self.tid, self.slice_seq, self.slice_start.clone(), mods);
+        if mods.is_some() || !reads.is_empty() {
+            let (time, mods) = (self.slice_start.clone(), mods.unwrap_or_default());
+            let mut rec = SliceRec::sealed(self.tid, self.slice_seq, time, mods);
             if self.track_reads {
                 rec = rec.with_access(reads, self.h.sync_ops(), self.in_atomic);
             }
@@ -62,11 +68,13 @@ impl RfdetCtx {
         self.slice_seq += 1;
     }
 
-    /// Runs a deferred GC pass (call off-turn).
+    /// Runs a deferred GC pass (call off-turn) and nudges parked threads
+    /// into a pre-merge round, the only thing that advances their GC bound.
     pub(crate) fn run_pending_gc(&mut self) {
         if self.gc_pending {
             self.gc_pending = false;
             self.shared.meta.run_gc();
+            self.shared.kendo.nudge_parked();
         }
     }
 
@@ -81,10 +89,9 @@ impl RfdetCtx {
         self.slice_t0 = self.obs_boundary_start();
         self.slice_ops_base = self.h.stats.loads + self.h.stats.stores;
         self.slice_start = self.vc.clone();
-        debug_assert_eq!(
-            self.snaps.dirty_pages(),
-            0,
-            "begin_slice with open snapshots"
+        debug_assert!(
+            self.snaps.dirty_pages() == 0 && self.sealed.is_none(),
+            "begin_slice with the previous slice unpublished"
         );
         if self.pf {
             self.flags.protect_all(PageFlags::WRITE_PROTECT);
@@ -93,11 +100,18 @@ impl RfdetCtx {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use crate::shared::RuntimeShared;
     use crate::RfdetCtx;
     use rfdet_api::{DmtCtx as _, DmtCtxExt, MonitorMode, RunConfig};
+    use rfdet_mem::{ModRun, RunList, Runs};
     use std::sync::Arc;
+
+    /// A published arena's runs, boxed for comparison.
+    pub(crate) fn boxed(list: &RunList) -> Vec<ModRun> {
+        let boxed = |(addr, data): (u64, &[u8])| ModRun::new(addr, data.into());
+        list.iter_runs().map(boxed).collect()
+    }
 
     fn ctx_with(monitor: MonitorMode) -> RfdetCtx {
         let mut cfg = RunConfig::small();
@@ -218,7 +232,11 @@ mod tests {
         assert_eq!(ctx.h.stats.diff_bytes_scanned, 64 + 128 + 128);
         assert_eq!(ctx.h.stats.stores_with_copy, 1 + 3, "pages 0, 1 and 2");
         let list = ctx.shared.meta.snapshot_list(0);
-        let runs: Vec<(u64, usize)> = list[1].mods.iter().map(|r| (r.addr, r.len())).collect();
+        let runs: Vec<(u64, usize)> = list[1]
+            .mods
+            .iter_runs()
+            .map(|(a, d)| (a, d.len()))
+            .collect();
         assert_eq!(
             runs,
             vec![(60, 8), (2 * 4096 - 4, 4), (2 * 4096, 4)],
@@ -273,9 +291,9 @@ mod tests {
             ci.h.stats.diff_bytes_scanned,
             ci.h.stats.snapshot_bytes_copied
         );
-        let mods = |ctx: &RfdetCtx| -> Vec<Vec<rfdet_mem::ModRun>> {
+        let mods = |ctx: &RfdetCtx| -> Vec<Vec<ModRun>> {
             let list = ctx.shared.meta.snapshot_list(0);
-            list.iter().map(|s| s.mods.to_vec()).collect()
+            list.iter().map(|s| boxed(&s.mods)).collect()
         };
         assert_eq!(mods(&pf).len(), 2);
         assert_eq!(mods(&pf), mods(&ci));

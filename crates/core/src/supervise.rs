@@ -21,10 +21,35 @@
 //!   exists for runs that starve without a provable deadlock; Kendo's
 //!   timeout unwinds with a [`Starved`] payload, recognised here by type.
 
+use crate::checkpoint::CkptStop;
 use crate::shared::RuntimeShared;
+use rfdet_api::harness::Stopped;
 use rfdet_api::{FailureKind, ThreadReport, Tid, WaitEdge};
 use rfdet_kendo::{Aborted, Starved};
 use std::any::Any;
+
+/// Installs, once per process, the panic-hook filter over the runtime's
+/// own unwinds, which are all caught: a [`control_flow`] token prints
+/// nothing, a [`Starved`] prints its diagnosis, not `Box<dyn Any>`.
+pub(crate) fn filter_control_unwinds() {
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if let Some(starved) = info.payload().downcast_ref::<Starved>() {
+                eprintln!("{starved}");
+            } else if !control_flow(info.payload()) {
+                prev(info);
+            }
+        }));
+    });
+}
+
+/// `true` for the unwinds that stop a thread rather than report a fault:
+/// the clean shard stop and a failed run's secondary unwinds.
+fn control_flow(payload: &(dyn Any + Send)) -> bool {
+    payload.is::<CkptStop>() || payload.is::<Stopped>() || payload.is::<Aborted>()
+}
 
 impl RuntimeShared {
     /// Records a thread's unwind (first root cause wins) and aborts the
@@ -158,6 +183,22 @@ mod tests {
             assert!(matches!(err, RunError::WorkerPanicked(_)), "{lookalike}");
             assert_eq!(err.report().message, lookalike);
         }
+    }
+
+    #[test]
+    fn the_hook_silences_stopping_tokens_and_nothing_else() {
+        let silent: [Box<dyn Any + Send>; 3] =
+            [Box::new(CkptStop), Box::new(Stopped), Box::new(Aborted)];
+        assert!(silent.iter().all(|p| control_flow(p.as_ref())));
+        let mut cfg = RunConfig::small();
+        cfg.deadlock_after_ms = Some(10);
+        let s = RuntimeShared::new(&cfg).expect("valid config");
+        let _leader = s.kendo.register(0);
+        let starving = s.kendo.register(10);
+        let starved = unwind_of(|| s.kendo.wait_for_turn(&starving));
+        assert!(starved.is::<Starved>());
+        let printed: [Box<dyn Any + Send>; 3] = [starved, Box::new("boom"), Box::new(7u32)];
+        assert!(printed.iter().all(|p| !control_flow(p.as_ref())));
     }
 
     #[test]

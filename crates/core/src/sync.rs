@@ -3,13 +3,16 @@
 //! Every operation follows the same shape:
 //!
 //! 1. [`RfdetCtx::enter_op`] — the harness assigns the op its per-thread
-//!    coordinate, then Kendo admits it at a deterministic point in the
-//!    global synchronization order (`wait_for_turn`);
-//! 2. *in turn*: end the current slice, record releases in the internal
-//!    sync-var table, tick the vector clock, mutate the deterministic
-//!    queues, deposit handoffs into blocked threads' mailboxes, publish
-//!    the in-turn clock, and finally tick the Kendo clock (releasing the
-//!    turn);
+//!    coordinate, every op but `lock` seals the slice (diff and packing,
+//!    thread-local: until its turn only the thread touches its space),
+//!    then Kendo admits it at a deterministic point in the global
+//!    synchronization order (`wait_for_turn`);
+//! 2. *in turn*: publish the slice (`lock` seals it here first: only its
+//!    turn decides whether slice merging keeps it open), record releases
+//!    in the internal sync-var table, tick the vector clock, mutate the
+//!    deterministic queues, deposit handoffs into blocked threads'
+//!    mailboxes, publish the in-turn clock, and finally tick the Kendo
+//!    clock (releasing the turn);
 //! 3. *off turn*: the actual memory-modification propagation — the
 //!    expensive part — runs in parallel with other threads' turns. This
 //!    is exactly what "no global barriers" buys.

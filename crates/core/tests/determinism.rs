@@ -354,6 +354,44 @@ fn gc_reclaims_under_pressure_without_changing_results() {
 }
 
 #[test]
+fn a_parked_joiner_does_not_hold_gc_back_until_its_idle_poll() {
+    // Main parks in `join` for the whole run, so its published clock moves
+    // only in its pre-merge rounds. Each GC pass nudges it into one, and
+    // the next pass collects below it: what GC reclaims is paced by the
+    // slices published, not by the 20 ms idle poll, which a run this
+    // short barely reaches.
+    fn root(ctx: &mut dyn DmtCtx) {
+        let m = MutexId(0);
+        let handles: Vec<_> = (0..2u64)
+            .map(|i| {
+                ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
+                    for k in 1..=1000u64 {
+                        ctx.lock(m);
+                        ctx.write(4096 + 8 * i, k);
+                        ctx.unlock(m);
+                    }
+                }))
+            })
+            .collect();
+        for h in handles {
+            ctx.join(h);
+        }
+        let (a, b): (u64, u64) = (ctx.read(4096), ctx.read(4104));
+        ctx.emit_str(&format!("{a},{b}"));
+    }
+    let mut c = cfg(None);
+    c.meta_max_slices = 64;
+    let out = RfdetBackend::ci().run_expect(&c, Box::new(root));
+    assert_eq!(out.output, b"1000,1000");
+    // 2 000 unlocks publish a slice each (the locks' slices are empty).
+    assert!(
+        out.stats.gc_reclaimed_slices > 1500,
+        "GC reclaimed {} of 2000 published slices",
+        out.stats.gc_reclaimed_slices
+    );
+}
+
+#[test]
 fn barrier_reused_across_episodes_survives_gc() {
     // The same BarrierId runs many episodes while a tight metadata budget
     // forces GC passes between them. Barrier propagation re-walks slice

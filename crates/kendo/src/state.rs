@@ -102,6 +102,8 @@ struct Slot {
     /// turn-waiters.
     park_lock: Mutex<()>,
     park_cv: Condvar,
+    /// Set (under `park_lock`) by [`KendoState::nudge_parked`].
+    nudged: AtomicBool,
 }
 
 impl Slot {
@@ -111,6 +113,7 @@ impl Slot {
             status: CachePadded::new(AtomicU8::new(status as u8)),
             park_lock: Mutex::new(()),
             park_cv: Condvar::new(),
+            nudged: AtomicBool::new(false),
         }
     }
 }
@@ -443,6 +446,21 @@ impl KendoState {
         for (_, slot) in self.slots.iter() {
             let _guard = slot.park_lock.lock();
             slot.park_cv.notify_all();
+        }
+    }
+
+    /// Has every parked thread run its idle callback now rather than at
+    /// its next idle poll. RFDet nudges after each GC pass: a parked
+    /// thread's published clock, which bounds what GC may collect, moves
+    /// only in that callback's pre-merge, so without the nudge how much
+    /// metadata a run holds would be paced by wall time.
+    pub fn nudge_parked(&self) {
+        for (_, slot) in self.slots.iter() {
+            if Status::from_u8(slot.status.load(SeqCst)) == Status::Blocked {
+                let _guard = slot.park_lock.lock();
+                slot.nudged.store(true, SeqCst);
+                slot.park_cv.notify_all();
+            }
         }
     }
 
@@ -973,10 +991,11 @@ impl KendoState {
     /// collection.
     ///
     /// Returns the number of *idle wakeups*: sleep timeouts (one per
-    /// [`KendoState::with_idle_poll`] period) that expired while the
-    /// thread was still parked. The metrics layer histograms this so
-    /// spurious-wakeup regressions are visible; the count must never
-    /// feed back into scheduling.
+    /// [`KendoState::with_idle_poll`] period) and nudges
+    /// ([`KendoState::nudge_parked`], which run the callback at once)
+    /// that found the thread still parked. The metrics layer histograms
+    /// this so spurious-wakeup regressions are visible; the count must
+    /// never feed back into scheduling.
     pub fn park_until_active_with(&self, me: &KendoHandle, mut on_idle: impl FnMut()) -> u64 {
         let start = Instant::now();
         // Stage 1: poll. Typical lock/condvar handoffs land here; a
@@ -998,9 +1017,16 @@ impl KendoState {
             SpinTier::Shared => 192,
             SpinTier::Saturated => 64,
         };
+        let mut idle_wakeups: u64 = 0;
         let mut polls: u32 = 0;
         while Status::from_u8(me.slot.status.load(SeqCst)) != Status::Active {
             self.check_abort();
+            // A nudge is served here too: at `Dedicated` the poll stage
+            // can outlast a whole run.
+            if me.slot.nudged.swap(false, SeqCst) {
+                idle_wakeups += 1;
+                on_idle();
+            }
             polls += 1;
             if polls < 64 {
                 std::hint::spin_loop();
@@ -1012,18 +1038,19 @@ impl KendoState {
             }
         }
         // Stage 2: sleep on the slot condvar, doing idle work between
-        // timeouts.
-        let mut idle_wakeups: u64 = 0;
+        // timeouts and nudges.
         let mut guard = me.slot.park_lock.lock();
         let mut next_idle = Instant::now() + self.idle_poll;
         while Status::from_u8(me.slot.status.load(SeqCst)) != Status::Active {
             self.check_abort();
-            me.slot.park_cv.wait_for(&mut guard, self.idle_poll);
+            if !me.slot.nudged.load(SeqCst) {
+                me.slot.park_cv.wait_for(&mut guard, self.idle_poll);
+            }
             if Status::from_u8(me.slot.status.load(SeqCst)) == Status::Active {
                 break;
             }
             idle_wakeups += 1;
-            if Instant::now() >= next_idle {
+            if me.slot.nudged.swap(false, SeqCst) || Instant::now() >= next_idle {
                 // Run the callback without the park lock so wakers are
                 // never blocked on it.
                 drop(guard);
@@ -1236,6 +1263,33 @@ mod tests {
             idles >= 1,
             "a 200 ms park polling every 5 ms must observe idle wakeups, got {idles}"
         );
+    }
+
+    #[test]
+    fn a_nudge_runs_the_idle_callback_without_waiting_for_the_idle_poll() {
+        let k = Arc::new(KendoState::new().with_idle_poll(Duration::from_secs(60)));
+        let a = k.register(0);
+        let b = k.register(10);
+        k.block(&a);
+        let (ran, seen) = std::sync::mpsc::channel();
+        let k2 = Arc::clone(&k);
+        let waker = std::thread::spawn(move || {
+            // One nudge, whichever park stage it lands in.
+            k2.nudge_parked();
+            let seen_in_time = seen.recv_timeout(Duration::from_secs(5)).is_ok();
+            k2.wake(0, 42);
+            seen_in_time
+        });
+        let idles = k.park_until_active_with(&a, || {
+            let _ = ran.send(());
+        });
+        assert!(
+            waker.join().unwrap(),
+            "no idle callback within 5 s of a nudge"
+        );
+        assert!(idles >= 1, "the nudged callback is an idle wakeup");
+        assert_eq!(a.clock(), 42);
+        assert!(!b.slot.nudged.load(SeqCst), "an active slot is left alone");
     }
 
     #[test]

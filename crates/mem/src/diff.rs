@@ -2,12 +2,12 @@
 //! Modifications" and §4.6 "Correctness of Page Diffing").
 //!
 //! At the end of each slice, the snapshotted part of every stored-to page
-//! is compared with its current contents and runs of differing bytes
-//! become [`ModRun`]s. A byte overwritten with the *same* value produces no
-//! run — that is load-bearing: it implements the paper's "prefer local
-//! writes when the remote write is redundant" conflict policy (§4.6), and
-//! the modification granularity of one byte matches the smallest C++
-//! scalar.
+//! is compared with its current contents and runs of differing bytes are
+//! packed into the slice's one [`RunList`] arena. A byte overwritten with
+//! the *same* value produces no run — that is load-bearing: it implements
+//! the paper's "prefer local writes when the remote write is redundant"
+//! conflict policy (§4.6), and the modification granularity of one byte
+//! matches the smallest C++ scalar.
 //!
 //! # The chunked, line-masked kernel
 //!
@@ -28,10 +28,12 @@
 
 use crate::bit_spans;
 use rfdet_api::Addr;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A contiguous run of modified bytes: "a write of the value `data` to
-/// address `addr`" generalized to a run for compactness.
+/// address `addr`" generalized to a run for compactness. Published slices
+/// pack theirs into a [`RunList`] instead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModRun {
     /// First modified address.
@@ -39,12 +41,6 @@ pub struct ModRun {
     /// The new bytes.
     pub data: Box<[u8]>,
 }
-
-/// A sealed, shared modification list. Slices publish their runs behind an
-/// `Arc` so consumers (pending lazy-write queues, barrier merges,
-/// transitive propagation) share one allocation instead of deep-copying
-/// runs — see [`RunHandle`].
-pub type RunList = Arc<[ModRun]>;
 
 impl ModRun {
     /// Creates a run.
@@ -73,12 +69,6 @@ impl ModRun {
         self.data.is_empty()
     }
 
-    /// Approximate heap bytes consumed by this run (metadata accounting).
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.data.len() + std::mem::size_of::<Self>()
-    }
-
     /// The exclusive end address of the run.
     #[must_use]
     pub fn end(&self) -> Addr {
@@ -86,108 +76,184 @@ impl ModRun {
     }
 }
 
-/// A zero-copy reference to one run inside a shared [`RunList`].
-///
-/// Cloning a `RunHandle` bumps one `Arc` — the run bytes themselves are
-/// never copied. The lazy-writes pending queues store these, so deferring
-/// a slice's modifications costs O(runs) pointer pushes instead of a deep
-/// copy of every run's bytes.
-#[derive(Clone, Debug)]
-pub struct RunHandle {
-    list: RunList,
-    idx: usize,
+/// Runs read as `(first address, new bytes)` pairs: the one view that
+/// applying, lazy deferral and race detection read, whether the runs are
+/// boxed [`ModRun`]s or packed in a [`RunList`].
+pub trait Runs {
+    /// Number of runs.
+    fn count(&self) -> usize;
+
+    /// Run `i`.
+    fn run(&self, i: usize) -> (Addr, &[u8]);
+
+    /// Every run, in order.
+    fn iter_runs(&self) -> impl Iterator<Item = (Addr, &[u8])> {
+        (0..self.count()).map(|i| self.run(i))
+    }
+
+    /// Total modified bytes.
+    fn byte_len(&self) -> usize {
+        self.iter_runs().map(|(_, data)| data.len()).sum()
+    }
 }
 
-impl RunHandle {
-    /// A handle to `list[idx]`.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of bounds for `list`.
+impl Runs for [ModRun] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn run(&self, i: usize) -> (Addr, &[u8]) {
+        (self[i].addr, &self[i].data)
+    }
+}
+
+/// Bytes per [`RunList`] table entry: `addr: u64, off: u32, len: u32`, LE.
+const ENTRY: usize = 16;
+
+/// A sealed slice's runs in one allocation: the runs' bytes back to back,
+/// then one 16-byte entry per run. Its consumers (lazy-write queues,
+/// barrier merges, transitive propagation) share it by `Arc`.
+#[derive(Clone, Debug, Default)]
+pub struct RunList {
+    buf: Arc<[u8]>,
+    runs: u32,
+}
+
+impl RunList {
+    /// Packs boxed runs into one arena.
     #[must_use]
-    pub fn new(list: &RunList, idx: usize) -> Self {
-        assert!(idx < list.len(), "RunHandle index out of bounds");
-        Self {
-            list: Arc::clone(list),
-            idx,
+    pub fn pack(runs: &[ModRun]) -> Self {
+        let mut b = RunBuilder::default();
+        for r in runs {
+            b.push(r.addr, &r.data);
         }
+        b.finish().unwrap_or_default()
     }
 
-    /// The referenced run.
-    #[inline]
+    /// The arena's exact size: the modified bytes plus 16 per run.
     #[must_use]
-    pub fn run(&self) -> &ModRun {
-        &self.list[self.idx]
+    pub fn heap_bytes(&self) -> usize {
+        self.buf.len()
     }
 }
 
-impl std::ops::Deref for RunHandle {
-    type Target = ModRun;
+impl Runs for RunList {
+    fn count(&self) -> usize {
+        self.runs as usize
+    }
 
-    fn deref(&self) -> &ModRun {
-        self.run()
+    #[inline]
+    fn run(&self, i: usize) -> (Addr, &[u8]) {
+        let e = &self.buf[self.byte_len() + ENTRY * i..][..ENTRY];
+        let field = |at: usize| u32::from_le_bytes(e[at..at + 4].try_into().expect("u32")) as usize;
+        let addr = u64::from_le_bytes(e[..8].try_into().expect("u64"));
+        (addr, &self.buf[field(8)..field(8) + field(12)])
+    }
+
+    fn byte_len(&self) -> usize {
+        self.buf.len() - ENTRY * self.count()
     }
 }
 
-/// A zero-copy reference to a *contiguous group* of runs inside a shared
-/// [`RunList`].
-///
-/// Slice modification lists arrive sorted by address (diffing walks pages
-/// in index order), so all runs of one page form one contiguous index
-/// range. The lazy-writes pending queues store one `RunRange` per
-/// (slice, page) group — a single `Arc` bump per group instead of one
-/// [`RunHandle`] per run, so deferring a slice costs O(pages touched)
-/// pointer pushes rather than O(runs).
+/// Packs runs into [`RunList`]s, keeping its buffers' capacity from one
+/// [`finish`](Self::finish) to the next.
+#[derive(Debug, Default)]
+pub struct RunBuilder {
+    bytes: Vec<u8>,
+    table: Vec<u8>,
+}
+
+impl RunBuilder {
+    /// Appends a run (never empty, see [`ModRun::new`]).
+    pub fn push(&mut self, addr: Addr, data: &[u8]) {
+        debug_assert!(!data.is_empty(), "empty run pushed");
+        let end = u32::try_from(self.bytes.len() + data.len()).expect("slice arena past 4 GiB");
+        let len = data.len() as u32; // fits: `end` does
+        self.table.extend_from_slice(&addr.to_le_bytes());
+        self.table.extend_from_slice(&(end - len).to_le_bytes());
+        self.table.extend_from_slice(&len.to_le_bytes());
+        self.bytes.extend_from_slice(data);
+    }
+
+    /// Freezes the runs pushed since the last call into one allocation
+    /// (`None`, allocating nothing, if there were none) and empties the
+    /// builder.
+    pub fn finish(&mut self) -> Option<RunList> {
+        let runs = (self.table.len() / ENTRY) as u32;
+        (runs > 0).then(|| {
+            self.bytes.append(&mut self.table);
+            let buf = Arc::from(&self.bytes[..]);
+            self.bytes.clear();
+            RunList { buf, runs }
+        })
+    }
+}
+
+/// Runs `start..end` of a [`RunList`]: one `Arc` bump, however many runs.
+/// The lazy-writes pending queues hold one per (slice, page) group, so
+/// deferring a slice costs a pointer push per page touched and no copy.
 #[derive(Clone, Debug)]
 pub struct RunRange {
     list: RunList,
-    start: usize,
-    end: usize,
+    start: u32,
+    end: u32,
 }
 
 impl RunRange {
-    /// A handle to `list[start..end]`.
+    /// A handle to runs `start..end` of `list`.
     ///
     /// # Panics
     /// Panics if the range is empty or out of bounds for `list`.
     #[must_use]
     pub fn new(list: &RunList, start: usize, end: usize) -> Self {
+        let n = list.count();
         assert!(
-            start < end && end <= list.len(),
-            "RunRange {start}..{end} invalid for list of {}",
-            list.len()
+            start < end && end <= n,
+            "RunRange {start}..{end} invalid for list of {n}"
         );
         Self {
-            list: Arc::clone(list),
-            start,
-            end,
+            list: list.clone(),
+            start: start as u32,
+            end: end as u32,
         }
     }
+}
 
-    /// The referenced runs.
+impl Runs for RunRange {
+    fn count(&self) -> usize {
+        (self.end - self.start) as usize
+    }
+
     #[inline]
-    #[must_use]
-    pub fn runs(&self) -> &[ModRun] {
-        &self.list[self.start..self.end]
+    fn run(&self, i: usize) -> (Addr, &[u8]) {
+        assert!(i < self.count(), "run {i} beyond its group");
+        self.list.run(self.start as usize + i)
     }
+}
 
-    /// Number of runs in the group.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// `false` for every range built by [`RunRange::new`] (which rejects
-    /// empty ranges); present for container-idiom completeness.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.start >= self.end
-    }
-
-    /// Total modified bytes across the group.
-    #[must_use]
-    pub fn byte_len(&self) -> usize {
-        runs_len(self.runs())
-    }
+/// `runs` cut into page groups: maximal index ranges of consecutive runs
+/// lying wholly inside one page of `page_size` bytes (a power of two). A
+/// run crossing a page boundary (diffing, which works per page, never
+/// makes one) is a group of its own. The one grouping loop behind
+/// applying runs and depositing them lazily.
+pub fn page_groups<R: Runs + ?Sized>(
+    runs: &R,
+    page_size: usize,
+) -> impl Iterator<Item = Range<usize>> + '_ {
+    let shift = page_size.trailing_zeros();
+    let page = move |i| {
+        let (addr, data): (Addr, &[u8]) = runs.run(i);
+        Some(addr >> shift).filter(|&p| p == (addr + data.len() as u64 - 1) >> shift)
+    };
+    let mut k = 0;
+    std::iter::from_fn(move || {
+        let (start, first) = (k, (k < runs.count()).then(|| page(k))?);
+        k += 1;
+        while first.is_some() && k < runs.count() && page(k) == first {
+            k += 1;
+        }
+        Some(start..k)
+    })
 }
 
 const WORD: usize = std::mem::size_of::<u64>();
@@ -258,13 +324,22 @@ fn next_same(snapshot: &[u8], current: &[u8], mut i: usize) -> usize {
 ///-at-a-time scan speed. [`diff_lines`] over a full mask (the whole
 /// buffer is one dirty line).
 pub fn diff_page(page_base: Addr, snapshot: &[u8], current: &[u8], out: &mut Vec<ModRun>) {
-    diff_lines(page_base, snapshot, current, 1, current.len(), out);
+    diff_lines(
+        page_base,
+        snapshot,
+        current,
+        1,
+        current.len(),
+        |addr, data| {
+            out.push(ModRun::new(addr, data.into()));
+        },
+    );
 }
 
 /// The diff kernel: compares `snapshot` and `current` on the dirty lines
 /// of `mask` only (bit `l` set = bytes `l * line_bytes ..` of the page, one
-/// line long, clipped to the page), appends the runs of changed bytes to
-/// `out` and returns the number of bytes compared (the raw material of
+/// line long, clipped to the page), hands each run of changed bytes to
+/// `emit` as `(first address, bytes)`, in address order, and returns the number of bytes compared (the raw material of
 /// the `diff_bytes_scanned` Stats counter).
 ///
 /// Bytes outside the mask are never read from `snapshot` and are taken to
@@ -288,7 +363,7 @@ pub fn diff_lines(
     current: &[u8],
     mask: u64,
     line_bytes: usize,
-    out: &mut Vec<ModRun>,
+    mut emit: impl FnMut(Addr, &[u8]),
 ) -> u64 {
     assert_eq!(snapshot.len(), current.len(), "snapshot/page size mismatch");
     let n = current.len();
@@ -302,7 +377,7 @@ pub fn diff_lines(
         let mut i = next_diff(snap, cur, lo);
         while i < hi {
             let end = next_same(snap, cur, i);
-            out.push(ModRun::new(page_base + i as u64, current[i..end].into()));
+            emit(page_base + i as u64, &current[i..end]);
             i = next_diff(snap, cur, end);
         }
     }
@@ -332,18 +407,6 @@ pub fn diff_page_scalar(page_base: Addr, snapshot: &[u8], current: &[u8], out: &
             current[start..i].into(),
         ));
     }
-}
-
-/// Total modified bytes across `runs`.
-#[must_use]
-pub fn runs_len(runs: &[ModRun]) -> usize {
-    runs.iter().map(ModRun::len).sum()
-}
-
-/// Total heap footprint of `runs` (metadata accounting).
-#[must_use]
-pub fn runs_heap_bytes(runs: &[ModRun]) -> usize {
-    runs.iter().map(ModRun::heap_bytes).sum()
 }
 
 #[cfg(test)]
@@ -422,14 +485,49 @@ mod tests {
         assert_eq!(out, vec![ModRun::new(1, vec![1].into())]);
     }
 
+    fn sample() -> Vec<ModRun> {
+        vec![
+            ModRun::new(0, vec![1].into()),
+            ModRun::new(8, vec![2, 3].into()),
+            ModRun::new(4096, vec![4].into()),
+        ]
+    }
+
     #[test]
-    fn runs_len_and_heap_bytes() {
-        let runs = vec![
-            ModRun::new(0, vec![1, 2].into()),
-            ModRun::new(9, vec![3].into()),
-        ];
-        assert_eq!(runs_len(&runs), 3);
-        assert!(runs_heap_bytes(&runs) >= 3);
+    fn arena_reads_back_the_runs_it_packed_in_16_bytes_each() {
+        let runs = sample();
+        let list = RunList::pack(&runs);
+        assert_eq!((list.count(), list.byte_len()), (3, 4));
+        assert_eq!(list.heap_bytes(), 4 + 16 * 3, "bytes plus one entry a run");
+        let view: Vec<(Addr, &[u8])> = list.iter_runs().collect();
+        assert_eq!(view, runs[..].iter_runs().collect::<Vec<_>>());
+        assert_eq!(view[1], (8, &[2u8, 3][..]));
+    }
+
+    #[test]
+    fn builder_reuses_its_capacity_and_an_empty_finish_allocates_nothing() {
+        let mut b = RunBuilder::default();
+        assert!(b.finish().is_none());
+        b.push(64, &[7; 100]);
+        let first = b.finish().expect("one run");
+        let cap = (b.bytes.capacity(), b.table.capacity());
+        b.push(64, &[8; 10]);
+        let second = b.finish().expect("one run");
+        assert_eq!((b.bytes.capacity(), b.table.capacity()), cap);
+        assert_eq!(first.run(0), (64, &[7u8; 100][..]));
+        assert_eq!(second.run(0), (64, &[8u8; 10][..]));
+        assert_eq!(RunList::pack(&[]).count(), 0);
+    }
+
+    #[test]
+    fn page_groups_split_at_page_changes_and_isolate_straddlers() {
+        let mut runs = sample();
+        runs.push(ModRun::new(4100, vec![5].into()));
+        runs.push(ModRun::new(8190, vec![6; 4].into())); // crosses 8192
+        runs.push(ModRun::new(8180, vec![7].into()));
+        let groups: Vec<_> = page_groups(&runs[..], 4096).collect();
+        assert_eq!(groups, vec![0..2, 2..4, 4..5, 5..6]);
+        assert_eq!(page_groups(&RunList::pack(&runs), 4096).count(), 4);
     }
 
     #[test]
@@ -503,58 +601,25 @@ mod tests {
     }
 
     #[test]
-    fn run_handle_shares_without_copying() {
-        let list: RunList = vec![
-            ModRun::new(0, vec![1].into()),
-            ModRun::new(8, vec![2, 3].into()),
-        ]
-        .into();
-        let h = RunHandle::new(&list, 1);
-        assert_eq!(h.addr, 8);
-        assert_eq!(h.run().len(), 2);
-        let h2 = h.clone();
-        // Both handles alias the same backing run storage.
-        assert!(std::ptr::eq(h.run(), h2.run()));
-        assert_eq!(Arc::strong_count(&list), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn run_handle_rejects_bad_index() {
-        let list: RunList = vec![ModRun::new(0, vec![1].into())].into();
-        let _ = RunHandle::new(&list, 1);
-    }
-
-    #[test]
     fn run_range_shares_a_group_without_copying() {
-        let list: RunList = vec![
-            ModRun::new(0, vec![1].into()),
-            ModRun::new(8, vec![2, 3].into()),
-            ModRun::new(4096, vec![4].into()),
-        ]
-        .into();
+        let list = RunList::pack(&sample());
         let r = RunRange::new(&list, 0, 2);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.byte_len(), 3);
-        assert!(!r.is_empty());
-        // One Arc bump covers the whole group; runs alias the list storage.
-        assert_eq!(Arc::strong_count(&list), 2);
-        assert!(std::ptr::eq(&list[0], &r.runs()[0]));
-        assert!(std::ptr::eq(&list[1], &r.runs()[1]));
+        assert_eq!((r.count(), r.byte_len()), (2, 3));
+        // One Arc bump covers the whole group; runs alias the arena.
+        assert_eq!(Arc::strong_count(&list.buf), 2);
+        assert!(std::ptr::eq(list.run(1).1, r.run(1).1));
     }
 
     #[test]
     #[should_panic(expected = "invalid for list")]
     fn run_range_rejects_empty_range() {
-        let list: RunList = vec![ModRun::new(0, vec![1].into())].into();
-        let _ = RunRange::new(&list, 1, 1);
+        let _ = RunRange::new(&RunList::pack(&sample()), 1, 1);
     }
 
     #[test]
     #[should_panic(expected = "invalid for list")]
     fn run_range_rejects_out_of_bounds() {
-        let list: RunList = vec![ModRun::new(0, vec![1].into())].into();
-        let _ = RunRange::new(&list, 0, 2);
+        let _ = RunRange::new(&RunList::pack(&sample()[..1]), 0, 2);
     }
 
     #[cfg(debug_assertions)]

@@ -31,7 +31,7 @@ mod snap;
 mod space;
 
 pub use alloc::{HeapState, StripAllocator, ThreadHeap, MAX_HEAP_THREADS};
-pub use diff::{ModRun, RunHandle, RunList, RunRange};
+pub use diff::{page_groups, ModRun, RunBuilder, RunList, RunRange, Runs};
 pub use overlay::PageOverlay;
 pub use page::Page;
 pub use prot::PageFlags;

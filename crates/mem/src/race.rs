@@ -24,7 +24,7 @@
 //! page index to a dense per-word cell array, materialized only for pages
 //! that racy-candidate accesses actually touch.
 
-use crate::diff::ModRun;
+use crate::diff::Runs;
 use rfdet_api::{AccessKind, Addr, RaceReport, RaceSite};
 use rfdet_vclock::{LTime, Tid, VClock};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -42,7 +42,7 @@ const NO_TID: Tid = Tid::MAX;
 
 /// A maximal run of consecutively-read words: `words` words starting at
 /// the word-aligned address `addr`. The read-side analogue of
-/// [`ModRun`], sealed out of a [`ReadTracker`] at interval end.
+/// [`crate::ModRun`], sealed out of a [`ReadTracker`] at interval end.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReadRun {
     /// Word-aligned start address.
@@ -128,9 +128,10 @@ impl ReadTracker {
 /// One sealed sync-free interval's accesses, as presented to the
 /// detector: who, when (the interval's vector clock, stamped *before* the
 /// sealing tick, i.e. the clock every access in the interval ran at),
-/// the backend-independent sync-op coordinate, and what was touched.
+/// the backend-independent sync-op coordinate, and what was touched —
+/// the writes as boxed runs or as a sealed arena, read through [`Runs`].
 #[derive(Debug)]
-pub struct SliceAccess<'a> {
+pub struct SliceAccess<'a, W: ?Sized> {
     /// Accessor thread.
     pub tid: Tid,
     /// The interval's vector clock (its start/stamp time).
@@ -139,7 +140,7 @@ pub struct SliceAccess<'a> {
     /// interval — the cross-backend logical coordinate.
     pub sync_op: u64,
     /// Byte-modification runs (the interval's diff).
-    pub writes: &'a [ModRun],
+    pub writes: &'a W,
     /// Word-read runs (the interval's sealed read set).
     pub reads: &'a [ReadRun],
 }
@@ -226,7 +227,7 @@ impl RaceCollector {
     /// against the table, records races, then installs the interval's
     /// own epochs. Must be called in a happens-before-consistent order
     /// (see module docs).
-    pub fn observe(&mut self, a: &SliceAccess<'_>) {
+    pub fn observe<W: Runs + ?Sized>(&mut self, a: &SliceAccess<'_, W>) {
         // Pass 1: reads — check against the last write, then record.
         for run in a.reads {
             for i in 0..u64::from(run.words) {
@@ -239,16 +240,16 @@ impl RaceCollector {
         // any later unordered access will conflict with this write
         // anyway, and keeping cells bounded is what makes the table
         // affordable).
-        for run in a.writes {
-            let first = run.addr / WORD_BYTES;
-            let last = (run.end() - 1) / WORD_BYTES;
+        for (addr, data) in a.writes.iter_runs() {
+            let first = addr / WORD_BYTES;
+            let last = (addr + data.len() as u64 - 1) / WORD_BYTES;
             for word in first..=last {
                 self.observe_word(a, word * WORD_BYTES, AccessKind::Write);
             }
         }
     }
 
-    fn observe_word(&mut self, a: &SliceAccess<'_>, addr: Addr, kind: AccessKind) {
+    fn observe_word<W: ?Sized>(&mut self, a: &SliceAccess<'_, W>, addr: Addr, kind: AccessKind) {
         let words_per_page = (self.page_size / WORD_BYTES) as usize;
         let page = addr / self.page_size;
         let idx = ((addr % self.page_size) / WORD_BYTES) as usize;
@@ -359,6 +360,7 @@ impl RaceCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::ModRun;
 
     const PAGE: u64 = 4096;
 

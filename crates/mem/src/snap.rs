@@ -17,7 +17,7 @@
 //! since a protection fault reveals the page but not the bytes.
 
 use crate::bit_spans;
-use crate::diff::{diff_lines, ModRun};
+use crate::diff::{diff_lines, RunBuilder};
 use crate::space::PrivateSpace;
 
 /// Shortest dirty line, in bytes: one cache line. Pages up to 4 KiB get
@@ -161,10 +161,10 @@ impl SliceSnapshots {
     }
 
     /// Ends the slice: diffs the dirty lines of every stored-to page of
-    /// `space` against their snapshots, in page-index order, appending the
-    /// runs to `out`; then forgets the slice and recycles its buffers.
+    /// `space` against their snapshots, in page-index order, packing the
+    /// runs into `out`; then forgets the slice and recycles its buffers.
     /// Returns the bytes compared.
-    pub fn seal(&mut self, space: &PrivateSpace, out: &mut Vec<ModRun>) -> u64 {
+    pub fn seal(&mut self, space: &PrivateSpace, out: &mut RunBuilder) -> u64 {
         // Page-index order is the deterministic modification order within
         // a slice.
         self.dirty.sort_unstable();
@@ -182,7 +182,7 @@ impl SliceSnapshots {
                     current.bytes(),
                     mask,
                     self.line_bytes(),
-                    out,
+                    |addr, data| out.push(addr, data),
                 );
             }
         }
@@ -195,12 +195,24 @@ impl SliceSnapshots {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::diff_page_scalar;
+    use crate::diff::{diff_page_scalar, ModRun, Runs};
 
     const PAGE: usize = 4096;
 
     fn space() -> PrivateSpace {
         PrivateSpace::new(16 * PAGE as u64, PAGE as u64)
+    }
+
+    /// Seals the slice; its runs come back boxed, with the bytes scanned.
+    fn seal(snaps: &mut SliceSnapshots, space: &PrivateSpace) -> (Vec<ModRun>, u64) {
+        let mut out = RunBuilder::default();
+        let scanned = snaps.seal(space, &mut out);
+        let runs = out.finish().map_or_else(Vec::new, |list| {
+            list.iter_runs()
+                .map(|(addr, data)| ModRun::new(addr, data.into()))
+                .collect()
+        });
+        (runs, scanned)
     }
 
     /// Stores through the tracker the way the runtime does.
@@ -235,8 +247,7 @@ mod tests {
         let (mut snaps, mut sp) = (SliceSnapshots::new(16, PAGE, 8), space());
         assert_eq!(store(&mut snaps, &mut sp, 100, &[7; 8]), 64);
         assert_eq!(store(&mut snaps, &mut sp, 104, &[8; 8]), 0, "same line");
-        let mut out = Vec::new();
-        let scanned = snaps.seal(&sp, &mut out);
+        let (out, scanned) = seal(&mut snaps, &sp);
         assert_eq!(scanned, 64);
         assert_eq!(
             out,
@@ -253,8 +264,7 @@ mod tests {
         let (mut snaps, mut sp) = (SliceSnapshots::new(16, PAGE, 8), space());
         assert_eq!(store(&mut snaps, &mut sp, 60, &[1; 8]), 128, "two lines");
         assert_eq!(store(&mut snaps, &mut sp, 124, &[2; 8]), 64, "one new line");
-        let mut out = Vec::new();
-        let scanned = snaps.seal(&sp, &mut out);
+        let (out, scanned) = seal(&mut snaps, &sp);
         assert_eq!(scanned, 192);
         assert_eq!(
             out,
@@ -271,15 +281,15 @@ mod tests {
         store(&mut snaps, &mut sp, 5 * PAGE as u64, &[5]);
         store(&mut snaps, &mut sp, 2 * PAGE as u64 + 4095, &[2]);
         assert_eq!(snaps.dirty_pages(), 2);
-        let mut out = Vec::new();
-        snaps.seal(&sp, &mut out);
+        let (out, _) = seal(&mut snaps, &sp);
         let addrs: Vec<u64> = out.iter().map(|r| r.addr).collect();
         assert_eq!(addrs, vec![2 * PAGE as u64 + 4095, 5 * PAGE as u64]);
         // Next slice: the same line is snapshotted afresh, post-store.
         assert_eq!(store(&mut snaps, &mut sp, 5 * PAGE as u64, &[5]), 64);
-        out.clear();
-        snaps.seal(&sp, &mut out);
-        assert!(out.is_empty(), "same-value overwrite publishes nothing");
+        assert!(
+            seal(&mut snaps, &sp).0.is_empty(),
+            "same-value overwrite publishes nothing"
+        );
     }
 
     #[test]
@@ -294,8 +304,8 @@ mod tests {
         assert_eq!(snaps.missing_lines(1, 4090, 6), 0);
         sp.write(PAGE as u64 + 10, &[1, 2, 3]);
         sp.write(PAGE as u64 + 4000, &[4]);
-        let (mut sealed, mut whole) = (Vec::new(), Vec::new());
-        let scanned = snaps.seal(&sp, &mut sealed);
+        let mut whole = Vec::new();
+        let (sealed, scanned) = seal(&mut snaps, &sp);
         diff_page_scalar(
             PAGE as u64,
             &before,
@@ -316,7 +326,7 @@ mod tests {
                 firsts.push((round, snaps.record(page as usize, need, None).first_touch));
                 sp.write(page * PAGE as u64, &[round + 1]);
             }
-            snaps.seal(&sp, &mut Vec::new());
+            seal(&mut snaps, &sp);
         }
         let recycled: Vec<bool> = firsts
             .iter()
@@ -330,10 +340,11 @@ mod tests {
         let (mut snaps, mut sp) = (SliceSnapshots::new(16, PAGE, 1), space());
         // Dirty the recycled buffer first, so stale bytes would show.
         store(&mut snaps, &mut sp, 0, &[0xFF; 64]);
-        snaps.seal(&sp, &mut Vec::new());
+        seal(&mut snaps, &sp);
         store(&mut snaps, &mut sp, 3 * PAGE as u64, &[0, 0, 6]);
-        let mut out = Vec::new();
-        snaps.seal(&sp, &mut out);
-        assert_eq!(out, vec![ModRun::new(3 * PAGE as u64 + 2, [6].into())]);
+        assert_eq!(
+            seal(&mut snaps, &sp).0,
+            vec![ModRun::new(3 * PAGE as u64 + 2, [6].into())]
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Per-thread private views of the logical shared space.
 
-use crate::diff::ModRun;
+use crate::diff::{page_groups, ModRun, Runs};
 use crate::page::Page;
 use rfdet_api::Addr;
 
@@ -235,57 +235,39 @@ impl PrivateSpace {
         }
     }
 
-    /// Applies one modification run (a contiguous byte write) to this
-    /// space. This is the `copyToLocalMemory` step of paper Figure 5.
-    pub fn apply_run(&mut self, run: &ModRun) {
-        self.write(run.addr, &run.data);
-    }
-
-    /// Applies many runs in order (later runs overwrite earlier ones at
-    /// conflicting addresses — the deterministic "remote wins" policy).
+    /// Applies runs in order — later runs overwrite earlier ones at
+    /// conflicting addresses, the deterministic "remote wins" policy. This
+    /// is the `copyToLocalMemory` step of paper Figure 5.
     ///
-    /// Batched per page: consecutive runs landing on the same page resolve
-    /// (and, under COW sharing, copy) that page once for the whole group
-    /// instead of once per run. Slice modification lists arrive sorted by
-    /// address (diffing walks pages in index order), so in the propagation
-    /// hot path nearly every group spans a slice's full per-page run
-    /// cluster. Runs that straddle a page boundary fall back to the
-    /// general write path. Returns the total bytes written.
-    pub fn apply_runs(&mut self, runs: &[ModRun]) -> u64 {
+    /// Batched per page: each [`page_groups`] group resolves (and, under
+    /// COW sharing, copies) its page once. Slice run lists arrive sorted by
+    /// address, so in the propagation hot path a group is a slice's whole
+    /// cluster of runs on one page. Returns the total bytes written.
+    pub fn apply<R: Runs + ?Sized>(&mut self, runs: &R) -> u64 {
         let mut applied: u64 = 0;
-        let mut k = 0;
-        while k < runs.len() {
-            let r = &runs[k];
-            let idx = self.page_of(r.addr);
-            let page_end = self.page_base(idx) + self.page_size as u64;
-            if r.end() > page_end {
-                // Page-straddling run (never produced by diffing, which is
-                // per-page): take the splitting slow path.
-                self.apply_run(r);
-                applied += r.len() as u64;
-                k += 1;
+        for group in page_groups(runs, self.page_size) {
+            let (addr, data) = runs.run(group.start);
+            if self.page_offset(addr) + data.len() > self.page_size {
+                self.write(addr, data);
+                applied += data.len() as u64;
                 continue;
             }
-            // Extend the group over every following run inside this page.
-            let mut end = k + 1;
-            while end < runs.len() {
-                let n = &runs[end];
-                if self.page_of(n.addr) != idx || n.end() > page_end {
-                    break;
-                }
-                end += 1;
-            }
-            self.check_range(runs[end - 1].end().saturating_sub(1), 1);
+            self.check_range(addr, data.len());
+            let idx = self.page_of(addr);
             let base = self.page_base(idx);
             let bytes = self.ensure_page(idx).bytes_mut();
-            for run in &runs[k..end] {
-                let off = (run.addr - base) as usize;
-                bytes[off..off + run.len()].copy_from_slice(&run.data);
-                applied += run.len() as u64;
+            for (addr, data) in group.map(|i| runs.run(i)) {
+                let off = (addr - base) as usize;
+                bytes[off..off + data.len()].copy_from_slice(data);
+                applied += data.len() as u64;
             }
-            k = end;
         }
         applied
+    }
+
+    /// [`apply`](Self::apply) for boxed runs.
+    pub fn apply_runs(&mut self, runs: &[ModRun]) -> u64 {
+        self.apply(runs)
     }
 
     /// Applies a merged lazy-write overlay to page `idx`: every occupied
@@ -476,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_runs_matches_apply_run_one_by_one() {
+    fn apply_runs_matches_writing_them_one_by_one() {
         let runs = vec![
             ModRun::new(4090, vec![7; 3].into()),
             ModRun::new(4096, vec![8; 2].into()),
@@ -486,7 +468,7 @@ mod tests {
         batched.apply_runs(&runs);
         let mut serial = space();
         for r in &runs {
-            serial.apply_run(r);
+            serial.write(r.addr, &r.data);
         }
         let (mut a, mut b) = (vec![0u8; 2 * 4096], vec![0u8; 2 * 4096]);
         batched.read(0, &mut a);
@@ -528,7 +510,7 @@ mod tests {
         ];
         let mut serial = space();
         for r in &runs {
-            serial.apply_run(r);
+            serial.write(r.addr, &r.data);
         }
         let mut merged = space();
         let mut ov = PageOverlay::new();

@@ -1,7 +1,9 @@
 //! Property tests for the memory substrate.
 
 use proptest::prelude::*;
-use rfdet_mem::{diff, ModRun, Page, PrivateSpace, SliceSnapshots, StripAllocator};
+use rfdet_mem::{
+    diff, ModRun, Page, PrivateSpace, RunBuilder, Runs, SliceSnapshots, StripAllocator,
+};
 
 const SPACE: u64 = 16 * 4096;
 
@@ -175,10 +177,10 @@ proptest! {
     /// Differential pin of dirty-line tracking: whatever the store
     /// sequence — line- and page-straddling stores, zero-length stores,
     /// same-value overwrites, several slices over recycled buffers — and
-    /// whatever ownership state a fork left the pages in, the sealed run
-    /// list equals, run for run, the scalar whole-page diff of every
-    /// stored-to page against a whole-page snapshot taken at the slice
-    /// start.
+    /// whatever ownership state a fork left the pages in, the sealed
+    /// arena — packed by one builder reused across the slices — reads
+    /// back, run for run, the scalar whole-page diff of every stored-to
+    /// page against a whole-page snapshot taken at the slice start.
     #[test]
     fn dirty_line_seal_matches_whole_page_scalar_diff(
         size_idx in 0usize..4,
@@ -197,6 +199,7 @@ proptest! {
             space.write((page * page_size) as u64, &bytes);
         }
         let mut snaps = SliceSnapshots::new(DL_PAGES, page_size, pool_cap);
+        let mut builder = RunBuilder::default();
         let line = snaps.line_bytes();
         prop_assert_eq!(line, 64.max(page_size / 64));
         for (stores, fork) in slices.into_iter().zip(forks) {
@@ -217,8 +220,8 @@ proptest! {
                 let (addr, data) = resolve(raw, page_size, line, &space);
                 tracked_store(&mut snaps, &mut space, addr, &data);
             }
-            let mut sealed = Vec::new();
-            let scanned = snaps.seal(&space, &mut sealed);
+            let scanned = snaps.seal(&space, &mut builder);
+            let sealed = builder.finish().unwrap_or_default();
             prop_assert_eq!(snaps.dirty_pages(), 0);
             prop_assert_eq!(scanned % line as u64, 0);
             prop_assert!(scanned <= (DL_PAGES * page_size) as u64);
@@ -230,7 +233,9 @@ proptest! {
                 let current = space.snapshot_page(p);
                 diff::diff_page_scalar(space.page_base(p), before, &current, &mut whole);
             }
-            prop_assert_eq!(&sealed, &whole);
+            let view: Vec<(u64, &[u8])> = sealed.iter_runs().collect();
+            prop_assert_eq!(view, whole[..].iter_runs().collect::<Vec<_>>());
+            prop_assert_eq!(sealed.heap_bytes(), sealed.byte_len() + 16 * whole.len());
         }
     }
 
@@ -438,9 +443,9 @@ proptest! {
         diff::diff_page_scalar(8192, &snapshot, &current, &mut scalar);
         prop_assert_eq!(&chunked, &scalar);
         match shape {
-            2 => prop_assert_eq!(diff::runs_len(&chunked), 4096),
+            2 => prop_assert_eq!(chunked.iter().map(ModRun::len).sum::<usize>(), 4096),
             3 => prop_assert!(chunked.is_empty()),
-            _ => prop_assert_eq!(diff::runs_len(&chunked), 1),
+            _ => prop_assert_eq!(chunked.iter().map(ModRun::len).sum::<usize>(), 1),
         }
     }
 

@@ -1,7 +1,6 @@
 //! Published slices.
 
-use rfdet_mem::diff;
-use rfdet_mem::{ModRun, ReadRun, RunList};
+use rfdet_mem::{ModRun, ReadRun, RunList, Runs};
 use rfdet_vclock::{Tid, VClock};
 use std::sync::Arc;
 
@@ -16,11 +15,10 @@ pub struct SliceRec {
     pub seq: u64,
     /// Vector-clock timestamp taken at slice start.
     pub time: VClock,
-    /// Ordered byte-granularity modifications computed by page diffing.
-    /// Sealed behind an `Arc` so every consumer of the slice — pending
-    /// lazy-write queues ([`rfdet_mem::RunHandle`]), barrier merges,
-    /// transitive propagation — shares the one run list instead of deep-
-    /// copying runs.
+    /// Ordered byte-granularity modifications computed by page diffing,
+    /// in one shared arena: every consumer of the slice — pending
+    /// lazy-write queues ([`rfdet_mem::RunRange`]), barrier merges,
+    /// transitive propagation — shares it instead of copying runs.
     pub mods: RunList,
     /// Word-granular read runs, recorded only when the run detects races
     /// (empty otherwise — read sets never influence propagation, they
@@ -45,18 +43,23 @@ pub struct SliceRec {
 pub type SliceRef = Arc<SliceRec>;
 
 impl SliceRec {
-    /// Seals a slice for publication. The modification list is frozen into
-    /// a shared [`RunList`] here — publication is the point after which
-    /// the runs are immutable and multi-consumer.
+    /// A slice of boxed runs, packed into one arena here.
     #[must_use]
     pub fn new(tid: Tid, seq: u64, time: VClock, mods: Vec<ModRun>) -> Self {
-        let heap_bytes =
-            diff::runs_heap_bytes(&mods) + time.heap_bytes() + std::mem::size_of::<Self>();
+        Self::sealed(tid, seq, time, RunList::pack(&mods))
+    }
+
+    /// A slice of runs already sealed into their arena. Its metadata
+    /// footprint is exact: the arena (bytes plus 16 per run), the clock's
+    /// heap and the record itself.
+    #[must_use]
+    pub fn sealed(tid: Tid, seq: u64, time: VClock, mods: RunList) -> Self {
+        let heap_bytes = mods.heap_bytes() + time.heap_bytes() + std::mem::size_of::<Self>();
         Self {
             tid,
             seq,
             time,
-            mods: mods.into(),
+            mods,
             reads: Arc::from([]),
             sync_op: 0,
             atomic: false,
@@ -86,7 +89,7 @@ impl SliceRec {
     /// Total modified bytes.
     #[must_use]
     pub fn mod_bytes(&self) -> usize {
-        diff::runs_len(&self.mods)
+        self.mods.byte_len()
     }
 
     /// `true` when the slice carries no modifications (it still carries
@@ -94,7 +97,7 @@ impl SliceRec {
     /// is how a redundant write stays invisible, §4.6).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.mods.is_empty()
+        self.mods.count() == 0
     }
 }
 
@@ -103,11 +106,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accounting_includes_mod_bytes() {
-        let mods = vec![ModRun::new(0, vec![1, 2, 3].into())];
-        let s = SliceRec::new(1, 0, VClock::new(), mods);
-        assert_eq!(s.mod_bytes(), 3);
-        assert!(s.heap_bytes() > 3);
+    fn heap_bytes_are_the_arena_the_clock_and_the_record() {
+        let mods = vec![
+            ModRun::new(0, vec![1, 2, 3].into()),
+            ModRun::new(64, vec![4].into()),
+        ];
+        let time = VClock::from_components(vec![1; 40]);
+        let clock = time.heap_bytes();
+        assert!(clock > 0, "a clock past the inline capacity");
+        let s = SliceRec::new(1, 0, time, mods);
+        assert_eq!(s.mod_bytes(), 4);
+        assert_eq!(
+            s.heap_bytes(),
+            4 + 16 * 2 + clock + std::mem::size_of::<SliceRec>()
+        );
         assert!(!s.is_empty());
     }
 

@@ -529,6 +529,61 @@ fn the_ordered_panic_is_the_root_cause_whichever_thread_is_slow() {
     }
 }
 
+/// The core seals a slice before its op's turn and publishes it in turn;
+/// a plan's jitter lands in between (`enter_op` seals, charges the plan's
+/// ticks and the seeded pause, then waits), so every jittered op stalls
+/// there in logical and in wall time. Neither the outputs nor a failure
+/// report may notice: the digests are pinned from the build that sealed
+/// inside the turn.
+#[test]
+fn a_stall_between_the_seal_and_the_turn_changes_no_digest() {
+    use rfdet::workloads::{by_name, Params, Size};
+    let plan = || {
+        (1..=4u32).fold(FaultPlan::new(), |p, t| {
+            p.jitter_at(t, 2, 97 * u64::from(t)).jitter_at(t, 5, 31)
+        })
+    };
+    let cfg = |plan| RunConfig {
+        jitter_seed: Some(7),
+        jitter_max_us: 200,
+        ..small_cfg(plan)
+    };
+    let root = |name, threads| {
+        let w = by_name(name).expect("registered");
+        (w.factory)(Params::new(threads, Size::Test))
+    };
+    type Make = fn() -> Box<dyn DmtBackend>;
+    let cores: [(Make, u64); 2] = [
+        (
+            || Box::new(rfdet::RfdetBackend::ci()),
+            0x6366_2fe5_97fe_6dab,
+        ),
+        (
+            || Box::new(rfdet::RfdetBackend::pf()),
+            0xf098_70cb_9389_9c3d,
+        ),
+    ];
+    for (make, lock_panic) in cores {
+        let name = make().name();
+        for (workload, want) in [
+            ("sync_heavy", 0xf792_c970_55ab_5513),
+            ("racey", 0x4127_c2cd_c495_4516),
+        ] {
+            let out = run_bounded(make(), cfg(plan()), root(workload, 4))
+                .unwrap_or_else(|e| panic!("{name}/{workload}: {e}"));
+            assert_eq!(out.output_digest(), want, "{name}/{workload}");
+        }
+        let err = run_bounded(
+            make(),
+            cfg(plan().panic_at(2, 5)),
+            root("chaos.lock_panic", 3),
+        )
+        .expect_err("the planned panic fails the run");
+        assert_eq!(err.report().tid, 2, "{name}");
+        assert_eq!(err.report_digest(), lock_panic, "{name}/chaos.lock_panic");
+    }
+}
+
 /// Fresh-instance constructors for the deterministic backends, so
 /// reproducibility tests can run each one twice.
 fn deterministic_backends() -> [fn() -> Box<dyn DmtBackend>; 4] {
