@@ -17,9 +17,10 @@
 //!   deadlock (a blocked thread never wakes another, so the state can
 //!   only persist); the wait-for graph is then read off the
 //!   deterministic sync queues — no wall clock involved.
-//! * **Wedge** — the wall-clock fallback (`deadlock_after_ms`) still
-//!   exists for runs that starve without a provable deadlock; Kendo's
-//!   timeout unwinds with a [`Starved`] payload, recognised here by type.
+//! * **Wedge** — the wall-clock fallback (`deadlock_after_ms` of quiet
+//!   time: no Kendo slot's clock or status moved) still exists for runs
+//!   that starve without a provable deadlock; Kendo's timeout unwinds
+//!   with a [`Starved`] payload, recognised here by type.
 
 use crate::checkpoint::CkptStop;
 use crate::shared::RuntimeShared;

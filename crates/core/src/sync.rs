@@ -77,14 +77,14 @@ fn block_and_acquire(ctx: &mut RfdetCtx, premerge_source: Option<Tid>) {
         Some(src) => {
             // First round immediately, then periodically while parked.
             ctx.premerge_round(src);
-            shared.kendo.park_until_active_with(&kendo_handle, || {
+            shared.kendo.park_until_active(&kendo_handle, || {
                 ctx.premerge_round(src);
                 shared.check_deadlock();
             })
         }
         None => shared
             .kendo
-            .park_until_active_with(&kendo_handle, || shared.check_deadlock()),
+            .park_until_active(&kendo_handle, || shared.check_deadlock()),
     };
     ctx.h.sample(Phase::IdleWakeups, idles);
     // The boundary stored at sync-op entry predates the park; reseed so

@@ -19,9 +19,12 @@
 //! *Which* thread runs next is a pure function of the clocks; *how* the
 //! next thread finds out is an implementation choice: the releasing turn
 //! holder computes the successor and hands it a baton (one scan per
-//! transition, everyone else parks). The original protocol — every waiter
-//! broadcast-scans all slots — admits the identical turn sequence and is
-//! kept as the oracle this crate's tests check the handoff against.
+//! transition, everyone else parks). A waiter that is not named, and a
+//! blocked thread waiting for its waker, wait in one loop (spin, yield,
+//! sleep) whose starvation bound is *quiet* time: it starves only once no
+//! thread's clock or status has moved for the whole bound. This crate's
+//! tests hold the admitted `(tid, clock)` sequence equal to a sequential
+//! model of the rule above that shares no code with the arbiter.
 //!
 //! # The invariants that make this deterministic
 //!

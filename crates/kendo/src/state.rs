@@ -7,14 +7,18 @@
 //! by a targeted notify. One O(T) scan per turn *transition*, by one
 //! thread.
 //!
-//! The original protocol — **broadcast spin-scan**, every waiter
-//! repeatedly running the O(T) epoch-stable scan, O(T²) cache-coherence
-//! traffic per transition — survives as the oracle handoff is checked
-//! against: its predicate (`has_turn`) backs the `debug_assert` on every
-//! baton grant, and its waiter is compiled into this crate's tests,
-//! which pin that both admit the identical turn sequence (the turn is
-//! always granted to the unique minimal `(clock, tid)` over `Active`
-//! threads).
+//! **One park**: a non-designated turn-waiter and a `Blocked` thread wait
+//! in the same loop (`KendoState::park`) — spin, yield, then sleep on
+//! the slot condvar — with one abort check, one nudge and idle-callback
+//! path, and one starvation bound measured in *quiet* time: it restarts
+//! whenever any slot's clock or status has moved.
+//!
+//! Two references check the handoff, neither on its path: the original
+//! broadcast predicate (`has_turn`: is my `(clock, tid)` minimal over
+//! `Active` threads?) backs the `debug_assert` on every baton grant, and
+//! this module's tests hold the admitted `(tid, clock)` sequence equal to
+//! a sequential model of the turn order that shares no code with the
+//! arbiter.
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use rfdet_vclock::Tid;
@@ -29,28 +33,14 @@ use std::time::{Duration, Instant};
 /// Pads a value to its own cache line so per-thread slots never falsely
 /// share one (the only piece of `crossbeam` this crate used; inlined so
 /// the workspace builds offline).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 #[repr(align(128))]
-pub struct CachePadded<T> {
-    value: T,
-}
-
-impl<T> CachePadded<T> {
-    pub const fn new(value: T) -> Self {
-        Self { value }
-    }
-}
+struct CachePadded<T>(T);
 
 impl<T> std::ops::Deref for CachePadded<T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.value
-    }
-}
-
-impl<T> std::ops::DerefMut for CachePadded<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.value
+        &self.0
     }
 }
 
@@ -80,20 +70,6 @@ impl Status {
     }
 }
 
-/// Which turn-arbitration strategy a [`KendoState`] runs. Test-only: the
-/// runtime always hands off; the scan is the tests' reference.
-#[cfg(test)]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ArbitrationMode {
-    /// Successor handoff via the packed baton (one scan per transition,
-    /// by the releasing thread; everyone else parks).
-    #[default]
-    Handoff,
-    /// Every waiter spin-scans all slots (the original broadcast
-    /// protocol, kept as the oracle the handoff path is checked against).
-    SpinScan,
-}
-
 #[derive(Debug)]
 struct Slot {
     clock: CachePadded<AtomicU64>,
@@ -102,19 +78,26 @@ struct Slot {
     /// turn-waiters.
     park_lock: Mutex<()>,
     park_cv: Condvar,
-    /// Set (under `park_lock`) by [`KendoState::nudge_parked`].
-    nudged: AtomicBool,
+    /// Set (under `park_lock`) by [`KendoState::nudge_parked`]. Padded:
+    /// a spinning turn-waiter polls it, and must not share the line the
+    /// releaser's notify locks.
+    nudged: CachePadded<AtomicBool>,
 }
 
 impl Slot {
     fn new(clock: u64, status: Status) -> Self {
         Self {
-            clock: CachePadded::new(AtomicU64::new(clock)),
-            status: CachePadded::new(AtomicU8::new(status as u8)),
+            clock: CachePadded(AtomicU64::new(clock)),
+            status: CachePadded(AtomicU8::new(status as u8)),
             park_lock: Mutex::new(()),
             park_cv: Condvar::new(),
-            nudged: AtomicBool::new(false),
+            nudged: CachePadded(AtomicBool::new(false)),
         }
+    }
+
+    /// Consumes a pending nudge; a plain load while there is none.
+    fn take_nudge(&self) -> bool {
+        self.nudged.load(SeqCst) && self.nudged.swap(false, SeqCst)
     }
 }
 
@@ -127,11 +110,13 @@ pub const MAX_THREADS: usize = 255;
 /// `0xFF`, which no valid tid can match.
 const BATON_NONE: u64 = u64::MAX;
 
-/// How long a parked thread sleeps between looking for its wakeup (or
-/// the abort flag) when no one has signalled it: 20 ms, per the paper's
-/// Kendo lineage. Purely a liveness/latency trade-off — the wakeups
-/// themselves are delivered deterministically.
+/// How long a parked thread sleeps between looking for its wakeup (or the
+/// abort flag) when no one has signalled it: 20 ms, per the paper's Kendo
+/// lineage. Wall-clock only — wakeups are delivered deterministically.
 const IDLE_POLL: Duration = Duration::from_millis(20);
+
+/// `spin_loop` iterations a park makes before it starts yielding.
+const SPINS: u32 = 64;
 
 /// Logical-clock units a thread may accumulate before publishing them to
 /// its slot (Kendo's chunked clock publication), and — the same number —
@@ -222,7 +207,7 @@ impl std::fmt::Display for Starved {
 
 /// Grow-only lock-free slot table: a fixed array of `OnceLock` cells
 /// plus a published length. Readers on the hot path (`has_turn`, the
-/// handoff scan, `status_of`, `finish_forced`) take no lock at all;
+/// handoff scan, the park fingerprint, `finish_forced`) take no lock;
 /// writers (`register`) are serialized by the registration mutex and
 /// publish the new length with `Release` so a reader that observes index
 /// `i` also observes slot `i` initialized.
@@ -308,6 +293,41 @@ enum SpinTier {
     Saturated,
 }
 
+/// What a park waits for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Wait {
+    /// The baton to name the waiter: a non-designated turn-waiter.
+    Turn,
+    /// A waker to flip the waiter back to `Active`: a `Blocked` thread.
+    Blocked,
+}
+
+impl Wait {
+    /// The wait policy, whole: how many checks a park makes — the first
+    /// [`SPINS`] spinning, the rest yielding — before it sleeps on its
+    /// slot condvar.
+    ///
+    /// A yielding thread keeps a tiny vruntime, so the scheduler runs it
+    /// promptly after the waker's store even on a saturated CPU, where a
+    /// futex wake-up costs a scheduler granule per hand-off. Oversubscribed,
+    /// that inverts: every runnable waiter competes for the quantum the
+    /// turn holder or waker needs, and a condvar sleeper costs it nothing.
+    /// Measured on a 1-CPU host at 16 threads, any yield phase in the
+    /// blocked wait cost 30-50 % wall time (21.8 ms vs 33+ ms on bench-scale
+    /// propagate-heavy); at 2-4× a short yield phase still beat the futex
+    /// round trip.
+    fn yield_cap(self, tier: SpinTier) -> u32 {
+        match (self, tier) {
+            (Wait::Turn, SpinTier::Dedicated) => 256,
+            (Wait::Turn, SpinTier::Shared) => 96,
+            (Wait::Turn, SpinTier::Saturated) => 64,
+            (Wait::Blocked, SpinTier::Dedicated) => 20_000,
+            (Wait::Blocked, SpinTier::Shared) => 192,
+            (Wait::Blocked, SpinTier::Saturated) => 64,
+        }
+    }
+}
+
 /// Observer of deterministic wakeups, set by the runtime's flight
 /// recorder: called with `(woken tid, its new clock)` from inside the
 /// waker's turn — a deterministic point of the schedule, which is what
@@ -333,9 +353,8 @@ pub struct KendoState {
     /// concurrently with the unique baton owner's scan — and clocks are
     /// monotone, so an observed minimum stays a minimum.
     baton: CachePadded<AtomicU64>,
-    #[cfg(test)]
-    mode: ArbitrationMode,
-    /// How long a parked thread waits between deadlock scans.
+    /// The starvation bound: how long a park may sleep while no slot's
+    /// clock or status moves (`None`: forever).
     deadlock_after: Option<Duration>,
     /// Period of a parked thread's idle re-check (condvar wait timeout
     /// and idle-callback cadence): [`IDLE_POLL`] unless a test overrides
@@ -344,14 +363,11 @@ pub struct KendoState {
     /// Set when some thread panicked: every waiter unwinds instead of
     /// spinning forever on a protocol that will never advance.
     abort: AtomicBool,
-    /// Bumped on every non-monotone event (wake, register). The
-    /// `has_turn` scan is not atomic; ticks are monotone so stale reads
-    /// only make the scan conservative, but a *wake* can re-activate a
-    /// blocked thread with a lower clock. Requiring the epoch to be
-    /// unchanged across the scan makes a successful scan sound: any
-    /// wake that lands after a clean scan must come from a turn-holder
-    /// whose clock the scan already saw (and rejected, had it been
-    /// smaller).
+    /// Bumped on every non-monotone event (wake, register): a *wake* can
+    /// re-activate a blocked thread with a lower clock mid-scan. A
+    /// `has_turn` scan with the epoch unchanged across it is sound: a
+    /// wake landing after it comes from a turn-holder whose clock the scan
+    /// already saw (and rejected, had it been smaller).
     wake_epoch: AtomicU64,
     /// Successor scans run (one per turn transition).
     handoff_scans: AtomicU64,
@@ -359,12 +375,8 @@ pub struct KendoState {
     handoff_wakes: AtomicU64,
     /// Times a non-designated turn-waiter gave up spinning and parked.
     turn_parks: AtomicU64,
-    /// Host parallelism, read once at construction. Purely a spin-length
-    /// hint: when registered threads exceed it, waiters shorten their
-    /// yield phases and park early — a runnable waiter on an
-    /// oversubscribed host steals quanta from the turn holder, so the
-    /// yield storm costs more than the condvar round trip it avoids.
-    /// Never consulted for any scheduling *decision*.
+    /// Host parallelism, read once at construction: the [`SpinTier`]
+    /// hint, never consulted for any scheduling *decision*.
     cpus: usize,
     /// Flight-recorder wake observer. Cold: read under an uncontended
     /// `RwLock` only on the wake path (already a slow path), `None` when
@@ -396,9 +408,7 @@ impl KendoState {
         Self {
             slots: SlotTable::new(),
             register_lock: Mutex::new(()),
-            baton: CachePadded::new(AtomicU64::new(BATON_NONE)),
-            #[cfg(test)]
-            mode: ArbitrationMode::Handoff,
+            baton: CachePadded(AtomicU64::new(BATON_NONE)),
             deadlock_after: Some(Duration::from_secs(30)),
             idle_poll: IDLE_POLL,
             abort: AtomicBool::new(false),
@@ -411,14 +421,8 @@ impl KendoState {
         }
     }
 
-    /// Spin-length tier, from the registered-threads : host-CPUs ratio.
-    /// Spinning is a latency win only while the spinner does not steal
-    /// the quantum the waker needs; the more oversubscribed the host,
-    /// the sooner a waiter should be off the run queue. Thresholds
-    /// measured on the reference host (see DESIGN.md §4.10): at 8×
-    /// oversubscription any yield phase costs 30-50% wall time on the
-    /// contended benches, while at 2-4× a short yield phase still beats
-    /// the condvar round trip.
+    /// Spin-length tier, from the registered-threads : host-CPUs ratio
+    /// (why, and what each tier buys: [`Wait::yield_cap`]).
     fn spin_tier(&self) -> SpinTier {
         let t = self.slots.len();
         if t >= 8 * self.cpus {
@@ -483,30 +487,12 @@ impl KendoState {
         self
     }
 
-    /// Overrides the parked-thread idle re-check period (clamped to
-    /// ≥ 1 ms so a degenerate knob cannot turn parks into spins).
-    #[must_use]
-    pub fn with_idle_poll(mut self, period: Duration) -> Self {
-        self.idle_poll = period.max(Duration::from_millis(1));
-        self
-    }
-
-    /// Selects the arbitration strategy (default: [`ArbitrationMode::Handoff`]).
+    /// Overrides the parked-thread idle re-check period.
     #[cfg(test)]
     #[must_use]
-    pub fn with_arbitration(mut self, mode: ArbitrationMode) -> Self {
-        self.mode = mode;
+    fn with_idle_poll(mut self, period: Duration) -> Self {
+        self.idle_poll = period;
         self
-    }
-
-    /// `true` when this state runs the scan oracle instead of handoff —
-    /// only ever in this crate's tests.
-    #[inline]
-    fn spin_scan(&self) -> bool {
-        #[cfg(test)]
-        return self.mode == ArbitrationMode::SpinScan;
-        #[cfg(not(test))]
-        false
     }
 
     /// Handoff-protocol counters: `(successor scans, targeted unparks,
@@ -522,16 +508,11 @@ impl KendoState {
 
     /// Epoch-stable stable-deadlock scan: `Some(blocked tids)` iff at
     /// least one registered thread is `Blocked` and **every** registered,
-    /// non-`Finished` thread is `Blocked` — verified with `wake_epoch`
-    /// unchanged across the scan, exactly like `has_turn`.
-    ///
-    /// Why a clean scan proves a *stable* deadlock: a `Blocked` thread
-    /// never wakes another thread (wakes happen only inside a waker's
-    /// turn, and only `Active` threads take turns), so once every live
-    /// thread is observed `Blocked` under one epoch, no future wake can
-    /// originate inside the run. The state is permanent — no wall clock
-    /// needed. A mid-scan register or wake bumps the epoch and the scan
-    /// reports `None` (caller retries later).
+    /// non-`Finished` thread is `Blocked`, with `wake_epoch` unchanged
+    /// across the scan (a mid-scan register or wake reports `None`).
+    /// A clean scan proves a *stable* deadlock: wakes happen only inside
+    /// a turn, which only `Active` threads take, so no future wake can
+    /// originate inside the run — no wall clock needed.
     #[must_use]
     pub fn blocked_snapshot(&self) -> Option<Vec<Tid>> {
         let epoch_before = self.wake_epoch.load(SeqCst);
@@ -577,18 +558,6 @@ impl KendoState {
         self.slots.len()
     }
 
-    /// A thread's current clock.
-    #[must_use]
-    pub fn clock_of(&self, tid: Tid) -> u64 {
-        self.slots.get(tid as usize).clock.load(SeqCst)
-    }
-
-    /// A thread's current status.
-    #[must_use]
-    pub fn status_of(&self, tid: Tid) -> Status {
-        Status::from_u8(self.slots.get(tid as usize).status.load(SeqCst))
-    }
-
     /// `true` iff `(clock, tid)` is minimal over all `Active` threads —
     /// verified by an epoch-stable scan (see `wake_epoch`). This is the
     /// spin-scan arbitration predicate, retained as the debug oracle the
@@ -614,32 +583,28 @@ impl KendoState {
         self.wake_epoch.load(SeqCst) == epoch_before
     }
 
-    /// The successor scan: one O(T) pass over the slot table computing
-    /// the minimal `(clock, tid)` over `Active` threads, published into
-    /// the baton. Returns `true` iff the caller itself is the minimum
-    /// (it then holds the turn); otherwise the designated successor is
-    /// unparked with a targeted notify.
+    /// The minimal `(clock, tid)` over `Active` threads, if any.
+    fn min_active(&self) -> Option<(u64, Tid)> {
+        self.slots
+            .iter()
+            .filter(|(_, s)| Status::from_u8(s.status.load(SeqCst)) == Status::Active)
+            .map(|(i, s)| (s.clock.load(SeqCst), i as Tid))
+            .min()
+    }
+
+    /// The successor scan: publishes [`Self::min_active`] into the baton.
+    /// Returns `true` iff the caller itself is the minimum (it then holds
+    /// the turn); otherwise the designated successor is unparked with a
+    /// targeted notify.
     ///
-    /// Soundness: only the baton owner calls this, so no turn body — and
-    /// therefore no block/wake/finish/register — runs concurrently.
-    /// Statuses are frozen for the duration of the scan and clocks only
-    /// grow, so the observed minimum is the true minimum at publication
-    /// time. (A designated thread that ticks past the observed clock
-    /// before reading the baton sees the stale pair, becomes the unique
-    /// scanner by the same ownership rule, and repairs the designation.)
+    /// Soundness: only the baton owner calls this, so no turn body — no
+    /// block/wake/finish/register — runs concurrently: statuses are frozen
+    /// and clocks only grow, so the observed minimum is the true one at
+    /// publication. (A designated thread that ticks past the observed
+    /// clock is stale-named, and repairs the designation by the same rule.)
     fn scan_and_publish(&self, me: &KendoHandle) -> bool {
         self.handoff_scans.fetch_add(1, Relaxed);
-        let mut best: Option<(u64, Tid)> = None;
-        for (i, s) in self.slots.iter() {
-            if Status::from_u8(s.status.load(SeqCst)) != Status::Active {
-                continue;
-            }
-            let cand = (s.clock.load(SeqCst), i as Tid);
-            if best.is_none_or(|b| cand < b) {
-                best = Some(cand);
-            }
-        }
-        match best {
+        match self.min_active() {
             None => {
                 // Terminal: everyone blocked or finished. Parked blocked
                 // threads own deadlock detection from here.
@@ -665,48 +630,35 @@ impl KendoState {
 
     /// Releases the turn after a sync operation: advances the caller's
     /// clock by `n` and runs the successor scan. The caller must hold the
-    /// turn. (Under the scan oracle the tick alone releases it — every
-    /// waiter is scanning.)
+    /// turn.
     pub fn release_turn(&self, me: &KendoHandle, n: u64) {
         me.tick(n);
-        if !self.spin_scan() {
-            self.scan_and_publish(me);
-        }
+        self.scan_and_publish(me);
     }
 
-    /// Off-turn clock advance with stale-designation repair.
+    /// Off-turn clock advance with stale-designation repair (the paper's
+    /// §3.1 no-blocking property: a thread that never synchronizes must
+    /// not delay threads that do).
     ///
-    /// The paper's §3.1 no-blocking property: a thread that never
-    /// synchronizes must not delay threads that do. Under handoff, the
-    /// successor scan can designate a compute-bound thread (minimal
-    /// clock, `Active`) that is nowhere near the arbiter; if that thread
-    /// only ever advanced its clock through the plain [`KendoHandle::tick`],
-    /// waiters it has since ticked past would stay parked until it next
-    /// entered a sync op — potentially forever. So off-turn ticks route
-    /// here: whenever the clock crosses a [`PUBLISH_STRIDE`] boundary, the
-    /// thread checks one baton load and, if it is named with a now-stale
-    /// clock, repairs the designation by rescanning. The runtime's threads
-    /// call this through a [`TickBatch`], a stride's worth at a time.
+    /// The successor scan can designate a compute-bound thread (minimal
+    /// clock, `Active`) nowhere near the arbiter; ticking only through
+    /// [`KendoHandle::tick`], it would strand the waiters it has since
+    /// ticked past until its next sync op — potentially forever. So
+    /// whenever an off-turn tick crosses a [`PUBLISH_STRIDE`] boundary,
+    /// the thread loads the baton once and, if it is named with a
+    /// now-stale clock, rescans. The runtime calls this through a
+    /// [`TickBatch`], a stride's worth at a time.
     ///
-    /// Soundness: a stale designation can never be *taken* (admission
-    /// requires the baton clock to equal the thread's current clock, and
-    /// clocks are monotone), so the named thread is the unique legal
-    /// scanner whether it notices in the arbiter or out here. Statuses
-    /// still only change inside turn bodies, and no turn body can start
-    /// while the baton names this thread, so the scan's frozen-status
-    /// argument carries over unchanged.
-    ///
-    /// Liveness of the amortization: if the designated thread stops
-    /// ticking entirely its clock is frozen, so by the admission rule
-    /// every waiter must wait for it regardless — no repair could help.
-    /// If it keeps ticking, it crosses a boundary within a stride and
-    /// repairs. Wall-clock only: which thread is admitted next is still
-    /// exactly the minimal `(clock, tid)`, whenever the scan runs.
+    /// Sound: a stale designation can never be *taken* (admission needs
+    /// the baton clock to equal the thread's own, and clocks are
+    /// monotone), so the named thread is the unique legal scanner wherever
+    /// it notices, and no turn body — no status change — can start while
+    /// the baton names it. Live: a designated thread that stops ticking
+    /// has a frozen clock every waiter must wait for anyway; one that
+    /// keeps ticking crosses a boundary within a stride. Which thread is
+    /// admitted next is still exactly the minimal `(clock, tid)`.
     pub fn tick_off_turn(&self, me: &KendoHandle, n: u64) {
         let old = me.slot.clock.fetch_add(n, SeqCst);
-        if self.spin_scan() {
-            return;
-        }
         let new = old + n;
         if old / PUBLISH_STRIDE == new / PUBLISH_STRIDE {
             return;
@@ -722,21 +674,11 @@ impl KendoState {
     /// On return the caller is the unique minimal active thread and stays
     /// so until it ticks; everything it does in between is serialized
     /// against every other turn body, in deterministic order.
+    ///
+    /// One uncontended baton load per check, and no clock read unless the
+    /// wait sleeps. The designated successor takes the turn (or repairs a
+    /// stale designation); everyone else parks until the baton names it.
     pub fn wait_for_turn(&self, me: &KendoHandle) {
-        #[cfg(test)]
-        if self.spin_scan() {
-            return self.wait_for_turn_scan(me);
-        }
-        self.wait_for_turn_handoff(me);
-    }
-
-    /// Handoff waiter: one uncontended baton load per check. The
-    /// designated successor takes the turn (or repairs a stale
-    /// designation); everyone else spins briefly and then parks until
-    /// the targeted unpark.
-    fn wait_for_turn_handoff(&self, me: &KendoHandle) {
-        let start = Instant::now();
-        let mut spins: u32 = 0;
         loop {
             // Abort check must precede the fast-path return: a thread
             // that is always the designated leader would otherwise never
@@ -770,112 +712,19 @@ impl KendoState {
                     debug_assert!(self.has_turn(me), "post-rescan grant fails the oracle");
                     return;
                 }
-                spins = 0;
-                continue;
-            }
-            if b == BATON_NONE {
+            } else if b == BATON_NONE && self.scan_and_publish(me) {
                 // No designated thread, yet we are Active: a state only
                 // test harnesses can construct (the runtime's last active
                 // thread always republishes before anyone new can wait).
                 // Safe to scan — with no turn in progress, statuses are
                 // frozen and any published minimum is valid.
-                if self.scan_and_publish(me) {
-                    return;
-                }
-            }
-            spins += 1;
-            // Oversubscribed hosts park almost immediately: the targeted
-            // unpark makes spinning pure overhead once the CPUs are full
-            // of peers that all want the quantum we are burning.
-            let park_after: u32 = match self.spin_tier() {
-                SpinTier::Dedicated => 256,
-                SpinTier::Shared => 96,
-                SpinTier::Saturated => 64,
-            };
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else if spins < park_after {
-                std::thread::yield_now();
+                return;
             } else {
-                // Not designated: park. The successor scan that picks us
-                // will publish our exact pair (a parked thread's clock is
+                // Not designated. The successor scan that picks us will
+                // publish our exact pair (a parked thread's clock is
                 // frozen) and notify our condvar.
-                self.park_for_baton(me, start);
-                spins = 0;
-            }
-        }
-    }
-
-    /// Parks a non-designated turn-waiter on its own slot condvar until
-    /// the baton names it (or the run aborts / the starvation bound
-    /// trips). Wakeup sources: the targeted handoff notify, the
-    /// `set_abort` sweep, and the `idle_poll` timeout for re-checks.
-    fn park_for_baton(&self, me: &KendoHandle, start: Instant) {
-        self.turn_parks.fetch_add(1, Relaxed);
-        let mut guard = me.slot.park_lock.lock();
-        loop {
-            self.check_abort();
-            if baton_tid(self.baton.load(SeqCst)) == me.tid {
-                return;
-            }
-            me.slot.park_cv.wait_for(&mut guard, self.idle_poll);
-            if let Some(limit) = self.deadlock_after {
-                if start.elapsed() > limit {
-                    // Abort first so every *other* waiter (parked or
-                    // spinning) wakes and unwinds too, instead of only
-                    // the thread that noticed.
-                    drop(guard);
-                    self.set_abort();
-                    panic_any(Starved(format!(
-                        "kendo: thread {} starved waiting for its turn for {:?} \
-                         (parked; clock={}, state={})",
-                        me.tid,
-                        limit,
-                        me.clock(),
-                        self.debug_state()
-                    )));
-                }
-            }
-        }
-    }
-
-    /// The original broadcast waiter: every waiter spin-scans all slots.
-    #[cfg(test)]
-    fn wait_for_turn_scan(&self, me: &KendoHandle) {
-        let mut spins: u32 = 0;
-        let start = Instant::now();
-        loop {
-            // Abort check must precede the fast-path return: a thread
-            // that is always the clock leader (all peers dead or parked)
-            // would otherwise never observe the abort and could spin
-            // forever on application state nobody will ever publish.
-            self.check_abort();
-            if self.has_turn(me) {
-                return;
-            }
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else if spins < 4096 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(20));
-                if let Some(limit) = self.deadlock_after {
-                    if start.elapsed() > limit {
-                        // Abort first so every *other* waiter (parked or
-                        // spinning) wakes and unwinds too, instead of
-                        // only the thread that noticed.
-                        self.set_abort();
-                        panic_any(Starved(format!(
-                            "kendo: thread {} starved waiting for its turn for {:?} \
-                             (clock={}, state={})",
-                            me.tid,
-                            limit,
-                            me.clock(),
-                            self.debug_state()
-                        )));
-                    }
-                }
+                let named = || baton_tid(self.baton.load(SeqCst)) == me.tid;
+                self.park(me, Wait::Turn, named, || {});
             }
         }
     }
@@ -900,9 +749,7 @@ impl KendoState {
     pub fn finish(&self, me: &KendoHandle) {
         debug_assert!(self.has_turn(me), "finish() outside of turn");
         me.slot.status.store(Status::Finished as u8, SeqCst);
-        if !self.spin_scan() {
-            self.scan_and_publish(me);
-        }
+        self.scan_and_publish(me);
     }
 
     /// Marks a thread finished without the turn assertion. Only for panic
@@ -917,27 +764,14 @@ impl KendoState {
             .store(Status::Finished as u8, SeqCst);
     }
 
-    /// Re-aims the baton at the true minimal `(clock, tid)` over `Active`
-    /// threads (or the empty baton when none remain). For checkpoint
-    /// restore, **before the run starts**: `register` seeds the baton
-    /// with the minimum over *all* registrations, but restore also
-    /// registers already-finished threads (tids must stay dense), and
-    /// `finish_forced` never republishes — without the reseed the baton
-    /// could name a `Finished` thread forever and the resumed run would
-    /// hang at its first turn. Not for concurrent use: no thread may be
-    /// waiting yet (no notify is issued).
+    /// Re-aims the baton at [`Self::min_active`] (or the empty baton).
+    /// For checkpoint restore, **before the run starts**: restore also
+    /// registers already-finished threads (tids must stay dense) and
+    /// `finish_forced` never republishes, so the baton `register` seeded
+    /// could name a `Finished` thread and hang the resumed run at its first
+    /// turn. Not for concurrent use: no notify is issued.
     pub fn reseed_baton(&self) {
-        let mut best: Option<(u64, Tid)> = None;
-        for (i, s) in self.slots.iter() {
-            if Status::from_u8(s.status.load(SeqCst)) != Status::Active {
-                continue;
-            }
-            let cand = (s.clock.load(SeqCst), i as Tid);
-            if best.is_none_or(|b| cand < b) {
-                best = Some(cand);
-            }
-        }
-        let packed = best.map_or(BATON_NONE, |(c, t)| pack(c, t));
+        let packed = self.min_active().map_or(BATON_NONE, |(c, t)| pack(c, t));
         self.baton.store(packed, SeqCst);
     }
 
@@ -973,130 +807,139 @@ impl KendoState {
     /// `Active`. Call after [`KendoState::block`] + the final tick of the
     /// blocking operation.
     ///
-    /// Two-stage wait: a yield-polling stage first — a yielding thread
-    /// keeps a tiny vruntime, so the scheduler runs it promptly after the
-    /// waker's store even when a compute-bound thread saturates the CPU
-    /// (futex wakeups on a loaded single CPU otherwise cost a scheduler
-    /// granule per lock handoff, serializing handoff-heavy programs) —
-    /// then a condvar sleep for long parks so join-style waits do not
-    /// burn cycles.
-    pub fn park_until_active(&self, me: &KendoHandle) {
-        self.park_until_active_with(me, || {});
+    /// `on_idle` runs at every idle poll and every nudge
+    /// ([`KendoState::nudge_parked`]) that finds the thread still parked.
+    /// RFDet pre-merges there, off the critical path (§4.5), and runs its
+    /// deadlock scan. Returns how many such *idle wakeups* there were; the
+    /// metrics layer histograms the count so spurious-wakeup regressions
+    /// are visible, and it must never feed back into scheduling.
+    pub fn park_until_active(&self, me: &KendoHandle, on_idle: impl FnMut()) -> u64 {
+        let active = || Status::from_u8(me.slot.status.load(SeqCst)) == Status::Active;
+        self.park(me, Wait::Blocked, active, on_idle)
     }
 
-    /// [`KendoState::park_until_active`] with an idle callback, invoked
-    /// periodically while still parked. RFDet uses this to run prelock
-    /// pre-merging off the critical path (§4.5) and to keep a blocked
-    /// thread's published clock advancing so it does not pin garbage
-    /// collection.
+    /// The one wait loop, for both kinds of [`Wait`]: until `ready`, spin,
+    /// then yield ([`Wait::yield_cap`]), then sleep on the slot condvar
+    /// with [`IDLE_POLL`] timeouts. Every stage checks the abort flag and
+    /// serves a nudge; the sleep also runs `on_idle` once per idle poll.
+    /// A waker stores what `ready` reads, then notifies under the park
+    /// lock, under which `ready` is re-checked before each sleep: no lost
+    /// wake-ups. Returns the idle wakeups.
     ///
-    /// Returns the number of *idle wakeups*: sleep timeouts (one per
-    /// [`KendoState::with_idle_poll`] period) and nudges
-    /// ([`KendoState::nudge_parked`], which run the callback at once)
-    /// that found the thread still parked. The metrics layer histograms
-    /// this so spurious-wakeup regressions are visible; the count must
-    /// never feed back into scheduling.
-    pub fn park_until_active_with(&self, me: &KendoHandle, mut on_idle: impl FnMut()) -> u64 {
-        let start = Instant::now();
-        // Stage 1: poll. Typical lock/condvar handoffs land here; a
-        // yielding thread keeps a tiny vruntime so the scheduler runs it
-        // promptly after the waker's store even on a saturated CPU. On an
-        // oversubscribed host that logic inverts — every yielding blocked
-        // thread competes with the waker for the quantum it needs to
-        // reach the wake call — so the poll stage is cut short and the
-        // condvar (whose waiters cost the waker nothing) carries the wait.
-        // Measured on the 1-CPU reference host at 16 threads: any yield
-        // phase here costs 30-50% wall time over parking straight after
-        // the inline spin (21.8 ms vs 33+ ms on bench-scale
-        // propagate-heavy) — each runnable yielder multiplies context
-        // switches on the critical wake chain. At 2-4× oversubscription
-        // the inversion is partial: a short yield phase still wins over
-        // an immediate futex round trip.
-        let poll_cap: u32 = match self.spin_tier() {
-            SpinTier::Dedicated => 20_000,
-            SpinTier::Shared => 192,
-            SpinTier::Saturated => 64,
-        };
+    /// The starvation bound is quiet time: it restarts whenever any slot's
+    /// clock or status has moved since the last wake-up (one O(T)
+    /// [`Self::fingerprint`] per poll), so a park starves only once the
+    /// whole run has stood still for `deadlock_after`. No clock is read
+    /// before the sleep stage.
+    fn park(
+        &self,
+        me: &KendoHandle,
+        wait: Wait,
+        ready: impl Fn() -> bool,
+        mut on_idle: impl FnMut(),
+    ) -> u64 {
+        let slot = &me.slot;
+        let yield_cap = wait.yield_cap(self.spin_tier());
         let mut idle_wakeups: u64 = 0;
-        let mut polls: u32 = 0;
-        while Status::from_u8(me.slot.status.load(SeqCst)) != Status::Active {
+        let mut checks: u32 = 0;
+        loop {
+            if ready() {
+                return idle_wakeups;
+            }
             self.check_abort();
-            // A nudge is served here too: at `Dedicated` the poll stage
-            // can outlast a whole run.
-            if me.slot.nudged.swap(false, SeqCst) {
+            if slot.take_nudge() {
                 idle_wakeups += 1;
                 on_idle();
             }
-            polls += 1;
-            if polls < 64 {
+            checks += 1;
+            if checks >= yield_cap {
+                break;
+            }
+            if checks < SPINS {
                 std::hint::spin_loop();
             } else {
                 std::thread::yield_now();
             }
-            if polls > poll_cap {
-                break; // long park: fall through to sleeping
-            }
         }
-        // Stage 2: sleep on the slot condvar, doing idle work between
-        // timeouts and nudges.
-        let mut guard = me.slot.park_lock.lock();
-        let mut next_idle = Instant::now() + self.idle_poll;
-        while Status::from_u8(me.slot.status.load(SeqCst)) != Status::Active {
+        if wait == Wait::Turn {
+            self.turn_parks.fetch_add(1, Relaxed);
+        }
+        let mut guard = slot.park_lock.lock();
+        let (mut seen, mut quiet_since) = (self.fingerprint(), Instant::now());
+        let mut next_idle = quiet_since + self.idle_poll;
+        while !ready() {
             self.check_abort();
-            if !me.slot.nudged.load(SeqCst) {
-                me.slot.park_cv.wait_for(&mut guard, self.idle_poll);
+            if !slot.nudged.load(SeqCst) {
+                slot.park_cv.wait_for(&mut guard, self.idle_poll);
             }
-            if Status::from_u8(me.slot.status.load(SeqCst)) == Status::Active {
+            if ready() {
                 break;
             }
             idle_wakeups += 1;
-            if me.slot.nudged.swap(false, SeqCst) || Instant::now() >= next_idle {
+            let now = Instant::now();
+            if slot.take_nudge() || now >= next_idle {
                 // Run the callback without the park lock so wakers are
                 // never blocked on it.
                 drop(guard);
                 on_idle();
-                guard = me.slot.park_lock.lock();
+                guard = slot.park_lock.lock();
                 next_idle = Instant::now() + self.idle_poll;
             }
-            if let Some(limit) = self.deadlock_after {
-                if start.elapsed() > limit
-                    && Status::from_u8(me.slot.status.load(SeqCst)) != Status::Active
-                {
-                    // Wake-all before unwinding: peers parked on other
-                    // slots must not be left behind.
+            let moved = self.fingerprint();
+            if moved != seen {
+                (seen, quiet_since) = (moved, now);
+            } else if let Some(limit) = self.deadlock_after {
+                if now.duration_since(quiet_since) > limit && !ready() {
                     drop(guard);
-                    self.set_abort();
-                    panic_any(Starved(format!(
-                        "kendo: thread {} parked for {:?} without wakeup — \
-                         likely an application deadlock (state={})",
-                        me.tid,
-                        limit,
-                        self.debug_state()
-                    )));
+                    self.starve(me, wait, limit);
                 }
             }
         }
         idle_wakeups
     }
 
+    /// A hash of every slot's clock and status: what a park compares
+    /// across wake-ups to tell its peers' progress from quiet.
+    fn fingerprint(&self) -> u64 {
+        self.slots.iter().fold(0, |h, (_, s)| {
+            let status = u64::from(s.status.load(SeqCst)) << 62;
+            (h ^ s.clock.load(SeqCst) ^ status).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Ends a park whose starvation bound tripped. Aborts the run first,
+    /// so every *other* waiter (parked or spinning) wakes and unwinds too,
+    /// then unwinds this one with the diagnosis.
+    fn starve(&self, me: &KendoHandle, wait: Wait, limit: Duration) -> ! {
+        self.set_abort();
+        let state = self.debug_state();
+        panic_any(Starved(match wait {
+            Wait::Turn => format!(
+                "kendo: thread {} starved waiting for its turn for {limit:?} \
+                 (parked; clock={}, state={state})",
+                me.tid,
+                me.clock()
+            ),
+            Wait::Blocked => format!(
+                "kendo: thread {} parked for {limit:?} without wakeup — \
+                 likely an application deadlock (state={state})",
+                me.tid
+            ),
+        }))
+    }
+
     /// Snapshot of all slots for diagnostics.
     #[must_use]
     pub fn debug_state(&self) -> String {
+        use std::fmt::Write;
         let mut s = String::new();
         for (i, slot) in self.slots.iter() {
-            use std::fmt::Write;
-            let _ = write!(
-                s,
-                "[t{} {:?}@{}]",
-                i,
-                Status::from_u8(slot.status.load(SeqCst)),
-                slot.clock.load(SeqCst)
-            );
+            let status = Status::from_u8(slot.status.load(SeqCst));
+            let _ = write!(s, "[t{i} {status:?}@{}]", slot.clock.load(SeqCst));
         }
         let b = self.baton.load(SeqCst);
-        use std::fmt::Write;
         if b == BATON_NONE {
-            let _ = write!(s, " baton=none");
+            s.push_str(" baton=none");
         } else {
             let _ = write!(s, " baton=t{}@{}", baton_tid(b), baton_clock(b));
         }
@@ -1125,7 +968,7 @@ mod tests {
         assert_eq!(h.clock(), 5);
         h.tick(3);
         assert_eq!(h.clock(), 8);
-        assert_eq!(k.clock_of(0), 8);
+        assert_eq!(k.slots.get(0).clock.load(SeqCst), 8);
     }
 
     #[test]
@@ -1222,8 +1065,8 @@ mod tests {
         k.block(&a);
         assert!(k.has_turn(&b));
         k.wake(0, 60);
-        assert_eq!(k.clock_of(0), 60);
-        assert_eq!(k.status_of(0), Status::Active);
+        assert_eq!(a.clock(), 60);
+        assert_eq!(Status::from_u8(a.slot.status.load(SeqCst)), Status::Active);
         assert!(k.has_turn(&b), "b (50) still beats rewoken a (60)");
         b.tick(11);
         assert!(k.has_turn(&a));
@@ -1240,7 +1083,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             k2.wake(0, 42);
         });
-        k.park_until_active(&a);
+        k.park_until_active(&a, || {});
         assert_eq!(a.clock(), 42);
         waker.join().unwrap();
     }
@@ -1256,7 +1099,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(200));
             k2.wake(0, 42);
         });
-        let idles = k.park_until_active_with(&a, || {});
+        let idles = k.park_until_active(&a, || {});
         waker.join().unwrap();
         assert_eq!(a.clock(), 42);
         assert!(
@@ -1280,7 +1123,7 @@ mod tests {
             k2.wake(0, 42);
             seen_in_time
         });
-        let idles = k.park_until_active_with(&a, || {
+        let idles = k.park_until_active(&a, || {
             let _ = ran.send(());
         });
         assert!(
@@ -1290,12 +1133,6 @@ mod tests {
         assert!(idles >= 1, "the nudged callback is an idle wakeup");
         assert_eq!(a.clock(), 42);
         assert!(!b.slot.nudged.load(SeqCst), "an active slot is left alone");
-    }
-
-    #[test]
-    fn degenerate_idle_poll_clamps_to_one_ms() {
-        let k = KendoState::new().with_idle_poll(Duration::ZERO);
-        assert_eq!(k.idle_poll, Duration::from_millis(1));
     }
 
     /// How a test thread's off-turn ticks reach its slot.
@@ -1354,51 +1191,44 @@ mod tests {
         Arc::try_unwrap(order).unwrap().into_inner()
     }
 
-    /// N threads each take `rounds` turns, releasing by an uneven,
-    /// deterministic amount; returns the admission order.
-    fn contended_order(k: Arc<KendoState>, n: u64, rounds: u64) -> Vec<Tid> {
-        let programs = (0..n)
-            .map(|i| {
-                (0..rounds)
-                    .map(|round| (vec![], 1 + (i + round) % 3))
-                    .collect()
-            })
-            .collect();
-        admissions(k, programs, Publish::Exact)
-            .into_iter()
-            .map(|(tid, _)| tid)
-            .collect()
+    /// The turn order the arbiter must produce, as a sequential model that
+    /// shares no code with it: a thread arrives at its clock plus the
+    /// round's off-turn ticks, the minimal `(arrival clock, tid)` is
+    /// admitted and advances by its release tick, and a thread retires
+    /// after its last turn (its finishing turn admits no one it delays).
+    fn model(programs: &[Program]) -> Vec<(Tid, u64)> {
+        let mut clock = vec![0; programs.len()];
+        let mut round = vec![0; programs.len()];
+        let mut order = Vec::new();
+        loop {
+            let next = (0..programs.len())
+                .filter(|&t| round[t] < programs[t].len())
+                .map(|t| (clock[t] + programs[t][round[t]].0.iter().sum::<u64>(), t))
+                .min();
+            let Some((arrival, t)) = next else {
+                return order;
+            };
+            order.push((t as Tid, arrival));
+            clock[t] = arrival + programs[t][round[t]].1;
+            round[t] += 1;
+        }
     }
 
     #[test]
-    fn turn_order_is_deterministic_under_contention() {
-        let run = || contended_order(Arc::new(KendoState::new()), 4, 50);
-        let a = run();
-        let b = run();
-        let c = run();
-        assert_eq!(a, b);
-        assert_eq!(b, c);
-        assert_eq!(a.len(), 200);
-    }
-
-    #[test]
-    fn handoff_admits_the_same_turn_sequence_as_the_scan_oracle() {
-        // The cross-mode pin: for several thread counts, the successor
-        // handoff must admit exactly the order the broadcast scan does.
+    fn handoff_admits_the_models_turn_sequence_under_contention() {
+        // N threads each take 30 turns, releasing by an uneven,
+        // deterministic amount.
         for n in [2u64, 4, 8] {
-            let rounds = 30;
-            let handoff = contended_order(
-                Arc::new(KendoState::new().with_arbitration(ArbitrationMode::Handoff)),
-                n,
-                rounds,
+            let programs: Vec<Program> = (0..n)
+                .map(|i| (0..30).map(|round| (vec![], 1 + (i + round) % 3)).collect())
+                .collect();
+            let admitted = admissions(
+                Arc::new(KendoState::new()),
+                programs.clone(),
+                Publish::Exact,
             );
-            let scan = contended_order(
-                Arc::new(KendoState::new().with_arbitration(ArbitrationMode::SpinScan)),
-                n,
-                rounds,
-            );
-            assert_eq!(handoff, scan, "mode divergence at {n} threads");
-            assert_eq!(handoff.len() as u64, n * rounds);
+            assert_eq!(admitted.len() as u64, n * 30);
+            assert_eq!(admitted, model(&programs), "{n} threads");
         }
     }
 
@@ -1415,24 +1245,21 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
         /// Lagging publication changes when a turn is admitted, never
-        /// which: handoff over chunk-published clocks admits the very
-        /// `(tid, clock)` sequence the scan oracle admits over exact ones.
+        /// which: handoff over chunk-published clocks, as over exact ones,
+        /// admits the very `(tid, clock)` sequence the model computes.
         #[test]
-        fn chunked_publication_admits_the_scan_oracles_turn_sequence(
+        fn chunked_publication_admits_the_models_turn_sequence(
             two in arb_programs(2),
             four in arb_programs(4),
             eight in arb_programs(8),
         ) {
             for programs in [two, four, eight] {
-                let turns: usize = programs.iter().map(Vec::len).sum();
-                let oracle = admissions(
-                    Arc::new(KendoState::new().with_arbitration(ArbitrationMode::SpinScan)),
-                    programs.clone(),
-                    Publish::Exact,
-                );
-                let chunked = admissions(Arc::new(KendoState::new()), programs, Publish::Chunked);
-                prop_assert_eq!(oracle.len(), turns);
-                prop_assert_eq!(chunked, oracle);
+                let expected = model(&programs);
+                prop_assert_eq!(expected.len(), programs.iter().map(Vec::len).sum::<usize>());
+                for publish in [Publish::Exact, Publish::Chunked] {
+                    let k = Arc::new(KendoState::new());
+                    prop_assert_eq!(&admissions(k, programs.clone(), publish), &expected);
+                }
             }
         }
     }
@@ -1499,7 +1326,7 @@ mod tests {
             }
             let mut batch = TickBatch::default();
             batch.tick(&k, &compute, 10); // true clock 10 > a's 1, published 0
-            assert_eq!((k.clock_of(compute.tid()), batch.pending()), (0, 10));
+            assert_eq!((compute.clock(), batch.pending()), (0, 10));
             assert!(order.lock().is_empty(), "{leave:?}: waiter admitted early");
             batch.flush(&k, &compute);
             match leave {
@@ -1518,7 +1345,7 @@ mod tests {
                     k.set_abort();
                     k.finish_forced(compute.tid());
                     assert!(!waiter.join().unwrap(), "the abort unwinds the waiter");
-                    assert_eq!(k.clock_of(compute.tid()), 10, "nothing left unpublished");
+                    assert_eq!(compute.clock(), 10, "nothing left unpublished");
                 }
             }
         }
@@ -1545,7 +1372,7 @@ mod tests {
         k.wait_for_turn(&a);
         k.block(&a);
         k.release_turn(&a, 1);
-        k.park_until_active(&a);
+        k.park_until_active(&a, || {});
         waker.join().unwrap();
         assert_eq!((a.clock(), batch.pending()), (51, 0));
         batch.tick(&k, &a, 5);
@@ -1629,41 +1456,74 @@ mod tests {
         let starved = std::thread::spawn(move || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k2.wait_for_turn(&b))).is_err()
         });
-        // b's starvation timeout must flip the global abort so c — parked
-        // on a different slot, with no wakeup ever coming — unwinds too.
-        let res =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.park_until_active(&c)));
+        // Whichever bound trips first must flip the global abort, so the
+        // other waiter — parked on a different slot, with no wakeup ever
+        // coming — unwinds too.
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            k.park_until_active(&c, || {})
+        }));
         assert!(res.is_err(), "abort must reach parked peers");
         assert!(k.aborted());
         assert!(starved.join().unwrap());
     }
 
+    /// Both starvation diagnoses, byte for byte (failure-report digests
+    /// hash the message).
     #[test]
-    fn starvation_unwinds_with_the_typed_diagnosis_in_both_modes() {
-        for mode in [ArbitrationMode::Handoff, ArbitrationMode::SpinScan] {
-            let k = KendoState::new()
-                .with_arbitration(mode)
-                .with_deadlock_timeout(Some(Duration::from_millis(150)));
-            let _a = k.register(0); // never ticks, never blocked
+    fn starvation_unwinds_with_the_typed_diagnosis() {
+        let turn = "kendo: thread 1 starved waiting for its turn for 150ms \
+                    (parked; clock=10, state=[t0 Active@0][t1 Active@10] baton=t0@0)";
+        let blocked = "kendo: thread 0 parked for 150ms without wakeup — likely an \
+                       application deadlock (state=[t0 Blocked@0][t1 Active@10] baton=t0@0)";
+        for (wait, expected) in [(Wait::Turn, turn), (Wait::Blocked, blocked)] {
+            let k = KendoState::new().with_deadlock_timeout(Some(Duration::from_millis(150)));
+            let a = k.register(0); // never ticks
             let b = k.register(10);
-            // b can never win.
-            let payload =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.wait_for_turn(&b)))
-                    .expect_err("the bound trips");
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match wait {
+                Wait::Turn => k.wait_for_turn(&b), // b can never win
+                Wait::Blocked => {
+                    k.block(&a); // and nobody wakes it
+                    k.park_until_active(&a, || {});
+                }
+            }))
+            .expect_err("the bound trips");
             let starved = payload.downcast::<Starved>().expect("typed payload");
-            let message = starved.to_string();
-            let who = "kendo: thread 1 starved waiting for its turn for 150ms";
-            let slots = "[t0 Active@0][t1 Active@10] baton=t0@0)";
-            assert!(
-                message.starts_with(who) && message.ends_with(slots),
-                "{mode:?}: {message}"
-            );
+            assert_eq!(starved.to_string(), expected);
             // Everyone else leaves through the abort, with the other token.
             assert!(k.aborted());
             let peer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.check_abort()))
                 .expect_err("aborted");
             assert!(peer.is::<Aborted>());
         }
+    }
+
+    /// The bound is quiet time: a non-designated turn-waiter parked for
+    /// three bounds does not starve while the leader's clock keeps moving
+    /// below it, and takes its turn once the leader passes it.
+    #[test]
+    fn a_turn_waiter_behind_a_moving_leader_does_not_starve() {
+        let k = Arc::new(KendoState::new().with_deadlock_timeout(Some(Duration::from_millis(150))));
+        let leader = k.register(0);
+        let waiter = k.register(1_000);
+        let parked = {
+            let k = Arc::clone(&k);
+            std::thread::spawn(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    k.wait_for_turn(&waiter);
+                    k.finish(&waiter);
+                }))
+                .is_ok()
+            })
+        };
+        for _ in 0..45 {
+            std::thread::sleep(Duration::from_millis(10));
+            leader.tick(1); // progress, still below the waiter
+        }
+        assert!(k.handoff_counters().2 >= 1, "the waiter parked");
+        k.wait_for_turn(&leader);
+        k.release_turn(&leader, 1_000); // 1 045 > 1 000: the waiter goes
+        assert!(parked.join().unwrap(), "the waiter starved: {k:?}");
+        assert!(!k.aborted());
     }
 
     /// §3.1 repair: a compute-bound thread that the successor scan

@@ -10,7 +10,9 @@
 # Fails unless both are byte-identical to <base-ref> (committed state
 # *and* working tree) and nothing untracked sits under benchmark/. Then
 # prints the non-test line count: over crates/*/src/**/*.rs, the lines
-# before each file's first column-0 `#[cfg(test)]`.
+# before each file's test module — a column-0 `#[cfg(test)]` directly
+# followed by `mod tests`. (Any other `#[cfg(test)]` item, such as a
+# test-only builder, is counted: it is still code in the file.)
 #
 # Usage: scripts/check_frozen.sh <base-ref>     (e.g. HEAD~1, origin/main)
 set -euo pipefail
@@ -33,7 +35,8 @@ echo "check_frozen: BENCHMARK.json and benchmark/ identical to $base"
 
 total=0
 while IFS= read -r -d '' f; do
-    n=$(awk '/^#\[cfg\(test\)\]/{exit} {c++} END{print c+0}' "$f")
+    n=$(awk '/^mod tests/ && prev ~ /^#\[cfg\(test\)\]/ {c--; exit}
+             {c++; prev = $0} END {print c + 0}' "$f")
     total=$((total + n))
 done < <(find crates/*/src -name '*.rs' -print0)
 echo "non-test lines under crates/*/src: $total"

@@ -3,9 +3,8 @@
 //! Handoff must be *invisible*: which thread is admitted next is a pure
 //! function of logical clocks, and arbitration only changes how the
 //! winner finds out (a baton handoff + targeted unpark). The kendo crate
-//! pins the raw turn *sequence* against the broadcast spin-scan oracle
-//! at the unit level (the scan survives only there, as a test
-//! reference); here the whole runtime — wakes, blocks, mailboxes,
+//! pins the raw turn *sequence* against a sequential model of the turn
+//! order at the unit level; here the whole runtime — wakes, blocks, mailboxes,
 //! propagation — rides on top, and these tests pin that the machinery
 //! engages and that parked waiters do not hide a deadlock.
 

@@ -369,18 +369,12 @@ fn a_real_kendo_starvation_still_ends_wedged() {
 
 /// The wedge bound measures time without progress, not time parked: main
 /// sits in `join` for over three bounds while the workers keep taking a
-/// lock, and the run is clean. (The lockstep fence wait once counted from
-/// the moment it began, and ended this run `Wedged`.) Not on the core:
-/// Kendo bounds every park by itself, so a join this long is `Wedged`
-/// there, as it always was.
+/// lock, and the run is clean on every backend. (The lockstep fence wait
+/// once counted from the moment it began, and Kendo's parks from the
+/// moment each began; both ended this run `Wedged`.)
 #[test]
 fn a_long_park_while_peers_make_progress_is_not_a_wedge() {
-    let supervised_waits: [Box<dyn DmtBackend>; 3] = [
-        Box::new(rfdet::NativeBackend),
-        Box::new(rfdet::DthreadsBackend),
-        Box::new(rfdet::QuantumBackend),
-    ];
-    for backend in supervised_waits {
+    for backend in all_backends() {
         let name = backend.name();
         let mut cfg = small_cfg(FaultPlan::new());
         cfg.deadlock_after_ms = Some(300);
