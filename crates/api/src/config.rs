@@ -29,9 +29,6 @@ pub enum MonitorMode {
 pub struct RfdetOpts {
     /// Store-monitoring strategy.
     pub monitor: MonitorMode,
-    /// Keep the current slice open when re-acquiring a sync var last
-    /// released by this same thread (§4.5 "Slice Merging").
-    pub slice_merging: bool,
     /// Pre-merge happens-before slices while queued on a contended lock
     /// (§4.5 "Prelock").
     pub prelock: bool,
@@ -50,7 +47,6 @@ impl Default for RfdetOpts {
     fn default() -> Self {
         Self {
             monitor: MonitorMode::Ci,
-            slice_merging: true,
             prelock: true,
             lazy_writes: false,
             fault_cost_spins: 2000,
@@ -184,12 +180,14 @@ pub struct RunConfig {
     /// output and failure digests are identical with the detector on or
     /// off (reports live outside `output_digest`), so, like `metrics`,
     /// this knob stays out of the trace projection and a replay decides
-    /// for itself whether to re-detect. On the core a detecting run
-    /// disables slice merging (semantics-neutral, but it changes slice
-    /// granularity, which would skew cross-backend coordinates);
-    /// [`crate::RunHarness::new`] applies that once and, when it changed
-    /// anything, says so in [`crate::TracedRun::warnings`]. `false` (the
-    /// default) keeps the cost at one branch per slice.
+    /// for itself whether to re-detect. The core merges slices (§4.5)
+    /// exactly when this is off: a detecting run seals one slice per sync
+    /// op, so its logical coordinates mean the same on every backend.
+    /// Merging is semantics-neutral — output and schedule are the same
+    /// either way — but it moves the culprit's vector clock and slice
+    /// count, so a failure report recorded with detection on replays to
+    /// its digest only with detection on. `false` (the default) keeps the
+    /// cost at one branch per slice.
     pub detect_races: bool,
 }
 
@@ -254,7 +252,6 @@ impl RunConfig {
                 MonitorMode::Ci => 0,
                 MonitorMode::Pf => 1,
             },
-            slice_merging: self.rfdet.slice_merging,
             prelock: self.rfdet.prelock,
             lazy_writes: self.rfdet.lazy_writes,
             fault_cost_spins: self.rfdet.fault_cost_spins,
@@ -281,7 +278,6 @@ impl RunConfig {
                 } else {
                     MonitorMode::Ci
                 },
-                slice_merging: c.slice_merging,
                 prelock: c.prelock,
                 lazy_writes: c.lazy_writes,
                 fault_cost_spins: c.fault_cost_spins,
@@ -459,7 +455,6 @@ mod tests {
             meta_max_slices: 7,
             rfdet: RfdetOpts {
                 monitor: MonitorMode::Pf,
-                slice_merging: false,
                 prelock: false,
                 lazy_writes: true,
                 fault_cost_spins: 3,

@@ -10,8 +10,7 @@
 //!   the profiling counters. [`ThreadHarness::enter_sync`] is the one
 //!   definition of what a sync-op coordinate is and what happens at one.
 //! * [`RunHarness`] — per run: the validated, resolved
-//!   [`RunConfig`](crate::RunConfig) (with the override it applied, if
-//!   any), the fault plan, both sinks, the OS thread handles, the
+//!   [`RunConfig`](crate::RunConfig), the fault plan, both sinks, the OS thread handles, the
 //!   failure slot and the stop protocol — recording a failure *is*
 //!   stopping the run: the stop flag, the one [`Stopped`] unwind token
 //!   and the supervised wait ([`RunHarness::wait_until`]) live here.
@@ -26,7 +25,7 @@
 mod run;
 mod thread;
 
-pub use run::{Family, RunHarness, Stopped};
+pub use run::{RunHarness, Stopped};
 pub use thread::{PlannedPanic, ThreadHarness};
 
 use crate::{Addr, BarrierId, CondId, MutexId, Stats, Tid};
@@ -140,8 +139,8 @@ mod tests {
         cfg
     }
 
-    fn harness(cfg: &RunConfig, family: Family) -> RunHarness {
-        RunHarness::new(cfg, family).expect("valid config")
+    fn harness(cfg: &RunConfig) -> RunHarness {
+        RunHarness::new(cfg).expect("valid config")
     }
 
     /// Finishes a run whose only context is `main` and whose output is
@@ -169,7 +168,7 @@ mod tests {
 
     #[test]
     fn sync_op_indices_are_per_thread_and_dense() {
-        let run = harness(&cfg(|c| c.trace = Some("w".into())), Family::Native);
+        let run = harness(&cfg(|c| c.trace = Some("w".into())));
         let mut a = ThreadHarness::new(&run, 0);
         let mut b = ThreadHarness::new(&run, 1);
         a.enter_sync(SyncOp::Lock(MutexId(3)), || 10);
@@ -200,7 +199,7 @@ mod tests {
 
     #[test]
     fn every_op_kind_names_its_counter_and_its_rendering() {
-        let run = harness(&RunConfig::small(), Family::Native);
+        let run = harness(&RunConfig::small());
         let mut h = ThreadHarness::new(&run, 0);
         for (op, rendered) in [
             (SyncOp::Lock(MutexId(1)), "lock(1)"),
@@ -229,13 +228,10 @@ mod tests {
 
     #[test]
     fn the_event_is_recorded_before_the_fault_is_reported() {
-        let run = harness(
-            &cfg(|c| {
-                c.trace = Some("w".into());
-                c.fault_plan = FaultPlan::new().jitter_at(0, 1, 7).panic_at(0, 1);
-            }),
-            Family::Lockstep,
-        );
+        let run = harness(&cfg(|c| {
+            c.trace = Some("w".into());
+            c.fault_plan = FaultPlan::new().jitter_at(0, 1, 7).panic_at(0, 1);
+        }));
         let mut h = ThreadHarness::new(&run, 0);
         assert_eq!(h.enter_sync(SyncOp::Spawn, || 40), SyncOpFault::default());
         h.raise_planned();
@@ -258,7 +254,7 @@ mod tests {
 
     #[test]
     fn first_root_cause_wins_and_later_unwinds_become_peers() {
-        let run = harness(&RunConfig::small(), Family::Dlrc);
+        let run = harness(&RunConfig::small());
         assert!(!run.is_stopped());
         run.record_unwind(0, Box::new("first"), None, Some(FailureKind::Panic));
         assert!(run.is_stopped(), "recording is stopping");
@@ -297,7 +293,7 @@ mod tests {
 
     #[test]
     fn secondary_unwinds_are_not_root_causes() {
-        let run = harness(&RunConfig::small(), Family::Lockstep);
+        let run = harness(&RunConfig::small());
         // The harness's own token, whatever kind the backend passes, and
         // the backend's own (`None`): neither is a root cause.
         run.record_unwind(2, Box::new(Stopped), report_of(2), Some(FailureKind::Panic));
@@ -320,7 +316,7 @@ mod tests {
     #[test]
     fn a_stopped_run_unwinds_its_waiters_with_the_token() {
         use std::sync::Arc;
-        let run = Arc::new(harness(&RunConfig::small(), Family::Native));
+        let run = Arc::new(harness(&RunConfig::small()));
         run.check_stop(); // not stopped: returns
         let gate = Arc::new((parking_lot::Mutex::new(false), parking_lot::Condvar::new()));
         let waiter = {
@@ -347,7 +343,7 @@ mod tests {
 
     #[test]
     fn a_wait_that_outlives_the_bound_records_the_wedge_it_describes() {
-        let run = harness(&cfg(|c| c.deadlock_after_ms = Some(30)), Family::Native);
+        let run = harness(&cfg(|c| c.deadlock_after_ms = Some(30)));
         let (m, cv) = (parking_lot::Mutex::new(7u32), parking_lot::Condvar::new());
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run.wait_until(
@@ -371,7 +367,7 @@ mod tests {
 
     #[test]
     fn the_bound_is_quiet_time_so_a_notified_wait_may_outlast_it() {
-        let run = harness(&cfg(|c| c.deadlock_after_ms = Some(200)), Family::Lockstep);
+        let run = harness(&cfg(|c| c.deadlock_after_ms = Some(200)));
         let (m, cv) = (parking_lot::Mutex::new(false), parking_lot::Condvar::new());
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -389,38 +385,8 @@ mod tests {
     }
 
     #[test]
-    fn the_detector_override_is_resolved_once_and_listed() {
-        let detecting = cfg(|c| c.detect_races = true);
-        let core = harness(&detecting, Family::Dlrc);
-        assert!(!core.cfg.rfdet.slice_merging);
-        assert_eq!(
-            core.overrides,
-            ["detect_races: rfdet.slice_merging true→false"]
-        );
-        for family in [Family::Lockstep, Family::Native] {
-            let other = harness(&detecting, family);
-            assert!(other.overrides.is_empty(), "{family:?}");
-            assert!(other.cfg.rfdet.slice_merging, "not a {family:?} knob");
-        }
-        // A config that needs no override gets no note — and no warning.
-        let quiet = harness(
-            &cfg(|c| {
-                c.detect_races = true;
-                c.rfdet.slice_merging = false;
-            }),
-            Family::Dlrc,
-        );
-        assert!(quiet.overrides.is_empty());
-        let h = ThreadHarness::new(&quiet, 0);
-        assert!(finish(&quiet, h).warnings.is_empty());
-        let h = ThreadHarness::new(&core, 0);
-        assert_eq!(finish(&core, h).warnings, core.overrides);
-    }
-
-    #[test]
     fn an_invalid_config_is_an_error_not_a_harness() {
-        let err = RunHarness::new(&cfg(|c| c.space_bytes = 4096), Family::Native)
-            .expect_err("no heap strips");
+        let err = RunHarness::new(&cfg(|c| c.space_bytes = 4096)).expect_err("no heap strips");
         assert_eq!((err.field, err.value), ("space_bytes", 4096));
         let rejected = TracedRun::rejected("test", &err);
         assert!(rejected.trace.is_none() && rejected.checkpoints.is_empty());
@@ -436,7 +402,7 @@ mod tests {
 
     #[test]
     fn a_plain_run_has_no_trace_and_no_metrics() {
-        let run = harness(&RunConfig::small(), Family::Dlrc);
+        let run = harness(&RunConfig::small());
         assert!(run.trace_sink.is_none() && run.obs_sink.is_none());
         let h = ThreadHarness::new(&run, 0);
         assert!(!h.metered() && h.start().is_none());
@@ -449,20 +415,17 @@ mod tests {
             .report()
             .trace_path
             .is_none());
-        let run = harness(&RunConfig::small(), Family::Dlrc);
+        let run = harness(&RunConfig::small());
         let done = finish(&run, ThreadHarness::new(&run, 0));
         assert!(done.result.expect("clean").metrics.is_none());
     }
 
     #[test]
     fn a_clean_run_is_traced_but_not_persisted_and_gets_the_rollup() {
-        let run = harness(
-            &cfg(|c| {
-                c.trace = Some("wl".into());
-                c.metrics = true;
-            }),
-            Family::Dlrc,
-        );
+        let run = harness(&cfg(|c| {
+            c.trace = Some("wl".into());
+            c.metrics = true;
+        }));
         let mut h = ThreadHarness::new(&run, 0);
         let t0 = h.start();
         assert!(h.metered() && t0.is_some());
@@ -495,15 +458,12 @@ mod tests {
         // The env var is process-wide: this is the only test in the crate
         // that may set it.
         std::env::set_var("RFDET_TRACE_DIR", &dir);
-        let run = harness(
-            &cfg(|c| {
-                c.trace = Some("wl".into());
-                c.metrics = true;
-                c.jitter_seed = Some(5);
-                c.fault_plan = FaultPlan::new().panic_at(1, 0);
-            }),
-            Family::Dlrc,
-        );
+        let run = harness(&cfg(|c| {
+            c.trace = Some("wl".into());
+            c.metrics = true;
+            c.jitter_seed = Some(5);
+            c.fault_plan = FaultPlan::new().panic_at(1, 0);
+        }));
         run.record_unwind(1, Box::new("boom"), report_of(1), Some(FailureKind::Panic));
         let mut h = ThreadHarness::new(&run, 0);
         h.sample(Phase::SyncOp, 10);

@@ -25,20 +25,6 @@ const POLL: Duration = Duration::from_millis(10);
 #[derive(Debug)]
 pub struct Stopped;
 
-/// The backend families: only the DLRC core has a knob race detection
-/// overrides.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Family {
-    /// The DLRC core: honors [`crate::RfdetOpts`] and detects races per
-    /// sealed slice.
-    Dlrc,
-    /// The lockstep engines (DThreads, quantum): detect races per
-    /// parallel interval, ignore [`crate::RfdetOpts`].
-    Lockstep,
-    /// The native baseline: no race detection.
-    Native,
-}
-
 /// The harness mutexes guard plain data that stays coherent when some
 /// unrelated panic unwinds past a guard.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -60,14 +46,10 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
 /// backend's ordering or memory machinery.
 #[derive(Debug)]
 pub struct RunHarness {
-    /// The resolved configuration: the caller's, validated, with the
-    /// overrides in [`Self::overrides`] applied. The one copy every
-    /// layer of the run reads.
+    /// The caller's configuration, validated: the one copy every layer
+    /// of the run reads.
     pub cfg: RunConfig,
     pub(super) plan: Arc<FaultPlan>,
-    /// The overrides [`Self::new`] applied, one note each (empty when the
-    /// config needed none). They surface in [`TracedRun::warnings`].
-    pub overrides: Vec<String>,
     /// The flight-recorder sink — `Some` exactly when the config asks for
     /// a recording. Public for events no thread context records (wake
     /// taps).
@@ -93,30 +75,16 @@ pub struct RunHarness {
 }
 
 impl RunHarness {
-    /// Validates `cfg`, resolves the one knob another forces and creates
-    /// the sinks the resolved config asks for.
-    ///
-    /// Race detection's logical coordinates must mean the same thing on
-    /// every backend, so on the core a detecting run seals one slice per
-    /// sync op (no merged slices). That is semantics-neutral — schedule
-    /// and digests are unchanged — and listed in [`Self::overrides`]
-    /// when applied.
+    /// Validates `cfg` and creates the sinks it asks for.
     ///
     /// # Errors
     /// The [`ConfigError`] of an invalid configuration
     /// ([`RunConfig::validate`]); the backend returns it as
     /// [`TracedRun::rejected`].
-    pub fn new(cfg: &RunConfig, family: Family) -> Result<Self, ConfigError> {
+    pub fn new(cfg: &RunConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let mut cfg = cfg.clone();
-        let mut overrides = Vec::new();
-        if cfg.detect_races && family == Family::Dlrc && cfg.rfdet.slice_merging {
-            cfg.rfdet.slice_merging = false;
-            overrides.push("detect_races: rfdet.slice_merging true→false".to_owned());
-        }
         Ok(Self {
             plan: Arc::new(cfg.fault_plan.clone()),
-            overrides,
             trace_sink: cfg.trace.as_ref().map(|_| Arc::default()),
             obs_sink: cfg.metrics.then(Arc::default),
             handles: Mutex::default(),
@@ -124,7 +92,7 @@ impl RunHarness {
             peers: Mutex::default(),
             stopped: AtomicBool::new(false),
             wedge_after: cfg.deadlock_after(),
-            cfg,
+            cfg: cfg.clone(),
         })
     }
 
@@ -318,7 +286,7 @@ impl RunHarness {
         }
         let (races, truncated) = races(&mut main);
         drop(main);
-        let mut warnings = self.overrides.clone();
+        let mut warnings = Vec::new();
         if truncated {
             warnings.push(format!(
                 "race reports truncated at {} — distinct racy pairs beyond the cap were not recorded",

@@ -38,12 +38,12 @@ pub use config::{ConfigError, MonitorMode, RfdetOpts, RunConfig, MIN_SPACE_BYTES
 pub use ctx::{AtomicOp, BarrierId, CondId, DmtCtx, DmtCtxExt, MutexId, ThreadFn, ThreadHandle};
 pub use error::{FailureKind, FailureReport, RunError, ThreadReport, WaitEdge, WaitTarget};
 pub use fault::{FaultAction, FaultPlan, FaultSpec, SyncOpFault};
-pub use harness::{Family, RunHarness, SyncOp, ThreadHarness};
+pub use harness::{RunHarness, SyncOp, ThreadHarness};
 pub use pod::Pod;
 pub use race::{races_digest, render_races, AccessKind, RaceReport, RaceSite};
 pub use retry::RetryPolicy;
 pub use rng::DetRng;
-pub use stats::Stats;
+pub use stats::{AtomicStats, Stats};
 
 pub use rfdet_obs as obs;
 pub use rfdet_trace as trace;

@@ -1,142 +1,216 @@
 //! Per-run profiling counters — the raw material of the paper's Table 1.
+//!
+//! The counters are listed once, in the `stats!` invocation below, which
+//! generates the per-thread [`Stats`], its `+=`, and the run-wide
+//! lock-free mirror [`AtomicStats`]. Each counter names how two values
+//! combine: `sum` for counts, `max` for peaks.
 
 use std::ops::AddAssign;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Aggregated counters for one run.
-///
-/// Mirrors the columns of paper Table 1 ("Profiling data of benchmark
-/// executions with 4 threads") plus the optimization counters used in the
-/// §4.5 discussion (e.g. the fraction of propagation work the *prelock*
-/// optimization moves off the critical path).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Stats {
+/// Counters that add up across threads and merges.
+mod sum {
+    use super::{AtomicU64, Relaxed};
+
+    pub(super) fn fold(a: u64, b: u64) -> u64 {
+        a + b
+    }
+
+    pub(super) fn fold_atomic(a: &AtomicU64, b: u64) {
+        a.fetch_add(b, Relaxed);
+    }
+}
+
+/// Peaks: the largest value wins.
+mod max {
+    use super::{AtomicU64, Relaxed};
+
+    pub(super) fn fold(a: u64, b: u64) -> u64 {
+        a.max(b)
+    }
+
+    pub(super) fn fold_atomic(a: &AtomicU64, b: u64) {
+        a.fetch_max(b, Relaxed);
+    }
+}
+
+macro_rules! stats {
+    ($($(#[$doc:meta])* $fold:ident $field:ident,)*) => {
+        /// Aggregated counters for one run.
+        ///
+        /// Mirrors the columns of paper Table 1 ("Profiling data of
+        /// benchmark executions with 4 threads") plus the optimization
+        /// counters used in the §4.5 discussion (e.g. the fraction of
+        /// propagation work the *prelock* optimization moves off the
+        /// critical path).
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct Stats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl AddAssign for Stats {
+            fn add_assign(&mut self, rhs: Self) {
+                $(self.$field = $fold::fold(self.$field, rhs.$field);)*
+            }
+        }
+
+        /// Shared, lock-free mirror of [`Stats`].
+        ///
+        /// Hot paths keep thread-local `Stats` and flush them here at
+        /// thread exit; slow paths (GC, fences) update directly.
+        #[derive(Debug, Default)]
+        pub struct AtomicStats {
+            $(
+                #[doc = concat!("See [`Stats::", stringify!($field), "`].")]
+                pub $field: AtomicU64,
+            )*
+        }
+
+        impl AtomicStats {
+            /// Adds a thread-local `Stats` into the shared aggregate.
+            pub fn merge(&self, s: &Stats) {
+                $($fold::fold_atomic(&self.$field, s.$field);)*
+            }
+
+            /// Reads out a consistent-enough snapshot (run has quiesced).
+            #[must_use]
+            pub fn snapshot(&self) -> Stats {
+                Stats {
+                    $($field: self.$field.load(Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+stats! {
     // ---- sync ops (Table 1, columns 2-4) ----
     /// `pthread_mutex_lock` count.
-    pub locks: u64,
+    sum locks,
     /// `pthread_mutex_unlock` count.
-    pub unlocks: u64,
+    sum unlocks,
     /// `pthread_cond_wait` count.
-    pub waits: u64,
+    sum waits,
     /// `pthread_cond_signal` + `pthread_cond_broadcast` count.
-    pub signals: u64,
+    sum signals,
     /// `pthread_create` count.
-    pub forks: u64,
+    sum forks,
     /// `pthread_join` count.
-    pub joins: u64,
+    sum joins,
     /// Barrier arrivals.
-    pub barriers: u64,
+    sum barriers,
     /// Atomic operations (`atomic_rmw`/`atomic_load`/`atomic_store`) — the
     /// §4.6 extension. A distinct sync-op class: atomics acquire *and*
     /// release a cell's sync var in one turn, so folding them into `locks`
     /// would misstate both columns.
-    pub atomics: u64,
+    sum atomics,
 
     // ---- memory ops (Table 1, columns 5-8) ----
     /// Shared-memory load operations.
-    pub loads: u64,
+    sum loads,
     /// Shared-memory store operations.
-    pub stores: u64,
+    sum stores,
     /// Stores that triggered a page snapshot ("store w/ copy", column 9).
-    pub stores_with_copy: u64,
+    sum stores_with_copy,
     /// Simulated page faults taken (Pf monitoring / lazy writes).
-    pub page_faults: u64,
+    sum page_faults,
 
     // ---- memory footprint & GC (Table 1, columns 10-13) ----
     /// Bytes of shared memory the application allocated.
-    pub shared_bytes: u64,
+    sum shared_bytes,
     /// Private pages materialized, summed over all threads (each thread
     /// contributes its final count at exit) — the `(N-1)*SharedMemory`
     /// term of §5.4.
-    pub private_pages: u64,
+    sum private_pages,
     /// Peak metadata-space usage in bytes.
-    pub peak_meta_bytes: u64,
+    max peak_meta_bytes,
     /// Garbage-collection passes (Table 1 last column).
-    pub gc_count: u64,
+    sum gc_count,
     /// Slices reclaimed by GC.
-    pub gc_reclaimed_slices: u64,
+    sum gc_reclaimed_slices,
 
     // ---- DLRC internals ----
     /// Slices created (one per synchronization-free interval).
-    pub slices: u64,
+    sum slices,
     /// Slices whose creation was elided by slice merging (§4.5).
-    pub slices_merged: u64,
+    sum slices_merged,
     /// Slices propagated into some thread (appended to a slice-pointer
     /// list).
-    pub slices_propagated: u64,
+    sum slices_propagated,
     /// Slices filtered out as redundant by the lowerlimit check.
-    pub slices_filtered_redundant: u64,
+    sum slices_filtered_redundant,
     /// Modification bytes applied to private memories.
-    pub mod_bytes_applied: u64,
+    sum mod_bytes_applied,
     /// Slices pre-merged while queued on a lock (prelock, §4.5). The paper
     /// reports ~80 % of propagation moved into the parallel phase.
-    pub prelock_premerged: u64,
+    sum prelock_premerged,
     /// Modification bytes whose application was deferred by lazy writes.
-    pub lazy_deferred_bytes: u64,
+    sum lazy_deferred_bytes,
     /// Deferred bytes later dropped because a newer value superseded them
     /// before the page was touched (the lazy-writes saving, §4.5).
-    pub lazy_elided_bytes: u64,
+    sum lazy_elided_bytes,
     /// `NO_ACCESS` protection transitions performed by lazy-write deposits.
     /// Each pending page is protected exactly once until its fault clears
     /// it — interleaved-page run lists and repeat deposits pay nothing —
     /// so this counts what `mprotect` calls a real implementation would
     /// issue.
-    pub lazy_protect_calls: u64,
+    sum lazy_protect_calls,
 
     // ---- memory-pipeline fast path (diff kernel + snapshot pool) ----
     /// Bytes compared by the end-of-slice diff kernel: the dirty lines of
     /// every stored-to page under RFDet-ci (equal to
     /// `snapshot_bytes_copied`), whole pages under RFDet-pf.
-    pub diff_bytes_scanned: u64,
+    sum diff_bytes_scanned,
     /// Bytes copied taking snapshots at first write (Figure 4 line 6):
     /// under RFDet-ci one line (`max(64, page_size / 64)` bytes) per line
     /// first stored to in a slice, so this over the line size counts line
     /// copies; under RFDet-pf one page per page first stored to.
-    pub snapshot_bytes_copied: u64,
+    sum snapshot_bytes_copied,
     /// Pages first stored to in a slice whose snapshot buffer came from
     /// the per-thread pool (no allocation).
-    pub snapshot_pool_hits: u64,
+    sum snapshot_pool_hits,
     /// Pages first stored to in a slice that had to allocate a fresh
     /// snapshot buffer (cold pool, or pooling disabled).
-    pub snapshot_pool_misses: u64,
+    sum snapshot_pool_misses,
 
     // ---- DThreads / quantum internals ----
     /// Global fence phases executed (DThreads / quantum backends).
-    pub global_fences: u64,
+    sum global_fences,
     /// Serial-phase commits (token-ordered diff publications).
-    pub serial_commits: u64,
+    sum serial_commits,
 
     // ---- runtime-internal contention (RFDet sharded hot path) ----
     /// Sync-var handles served from the per-thread cache (no shard lock).
-    pub sync_var_cache_hits: u64,
+    sum sync_var_cache_hits,
     /// Sync-var handles that had to consult the sharded table.
-    pub sync_var_cache_misses: u64,
+    sum sync_var_cache_misses,
     /// Sync-var shard locks that were held by another thread on arrival.
-    pub shard_lock_contended: u64,
+    sum shard_lock_contended,
     /// Sync-queue class locks that were held by another thread on arrival.
-    pub queue_lock_contended: u64,
+    sum queue_lock_contended,
 
     // ---- checkpoint/restore (§4.11) ----
     /// Checkpoint fragments this run contributed (one per live thread
     /// per captured epoch; `captured epochs = this / live threads`).
-    pub checkpoints_contributed: u64,
+    sum checkpoints_contributed,
 
     // ---- application-level degradation (RetryPolicy, §4.12) ----
     /// Requests that were retried after a deterministic backoff (each
     /// retry attempt counts once, however many a single request needs).
-    pub app_retries: u64,
+    sum app_retries,
     /// Requests shed after the retry budget was exhausted — graceful
     /// degradation the digest accounts for instead of hiding.
-    pub app_shed: u64,
+    sum app_shed,
 
     // ---- turn arbitration (Kendo successor handoff) ----
     /// Successor scans run by turn holders at release (one per turn
     /// transition).
-    pub handoff_scans: u64,
+    sum handoff_scans,
     /// Targeted unparks of a designated successor (scans where the next
     /// thread was parked rather than still polling).
-    pub handoff_wakes: u64,
+    sum handoff_wakes,
     /// Times a non-designated turn-waiter parked instead of spinning.
-    pub turn_parks: u64,
+    sum turn_parks,
 }
 
 impl Stats {
@@ -183,56 +257,10 @@ impl Stats {
     }
 }
 
-impl AddAssign for Stats {
-    fn add_assign(&mut self, rhs: Self) {
-        macro_rules! add {
-            ($($f:ident),* $(,)?) => { $( self.$f += rhs.$f; )* };
-        }
-        add!(
-            locks,
-            unlocks,
-            waits,
-            signals,
-            forks,
-            joins,
-            barriers,
-            atomics,
-            loads,
-            stores,
-            stores_with_copy,
-            page_faults,
-            shared_bytes,
-            gc_count,
-            gc_reclaimed_slices,
-            slices,
-            slices_merged,
-            slices_propagated,
-            slices_filtered_redundant,
-            mod_bytes_applied,
-            prelock_premerged,
-            lazy_deferred_bytes,
-            lazy_elided_bytes,
-            lazy_protect_calls,
-            diff_bytes_scanned,
-            snapshot_bytes_copied,
-            snapshot_pool_hits,
-            snapshot_pool_misses,
-            global_fences,
-            serial_commits,
-            private_pages,
-            sync_var_cache_hits,
-            sync_var_cache_misses,
-            shard_lock_contended,
-            queue_lock_contended,
-            checkpoints_contributed,
-            app_retries,
-            app_shed,
-            handoff_scans,
-            handoff_wakes,
-            turn_parks
-        );
-        // Peaks take the maximum, not the sum.
-        self.peak_meta_bytes = self.peak_meta_bytes.max(rhs.peak_meta_bytes);
+impl AtomicStats {
+    /// Raises the metadata-usage peak.
+    pub fn note_meta_bytes(&self, bytes: u64) {
+        self.peak_meta_bytes.fetch_max(bytes, Relaxed);
     }
 }
 
@@ -277,6 +305,39 @@ mod tests {
         assert_eq!(a.locks, 3);
         assert_eq!(a.peak_meta_bytes, 10, "peaks take max");
         assert_eq!(a.private_pages, 14, "per-thread footprints sum");
+    }
+
+    #[test]
+    fn merge_and_snapshot() {
+        let a = AtomicStats::default();
+        let s1 = Stats {
+            locks: 3,
+            stores: 10,
+            peak_meta_bytes: 100,
+            ..Stats::default()
+        };
+        let s2 = Stats {
+            locks: 2,
+            peak_meta_bytes: 50,
+            private_pages: 7,
+            ..Stats::default()
+        };
+        a.merge(&s1);
+        a.merge(&s2);
+        let out = a.snapshot();
+        assert_eq!(out.locks, 5);
+        assert_eq!(out.stores, 10);
+        assert_eq!(out.peak_meta_bytes, 100, "peaks take max");
+        assert_eq!(out.private_pages, 7);
+    }
+
+    #[test]
+    fn note_peaks_monotone() {
+        let a = AtomicStats::default();
+        a.note_meta_bytes(10);
+        a.note_meta_bytes(5);
+        let s = a.snapshot();
+        assert_eq!(s.peak_meta_bytes, 10);
     }
 
     #[test]

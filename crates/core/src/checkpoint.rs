@@ -175,7 +175,7 @@ pub(crate) fn ckpt_to_heap(c: &CkptHeap) -> HeapState {
 
 /// Decides, inside the last arriver's turn, whether this barrier episode
 /// seeds a checkpoint. Returns the epoch to stamp into the
-/// [`crate::handoff::BarrierHandoff`] when it does.
+/// [`rfdet_meta::BarrierHandoff`] when it does.
 ///
 /// Running in-turn is what makes the *global* seal data (sync-var table,
 /// join table, dead threads' output) safe to read without racing: no

@@ -1,8 +1,6 @@
 //! The per-thread RFDet context: memory access paths and `DmtCtx` glue.
 
-use crate::handoff::Mailbox;
 use crate::shared::RuntimeShared;
-use parking_lot::Mutex;
 use rfdet_api::obs::Phase;
 use rfdet_api::{
     Addr, BarrierId, CondId, DmtCtx, MonitorMode, MutexId, SyncOp, ThreadFn, ThreadHandle,
@@ -20,15 +18,6 @@ use std::sync::Arc;
 /// pool itself is measured as needed (`page-sparse` is 2.3× slower
 /// without it, DESIGN.md §4.6); nothing has needed a second size.
 pub(crate) const SNAP_POOL_PAGES: usize = 256;
-
-/// Cached handles to another thread's metadata and mailbox, so the sync
-/// hot path pays each registry `RwLock` read at most once per (thread,
-/// peer) pair instead of once per operation.
-#[derive(Clone)]
-pub(crate) struct Peer {
-    pub meta: Arc<ThreadMeta>,
-    pub mailbox: Arc<Mutex<Mailbox>>,
-}
 
 /// The per-thread view of the RFDet runtime.
 ///
@@ -81,8 +70,9 @@ pub struct RfdetCtx {
     /// under an earlier upper limit (see `SliceList` for the closure
     /// property that makes this sound).
     pub(crate) cursors: HashMap<Tid, u64>,
-    /// Lazily filled peer-handle cache, indexed by tid (see [`Peer`]).
-    peers: Vec<Option<Peer>>,
+    /// Lazily filled cache of other threads' records, indexed by tid (see
+    /// [`Self::peer`]).
+    peers: Vec<Option<Arc<ThreadMeta>>>,
     /// Per-thread cache of sync-var handles: the steady-state acquire
     /// path locks only the var itself — no table shard, no registry.
     sync_cache: HashMap<SyncKey, SyncVarRef>,
@@ -91,7 +81,6 @@ pub struct RfdetCtx {
     pub(crate) h: ThreadHarness,
     pub(crate) jitter: Option<Jitter>,
     pub(crate) meta_thread: Arc<ThreadMeta>,
-    pub(crate) mailbox: Arc<Mutex<Mailbox>>,
     /// A slice publication crossed the GC threshold; a pass runs at the
     /// next off-turn point.
     pub(crate) gc_pending: bool,
@@ -110,11 +99,15 @@ pub struct RfdetCtx {
     /// whenever metrics are off.
     pub(crate) obs_boundary: Option<std::time::Instant>,
     /// Reusable scratch buffer for propagation lower limits — avoids a
-    /// fresh `VClock` allocation per mailbox source / premerge round.
+    /// fresh `VClock` allocation per acquire / premerge round.
     pub(crate) scratch_lower: VClock,
     /// `cfg.detect_races`, cached: the one branch the read path pays
     /// when detection is off.
     pub(crate) track_reads: bool,
+    /// `!cfg.detect_races`, cached like `track_reads`: a same-thread
+    /// re-acquire keeps the slice open (§4.5 slice merging) unless the
+    /// run detects races, which needs one sealed slice per sync op.
+    pub(crate) merge_slices: bool,
     /// `cfg.rfdet.monitor == MonitorMode::Pf`, cached like `track_reads`
     /// so the store path does not reach through the shared config.
     pub(crate) pf: bool,
@@ -143,16 +136,15 @@ impl RfdetCtx {
         assert_eq!(shared.meta.num_threads(), 0, "main context already exists");
         let meta_thread = shared.meta.register_thread();
         let kendo = shared.kendo.register(0);
-        let mailbox = shared.register_mailbox();
         let mut vc = VClock::new();
         vc.tick(0);
-        let mut ctx = Self::from_parts(shared, kendo, meta_thread, mailbox, None, vc);
+        let mut ctx = Self::from_parts(shared, kendo, meta_thread, None, vc);
         if ctx.shared.run.cfg.detect_races {
             ctx.detect = Some(Box::new(crate::race::CoreDetect::new(
                 ctx.shared.run.cfg.page_size,
             )));
         }
-        ctx.publish_vcs();
+        ctx.meta_thread.set_published_vc(&ctx.vc);
         ctx.begin_slice();
         ctx
     }
@@ -163,7 +155,6 @@ impl RfdetCtx {
         shared: Arc<RuntimeShared>,
         kendo: KendoHandle,
         meta_thread: Arc<ThreadMeta>,
-        mailbox: Arc<Mutex<Mailbox>>,
         space: Option<PrivateSpace>,
         vc: VClock,
     ) -> Self {
@@ -173,6 +164,7 @@ impl RfdetCtx {
         let flags = PageFlags::new(space.num_pages());
         let snaps = SliceSnapshots::new(space.num_pages(), space.page_size(), SNAP_POOL_PAGES);
         let pf = cfg.rfdet.monitor == MonitorMode::Pf;
+        let track_reads = cfg.detect_races;
         let heap = shared.strips.heap_for(tid);
         let h = ThreadHarness::new(&shared.run, tid);
         let jitter = cfg
@@ -201,48 +193,36 @@ impl RfdetCtx {
             h,
             jitter,
             meta_thread,
-            mailbox,
             gc_pending: false,
             slice_t0: None,
             slice_ops_base: 0,
             obs_boundary: None,
             scratch_lower: VClock::new(),
-            track_reads: false,
+            track_reads,
+            merge_slices: !track_reads,
             pf,
             read_set: rfdet_mem::ReadTracker::new(),
             in_atomic: false,
             detect: None,
             exited: false,
         };
-        ctx.track_reads = ctx.shared.run.cfg.detect_races;
         // `begin_slice` applies pf protection; safe to call here because
         // the slice state is empty.
         ctx.begin_slice();
         ctx
     }
 
-    /// Publishes both clocks (post-propagation and in-turn views agree at
-    /// this point).
-    pub(crate) fn publish_vcs(&self) {
-        self.meta_thread.set_published_vc(&self.vc);
-        self.meta_thread.set_turn_vc(&self.vc);
-    }
-
-    /// Cached handles to `tid`'s metadata and mailbox. The first call per
-    /// peer takes the two registry read-locks; every later call is two
-    /// `Arc` clones. Returns by value so callers can keep using `self`.
-    pub(crate) fn peer(&mut self, tid: Tid) -> Peer {
+    /// `tid`'s record (slice list, published clock, mailbox), cached so
+    /// the sync hot path takes the registry read-lock at most once per
+    /// peer; every later call is one `Arc` clone. Returns by value so
+    /// callers can keep using `self`.
+    pub(crate) fn peer(&mut self, tid: Tid) -> Arc<ThreadMeta> {
         let idx = tid as usize;
         if idx >= self.peers.len() {
             self.peers.resize(idx + 1, None);
         }
-        if self.peers[idx].is_none() {
-            self.peers[idx] = Some(Peer {
-                meta: self.shared.meta.thread(tid),
-                mailbox: self.shared.mailbox(tid),
-            });
-        }
-        self.peers[idx].clone().expect("just filled")
+        let meta = self.peers[idx].get_or_insert_with(|| self.shared.meta.thread(tid));
+        Arc::clone(meta)
     }
 
     /// Cached sync-var handle for `key` (see `MetaSpace::sync_var`).

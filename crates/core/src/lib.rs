@@ -55,7 +55,6 @@ mod backend;
 mod checkpoint;
 mod ctx;
 pub mod failover;
-mod handoff;
 mod pending;
 mod propagation;
 mod race;

@@ -1,15 +1,38 @@
 //! Memory modification propagation (paper §4.3, Figure 5).
 
 use crate::ctx::RfdetCtx;
-use crate::handoff::{BarrierHandoff, Mailbox};
 use rfdet_api::obs::Phase;
 use rfdet_api::Tid;
 use rfdet_mem::{page_groups, PageFlags, RunRange, Runs};
-use rfdet_meta::SliceRef;
+use rfdet_meta::{BarrierHandoff, Mailbox, SliceRef};
 use rfdet_vclock::VClock;
 use std::collections::HashSet;
 
 impl RfdetCtx {
+    /// The acquire (§4.1): joins `from`'s release time `time` into the
+    /// vector clock and propagates every slice of `from`'s list between
+    /// the old clock and `time`. A thread's view changes here and only
+    /// here, by the releaser's view. The lower limit is a copy of the
+    /// old clock in the scratch buffer (`clone_from` reuses its
+    /// allocation).
+    pub(crate) fn acquire(&mut self, from: Tid, time: &VClock) {
+        let mut lower = std::mem::take(&mut self.scratch_lower);
+        lower.clone_from(&self.vc);
+        self.vc.join(time);
+        self.propagate_from(from, time, &lower);
+        self.scratch_lower = lower;
+    }
+
+    /// The barrier acquire: joins the episode's upper limit and merges
+    /// every participant's slices below it ([`Self::propagate_barrier`]).
+    pub(crate) fn acquire_barrier(&mut self, b: &BarrierHandoff) {
+        let mut lower = std::mem::take(&mut self.scratch_lower);
+        lower.clone_from(&self.vc);
+        self.vc.join(&b.upper);
+        self.propagate_barrier(b, &lower);
+        self.scratch_lower = lower;
+    }
+
     /// `DoMemoryModificationPropagation` (Figure 5): pull from `from`'s
     /// slice-pointer list every slice `S` with
     /// `S.time ≤ upper` (*upperlimit*: S happens-before the release we
@@ -22,7 +45,7 @@ impl RfdetCtx {
         // `upper` is a release time of `from`, so the list is
         // prefix-closed under it: start at the cursor, stop at the first
         // entry above the limit.
-        let source = self.peer(from).meta;
+        let source = self.peer(from);
         let (batch, redundant, new_cursor) = source.filter_slices_from(upper, lower, cursor, true);
         self.cursors.insert(from, new_cursor);
         self.h.stats.slices_filtered_redundant += redundant;
@@ -47,7 +70,7 @@ impl RfdetCtx {
             if p == self.tid {
                 continue;
             }
-            let source = self.peer(p).meta;
+            let source = self.peer(p);
             let (filtered, _, _) = source.filter_slices_from(&b.upper, lower, 0, false);
             let batch: Vec<SliceRef> = filtered
                 .into_iter()
@@ -144,9 +167,9 @@ impl RfdetCtx {
     /// deposit — which is exactly the critical path prelock exists to
     /// shorten.
     pub(crate) fn premerge_round(&mut self, source: Tid) {
-        let source_meta = self.peer(source).meta;
+        let source_meta = self.peer(source);
         let mut bound = {
-            let guard = self.mailbox.lock();
+            let guard = self.meta_thread.mailbox.lock();
             if !guard.is_empty() {
                 // A handoff is already in flight; the wake path takes over.
                 return;
@@ -185,26 +208,17 @@ impl RfdetCtx {
         self.scratch_lower = lower;
     }
 
-    /// Consumes a wakeup mailbox: joins each deposited release time into
-    /// the vector clock and propagates from its source, in deposit order.
-    /// Pre-merged slices are excluded automatically: the pre-merge joined
-    /// their times into `vc`, so the lowerlimit filters them.
-    pub(crate) fn apply_mailbox(&mut self, mail: Mailbox) {
-        // One scratch buffer serves every lower limit in the box: each
-        // round copies `vc` into it in place (`clone_from` reuses the
-        // allocation), where a per-round `clone` allocated afresh.
-        let mut lower = std::mem::take(&mut self.scratch_lower);
-        if let Some(b) = mail.barrier {
-            lower.clone_from(&self.vc);
-            self.vc.join(&b.upper);
-            self.propagate_barrier(&b, &lower);
+    /// Consumes a wakeup mailbox: one acquire per deposited edge, in
+    /// deposit order. Pre-merged slices are excluded automatically: the
+    /// pre-merge joined their times into `vc`, so the lowerlimit filters
+    /// them.
+    pub(crate) fn apply_mailbox(&mut self, mail: &Mailbox) {
+        if let Some(b) = &mail.barrier {
+            self.acquire_barrier(b);
         }
-        for src in mail.sources {
-            lower.clone_from(&self.vc);
-            self.vc.join(&src.time);
-            self.propagate_from(src.from, &src.time, &lower);
+        for src in &mail.sources {
+            self.acquire(src.from, &src.time);
         }
-        self.scratch_lower = lower;
     }
 }
 
@@ -227,10 +241,9 @@ mod tests {
         let a = RfdetCtx::new_main(Arc::clone(&shared));
         let meta = shared.meta.register_thread();
         let kendo = shared.kendo.register(1);
-        let mb = shared.register_mailbox();
         let mut vc = VClock::new();
         vc.tick(1);
-        let b = RfdetCtx::from_parts(shared, kendo, meta, mb, None, vc);
+        let b = RfdetCtx::from_parts(shared, kendo, meta, None, vc);
         (a, b)
     }
 
@@ -243,9 +256,7 @@ mod tests {
         a.vc.tick(0);
 
         assert_eq!(b.read::<u64>(64), 0, "not visible before propagation");
-        let lower = b.vc.clone();
-        b.vc.join(&release_time);
-        b.propagate_from(0, &release_time, &lower);
+        b.acquire(0, &release_time);
         assert_eq!(b.read::<u64>(64), 99);
         assert_eq!(b.h.stats.slices_propagated, 1);
     }
@@ -261,9 +272,7 @@ mod tests {
         a.write::<u64>(64, 2); // x=2 after the release: must stay hidden
         a.end_slice();
 
-        let lower = b.vc.clone();
-        b.vc.join(&release_time);
-        b.propagate_from(0, &release_time, &lower);
+        b.acquire(0, &release_time);
         assert_eq!(b.read::<u64>(64), 1, "Figure 6: x=2 is not yet visible");
     }
 
@@ -275,17 +284,14 @@ mod tests {
         a.end_slice();
         a.vc.tick(0);
 
-        let lower = b.vc.clone();
-        b.vc.join(&t1);
-        b.propagate_from(0, &t1, &lower);
+        b.acquire(0, &t1);
         assert_eq!(b.h.stats.slices_propagated, 1);
 
         // Second propagation from the same release: nothing new — the
         // cursor skips the already-consumed prefix outright (and the
         // lowerlimit would filter anything it still scanned).
         let applied_before = b.h.stats.mod_bytes_applied;
-        let lower2 = b.vc.clone();
-        b.propagate_from(0, &t1, &lower2);
+        b.acquire(0, &t1);
         assert_eq!(b.h.stats.slices_propagated, 1);
         assert_eq!(
             b.h.stats.mod_bytes_applied, applied_before,
@@ -303,9 +309,7 @@ mod tests {
         a.end_slice();
         a.vc.tick(0);
 
-        let lower = b.vc.clone();
-        b.vc.join(&t_rel);
-        b.propagate_from(0, &t_rel, &lower);
+        b.acquire(0, &t_rel);
         b.end_slice(); // publish b's (empty) slice; list already has T0's
         let b_rel = b.vc.clone();
         b.vc.tick(1);
@@ -314,13 +318,10 @@ mod tests {
         let shared = Arc::clone(&b.shared);
         let meta = shared.meta.register_thread();
         let kendo = shared.kendo.register(9);
-        let mb = shared.register_mailbox();
         let mut vc = VClock::new();
         vc.tick(2);
-        let mut c = RfdetCtx::from_parts(shared, kendo, meta, mb, None, vc);
-        let lower = c.vc.clone();
-        c.vc.join(&b_rel);
-        c.propagate_from(1, &b_rel, &lower);
+        let mut c = RfdetCtx::from_parts(shared, kendo, meta, None, vc);
+        c.acquire(1, &b_rel);
         assert_eq!(c.read::<u64>(64), 42, "transitivity via slice pointers");
     }
 
@@ -332,9 +333,7 @@ mod tests {
         a.end_slice();
         a.vc.tick(0);
 
-        let lower = b.vc.clone();
-        b.vc.join(&t);
-        b.propagate_from(0, &t, &lower);
+        b.acquire(0, &t);
         assert!(b.h.stats.lazy_deferred_bytes >= 1);
         assert_eq!(b.h.stats.mod_bytes_applied, 0, "nothing applied yet");
         assert_eq!(b.read::<u64>(64), 7, "fault applies on first access");
@@ -355,9 +354,7 @@ mod tests {
         a.end_slice();
         a.vc.tick(0);
 
-        let lower = b.vc.clone();
-        b.vc.join(&t);
-        b.propagate_from(0, &t, &lower);
+        b.acquire(0, &t);
         b.begin_slice();
         b.write::<u8>(70, 0x33); // into line 1, inside a's run
         b.write::<u64>(128, 0x4444_4444_4444_4444); // line 2, untouched by a
@@ -405,9 +402,7 @@ mod tests {
         a.end_slice();
         a.vc.tick(0);
 
-        let lower = b.vc.clone();
-        b.vc.join(&t);
-        b.propagate_from(0, &t, &lower);
+        b.acquire(0, &t);
         let published = b.shared.meta.snapshot_list(0);
         assert_eq!(published.len(), 1);
         // Every pending entry aliases the published slice's arena — the
@@ -474,9 +469,7 @@ mod tests {
             a.end_slice();
             a.vc.tick(0);
             a.begin_slice();
-            let lower = b.vc.clone();
-            b.vc.join(&t);
-            b.propagate_from(0, &t, &lower);
+            b.acquire(0, &t);
         }
         assert_eq!(b.read::<u64>(64), updates, "newest value wins");
         // Byte-granularity diffing means each update is one changed byte;
@@ -502,9 +495,7 @@ mod tests {
         b.end_slice();
         b.vc.tick(1);
         b.begin_slice();
-        let lower = b.vc.clone();
-        b.vc.join(&t);
-        b.propagate_from(0, &t, &lower);
+        b.acquire(0, &t);
         assert_eq!(b.read::<u64>(64), 5, "remote write overwrites local");
     }
 }

@@ -18,10 +18,8 @@
 use crate::backend::teardown;
 use crate::checkpoint::{ckpt_to_heap, class_to_key};
 use crate::ctx::RfdetCtx;
-use crate::handoff::Mailbox;
 use crate::shared::RuntimeShared;
 use crate::RfdetBackend;
-use parking_lot::Mutex;
 use rfdet_api::{DmtBackend, RunConfig, ThreadFn, Tid, TracedRun};
 use rfdet_kendo::KendoHandle;
 use rfdet_mem::PrivateSpace;
@@ -35,7 +33,6 @@ use std::sync::Arc;
 struct LiveSeed {
     kendo: KendoHandle,
     meta: Arc<ThreadMeta>,
-    mailbox: Arc<Mutex<Mailbox>>,
     vc: VClock,
     frag: CkptThread,
 }
@@ -49,14 +46,7 @@ fn build_ctx(shared: Arc<RuntimeShared>, seed: LiveSeed) -> RfdetCtx {
     for p in &seed.frag.pages {
         space.write(space.page_base(p.index as usize), &p.data);
     }
-    let mut ctx = RfdetCtx::from_parts(
-        shared,
-        seed.kendo,
-        seed.meta,
-        seed.mailbox,
-        Some(space),
-        seed.vc,
-    );
+    let mut ctx = RfdetCtx::from_parts(shared, seed.kendo, seed.meta, Some(space), seed.vc);
     ctx.slice_seq = seed.frag.slice_seq;
     ctx.h
         .restore_coordinates(seed.frag.sync_ops, seed.frag.allocs);
@@ -105,27 +95,24 @@ impl RfdetBackend {
         // next checkpoints land at the same epochs with the same ids.
         shared.ckpt.seed_episodes(ckpt.epoch);
 
-        // Dense re-registration in tid order, all on this thread: tids,
-        // kendo slots and mailboxes must line up exactly as the original
-        // run created them.
+        // Dense re-registration in tid order, all on this thread: tids
+        // and kendo slots must line up exactly as the original run
+        // created them.
         let mut live: Vec<LiveSeed> = Vec::new();
         for t in &ckpt.threads {
             let meta = shared.meta.register_thread();
             assert_eq!(meta.tid, t.tid, "checkpoint tids must be dense, ascending");
             let kendo = shared.kendo.register(t.clock);
-            let mailbox = shared.register_mailbox();
             *meta.output.lock() = t.output.clone();
             if t.alive {
                 let vc = VClock::from_components(t.vc.clone());
-                // Publish both clock views before any thread runs: a
-                // peer may premerge against this thread immediately,
-                // and a zero clock would misfilter its slices.
+                // Publish the clock before any thread runs: a peer may
+                // premerge against this thread immediately, and a zero
+                // clock would misfilter its slices.
                 meta.set_published_vc(&vc);
-                meta.set_turn_vc(&vc);
                 live.push(LiveSeed {
                     kendo,
                     meta,
-                    mailbox,
                     vc,
                     frag: t.clone(),
                 });

@@ -1,9 +1,8 @@
 //! Run-wide shared state.
 
-use crate::handoff::Mailbox;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rfdet_api::trace::{op, TraceEvent};
-use rfdet_api::{ConfigError, Family, RunConfig, RunHarness, Tid};
+use rfdet_api::{ConfigError, RunConfig, RunHarness, Tid};
 use rfdet_kendo::KendoState;
 use rfdet_mem::StripAllocator;
 use rfdet_meta::{MetaSpace, GC_THRESHOLD};
@@ -76,15 +75,13 @@ pub(crate) struct RuntimeShared {
     pub meta: MetaSpace,
     pub strips: StripAllocator,
     pub queues: SyncQueues,
-    /// Wakeup mailboxes, indexed by tid.
-    pub mailboxes: RwLock<Vec<Arc<Mutex<Mailbox>>>>,
 }
 
 impl RuntimeShared {
     /// # Errors
     /// The [`ConfigError`] of an invalid `cfg`.
     pub fn new(cfg: &RunConfig) -> Result<Self, ConfigError> {
-        let run = RunHarness::new(cfg, Family::Dlrc)?;
+        let run = RunHarness::new(cfg)?;
         crate::supervise::filter_control_unwinds();
         let cfg = &run.cfg;
         let heap_base = rfdet_mem::heap_base(cfg.space_bytes);
@@ -116,23 +113,8 @@ impl RuntimeShared {
             ),
             strips: StripAllocator::new(heap_base, cfg.space_bytes - heap_base),
             queues: SyncQueues::default(),
-            mailboxes: RwLock::new(Vec::new()),
             run,
         })
-    }
-
-    /// Registers the mailbox for the next thread (call in tid order,
-    /// inside the creating turn).
-    pub fn register_mailbox(&self) -> Arc<Mutex<Mailbox>> {
-        let mut boxes = self.mailboxes.write();
-        let mb = Arc::new(Mutex::new(Mailbox::default()));
-        boxes.push(Arc::clone(&mb));
-        mb
-    }
-
-    /// Mailbox of an arbitrary thread (for depositing handoffs).
-    pub fn mailbox(&self, tid: Tid) -> Arc<Mutex<Mailbox>> {
-        Arc::clone(&self.mailboxes.read()[tid as usize])
     }
 }
 
@@ -146,19 +128,6 @@ mod tests {
         assert_eq!(s.meta.num_threads(), 0);
         assert_eq!(s.kendo.num_threads(), 0);
         assert!(s.strips.strip_size() > 0);
-    }
-
-    #[test]
-    fn mailboxes_register_in_order() {
-        let s = RuntimeShared::new(&RunConfig::small()).expect("valid config");
-        let a = s.register_mailbox();
-        let _b = s.register_mailbox();
-        a.lock().sources.push(crate::handoff::AcquireSource {
-            from: 9,
-            time: VClock::new(),
-        });
-        assert_eq!(s.mailbox(0).lock().sources.len(), 1);
-        assert!(s.mailbox(1).lock().is_empty());
     }
 
     #[test]

@@ -1,32 +1,33 @@
 //! Deterministic synchronization operations (paper §4.1).
 //!
-//! Every operation follows the same shape:
+//! Every operation is a composition of the same few steps, each defined
+//! once:
 //!
 //! 1. [`RfdetCtx::enter_op`] — the harness assigns the op its per-thread
 //!    coordinate, every op but `lock` seals the slice (diff and packing,
 //!    thread-local: until its turn only the thread touches its space),
 //!    then Kendo admits it at a deterministic point in the global
 //!    synchronization order (`wait_for_turn`);
-//! 2. *in turn*: publish the slice (`lock` seals it here first: only its
-//!    turn decides whether slice merging keeps it open), record releases
-//!    in the internal sync-var table, tick the vector clock, mutate the
-//!    deterministic queues, deposit handoffs into blocked threads'
-//!    mailboxes, publish the in-turn clock, and finally tick the Kendo
-//!    clock (releasing the turn);
-//! 3. *off turn*: the actual memory-modification propagation — the
-//!    expensive part — runs in parallel with other threads' turns. This
-//!    is exactly what "no global barriers" buys.
+//! 2. *in turn*: [`op_boundary`] publishes the slice (`lock` seals it here
+//!    first: only its turn decides whether slice merging keeps it open),
+//!    records the release on the op's internal sync var and ticks the
+//!    vector clock; the op mutates its deterministic queue; [`deposit`]
+//!    hands a release edge to each thread the op wakes; then the Kendo
+//!    clock ticks, releasing the turn;
+//! 3. *off turn*: [`RfdetCtx::acquire`] joins each edge's time and runs
+//!    the memory-modification propagation — the expensive part — in
+//!    parallel with other threads' turns. This is exactly what "no
+//!    global barriers" buys.
 //!
-//! Blocking operations park **after** their final tick; their waker
-//! deposits the acquire edges and reactivates them with a deterministic
-//! clock from inside its own turn.
+//! A blocking operation ends in [`park`] **after** its final tick; its
+//! waker deposits the acquire edges and reactivates it with a
+//! deterministic clock from inside its own turn.
 
 use crate::ctx::RfdetCtx;
-use crate::handoff::{AcquireSource, BarrierHandoff};
 use parking_lot::{Mutex, MutexGuard};
 use rfdet_api::obs::Phase;
 use rfdet_api::{BarrierId, CondId, MutexId, SyncOp, ThreadFn, ThreadHandle, Tid};
-use rfdet_meta::SyncKey;
+use rfdet_meta::{AcquireSource, BarrierHandoff, SyncKey};
 use rfdet_vclock::VClock;
 use std::sync::Arc;
 
@@ -62,18 +63,57 @@ fn op_epilogue(ctx: &mut RfdetCtx) {
     ctx.run_pending_gc();
 }
 
-/// Blocks, consumes the wakeup mailbox, and finishes the acquire. When
-/// `premerge_source` is set (and the prelock optimization is on), the
-/// park loop keeps pre-merging the source's published slices off the
-/// critical path (§4.5).
-fn block_and_acquire(ctx: &mut RfdetCtx, premerge_source: Option<Tid>) {
+/// The hand-off, inside the caller's turn: deposits the release edge
+/// `(from, time)` into blocked thread `target`'s mailbox, for it to
+/// acquire when it wakes.
+fn deposit(ctx: &mut RfdetCtx, target: Tid, from: Tid, time: VClock) {
+    let peer = ctx.peer(target);
+    peer.mailbox
+        .lock()
+        .sources
+        .push(AcquireSource { from, time });
+}
+
+/// Reactivates blocked thread `w` one tick past the caller's clock.
+fn wake(ctx: &RfdetCtx, w: Tid) {
+    ctx.shared.kendo.wake(w, ctx.clock() + 1);
+}
+
+/// A non-blocking acquire of `edge` (the lock fast path, joining a
+/// finished thread): ends the slice and releases the turn, then
+/// acquires — propagation proceeds in parallel with other threads'
+/// synchronization.
+fn acquire_now(ctx: &mut RfdetCtx, edge: Option<(Tid, VClock)>) {
+    op_boundary(ctx, None);
+    ctx.release_turn();
+    if let Some((from, time)) = edge {
+        ctx.acquire(from, &time);
+    }
+    op_epilogue(ctx);
+}
+
+/// The blocking tail: blocks, releases the turn, parks until a waker has
+/// deposited its edges, then acquires them. When `premerge_source` is
+/// set (and the prelock optimization is on), the park loop keeps
+/// pre-merging the source's published slices off the critical path
+/// (§4.5).
+///
+/// Debug builds check the pre-merge here: a thread's clock moves only by
+/// what it acquires, so after the mailbox it must equal the clock it
+/// blocked with joined with every time it was handed. A pre-merge that
+/// claimed more than that would have skipped slices it never received.
+fn park(ctx: &mut RfdetCtx, premerge_source: Option<Tid>) {
+    #[cfg(debug_assertions)]
+    let blocked_vc = ctx.vc.clone();
+    ctx.shared.kendo.block(&ctx.kendo);
+    ctx.release_turn();
     let kendo_handle = ctx.kendo.clone();
     let shared = Arc::clone(&ctx.shared);
     // Parked threads double as the deadlock detector: the park-idle
     // callback runs the cheap all-blocked scan (supervise.rs), so a
     // stable deadlock is found by the threads inside it — no watchdog
     // thread, no wall clock.
-    let idles = match premerge_source.filter(|_| ctx.shared.run.cfg.rfdet.prelock) {
+    let idles = match premerge_source.filter(|_| shared.run.cfg.rfdet.prelock) {
         Some(src) => {
             // First round immediately, then periodically while parked.
             ctx.premerge_round(src);
@@ -90,38 +130,31 @@ fn block_and_acquire(ctx: &mut RfdetCtx, premerge_source: Option<Tid>) {
     // The boundary stored at sync-op entry predates the park; reseed so
     // the mailbox propagation below is not billed for the blocked time.
     ctx.obs_reseed_boundary();
-    let mail = ctx.mailbox.lock().drain();
+    let mail = ctx.meta_thread.mailbox.lock().drain();
     debug_assert!(!mail.is_empty(), "woken without a handoff");
-    // Peek the checkpoint decision before the mailbox is consumed; the
-    // fragment is contributed only after the merge completes below.
-    let ckpt_epoch = mail.barrier.as_ref().and_then(|b| b.checkpoint);
-    ctx.apply_mailbox(mail);
-    debug_assert_eq!(
-        ctx.vc,
-        ctx.meta_thread.get_turn_vc(),
-        "post-wake clock must equal the in-turn published clock"
-    );
+    ctx.apply_mailbox(&mail);
+    #[cfg(debug_assertions)]
+    {
+        let mut delivered = blocked_vc;
+        let barrier = mail.barrier.iter().map(|b| &b.upper);
+        for time in barrier.chain(mail.sources.iter().map(|s| &s.time)) {
+            delivered.join(time);
+        }
+        assert_eq!(
+            ctx.vc, delivered,
+            "a pre-merge claimed more than the wake-up delivered"
+        );
+    }
     op_epilogue(ctx);
-    if let Some(epoch) = ckpt_epoch {
+    // The checkpoint fragment is contributed only after the merge.
+    if let Some(epoch) = mail.barrier.and_then(|b| b.checkpoint) {
         crate::checkpoint::contribute(ctx, epoch);
     }
 }
 
-enum LockPath {
-    /// Lock taken immediately; propagate from the recorded release edge,
-    /// if any (`(releaser, release time)` — only the clock is copied out
-    /// of the sync var, never the whole var).
-    Fast(Option<(Tid, VClock)>),
-    /// Same-thread re-acquire: keep the slice open (§4.5 slice merging).
-    Merged,
-    /// Enqueued behind `pred` (the prelock pre-merge source).
-    Queued { pred: Tid },
-}
-
 pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
     ctx.enter_op(SyncOp::Lock(m));
-    let key = SyncKey::Mutex(m.0);
-    let enqueued = {
+    let pred = {
         let mut mxs = lock_counted(
             &ctx.shared.queues.mutexes,
             &mut ctx.h.stats.queue_lock_contended,
@@ -148,120 +181,78 @@ pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
             Some(pred)
         }
     };
-    let path = match enqueued {
-        Some(pred) => LockPath::Queued { pred },
-        None => {
-            let var = ctx.sync_var(key);
-            let sv = var.lock();
-            if ctx.shared.run.cfg.rfdet.slice_merging && sv.last_tid == Some(ctx.tid) {
-                LockPath::Merged
-            } else if sv.needs_propagation(ctx.tid) {
-                let from = sv.last_tid.expect("needs_propagation implies a releaser");
-                LockPath::Fast(Some((from, sv.last_time.clone())))
-            } else {
-                LockPath::Fast(None)
-            }
-        }
-    };
-    match path {
-        LockPath::Merged => {
-            ctx.h.stats.slices_merged += 1;
-            ctx.release_turn();
-        }
-        LockPath::Fast(edge) => {
-            op_boundary(ctx, None);
-            let turn_vc = match &edge {
-                Some((_, time)) => ctx.vc.joined(time),
-                None => ctx.vc.clone(),
-            };
-            ctx.meta_thread.set_turn_vc(&turn_vc);
-            ctx.release_turn();
-            // Turn released — propagation proceeds in parallel with other
-            // threads' synchronization. No global barrier anywhere.
-            if let Some((from, time)) = edge {
-                let lower = ctx.vc.clone();
-                ctx.vc.join(&time);
-                ctx.propagate_from(from, &time, &lower);
-            }
-            op_epilogue(ctx);
-        }
-        LockPath::Queued { pred } => {
-            op_boundary(ctx, None);
-            ctx.meta_thread.set_turn_vc(&ctx.vc);
-            ctx.shared.kendo.block(&ctx.kendo);
-            ctx.release_turn();
-            // §4.5 Prelock: merge everything that must happen-before our
-            // eventual acquire while the lock holder still works.
-            block_and_acquire(ctx, Some(pred));
-        }
+    if let Some(pred) = pred {
+        op_boundary(ctx, None);
+        // §4.5 Prelock: merge everything that must happen-before our
+        // eventual acquire while the lock holder still works.
+        return park(ctx, Some(pred));
     }
+    let var = ctx.sync_var(SyncKey::Mutex(m.0));
+    let sv = var.lock();
+    if ctx.merge_slices && sv.last_tid == Some(ctx.tid) {
+        // Same-thread re-acquire: keep the slice open (§4.5).
+        drop(sv);
+        ctx.h.stats.slices_merged += 1;
+        return ctx.release_turn();
+    }
+    // Only the release edge is copied out of the sync var.
+    let edge = sv.edge(ctx.tid);
+    drop(sv);
+    acquire_now(ctx, edge);
 }
 
 pub(crate) fn unlock_impl(ctx: &mut RfdetCtx, m: MutexId) {
     ctx.enter_op(SyncOp::Unlock(m));
     let lower = op_boundary(ctx, Some(SyncKey::Mutex(m.0)));
-    ctx.meta_thread.set_turn_vc(&ctx.vc);
+    release_mutex(ctx, m, None, lower);
+    ctx.release_turn();
+    op_epilogue(ctx);
+}
+
+/// The mutex release `unlock` and `cond_wait` share, in turn: checks that
+/// the caller holds `m`, passes it to the first queued thread and hands
+/// that thread the release edge at `time`. `cond` is the condition
+/// variable a `cond_wait` waits on; it only names the misuse.
+fn release_mutex(ctx: &mut RfdetCtx, m: MutexId, cond: Option<CondId>, time: VClock) {
+    let tid = ctx.tid;
     let next = {
         let mut mxs = lock_counted(
             &ctx.shared.queues.mutexes,
             &mut ctx.h.stats.queue_lock_contended,
         );
-        let mx = mxs
-            .get_mut(&m.0)
-            .unwrap_or_else(|| panic!("unlock of never-locked mutex {}", m.0));
-        assert_eq!(
-            mx.owner,
-            Some(ctx.tid),
-            "thread {} unlocking mutex {} it does not hold",
-            ctx.tid,
-            m.0
-        );
+        let mx = mxs.get_mut(&m.0).unwrap_or_else(|| match cond {
+            None => panic!("unlock of never-locked mutex {}", m.0),
+            Some(_) => panic!("cond_wait with never-locked mutex {}", m.0),
+        });
+        match cond {
+            None => assert_eq!(
+                mx.owner,
+                Some(tid),
+                "thread {tid} unlocking mutex {} it does not hold",
+                m.0
+            ),
+            Some(c) => assert_eq!(
+                mx.owner,
+                Some(tid),
+                "thread {tid} waiting on cond {} without holding mutex {}",
+                c.0,
+                m.0
+            ),
+        }
         mx.owner = mx.queue.pop_front();
         mx.owner
     };
     if let Some(w) = next {
-        handoff_release(ctx, w, lower);
-        ctx.shared.kendo.wake(w, ctx.clock() + 1);
+        deposit(ctx, w, tid, time);
+        wake(ctx, w);
     }
-    ctx.release_turn();
-    op_epilogue(ctx);
-}
-
-/// Deposits a release edge into a blocked thread's mailbox and extends its
-/// in-turn clock — both inside the caller's turn.
-fn handoff_release(ctx: &mut RfdetCtx, target: Tid, time: VClock) {
-    let peer = ctx.peer(target);
-    peer.mailbox.lock().sources.push(AcquireSource {
-        from: ctx.tid,
-        time: time.clone(),
-    });
-    peer.meta.join_turn_vc(&time);
 }
 
 pub(crate) fn wait_impl(ctx: &mut RfdetCtx, c: CondId, m: MutexId) {
     ctx.enter_op(SyncOp::CondWait(c));
     // cond_wait releases the mutex…
     let lower = op_boundary(ctx, Some(SyncKey::Mutex(m.0)));
-    ctx.meta_thread.set_turn_vc(&ctx.vc);
-    let next = {
-        let mut mxs = lock_counted(
-            &ctx.shared.queues.mutexes,
-            &mut ctx.h.stats.queue_lock_contended,
-        );
-        let mx = mxs
-            .get_mut(&m.0)
-            .unwrap_or_else(|| panic!("cond_wait with never-locked mutex {}", m.0));
-        assert_eq!(
-            mx.owner,
-            Some(ctx.tid),
-            "thread {} waiting on cond {} without holding mutex {}",
-            ctx.tid,
-            c.0,
-            m.0
-        );
-        mx.owner = mx.queue.pop_front();
-        mx.owner
-    };
+    release_mutex(ctx, m, Some(c), lower);
     lock_counted(
         &ctx.shared.queues.conds,
         &mut ctx.h.stats.queue_lock_contended,
@@ -269,16 +260,10 @@ pub(crate) fn wait_impl(ctx: &mut RfdetCtx, c: CondId, m: MutexId) {
     .entry(c.0)
     .or_default()
     .push_back((ctx.tid, m.0));
-    if let Some(w) = next {
-        handoff_release(ctx, w, lower);
-        ctx.shared.kendo.wake(w, ctx.clock() + 1);
-    }
     // …then blocks until signalled (and until it re-owns the mutex: the
     // signaler either grants it immediately or moves us to the mutex
     // queue, in which case the eventual unlocker completes the wakeup).
-    ctx.shared.kendo.block(&ctx.kendo);
-    ctx.release_turn();
-    block_and_acquire(ctx, None);
+    park(ctx, None);
 }
 
 pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
@@ -288,7 +273,6 @@ pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
         SyncOp::CondSignal(c)
     });
     let lower = op_boundary(ctx, Some(SyncKey::Cond(c.0)));
-    ctx.meta_thread.set_turn_vc(&ctx.vc);
     // Pop waiters deterministically (FIFO — enqueue order was itself
     // turn-ordered) and arrange each one's mutex re-acquisition.
     let popped: Vec<(Tid, u32)> = {
@@ -304,15 +288,9 @@ pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
         };
         queue.drain(..n).collect()
     };
-    let mut wake_now: Vec<Tid> = Vec::new();
     for (w, mid) in popped {
         // The signal edge (release of the condvar).
-        let peer = ctx.peer(w);
-        peer.mailbox.lock().sources.push(AcquireSource {
-            from: ctx.tid,
-            time: lower.clone(),
-        });
-        peer.meta.join_turn_vc(&lower);
+        deposit(ctx, w, ctx.tid, lower.clone());
         let granted = {
             let mut mxs = lock_counted(
                 &ctx.shared.queues.mutexes,
@@ -320,8 +298,6 @@ pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
             );
             let mx = mxs.entry(mid).or_default();
             if mx.owner.is_none() && mx.queue.is_empty() {
-                // Mutex free: grant it to the waiter right now, with the
-                // mutex's own release edge.
                 mx.owner = Some(w);
                 true
             } else {
@@ -332,28 +308,14 @@ pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
             }
         };
         if granted {
-            let var = ctx.sync_var(SyncKey::Mutex(mid));
-            let edge = {
-                let sv = var.lock();
-                if sv.needs_propagation(w) {
-                    let from = sv.last_tid.expect("propagation implies releaser");
-                    Some((from, sv.last_time.clone()))
-                } else {
-                    None
-                }
-            };
+            // Mutex free: the waiter re-owns it right now, with the
+            // mutex's own release edge.
+            let edge = ctx.sync_var(SyncKey::Mutex(mid)).lock().edge(w);
             if let Some((from, time)) = edge {
-                peer.mailbox.lock().sources.push(AcquireSource {
-                    from,
-                    time: time.clone(),
-                });
-                peer.meta.join_turn_vc(&time);
+                deposit(ctx, w, from, time);
             }
-            wake_now.push(w);
+            wake(ctx, w);
         }
-    }
-    for w in wake_now {
-        ctx.shared.kendo.wake(w, ctx.clock() + 1);
     }
     ctx.release_turn();
     op_epilogue(ctx);
@@ -363,7 +325,6 @@ pub(crate) fn barrier_impl(ctx: &mut RfdetCtx, b: BarrierId, parties: usize) {
     assert!(parties > 0, "barrier with zero parties");
     ctx.enter_op(SyncOp::Barrier(b));
     let lower = op_boundary(ctx, Some(SyncKey::Barrier(b.0)));
-    ctx.meta_thread.set_turn_vc(&ctx.vc);
     let arrivals = {
         let mut barriers = lock_counted(
             &ctx.shared.queues.barriers,
@@ -384,49 +345,37 @@ pub(crate) fn barrier_impl(ctx: &mut RfdetCtx, b: BarrierId, parties: usize) {
             None
         }
     };
-    match arrivals {
-        None => {
-            ctx.shared.kendo.block(&ctx.kendo);
-            ctx.release_turn();
-            block_and_acquire(ctx, None);
+    let Some(arrivals) = arrivals else {
+        return park(ctx, None);
+    };
+    // Last arriver: compute the merged view and release everyone.
+    let mut upper = VClock::new();
+    for (_, t) in &arrivals {
+        upper.join(t);
+    }
+    let participants: Vec<Tid> = arrivals.iter().map(|(t, _)| *t).collect();
+    // Checkpoint eligibility is decided here, inside the last arriver's
+    // turn, *before* any deposit or wake: the global seal data (sync-var
+    // table, join table, dead outputs) is race-free, and every
+    // participant learns the same epoch.
+    let checkpoint = crate::checkpoint::decide(ctx, &participants, &upper);
+    let handoff = BarrierHandoff {
+        participants,
+        upper,
+        checkpoint,
+    };
+    for &w in &handoff.participants {
+        if w != ctx.tid {
+            ctx.peer(w).mailbox.lock().barrier = Some(handoff.clone());
+            wake(ctx, w);
         }
-        Some(arrivals) => {
-            // Last arriver: compute the merged view and release everyone.
-            let mut upper = VClock::new();
-            for (_, t) in &arrivals {
-                upper.join(t);
-            }
-            let participants: Vec<Tid> = arrivals.iter().map(|(t, _)| *t).collect();
-            // Checkpoint eligibility is decided here, inside the last
-            // arriver's turn, *before* any deposit or wake: the global
-            // seal data (sync-var table, join table, dead outputs) is
-            // race-free, and every participant learns the same epoch.
-            let checkpoint = crate::checkpoint::decide(ctx, &participants, &upper);
-            let handoff = BarrierHandoff {
-                participants: participants.clone(),
-                upper: upper.clone(),
-                checkpoint,
-            };
-            for &w in &participants {
-                if w == ctx.tid {
-                    continue;
-                }
-                let peer = ctx.peer(w);
-                peer.mailbox.lock().barrier = Some(handoff.clone());
-                peer.meta.join_turn_vc(&upper);
-                ctx.shared.kendo.wake(w, ctx.clock() + 1);
-            }
-            ctx.meta_thread.join_turn_vc(&upper);
-            ctx.release_turn();
-            // Own merge, off turn.
-            let my_lower = ctx.vc.clone();
-            ctx.vc.join(&upper);
-            ctx.propagate_barrier(&handoff, &my_lower);
-            op_epilogue(ctx);
-            if let Some(epoch) = checkpoint {
-                crate::checkpoint::contribute(ctx, epoch);
-            }
-        }
+    }
+    ctx.release_turn();
+    // Own merge, off turn.
+    ctx.acquire_barrier(&handoff);
+    op_epilogue(ctx);
+    if let Some(epoch) = checkpoint {
+        crate::checkpoint::contribute(ctx, epoch);
     }
 }
 
@@ -438,14 +387,12 @@ pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
     let lower = op_boundary(ctx, None); // create is a release; the child
                                         // inherits memory directly, no
                                         // sync var needed (§4.1)
-    ctx.meta_thread.set_turn_vc(&ctx.vc);
 
     // Deterministic registration inside the parent's turn.
     let child_meta = ctx.shared.meta.register_thread();
     let child_tid = child_meta.tid;
     let child_kendo = ctx.shared.kendo.register(ctx.clock() + 1);
     assert_eq!(child_kendo.tid(), child_tid, "registry tid mismatch");
-    let child_mailbox = ctx.shared.register_mailbox();
     // The child's clock starts from the *pre-tick* boundary clock, not
     // the parent's post-tick `vc`: slices are stamped with their start
     // time, so the slice the parent opens right after this boundary will
@@ -464,7 +411,6 @@ pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
     // the parent's propagation cursors are valid starting points.
     let child_cursors = ctx.cursors.clone();
     child_meta.set_published_vc(&child_vc);
-    child_meta.set_turn_vc(&child_vc);
 
     let shared = Arc::clone(&ctx.shared);
     let handle = std::thread::Builder::new()
@@ -474,7 +420,6 @@ pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
                 Arc::clone(&shared),
                 child_kendo,
                 child_meta,
-                child_mailbox,
                 Some(child_space),
                 child_vc,
             );
@@ -505,24 +450,13 @@ pub(crate) fn join_impl(ctx: &mut RfdetCtx, h: ThreadHandle) {
         }
     };
     if already_finished {
-        let var = ctx.sync_var(SyncKey::Thread(target));
-        let exit_time = var.lock().last_time.clone();
-        op_boundary(ctx, None);
-        let turn_vc = ctx.vc.joined(&exit_time);
-        ctx.meta_thread.set_turn_vc(&turn_vc);
-        ctx.release_turn();
-        let lower = ctx.vc.clone();
-        ctx.vc.join(&exit_time);
-        ctx.propagate_from(target, &exit_time, &lower);
-        op_epilogue(ctx);
+        let edge = ctx.sync_var(SyncKey::Thread(target)).lock().edge(ctx.tid);
+        acquire_now(ctx, edge);
     } else {
         op_boundary(ctx, None);
-        ctx.meta_thread.set_turn_vc(&ctx.vc);
-        ctx.shared.kendo.block(&ctx.kendo);
-        ctx.release_turn();
         // The join target's published clock always precedes its exit
         // time, so it is a sound prelock source for the parked joiner.
-        block_and_acquire(ctx, Some(target));
+        park(ctx, Some(target));
     }
 }
 
@@ -545,23 +479,12 @@ pub(crate) fn atomic_impl(
     assert_eq!(addr % 8, 0, "atomic cells must be 8-byte aligned");
     ctx.enter_op(SyncOp::Atomic(addr));
     let key = SyncKey::Atomic(addr);
-    let var = ctx.sync_var(key);
-    let edge = {
-        let sv = var.lock();
-        if sv.needs_propagation(ctx.tid) {
-            let from = sv.last_tid.expect("propagation implies a releaser");
-            Some((from, sv.last_time.clone()))
-        } else {
-            None
-        }
-    };
+    let edge = ctx.sync_var(key).lock().edge(ctx.tid);
     // Acquire boundary: close the current slice, join the cell's last
     // release, and propagate — all in turn (see above).
     op_boundary(ctx, None);
     if let Some((from, time)) = edge {
-        let lower = ctx.vc.clone();
-        ctx.vc.join(&time);
-        ctx.propagate_from(from, &time, &lower);
+        ctx.acquire(from, &time);
     }
     // The mini-slice between the two boundaries holds only the atomic
     // access itself; tag it so the race detector skips it (an atomic is
@@ -583,7 +506,6 @@ pub(crate) fn atomic_impl(
     // Release boundary: publish the one-op slice and record the release.
     op_boundary(ctx, Some(key));
     ctx.in_atomic = false;
-    ctx.meta_thread.set_turn_vc(&ctx.vc);
     ctx.release_turn();
     op_epilogue(ctx);
     old
@@ -594,7 +516,6 @@ pub(crate) fn atomic_impl(
 pub(crate) fn exit_impl(ctx: &mut RfdetCtx) {
     ctx.enter_op(SyncOp::Exit);
     let lower = op_boundary(ctx, Some(SyncKey::Thread(ctx.tid)));
-    ctx.meta_thread.set_turn_vc(&ctx.vc);
     ctx.meta_thread.set_published_vc(&ctx.vc);
     let waiters = {
         let mut joins = lock_counted(
@@ -605,8 +526,8 @@ pub(crate) fn exit_impl(ctx: &mut RfdetCtx) {
         joins.waiters.remove(&ctx.tid).unwrap_or_default()
     };
     for w in waiters {
-        handoff_release(ctx, w, lower.clone());
-        ctx.shared.kendo.wake(w, ctx.clock() + 1);
+        deposit(ctx, w, ctx.tid, lower.clone());
+        wake(ctx, w);
     }
     ctx.shared.meta.mark_dead(ctx.tid);
     // Flush thread-local profiling into the shared aggregate.

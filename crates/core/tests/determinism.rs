@@ -83,12 +83,12 @@ fn ci_and_pf_agree_with_each_other() {
 
 fn optimization_matrix() -> Vec<RunConfig> {
     let mut cfgs = Vec::new();
-    for merging in [false, true] {
+    for detect_races in [false, true] {
         for prelock in [false, true] {
             for lazy in [false, true] {
                 for monitor in [MonitorMode::Ci, MonitorMode::Pf] {
                     let mut c = cfg(Some(5));
-                    c.rfdet.slice_merging = merging;
+                    c.detect_races = detect_races;
                     c.rfdet.prelock = prelock;
                     c.rfdet.lazy_writes = lazy;
                     c.rfdet.monitor = monitor;
@@ -140,8 +140,8 @@ fn every_optimization_combination_gives_the_same_result() {
         let out = RfdetBackend::default().run_expect(&c, Box::new(locked_root));
         assert_eq!(
             out.output, expected,
-            "wrong result with opts merging={} prelock={} lazy={} monitor={:?}",
-            c.rfdet.slice_merging, c.rfdet.prelock, c.rfdet.lazy_writes, c.rfdet.monitor
+            "wrong result with opts detect_races={} prelock={} lazy={} monitor={:?}",
+            c.detect_races, c.rfdet.prelock, c.rfdet.lazy_writes, c.rfdet.monitor
         );
     }
 }

@@ -161,7 +161,7 @@ pub(crate) struct ChildSeed {
 
 impl Engine {
     pub fn new(cfg: &RunConfig, mode: EngineMode) -> Result<Self, ConfigError> {
-        let run = RunHarness::new(cfg, rfdet_api::Family::Lockstep)?;
+        let run = RunHarness::new(cfg)?;
         let cfg = &run.cfg;
         let heap_base = rfdet_mem::heap_base(cfg.space_bytes);
         Ok(Self {

@@ -13,20 +13,19 @@
 //! * [`SliceRec`]/[`SliceRef`] — published slices (§4.2);
 //! * [`MetaSpace`] — the slice store with usage accounting and garbage
 //!   collection (§4.5), the internal sync-var table (§4.1), and the
-//!   thread registry (slice-pointer lists, published vector clocks,
-//!   output streams);
-//! * [`AtomicStats`] — lock-free profiling counters behind Table 1.
+//!   thread registry: one [`ThreadMeta`] per thread (slice-pointer list,
+//!   published vector clock, wakeup [`Mailbox`], output stream).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+mod handoff;
 mod slice;
 mod space;
-mod stats;
 mod syncvar;
 
+pub use handoff::{AcquireSource, BarrierHandoff, Mailbox};
 pub use slice::{SliceRec, SliceRef};
 pub use space::{GcOutcome, MetaSpace, SyncVarRef, ThreadMeta, DEFAULT_SYNC_SHARDS, GC_THRESHOLD};
-pub use stats::AtomicStats;
 pub use syncvar::{SyncKey, SyncVar};

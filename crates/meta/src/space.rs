@@ -1,9 +1,10 @@
 //! The [`MetaSpace`]: slice store, GC, sync vars, thread registry.
 
+use crate::handoff::Mailbox;
 use crate::slice::{SliceRec, SliceRef};
-use crate::stats::AtomicStats;
 use crate::syncvar::{SyncKey, SyncVar};
 use parking_lot::{Mutex, RwLock};
+use rfdet_api::AtomicStats;
 use rfdet_vclock::{Tid, VClock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
@@ -56,12 +57,9 @@ pub struct ThreadMeta {
     /// published time of `t` guarantees the thread's memory reflects every
     /// slice ≤ `t` (the GC safety condition).
     pub published_vc: Mutex<VClock>,
-    /// The vector clock the thread's last synchronization operation
-    /// *decided on*, published inside the Kendo turn (before the
-    /// propagation work runs). Reads of this value from other turns are
-    /// deterministic, which is what the *prelock* bound needs; it may run
-    /// ahead of `published_vc` while propagation is still applying.
-    pub turn_vc: Mutex<VClock>,
+    /// Where the thread's wakers deposit its acquire edges while it is
+    /// blocked; drained when it wakes.
+    pub mailbox: Mutex<Mailbox>,
     /// Cleared when the thread exits (finished threads do not hold back
     /// GC).
     pub alive: AtomicBool,
@@ -75,7 +73,7 @@ impl ThreadMeta {
             tid,
             slice_list: Mutex::new(SliceList::default()),
             published_vc: Mutex::new(VClock::new()),
-            turn_vc: Mutex::new(VClock::new()),
+            mailbox: Mutex::new(Mailbox::default()),
             alive: AtomicBool::new(true),
             output: Mutex::new(Vec::new()),
         }
@@ -91,24 +89,6 @@ impl ThreadMeta {
     #[must_use]
     pub fn get_published_vc(&self) -> VClock {
         self.published_vc.lock().clone()
-    }
-
-    /// Publishes this thread's in-turn decided clock (see
-    /// [`ThreadMeta::turn_vc`]).
-    pub fn set_turn_vc(&self, vc: &VClock) {
-        self.turn_vc.lock().clone_from(vc);
-    }
-
-    /// Joins extra time into the in-turn clock — used by wakers that
-    /// extend a blocked thread's eventual acquire (§4.5 prelock bound).
-    pub fn join_turn_vc(&self, extra: &VClock) {
-        self.turn_vc.lock().join(extra);
-    }
-
-    /// Reads this thread's in-turn decided clock.
-    #[must_use]
-    pub fn get_turn_vc(&self) -> VClock {
-        self.turn_vc.lock().clone()
     }
 
     /// The Figure-5 filter over this thread's slice list; see
@@ -323,12 +303,6 @@ impl MetaSpace {
     /// reflects every slice ≤ `vc`.
     pub fn publish_vc(&self, tid: Tid, vc: &VClock) {
         self.thread(tid).set_published_vc(vc);
-    }
-
-    /// Joins extra time into `tid`'s in-turn clock — used by wakers that
-    /// extend a blocked thread's eventual acquire (§4.5 prelock bound).
-    pub fn join_turn_vc(&self, tid: Tid, extra: &VClock) {
-        self.thread(tid).join_turn_vc(extra);
     }
 
     /// Marks a thread dead (it stops holding back GC).
@@ -566,7 +540,10 @@ mod tests {
         m.sync_var(SyncKey::Mutex(3))
             .lock()
             .record_release(2, VClock::from_components(vec![0, 0, 7]));
-        assert!(m.sync_var(SyncKey::Mutex(3)).lock().needs_propagation(0));
+        assert_eq!(
+            m.sync_var(SyncKey::Mutex(3)).lock().edge(0),
+            Some((2, VClock::from_components(vec![0, 0, 7])))
+        );
         assert_eq!(m.sync_var(SyncKey::Mutex(4)).lock().last_tid, None);
     }
 

@@ -42,12 +42,15 @@ impl SyncVar {
         self.last_time = time;
     }
 
-    /// `true` if the last release was performed by a *different* thread,
-    /// in which case an acquirer must propagate modifications; a
-    /// same-thread re-acquire instead merges slices (§4.5).
+    /// The acquire edge `acquirer` takes from this variable: the last
+    /// release's `(lastTid, lastTime)` when a *different* thread made it,
+    /// so the acquirer must propagate from that thread up to that time.
+    /// `None` before any release, and for a same-thread re-acquire, which
+    /// has nothing to propagate (§4.5 slice merging).
     #[must_use]
-    pub fn needs_propagation(&self, acquirer: Tid) -> bool {
-        matches!(self.last_tid, Some(t) if t != acquirer)
+    pub fn edge(&self, acquirer: Tid) -> Option<(Tid, VClock)> {
+        let from = self.last_tid.filter(|&t| t != acquirer)?;
+        Some((from, self.last_time.clone()))
     }
 }
 
@@ -56,23 +59,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fresh_var_needs_no_propagation() {
+    fn fresh_var_has_no_edge() {
         let v = SyncVar::default();
-        assert!(!v.needs_propagation(0));
+        assert_eq!(v.edge(0), None);
         assert!(v.last_tid.is_none());
     }
 
     #[test]
-    fn propagation_only_for_cross_thread_release() {
+    fn only_a_cross_thread_release_is_an_edge() {
         let mut v = SyncVar::default();
         let mut t = VClock::new();
         t.tick(1);
         v.record_release(1, t.clone());
-        assert!(v.needs_propagation(0));
-        assert!(
-            !v.needs_propagation(1),
-            "same-thread re-acquire merges slices"
-        );
+        assert_eq!(v.edge(0), Some((1, t.clone())));
+        assert_eq!(v.edge(1), None, "same-thread re-acquire merges slices");
         assert_eq!(v.last_time, t);
     }
 

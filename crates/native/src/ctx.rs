@@ -4,8 +4,8 @@ use crate::sync::{BarrierVar, CondVar, LockVar, Registry};
 use parking_lot::Mutex;
 use rfdet_api::obs::Phase;
 use rfdet_api::{
-    Addr, BarrierId, CondId, ConfigError, DmtCtx, FailureKind, Family, MutexId, RunConfig,
-    RunHarness, Stats, SyncOp, ThreadFn, ThreadHandle, ThreadHarness, Tid,
+    Addr, BarrierId, CondId, ConfigError, DmtCtx, FailureKind, MutexId, RunConfig, RunHarness,
+    Stats, SyncOp, ThreadFn, ThreadHandle, ThreadHarness, Tid,
 };
 use rfdet_mem::{StripAllocator, ThreadHeap};
 use rfdet_meta::{MetaSpace, GC_THRESHOLD};
@@ -35,7 +35,7 @@ pub(crate) struct NativeShared {
 
 impl NativeShared {
     pub fn new(cfg: &RunConfig) -> Result<Self, ConfigError> {
-        let run = RunHarness::new(cfg, Family::Native)?;
+        let run = RunHarness::new(cfg)?;
         let cfg = &run.cfg;
         let heap_base = rfdet_mem::heap_base(cfg.space_bytes);
         Ok(Self {

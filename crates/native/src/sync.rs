@@ -123,11 +123,11 @@ impl<T: Default> Registry<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfdet_api::{FailureKind, Family, RunConfig};
+    use rfdet_api::{FailureKind, RunConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn sup() -> Arc<RunHarness> {
-        Arc::new(RunHarness::new(&RunConfig::small(), Family::Native).expect("valid config"))
+        Arc::new(RunHarness::new(&RunConfig::small()).expect("valid config"))
     }
 
     #[test]

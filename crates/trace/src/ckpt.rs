@@ -24,8 +24,9 @@ use rfdet_vclock::Tid;
 /// Checkpoint file magic.
 pub const CKPT_MAGIC: [u8; 4] = *b"RFCK";
 /// Current checkpoint format version. Version 1 embedded the 17-field
-/// [`TraceConfig`]; its checkpoints are rejected, not migrated.
-pub const CKPT_VERSION: u32 = 2;
+/// [`TraceConfig`], version 2 the 12-field one with the retired
+/// `slice_merging` flag; their checkpoints are rejected, not migrated.
+pub const CKPT_VERSION: u32 = 3;
 
 /// Sync-var class codes (mirror `rfdet_meta::SyncKey`, kept numeric so
 /// this crate stays meta-independent).
@@ -495,7 +496,7 @@ mod tests {
 
     #[test]
     fn rejects_retired_and_unknown_versions() {
-        for version in [1, 99] {
+        for version in [1, 2, 99] {
             let mut bytes = sample().encode();
             bytes[4] = version;
             let body_len = bytes.len() - 8;

@@ -19,9 +19,10 @@ use std::fmt;
 
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"RFDT";
-/// Current format version. Version 1 carried a 17-field [`TraceConfig`];
-/// its traces are rejected, not migrated.
-pub const VERSION: u32 = 2;
+/// Current format version. Version 1 carried a 17-field [`TraceConfig`],
+/// version 2 a 12-field one with the retired `slice_merging` flag; their
+/// traces are rejected, not migrated.
+pub const VERSION: u32 = 3;
 
 /// Why a byte buffer failed to decode as a [`RunTrace`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,7 +156,6 @@ pub(crate) fn write_config(w: &mut Writer, c: &TraceConfig) {
     w.u64(c.meta_capacity_bytes);
     w.u64(c.meta_max_slices);
     w.u8(c.monitor);
-    w.boolean(c.slice_merging);
     w.boolean(c.prelock);
     w.boolean(c.lazy_writes);
     w.u32(c.fault_cost_spins);
@@ -171,7 +171,6 @@ pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<TraceConfig, TraceError>
         meta_capacity_bytes: r.u64()?,
         meta_max_slices: r.u64()?,
         monitor: r.u8()?,
-        slice_merging: r.boolean()?,
         prelock: r.boolean()?,
         lazy_writes: r.boolean()?,
         fault_cost_spins: r.u32()?,
@@ -360,7 +359,7 @@ mod tests {
 
     #[test]
     fn rejects_retired_and_unknown_versions() {
-        for version in [1, 99] {
+        for version in [1, 2, 99] {
             let mut bytes = sample().encode();
             bytes[4] = version;
             // Fix up the checksum so the version check is what fires.

@@ -174,7 +174,6 @@ pub struct TraceConfig {
     pub meta_max_slices: u64,
     /// Monitor mode: 0 = compile-time instrumentation, 1 = page faults.
     pub monitor: u8,
-    pub slice_merging: bool,
     pub prelock: bool,
     pub lazy_writes: bool,
     pub fault_cost_spins: u32,
@@ -343,7 +342,6 @@ mod tests {
             meta_capacity_bytes: 4 << 20,
             meta_max_slices: 1024,
             monitor: 0,
-            slice_merging: true,
             prelock: true,
             lazy_writes: false,
             fault_cost_spins: 0,

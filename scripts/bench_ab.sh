@@ -18,16 +18,29 @@
 # metric's BENCHMARK.json bound - the layout of the results/*_ab.txt
 # files. Nothing is discarded. Run nothing else on the host meanwhile.
 #
-# Usage: scripts/bench_ab.sh <parent-ref> <workload> [pairs] [seed] [seconds]
-#   defaults: 10 pairs, seed 20140215 (held-out: 77003121), 10 seconds
+# The optional sixth argument is a comma-separated list of per-layer
+# metric names (BENCHMARK.json "per_layer", e.g.
+# core.lock_pair_ns,core.sync_op_ms). With it, each pair also runs one
+#
+#   benchmark --workload W --seed S --seconds SECS --trace 1
+#
+# process per side, in the same order, after the timed ones, and the
+# summary prints each listed metric with the same median [Q1,Q3], ratio
+# and lower-wins line, without a bound verdict (per-layer metrics have
+# no bound).
+#
+# Usage: scripts/bench_ab.sh <parent-ref> <workload> [pairs] [seed] [seconds] [layers]
+#   defaults: 10 pairs, seed 20140215 (held-out: 77003121), 10 seconds,
+#   no per-layer metrics
 set -euo pipefail
 
-usage="usage: scripts/bench_ab.sh <parent-ref> <workload> [pairs] [seed] [seconds]"
+usage="usage: scripts/bench_ab.sh <parent-ref> <workload> [pairs] [seed] [seconds] [layers]"
 base=${1:?$usage}
 workload=${2:?$usage}
 pairs=${3:-10}
 seed=${4:-20140215}
 secs=${5:-10}
+layers=${6:-}
 root=$(git rev-parse --show-toplevel)
 ab=$root/target/ab
 mkdir -p "$ab/run"
@@ -53,37 +66,49 @@ parent=$(build "$base")
 change=$(build HEAD)
 log=$ab/run/$workload-$seed-$parent-$change.log
 : >"$log"
+: >"$log.layers"
 cd "$ab/run"
+# Runs one benchmark process of side $2 in pair $1 (first side $3) with
+# --trace $4 and appends its line to log file $5.
+run() {
+    local sha=$parent status=0 json medians
+    if [ "$2" = change ]; then sha=$change; fi
+    json=$("$ab/bin/$sha/benchmark" --workload "$workload" --seed "$seed" \
+        --seconds "$secs" --trace "$4" 2>stderr.txt) || status=$?
+    medians=$(grep -o 'RFDet-ci median.*' stderr.txt || true)
+    printf '%s\t%s\t%s\t%s\t%s\t%s\n' "$1" "$2" "$3" "$status" "$medians" "$json" >>"$5"
+}
 for ((i = 0; i < pairs; i++)); do
     order="parent change"
     if ((i % 2 == 1)); then order="change parent"; fi
-    for side in $order; do
-        sha=$parent
-        if [ "$side" = change ]; then sha=$change; fi
-        status=0
-        json=$("$ab/bin/$sha/benchmark" --workload "$workload" --seed "$seed" \
-            --seconds "$secs" --trace 0 2>stderr.txt) || status=$?
-        medians=$(grep -o 'RFDet-ci median.*' stderr.txt || true)
-        printf '%s\t%s\t%s\t%s\t%s\t%s\n' "$i" "$side" "${order%% *}" "$status" \
-            "$medians" "$json" >>"$log"
-    done
+    for side in $order; do run "$i" "$side" "${order%% *}" 0 "$log"; done
+    if [ -n "$layers" ]; then
+        for side in $order; do run "$i" "$side" "${order%% *}" 1 "$log.layers"; done
+    fi
 done
 
-python3 - "$log" "$root/BENCHMARK.json" "$workload" "$seed" "$pairs" "$parent" "$change" <<'EOF'
+python3 - "$log" "$root/BENCHMARK.json" "$workload" "$seed" "$pairs" "$parent" "$change" \
+    "$layers" <<'EOF'
 import json, re, statistics, sys
 
-log, manifest, workload, seed, pairs, parent, change = sys.argv[1:]
+log, manifest, workload, seed, pairs, parent, change, layers = sys.argv[1:]
 bounds = {m["name"]: m["bound"] for m in json.load(open(manifest))["end_to_end"]}
-rows = []
-for line in open(log):
-    pair, side, first, status, medians, out = line.rstrip("\n").split("\t")
-    r = json.loads(out) if out.startswith("{") else {"correct": False, "metrics": {}}
-    v = {k: m["value"] for k, m in r["metrics"].items()}
-    m = re.search(r"median ([\d.]+) ms over (\d+) runs, pthreads ([\d.]+) ms", medians)
-    if m:
-        v["RFDet-ci ms"], v["pthreads ms"] = float(m[1]), float(m[3])
-    rows.append(dict(pair=int(pair), side=side, first=first, status=int(status),
-                     v=v, rounds=m[2] if m else "?", r=r))
+
+def read(path):
+    rows = []
+    for line in open(path):
+        pair, side, first, status, medians, out = line.rstrip("\n").split("\t")
+        r = json.loads(out) if out.startswith("{") else {"correct": False, "metrics": {}}
+        v = {k: m["value"] for k, m in r["metrics"].items()}
+        m = re.search(r"median ([\d.]+) ms over (\d+) runs, pthreads ([\d.]+) ms", medians)
+        if m:
+            v["RFDet-ci ms"], v["pthreads ms"] = float(m[1]), float(m[3])
+        rows.append(dict(pair=int(pair), side=side, first=first, status=int(status),
+                         v=v, rounds=m[2] if m else "?", r=r))
+    return rows
+
+rows = read(log)
+traced = read(log + ".layers")
 
 def q(xs):
     xs = sorted(xs)
@@ -95,15 +120,17 @@ def q(xs):
 def fmt(x):
     return f"{x:.4g}"
 
-def side(s, key):
+def side(rows, s, key):
     return {r["pair"]: r["v"][key] for r in rows if r["side"] == s and key in r["v"]}
 
 fa = {s: [sum(r["r"].get(k, 0) for r in rows if r["side"] == s) for k in ("failed", "attempted")]
       for s in ("parent", "change")}
 print(f"== seed {seed} {workload}  pairs={pairs}  parent {parent} change {change}  "
       f"failed/attempted parent {fa['parent']} change {fa['change']}")
-for key in ["slowdown_x", "footprint_mb", "setup_s", "RFDet-ci ms", "pthreads ms"]:
-    p, c = side("parent", key), side("change", key)
+keys = [(rows, k) for k in ["slowdown_x", "footprint_mb", "setup_s", "RFDet-ci ms", "pthreads ms"]]
+keys += [(traced, k) for k in layers.split(",") if k]
+for src, key in keys:
+    p, c = side(src, "parent", key), side(src, "change", key)
     if not p or not c:
         continue
     (p1, pm, p3), (c1, cm, c3) = q(p.values()), q(c.values())
@@ -120,8 +147,8 @@ for key in ["slowdown_x", "footprint_mb", "setup_s", "RFDet-ci ms", "pthreads ms
                    "inside bound")
         line += f" bound {100 * b:.0f}% -> {verdict}"
     print(line)
-bad = sum(1 for r in rows if r["status"] or not r["r"].get("correct"))
-print(f"processes not `correct` or non-zero exit: {bad} of {len(rows)}")
+bad = sum(1 for r in rows + traced if r["status"] or not r["r"].get("correct"))
+print(f"processes not `correct` or non-zero exit: {bad} of {len(rows) + len(traced)}")
 print("every process:")
 for r in rows:
     v = r["v"]

@@ -89,6 +89,53 @@ fn signal_with_no_waiter_is_lost() {
     }
 }
 
+/// A signal issued after `unlock` finds the mutex free and hands it to
+/// the waiter at once. The waiter must then see what the mutex's last
+/// holder wrote — here `x`, not the signaler, which set the predicate
+/// before `x` took the mutex and never synchronized with it since. The
+/// ticks place, in logical time, the wait, the signaler's section, `x`'s
+/// section, then the signal; on any schedule both increments happen
+/// under the mutex, so a waiter that missed `x`'s update loses it.
+#[test]
+fn a_signal_after_unlock_hands_the_waiter_the_mutexs_last_release() {
+    let (m, cv, ready, total) = (MutexId(0), CondId(0), 0u64, 8u64);
+    for b in all_backends() {
+        let out = b.run_expect(
+            &cfg(),
+            Box::new(move |ctx| {
+                let waiter = ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
+                    ctx.lock(m);
+                    while ctx.read::<u64>(ready) == 0 {
+                        ctx.cond_wait(cv, m);
+                    }
+                    ctx.update::<u64>(total, |v| v + 1);
+                    ctx.unlock(m);
+                }));
+                let x = ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
+                    ctx.tick(2_000);
+                    ctx.lock(m);
+                    ctx.update::<u64>(total, |v| v + 42);
+                    ctx.unlock(m);
+                }));
+                let signaler = ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
+                    ctx.tick(1_000);
+                    ctx.lock(m);
+                    ctx.write::<u64>(ready, 1);
+                    ctx.unlock(m);
+                    ctx.tick(2_000);
+                    ctx.cond_signal(cv);
+                }));
+                for h in [waiter, x, signaler] {
+                    ctx.join(h);
+                }
+                let v: u64 = ctx.read(total);
+                ctx.emit_str(&v.to_string());
+            }),
+        );
+        assert_eq!(out.output, (42 + 1).to_string().as_bytes(), "{}", b.name());
+    }
+}
+
 #[test]
 fn barriers_are_reusable_across_generations() {
     for b in det_backends() {

@@ -58,37 +58,27 @@ fn detection_capability_is_pinned_per_backend() {
     );
 }
 
-/// The one knob a detecting run forces is resolved in one place and is
-/// visible: the override, where applied, is a `TracedRun` warning, a
-/// config that needed none gets none, and both runs are the same run.
+/// The core merges slices (§4.5) exactly when it does not detect races:
+/// a detecting run seals one slice per sync op, so its coordinates mean
+/// the same on every backend. Merging is semantics-neutral, so both runs
+/// of a lock-heavy program have one output digest.
 #[test]
-fn the_detector_override_is_listed_and_digest_neutral() {
-    let w = rfdet::workloads::by_name("races.counter").expect("registered");
-    let overridden = detect_cfg();
-    assert!(overridden.rfdet.slice_merging, "the default merges slices");
-    let mut explicit = detect_cfg();
-    explicit.rfdet.slice_merging = false;
+fn slice_merging_is_on_exactly_when_races_are_not_detected() {
+    let w = rfdet::workloads::by_name("water-ns").expect("registered");
+    let mut detecting = detect_cfg();
+    detecting.space_bytes = 4 << 20; // room for test-scale inputs
+    let mut plain = detecting.clone();
+    plain.detect_races = false;
     for b in det_backends() {
         let name = b.name();
-        let run = |cfg: &RunConfig| {
-            let run = b.run_traced(cfg, (w.factory)(Params::new(4, Size::Test)));
-            let out = run.result.unwrap_or_else(|e| panic!("{name}: {e}"));
-            (run.warnings, out.output_digest(), races_digest(&out.races))
-        };
-        let (warnings, output, races) = run(&overridden);
-        let want: &[&str] = if name.starts_with("RFDet") {
-            &["detect_races: rfdet.slice_merging true→false"]
-        } else {
-            &[]
-        };
-        assert_eq!(warnings, want, "{name}");
-        let (quiet, explicit_output, explicit_races) = run(&explicit);
-        assert!(
-            quiet.is_empty(),
-            "{name}: nothing to override, got {quiet:?}"
-        );
-        assert_eq!((output, races), (explicit_output, explicit_races), "{name}");
-        assert_ne!(races, races_digest(&[]), "{name}: the corpus entry is racy");
+        if !name.starts_with("RFDet") {
+            continue;
+        }
+        let run = |cfg: &RunConfig| b.run_expect(cfg, (w.factory)(Params::new(4, Size::Test)));
+        let (sealed, merged) = (run(&detecting), run(&plain));
+        assert_eq!(sealed.stats.slices_merged, 0, "{name}");
+        assert!(merged.stats.slices_merged > 0, "{name}: nothing merged");
+        assert_eq!(sealed.output_digest(), merged.output_digest(), "{name}");
     }
 }
 
