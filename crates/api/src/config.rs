@@ -156,22 +156,15 @@ pub struct RunConfig {
     /// stays out of the trace projection and a checkpointed run's
     /// digests equal an uncheckpointed one's.
     pub checkpoint_every: u64,
-    /// Stop the run cleanly right after contributing to the checkpoint
-    /// with this epoch (sharded replay's shard boundary). The stopping
-    /// threads unwind with a private token — no failure is recorded, the
-    /// partial output and the terminal checkpoint are the run's result.
-    /// Requires `checkpoint_every` to make the target epoch reachable.
-    pub stop_at_checkpoint: Option<u64>,
-    /// Where captured checkpoints persist (atomic rename, best-effort:
-    /// an unwritable directory degrades to a warning, never a failed
-    /// run). `None` uses `rfdet_trace::persist::trace_dir()`. A
-    /// deployment path: `replay` sets it from its `--ckpt-dir` flag.
+    /// Where captured checkpoints persist as they seal (atomic rename,
+    /// best-effort: an unwritable directory degrades to a warning, never
+    /// a failed run). A run persists exactly when this is `Some`; `None`
+    /// (the default) keeps the chain in memory only
+    /// (`TracedRun::checkpoints`), so verification and recovery runs do
+    /// not re-write the chain a recording persisted. `replay record`
+    /// sets it from `--ckpt-dir`, defaulting to
+    /// `rfdet_trace::persist::trace_dir()`.
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Persist captured checkpoints to disk as they seal. `false` keeps
-    /// them in-memory only (`TracedRun::checkpoints`) — sharded replay
-    /// and failover's replicas use this so verification runs do not
-    /// re-write the chain a recording run persisted.
-    pub persist_checkpoints: bool,
     /// Happens-before data-race detection (deterministic backends with
     /// [`crate::DmtBackend::supports_race_detection`] only): track
     /// word-granular read/write epochs over every slice's accesses and
@@ -207,9 +200,7 @@ impl Default for RunConfig {
             trace: None,
             metrics: false,
             checkpoint_every: 0,
-            stop_at_checkpoint: None,
             checkpoint_dir: None,
-            persist_checkpoints: true,
             detect_races: false,
         }
     }
@@ -293,13 +284,11 @@ impl RunConfig {
             // schedule-neutral (decisions ride an existing turn, capture
             // runs off-turn), so whether and where a run checkpoints is
             // replay-side policy, not a recorded input. Replays use the
-            // defaults; `replay resume`/`replay shard` set the checkpoint
-            // knobs explicitly on top of this reconstruction.
+            // defaults; `replay resume` and the chain replay set the
+            // checkpoint knobs explicitly on top of this reconstruction.
             metrics: false,
             checkpoint_every: 0,
-            stop_at_checkpoint: None,
             checkpoint_dir: None,
-            persist_checkpoints: true,
             // Race detection is digest-neutral, so whether to re-detect
             // on replay is the replayer's choice (`replay races` turns it
             // back on explicitly), not a recorded input.
@@ -502,15 +491,11 @@ mod tests {
     fn checkpoint_knobs_stay_out_of_the_trace_projection() {
         let mut cfg = RunConfig::small();
         cfg.checkpoint_every = 4;
-        cfg.stop_at_checkpoint = Some(8);
         cfg.checkpoint_dir = Some(std::path::PathBuf::from("/tmp/nowhere"));
-        cfg.persist_checkpoints = false;
         cfg.trace = Some("w".to_owned());
         let back = through_a_trace(&cfg);
         assert_eq!(back.checkpoint_every, 0, "capture is replay-side policy");
-        assert_eq!(back.stop_at_checkpoint, None);
-        assert_eq!(back.checkpoint_dir, None);
-        assert!(back.persist_checkpoints);
+        assert_eq!(back.checkpoint_dir, None, "a replay persists nothing");
     }
 
     #[test]

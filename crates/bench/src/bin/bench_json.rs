@@ -11,7 +11,7 @@
 //! when a budget reads `FAIL`.
 
 use rfdet_api::{AtomicOp, DmtBackend, DmtCtx, FaultPlan, MutexId, RunConfig, ThreadFn};
-use rfdet_bench::{render_table, replay_shards};
+use rfdet_bench::render_table;
 use rfdet_core::RfdetBackend;
 use rfdet_mem::{diff, Page, PrivateSpace, RunBuilder, SliceSnapshots};
 use rfdet_meta::{MetaSpace, SliceRec, SliceRef};
@@ -411,10 +411,11 @@ fn service_cfg() -> RunConfig {
 }
 
 /// Records a checkpointed `chaos.long_haul` run in memory, then replays
-/// it as parallel per-window shards and serially, verifying every
-/// checkpoint (and the tail's output) bit-identical to the recording.
-/// Best of `reps` passes each, as single-shot run times on a shared host
-/// swing with scheduler luck; quick mode runs one test-scale pass.
+/// it serially and as parallel per-window shards through
+/// `rfdet_core::replay_chain`, which verifies every checkpoint (and the
+/// tail's output) bit-identical to the recording. Best of `reps` passes
+/// each, as single-shot run times on a shared host swing with scheduler
+/// luck; quick mode runs one test-scale pass.
 fn sharded_replay_ab(quick: bool) -> [(f64, u64); 2] {
     let (name, every, reps) = if quick {
         ("chaos.long_haul", 4, 1)
@@ -427,36 +428,19 @@ fn sharded_replay_ab(quick: bool) -> [(f64, u64); 2] {
     let cfg = cfg(|c| {
         c.trace = Some(format!("{name}@3"));
         c.checkpoint_every = every;
-        c.persist_checkpoints = false;
     });
     let backend = RfdetBackend::ci();
     let recording = backend.run_traced(&cfg, root());
-    let expected = recording.result.expect("clean recording").output_digest();
+    recording.result.expect("clean recording");
     let chain = recording.checkpoints;
     assert!(!chain.is_empty(), "long_haul checkpoints at this cadence");
 
     let (mut sharded_ns, mut serial_ns) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
-        let start = Instant::now();
-        let serial = backend.run_traced(&cfg, root());
-        serial_ns = serial_ns.min(start.elapsed().as_nanos() as f64);
-        let out = serial.result.expect("serial replay");
-        assert_eq!(out.output_digest(), expected, "serial replay diverged");
-        for (own, cut) in serial.checkpoints.iter().zip(&chain) {
-            assert_eq!(own.digest(), cut.digest(), "serial epoch {}", cut.epoch);
-        }
-
-        let start = Instant::now();
-        let shards = replay_shards(&backend, &cfg, &chain, &root, &*bodies, 4);
-        sharded_ns = sharded_ns.min(start.elapsed().as_nanos() as f64);
-        for (k, run) in shards.into_iter().enumerate() {
-            let out = run.result.expect("shard replay");
-            let end = run.checkpoints.last().map(|c| c.digest());
-            match chain.get(k) {
-                Some(cut) => assert_eq!(end, Some(cut.digest()), "shard {k} diverged"),
-                None => assert_eq!(out.output_digest(), expected, "tail shard diverged"),
-            }
-        }
+        let replay = rfdet_core::replay_chain(&backend, &cfg, &chain, &root, &*bodies, 4)
+            .unwrap_or_else(|d| panic!("{d}"));
+        serial_ns = serial_ns.min(replay.serial.as_nanos() as f64);
+        sharded_ns = sharded_ns.min(replay.sharded.as_nanos() as f64);
     }
     [(sharded_ns, reps), (serial_ns, reps)]
 }

@@ -15,21 +15,20 @@
 //! original with a `.min` tag.
 //!
 //! `resume` restarts a run from one persisted checkpoint and lets it
-//! finish — crash recovery. `shard` takes any checkpoint of a chain,
-//! replays every inter-checkpoint window in parallel (`-j`), and proves
-//! each shard's terminal checkpoint bit-identical to the recorded chain
-//! — the serial replay runs too, for the wall-time comparison.
+//! finish — crash recovery. `shard` takes any checkpoint of a chain and
+//! verifies the chain by `rfdet_core::replay_chain`: serially, and as
+//! one shard per inter-checkpoint window in parallel (`-j`).
 //!
-//! `failover` runs the full crash-failover cycle (DESIGN.md §4.12):
-//! an unfaulted reference replica, a faulted replica killed at the
-//! given FaultPlan coordinate, restore from the last checkpoint, tail
-//! replay, and a byte-identical convergence check — exit 0 only when
-//! the recovered digest matches the reference. `sweep` enumerates a
+//! `failover` runs the full crash-failover cycle (DESIGN.md §4.12): an
+//! unfaulted reference replica, a faulted replica killed at the given
+//! FaultPlan coordinate, `rfdet_core::recover` from the faulted run's
+//! last checkpoint, and a byte-identical convergence check — exit 0
+//! only when the recovered digest matches the reference. `sweep` runs a
 //! whole fault-plan grid (panic/fail_alloc/jitter × thread × sync-op
-//! strata), runs every plan under supervision, classifies each outcome
-//! into {converged, recovered, diverged, wedged}, and writes a JSON
-//! report (default under `results/`); diverged or wedged outcomes fail
-//! the sweep.
+//! strata) under supervision, recovers failed plans the same way,
+//! classifies each outcome into {converged, recovered, diverged,
+//! wedged}, and writes a JSON report (default under `results/`);
+//! diverged or wedged outcomes fail the sweep.
 //!
 //! `metrics` runs a workload once with the deterministic-safe metrics
 //! layer enabled and prints the phase rollup — `json` (default) for
@@ -51,14 +50,15 @@
 //! or unsupported configuration, `3` file I/O or codec failure, `4`
 //! wedged (the run blew its `--timeout`, or ended [`RunError::Wedged`]).
 
-use rfdet_api::trace::Checkpoint;
-use rfdet_api::{trace::persist, DmtBackend, FaultPlan, RunConfig, RunError, RunTrace, ThreadFn};
+use rfdet_api::trace::{persist, Checkpoint};
+use rfdet_api::{DmtBackend, FaultPlan, RunConfig, RunError, RunTrace, ThreadFn, Tid};
 use rfdet_bench::{each_flag, number};
-use rfdet_core::RfdetBackend;
+use rfdet_core::{recover, ChainDivergence, RfdetBackend};
 use rfdet_workloads::{by_name, Params, Size, Workload};
 use std::path::{Path, PathBuf};
 use std::process::exit;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 // The exit codes of the module header.
 const EXIT_DIVERGED: i32 = 1;
@@ -305,7 +305,7 @@ fn resume_setup(ckpt: &Checkpoint) -> (RfdetBackend, Workload, Params, ResumeBod
     (backend, workload, params, bodies)
 }
 
-type ResumeBodies = Box<dyn Fn(rfdet_api::Tid) -> ThreadFn + Send + Sync>;
+type ResumeBodies = Box<dyn Fn(Tid) -> ThreadFn + Send + Sync>;
 
 fn cmd_record(spec: &str, f: Flags) -> i32 {
     let (workload, params) = workload_or_die(spec);
@@ -315,7 +315,7 @@ fn cmd_record(spec: &str, f: Flags) -> i32 {
     cfg.jitter_seed = f.seed;
     cfg.trace = Some(format!("{}@{}", workload.name, params.threads));
     cfg.checkpoint_every = f.every.unwrap_or(0);
-    cfg.checkpoint_dir = f.ckpt_dir;
+    cfg.checkpoint_dir = Some(f.ckpt_dir.unwrap_or_else(persist::trace_dir));
     if cfg.checkpoint_every > 0 && !backend.supports_checkpoints() {
         die(
             EXIT_USAGE,
@@ -389,14 +389,23 @@ fn cmd_replay(path: &str, f: Flags) -> i32 {
     }
 }
 
+/// The directory a checkpoint file sits in (`.` for a bare file name).
+fn dir_of(path: &Path) -> &Path {
+    path.parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(Path::new("."))
+}
+
 /// Resumes under the recorded config minus the fault plan, because the
-/// plan is what killed the run.
+/// plan is what killed the run. New checkpoints continue the resumed
+/// checkpoint's chain, in its directory.
 fn cmd_resume(path: &str, f: Flags) -> i32 {
     let ckpt = load_ckpt_or_die(Path::new(path));
     println!("{}", ckpt.summary());
     let (backend, _, _, bodies) = resume_setup(&ckpt);
     let mut cfg = RunConfig::from_checkpoint(&ckpt);
     cfg.checkpoint_every = f.every.unwrap_or(0);
+    cfg.checkpoint_dir = Some(dir_of(Path::new(path)).to_owned());
     let run = run_with_timeout(f.timeout, "resume", move || {
         backend.run_resumed(&cfg, &ckpt, &|tid| bodies(tid))
     });
@@ -421,118 +430,37 @@ fn cmd_resume(path: &str, f: Flags) -> i32 {
 
 fn cmd_shard(path: &str, f: Flags) -> i32 {
     let jobs = f.jobs.unwrap_or(4);
-    let anchor_path = Path::new(path);
-    let anchor = load_ckpt_or_die(anchor_path);
-    let dir = anchor_path.parent().unwrap_or_else(|| Path::new("."));
-    let files = persist::checkpoint_chain(dir, anchor.run_key());
+    let anchor = load_ckpt_or_die(Path::new(path));
+    let files = persist::checkpoint_chain(dir_of(Path::new(path)), anchor.run_key());
     let chain: Vec<Checkpoint> = files.iter().map(|(_, p)| load_ckpt_or_die(p)).collect();
-    assert!(!chain.is_empty(), "the anchor itself is on the chain");
-    // Shard windows come from the recording cadence; a gappy chain
-    // (deleted files) cannot schedule its stop points.
-    let every = chain[0].epoch;
-    for (k, c) in chain.iter().enumerate() {
-        if every == 0 || c.epoch != every * (k as u64 + 1) {
-            let epochs: Vec<u64> = chain.iter().map(|c| c.epoch).collect();
-            die(
-                EXIT_USAGE,
-                format!(
-                    "checkpoint chain is not a uniform cadence (epochs {epochs:?}); cannot shard"
-                ),
-            );
-        }
-    }
+    let (n, cadence) = (chain.len(), chain.first().map_or(0, |c| c.epoch));
     println!(
-        "chain: {} checkpoints, cadence {every} (run key {:016x})",
-        chain.len(),
+        "chain: {n} checkpoints, cadence {cadence} (run key {:016x})",
         anchor.run_key()
     );
-    let (backend, workload, params, bodies) = resume_setup(&chain[0]);
-    let mut cfg = RunConfig::from_checkpoint(&chain[0]);
-    cfg.checkpoint_every = every;
-    cfg.persist_checkpoints = false;
-
-    run_with_timeout(f.timeout, "shard replay", move || {
-        // Serial baseline: the full run, start to finish.
-        let t0 = Instant::now();
-        let serial = backend.run_traced(&cfg, (workload.factory)(params));
-        let serial_ms = t0.elapsed().as_millis();
-        let serial_digest = match &serial.result {
-            Ok(out) => out.output_digest(),
-            Err(e) => {
-                println!("{e}");
-                die(
-                    failure_code(e),
-                    "serial replay failed; chain is not replayable",
-                );
-            }
-        };
-        for (k, c) in chain.iter().enumerate() {
-            let epoch = c.epoch;
-            let Some(own) = serial.checkpoints.get(k) else {
-                die(
-                    EXIT_DIVERGED,
-                    format!("serial replay produced no epoch-{epoch} checkpoint"),
-                );
-            };
-            if own.digest() != c.digest() {
-                die(
-                    EXIT_DIVERGED,
-                    format!("serial replay diverged at epoch {epoch}"),
-                );
-            }
+    let (backend, workload, params, bodies) = resume_setup(&anchor);
+    let cfg = RunConfig::from_checkpoint(&anchor);
+    let replay = run_with_timeout(f.timeout, "shard replay", move || {
+        let root = move || (workload.factory)(params);
+        rfdet_core::replay_chain(&backend, &cfg, &chain, &root, &*bodies, jobs)
+    });
+    let code = match &replay {
+        Ok(_) => 0,
+        Err(ChainDivergence::NotUniform(_)) => EXIT_USAGE,
+        Err(ChainDivergence::Failed { error, .. }) => {
+            println!("{error}");
+            failure_code(error)
         }
-
-        // Parallel shards; the tail shard (id == chain.len()) runs to
-        // completion and is compared by output, the rest by checkpoint.
-        let n_shards = chain.len() + 1;
-        let t1 = Instant::now();
-        let shards = rfdet_bench::replay_shards(
-            &backend,
-            &cfg,
-            &chain,
-            &|| (workload.factory)(params),
-            &*bodies,
-            jobs,
-        );
-        let sharded_ms = t1.elapsed().as_millis();
-
-        for (k, run) in shards.iter().enumerate() {
-            match &run.result {
-                Err(e) => {
-                    println!("shard {k}: {e}");
-                    return failure_code(e);
-                }
-                Ok(out) if k == n_shards - 1 => {
-                    if out.output_digest() != serial_digest {
-                        die(
-                            EXIT_DIVERGED,
-                            "tail shard output diverged from serial replay",
-                        );
-                    }
-                }
-                Ok(_) => {
-                    let Some(last) = run.checkpoints.last() else {
-                        die(
-                            EXIT_DIVERGED,
-                            format!("shard {k} produced no terminal checkpoint"),
-                        );
-                    };
-                    if last.digest() != chain[k].digest() {
-                        let epoch = chain[k].epoch;
-                        die(
-                            EXIT_DIVERGED,
-                            format!("shard {k} terminal checkpoint diverged at epoch {epoch}"),
-                        );
-                    }
-                }
-            }
-        }
-        println!(
-            "SHARD OK: {n_shards} shards (j={jobs}) digest-identical to serial; \
-             serial {serial_ms} ms, sharded {sharded_ms} ms"
-        );
-        0
-    })
+        Err(ChainDivergence::Diverged { .. }) => EXIT_DIVERGED,
+    };
+    let r = replay.unwrap_or_else(|divergence| die(code, divergence));
+    let (serial_ms, sharded_ms) = (r.serial.as_millis(), r.sharded.as_millis());
+    println!(
+        "SHARD OK: {} shards (j={jobs}) digest-identical to serial; \
+         serial {serial_ms} ms, sharded {sharded_ms} ms",
+        n + 1
+    );
+    0
 }
 
 fn cmd_shrink(path: &str, _: Flags) -> i32 {
@@ -559,10 +487,7 @@ fn cmd_failover(spec: &str, f: Flags) -> i32 {
     cfg.fault_plan = f.plan;
     cfg.trace = Some(format!("{}@{}", workload.name, params.threads));
     cfg.checkpoint_every = f.every.unwrap_or(2);
-    if let Some(dir) = f.ckpt_dir {
-        cfg.persist_checkpoints = true;
-        cfg.checkpoint_dir = Some(dir);
-    }
+    cfg.checkpoint_dir = f.ckpt_dir;
     let report = run_with_timeout(f.timeout, "failover", move || {
         rfdet_core::run_failover(
             &backend,
@@ -598,51 +523,26 @@ fn cmd_failover(spec: &str, f: Flags) -> i32 {
     }
 }
 
-/// Re-runs a failed plan's run without its faults — resumed from the
-/// failed run's last checkpoint, from scratch when it took none — and
-/// names the epoch recovered from.
-fn recover(
-    backend: &RfdetBackend,
-    cfg: &RunConfig,
-    failed: &rfdet_api::TracedRun,
-    workload: Workload,
-    params: Params,
-) -> (Result<rfdet_api::RunOutput, RunError>, Option<u64>) {
-    let mut clean = cfg.clone();
-    clean.fault_plan = FaultPlan::new();
-    match failed.checkpoints.last() {
-        Some(ckpt) => {
-            let bodies = rfdet_workloads::resume_bodies(workload.name, params)
-                .expect("sweep workloads are resumable");
-            let resumed = backend.run_resumed(&clean, ckpt, &|tid| bodies(tid));
-            (resumed.result, Some(ckpt.epoch))
-        }
-        None => {
-            let rerun = backend.run_traced(&clean, (workload.factory)(params));
-            (rerun.result, None)
-        }
-    }
-}
-
 /// Classifies one non-jitter plan: converged (clean, digest matches the
-/// reference), recovered (typed failure, checkpoint-restored replay
-/// matches), diverged, or wedged.
+/// reference), recovered (typed failure, and [`recover`] matches),
+/// diverged, or wedged.
 fn classify_kill_plan(
     backend: &RfdetBackend,
     cfg: &RunConfig,
     reference: &[u8],
-    workload: Workload,
-    params: Params,
+    root: &dyn Fn() -> ThreadFn,
+    bodies: &dyn Fn(Tid) -> ThreadFn,
 ) -> (&'static str, Option<u64>) {
-    let run = backend.run_traced(cfg, (workload.factory)(params));
+    let run = backend.run_traced(cfg, root());
     match &run.result {
         Ok(out) if out.output == reference => ("converged", None),
         Ok(_) => ("diverged", None),
         Err(RunError::Wedged(_)) => ("wedged", None),
-        Err(_) => match recover(backend, cfg, &run, workload, params) {
-            (Ok(out), epoch) if out.output == reference => ("recovered", epoch),
-            (_, epoch) => ("diverged", epoch),
-        },
+        Err(_) => {
+            let (recovered, epoch) = recover(backend, cfg, &run, root, bodies);
+            let ok = recovered.result.is_ok_and(|out| out.output == reference);
+            (if ok { "recovered" } else { "diverged" }, epoch)
+        }
     }
 }
 
@@ -650,15 +550,15 @@ fn classify_kill_plan(
 /// deterministic schedule, so the run may differ from the unjittered
 /// reference; the contract is *rerun stability* — the identical plan
 /// run twice must produce byte-identical results. A typed failure
-/// under jitter must still checkpoint-recover to a clean completion.
+/// under jitter must still [`recover`] to a clean completion.
 fn classify_jitter_plan(
     backend: &RfdetBackend,
     cfg: &RunConfig,
-    workload: Workload,
-    params: Params,
+    root: &dyn Fn() -> ThreadFn,
+    bodies: &dyn Fn(Tid) -> ThreadFn,
 ) -> (&'static str, Option<u64>) {
-    let a = backend.run_traced(cfg, (workload.factory)(params));
-    let b = backend.run_traced(cfg, (workload.factory)(params));
+    let a = backend.run_traced(cfg, root());
+    let b = backend.run_traced(cfg, root());
     match (&a.result, &b.result) {
         (Ok(x), Ok(y)) if x.output == y.output => ("converged", None),
         (Err(RunError::Wedged(_)), _) | (_, Err(RunError::Wedged(_))) => ("wedged", None),
@@ -666,10 +566,9 @@ fn classify_jitter_plan(
             if a.checkpoints.is_empty() {
                 return ("recovered", None);
             }
-            match recover(backend, cfg, &a, workload, params) {
-                (Ok(_), epoch) => ("recovered", epoch),
-                (Err(_), epoch) => ("diverged", epoch),
-            }
+            let (recovered, epoch) = recover(backend, cfg, &a, root, bodies);
+            let ok = recovered.result.is_ok();
+            (if ok { "recovered" } else { "diverged" }, epoch)
         }
         _ => ("diverged", None),
     }
@@ -685,8 +584,8 @@ fn cmd_sweep(spec: &str, f: Flags) -> i32 {
             format!("sweep needs a checkpoint-capable backend (RFDet*), got {backend_name:?}"),
         );
     };
-    // Checked up front; `recover` resolves the bodies per plan.
-    let _ = bodies_or_die(&workload, params, "");
+    let bodies: Arc<dyn Fn(Tid) -> ThreadFn + Send + Sync> =
+        bodies_or_die(&workload, params, "").into();
 
     let mut cfg = cli_config();
     cfg.trace = Some(format!("{}@{}", workload.name, params.threads));
@@ -742,12 +641,13 @@ fn cmd_sweep(spec: &str, f: Flags) -> i32 {
             "fail_alloc" => FaultPlan::new().fail_alloc(tid, op),
             _ => FaultPlan::new().jitter_at(tid, op, JITTER_TICKS),
         };
-        let reference = reference.clone();
+        let (reference, bodies) = (reference.clone(), Arc::clone(&bodies));
         let (outcome, epoch) = try_with_timeout(Some(timeout_ms), move || {
+            let root = || (workload.factory)(params);
             if kind == "jitter" {
-                classify_jitter_plan(&backend, &plan_cfg, workload, params)
+                classify_jitter_plan(&backend, &plan_cfg, &root, &*bodies)
             } else {
-                classify_kill_plan(&backend, &plan_cfg, &reference, workload, params)
+                classify_kill_plan(&backend, &plan_cfg, &reference, &root, &*bodies)
             }
         })
         .unwrap_or(("wedged", None));

@@ -1,17 +1,12 @@
 //! Experiment harness shared by the `fig7`/`fig8`/`fig9`/`table1`/
 //! `racey_det`/`ablation_barriers` binaries (one per paper table/figure —
-//! see DESIGN.md §5 for the experiment index), plus the sharded-replay
-//! driver `replay shard` and `bench_json` both run.
+//! see DESIGN.md §5 for the experiment index) and the `replay` CLI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rfdet_api::trace::Checkpoint;
-use rfdet_api::{DmtBackend, RunConfig, RunOutput, ThreadFn, Tid, TracedRun};
-use rfdet_core::RfdetBackend;
+use rfdet_api::{DmtBackend, RunConfig, RunOutput};
 use rfdet_workloads::{Params, Size, Workload};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Command-line options shared by the experiment binaries.
@@ -160,48 +155,6 @@ pub fn time_workload(
         total += start.elapsed();
     }
     (total / reps, last)
-}
-
-/// Replays the run that recorded `chain` as `chain.len() + 1` shards on
-/// up to `jobs` threads: shard 0 runs `root` from the start to the first
-/// checkpoint, shard `k` resumes `bodies` at checkpoint `k - 1` and stops
-/// at checkpoint `k`, and the last shard runs to completion. Returns the
-/// shards' runs in shard order; comparing them with the recording is the
-/// caller's job.
-pub fn replay_shards(
-    backend: &RfdetBackend,
-    cfg: &RunConfig,
-    chain: &[Checkpoint],
-    root: &(dyn Fn() -> ThreadFn + Sync),
-    bodies: &(dyn Fn(Tid) -> ThreadFn + Sync),
-    jobs: usize,
-) -> Vec<TracedRun> {
-    let n_shards = chain.len() + 1;
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<TracedRun>>> = (0..n_shards).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs.clamp(1, n_shards) {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= n_shards {
-                    break;
-                }
-                let mut shard_cfg = cfg.clone();
-                shard_cfg.stop_at_checkpoint = chain.get(k).map(|c| c.epoch);
-                let run = if k == 0 {
-                    backend.run_traced(&shard_cfg, root())
-                } else {
-                    backend.run_resumed(&shard_cfg, &chain[k - 1], &|tid| bodies(tid))
-                };
-                *results[k].lock().expect("shard result lock") = Some(run);
-            });
-        }
-    });
-    let claimed = results.into_iter().map(|slot| {
-        let run = slot.into_inner().expect("shard result lock");
-        run.expect("every shard index was claimed")
-    });
-    claimed.collect()
 }
 
 /// Geometric mean of a nonempty slice of positive ratios.

@@ -2,7 +2,8 @@
 
 use crate::ctx::RfdetCtx;
 use crate::shared::RuntimeShared;
-use rfdet_api::{ConfigError, DmtBackend, MonitorMode, RunConfig, ThreadFn, TracedRun};
+use rfdet_api::{DmtBackend, MonitorMode, RunConfig, ThreadFn, Tid, TracedRun};
+use rfdet_trace::Checkpoint;
 use std::sync::Arc;
 
 /// The RFDet deterministic-multithreading backend.
@@ -62,26 +63,49 @@ impl DmtBackend for RfdetBackend {
     }
 
     fn run_traced(&self, cfg: &RunConfig, root: ThreadFn) -> TracedRun {
-        let shared = match self.runtime(cfg) {
-            Ok(shared) => Arc::new(shared),
-            Err(e) => return TracedRun::rejected(&self.name(), &e),
-        };
-        let mut main = RfdetCtx::new_main(Arc::clone(&shared));
-        main.run_body(root);
-        teardown(&self.name(), &shared, main)
+        self.run_from(cfg, Start::Fresh(root), None)
     }
 }
 
+/// Where a core-backend run starts.
+pub(crate) enum Start<'a> {
+    /// From the beginning, with this root body on the main thread.
+    Fresh(ThreadFn),
+    /// At a checkpoint's cut, with each live thread's resume body.
+    Resume(&'a Checkpoint, &'a dyn Fn(Tid) -> ThreadFn),
+}
+
 impl RfdetBackend {
-    /// A fresh runtime for `cfg` under this backend's monitor mode.
-    pub(crate) fn runtime(&self, cfg: &RunConfig) -> Result<RuntimeShared, ConfigError> {
+    /// The one entry to a core-backend run, fresh or resumed. With
+    /// `stop_at`, the run stops cleanly once every participant has
+    /// contributed to the checkpoint of that epoch — the boundary of a
+    /// shard ([`crate::replay_chain`], the only caller that sets it).
+    pub(crate) fn run_from(
+        &self,
+        cfg: &RunConfig,
+        start: Start<'_>,
+        stop_at: Option<u64>,
+    ) -> TracedRun {
         let mut cfg = cfg.clone();
         if let Some(m) = self.monitor_override {
             cfg.rfdet.monitor = m;
         }
-        let mut shared = RuntimeShared::new(&cfg)?;
+        let mut shared = match RuntimeShared::new(&cfg) {
+            Ok(shared) => shared,
+            Err(e) => return TracedRun::rejected(&self.name(), &e),
+        };
         shared.backend_name = self.name();
-        Ok(shared)
+        shared.ckpt.stop_at = stop_at;
+        let (shared, main) = match start {
+            Start::Fresh(root) => {
+                let shared = Arc::new(shared);
+                let mut main = RfdetCtx::new_main(Arc::clone(&shared));
+                main.run_body(root);
+                (shared, main)
+            }
+            Start::Resume(ckpt, body_for) => crate::resume::restore(shared, ckpt, body_for),
+        };
+        teardown(&self.name(), &shared, main)
     }
 }
 
@@ -89,7 +113,7 @@ impl RfdetBackend {
 /// harness's run tail, plus what only this backend has — the detector
 /// lives on the main context, the arbitration counters on the Kendo
 /// state, and the checkpoint collector holds the captured chain.
-pub(crate) fn teardown(name: &str, shared: &Arc<RuntimeShared>, main: RfdetCtx) -> TracedRun {
+fn teardown(name: &str, shared: &Arc<RuntimeShared>, main: RfdetCtx) -> TracedRun {
     let mut run = shared.run.finish(
         name,
         main,

@@ -40,11 +40,11 @@ use rfdet_trace::{
 };
 use rfdet_vclock::VClock;
 
-/// Panic payload for the clean shard stop
-/// ([`rfdet_api::RunConfig::stop_at_checkpoint`]): after contributing to
-/// the target epoch every participant unwinds with this token, the
-/// backend recognizes it and finishes the thread without recording a
-/// failure. Partial output plus the terminal checkpoint *are* the result.
+/// Panic payload for the clean shard stop ([`CkptCollector::stop_at`]):
+/// after contributing to the target epoch every participant unwinds with
+/// this token, the backend recognizes it and finishes the thread without
+/// recording a failure. Partial output plus the terminal checkpoint *are*
+/// the result.
 /// The panic hook keeps it off stderr (`supervise::filter_control_unwinds`).
 pub(crate) struct CkptStop;
 
@@ -77,6 +77,10 @@ struct CkptInner {
 #[derive(Default)]
 pub(crate) struct CkptCollector {
     inner: Mutex<CkptInner>,
+    /// The epoch a shard stops at (set before the run starts, only by
+    /// the shard runner): every participant unwinds with [`CkptStop`]
+    /// right after contributing to it.
+    pub stop_at: Option<u64>,
 }
 
 impl CkptCollector {
@@ -272,8 +276,9 @@ pub(crate) fn decide(ctx: &mut RfdetCtx, participants: &[Tid], upper: &VClock) -
 /// Contributes the calling thread's fragment to the pending checkpoint
 /// for `epoch`. Runs *off turn*, right after the thread's own barrier
 /// merge (`op_epilogue`), in both barrier arms. The last contributor
-/// seals and persists; every contributor then honors
-/// `stop_at_checkpoint` by unwinding with [`CkptStop`].
+/// seals, and persists when the run names a `checkpoint_dir`; every
+/// contributor then honors [`CkptCollector::stop_at`] by unwinding with
+/// [`CkptStop`].
 pub(crate) fn contribute(ctx: &mut RfdetCtx, epoch: u64) {
     // Lazy pending queues hold propagated-but-unapplied bytes; capturing
     // pages without flushing would checkpoint stale memory. The flush
@@ -304,15 +309,8 @@ pub(crate) fn contribute(ctx: &mut RfdetCtx, epoch: u64) {
         debug_assert_eq!(sealed.epoch, epoch);
         // Persistence runs outside the collector lock: disk latency must
         // not serialize against other threads' (hypothetical) bookkeeping.
-        if ctx.shared.run.cfg.persist_checkpoints {
-            let dir = ctx
-                .shared
-                .run
-                .cfg
-                .checkpoint_dir
-                .clone()
-                .unwrap_or_else(persist::trace_dir);
-            if let Err(io) = persist::save_checkpoint_in(&dir, &sealed) {
+        if let Some(dir) = &ctx.shared.run.cfg.checkpoint_dir {
+            if let Err(io) = persist::save_checkpoint_in(dir, &sealed) {
                 ctx.shared.ckpt.warn(format!(
                     "checkpoint epoch {} not persisted: {io}",
                     sealed.epoch
@@ -321,7 +319,7 @@ pub(crate) fn contribute(ctx: &mut RfdetCtx, epoch: u64) {
         }
         ctx.shared.ckpt.inner.lock().collected.push(sealed);
     }
-    if ctx.shared.run.cfg.stop_at_checkpoint == Some(epoch) {
+    if ctx.shared.ckpt.stop_at == Some(epoch) {
         std::panic::panic_any(CkptStop);
     }
 }

@@ -7,7 +7,7 @@ use rfdet_api::{
     ThreadHarness, ThreadReport, Tid,
 };
 use rfdet_kendo::{Jitter, KendoHandle, TickBatch};
-use rfdet_mem::{Page, PageFlags, PageOverlay, PrivateSpace, Runs, SliceSnapshots, ThreadHeap};
+use rfdet_mem::{Page, PageOverlay, PrivateSpace, Runs, SliceSnapshots, ThreadHeap};
 use rfdet_meta::{SyncKey, SyncVarRef, ThreadMeta};
 use rfdet_vclock::VClock;
 use std::collections::HashMap;
@@ -32,10 +32,9 @@ pub struct RfdetCtx {
     ticks: TickBatch,
     pub(crate) tid: Tid,
     pub(crate) space: PrivateSpace,
-    /// Emulated page protection: `WRITE_PROTECT` drives `pf` monitoring,
-    /// `NO_ACCESS` marks pages with pending lazy-write modifications.
-    pub(crate) flags: PageFlags,
-    /// Lazy-writes pending queues, per page, in propagation order. The
+    /// Lazy-writes pending queues, per page, in propagation order. A
+    /// page with a queue is the paper's `NO_ACCESS` page: its emulated
+    /// protection is derived from the queue, not stored beside it. The
     /// entries are zero-copy handles to per-page run *groups* inside
     /// published slices' arenas (one `Arc` bump per group, not per run);
     /// the handles keep the backing runs alive, so GC dropping
@@ -161,7 +160,6 @@ impl RfdetCtx {
         let tid = kendo.tid();
         let cfg = &shared.run.cfg;
         let space = space.unwrap_or_else(|| PrivateSpace::new(cfg.space_bytes, cfg.page_size));
-        let flags = PageFlags::new(space.num_pages());
         let snaps = SliceSnapshots::new(space.num_pages(), space.page_size(), SNAP_POOL_PAGES);
         let pf = cfg.rfdet.monitor == MonitorMode::Pf;
         let track_reads = cfg.detect_races;
@@ -177,7 +175,6 @@ impl RfdetCtx {
             ticks: TickBatch::default(),
             tid,
             space,
-            flags,
             pending: crate::pending::PendingTable::default(),
             lazy_overlay: PageOverlay::new(),
             vc,
@@ -206,8 +203,6 @@ impl RfdetCtx {
             detect: None,
             exited: false,
         };
-        // `begin_slice` applies pf protection; safe to call here because
-        // the slice state is empty.
         ctx.begin_slice();
         ctx
     }
@@ -320,7 +315,6 @@ impl RfdetCtx {
             self.h.stats.mod_bytes_applied += self.space.apply_overlay(page, &overlay);
             self.lazy_overlay = overlay;
         }
-        self.flags.unprotect(page, PageFlags::NO_ACCESS);
         queue.clear();
         self.pending.put_back(page, queue);
     }
@@ -346,17 +340,20 @@ impl RfdetCtx {
     /// at byte `off` of `page`: snapshot what the store is about to
     /// overwrite unless the slice already has. `ci` mode knows the bytes,
     /// so it snapshots only the lines the store touches; a `pf` write
-    /// fault reveals only the page, so it snapshots all of it.
+    /// fault reveals only the page, so it snapshots all of it. A `pf`
+    /// page is write-protected exactly while the open slice has no
+    /// snapshot of it: the fault records the full mask and the seal
+    /// empties every mask, which re-protects every page for the next
+    /// slice with no pass over the space.
     #[inline]
     fn record_store(&mut self, page: usize, off: usize, len: usize) {
         let need = if self.pf {
-            if !self.flags.is_protected(page, PageFlags::WRITE_PROTECT) {
+            if self.snaps.is_open(page) {
                 return;
             }
             // Simulated write fault.
             self.h.stats.page_faults += 1;
             self.pay_fault_cost();
-            self.flags.unprotect(page, PageFlags::WRITE_PROTECT);
             self.snaps.full_mask()
         } else {
             self.snaps.missing_lines(page, off, len)
@@ -432,7 +429,7 @@ impl RfdetCtx {
     /// The compiled-in pending check of every access (§4.5 *Lazy Writes*).
     #[inline]
     fn fault_if_pending(&mut self, page: usize) {
-        if !self.pending.is_empty() && self.flags.is_protected(page, PageFlags::NO_ACCESS) {
+        if !self.pending.is_empty() && self.pending.contains(page) {
             self.lazy_fault(page);
         }
     }

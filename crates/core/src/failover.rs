@@ -6,16 +6,15 @@
 //! interleaving log shipped. This module composes checkpoints (§4.11)
 //! with fault injection into the recovery half of that story: run a
 //! workload with `checkpoint_every` under a [`FaultPlan`] that kills a
-//! worker mid-stream, restore the last checkpoint sealed before the
-//! crash, replay the input tail through the resume bodies, and compare
-//! the recovered replica's digest against an unfaulted replica's.
-//! Determinism does all the coordination: recovery needs no
+//! worker mid-stream, [`recover`] from the last checkpoint the crashed
+//! run sealed, replaying the input tail through the resume bodies, and
+//! compare the recovered replica's digest against an unfaulted
+//! replica's. Determinism does all the coordination: recovery needs no
 //! interleaving log and no agreement protocol, only the input (which
 //! is baked into the workload body) and the last consistent cut.
 
 use crate::RfdetBackend;
-use rfdet_api::{DmtBackend, FailureReport, FaultPlan, RunConfig, ThreadFn, Tid};
-use rfdet_trace::{persist, Checkpoint};
+use rfdet_api::{DmtBackend, FailureReport, FaultPlan, RunConfig, ThreadFn, Tid, TracedRun};
 use std::time::Instant;
 
 /// What one record/kill/restore/replay cycle produced.
@@ -57,32 +56,27 @@ impl FailoverReport {
     }
 }
 
-/// Strips the crash cause from a config, leaving the
-/// determinism-relevant knobs intact: recovery replays the tail of the
-/// *unfaulted* input, exactly like a standby replica that never saw
-/// the fault.
-fn clean_cfg(cfg: &RunConfig) -> RunConfig {
-    let mut c = cfg.clone();
-    c.fault_plan = FaultPlan::new();
-    c.persist_checkpoints = false;
-    c.checkpoint_dir = None;
-    c
-}
-
-/// Picks the recovery point: the newest on-disk checkpoint when the
-/// faulted run persisted one, else the newest in-memory checkpoint the
-/// crashed [`rfdet_api::TracedRun`] carried out.
-fn last_checkpoint(cfg: &RunConfig, chain: &[Checkpoint]) -> Option<Checkpoint> {
-    if cfg.persist_checkpoints {
-        if let (Some(dir), Some(first)) = (cfg.checkpoint_dir.as_ref(), chain.first()) {
-            if let Some((_, path)) = persist::latest_checkpoint(dir, first.run_key()) {
-                if let Ok(ckpt) = persist::load_checkpoint(&path) {
-                    return Some(ckpt);
-                }
-            }
-        }
+/// The one recovery step: finishes `failed`'s run the way a standby
+/// replica that never saw the fault would — resumed from the crashed
+/// run's own newest sealed checkpoint, or from scratch (`root`) when it
+/// sealed none. It runs under `cfg` without the fault plan (the crash
+/// cause) and without the checkpoint directory (a recovery does not
+/// re-write the recording's chain). Returns the recovered run and the
+/// epoch it restored from.
+pub fn recover(
+    backend: &RfdetBackend,
+    cfg: &RunConfig,
+    failed: &TracedRun,
+    root: &dyn Fn() -> ThreadFn,
+    bodies: &dyn Fn(Tid) -> ThreadFn,
+) -> (TracedRun, Option<u64>) {
+    let mut clean = cfg.clone();
+    clean.fault_plan = FaultPlan::new();
+    clean.checkpoint_dir = None;
+    match failed.checkpoints.last() {
+        Some(ckpt) => (backend.run_resumed(&clean, ckpt, bodies), Some(ckpt.epoch)),
+        None => (backend.run_traced(&clean, root()), None),
     }
-    chain.last().cloned()
 }
 
 /// Runs the full failover cycle on the core backend.
@@ -91,7 +85,9 @@ fn last_checkpoint(cfg: &RunConfig, chain: &[Checkpoint]) -> Option<Checkpoint> 
 /// fresh root body (called once per full run); `bodies` supplies the
 /// per-tid resume bodies for the restored threads. The reference
 /// replica runs first under `cfg` minus the fault plan; its wall time
-/// is the baseline the recovery leg is measured against.
+/// is the baseline the recovery leg ([`recover`]) is measured against.
+/// Both replicas persist their chains into `cfg.checkpoint_dir` when it
+/// is set; recovery reads only the crashed replica's own chain.
 ///
 /// # Panics
 /// Panics when the *unfaulted* reference run fails — the driver
@@ -103,65 +99,53 @@ pub fn run_failover(
     root: &dyn Fn() -> ThreadFn,
     bodies: &dyn Fn(Tid) -> ThreadFn,
 ) -> FailoverReport {
-    let clean = clean_cfg(cfg);
+    let mut unfaulted = cfg.clone();
+    unfaulted.fault_plan = FaultPlan::new();
     let t0 = Instant::now();
-    let reference = backend.run_traced(&clean, root());
+    let reference = backend.run_traced(&unfaulted, root());
     let full_run_ms = t0.elapsed().as_secs_f64() * 1e3;
     let reference_out = reference
         .result
         .expect("unfaulted reference replica must complete");
 
     let faulted = backend.run_traced(cfg, root());
-    match faulted.result {
+    let crash = match &faulted.result {
+        Err(e) => e.report().clone(),
         Ok(out) => {
             // The plan never fired (coordinate past the end of the
             // run): the "recovery" is the run itself.
-            let digest = out.output_digest();
-            FailoverReport {
+            return FailoverReport {
                 reference_digest: reference_out.output_digest(),
                 crash: None,
                 recovered_from_epoch: None,
-                recovered_digest: digest,
+                recovered_digest: out.output_digest(),
                 converged: out.output == reference_out.output,
                 full_run_ms,
                 recovery_ms: full_run_ms,
-            }
-        }
-        Err(e) => {
-            let crash = Some(e.report().clone());
-            let ckpt = last_checkpoint(cfg, &faulted.checkpoints);
-            let t1 = Instant::now();
-            let (recovered, recovered_from_epoch) = match &ckpt {
-                Some(c) => (backend.run_resumed(&clean, c, bodies), Some(c.epoch)),
-                // Crash before the first cut: a standby replica would
-                // simply replay the whole input.
-                None => (backend.run_traced(&clean, root()), None),
             };
-            let recovery_ms = t1.elapsed().as_secs_f64() * 1e3;
-            let out = recovered
-                .result
-                .expect("fault-free recovery replay must complete");
-            // Convergence is byte equality of the final output *and*
-            // of every checkpoint sealed after the restore point — the
-            // recovered replica rejoins the reference chain exactly.
-            let resumed_from = recovered_from_epoch.unwrap_or(0);
-            let tail_ok = recovered.checkpoints.iter().all(|c| {
-                reference
-                    .checkpoints
-                    .iter()
-                    .find(|r| r.epoch == c.epoch)
-                    .is_some_and(|r| r.digest() == c.digest())
-                    && c.epoch > resumed_from
-            });
-            FailoverReport {
-                reference_digest: reference_out.output_digest(),
-                crash,
-                recovered_from_epoch,
-                recovered_digest: out.output_digest(),
-                converged: out.output == reference_out.output && tail_ok,
-                full_run_ms,
-                recovery_ms,
-            }
         }
+    };
+    let t1 = Instant::now();
+    let (recovered, recovered_from_epoch) = recover(backend, cfg, &faulted, root, bodies);
+    let recovery_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let out = recovered
+        .result
+        .expect("fault-free recovery replay must complete");
+    // Convergence is byte equality of the final output *and* of every
+    // checkpoint sealed after the restore point — the recovered replica
+    // rejoins the reference chain exactly.
+    let resumed_from = recovered_from_epoch.unwrap_or(0);
+    let tail_ok = recovered.checkpoints.iter().all(|c| {
+        let reference = reference.checkpoints.iter().find(|r| r.epoch == c.epoch);
+        reference.is_some_and(|r| r.digest() == c.digest()) && c.epoch > resumed_from
+    });
+    FailoverReport {
+        reference_digest: reference_out.output_digest(),
+        crash: Some(crash),
+        recovered_from_epoch,
+        recovered_digest: out.output_digest(),
+        converged: out.output == reference_out.output && tail_ok,
+        full_run_ms,
+        recovery_ms,
     }
 }

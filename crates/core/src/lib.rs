@@ -66,4 +66,5 @@ mod sync;
 
 pub use backend::RfdetBackend;
 pub use ctx::RfdetCtx;
-pub use failover::{run_failover, FailoverReport};
+pub use failover::{recover, run_failover, FailoverReport};
+pub use resume::{replay_chain, ChainDivergence, ChainReplay};

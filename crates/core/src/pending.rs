@@ -25,8 +25,7 @@ pub(crate) struct PendingTable {
     /// their capacity across fault/deposit cycles.
     slots: Vec<Vec<RunRange>>,
     /// Number of pages with a non-empty queue. The access-path gate:
-    /// when zero, reads and writes skip the per-page protection checks
-    /// entirely.
+    /// when zero, reads and writes skip the per-page check entirely.
     len: usize,
 }
 
@@ -43,10 +42,17 @@ impl PendingTable {
         self.len
     }
 
+    /// True iff `page` has pending modifications — the page is
+    /// `NO_ACCESS` (§4.5): its protection is its non-empty queue.
+    #[inline]
+    pub(crate) fn contains(&self, page: usize) -> bool {
+        self.slots.get(page).is_some_and(|q| !q.is_empty())
+    }
+
     /// Appends a deposit to `page`'s queue. Returns `true` when this is
-    /// the first pending deposit on the page — the caller's cue to set
-    /// `NO_ACCESS` (the invariant: a queue is non-empty iff the page is
-    /// protected).
+    /// the first pending deposit on the page — the deposit that makes it
+    /// `NO_ACCESS` (a page is protected exactly while its queue is
+    /// non-empty; see [`Self::contains`]).
     #[inline]
     pub(crate) fn push(&mut self, page: usize, group: RunRange) -> bool {
         if page >= self.slots.len() {
@@ -121,6 +127,8 @@ mod tests {
         assert!(!t.push(3, group()), "second deposit on the same page");
         assert!(t.push(0, group()));
         assert_eq!(t.len(), 2);
+        assert!(t.contains(3) && t.contains(0) && !t.contains(1));
+        assert!(!t.contains(1 << 20), "beyond any slot ever grown");
         assert_eq!(t.pages().collect::<Vec<_>>(), vec![0, 3]);
     }
 

@@ -3,7 +3,7 @@
 use crate::ctx::RfdetCtx;
 use rfdet_api::obs::Phase;
 use rfdet_api::Tid;
-use rfdet_mem::{page_groups, PageFlags, RunRange, Runs};
+use rfdet_mem::{page_groups, RunRange, Runs};
 use rfdet_meta::{BarrierHandoff, Mailbox, SliceRef};
 use rfdet_vclock::VClock;
 use std::collections::HashSet;
@@ -108,13 +108,11 @@ impl RfdetCtx {
                 let group = RunRange::new(&s.mods, group.start, group.end);
                 self.h.stats.lazy_deferred_bytes += group.byte_len() as u64;
                 // The first deposit on a page protects it; repeats add
-                // nothing (invariant: a page is `NO_ACCESS` iff it has a
-                // pending queue), so run lists that interleave pages, and
-                // repeat deposits onto a still-pending page, issue no
-                // extra protect calls.
+                // nothing (a page is `NO_ACCESS` iff it has a pending
+                // queue), so run lists that interleave pages, and repeat
+                // deposits onto a still-pending page, count no extra
+                // protect calls.
                 if self.pending.push(page, group) {
-                    debug_assert!(!self.flags.is_protected(page, PageFlags::NO_ACCESS));
-                    self.flags.protect(page, PageFlags::NO_ACCESS);
                     self.h.stats.lazy_protect_calls += 1;
                 }
             }
@@ -139,10 +137,7 @@ impl RfdetCtx {
         }
         if self.shared.run.cfg.rfdet.lazy_writes && !self.pending.is_empty() {
             for group in page_groups(&s.mods, self.space.page_size()) {
-                let page = self.space.page_of(s.mods.run(group.start).0);
-                if self.flags.is_protected(page, PageFlags::NO_ACCESS) {
-                    self.drain_pending(page);
-                }
+                self.drain_pending(self.space.page_of(s.mods.run(group.start).0));
             }
         }
         self.h.stats.mod_bytes_applied += self.space.apply(&s.mods);

@@ -14,19 +14,27 @@
 //! per tid (see `rfdet-workloads`' resumable workloads), which must
 //! continue from deterministic memory — typically a round index each
 //! thread keeps in its own private space, restored with the pages.
+//!
+//! [`replay_chain`] is the one verified sharded replay of a recorded
+//! chain: the only code that schedules shards and the only code that
+//! compares replayed checkpoints with a chain.
 
-use crate::backend::teardown;
+use crate::backend::Start;
 use crate::checkpoint::{ckpt_to_heap, class_to_key};
 use crate::ctx::RfdetCtx;
 use crate::shared::RuntimeShared;
 use crate::RfdetBackend;
-use rfdet_api::{DmtBackend, RunConfig, ThreadFn, Tid, TracedRun};
+use parking_lot::Mutex;
+use rfdet_api::{DmtBackend, RunConfig, RunError, ThreadFn, Tid, TracedRun};
 use rfdet_kendo::KendoHandle;
 use rfdet_mem::PrivateSpace;
 use rfdet_meta::ThreadMeta;
 use rfdet_trace::{Checkpoint, CkptThread};
 use rfdet_vclock::VClock;
+use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Everything a live thread needs to rebuild its context, prepared in
 /// registration order on the coordinating thread before any worker runs.
@@ -57,15 +65,14 @@ fn build_ctx(shared: Arc<RuntimeShared>, seed: LiveSeed) -> RfdetCtx {
 impl RfdetBackend {
     /// Resumes a checkpointed run: rebuilds the runtime at `ckpt`'s cut
     /// and executes each live thread's resume body (`body_for(tid)`)
-    /// under the normal protocol until completion (or the next
-    /// `stop_at_checkpoint`). Determinism gives byte-identical
-    /// continuation: output, digests and later checkpoints match the
-    /// uninterrupted run's exactly.
+    /// under the normal protocol until completion. Determinism gives
+    /// byte-identical continuation: output, digests and later
+    /// checkpoints match the uninterrupted run's exactly.
     ///
     /// `cfg` must reconstruct the recorded run's determinism-relevant
     /// configuration (use [`RunConfig::from_trace`] or the checkpoint's
     /// own config); the checkpoint knobs on top of it are the caller's
-    /// policy (e.g. `stop_at_checkpoint` for shard replay).
+    /// policy.
     ///
     /// # Panics
     /// Panics when the checkpoint does not belong to this backend/config
@@ -77,89 +84,265 @@ impl RfdetBackend {
         ckpt: &Checkpoint,
         body_for: &dyn Fn(Tid) -> ThreadFn,
     ) -> TracedRun {
-        let shared = match self.runtime(cfg) {
-            Ok(shared) => shared,
-            Err(e) => return TracedRun::rejected(&self.name(), &e),
+        self.run_from(cfg, Start::Resume(ckpt, body_for), None)
+    }
+}
+
+/// Rebuilds `shared` at `ckpt`'s cut, starts every live worker on its
+/// resume body and runs main's on the calling thread (the resume half of
+/// [`RfdetBackend::run_from`]).
+pub(crate) fn restore(
+    shared: RuntimeShared,
+    ckpt: &Checkpoint,
+    body_for: &dyn Fn(Tid) -> ThreadFn,
+) -> (Arc<RuntimeShared>, RfdetCtx) {
+    assert_eq!(
+        ckpt.backend, shared.backend_name,
+        "checkpoint was recorded by backend {:?}, resuming under {:?}",
+        ckpt.backend, shared.backend_name
+    );
+    assert_eq!(
+        ckpt.config,
+        shared.run.cfg.trace_config(),
+        "checkpoint config does not match the resume config"
+    );
+    // Continue the original epoch numbering, so the resumed run's
+    // next checkpoints land at the same epochs with the same ids.
+    shared.ckpt.seed_episodes(ckpt.epoch);
+
+    // Dense re-registration in tid order, all on this thread: tids
+    // and kendo slots must line up exactly as the original run
+    // created them.
+    let mut live: Vec<LiveSeed> = Vec::new();
+    for t in &ckpt.threads {
+        let meta = shared.meta.register_thread();
+        assert_eq!(meta.tid, t.tid, "checkpoint tids must be dense, ascending");
+        let kendo = shared.kendo.register(t.clock);
+        *meta.output.lock() = t.output.clone();
+        if t.alive {
+            let vc = VClock::from_components(t.vc.clone());
+            // Publish the clock before any thread runs: a peer may
+            // premerge against this thread immediately, and a zero
+            // clock would misfilter its slices.
+            meta.set_published_vc(&vc);
+            live.push(LiveSeed {
+                kendo,
+                meta,
+                vc,
+                frag: t.clone(),
+            });
+        } else {
+            shared.kendo.finish_forced(t.tid);
+            shared.meta.mark_dead(t.tid);
+        }
+    }
+    // The sync-var table: every recorded (lastTid, lastTime). The
+    // propagation these entries would normally trigger is already in
+    // every survivor's memory (eligibility), but the times must be
+    // exact so post-resume acquires filter identically.
+    for v in &ckpt.sync_vars {
+        shared
+            .meta
+            .sync_var(class_to_key(v.class, v.id))
+            .lock()
+            .record_release(v.last_tid, VClock::from_components(v.last_time.clone()));
+    }
+    shared.queues.joins.lock().finished = ckpt.finished.iter().copied().collect();
+    // Registration seeded the clocks; hand the arbitration baton to
+    // the deterministic front-runner.
+    shared.kendo.reseed_baton();
+
+    let shared = Arc::new(shared);
+    let mut main_seed = None;
+    for seed in live {
+        let tid = seed.frag.tid;
+        if tid == 0 {
+            main_seed = Some(seed);
+            continue;
+        }
+        let body = body_for(tid);
+        let worker_shared = Arc::clone(&shared);
+        let handle = std::thread::Builder::new()
+            .name(format!("rfdet-{tid}"))
+            .spawn(move || build_ctx(worker_shared, seed).run_body(body))
+            .expect("failed to spawn OS thread");
+        shared.run.adopt(tid, handle);
+    }
+    // Main (tid 0) runs on the calling thread, like a fresh run — but
+    // rebuilt from its fragment instead of `new_main`.
+    let main_seed = main_seed.expect(
+        "checkpoint has no live main thread (full membership requires main at the barrier)",
+    );
+    let mut main = build_ctx(Arc::clone(&shared), main_seed);
+    main.run_body(body_for(0));
+    (shared, main)
+}
+
+/// What a verified [`replay_chain`] measured.
+#[derive(Clone, Copy, Debug)]
+pub struct ChainReplay {
+    /// Wall time of the serial replay, start to finish.
+    pub serial: Duration,
+    /// Wall time of the sharded replay, all shards.
+    pub sharded: Duration,
+}
+
+/// Why [`replay_chain`] refused or failed a chain. `shard: None` is the
+/// serial replay; shard `chain.len()` is the tail shard.
+#[derive(Debug)]
+pub enum ChainDivergence {
+    /// The epochs (listed) are not one cadence `c, 2c, 3c, …` — a file
+    /// of the chain is missing — so the shard stops cannot be scheduled.
+    NotUniform(Vec<u64>),
+    /// A replay run ended in a failure.
+    Failed {
+        /// The failed run.
+        shard: Option<usize>,
+        /// Its failure.
+        error: RunError,
+    },
+    /// A run did not reproduce the chain's checkpoint at `epoch` — or,
+    /// for the tail shard (`epoch: None`), the serial replay's output.
+    Diverged {
+        /// The diverged run.
+        shard: Option<usize>,
+        /// The checkpoint it missed or changed.
+        epoch: Option<u64>,
+    },
+}
+
+impl fmt::Display for ChainDivergence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let run =
+            |shard: Option<usize>| shard.map_or("serial replay".into(), |k| format!("shard {k}"));
+        match *self {
+            Self::NotUniform(ref epochs) => write!(
+                f,
+                "checkpoint chain is not a uniform cadence (epochs {epochs:?}); cannot shard"
+            ),
+            Self::Failed { shard, .. } => {
+                write!(f, "{} failed; chain is not replayable", run(shard))
+            }
+            Self::Diverged { shard, epoch } => match epoch {
+                Some(e) => write!(f, "{} diverged at epoch {e}", run(shard)),
+                None => write!(f, "tail shard output diverged from serial replay"),
+            },
+        }
+    }
+}
+
+/// Verified sharded replay of a recorded checkpoint `chain` (DESIGN.md
+/// §4.11): refuses a chain whose epochs are not one cadence; runs the
+/// serial replay from `root` and compares every checkpoint it seals with
+/// the chain; runs the `chain.len() + 1` shards on up to `jobs` threads
+/// and compares each stopping shard's terminal checkpoint with the
+/// chain, and the tail shard's output with the serial replay's. `cfg`
+/// is the recording's configuration; the cadence comes from the chain,
+/// and nothing is persisted.
+///
+/// # Errors
+/// The first [`ChainDivergence`], in that order.
+pub fn replay_chain(
+    backend: &RfdetBackend,
+    cfg: &RunConfig,
+    chain: &[Checkpoint],
+    root: &(dyn Fn() -> ThreadFn + Sync),
+    bodies: &(dyn Fn(Tid) -> ThreadFn + Sync),
+    jobs: usize,
+) -> Result<ChainReplay, ChainDivergence> {
+    let epochs: Vec<u64> = chain.iter().map(|c| c.epoch).collect();
+    let every = epochs.first().copied().unwrap_or(0);
+    if every == 0 || epochs.iter().zip(1..).any(|(&e, k)| e != every * k) {
+        return Err(ChainDivergence::NotUniform(epochs));
+    }
+    let mut cfg = cfg.clone();
+    cfg.checkpoint_every = every;
+    cfg.checkpoint_dir = None;
+    let failed = |shard| move |error| ChainDivergence::Failed { shard, error };
+    let diverged = |shard, epoch| Err(ChainDivergence::Diverged { shard, epoch });
+
+    let t0 = Instant::now();
+    let serial_run = backend.run_traced(&cfg, root());
+    let serial = t0.elapsed();
+    let serial_out = serial_run.result.map_err(failed(None))?;
+    for (k, cut) in chain.iter().enumerate() {
+        if serial_run.checkpoints.get(k).map(Checkpoint::digest) != Some(cut.digest()) {
+            return diverged(None, Some(cut.epoch));
+        }
+    }
+
+    let t1 = Instant::now();
+    let shards = run_shards(backend, &cfg, chain, root, bodies, jobs);
+    let sharded = t1.elapsed();
+    for (k, run) in shards.into_iter().enumerate() {
+        let out = run.result.map_err(failed(Some(k)))?;
+        let cut = chain.get(k);
+        let reproduced = match cut {
+            Some(cut) => run.checkpoints.last().map(Checkpoint::digest) == Some(cut.digest()),
+            None => out.output == serial_out.output,
         };
-        assert_eq!(
-            ckpt.backend, shared.backend_name,
-            "checkpoint was recorded by backend {:?}, resuming under {:?}",
-            ckpt.backend, shared.backend_name
-        );
-        assert_eq!(
-            ckpt.config,
-            shared.run.cfg.trace_config(),
-            "checkpoint config does not match the resume config"
-        );
-        // Continue the original epoch numbering, so the resumed run's
-        // next checkpoints land at the same epochs with the same ids.
-        shared.ckpt.seed_episodes(ckpt.epoch);
+        if !reproduced {
+            return diverged(Some(k), cut.map(|c| c.epoch));
+        }
+    }
+    Ok(ChainReplay { serial, sharded })
+}
 
-        // Dense re-registration in tid order, all on this thread: tids
-        // and kendo slots must line up exactly as the original run
-        // created them.
-        let mut live: Vec<LiveSeed> = Vec::new();
-        for t in &ckpt.threads {
-            let meta = shared.meta.register_thread();
-            assert_eq!(meta.tid, t.tid, "checkpoint tids must be dense, ascending");
-            let kendo = shared.kendo.register(t.clock);
-            *meta.output.lock() = t.output.clone();
-            if t.alive {
-                let vc = VClock::from_components(t.vc.clone());
-                // Publish the clock before any thread runs: a peer may
-                // premerge against this thread immediately, and a zero
-                // clock would misfilter its slices.
-                meta.set_published_vc(&vc);
-                live.push(LiveSeed {
-                    kendo,
-                    meta,
-                    vc,
-                    frag: t.clone(),
-                });
-            } else {
-                shared.kendo.finish_forced(t.tid);
-                shared.meta.mark_dead(t.tid);
-            }
+/// Runs the shards of `chain` on up to `jobs` threads: shard 0 runs
+/// `root` from the start to the first checkpoint, shard `k` resumes
+/// checkpoint `k - 1` and stops at checkpoint `k`, and the tail shard
+/// runs to completion. Returns their runs in shard order.
+fn run_shards(
+    backend: &RfdetBackend,
+    cfg: &RunConfig,
+    chain: &[Checkpoint],
+    root: &(dyn Fn() -> ThreadFn + Sync),
+    bodies: &(dyn Fn(Tid) -> ThreadFn + Sync),
+    jobs: usize,
+) -> Vec<TracedRun> {
+    let n_shards = chain.len() + 1;
+    let next = AtomicUsize::new(0);
+    let results: Vec<Mutex<Option<TracedRun>>> = (0..n_shards).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..jobs.clamp(1, n_shards) {
+            s.spawn(|| loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                if k >= n_shards {
+                    break;
+                }
+                let start = match k.checked_sub(1) {
+                    None => Start::Fresh(root()),
+                    Some(from) => Start::Resume(&chain[from], bodies),
+                };
+                let run = backend.run_from(cfg, start, chain.get(k).map(|c| c.epoch));
+                *results[k].lock() = Some(run);
+            });
         }
-        // The sync-var table: every recorded (lastTid, lastTime). The
-        // propagation these entries would normally trigger is already in
-        // every survivor's memory (eligibility), but the times must be
-        // exact so post-resume acquires filter identically.
-        for v in &ckpt.sync_vars {
-            shared
-                .meta
-                .sync_var(class_to_key(v.class, v.id))
-                .lock()
-                .record_release(v.last_tid, VClock::from_components(v.last_time.clone()));
-        }
-        shared.queues.joins.lock().finished = ckpt.finished.iter().copied().collect();
-        // Registration seeded the clocks; hand the arbitration baton to
-        // the deterministic front-runner.
-        shared.kendo.reseed_baton();
+    });
+    let runs = results.into_iter().map(Mutex::into_inner);
+    runs.map(|run| run.expect("every shard index was claimed"))
+        .collect()
+}
 
-        let shared = Arc::new(shared);
-        let mut main_seed = None;
-        for seed in live {
-            let tid = seed.frag.tid;
-            if tid == 0 {
-                main_seed = Some(seed);
-                continue;
-            }
-            let body = body_for(tid);
-            let worker_shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("rfdet-{tid}"))
-                .spawn(move || build_ctx(worker_shared, seed).run_body(body))
-                .expect("failed to spawn OS thread");
-            shared.run.adopt(tid, handle);
-        }
-        // Main (tid 0) runs on the calling thread, like a fresh run —
-        // but rebuilt from its fragment instead of `new_main`.
-        let main_seed = main_seed.expect(
-            "checkpoint has no live main thread (full membership requires main at the barrier)",
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rfdet_workloads::{chaos, Params, Size};
+
+    #[test]
+    fn a_shard_stop_is_a_clean_partial_stop() {
+        let mut cfg = RunConfig::small();
+        cfg.rfdet.fault_cost_spins = 0;
+        cfg.checkpoint_every = 4;
+        cfg.trace = Some("chaos.long_haul@3".to_owned());
+        let root = chaos::long_haul(Params::new(3, Size::Test));
+        let run = RfdetBackend::ci().run_from(&cfg, Start::Fresh(root), Some(4));
+        let out = run.result.expect("a shard stop is not a failure");
+        assert!(
+            out.output.is_empty(),
+            "long_haul emits only after its final round"
         );
-        let mut main = build_ctx(Arc::clone(&shared), main_seed);
-        main.run_body(body_for(0));
-        teardown(&self.name(), &shared, main)
+        let epochs: Vec<u64> = run.checkpoints.iter().map(|c| c.epoch).collect();
+        assert_eq!(epochs, [4]);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::ctx::RfdetCtx;
 use rfdet_api::obs::Phase;
-use rfdet_mem::{PageFlags, RunList};
+use rfdet_mem::RunList;
 use rfdet_meta::SliceRec;
 
 impl RfdetCtx {
@@ -78,10 +78,10 @@ impl RfdetCtx {
         }
     }
 
-    /// Starts a new slice at the current vector clock. In `pf` mode this
-    /// re-protects the whole space so first writes fault (§4.2: "protect
-    /// shared memory with no write permission at the beginning of each
-    /// slice").
+    /// Starts a new slice at the current vector clock. In `pf` mode the
+    /// whole space is write-protected now (§4.2: "protect shared memory
+    /// with no write permission at the beginning of each slice") because
+    /// the seal left no page snapshotted (see `RfdetCtx::record_store`).
     pub(crate) fn begin_slice(&mut self) {
         // Consume (not re-store) the boundary: the new slice starts at
         // the previous phase's end read, and whatever runs next is user
@@ -93,9 +93,6 @@ impl RfdetCtx {
             self.snaps.dirty_pages() == 0 && self.sealed.is_none(),
             "begin_slice with the previous slice unpublished"
         );
-        if self.pf {
-            self.flags.protect_all(PageFlags::WRITE_PROTECT);
-        }
     }
 }
 

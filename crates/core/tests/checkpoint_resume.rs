@@ -9,7 +9,7 @@
 //! sequence.
 
 use rfdet_api::{DmtBackend, FaultPlan, RunConfig, TracedRun};
-use rfdet_core::RfdetBackend;
+use rfdet_core::{replay_chain, ChainDivergence, RfdetBackend};
 use rfdet_trace::{persist, Checkpoint};
 use rfdet_workloads::{chaos, Params, Size};
 
@@ -27,7 +27,6 @@ fn base_cfg() -> RunConfig {
     cfg.rfdet.fault_cost_spins = 0;
     cfg.deadlock_after_ms = Some(10_000);
     cfg.checkpoint_every = EVERY;
-    cfg.persist_checkpoints = false;
     cfg.trace = Some(format!("chaos.long_haul@{WORKERS}"));
     cfg
 }
@@ -69,7 +68,6 @@ fn crash_resume_recovers_to_the_identical_digest() {
     let dir = std::env::temp_dir().join(format!("rfdet-ckpt-resume-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create checkpoint dir");
     let mut faulted_cfg = base_cfg();
-    faulted_cfg.persist_checkpoints = true;
     faulted_cfg.checkpoint_dir = Some(dir.clone());
     faulted_cfg.fault_plan = FaultPlan::new().panic_at(2, 30);
     let crashed = RfdetBackend::ci().run_traced(&faulted_cfg, chaos::long_haul(params()));
@@ -92,9 +90,9 @@ fn crash_resume_recovers_to_the_identical_digest() {
         vec![4, 8],
         "epoch 12 was never reached"
     );
-    let (epoch, path) = persist::latest_checkpoint(&dir, run_key).expect("latest checkpoint");
-    assert_eq!(epoch, 8);
-    let ckpt = persist::load_checkpoint(&path).expect("decode persisted checkpoint");
+    let (_, path) = chain.last().expect("latest checkpoint");
+    let ckpt = persist::load_checkpoint(path).expect("decode persisted checkpoint");
+    assert_eq!(ckpt.epoch, 8);
 
     // Resume under the recorded config minus the fault plan (the crash
     // cause): the continuation must converge on the clean run exactly.
@@ -124,7 +122,6 @@ fn unwritable_checkpoint_dir_degrades_to_warnings_not_failure() {
     let file = std::env::temp_dir().join(format!("rfdet-ckpt-notdir-{}", std::process::id()));
     std::fs::write(&file, b"not a directory").expect("create blocker file");
     let mut cfg = base_cfg();
-    cfg.persist_checkpoints = true;
     cfg.checkpoint_dir = Some(file.join("ckpts"));
     let run = RfdetBackend::ci().run_traced(&cfg, chaos::long_haul(params()));
     std::fs::remove_file(&file).ok();
@@ -146,55 +143,37 @@ fn unwritable_checkpoint_dir_degrades_to_warnings_not_failure() {
 }
 
 #[test]
-fn stop_at_checkpoint_is_a_clean_partial_stop() {
-    let mut cfg = base_cfg();
-    cfg.stop_at_checkpoint = Some(4);
-    let run = RfdetBackend::ci().run_traced(&cfg, chaos::long_haul(params()));
-    let out = run.result.expect("a shard stop is not a failure");
-    assert!(
-        out.output.is_empty(),
-        "long_haul emits only after its final round"
-    );
-    assert_eq!(run.checkpoints.len(), 1);
-    assert_eq!(run.checkpoints[0].epoch, 4);
-}
-
-#[test]
 fn sharded_replay_reproduces_the_serial_chain_and_output() {
     let baseline = run_full();
-    let base_out = baseline.result.as_ref().expect("clean baseline").clone();
+    baseline.result.expect("clean baseline");
     let chain = &baseline.checkpoints;
     assert_eq!(chain.len(), 3);
 
     // Shard 0 replays from the start up to the first checkpoint; each
-    // later shard resumes at checkpoint k and stops at k+1. Terminal
-    // checkpoint digests must match the recorded chain bit-for-bit —
-    // that is the whole verification story for parallel shard replay.
-    let mut shard0_cfg = base_cfg();
-    shard0_cfg.stop_at_checkpoint = Some(chain[0].epoch);
-    let shard0 = RfdetBackend::ci().run_traced(&shard0_cfg, chaos::long_haul(params()));
-    shard0.result.expect("shard 0 stops cleanly");
-    assert_eq!(shard0.checkpoints.len(), 1);
-    assert_eq!(shard0.checkpoints[0].digest(), chain[0].digest());
-
-    for k in 0..2 {
-        let mut cfg = base_cfg();
-        cfg.stop_at_checkpoint = Some(chain[k + 1].epoch);
-        let shard = resumed(&cfg, &chain[k]);
-        shard.result.expect("mid shard stops cleanly");
-        let last = shard.checkpoints.last().expect("terminal checkpoint");
-        assert_eq!(
-            last.digest(),
-            chain[k + 1].digest(),
-            "shard {} terminal checkpoint diverged",
-            k + 1
+    // later shard resumes at checkpoint k and stops at k+1; the tail
+    // shard runs to completion. Terminal checkpoint digests must match
+    // the recorded chain bit-for-bit and the tail's output the serial
+    // replay's — `replay_chain` checks both, and the serial chain too.
+    let root = || chaos::long_haul(params());
+    let bodies = chaos::long_haul_resume(params());
+    for jobs in [1, 4] {
+        let replay = replay_chain(
+            &RfdetBackend::ci(),
+            &base_cfg(),
+            chain,
+            &root,
+            &*bodies,
+            jobs,
         );
+        if let Err(e) = replay {
+            panic!("j={jobs}: {e}");
+        }
     }
 
-    // The tail shard runs to completion and must reproduce the full
-    // run's output exactly.
-    let tail = resumed(&base_cfg(), &chain[2]);
-    let out = tail.result.expect("tail shard completes");
-    assert_eq!(out.output, base_out.output);
-    assert_eq!(out.output_digest(), base_out.output_digest());
+    // A chain with a gap cannot schedule its shard stops.
+    let gappy = [chain[0].clone(), chain[2].clone()];
+    match replay_chain(&RfdetBackend::ci(), &base_cfg(), &gappy, &root, &*bodies, 2) {
+        Err(ChainDivergence::NotUniform(epochs)) => assert_eq!(epochs, [4, 12]),
+        other => panic!("a gappy chain must be refused, got {other:?}"),
+    }
 }

@@ -3,8 +3,9 @@
 //! the input tail, and require the recovered replica's digest to be
 //! byte-identical to an unfaulted replica's — at 2, 4 and 8 threads.
 
-use rfdet_api::{FailureKind, FaultPlan, RunConfig};
+use rfdet_api::{DmtBackend, FailureKind, FaultPlan, RunConfig};
 use rfdet_core::{run_failover, RfdetBackend};
+use rfdet_trace::persist;
 use rfdet_workloads::{service, Params, Size};
 
 /// Checkpoint cadence in barrier episodes. Test scale runs 7 episodes
@@ -40,7 +41,7 @@ fn report_for(workers: usize, plan: FaultPlan) -> rfdet_core::FailoverReport {
 }
 
 #[test]
-fn late_crash_recovers_from_the_last_checkpoint_and_converges() {
+fn late_crash_recovers_from_the_newest_checkpoint_and_converges() {
     for workers in [2usize, 4, 8] {
         let victim = 2u32;
         let plan = FaultPlan::new().panic_at(victim, late_crash_op(workers));
@@ -94,7 +95,6 @@ fn failover_recovers_through_persisted_checkpoints_too() {
         workers,
         FaultPlan::new().panic_at(2, late_crash_op(workers)),
     );
-    cfg.persist_checkpoints = true;
     cfg.checkpoint_dir = Some(dir.clone());
     let p = Params::new(workers, Size::Test);
     let bodies = service::ledger_resume(p);
@@ -107,5 +107,46 @@ fn failover_recovers_through_persisted_checkpoints_too() {
     std::fs::remove_dir_all(&dir).ok();
     assert!(r.crash.is_some());
     assert_eq!(r.recovered_from_epoch, Some(6));
-    assert!(r.converged, "on-disk recovery path converges");
+    assert!(r.converged, "persisting replicas converge too");
+}
+
+/// The restore point is the crashed replica's own newest checkpoint,
+/// even when the checkpoint directory already holds a longer chain of
+/// the same run (run keys leave the fault plan out). A crash in request
+/// round 3 sealed epoch 2 only; the clean chain on disk reaches epoch 6,
+/// past the crash.
+#[test]
+fn recovery_restores_the_crashed_runs_own_newest_cut_not_the_newest_file() {
+    let workers = 4usize;
+    let p = Params::new(workers, Size::Test);
+    let dir = std::env::temp_dir().join(format!("rfdet-failover-own-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut clean = cfg_for(workers, FaultPlan::new());
+    clean.checkpoint_dir = Some(dir.clone());
+    let recording = RfdetBackend::ci().run_traced(&clean, service::ledger(p));
+    recording.result.expect("clean recording");
+    let on_disk = persist::checkpoint_chain(&dir, recording.checkpoints[0].run_key());
+    assert_eq!(
+        on_disk.iter().map(|(e, _)| *e).collect::<Vec<_>>(),
+        [2, 4, 6]
+    );
+
+    let round_3 = service::OPS_INIT_ROUND + 2 * service::ops_per_request_round(workers) + 2;
+    let mut cfg = cfg_for(workers, FaultPlan::new().panic_at(2, round_3));
+    cfg.checkpoint_dir = Some(dir.clone());
+    let bodies = service::ledger_resume(p);
+    let r = run_failover(
+        &RfdetBackend::ci(),
+        &cfg,
+        &move || service::ledger(p),
+        &*bodies,
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(r.crash.is_some(), "op {round_3} must fire");
+    assert_eq!(
+        r.recovered_from_epoch,
+        Some(2),
+        "the crashed replica sealed epochs up to 2 before round 3"
+    );
+    assert!(r.converged, "recovery from its own cut converges");
 }

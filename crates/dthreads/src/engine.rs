@@ -100,16 +100,11 @@ impl Arrival {
     }
 }
 
-/// Result delivered back to an arrived thread.
-pub(crate) enum Outcome {
-    /// Operation completed; re-base on this image of the global store
-    /// (None for exit).
-    Done(Option<PrivateSpace>),
-}
-
 #[derive(Default)]
 struct Slot {
-    outcome: Option<Outcome>,
+    /// Set when this thread's operation completes: the image of the
+    /// global store to re-base on (`None` for exit).
+    done: Option<Option<PrivateSpace>>,
     /// Old value returned by this thread's `Atomic` op.
     value: Option<u64>,
     /// Child seed produced by this thread's `Spawn` op, to be turned into
@@ -259,7 +254,7 @@ impl Engine {
             &self.cv,
             &mut st,
             tid,
-            |st| st.slots[tid as usize].outcome.is_some(),
+            |st| st.slots[tid as usize].done.is_some(),
             |st| {
                 let message = format!(
                     "dthreads engine stalled: tid={tid} phase={} active={:?} arrived={:?}",
@@ -275,10 +270,11 @@ impl Engine {
         );
         self.run.check_stop();
         let slot = &mut st.slots[tid as usize];
-        let Some(Outcome::Done(img)) = slot.outcome.take() else {
-            unreachable!("the wait ends on an outcome");
-        };
-        (img, slot.seed.take(), slot.value.take())
+        (
+            slot.done.take().flatten(),
+            slot.seed.take(),
+            slot.value.take(),
+        )
     }
 
     /// Runs serial phases for as long as the fence condition holds, then
@@ -518,11 +514,11 @@ impl Engine {
         for tid in done {
             st.arrived.remove(&tid);
             let img = st.global.fork();
-            st.slots[tid as usize].outcome = Some(Outcome::Done(Some(img)));
+            st.slots[tid as usize].done = Some(Some(img));
         }
         for tid in exited {
             st.arrived.remove(&tid);
-            st.slots[tid as usize].outcome = Some(Outcome::Done(None));
+            st.slots[tid as usize].done = Some(None);
         }
         st.phase += 1;
         self.meta.stats.global_fences.fetch_add(1, Relaxed);

@@ -9,8 +9,6 @@
 //!   plus the current page into a modification list (§4.2, §4.6);
 //! * [`SliceSnapshots`] — the open slice's snapshots at dirty-line
 //!   granularity: copy and diff only the lines a slice stored to;
-//! * [`PageFlags`] — emulated page protection used by the `pf` monitoring
-//!   mode and the lazy-writes optimization (§4.2, §4.5);
 //! * [`StripAllocator`]/[`ThreadHeap`] — the deterministic shared allocator
 //!   replacing the paper's modified Hoard (§4.4): every thread allocates
 //!   from a statically assigned strip of the heap area, so allocation is
@@ -25,7 +23,6 @@ mod alloc;
 pub mod diff;
 mod overlay;
 mod page;
-mod prot;
 pub mod race;
 mod snap;
 mod space;
@@ -34,7 +31,6 @@ pub use alloc::{HeapState, StripAllocator, ThreadHeap, MAX_HEAP_THREADS};
 pub use diff::{page_groups, ModRun, RunBuilder, RunList, RunRange, Runs};
 pub use overlay::PageOverlay;
 pub use page::Page;
-pub use prot::PageFlags;
 pub use race::{RaceCollector, ReadRun, ReadTracker, SliceAccess, WORD_BYTES};
 pub use snap::{Recorded, SliceSnapshots};
 pub use space::PrivateSpace;

@@ -1,20 +1,18 @@
-//! Sample collection: per-thread rings draining into a shared sink.
+//! Sample collection: per-thread histograms merging into a shared sink.
 //!
 //! Mirrors the flight recorder's `TraceBuf`/`TraceSink` split: the hot
-//! path must cost one branch when metrics are off and one array store
-//! when on. Each thread records `(phase, value)` samples into a private
-//! fixed-size ring ([`ObsRecorder`]); a full ring folds into the
-//! thread's private histograms (still lock-free — the ring and the
-//! histograms are thread-local), and the histograms merge into the
-//! run-wide [`ObsSink`] on drop, which also covers panic unwinds.
+//! path must cost one branch when metrics are off and no shared state
+//! when on. Each thread records `(phase, value)` samples straight into
+//! its private histograms ([`ObsRecorder`]; a bucket search and an
+//! increment, lock-free because thread-local), and the histograms merge
+//! into the run-wide [`ObsSink`] on drop, which also covers panic
+//! unwinds.
 //! Single-threaded runtime sections (the lockstep serial phase, Kendo
 //! turn bodies) may push straight into the sink; its mutex is
 //! effectively uncontended there.
 
 use crate::{Histogram, MetricsSnapshot, Phase, NUM_PHASES};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-const RING_CAPACITY: usize = 1024;
 
 #[derive(Debug)]
 struct SinkInner {
@@ -76,11 +74,10 @@ impl ObsSink {
     }
 }
 
-/// A thread's private sample ring and histograms; merges into the sink
-/// on drop (normal exit and panic unwind alike).
+/// A thread's private histograms; merges into the sink on drop (normal
+/// exit and panic unwind alike).
 #[derive(Debug)]
 pub struct ObsRecorder {
-    ring: Vec<(Phase, u64)>,
     hists: Vec<Histogram>,
     sink: Arc<ObsSink>,
 }
@@ -90,33 +87,22 @@ impl ObsRecorder {
     #[must_use]
     pub fn new(sink: Arc<ObsSink>) -> Self {
         Self {
-            ring: Vec::with_capacity(RING_CAPACITY),
             hists: vec![Histogram::new(); NUM_PHASES],
             sink,
         }
     }
 
-    /// Records one sample (thread-local; folds the ring into the local
-    /// histograms when it fills — never touches shared state).
+    /// Records one sample into the thread's own histogram — never
+    /// touches shared state.
     #[inline]
     pub fn record(&mut self, phase: Phase, value: u64) {
-        self.ring.push((phase, value));
-        if self.ring.len() == RING_CAPACITY {
-            self.drain_ring();
-        }
+        self.hists[phase.idx()].record(value);
     }
 
-    fn drain_ring(&mut self) {
-        for (phase, value) in self.ring.drain(..) {
-            self.hists[phase.idx()].record(value);
-        }
-    }
-
-    /// Flushes ring and histograms into the sink early (drop does this
-    /// too). The local histograms reset, so flushing twice cannot
+    /// Flushes the histograms into the sink early (drop does this too).
+    /// The local histograms reset, so flushing twice cannot
     /// double-count.
     pub fn flush(&mut self) {
-        self.drain_ring();
         self.sink.merge(&self.hists);
         for h in &mut self.hists {
             *h = Histogram::new();
@@ -150,21 +136,6 @@ mod tests {
         assert_eq!(wait.count, 2);
         assert_eq!(wait.sum, 400);
         assert_eq!(snap.phase(Phase::SyncOp).unwrap().count, 1);
-    }
-
-    #[test]
-    fn full_ring_folds_locally_without_losing_samples() {
-        let sink = Arc::new(ObsSink::default());
-        let mut r = ObsRecorder::new(Arc::clone(&sink));
-        for i in 0..(RING_CAPACITY as u64 * 2 + 7) {
-            r.record(Phase::Diff, i % 97);
-        }
-        drop(r);
-        let snap = sink.snapshot("test");
-        assert_eq!(
-            snap.phase(Phase::Diff).unwrap().count,
-            RING_CAPACITY as u64 * 2 + 7
-        );
     }
 
     #[test]

@@ -79,8 +79,8 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<PathBuf
 
 /// The canonical file name of a checkpoint: the run key (the FNV of the
 /// run's schedule-determining inputs) plus the epoch, so the chain of
-/// one run sorts lexicographically and crash recovery can find the
-/// latest epoch by name alone.
+/// one run sorts lexicographically and [`checkpoint_chain`] finds it by
+/// name alone.
 #[must_use]
 pub fn ckpt_file_name(ckpt: &Checkpoint) -> String {
     format!("{:016x}.e{:06}.ckpt", ckpt.run_key(), ckpt.epoch)
@@ -129,13 +129,6 @@ pub fn checkpoint_chain(dir: &Path, run_key: u64) -> Vec<(u64, PathBuf)> {
     }
     out.sort();
     out
-}
-
-/// The latest on-disk checkpoint of a run — crash recovery's resume
-/// point. `None` when the run has no checkpoints in `dir`.
-#[must_use]
-pub fn latest_checkpoint(dir: &Path, run_key: u64) -> Option<(u64, PathBuf)> {
-    checkpoint_chain(dir, run_key).into_iter().next_back()
 }
 
 /// Why a trace file failed to load.
@@ -288,7 +281,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_chain_sorts_and_finds_latest() {
+    fn checkpoint_chain_sorts_by_epoch() {
         let dir = tmpdir("ckpt-chain");
         for epoch in [3, 1, 2] {
             save_checkpoint_in(&dir, &sample_ckpt(epoch)).unwrap();
@@ -301,9 +294,7 @@ mod tests {
         let key = sample_ckpt(1).run_key();
         let chain = checkpoint_chain(&dir, key);
         assert_eq!(chain.iter().map(|(e, _)| *e).collect::<Vec<_>>(), [1, 2, 3]);
-        let (latest, path) = latest_checkpoint(&dir, key).unwrap();
-        assert_eq!(latest, 3);
-        assert_eq!(load_checkpoint(&path).unwrap().epoch, 3);
+        assert_eq!(load_checkpoint(&chain[2].1).unwrap().epoch, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -209,7 +209,6 @@ fn checkpoint_support_is_pinned_to_the_core_backend() {
         let plain = b.run_expect(&cfg(false), (w.factory)(Params::new(3, Size::Test)));
         let mut ck = cfg(false);
         ck.checkpoint_every = 4;
-        ck.persist_checkpoints = false;
         let run = b.run_traced(&ck, (w.factory)(Params::new(3, Size::Test)));
         let out = run.result.expect("checkpoint knobs must never fail a run");
         assert_eq!(

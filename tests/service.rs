@@ -6,6 +6,7 @@
 //! checkpoint behind must recover to a clean, conserving completion.
 
 use proptest::prelude::*;
+use rfdet::core::recover;
 use rfdet::workloads::{service, Params, Size};
 use rfdet::{DmtBackend, FaultPlan, RfdetBackend, RunConfig, RunError, ThreadFn};
 use std::sync::mpsc;
@@ -95,17 +96,17 @@ proptest! {
         if run.result.is_ok() {
             return; // plan landed out of range or was pure jitter
         }
-        let Some(ckpt) = run.checkpoints.last() else {
+        if run.checkpoints.is_empty() {
             return; // crash preceded the first cut; covered by the failover tests
-        };
-        let mut clean = cfg.clone();
-        clean.fault_plan = FaultPlan::new();
+        }
         let bodies = service::ledger_resume(params());
-        let recovered = backend.run_resumed(&clean, ckpt, &|tid| bodies(tid));
+        let root = || service::ledger(params());
+        let (recovered, epoch) = recover(&backend, &cfg, &run, &root, &*bodies);
+        prop_assert_eq!(epoch, run.checkpoints.last().map(|c| c.epoch));
         let out = recovered.result.expect("fault-free resume must complete");
         let text = String::from_utf8(out.output.clone()).expect("utf8 report");
         prop_assert!(text.contains("conserve=ok"), "recovered ledger conserves: {}", text);
-        let again = backend.run_resumed(&clean, ckpt, &|tid| bodies(tid));
+        let (again, _) = recover(&backend, &cfg, &run, &root, &*bodies);
         prop_assert_eq!(
             again.result.expect("resume is repeatable").output,
             out.output,
