@@ -179,16 +179,6 @@ stats! {
     /// Serial-phase commits (token-ordered diff publications).
     sum serial_commits,
 
-    // ---- runtime-internal contention (RFDet sharded hot path) ----
-    /// Sync-var handles served from the per-thread cache (no shard lock).
-    sum sync_var_cache_hits,
-    /// Sync-var handles that had to consult the sharded table.
-    sum sync_var_cache_misses,
-    /// Sync-var shard locks that were held by another thread on arrival.
-    sum shard_lock_contended,
-    /// Sync-queue class locks that were held by another thread on arrival.
-    sum queue_lock_contended,
-
     // ---- checkpoint/restore (§4.11) ----
     /// Checkpoint fragments this run contributed (one per live thread
     /// per captured epoch; `captured epochs = this / live threads`).

@@ -134,16 +134,18 @@ fn key_to_class(key: SyncKey) -> (u8, u64) {
     }
 }
 
-/// Inverse of [`key_to_class`], used by restore.
+/// Inverse of [`key_to_class`], used by restore. Total: a checkpoint
+/// reaches restore either from [`decide`] or through `Checkpoint::decode`,
+/// which admits only the five classes, each with an id its key holds.
 pub(crate) fn class_to_key(class: u8, id: u64) -> SyncKey {
     #[allow(clippy::cast_possible_truncation)]
+    let small = id as u32;
     match class {
-        sync_class::MUTEX => SyncKey::Mutex(id as u32),
-        sync_class::COND => SyncKey::Cond(id as u32),
-        sync_class::BARRIER => SyncKey::Barrier(id as u32),
-        sync_class::THREAD => SyncKey::Thread(id as Tid),
-        sync_class::ATOMIC => SyncKey::Atomic(id),
-        other => panic!("unknown sync-var class {other} in checkpoint"),
+        sync_class::MUTEX => SyncKey::Mutex(small),
+        sync_class::COND => SyncKey::Cond(small),
+        sync_class::BARRIER => SyncKey::Barrier(small),
+        sync_class::THREAD => SyncKey::Thread(small),
+        _ => SyncKey::Atomic(id),
     }
 }
 
@@ -181,8 +183,8 @@ pub(crate) fn ckpt_to_heap(c: &CkptHeap) -> HeapState {
 /// seeds a checkpoint. Returns the epoch to stamp into the
 /// [`rfdet_meta::BarrierHandoff`] when it does.
 ///
-/// Running in-turn is what makes the *global* seal data (sync-var table,
-/// join table, dead threads' output) safe to read without racing: no
+/// Running in-turn is what makes the *global* seal data (the sync table,
+/// dead threads' output) safe to read without racing: no
 /// other thread can execute an op boundary until this turn releases, and
 /// the woken participants run only off-turn work until their next op.
 pub(crate) fn decide(ctx: &mut RfdetCtx, participants: &[Tid], upper: &VClock) -> Option<u64> {
@@ -190,27 +192,23 @@ pub(crate) fn decide(ctx: &mut RfdetCtx, participants: &[Tid], upper: &VClock) -
     if every == 0 {
         return None;
     }
-    let finished: Vec<Tid> = {
-        let joins = ctx.shared.queues.joins.lock();
-        let mut f: Vec<Tid> = joins.finished.iter().copied().collect();
-        f.sort_unstable();
-        f
-    };
+    let table = ctx.shared.meta.sync_in_turn();
+    let finished = table.finished();
     let live = ctx.shared.meta.num_threads() - finished.len();
     if participants.len() != live {
         return None;
     }
+    if table
+        .mutexes
+        .values()
+        .any(|m| m.owner.is_some() || !m.queue.is_empty())
     {
-        let mxs = ctx.shared.queues.mutexes.lock();
-        if mxs
-            .values()
-            .any(|m| m.owner.is_some() || !m.queue.is_empty())
-        {
-            return None;
-        }
+        return None;
     }
+    let releases = table.releases();
+    drop(table);
     let mut sync_vars: Vec<CkptSyncVar> = Vec::new();
-    for (key, last_tid, last_time) in ctx.shared.meta.sync_var_entries() {
+    for (key, last_tid, last_time) in releases {
         if !last_time.leq(upper) {
             // An undominated release (typically an unjoined dead
             // thread's exit): its slices are not yet everywhere, so the

@@ -8,7 +8,7 @@ use rfdet_api::{
 };
 use rfdet_kendo::{Jitter, KendoHandle, TickBatch};
 use rfdet_mem::{Page, PageOverlay, PrivateSpace, Runs, SliceSnapshots, ThreadHeap};
-use rfdet_meta::{SyncKey, SyncVarRef, ThreadMeta};
+use rfdet_meta::ThreadMeta;
 use rfdet_vclock::VClock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -72,9 +72,6 @@ pub struct RfdetCtx {
     /// Lazily filled cache of other threads' records, indexed by tid (see
     /// [`Self::peer`]).
     peers: Vec<Option<Arc<ThreadMeta>>>,
-    /// Per-thread cache of sync-var handles: the steady-state acquire
-    /// path locks only the var itself — no table shard, no registry.
-    sync_cache: HashMap<SyncKey, SyncVarRef>,
     pub(crate) heap: ThreadHeap,
     /// Fault coordinates, trace and metrics buffers, profiling counters.
     pub(crate) h: ThreadHarness,
@@ -185,7 +182,6 @@ impl RfdetCtx {
             sealed: None,
             cursors: HashMap::new(),
             peers: Vec::new(),
-            sync_cache: HashMap::new(),
             heap,
             h,
             jitter,
@@ -218,18 +214,6 @@ impl RfdetCtx {
         }
         let meta = self.peers[idx].get_or_insert_with(|| self.shared.meta.thread(tid));
         Arc::clone(meta)
-    }
-
-    /// Cached sync-var handle for `key` (see `MetaSpace::sync_var`).
-    pub(crate) fn sync_var(&mut self, key: SyncKey) -> SyncVarRef {
-        if let Some(v) = self.sync_cache.get(&key) {
-            self.h.stats.sync_var_cache_hits += 1;
-            return Arc::clone(v);
-        }
-        self.h.stats.sync_var_cache_misses += 1;
-        let v = self.shared.meta.sync_var(key);
-        self.sync_cache.insert(key, Arc::clone(&v));
-        v
     }
 
     /// The pages an access of `len` bytes at `addr` touches. A

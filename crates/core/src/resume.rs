@@ -140,14 +140,16 @@ pub(crate) fn restore(
     // propagation these entries would normally trigger is already in
     // every survivor's memory (eligibility), but the times must be
     // exact so post-resume acquires filter identically.
+    let mut table = shared.meta.sync_in_turn();
     for v in &ckpt.sync_vars {
-        shared
-            .meta
-            .sync_var(class_to_key(v.class, v.id))
-            .lock()
+        table
+            .var_mut(class_to_key(v.class, v.id))
             .record_release(v.last_tid, VClock::from_components(v.last_time.clone()));
     }
-    shared.queues.joins.lock().finished = ckpt.finished.iter().copied().collect();
+    for &tid in &ckpt.finished {
+        table.threads.entry(tid).or_default().finished = true;
+    }
+    drop(table);
     // Registration seeded the clocks; hand the arbitration baton to
     // the deterministic front-runner.
     shared.kendo.reseed_baton();

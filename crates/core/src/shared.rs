@@ -1,63 +1,16 @@
 //! Run-wide shared state.
 
-use parking_lot::Mutex;
 use rfdet_api::trace::{op, TraceEvent};
-use rfdet_api::{ConfigError, RunConfig, RunHarness, Tid};
+use rfdet_api::{ConfigError, RunConfig, RunHarness};
 use rfdet_kendo::KendoState;
 use rfdet_mem::StripAllocator;
 use rfdet_meta::{MetaSpace, GC_THRESHOLD};
-use rfdet_vclock::VClock;
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Logical-clock increment charged per synchronization operation (the
 /// paper weights ticks by memory instructions; sync ops get a small fixed
 /// surcharge so back-to-back sync ops still rotate turns fairly).
 pub(crate) const SYNC_TICK: u64 = 5;
-
-/// State of one application mutex.
-#[derive(Debug, Default)]
-pub(crate) struct MutexState {
-    /// Current owner.
-    pub owner: Option<Tid>,
-    /// Reservation queue (paper §4.5 *Prelock*): deterministic
-    /// acquisition order, fixed at enqueue time inside the Kendo turn.
-    pub queue: VecDeque<Tid>,
-}
-
-/// State of one application barrier.
-#[derive(Debug, Default)]
-pub(crate) struct BarrierState {
-    /// `(tid, release time)` of each arrival this episode.
-    pub arrivals: Vec<(Tid, VClock)>,
-}
-
-/// Join bookkeeping: waiters and finished threads are always consulted
-/// together, so they share one lock.
-#[derive(Debug, Default)]
-pub(crate) struct JoinTable {
-    /// Joiners parked on a not-yet-finished thread.
-    pub waiters: HashMap<Tid, Vec<Tid>>,
-    /// Threads that have executed their exit operation.
-    pub finished: HashSet<Tid>,
-}
-
-/// All deterministic queueing state, one lock per sync-object class so
-/// operations on unrelated classes (e.g. a mutex handoff and a barrier
-/// arrival) never contend on runtime-internal state. Contents are still
-/// mutated **only inside Kendo turns**, so although `Mutex`es guard them
-/// physically, they evolve in a deterministic order — which is also why
-/// the split cannot deadlock: no two turns run concurrently, so lock
-/// acquisition order across classes is irrelevant.
-#[derive(Debug, Default)]
-pub(crate) struct SyncQueues {
-    pub mutexes: Mutex<HashMap<u32, MutexState>>,
-    /// Condvar wait queues: `(waiter, mutex to reacquire)` in deterministic
-    /// arrival order.
-    pub conds: Mutex<HashMap<u32, VecDeque<(Tid, u32)>>>,
-    pub barriers: Mutex<HashMap<u32, BarrierState>>,
-    pub joins: Mutex<JoinTable>,
-}
 
 /// Everything shared by all threads of one RFDet run.
 pub(crate) struct RuntimeShared {
@@ -74,7 +27,6 @@ pub(crate) struct RuntimeShared {
     pub kendo: KendoState,
     pub meta: MetaSpace,
     pub strips: StripAllocator,
-    pub queues: SyncQueues,
 }
 
 impl RuntimeShared {
@@ -112,7 +64,6 @@ impl RuntimeShared {
                 cfg.meta_max_slices as usize,
             ),
             strips: StripAllocator::new(heap_base, cfg.space_bytes - heap_base),
-            queues: SyncQueues::default(),
             run,
         })
     }

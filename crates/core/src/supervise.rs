@@ -16,7 +16,7 @@
 //!   scan showing *every* live thread `Blocked` proves a stable
 //!   deadlock (a blocked thread never wakes another, so the state can
 //!   only persist); the wait-for graph is then read off the
-//!   deterministic sync queues — no wall clock involved.
+//!   deterministic sync table — no wall clock involved.
 //! * **Wedge** — the wall-clock fallback (`deadlock_after_ms` of quiet
 //!   time: no Kendo slot's clock or status moved) still exists for runs
 //!   that starve without a provable deadlock; Kendo's timeout unwinds
@@ -87,7 +87,7 @@ impl RuntimeShared {
             return;
         };
         // Every live thread is provably, permanently blocked. Read the
-        // wait-for graph off the deterministic queues: this state is a
+        // wait-for graph off the deterministic sync table: this state is a
         // pure function of the schedule, so the resulting report (and
         // its digest) reproduces across reruns.
         let tid = blocked.first().copied().unwrap_or(0);
@@ -96,27 +96,25 @@ impl RuntimeShared {
         self.kendo.set_abort();
     }
 
-    /// One wait-for edge per blocked thread, read from the sync queues.
-    /// Only sound once `blocked_snapshot` succeeded (the queues are then
-    /// quiescent).
+    /// One wait-for edge per blocked thread, read from the sync table.
+    /// Only sound once `blocked_snapshot` succeeded (no turn runs, the
+    /// table is quiescent); two parked threads may read it at once, so
+    /// this takes the plain lock, not the turn holder's.
     fn wait_graph(&self) -> Vec<WaitEdge> {
-        let q = &self.queues;
-        let (mutexes, conds) = (q.mutexes.lock(), q.conds.lock());
-        let (barriers, joins) = (q.barriers.lock(), q.joins.lock());
+        let t = self.meta.sync_table();
         WaitEdge::graph(
-            mutexes
+            t.mutexes
                 .iter()
                 .flat_map(|(&id, mx)| mx.queue.iter().map(move |&w| (w, id, mx.owner))),
-            conds
+            t.conds
                 .iter()
-                .flat_map(|(&id, ws)| ws.iter().map(move |&(w, _)| (w, id))),
-            barriers
+                .flat_map(|(&id, c)| c.waiters.iter().map(move |&(w, _)| (w, id))),
+            t.barriers
                 .iter()
                 .flat_map(|(&id, b)| b.arrivals.iter().map(move |&(w, _)| (w, id))),
-            joins
-                .waiters
+            t.threads
                 .iter()
-                .flat_map(|(&target, ws)| ws.iter().map(move |&w| (w, target))),
+                .flat_map(|(&tid, th)| th.joiners.iter().map(move |&w| (w, tid))),
         )
     }
 }
@@ -203,17 +201,17 @@ mod tests {
     }
 
     #[test]
-    fn check_deadlock_builds_graph_and_cycle_from_queues() {
+    fn check_deadlock_builds_graph_and_cycle_from_the_sync_table() {
         let s = shared();
         let a = s.kendo.register(0);
         let b = s.kendo.register(1);
         // AB-BA: t0 owns mutex 0 and queues on 1; t1 owns 1, queues on 0.
         {
-            let mut mxs = s.queues.mutexes.lock();
-            let m0 = mxs.entry(0).or_default();
+            let mut table = s.meta.sync_in_turn();
+            let m0 = table.mutexes.entry(0).or_default();
             m0.owner = Some(0);
             m0.queue.push_back(1);
-            let m1 = mxs.entry(1).or_default();
+            let m1 = table.mutexes.entry(1).or_default();
             m1.owner = Some(1);
             m1.queue.push_back(0);
         }

@@ -9,11 +9,12 @@
 //!    then Kendo admits it at a deterministic point in the global
 //!    synchronization order (`wait_for_turn`);
 //! 2. *in turn*: [`op_boundary`] publishes the slice (`lock` seals it here
-//!    first: only its turn decides whether slice merging keeps it open),
-//!    records the release on the op's internal sync var and ticks the
-//!    vector clock; the op mutates its deterministic queue; [`deposit`]
-//!    hands a release edge to each thread the op wakes; then the Kendo
-//!    clock ticks, releasing the turn;
+//!    first: only its turn decides whether slice merging keeps it open)
+//!    and ticks the vector clock; in one lookup of the object's record in
+//!    the turn-owned [`SyncTable`](rfdet_meta::SyncTable) the op records
+//!    its release and mutates the object's queue; [`deposit`] hands a
+//!    release edge to each thread the op wakes; then the Kendo clock
+//!    ticks, releasing the turn;
 //! 3. *off turn*: [`RfdetCtx::acquire`] joins each edge's time and runs
 //!    the memory-modification propagation — the expensive part — in
 //!    parallel with other threads' turns. This is exactly what "no
@@ -24,34 +25,18 @@
 //! deterministic clock from inside its own turn.
 
 use crate::ctx::RfdetCtx;
-use parking_lot::{Mutex, MutexGuard};
 use rfdet_api::obs::Phase;
 use rfdet_api::{BarrierId, CondId, MutexId, SyncOp, ThreadFn, ThreadHandle, Tid};
-use rfdet_meta::{AcquireSource, BarrierHandoff, SyncKey};
+use rfdet_meta::{AcquireSource, BarrierHandoff, SyncTable};
 use rfdet_vclock::VClock;
 use std::sync::Arc;
 
-/// Locks a queue-class mutex, counting the case where another thread held
-/// it on arrival (the contention the per-class split is meant to shrink).
-fn lock_counted<'a, T>(m: &'a Mutex<T>, contended: &mut u64) -> MutexGuard<'a, T> {
-    match m.try_lock() {
-        Some(g) => g,
-        None => {
-            *contended += 1;
-            m.lock()
-        }
-    }
-}
-
-/// Ends the slice, optionally records a release, ticks the vector clock.
-/// Returns the release time (`lower` — the just-ended slice's timestamp).
-fn op_boundary(ctx: &mut RfdetCtx, release: Option<SyncKey>) -> VClock {
+/// Ends the slice and ticks the vector clock. Returns the release time
+/// (`lower` — the just-ended slice's timestamp), which a releasing op
+/// records on its object's record.
+fn op_boundary(ctx: &mut RfdetCtx) -> VClock {
     let lower = ctx.vc.clone();
     ctx.end_slice();
-    if let Some(key) = release {
-        let var = ctx.sync_var(key);
-        var.lock().record_release(ctx.tid, lower.clone());
-    }
     ctx.vc.tick(ctx.tid);
     lower
 }
@@ -84,7 +69,7 @@ fn wake(ctx: &RfdetCtx, w: Tid) {
 /// acquires — propagation proceeds in parallel with other threads'
 /// synchronization.
 fn acquire_now(ctx: &mut RfdetCtx, edge: Option<(Tid, VClock)>) {
-    op_boundary(ctx, None);
+    op_boundary(ctx);
     ctx.release_turn();
     if let Some((from, time)) = edge {
         ctx.acquire(from, &time);
@@ -154,22 +139,21 @@ fn park(ctx: &mut RfdetCtx, premerge_source: Option<Tid>) {
 
 pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
     ctx.enter_op(SyncOp::Lock(m));
-    let pred = {
-        let mut mxs = lock_counted(
-            &ctx.shared.queues.mutexes,
-            &mut ctx.h.stats.queue_lock_contended,
-        );
-        let mx = mxs.entry(m.0).or_default();
+    let tid = ctx.tid;
+    // Free: whether the caller made the last release, and the edge to
+    // acquire. Busy: the thread the caller queues behind.
+    let free = {
+        let mut table = ctx.shared.meta.sync_in_turn();
+        let mx = table.mutexes.entry(m.0).or_default();
         assert_ne!(
             mx.owner,
-            Some(ctx.tid),
-            "recursive lock of mutex {} by thread {}",
-            m.0,
-            ctx.tid
+            Some(tid),
+            "recursive lock of mutex {} by thread {tid}",
+            m.0
         );
         if mx.owner.is_none() && mx.queue.is_empty() {
-            mx.owner = Some(ctx.tid);
-            None
+            mx.owner = Some(tid);
+            Ok((mx.release.last_tid == Some(tid), mx.release.edge(tid)))
         } else {
             let pred = mx
                 .queue
@@ -177,89 +161,94 @@ pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
                 .copied()
                 .or(mx.owner)
                 .expect("contended mutex must have an owner or queue");
-            mx.queue.push_back(ctx.tid);
-            Some(pred)
+            mx.queue.push_back(tid);
+            Err(pred)
         }
     };
-    if let Some(pred) = pred {
-        op_boundary(ctx, None);
-        // §4.5 Prelock: merge everything that must happen-before our
-        // eventual acquire while the lock holder still works.
-        return park(ctx, Some(pred));
-    }
-    let var = ctx.sync_var(SyncKey::Mutex(m.0));
-    let sv = var.lock();
-    if ctx.merge_slices && sv.last_tid == Some(ctx.tid) {
+    match free {
         // Same-thread re-acquire: keep the slice open (§4.5).
-        drop(sv);
-        ctx.h.stats.slices_merged += 1;
-        return ctx.release_turn();
+        Ok((true, _)) if ctx.merge_slices => {
+            ctx.h.stats.slices_merged += 1;
+            ctx.release_turn();
+        }
+        Ok((_, edge)) => acquire_now(ctx, edge),
+        Err(pred) => {
+            op_boundary(ctx);
+            // §4.5 Prelock: merge everything that must happen-before our
+            // eventual acquire while the lock holder still works.
+            park(ctx, Some(pred));
+        }
     }
-    // Only the release edge is copied out of the sync var.
-    let edge = sv.edge(ctx.tid);
-    drop(sv);
-    acquire_now(ctx, edge);
 }
 
 pub(crate) fn unlock_impl(ctx: &mut RfdetCtx, m: MutexId) {
     ctx.enter_op(SyncOp::Unlock(m));
-    let lower = op_boundary(ctx, Some(SyncKey::Mutex(m.0)));
-    release_mutex(ctx, m, None, lower);
+    let lower = op_boundary(ctx);
+    let next = {
+        let mut table = ctx.shared.meta.sync_in_turn();
+        release_mutex(&mut table, ctx.tid, m, None, &lower)
+    };
+    hand_over(ctx, next, lower);
     ctx.release_turn();
     op_epilogue(ctx);
 }
 
 /// The mutex release `unlock` and `cond_wait` share, in turn: checks that
-/// the caller holds `m`, passes it to the first queued thread and hands
-/// that thread the release edge at `time`. `cond` is the condition
+/// `tid` holds `m`, records its release at `time` and passes `m` to the
+/// first queued thread, which it returns. `cond` is the condition
 /// variable a `cond_wait` waits on; it only names the misuse.
-fn release_mutex(ctx: &mut RfdetCtx, m: MutexId, cond: Option<CondId>, time: VClock) {
-    let tid = ctx.tid;
-    let next = {
-        let mut mxs = lock_counted(
-            &ctx.shared.queues.mutexes,
-            &mut ctx.h.stats.queue_lock_contended,
-        );
-        let mx = mxs.get_mut(&m.0).unwrap_or_else(|| match cond {
-            None => panic!("unlock of never-locked mutex {}", m.0),
-            Some(_) => panic!("cond_wait with never-locked mutex {}", m.0),
-        });
-        match cond {
-            None => assert_eq!(
-                mx.owner,
-                Some(tid),
-                "thread {tid} unlocking mutex {} it does not hold",
-                m.0
-            ),
-            Some(c) => assert_eq!(
-                mx.owner,
-                Some(tid),
-                "thread {tid} waiting on cond {} without holding mutex {}",
-                c.0,
-                m.0
-            ),
-        }
-        mx.owner = mx.queue.pop_front();
-        mx.owner
-    };
+fn release_mutex(
+    table: &mut SyncTable,
+    tid: Tid,
+    m: MutexId,
+    cond: Option<CondId>,
+    time: &VClock,
+) -> Option<Tid> {
+    let mx = table.mutexes.get_mut(&m.0).unwrap_or_else(|| match cond {
+        None => panic!("unlock of never-locked mutex {}", m.0),
+        Some(_) => panic!("cond_wait with never-locked mutex {}", m.0),
+    });
+    match cond {
+        None => assert_eq!(
+            mx.owner,
+            Some(tid),
+            "thread {tid} unlocking mutex {} it does not hold",
+            m.0
+        ),
+        Some(c) => assert_eq!(
+            mx.owner,
+            Some(tid),
+            "thread {tid} waiting on cond {} without holding mutex {}",
+            c.0,
+            m.0
+        ),
+    }
+    mx.release.record_release(tid, time.clone());
+    mx.owner = mx.queue.pop_front();
+    mx.owner
+}
+
+/// Hands a released mutex to `next`, if anyone was queued: deposits the
+/// release edge at `time` and wakes it.
+fn hand_over(ctx: &mut RfdetCtx, next: Option<Tid>, time: VClock) {
     if let Some(w) = next {
-        deposit(ctx, w, tid, time);
+        deposit(ctx, w, ctx.tid, time);
         wake(ctx, w);
     }
 }
 
 pub(crate) fn wait_impl(ctx: &mut RfdetCtx, c: CondId, m: MutexId) {
     ctx.enter_op(SyncOp::CondWait(c));
-    // cond_wait releases the mutex…
-    let lower = op_boundary(ctx, Some(SyncKey::Mutex(m.0)));
-    release_mutex(ctx, m, Some(c), lower);
-    lock_counted(
-        &ctx.shared.queues.conds,
-        &mut ctx.h.stats.queue_lock_contended,
-    )
-    .entry(c.0)
-    .or_default()
-    .push_back((ctx.tid, m.0));
+    let lower = op_boundary(ctx);
+    // cond_wait releases the mutex and queues on the condvar…
+    let next = {
+        let mut table = ctx.shared.meta.sync_in_turn();
+        let next = release_mutex(&mut table, ctx.tid, m, Some(c), &lower);
+        let waiters = &mut table.conds.entry(c.0).or_default().waiters;
+        waiters.push_back((ctx.tid, m.0));
+        next
+    };
+    hand_over(ctx, next, lower);
     // …then blocks until signalled (and until it re-owns the mutex: the
     // signaler either grants it immediately or moves us to the mutex
     // queue, in which case the eventual unlocker completes the wakeup).
@@ -272,48 +261,42 @@ pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
     } else {
         SyncOp::CondSignal(c)
     });
-    let lower = op_boundary(ctx, Some(SyncKey::Cond(c.0)));
+    let lower = op_boundary(ctx);
+    let tid = ctx.tid;
     // Pop waiters deterministically (FIFO — enqueue order was itself
-    // turn-ordered) and arrange each one's mutex re-acquisition.
-    let popped: Vec<(Tid, u32)> = {
-        let mut conds = lock_counted(
-            &ctx.shared.queues.conds,
-            &mut ctx.h.stats.queue_lock_contended,
-        );
-        let queue = conds.entry(c.0).or_default();
+    // turn-ordered) and arrange each one's mutex re-acquisition: a free
+    // mutex is granted at once, with the mutex's own release edge; a busy
+    // one queues the waiter, and the unlocker finishes the hand-off.
+    let mut popped = Vec::new();
+    {
+        let mut table = ctx.shared.meta.sync_in_turn();
+        let cond = table.conds.entry(c.0).or_default();
+        cond.release.record_release(tid, lower.clone());
         let n = if broadcast {
-            queue.len()
+            cond.waiters.len()
         } else {
-            usize::from(!queue.is_empty())
+            usize::from(!cond.waiters.is_empty())
         };
-        queue.drain(..n).collect()
-    };
-    for (w, mid) in popped {
-        // The signal edge (release of the condvar).
-        deposit(ctx, w, ctx.tid, lower.clone());
-        let granted = {
-            let mut mxs = lock_counted(
-                &ctx.shared.queues.mutexes,
-                &mut ctx.h.stats.queue_lock_contended,
-            );
-            let mx = mxs.entry(mid).or_default();
-            if mx.owner.is_none() && mx.queue.is_empty() {
+        let waiters: Vec<(Tid, u32)> = cond.waiters.drain(..n).collect();
+        for (w, mid) in waiters {
+            let mx = table.mutexes.entry(mid).or_default();
+            let free = mx.owner.is_none() && mx.queue.is_empty();
+            if free {
                 mx.owner = Some(w);
-                true
+                popped.push((w, true, mx.release.edge(w)));
             } else {
-                // Mutex busy: park the waiter in the reservation queue;
-                // the unlocker will finish the handoff.
                 mx.queue.push_back(w);
-                false
+                popped.push((w, false, None));
             }
-        };
+        }
+    }
+    for (w, granted, edge) in popped {
+        // The signal edge (release of the condvar).
+        deposit(ctx, w, tid, lower.clone());
+        if let Some((from, time)) = edge {
+            deposit(ctx, w, from, time);
+        }
         if granted {
-            // Mutex free: the waiter re-owns it right now, with the
-            // mutex's own release edge.
-            let edge = ctx.sync_var(SyncKey::Mutex(mid)).lock().edge(w);
-            if let Some((from, time)) = edge {
-                deposit(ctx, w, from, time);
-            }
             wake(ctx, w);
         }
     }
@@ -324,13 +307,11 @@ pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
 pub(crate) fn barrier_impl(ctx: &mut RfdetCtx, b: BarrierId, parties: usize) {
     assert!(parties > 0, "barrier with zero parties");
     ctx.enter_op(SyncOp::Barrier(b));
-    let lower = op_boundary(ctx, Some(SyncKey::Barrier(b.0)));
+    let lower = op_boundary(ctx);
     let arrivals = {
-        let mut barriers = lock_counted(
-            &ctx.shared.queues.barriers,
-            &mut ctx.h.stats.queue_lock_contended,
-        );
-        let st = barriers.entry(b.0).or_default();
+        let mut table = ctx.shared.meta.sync_in_turn();
+        let st = table.barriers.entry(b.0).or_default();
+        st.release.record_release(ctx.tid, lower.clone());
         st.arrivals.push((ctx.tid, lower));
         assert!(
             st.arrivals.len() <= parties,
@@ -355,9 +336,9 @@ pub(crate) fn barrier_impl(ctx: &mut RfdetCtx, b: BarrierId, parties: usize) {
     }
     let participants: Vec<Tid> = arrivals.iter().map(|(t, _)| *t).collect();
     // Checkpoint eligibility is decided here, inside the last arriver's
-    // turn, *before* any deposit or wake: the global seal data (sync-var
-    // table, join table, dead outputs) is race-free, and every
-    // participant learns the same epoch.
+    // turn, *before* any deposit or wake: the global seal data (the sync
+    // table, dead outputs) is race-free, and every participant learns
+    // the same epoch.
     let checkpoint = crate::checkpoint::decide(ctx, &participants, &upper);
     let handoff = BarrierHandoff {
         participants,
@@ -384,9 +365,9 @@ pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
     // Lazy pending must be materialized before the child inherits the
     // space, or the child would read stale bytes.
     ctx.flush_pending();
-    let lower = op_boundary(ctx, None); // create is a release; the child
-                                        // inherits memory directly, no
-                                        // sync var needed (§4.1)
+    // Create is a release; the child inherits memory directly, no sync
+    // var needed (§4.1).
+    let lower = op_boundary(ctx);
 
     // Deterministic registration inside the parent's turn.
     let child_meta = ctx.shared.meta.register_thread();
@@ -437,23 +418,21 @@ pub(crate) fn join_impl(ctx: &mut RfdetCtx, h: ThreadHandle) {
     let target = h.0;
     assert_ne!(target, ctx.tid, "thread joining itself");
     ctx.enter_op(SyncOp::Join(target));
-    let already_finished = {
-        let mut joins = lock_counted(
-            &ctx.shared.queues.joins,
-            &mut ctx.h.stats.queue_lock_contended,
-        );
-        if joins.finished.contains(&target) {
-            true
+    // Finished: the edge to its exit. Running: the caller joins its queue.
+    let finished = {
+        let mut table = ctx.shared.meta.sync_in_turn();
+        let th = table.threads.entry(target).or_default();
+        if th.finished {
+            Some(th.release.edge(ctx.tid))
         } else {
-            joins.waiters.entry(target).or_default().push(ctx.tid);
-            false
+            th.joiners.push(ctx.tid);
+            None
         }
     };
-    if already_finished {
-        let edge = ctx.sync_var(SyncKey::Thread(target)).lock().edge(ctx.tid);
+    if let Some(edge) = finished {
         acquire_now(ctx, edge);
     } else {
-        op_boundary(ctx, None);
+        op_boundary(ctx);
         // The join target's published clock always precedes its exit
         // time, so it is a sound prelock source for the parked joiner.
         park(ctx, Some(target));
@@ -478,11 +457,13 @@ pub(crate) fn atomic_impl(
 ) -> u64 {
     assert_eq!(addr % 8, 0, "atomic cells must be 8-byte aligned");
     ctx.enter_op(SyncOp::Atomic(addr));
-    let key = SyncKey::Atomic(addr);
-    let edge = ctx.sync_var(key).lock().edge(ctx.tid);
+    let edge = {
+        let mut table = ctx.shared.meta.sync_in_turn();
+        table.atomics.entry(addr).or_default().edge(ctx.tid)
+    };
     // Acquire boundary: close the current slice, join the cell's last
     // release, and propagate — all in turn (see above).
-    op_boundary(ctx, None);
+    op_boundary(ctx);
     if let Some((from, time)) = edge {
         ctx.acquire(from, &time);
     }
@@ -504,7 +485,12 @@ pub(crate) fn atomic_impl(
         (Some(_), Some(_)) => unreachable!("rmw and store are exclusive"),
     }
     // Release boundary: publish the one-op slice and record the release.
-    op_boundary(ctx, Some(key));
+    let lower = op_boundary(ctx);
+    {
+        let mut table = ctx.shared.meta.sync_in_turn();
+        let cell = table.atomics.entry(addr).or_default();
+        cell.record_release(ctx.tid, lower);
+    }
     ctx.in_atomic = false;
     ctx.release_turn();
     op_epilogue(ctx);
@@ -515,17 +501,16 @@ pub(crate) fn atomic_impl(
 /// joiners. Runs when the thread's entry function returns.
 pub(crate) fn exit_impl(ctx: &mut RfdetCtx) {
     ctx.enter_op(SyncOp::Exit);
-    let lower = op_boundary(ctx, Some(SyncKey::Thread(ctx.tid)));
+    let lower = op_boundary(ctx);
     ctx.meta_thread.set_published_vc(&ctx.vc);
-    let waiters = {
-        let mut joins = lock_counted(
-            &ctx.shared.queues.joins,
-            &mut ctx.h.stats.queue_lock_contended,
-        );
-        joins.finished.insert(ctx.tid);
-        joins.waiters.remove(&ctx.tid).unwrap_or_default()
+    let joiners = {
+        let mut table = ctx.shared.meta.sync_in_turn();
+        let th = table.threads.entry(ctx.tid).or_default();
+        th.release.record_release(ctx.tid, lower.clone());
+        th.finished = true;
+        std::mem::take(&mut th.joiners)
     };
-    for w in waiters {
+    for w in joiners {
         deposit(ctx, w, ctx.tid, lower.clone());
         wake(ctx, w);
     }

@@ -764,7 +764,8 @@ impl KendoState {
             .store(Status::Finished as u8, SeqCst);
     }
 
-    /// Re-aims the baton at [`Self::min_active`] (or the empty baton).
+    /// Re-aims the baton at the minimal `(clock, tid)` over `Active`
+    /// threads (or the empty baton).
     /// For checkpoint restore, **before the run starts**: restore also
     /// registers already-finished threads (tids must stay dense) and
     /// `finish_forced` never republishes, so the baton `register` seeded

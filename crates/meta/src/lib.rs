@@ -4,17 +4,21 @@
 //! same virtual address in every isolated thread; it holds everything
 //! threads use to communicate: published slices, internal synchronization
 //! variables, and per-thread bookkeeping. This crate is the Rust
-//! equivalent: a process-wide [`MetaSpace`] shared via `Arc`, with
-//! fine-grained locking so that threads touching unrelated metadata do not
-//! serialize (the whole point of removing global barriers).
+//! equivalent: a process-wide [`MetaSpace`] shared via `Arc`. Slice
+//! lists, published clocks and mailboxes are locked per thread, so
+//! threads propagating off turn do not serialize (the whole point of
+//! removing global barriers); the sync-object state, which only the
+//! Kendo turn holder touches, is one table behind one lock.
 //!
 //! Contents:
 //!
 //! * [`SliceRec`]/[`SliceRef`] — published slices (§4.2);
 //! * [`MetaSpace`] — the slice store with usage accounting and garbage
-//!   collection (§4.5), the internal sync-var table (§4.1), and the
-//!   thread registry: one [`ThreadMeta`] per thread (slice-pointer list,
-//!   published vector clock, wakeup [`Mailbox`], output stream).
+//!   collection (§4.5), the turn-owned [`SyncTable`] (§4.1: each sync
+//!   object's queue and its `lastTid`/`lastTime` release in one record),
+//!   and the thread registry: one [`ThreadMeta`] per thread
+//!   (slice-pointer list, published vector clock, wakeup [`Mailbox`],
+//!   output stream).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,5 +31,5 @@ mod syncvar;
 
 pub use handoff::{AcquireSource, BarrierHandoff, Mailbox};
 pub use slice::{SliceRec, SliceRef};
-pub use space::{GcOutcome, MetaSpace, SyncVarRef, ThreadMeta, DEFAULT_SYNC_SHARDS, GC_THRESHOLD};
-pub use syncvar::{SyncKey, SyncVar};
+pub use space::{GcOutcome, MetaSpace, ThreadMeta, GC_THRESHOLD};
+pub use syncvar::{BarrierRec, CondRec, MutexRec, SyncKey, SyncTable, SyncVar, ThreadRec};

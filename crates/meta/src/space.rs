@@ -2,24 +2,12 @@
 
 use crate::handoff::Mailbox;
 use crate::slice::{SliceRec, SliceRef};
-use crate::syncvar::{SyncKey, SyncVar};
-use parking_lot::{Mutex, RwLock};
+use crate::syncvar::{SyncKey, SyncTable, SyncVar};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use rfdet_api::AtomicStats;
 use rfdet_vclock::{Tid, VClock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
-
-/// A shared handle to one sync var. Contexts cache these per key, so the
-/// steady-state acquire path locks only the var itself — never the table.
-pub type SyncVarRef = Arc<Mutex<SyncVar>>;
-
-/// Shard count of the sync-var table. Sixteen shards keep the expected
-/// collision probability low at the 4–16 thread counts the paper
-/// evaluates.
-pub const DEFAULT_SYNC_SHARDS: usize = 16;
-// The shard index is a hash masked by `DEFAULT_SYNC_SHARDS - 1`.
-const _: () = assert!(DEFAULT_SYNC_SHARDS.is_power_of_two());
 
 /// Fraction of the metadata capacity at which GC triggers (the paper's
 /// value, §4.5 "Garbage Collection").
@@ -163,11 +151,9 @@ pub struct MetaSpace {
     /// pass that could not reclaim much (some thread lags behind), so an
     /// uncollectable backlog does not cause a GC scan per publish.
     gc_floor: AtomicUsize,
-    /// The sync-var table, sharded by key hash so independent sync
-    /// objects never serialize on one table lock. Entries are `Arc`ed out
-    /// and never removed, so contexts cache the handles and the shard
-    /// lock is only taken on a key's first touch per thread.
-    sync_vars: Box<[Mutex<HashMap<SyncKey, SyncVarRef>>]>,
+    /// Every sync object's queue and last release (§4.1). Only the
+    /// Kendo turn holder touches it, so its one lock is never contended.
+    sync: Mutex<SyncTable>,
     /// Shared profiling counters for the run.
     pub stats: AtomicStats,
 }
@@ -199,9 +185,7 @@ impl MetaSpace {
             gc_trigger_bytes: trigger,
             max_slices,
             gc_floor: AtomicUsize::new(max_slices),
-            sync_vars: (0..DEFAULT_SYNC_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            sync: Mutex::new(SyncTable::default()),
             stats: AtomicStats::default(),
         }
     }
@@ -373,62 +357,30 @@ impl MetaSpace {
         outcome
     }
 
-    /// The shard a key lives in: a SplitMix64-style mix of the variant
-    /// tag and payload, masked to the (power-of-two) shard count. Cheaper
-    /// and better-spread than SipHash for these tiny keys, and stable
-    /// across runs (not that determinism depends on it — shard choice
-    /// only affects which physical lock is taken).
-    fn shard_index(&self, key: SyncKey) -> usize {
-        let (tag, val): (u64, u64) = match key {
-            SyncKey::Mutex(v) => (1, u64::from(v)),
-            SyncKey::Cond(v) => (2, u64::from(v)),
-            SyncKey::Barrier(v) => (3, u64::from(v)),
-            SyncKey::Thread(t) => (4, u64::from(t)),
-            SyncKey::Atomic(a) => (5, a),
-        };
-        let mut x = val ^ (tag << 56) ^ 0x9e37_79b9_7f4a_7c15;
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        #[allow(clippy::cast_possible_truncation)]
-        let idx = (x as usize) & (self.sync_vars.len() - 1);
-        idx
+    /// The sync table, for the Kendo turn holder — the only thread that
+    /// ever touches it while the run is going. Debug builds check that
+    /// claim on every call: the lock must be free. Hold the guard across
+    /// no slice end, turn release, block or park.
+    ///
+    /// # Panics
+    /// In debug builds, if another thread holds the table.
+    pub fn sync_in_turn(&self) -> MutexGuard<'_, SyncTable> {
+        let table = self.sync.try_lock();
+        debug_assert!(table.is_some(), "the sync table is turn-owned");
+        table.unwrap_or_else(|| self.sync.lock())
     }
 
-    /// Hands out the shared handle for `key`'s sync var, creating it on
-    /// first touch. Touches exactly one shard lock; callers cache the
-    /// returned [`SyncVarRef`] so repeat acquires skip even that.
-    #[must_use]
-    pub fn sync_var(&self, key: SyncKey) -> SyncVarRef {
-        let shard = &self.sync_vars[self.shard_index(key)];
-        let mut table = match shard.try_lock() {
-            Some(g) => g,
-            None => {
-                self.stats.shard_lock_contended.fetch_add(1, Relaxed);
-                shard.lock()
-            }
-        };
-        Arc::clone(table.entry(key).or_default())
+    /// The sync table, for a reader outside any turn that has proved no
+    /// turn is running: the deadlock detector's wait-for graph, which
+    /// two parked threads may build at once.
+    pub fn sync_table(&self) -> MutexGuard<'_, SyncTable> {
+        self.sync.lock()
     }
 
-    /// Every sync var with a recorded release, as `(key, lastTid,
-    /// lastTime)` sorted by key — the deterministic table projection
-    /// checkpoints capture and the capture-eligibility check scans.
-    /// Called only from inside a Kendo turn (no concurrent releases), so
-    /// the per-shard locking cannot tear the view.
+    /// A copy of `key`'s release record (empty before any release).
     #[must_use]
-    pub fn sync_var_entries(&self) -> Vec<(SyncKey, Tid, VClock)> {
-        let mut out = Vec::new();
-        for shard in self.sync_vars.iter() {
-            for (key, var) in shard.lock().iter() {
-                let v = var.lock();
-                if let Some(tid) = v.last_tid {
-                    out.push((*key, tid, v.last_time.clone()));
-                }
-            }
-        }
-        out.sort_unstable_by_key(|&(key, _, _)| key);
-        out
+    pub fn sync_var(&self, key: SyncKey) -> SyncVar {
+        self.sync.lock().var(key).cloned().unwrap_or_default()
     }
 
     /// Appends bytes to a thread's output stream.
@@ -535,29 +487,30 @@ mod tests {
     }
 
     #[test]
-    fn sync_var_table_is_keyed() {
+    fn sync_var_reads_the_table_by_key() {
         let m = meta();
-        m.sync_var(SyncKey::Mutex(3))
-            .lock()
+        m.sync_in_turn()
+            .var_mut(SyncKey::Mutex(3))
             .record_release(2, VClock::from_components(vec![0, 0, 7]));
         assert_eq!(
-            m.sync_var(SyncKey::Mutex(3)).lock().edge(0),
+            m.sync_var(SyncKey::Mutex(3)).edge(0),
             Some((2, VClock::from_components(vec![0, 0, 7])))
         );
-        assert_eq!(m.sync_var(SyncKey::Mutex(4)).lock().last_tid, None);
+        assert_eq!(m.sync_var(SyncKey::Mutex(4)).last_tid, None);
+        assert_eq!(m.sync_var(SyncKey::Cond(3)).last_tid, None, "another class");
+        assert!(
+            !m.sync_table().mutexes.contains_key(&4),
+            "a read creates no record"
+        );
     }
 
     #[test]
-    fn sync_var_handles_are_stable_per_key() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the sync table is turn-owned")]
+    fn a_second_in_turn_holder_is_caught() {
         let m = meta();
-        let a = m.sync_var(SyncKey::Mutex(7));
-        let b = m.sync_var(SyncKey::Mutex(7));
-        assert!(Arc::ptr_eq(&a, &b), "same key must hand out one var");
-        let c = m.sync_var(SyncKey::Cond(7));
-        assert!(!Arc::ptr_eq(&a, &c), "different key class, different var");
-        // Mutating through one handle is visible through the other.
-        a.lock().record_release(3, VClock::from_components(vec![1]));
-        assert_eq!(b.lock().last_tid, Some(3));
+        let _reader = m.sync_table();
+        let _ = m.sync_in_turn();
     }
 
     #[test]

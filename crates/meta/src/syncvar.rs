@@ -5,8 +5,14 @@
 //! we add two fields to each internal synchronization variable: `lastTid`
 //! and `lastTime`" — the ID of the last releasing thread and the vector
 //! time of that release.
+//!
+//! Kendo's total order means only the turn holder ever reads or writes a
+//! sync variable or its object's wait queue, so all of it lives in one
+//! [`SyncTable`]: one record per object, carrying its queueing state
+//! beside its release, behind one lock that is never contended.
 
 use rfdet_vclock::{Tid, VClock};
+use std::collections::{HashMap, VecDeque};
 
 /// Key of an internal synchronization variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -54,6 +60,123 @@ impl SyncVar {
     }
 }
 
+/// An application mutex: its owner, its reservation queue (§4.5
+/// *Prelock*: the deterministic acquisition order, fixed at enqueue time
+/// inside the Kendo turn) and its last release.
+#[derive(Debug, Default)]
+pub struct MutexRec {
+    /// Current owner.
+    pub owner: Option<Tid>,
+    /// Threads queued for the mutex, in acquisition order.
+    pub queue: VecDeque<Tid>,
+    /// The last unlock (or `cond_wait` release).
+    pub release: SyncVar,
+}
+
+/// An application condition variable.
+#[derive(Debug, Default)]
+pub struct CondRec {
+    /// `(waiter, mutex to re-acquire)`, in arrival order.
+    pub waiters: VecDeque<(Tid, u32)>,
+    /// The last signal or broadcast.
+    pub release: SyncVar,
+}
+
+/// An application barrier.
+#[derive(Debug, Default)]
+pub struct BarrierRec {
+    /// `(tid, release time)` of each arrival this episode.
+    pub arrivals: Vec<(Tid, VClock)>,
+    /// The last arrival.
+    pub release: SyncVar,
+}
+
+/// A thread's lifetime: released at exit, acquired at join.
+#[derive(Debug, Default)]
+pub struct ThreadRec {
+    /// The thread has executed its exit operation.
+    pub finished: bool,
+    /// Joiners parked until it does.
+    pub joiners: Vec<Tid>,
+    /// The exit.
+    pub release: SyncVar,
+}
+
+/// Every sync object's record, by class. An atomic cell has no queue, so
+/// its record is its release alone.
+#[derive(Debug, Default)]
+pub struct SyncTable {
+    /// Mutexes by id.
+    pub mutexes: HashMap<u32, MutexRec>,
+    /// Condition variables by id.
+    pub conds: HashMap<u32, CondRec>,
+    /// Barriers by id.
+    pub barriers: HashMap<u32, BarrierRec>,
+    /// Thread lifetimes by tid.
+    pub threads: HashMap<Tid, ThreadRec>,
+    /// Atomic cells by address.
+    pub atomics: HashMap<u64, SyncVar>,
+}
+
+impl SyncTable {
+    /// The release record of `key`, if its object has a record.
+    #[must_use]
+    pub fn var(&self, key: SyncKey) -> Option<&SyncVar> {
+        match key {
+            SyncKey::Mutex(id) => self.mutexes.get(&id).map(|r| &r.release),
+            SyncKey::Cond(id) => self.conds.get(&id).map(|r| &r.release),
+            SyncKey::Barrier(id) => self.barriers.get(&id).map(|r| &r.release),
+            SyncKey::Thread(tid) => self.threads.get(&tid).map(|r| &r.release),
+            SyncKey::Atomic(addr) => self.atomics.get(&addr),
+        }
+    }
+
+    /// The release record of `key`, creating its object's record on
+    /// first touch.
+    pub fn var_mut(&mut self, key: SyncKey) -> &mut SyncVar {
+        match key {
+            SyncKey::Mutex(id) => &mut self.mutexes.entry(id).or_default().release,
+            SyncKey::Cond(id) => &mut self.conds.entry(id).or_default().release,
+            SyncKey::Barrier(id) => &mut self.barriers.entry(id).or_default().release,
+            SyncKey::Thread(tid) => &mut self.threads.entry(tid).or_default().release,
+            SyncKey::Atomic(addr) => self.atomics.entry(addr).or_default(),
+        }
+    }
+
+    /// Every recorded release as `(key, lastTid, lastTime)`, sorted by
+    /// key — the projection checkpoints capture.
+    #[must_use]
+    pub fn releases(&self) -> Vec<(SyncKey, Tid, VClock)> {
+        let mutexes = self.mutexes.keys().copied().map(SyncKey::Mutex);
+        let conds = self.conds.keys().copied().map(SyncKey::Cond);
+        let barriers = self.barriers.keys().copied().map(SyncKey::Barrier);
+        let threads = self.threads.keys().copied().map(SyncKey::Thread);
+        let atomics = self.atomics.keys().copied().map(SyncKey::Atomic);
+        let keys = mutexes
+            .chain(conds)
+            .chain(barriers)
+            .chain(threads)
+            .chain(atomics);
+        let mut out: Vec<_> = keys
+            .filter_map(|key| {
+                let v = self.var(key)?;
+                Some((key, v.last_tid?, v.last_time.clone()))
+            })
+            .collect();
+        out.sort_unstable_by_key(|&(key, _, _)| key);
+        out
+    }
+
+    /// The threads that have exited, ascending.
+    #[must_use]
+    pub fn finished(&self) -> Vec<Tid> {
+        let finished = self.threads.iter().filter(|(_, r)| r.finished);
+        let mut out: Vec<Tid> = finished.map(|(&t, _)| t).collect();
+        out.sort_unstable();
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,6 +206,26 @@ mod tests {
         v.record_release(2, VClock::from_components(vec![0, 3, 9]));
         assert_eq!(v.last_tid, Some(2));
         assert_eq!(v.last_time.get(2), 9);
+    }
+
+    #[test]
+    fn releases_are_the_sorted_recorded_vars_and_finished_the_exited_threads() {
+        let mut t = SyncTable::default();
+        t.var_mut(SyncKey::Atomic(64))
+            .record_release(1, VClock::new());
+        t.var_mut(SyncKey::Thread(2))
+            .record_release(2, VClock::new());
+        t.var_mut(SyncKey::Mutex(9))
+            .record_release(0, VClock::new());
+        t.conds.entry(5).or_default(); // touched, never released
+        t.threads.entry(1).or_default().joiners.push(0);
+        t.threads.entry(2).or_default().finished = true;
+        let keys: Vec<SyncKey> = t.releases().into_iter().map(|(k, _, _)| k).collect();
+        assert_eq!(
+            keys,
+            [SyncKey::Mutex(9), SyncKey::Thread(2), SyncKey::Atomic(64)]
+        );
+        assert_eq!(t.finished(), [2]);
     }
 
     #[test]

@@ -278,6 +278,10 @@ impl Checkpoint {
         for _ in 0..n_vars {
             let class = r.u8()?;
             let id = r.u64()?;
+            let narrow = class < sync_class::ATOMIC && u32::try_from(id).is_ok();
+            if !(narrow || class == sync_class::ATOMIC) {
+                return Err(TraceError::BadSyncVar(class, id));
+            }
             let last_tid = r.u32()?;
             let n = r.list_len(8)?;
             let mut last_time = Vec::with_capacity(n);

@@ -39,6 +39,10 @@ pub enum TraceError {
     TrailingBytes,
     /// A length prefix is implausibly large for the buffer.
     BadLength,
+    /// A checkpoint sync var's `(class, id)` names no sync-object class,
+    /// or an id its class cannot hold (only an atomic's is wider than 32
+    /// bits).
+    BadSyncVar(u8, u64),
 }
 
 impl fmt::Display for TraceError {
@@ -50,6 +54,7 @@ impl fmt::Display for TraceError {
             TraceError::BadChecksum => write!(f, "trace checksum mismatch (corrupt file)"),
             TraceError::TrailingBytes => write!(f, "trailing bytes after trace checksum"),
             TraceError::BadLength => write!(f, "implausible length prefix in trace file"),
+            TraceError::BadSyncVar(c, id) => write!(f, "invalid checkpoint sync var ({c}, {id})"),
         }
     }
 }

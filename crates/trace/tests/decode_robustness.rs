@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 use rfdet_trace::{
     op, Checkpoint, CkptFreeList, CkptHeap, CkptPage, CkptSyncVar, CkptThread, FailureSummary,
-    RunTrace, TraceConfig, TraceEvent, TraceFault, FAULT_PANIC, KIND_PANIC,
+    RunTrace, TraceConfig, TraceError, TraceEvent, TraceFault, FAULT_PANIC, KIND_PANIC,
 };
 
 fn config() -> TraceConfig {
@@ -218,4 +218,20 @@ fn fixtures_round_trip() {
     let c = sample_checkpoint();
     assert_eq!(Checkpoint::decode(&c.encode()).unwrap(), c);
     assert_ne!(c.digest(), 0);
+}
+
+/// A checksum-valid checkpoint whose sync var names no class, or a
+/// mutex id wider than 32 bits, is a typed error, not a restore panic or
+/// a silently truncated key.
+#[test]
+fn a_sync_var_outside_its_class_is_a_typed_error() {
+    for (class, id) in [(9, 1), (0, 1 << 40)] {
+        let mut c = sample_checkpoint();
+        c.sync_vars[0].class = class;
+        c.sync_vars[0].id = id;
+        assert_eq!(
+            Checkpoint::decode(&c.encode()),
+            Err(TraceError::BadSyncVar(class, id))
+        );
+    }
 }

@@ -19,7 +19,7 @@
 //! | [`trace`] | `rfdet-trace` | flight recorder: schedule traces, replay, shrinking |
 //! | [`vclock`] | `rfdet-vclock` | vector clocks / happens-before |
 //! | [`mem`] | `rfdet-mem` | COW private spaces, page diffing, allocator |
-//! | [`meta`] | `rfdet-meta` | slice store, GC, sync-var table |
+//! | [`meta`] | `rfdet-meta` | slice store, GC, the turn-owned sync table |
 //! | [`kendo`] | `rfdet-kendo` | deterministic turn arbitration |
 //! | [`core`] | `rfdet-core` | **the paper's contribution: the DLRC runtime** |
 //! | [`native`] | `rfdet-native` | nondeterministic "pthreads" baseline |

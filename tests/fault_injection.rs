@@ -269,6 +269,34 @@ fn abba_deadlock_is_typed_cyclic_and_reproducible() {
     }
 }
 
+/// Golden report digests (kind, culprit, message, wait-for graph and
+/// cycle) of the AB-BA deadlock on the four deterministic backends,
+/// generated at the commit before the sync-object state moved into one
+/// turn-owned table.
+#[test]
+fn abba_deadlock_report_matches_the_golden() {
+    let golden = [
+        ("RFDet-ci", 0xf11d_624a_4766_30c5),
+        ("RFDet-pf", 0x4fb0_6029_18c6_13bf),
+        ("DThreads", 0xce97_471b_b7d3_b648),
+        ("CoreDet-q", 0xd9c6_dbfd_310a_027d),
+    ];
+    let got: Vec<(String, u64)> = deterministic_backends()
+        .iter()
+        .map(|make| {
+            let backend = make();
+            let name = backend.name();
+            let err = run_bounded(backend, small_cfg(FaultPlan::new()), abba_scenario())
+                .expect_err("AB-BA must deadlock");
+            assert!(matches!(err, RunError::Deadlock(_)), "{name}: {err}");
+            assert_eq!(err.report().cycle, [1, 2], "{name}: {err}");
+            (name, err.report_digest())
+        })
+        .collect();
+    let golden: Vec<(String, u64)> = golden.iter().map(|&(n, d)| (n.to_owned(), d)).collect();
+    assert_eq!(got, golden, "got {got:x?}");
+}
+
 /// The native baseline has no logical clock, so the same AB-BA surfaces
 /// through the wall-clock fallback as a `Wedged` run — still typed,
 /// still bounded.

@@ -203,3 +203,37 @@ fn per_op_clocks_match_the_per_access_publication_golden() {
         assert_eq!(got, golden, "{workload}: got ({}, {:#018x})", got.0, got.1);
     }
 }
+
+/// `(epoch, digest)` of every checkpoint `service.ledger@4` seals on
+/// RFDet-ci at `checkpoint_every = 2`. The encoded checkpoint carries the
+/// sync-var table and the finished set, so this chain pins what the
+/// runtime's sync-object state feeds into a cut, byte for byte.
+fn ledger_checkpoint_chain() -> Vec<(u64, u64)> {
+    let mut cfg = RunConfig::small();
+    cfg.rfdet.fault_cost_spins = 0;
+    cfg.deadlock_after_ms = Some(10_000);
+    cfg.checkpoint_every = 2;
+    cfg.trace = Some("service.ledger@4".to_owned());
+    let w = by_name("service.ledger").expect("registered");
+    let run = RfdetBackend::ci().run_traced(&cfg, (w.factory)(Params::new(4, Size::Test)));
+    run.result
+        .unwrap_or_else(|e| panic!("service.ledger@4: {e}"));
+    run.checkpoints
+        .iter()
+        .map(|c| (c.epoch, c.digest()))
+        .collect()
+}
+
+/// Golden generated by [`ledger_checkpoint_chain`] at the commit before
+/// the sync-object state moved into one turn-owned table.
+#[test]
+fn ledger_checkpoint_chain_matches_the_golden() {
+    let golden: &[(u64, u64)] = &[
+        (2, 0xeb31_b855_66aa_4121),
+        (4, 0x304a_3f4a_2698_039e),
+        (6, 0x152b_b32a_32ea_8692),
+    ];
+    let got = ledger_checkpoint_chain();
+    assert_eq!(got, ledger_checkpoint_chain(), "rerun");
+    assert_eq!(got, golden, "got {got:x?}");
+}
