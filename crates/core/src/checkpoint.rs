@@ -179,15 +179,16 @@ pub(crate) fn ckpt_to_heap(c: &CkptHeap) -> HeapState {
     }
 }
 
-/// Decides, inside the last arriver's turn, whether this barrier episode
-/// seeds a checkpoint. Returns the epoch to stamp into the
-/// [`rfdet_meta::BarrierHandoff`] when it does.
+/// Decides, inside the last arriver's turn, whether the barrier episode
+/// with these `(tid, release time)` arrivals seeds a checkpoint. Returns
+/// the epoch to stamp into every woken participant's
+/// [`rfdet_meta::Mailbox::checkpoint`] when it does.
 ///
 /// Running in-turn is what makes the *global* seal data (the sync table,
 /// dead threads' output) safe to read without racing: no
 /// other thread can execute an op boundary until this turn releases, and
 /// the woken participants run only off-turn work until their next op.
-pub(crate) fn decide(ctx: &mut RfdetCtx, participants: &[Tid], upper: &VClock) -> Option<u64> {
+pub(crate) fn decide(ctx: &mut RfdetCtx, arrivals: &[(Tid, VClock)]) -> Option<u64> {
     let every = ctx.shared.run.cfg.checkpoint_every;
     if every == 0 {
         return None;
@@ -195,7 +196,7 @@ pub(crate) fn decide(ctx: &mut RfdetCtx, participants: &[Tid], upper: &VClock) -
     let table = ctx.shared.meta.sync_in_turn();
     let finished = table.finished();
     let live = ctx.shared.meta.num_threads() - finished.len();
-    if participants.len() != live {
+    if arrivals.len() != live {
         return None;
     }
     if table
@@ -207,9 +208,13 @@ pub(crate) fn decide(ctx: &mut RfdetCtx, participants: &[Tid], upper: &VClock) -
     }
     let releases = table.releases();
     drop(table);
+    let mut upper = VClock::new();
+    for (_, time) in arrivals {
+        upper.join(time);
+    }
     let mut sync_vars: Vec<CkptSyncVar> = Vec::new();
     for (key, last_tid, last_time) in releases {
-        if !last_time.leq(upper) {
+        if !last_time.leq(&upper) {
             // An undominated release (typically an unjoined dead
             // thread's exit): its slices are not yet everywhere, so the
             // empty-slice-list restore would lose them.
@@ -255,7 +260,7 @@ pub(crate) fn decide(ctx: &mut RfdetCtx, participants: &[Tid], upper: &VClock) -
         });
     }
     inner.pending = Some(PendingCkpt {
-        expected: participants.len(),
+        expected: arrivals.len(),
         ckpt: Checkpoint {
             epoch,
             backend: ctx.shared.backend_name.clone(),

@@ -46,10 +46,9 @@ pub struct RfdetCtx {
     /// the `snap_pool` idiom applied to §4.5: steady-state faults merge
     /// and apply pending runs with zero allocations.
     pub(crate) lazy_overlay: PageOverlay,
-    /// Current vector clock.
+    /// Current vector clock. It changes only between `end_slice` and
+    /// `begin_slice`, so it is also the in-progress slice's timestamp.
     pub(crate) vc: VClock,
-    /// Timestamp of the in-progress slice (the clock at its start).
-    pub(crate) slice_start: VClock,
     pub(crate) slice_seq: u64,
     /// The in-progress slice's snapshots, per dirty line, in buffers
     /// recycled across slices (up to [`SNAP_POOL_PAGES`]).
@@ -165,7 +164,6 @@ impl RfdetCtx {
         let jitter = cfg
             .jitter_seed
             .map(|seed| Jitter::new(seed, tid, cfg.jitter_max_us));
-        let slice_start = vc.clone();
         let mut ctx = Self {
             shared,
             kendo,
@@ -175,7 +173,6 @@ impl RfdetCtx {
             pending: crate::pending::PendingTable::default(),
             lazy_overlay: PageOverlay::new(),
             vc,
-            slice_start,
             slice_seq: 0,
             snaps,
             runs: Default::default(),

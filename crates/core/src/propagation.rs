@@ -4,9 +4,8 @@ use crate::ctx::RfdetCtx;
 use rfdet_api::obs::Phase;
 use rfdet_api::Tid;
 use rfdet_mem::{page_groups, RunRange, Runs};
-use rfdet_meta::{BarrierHandoff, Mailbox, SliceRef};
+use rfdet_meta::{Mailbox, SliceRef};
 use rfdet_vclock::VClock;
-use std::collections::HashSet;
 
 impl RfdetCtx {
     /// The acquire (§4.1): joins `from`'s release time `time` into the
@@ -23,16 +22,6 @@ impl RfdetCtx {
         self.scratch_lower = lower;
     }
 
-    /// The barrier acquire: joins the episode's upper limit and merges
-    /// every participant's slices below it ([`Self::propagate_barrier`]).
-    pub(crate) fn acquire_barrier(&mut self, b: &BarrierHandoff) {
-        let mut lower = std::mem::take(&mut self.scratch_lower);
-        lower.clone_from(&self.vc);
-        self.vc.join(&b.upper);
-        self.propagate_barrier(b, &lower);
-        self.scratch_lower = lower;
-    }
-
     /// `DoMemoryModificationPropagation` (Figure 5): pull from `from`'s
     /// slice-pointer list every slice `S` with
     /// `S.time ≤ upper` (*upperlimit*: S happens-before the release we
@@ -46,7 +35,7 @@ impl RfdetCtx {
         // prefix-closed under it: start at the cursor, stop at the first
         // entry above the limit.
         let source = self.peer(from);
-        let (batch, redundant, new_cursor) = source.filter_slices_from(upper, lower, cursor, true);
+        let (batch, redundant, new_cursor) = source.filter_slices_from(upper, lower, cursor);
         self.cursors.insert(from, new_cursor);
         self.h.stats.slices_filtered_redundant += redundant;
         for s in &batch {
@@ -54,34 +43,6 @@ impl RfdetCtx {
             self.apply_slice(s);
         }
         self.meta_thread.append_slices(&batch);
-        self.obs_since_boundary(Phase::Propagation, t0);
-    }
-
-    /// Barrier-merge propagation: everything that happened before the
-    /// barrier, from every participant, merged in ascending-tid order
-    /// (§4.1: "the thread with the smallest ID merges its modifications
-    /// first"), deduplicated across lists.
-    pub(crate) fn propagate_barrier(&mut self, b: &BarrierHandoff, lower: &VClock) {
-        let t0 = self.obs_boundary_start();
-        let mut seen: HashSet<(Tid, u64)> = HashSet::new();
-        let mut participants = b.participants.clone();
-        participants.sort_unstable();
-        for &p in &participants {
-            if p == self.tid {
-                continue;
-            }
-            let source = self.peer(p);
-            let (filtered, _, _) = source.filter_slices_from(&b.upper, lower, 0, false);
-            let batch: Vec<SliceRef> = filtered
-                .into_iter()
-                .filter(|s| seen.insert((s.tid, s.seq)))
-                .collect();
-            for s in &batch {
-                self.h.stats.slices_propagated += 1;
-                self.apply_slice(s);
-            }
-            self.meta_thread.append_slices(&batch);
-        }
         self.obs_since_boundary(Phase::Propagation, t0);
     }
 
@@ -190,7 +151,7 @@ impl RfdetCtx {
             return;
         }
         let cursor = self.cursors.get(&source).copied().unwrap_or(0);
-        let (batch, _, new_cursor) = source_meta.filter_slices_from(&bound, &lower, cursor, true);
+        let (batch, _, new_cursor) = source_meta.filter_slices_from(&bound, &lower, cursor);
         self.cursors.insert(source, new_cursor);
         for s in &batch {
             self.h.stats.prelock_premerged += 1;
@@ -208,9 +169,6 @@ impl RfdetCtx {
     /// pre-merge joined their times into `vc`, so the lowerlimit filters
     /// them.
     pub(crate) fn apply_mailbox(&mut self, mail: &Mailbox) {
-        if let Some(b) = &mail.barrier {
-            self.acquire_barrier(b);
-        }
         for src in &mail.sources {
             self.acquire(src.from, &src.time);
         }

@@ -33,8 +33,9 @@ impl RfdetCtx {
     }
 
     /// Ends the current slice: seals it unless its op already did, then
-    /// publishes it — the in-turn half. Runs GC if the publication crossed
-    /// the metadata threshold (§4.5).
+    /// publishes it stamped with `vc` (unchanged since `begin_slice`) —
+    /// the in-turn half. Runs GC if the publication crossed the metadata
+    /// threshold (§4.5).
     pub(crate) fn end_slice(&mut self) {
         let (mods, scanned) = self.sealed.take().unwrap_or_else(|| self.seal_slice());
         self.h.stats.diff_bytes_scanned += scanned;
@@ -50,7 +51,7 @@ impl RfdetCtx {
             Vec::new()
         };
         if mods.is_some() || !reads.is_empty() {
-            let (time, mods) = (self.slice_start.clone(), mods.unwrap_or_default());
+            let (time, mods) = (self.vc.clone(), mods.unwrap_or_default());
             let mut rec = SliceRec::sealed(self.tid, self.slice_seq, time, mods);
             if self.track_reads {
                 rec = rec.with_access(reads, self.h.sync_ops(), self.in_atomic);
@@ -88,7 +89,6 @@ impl RfdetCtx {
         // code, not an adjacent instrumented phase.
         self.slice_t0 = self.obs_boundary_start();
         self.slice_ops_base = self.h.stats.loads + self.h.stats.stores;
-        self.slice_start = self.vc.clone();
         debug_assert!(
             self.snaps.dirty_pages() == 0 && self.sealed.is_none(),
             "begin_slice with the previous slice unpublished"

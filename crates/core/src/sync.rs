@@ -27,7 +27,7 @@
 use crate::ctx::RfdetCtx;
 use rfdet_api::obs::Phase;
 use rfdet_api::{BarrierId, CondId, MutexId, SyncOp, ThreadFn, ThreadHandle, Tid};
-use rfdet_meta::{AcquireSource, BarrierHandoff, SyncTable};
+use rfdet_meta::{AcquireSource, SyncTable};
 use rfdet_vclock::VClock;
 use std::sync::Arc;
 
@@ -121,9 +121,8 @@ fn park(ctx: &mut RfdetCtx, premerge_source: Option<Tid>) {
     #[cfg(debug_assertions)]
     {
         let mut delivered = blocked_vc;
-        let barrier = mail.barrier.iter().map(|b| &b.upper);
-        for time in barrier.chain(mail.sources.iter().map(|s| &s.time)) {
-            delivered.join(time);
+        for src in &mail.sources {
+            delivered.join(&src.time);
         }
         assert_eq!(
             ctx.vc, delivered,
@@ -132,7 +131,7 @@ fn park(ctx: &mut RfdetCtx, premerge_source: Option<Tid>) {
     }
     op_epilogue(ctx);
     // The checkpoint fragment is contributed only after the merge.
-    if let Some(epoch) = mail.barrier.and_then(|b| b.checkpoint) {
+    if let Some(epoch) = mail.checkpoint {
         crate::checkpoint::contribute(ctx, epoch);
     }
 }
@@ -329,31 +328,36 @@ pub(crate) fn barrier_impl(ctx: &mut RfdetCtx, b: BarrierId, parties: usize) {
     let Some(arrivals) = arrivals else {
         return park(ctx, None);
     };
-    // Last arriver: compute the merged view and release everyone.
-    let mut upper = VClock::new();
-    for (_, t) in &arrivals {
-        upper.join(t);
-    }
-    let participants: Vec<Tid> = arrivals.iter().map(|(t, _)| *t).collect();
-    // Checkpoint eligibility is decided here, inside the last arriver's
+    // Last arriver. Checkpoint eligibility is decided here, inside its
     // turn, *before* any deposit or wake: the global seal data (the sync
     // table, dead outputs) is race-free, and every participant learns
     // the same epoch.
-    let checkpoint = crate::checkpoint::decide(ctx, &participants, &upper);
-    let handoff = BarrierHandoff {
-        participants,
-        upper,
-        checkpoint,
-    };
-    for &w in &handoff.participants {
-        if w != ctx.tid {
-            ctx.peer(w).mailbox.lock().barrier = Some(handoff.clone());
-            wake(ctx, w);
+    let checkpoint = crate::checkpoint::decide(ctx, &arrivals);
+    // Each participant acquires every other arrival in ascending tid
+    // (§4.1: "the thread with the smallest ID merges its modifications
+    // first"): a slice below the episode's join is below the arrival of
+    // whichever participant saw most of its owner, so it lies in that
+    // participant's list prefix. Wakes go out in arrival order; ours is
+    // the last arrival.
+    let woken: Vec<Tid> = arrivals[..parties - 1].iter().map(|&(w, _)| w).collect();
+    let mut edges = arrivals;
+    edges.sort_unstable_by_key(|&(tid, _)| tid);
+    for w in woken {
+        for (from, time) in &edges {
+            if *from != w {
+                deposit(ctx, w, *from, time.clone());
+            }
         }
+        ctx.peer(w).mailbox.lock().checkpoint = checkpoint;
+        wake(ctx, w);
     }
     ctx.release_turn();
     // Own merge, off turn.
-    ctx.acquire_barrier(&handoff);
+    for (from, time) in &edges {
+        if *from != ctx.tid {
+            ctx.acquire(*from, time);
+        }
+    }
     op_epilogue(ctx);
     if let Some(epoch) = checkpoint {
         crate::checkpoint::contribute(ctx, epoch);
@@ -375,9 +379,9 @@ pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
     let child_kendo = ctx.shared.kendo.register(ctx.clock() + 1);
     assert_eq!(child_kendo.tid(), child_tid, "registry tid mismatch");
     // The child's clock starts from the *pre-tick* boundary clock, not
-    // the parent's post-tick `vc`: slices are stamped with their start
-    // time, so the slice the parent opens right after this boundary will
-    // carry exactly the post-tick clock. A child seeded with that value
+    // the parent's post-tick `vc`: a slice is stamped with the clock it
+    // runs under, so the slice the parent opens right after this boundary
+    // will carry exactly the post-tick clock. A child seeded with that value
     // would claim the slice as already-seen — yet its writes happen
     // after the fork, so every later filter would drop it and the
     // child would read stale memory forever. Same off-by-one discipline

@@ -3,10 +3,10 @@
 //! A blocked thread cannot decide anything for itself, so the thread that
 //! deterministically causes its wakeup (the unlocker, signaler, last
 //! barrier arriver, or exiting joinee) deposits everything the sleeper
-//! needs — which releases it synchronized with, and for barriers the
-//! merged upper limit — into the sleeper's mailbox
-//! ([`crate::ThreadMeta::mailbox`]) *during the waker's Kendo turn*,
-//! before flipping it back to `Active`.
+//! needs — the releases it synchronizes with, one acquire edge each (a
+//! barrier episode deposits every other participant's arrival) — into
+//! the sleeper's mailbox ([`crate::ThreadMeta::mailbox`]) *during the
+//! waker's Kendo turn*, before flipping it back to `Active`.
 
 use rfdet_vclock::{Tid, VClock};
 
@@ -20,30 +20,18 @@ pub struct AcquireSource {
     pub time: VClock,
 }
 
-/// Barrier wakeups carry the merged view instead of a single source.
-#[derive(Clone, Debug)]
-pub struct BarrierHandoff {
-    /// Every participant of this barrier episode, ascending tid — the
-    /// deterministic merge order of §4.1 ("the thread with the smallest
-    /// ID merges its modifications first").
-    pub participants: Vec<Tid>,
-    /// Join of all participants' release times: the upperlimit.
-    pub upper: VClock,
-    /// `Some(epoch)` when this episode seeds a checkpoint (§4.11): each
-    /// woken participant contributes its fragment right after its merge.
-    /// Stamped by the last arriver *before* any mailbox deposit, so
-    /// every participant of the episode sees the same decision.
-    pub checkpoint: Option<u64>,
-}
-
 /// Accumulated wakeup information for one blocking episode.
 #[derive(Debug, Default)]
 pub struct Mailbox {
-    /// Ordinary acquire edges (mutex handoff, condvar signal, join),
-    /// in the deterministic order they were deposited.
+    /// Acquire edges (mutex handoff, condvar signal, join, the other
+    /// participants' barrier arrivals in ascending tid), in the
+    /// deterministic order they were deposited.
     pub sources: Vec<AcquireSource>,
-    /// Set instead of `sources` for barrier wakeups.
-    pub barrier: Option<BarrierHandoff>,
+    /// `Some(epoch)` when the barrier episode that woke the thread seeds
+    /// a checkpoint (§4.11): the thread contributes its fragment right
+    /// after its merge. Stamped by the last arriver *before* any wake,
+    /// so every participant of the episode sees the same decision.
+    pub checkpoint: Option<u64>,
 }
 
 impl Mailbox {
@@ -57,7 +45,7 @@ impl Mailbox {
     /// already-finished thread never blocks).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.sources.is_empty() && self.barrier.is_none()
+        self.sources.is_empty() && self.checkpoint.is_none()
     }
 }
 

@@ -29,7 +29,7 @@ mod slice;
 mod space;
 mod syncvar;
 
-pub use handoff::{AcquireSource, BarrierHandoff, Mailbox};
+pub use handoff::{AcquireSource, Mailbox};
 pub use slice::{SliceRec, SliceRef};
 pub use space::{GcOutcome, MetaSpace, ThreadMeta, GC_THRESHOLD};
 pub use syncvar::{BarrierRec, CondRec, MutexRec, SyncKey, SyncTable, SyncVar, ThreadRec};

@@ -89,7 +89,6 @@ impl ThreadMeta {
         upper: &VClock,
         lower: &VClock,
         cursor: u64,
-        prefix_closed: bool,
     ) -> (Vec<SliceRef>, u64, u64) {
         let list = self.slice_list.lock();
         let mut batch = Vec::new();
@@ -104,10 +103,9 @@ impl ThreadMeta {
                     batch.push(Arc::clone(s));
                 }
                 new_cursor += 1;
-            } else if prefix_closed {
+            } else {
                 break;
             }
-            // (non-prefix-closed callers do not advance past gaps)
         }
         (batch, redundant, new_cursor)
     }
@@ -266,10 +264,15 @@ impl MetaSpace {
     ///
     /// `cursor` is the caller's absolute position in this list: entries
     /// before it were fully processed under an earlier (≤) upper limit
-    /// and are skipped outright. When `upper` is a release time of
-    /// `from`, release-prefix closure additionally allows stopping at the
-    /// first entry above the limit (`prefix_closed`). Returns the new
-    /// cursor alongside the batch.
+    /// and are skipped outright. `upper` must be a release time of
+    /// `from`, so release-prefix closure lets the scan stop at the first
+    /// entry above the limit. Returns the new cursor alongside the batch.
+    ///
+    /// # Panics
+    ///
+    /// Unless `prefix_closed` is `true`: every scan is prefix-closed. The
+    /// argument stays only for the benchmark's `meta.filter_cursor_ns`
+    /// probe, which passes `true`.
     #[must_use]
     pub fn filter_list_from(
         &self,
@@ -279,8 +282,8 @@ impl MetaSpace {
         cursor: u64,
         prefix_closed: bool,
     ) -> (Vec<SliceRef>, u64, u64) {
-        self.thread(from)
-            .filter_slices_from(upper, lower, cursor, prefix_closed)
+        assert!(prefix_closed, "every slice-list scan is prefix-closed");
+        self.thread(from).filter_slices_from(upper, lower, cursor)
     }
 
     /// Publishes `tid`'s vector clock — call only after the memory

@@ -87,7 +87,7 @@ fn gc_prunes_prefix_only_and_cursors_survive() {
     assert_eq!(list[1].time, vc(&[3]));
     // A consumer whose cursor was 3 (absolute) still resolves correctly:
     // local start = 3 - pruned(2) = 1 → sees only the [3] entry.
-    let (batch, _, cursor) = meta.filter_list_from(0, &vc(&[10, 10]), &VClock::new(), 3, false);
+    let (batch, _, cursor) = meta.filter_list_from(0, &vc(&[10, 10]), &VClock::new(), 3, true);
     assert_eq!(batch.len(), 1);
     assert_eq!(batch[0].time, vc(&[3]));
     assert_eq!(cursor, 4);

@@ -171,6 +171,57 @@ fn barriers_are_reusable_across_generations() {
     }
 }
 
+/// A write race between barrier participants resolves by ascending tid
+/// (§4.1: "the thread with the smallest ID merges its modifications
+/// first"), so each participant reads back the highest-tid *other*
+/// writer's value, and the join order leaves main with the highest tid's
+/// — whichever order the participants arrive in.
+#[test]
+fn a_barrier_resolves_a_write_race_by_ascending_tid_whatever_the_arrival_order() {
+    const RANKS: [[u64; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    for b in [RfdetBackend::ci(), RfdetBackend::pf()] {
+        for ranks in RANKS {
+            let out = b.run_expect(
+                &cfg(),
+                Box::new(move |ctx| {
+                    let bar = BarrierId(0);
+                    let hs: Vec<_> = (0..3u64)
+                        .map(|i| {
+                            ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
+                                // Worker i arrives `ranks[i]`-th.
+                                ctx.tick(10_000 * ranks[i as usize]);
+                                ctx.write::<u64>(0, 100 + i);
+                                ctx.barrier(bar, 3);
+                                let v: u64 = ctx.read(0);
+                                ctx.write_idx::<u64>(64, i, v);
+                            }))
+                        })
+                        .collect();
+                    for h in hs {
+                        ctx.join(h);
+                    }
+                    let seen: Vec<u64> = (0..3).map(|i| ctx.read_idx(64, i)).collect();
+                    let v: u64 = ctx.read(0);
+                    ctx.emit_str(&format!("{seen:?} {v}"));
+                }),
+            );
+            assert_eq!(
+                out.output,
+                b"[102, 102, 101] 102",
+                "{}, arrival ranks {ranks:?}",
+                b.name()
+            );
+        }
+    }
+}
+
 #[test]
 fn rfdet_rejects_unlock_of_unheld_mutex() {
     let err = RfdetBackend::ci()
