@@ -97,6 +97,8 @@ pub struct RunConfig {
     /// Capacity of the metadata space in bytes (the paper evaluates 256 MB
     /// and 512 MB, §5.4). Slices are garbage-collected when usage crosses
     /// `rfdet_meta::GC_THRESHOLD` (the paper's 0.9) of this capacity.
+    /// Read by the DLRC core alone — the only backend with a metadata
+    /// space; the lockstep and native backends ignore it.
     pub meta_capacity_bytes: u64,
     /// Additional GC trigger: live-slice count. The paper's metadata
     /// pressure comes mostly from 4 KiB page snapshots, so its byte
@@ -104,6 +106,7 @@ pub struct RunConfig {
     /// so a pure byte threshold would let slice-pointer lists grow until
     /// the Figure-5 scan dominates. Bounding live slices keeps
     /// propagation amortized-O(live slices) exactly as in the paper.
+    /// DLRC core only, like `meta_capacity_bytes`.
     pub meta_max_slices: u64,
     /// RFDet-specific options (ignored by other backends).
     pub rfdet: RfdetOpts,

@@ -100,10 +100,14 @@ pub type ThreadFn = Box<dyn FnOnce(&mut dyn DmtCtx) + Send + 'static>;
 ///
 /// # Panics
 ///
-/// Implementations panic on API misuse that would be undefined behaviour
-/// under pthreads: unlocking a mutex the thread does not hold, waiting on a
-/// condition variable without holding the mutex, joining a handle twice,
-/// or accessing memory outside the configured space.
+/// On API misuse that would be undefined behaviour under pthreads the
+/// deterministic backends fail the run with one `Panic`, charged to the
+/// misusing thread with one message on all four: unlocking a mutex the
+/// thread does not hold, waiting on a condition variable without holding
+/// the mutex, re-locking a held mutex, a thread joining itself, a barrier
+/// with zero parties (or more arrivals than parties). Every backend fails
+/// on an access outside the configured space; joining a handle twice
+/// panics on native only (ROADMAP item 10).
 pub trait DmtCtx {
     /// The calling thread's deterministic thread ID (main thread is 0).
     fn tid(&self) -> Tid;

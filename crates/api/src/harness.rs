@@ -7,13 +7,17 @@
 //!
 //! * [`ThreadHarness`] — per thread: the sync-op and allocation
 //!   coordinates, the last op, the flight-recorder and metrics buffers,
-//!   the profiling counters. [`ThreadHarness::enter_sync`] is the one
-//!   definition of what a sync-op coordinate is and what happens at one.
+//!   the output stream, the profiling counters.
+//!   [`ThreadHarness::enter_sync`] is the one definition of what a
+//!   sync-op coordinate is and what happens at one.
 //! * [`RunHarness`] — per run: the validated, resolved
-//!   [`RunConfig`](crate::RunConfig), the fault plan, both sinks, the OS thread handles, the
-//!   failure slot and the stop protocol — recording a failure *is*
-//!   stopping the run: the stop flag, the one [`Stopped`] unwind token
-//!   and the supervised wait ([`RunHarness::wait_until`]) live here.
+//!   [`RunConfig`](crate::RunConfig), the fault plan, both sinks, the OS
+//!   thread handles, the retired threads' output streams and the counter
+//!   aggregate ([`RunHarness::retire`]), the failure slot and the stop
+//!   protocol — recording a failure *is* stopping the run: the stop
+//!   flag, the one [`Stopped`] unwind token (kept off stderr by the
+//!   harness's panic-hook filter) and the supervised wait
+//!   ([`RunHarness::wait_until`]) live here.
 //! * [`RunHarness::finish`] — the run tail, in the one order it must
 //!   happen in.
 //!
@@ -26,7 +30,7 @@ mod run;
 mod thread;
 
 pub use run::{RunHarness, Stopped};
-pub use thread::{PlannedPanic, ThreadHarness};
+pub use thread::ThreadHarness;
 
 use crate::{Addr, BarrierId, CondId, MutexId, Stats, Tid};
 use rfdet_trace::op;
@@ -145,14 +149,10 @@ mod tests {
 
     /// Finishes a run whose only context is `main` and whose output is
     /// `b"ok"`.
-    fn finish(run: &RunHarness, main: ThreadHarness) -> TracedRun {
-        let stats = main.stats;
-        run.finish(
-            "test",
-            main,
-            |_| Default::default(),
-            || (b"ok".to_vec(), stats),
-        )
+    fn finish(run: &RunHarness, mut main: ThreadHarness) -> TracedRun {
+        main.emit(b"ok");
+        run.retire(&mut main);
+        run.finish("test", main, |_| Default::default())
     }
 
     fn events(run: TracedRun) -> Vec<TraceEvent> {
@@ -198,6 +198,29 @@ mod tests {
     }
 
     #[test]
+    fn retired_output_is_concatenated_in_tid_order_with_the_summed_counters() {
+        let run = harness(&RunConfig::small());
+        let mut threads: Vec<ThreadHarness> = (0..3).map(|t| ThreadHarness::new(&run, t)).collect();
+        threads[2].emit(b"!");
+        threads[1].emit(b"world");
+        threads[0].emit(b"hello ");
+        for h in &mut threads {
+            h.enter_sync(SyncOp::Lock(MutexId(0)), || 0);
+        }
+        for h in threads.iter_mut().rev() {
+            run.retire(h);
+        }
+        assert_eq!(run.output_of(1), b"world");
+        assert!(threads[1].output().is_empty(), "retiring takes the stream");
+        let out = run
+            .finish("test", threads.remove(0), |_| Default::default())
+            .result
+            .expect("clean");
+        assert_eq!(out.output, b"hello world!");
+        assert_eq!(out.stats.locks, 3);
+    }
+
+    #[test]
     fn every_op_kind_names_its_counter_and_its_rendering() {
         let run = harness(&RunConfig::small());
         let mut h = ThreadHarness::new(&run, 0);
@@ -237,8 +260,9 @@ mod tests {
         h.raise_planned();
         let fault = h.enter_sync(SyncOp::Join(1), || 45);
         assert_eq!((fault.panic, fault.jitter_ticks), (true, 7));
-        let (message, culprit) = h.planned_panic().expect("planned at op 1");
+        let message = h.planned_panic().expect("planned at op 1");
         assert_eq!(message, FaultPlan::panic_message(0, 1));
+        let culprit = h.report();
         assert_eq!(
             (culprit.sync_ops, culprit.last_op.as_deref()),
             (2, Some("join(1)"))

@@ -1,9 +1,11 @@
-//! Per-run harness state: resolved config, sinks, OS handles, the
-//! failure slot, the stop protocol and the run tail.
+//! Per-run harness state: resolved config, sinks, OS handles, retired
+//! threads' output and counters, the failure slot, the stop protocol and
+//! the run tail.
 
+use super::ThreadHarness;
 use crate::{
-    ConfigError, FailureKind, FailureReport, FaultPlan, RaceReport, RunConfig, RunError, RunOutput,
-    Stats, ThreadReport, Tid, TracedRun, WaitEdge,
+    AtomicStats, ConfigError, FailureKind, FailureReport, FaultPlan, RaceReport, RunConfig,
+    RunError, RunOutput, ThreadReport, Tid, TracedRun, WaitEdge,
 };
 use parking_lot::Condvar;
 use rfdet_obs::ObsSink;
@@ -24,6 +26,20 @@ const POLL: Duration = Duration::from_millis(10);
 /// cause.
 #[derive(Debug)]
 pub struct Stopped;
+
+/// Installs, once per process, the panic-hook filter that keeps the
+/// caught [`Stopped`] unwinds off stderr (they printed `Box<dyn Any>`).
+fn filter_stopped_unwinds() {
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !info.payload().is::<Stopped>() {
+                prev(info);
+            }
+        }));
+    });
+}
 
 /// The harness mutexes guard plain data that stays coherent when some
 /// unrelated panic unwinds past a guard.
@@ -60,6 +76,11 @@ pub struct RunHarness {
     pub obs_sink: Option<Arc<ObsSink>>,
     /// OS join handles of spawned threads, harvested by [`Self::finish`].
     handles: Mutex<HashMap<Tid, JoinHandle<()>>>,
+    /// The run's counter aggregate: retired threads' [`ThreadHarness::stats`]
+    /// plus the counters no thread owns, added directly.
+    pub stats: AtomicStats,
+    /// Retired threads' output streams, by tid.
+    outputs: Mutex<BTreeMap<Tid, Vec<u8>>>,
     /// The root cause. First writer wins; `backend` is filled in at
     /// teardown.
     failure: Mutex<Option<FailureReport>>,
@@ -83,11 +104,14 @@ impl RunHarness {
     /// [`TracedRun::rejected`].
     pub fn new(cfg: &RunConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
+        filter_stopped_unwinds();
         Ok(Self {
             plan: Arc::new(cfg.fault_plan.clone()),
             trace_sink: cfg.trace.as_ref().map(|_| Arc::default()),
             obs_sink: cfg.metrics.then(Arc::default),
             handles: Mutex::default(),
+            stats: AtomicStats::default(),
+            outputs: Mutex::default(),
             failure: Mutex::default(),
             peers: Mutex::default(),
             stopped: AtomicBool::new(false),
@@ -107,6 +131,26 @@ impl RunHarness {
     #[must_use]
     pub fn claim(&self, tid: Tid) -> Option<JoinHandle<()>> {
         lock(&self.handles).remove(&tid)
+    }
+
+    /// A thread's exit op: takes its output stream and folds its counters
+    /// into [`Self::stats`] — where the deterministic backends order it,
+    /// so a later turn's [`Self::output_of`] sees exactly the exited.
+    pub fn retire(&self, h: &mut ThreadHarness) {
+        self.retire_output(h.tid, std::mem::take(&mut h.output));
+        self.stats.merge(&std::mem::take(&mut h.stats));
+    }
+
+    /// The output half of [`Self::retire`], for a restored run's threads
+    /// that had exited at its checkpoint.
+    pub fn retire_output(&self, tid: Tid, output: Vec<u8>) {
+        lock(&self.outputs).insert(tid, output);
+    }
+
+    /// Retired thread `tid`'s output stream (empty before it retires).
+    #[must_use]
+    pub fn output_of(&self, tid: Tid) -> Vec<u8> {
+        lock(&self.outputs).get(&tid).cloned().unwrap_or_default()
     }
 
     /// `true` once a failure has been recorded.
@@ -260,20 +304,19 @@ impl RunHarness {
     /// The run tail, once the main thread's body has returned or
     /// unwound. In order: joins every adopted OS thread (children may
     /// keep spawning while we join, so until the map stays empty —
-    /// workers catch their own panics, so the joins cannot fail);
-    /// harvests the race reports through `races`, which may still need
-    /// the main context (the flag says the report list hit its cap);
-    /// drops `main` so its trace and metrics buffers flush (workers'
-    /// flushed when their contexts dropped); builds the result — the
-    /// recorded failure, or `output`'s bytes and counters; assembles and,
-    /// for a failed run, persists the trace; attaches the metrics rollup
-    /// to a successful run.
+    /// workers catch their own panics, so the joins cannot fail); runs
+    /// `races`, which may still need the main context, to harvest the race
+    /// reports (the flag says the list hit its cap) and add the counters
+    /// only the backend keeps to [`Self::stats`]; drops `main` so its
+    /// trace and metrics buffers flush; builds the result — the recorded
+    /// failure, or the retired output streams in tid order and the
+    /// counters; assembles and, for a failed run, persists the trace;
+    /// attaches the metrics rollup to a successful run.
     pub fn finish<C>(
         &self,
         backend: &str,
         mut main: C,
         races: impl FnOnce(&mut C) -> (Vec<RaceReport>, bool),
-        output: impl FnOnce() -> (Vec<u8>, Stats),
     ) -> TracedRun {
         loop {
             let handles: Vec<_> = lock(&self.handles).drain().map(|(_, h)| h).collect();
@@ -299,10 +342,13 @@ impl RunHarness {
                 Err(err)
             }
             None => {
-                let (output, stats) = output();
+                let mut output = Vec::new();
+                for stream in lock(&self.outputs).values() {
+                    output.extend_from_slice(stream);
+                }
                 Ok(RunOutput {
                     output,
-                    stats,
+                    stats: self.stats.snapshot(),
                     metrics: None,
                     races,
                 })

@@ -7,21 +7,18 @@ use rfdet_trace::{op, TraceBuf, TraceEvent};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A planned sync-op panic carried off the faulting thread's stack: its
-/// canonical message and the culprit's state.
-pub type PlannedPanic = (String, ThreadReport);
-
 /// The cross-cutting state every backend's thread context owns: fault
-/// coordinates, the flight-recorder and metrics buffers, and the
-/// profiling counters.
+/// coordinates, the flight-recorder and metrics buffers, the output
+/// stream and the profiling counters.
 ///
 /// Both buffers flush to their run-wide sinks on drop — which covers
 /// panic unwinds, since a context outlives the `catch_unwind` around its
-/// thread body. Timing is read only when metrics are on and flows only
-/// into the recorder, never into a decision.
+/// thread body; the output and counters go at the exit op
+/// ([`RunHarness::retire`]). Timing is read only when metrics are on and
+/// flows only into the recorder, never into a decision.
 #[derive(Debug)]
 pub struct ThreadHarness {
-    tid: Tid,
+    pub(super) tid: Tid,
     plan: Arc<FaultPlan>,
     /// Sync ops started — the `FaultPlan` trigger coordinate and the
     /// `sync_ops` field of failure and race reports.
@@ -33,8 +30,9 @@ pub struct ThreadHarness {
     planned: bool,
     trace: Option<TraceBuf>,
     obs: Option<ObsRecorder>,
-    /// Thread-local profiling counters; the backend folds them into the
-    /// run aggregate when the thread exits.
+    /// The thread's output stream ([`crate::DmtCtx::emit`]).
+    pub(super) output: Vec<u8>,
+    /// Thread-local profiling counters.
     pub stats: Stats,
 }
 
@@ -51,6 +49,7 @@ impl ThreadHarness {
             planned: false,
             trace: run.trace_sink.clone().map(TraceBuf::new),
             obs: run.obs_sink.clone().map(ObsRecorder::new),
+            output: Vec::new(),
             stats: Stats::default(),
         }
     }
@@ -107,17 +106,13 @@ impl ThreadHarness {
         panic!("{}", FaultPlan::panic_message(self.tid, self.sync_ops - 1));
     }
 
-    /// The message and culprit report of the panic planned at the op
-    /// most recently entered, for backends that deliver it somewhere
-    /// other than on the faulting thread's own stack.
+    /// The message of the panic planned at the op most recently entered,
+    /// for backends that deliver it somewhere other than on the faulting
+    /// thread's own stack (with [`Self::report`] as the culprit).
     #[must_use]
-    pub fn planned_panic(&self) -> Option<PlannedPanic> {
-        self.planned.then(|| {
-            (
-                FaultPlan::panic_message(self.tid, self.sync_ops - 1),
-                self.report(),
-            )
-        })
+    pub fn planned_panic(&self) -> Option<String> {
+        self.planned
+            .then(|| FaultPlan::panic_message(self.tid, self.sync_ops - 1))
     }
 
     /// Entry hook of every shared allocation of `size` bytes: counts the
@@ -176,6 +171,18 @@ impl ThreadHarness {
         self.obs.is_some()
     }
 
+    /// `DmtCtx::emit`: appends to the thread's output stream.
+    #[inline]
+    pub fn emit(&mut self, bytes: &[u8]) {
+        self.output.extend_from_slice(bytes);
+    }
+
+    /// The thread's output stream so far.
+    #[must_use]
+    pub fn output(&self) -> &[u8] {
+        &self.output
+    }
+
     /// `DmtCtx::count_app_events`.
     pub fn count_app_events(&mut self, retries: u64, shed: u64) {
         self.stats.app_retries += retries;
@@ -195,11 +202,12 @@ impl ThreadHarness {
         self.allocs
     }
 
-    /// Restores checkpointed coordinates, so pre-cut faults do not
-    /// re-fire and post-cut faults fire at their recorded points.
-    pub fn restore_coordinates(&mut self, sync_ops: u64, allocs: u64) {
+    /// Restores a checkpointed thread's output and coordinates, so pre-cut
+    /// faults do not re-fire and post-cut faults fire where recorded.
+    pub fn restore(&mut self, sync_ops: u64, allocs: u64, output: Vec<u8>) {
         self.sync_ops = sync_ops;
         self.allocs = allocs;
+        self.output = output;
     }
 
     /// The thread's deterministic progress summary for failure reports.

@@ -44,6 +44,26 @@ fn injected_failure_exits_diverged() {
     assert_eq!(out.status.code(), Some(1), "typed failure is class 1");
 }
 
+/// A failed run's secondary unwinds are caught and kept as peer
+/// diagnostics, so none may reach stderr: the lockstep backends used to
+/// print `panicked at … Box<dyn Any>` for every stopped thread.
+#[test]
+fn a_recorded_deadlock_prints_no_secondary_unwind_on_any_deterministic_backend() {
+    let dir = std::env::temp_dir().join(format!("rfdet-quiet-test-{}", std::process::id()));
+    for backend in ["RFDet-ci", "RFDet-pf", "DThreads", "CoreDet-q"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_replay"))
+            .args(["record", "chaos.abba_deadlock", "--backend", backend])
+            .env("RUST_BACKTRACE", "0")
+            .env("RFDET_TRACE_DIR", &dir)
+            .output()
+            .expect("spawn replay binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{backend}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{backend}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn unknown_workload_exits_usage() {
     let out = replay(&["record", "nonesuch@2"]);

@@ -4,6 +4,7 @@ use crate::ctx::RfdetCtx;
 use crate::shared::RuntimeShared;
 use rfdet_api::{DmtBackend, MonitorMode, RunConfig, ThreadFn, Tid, TracedRun};
 use rfdet_trace::Checkpoint;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// The RFDet deterministic-multithreading backend.
@@ -118,17 +119,18 @@ fn teardown(name: &str, shared: &Arc<RuntimeShared>, main: RfdetCtx) -> TracedRu
         name,
         main,
         // By the time the workers are joined every one of their slices
-        // has been applied at main, so the report list is sealed.
+        // has been applied at main, so the report list is sealed; the
+        // metadata space and Kendo add the counters only they keep.
         |main| {
+            let stats = &shared.run.stats;
+            stats.merge(&shared.meta.stats.snapshot());
+            let (scans, wakes, parks) = shared.kendo.handoff_counters();
+            stats.handoff_scans.fetch_add(scans, Relaxed);
+            stats.handoff_wakes.fetch_add(wakes, Relaxed);
+            stats.turn_parks.fetch_add(parks, Relaxed);
             main.detect
                 .take()
                 .map_or_else(Default::default, |d| d.finish())
-        },
-        || {
-            let mut stats = shared.meta.stats.snapshot();
-            (stats.handoff_scans, stats.handoff_wakes, stats.turn_parks) =
-                shared.kendo.handoff_counters();
-            (shared.meta.collect_output(), stats)
         },
     );
     let (checkpoints, warnings) = shared.ckpt.take_results();
@@ -272,9 +274,7 @@ mod tests {
             main.join(h);
         }
         main.on_exit();
-        let _ = shared
-            .run
-            .finish("test", main, |_| Default::default(), Default::default);
+        let _ = shared.run.finish("test", main, |_| Default::default());
         let mut all = Vec::new();
         for tid in 0..4 {
             for s in shared.meta.snapshot_list(tid) {

@@ -254,7 +254,7 @@ pub(crate) fn decide(ctx: &mut RfdetCtx, arrivals: &[(Tid, VClock)]) -> Option<u
             slice_seq: 0,
             sync_ops: 0,
             allocs: 0,
-            output: ctx.shared.meta.thread(tid).output.lock().clone(),
+            output: ctx.shared.run.output_of(tid),
             heap: CkptHeap::default(),
             pages: Vec::new(),
         });
@@ -297,7 +297,7 @@ pub(crate) fn contribute(ctx: &mut RfdetCtx, epoch: u64) {
         slice_seq: ctx.slice_seq,
         sync_ops: ctx.h.sync_ops(),
         allocs: ctx.h.allocs(),
-        output: ctx.meta_thread.output.lock().clone(),
+        output: ctx.h.output().to_vec(),
         heap: heap_to_ckpt(&ctx.heap.export_state()),
         pages: pages
             .into_iter()

@@ -661,7 +661,7 @@ impl DmtCtx for RfdetCtx {
     }
 
     fn emit(&mut self, bytes: &[u8]) {
-        self.meta_thread.output.lock().extend_from_slice(bytes);
+        self.h.emit(bytes);
     }
 
     fn atomic_rmw(&mut self, addr: Addr, op: rfdet_api::AtomicOp) -> u64 {

@@ -55,10 +55,10 @@ fn build_ctx(shared: Arc<RuntimeShared>, seed: LiveSeed) -> RfdetCtx {
         space.write(space.page_base(p.index as usize), &p.data);
     }
     let mut ctx = RfdetCtx::from_parts(shared, seed.kendo, seed.meta, Some(space), seed.vc);
-    ctx.slice_seq = seed.frag.slice_seq;
-    ctx.h
-        .restore_coordinates(seed.frag.sync_ops, seed.frag.allocs);
-    ctx.heap.restore_state(&ckpt_to_heap(&seed.frag.heap));
+    let frag = seed.frag;
+    ctx.slice_seq = frag.slice_seq;
+    ctx.heap.restore_state(&ckpt_to_heap(&frag.heap));
+    ctx.h.restore(frag.sync_ops, frag.allocs, frag.output);
     ctx
 }
 
@@ -118,7 +118,6 @@ pub(crate) fn restore(
         let meta = shared.meta.register_thread();
         assert_eq!(meta.tid, t.tid, "checkpoint tids must be dense, ascending");
         let kendo = shared.kendo.register(t.clock);
-        *meta.output.lock() = t.output.clone();
         if t.alive {
             let vc = VClock::from_components(t.vc.clone());
             // Publish the clock before any thread runs: a peer may
@@ -134,6 +133,7 @@ pub(crate) fn restore(
         } else {
             shared.kendo.finish_forced(t.tid);
             shared.meta.mark_dead(t.tid);
+            shared.run.retire_output(t.tid, t.output.clone());
         }
     }
     // The sync-var table: every recorded (lastTid, lastTime). The

@@ -24,14 +24,14 @@
 
 use crate::checkpoint::CkptStop;
 use crate::shared::RuntimeShared;
-use rfdet_api::harness::Stopped;
 use rfdet_api::{FailureKind, ThreadReport, Tid, WaitEdge};
 use rfdet_kendo::{Aborted, Starved};
 use std::any::Any;
 
-/// Installs, once per process, the panic-hook filter over the runtime's
+/// Installs, once per process, the panic-hook filter over this family's
 /// own unwinds, which are all caught: a [`control_flow`] token prints
-/// nothing, a [`Starved`] prints its diagnosis, not `Box<dyn Any>`.
+/// nothing, a [`Starved`] prints its diagnosis, not `Box<dyn Any>`. The
+/// harness's own `Stopped` token is filtered by the harness.
 pub(crate) fn filter_control_unwinds() {
     static HOOK: std::sync::Once = std::sync::Once::new();
     HOOK.call_once(|| {
@@ -46,10 +46,10 @@ pub(crate) fn filter_control_unwinds() {
     });
 }
 
-/// `true` for the unwinds that stop a thread rather than report a fault:
-/// the clean shard stop and a failed run's secondary unwinds.
+/// `true` for this family's unwinds that stop a thread rather than
+/// report a fault: the clean shard stop and Kendo's abort.
 fn control_flow(payload: &(dyn Any + Send)) -> bool {
-    payload.is::<CkptStop>() || payload.is::<Stopped>() || payload.is::<Aborted>()
+    payload.is::<CkptStop>() || payload.is::<Aborted>()
 }
 
 impl RuntimeShared {
@@ -101,21 +101,7 @@ impl RuntimeShared {
     /// table is quiescent); two parked threads may read it at once, so
     /// this takes the plain lock, not the turn holder's.
     fn wait_graph(&self) -> Vec<WaitEdge> {
-        let t = self.meta.sync_table();
-        WaitEdge::graph(
-            t.mutexes
-                .iter()
-                .flat_map(|(&id, mx)| mx.queue.iter().map(move |&w| (w, id, mx.owner))),
-            t.conds
-                .iter()
-                .flat_map(|(&id, c)| c.waiters.iter().map(move |&(w, _)| (w, id))),
-            t.barriers
-                .iter()
-                .flat_map(|(&id, b)| b.arrivals.iter().map(move |&(w, _)| (w, id))),
-            t.threads
-                .iter()
-                .flat_map(|(&tid, th)| th.joiners.iter().map(move |&w| (w, tid))),
-        )
+        self.meta.sync_table().wait_graph([])
     }
 }
 
@@ -186,9 +172,11 @@ mod tests {
 
     #[test]
     fn the_hook_silences_stopping_tokens_and_nothing_else() {
-        let silent: [Box<dyn Any + Send>; 3] =
-            [Box::new(CkptStop), Box::new(Stopped), Box::new(Aborted)];
+        // The harness's own `Stopped` token is the harness hook's to
+        // silence; this one passes it on.
+        let silent: [Box<dyn Any + Send>; 2] = [Box::new(CkptStop), Box::new(Aborted)];
         assert!(silent.iter().all(|p| control_flow(p.as_ref())));
+        assert!(!control_flow(&rfdet_api::harness::Stopped));
         let mut cfg = RunConfig::small();
         cfg.deadlock_after_ms = Some(10);
         let s = RuntimeShared::new(&cfg).expect("valid config");

@@ -27,7 +27,7 @@
 use crate::ctx::RfdetCtx;
 use rfdet_api::obs::Phase;
 use rfdet_api::{BarrierId, CondId, MutexId, SyncOp, ThreadFn, ThreadHandle, Tid};
-use rfdet_meta::{AcquireSource, SyncTable};
+use rfdet_meta::AcquireSource;
 use rfdet_vclock::VClock;
 use std::sync::Arc;
 
@@ -57,6 +57,12 @@ fn deposit(ctx: &mut RfdetCtx, target: Tid, from: Tid, time: VClock) {
         .lock()
         .sources
         .push(AcquireSource { from, time });
+}
+
+/// Raises a misuse the sync table's checks found, on the misusing
+/// thread, inside its turn.
+fn raise<T>(checked: Result<T, String>) -> T {
+    checked.unwrap_or_else(|misuse| panic!("{misuse}"))
 }
 
 /// Reactivates blocked thread `w` one tick past the caller's clock.
@@ -144,14 +150,7 @@ pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
     let free = {
         let mut table = ctx.shared.meta.sync_in_turn();
         let mx = table.mutexes.entry(m.0).or_default();
-        assert_ne!(
-            mx.owner,
-            Some(tid),
-            "recursive lock of mutex {} by thread {tid}",
-            m.0
-        );
-        if mx.owner.is_none() && mx.queue.is_empty() {
-            mx.owner = Some(tid);
+        if raise(mx.try_lock(m.0, tid)) {
             Ok((mx.release.last_tid == Some(tid), mx.release.edge(tid)))
         } else {
             let pred = mx
@@ -185,46 +184,11 @@ pub(crate) fn unlock_impl(ctx: &mut RfdetCtx, m: MutexId) {
     let lower = op_boundary(ctx);
     let next = {
         let mut table = ctx.shared.meta.sync_in_turn();
-        release_mutex(&mut table, ctx.tid, m, None, &lower)
+        raise(table.release_mutex(ctx.tid, m.0, None, lower.clone()))
     };
     hand_over(ctx, next, lower);
     ctx.release_turn();
     op_epilogue(ctx);
-}
-
-/// The mutex release `unlock` and `cond_wait` share, in turn: checks that
-/// `tid` holds `m`, records its release at `time` and passes `m` to the
-/// first queued thread, which it returns. `cond` is the condition
-/// variable a `cond_wait` waits on; it only names the misuse.
-fn release_mutex(
-    table: &mut SyncTable,
-    tid: Tid,
-    m: MutexId,
-    cond: Option<CondId>,
-    time: &VClock,
-) -> Option<Tid> {
-    let mx = table.mutexes.get_mut(&m.0).unwrap_or_else(|| match cond {
-        None => panic!("unlock of never-locked mutex {}", m.0),
-        Some(_) => panic!("cond_wait with never-locked mutex {}", m.0),
-    });
-    match cond {
-        None => assert_eq!(
-            mx.owner,
-            Some(tid),
-            "thread {tid} unlocking mutex {} it does not hold",
-            m.0
-        ),
-        Some(c) => assert_eq!(
-            mx.owner,
-            Some(tid),
-            "thread {tid} waiting on cond {} without holding mutex {}",
-            c.0,
-            m.0
-        ),
-    }
-    mx.release.record_release(tid, time.clone());
-    mx.owner = mx.queue.pop_front();
-    mx.owner
 }
 
 /// Hands a released mutex to `next`, if anyone was queued: deposits the
@@ -242,10 +206,7 @@ pub(crate) fn wait_impl(ctx: &mut RfdetCtx, c: CondId, m: MutexId) {
     // cond_wait releases the mutex and queues on the condvar…
     let next = {
         let mut table = ctx.shared.meta.sync_in_turn();
-        let next = release_mutex(&mut table, ctx.tid, m, Some(c), &lower);
-        let waiters = &mut table.conds.entry(c.0).or_default().waiters;
-        waiters.push_back((ctx.tid, m.0));
-        next
+        raise(table.release_mutex(ctx.tid, m.0, Some(c.0), lower.clone()))
     };
     hand_over(ctx, next, lower);
     // …then blocks until signalled (and until it re-owns the mutex: the
@@ -270,18 +231,10 @@ pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
     {
         let mut table = ctx.shared.meta.sync_in_turn();
         let cond = table.conds.entry(c.0).or_default();
-        cond.release.record_release(tid, lower.clone());
-        let n = if broadcast {
-            cond.waiters.len()
-        } else {
-            usize::from(!cond.waiters.is_empty())
-        };
-        let waiters: Vec<(Tid, u32)> = cond.waiters.drain(..n).collect();
-        for (w, mid) in waiters {
+        for (w, mid) in cond.signal(tid, lower.clone(), broadcast) {
             let mx = table.mutexes.entry(mid).or_default();
-            let free = mx.owner.is_none() && mx.queue.is_empty();
-            if free {
-                mx.owner = Some(w);
+            // A waiter released its mutex in `cond_wait`: never recursive.
+            if mx.try_lock(mid, w) == Ok(true) {
                 popped.push((w, true, mx.release.edge(w)));
             } else {
                 mx.queue.push_back(w);
@@ -304,26 +257,12 @@ pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
 }
 
 pub(crate) fn barrier_impl(ctx: &mut RfdetCtx, b: BarrierId, parties: usize) {
-    assert!(parties > 0, "barrier with zero parties");
     ctx.enter_op(SyncOp::Barrier(b));
     let lower = op_boundary(ctx);
     let arrivals = {
         let mut table = ctx.shared.meta.sync_in_turn();
-        let st = table.barriers.entry(b.0).or_default();
-        st.release.record_release(ctx.tid, lower.clone());
-        st.arrivals.push((ctx.tid, lower));
-        assert!(
-            st.arrivals.len() <= parties,
-            "barrier {} overfull: {} arrivals for {} parties",
-            b.0,
-            st.arrivals.len(),
-            parties
-        );
-        if st.arrivals.len() == parties {
-            Some(std::mem::take(&mut st.arrivals))
-        } else {
-            None
-        }
+        let barrier = table.barriers.entry(b.0).or_default();
+        raise(barrier.arrive(b.0, ctx.tid, lower, parties))
     };
     let Some(arrivals) = arrivals else {
         return park(ctx, None);
@@ -420,18 +359,11 @@ pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
 
 pub(crate) fn join_impl(ctx: &mut RfdetCtx, h: ThreadHandle) {
     let target = h.0;
-    assert_ne!(target, ctx.tid, "thread joining itself");
     ctx.enter_op(SyncOp::Join(target));
     // Finished: the edge to its exit. Running: the caller joins its queue.
     let finished = {
         let mut table = ctx.shared.meta.sync_in_turn();
-        let th = table.threads.entry(target).or_default();
-        if th.finished {
-            Some(th.release.edge(ctx.tid))
-        } else {
-            th.joiners.push(ctx.tid);
-            None
-        }
+        raise(table.join(ctx.tid, target)).map(|exit| exit.edge(ctx.tid))
     };
     if let Some(edge) = finished {
         acquire_now(ctx, edge);
@@ -507,21 +439,16 @@ pub(crate) fn exit_impl(ctx: &mut RfdetCtx) {
     ctx.enter_op(SyncOp::Exit);
     let lower = op_boundary(ctx);
     ctx.meta_thread.set_published_vc(&ctx.vc);
-    let joiners = {
-        let mut table = ctx.shared.meta.sync_in_turn();
-        let th = table.threads.entry(ctx.tid).or_default();
-        th.release.record_release(ctx.tid, lower.clone());
-        th.finished = true;
-        std::mem::take(&mut th.joiners)
-    };
+    let joiners = ctx.shared.meta.sync_in_turn().exit(ctx.tid, lower.clone());
     for w in joiners {
         deposit(ctx, w, ctx.tid, lower.clone());
         wake(ctx, w);
     }
     ctx.shared.meta.mark_dead(ctx.tid);
-    // Flush thread-local profiling into the shared aggregate.
+    // In turn, so a later checkpoint reads exactly the exited threads'
+    // output.
     ctx.h.stats.private_pages = ctx.space.materialized_pages() as u64;
-    ctx.shared.meta.stats.merge(&ctx.h.stats);
+    ctx.shared.run.retire(&mut ctx.h);
     ctx.shared.kendo.finish(&ctx.kendo);
 }
 

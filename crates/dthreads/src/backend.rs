@@ -4,6 +4,7 @@
 use crate::ctx::DtCtx;
 use crate::engine::{Engine, EngineMode};
 use rfdet_api::{DmtBackend, RunConfig, ThreadFn, TracedRun};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// Drives one complete run of the lockstep engine in `mode` (`backend`
@@ -13,24 +14,17 @@ fn run_lockstep(cfg: &RunConfig, mode: EngineMode, backend: &str, root: ThreadFn
         Ok(engine) => Arc::new(engine),
         Err(e) => return TracedRun::rejected(backend, &e),
     };
-    let (tid, image) = engine.register_main();
-    let mut main = DtCtx::new(Arc::clone(&engine), tid, image);
+    let image = engine.register_main();
+    let mut main = DtCtx::new(Arc::clone(&engine), 0, image);
     main.run_body(root);
-    engine.run.finish(
-        backend,
-        main,
-        |_| engine.take_races(),
-        || {
-            // Report the global store's materialized size as the run's
-            // shared footprint (workloads lay data out directly, so
-            // allocator byte counts alone would under-report).
-            engine.meta.stats.shared_bytes.fetch_add(
-                engine.global_store_bytes(),
-                std::sync::atomic::Ordering::Relaxed,
-            );
-            (engine.meta.collect_output(), engine.meta.stats.snapshot())
-        },
-    )
+    engine.run.finish(backend, main, |_| {
+        // Report the global store's materialized size as the run's
+        // shared footprint (workloads lay data out directly, so
+        // allocator byte counts alone would under-report).
+        let bytes = engine.global_store_bytes();
+        engine.run.stats.shared_bytes.fetch_add(bytes, Relaxed);
+        engine.take_races()
+    })
 }
 
 /// The DThreads-model backend: strong determinism via isolated threads,

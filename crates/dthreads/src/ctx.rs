@@ -1,11 +1,10 @@
 //! The per-thread DThreads context.
 
 use crate::engine::{Arrival, ChildSeed, Engine, EngineMode, PendingOp};
-use rfdet_api::harness::PlannedPanic;
 use rfdet_api::obs::Phase;
 use rfdet_api::{
-    Addr, BarrierId, CondId, DmtCtx, FailureKind, MutexId, SyncOp, ThreadFn, ThreadHandle,
-    ThreadHarness, Tid,
+    Addr, AtomicOp, BarrierId, CondId, DmtCtx, FailureKind, MutexId, SyncOp, ThreadFn,
+    ThreadHandle, ThreadHarness, Tid,
 };
 use rfdet_mem::race::{ReadRun, ReadTracker};
 use rfdet_mem::{diff, ModRun, PrivateSpace, ThreadHeap};
@@ -68,11 +67,11 @@ impl DtCtx {
     /// Entry of every synchronization operation: the harness assigns the
     /// coordinate; plan jitter is charged to the quantum budget,
     /// deterministically perturbing round boundaries in quantum mode.
-    /// Returns the panic planned at this op, to ride the arrival: the
-    /// serial phase delivers it in token order, so which of several
-    /// planned panics is the run's root cause does not depend on who
-    /// reached its op first.
-    fn enter(&mut self, op: SyncOp) -> Option<PlannedPanic> {
+    /// Returns the message of the panic planned at this op, to ride the
+    /// arrival: the serial phase delivers it in token order, so which of
+    /// several planned panics is the run's root cause does not depend on
+    /// who reached its op first.
+    fn enter(&mut self, op: SyncOp) -> Option<String> {
         let fault = self.h.enter_sync(op, || 0);
         if fault.jitter_ticks > 0 {
             self.charge(fault.jitter_ticks);
@@ -119,20 +118,22 @@ impl DtCtx {
     }
 
     /// Ends the parallel interval: its diff and word-read set, stamped
-    /// with the sync-op coordinate race reports carry.
-    fn seal_interval(&mut self, op: PendingOp, planned: Option<PlannedPanic>) -> Arrival {
+    /// with the thread's report — the sync-op coordinate race reports
+    /// carry, and the culprit state of a panic or misuse the serial phase
+    /// charges to this op.
+    fn seal_interval(&mut self, op: PendingOp, planned: Option<String>) -> Arrival {
         Arrival {
             op,
             diff: Some(self.take_diff()),
             reads: Some(self.take_reads()),
-            sync_op: self.h.sync_ops(),
+            report: self.h.report(),
             planned,
         }
     }
 
     /// Arrives at a synchronization point and re-bases on the returned
     /// global image.
-    fn sync_point(&mut self, op: PendingOp, planned: Option<PlannedPanic>) -> Option<u64> {
+    fn sync_point(&mut self, op: PendingOp, planned: Option<String>) -> Option<u64> {
         let arrival = self.seal_interval(op, planned);
         // The fence stall: from arrival to the serial phase releasing us.
         let t0 = self.h.start();
@@ -184,7 +185,7 @@ impl DtCtx {
         let arrival = self.seal_interval(PendingOp::Exit, planned);
         let _ = self.engine.arrive(self.tid, arrival);
         self.h.stats.private_pages = self.space.materialized_pages() as u64;
-        self.engine.meta.stats.merge(&self.h.stats);
+        self.engine.run.retire(&mut self.h);
     }
 
     #[inline]
@@ -199,8 +200,8 @@ impl DtCtx {
         }
     }
 
-    fn atomic(&mut self, addr: Addr, op: Option<rfdet_api::AtomicOp>, store: Option<u64>) -> u64 {
-        self.sync_op(SyncOp::Atomic(addr), PendingOp::Atomic { addr, op, store })
+    fn atomic(&mut self, addr: Addr, op: Option<AtomicOp>) -> u64 {
+        self.sync_op(SyncOp::Atomic(addr), PendingOp::Atomic(addr, op))
             .expect("atomic op returns a value")
     }
 
@@ -305,19 +306,19 @@ impl DmtCtx for DtCtx {
     }
 
     fn emit(&mut self, bytes: &[u8]) {
-        self.engine.meta.emit(self.tid, bytes);
+        self.h.emit(bytes);
     }
 
-    fn atomic_rmw(&mut self, addr: Addr, op: rfdet_api::AtomicOp) -> u64 {
-        self.atomic(addr, Some(op), None)
+    fn atomic_rmw(&mut self, addr: Addr, op: AtomicOp) -> u64 {
+        self.atomic(addr, Some(op))
     }
 
     fn atomic_load(&mut self, addr: Addr) -> u64 {
-        self.atomic(addr, None, None)
+        self.atomic(addr, None)
     }
 
     fn atomic_store(&mut self, addr: Addr, value: u64) {
-        self.atomic(addr, None, Some(value));
+        self.atomic(addr, Some(AtomicOp::Exchange(value)));
     }
 
     fn count_app_events(&mut self, retries: u64, shed: u64) {

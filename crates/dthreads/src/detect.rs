@@ -2,7 +2,7 @@
 //!
 //! The engine has no vector clocks of its own — determinism comes from
 //! the global fence, not from tracking causality. The detector therefore
-//! maintains a shadow vector-clock state under the engine monitor,
+//! keeps a shadow vector clock per thread under the engine monitor,
 //! advanced as the serial phase processes arrivals:
 //!
 //! * each first-processed arrival seals one parallel **interval** — its
@@ -10,18 +10,18 @@
 //!   shared epoch table with the thread's pre-tick clock, then the clock
 //!   ticks;
 //! * synchronization operations install the happens-before edges the
-//!   program actually creates: unlock/wait publish to the mutex's release
-//!   clock (joined by the next successful lock), signal/broadcast flow
-//!   into the woken waiters, barriers accumulate every party's clock and
-//!   hand the join back to all of them, spawn seeds the child from the
-//!   parent, exit publishes to a per-thread release clock joined at join,
-//!   and serial-phase atomics order through a per-address clock.
+//!   program actually creates, as acquires of the releases the engine
+//!   records on its [`SyncTable`](rfdet_meta::SyncTable) records with
+//!   each sealed time: a successful lock acquires the mutex's last
+//!   release (unlock or wait), a woken waiter its signaller's, every
+//!   barrier participant the join of the episode's arrivals, a joiner the
+//!   thread's exit, an atomic its cell's release; a child starts from its
+//!   parent's sealed spawn time.
 //!
-//! Release clocks are **joined into**, never assigned, so a release
-//! published before this op's own acquire still transits everything seen
-//! by earlier releasers (the accumulated clock is the union of all
-//! ordered critical sections — identical to assignment for mutexes,
-//! and required for the acquire-and-release atomics).
+//! A view changes only at an acquire, by the releaser's recorded view —
+//! the one rule the DLRC core's detector follows too. An atomic's
+//! recorded release is the previous one joined with its sealed time,
+//! since that time predates the op's own acquire.
 //!
 //! The atomic accesses themselves (executed on the global store inside
 //! the serial phase) are synchronization, not data — they never appear
@@ -32,25 +32,14 @@ use rfdet_api::{RaceReport, Tid};
 use rfdet_mem::race::{RaceCollector, ReadRun, SliceAccess};
 use rfdet_mem::ModRun;
 use rfdet_vclock::VClock;
-use std::collections::HashMap;
 
 /// Shadow vector-clock state for the lockstep engine, living inside the
 /// engine monitor (so every mutation is already serialized).
 pub(crate) struct EngineDetect {
     collector: RaceCollector,
-    /// Per-thread clock, indexed by tid (tids are dense: the metadata
-    /// space hands them out sequentially).
+    /// Per-thread clock, indexed by tid (tids are dense: the engine
+    /// hands them out sequentially).
     vcs: Vec<VClock>,
-    /// Per-mutex release clock (unlock/wait publish, lock joins).
-    mutex_rel: HashMap<u32, VClock>,
-    /// Per-barrier accumulator across one episode; removed at release.
-    barrier_acc: HashMap<u32, VClock>,
-    /// Per-thread exit release clock (exit publishes, join joins).
-    exit_rel: HashMap<Tid, VClock>,
-    /// Per-address release clock for serial-phase atomics, which are
-    /// acquire-and-release: each op joins the accumulated clock, then
-    /// publishes its own sealed time into it.
-    atomic_rel: HashMap<u64, VClock>,
 }
 
 impl EngineDetect {
@@ -58,31 +47,22 @@ impl EngineDetect {
         Self {
             collector: RaceCollector::new(page_size),
             vcs: Vec::new(),
-            mutex_rel: HashMap::new(),
-            barrier_acc: HashMap::new(),
-            exit_rel: HashMap::new(),
-            atomic_rel: HashMap::new(),
         }
     }
 
-    /// Registers a thread whose clock starts fresh (main). Spawned
-    /// threads go through [`Self::spawned`] instead.
-    pub(crate) fn register(&mut self, tid: Tid) {
-        self.ensure(tid);
+    /// Registers thread `tid`, whose clock starts at `inherited` — empty
+    /// for main, the parent's sealed spawn time for a child — plus its
+    /// own first tick, so the parent's post-spawn interval stays
+    /// concurrent with the child.
+    pub(crate) fn register(&mut self, tid: Tid, inherited: &VClock) {
+        self.acquire(tid, inherited);
         self.vcs[tid as usize].tick(tid);
-    }
-
-    fn ensure(&mut self, tid: Tid) {
-        let idx = tid as usize;
-        if idx >= self.vcs.len() {
-            self.vcs.resize_with(idx + 1, VClock::new);
-        }
     }
 
     /// Seals one parallel interval at its arrival's first processing:
     /// checks reads and written words against the epoch table with the
     /// pre-tick clock, ticks, and returns the sealed (pre-tick) stamp
-    /// for the op's release edges.
+    /// for the op's release.
     pub(crate) fn seal_interval(
         &mut self,
         tid: Tid,
@@ -103,79 +83,17 @@ impl EngineDetect {
         sealed
     }
 
-    /// A successful mutex acquisition joins the mutex's release clock.
-    pub(crate) fn lock_acquired(&mut self, tid: Tid, m: u32) {
-        if let Some(rel) = self.mutex_rel.get(&m) {
-            self.vcs[tid as usize].join(rel);
+    /// An acquire: joins the release time `time` into `tid`'s clock.
+    pub(crate) fn acquire(&mut self, tid: Tid, time: &VClock) {
+        self.ensure(tid);
+        self.vcs[tid as usize].join(time);
+    }
+
+    fn ensure(&mut self, tid: Tid) {
+        let idx = tid as usize;
+        if idx >= self.vcs.len() {
+            self.vcs.resize_with(idx + 1, VClock::new);
         }
-    }
-
-    /// Unlock (or the release half of cond-wait) publishes the sealed
-    /// interval to the mutex's release clock.
-    pub(crate) fn mutex_released(&mut self, m: u32, sealed: &VClock) {
-        self.mutex_rel.entry(m).or_default().join(sealed);
-    }
-
-    /// Signal/broadcast: every woken waiter inherits the signaller's
-    /// sealed time (the wake edge; the mutex re-acquire edge follows
-    /// when their re-armed lock succeeds).
-    pub(crate) fn signalled(&mut self, woken: &[Tid], sealed: &VClock) {
-        for &w in woken {
-            self.ensure(w);
-            self.vcs[w as usize].join(sealed);
-        }
-    }
-
-    /// A barrier arrival folds the party's sealed time into the
-    /// episode's accumulator.
-    pub(crate) fn barrier_arrived(&mut self, b: u32, sealed: &VClock) {
-        self.barrier_acc.entry(b).or_default().join(sealed);
-    }
-
-    /// Barrier release: every party (including the releaser) joins the
-    /// full episode accumulator — all-to-all ordering across the wall.
-    pub(crate) fn barrier_released(&mut self, b: u32, parties: &[Tid]) {
-        let acc = self.barrier_acc.remove(&b).unwrap_or_default();
-        for &w in parties {
-            self.ensure(w);
-            self.vcs[w as usize].join(&acc);
-        }
-    }
-
-    /// Spawn: the child starts at the parent's sealed time plus its own
-    /// first tick (so the parent's post-spawn interval stays concurrent
-    /// with the child).
-    pub(crate) fn spawned(&mut self, child: Tid, sealed: &VClock) {
-        self.ensure(child);
-        self.vcs[child as usize] = sealed.clone();
-        self.vcs[child as usize].tick(child);
-    }
-
-    /// A successful join acquires the target's exit release clock.
-    pub(crate) fn join_acquired(&mut self, tid: Tid, target: Tid) {
-        if let Some(rel) = self.exit_rel.get(&target) {
-            self.vcs[tid as usize].join(rel);
-        }
-    }
-
-    /// Exit publishes the final sealed interval; parked joiners released
-    /// in the same phase acquire it immediately (their re-armed `Noop`
-    /// carries no diff, so no later hook would see the edge).
-    pub(crate) fn exited(&mut self, tid: Tid, sealed: &VClock, joiners: &[Tid]) {
-        self.exit_rel.entry(tid).or_default().join(sealed);
-        for &j in joiners {
-            self.ensure(j);
-            self.vcs[j as usize].join(sealed);
-        }
-    }
-
-    /// A serial-phase atomic: acquire the address's accumulated release
-    /// clock, then publish the sealed time into it.
-    pub(crate) fn atomic_op(&mut self, tid: Tid, addr: u64, sealed: &VClock) {
-        if let Some(rel) = self.atomic_rel.get(&addr) {
-            self.vcs[tid as usize].join(rel);
-        }
-        self.atomic_rel.entry(addr).or_default().join(sealed);
     }
 
     /// Seals detection: canonically-sorted reports plus whether the

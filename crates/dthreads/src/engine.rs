@@ -2,14 +2,15 @@
 
 use crate::detect::EngineDetect;
 use parking_lot::{Condvar, Mutex};
-use rfdet_api::harness::PlannedPanic;
 use rfdet_api::{
-    AtomicOp, ConfigError, FailureKind, RaceReport, RunConfig, RunHarness, ThreadFn, Tid, WaitEdge,
+    AtomicOp, ConfigError, FailureKind, RaceReport, RunConfig, RunHarness, ThreadFn, ThreadReport,
+    Tid, WaitEdge,
 };
 use rfdet_mem::race::ReadRun;
 use rfdet_mem::{ModRun, PrivateSpace};
-use rfdet_meta::{MetaSpace, GC_THRESHOLD};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use rfdet_meta::SyncTable;
+use rfdet_vclock::VClock;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering::Relaxed;
 
 /// What ends a parallel phase.
@@ -41,13 +42,8 @@ pub(crate) enum PendingOp {
     Exit,
     /// Low-level atomic on the global store (the §4.6 extension):
     /// executed in the serial phase, so it is atomic and deterministic
-    /// by construction. `op` None = pure load; `store` Some = plain
-    /// release store.
-    Atomic {
-        addr: u64,
-        op: Option<AtomicOp>,
-        store: Option<u64>,
-    },
+    /// by construction. `None` is a pure load; a store is an exchange.
+    Atomic(u64, Option<AtomicOp>),
 }
 
 impl PendingOp {
@@ -64,7 +60,7 @@ impl PendingOp {
             PendingOp::Spawn(_) => "spawn".into(),
             PendingOp::Join(t) => format!("join({t})"),
             PendingOp::Exit => "exit".into(),
-            PendingOp::Atomic { addr, .. } => format!("atomic({addr:#x})"),
+            PendingOp::Atomic(addr, _) => format!("atomic({addr:#x})"),
         }
     }
 }
@@ -78,23 +74,26 @@ pub(crate) struct Arrival {
     /// The interval's word-read set, sealed alongside the diff for race
     /// detection. Empty unless [`RunConfig::detect_races`] is on.
     pub reads: Option<Vec<ReadRun>>,
-    /// The arriving thread's sync-op count at the seal — the
-    /// backend-invariant logical coordinate stamped on race reports.
-    pub sync_op: u64,
-    /// The panic the fault plan attaches to this op (message and culprit
-    /// state), delivered by the serial phase that first sees the arrival.
-    pub planned: Option<PlannedPanic>,
+    /// The thread's state at the op: its sync-op count is the coordinate
+    /// race reports carry, and it is the culprit of a panic or misuse.
+    pub report: ThreadReport,
+    /// The panic the fault plan attaches to this op, delivered by the
+    /// serial phase that first sees the arrival.
+    pub planned: Option<String>,
 }
 
 impl Arrival {
-    /// A bare re-arm (woken waiter, released joiner): no interval, no
-    /// coordinate, nothing planned.
-    fn rearm(op: PendingOp) -> Self {
+    /// A bare re-arm of `tid` (woken waiter, released joiner): no
+    /// interval, no coordinate, nothing planned.
+    fn rearm(tid: Tid, op: PendingOp) -> Self {
         Self {
             op,
             diff: None,
             reads: None,
-            sync_op: 0,
+            report: ThreadReport {
+                tid,
+                ..ThreadReport::default()
+            },
             planned: None,
         }
     }
@@ -118,15 +117,13 @@ pub(crate) struct EngineState {
     active: HashSet<Tid>,
     /// Threads stopped at their next synchronization operation.
     arrived: BTreeMap<Tid, Arrival>,
+    /// One per thread, by tid: the next spawn's tid is its length.
     slots: Vec<Slot>,
-    lock_owner: HashMap<u32, Option<Tid>>,
-    cond_waiters: HashMap<u32, VecDeque<(Tid, u32)>>,
-    barrier_waiters: HashMap<u32, Vec<Tid>>,
-    join_waiters: HashMap<Tid, Vec<Tid>>,
-    finished: HashSet<Tid>,
-    phase: u64,
-    /// Race-detection shadow state (`RunConfig::detect_races`); lives
-    /// under the monitor so serial phases mutate it race-free.
+    /// Every sync object's record, with the release the race detector
+    /// acquires.
+    sync: SyncTable,
+    /// Race-detection shadow clocks (`RunConfig::detect_races`); live
+    /// under the monitor so serial phases mutate them race-free.
     detect: Option<Box<EngineDetect>>,
 }
 
@@ -136,14 +133,14 @@ pub(crate) struct EngineState {
 pub(crate) struct Engine {
     state: Mutex<EngineState>,
     cv: Condvar,
-    pub meta: MetaSpace,
     pub mode: EngineMode,
     pub strips: rfdet_mem::StripAllocator,
     /// The run harness: resolved config (`run.cfg`), fault plan, sinks,
-    /// OS handles, the failure slot and the stop flag — once a failure is
-    /// recorded, every thread unwinds at its next engine interaction and
-    /// no further serial phases run. The engine's part of a stop is
-    /// `cv.notify_all()`, so fence waiters need not wait out a poll.
+    /// OS handles, output and counters, the failure slot and the stop
+    /// flag — once a failure is recorded, every thread unwinds at its
+    /// next engine interaction and no further serial phases run. The
+    /// engine's part of a stop is `cv.notify_all()`, so fence waiters
+    /// need not wait out a poll.
     pub run: RunHarness,
 }
 
@@ -152,6 +149,13 @@ pub(crate) struct ChildSeed {
     pub tid: Tid,
     pub space: PrivateSpace,
     pub entry: ThreadFn,
+}
+
+/// `tid` acquires a release at `time` (detection on only).
+fn acquire(detect: &mut Option<Box<EngineDetect>>, tid: Tid, time: &VClock) {
+    if let Some(det) = detect {
+        det.acquire(tid, time);
+    }
 }
 
 impl Engine {
@@ -165,66 +169,46 @@ impl Engine {
                 active: HashSet::new(),
                 arrived: BTreeMap::new(),
                 slots: Vec::new(),
-                lock_owner: HashMap::new(),
-                cond_waiters: HashMap::new(),
-                barrier_waiters: HashMap::new(),
-                join_waiters: HashMap::new(),
-                finished: HashSet::new(),
-                phase: 0,
+                sync: SyncTable::default(),
                 detect: cfg
                     .detect_races
                     .then(|| Box::new(EngineDetect::new(cfg.page_size))),
             }),
             cv: Condvar::new(),
-            meta: MetaSpace::new(cfg.meta_capacity_bytes as usize, GC_THRESHOLD),
             mode,
             strips: rfdet_mem::StripAllocator::new(heap_base, cfg.space_bytes - heap_base),
             run,
         })
     }
 
-    /// The wait-for graph read off the engine's deterministic queueing
-    /// state: retrying `Lock` arrivals plus every parked waiter.
+    /// The wait-for graph read off the sync table, whose lockers are the
+    /// retrying `Lock` arrivals (the engine never queues for a mutex).
     fn wait_graph(st: &EngineState) -> Vec<WaitEdge> {
-        WaitEdge::graph(
-            st.arrived.iter().filter_map(|(&tid, a)| match a.op {
-                PendingOp::Lock(m) => Some((tid, m, st.lock_owner.get(&m).copied().flatten())),
-                _ => None,
-            }),
-            st.cond_waiters
-                .iter()
-                .flat_map(|(&id, ws)| ws.iter().map(move |&(w, _)| (w, id))),
-            st.barrier_waiters
-                .iter()
-                .flat_map(|(&id, ws)| ws.iter().map(move |&w| (w, id))),
-            st.join_waiters
-                .iter()
-                .flat_map(|(&target, ws)| ws.iter().map(move |&w| (w, target))),
-        )
+        let retrying = st.arrived.iter().filter_map(|(&tid, a)| match a.op {
+            PendingOp::Lock(m) => Some((tid, m)),
+            _ => None,
+        });
+        st.sync.wait_graph(retrying)
     }
 
-    /// Records a structural deadlock discovered from the engine state.
-    /// The state (and hence the report and its digest) is a deterministic
-    /// function of the schedule, so this reproduces across reruns.
-    fn record_deadlock(&self, st: &EngineState) {
-        let wait_graph = Self::wait_graph(st);
+    /// Records a structural deadlock. The graph (and hence the report's
+    /// digest) is a function of the schedule, so it reproduces.
+    fn record_deadlock(&self, wait_graph: Vec<WaitEdge>) {
         let tid = wait_graph.first().map_or(0, |e| e.waiter);
         self.run.record_deadlock(tid, wait_graph.len(), wait_graph);
         self.cv.notify_all();
     }
 
     /// Registers the main thread (tid 0) and returns its starting image.
-    pub fn register_main(&self) -> (Tid, PrivateSpace) {
-        let tid = self.meta.register_thread().tid;
-        assert_eq!(tid, 0, "main must be the first registration");
+    pub fn register_main(&self) -> PrivateSpace {
         let mut st = self.state.lock();
-        st.active.insert(tid);
+        assert!(st.slots.is_empty(), "main must be the first registration");
         st.slots.push(Slot::default());
+        st.active.insert(0);
         if let Some(det) = st.detect.as_mut() {
-            det.register(tid);
+            det.register(0, &VClock::new());
         }
-        let img = st.global.fork();
-        (tid, img)
+        st.global.fork()
     }
 
     /// Harvests the run's race reports at teardown (empty when detection
@@ -258,7 +242,7 @@ impl Engine {
             |st| {
                 let message = format!(
                     "dthreads engine stalled: tid={tid} phase={} active={:?} arrived={:?}",
-                    st.phase,
+                    self.run.stats.global_fences.load(Relaxed),
                     st.active,
                     st.arrived
                         .iter()
@@ -286,13 +270,11 @@ impl Engine {
             self.run_serial_phase(st);
             self.cv.notify_all();
         }
-        if !self.run.is_stopped()
-            && st.active.is_empty()
-            && (st.cond_waiters.values().any(|q| !q.is_empty())
-                || st.barrier_waiters.values().any(|v| !v.is_empty())
-                || st.join_waiters.values().any(|v| !v.is_empty()))
-        {
-            self.record_deadlock(st);
+        if !self.run.is_stopped() && st.active.is_empty() {
+            let wait_graph = Self::wait_graph(st);
+            if !wait_graph.is_empty() {
+                self.record_deadlock(wait_graph);
+            }
         }
     }
 
@@ -304,17 +286,10 @@ impl Engine {
         let planned = st
             .arrived
             .iter_mut()
-            .find_map(|(&tid, a)| a.planned.take().map(|p| (tid, p)));
-        if let Some((tid, (message, report))) = planned {
+            .find_map(|(&tid, a)| a.planned.take().map(|m| (tid, m, a.report.clone())));
+        if let Some((tid, message, culprit)) = planned {
             // (The caller's `notify_all` after this phase wakes the fence.)
-            self.run.record_failure(
-                FailureKind::Panic,
-                tid,
-                message,
-                Some(report),
-                Vec::new(),
-                Vec::new(),
-            );
+            self.charge(tid, message, culprit);
             return;
         }
         let t0 = self
@@ -324,180 +299,22 @@ impl Engine {
             .map(|_| std::time::Instant::now());
         let order: Vec<Tid> = st.arrived.keys().copied().collect();
         let mut done: Vec<Tid> = Vec::new();
-        let mut exited: Vec<Tid> = Vec::new();
-        let mut parked = 0usize;
-        let mut spawned = 0usize;
+        let mut progress = false;
 
         for tid in order {
-            // The interval's pre-tick clock, sealed at first processing;
-            // release-side happens-before edges publish it below. Ops
-            // that can re-process (a retried `Lock`) are acquire-only,
-            // so a missing seal never loses a release edge.
-            let mut sealed = None;
-            // Commit the interval's modifications (once).
-            if let Some(diff) = st.arrived.get_mut(&tid).and_then(|a| a.diff.take()) {
-                if let Some(det) = st.detect.as_mut() {
-                    let a = st.arrived.get_mut(&tid).expect("arrival present");
-                    let reads = a.reads.take().unwrap_or_default();
-                    let sync_op = a.sync_op;
-                    sealed = Some(det.seal_interval(tid, sync_op, &reads, &diff));
-                }
-                if !diff.is_empty() {
-                    self.meta.stats.serial_commits.fetch_add(1, Relaxed);
-                    let bytes: u64 = diff.iter().map(|r| r.len() as u64).sum();
-                    self.meta.stats.mod_bytes_applied.fetch_add(bytes, Relaxed);
-                    st.global.apply_runs(&diff);
-                }
-            }
-            // Take the op; a failed Lock puts it back for the next round.
+            let sealed = self.commit(st, tid);
+            // Take the op; a busy Lock puts it back for the next round.
             let op = std::mem::replace(
                 &mut st.arrived.get_mut(&tid).expect("arrival present").op,
                 PendingOp::Noop,
             );
-            match op {
-                PendingOp::Noop | PendingOp::QuantumBreak => done.push(tid),
-                PendingOp::Lock(m) => {
-                    let owner = st.lock_owner.entry(m).or_insert(None);
-                    if owner.is_none() {
-                        *owner = Some(tid);
-                        if let Some(det) = st.detect.as_mut() {
-                            det.lock_acquired(tid, m);
-                        }
-                        done.push(tid);
-                    } else {
-                        // Retry next phase (stay arrived, diff consumed).
-                        st.arrived.get_mut(&tid).expect("arrival").op = PendingOp::Lock(m);
-                    }
-                }
-                PendingOp::Unlock(m) => {
-                    let owner = st.lock_owner.entry(m).or_insert(None);
-                    assert_eq!(
-                        *owner,
-                        Some(tid),
-                        "thread {tid} unlocking mutex {m} it does not hold"
-                    );
-                    *owner = None;
-                    if let (Some(det), Some(s)) = (st.detect.as_mut(), sealed.as_ref()) {
-                        det.mutex_released(m, s);
-                    }
-                    done.push(tid);
-                }
-                PendingOp::Wait(c, m) => {
-                    let owner = st.lock_owner.entry(m).or_insert(None);
-                    assert_eq!(*owner, Some(tid), "cond_wait without holding mutex {m}");
-                    *owner = None;
-                    if let (Some(det), Some(s)) = (st.detect.as_mut(), sealed.as_ref()) {
-                        det.mutex_released(m, s);
-                    }
-                    st.cond_waiters.entry(c).or_default().push_back((tid, m));
-                    st.active.remove(&tid);
-                    st.arrived.remove(&tid);
-                    parked += 1;
-                }
-                PendingOp::Signal(c, broadcast) => {
-                    let queue = st.cond_waiters.entry(c).or_default();
-                    let n = if broadcast {
-                        queue.len()
-                    } else {
-                        usize::from(!queue.is_empty())
-                    };
-                    let woken: Vec<(Tid, u32)> = queue.drain(..n).collect();
-                    if let (Some(det), Some(s)) = (st.detect.as_mut(), sealed.as_ref()) {
-                        let tids: Vec<Tid> = woken.iter().map(|&(w, _)| w).collect();
-                        det.signalled(&tids, s);
-                    }
-                    for (w, m) in woken {
-                        // Re-arm as a mutex acquisition next phase.
-                        st.active.insert(w);
-                        st.arrived.insert(w, Arrival::rearm(PendingOp::Lock(m)));
-                    }
-                    done.push(tid);
-                }
-                PendingOp::Barrier(b, parties) => {
-                    if let (Some(det), Some(s)) = (st.detect.as_mut(), sealed.as_ref()) {
-                        det.barrier_arrived(b, s);
-                    }
-                    let waiters = st.barrier_waiters.entry(b).or_default();
-                    waiters.push(tid);
-                    if waiters.len() == parties {
-                        let all = std::mem::take(waiters);
-                        if let Some(det) = st.detect.as_mut() {
-                            det.barrier_released(b, &all);
-                        }
-                        for w in all {
-                            if w != tid {
-                                st.active.insert(w);
-                            }
-                            done.push(w);
-                        }
-                    } else {
-                        st.active.remove(&tid);
-                        st.arrived.remove(&tid);
-                        parked += 1;
-                    }
-                }
-                PendingOp::Spawn(entry) => {
-                    let child = self.meta.register_thread().tid;
-                    st.slots.push(Slot::default());
-                    st.active.insert(child);
-                    if let (Some(det), Some(s)) = (st.detect.as_mut(), sealed.as_ref()) {
-                        det.spawned(child, s);
-                    }
-                    let seed = ChildSeed {
-                        tid: child,
-                        // The child inherits the global store as of the
-                        // parent's commit (a COW fork).
-                        space: st.global.fork(),
-                        entry,
-                    };
-                    st.slots[tid as usize].seed = Some(seed);
-                    spawned += 1;
-                    done.push(tid);
-                }
-                PendingOp::Join(target) => {
-                    if st.finished.contains(&target) {
-                        if let Some(det) = st.detect.as_mut() {
-                            det.join_acquired(tid, target);
-                        }
-                        done.push(tid);
-                    } else {
-                        st.join_waiters.entry(target).or_default().push(tid);
-                        st.active.remove(&tid);
-                        st.arrived.remove(&tid);
-                        parked += 1;
-                    }
-                }
-                PendingOp::Atomic { addr, op, store } => {
-                    if let (Some(det), Some(s)) = (st.detect.as_mut(), sealed.as_ref()) {
-                        det.atomic_op(tid, addr, s);
-                    }
-                    let mut buf = [0u8; 8];
-                    st.global.read(addr, &mut buf);
-                    let old = u64::from_le_bytes(buf);
-                    let new = match (op, store) {
-                        (Some(op), None) => Some(op.apply(old)),
-                        (None, Some(v)) => Some(v),
-                        (None, None) => None,
-                        (Some(_), Some(_)) => unreachable!(),
-                    };
-                    if let Some(new) = new {
-                        st.global.write(addr, &new.to_le_bytes());
-                    }
-                    st.slots[tid as usize].value = Some(old);
-                    done.push(tid);
-                }
-                PendingOp::Exit => {
-                    st.finished.insert(tid);
-                    st.active.remove(&tid);
-                    let joiners = st.join_waiters.remove(&tid).unwrap_or_default();
-                    if let (Some(det), Some(s)) = (st.detect.as_mut(), sealed.as_ref()) {
-                        det.exited(tid, s, &joiners);
-                    }
-                    for j in joiners {
-                        st.active.insert(j);
-                        st.arrived.insert(j, Arrival::rearm(PendingOp::Noop));
-                    }
-                    exited.push(tid);
+            match Self::execute(st, tid, op, sealed, &mut done) {
+                Ok(progressed) => progress |= progressed,
+                Err(misuse) => {
+                    let culprit = st.arrived[&tid].report.clone();
+                    self.charge(tid, misuse, culprit);
+                    self.record_serial_apply(t0);
+                    return;
                 }
             }
         }
@@ -505,8 +322,8 @@ impl Engine {
         // A full phase with zero progress: every arrived op is a mutex
         // acquisition whose owner is itself parked or retrying, and the
         // fence guarantees nobody else can run — a stable deadlock.
-        if done.is_empty() && exited.is_empty() && parked == 0 && spawned == 0 {
-            self.record_deadlock(st);
+        if !progress {
+            self.record_deadlock(Self::wait_graph(st));
             self.record_serial_apply(t0);
             return;
         }
@@ -516,13 +333,176 @@ impl Engine {
             let img = st.global.fork();
             st.slots[tid as usize].done = Some(Some(img));
         }
-        for tid in exited {
-            st.arrived.remove(&tid);
-            st.slots[tid as usize].done = Some(None);
-        }
-        st.phase += 1;
-        self.meta.stats.global_fences.fetch_add(1, Relaxed);
+        self.run.stats.global_fences.fetch_add(1, Relaxed);
         self.record_serial_apply(t0);
+    }
+
+    /// Charges a `Panic` (planned or a misuse) to `tid`, whose arrival the
+    /// serial phase is processing — never to whoever closed the fence.
+    fn charge(&self, tid: Tid, message: String, culprit: ThreadReport) {
+        self.run.record_failure(
+            FailureKind::Panic,
+            tid,
+            message,
+            Some(culprit),
+            Vec::new(),
+            Vec::new(),
+        );
+    }
+
+    /// Commits `tid`'s interval diff to the global store, once, and seals
+    /// the interval for the race detector. Returns its release time: empty
+    /// without detection or on a retried `Lock` (acquire-only).
+    fn commit(&self, st: &mut EngineState, tid: Tid) -> VClock {
+        let a = st.arrived.get_mut(&tid).expect("arrival present");
+        let Some(diff) = a.diff.take() else {
+            return VClock::new();
+        };
+        let sealed = match st.detect.as_mut() {
+            Some(det) => {
+                let reads = a.reads.take().unwrap_or_default();
+                det.seal_interval(tid, a.report.sync_ops, &reads, &diff)
+            }
+            None => VClock::new(),
+        };
+        if !diff.is_empty() {
+            self.run.stats.serial_commits.fetch_add(1, Relaxed);
+            let bytes: u64 = diff.iter().map(|r| r.len() as u64).sum();
+            self.run.stats.mod_bytes_applied.fetch_add(bytes, Relaxed);
+            st.global.apply_runs(&diff);
+        }
+        sealed
+    }
+
+    /// Executes `tid`'s op, released at `sealed`, on the sync table and
+    /// the global store. Completed threads go on `done`; parked and
+    /// exited ones leave the fence. Returns whether the op made progress
+    /// (all but a busy `Lock` do).
+    ///
+    /// # Errors
+    /// The misuse the op is, found before `tid` leaves `arrived`.
+    fn execute(
+        st: &mut EngineState,
+        tid: Tid,
+        op: PendingOp,
+        sealed: VClock,
+        done: &mut Vec<Tid>,
+    ) -> Result<bool, String> {
+        let EngineState {
+            global,
+            active,
+            arrived,
+            slots,
+            sync,
+            detect,
+            ..
+        } = st;
+        let mut park = || {
+            active.remove(&tid);
+            arrived.remove(&tid);
+        };
+        match op {
+            PendingOp::Noop | PendingOp::QuantumBreak => done.push(tid),
+            PendingOp::Lock(m) => {
+                let mx = sync.mutexes.entry(m).or_default();
+                if !mx.try_lock(m, tid)? {
+                    // Retry next phase (stay arrived, diff consumed).
+                    arrived.get_mut(&tid).expect("arrival present").op = PendingOp::Lock(m);
+                    return Ok(false);
+                }
+                acquire(detect, tid, &mx.release.last_time);
+                done.push(tid);
+            }
+            PendingOp::Unlock(m) => {
+                sync.release_mutex(tid, m, None, sealed)?;
+                done.push(tid);
+            }
+            PendingOp::Wait(c, m) => {
+                sync.release_mutex(tid, m, Some(c), sealed)?;
+                park();
+            }
+            PendingOp::Signal(c, broadcast) => {
+                let cond = sync.conds.entry(c).or_default();
+                for (w, m) in cond.signal(tid, sealed.clone(), broadcast) {
+                    // The wake edge; the mutex edge follows when the
+                    // re-armed acquisition succeeds next phase.
+                    acquire(detect, w, &sealed);
+                    active.insert(w);
+                    arrived.insert(w, Arrival::rearm(w, PendingOp::Lock(m)));
+                }
+                done.push(tid);
+            }
+            PendingOp::Barrier(b, parties) => {
+                let barrier = sync.barriers.entry(b).or_default();
+                let Some(arrivals) = barrier.arrive(b, tid, sealed, parties)? else {
+                    park();
+                    return Ok(true);
+                };
+                // All-to-all ordering across the wall.
+                let mut episode = VClock::new();
+                for (_, time) in &arrivals {
+                    episode.join(time);
+                }
+                for (w, _) in arrivals {
+                    acquire(detect, w, &episode);
+                    if w != tid {
+                        active.insert(w);
+                    }
+                    done.push(w);
+                }
+            }
+            PendingOp::Spawn(entry) => {
+                let child = slots.len() as Tid;
+                slots.push(Slot::default());
+                active.insert(child);
+                if let Some(det) = detect {
+                    det.register(child, &sealed);
+                }
+                // The child inherits the global store as of the parent's
+                // commit (a COW fork).
+                let space = global.fork();
+                slots[tid as usize].seed = Some(ChildSeed {
+                    tid: child,
+                    space,
+                    entry,
+                });
+                done.push(tid);
+            }
+            PendingOp::Join(target) => match sync.join(tid, target)? {
+                Some(exit) => {
+                    acquire(detect, tid, &exit.last_time);
+                    done.push(tid);
+                }
+                None => park(),
+            },
+            PendingOp::Atomic(addr, op) => {
+                // Acquire and release: the recorded release keeps every
+                // earlier one, since `sealed` predates this acquire.
+                let cell = sync.atomics.entry(addr).or_default();
+                acquire(detect, tid, &cell.last_time);
+                cell.join_release(tid, &sealed);
+                let mut buf = [0u8; 8];
+                global.read(addr, &mut buf);
+                let old = u64::from_le_bytes(buf);
+                if let Some(op) = op {
+                    global.write(addr, &op.apply(old).to_le_bytes());
+                }
+                slots[tid as usize].value = Some(old);
+                done.push(tid);
+            }
+            PendingOp::Exit => {
+                park();
+                slots[tid as usize].done = Some(None);
+                for j in sync.exit(tid, sealed.clone()) {
+                    // Re-armed joiners carry no diff, so they acquire the
+                    // exit here.
+                    acquire(detect, j, &sealed);
+                    active.insert(j);
+                    arrived.insert(j, Arrival::rearm(j, PendingOp::Noop));
+                }
+            }
+        }
+        Ok(true)
     }
 
     /// Attributes one serial phase's duration to
@@ -546,21 +526,13 @@ impl Engine {
         st.global.materialized_pages() as u64 * st.global.page_size() as u64
     }
 
-    /// Emergency removal of a panicked thread so the fence can still
-    /// close; joiners are released as if the thread exited. With the
-    /// run stopped this is pure bookkeeping — no phases run, the notify
-    /// just hastens peer teardown.
+    /// Takes a panicked thread out of the fence. Its unwind was recorded
+    /// or it is a stopped run's secondary unwind, so the run is stopped
+    /// and no phase runs again: the notify just hastens peer teardown.
     pub fn force_exit(&self, tid: Tid) {
         let mut st = self.state.lock();
         st.active.remove(&tid);
         st.arrived.remove(&tid);
-        st.finished.insert(tid);
-        let joiners = st.join_waiters.remove(&tid).unwrap_or_default();
-        for j in joiners {
-            st.active.insert(j);
-            st.arrived.insert(j, Arrival::rearm(PendingOp::Noop));
-        }
-        self.maybe_phases(&mut st);
         self.cv.notify_all();
     }
 }

@@ -17,8 +17,12 @@
 //!   collection (§4.5), the turn-owned [`SyncTable`] (§4.1: each sync
 //!   object's queue and its `lastTid`/`lastTime` release in one record),
 //!   and the thread registry: one [`ThreadMeta`] per thread
-//!   (slice-pointer list, published vector clock, wakeup [`Mailbox`],
-//!   output stream).
+//!   (slice-pointer list, published vector clock, wakeup [`Mailbox`]).
+//!
+//! Only the DLRC core builds a `MetaSpace`. The [`SyncTable`] alone
+//! serves both deterministic families: the lockstep engine keeps its
+//! sync objects in one too, and the misuse checks on its records are the
+//! ones both families run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

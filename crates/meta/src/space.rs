@@ -51,8 +51,6 @@ pub struct ThreadMeta {
     /// Cleared when the thread exits (finished threads do not hold back
     /// GC).
     pub alive: AtomicBool,
-    /// The thread's output stream.
-    pub output: Mutex<Vec<u8>>,
 }
 
 impl ThreadMeta {
@@ -63,7 +61,6 @@ impl ThreadMeta {
             published_vc: Mutex::new(VClock::new()),
             mailbox: Mutex::new(Mailbox::default()),
             alive: AtomicBool::new(true),
-            output: Mutex::new(Vec::new()),
         }
     }
 
@@ -152,7 +149,9 @@ pub struct MetaSpace {
     /// Every sync object's queue and last release (§4.1). Only the
     /// Kendo turn holder touches it, so its one lock is never contended.
     sync: Mutex<SyncTable>,
-    /// Shared profiling counters for the run.
+    /// The metadata space's own counters — GC passes, reclaimed slices,
+    /// peak usage — which the DLRC core adds to the run's aggregate at
+    /// teardown.
     pub stats: AtomicStats,
 }
 
@@ -385,22 +384,6 @@ impl MetaSpace {
     pub fn sync_var(&self, key: SyncKey) -> SyncVar {
         self.sync.lock().var(key).cloned().unwrap_or_default()
     }
-
-    /// Appends bytes to a thread's output stream.
-    pub fn emit(&self, tid: Tid, bytes: &[u8]) {
-        self.thread(tid).output.lock().extend_from_slice(bytes);
-    }
-
-    /// Concatenates all output streams in thread-ID order.
-    #[must_use]
-    pub fn collect_output(&self) -> Vec<u8> {
-        let threads = self.threads.read();
-        let mut out = Vec::new();
-        for t in threads.iter() {
-            out.extend_from_slice(&t.output.lock());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -523,17 +506,6 @@ mod tests {
         let (s, _) = m.publish_slice_for(&owner, slice(0, 0, &[1], 4));
         assert_eq!(m.snapshot_list(0).len(), 1);
         assert!(Arc::ptr_eq(&m.snapshot_list(0)[0], &s));
-    }
-
-    #[test]
-    fn output_collected_in_tid_order() {
-        let m = meta();
-        m.register_thread();
-        m.register_thread();
-        m.emit(1, b"world");
-        m.emit(0, b"hello ");
-        m.emit(1, b"!");
-        assert_eq!(m.collect_output(), b"hello world!");
     }
 
     #[test]

@@ -10,7 +10,14 @@
 //! sync variable or its object's wait queue, so all of it lives in one
 //! [`SyncTable`]: one record per object, carrying its queueing state
 //! beside its release, behind one lock that is never contended.
+//!
+//! Both deterministic families keep their sync objects here — the DLRC
+//! core inside the Kendo turn, the lockstep engine inside its serial
+//! phase — and both run the one set of misuse checks written on the
+//! records: each returns the misuse's message, which the core raises on
+//! the misusing thread and the engine records for it in token order.
 
+use rfdet_api::WaitEdge;
 use rfdet_vclock::{Tid, VClock};
 use std::collections::{HashMap, VecDeque};
 
@@ -48,6 +55,13 @@ impl SyncVar {
         self.last_time = time;
     }
 
+    /// Records a release as `previous release ⊔ time` — for the lockstep
+    /// engine's atomics, whose time is sealed before their own acquire.
+    pub fn join_release(&mut self, tid: Tid, time: &VClock) {
+        self.last_tid = Some(tid);
+        self.last_time.join(time);
+    }
+
     /// The acquire edge `acquirer` takes from this variable: the last
     /// release's `(lastTid, lastTime)` when a *different* thread made it,
     /// so the acquirer must propagate from that thread up to that time.
@@ -73,6 +87,23 @@ pub struct MutexRec {
     pub release: SyncVar,
 }
 
+impl MutexRec {
+    /// Takes mutex `m` for `tid` if it is free (no owner, nobody queued).
+    ///
+    /// # Errors
+    /// The misuse when `tid` already holds `m`.
+    pub fn try_lock(&mut self, m: u32, tid: Tid) -> Result<bool, String> {
+        if self.owner == Some(tid) {
+            return Err(format!("recursive lock of mutex {m} by thread {tid}"));
+        }
+        let free = self.owner.is_none() && self.queue.is_empty();
+        if free {
+            self.owner = Some(tid);
+        }
+        Ok(free)
+    }
+}
+
 /// An application condition variable.
 #[derive(Debug, Default)]
 pub struct CondRec {
@@ -82,6 +113,20 @@ pub struct CondRec {
     pub release: SyncVar,
 }
 
+impl CondRec {
+    /// A signal or broadcast by `tid` at `time`: records the release and
+    /// pops the woken `(waiter, mutex)` pairs, longest-waiting first.
+    pub fn signal(&mut self, tid: Tid, time: VClock, broadcast: bool) -> Vec<(Tid, u32)> {
+        self.release.record_release(tid, time);
+        let n = if broadcast {
+            self.waiters.len()
+        } else {
+            usize::from(!self.waiters.is_empty())
+        };
+        self.waiters.drain(..n).collect()
+    }
+}
+
 /// An application barrier.
 #[derive(Debug, Default)]
 pub struct BarrierRec {
@@ -89,6 +134,34 @@ pub struct BarrierRec {
     pub arrivals: Vec<(Tid, VClock)>,
     /// The last arrival.
     pub release: SyncVar,
+}
+
+impl BarrierRec {
+    /// `tid` arrives at barrier `b` of `parties` at `time`; returns the
+    /// episode's arrivals, in arrival order, when it completes it.
+    ///
+    /// # Errors
+    /// The misuse of zero parties, or of more arrivals than parties.
+    pub fn arrive(
+        &mut self,
+        b: u32,
+        tid: Tid,
+        time: VClock,
+        parties: usize,
+    ) -> Result<Option<Vec<(Tid, VClock)>>, String> {
+        if parties == 0 {
+            return Err(format!("barrier {b} with zero parties"));
+        }
+        self.release.record_release(tid, time.clone());
+        self.arrivals.push((tid, time));
+        let n = self.arrivals.len();
+        if n > parties {
+            return Err(format!(
+                "barrier {b} overfull: {n} arrivals for {parties} parties"
+            ));
+        }
+        Ok((n == parties).then(|| std::mem::take(&mut self.arrivals)))
+    }
 }
 
 /// A thread's lifetime: released at exit, acquired at join.
@@ -143,6 +216,86 @@ impl SyncTable {
         }
     }
 
+    /// Releases mutex `m` held by `tid` at `time` — an `unlock`, or a
+    /// `cond_wait` on `cond`, which also queues `tid` on it — and passes
+    /// `m` to the first queued thread, which it returns.
+    ///
+    /// # Errors
+    /// The misuse when `tid` does not hold `m`.
+    pub fn release_mutex(
+        &mut self,
+        tid: Tid,
+        m: u32,
+        cond: Option<u32>,
+        time: VClock,
+    ) -> Result<Option<Tid>, String> {
+        let mx = self.mutexes.entry(m).or_default();
+        if mx.owner != Some(tid) {
+            return Err(match cond {
+                None => format!("thread {tid} unlocking mutex {m} it does not hold"),
+                Some(c) => format!("thread {tid} waiting on cond {c} without holding mutex {m}"),
+            });
+        }
+        mx.release.record_release(tid, time);
+        mx.owner = mx.queue.pop_front();
+        let next = mx.owner;
+        if let Some(c) = cond {
+            self.conds.entry(c).or_default().waiters.push_back((tid, m));
+        }
+        Ok(next)
+    }
+
+    /// `tid` joins `target`: the exit release of a finished target, else
+    /// `None` with `tid` queued among its joiners.
+    ///
+    /// # Errors
+    /// The misuse of a thread joining itself.
+    pub fn join(&mut self, tid: Tid, target: Tid) -> Result<Option<&SyncVar>, String> {
+        if target == tid {
+            return Err(format!("thread {tid} joining itself"));
+        }
+        let th = self.threads.entry(target).or_default();
+        if th.finished {
+            Ok(Some(&th.release))
+        } else {
+            th.joiners.push(tid);
+            Ok(None)
+        }
+    }
+
+    /// `tid`'s exit at `time`; returns the joiners it releases.
+    pub fn exit(&mut self, tid: Tid, time: VClock) -> Vec<Tid> {
+        let th = self.threads.entry(tid).or_default();
+        th.release.record_release(tid, time);
+        th.finished = true;
+        std::mem::take(&mut th.joiners)
+    }
+
+    /// The wait-for graph of a stalled run: an edge per queued or
+    /// `retrying` locker (the lockstep engine retries a busy lock instead
+    /// of queueing it), parked condvar waiter, early barrier arrival and
+    /// joiner.
+    #[must_use]
+    pub fn wait_graph(&self, retrying: impl IntoIterator<Item = (Tid, u32)>) -> Vec<WaitEdge> {
+        let owner = |m: u32| self.mutexes.get(&m).and_then(|mx| mx.owner);
+        let queued = self
+            .mutexes
+            .iter()
+            .flat_map(|(&id, mx)| mx.queue.iter().map(move |&w| (w, id, mx.owner)));
+        WaitEdge::graph(
+            queued.chain(retrying.into_iter().map(|(w, m)| (w, m, owner(m)))),
+            self.conds
+                .iter()
+                .flat_map(|(&id, c)| c.waiters.iter().map(move |&(w, _)| (w, id))),
+            self.barriers
+                .iter()
+                .flat_map(|(&id, b)| b.arrivals.iter().map(move |&(w, _)| (w, id))),
+            self.threads
+                .iter()
+                .flat_map(|(&tid, th)| th.joiners.iter().map(move |&w| (w, tid))),
+        )
+    }
+
     /// Every recorded release as `(key, lastTid, lastTime)`, sorted by
     /// key — the projection checkpoints capture.
     #[must_use]
@@ -180,6 +333,7 @@ impl SyncTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfdet_api::WaitTarget;
 
     #[test]
     fn fresh_var_has_no_edge() {
@@ -226,6 +380,82 @@ mod tests {
             [SyncKey::Mutex(9), SyncKey::Thread(2), SyncKey::Atomic(64)]
         );
         assert_eq!(t.finished(), [2]);
+    }
+
+    #[test]
+    fn each_misuse_is_one_message_naming_the_thread_and_the_object() {
+        let mut t = SyncTable::default();
+        let now = VClock::new();
+        let mx = t.mutexes.entry(5).or_default();
+        assert_eq!(mx.try_lock(5, 1), Ok(true));
+        assert_eq!(
+            mx.try_lock(5, 1),
+            Err("recursive lock of mutex 5 by thread 1".into())
+        );
+        assert_eq!(mx.try_lock(5, 2), Ok(false), "busy, not a misuse");
+        assert_eq!(
+            t.release_mutex(2, 5, None, now.clone()),
+            Err("thread 2 unlocking mutex 5 it does not hold".into())
+        );
+        assert_eq!(
+            t.release_mutex(2, 6, None, now.clone()),
+            Err("thread 2 unlocking mutex 6 it does not hold".into()),
+            "never locked"
+        );
+        assert_eq!(
+            t.release_mutex(2, 5, Some(3), now.clone()),
+            Err("thread 2 waiting on cond 3 without holding mutex 5".into())
+        );
+        assert!(t.conds.get(&3).is_none_or(|c| c.waiters.is_empty()));
+        assert_eq!(
+            t.join(4, 4).err().as_deref(),
+            Some("thread 4 joining itself")
+        );
+        let b = t.barriers.entry(7).or_default();
+        assert_eq!(
+            b.arrive(7, 0, now.clone(), 0),
+            Err("barrier 7 with zero parties".into())
+        );
+        assert_eq!(b.arrive(7, 0, now.clone(), 2), Ok(None));
+        assert_eq!(
+            b.arrive(7, 1, now.clone(), 1).err(),
+            Some("barrier 7 overfull: 2 arrivals for 1 parties".into())
+        );
+    }
+
+    #[test]
+    fn a_release_hands_over_queues_the_waiter_and_graphs_the_rest() {
+        let mut t = SyncTable::default();
+        let at = |c: u64| VClock::from_components(vec![c]);
+        let mx = t.mutexes.entry(0).or_default();
+        assert_eq!(mx.try_lock(0, 0), Ok(true));
+        mx.queue.push_back(1);
+        // A cond_wait releases to the queue head and queues the waiter.
+        assert_eq!(t.release_mutex(0, 0, Some(9), at(3)), Ok(Some(1)));
+        assert_eq!(t.mutexes[&0].release.last_time, at(3));
+        assert_eq!(t.conds[&9].waiters, [(0, 0)]);
+        assert_eq!(
+            t.conds.get_mut(&9).map(|c| c.signal(2, at(4), true)),
+            Some(vec![(0, 0)])
+        );
+        // An atomic's release keeps the one before it.
+        let cell = t.atomics.entry(64).or_default();
+        cell.join_release(1, &VClock::from_components(vec![0, 5]));
+        cell.join_release(2, &VClock::from_components(vec![3]));
+        assert_eq!(cell.last_time, VClock::from_components(vec![3, 5]));
+        let exit_time = |exit: Option<&SyncVar>| exit.map(|v| v.last_time.clone());
+        assert_eq!(t.join(3, 2).map(exit_time), Ok(None));
+        assert_eq!(t.exit(2, at(8)), [3]);
+        assert_eq!(t.join(4, 2).map(exit_time), Ok(Some(at(8))));
+        // t1 owns mutex 0; t5 retries it (the lockstep engine's locker).
+        let holder = Some(1);
+        assert_eq!(
+            t.wait_graph([(5, 0)]),
+            [WaitEdge {
+                waiter: 5,
+                target: WaitTarget::Mutex { id: 0, holder }
+            }]
+        );
     }
 
     #[test]

@@ -27,11 +27,8 @@ impl DmtBackend for NativeBackend {
         main.run_body(root);
         // Native has no race detector; never-joined threads are harvested
         // by the tail so the run quiesces.
-        shared.run.finish(
-            &self.name(),
-            main,
-            |_| Default::default(),
-            || (shared.meta.collect_output(), shared.meta.stats.snapshot()),
-        )
+        shared
+            .run
+            .finish(&self.name(), main, |_| Default::default())
     }
 }

@@ -5,12 +5,11 @@ use parking_lot::Mutex;
 use rfdet_api::obs::Phase;
 use rfdet_api::{
     Addr, BarrierId, CondId, ConfigError, DmtCtx, FailureKind, MutexId, RunConfig, RunHarness,
-    Stats, SyncOp, ThreadFn, ThreadHandle, ThreadHarness, Tid,
+    SyncOp, ThreadFn, ThreadHandle, ThreadHarness, Tid,
 };
 use rfdet_mem::{StripAllocator, ThreadHeap};
-use rfdet_meta::{MetaSpace, GC_THRESHOLD};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Shared state of one native run.
@@ -22,8 +21,8 @@ pub(crate) struct NativeShared {
     pub conds: Registry<CondVar>,
     pub barriers: Registry<BarrierVar>,
     pub strips: StripAllocator,
-    /// Reused for thread registration, output streams and stats.
-    pub meta: MetaSpace,
+    /// The next thread's tid, handed out in spawn order.
+    next_tid: AtomicU32,
     /// Striped locks making 8-byte atomics atomic over the byte-cell
     /// memory (§4.6 extension).
     pub atomic_stripes: Vec<Mutex<()>>,
@@ -44,7 +43,7 @@ impl NativeShared {
             conds: Registry::default(),
             barriers: Registry::default(),
             strips: StripAllocator::new(heap_base, cfg.space_bytes - heap_base),
-            meta: MetaSpace::new(cfg.meta_capacity_bytes as usize, GC_THRESHOLD),
+            next_tid: AtomicU32::new(0),
             atomic_stripes: (0..64).map(|_| Mutex::new(())).collect(),
             run,
         })
@@ -67,7 +66,7 @@ pub(crate) struct NativeCtx {
 
 impl NativeCtx {
     pub fn new(shared: Arc<NativeShared>) -> Self {
-        let tid = shared.meta.register_thread().tid;
+        let tid = shared.next_tid.fetch_add(1, Relaxed);
         let heap = shared.strips.heap_for(tid);
         let h = ThreadHarness::new(&shared.run, tid);
         Self {
@@ -105,7 +104,7 @@ impl NativeCtx {
             // Nothing to do at a native thread's exit, but it is a sync-op
             // coordinate on every backend, so a plan can name it here too.
             self.sync_op(SyncOp::Exit, |_| ());
-            self.flush_stats();
+            self.shared.run.retire(&mut self.h);
         }));
         if let Err(payload) = result {
             let (report, kind) = (Some(self.h.report()), Some(FailureKind::Panic));
@@ -113,11 +112,6 @@ impl NativeCtx {
                 .run
                 .record_unwind(self.tid, payload, report, kind);
         }
-    }
-
-    fn flush_stats(&mut self) {
-        self.shared.meta.stats.merge(&self.h.stats);
-        self.h.stats = Stats::default();
     }
 
     /// An 8-byte atomic over the byte-cell memory, under the cell's
@@ -255,7 +249,7 @@ impl DmtCtx for NativeCtx {
     }
 
     fn emit(&mut self, bytes: &[u8]) {
-        self.shared.meta.emit(self.tid, bytes);
+        self.h.emit(bytes);
     }
 
     fn atomic_rmw(&mut self, addr: Addr, op: rfdet_api::AtomicOp) -> u64 {

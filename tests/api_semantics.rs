@@ -3,7 +3,7 @@
 
 use rfdet::{
     all_backends, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, DthreadsBackend, MutexId,
-    QuantumBackend, RfdetBackend, RunConfig, RunError,
+    QuantumBackend, RfdetBackend, RunConfig, RunError, ThreadFn, ThreadHandle,
 };
 
 fn cfg() -> RunConfig {
@@ -290,23 +290,111 @@ fn out_of_range_accesses_are_one_typed_error_on_every_backend() {
     }
 }
 
+/// API misuse — each case undefined behaviour under pthreads — fails the
+/// run with one `Panic` charged to the misusing thread, with one message,
+/// on every deterministic backend: the checks are written once, on the
+/// sync table's records, and the lockstep engine records a misuse in its
+/// serial phase, in token order, for the thread whose op it is. In the
+/// bystander cases t1 closes the lockstep fence of t2's misuse; stalled
+/// 200 ms, it used to be named the culprit on DThreads and CoreDet-q,
+/// because the engine failed on the stack of whichever thread closed the
+/// fence. Each report digest is rerun-stable, stall or no stall.
 #[test]
-fn rfdet_rejects_recursive_lock() {
-    let err = RfdetBackend::ci()
-        .run(
-            &cfg(),
-            Box::new(|ctx| {
-                ctx.lock(MutexId(5));
-                ctx.lock(MutexId(5));
-            }),
-        )
-        .expect_err("recursive locking must fail the run");
-    assert!(matches!(err, RunError::WorkerPanicked(_)));
-    assert!(
-        err.report().message.contains("lock"),
-        "message should describe the misuse: {}",
-        err.report().message
-    );
+fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
+    fn bystander(stall_ms: u64) -> ThreadFn {
+        Box::new(move |ctx: &mut dyn DmtCtx| {
+            let b = ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
+                ctx.lock(MutexId(9));
+                std::thread::sleep(std::time::Duration::from_millis(stall_ms));
+                ctx.unlock(MutexId(9));
+            }));
+            let m = ctx.spawn(Box::new(|ctx: &mut dyn DmtCtx| ctx.unlock(MutexId(5))));
+            ctx.join(b);
+            ctx.join(m);
+        })
+    }
+    let not_held = |tid: u32| format!("thread {tid} unlocking mutex 5 it does not hold");
+    // (what, program, culprit, message)
+    type Case = (&'static str, fn() -> ThreadFn, u32, String);
+    let cases: [Case; 8] = [
+        (
+            "unlock of a never-locked mutex",
+            || Box::new(|ctx| ctx.unlock(MutexId(5))),
+            0,
+            not_held(0),
+        ),
+        (
+            "unlock by a non-owner",
+            || {
+                Box::new(|ctx| {
+                    ctx.lock(MutexId(5));
+                    let h = ctx.spawn(Box::new(|ctx: &mut dyn DmtCtx| ctx.unlock(MutexId(5))));
+                    ctx.join(h);
+                })
+            },
+            1,
+            not_held(1),
+        ),
+        (
+            "cond_wait without the mutex",
+            || Box::new(|ctx| ctx.cond_wait(CondId(2), MutexId(5))),
+            0,
+            "thread 0 waiting on cond 2 without holding mutex 5".into(),
+        ),
+        (
+            "recursive lock",
+            || {
+                Box::new(|ctx| {
+                    ctx.lock(MutexId(5));
+                    ctx.lock(MutexId(5));
+                })
+            },
+            0,
+            "recursive lock of mutex 5 by thread 0".into(),
+        ),
+        (
+            "join self",
+            || Box::new(|ctx| ctx.join(ThreadHandle(0))),
+            0,
+            "thread 0 joining itself".into(),
+        ),
+        (
+            "zero-party barrier",
+            || Box::new(|ctx| ctx.barrier(BarrierId(3), 0)),
+            0,
+            "barrier 3 with zero parties".into(),
+        ),
+        ("bystander", || bystander(0), 2, not_held(2)),
+        ("slow bystander", || bystander(200), 2, not_held(2)),
+    ];
+    for backend in det_backends() {
+        let name = backend.name();
+        let digests: Vec<u64> = cases
+            .iter()
+            .map(|(what, body, tid, message)| {
+                let runs: Vec<u64> = (0..2)
+                    .map(|_| {
+                        let err = backend
+                            .run(&cfg(), body())
+                            .expect_err("misuse must fail the run");
+                        assert!(
+                            matches!(err, RunError::WorkerPanicked(_)),
+                            "{name} {what}: {err}"
+                        );
+                        let r = err.report();
+                        assert_eq!((r.tid, &r.message), (*tid, message), "{name} {what}");
+                        err.report_digest()
+                    })
+                    .collect();
+                assert_eq!(runs[0], runs[1], "{name} {what}: rerun-stable digest");
+                runs[0]
+            })
+            .collect();
+        assert_eq!(
+            digests[6], digests[7],
+            "{name}: whoever closes the fence, one report"
+        );
+    }
 }
 
 #[test]

@@ -16,7 +16,10 @@
 
 use proptest::prelude::*;
 use rfdet::workloads::{benchmarks, races, Params, Size};
-use rfdet::{all_backends, races_digest, DmtBackend, FaultPlan, RunConfig, RunOutput};
+use rfdet::{
+    all_backends, races_digest, AtomicOp, DmtBackend, DmtCtx, DmtCtxExt, FaultPlan, RunConfig,
+    RunOutput, ThreadFn,
+};
 
 /// The race-capable backends: every deterministic one.
 fn det_backends() -> Vec<Box<dyn DmtBackend>> {
@@ -36,6 +39,56 @@ fn detect_cfg() -> RunConfig {
 fn run_detecting(b: &dyn DmtBackend, name: &str, threads: usize) -> RunOutput {
     let w = rfdet::workloads::by_name(name).unwrap_or_else(|| panic!("{name} not registered"));
     b.run_expect(&detect_cfg(), (w.factory)(Params::new(threads, Size::Test)))
+}
+
+/// Happens-before is transitive through an atomic cell. A writes the
+/// data, then `atomic_rmw`s the cell; B's only access is a later
+/// `atomic_rmw` of it; C `atomic_load`s it, then reads the data. C is
+/// ordered after A only through B's recorded release, which must keep
+/// A's (an atomic's release is the previous one joined with its own): no
+/// race. When A skips its `rmw`, its write races C's read: exactly one.
+/// C sees both increments, so the chain is the one under test.
+#[test]
+fn an_atomic_cell_orders_accesses_transitively() {
+    const DATA: u64 = 0;
+    const CELL: u64 = 64;
+    fn chain(a_releases: bool) -> ThreadFn {
+        Box::new(move |ctx| {
+            let a = ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
+                ctx.write::<u64>(DATA, 7);
+                if a_releases {
+                    ctx.atomic_rmw(CELL, AtomicOp::Add(1));
+                }
+            }));
+            let b = ctx.spawn(Box::new(|ctx: &mut dyn DmtCtx| {
+                ctx.tick(1_000);
+                ctx.atomic_rmw(CELL, AtomicOp::Add(1));
+            }));
+            let c = ctx.spawn(Box::new(|ctx: &mut dyn DmtCtx| {
+                ctx.tick(2_000);
+                let seen = ctx.atomic_load(CELL);
+                let _: u64 = ctx.read(DATA);
+                ctx.emit_str(&seen.to_string());
+            }));
+            for h in [a, b, c] {
+                ctx.join(h);
+            }
+        })
+    }
+    for b in det_backends() {
+        for (a_releases, seen, races) in [(true, "2", 0), (false, "1", 1)] {
+            let out = b.run_expect(&detect_cfg(), chain(a_releases));
+            assert_eq!(
+                (
+                    String::from_utf8_lossy(&out.output).as_ref(),
+                    out.races.len()
+                ),
+                (seen, races),
+                "{} (A releases: {a_releases})",
+                b.name()
+            );
+        }
+    }
 }
 
 /// Race detection is a capability of the deterministic backends only:
