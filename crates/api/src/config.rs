@@ -60,6 +60,10 @@ impl Default for RfdetOpts {
 /// minimum allocation. `rfdet-mem` pins the arithmetic in a unit test.
 pub const MIN_SPACE_BYTES: u64 = 2 * 256 * 16;
 
+/// Upper bound, in microseconds, of one seeded physical pause
+/// ([`RunConfig::jitter_seed`]).
+pub const JITTER_MAX_US: u64 = 50;
+
 /// Why a [`RunConfig`] was rejected: the field, the value it has and the
 /// constraint that value breaks.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -113,13 +117,15 @@ pub struct RunConfig {
     /// Quantum length in ticks for the CoreDet/DMP-style backend
     /// (ignored by other backends): the one parameter of that comparator.
     pub quantum_ticks: u64,
-    /// When `Some(seed)`, deterministic backends inject pseudo-random
-    /// physical delays at internal scheduling points. Results must be
-    /// bit-identical for every seed — this is the failure-injection hook
-    /// used by the determinism tests.
+    /// When `Some(seed)`, every thread sleeps a pseudo-random physical
+    /// pause of up to [`JITTER_MAX_US`] before each of its sync ops is
+    /// ordered, drawn from its own stream ([`crate::DetRng::jitter`] of
+    /// the seed and its tid). The run harness applies it, so all five
+    /// backends honour it. A deterministic backend's results must be
+    /// bit-identical for every seed — this is the physical-timing
+    /// perturbation the determinism tests rerun under. `None` (the
+    /// default) costs one branch per sync op.
     pub jitter_seed: Option<u64>,
-    /// Upper bound on injected delay per point, in microseconds.
-    pub jitter_max_us: u64,
     /// Deterministic faults to inject (panics, failed allocations,
     /// logical-clock jitter), keyed off per-thread sync-op/allocation
     /// counts. Empty by default. See [`FaultPlan`].
@@ -197,7 +203,6 @@ impl Default for RunConfig {
             rfdet: RfdetOpts::default(),
             quantum_ticks: 10_000,
             jitter_seed: None,
-            jitter_max_us: 50,
             fault_plan: FaultPlan::new(),
             deadlock_after_ms: Some(30_000),
             trace: None,
@@ -250,7 +255,6 @@ impl RunConfig {
             lazy_writes: self.rfdet.lazy_writes,
             fault_cost_spins: self.rfdet.fault_cost_spins,
             quantum_ticks: self.quantum_ticks,
-            jitter_max_us: self.jitter_max_us,
             deadlock_after_ms: self.deadlock_after_ms,
         }
     }
@@ -278,7 +282,6 @@ impl RunConfig {
             },
             quantum_ticks: c.quantum_ticks,
             jitter_seed: trace.seed,
-            jitter_max_us: c.jitter_max_us,
             fault_plan: FaultPlan::from_trace_faults(&trace.faults),
             deadlock_after_ms: c.deadlock_after_ms,
             trace: Some(trace.workload.clone()),
@@ -452,7 +455,6 @@ mod tests {
                 fault_cost_spins: 3,
             },
             quantum_ticks: 11,
-            jitter_max_us: 13,
             deadlock_after_ms: None,
             ..RunConfig::default()
         };

@@ -131,11 +131,12 @@ impl SyncOp {
 mod tests {
     use super::*;
     use crate::{
-        FailureKind, FaultPlan, RunConfig, RunError, RunOutput, SyncOpFault, ThreadReport,
-        TracedRun,
+        DetRng, FailureKind, FaultPlan, RunConfig, RunError, RunOutput, SyncOpFault, ThreadReport,
+        TracedRun, JITTER_MAX_US,
     };
     use rfdet_obs::Phase;
     use rfdet_trace::{persist, TraceEvent, KIND_NONE, KIND_PANIC};
+    use std::time::{Duration, Instant};
 
     fn cfg(f: impl FnOnce(&mut RunConfig)) -> RunConfig {
         let mut cfg = RunConfig::small();
@@ -247,6 +248,47 @@ mod tests {
         assert_eq!(h.sync_ops(), 10, "exit is a coordinate, not a counter");
         h.count_app_events(3, 1);
         assert_eq!((h.stats.app_retries, h.stats.app_shed), (3, 1));
+    }
+
+    /// The first `n` pauses of thread `tid`'s stream under `seed`.
+    fn pauses(seed: u64, tid: Tid, n: usize) -> Vec<Duration> {
+        let mut rng = DetRng::jitter(seed, tid);
+        (0..n).map(|_| rng.next_pause()).collect()
+    }
+
+    /// `enter_sync` `n` times on a harness of thread 3; the wall time.
+    fn time_ops(jitter_seed: Option<u64>, n: usize) -> Duration {
+        let run = harness(&cfg(|c| c.jitter_seed = jitter_seed));
+        let mut h = ThreadHarness::new(&run, 3);
+        let t0 = Instant::now();
+        for _ in 0..n {
+            h.enter_sync(SyncOp::Exit, || 0);
+        }
+        t0.elapsed()
+    }
+
+    #[test]
+    fn the_same_seed_and_tid_give_the_same_pauses() {
+        let p = pauses(7, 3, 64);
+        assert_eq!(p, pauses(7, 3, 64));
+        assert!(p.iter().all(|d| *d <= Duration::from_micros(JITTER_MAX_US)));
+        assert!(p.iter().any(Duration::is_zero), "fast paths stay exercised");
+        assert!(p.iter().any(|d| !d.is_zero()), "{p:?}");
+    }
+
+    #[test]
+    fn different_tids_give_different_pauses() {
+        assert_ne!(pauses(7, 0, 8), pauses(7, 1, 8));
+    }
+
+    #[test]
+    fn a_jittered_thread_sleeps_its_pauses_and_an_unjittered_one_never_sleeps() {
+        // `sleep` never returns early: the stream's sum is a lower bound.
+        assert!(time_ops(Some(7), 64) >= pauses(7, 3, 64).iter().sum());
+        let n = 10_000;
+        let asked: Duration = pauses(7, 3, n).iter().sum();
+        assert!(asked > Duration::from_millis(100), "{asked:?}");
+        assert!(time_ops(None, n) < Duration::from_millis(100));
     }
 
     #[test]

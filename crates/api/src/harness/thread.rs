@@ -1,15 +1,15 @@
 //! Per-thread harness state.
 
 use super::{RunHarness, SyncOp};
-use crate::{FaultPlan, Stats, SyncOpFault, ThreadReport, Tid};
+use crate::{DetRng, FaultPlan, Stats, SyncOpFault, ThreadReport, Tid};
 use rfdet_obs::{ObsRecorder, Phase};
 use rfdet_trace::{op, TraceBuf, TraceEvent};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The cross-cutting state every backend's thread context owns: fault
-/// coordinates, the flight-recorder and metrics buffers, the output
-/// stream and the profiling counters.
+/// coordinates, the seeded physical jitter, the flight-recorder and
+/// metrics buffers, the output stream and the profiling counters.
 ///
 /// Both buffers flush to their run-wide sinks on drop — which covers
 /// panic unwinds, since a context outlives the `catch_unwind` around its
@@ -28,6 +28,9 @@ pub struct ThreadHarness {
     allocs: u64,
     /// The plan attaches a panic to the op most recently entered.
     planned: bool,
+    /// The thread's pause stream, `Some` iff the run sets a
+    /// [`crate::RunConfig::jitter_seed`].
+    jitter: Option<DetRng>,
     trace: Option<TraceBuf>,
     obs: Option<ObsRecorder>,
     /// The thread's output stream ([`crate::DmtCtx::emit`]).
@@ -47,6 +50,7 @@ impl ThreadHarness {
             last_op: None,
             allocs: 0,
             planned: false,
+            jitter: run.cfg.jitter_seed.map(|seed| DetRng::jitter(seed, tid)),
             trace: run.trace_sink.clone().map(TraceBuf::new),
             obs: run.obs_sink.clone().map(ObsRecorder::new),
             output: Vec::new(),
@@ -58,14 +62,20 @@ impl ThreadHarness {
     /// [`Stats`], assigns it the thread's next sync-op index, remembers
     /// it for failure reports, records the trace event stamped with
     /// `clock()` (the backend's logical clock, read only when the run is
-    /// recording; `0` where there is none) and returns whatever the
+    /// recording; `0` where there is none), sleeps the thread's next
+    /// seeded pause if the run is jittered, and returns whatever the
     /// [`FaultPlan`] attaches to this point.
+    ///
+    /// Every backend calls this before it orders the op (the core before
+    /// its turn, the lockstep engine before the fence arrival, native
+    /// before the op body), so the one pause perturbs every backend at
+    /// the same program points.
     ///
     /// Indices are per-thread program order, so a plan written against
     /// one backend triggers at the same source point on every backend.
     /// The event is recorded *before* the caller applies the returned
-    /// jitter, so recorded and replayed streams key to the same
-    /// pre-fault clocks. The caller applies the jitter in its own
+    /// jitter ticks, so recorded and replayed streams key to the same
+    /// pre-fault clocks. The caller applies the ticks in its own
     /// currency and delivers a planned panic through
     /// [`Self::raise_planned`] (or [`Self::planned_panic`]) at the point
     /// its ordering contract names.
@@ -83,6 +93,9 @@ impl ThreadHarness {
                 arg: op.arg(),
                 clock: clock(),
             });
+        }
+        if let Some(rng) = &mut self.jitter {
+            std::thread::sleep(rng.next_pause());
         }
         if self.plan.is_empty() {
             return SyncOpFault::default();

@@ -1,5 +1,8 @@
 //! A tiny deterministic PRNG for workloads and jitter injection.
 
+use crate::{Tid, JITTER_MAX_US};
+use std::time::Duration;
+
 /// SplitMix64 — a fast, high-quality 64-bit PRNG with trivially
 /// reproducible state.
 ///
@@ -42,6 +45,24 @@ impl DetRng {
     /// Splits off an independent generator (for per-thread streams).
     pub fn split(&mut self) -> Self {
         Self::new(self.next_u64())
+    }
+
+    /// Thread `tid`'s physical-jitter stream under `seed`
+    /// ([`crate::RunConfig::jitter_seed`]).
+    #[must_use]
+    pub fn jitter(seed: u64, tid: Tid) -> Self {
+        Self::new(seed ^ u64::from(tid).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// The next physical pause of a jitter stream: zero on about half the
+    /// draws, so fast paths are still exercised, else uniform in
+    /// `[0, JITTER_MAX_US]` µs.
+    pub fn next_pause(&mut self) -> Duration {
+        let r = self.next_u64();
+        if r & 1 == 0 {
+            return Duration::ZERO;
+        }
+        Duration::from_micros((r >> 1) % (JITTER_MAX_US + 1))
     }
 }
 

@@ -250,7 +250,6 @@ mod tests {
     fn published_mods(seed: Option<u64>) -> Vec<(u32, u64, Vec<rfdet_mem::ModRun>)> {
         let mut cfg = small();
         cfg.jitter_seed = seed;
-        cfg.jitter_max_us = 20;
         cfg.meta_capacity_bytes = 64 << 20; // headroom: no GC pruning mid-run
         let shared = Arc::new(RuntimeShared::new(&cfg).expect("valid config"));
         let mut main = RfdetCtx::new_main(Arc::clone(&shared));

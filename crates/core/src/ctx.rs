@@ -6,7 +6,7 @@ use rfdet_api::{
     Addr, BarrierId, CondId, DmtCtx, MonitorMode, MutexId, SyncOp, ThreadFn, ThreadHandle,
     ThreadHarness, ThreadReport, Tid,
 };
-use rfdet_kendo::{Jitter, KendoHandle, TickBatch};
+use rfdet_kendo::{KendoHandle, TickBatch};
 use rfdet_mem::{Page, PageOverlay, PrivateSpace, Runs, SliceSnapshots, ThreadHeap};
 use rfdet_meta::ThreadMeta;
 use rfdet_vclock::VClock;
@@ -74,7 +74,6 @@ pub struct RfdetCtx {
     pub(crate) heap: ThreadHeap,
     /// Fault coordinates, trace and metrics buffers, profiling counters.
     pub(crate) h: ThreadHarness,
-    pub(crate) jitter: Option<Jitter>,
     pub(crate) meta_thread: Arc<ThreadMeta>,
     /// A slice publication crossed the GC threshold; a pass runs at the
     /// next off-turn point.
@@ -161,9 +160,6 @@ impl RfdetCtx {
         let track_reads = cfg.detect_races;
         let heap = shared.strips.heap_for(tid);
         let h = ThreadHarness::new(&shared.run, tid);
-        let jitter = cfg
-            .jitter_seed
-            .map(|seed| Jitter::new(seed, tid, cfg.jitter_max_us));
         let mut ctx = Self {
             shared,
             kendo,
@@ -181,7 +177,6 @@ impl RfdetCtx {
             peers: Vec::new(),
             heap,
             h,
-            jitter,
             meta_thread,
             gc_pending: false,
             slice_t0: None,
@@ -480,13 +475,14 @@ impl RfdetCtx {
     }
 
     /// Entry of every synchronization operation. The harness assigns the
-    /// op its coordinate and records it; every op but `lock` seals the
-    /// slice off turn (DESIGN.md §4.2); plan jitter ticks the Kendo clock;
-    /// then the thread takes its deterministic turn — the stall is
-    /// [`Phase::WaitTurn`], and its end seeds the next boundary. A
-    /// planned panic is delivered only now, with the op *ordered*: which
-    /// of several planned panics becomes the run's root cause is then a
-    /// function of the sync order, not of who reached its op first.
+    /// op its coordinate, records it and sleeps any seeded pause; every
+    /// op but `lock` seals the slice off turn (DESIGN.md §4.2); plan
+    /// jitter ticks the Kendo clock; then the thread takes its
+    /// deterministic turn — the stall is [`Phase::WaitTurn`], and its end
+    /// seeds the next boundary. A planned panic is delivered only now,
+    /// with the op *ordered*: which of several planned panics becomes the
+    /// run's root cause is then a function of the sync order, not of who
+    /// reached its op first.
     pub(crate) fn enter_op(&mut self, op: SyncOp) {
         // Publish the chunk in progress: the op is recorded with, waits
         // for its turn on, and hands clocks to the threads it wakes from
@@ -503,9 +499,6 @@ impl RfdetCtx {
             self.shared
                 .kendo
                 .tick_off_turn(&self.kendo, fault.jitter_ticks);
-        }
-        if let Some(j) = &mut self.jitter {
-            j.pause();
         }
         let t0 = self.obs_boundary_start();
         self.shared.kendo.wait_for_turn(&self.kendo);

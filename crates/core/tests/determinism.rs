@@ -14,7 +14,6 @@ fn cfg(jitter_seed: Option<u64>) -> RunConfig {
     let mut c = RunConfig::small();
     c.rfdet.fault_cost_spins = 0;
     c.jitter_seed = jitter_seed;
-    c.jitter_max_us = 30;
     c
 }
 

@@ -55,10 +55,8 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-mod jitter;
 mod state;
 
-pub use jitter::Jitter;
 pub use state::{
     Aborted, KendoHandle, KendoState, Starved, Status, TickBatch, WakeTap, MAX_THREADS,
     PUBLISH_STRIDE,

@@ -155,6 +155,12 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// What the config's retired `jitter_max_us` slot (between
+/// `quantum_ticks` and `deadlock_after_ms`) holds: the field's last
+/// value, written unchanged and skipped on read, so the version-3 layout
+/// and every digest over it stay as they were.
+const JITTER_SLOT: u64 = 50;
+
 pub(crate) fn write_config(w: &mut Writer, c: &TraceConfig) {
     w.u64(c.space_bytes);
     w.u64(c.page_size);
@@ -165,7 +171,7 @@ pub(crate) fn write_config(w: &mut Writer, c: &TraceConfig) {
     w.boolean(c.lazy_writes);
     w.u32(c.fault_cost_spins);
     w.u64(c.quantum_ticks);
-    w.u64(c.jitter_max_us);
+    w.u64(JITTER_SLOT);
     w.opt_u64(c.deadlock_after_ms);
 }
 
@@ -180,8 +186,8 @@ pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<TraceConfig, TraceError>
         lazy_writes: r.boolean()?,
         fault_cost_spins: r.u32()?,
         quantum_ticks: r.u64()?,
-        jitter_max_us: r.u64()?,
-        deadlock_after_ms: r.opt_u64()?,
+        // Skips the `JITTER_SLOT` first.
+        deadlock_after_ms: r.u64().and_then(|_| r.opt_u64())?,
     })
 }
 

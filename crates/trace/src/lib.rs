@@ -178,7 +178,6 @@ pub struct TraceConfig {
     pub lazy_writes: bool,
     pub fault_cost_spins: u32,
     pub quantum_ticks: u64,
-    pub jitter_max_us: u64,
     pub deadlock_after_ms: Option<u64>,
 }
 
@@ -346,7 +345,6 @@ mod tests {
             lazy_writes: false,
             fault_cost_spins: 0,
             quantum_ticks: 10_000,
-            jitter_max_us: 50,
             deadlock_after_ms: Some(30_000),
         }
     }

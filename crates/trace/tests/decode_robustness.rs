@@ -32,7 +32,6 @@ fn config() -> TraceConfig {
         lazy_writes: true,
         fault_cost_spins: 50,
         quantum_ticks: 1000,
-        jitter_max_us: 0,
         deadlock_after_ms: Some(2000),
     }
 }

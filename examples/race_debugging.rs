@@ -67,10 +67,9 @@ fn main() {
     println!("the same buggy execution, ten times under RFDet:");
     let mut distinct = std::collections::HashSet::new();
     for i in 0..10 {
-        // Vary physical timing as hard as we can — results must not move.
+        // Vary physical timing — results must not move.
         let mut c = cfg.clone();
         c.jitter_seed = Some(i);
-        c.jitter_max_us = 100;
         let out = backend.run_expect(&c, Box::new(buggy_program));
         let text = String::from_utf8_lossy(&out.output).into_owned();
         println!("  run {i}: {text}");
@@ -96,7 +95,6 @@ fn main() {
     for attempt in 0..2 {
         let mut c = cfg.clone();
         c.jitter_seed = Some(attempt);
-        c.jitter_max_us = 100;
         c.fault_plan = FaultPlan::new().panic_at(1, 0);
         let err = backend
             .run(&c, Box::new(buggy_program))
@@ -116,7 +114,6 @@ fn main() {
     println!("\nfinally, recording the crash and replaying it from the persisted trace:");
     let mut c = cfg.clone();
     c.jitter_seed = Some(0);
-    c.jitter_max_us = 100;
     c.fault_plan = FaultPlan::new().panic_at(1, 0);
     c.trace = Some("race_debugging".to_owned());
     let run = backend.run_traced(&c, Box::new(buggy_program));

@@ -298,7 +298,8 @@ fn out_of_range_accesses_are_one_typed_error_on_every_backend() {
 /// bystander cases t1 closes the lockstep fence of t2's misuse; stalled
 /// 200 ms, it used to be named the culprit on DThreads and CoreDet-q,
 /// because the engine failed on the stack of whichever thread closed the
-/// fence. Each report digest is rerun-stable, stall or no stall.
+/// fence. Each report digest is rerun-stable, stall or no stall, and
+/// the bystander's is the same under every jitter seed.
 #[test]
 fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
     fn bystander(stall_ms: u64) -> ThreadFn {
@@ -394,6 +395,23 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
             digests[6], digests[7],
             "{name}: whoever closes the fence, one report"
         );
+        // Seeded pauses vary which thread closes that fence, no sleep in
+        // the program needed.
+        for seed in 0..16 {
+            let jittered = RunConfig {
+                jitter_seed: Some(seed),
+                ..cfg()
+            };
+            let err = backend
+                .run(&jittered, bystander(0))
+                .expect_err("misuse must fail the run");
+            let r = err.report();
+            assert_eq!(
+                (r.tid, &r.message, err.report_digest()),
+                (2, &not_held(2), digests[6]),
+                "{name} bystander under jitter seed {seed}"
+            );
+        }
     }
 }
 

@@ -552,11 +552,12 @@ fn the_ordered_panic_is_the_root_cause_whichever_thread_is_slow() {
 }
 
 /// The core seals a slice before its op's turn and publishes it in turn;
-/// a plan's jitter lands in between (`enter_op` seals, charges the plan's
-/// ticks and the seeded pause, then waits), so every jittered op stalls
-/// there in logical and in wall time. Neither the outputs nor a failure
-/// report may notice: the digests are pinned from the build that sealed
-/// inside the turn.
+/// a plan's jitter ticks land in between (`enter_op` seals, charges the
+/// ticks, then waits), so every jittered op stalls there in logical
+/// time. The seeded pause comes just before the seal (the harness sleeps
+/// it on entry), so it moves every op's seal and turn in wall time.
+/// Neither the outputs nor a failure report may notice: the digests are
+/// pinned from the build that sealed inside the turn.
 #[test]
 fn a_stall_between_the_seal_and_the_turn_changes_no_digest() {
     use rfdet::workloads::{by_name, Params, Size};
@@ -567,7 +568,6 @@ fn a_stall_between_the_seal_and_the_turn_changes_no_digest() {
     };
     let cfg = |plan| RunConfig {
         jitter_seed: Some(7),
-        jitter_max_us: 200,
         ..small_cfg(plan)
     };
     let root = |name, threads| {

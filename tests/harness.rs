@@ -14,6 +14,7 @@
 //! are pinned against goldens — however and whenever the runtime chooses
 //! to *publish* that clock.
 
+use rfdet::api::DetRng;
 use rfdet::trace::digest::Fnv1a;
 use rfdet::trace::{op, TraceEvent};
 use rfdet::workloads::{by_name, Params, Size};
@@ -21,6 +22,8 @@ use rfdet::{
     all_backends, AtomicOp, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, FaultPlan, MutexId,
     RfdetBackend, RunConfig, RunError, ThreadFn, Tid,
 };
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 const FLAG: u64 = 64;
 const CELL: u64 = 128;
@@ -94,6 +97,44 @@ fn projection(events: &[TraceEvent], threads: Tid) -> Vec<ThreadStreams> {
             (of(false), of(true).into_iter().map(|e| e.0).collect())
         })
         .collect()
+}
+
+/// `jitter_seed` reaches every backend: the harness sleeps a thread's
+/// seeded pause at each of its sync ops before the backend orders it, so
+/// a single thread's `OPS` atomic loads take at least the sum of the
+/// first `OPS` pauses of its stream — `sleep` never returns early, so
+/// the bound cannot flake. Without the pauses the loop finishes well
+/// inside that sum on every backend.
+#[test]
+fn every_backend_sleeps_the_seeded_pauses() {
+    const OPS: usize = 1000;
+    const SEED: u64 = 3;
+    let mut stream = DetRng::jitter(SEED, 0);
+    let asked: Duration = (0..OPS).map(|_| stream.next_pause()).sum();
+    let cfg = RunConfig {
+        jitter_seed: Some(SEED),
+        ..RunConfig::small()
+    };
+    for backend in all_backends() {
+        let took = Arc::new(Mutex::new(Duration::ZERO));
+        let out = Arc::clone(&took);
+        backend.run_expect(
+            &cfg,
+            Box::new(move |ctx: &mut dyn DmtCtx| {
+                let t0 = Instant::now();
+                for _ in 0..OPS {
+                    ctx.atomic_load(CELL);
+                }
+                *out.lock().expect("unpoisoned") = t0.elapsed();
+            }),
+        );
+        let took = *took.lock().expect("unpoisoned");
+        assert!(
+            took >= asked,
+            "{}: {OPS} ops in {took:?}, but the seed asked for {asked:?} of pauses",
+            backend.name()
+        );
+    }
 }
 
 #[test]
