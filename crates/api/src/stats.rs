@@ -248,9 +248,11 @@ impl Stats {
 }
 
 impl AtomicStats {
-    /// Raises the metadata-usage peak.
+    /// Raises the metadata-usage peak (a load first: no new peak, no write).
     pub fn note_meta_bytes(&self, bytes: u64) {
-        self.peak_meta_bytes.fetch_max(bytes, Relaxed);
+        if bytes > self.peak_meta_bytes.load(Relaxed) {
+            self.peak_meta_bytes.fetch_max(bytes, Relaxed);
+        }
     }
 }
 

@@ -307,8 +307,8 @@ fn table(b: &mut Bench) {
     // Turn-arbitration scaling on the sync-heavy adversary. Doubling the
     // threads doubles the turn count, so the ideal 16t/8t ratio is 2.0;
     // the 1-CPU reference host reads 2.0-2.4, the broadcast spin-scan
-    // that handoff replaced read above 4. With more CPUs the two runs
-    // can land in different Kendo spin tiers (EXPERIMENTS.md "Host
+    // that handoff replaced read above 4. On 2 CPUs the 16-thread run is
+    // 8x oversubscribed and reads 3.3-4.2 (EXPERIMENTS.md "Host
     // caveats"), so the ceiling is judged only where it was calibrated.
     let id = |t: usize| format!("rfdet/{t}t_sync_heavy_handoff");
     for t in THREADS {

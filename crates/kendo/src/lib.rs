@@ -20,9 +20,10 @@
 //! next thread finds out is an implementation choice: the releasing turn
 //! holder computes the successor and hands it a baton (one scan per
 //! transition, everyone else parks). A waiter that is not named, and a
-//! blocked thread waiting for its waker, wait in one loop (spin, yield,
-//! sleep) whose starvation bound is *quiet* time: it starves only once no
-//! thread's clock or status has moved for the whole bound. This crate's
+//! blocked thread waiting for its waker, wait in one loop (spin, yield
+//! for a learned budget, sleep) whose starvation bound is *quiet* time:
+//! it starves only once no thread's clock or status has moved for the
+//! whole bound. This crate's
 //! tests hold the admitted `(tid, clock)` sequence equal to a sequential
 //! model of the rule above that shares no code with the arbiter.
 //!
