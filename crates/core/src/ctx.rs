@@ -8,9 +8,8 @@ use rfdet_api::{
 };
 use rfdet_kendo::{KendoHandle, TickBatch};
 use rfdet_mem::{Page, PageOverlay, PrivateSpace, Runs, SliceSnapshots, ThreadHeap};
-use rfdet_meta::ThreadMeta;
+use rfdet_meta::{MetaSpace, SliceRef, ThreadMeta};
 use rfdet_vclock::VClock;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Page buffers a thread's snapshot pool keeps across slices, so
@@ -66,11 +65,16 @@ pub struct RfdetCtx {
     /// Per-source absolute positions in other threads' slice lists:
     /// everything before the cursor was already filtered-or-propagated
     /// under an earlier upper limit (see `SliceList` for the closure
-    /// property that makes this sound).
-    pub(crate) cursors: HashMap<Tid, u64>,
+    /// property that makes this sound). Indexed by source tid; a source
+    /// past the end is at 0.
+    pub(crate) cursors: Vec<u64>,
     /// Lazily filled cache of other threads' records, indexed by tid (see
     /// [`Self::peer`]).
-    peers: Vec<Option<Arc<ThreadMeta>>>,
+    pub(crate) peers: Vec<Option<Arc<ThreadMeta>>>,
+    /// Reused buffer for the slices one acquire pulls: filled by the
+    /// source list's filter, emptied by moving the handles onto this
+    /// thread's own list, its capacity kept.
+    pub(crate) batch: Vec<SliceRef>,
     pub(crate) heap: ThreadHeap,
     /// Fault coordinates, trace and metrics buffers, profiling counters.
     pub(crate) h: ThreadHarness,
@@ -123,6 +127,20 @@ pub struct RfdetCtx {
     exited: bool,
 }
 
+/// [`RfdetCtx::peer`] over the cache field alone, for a caller that
+/// holds a borrow of another field meanwhile.
+pub(crate) fn peer_of<'a>(
+    peers: &'a mut Vec<Option<Arc<ThreadMeta>>>,
+    meta: &MetaSpace,
+    tid: Tid,
+) -> &'a ThreadMeta {
+    let idx = tid as usize;
+    if idx >= peers.len() {
+        peers.resize(idx + 1, None);
+    }
+    peers[idx].get_or_insert_with(|| meta.thread(tid))
+}
+
 impl RfdetCtx {
     /// Bootstraps the main-thread context (tid 0). Must be called exactly
     /// once per [`RuntimeShared`].
@@ -173,8 +191,9 @@ impl RfdetCtx {
             snaps,
             runs: Default::default(),
             sealed: None,
-            cursors: HashMap::new(),
+            cursors: Vec::new(),
             peers: Vec::new(),
+            batch: Vec::new(),
             heap,
             h,
             meta_thread,
@@ -197,15 +216,23 @@ impl RfdetCtx {
 
     /// `tid`'s record (slice list, published clock, mailbox), cached so
     /// the sync hot path takes the registry read-lock at most once per
-    /// peer; every later call is one `Arc` clone. Returns by value so
-    /// callers can keep using `self`.
-    pub(crate) fn peer(&mut self, tid: Tid) -> Arc<ThreadMeta> {
+    /// peer. Lent, not cloned: a clone would write the record's shared
+    /// reference count, one more line moving between cores per op.
+    pub(crate) fn peer(&mut self, tid: Tid) -> &ThreadMeta {
+        peer_of(&mut self.peers, &self.shared.meta, tid)
+    }
+
+    /// This thread's position in `tid`'s slice list.
+    pub(crate) fn cursor(&self, tid: Tid) -> u64 {
+        self.cursors.get(tid as usize).copied().unwrap_or(0)
+    }
+
+    pub(crate) fn set_cursor(&mut self, tid: Tid, cursor: u64) {
         let idx = tid as usize;
-        if idx >= self.peers.len() {
-            self.peers.resize(idx + 1, None);
+        if idx >= self.cursors.len() {
+            self.cursors.resize(idx + 1, 0);
         }
-        let meta = self.peers[idx].get_or_insert_with(|| self.shared.meta.thread(tid));
-        Arc::clone(meta)
+        self.cursors[idx] = cursor;
     }
 
     /// The pages an access of `len` bytes at `addr` touches. A

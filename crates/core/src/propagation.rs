@@ -1,6 +1,6 @@
 //! Memory modification propagation (paper §4.3, Figure 5).
 
-use crate::ctx::RfdetCtx;
+use crate::ctx::{peer_of, RfdetCtx};
 use rfdet_api::obs::Phase;
 use rfdet_api::Tid;
 use rfdet_mem::{page_groups, RunRange, Runs};
@@ -30,19 +30,22 @@ impl RfdetCtx {
     /// to our own list (transitive propagation).
     pub(crate) fn propagate_from(&mut self, from: Tid, upper: &VClock, lower: &VClock) {
         let t0 = self.obs_boundary_start();
-        let cursor = self.cursors.get(&from).copied().unwrap_or(0);
+        let cursor = self.cursor(from);
         // `upper` is a release time of `from`, so the list is
         // prefix-closed under it: start at the cursor, stop at the first
         // entry above the limit.
-        let source = self.peer(from);
-        let (batch, redundant, new_cursor) = source.filter_slices_from(upper, lower, cursor);
-        self.cursors.insert(from, new_cursor);
+        let mut batch = std::mem::take(&mut self.batch);
+        let (redundant, new_cursor) = self
+            .peer(from)
+            .filter_slices_from(upper, lower, cursor, &mut batch);
+        self.set_cursor(from, new_cursor);
         self.h.stats.slices_filtered_redundant += redundant;
         for s in &batch {
             self.h.stats.slices_propagated += 1;
             self.apply_slice(s);
         }
-        self.meta_thread.append_slices(&batch);
+        self.meta_thread.append_slices(&mut batch);
+        self.batch = batch;
         self.obs_since_boundary(Phase::Propagation, t0);
     }
 
@@ -123,14 +126,13 @@ impl RfdetCtx {
     /// deposit — which is exactly the critical path prelock exists to
     /// shorten.
     pub(crate) fn premerge_round(&mut self, source: Tid) {
-        let source_meta = self.peer(source);
         let mut bound = {
             let guard = self.meta_thread.mailbox.lock();
             if !guard.is_empty() {
                 // A handoff is already in flight; the wake path takes over.
                 return;
             }
-            source_meta.get_published_vc()
+            peer_of(&mut self.peers, &self.shared.meta, source).get_published_vc()
         };
         // Off-by-one guard: the source's *open* (unpublished) slice is
         // timestamped with exactly this published value (timestamps are
@@ -150,14 +152,18 @@ impl RfdetCtx {
             self.scratch_lower = lower;
             return;
         }
-        let cursor = self.cursors.get(&source).copied().unwrap_or(0);
-        let (batch, _, new_cursor) = source_meta.filter_slices_from(&bound, &lower, cursor);
-        self.cursors.insert(source, new_cursor);
+        let cursor = self.cursor(source);
+        let mut batch = std::mem::take(&mut self.batch);
+        let (_, new_cursor) = self
+            .peer(source)
+            .filter_slices_from(&bound, &lower, cursor, &mut batch);
+        self.set_cursor(source, new_cursor);
         for s in &batch {
             self.h.stats.prelock_premerged += 1;
             self.apply_slice_idle(s);
         }
-        self.meta_thread.append_slices(&batch);
+        self.meta_thread.append_slices(&mut batch);
+        self.batch = batch;
         self.vc.join(&bound);
         // Everything ≤ bound is now reflected (or queued) locally.
         self.meta_thread.set_published_vc(&self.vc);

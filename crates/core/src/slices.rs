@@ -61,7 +61,7 @@ impl RfdetCtx {
             if let Some(det) = self.detect.as_mut() {
                 det.observe_slice(&rec);
             }
-            let (_slice, gc_needed) = self.shared.meta.publish_slice_for(&self.meta_thread, rec);
+            let gc_needed = self.shared.meta.publish_slice_for(&self.meta_thread, rec);
             // Defer the pass itself: end_slice runs inside the Kendo
             // turn, and a GC scan there would serialize every thread.
             self.gc_pending |= gc_needed;

@@ -31,13 +31,18 @@ use rfdet_meta::AcquireSource;
 use rfdet_vclock::VClock;
 use std::sync::Arc;
 
-/// Ends the slice and ticks the vector clock. Returns the release time
-/// (`lower` — the just-ended slice's timestamp), which a releasing op
-/// records on its object's record.
-fn op_boundary(ctx: &mut RfdetCtx) -> VClock {
-    let lower = ctx.vc.clone();
+/// Ends the slice and ticks the vector clock.
+fn end_op_slice(ctx: &mut RfdetCtx) {
     ctx.end_slice();
     ctx.vc.tick(ctx.tid);
+}
+
+/// [`end_op_slice`] for a releasing op: returns the release time
+/// (`lower` — the just-ended slice's timestamp), which the op records
+/// on its object's record. An op that releases nothing copies no clock.
+fn op_boundary(ctx: &mut RfdetCtx) -> VClock {
+    let lower = ctx.vc.clone();
+    end_op_slice(ctx);
     lower
 }
 
@@ -75,7 +80,7 @@ fn wake(ctx: &RfdetCtx, w: Tid) {
 /// acquires — propagation proceeds in parallel with other threads'
 /// synchronization.
 fn acquire_now(ctx: &mut RfdetCtx, edge: Option<(Tid, VClock)>) {
-    op_boundary(ctx);
+    end_op_slice(ctx);
     ctx.release_turn();
     if let Some((from, time)) = edge {
         ctx.acquire(from, &time);
@@ -171,7 +176,7 @@ pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
         }
         Ok((_, edge)) => acquire_now(ctx, edge),
         Err(pred) => {
-            op_boundary(ctx);
+            end_op_slice(ctx);
             // §4.5 Prelock: merge everything that must happen-before our
             // eventual acquire while the lock holder still works.
             park(ctx, Some(pred));
@@ -184,17 +189,17 @@ pub(crate) fn unlock_impl(ctx: &mut RfdetCtx, m: MutexId) {
     let lower = op_boundary(ctx);
     let next = {
         let mut table = ctx.shared.meta.sync_in_turn();
-        raise(table.release_mutex(ctx.tid, m.0, None, lower.clone()))
+        raise(table.release_mutex(ctx.tid, m.0, None, lower))
     };
-    hand_over(ctx, next, lower);
+    hand_over(ctx, next);
     ctx.release_turn();
     op_epilogue(ctx);
 }
 
-/// Hands a released mutex to `next`, if anyone was queued: deposits the
-/// release edge at `time` and wakes it.
-fn hand_over(ctx: &mut RfdetCtx, next: Option<Tid>, time: VClock) {
-    if let Some(w) = next {
+/// Hands a released mutex to the next owner, if anyone was queued:
+/// deposits the release edge and wakes it.
+fn hand_over(ctx: &mut RfdetCtx, next: Option<(Tid, VClock)>) {
+    if let Some((w, time)) = next {
         deposit(ctx, w, ctx.tid, time);
         wake(ctx, w);
     }
@@ -206,9 +211,9 @@ pub(crate) fn wait_impl(ctx: &mut RfdetCtx, c: CondId, m: MutexId) {
     // cond_wait releases the mutex and queues on the condvar…
     let next = {
         let mut table = ctx.shared.meta.sync_in_turn();
-        raise(table.release_mutex(ctx.tid, m.0, Some(c.0), lower.clone()))
+        raise(table.release_mutex(ctx.tid, m.0, Some(c.0), lower))
     };
-    hand_over(ctx, next, lower);
+    hand_over(ctx, next);
     // …then blocks until signalled (and until it re-owns the mutex: the
     // signaler either grants it immediately or moves us to the mutex
     // queue, in which case the eventual unlocker completes the wakeup).
@@ -368,7 +373,7 @@ pub(crate) fn join_impl(ctx: &mut RfdetCtx, h: ThreadHandle) {
     if let Some(edge) = finished {
         acquire_now(ctx, edge);
     } else {
-        op_boundary(ctx);
+        end_op_slice(ctx);
         // The join target's published clock always precedes its exit
         // time, so it is a sound prelock source for the parked joiner.
         park(ctx, Some(target));
@@ -399,7 +404,7 @@ pub(crate) fn atomic_impl(
     };
     // Acquire boundary: close the current slice, join the cell's last
     // release, and propagate — all in turn (see above).
-    op_boundary(ctx);
+    end_op_slice(ctx);
     if let Some((from, time)) = edge {
         ctx.acquire(from, &time);
     }

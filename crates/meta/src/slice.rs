@@ -23,8 +23,9 @@ pub struct SliceRec {
     /// Word-granular read runs, recorded only when the run detects races
     /// (empty otherwise — read sets never influence propagation, they
     /// ride the slice so the detecting thread can check them against its
-    /// epoch table).
-    pub reads: Arc<[ReadRun]>,
+    /// epoch table). Boxed, not shared: only the detecting thread reads
+    /// it, and an empty box allocates nothing.
+    pub reads: Box<[ReadRun]>,
     /// Per-thread sync-op index of the operation that sealed the slice —
     /// the race detector's backend-independent logical coordinate. Zero
     /// when detection is off (the counter still exists, but stamping it
@@ -60,7 +61,7 @@ impl SliceRec {
             seq,
             time,
             mods,
-            reads: Arc::from([]),
+            reads: Box::default(),
             sync_op: 0,
             atomic: false,
             heap_bytes,

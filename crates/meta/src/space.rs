@@ -81,17 +81,18 @@ impl ThreadMeta {
 
     /// The Figure-5 filter over this thread's slice list; see
     /// [`MetaSpace::filter_list_from`] for the cursor/prefix contract.
-    /// Exposed on `ThreadMeta` so consumers holding a cached handle skip
-    /// the registry lookup on every propagation.
+    /// Appends the batch to `batch`, the caller's own reused buffer (an
+    /// acquire allocates nothing), and returns the number filtered as
+    /// already seen and the new cursor.
     #[must_use]
     pub fn filter_slices_from(
         &self,
         upper: &VClock,
         lower: &VClock,
         cursor: u64,
-    ) -> (Vec<SliceRef>, u64, u64) {
+        batch: &mut Vec<SliceRef>,
+    ) -> (u64, u64) {
         let list = self.slice_list.lock();
-        let mut batch = Vec::new();
         let mut redundant = 0;
         let start = cursor.saturating_sub(list.pruned) as usize;
         let mut new_cursor = cursor.max(list.pruned);
@@ -107,16 +108,16 @@ impl ThreadMeta {
                 break;
             }
         }
-        (batch, redundant, new_cursor)
+        (redundant, new_cursor)
     }
 
-    /// Appends propagated slices to this thread's list (transitive
-    /// propagation, paper Figure 5 line 8).
-    pub fn append_slices(&self, slices: &[SliceRef]) {
-        self.slice_list
-            .lock()
-            .entries
-            .extend(slices.iter().cloned());
+    /// Moves propagated slices onto the end of this thread's list
+    /// (transitive propagation, paper Figure 5 line 8), leaving `slices`
+    /// empty with its capacity. An empty batch takes no lock.
+    pub fn append_slices(&self, slices: &mut Vec<SliceRef>) {
+        if !slices.is_empty() {
+            self.slice_list.lock().entries.append(slices);
+        }
     }
 }
 
@@ -230,7 +231,7 @@ impl MetaSpace {
     /// Publishes a sealed slice: keeps it among the owner's published
     /// slices, appends it to the owner's slice-pointer list, accounts
     /// usage, and reports whether the GC trigger was crossed.
-    pub fn publish_slice(&self, rec: SliceRec) -> (SliceRef, bool) {
+    pub fn publish_slice(&self, rec: SliceRec) -> bool {
         let owner = self.thread(rec.tid);
         self.publish_slice_for(&owner, rec)
     }
@@ -238,21 +239,18 @@ impl MetaSpace {
     /// [`MetaSpace::publish_slice`] for a caller already holding the
     /// owner's handle — the hot path, which must not touch the thread
     /// registry lock.
-    pub fn publish_slice_for(&self, owner: &ThreadMeta, rec: SliceRec) -> (SliceRef, bool) {
+    pub fn publish_slice_for(&self, owner: &ThreadMeta, rec: SliceRec) -> bool {
         debug_assert_eq!(owner.tid, rec.tid, "slice published to wrong owner");
         let bytes = rec.heap_bytes();
         let slice: SliceRef = Arc::new(rec);
         let mut list = owner.slice_list.lock();
-        list.published.push(Arc::clone(&slice));
         list.entries.push(Arc::clone(&slice));
+        list.published.push(slice);
         drop(list);
         let new_usage = self.usage.fetch_add(bytes, Relaxed) + bytes;
         let live = self.live_slices.fetch_add(1, Relaxed) + 1;
         self.stats.note_meta_bytes(new_usage as u64);
-        (
-            slice,
-            new_usage > self.gc_trigger_bytes || live > self.gc_floor.load(Relaxed),
-        )
+        new_usage > self.gc_trigger_bytes || live > self.gc_floor.load(Relaxed)
     }
 
     /// Snapshot of a thread's slice-pointer list, in list order.
@@ -286,7 +284,11 @@ impl MetaSpace {
         prefix_closed: bool,
     ) -> (Vec<SliceRef>, u64, u64) {
         assert!(prefix_closed, "every slice-list scan is prefix-closed");
-        self.thread(from).filter_slices_from(upper, lower, cursor)
+        let mut batch = Vec::new();
+        let (redundant, new_cursor) = self
+            .thread(from)
+            .filter_slices_from(upper, lower, cursor, &mut batch);
+        (batch, redundant, new_cursor)
     }
 
     /// Publishes `tid`'s vector clock — call only after the memory
@@ -322,22 +324,21 @@ impl MetaSpace {
         // Sweep each thread's own slices, then prune only the longest
         // collectible *prefix* of its list so the Arcs drop: consumers'
         // absolute cursors stay valid, and old slices cluster at the front.
+        // The handles leave the list under its lock but drop after it, so
+        // the owner's next publish does not wait behind the frees.
+        let mut freed = Vec::new();
         for t in self.threads.read().iter() {
             let mut list = t.slice_list.lock();
-            list.published.retain(|s| {
-                if s.time.leq(&glb) {
-                    outcome.reclaimed_slices += 1;
-                    outcome.reclaimed_bytes += s.heap_bytes() as u64;
-                    false
-                } else {
-                    true
-                }
-            });
-            let cut = list.entries.iter().take_while(|s| s.time.leq(&glb)).count();
-            if cut > 0 {
-                list.entries.drain(..cut);
-                list.pruned += cut as u64;
+            for s in list.published.extract_if(.., |s| s.time.leq(&glb)) {
+                outcome.reclaimed_slices += 1;
+                outcome.reclaimed_bytes += s.heap_bytes() as u64;
+                freed.push(s);
             }
+            let cut = list.entries.iter().take_while(|s| s.time.leq(&glb)).count();
+            freed.extend(list.entries.drain(..cut));
+            list.pruned += cut as u64;
+            drop(list);
+            freed.clear();
         }
         self.usage
             .fetch_sub(outcome.reclaimed_bytes as usize, Relaxed);
@@ -416,11 +417,10 @@ mod tests {
     fn publish_accounts_usage_and_triggers_gc_flag() {
         let m = meta();
         m.register_thread();
-        let (_, gc1) = m.publish_slice(slice(0, 0, &[1], 100));
-        assert!(!gc1);
+        assert!(!m.publish_slice(slice(0, 0, &[1], 100)));
         assert!(m.usage_bytes() > 100);
-        let (_, gc2) = m.publish_slice(slice(0, 1, &[2], 6000));
-        assert!(gc2, "crossing 50% of 10k must request GC");
+        let gc = m.publish_slice(slice(0, 1, &[2], 6000));
+        assert!(gc, "crossing 50% of 10k must request GC");
     }
 
     #[test]
@@ -438,8 +438,9 @@ mod tests {
         let m = meta();
         m.register_thread();
         m.register_thread();
-        let (s_old, _) = m.publish_slice(slice(0, 0, &[1], 10));
-        let (_s_new, _) = m.publish_slice(slice(0, 1, &[5], 10));
+        m.publish_slice(slice(0, 0, &[1], 10));
+        m.publish_slice(slice(0, 1, &[5], 10));
+        let s_old = Arc::clone(&m.snapshot_list(0)[0]);
         // Thread 0 has seen everything; thread 1 only up to [2].
         m.publish_vc(0, &VClock::from_components(vec![9, 9]));
         m.publish_vc(1, &VClock::from_components(vec![2, 3]));
@@ -502,9 +503,9 @@ mod tests {
     fn publish_slice_for_matches_publish_slice() {
         let m = meta();
         let owner = m.register_thread();
-        let (s, _) = m.publish_slice_for(&owner, slice(0, 0, &[1], 4));
+        m.publish_slice_for(&owner, slice(0, 0, &[1], 4));
         assert_eq!(m.snapshot_list(0).len(), 1);
-        assert!(Arc::ptr_eq(&m.snapshot_list(0)[0], &s));
+        assert_eq!(m.snapshot_list(0)[0].seq, 0);
     }
 
     #[test]

@@ -20,6 +20,37 @@
 use rfdet_api::WaitEdge;
 use rfdet_vclock::{Tid, VClock};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The table's hasher. Its keys are small integers (object ids, tids,
+/// cell addresses) that no adversary picks, so lookups inside the turn
+/// need not pay for SipHash: one multiply mixes a key, and the rotation
+/// brings the well-mixed high bits down to the bucket index, so 8-aligned
+/// addresses spread too. Deterministic, which is harmless: every
+/// iteration over the table sorts what it collects.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by a small integer, hashed by [`IntHasher`].
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// Key of an internal synchronization variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -180,15 +211,15 @@ pub struct ThreadRec {
 #[derive(Debug, Default)]
 pub struct SyncTable {
     /// Mutexes by id.
-    pub mutexes: HashMap<u32, MutexRec>,
+    pub mutexes: IntMap<u32, MutexRec>,
     /// Condition variables by id.
-    pub conds: HashMap<u32, CondRec>,
+    pub conds: IntMap<u32, CondRec>,
     /// Barriers by id.
-    pub barriers: HashMap<u32, BarrierRec>,
+    pub barriers: IntMap<u32, BarrierRec>,
     /// Thread lifetimes by tid.
-    pub threads: HashMap<Tid, ThreadRec>,
+    pub threads: IntMap<Tid, ThreadRec>,
     /// Atomic cells by address.
-    pub atomics: HashMap<u64, SyncVar>,
+    pub atomics: IntMap<u64, SyncVar>,
 }
 
 impl SyncTable {
@@ -218,7 +249,8 @@ impl SyncTable {
 
     /// Releases mutex `m` held by `tid` at `time` — an `unlock`, or a
     /// `cond_wait` on `cond`, which also queues `tid` on it — and passes
-    /// `m` to the first queued thread, which it returns.
+    /// `m` to the first queued thread, which it returns with a copy of
+    /// `time` for its hand-off edge. Only a hand-off copies the clock.
     ///
     /// # Errors
     /// The misuse when `tid` does not hold `m`.
@@ -228,7 +260,7 @@ impl SyncTable {
         m: u32,
         cond: Option<u32>,
         time: VClock,
-    ) -> Result<Option<Tid>, String> {
+    ) -> Result<Option<(Tid, VClock)>, String> {
         let mx = self.mutexes.entry(m).or_default();
         if mx.owner != Some(tid) {
             return Err(match cond {
@@ -238,7 +270,7 @@ impl SyncTable {
         }
         mx.release.record_release(tid, time);
         mx.owner = mx.queue.pop_front();
-        let next = mx.owner;
+        let next = mx.owner.map(|w| (w, mx.release.last_time.clone()));
         if let Some(c) = cond {
             self.conds.entry(c).or_default().waiters.push_back((tid, m));
         }
@@ -431,7 +463,7 @@ mod tests {
         assert_eq!(mx.try_lock(0, 0), Ok(true));
         mx.queue.push_back(1);
         // A cond_wait releases to the queue head and queues the waiter.
-        assert_eq!(t.release_mutex(0, 0, Some(9), at(3)), Ok(Some(1)));
+        assert_eq!(t.release_mutex(0, 0, Some(9), at(3)), Ok(Some((1, at(3)))));
         assert_eq!(t.mutexes[&0].release.last_time, at(3));
         assert_eq!(t.conds[&9].waiters, [(0, 0)]);
         assert_eq!(
@@ -456,6 +488,21 @@ mod tests {
                 target: WaitTarget::Mutex { id: 0, holder }
             }]
         );
+    }
+
+    #[test]
+    fn aligned_cell_addresses_spread_over_the_buckets() {
+        use std::collections::BTreeSet;
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<IntHasher>::default();
+        for step in [1u64, 8, 4096] {
+            let buckets: BTreeSet<u64> = (0..64).map(|i| build.hash_one(i * step) & 63).collect();
+            assert!(
+                buckets.len() >= 24,
+                "step {step}: {} buckets",
+                buckets.len()
+            );
+        }
     }
 
     #[test]

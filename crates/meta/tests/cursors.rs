@@ -175,7 +175,7 @@ fn slice_count_trigger_requests_gc() {
     let mut triggered = false;
     for seq in 0..5 {
         let rec = SliceRec::new(0, seq, vc(&[seq + 1]), vec![ModRun::new(0, vec![1].into())]);
-        let (_, gc) = meta.publish_slice(rec);
+        let gc = meta.publish_slice(rec);
         triggered |= gc;
     }
     assert!(triggered, "live-slice cap must request GC");
@@ -192,7 +192,7 @@ fn gc_floor_backs_off_when_nothing_collectible() {
     let mut requests = 0;
     for seq in 0..10 {
         let rec = SliceRec::new(0, seq, vc(&[seq + 1]), vec![ModRun::new(0, vec![1].into())]);
-        let (_, gc) = meta.publish_slice(rec);
+        let gc = meta.publish_slice(rec);
         if gc {
             requests += 1;
             meta.run_gc(); // reclaims nothing; floor must rise

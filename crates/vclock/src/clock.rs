@@ -4,11 +4,14 @@ use crate::order::CausalOrder;
 use crate::{LTime, Tid};
 use std::fmt;
 
-/// Components stored inline before spilling to the heap. Runs rarely
-/// exceed 16 threads, so slice timestamps, lower limits and scratch
-/// clocks stay allocation-free; clocks that grow past this spill to a
-/// `Vec` and never come back (spilling is one-way, like `Vec` growth).
-const INLINE: usize = 16;
+/// Components stored inline before spilling to the heap: main and six
+/// workers, so that a whole clock (a length byte, the enum tag and seven
+/// components) is one 64-byte cache line. Every sync op copies a clock
+/// several times and hands some of those copies to other cores; at 16
+/// components a clock was 136 bytes, three lines. Clocks that grow past
+/// this spill to a `Vec` and never come back (spilling is one-way, like
+/// `Vec` growth).
+const INLINE: usize = 7;
 
 /// Storage: a fixed inline buffer for small clocks, a `Vec` past that.
 ///
@@ -26,8 +29,10 @@ enum Repr {
 /// clocks created before a thread existed compare correctly against clocks
 /// created after it. Storage is indexed by [`Tid`]; thread IDs are dense
 /// (assigned in creation order) so this is compact, and clocks of up to
-/// 16 threads live entirely inline (no heap allocation — the hot
-/// propagation paths clone and scratch-copy clocks constantly).
+/// 7 threads live entirely inline in one 64-byte line (no heap
+/// allocation — the hot propagation paths clone and scratch-copy clocks
+/// constantly, and a sync op hands its copies to other cores). Wider
+/// clocks spill to the heap once and stay there.
 ///
 /// `VClock` implements the standard partial order used by DLRC:
 /// `a ≤ b` iff every component of `a` is ≤ the corresponding component of
@@ -35,6 +40,11 @@ enum Repr {
 pub struct VClock {
     repr: Repr,
 }
+
+const _: () = assert!(
+    std::mem::size_of::<VClock>() == 64,
+    "a clock is one cache line"
+);
 
 impl Default for VClock {
     fn default() -> Self {
@@ -522,7 +532,7 @@ mod tests {
         for t in 0..INLINE as Tid {
             c.tick(t);
         }
-        assert_eq!(c.heap_bytes(), 0, "16 threads fit inline");
+        assert_eq!(c.heap_bytes(), 0, "7 threads fit inline");
         assert_eq!(c.len(), INLINE);
     }
 
@@ -533,7 +543,7 @@ mod tests {
             c.set(t, u64::from(t) + 1);
         }
         assert_eq!(c.heap_bytes(), 0);
-        c.set(INLINE as Tid, 99); // component 17: spills
+        c.set(INLINE as Tid, 99); // component 8: spills
         assert!(c.heap_bytes() > 0);
         for t in 0..INLINE as Tid {
             assert_eq!(c.get(t), u64::from(t) + 1, "spill keeps old components");

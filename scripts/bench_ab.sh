@@ -16,7 +16,9 @@
 # lower-wins = pairs where HEAD is lower / pairs not tied, and the
 # parent's IQR and range as shares of its median, judged against the
 # metric's BENCHMARK.json bound - the layout of the results/*_ab.txt
-# files. Nothing is discarded. Run nothing else on the host meanwhile.
+# files, which open with the provenance header printed before the first
+# pair (UTC date, nproc, both commits, rustc -V, the resolved argument
+# list). Nothing is discarded. Run nothing else on the host meanwhile.
 #
 # The optional sixth argument is a comma-separated list of per-layer
 # metric names (BENCHMARK.json "per_layer", e.g.
@@ -64,6 +66,11 @@ build() {
 
 parent=$(build "$base")
 change=$(build HEAD)
+# Provenance, before the first pair, so every results/*_ab.txt opens
+# with it: when, where, which commits, which compiler, which arguments.
+echo "== provenance  $(date -u +%Y-%m-%dT%H:%M:%SZ)  nproc $(nproc)  $(rustc -V)"
+echo "== parent $(git -C "$root" rev-parse "$base^{commit}")  change $(git -C "$root" rev-parse HEAD)"
+echo "== args: scripts/bench_ab.sh $base $workload $pairs $seed $secs ${layers:-(no layers)}"
 log=$ab/run/$workload-$seed-$parent-$change.log
 : >"$log"
 : >"$log.layers"

@@ -317,7 +317,7 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
     let not_held = |tid: u32| format!("thread {tid} unlocking mutex 5 it does not hold");
     // (what, program, culprit, message)
     type Case = (&'static str, fn() -> ThreadFn, u32, String);
-    let cases: [Case; 8] = [
+    let cases: [Case; 9] = [
         (
             "unlock of a never-locked mutex",
             || Box::new(|ctx| ctx.unlock(MutexId(5))),
@@ -335,6 +335,18 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
             },
             1,
             not_held(1),
+        ),
+        (
+            "double unlock",
+            || {
+                Box::new(|ctx| {
+                    ctx.lock(MutexId(5));
+                    ctx.unlock(MutexId(5));
+                    ctx.unlock(MutexId(5));
+                })
+            },
+            0,
+            not_held(0),
         ),
         (
             "cond_wait without the mutex",
@@ -392,7 +404,7 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
             })
             .collect();
         assert_eq!(
-            digests[6], digests[7],
+            digests[7], digests[8],
             "{name}: whoever closes the fence, one report"
         );
         // Seeded pauses vary which thread closes that fence, no sleep in
@@ -408,7 +420,7 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
             let r = err.report();
             assert_eq!(
                 (r.tid, &r.message, err.report_digest()),
-                (2, &not_held(2), digests[6]),
+                (2, &not_held(2), digests[7]),
                 "{name} bystander under jitter seed {seed}"
             );
         }
