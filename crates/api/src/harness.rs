@@ -127,6 +127,13 @@ impl SyncOp {
     }
 }
 
+/// The misuse of `tid` joining `target` after `target` was already
+/// joined, in the one wording every backend panics with.
+#[must_use]
+pub fn join_twice(tid: Tid, target: Tid) -> String {
+    format!("thread {tid} joining thread {target}, which was already joined")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -111,8 +111,11 @@ stats! {
     /// Shared-memory store operations.
     sum stores,
     /// Stores that triggered a page snapshot ("store w/ copy", column 9).
+    /// RFDet takes none while main is the run's only thread (DESIGN.md
+    /// §4.2, *The single-thread phase*).
     sum stores_with_copy,
-    /// Simulated page faults taken (Pf monitoring / lazy writes).
+    /// Simulated page faults taken (Pf monitoring / lazy writes); none
+    /// for main's stores while it is the run's only thread.
     sum page_faults,
 
     // ---- memory footprint & GC (Table 1, columns 10-13) ----
@@ -159,12 +162,15 @@ stats! {
     // ---- memory-pipeline fast path (diff kernel + snapshot pool) ----
     /// Bytes compared by the end-of-slice diff kernel: the dirty lines of
     /// every stored-to page under RFDet-ci (equal to
-    /// `snapshot_bytes_copied`), whole pages under RFDet-pf.
+    /// `snapshot_bytes_copied`), whole pages under RFDet-pf. Zero for
+    /// the slices main runs as the run's only thread, which are not
+    /// diffed.
     sum diff_bytes_scanned,
     /// Bytes copied taking snapshots at first write (Figure 4 line 6):
     /// under RFDet-ci one line (`max(64, page_size / 64)` bytes) per line
     /// first stored to in a slice, so this over the line size counts line
-    /// copies; under RFDet-pf one page per page first stored to.
+    /// copies; under RFDet-pf one page per page first stored to. Main's
+    /// stores before its first spawn copy nothing.
     sum snapshot_bytes_copied,
     /// Pages first stored to in a slice whose snapshot buffer came from
     /// the per-thread pool (no allocation).

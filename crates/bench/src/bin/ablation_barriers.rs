@@ -64,6 +64,7 @@ fn scenario(lockers_done: Arc<Mutex<Option<Duration>>>, start: Instant) -> rfdet
 
 fn main() {
     let _opts = BenchOpts::from_args();
+    print!("{}", rfdet_bench::provenance());
     let cfg = bench_config();
     let backends: Vec<Box<dyn DmtBackend>> = vec![
         Box::new(NativeBackend),

@@ -19,6 +19,7 @@ use rfdet_workloads::{benchmarks, Params};
 
 fn main() {
     let opts = BenchOpts::from_args();
+    print!("{}", rfdet_bench::provenance());
     let cfg = bench_config();
     let backends: Vec<Box<dyn DmtBackend>> = vec![
         Box::new(RfdetBackend::ci()),

@@ -16,6 +16,7 @@ use rfdet_workloads::{benchmarks, Params};
 
 fn main() {
     let opts = BenchOpts::from_args();
+    print!("{}", rfdet_bench::provenance());
     let cfg = bench_config();
     // Paper: dedup and ferret dropped (memory at 8 threads), lu-con
     // represents lu-non.

@@ -24,6 +24,7 @@ fn cfg_with(prelock: bool, lazy: bool) -> RunConfig {
 
 fn main() {
     let opts = BenchOpts::from_args();
+    print!("{}", rfdet_bench::provenance());
     let splash: Vec<_> = opts
         .selected(benchmarks())
         .into_iter()

@@ -22,6 +22,7 @@ fn mb(bytes: u64) -> String {
 
 fn main() {
     let opts = BenchOpts::from_args();
+    print!("{}", rfdet_bench::provenance());
     let cfg = bench_config();
     println!(
         "Table 1: profiling data ({} threads, {:?} inputs)\n",

@@ -199,6 +199,38 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// The provenance header `scripts/bench_ab.sh` opens its records with —
+/// UTC date, `nproc`, `rustc -V`, the commit (marked when the tree has
+/// uncommitted changes) and the command line — for an experiment binary
+/// to print before its table. Each field is what the same command prints
+/// in the shell, or `unknown`.
+#[must_use]
+pub fn provenance() -> String {
+    let run = |cmd: &str, args: &[&str]| {
+        let out = std::process::Command::new(cmd).args(args).output().ok()?;
+        let text = String::from_utf8(out.stdout).ok()?;
+        out.status.success().then(|| text.trim().to_owned())
+    };
+    let field = |cmd: &str, args: &[&str]| run(cmd, args).unwrap_or_else(|| "unknown".into());
+    let repo = env!("CARGO_MANIFEST_DIR");
+    let mut commit = field("git", &["-C", repo, "rev-parse", "HEAD"]);
+    if run(
+        "git",
+        &["-C", repo, "status", "--porcelain", "--untracked-files=no"],
+    )
+    .is_some_and(|changes| !changes.is_empty())
+    {
+        commit.push_str(" +uncommitted changes");
+    }
+    format!(
+        "== provenance  {}  nproc {}  {}\n== commit {commit}\n== args: {}\n",
+        field("date", &["-u", "+%Y-%m-%dT%H:%M:%SZ"]),
+        field("nproc", &[]),
+        field("rustc", &["-V"]),
+        std::env::args().collect::<Vec<_>>().join(" ")
+    )
+}
+
 /// Formats a duration as fractional milliseconds.
 #[must_use]
 pub fn ms(d: Duration) -> String {
@@ -273,6 +305,16 @@ mod tests {
         assert!(err(&["--frobnicate"]).contains("unknown argument"));
         assert!(err(&["--size", "huge"]).contains("unknown size"));
         assert!(err(&["--quick", "--filter"]).contains("--filter expects a value"));
+    }
+
+    #[test]
+    fn provenance_opens_with_the_bench_ab_header() {
+        let p = provenance();
+        let lines: Vec<&str> = p.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].starts_with("== provenance  ") && lines[0].contains("  nproc "));
+        assert!(lines[1].starts_with("== commit "));
+        assert!(lines[2].starts_with("== args: "));
     }
 
     #[test]

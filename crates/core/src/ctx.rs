@@ -124,6 +124,13 @@ pub struct RfdetCtx {
     /// main applies slices in a happens-before-consistent order — the
     /// discipline [`rfdet_mem::RaceCollector`] requires.
     pub(crate) detect: Option<Box<crate::race::CoreDetect>>,
+    /// `true` while this thread is the run's only registered thread: main,
+    /// from [`Self::new_main`] until the turn of its first `spawn`. Its
+    /// slices are then dead work — every later thread forks this space
+    /// and starts with a clock that covers them — so a first store to a
+    /// line only marks it and the seal forgets the marks, publishing
+    /// nothing (DESIGN.md §4.2, *The single-thread phase*).
+    pub(crate) alone: bool,
     exited: bool,
 }
 
@@ -151,6 +158,7 @@ impl RfdetCtx {
         let mut vc = VClock::new();
         vc.tick(0);
         let mut ctx = Self::from_parts(shared, kendo, meta_thread, None, vc);
+        ctx.alone = true;
         if ctx.shared.run.cfg.detect_races {
             ctx.detect = Some(Box::new(crate::race::CoreDetect::new(
                 ctx.shared.run.cfg.page_size,
@@ -208,6 +216,7 @@ impl RfdetCtx {
             read_set: rfdet_mem::ReadTracker::new(),
             in_atomic: false,
             detect: None,
+            alone: false,
             exited: false,
         };
         ctx.begin_slice();
@@ -354,9 +363,6 @@ impl RfdetCtx {
             if self.snaps.is_open(page) {
                 return;
             }
-            // Simulated write fault.
-            self.h.stats.page_faults += 1;
-            self.pay_fault_cost();
             self.snaps.full_mask()
         } else {
             self.snaps.missing_lines(page, off, len)
@@ -367,11 +373,22 @@ impl RfdetCtx {
     }
 
     /// Copies the lines of `need` into the slice's snapshot of `page`
-    /// (Figure 4 line 6). Only a page's first touch is timed: it draws
-    /// the buffer and opens the page, and a clock read per further line
-    /// would cost a densely written page up to 64 reads per slice. The
-    /// further copies are counted, in `snapshot_bytes_copied`.
+    /// (Figure 4 line 6), after the simulated write fault under `pf`.
+    /// Only a page's first touch is timed: it draws the buffer and opens
+    /// the page, and a clock read per further line would cost a densely
+    /// written page up to 64 reads per slice. The further copies are
+    /// counted, in `snapshot_bytes_copied`. A thread that is
+    /// [`alone`](Self::alone) only marks the lines: no fault, no copy.
     fn snapshot_lines(&mut self, page: usize, need: u64) {
+        if self.alone {
+            self.snaps.mark(page, need);
+            return;
+        }
+        if self.pf {
+            // Simulated write fault.
+            self.h.stats.page_faults += 1;
+            self.pay_fault_cost();
+        }
         let t0 = if self.snaps.is_open(page) {
             None
         } else {
@@ -712,7 +729,9 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.rfdet.lazy_writes = true;
         cfg.rfdet.fault_cost_spins = 0;
-        RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg).expect("valid config")))
+        let mut ctx = RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg).expect("valid config")));
+        ctx.alone = false; // exercise the slice machinery without spawning
+        ctx
     }
 
     #[test]

@@ -197,7 +197,8 @@ mod tests {
         cfg.rfdet.lazy_writes = lazy;
         cfg.rfdet.fault_cost_spins = 0;
         let shared = Arc::new(RuntimeShared::new(&cfg).expect("valid config"));
-        let a = RfdetCtx::new_main(Arc::clone(&shared));
+        let mut a = RfdetCtx::new_main(Arc::clone(&shared));
+        a.alone = false; // `b` is registered by hand below, not spawned
         let meta = shared.meta.register_thread();
         let kendo = shared.kendo.register(1);
         let mut vc = VClock::new();

@@ -14,8 +14,9 @@ use rfdet_meta::SliceRec;
 
 impl RfdetCtx {
     /// Seals the open slice: diffs its dirty lines and packs the runs into
-    /// one arena, recycling the snapshot buffers. Thread-local work, so
-    /// [`Self::enter_op`] runs it ahead of the turn.
+    /// one arena, recycling the snapshot buffers; a thread that is
+    /// [`alone`](RfdetCtx::alone) only forgets its marks. Thread-local
+    /// work, so [`Self::enter_op`] runs it ahead of the turn.
     pub(crate) fn seal_slice(&mut self) -> (Option<RunList>, u64) {
         // One clock read ends the slice wall and starts the diff.
         let diff_t0 = self.obs_boundary_start();
@@ -26,7 +27,12 @@ impl RfdetCtx {
             self.h
                 .sample(Phase::SliceWall, now.duration_since(t0).as_nanos() as u64);
         }
-        let scanned = self.snaps.seal(&self.space, &mut self.runs);
+        let scanned = if self.alone {
+            self.snaps.forget();
+            0
+        } else {
+            self.snaps.seal(&self.space, &mut self.runs)
+        };
         let mods = self.runs.finish();
         self.obs_since_boundary(Phase::Diff, diff_t0);
         (mods, scanned)
@@ -45,12 +51,14 @@ impl RfdetCtx {
         // can race a write, and the detecting thread only sees accesses
         // that reach it as published slices. Their empty mod list applies
         // as a no-op everywhere, so propagation results are unchanged.
+        // A thread that is alone seals no runs and publishes no reads:
+        // every later thread's clock covers the slice.
         let reads = if self.track_reads {
             self.read_set.seal(self.shared.run.cfg.page_size)
         } else {
             Vec::new()
         };
-        if mods.is_some() || !reads.is_empty() {
+        if mods.is_some() || (!reads.is_empty() && !self.alone) {
             let (time, mods) = (self.vc.clone(), mods.unwrap_or_default());
             let mut rec = SliceRec::sealed(self.tid, self.slice_seq, time, mods);
             if self.track_reads {
@@ -114,7 +122,9 @@ pub(crate) mod tests {
         let mut cfg = RunConfig::small();
         cfg.rfdet.monitor = monitor;
         cfg.rfdet.fault_cost_spins = 0;
-        RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg).expect("valid config")))
+        let mut ctx = RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg).expect("valid config")));
+        ctx.alone = false; // exercise the slice machinery without spawning
+        ctx
     }
 
     #[test]
@@ -294,6 +304,40 @@ pub(crate) mod tests {
         };
         assert_eq!(mods(&pf).len(), 2);
         assert_eq!(mods(&pf), mods(&ci));
+    }
+
+    #[test]
+    fn main_alone_seals_nothing_until_its_first_spawn() {
+        use rfdet_api::DmtCtx;
+        for monitor in [MonitorMode::Ci, MonitorMode::Pf] {
+            let mut ctx = ctx_with(monitor);
+            ctx.alone = true; // as `new_main` leaves it
+            ctx.write::<u64>(100, 7);
+            ctx.write::<u64>(5000, 8);
+            let child = ctx.spawn(Box::new(|_: &mut dyn DmtCtx| {}));
+            assert!(!ctx.alone, "{monitor:?}");
+            let s = &ctx.h.stats;
+            assert_eq!(
+                (s.stores_with_copy, s.snapshot_bytes_copied, s.page_faults),
+                (0, 0, 0),
+                "{monitor:?}"
+            );
+            assert_eq!((s.diff_bytes_scanned, s.slices), (0, 1), "{monitor:?}");
+            assert!(ctx.shared.meta.snapshot_list(0).is_empty(), "{monitor:?}");
+            // The first store after the spawn is tracked and published.
+            ctx.write::<u64>(100, 9);
+            assert_eq!(ctx.h.stats.stores_with_copy, 1, "{monitor:?}");
+            ctx.join(child);
+            let list = ctx.shared.meta.snapshot_list(0);
+            let own: Vec<_> = list.iter().filter(|s| s.tid == 0).collect();
+            assert_eq!(own.len(), 1, "{monitor:?}");
+            assert_eq!(own[0].seq, 1, "{monitor:?}: the spawn's slice is seq 0");
+            assert_eq!(
+                boxed(&own[0].mods),
+                vec![ModRun::new(100, vec![9].into())],
+                "{monitor:?}"
+            );
+        }
     }
 
     #[test]

@@ -316,6 +316,9 @@ pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
     // Create is a release; the child inherits memory directly, no sync
     // var needed (§4.1).
     let lower = op_boundary(ctx);
+    // The caller stops being alone before anything forks its space: from
+    // here on a thread exists whose clock does not cover its slices.
+    ctx.alone = false;
 
     // Deterministic registration inside the parent's turn.
     let child_meta = ctx.shared.meta.register_thread();

@@ -160,6 +160,25 @@ impl SliceSnapshots {
         }
     }
 
+    /// Marks the lines of `need` as recorded without copying them, for a
+    /// slice that will be [`forget`](Self::forget)-ed rather than sealed:
+    /// later stores to them find them recorded and pay nothing. A slice
+    /// either records or marks, never both.
+    pub fn mark(&mut self, page: usize, need: u64) {
+        if self.masks[page] == 0 {
+            self.dirty.push(page as u32);
+        }
+        self.masks[page] |= need;
+    }
+
+    /// Ends a slice without diffing it: forgets its marks and snapshots.
+    pub fn forget(&mut self) {
+        for &page in &self.dirty {
+            self.masks[page as usize] = 0;
+        }
+        self.dirty.clear();
+    }
+
     /// Ends the slice: diffs the dirty lines of every stored-to page of
     /// `space` against their snapshots, in page-index order, packing the
     /// runs into `out`; then forgets the slice and recycles its buffers.
@@ -333,6 +352,35 @@ mod tests {
             .map(|(_, f)| f.expect("first touch"))
             .collect();
         assert_eq!(recycled, [false, false, false, true, true, false]);
+    }
+
+    #[test]
+    fn a_forgotten_slice_diffs_nothing_and_the_next_one_records_afresh() {
+        let (mut snaps, mut sp) = (SliceSnapshots::new(16, PAGE, 8), space());
+        for addr in [100, 104, 5 * PAGE as u64] {
+            let page = sp.page_of(addr);
+            let need = snaps.missing_lines(page, addr as usize % PAGE, 8);
+            if need != 0 {
+                snaps.mark(page, need);
+            }
+            sp.write(addr, &[7; 8]);
+        }
+        assert_eq!(
+            snaps.missing_lines(0, 100, 8),
+            0,
+            "marked lines are recorded"
+        );
+        assert_eq!(snaps.dirty_pages(), 2);
+        snaps.forget();
+        assert_eq!(snaps.dirty_pages(), 0);
+        assert!(!snaps.is_open(5));
+        // The marked bytes are the next slice's baseline: only the new
+        // store diffs.
+        assert_eq!(store(&mut snaps, &mut sp, 104, &[9; 2]), 64);
+        assert_eq!(
+            seal(&mut snaps, &sp),
+            (vec![ModRun::new(104, [9, 9].into())], 64)
+        );
     }
 
     #[test]

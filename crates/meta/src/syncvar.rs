@@ -200,6 +200,8 @@ impl BarrierRec {
 pub struct ThreadRec {
     /// The thread has executed its exit operation.
     pub finished: bool,
+    /// A join of it has been ordered; a second one is a misuse.
+    pub joined: bool,
     /// Joiners parked until it does.
     pub joiners: Vec<Tid>,
     /// The exit.
@@ -281,12 +283,16 @@ impl SyncTable {
     /// `None` with `tid` queued among its joiners.
     ///
     /// # Errors
-    /// The misuse of a thread joining itself.
+    /// The misuse of a thread joining itself, or joining a thread that
+    /// was already joined.
     pub fn join(&mut self, tid: Tid, target: Tid) -> Result<Option<&SyncVar>, String> {
         if target == tid {
             return Err(format!("thread {tid} joining itself"));
         }
         let th = self.threads.entry(target).or_default();
+        if std::mem::replace(&mut th.joined, true) {
+            return Err(rfdet_api::harness::join_twice(tid, target));
+        }
         if th.finished {
             Ok(Some(&th.release))
         } else {
@@ -478,6 +484,12 @@ mod tests {
         let exit_time = |exit: Option<&SyncVar>| exit.map(|v| v.last_time.clone());
         assert_eq!(t.join(3, 2).map(exit_time), Ok(None));
         assert_eq!(t.exit(2, at(8)), [3]);
+        assert_eq!(
+            t.join(4, 2).map(exit_time),
+            Err(rfdet_api::harness::join_twice(4, 2)),
+            "thread 3 joined it first"
+        );
+        t.threads.entry(2).or_default().joined = false;
         assert_eq!(t.join(4, 2).map(exit_time), Ok(Some(at(8))));
         // t1 owns mutex 0; t5 retries it (the lockstep engine's locker).
         let holder = Some(1);

@@ -230,7 +230,7 @@ impl DmtCtx for NativeCtx {
                 .shared
                 .run
                 .claim(h.0)
-                .unwrap_or_else(|| panic!("join of unknown or already-joined thread {}", h.0));
+                .unwrap_or_else(|| panic!("{}", rfdet_api::harness::join_twice(ctx.tid, h.0)));
             // The child caught its own panic (recording it as the root
             // cause), so the join itself cannot fail — but if the run is
             // now stopped the joiner must unwind too.

@@ -1,9 +1,10 @@
 //! Cross-backend semantics of the pthreads-style API surface:
 //! condition-variable wake ordering, barrier reuse, misuse panics.
 
+use rfdet::api::harness::join_twice;
 use rfdet::{
     all_backends, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, DthreadsBackend, MutexId,
-    QuantumBackend, RfdetBackend, RunConfig, RunError, ThreadFn, ThreadHandle,
+    NativeBackend, QuantumBackend, RfdetBackend, RunConfig, RunError, ThreadFn, ThreadHandle,
 };
 
 fn cfg() -> RunConfig {
@@ -317,7 +318,7 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
     let not_held = |tid: u32| format!("thread {tid} unlocking mutex 5 it does not hold");
     // (what, program, culprit, message)
     type Case = (&'static str, fn() -> ThreadFn, u32, String);
-    let cases: [Case; 9] = [
+    let cases: [Case; 10] = [
         (
             "unlock of a never-locked mutex",
             || Box::new(|ctx| ctx.unlock(MutexId(5))),
@@ -372,6 +373,19 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
             "thread 0 joining itself".into(),
         ),
         (
+            "join twice",
+            || {
+                Box::new(|ctx| {
+                    let h = ctx.spawn(Box::new(|_: &mut dyn DmtCtx| {}));
+                    let again = ThreadHandle(h.0);
+                    ctx.join(h);
+                    ctx.join(again);
+                })
+            },
+            0,
+            join_twice(0, 1),
+        ),
+        (
             "zero-party barrier",
             || Box::new(|ctx| ctx.barrier(BarrierId(3), 0)),
             0,
@@ -404,7 +418,7 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
             })
             .collect();
         assert_eq!(
-            digests[7], digests[8],
+            digests[8], digests[9],
             "{name}: whoever closes the fence, one report"
         );
         // Seeded pauses vary which thread closes that fence, no sleep in
@@ -420,11 +434,22 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
             let r = err.report();
             assert_eq!(
                 (r.tid, &r.message, err.report_digest()),
-                (2, &not_held(2), digests[7]),
+                (2, &not_held(2), digests[8]),
                 "{name} bystander under jitter seed {seed}"
             );
         }
     }
+    // Native keeps no sync table, but its second join is the same misuse
+    // in the same words: the OS handle was claimed by the first.
+    let (_, join_twice_body, tid, message) = &cases[6];
+    let err = NativeBackend
+        .run(&cfg(), join_twice_body())
+        .expect_err("misuse must fail the run");
+    assert!(
+        matches!(err, RunError::WorkerPanicked(_)),
+        "pthreads: {err}"
+    );
+    assert_eq!((err.report().tid, &err.report().message), (*tid, message));
 }
 
 #[test]
