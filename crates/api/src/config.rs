@@ -182,13 +182,7 @@ pub struct RunConfig {
     /// output and failure digests are identical with the detector on or
     /// off (reports live outside `output_digest`), so, like `metrics`,
     /// this knob stays out of the trace projection and a replay decides
-    /// for itself whether to re-detect. The core merges slices (§4.5)
-    /// exactly when this is off: a detecting run seals one slice per sync
-    /// op, so its logical coordinates mean the same on every backend.
-    /// Merging is semantics-neutral — output and schedule are the same
-    /// either way — but it moves the culprit's vector clock and slice
-    /// count, so a failure report recorded with detection on replays to
-    /// its digest only with detection on. `false` (the default) keeps the
+    /// for itself whether to re-detect. `false` (the default) keeps the
     /// cost at one branch per slice.
     pub detect_races: bool,
 }

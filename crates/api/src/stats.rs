@@ -135,7 +135,8 @@ stats! {
     // ---- DLRC internals ----
     /// Slices created (one per synchronization-free interval).
     sum slices,
-    /// Slices whose creation was elided by slice merging (§4.5).
+    /// Always 0 since slice merging (§4.5) was removed; kept only for
+    /// the frozen benchmark's `core.slices_merged` probe.
     sum slices_merged,
     /// Slices propagated into some thread (appended to a slice-pointer
     /// list).

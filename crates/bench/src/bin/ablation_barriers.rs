@@ -63,6 +63,7 @@ fn scenario(lockers_done: Arc<Mutex<Option<Duration>>>, start: Instant) -> rfdet
 }
 
 fn main() {
+    rfdet_bench::exit_quietly_on_broken_pipe();
     let _opts = BenchOpts::from_args();
     print!("{}", rfdet_bench::provenance());
     let cfg = bench_config();

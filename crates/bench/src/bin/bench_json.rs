@@ -616,6 +616,7 @@ fn parse(args: &[String]) -> Result<(String, bool, bool), String> {
 }
 
 fn main() {
+    rfdet_bench::exit_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (out, quick, enforce) = parse(&args).unwrap_or_else(|e| {
         eprintln!("error: {e}\nusage: bench_json [--out PATH] [--quick] [--enforce]");

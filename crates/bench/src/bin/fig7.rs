@@ -18,6 +18,7 @@ use rfdet_native::NativeBackend;
 use rfdet_workloads::{benchmarks, Params};
 
 fn main() {
+    rfdet_bench::exit_quietly_on_broken_pipe();
     let opts = BenchOpts::from_args();
     print!("{}", rfdet_bench::provenance());
     let cfg = bench_config();

@@ -23,6 +23,7 @@ fn cfg_with(prelock: bool, lazy: bool) -> RunConfig {
 }
 
 fn main() {
+    rfdet_bench::exit_quietly_on_broken_pipe();
     let opts = BenchOpts::from_args();
     print!("{}", rfdet_bench::provenance());
     let splash: Vec<_> = opts

@@ -21,6 +21,7 @@ use rfdet_dthreads::{DthreadsBackend, QuantumBackend};
 use rfdet_workloads::{by_name, Params};
 
 fn main() {
+    rfdet_bench::exit_quietly_on_broken_pipe();
     let opts = BenchOpts::from_args();
     let racey = by_name("racey").expect("racey registered");
     let backends: Vec<Box<dyn DmtBackend>> = vec![

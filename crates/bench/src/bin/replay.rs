@@ -864,6 +864,7 @@ const VERBS: &[(&str, &[&str], Body)] = &[
 ];
 
 fn main() {
+    rfdet_bench::exit_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let named = |v: &String| VERBS.iter().find(|(s, ..)| s.split(' ').next() == Some(v));
     let (Some(&(_, accepted, body)), Some(arg)) = (args.first().and_then(named), args.get(1))

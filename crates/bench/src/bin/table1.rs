@@ -21,6 +21,7 @@ fn mb(bytes: u64) -> String {
 }
 
 fn main() {
+    rfdet_bench::exit_quietly_on_broken_pipe();
     let opts = BenchOpts::from_args();
     print!("{}", rfdet_bench::provenance());
     let cfg = bench_config();

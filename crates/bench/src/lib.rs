@@ -199,6 +199,20 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Makes a print to a closed stdout (`table1 --quick | head -3`) end the
+/// process quietly with status 141, as `SIGPIPE` would: Rust ignores the
+/// signal, so `println!` panics instead. Every binary calls this first.
+pub fn exit_quietly_on_broken_pipe() {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info.payload().downcast_ref::<String>();
+        if message.is_some_and(|m| m.starts_with("failed printing to stdout: Broken pipe")) {
+            std::process::exit(141);
+        }
+        prev(info);
+    }));
+}
+
 /// The provenance header `scripts/bench_ab.sh` opens its records with —
 /// UTC date, `nproc`, `rustc -V`, the commit (marked when the tree has
 /// uncommitted changes) and the command line — for an experiment binary

@@ -164,3 +164,28 @@ fn tiny_sweep_classifies_without_wedge_or_divergence() {
     assert!(report.contains("\"wedged\": 0"), "{report}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A reader that stops early (`table1 --quick | head -1`) closes the
+/// pipe under the binary; its next print must end it quietly with the
+/// shell's `SIGPIPE` status, not panic with a backtrace.
+#[test]
+fn a_closed_stdout_ends_table1_quietly() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .arg("--quick")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn table1 binary");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    // The reader is dropped here, closing the pipe.
+    let out = child.wait_with_output().expect("wait for table1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!first.is_empty(), "table1 printed nothing");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(141), "the shell's SIGPIPE status");
+}

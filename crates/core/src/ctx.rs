@@ -102,10 +102,6 @@ pub struct RfdetCtx {
     /// `cfg.detect_races`, cached: the one branch the read path pays
     /// when detection is off.
     pub(crate) track_reads: bool,
-    /// `!cfg.detect_races`, cached like `track_reads`: a same-thread
-    /// re-acquire keeps the slice open (§4.5 slice merging) unless the
-    /// run detects races, which needs one sealed slice per sync op.
-    pub(crate) merge_slices: bool,
     /// `cfg.rfdet.monitor == MonitorMode::Pf`, cached like `track_reads`
     /// so the store path does not reach through the shared config.
     pub(crate) pf: bool,
@@ -211,7 +207,6 @@ impl RfdetCtx {
             obs_boundary: None,
             scratch_lower: VClock::new(),
             track_reads,
-            merge_slices: !track_reads,
             pf,
             read_set: rfdet_mem::ReadTracker::new(),
             in_atomic: false,
@@ -519,14 +514,13 @@ impl RfdetCtx {
     }
 
     /// Entry of every synchronization operation. The harness assigns the
-    /// op its coordinate, records it and sleeps any seeded pause; every
-    /// op but `lock` seals the slice off turn (DESIGN.md §4.2); plan
-    /// jitter ticks the Kendo clock; then the thread takes its
-    /// deterministic turn — the stall is [`Phase::WaitTurn`], and its end
-    /// seeds the next boundary. A planned panic is delivered only now,
-    /// with the op *ordered*: which of several planned panics becomes the
-    /// run's root cause is then a function of the sync order, not of who
-    /// reached its op first.
+    /// op its coordinate, records it and sleeps any seeded pause; the
+    /// slice is sealed off turn (DESIGN.md §4.2); plan jitter ticks the
+    /// Kendo clock; then the thread takes its deterministic turn — the
+    /// stall is [`Phase::WaitTurn`], and its end seeds the next boundary.
+    /// A planned panic is delivered only now, with the op *ordered*: which
+    /// of several planned panics becomes the run's root cause is then a
+    /// function of the sync order, not of who reached its op first.
     pub(crate) fn enter_op(&mut self, op: SyncOp) {
         // Publish the chunk in progress: the op is recorded with, waits
         // for its turn on, and hands clocks to the threads it wakes from
@@ -536,9 +530,7 @@ impl RfdetCtx {
         // through its own ticks and deterministic wake handoffs, so its
         // value at a program point is schedule-pure.
         let fault = self.h.enter_sync(op, || self.kendo.clock());
-        if !matches!(op, SyncOp::Lock(_)) {
-            self.sealed = Some(self.seal_slice());
-        }
+        self.sealed = Some(self.seal_slice());
         if fault.jitter_ticks > 0 {
             self.shared
                 .kendo

@@ -3,8 +3,8 @@
 //! A *slice* is a synchronization-free interval of one thread's execution.
 //! Every synchronization operation ends the current slice: the *seal*
 //! diffs the snapshotted lines and packs the runs into one arena (ahead of
-//! the op's turn unless it is a `lock`), and in turn the *publication*
-//! stamps them with the slice's vector time into a
+//! the op's turn, but for an atomic's in-turn store), and in turn the
+//! *publication* stamps them with the slice's vector time into a
 //! [`rfdet_meta::SliceRec`] in the metadata space.
 
 use crate::ctx::RfdetCtx;

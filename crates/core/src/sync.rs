@@ -4,14 +4,13 @@
 //! once:
 //!
 //! 1. [`RfdetCtx::enter_op`] — the harness assigns the op its per-thread
-//!    coordinate, every op but `lock` seals the slice (diff and packing,
-//!    thread-local: until its turn only the thread touches its space),
-//!    then Kendo admits it at a deterministic point in the global
-//!    synchronization order (`wait_for_turn`);
-//! 2. *in turn*: [`op_boundary`] publishes the slice (`lock` seals it here
-//!    first: only its turn decides whether slice merging keeps it open)
-//!    and ticks the vector clock; in one lookup of the object's record in
-//!    the turn-owned [`SyncTable`](rfdet_meta::SyncTable) the op records
+//!    coordinate, seals the slice (diff and packing, thread-local: until
+//!    its turn only the thread touches its space), then Kendo admits it
+//!    at a deterministic point in the global synchronization order
+//!    (`wait_for_turn`);
+//! 2. *in turn*: [`op_boundary`] publishes the slice and ticks the
+//!    vector clock; in one lookup of the object's record in the
+//!    turn-owned [`SyncTable`](rfdet_meta::SyncTable) the op records
 //!    its release and mutates the object's queue; [`deposit`] hands a
 //!    release edge to each thread the op wakes; then the Kendo clock
 //!    ticks, releasing the turn;
@@ -76,11 +75,10 @@ fn wake(ctx: &RfdetCtx, w: Tid) {
 }
 
 /// A non-blocking acquire of `edge` (the lock fast path, joining a
-/// finished thread): ends the slice and releases the turn, then
-/// acquires — propagation proceeds in parallel with other threads'
+/// finished thread), after the op's slice has ended: releases the turn,
+/// then acquires — propagation proceeds in parallel with other threads'
 /// synchronization.
 fn acquire_now(ctx: &mut RfdetCtx, edge: Option<(Tid, VClock)>) {
-    end_op_slice(ctx);
     ctx.release_turn();
     if let Some((from, time)) = edge {
         ctx.acquire(from, &time);
@@ -150,13 +148,13 @@ fn park(ctx: &mut RfdetCtx, premerge_source: Option<Tid>) {
 pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
     ctx.enter_op(SyncOp::Lock(m));
     let tid = ctx.tid;
-    // Free: whether the caller made the last release, and the edge to
-    // acquire. Busy: the thread the caller queues behind.
+    // Free: the edge to acquire (none when the caller made the last
+    // release). Busy: the thread the caller queues behind.
     let free = {
         let mut table = ctx.shared.meta.sync_in_turn();
         let mx = table.mutexes.entry(m.0).or_default();
         if raise(mx.try_lock(m.0, tid)) {
-            Ok((mx.release.last_tid == Some(tid), mx.release.edge(tid)))
+            Ok(mx.release.edge(tid))
         } else {
             let pred = mx
                 .queue
@@ -168,19 +166,12 @@ pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
             Err(pred)
         }
     };
+    end_op_slice(ctx);
     match free {
-        // Same-thread re-acquire: keep the slice open (§4.5).
-        Ok((true, _)) if ctx.merge_slices => {
-            ctx.h.stats.slices_merged += 1;
-            ctx.release_turn();
-        }
-        Ok((_, edge)) => acquire_now(ctx, edge),
-        Err(pred) => {
-            end_op_slice(ctx);
-            // §4.5 Prelock: merge everything that must happen-before our
-            // eventual acquire while the lock holder still works.
-            park(ctx, Some(pred));
-        }
+        Ok(edge) => acquire_now(ctx, edge),
+        // §4.5 Prelock: merge everything that must happen-before our
+        // eventual acquire while the lock holder still works.
+        Err(pred) => park(ctx, Some(pred)),
     }
 }
 
@@ -373,13 +364,12 @@ pub(crate) fn join_impl(ctx: &mut RfdetCtx, h: ThreadHandle) {
         let mut table = ctx.shared.meta.sync_in_turn();
         raise(table.join(ctx.tid, target)).map(|exit| exit.edge(ctx.tid))
     };
-    if let Some(edge) = finished {
-        acquire_now(ctx, edge);
-    } else {
-        end_op_slice(ctx);
+    end_op_slice(ctx);
+    match finished {
+        Some(edge) => acquire_now(ctx, edge),
         // The join target's published clock always precedes its exit
         // time, so it is a sound prelock source for the parked joiner.
-        park(ctx, Some(target));
+        None => park(ctx, Some(target)),
     }
 }
 

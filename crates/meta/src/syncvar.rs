@@ -97,7 +97,7 @@ impl SyncVar {
     /// release's `(lastTid, lastTime)` when a *different* thread made it,
     /// so the acquirer must propagate from that thread up to that time.
     /// `None` before any release, and for a same-thread re-acquire, which
-    /// has nothing to propagate (§4.5 slice merging).
+    /// has nothing to propagate: its own writes are already in place.
     #[must_use]
     pub fn edge(&self, acquirer: Tid) -> Option<(Tid, VClock)> {
         let from = self.last_tid.filter(|&t| t != acquirer)?;
@@ -387,7 +387,7 @@ mod tests {
         t.tick(1);
         v.record_release(1, t.clone());
         assert_eq!(v.edge(0), Some((1, t.clone())));
-        assert_eq!(v.edge(1), None, "same-thread re-acquire merges slices");
+        assert_eq!(v.edge(1), None, "same-thread re-acquire propagates nothing");
         assert_eq!(v.last_time, t);
     }
 

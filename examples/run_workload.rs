@@ -71,13 +71,8 @@ fn main() {
         s.loads, s.stores, s.stores_with_copy, s.page_faults
     );
     println!(
-        "dlrc:    slices {} (merged {})  propagated {}  premerged {}  gc {} (reclaimed {})",
-        s.slices,
-        s.slices_merged,
-        s.slices_propagated,
-        s.prelock_premerged,
-        s.gc_count,
-        s.gc_reclaimed_slices
+        "dlrc:    slices {}  propagated {}  premerged {}  gc {} (reclaimed {})",
+        s.slices, s.slices_propagated, s.prelock_premerged, s.gc_count, s.gc_reclaimed_slices
     );
     println!(
         "engine:  global fences {}  serial commits {}",

@@ -556,8 +556,11 @@ fn the_ordered_panic_is_the_root_cause_whichever_thread_is_slow() {
 /// ticks, then waits), so every jittered op stalls there in logical
 /// time. The seeded pause comes just before the seal (the harness sleeps
 /// it on entry), so it moves every op's seal and turn in wall time.
-/// Neither the outputs nor a failure report may notice: the digests are
-/// pinned from the build that sealed inside the turn.
+/// Neither the outputs nor a failure report may notice: the output
+/// digests are pinned from the build that sealed inside the turn, the
+/// `chaos.lock_panic` report digests from the last build with slice
+/// merging, running with `detect_races = true` (merging was off there,
+/// as it is everywhere since).
 #[test]
 fn a_stall_between_the_seal_and_the_turn_changes_no_digest() {
     use rfdet::workloads::{by_name, Params, Size};
@@ -578,11 +581,11 @@ fn a_stall_between_the_seal_and_the_turn_changes_no_digest() {
     let cores: [(Make, u64); 2] = [
         (
             || Box::new(rfdet::RfdetBackend::ci()),
-            0x6366_2fe5_97fe_6dab,
+            0x47e3_2d64_c065_743a,
         ),
         (
             || Box::new(rfdet::RfdetBackend::pf()),
-            0xf098_70cb_9389_9c3d,
+            0xeb61_406b_9b58_2d60,
         ),
     ];
     for (make, lock_panic) in cores {

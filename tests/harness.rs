@@ -265,14 +265,16 @@ fn ledger_checkpoint_chain() -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Golden generated by [`ledger_checkpoint_chain`] at the commit before
-/// the sync-object state moved into one turn-owned table.
+/// Golden generated by [`ledger_checkpoint_chain`] with `detect_races =
+/// true` at the last commit with slice merging: detection turned merging
+/// off there, so that run already sealed one slice per sync op, as every
+/// run does since.
 #[test]
 fn ledger_checkpoint_chain_matches_the_golden() {
     let golden: &[(u64, u64)] = &[
-        (2, 0xeb31_b855_66aa_4121),
-        (4, 0x304a_3f4a_2698_039e),
-        (6, 0x152b_b32a_32ea_8692),
+        (2, 0x4c83_9810_8290_33e9),
+        (4, 0xaffb_1d60_43cc_152c),
+        (6, 0x1a05_2543_0a93_a896),
     ];
     let got = ledger_checkpoint_chain();
     assert_eq!(got, ledger_checkpoint_chain(), "rerun");

@@ -11,8 +11,9 @@
 //!    suite report nothing (racey is excluded by design: it is the
 //!    deliberately racy stress test);
 //! 3. **Observer neutrality** — detection never moves a terminal
-//!    digest, survives record→replay with a stable race digest, and the
-//!    ddmin-shrunk worker set still reproduces the target race.
+//!    digest or a failure report, survives record→replay with a stable
+//!    race digest, and the ddmin-shrunk worker set still reproduces the
+//!    target race.
 
 use proptest::prelude::*;
 use rfdet::workloads::{benchmarks, races, Params, Size};
@@ -111,27 +112,44 @@ fn detection_capability_is_pinned_per_backend() {
     );
 }
 
-/// The core merges slices (§4.5) exactly when it does not detect races:
-/// a detecting run seals one slice per sync op, so its coordinates mean
-/// the same on every backend. Merging is semantics-neutral, so both runs
-/// of a lock-heavy program have one output digest.
+/// Detection is a pure observer of the core: a failure report (culprit,
+/// its clock and slice count, wait graph) has one digest with the
+/// detector on and off. While the core still merged a same-thread mutex
+/// re-acquire into the open slice (§4.5) whenever it did not detect
+/// races, `service.ledger@4 --panic 2:49` read two report digests on
+/// RFDet-ci. Three failing runs: a planned panic under plan jitter, a
+/// planned panic in the replicated service, and the AB-BA deadlock.
 #[test]
-fn slice_merging_is_on_exactly_when_races_are_not_detected() {
-    let w = rfdet::workloads::by_name("water-ns").expect("registered");
-    let mut detecting = detect_cfg();
-    detecting.space_bytes = 4 << 20; // room for test-scale inputs
-    let mut plain = detecting.clone();
-    plain.detect_races = false;
+fn detection_moves_no_failure_report() {
+    let jitter = (1..=4u32).fold(FaultPlan::new(), |p, t| {
+        p.jitter_at(t, 2, 97 * u64::from(t)).jitter_at(t, 5, 31)
+    });
+    let runs = [
+        ("chaos.lock_panic", 3, jitter.panic_at(2, 5), Some(7)),
+        ("service.ledger", 4, FaultPlan::new().panic_at(2, 49), None),
+        ("chaos.abba_deadlock", 2, FaultPlan::new(), None),
+    ];
     for b in det_backends() {
-        let name = b.name();
-        if !name.starts_with("RFDet") {
-            continue;
+        for (name, threads, plan, jitter_seed) in &runs {
+            let w = rfdet::workloads::by_name(name).expect("registered");
+            let report = |detect_races| {
+                let cfg = RunConfig {
+                    fault_plan: plan.clone(),
+                    jitter_seed: *jitter_seed,
+                    detect_races,
+                    ..detect_cfg()
+                };
+                let root = (w.factory)(Params::new(*threads, Size::Test));
+                let err = b.run(&cfg, root).expect_err("the run fails");
+                err.report_digest()
+            };
+            assert_eq!(
+                report(true),
+                report(false),
+                "{name}@{threads} on {}: detection moved the failure report",
+                b.name()
+            );
         }
-        let run = |cfg: &RunConfig| b.run_expect(cfg, (w.factory)(Params::new(4, Size::Test)));
-        let (sealed, merged) = (run(&detecting), run(&plain));
-        assert_eq!(sealed.stats.slices_merged, 0, "{name}");
-        assert!(merged.stats.slices_merged > 0, "{name}: nothing merged");
-        assert_eq!(sealed.output_digest(), merged.output_digest(), "{name}");
     }
 }
 
@@ -303,11 +321,14 @@ proptest! {
     /// jitter-only fault plan (which deterministically shifts interval
     /// and quantum boundaries), the detector being on or off never
     /// moves the terminal output digest — on any race-capable backend,
-    /// racy corpus and benchmark-style programs alike.
+    /// racy corpus and benchmark-style programs alike. The same plan
+    /// plus a panic at one of main's four sync ops (two spawns, two
+    /// joins) fails the run with one report digest either way.
     #[test]
     fn detection_is_digest_neutral_under_jitter(
         jitters in proptest::collection::vec((0u32..4, 0u64..6, 1u64..40), 0..4),
         seed in 1u64..1_000_000,
+        panic_op in 0u64..4,
     ) {
         let mut plan = FaultPlan::new();
         for &(tid, op, ticks) in &jitters {
@@ -330,6 +351,18 @@ proptest! {
                     "{} on {}: detection moved the output digest", name, b.name()
                 );
                 prop_assert!(without.races.is_empty(), "races reported with detection off");
+                let failing = |cfg: &RunConfig| {
+                    let cfg = RunConfig {
+                        fault_plan: cfg.fault_plan.clone().panic_at(0, panic_op),
+                        ..cfg.clone()
+                    };
+                    b.run(&cfg, (w.factory)(p)).expect_err("main panics")
+                };
+                prop_assert_eq!(
+                    failing(&on).report_digest(),
+                    failing(&off).report_digest(),
+                    "{} on {}: detection moved the failure report", name, b.name()
+                );
             }
         }
     }
