@@ -29,7 +29,7 @@
 mod run;
 mod thread;
 
-pub use run::{RunHarness, Stopped};
+pub use run::{InjectedFault, RunHarness, Stopped};
 pub use thread::ThreadHarness;
 
 use crate::{Addr, BarrierId, CondId, MutexId, Stats, Tid};
@@ -143,6 +143,7 @@ mod tests {
     };
     use rfdet_obs::Phase;
     use rfdet_trace::{persist, TraceEvent, KIND_NONE, KIND_PANIC};
+    use std::any::Any;
     use std::time::{Duration, Instant};
 
     fn cfg(f: impl FnOnce(&mut RunConfig)) -> RunConfig {
@@ -318,7 +319,18 @@ mod tests {
         );
         let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.raise_planned()))
             .expect_err("the planned panic fires");
-        assert_eq!(raised.downcast_ref::<String>(), Some(&message));
+        assert!(
+            run::quiet_unwind(raised.as_ref()),
+            "the hook prints no injected fault"
+        );
+        let raised = raised.downcast::<InjectedFault>().expect("typed payload");
+        assert_eq!(raised.0, message);
+        for genuine in [Box::new("boom") as Box<dyn Any + Send>, Box::new(message)] {
+            assert!(
+                !run::quiet_unwind(genuine.as_ref()),
+                "a program's panic prints"
+            );
+        }
         // The faulting op is in the stream, keyed to its pre-jitter clock.
         let recorded = events(finish(&run, h));
         assert_eq!(recorded.len(), 2);

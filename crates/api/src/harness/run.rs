@@ -27,18 +27,31 @@ const POLL: Duration = Duration::from_millis(10);
 #[derive(Debug)]
 pub struct Stopped;
 
+/// The unwind payload of a fault the run's [`FaultPlan`] injects (a
+/// planned sync-op panic or allocation failure): its canonical message,
+/// which the run's typed report carries.
+#[derive(Debug)]
+pub struct InjectedFault(pub String);
+
 /// Installs, once per process, the panic-hook filter that keeps the
-/// caught [`Stopped`] unwinds off stderr (they printed `Box<dyn Any>`).
+/// harness's own caught unwinds off stderr: [`Stopped`] (it printed
+/// `Box<dyn Any>`) and [`InjectedFault`] (the report says it already).
+/// A program's own panic still prints.
 fn filter_stopped_unwinds() {
     static HOOK: std::sync::Once = std::sync::Once::new();
     HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if !info.payload().is::<Stopped>() {
+            if !quiet_unwind(info.payload()) {
                 prev(info);
             }
         }));
     });
+}
+
+/// `true` for the unwinds [`filter_stopped_unwinds`] keeps off stderr.
+pub(super) fn quiet_unwind(payload: &(dyn Any + Send)) -> bool {
+    payload.is::<Stopped>() || payload.is::<InjectedFault>()
 }
 
 /// The harness mutexes guard plain data that stays coherent when some
@@ -52,6 +65,8 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(InjectedFault(s)) = payload.downcast_ref() {
         s.clone()
     } else {
         "panic with non-string payload".to_owned()

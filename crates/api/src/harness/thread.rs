@@ -1,9 +1,10 @@
 //! Per-thread harness state.
 
-use super::{RunHarness, SyncOp};
+use super::{InjectedFault, RunHarness, SyncOp};
 use crate::{DetRng, FaultPlan, Stats, SyncOpFault, ThreadReport, Tid};
 use rfdet_obs::{ObsRecorder, Phase};
 use rfdet_trace::{op, TraceBuf, TraceEvent};
+use std::panic::panic_any;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -116,7 +117,10 @@ impl ThreadHarness {
 
     #[cold]
     fn raise(&self) -> ! {
-        panic!("{}", FaultPlan::panic_message(self.tid, self.sync_ops - 1));
+        panic_any(InjectedFault(FaultPlan::panic_message(
+            self.tid,
+            self.sync_ops - 1,
+        )))
     }
 
     /// The message of the panic planned at the op most recently entered,
@@ -148,7 +152,7 @@ impl ThreadHarness {
             });
         }
         if !self.plan.is_empty() && self.plan.on_alloc(self.tid, nth) {
-            panic!("{}", FaultPlan::alloc_panic_message(self.tid, nth));
+            panic_any(InjectedFault(FaultPlan::alloc_panic_message(self.tid, nth)));
         }
     }
 

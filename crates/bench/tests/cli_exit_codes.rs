@@ -64,6 +64,31 @@ fn a_recorded_deadlock_prints_no_secondary_unwind_on_any_deterministic_backend()
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A planned `--panic` is reported by the typed report alone: the
+/// harness's hook keeps its unwind off stderr, backtrace on or off.
+#[test]
+fn a_planned_panic_prints_its_report_and_no_panic_message() {
+    for backtrace in ["0", "1"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_replay"))
+            .args(["record", "chaos.long_haul@3", "--panic", "2:30"])
+            .env("RUST_BACKTRACE", backtrace)
+            .output()
+            .expect("spawn replay binary");
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert_eq!(out.status.code(), Some(1), "{stdout}\n{stderr}");
+        let report = format!("{stdout}{stderr}");
+        assert!(
+            report.contains("injected fault: panic at t2 sync op 30"),
+            "{report}"
+        );
+        assert!(!stderr.contains("panicked at"), "{stderr}");
+        assert!(!stderr.contains("stack backtrace"), "{stderr}");
+    }
+}
+
 #[test]
 fn unknown_workload_exits_usage() {
     let out = replay(&["record", "nonesuch@2"]);

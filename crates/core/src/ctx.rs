@@ -79,8 +79,8 @@ pub struct RfdetCtx {
     /// Fault coordinates, trace and metrics buffers, profiling counters.
     pub(crate) h: ThreadHarness,
     pub(crate) meta_thread: Arc<ThreadMeta>,
-    /// A slice publication crossed the GC threshold; a pass runs at the
-    /// next off-turn point.
+    /// A slice publication crossed the GC threshold; the next off-turn
+    /// point owes the pass to a parked joiner or runs it.
     pub(crate) gc_pending: bool,
     /// Wall-clock start of the in-progress slice; `Some` iff metrics on.
     pub(crate) slice_t0: Option<std::time::Instant>,

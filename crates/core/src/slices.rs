@@ -77,14 +77,31 @@ impl RfdetCtx {
         self.slice_seq += 1;
     }
 
-    /// Runs a deferred GC pass (call off-turn) and nudges parked threads
-    /// into a pre-merge round, the only thing that advances their GC bound.
+    /// Settles a deferred GC request (call off-turn): hands the pass to
+    /// the thread parked in `join`, if one is, and otherwise runs it.
     pub(crate) fn run_pending_gc(&mut self) {
-        if self.gc_pending {
-            self.gc_pending = false;
-            self.shared.meta.run_gc();
-            self.shared.kendo.nudge_parked();
+        if std::mem::take(&mut self.gc_pending) && !self.shared.owe_gc() {
+            self.gc_pass();
         }
+    }
+
+    /// The GC host's half, in its park's idle callback after the
+    /// pre-merge: runs the pass a publisher owes it, if any.
+    pub(crate) fn run_owed_gc(&mut self) {
+        if self.shared.gc_owed() {
+            self.gc_pass();
+            self.shared.settle_gc();
+        }
+    }
+
+    /// One GC pass, timed as [`Phase::Gc`]: the sweep, then a nudge of
+    /// every other parked thread into a pre-merge round, the only thing
+    /// that advances their GC bound.
+    fn gc_pass(&mut self) {
+        let t0 = self.h.start();
+        self.shared.meta.run_gc();
+        self.shared.kendo.nudge_parked(self.tid);
+        self.h.since(Phase::Gc, t0);
     }
 
     /// Starts a new slice at the current vector clock. In `pf` mode the

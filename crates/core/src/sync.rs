@@ -90,36 +90,40 @@ fn acquire_now(ctx: &mut RfdetCtx, edge: Option<(Tid, VClock)>) {
 /// deposited its edges, then acquires them. When `premerge_source` is
 /// set (and the prelock optimization is on), the park loop keeps
 /// pre-merging the source's published slices off the critical path
-/// (§4.5).
+/// (§4.5). A thread parked in `join` (`hosts_gc`) runs the GC passes
+/// that publishers owe, after each pre-merge round and once more after
+/// the wake-up, unless another joiner already does.
 ///
 /// Debug builds check the pre-merge here: a thread's clock moves only by
 /// what it acquires, so after the mailbox it must equal the clock it
 /// blocked with joined with every time it was handed. A pre-merge that
 /// claimed more than that would have skipped slices it never received.
-fn park(ctx: &mut RfdetCtx, premerge_source: Option<Tid>) {
+fn park(ctx: &mut RfdetCtx, premerge_source: Option<Tid>, hosts_gc: bool) {
     #[cfg(debug_assertions)]
     let blocked_vc = ctx.vc.clone();
     ctx.shared.kendo.block(&ctx.kendo);
+    let host = hosts_gc && ctx.shared.host_gc(ctx.tid);
     ctx.release_turn();
     let kendo_handle = ctx.kendo.clone();
     let shared = Arc::clone(&ctx.shared);
-    // Parked threads double as the deadlock detector: the park-idle
-    // callback runs the cheap all-blocked scan (supervise.rs), so a
-    // stable deadlock is found by the threads inside it — no watchdog
-    // thread, no wall clock.
-    let idles = match premerge_source.filter(|_| shared.run.cfg.rfdet.prelock) {
-        Some(src) => {
-            // First round immediately, then periodically while parked.
+    let premerge = premerge_source.filter(|_| shared.run.cfg.rfdet.prelock);
+    let idle = |ctx: &mut RfdetCtx| {
+        if let Some(src) = premerge {
             ctx.premerge_round(src);
-            shared.kendo.park_until_active(&kendo_handle, || {
-                ctx.premerge_round(src);
-                shared.check_deadlock();
-            })
         }
-        None => shared
-            .kendo
-            .park_until_active(&kendo_handle, || shared.check_deadlock()),
+        if host {
+            ctx.run_owed_gc();
+        }
     };
+    // First round immediately, then at each idle poll and nudge. Parked
+    // threads double as the deadlock detector: the callback also runs
+    // the cheap all-blocked scan (supervise.rs), so a stable deadlock is
+    // found by the threads inside it — no watchdog thread, no wall clock.
+    idle(ctx);
+    let idles = shared.kendo.park_until_active(&kendo_handle, || {
+        idle(ctx);
+        shared.check_deadlock();
+    });
     ctx.h.sample(Phase::IdleWakeups, idles);
     // The boundary stored at sync-op entry predates the park; reseed so
     // the mailbox propagation below is not billed for the blocked time.
@@ -139,6 +143,12 @@ fn park(ctx: &mut RfdetCtx, premerge_source: Option<Tid>) {
         );
     }
     op_epilogue(ctx);
+    if host {
+        // A pass owed too late for the park runs now, still off turn,
+        // below the clock the wake-up delivered.
+        shared.unhost_gc();
+        ctx.run_owed_gc();
+    }
     // The checkpoint fragment is contributed only after the merge.
     if let Some(epoch) = mail.checkpoint {
         crate::checkpoint::contribute(ctx, epoch);
@@ -171,7 +181,7 @@ pub(crate) fn lock_impl(ctx: &mut RfdetCtx, m: MutexId) {
         Ok(edge) => acquire_now(ctx, edge),
         // §4.5 Prelock: merge everything that must happen-before our
         // eventual acquire while the lock holder still works.
-        Err(pred) => park(ctx, Some(pred)),
+        Err(pred) => park(ctx, Some(pred), false),
     }
 }
 
@@ -208,7 +218,7 @@ pub(crate) fn wait_impl(ctx: &mut RfdetCtx, c: CondId, m: MutexId) {
     // …then blocks until signalled (and until it re-owns the mutex: the
     // signaler either grants it immediately or moves us to the mutex
     // queue, in which case the eventual unlocker completes the wakeup).
-    park(ctx, None);
+    park(ctx, None, false);
 }
 
 pub(crate) fn signal_impl(ctx: &mut RfdetCtx, c: CondId, broadcast: bool) {
@@ -261,7 +271,7 @@ pub(crate) fn barrier_impl(ctx: &mut RfdetCtx, b: BarrierId, parties: usize) {
         raise(barrier.arrive(b.0, ctx.tid, lower, parties))
     };
     let Some(arrivals) = arrivals else {
-        return park(ctx, None);
+        return park(ctx, None, false);
     };
     // Last arriver. Checkpoint eligibility is decided here, inside its
     // turn, *before* any deposit or wake: the global seal data (the sync
@@ -369,7 +379,7 @@ pub(crate) fn join_impl(ctx: &mut RfdetCtx, h: ThreadHandle) {
         Some(edge) => acquire_now(ctx, edge),
         // The join target's published clock always precedes its exit
         // time, so it is a sound prelock source for the parked joiner.
-        None => park(ctx, Some(target)),
+        None => park(ctx, Some(target), true),
     }
 }
 

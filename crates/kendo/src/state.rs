@@ -448,18 +448,33 @@ impl KendoState {
         }
     }
 
-    /// Has every parked thread run its idle callback now rather than at
-    /// its next idle poll. RFDet nudges after each GC pass: a parked
-    /// thread's published clock, which bounds what GC may collect, moves
-    /// only in that callback's pre-merge, so without the nudge how much
-    /// metadata a run holds would be paced by wall time.
-    pub fn nudge_parked(&self) {
-        for (_, slot) in self.slots.iter() {
-            if Status::from_u8(slot.status.load(SeqCst)) == Status::Blocked {
-                slot.nudged.store(true, SeqCst);
-                slot.notify_if_asleep();
+    /// Has every parked thread but `me` run its idle callback now rather
+    /// than at its next idle poll. RFDet nudges after each GC pass: a
+    /// parked thread's published clock, which bounds what GC may collect,
+    /// moves only in that callback's pre-merge, so without the nudge how
+    /// much metadata a run holds would be paced by wall time. `me` is the
+    /// thread that ran the pass: parked or not, it needs no nudge.
+    pub fn nudge_parked(&self, me: Tid) {
+        for (i, slot) in self.slots.iter() {
+            if i != me as usize {
+                Self::nudge_slot(slot);
             }
         }
+    }
+
+    /// Has `target` run its idle callback now, if it is parked; says
+    /// whether it was. RFDet hands a GC pass to a parked joiner this way.
+    pub fn nudge(&self, target: Tid) -> bool {
+        Self::nudge_slot(self.slots.get(target as usize))
+    }
+
+    fn nudge_slot(slot: &Slot) -> bool {
+        let parked = Status::from_u8(slot.status.load(SeqCst)) == Status::Blocked;
+        if parked {
+            slot.nudged.store(true, SeqCst);
+            slot.notify_if_asleep();
+        }
+        parked
     }
 
     /// `true` once the run has been aborted.
@@ -1122,7 +1137,7 @@ mod tests {
         let k2 = Arc::clone(&k);
         let waker = std::thread::spawn(move || {
             // One nudge, whichever park stage it lands in.
-            k2.nudge_parked();
+            k2.nudge_parked(1);
             let seen_in_time = seen.recv_timeout(Duration::from_secs(5)).is_ok();
             k2.wake(0, 42);
             seen_in_time
@@ -1137,6 +1152,23 @@ mod tests {
         assert!(idles >= 1, "the nudged callback is an idle wakeup");
         assert_eq!(a.clock(), 42);
         assert!(!b.slot.nudged.load(SeqCst), "an active slot is left alone");
+    }
+
+    #[test]
+    fn a_targeted_nudge_reaches_only_a_parked_slot() {
+        let k = KendoState::new();
+        let a = k.register(0);
+        let b = k.register(10);
+        assert!(!k.nudge(1), "an active slot is not parked");
+        assert!(!b.slot.nudged.load(SeqCst));
+        k.block(&a);
+        assert!(k.nudge(0), "a blocked slot is parked");
+        assert!(a.slot.take_nudge(), "the nudge is pending for its park");
+        k.nudge_parked(0);
+        assert!(
+            !a.slot.nudged.load(SeqCst),
+            "the caller does not nudge itself"
+        );
     }
 
     /// How a test thread's off-turn ticks reach its slot.
@@ -1573,7 +1605,7 @@ mod tests {
             k.wait_for_turn(&a); // b blocked itself and handed back
             if round % 2 == 1 {
                 until_asleep(&b_slot);
-                k.nudge_parked();
+                k.nudge_parked(0);
                 expect(Ack::Nudged, round);
             }
             until_asleep(&b_slot);

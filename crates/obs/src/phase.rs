@@ -1,7 +1,7 @@
 //! The instrumented hot phases and their attribution metadata.
 
 /// Number of instrumented phases (length of [`Phase::ALL`]).
-pub const NUM_PHASES: usize = 12;
+pub const NUM_PHASES: usize = 13;
 
 /// What a phase's samples measure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,6 +65,10 @@ pub enum Phase {
     /// for the next minimal `(clock, tid)` plus the targeted unpark of
     /// the designated successor (Kendo handoff arbitration).
     Arbitration,
+    /// One metadata GC pass (§4.5): the sweep below the live threads'
+    /// glb and the nudge into the parked threads' pre-merge, on whichever
+    /// thread runs it (a parked joiner, or the publisher inline).
+    Gc,
 }
 
 impl Phase {
@@ -82,6 +86,7 @@ impl Phase {
         Phase::SerialApply,
         Phase::LazyFault,
         Phase::Arbitration,
+        Phase::Gc,
     ];
 
     /// Dense index for array-backed per-phase state.
@@ -100,6 +105,7 @@ impl Phase {
             Phase::SerialApply => 9,
             Phase::LazyFault => 10,
             Phase::Arbitration => 11,
+            Phase::Gc => 12,
         }
     }
 
@@ -120,6 +126,7 @@ impl Phase {
             Phase::SerialApply => "serial_apply_ns",
             Phase::LazyFault => "lazy_fault_ns",
             Phase::Arbitration => "arbitration_ns",
+            Phase::Gc => "gc_pass_ns",
         }
     }
 
@@ -139,6 +146,7 @@ impl Phase {
             Phase::SerialApply => "Per-thread diff apply in the serial phase",
             Phase::LazyFault => "Lazy-write pending apply on first access",
             Phase::Arbitration => "Turn release: successor scan and handoff",
+            Phase::Gc => "Metadata GC pass: sweep and parked-thread nudge",
         }
     }
 
@@ -167,6 +175,7 @@ impl Phase {
                 | Phase::SerialApply
                 | Phase::LazyFault
                 | Phase::Arbitration
+                | Phase::Gc
         )
     }
 }

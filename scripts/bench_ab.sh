@@ -18,7 +18,11 @@
 # metric's BENCHMARK.json bound - the layout of the results/*_ab.txt
 # files, which open with the provenance header printed before the first
 # pair (UTC date, nproc, both commits, rustc -V, the resolved argument
-# list). Nothing is discarded. Run nothing else on the host meanwhile.
+# list). Nothing is discarded: each invocation writes its raw process
+# lines to a log of its own, target/ab/run/<workload>-<seed>-<parent>-
+# <change>-<UTC stamp>-<pid>.log (and .log.layers), so a second A/B of
+# the same pair keeps the first one's. Run nothing else on the host
+# meanwhile.
 #
 # The optional sixth argument is a comma-separated list of per-layer
 # metric names (BENCHMARK.json "per_layer", e.g.
@@ -71,7 +75,8 @@ change=$(build HEAD)
 echo "== provenance  $(date -u +%Y-%m-%dT%H:%M:%SZ)  nproc $(nproc)  $(rustc -V)"
 echo "== parent $(git -C "$root" rev-parse "$base^{commit}")  change $(git -C "$root" rev-parse HEAD)"
 echo "== args: scripts/bench_ab.sh $base $workload $pairs $seed $secs ${layers:-(no layers)}"
-log=$ab/run/$workload-$seed-$parent-$change.log
+log=$ab/run/$workload-$seed-$parent-$change-$(date -u +%Y%m%dT%H%M%SZ)-$$.log
+echo "== raw log: $log"
 : >"$log"
 : >"$log.layers"
 cd "$ab/run"

@@ -8,8 +8,12 @@
 //! value is a typed error before any thread starts — on every backend,
 //! with no panic crossing `run()`.
 
+use rfdet::api::obs::Phase;
 use rfdet::workloads::{by_name, Params, Size};
-use rfdet::{all_backends, ConfigError, DmtBackend, FailureKind, RunConfig, RunError};
+use rfdet::{
+    all_backends, ConfigError, DmtBackend, DmtCtx, DmtCtxExt, FailureKind, MutexId, RfdetBackend,
+    RunConfig, RunError,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const WORKLOADS: [&str; 3] = ["propagate_heavy", "racey", "sync_heavy"];
@@ -101,5 +105,59 @@ fn rejected_configs_are_typed_errors_on_every_backend() {
             assert_eq!(report.backend, b.name());
             assert_eq!(report.message, want.to_string());
         }
+    }
+}
+
+/// Main parks in `join` while two workers take turns on one mutex, so
+/// main runs the GC passes the workers' publishes owe.
+fn joined_lockers(ctx: &mut dyn DmtCtx) {
+    let m = MutexId(0);
+    let workers: Vec<_> = (0..2u64)
+        .map(|i| {
+            ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
+                for k in 1..=500u64 {
+                    ctx.lock(m);
+                    let total: u64 = ctx.read(4096);
+                    ctx.write(4096, total + k);
+                    ctx.write(8192 + 8 * i, k);
+                    ctx.unlock(m);
+                }
+            }))
+        })
+        .collect();
+    for w in workers {
+        ctx.join(w);
+    }
+    let (total, a, b): (u64, u64, u64) = (ctx.read(4096), ctx.read(8192), ctx.read(8200));
+    ctx.emit_str(&format!("{total} {a} {b}"));
+}
+
+#[test]
+fn gc_on_every_slice_with_main_parked_in_join_keeps_the_output_and_sends_no_nudge_storm() {
+    for b in [RfdetBackend::ci(), RfdetBackend::pf()] {
+        let want = b.run_expect(&edited(|_| {}), Box::new(joined_lockers));
+        assert_eq!(want.output, b"250500 500 500");
+        let out = b.run_expect(
+            &edited(|c| {
+                c.meta_max_slices = 0;
+                c.metrics = true;
+            }),
+            Box::new(joined_lockers),
+        );
+        assert_eq!(out.output_digest(), want.output_digest(), "{}", b.name());
+        // The parked main runs one idle callback per owed pass, plus the
+        // few nudges that land while a pass runs and its 20 ms idle
+        // polls; a host that nudged itself after each pass, or a
+        // publisher re-nudging it per publish, runs about twice as many.
+        let passes = out.stats.gc_count;
+        let metrics = out.metrics.as_ref().expect("metered");
+        let idle = metrics.phase(Phase::IdleWakeups).expect("phase");
+        assert!(passes > 0, "{}", b.name());
+        assert!(
+            idle.max <= passes + passes / 4 + 10,
+            "{}: {} idle callbacks in one park for {passes} GC passes",
+            b.name(),
+            idle.max
+        );
     }
 }
