@@ -5,37 +5,19 @@ use rfdet_trace::{RunTrace, TraceConfig};
 use std::fmt;
 use std::time::Duration;
 
-/// How RFDet monitors memory modifications (paper §4.2 and Figure 7).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MonitorMode {
-    /// Compile-time instrumentation (RFDet-ci): every instrumented store
-    /// performs the cheap Figure-4 check — are the lines it touches
-    /// already snapshotted in the current slice? — against the page's
-    /// dirty-line mask. The instrumentation knows each store's address and
-    /// length, so a slice snapshots and later diffs only the lines
-    /// (`max(64, page_size / 64)` bytes) it stored to.
-    Ci,
-    /// Page protection (RFDet-pf): pages are write-protected at slice
-    /// start; the first store to a page takes a simulated fault that pays
-    /// a configurable extra cost before snapshotting (models the SIGSEGV
-    /// trap + `mprotect` syscalls the paper measures as slower). A fault
-    /// reveals the page, not the bytes, so the whole page is snapshotted
-    /// and diffed, as in the paper.
-    Pf,
-}
-
-/// RFDet-specific options (the §4.5 optimizations and monitoring mode).
+/// RFDet-specific options: the §4.5 optimizations and the page-fault
+/// cost model. The monitoring mode is not among them — RFDet-ci and
+/// RFDet-pf are two backends (`rfdet_core::RfdetBackend::{ci, pf}`),
+/// as in the paper's Figure 7.
 #[derive(Clone, Debug)]
 pub struct RfdetOpts {
-    /// Store-monitoring strategy.
-    pub monitor: MonitorMode,
     /// Pre-merge happens-before slices while queued on a contended lock
     /// (§4.5 "Prelock").
     pub prelock: bool,
     /// Defer applying propagated modifications until the page is actually
     /// touched (§4.5 "Lazy Writes").
     pub lazy_writes: bool,
-    /// Simulated cost, in no-op iterations, of one page fault in `Pf` mode
+    /// Simulated cost, in no-op iterations, of one page fault on RFDet-pf
     /// (trap + two `mprotect` calls). Zero disables the cost model. A
     /// knob because callers differ: fig7, table1 and the repo benchmark's
     /// pf comparator charge the default 2000, `bench_json` measures the
@@ -46,7 +28,6 @@ pub struct RfdetOpts {
 impl Default for RfdetOpts {
     fn default() -> Self {
         Self {
-            monitor: MonitorMode::Ci,
             prelock: true,
             lazy_writes: false,
             fault_cost_spins: 2000,
@@ -114,9 +95,6 @@ pub struct RunConfig {
     pub meta_max_slices: u64,
     /// RFDet-specific options (ignored by other backends).
     pub rfdet: RfdetOpts,
-    /// Quantum length in ticks for the CoreDet/DMP-style backend
-    /// (ignored by other backends): the one parameter of that comparator.
-    pub quantum_ticks: u64,
     /// When `Some(seed)`, every thread sleeps a pseudo-random physical
     /// pause of up to [`JITTER_MAX_US`] before each of its sync ops is
     /// ordered, drawn from its own stream ([`crate::DetRng::jitter`] of
@@ -195,7 +173,6 @@ impl Default for RunConfig {
             meta_capacity_bytes: 256 << 20,
             meta_max_slices: 1024,
             rfdet: RfdetOpts::default(),
-            quantum_ticks: 10_000,
             jitter_seed: None,
             fault_plan: FaultPlan::new(),
             deadlock_after_ms: Some(30_000),
@@ -241,14 +218,9 @@ impl RunConfig {
             page_size: self.page_size,
             meta_capacity_bytes: self.meta_capacity_bytes,
             meta_max_slices: self.meta_max_slices,
-            monitor: match self.rfdet.monitor {
-                MonitorMode::Ci => 0,
-                MonitorMode::Pf => 1,
-            },
             prelock: self.rfdet.prelock,
             lazy_writes: self.rfdet.lazy_writes,
             fault_cost_spins: self.rfdet.fault_cost_spins,
-            quantum_ticks: self.quantum_ticks,
             deadlock_after_ms: self.deadlock_after_ms,
         }
     }
@@ -265,16 +237,10 @@ impl RunConfig {
             meta_capacity_bytes: c.meta_capacity_bytes,
             meta_max_slices: c.meta_max_slices,
             rfdet: RfdetOpts {
-                monitor: if c.monitor == 1 {
-                    MonitorMode::Pf
-                } else {
-                    MonitorMode::Ci
-                },
                 prelock: c.prelock,
                 lazy_writes: c.lazy_writes,
                 fault_cost_spins: c.fault_cost_spins,
             },
-            quantum_ticks: c.quantum_ticks,
             jitter_seed: trace.seed,
             fault_plan: FaultPlan::from_trace_faults(&trace.faults),
             deadlock_after_ms: c.deadlock_after_ms,
@@ -353,9 +319,6 @@ impl RunConfig {
                 ),
             );
         }
-        if self.quantum_ticks == 0 {
-            return reject("quantum_ticks", 0, "nonzero".to_owned());
-        }
         Ok(())
     }
 }
@@ -429,11 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_a_zero_quantum() {
-        rejected(|c| c.quantum_ticks = 0, "quantum_ticks");
-    }
-
-    #[test]
     fn trace_config_round_trips_through_a_trace() {
         // Every projected field away from its default, so a field that
         // `from_trace` drops shows up in the comparison.
@@ -443,12 +401,10 @@ mod tests {
             meta_capacity_bytes: 1 << 18,
             meta_max_slices: 7,
             rfdet: RfdetOpts {
-                monitor: MonitorMode::Pf,
                 prelock: false,
                 lazy_writes: true,
                 fault_cost_spins: 3,
             },
-            quantum_ticks: 11,
             deadlock_after_ms: None,
             ..RunConfig::default()
         };

@@ -34,7 +34,7 @@ mod rng;
 mod stats;
 
 pub use backend::{DmtBackend, Replay, RunOutput, TracedRun};
-pub use config::{ConfigError, MonitorMode, RfdetOpts, RunConfig, JITTER_MAX_US, MIN_SPACE_BYTES};
+pub use config::{ConfigError, RfdetOpts, RunConfig, JITTER_MAX_US, MIN_SPACE_BYTES};
 pub use ctx::{AtomicOp, BarrierId, CondId, DmtCtx, DmtCtxExt, MutexId, ThreadFn, ThreadHandle};
 pub use error::{FailureKind, FailureReport, RunError, ThreadReport, WaitEdge, WaitTarget};
 pub use fault::{FaultAction, FaultPlan, FaultSpec, SyncOpFault};

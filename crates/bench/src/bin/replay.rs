@@ -136,10 +136,11 @@ fn cli_config() -> RunConfig {
 /// Backend registry keyed by the names backends report (and traces
 /// store).
 fn backend_by_name(name: &str) -> Option<Box<dyn DmtBackend>> {
+    if let Some(core) = core_backend(name) {
+        return Some(Box::new(core));
+    }
     match name {
         "pthreads" => Some(Box::new(rfdet_native::NativeBackend)),
-        "RFDet" | "RFDet-ci" => Some(Box::new(RfdetBackend::ci())),
-        "RFDet-pf" => Some(Box::new(RfdetBackend::pf())),
         "DThreads" => Some(Box::new(rfdet_dthreads::DthreadsBackend)),
         "CoreDet-q" => Some(Box::new(rfdet_dthreads::QuantumBackend)),
         _ => None,
@@ -148,10 +149,10 @@ fn backend_by_name(name: &str) -> Option<Box<dyn DmtBackend>> {
 
 /// Checkpoint restore needs the concrete core backend (`run_resumed` is
 /// not on the [`DmtBackend`] trait — no other backend can implement it).
+/// `RFDet` is accepted as an alias of `RFDet-ci`.
 fn core_backend(name: &str) -> Option<RfdetBackend> {
     match name {
-        "RFDet" => Some(RfdetBackend::default()),
-        "RFDet-ci" => Some(RfdetBackend::ci()),
+        "RFDet" | "RFDet-ci" => Some(RfdetBackend::ci()),
         "RFDet-pf" => Some(RfdetBackend::pf()),
         _ => None,
     }

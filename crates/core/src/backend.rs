@@ -2,10 +2,31 @@
 
 use crate::ctx::RfdetCtx;
 use crate::shared::RuntimeShared;
-use rfdet_api::{DmtBackend, MonitorMode, RunConfig, ThreadFn, Tid, TracedRun};
+use rfdet_api::{DmtBackend, RunConfig, ThreadFn, Tid, TracedRun};
 use rfdet_trace::Checkpoint;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
+
+/// How RFDet monitors memory modifications (paper §4.2 and Figure 7):
+/// the one thing that tells [`RfdetBackend::ci`] from
+/// [`RfdetBackend::pf`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MonitorMode {
+    /// Compile-time instrumentation (RFDet-ci): every instrumented store
+    /// performs the cheap Figure-4 check — are the lines it touches
+    /// already snapshotted in the current slice? — against the page's
+    /// dirty-line mask. The instrumentation knows each store's address and
+    /// length, so a slice snapshots and later diffs only the lines
+    /// (`max(64, page_size / 64)` bytes) it stored to.
+    Ci,
+    /// Page protection (RFDet-pf): pages are write-protected at slice
+    /// start; the first store to a page takes a simulated fault that pays
+    /// `RfdetOpts::fault_cost_spins` before snapshotting (models the
+    /// SIGSEGV trap + `mprotect` syscalls the paper measures as slower).
+    /// A fault reveals the page, not the bytes, so the whole page is
+    /// snapshotted and diffed, as in the paper.
+    Pf,
+}
 
 /// The RFDet deterministic-multithreading backend.
 ///
@@ -13,37 +34,35 @@ use std::sync::Arc;
 /// metadata space, Kendo arbitration state, and a main-thread context on
 /// the calling thread. Worker threads are real OS threads; determinism
 /// comes from the DLRC protocol, not from scheduling control.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct RfdetBackend {
-    /// Optional monitor-mode override applied on top of the run config
-    /// (`Some(Ci)` → "RFDet-ci", `Some(Pf)` → "RFDet-pf").
-    pub monitor_override: Option<MonitorMode>,
+    /// Store-monitoring strategy ("RFDet-ci" or "RFDet-pf").
+    pub monitor: MonitorMode,
 }
 
 impl RfdetBackend {
-    /// Backend preconfigured for compile-time-instrumentation monitoring.
+    /// Backend monitoring stores by compile-time instrumentation.
     #[must_use]
     pub fn ci() -> Self {
         Self {
-            monitor_override: Some(MonitorMode::Ci),
+            monitor: MonitorMode::Ci,
         }
     }
 
-    /// Backend preconfigured for page-protection monitoring.
+    /// Backend monitoring stores by page protection.
     #[must_use]
     pub fn pf() -> Self {
         Self {
-            monitor_override: Some(MonitorMode::Pf),
+            monitor: MonitorMode::Pf,
         }
     }
 }
 
 impl DmtBackend for RfdetBackend {
     fn name(&self) -> String {
-        match self.monitor_override {
-            Some(MonitorMode::Ci) => "RFDet-ci".to_owned(),
-            Some(MonitorMode::Pf) => "RFDet-pf".to_owned(),
-            None => "RFDet".to_owned(),
+        match self.monitor {
+            MonitorMode::Ci => "RFDet-ci".to_owned(),
+            MonitorMode::Pf => "RFDet-pf".to_owned(),
         }
     }
 
@@ -87,15 +106,12 @@ impl RfdetBackend {
         start: Start<'_>,
         stop_at: Option<u64>,
     ) -> TracedRun {
-        let mut cfg = cfg.clone();
-        if let Some(m) = self.monitor_override {
-            cfg.rfdet.monitor = m;
-        }
-        let mut shared = match RuntimeShared::new(&cfg) {
+        let mut shared = match RuntimeShared::new(cfg) {
             Ok(shared) => shared,
             Err(e) => return TracedRun::rejected(&self.name(), &e),
         };
         shared.backend_name = self.name();
+        shared.pf = self.monitor == MonitorMode::Pf;
         shared.ckpt.stop_at = stop_at;
         let (shared, main) = match start {
             Start::Fresh(root) => {
@@ -157,7 +173,6 @@ mod tests {
     fn names_reflect_monitor_mode() {
         assert_eq!(RfdetBackend::ci().name(), "RFDet-ci");
         assert_eq!(RfdetBackend::pf().name(), "RFDet-pf");
-        assert_eq!(RfdetBackend::default().name(), "RFDet");
         assert!(RfdetBackend::ci().is_deterministic());
     }
 

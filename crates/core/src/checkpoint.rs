@@ -365,7 +365,7 @@ mod tests {
                 expected: 2,
                 ckpt: Checkpoint {
                     epoch: 1,
-                    backend: "RFDet".into(),
+                    backend: "RFDet-ci".into(),
                     workload: "w".into(),
                     seed: None,
                     config: rfdet_api::RunConfig::small().trace_config(),

@@ -3,8 +3,8 @@
 use crate::shared::RuntimeShared;
 use rfdet_api::obs::Phase;
 use rfdet_api::{
-    Addr, BarrierId, CondId, DmtCtx, MonitorMode, MutexId, SyncOp, ThreadFn, ThreadHandle,
-    ThreadHarness, ThreadReport, Tid,
+    Addr, BarrierId, CondId, DmtCtx, MutexId, SyncOp, ThreadFn, ThreadHandle, ThreadHarness,
+    ThreadReport, Tid,
 };
 use rfdet_kendo::{KendoHandle, TickBatch};
 use rfdet_mem::{Page, PageOverlay, PrivateSpace, Runs, SliceSnapshots, ThreadHeap};
@@ -102,8 +102,8 @@ pub struct RfdetCtx {
     /// `cfg.detect_races`, cached: the one branch the read path pays
     /// when detection is off.
     pub(crate) track_reads: bool,
-    /// `cfg.rfdet.monitor == MonitorMode::Pf`, cached like `track_reads`
-    /// so the store path does not reach through the shared config.
+    /// `shared.pf` (the backend is RFDet-pf), cached like `track_reads`
+    /// so the store path does not reach through the shared state.
     pub(crate) pf: bool,
     /// Word-granular read set of the in-progress slice (marked only when
     /// `track_reads`), sealed into the published slice at `end_slice`.
@@ -178,7 +178,7 @@ impl RfdetCtx {
         let cfg = &shared.run.cfg;
         let space = space.unwrap_or_else(|| PrivateSpace::new(cfg.space_bytes, cfg.page_size));
         let snaps = SliceSnapshots::new(space.num_pages(), space.page_size(), SNAP_POOL_PAGES);
-        let pf = cfg.rfdet.monitor == MonitorMode::Pf;
+        let pf = shared.pf;
         let track_reads = cfg.detect_races;
         let heap = shared.strips.heap_for(tid);
         let h = ThreadHarness::new(&shared.run, tid);

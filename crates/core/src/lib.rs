@@ -22,7 +22,7 @@
 //! use rfdet_api::{DmtBackend, DmtCtxExt, MutexId, RunConfig};
 //! use rfdet_core::RfdetBackend;
 //!
-//! let backend = RfdetBackend::default();
+//! let backend = RfdetBackend::ci();
 //! let out = backend.run_expect(&RunConfig::small(), Box::new(|ctx| {
 //!     let m = MutexId(0);
 //!     let counter = 4096; // an address in the static region
@@ -64,7 +64,7 @@ mod slices;
 mod supervise;
 mod sync;
 
-pub use backend::RfdetBackend;
+pub use backend::{MonitorMode, RfdetBackend};
 pub use ctx::RfdetCtx;
 pub use failover::{recover, run_failover, FailoverReport};
 pub use resume::{replay_chain, ChainDivergence, ChainReplay};

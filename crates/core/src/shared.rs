@@ -1,13 +1,11 @@
 //! Run-wide shared state.
 
-use rfdet_api::trace::{op, TraceEvent};
 use rfdet_api::{ConfigError, RunConfig, RunHarness};
 use rfdet_kendo::KendoState;
 use rfdet_mem::StripAllocator;
 use rfdet_meta::{MetaSpace, GC_THRESHOLD};
 use rfdet_vclock::Tid;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::SeqCst};
-use std::sync::Arc;
 
 /// Logical-clock increment charged per synchronization operation (the
 /// paper weights ticks by memory instructions; sync ops get a small fixed
@@ -22,10 +20,13 @@ pub(crate) struct RuntimeShared {
     /// The run harness: resolved config (`run.cfg`), fault plan, sinks,
     /// OS handles and the failure slot.
     pub run: RunHarness,
-    /// The running backend's display name ("RFDet", "RFDet-ci",
-    /// "RFDet-pf"). Stamped into checkpoints, whose `run_key` covers it:
+    /// The running backend's display name ("RFDet-ci" or "RFDet-pf").
+    /// Stamped into traces and checkpoints, whose `run_key` covers it:
     /// two monitor modes of the same workload are different runs.
     pub backend_name: String,
+    /// The backend monitors stores by page protection (RFDet-pf), not by
+    /// compile-time instrumentation; set beside `backend_name`.
+    pub pf: bool,
     /// Checkpoint assembly state (§4.11); inert when
     /// `cfg.checkpoint_every == 0`.
     pub ckpt: crate::checkpoint::CkptCollector,
@@ -53,22 +54,9 @@ impl RuntimeShared {
         // The wall-clock bound is only the *fallback*: structural
         // deadlock detection (supervise.rs) normally fires first.
         let kendo = KendoState::new().with_deadlock_timeout(cfg.deadlock_after());
-        if let Some(sink) = &run.trace_sink {
-            // Wakes run inside the waker's turn, so they are schedule
-            // events in their own right: record (woken tid, new clock).
-            let sink = Arc::clone(sink);
-            kendo.set_wake_tap(Box::new(move |tid, clock| {
-                sink.push(TraceEvent {
-                    tid,
-                    op: u64::MAX,
-                    kind: op::WAKE,
-                    arg: None,
-                    clock,
-                });
-            }));
-        }
         Ok(Self {
-            backend_name: "RFDet".to_owned(),
+            backend_name: "RFDet-ci".to_owned(),
+            pf: false,
             ckpt: crate::checkpoint::CkptCollector::default(),
             kendo,
             meta: MetaSpace::with_max_slices(
@@ -131,6 +119,7 @@ mod tests {
     use crate::RfdetCtx;
     use rfdet_api::obs::Phase;
     use rfdet_api::{DmtCtx, DmtCtxExt, MutexId, ThreadFn};
+    use std::sync::Arc;
 
     #[test]
     fn shared_construction_validates_config() {

@@ -124,8 +124,9 @@ impl RfdetCtx {
 #[cfg(test)]
 pub(crate) mod tests {
     use crate::shared::RuntimeShared;
+    use crate::MonitorMode;
     use crate::RfdetCtx;
-    use rfdet_api::{DmtCtx as _, DmtCtxExt, MonitorMode, RunConfig};
+    use rfdet_api::{DmtCtx as _, DmtCtxExt, RunConfig};
     use rfdet_mem::{ModRun, RunList, Runs};
     use std::sync::Arc;
 
@@ -137,9 +138,10 @@ pub(crate) mod tests {
 
     fn ctx_with(monitor: MonitorMode) -> RfdetCtx {
         let mut cfg = RunConfig::small();
-        cfg.rfdet.monitor = monitor;
         cfg.rfdet.fault_cost_spins = 0;
-        let mut ctx = RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg).expect("valid config")));
+        let mut shared = RuntimeShared::new(&cfg).expect("valid config");
+        shared.pf = monitor == MonitorMode::Pf;
+        let mut ctx = RfdetCtx::new_main(Arc::new(shared));
         ctx.alone = false; // exercise the slice machinery without spawning
         ctx
     }

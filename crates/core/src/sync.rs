@@ -25,6 +25,7 @@
 
 use crate::ctx::RfdetCtx;
 use rfdet_api::obs::Phase;
+use rfdet_api::trace::{op, TraceEvent};
 use rfdet_api::{BarrierId, CondId, MutexId, SyncOp, ThreadFn, ThreadHandle, Tid};
 use rfdet_meta::AcquireSource;
 use rfdet_vclock::VClock;
@@ -69,9 +70,21 @@ fn raise<T>(checked: Result<T, String>) -> T {
     checked.unwrap_or_else(|misuse| panic!("{misuse}"))
 }
 
-/// Reactivates blocked thread `w` one tick past the caller's clock.
+/// Reactivates blocked thread `w` one tick past the caller's clock. A
+/// wake runs inside the waker's turn, so it is a schedule event in its
+/// own right: a recording run traces `(w, its new clock)`.
 fn wake(ctx: &RfdetCtx, w: Tid) {
-    ctx.shared.kendo.wake(w, ctx.clock() + 1);
+    let clock = ctx.clock() + 1;
+    ctx.shared.kendo.wake(w, clock);
+    if let Some(sink) = &ctx.shared.run.trace_sink {
+        sink.push(TraceEvent {
+            tid: w,
+            op: u64::MAX,
+            kind: op::WAKE,
+            arg: None,
+            clock,
+        });
+    }
 }
 
 /// A non-blocking acquire of `edge` (the lock fast path, joining a

@@ -5,9 +5,7 @@
 //! arbitrary physical timing. We perturb timing with the jitter
 //! failure-injection hook and compare output digests.
 
-use rfdet_api::{
-    AtomicOp, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, MonitorMode, MutexId, RunConfig,
-};
+use rfdet_api::{AtomicOp, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, MutexId, RunConfig};
 use rfdet_core::RfdetBackend;
 
 fn cfg(jitter_seed: Option<u64>) -> RunConfig {
@@ -80,18 +78,17 @@ fn ci_and_pf_agree_with_each_other() {
     );
 }
 
-fn optimization_matrix() -> Vec<RunConfig> {
+fn optimization_matrix() -> Vec<(RfdetBackend, RunConfig)> {
     let mut cfgs = Vec::new();
     for detect_races in [false, true] {
         for prelock in [false, true] {
             for lazy in [false, true] {
-                for monitor in [MonitorMode::Ci, MonitorMode::Pf] {
+                for backend in [RfdetBackend::ci(), RfdetBackend::pf()] {
                     let mut c = cfg(Some(5));
                     c.detect_races = detect_races;
                     c.rfdet.prelock = prelock;
                     c.rfdet.lazy_writes = lazy;
-                    c.rfdet.monitor = monitor;
-                    cfgs.push(c);
+                    cfgs.push((backend, c));
                 }
             }
         }
@@ -135,12 +132,16 @@ fn every_optimization_combination_gives_the_same_result() {
         }
         format!("sum={v}").into_bytes()
     };
-    for c in optimization_matrix() {
-        let out = RfdetBackend::default().run_expect(&c, Box::new(locked_root));
+    for (backend, c) in optimization_matrix() {
+        let out = backend.run_expect(&c, Box::new(locked_root));
         assert_eq!(
-            out.output, expected,
-            "wrong result with opts detect_races={} prelock={} lazy={} monitor={:?}",
-            c.detect_races, c.rfdet.prelock, c.rfdet.lazy_writes, c.rfdet.monitor
+            out.output,
+            expected,
+            "wrong result with opts detect_races={} prelock={} lazy={} on {}",
+            c.detect_races,
+            c.rfdet.prelock,
+            c.rfdet.lazy_writes,
+            backend.name()
         );
     }
 }

@@ -51,9 +51,13 @@ impl DmtBackend for DthreadsBackend {
     }
 }
 
+/// CoreDet-q's quantum, in ticks: the comparator's one parameter, at the
+/// one value every experiment runs it with.
+pub const QUANTUM_TICKS: u64 = 10_000;
+
 /// The CoreDet/DMP-style quantum backend ("CoreDet-q" in the experiment
 /// tables): the same engine, but a thread's parallel interval also ends
-/// when it exhausts `cfg.quantum_ticks`, so the whole fleet executes in
+/// when it exhausts [`QUANTUM_TICKS`], so the whole fleet executes in
 /// bulk-synchronous rounds separated by global barriers even when
 /// nobody synchronizes. This is the design whose two overheads
 /// (unnecessary serialization of non-communicating threads, imbalance
@@ -76,12 +80,7 @@ impl DmtBackend for QuantumBackend {
     }
 
     fn run_traced(&self, cfg: &RunConfig, root: ThreadFn) -> TracedRun {
-        run_lockstep(
-            cfg,
-            EngineMode::Quantum(cfg.quantum_ticks),
-            &self.name(),
-            root,
-        )
+        run_lockstep(cfg, EngineMode::Quantum, &self.name(), root)
     }
 }
 
@@ -92,15 +91,13 @@ mod tests {
 
     #[test]
     fn quantum_rounds_fire_without_synchronization() {
-        let mut cfg = RunConfig::small();
-        cfg.quantum_ticks = 100;
         let out = QuantumBackend.run_expect(
-            &cfg,
+            &RunConfig::small(),
             Box::new(|ctx| {
                 let h = ctx.spawn(Box::new(|ctx| {
                     // Pure compute: no sync ops, but plenty of ticks.
                     for _ in 0..50 {
-                        ctx.tick(50);
+                        ctx.tick(QUANTUM_TICKS / 2);
                     }
                     ctx.write::<u64>(64, 1);
                 }));
@@ -110,7 +107,7 @@ mod tests {
             }),
         );
         assert_eq!(out.output, b"1");
-        // 2500 ticks / 100-tick quantum → at least ~20 forced fences.
+        // 25 quanta of ticks → at least ~20 forced fences.
         assert!(
             out.stats.global_fences > 10,
             "expected quantum fences, got {}",

@@ -44,7 +44,7 @@ impl DtCtx {
         let heap = engine.strips.heap_for(tid);
         let budget = match engine.mode {
             EngineMode::SyncOnly => u64::MAX,
-            EngineMode::Quantum(q) => q,
+            EngineMode::Quantum => crate::QUANTUM_TICKS,
         };
         let h = ThreadHarness::new(&engine.run, tid);
         let track_reads = engine.run.cfg.detect_races;
@@ -145,8 +145,8 @@ impl DtCtx {
         if let Some(seed) = seed {
             self.spawn_seed(seed);
         }
-        if let EngineMode::Quantum(q) = self.engine.mode {
-            self.budget = q;
+        if self.engine.mode == EngineMode::Quantum {
+            self.budget = crate::QUANTUM_TICKS;
         }
         value
     }

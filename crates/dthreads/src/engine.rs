@@ -19,10 +19,10 @@ pub(crate) enum EngineMode {
     /// DThreads: only synchronization operations end a thread's parallel
     /// interval.
     SyncOnly,
-    /// CoreDet/DMP: an interval also ends after the given tick budget
-    /// (the *quantum*), forcing lockstep rounds even without
-    /// synchronization.
-    Quantum(u64),
+    /// CoreDet/DMP: an interval also ends after
+    /// [`crate::QUANTUM_TICKS`] ticks (the *quantum*), forcing lockstep
+    /// rounds even without synchronization.
+    Quantum,
 }
 
 /// The synchronization operation a thread arrived with.

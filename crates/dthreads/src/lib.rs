@@ -29,4 +29,4 @@ mod ctx;
 mod detect;
 mod engine;
 
-pub use backend::{DthreadsBackend, QuantumBackend};
+pub use backend::{DthreadsBackend, QuantumBackend, QUANTUM_TICKS};

@@ -59,6 +59,5 @@
 mod state;
 
 pub use state::{
-    Aborted, KendoHandle, KendoState, Starved, Status, TickBatch, WakeTap, MAX_THREADS,
-    PUBLISH_STRIDE,
+    Aborted, KendoHandle, KendoState, Starved, Status, TickBatch, MAX_THREADS, PUBLISH_STRIDE,
 };

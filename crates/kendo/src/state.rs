@@ -19,7 +19,7 @@
 //! a sequential model of the turn order that shares no code with the
 //! arbiter.
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use rfdet_vclock::Tid;
 use std::panic::panic_any;
 use std::sync::atomic::{
@@ -345,12 +345,6 @@ enum Wait {
     Blocked,
 }
 
-/// Observer of deterministic wakeups, set by the runtime's flight
-/// recorder: called with `(woken tid, its new clock)` from inside the
-/// waker's turn — a deterministic point of the schedule, which is what
-/// makes wake events recordable at all.
-pub type WakeTap = Box<dyn Fn(Tid, u64) + Send + Sync>;
-
 /// The global arbitration state shared by all threads of one run.
 pub struct KendoState {
     slots: SlotTable,
@@ -388,10 +382,6 @@ pub struct KendoState {
     /// wake landing after it comes from a turn-holder whose clock the scan
     /// already saw (and rejected, had it been smaller).
     wake_epoch: AtomicU64,
-    /// Flight-recorder wake observer. Cold: read under an uncontended
-    /// `RwLock` only on the wake path (already a slow path), `None` when
-    /// recording is off.
-    wake_tap: RwLock<Option<WakeTap>>,
 }
 
 impl std::fmt::Debug for KendoState {
@@ -425,14 +415,7 @@ impl KendoState {
             sleep_entry_stall: Duration::ZERO,
             abort: AtomicBool::new(false),
             wake_epoch: AtomicU64::new(0),
-            wake_tap: RwLock::new(None),
         }
-    }
-
-    /// Installs the wake observer (see [`WakeTap`]). The runtime sets
-    /// this once at run start, before any thread can wake another.
-    pub fn set_wake_tap(&self, tap: WakeTap) {
-        *self.wake_tap.write() = Some(tap);
     }
 
     /// Aborts the run: all threads waiting in [`KendoState::wait_for_turn`]
@@ -795,9 +778,6 @@ impl KendoState {
         slot.status.store(Status::Active as u8, SeqCst);
         slot.notify_if_asleep();
         self.wake_epoch.fetch_add(1, SeqCst);
-        if let Some(tap) = self.wake_tap.read().as_ref() {
-            tap(target, new_clock);
-        }
     }
 
     /// Parks the calling thread until some waker flips it back to
@@ -1617,20 +1597,6 @@ mod tests {
         k.wait_for_turn(&a);
         k.finish(&a);
         assert!(!k.aborted());
-    }
-
-    #[test]
-    fn wake_tap_observes_wakes_inside_the_waker_turn() {
-        let k = KendoState::new();
-        let a = k.register(0);
-        let _b = k.register(50);
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let seen2 = Arc::clone(&seen);
-        k.set_wake_tap(Box::new(move |tid, clock| seen2.lock().push((tid, clock))));
-        k.block(&a);
-        k.wake(0, 60);
-        assert_eq!(*seen.lock(), vec![(0, 60)]);
-        assert_eq!(a.clock(), 60, "tap observation does not perturb the wake");
     }
 
     #[test]

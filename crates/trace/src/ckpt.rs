@@ -154,7 +154,7 @@ impl Checkpoint {
         w.str(&self.backend);
         w.str(&self.workload);
         w.opt_u64(self.seed);
-        write_config(&mut w, &self.config);
+        write_config(&mut w, &self.backend, &self.config);
         fnv1a(&w.buf)
     }
 
@@ -176,7 +176,7 @@ impl Checkpoint {
         w.str(&self.backend);
         w.str(&self.workload);
         w.opt_u64(self.seed);
-        write_config(&mut w, &self.config);
+        write_config(&mut w, &self.backend, &self.config);
         w.u64(self.upper.len() as u64);
         for &c in &self.upper {
             w.u64(c);

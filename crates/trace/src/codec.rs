@@ -155,22 +155,27 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// What the config's retired `jitter_max_us` slot (between
-/// `quantum_ticks` and `deadlock_after_ms`) holds: the field's last
-/// value, written unchanged and skipped on read, so the version-3 layout
-/// and every digest over it stay as they were.
+/// The config's three retired slots, each written with the value its
+/// field last held and skipped on read, so the version-3 layout and
+/// every digest over it stay as they were: `monitor` (a byte, 1 iff the
+/// recording backend is RFDet-pf — the mode is the backend's now, so
+/// the name says it), `quantum_ticks` (CoreDet-q's quantum, now
+/// `rfdet_dthreads::QUANTUM_TICKS`) and `jitter_max_us` (now
+/// `rfdet_api::JITTER_MAX_US`).
+const QUANTUM_SLOT: u64 = 10_000;
 const JITTER_SLOT: u64 = 50;
 
-pub(crate) fn write_config(w: &mut Writer, c: &TraceConfig) {
+/// Writes `c` as recorded by the backend named `backend`.
+pub(crate) fn write_config(w: &mut Writer, backend: &str, c: &TraceConfig) {
     w.u64(c.space_bytes);
     w.u64(c.page_size);
     w.u64(c.meta_capacity_bytes);
     w.u64(c.meta_max_slices);
-    w.u8(c.monitor);
+    w.u8(u8::from(backend == "RFDet-pf"));
     w.boolean(c.prelock);
     w.boolean(c.lazy_writes);
     w.u32(c.fault_cost_spins);
-    w.u64(c.quantum_ticks);
+    w.u64(QUANTUM_SLOT);
     w.u64(JITTER_SLOT);
     w.opt_u64(c.deadlock_after_ms);
 }
@@ -181,13 +186,12 @@ pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<TraceConfig, TraceError>
         page_size: r.u64()?,
         meta_capacity_bytes: r.u64()?,
         meta_max_slices: r.u64()?,
-        monitor: r.u8()?,
-        prelock: r.boolean()?,
+        // Skips the `monitor` byte first.
+        prelock: r.take(1).and_then(|_| r.boolean())?,
         lazy_writes: r.boolean()?,
         fault_cost_spins: r.u32()?,
-        quantum_ticks: r.u64()?,
-        // Skips the `JITTER_SLOT` first.
-        deadlock_after_ms: r.u64().and_then(|_| r.opt_u64())?,
+        // Skips the `QUANTUM_SLOT` and the `JITTER_SLOT` first.
+        deadlock_after_ms: r.take(16).and_then(|_| r.opt_u64())?,
     })
 }
 
@@ -201,7 +205,7 @@ impl RunTrace {
         w.str(&self.backend);
         w.str(&self.workload);
         w.opt_u64(self.seed);
-        write_config(&mut w, &self.config);
+        write_config(&mut w, &self.backend, &self.config);
         w.u64(self.faults.len() as u64);
         for f in &self.faults {
             w.u32(f.tid);
@@ -425,5 +429,86 @@ mod tests {
         t.events.clear();
         t.seed = None;
         assert_eq!(RunTrace::decode(&t.encode()).unwrap(), t);
+    }
+
+    /// The version-3 config block, retired slots included, as written
+    /// before the monitor mode and CoreDet-q's quantum left the config:
+    /// the bytes and the whole-file digests below were generated by that
+    /// build. A moved retired slot, or a monitor byte that stops reading
+    /// 1 exactly for RFDet-pf, fails here before any recorded artifact
+    /// changes its digest.
+    #[test]
+    fn config_bytes_keep_the_version_3_layout() {
+        const BLOCK: &str = "0000100000000000\
+                             0010000000000000\
+                             0000400000000000\
+                             0004000000000000\
+                             {monitor}0100\
+                             00000000\
+                             1027000000000000\
+                             3200000000000000\
+                             013075000000000000";
+        // (backend, monitor byte, trace digest, checkpoint digest)
+        let goldens = [
+            (
+                "RFDet-ci",
+                "00",
+                0x89f6_5369_2c53_1fae,
+                0xf0ce_668a_2dcc_6edb,
+            ),
+            (
+                "RFDet-pf",
+                "01",
+                0xa6fe_5f5d_2b8a_cdf8,
+                0xdf54_bdaf_4fe0_9651,
+            ),
+            (
+                "CoreDet-q",
+                "00",
+                0x9816_769c_d3f2_2f52,
+                0x9c4e_5fb4_4cd7_a8fb,
+            ),
+        ];
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        for (backend, monitor, trace_digest, ckpt_digest) in goldens {
+            let block = BLOCK.replace("{monitor}", monitor);
+            let trace = RunTrace {
+                backend: backend.into(),
+                workload: "w@2".into(),
+                seed: None,
+                config: test_config(),
+                faults: vec![],
+                events: vec![],
+                failure: FailureSummary {
+                    kind: crate::KIND_NONE,
+                    tid: 0,
+                    report_digest: 0,
+                },
+            };
+            let ckpt = crate::Checkpoint {
+                epoch: 1,
+                backend: backend.into(),
+                workload: "w@2".into(),
+                seed: None,
+                config: test_config(),
+                upper: vec![],
+                sync_vars: vec![],
+                finished: vec![],
+                threads: vec![],
+            };
+            // Magic, version (and a checkpoint's epoch), the two strings
+            // and the absent seed precede the config.
+            let at = |header: usize| header + 4 + backend.len() + 4 + 3 + 1;
+            for (bytes, header, digest) in [
+                (trace.encode(), 8, trace_digest),
+                (ckpt.encode(), 16, ckpt_digest),
+            ] {
+                let start = at(header);
+                assert_eq!(hex(&bytes[start..start + 64]), block, "{backend}");
+                assert_eq!(crate::digest::fnv1a(&bytes), digest, "{backend}");
+            }
+            assert_eq!(RunTrace::decode(&trace.encode()), Ok(trace));
+            assert_eq!(crate::Checkpoint::decode(&ckpt.encode()), Ok(ckpt));
+        }
     }
 }

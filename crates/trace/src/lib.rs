@@ -172,12 +172,9 @@ pub struct TraceConfig {
     pub page_size: u64,
     pub meta_capacity_bytes: u64,
     pub meta_max_slices: u64,
-    /// Monitor mode: 0 = compile-time instrumentation, 1 = page faults.
-    pub monitor: u8,
     pub prelock: bool,
     pub lazy_writes: bool,
     pub fault_cost_spins: u32,
-    pub quantum_ticks: u64,
     pub deadlock_after_ms: Option<u64>,
 }
 
@@ -340,11 +337,9 @@ mod tests {
             page_size: 4096,
             meta_capacity_bytes: 4 << 20,
             meta_max_slices: 1024,
-            monitor: 0,
             prelock: true,
             lazy_writes: false,
             fault_cost_spins: 0,
-            quantum_ticks: 10_000,
             deadlock_after_ms: Some(30_000),
         }
     }

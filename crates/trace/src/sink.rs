@@ -4,9 +4,9 @@
 //! `Vec::push` when enabled, so events buffer thread-locally in a
 //! [`TraceBuf`] and flush to the run-wide [`TraceSink`] in bulk — on
 //! drop, which also covers panic unwinds (the whole point of a flight
-//! recorder is surviving the crash). Kendo wake taps push straight into
-//! the sink; they fire inside serialized turns, so the sink mutex is
-//! effectively uncontended.
+//! recorder is surviving the crash). The core backend's wakes push
+//! straight into the sink; they run inside serialized turns, so the sink
+//! mutex is effectively uncontended.
 
 use crate::TraceEvent;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -24,7 +24,7 @@ fn lock(m: &Mutex<Vec<TraceEvent>>) -> MutexGuard<'_, Vec<TraceEvent>> {
 }
 
 impl TraceSink {
-    /// Pushes one event directly (used by wake taps).
+    /// Pushes one event directly (used for the core backend's wakes).
     pub fn push(&self, e: TraceEvent) {
         lock(&self.events).push(e);
     }

@@ -27,11 +27,9 @@ fn config() -> TraceConfig {
         page_size: 4096,
         meta_capacity_bytes: 1 << 16,
         meta_max_slices: 64,
-        monitor: 0,
         prelock: false,
         lazy_writes: true,
         fault_cost_spins: 50,
-        quantum_ticks: 1000,
         deadlock_after_ms: Some(2000),
     }
 }

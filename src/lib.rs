@@ -42,11 +42,11 @@ pub use rfdet_workloads as workloads;
 pub use rfdet_api::{
     races_digest, render_races, trace, AccessKind, Addr, AtomicOp, BarrierId, CondId, ConfigError,
     DmtBackend, DmtCtx, DmtCtxExt, FailureKind, FailureReport, FaultAction, FaultPlan, FaultSpec,
-    MonitorMode, MutexId, Pod, RaceReport, RaceSite, Replay, RetryPolicy, RfdetOpts, RunConfig,
-    RunError, RunOutput, RunTrace, Stats, ThreadFn, ThreadHandle, ThreadReport, Tid, TracedRun,
-    WaitEdge, WaitTarget,
+    MutexId, Pod, RaceReport, RaceSite, Replay, RetryPolicy, RfdetOpts, RunConfig, RunError,
+    RunOutput, RunTrace, Stats, ThreadFn, ThreadHandle, ThreadReport, Tid, TracedRun, WaitEdge,
+    WaitTarget,
 };
-pub use rfdet_core::RfdetBackend;
+pub use rfdet_core::{MonitorMode, RfdetBackend};
 pub use rfdet_dthreads::{DthreadsBackend, QuantumBackend};
 pub use rfdet_native::NativeBackend;
 

@@ -78,7 +78,7 @@ fn legal_extremes_leave_the_output_digest_alone() {
 #[test]
 fn rejected_configs_are_typed_errors_on_every_backend() {
     type Edit = fn(&mut RunConfig);
-    let rejected: [(&str, Edit); 6] = [
+    let rejected: [(&str, Edit); 5] = [
         ("page_size", |c| c.page_size = 1000),
         ("page_size", |c| c.page_size = 0),
         ("space_bytes", |c| c.space_bytes = 0),
@@ -86,7 +86,6 @@ fn rejected_configs_are_typed_errors_on_every_backend() {
         // Page-aligned, but the heap half cannot hold 256 strips
         // (`StripAllocator::new` would panic inside `run()`).
         ("space_bytes", |c| c.space_bytes = 4096),
-        ("quantum_ticks", |c| c.quantum_ticks = 0),
     ];
     let w = by_name("racey").expect("registered");
     for (field, f) in rejected {
