@@ -122,14 +122,6 @@ pub trait DmtBackend: Send + Sync {
     /// (strong determinism: identical results even with data races).
     fn is_deterministic(&self) -> bool;
 
-    /// Whether the backend honors [`crate::RfdetOpts::lazy_writes`]
-    /// (§4.5 deferred modification propagation). Backends that ignore
-    /// the flag report `false`, so matrix tests and property checks can
-    /// enroll the lazy arm exactly where it changes the execution.
-    fn supports_lazy_writes(&self) -> bool {
-        false
-    }
-
     /// Whether the backend can capture deterministic checkpoints
     /// ([`RunConfig::checkpoint_every`]) and restore from them. Only the
     /// core backend implements the consistent-cut protocol; the others

@@ -5,7 +5,7 @@ use rfdet_trace::{RunTrace, TraceConfig};
 use std::fmt;
 use std::time::Duration;
 
-/// RFDet-specific options: the §4.5 optimizations and the page-fault
+/// RFDet-specific options: the §4.5 prelock optimization and the page-fault
 /// cost model. The monitoring mode is not among them — RFDet-ci and
 /// RFDet-pf are two backends (`rfdet_core::RfdetBackend::{ci, pf}`),
 /// as in the paper's Figure 7.
@@ -14,9 +14,6 @@ pub struct RfdetOpts {
     /// Pre-merge happens-before slices while queued on a contended lock
     /// (§4.5 "Prelock").
     pub prelock: bool,
-    /// Defer applying propagated modifications until the page is actually
-    /// touched (§4.5 "Lazy Writes").
-    pub lazy_writes: bool,
     /// Simulated cost, in no-op iterations, of one page fault on RFDet-pf
     /// (trap + two `mprotect` calls). Zero disables the cost model. A
     /// knob because callers differ: fig7, table1 and the repo benchmark's
@@ -29,7 +26,6 @@ impl Default for RfdetOpts {
     fn default() -> Self {
         Self {
             prelock: true,
-            lazy_writes: false,
             fault_cost_spins: 2000,
         }
     }
@@ -219,7 +215,6 @@ impl RunConfig {
             meta_capacity_bytes: self.meta_capacity_bytes,
             meta_max_slices: self.meta_max_slices,
             prelock: self.rfdet.prelock,
-            lazy_writes: self.rfdet.lazy_writes,
             fault_cost_spins: self.rfdet.fault_cost_spins,
             deadlock_after_ms: self.deadlock_after_ms,
         }
@@ -238,7 +233,6 @@ impl RunConfig {
             meta_max_slices: c.meta_max_slices,
             rfdet: RfdetOpts {
                 prelock: c.prelock,
-                lazy_writes: c.lazy_writes,
                 fault_cost_spins: c.fault_cost_spins,
             },
             jitter_seed: trace.seed,
@@ -402,7 +396,6 @@ mod tests {
             meta_max_slices: 7,
             rfdet: RfdetOpts {
                 prelock: false,
-                lazy_writes: true,
                 fault_cost_spins: 3,
             },
             deadlock_after_ms: None,

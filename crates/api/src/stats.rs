@@ -114,8 +114,8 @@ stats! {
     /// RFDet takes none while main is the run's only thread (DESIGN.md
     /// §4.2, *The single-thread phase*).
     sum stores_with_copy,
-    /// Simulated page faults taken (Pf monitoring / lazy writes); none
-    /// for main's stores while it is the run's only thread.
+    /// RFDet-pf write faults; none for main's stores while it is the
+    /// run's only thread.
     sum page_faults,
 
     // ---- memory footprint & GC (Table 1, columns 10-13) ----
@@ -148,17 +148,6 @@ stats! {
     /// Slices pre-merged while queued on a lock (prelock, §4.5). The paper
     /// reports ~80 % of propagation moved into the parallel phase.
     sum prelock_premerged,
-    /// Modification bytes whose application was deferred by lazy writes.
-    sum lazy_deferred_bytes,
-    /// Deferred bytes later dropped because a newer value superseded them
-    /// before the page was touched (the lazy-writes saving, §4.5).
-    sum lazy_elided_bytes,
-    /// `NO_ACCESS` protection transitions performed by lazy-write deposits.
-    /// Each pending page is protected exactly once until its fault clears
-    /// it — interleaved-page run lists and repeat deposits pay nothing —
-    /// so this counts what `mprotect` calls a real implementation would
-    /// issue.
-    sum lazy_protect_calls,
 
     // ---- memory-pipeline fast path (diff kernel + snapshot pool) ----
     /// Bytes compared by the end-of-slice diff kernel: the dirty lines of

@@ -291,17 +291,11 @@ fn table(b: &mut Bench) {
         b.cell(id, || run_ci(&plain, Box::new(root)));
     }
 
-    // Propagate-heavy lazy vs eager writes: the thread-scaling curve.
-    // The 4-thread pair is the §4.5 acceptance pairing (1.05 until
-    // handoff arbitration sped the eager side up; see EXPERIMENTS.md
-    // "Lazy writes vs eager").
+    // The propagate-heavy thread-scaling curve. The ids keep their
+    // `_eager` suffix so the cells join the earlier records by id.
     for t in THREADS {
-        let lazy = cfg(|c| c.rfdet.lazy_writes = true);
-        let sides = [("lazy", lazy), ("eager", plain.clone())];
-        let pair = b.ab("propagate_heavy", t, sides, 2);
-        if t == 4 {
-            b.gate("lazy_vs_eager", &pair, false, Limit::Max(1.10));
-        }
+        let run = || run_ci(&plain, root("propagate_heavy", t, Size::Bench));
+        b.cell(&format!("rfdet/{t}t_propagate_heavy_eager"), run);
     }
 
     // Turn-arbitration scaling on the sync-heavy adversary. Doubling the
@@ -503,78 +497,46 @@ fn render_json(b: &Bench, counters: &str) -> String {
     )
 }
 
-/// The `counters` and `lazy_counters` blocks: one instrumented run for
-/// the memory-pipeline counters and one lazy metered run for the
-/// `lazy_fault` phase and the lazy stats, both on 4-thread
-/// propagate-heavy.
+/// The `counters` block: one instrumented run of 4-thread
+/// propagate-heavy for the memory-pipeline counters.
 fn counters() -> String {
-    let run = |cfg: &RunConfig| {
-        RfdetBackend::ci().run_expect(cfg, root("propagate_heavy", 4, Size::Bench))
-    };
-    let s = run(&cfg(|_| {})).stats;
+    let root = root("propagate_heavy", 4, Size::Bench);
+    let s = RfdetBackend::ci().run_expect(&cfg(|_| {}), root).stats;
     assert!(s.snapshot_pool_hits > 0, "steady state recycles snapshots");
-    let lazy = run(&cfg(|c| (c.rfdet.lazy_writes, c.metrics) = (true, true)));
-    let faults = lazy.metrics.as_deref();
-    let faults = faults.and_then(|m| m.phase(rfdet_api::obs::Phase::LazyFault));
-    let (fault_count, fault_ns) = faults.map_or((0, 0), |p| (p.count, p.sum));
-    let ls = &lazy.stats;
-    let block = |name: &str, fields: &[(&str, u64)]| {
-        let lines: Vec<String> = fields
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        json_block(name, ['{', '}'], &lines)
-    };
-    let eager = [
+    let fields = [
         ("diff_bytes_scanned", s.diff_bytes_scanned),
         ("snapshot_bytes_copied", s.snapshot_bytes_copied),
         ("snapshot_pool_hits", s.snapshot_pool_hits),
         ("snapshot_pool_misses", s.snapshot_pool_misses),
     ];
-    let lazy = [
-        ("lazy_deferred_bytes", ls.lazy_deferred_bytes),
-        ("lazy_elided_bytes", ls.lazy_elided_bytes),
-        ("lazy_protect_calls", ls.lazy_protect_calls),
-        ("page_faults", ls.page_faults),
-        ("lazy_fault_count", fault_count),
-        ("lazy_fault_ns_sum", fault_ns),
-    ];
-    format!(
-        "{},\n{}",
-        block("counters", &eager),
-        block("lazy_counters", &lazy)
-    )
+    let lines: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    json_block("counters", ['{', '}'], &lines)
 }
 
 /// The two human-readable scaling curves for `results/`.
 fn write_curves(b: &Bench) {
     let ns = |t: usize, cell: &str| b.ns(&format!("rfdet/{t}t_{cell}"));
-    let (mut lazy_rows, mut sync_rows) = (Vec::new(), Vec::new());
+    let (mut propagate_rows, mut sync_rows) = (Vec::new(), Vec::new());
     for t in THREADS {
-        let eager = ns(t, "propagate_heavy_eager");
-        let lazy = ns(t, "propagate_heavy_lazy");
-        let ratio = format!("{:.3}", lazy / eager);
-        lazy_rows.push(vec![
+        propagate_rows.push(vec![
             t.to_string(),
-            format!("{eager:.0}"),
-            format!("{lazy:.0}"),
-            ratio,
+            format!("{:.0}", ns(t, "propagate_heavy_eager")),
         ]);
         sync_rows.push(vec![
             t.to_string(),
             format!("{:.0}", ns(t, "sync_heavy_handoff")),
         ]);
     }
-    let lazy_table = render_table(
-        &["threads", "eager_ns", "lazy_ns", "lazy/eager"],
-        &lazy_rows,
-    );
+    let propagate_table = render_table(&["threads", "eager_ns"], &propagate_rows);
     let sync_table = render_table(&["threads", "handoff_ns"], &sync_rows);
     let curves = [
         (
             "results/thread_scaling.txt",
-            "propagate-heavy thread scaling: eager vs lazy writes (RFDet-ci)",
-            lazy_table,
+            "propagate-heavy thread scaling (RFDet-ci)",
+            propagate_table,
         ),
         (
             "results/sync_heavy_scaling.txt",
@@ -660,7 +622,7 @@ mod tests {
         }
         // `--enforce` reads `budgets` itself, so a stated limit cannot be
         // missing from it; the JSON carries each cell and budget once.
-        assert_eq!(b.budgets.len(), 7);
+        assert_eq!(b.budgets.len(), 6);
         let json = render_json(&b, "");
         for id in ids {
             assert_eq!(json.matches(&format!("\"{id}\"")).count(), 1, "{id}");

@@ -27,7 +27,7 @@
 //! whole fault-plan grid (panic/fail_alloc/jitter × thread × sync-op
 //! strata) under supervision, recovers failed plans the same way,
 //! classifies each outcome into {converged, recovered, diverged,
-//! wedged}, and writes a JSON report (default under `results/`);
+//! wedged}, and writes a JSON report (default in the trace directory);
 //! diverged or wedged outcomes fail the sweep.
 //!
 //! `metrics` runs a workload once with the deterministic-safe metrics
@@ -664,10 +664,8 @@ fn cmd_sweep(spec: &str, f: Flags) -> i32 {
     }
 
     let out_path = f.out.unwrap_or_else(|| {
-        PathBuf::from(format!(
-            "results/sweep_{}_{}t.json",
-            workload.name, params.threads
-        ))
+        let name = format!("sweep_{}_{}t.json", workload.name, params.threads);
+        persist::trace_dir().join(name)
     });
     let count = |outcome| tally.get(outcome).copied().unwrap_or(0);
     let (converged, recovered) = (count("converged"), count("recovered"));

@@ -190,6 +190,30 @@ fn tiny_sweep_classifies_without_wedge_or_divergence() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Without `--out` the report goes to the trace directory, never under
+/// the working directory: run from the repo root, a `results/` default
+/// overwrote the tracked acceptance sweep.
+#[test]
+fn a_sweep_without_out_writes_its_report_into_the_trace_dir() {
+    let base = std::env::temp_dir().join(format!("rfdet-sweep-default-{}", std::process::id()));
+    let (cwd, traces) = (base.join("cwd"), base.join("traces"));
+    std::fs::create_dir_all(&cwd).expect("create working dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_replay"))
+        .args(["sweep", "service.ledger@2", "--plans", "1"])
+        .args(["--timeout", "30000"])
+        .current_dir(&cwd)
+        .env("RUST_BACKTRACE", "0")
+        .env("RFDET_TRACE_DIR", &traces)
+        .output()
+        .expect("spawn replay binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    let report = traces.join("sweep_service.ledger_2t.json");
+    assert!(report.is_file(), "no report in the trace dir: {stdout}");
+    assert!(!cwd.join("results").exists(), "wrote under the cwd");
+    std::fs::remove_dir_all(&base).ok();
+}
+
 /// A reader that stops early (`table1 --quick | head -1`) closes the
 /// pipe under the binary; its next print must end it quietly with the
 /// shell's `SIGPIPE` status, not panic with a backtrace.

@@ -70,10 +70,6 @@ impl DmtBackend for RfdetBackend {
         true
     }
 
-    fn supports_lazy_writes(&self) -> bool {
-        true
-    }
-
     fn supports_checkpoints(&self) -> bool {
         true
     }

@@ -283,11 +283,6 @@ pub(crate) fn decide(ctx: &mut RfdetCtx, arrivals: &[(Tid, VClock)]) -> Option<u
 /// contributor then honors [`CkptCollector::stop_at`] by unwinding with
 /// [`CkptStop`].
 pub(crate) fn contribute(ctx: &mut RfdetCtx, epoch: u64) {
-    // Lazy pending queues hold propagated-but-unapplied bytes; capturing
-    // pages without flushing would checkpoint stale memory. The flush
-    // shifts *when* fault-counter stats are charged (never the bytes),
-    // and only on runs that checkpoint — stats are not captured state.
-    ctx.flush_pending();
     let pages: Vec<usize> = ctx.space.materialized_indices().collect();
     let frag = CkptThread {
         tid: ctx.tid,

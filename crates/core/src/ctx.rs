@@ -7,7 +7,7 @@ use rfdet_api::{
     ThreadReport, Tid,
 };
 use rfdet_kendo::{KendoHandle, TickBatch};
-use rfdet_mem::{Page, PageOverlay, PrivateSpace, Runs, SliceSnapshots, ThreadHeap};
+use rfdet_mem::{Page, PrivateSpace, SliceSnapshots, ThreadHeap};
 use rfdet_meta::{MetaSpace, SliceRef, ThreadMeta};
 use rfdet_vclock::VClock;
 use std::sync::Arc;
@@ -21,8 +21,8 @@ pub(crate) const SNAP_POOL_PAGES: usize = 256;
 /// The per-thread view of the RFDet runtime.
 ///
 /// Owns the thread's private memory space, the in-progress slice (line
-/// snapshots taken at first store, paper Figure 4), the vector clock, the
-/// lazy-write pending queues, and the thread-local profiling counters.
+/// snapshots taken at first store, paper Figure 4), the vector clock and
+/// the thread-local profiling counters.
 pub struct RfdetCtx {
     pub(crate) shared: Arc<RuntimeShared>,
     pub(crate) kendo: KendoHandle,
@@ -31,20 +31,6 @@ pub struct RfdetCtx {
     ticks: TickBatch,
     pub(crate) tid: Tid,
     pub(crate) space: PrivateSpace,
-    /// Lazy-writes pending queues, per page, in propagation order. A
-    /// page with a queue is the paper's `NO_ACCESS` page: its emulated
-    /// protection is derived from the queue, not stored beside it. The
-    /// entries are zero-copy handles to per-page run *groups* inside
-    /// published slices' arenas (one `Arc` bump per group, not per run);
-    /// the handles keep the backing runs alive, so GC dropping
-    /// a slice from every slice-pointer list never invalidates them.
-    /// Flat page-indexed storage: deposit and fault are O(1) slot hits,
-    /// not tree walks (see [`crate::pending::PendingTable`]).
-    pub(crate) pending: crate::pending::PendingTable,
-    /// Recycled lazy-fault merge buffer (page bytes + occupancy bitmap),
-    /// the `snap_pool` idiom applied to §4.5: steady-state faults merge
-    /// and apply pending runs with zero allocations.
-    pub(crate) lazy_overlay: PageOverlay,
     /// Current vector clock. It changes only between `end_slice` and
     /// `begin_slice`, so it is also the in-progress slice's timestamp.
     pub(crate) vc: VClock,
@@ -53,9 +39,7 @@ pub struct RfdetCtx {
     /// recycled across slices (up to [`SNAP_POOL_PAGES`]).
     /// Invariant: between a page's first recorded store and `end_slice`
     /// nothing but the store path mutates the page — propagation runs
-    /// between slices, and a lazy fault or flush only ever drains a page
-    /// that still has a pending queue, which a stored-to page cannot
-    /// (its first store faulted it, and deposits happen between slices).
+    /// between slices.
     pub(crate) snaps: SliceSnapshots,
     /// Where seals pack runs, its capacity kept from slice to slice.
     pub(crate) runs: rfdet_mem::RunBuilder,
@@ -188,8 +172,6 @@ impl RfdetCtx {
             ticks: TickBatch::default(),
             tid,
             space,
-            pending: crate::pending::PendingTable::default(),
-            lazy_overlay: PageOverlay::new(),
             vc,
             slice_seq: 0,
             snaps,
@@ -240,11 +222,10 @@ impl RfdetCtx {
     }
 
     /// The pages an access of `len` bytes at `addr` touches. A
-    /// zero-length access touches no page at all — it must neither fault
-    /// a lazily-pending page nor snapshot one (it cannot observe or
-    /// modify anything), and the previous `(first, last)` encoding had no
-    /// way to say "nothing", silently rounding `len == 0` up to a 1-byte
-    /// access.
+    /// zero-length access touches no page at all — a zero-length store
+    /// must not snapshot one (it modifies nothing), and the previous
+    /// `(first, last)` encoding had no way to say "nothing", silently
+    /// rounding `len == 0` up to a 1-byte access.
     #[inline]
     fn page_range(&self, addr: Addr, len: usize) -> std::ops::Range<usize> {
         if len == 0 {
@@ -253,87 +234,6 @@ impl RfdetCtx {
         let first = self.space.page_of(addr);
         let last = self.space.page_of(addr + (len - 1) as u64);
         first..last + 1
-    }
-
-    /// Queue depth at which a fault merges its deposits through the
-    /// [`PageOverlay`] instead of applying them group-by-group. Shallow
-    /// queues (the common case under active sharing: a page re-accessed
-    /// within a few slices of being deposited on) are cheaper to apply
-    /// sequentially — deposit order is propagation order, so the last
-    /// writer wins byte-for-byte identically, and the double-write cost
-    /// of a rare overlap is a few bytes. Deep queues (a page untouched
-    /// for many epochs — the case lazy writes exist for) amortize the
-    /// overlay's reset/merge/scan over real elision.
-    const OVERLAY_MIN_GROUPS: usize = 4;
-
-    /// Applies the pending lazy-write modifications of `page` and lifts
-    /// its protection (paper §4.5 *Lazy Writes*: "when a memory access
-    /// hits one of these pages, we write the modifications of the page
-    /// into the local memory and unprotect the page").
-    ///
-    /// Allocation-free on the steady state, and adaptive: queues below
-    /// [`Self::OVERLAY_MIN_GROUPS`] apply their groups in deposit order
-    /// directly; deeper queues are merged into the thread's recycled
-    /// [`PageOverlay`] (last writer wins, superseded bytes counted by
-    /// word-level popcounts) and the occupied spans are copied into the
-    /// page in one pass. Both orders produce identical bytes — the
-    /// overlay only changes how many times an overwritten byte is
-    /// touched (and makes the saving measurable as `lazy_elided_bytes`).
-    #[cold]
-    pub(crate) fn lazy_fault(&mut self, page: usize) {
-        let Some(queue) = self.pending.take(page) else {
-            return;
-        };
-        let t0 = self.h.start();
-        self.h.stats.page_faults += 1;
-        // Only `pf` monitoring pays the simulated trap + `mprotect` cost:
-        // there the fault is a real protection fault. Under `ci`
-        // monitoring the pending check is compiled-in instrumentation on
-        // the access path (like the Figure-4 store checks), and the eager
-        // path pays nothing equivalent — charging it here is how the
-        // "optimization" lost to eager at the default cost model.
-        if self.pf {
-            self.pay_fault_cost();
-        }
-        self.apply_pending(page, queue);
-        self.h.since(Phase::LazyFault, t0);
-    }
-
-    /// Drains `page`'s detached queue into local memory and lifts the
-    /// protection — the work of a lazy fault without its cost model.
-    /// Called from [`Self::lazy_fault`] (an access hit the page: trap +
-    /// fault accounting apply) and from runtime-initiated flushes
-    /// (prelock idle merges, pre-fork flush), which write through the
-    /// runtime's own view and therefore never trap.
-    fn apply_pending(&mut self, page: usize, mut queue: Vec<rfdet_mem::RunRange>) {
-        if queue.len() < Self::OVERLAY_MIN_GROUPS {
-            for group in &queue {
-                self.h.stats.mod_bytes_applied += self.space.apply(group);
-            }
-        } else {
-            let base = self.space.page_base(page);
-            let mut overlay = std::mem::take(&mut self.lazy_overlay);
-            overlay.reset(self.space.page_size());
-            let mut superseded: u64 = 0;
-            for (addr, data) in queue.iter().flat_map(Runs::iter_runs) {
-                superseded += overlay.write((addr - base) as usize, data);
-            }
-            self.h.stats.lazy_elided_bytes += superseded;
-            self.h.stats.mod_bytes_applied += self.space.apply_overlay(page, &overlay);
-            self.lazy_overlay = overlay;
-        }
-        queue.clear();
-        self.pending.put_back(page, queue);
-    }
-
-    /// Runtime-initiated drain of `page`'s pending queue, if any. Unlike
-    /// [`Self::lazy_fault`] this charges no fault (nothing trapped — the
-    /// runtime is writing, not the program), so flushing pages while
-    /// blocked or before a fork costs only the memory work itself.
-    pub(crate) fn drain_pending(&mut self, page: usize) {
-        if let Some(queue) = self.pending.take(page) {
-            self.apply_pending(page, queue);
-        }
     }
 
     /// Simulated cost of a page fault (trap + `mprotect` syscalls).
@@ -404,10 +304,9 @@ impl RfdetCtx {
     }
 
     /// The instrumented store of `data` (not empty) at byte `off` of
-    /// `page`: lazy fault, snapshot, write — one page resolved once.
+    /// `page`: snapshot, write — one page resolved once.
     #[inline]
     fn store_in_page(&mut self, page: usize, off: usize, data: &[u8]) {
-        self.fault_if_pending(page);
         self.record_store(page, off, data.len());
         self.space.write_page(page, off, data);
     }
@@ -421,38 +320,12 @@ impl RfdetCtx {
             self.read_set
                 .mark(addr, buf.len() as u64, self.shared.run.cfg.page_size);
         }
-        match self.space.in_page(addr, buf.len()) {
-            Some((page, off)) => {
-                self.fault_if_pending(page);
-                self.space.read_page(page, off, buf);
-            }
-            None => self.read_straddling(addr, buf),
-        }
-    }
-
-    /// The load that is empty, crosses a page boundary or is out of
-    /// range: range-checked as a whole before any page is touched.
-    #[cold]
-    fn read_straddling(&mut self, addr: Addr, buf: &mut [u8]) {
-        self.space.check_range(addr, buf.len());
-        for page in self.page_range(addr, buf.len()) {
-            self.fault_if_pending(page);
-        }
         self.space.read(addr, buf);
-    }
-
-    /// The compiled-in pending check of every access (§4.5 *Lazy Writes*).
-    #[inline]
-    fn fault_if_pending(&mut self, page: usize) {
-        if !self.pending.is_empty() && self.pending.contains(page) {
-            self.lazy_fault(page);
-        }
     }
 
     /// Write without advancing the Kendo clock (see [`Self::read_in_turn`]);
     /// still goes through the Figure-4 store instrumentation. A
-    /// zero-length write touches no page, so it neither faults nor
-    /// snapshots.
+    /// zero-length write touches no page, so it snapshots nothing.
     #[inline]
     pub(crate) fn write_in_turn(&mut self, addr: Addr, data: &[u8]) {
         self.h.stats.stores += 1;
@@ -466,14 +339,14 @@ impl RfdetCtx {
     /// range: range-checked as a whole before any page is touched, then
     /// stored page by page.
     #[cold]
-    fn write_straddling(&mut self, mut addr: Addr, mut data: &[u8]) {
+    fn write_straddling(&mut self, addr: Addr, mut data: &[u8]) {
         self.space.check_range(addr, data.len());
-        while !data.is_empty() {
-            let off = self.space.page_offset(addr);
+        let mut off = self.space.page_offset(addr);
+        for page in self.page_range(addr, data.len()) {
             let n = data.len().min(self.space.page_size() - off);
-            self.store_in_page(self.space.page_of(addr), off, &data[..n]);
+            self.store_in_page(page, off, &data[..n]);
             data = &data[n..];
-            addr += n as u64;
+            off = 0;
         }
     }
 
@@ -719,7 +592,6 @@ mod tests {
 
     fn ctx() -> RfdetCtx {
         let mut cfg = RunConfig::small();
-        cfg.rfdet.lazy_writes = true;
         cfg.rfdet.fault_cost_spins = 0;
         let mut ctx = RfdetCtx::new_main(Arc::new(RuntimeShared::new(&cfg).expect("valid config")));
         ctx.alone = false; // exercise the slice machinery without spawning
@@ -749,44 +621,24 @@ mod tests {
     }
 
     #[test]
-    fn zero_length_accesses_do_not_fault_pending_pages() {
-        use rfdet_mem::ModRun;
-        use rfdet_meta::{SliceRec, SliceRef};
-        use rfdet_vclock::VClock;
+    fn zero_length_accesses_touch_no_page() {
         let mut c = ctx();
-        let mut t = VClock::new();
-        t.tick(1);
-        let mods = vec![ModRun::new(64, vec![7].into())];
-        let s: SliceRef = Arc::new(SliceRec::new(1, 0, t, mods));
-        c.apply_slice(&s);
-        assert_eq!(c.pending.len(), 1);
-
         c.read_in_turn(64, &mut []);
         c.write_in_turn(64, &[]);
-        assert_eq!(c.h.stats.page_faults, 0, "no fault for a no-op access");
-        assert_eq!(c.pending.len(), 1, "queue still pending");
         assert_eq!(c.h.stats.stores_with_copy, 0, "no snapshot taken");
 
         // Zero-length access at the space boundary: must not panic.
         let space_end = c.shared.run.cfg.space_bytes;
         c.read_in_turn(space_end, &mut []);
         c.write_in_turn(space_end, &[]);
-
-        // A real access still faults and applies.
-        let mut buf = [0u8; 1];
-        c.read_in_turn(64, &mut buf);
-        assert_eq!(buf[0], 7);
-        assert_eq!(c.h.stats.page_faults, 1);
-        assert!(c.pending.is_empty());
     }
 
-    /// The twin of `store_after_lazy_fault_snapshots_post_apply_bytes` for
-    /// a slice sealed ahead of its turn: `spawn` seals, then flushes the
-    /// pending pages in turn — and a flush drains only pages the slice
-    /// never stored to, so the slice carries the thread's own bytes and
-    /// none of the flushed remote ones.
+    /// The twin of `store_after_propagation_snapshots_post_apply_bytes`
+    /// for a slice sealed ahead of its turn: `spawn` seals in `enter_op`,
+    /// after propagation applied a remote run, so the published slice
+    /// carries the thread's own bytes and none of the remote ones.
     #[test]
-    fn a_slice_sealed_before_spawns_flush_carries_only_its_own_bytes() {
+    fn a_slice_sealed_before_spawn_carries_only_its_own_bytes() {
         use rfdet_api::{DmtCtx, DmtCtxExt};
         use rfdet_mem::ModRun;
         use rfdet_meta::SliceRec;
@@ -798,8 +650,6 @@ mod tests {
         c.apply_slice(&Arc::new(SliceRec::new(1, 0, t, remote)));
         c.write::<u64>(4096 + 8, 0x55);
         let child = c.spawn(Box::new(|_: &mut dyn DmtCtx| {}));
-        assert!(c.pending.is_empty(), "spawn flushed the remote run");
-        assert_eq!(c.h.stats.page_faults, 0, "a runtime flush, not a fault");
         let published = c.shared.meta.snapshot_list(0);
         assert_eq!(published.len(), 1);
         assert_eq!(

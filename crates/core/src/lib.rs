@@ -55,7 +55,6 @@ mod backend;
 mod checkpoint;
 mod ctx;
 pub mod failover;
-mod pending;
 mod propagation;
 mod race;
 mod resume;

@@ -3,7 +3,6 @@
 use crate::ctx::{peer_of, RfdetCtx};
 use rfdet_api::obs::Phase;
 use rfdet_api::Tid;
-use rfdet_mem::{page_groups, RunRange, Runs};
 use rfdet_meta::{Mailbox, SliceRef};
 use rfdet_vclock::VClock;
 
@@ -49,14 +48,10 @@ impl RfdetCtx {
         self.obs_since_boundary(Phase::Propagation, t0);
     }
 
-    /// Applies one slice's modifications to local memory — directly, or
-    /// deferred into per-page pending queues when lazy writes are on.
-    ///
-    /// Both paths are zero-copy over the slice's shared arena and walk it
-    /// in [`page_groups`]: the lazy path pushes one
-    /// [`rfdet_mem::RunRange`] per group (a single `Arc` bump, no byte
-    /// copies), and the eager path's batched apply resolves each target
-    /// page once per group instead of once per run.
+    /// Applies one slice's modifications to local memory, one page
+    /// lookup per page group, zero-copy over the slice's shared arena
+    /// ([`rfdet_mem::PrivateSpace::apply`]). Prelock pre-merges apply
+    /// through here too: the same work, done while blocked.
     pub(crate) fn apply_slice(&mut self, s: &SliceRef) {
         // Race detection: main (the only thread with a detector) checks
         // every incoming slice's accesses against its epoch table before
@@ -65,44 +60,6 @@ impl RfdetCtx {
         // needs for its one-directional check.
         if let Some(det) = self.detect.as_mut() {
             det.observe_slice(s);
-        }
-        if self.shared.run.cfg.rfdet.lazy_writes {
-            for group in page_groups(&s.mods, self.space.page_size()) {
-                let page = self.space.page_of(s.mods.run(group.start).0);
-                let group = RunRange::new(&s.mods, group.start, group.end);
-                self.h.stats.lazy_deferred_bytes += group.byte_len() as u64;
-                // The first deposit on a page protects it; repeats add
-                // nothing (a page is `NO_ACCESS` iff it has a pending
-                // queue), so run lists that interleave pages, and repeat
-                // deposits onto a still-pending page, count no extra
-                // protect calls.
-                if self.pending.push(page, group) {
-                    self.h.stats.lazy_protect_calls += 1;
-                }
-            }
-        } else {
-            self.h.stats.mod_bytes_applied += self.space.apply(&s.mods);
-        }
-    }
-
-    /// [`Self::apply_slice`] for merges performed while the thread is
-    /// blocked (prelock, §4.5). Deferral exists to move apply work off
-    /// the critical path — but a premerge already *is* off the critical
-    /// path, so depositing here would only convert free idle-time work
-    /// into a fault the thread pays inside its next turn. Apply eagerly
-    /// instead, draining any previously deposited queues on the touched
-    /// pages first so per-page application order stays propagation
-    /// order.
-    pub(crate) fn apply_slice_idle(&mut self, s: &SliceRef) {
-        // Premerge applies slices main would otherwise apply at the
-        // acquire — same happens-before-consistent order, same check.
-        if let Some(det) = self.detect.as_mut() {
-            det.observe_slice(s);
-        }
-        if self.shared.run.cfg.rfdet.lazy_writes && !self.pending.is_empty() {
-            for group in page_groups(&s.mods, self.space.page_size()) {
-                self.drain_pending(self.space.page_of(s.mods.run(group.start).0));
-            }
         }
         self.h.stats.mod_bytes_applied += self.space.apply(&s.mods);
     }
@@ -160,12 +117,12 @@ impl RfdetCtx {
         self.set_cursor(source, new_cursor);
         for s in &batch {
             self.h.stats.prelock_premerged += 1;
-            self.apply_slice_idle(s);
+            self.apply_slice(s);
         }
         self.meta_thread.append_slices(&mut batch);
         self.batch = batch;
         self.vc.join(&bound);
-        // Everything ≤ bound is now reflected (or queued) locally.
+        // Everything ≤ bound is now reflected locally.
         self.meta_thread.set_published_vc(&self.vc);
         self.scratch_lower = lower;
     }
@@ -186,15 +143,13 @@ mod tests {
     use crate::shared::RuntimeShared;
     use crate::RfdetCtx;
     use rfdet_api::{DmtCtxExt, RunConfig};
-    use rfdet_mem::Runs;
     use rfdet_vclock::VClock;
     use std::sync::Arc;
 
     /// Builds two sibling contexts sharing one runtime, bypassing spawn
     /// (unit-level plumbing only; real spawning is tested in sync.rs).
-    fn two_ctxs(lazy: bool) -> (RfdetCtx, RfdetCtx) {
+    fn two_ctxs() -> (RfdetCtx, RfdetCtx) {
         let mut cfg = RunConfig::small();
-        cfg.rfdet.lazy_writes = lazy;
         cfg.rfdet.fault_cost_spins = 0;
         let shared = Arc::new(RuntimeShared::new(&cfg).expect("valid config"));
         let mut a = RfdetCtx::new_main(Arc::clone(&shared));
@@ -209,7 +164,7 @@ mod tests {
 
     #[test]
     fn propagation_transfers_happens_before_slices() {
-        let (mut a, mut b) = two_ctxs(false);
+        let (mut a, mut b) = two_ctxs();
         a.write::<u64>(64, 99);
         let release_time = a.vc.clone();
         a.end_slice();
@@ -223,7 +178,7 @@ mod tests {
 
     #[test]
     fn upperlimit_excludes_later_slices() {
-        let (mut a, mut b) = two_ctxs(false);
+        let (mut a, mut b) = two_ctxs();
         a.write::<u64>(64, 1);
         let release_time = a.vc.clone();
         a.end_slice();
@@ -238,7 +193,7 @@ mod tests {
 
     #[test]
     fn lowerlimit_filters_already_seen() {
-        let (mut a, mut b) = two_ctxs(false);
+        let (mut a, mut b) = two_ctxs();
         a.write::<u64>(64, 1);
         let t1 = a.vc.clone();
         a.end_slice();
@@ -263,7 +218,7 @@ mod tests {
     fn transitive_propagation_through_middle_thread() {
         // T0 -> T1 -> (T1's list now carries T0's slice) — a third context
         // pulling from T1 sees T0's write without ever talking to T0.
-        let (mut a, mut b) = two_ctxs(false);
+        let (mut a, mut b) = two_ctxs();
         a.write::<u64>(64, 42);
         let t_rel = a.vc.clone();
         a.end_slice();
@@ -285,29 +240,13 @@ mod tests {
         assert_eq!(c.read::<u64>(64), 42, "transitivity via slice pointers");
     }
 
+    /// A store into a page that propagation just wrote, in the next
+    /// slice: the line snapshot holds the propagated bytes, so the seal
+    /// publishes only the storing thread's own modifications.
     #[test]
-    fn lazy_writes_defer_until_access() {
-        let (mut a, mut b) = two_ctxs(true);
-        a.write::<u64>(64, 7);
-        let t = a.vc.clone();
-        a.end_slice();
-        a.vc.tick(0);
-
-        b.acquire(0, &t);
-        assert!(b.h.stats.lazy_deferred_bytes >= 1);
-        assert_eq!(b.h.stats.mod_bytes_applied, 0, "nothing applied yet");
-        assert_eq!(b.read::<u64>(64), 7, "fault applies on first access");
-        assert!(b.h.stats.mod_bytes_applied >= 1);
-        assert_eq!(b.h.stats.page_faults, 1);
-    }
-
-    /// A store to a page with pending lazy writes, in the slice that
-    /// faults it: the line snapshot must be taken *after* the pending
-    /// runs are applied, or the remote bytes would seal as local
-    /// modifications. Returns the storing thread's published runs and the
-    /// page it ends with.
-    fn store_onto_pending_page(lazy: bool) -> (Vec<rfdet_mem::ModRun>, Vec<u8>) {
-        let (mut a, mut b) = two_ctxs(lazy);
+    fn store_after_propagation_snapshots_post_apply_bytes() {
+        use rfdet_mem::ModRun;
+        let (mut a, mut b) = two_ctxs();
         a.write::<u64>(64, 0x1111_1111_1111_1111); // line 1
         a.write::<u64>(256, 0x2222_2222_2222_2222); // line 4
         let t = a.vc.clone();
@@ -319,133 +258,33 @@ mod tests {
         b.write::<u8>(70, 0x33); // into line 1, inside a's run
         b.write::<u64>(128, 0x4444_4444_4444_4444); // line 2, untouched by a
         b.end_slice();
-        assert_eq!(b.h.stats.page_faults, u64::from(lazy));
+        assert_eq!(b.h.stats.page_faults, 0);
         // b's list also carries a's slice (transitive propagation).
         let list = b.shared.meta.snapshot_list(1);
         let own: Vec<_> = list.iter().filter(|s| s.tid == 1).collect();
         assert_eq!(own.len(), 1);
-        let mut page = vec![0u8; 4096];
-        b.space.read(0, &mut page);
-        (crate::slices::tests::boxed(&own[0].mods), page)
-    }
-
-    #[test]
-    fn store_after_lazy_fault_snapshots_post_apply_bytes() {
-        use rfdet_mem::ModRun;
-        let (lazy_mods, lazy_page) = store_onto_pending_page(true);
         assert_eq!(
-            lazy_mods,
+            crate::slices::tests::boxed(&own[0].mods),
             vec![
                 ModRun::new(70, vec![0x33].into()),
                 ModRun::new(128, vec![0x44; 8].into())
             ],
             "only b's own bytes: a's run was applied before the snapshot"
         );
-        let (eager_mods, eager_page) = store_onto_pending_page(false);
-        assert_eq!(lazy_mods, eager_mods);
-        assert_eq!(lazy_page, eager_page);
+        let mut page = vec![0u8; 4096];
+        b.space.read(0, &mut page);
         assert_eq!(
-            &lazy_page[64..72],
+            &page[64..72],
             &[0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x33, 0x11]
         );
-        assert_eq!(&lazy_page[256..264], &[0x22; 8]);
-    }
-
-    #[test]
-    fn lazy_writes_share_runs_without_deep_copies() {
-        let (mut a, mut b) = two_ctxs(true);
-        // Two pages, several runs each.
-        a.write::<u64>(0, 1);
-        a.write::<u64>(64, 2);
-        a.write::<u64>(4096, 3);
-        let t = a.vc.clone();
-        a.end_slice();
-        a.vc.tick(0);
-
-        b.acquire(0, &t);
-        let published = b.shared.meta.snapshot_list(0);
-        assert_eq!(published.len(), 1);
-        // Every pending entry aliases the published slice's arena — the
-        // lazy path defers by Arc bump, not by copying run bytes — and one
-        // slice contributes exactly one group per touched page.
-        let queued_runs: usize = b
-            .pending
-            .values()
-            .flat_map(|groups| groups.iter().map(Runs::count))
-            .sum();
-        assert_eq!(queued_runs, published[0].mods.count());
-        for groups in b.pending.values() {
-            assert_eq!(groups.len(), 1, "one RunRange per (slice, page) group");
-            for (_, data) in groups.iter().flat_map(Runs::iter_runs) {
-                let mut arena = published[0].mods.iter_runs();
-                assert!(arena.any(|(_, d)| std::ptr::eq(d, data)));
-            }
-        }
-        assert_eq!(b.h.stats.lazy_protect_calls, b.pending.len() as u64);
-    }
-
-    #[test]
-    fn interleaved_page_runs_protect_each_page_exactly_once() {
-        use rfdet_mem::ModRun;
-        use rfdet_meta::{SliceRec, SliceRef};
-        let (a, mut b) = two_ctxs(true);
-        drop(a);
-        // A hand-built run list alternating between two pages — the shape
-        // the old `last_protected` single-cell dedupe re-protected on
-        // every alternation.
-        let mods = vec![
-            ModRun::new(0, vec![1].into()),
-            ModRun::new(4096, vec![2].into()),
-            ModRun::new(8, vec![3].into()),
-            ModRun::new(4104, vec![4].into()),
-            ModRun::new(16, vec![5].into()),
-        ];
-        let mut t = VClock::new();
-        t.tick(0);
-        let s: SliceRef = std::sync::Arc::new(SliceRec::new(0, 0, t, mods));
-        b.apply_slice(&s);
-        assert_eq!(
-            b.h.stats.lazy_protect_calls, 2,
-            "two distinct pages, two protection transitions"
-        );
-        // Alternation costs a group per switch, but a re-deposit on the
-        // still-pending pages adds no further protection calls.
-        b.apply_slice(&s);
-        assert_eq!(b.h.stats.lazy_protect_calls, 2);
-        assert_eq!(b.read::<u64>(0) & 0xFF, 1, "fault still applies runs");
-        assert_eq!(b.h.stats.page_faults, 1);
-    }
-
-    #[test]
-    fn lazy_writes_elide_superseded_values() {
-        let (mut a, mut b) = two_ctxs(true);
-        // Enough updates to the same location, one slice each, to push
-        // the pending queue past the overlay threshold (shallower queues
-        // apply sequentially and skip elision accounting by design).
-        let updates = 6u64;
-        for v in 1..=updates {
-            a.write::<u64>(64, v);
-            let t = a.vc.clone();
-            a.end_slice();
-            a.vc.tick(0);
-            a.begin_slice();
-            b.acquire(0, &t);
-        }
-        assert_eq!(b.read::<u64>(64), updates, "newest value wins");
-        // Byte-granularity diffing means each update is one changed byte;
-        // earlier ones are superseded before the fault applies them.
-        assert!(
-            b.h.stats.lazy_elided_bytes >= 1,
-            "superseded update bytes were never written (elided {})",
-            b.h.stats.lazy_elided_bytes
-        );
+        assert_eq!(&page[256..264], &[0x22; 8]);
     }
 
     #[test]
     fn conflicting_concurrent_writes_remote_wins_in_order() {
         // Two propagation sources applied in deposit order: the later one
         // overwrites — the deterministic "remote overwrites local" policy.
-        let (mut a, mut b) = two_ctxs(false);
+        let (mut a, mut b) = two_ctxs();
         a.write::<u64>(64, 5);
         let t = a.vc.clone();
         a.end_slice();

@@ -324,9 +324,6 @@ pub(crate) fn barrier_impl(ctx: &mut RfdetCtx, b: BarrierId, parties: usize) {
 
 pub(crate) fn spawn_impl(ctx: &mut RfdetCtx, f: ThreadFn) -> ThreadHandle {
     ctx.enter_op(SyncOp::Spawn);
-    // Lazy pending must be materialized before the child inherits the
-    // space, or the child would read stale bytes.
-    ctx.flush_pending();
     // Create is a release; the child inherits memory directly, no sync
     // var needed (§4.1).
     let lower = op_boundary(ctx);
@@ -471,16 +468,4 @@ pub(crate) fn exit_impl(ctx: &mut RfdetCtx) {
     ctx.h.stats.private_pages = ctx.space.materialized_pages() as u64;
     ctx.shared.run.retire(&mut ctx.h);
     ctx.shared.kendo.finish(&ctx.kendo);
-}
-
-impl RfdetCtx {
-    /// Applies every lazy-pending page (used before forking a child).
-    /// A runtime-initiated flush, not a program access: no fault is
-    /// charged (see [`RfdetCtx::drain_pending`]).
-    pub(crate) fn flush_pending(&mut self) {
-        let pages: Vec<usize> = self.pending.pages().collect();
-        for p in pages {
-            self.drain_pending(p);
-        }
-    }
 }

@@ -82,14 +82,11 @@ fn optimization_matrix() -> Vec<(RfdetBackend, RunConfig)> {
     let mut cfgs = Vec::new();
     for detect_races in [false, true] {
         for prelock in [false, true] {
-            for lazy in [false, true] {
-                for backend in [RfdetBackend::ci(), RfdetBackend::pf()] {
-                    let mut c = cfg(Some(5));
-                    c.detect_races = detect_races;
-                    c.rfdet.prelock = prelock;
-                    c.rfdet.lazy_writes = lazy;
-                    cfgs.push((backend, c));
-                }
+            for backend in [RfdetBackend::ci(), RfdetBackend::pf()] {
+                let mut c = cfg(Some(5));
+                c.detect_races = detect_races;
+                c.rfdet.prelock = prelock;
+                cfgs.push((backend, c));
             }
         }
     }
@@ -137,10 +134,9 @@ fn every_optimization_combination_gives_the_same_result() {
         assert_eq!(
             out.output,
             expected,
-            "wrong result with opts detect_races={} prelock={} lazy={} on {}",
+            "wrong result with opts detect_races={} prelock={} on {}",
             c.detect_races,
             c.rfdet.prelock,
-            c.rfdet.lazy_writes,
             backend.name()
         );
     }

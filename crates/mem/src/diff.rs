@@ -47,7 +47,7 @@ impl ModRun {
     ///
     /// Runs are never empty: diffing only materializes a run once it has
     /// found a differing byte.
-    /// Downstream code (per-page pending queues, `mod_bytes` accounting,
+    /// Downstream code (`mod_bytes` accounting,
     /// GC byte budgets) relies on that, so it is asserted here rather than
     /// documented away.
     #[must_use]
@@ -77,7 +77,7 @@ impl ModRun {
 }
 
 /// Runs read as `(first address, new bytes)` pairs: the one view that
-/// applying, lazy deferral and race detection read, whether the runs are
+/// applying and race detection read, whether the runs are
 /// boxed [`ModRun`]s or packed in a [`RunList`].
 pub trait Runs {
     /// Number of runs.
@@ -111,8 +111,8 @@ impl Runs for [ModRun] {
 const ENTRY: usize = 16;
 
 /// A sealed slice's runs in one allocation: the runs' bytes back to back,
-/// then one 16-byte entry per run. Its consumers (lazy-write queues,
-/// barrier merges, transitive propagation) share it by `Arc`.
+/// then one 16-byte entry per run. Its consumers (every acquiring
+/// thread, transitive propagation) share it by `Arc`.
 #[derive(Clone, Debug, Default)]
 pub struct RunList {
     buf: Arc<[u8]>,
@@ -189,53 +189,11 @@ impl RunBuilder {
     }
 }
 
-/// Runs `start..end` of a [`RunList`]: one `Arc` bump, however many runs.
-/// The lazy-writes pending queues hold one per (slice, page) group, so
-/// deferring a slice costs a pointer push per page touched and no copy.
-#[derive(Clone, Debug)]
-pub struct RunRange {
-    list: RunList,
-    start: u32,
-    end: u32,
-}
-
-impl RunRange {
-    /// A handle to runs `start..end` of `list`.
-    ///
-    /// # Panics
-    /// Panics if the range is empty or out of bounds for `list`.
-    #[must_use]
-    pub fn new(list: &RunList, start: usize, end: usize) -> Self {
-        let n = list.count();
-        assert!(
-            start < end && end <= n,
-            "RunRange {start}..{end} invalid for list of {n}"
-        );
-        Self {
-            list: list.clone(),
-            start: start as u32,
-            end: end as u32,
-        }
-    }
-}
-
-impl Runs for RunRange {
-    fn count(&self) -> usize {
-        (self.end - self.start) as usize
-    }
-
-    #[inline]
-    fn run(&self, i: usize) -> (Addr, &[u8]) {
-        assert!(i < self.count(), "run {i} beyond its group");
-        self.list.run(self.start as usize + i)
-    }
-}
-
 /// `runs` cut into page groups: maximal index ranges of consecutive runs
 /// lying wholly inside one page of `page_size` bytes (a power of two). A
 /// run crossing a page boundary (diffing, which works per page, never
-/// makes one) is a group of its own. The one grouping loop behind
-/// applying runs and depositing them lazily.
+/// makes one) is a group of its own. The grouping loop behind
+/// [`PrivateSpace::apply`](crate::PrivateSpace::apply).
 pub fn page_groups<R: Runs + ?Sized>(
     runs: &R,
     page_size: usize,
@@ -598,28 +556,6 @@ mod tests {
         diff_page(0, &old, &new, &mut a);
         diff_page_scalar(0, &old, &new, &mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn run_range_shares_a_group_without_copying() {
-        let list = RunList::pack(&sample());
-        let r = RunRange::new(&list, 0, 2);
-        assert_eq!((r.count(), r.byte_len()), (2, 3));
-        // One Arc bump covers the whole group; runs alias the arena.
-        assert_eq!(Arc::strong_count(&list.buf), 2);
-        assert!(std::ptr::eq(list.run(1).1, r.run(1).1));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid for list")]
-    fn run_range_rejects_empty_range() {
-        let _ = RunRange::new(&RunList::pack(&sample()), 1, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid for list")]
-    fn run_range_rejects_out_of_bounds() {
-        let _ = RunRange::new(&RunList::pack(&sample()[..1]), 0, 2);
     }
 
     #[cfg(debug_assertions)]

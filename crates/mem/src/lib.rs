@@ -21,15 +21,13 @@
 
 mod alloc;
 pub mod diff;
-mod overlay;
 mod page;
 pub mod race;
 mod snap;
 mod space;
 
 pub use alloc::{HeapState, StripAllocator, ThreadHeap, MAX_HEAP_THREADS};
-pub use diff::{page_groups, ModRun, RunBuilder, RunList, RunRange, Runs};
-pub use overlay::PageOverlay;
+pub use diff::{page_groups, ModRun, RunBuilder, RunList, Runs};
 pub use page::Page;
 pub use race::{RaceCollector, ReadRun, ReadTracker, SliceAccess, WORD_BYTES};
 pub use snap::{Recorded, SliceSnapshots};

@@ -19,8 +19,7 @@
 //! incoming interval, so "unordered" reduces to "the incoming clock has
 //! not propagated past the entry".
 //!
-//! Storage is page-indexed like the lazy-write pending table
-//! (`crates/mem/src/pending.rs` before it moved to overlays): a map from
+//! Storage is page-indexed: a map from
 //! page index to a dense per-word cell array, materialized only for pages
 //! that racy-candidate accesses actually touch.
 

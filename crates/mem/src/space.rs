@@ -270,37 +270,6 @@ impl PrivateSpace {
         self.apply(runs)
     }
 
-    /// Applies a merged lazy-write overlay to page `idx`: every occupied
-    /// byte span of `overlay` is copied into the page, everything else is
-    /// left untouched. This is the allocation-free lazy-fault apply path
-    /// (§4.5): the page is resolved (and, under COW sharing, copied) once,
-    /// and each modified byte is written exactly once with its newest
-    /// value. Returns the number of bytes written.
-    ///
-    /// # Panics
-    /// Panics if the overlay is not sized for this space's pages.
-    pub fn apply_overlay(&mut self, idx: usize, overlay: &crate::PageOverlay) -> u64 {
-        assert_eq!(
-            overlay.page_size(),
-            self.page_size,
-            "overlay/page size mismatch"
-        );
-        if overlay.is_empty() {
-            return 0;
-        }
-        let src = overlay.bytes();
-        let dst = self.ensure_page(idx).bytes_mut();
-        let mut applied: u64 = 0;
-        for w in overlay.occupied_words() {
-            for (first, end) in crate::bit_spans(overlay.words()[w]) {
-                let (s, e) = (w * 64 + first, w * 64 + end);
-                dst[s..e].copy_from_slice(&src[s..e]);
-                applied += (e - s) as u64;
-            }
-        }
-        applied
-    }
-
     #[inline]
     fn ensure_page(&mut self, idx: usize) -> &mut Page {
         if self.table[idx] == 0 {
@@ -474,75 +443,6 @@ mod tests {
         batched.read(0, &mut a);
         serial.read(0, &mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn apply_overlay_writes_only_occupied_spans() {
-        use crate::PageOverlay;
-        let mut s = space();
-        s.write(4096, &[0xEEu8; 4096]); // pre-existing page contents
-        let mut ov = PageOverlay::new();
-        ov.reset(4096);
-        ov.write(10, &[1, 2, 3]);
-        ov.write(60, &[7u8; 16]); // spans a bitmap word boundary
-        ov.write(4095, &[9]);
-        let applied = s.apply_overlay(1, &ov);
-        assert_eq!(applied, 20);
-        let p = s.page(1).unwrap().bytes();
-        assert_eq!(&p[10..13], &[1, 2, 3]);
-        assert_eq!(&p[60..76], &[7u8; 16]);
-        assert_eq!(p[4095], 9);
-        // Unoccupied bytes keep their old values — the overlay's stale
-        // buffer contents never leak through.
-        assert_eq!(p[9], 0xEE);
-        assert_eq!(p[13], 0xEE);
-        assert_eq!(p[76], 0xEE);
-    }
-
-    #[test]
-    fn apply_overlay_matches_serial_run_application() {
-        use crate::PageOverlay;
-        let runs = vec![
-            ModRun::new(3, vec![1, 1, 1, 1].into()),
-            ModRun::new(4, vec![2, 2].into()), // overlaps: newest wins
-            ModRun::new(64, vec![3].into()),
-            ModRun::new(100, vec![4u8; 200].into()),
-        ];
-        let mut serial = space();
-        for r in &runs {
-            serial.write(r.addr, &r.data);
-        }
-        let mut merged = space();
-        let mut ov = PageOverlay::new();
-        ov.reset(4096);
-        for r in &runs {
-            ov.write(r.addr as usize, &r.data);
-        }
-        merged.apply_overlay(0, &ov);
-        let (mut a, mut b) = (vec![0u8; 4096], vec![0u8; 4096]);
-        serial.read(0, &mut a);
-        merged.read(0, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn apply_overlay_empty_is_a_noop() {
-        use crate::PageOverlay;
-        let mut s = space();
-        let mut ov = PageOverlay::new();
-        ov.reset(4096);
-        assert_eq!(s.apply_overlay(2, &ov), 0);
-        assert_eq!(s.materialized_pages(), 0, "no page materialized");
-    }
-
-    #[test]
-    #[should_panic(expected = "overlay/page size mismatch")]
-    fn apply_overlay_rejects_wrong_size() {
-        use crate::PageOverlay;
-        let mut s = space();
-        let mut ov = PageOverlay::new();
-        ov.reset(128);
-        let _ = s.apply_overlay(0, &ov);
     }
 
     #[test]

@@ -16,9 +16,8 @@ pub struct SliceRec {
     /// Vector-clock timestamp taken at slice start.
     pub time: VClock,
     /// Ordered byte-granularity modifications computed by page diffing,
-    /// in one shared arena: every consumer of the slice — pending
-    /// lazy-write queues ([`rfdet_mem::RunRange`]), barrier merges,
-    /// transitive propagation — shares it instead of copying runs.
+    /// in one shared arena: every consumer of the slice — each acquiring
+    /// thread, transitive propagation — shares it instead of copying runs.
     pub mods: RunList,
     /// Word-granular read runs, recorded only when the run detects races
     /// (empty otherwise — read sets never influence propagation, they

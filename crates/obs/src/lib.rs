@@ -3,8 +3,8 @@
 //! The runtime's coarse `AtomicStats` counters can say *how many* slices
 //! ran, but not *where a slice spends its time* or what the p99
 //! `wait_for_turn` stall is — the questions the paper's own evaluation
-//! (Tables 1–2, the Fig. 9 scalability study, the prelock/lazy-writes
-//! ablations) is built on. This crate adds that introspection without
+//! (Tables 1–2, the Fig. 9 scalability study, the prelock ablation) is
+//! built on. This crate adds that introspection without
 //! perturbing determinism:
 //!
 //! * [`Histogram`] — log-bucketed (power-of-~1.25) latency histograms

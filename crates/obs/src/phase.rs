@@ -1,7 +1,7 @@
 //! The instrumented hot phases and their attribution metadata.
 
 /// Number of instrumented phases (length of [`Phase::ALL`]).
-pub const NUM_PHASES: usize = 13;
+pub const NUM_PHASES: usize = 12;
 
 /// What a phase's samples measure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,8 +44,7 @@ pub enum Phase {
     /// in a slice. RFDet-ci copies further lines of an already-open page
     /// untimed (counted in `Stats::snapshot_bytes_copied`).
     Snapshot,
-    /// Propagation / modification apply (Figure-5 scan, mailbox and
-    /// lazy-write application).
+    /// Propagation / modification apply (Figure-5 scan and mailbox).
     Propagation,
     /// Idle re-checks per blocking park — how often a parked thread's
     /// timed wait expired before its deterministic wakeup arrived.
@@ -56,11 +55,6 @@ pub enum Phase {
     /// Lockstep backends: one thread's diff applied during the serial
     /// phase.
     SerialApply,
-    /// Lazy-writes fault: merging and applying a page's pending runs on
-    /// first access (§4.5). High totals here mean deferral is paying its
-    /// saving back with interest — the inversion this phase was added to
-    /// diagnose.
-    LazyFault,
     /// Turn release and successor handoff: the turn holder's O(T) scan
     /// for the next minimal `(clock, tid)` plus the targeted unpark of
     /// the designated successor (Kendo handoff arbitration).
@@ -84,7 +78,6 @@ impl Phase {
         Phase::IdleWakeups,
         Phase::FenceWait,
         Phase::SerialApply,
-        Phase::LazyFault,
         Phase::Arbitration,
         Phase::Gc,
     ];
@@ -103,9 +96,8 @@ impl Phase {
             Phase::IdleWakeups => 7,
             Phase::FenceWait => 8,
             Phase::SerialApply => 9,
-            Phase::LazyFault => 10,
-            Phase::Arbitration => 11,
-            Phase::Gc => 12,
+            Phase::Arbitration => 10,
+            Phase::Gc => 11,
         }
     }
 
@@ -124,7 +116,6 @@ impl Phase {
             Phase::IdleWakeups => "idle_wakeups_count",
             Phase::FenceWait => "fence_wait_ns",
             Phase::SerialApply => "serial_apply_ns",
-            Phase::LazyFault => "lazy_fault_ns",
             Phase::Arbitration => "arbitration_ns",
             Phase::Gc => "gc_pass_ns",
         }
@@ -144,7 +135,6 @@ impl Phase {
             Phase::IdleWakeups => "Idle re-checks per blocking park",
             Phase::FenceWait => "Wait at the lockstep global fence",
             Phase::SerialApply => "Per-thread diff apply in the serial phase",
-            Phase::LazyFault => "Lazy-write pending apply on first access",
             Phase::Arbitration => "Turn release: successor scan and handoff",
             Phase::Gc => "Metadata GC pass: sweep and parked-thread nudge",
         }
@@ -173,7 +163,6 @@ impl Phase {
                 | Phase::Propagation
                 | Phase::FenceWait
                 | Phase::SerialApply
-                | Phase::LazyFault
                 | Phase::Arbitration
                 | Phase::Gc
         )

@@ -155,11 +155,12 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The config's three retired slots, each written with the value its
+/// The config's four retired slots, each written with the value its
 /// field last held and skipped on read, so the version-3 layout and
 /// every digest over it stay as they were: `monitor` (a byte, 1 iff the
 /// recording backend is RFDet-pf — the mode is the backend's now, so
-/// the name says it), `quantum_ticks` (CoreDet-q's quantum, now
+/// the name says it), `lazy_writes` (a byte, 0: every acquire applies
+/// what it propagates), `quantum_ticks` (CoreDet-q's quantum, now
 /// `rfdet_dthreads::QUANTUM_TICKS`) and `jitter_max_us` (now
 /// `rfdet_api::JITTER_MAX_US`).
 const QUANTUM_SLOT: u64 = 10_000;
@@ -173,7 +174,7 @@ pub(crate) fn write_config(w: &mut Writer, backend: &str, c: &TraceConfig) {
     w.u64(c.meta_max_slices);
     w.u8(u8::from(backend == "RFDet-pf"));
     w.boolean(c.prelock);
-    w.boolean(c.lazy_writes);
+    w.boolean(false);
     w.u32(c.fault_cost_spins);
     w.u64(QUANTUM_SLOT);
     w.u64(JITTER_SLOT);
@@ -188,8 +189,8 @@ pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<TraceConfig, TraceError>
         meta_max_slices: r.u64()?,
         // Skips the `monitor` byte first.
         prelock: r.take(1).and_then(|_| r.boolean())?,
-        lazy_writes: r.boolean()?,
-        fault_cost_spins: r.u32()?,
+        // Skips the `lazy_writes` byte first.
+        fault_cost_spins: r.take(1).and_then(|_| r.u32())?,
         // Skips the `QUANTUM_SLOT` and the `JITTER_SLOT` first.
         deadlock_after_ms: r.take(16).and_then(|_| r.opt_u64())?,
     })
@@ -510,5 +511,25 @@ mod tests {
             assert_eq!(RunTrace::decode(&trace.encode()), Ok(trace));
             assert_eq!(crate::Checkpoint::decode(&ckpt.encode()), Ok(ckpt));
         }
+    }
+
+    /// A version-3 trace recorded with lazy writes on carries a lazy byte
+    /// of 1. It still decodes, and re-encodes with the retired slot's 0.
+    #[test]
+    fn a_config_block_with_the_lazy_byte_set_decodes_and_reencodes_with_0() {
+        let t = sample();
+        let written = t.encode();
+        // Magic, version, the two strings and the seed precede the
+        // config; the lazy byte follows four u64s, monitor and prelock.
+        let lazy_at = 8 + 4 + t.backend.len() + 4 + t.workload.len() + 9 + 32 + 2;
+        assert_eq!(written[lazy_at], 0);
+        let mut lazy = written.clone();
+        lazy[lazy_at] = 1;
+        let body_len = lazy.len() - 8;
+        let sum = crate::digest::fnv1a(&lazy[..body_len]);
+        lazy[body_len..].copy_from_slice(&sum.to_le_bytes());
+        let decoded = RunTrace::decode(&lazy).expect("a lazy-run trace decodes");
+        assert_eq!(decoded, t);
+        assert_eq!(decoded.encode(), written);
     }
 }

@@ -173,7 +173,6 @@ pub struct TraceConfig {
     pub meta_capacity_bytes: u64,
     pub meta_max_slices: u64,
     pub prelock: bool,
-    pub lazy_writes: bool,
     pub fault_cost_spins: u32,
     pub deadlock_after_ms: Option<u64>,
 }
@@ -338,7 +337,6 @@ mod tests {
             meta_capacity_bytes: 4 << 20,
             meta_max_slices: 1024,
             prelock: true,
-            lazy_writes: false,
             fault_cost_spins: 0,
             deadlock_after_ms: Some(30_000),
         }

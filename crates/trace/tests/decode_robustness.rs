@@ -28,7 +28,6 @@ fn config() -> TraceConfig {
         meta_capacity_bytes: 1 << 16,
         meta_max_slices: 64,
         prelock: false,
-        lazy_writes: true,
         fault_cost_spins: 50,
         deadlock_after_ms: Some(2000),
     }

@@ -14,13 +14,13 @@ const PAGES: u64 = 4;
 /// Page stride (matches the default `RunConfig` page size).
 const PAGE_STRIDE: u64 = 4096;
 
-/// The §4.5 lazy-writes adversary: every slice dirties four pages
+/// The propagation adversary: every slice dirties four pages
 /// under one contended lock, so modification propagation dominates the
 /// run. Each worker owns one 8-byte cell per page (race-free), and the
 /// root emits a checksum over all cells so conformance digests compare.
 ///
 /// This is the workload behind the `rfdet/{t}t_propagate_heavy_*` bench
-/// cells and the eager-vs-lazy thread-scaling curve.
+/// cells and the propagate-heavy thread-scaling curve.
 #[must_use]
 pub fn propagate_heavy(p: Params) -> ThreadFn {
     let iters = match p.size {
