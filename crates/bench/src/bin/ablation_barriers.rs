@@ -10,23 +10,26 @@
 //! We measure (a) the wall time until the two lock threads are joined
 //! (the serialization the paper describes — visible even on one CPU,
 //! because in DThreads T1's *first* lock cannot complete before T2's
-//! exit) and (b) the structural counters.
+//! exit) and (b) the structural counters. The backends run interleaved
+//! in `--reps` rounds (`rfdet_bench::measure`); each time is the median
+//! over rounds, and lockers/total the median of the per-round shares.
 
 use parking_lot::Mutex;
-use rfdet_api::{DmtBackend, DmtCtx, DmtCtxExt, MutexId};
-use rfdet_bench::{bench_config, ms, render_table, BenchOpts};
+use rfdet_api::{DmtBackend, DmtCtx, DmtCtxExt, MutexId, RunConfig};
+use rfdet_bench::{measure, ms, ratios, render_table, show, BenchOpts};
 use rfdet_core::RfdetBackend;
 use rfdet_dthreads::{DthreadsBackend, QuantumBackend};
 use rfdet_native::NativeBackend;
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const LOCK_ITERS: u64 = 300;
 const COMPUTE_ITERS: u64 = 400_000_000;
 
-/// Builds the scenario root; stores the elapsed time until both lock
-/// threads were joined into `lockers_done`.
-fn scenario(lockers_done: Arc<Mutex<Option<Duration>>>, start: Instant) -> rfdet_api::ThreadFn {
+/// Builds the scenario root; appends the nanoseconds from `start` until
+/// both lock threads were joined to `lockers_done`.
+fn scenario(lockers_done: Arc<Mutex<Vec<f64>>>, start: Instant) -> rfdet_api::ThreadFn {
     Box::new(move |ctx: &mut dyn DmtCtx| {
         let m = MutexId(7);
         let t1 = ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
@@ -55,7 +58,7 @@ fn scenario(lockers_done: Arc<Mutex<Option<Duration>>>, start: Instant) -> rfdet
         }));
         ctx.join(t1);
         ctx.join(t3);
-        *lockers_done.lock() = Some(start.elapsed());
+        lockers_done.lock().push(start.elapsed().as_nanos() as f64);
         ctx.join(t2);
         let v: u64 = ctx.read(64);
         ctx.emit_str(&format!("locks={v}"));
@@ -64,9 +67,9 @@ fn scenario(lockers_done: Arc<Mutex<Option<Duration>>>, start: Instant) -> rfdet
 
 fn main() {
     rfdet_bench::exit_quietly_on_broken_pipe();
-    let _opts = BenchOpts::from_args();
+    let opts = BenchOpts::from_args();
     print!("{}", rfdet_bench::provenance());
-    let cfg = bench_config();
+    let cfg = RunConfig::default();
     let backends: Vec<Box<dyn DmtBackend>> = vec![
         Box::new(NativeBackend),
         Box::new(RfdetBackend::ci()),
@@ -75,40 +78,40 @@ fn main() {
     ];
     println!(
         "Barrier-cost ablation (paper §3.1): 2 lock threads ({LOCK_ITERS} \
-         acquisitions each) + 1 compute thread\n"
+         acquisitions each) + 1 compute thread, {} rounds;\n\
+         each cell the median over rounds [range]\n",
+        opts.reps
+    );
+    // Per backend: the lockers' time in every run, and the fence count.
+    let lockers: Vec<_> = backends.iter().map(|_| Arc::default()).collect();
+    let fences = RefCell::new(vec![0; backends.len()]);
+    let run = |i: usize| {
+        let (backend, cfg, lockers, fences) = (&backends[i], &cfg, &lockers[i], &fences);
+        move || {
+            let out = backend.run_expect(cfg, scenario(Arc::clone(lockers), Instant::now()));
+            assert_eq!(out.output, format!("locks={}", 2 * LOCK_ITERS).as_bytes());
+            fences.borrow_mut()[i] = out.stats.global_fences;
+        }
+    };
+    let totals = measure(
+        opts.reps,
+        Duration::ZERO,
+        &mut (0..backends.len()).map(run).collect::<Vec<_>>(),
     );
     let mut rows = Vec::new();
-    for b in &backends {
-        let done = Arc::new(Mutex::new(None));
-        let start = Instant::now();
-        let out = b.run_expect(&cfg, scenario(Arc::clone(&done), start));
-        let total = start.elapsed();
-        let lockers = done.lock().expect("scenario records locker time");
-        assert_eq!(out.output, format!("locks={}", 2 * LOCK_ITERS).as_bytes());
+    for (i, b) in backends.iter().enumerate() {
+        let lockers = &lockers[i].lock()[1..]; // the first run is the warm-up
+        let share = ratios(lockers, &totals.ns[i]);
         rows.push(vec![
             b.name(),
-            ms(lockers),
-            ms(total),
-            format!(
-                "{:.0}%",
-                100.0 * lockers.as_secs_f64() / total.as_secs_f64()
-            ),
-            out.stats.global_fences.to_string(),
+            show(lockers, ms),
+            show(&totals.ns[i], ms),
+            show(&share, |x| format!("{:.0}%", 100.0 * x)),
+            fences.borrow()[i].to_string(),
         ]);
     }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "backend",
-                "lockers done (ms)",
-                "total (ms)",
-                "lockers/total",
-                "global fences",
-            ],
-            &rows
-        )
-    );
+    let headers = "backend,lockers done (ms),total (ms),lockers/total,global fences";
+    println!("{}", render_table(headers, &rows));
     println!(
         "\nexpected shape: under RFDet the lock threads finish long before the\n\
          compute thread (small lockers/total, zero fences); under DThreads the\n\

@@ -1,17 +1,20 @@
 //! Emits the in-repo perf record (`BENCH_<N>.json`, schema
-//! `rfdet-bench-json/2`). Every timing cell and every wall-time budget
-//! is one row of [`table`]; the JSON, the `--enforce` gate and the
-//! `results/*_scaling.txt` curves are rendered from what those rows
-//! yield. Per-layer costs (vclock, kendo, meta, mem, one sync op) are
-//! timed by the `benchmark/` probes and not repeated here.
+//! `rfdet-bench-json/3`). Every timing cell and every wall-time budget
+//! is one row of [`table`], timed by `rfdet_bench::measure`; the JSON,
+//! the `--enforce` gate and the `results/*_scaling.txt` curves are
+//! rendered from what those rows yield. A cell's `ns_per_iter` is its
+//! median over rounds (the minimum of 12 under `/2`: the two do not
+//! compare by value); a budget reads its pair's median per-round ratio.
+//! Per-layer costs (vclock, kendo, meta, mem, one sync op) are timed by
+//! the `benchmark/` probes and not repeated here.
 //!
 //! Usage: `bench_json [--out PATH] [--quick] [--enforce]`. `--quick`
-//! shrinks the measurement target so CI can smoke-test the emission path
-//! in seconds: plumbing numbers, not comparisons. `--enforce` exits 1
-//! when a budget reads `FAIL`.
+//! shrinks the target and the rounds so CI can smoke-test the emission
+//! path in seconds: plumbing numbers, not comparisons. `--enforce` exits
+//! 1 when a budget reads `FAIL`.
 
 use rfdet_api::{AtomicOp, DmtBackend, DmtCtx, FaultPlan, MutexId, RunConfig, ThreadFn};
-use rfdet_bench::render_table;
+use rfdet_bench::{measure, quartiles, ratios, render_table, Rounds};
 use rfdet_core::RfdetBackend;
 use rfdet_mem::{diff, Page, PrivateSpace, RunBuilder, SliceSnapshots};
 use rfdet_meta::{MetaSpace, SliceRec, SliceRef};
@@ -19,49 +22,19 @@ use rfdet_vclock::VClock;
 use rfdet_workloads::{by_name, service, Params, Size};
 use std::cell::RefCell;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Thread counts of the scaling curves (the paper's Figure-6 axis).
 const THREADS: [usize; 4] = [2, 4, 8, 16];
 
-/// The one timing loop: alternates the two closures *per iteration*
-/// (a, b, a, b, …) and returns each side's *minimum* mean time over
-/// twelve rounds, plus the per-side iteration count. Timing the sides in
-/// separate blocks lets slow drift (thermal state, a background compile)
-/// land on one side and masquerade as overhead; alternation bounds the
-/// exposure difference to one iteration. Twelve rounds because what is
-/// read off a pair is a *ratio* of two minima and single rounds still
-/// swing 10-40 %. A single cell is a pair whose `b` is its untimed
-/// set-up.
-fn measure_ab(target: Duration, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64, u64) {
-    const ROUNDS: u128 = 12;
-    a();
-    b(); // warm both paths
-    let probe = Instant::now();
-    a();
-    b();
-    let per_pair = probe.elapsed().as_nanos().max(1);
-    let per_round = (target.as_nanos() / ROUNDS / per_pair).clamp(1, 1 << 20);
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..ROUNDS {
-        let (mut tot_a, mut tot_b) = (0u128, 0u128);
-        for _ in 0..per_round {
-            let start = Instant::now();
-            a();
-            tot_a += start.elapsed().as_nanos();
-            let start = Instant::now();
-            b();
-            tot_b += start.elapsed().as_nanos();
-        }
-        best_a = best_a.min(tot_a as f64 / per_round as f64);
-        best_b = best_b.min(tot_b as f64 / per_round as f64);
-    }
-    (best_a, best_b, (ROUNDS * per_round) as u64)
-}
+/// Rounds of a cell or a curve. A row whose one pass outlasts its share
+/// of the target runs one iteration per round, so this is its cost.
+const ROUNDS: u32 = 12;
 
 struct Cell {
     id: String,
-    ns: f64,
+    /// Mean ns per iteration, one per round, over `iters` iterations.
+    ns: Vec<f64>,
     iters: u64,
 }
 
@@ -89,6 +62,8 @@ struct Bench {
     dry: bool,
     cells: Vec<Cell>,
     budgets: Vec<Budget>,
+    /// The ungated A/A pair's ratio: the estimator's own resolution.
+    null: Option<(String, [f64; 3])>,
 }
 
 impl Bench {
@@ -100,80 +75,78 @@ impl Bench {
             dry,
             cells: Vec::new(),
             budgets: Vec::new(),
+            null: None,
         }
     }
 
-    fn push(&mut self, id: &str, (ns, iters): (f64, u64)) -> String {
-        let id = id.to_owned();
-        self.cells.push(Cell {
-            id: id.clone(),
-            ns,
-            iters,
-        });
-        id
+    /// Keeps each arm of `rounds` as a cell, id for id; returns the ids.
+    fn keep<const N: usize>(&mut self, ids: [String; N], rounds: Rounds) -> [String; N] {
+        for (id, ns) in ids.iter().cloned().zip(rounds.ns) {
+            let iters = rounds.iters * ns.len() as u64;
+            self.cells.push(Cell { id, ns, iters });
+        }
+        ids
     }
 
-    /// [`measure_ab`], or 1000 ns a side when walking the table dry.
-    fn time(&self, target_x: u32, a: impl FnMut(), b: impl FnMut()) -> (f64, f64, u64) {
+    /// [`measure`] at `target_x` times the target (0: one iteration a
+    /// round), two rounds in quick mode, or one round of 1000 ns an arm
+    /// when walking the table dry.
+    fn time<F: FnMut()>(&self, rounds: u32, target_x: u32, arms: &mut [F]) -> Rounds {
         if self.dry {
-            return (1000.0, 1000.0, 1);
+            let (ns, iters) = (vec![vec![1000.0]; arms.len()], 1);
+            return Rounds { ns, iters };
         }
-        measure_ab(self.target * target_x, a, b)
+        let rounds = if self.quick { 2 } else { rounds };
+        measure(rounds, self.target * target_x, arms)
     }
 
-    /// Single-cell row `{id, closure}`.
-    fn cell(&mut self, id: &str, f: impl FnMut()) {
-        self.cell_after(id, || {}, f);
-    }
-
-    /// A single cell whose `setup` runs untimed before each `f`.
-    fn cell_after(&mut self, id: &str, setup: impl FnMut(), f: impl FnMut()) {
-        let (ns, _, iters) = self.time(1, f, setup);
-        self.push(id, (ns, iters));
+    /// Cells timed together, one per arm in `ids` order, at the target
+    /// times the arm count: each arm gets what it would alone.
+    fn cells<const N: usize, F: FnMut()>(&mut self, ids: [String; N], mut arms: [F; N]) {
+        let rounds = self.time(ROUNDS, N as u32, &mut arms);
+        self.keep(ids, rounds);
     }
 
     /// Paired A/B row: `workload` at `threads` on RFDet-ci under two
-    /// configs, each named by the suffix of the cell it yields.
-    /// `target_x` multiplies the measurement target: a ratio that gates
-    /// needs more iterations per round than a curve point. Returns the
-    /// two cell ids, for [`Self::gate`].
+    /// configs, each named by the suffix of the cell it yields, one run a
+    /// side in each of `rounds` rounds, so a gate reads the median of
+    /// per-pass ratios. Returns the two cell ids, for [`Self::gate`].
     fn ab(
         &mut self,
         workload: &str,
         threads: usize,
         [a, b]: [(&str, RunConfig); 2],
-        target_x: u32,
+        rounds: u32,
     ) -> [String; 2] {
-        let side = |cfg: &RunConfig| run_ci(cfg, root(workload, threads, Size::Bench));
-        let (a_ns, b_ns, iters) = self.time(target_x, || side(&a.1), || side(&b.1));
-        let id = |side: &str| format!("rfdet/{threads}t_{workload}_{side}");
-        [
-            self.push(&id(a.0), (a_ns, iters)),
-            self.push(&id(b.0), (b_ns, iters)),
-        ]
+        let mut sides =
+            [&a.1, &b.1].map(|cfg| move || run_ci(cfg, root(workload, threads, Size::Bench)));
+        let rounds = self.time(rounds, 0, &mut sides);
+        let ids = [a.0, b.0].map(|side| format!("rfdet/{threads}t_{workload}_{side}"));
+        self.keep(ids, rounds)
     }
 
-    /// A cell pair that needs its own code: `run(quick)` returns
-    /// (ns, iterations) per id.
-    fn bespoke(&mut self, ids: [&str; 2], run: fn(bool) -> [(f64, u64); 2]) -> [String; 2] {
-        let timed = if self.dry {
-            [(1000.0, 1); 2]
-        } else {
-            run(self.quick)
+    /// A cell pair that needs its own code: `run(quick)` returns the two
+    /// arms' rounds, id for id.
+    fn bespoke(&mut self, ids: [&str; 2], run: fn(bool) -> Rounds) -> [String; 2] {
+        let rounds = match self.dry {
+            true => self.time(1, 1, &mut [|| {}, || {}]),
+            false => run(self.quick),
         };
-        [self.push(ids[0], timed[0]), self.push(ids[1], timed[1])]
+        self.keep(ids.map(String::from), rounds)
     }
 
-    fn ns(&self, id: &str) -> f64 {
+    /// A cell's round means; one NaN when no row yields the cell.
+    fn series(&self, id: &str) -> &[f64] {
         let cell = self.cells.iter().find(|c| c.id == id);
-        cell.map_or(f64::NAN, |c| c.ns)
+        cell.map_or(&[f64::NAN], |c| &c.ns)
     }
 
-    /// Budget row: `num / den` over two cell ids, minus one when
-    /// `overhead`, against `limit`. This is the only place a limit is
-    /// stated, and `--enforce` reads every row it leaves.
+    /// Budget row: the median of `num / den` over the pair's rounds,
+    /// minus one when `overhead`, against `limit`. This is the only place
+    /// a limit is stated, and `--enforce` reads every row it leaves.
     fn gate(&mut self, id: &str, [num, den]: &[String; 2], overhead: bool, limit: Limit) {
-        let value = self.ns(num) / self.ns(den) - if overhead { 1.0 } else { 0.0 };
+        let ratio = quartiles(&ratios(self.series(num), self.series(den)))[1];
+        let value = ratio - if overhead { 1.0 } else { 0.0 };
         // A NaN — a cell that never got measured — fails `<=`, as it should.
         let verdict = |max: f64| if value <= max { "ok" } else { "FAIL" }.to_owned();
         let (limit, status) = match limit {
@@ -225,21 +198,21 @@ fn table(b: &mut Bench) {
         frag[i..i + 8].copy_from_slice(&[7u8; 8]);
     }
     type Kernel = fn(u64, &[u8], &[u8], &mut Vec<rfdet_mem::ModRun>);
-    let kernels: [(&str, Kernel); 2] = [
-        ("diff/page_fragmented", diff::diff_page),
-        ("diff/page_fragmented_scalar", diff::diff_page_scalar),
-    ];
-    for (id, kernel) in kernels {
-        b.cell(id, || {
+    let kernel = |kernel: Kernel| {
+        let (snapshot, frag) = (&snapshot, &frag);
+        move || {
             let mut out = Vec::new();
-            kernel(0, black_box(&snapshot), black_box(&frag), &mut out);
+            kernel(0, black_box(snapshot), black_box(frag), &mut out);
             black_box(out);
-        });
-    }
+        }
+    };
+    let ids = ["diff/page_fragmented", "diff/page_fragmented_scalar"].map(String::from);
+    let arms = [kernel(diff::diff_page), kernel(diff::diff_page_scalar)];
+    b.cells(ids, arms);
 
     // The dirty-line path in `page-sparse`'s slice shape: one 8-byte
-    // store into each of 128 pages, then the seal. Each cell times one
-    // half of a slice with the other half as its set-up.
+    // store into each of 128 pages, then the seal. The two arms alternate,
+    // each the other's set-up.
     let slice = RefCell::new((
         PrivateSpace::new(1 << 20, 4096),
         SliceSnapshots::new(256, 4096, 256),
@@ -249,9 +222,9 @@ fn table(b: &mut Bench) {
     for p in 0..SLICE_PAGES {
         slice.borrow_mut().0.write(p * 4096, &[1u8; 4096]);
     }
-    let (store, seal) = (|| store_slice(&slice), || seal_slice(&slice));
-    b.cell_after("snap/first_store_line", seal, store);
-    b.cell_after("slice/seal_128_sparse_pages", store, seal);
+    let ids = ["snap/first_store_line", "slice/seal_128_sparse_pages"].map(String::from);
+    let (mut store, mut seal) = (|| store_slice(&slice), || seal_slice(&slice));
+    b.cells(ids, [&mut store as &mut dyn FnMut(), &mut seal]);
 
     // Filtering a 1000-slice list by two-component clocks (the Figure-5
     // loop body); the `benchmark/` probe times only the cursor scan.
@@ -264,9 +237,10 @@ fn table(b: &mut Bench) {
     let upper = VClock::from_components(vec![800, 400]);
     let lower = VClock::from_components(vec![300, 150]);
     let in_window = |s: &&SliceRef| s.time.leq(&upper) && !s.time.leq(&lower);
-    b.cell("meta/propagation_filter_1000", || {
+    let filter = || {
         black_box(meta.snapshot_list(0).iter().filter(in_window).count());
-    });
+    };
+    b.cells(["meta/propagation_filter_1000".into()], [filter]);
 
     // De-contention: 4 threads × 250 ops on the sync hot path. Distinct
     // objects isolate the runtime's own shared structures (sync-var
@@ -278,7 +252,7 @@ fn table(b: &mut Bench) {
         ("rfdet/4t_locks_distinct_mutexes", hammer_mutex, false),
         ("rfdet/4t_locks_shared_mutex", hammer_mutex, true),
     ];
-    for (id, body, shared) in contended {
+    let arms = contended.map(|(_, body, shared)| {
         let root = move |ctx: &mut dyn DmtCtx| {
             let hs: Vec<_> = (0..4)
                 .map(|i| if shared { 0 } else { i })
@@ -288,15 +262,23 @@ fn table(b: &mut Bench) {
                 ctx.join(h);
             }
         };
-        b.cell(id, || run_ci(&plain, Box::new(root)));
-    }
+        let plain = &plain;
+        move || run_ci(plain, Box::new(root))
+    });
+    b.cells(contended.map(|(id, ..)| id.to_owned()), arms);
 
-    // The propagate-heavy thread-scaling curve. The ids keep their
-    // `_eager` suffix so the cells join the earlier records by id.
-    for t in THREADS {
-        let run = || run_ci(&plain, root("propagate_heavy", t, Size::Bench));
-        b.cell(&format!("rfdet/{t}t_propagate_heavy_eager"), run);
-    }
+    // Thread-scaling curves, each one row: the threads interleave. Quick
+    // mode runs test scale.
+    let size = if b.quick { Size::Test } else { Size::Bench };
+    let curve = |b: &mut Bench, cell: &str, cfg: &RunConfig, workload: &str| {
+        let ids = THREADS.map(|t| format!("rfdet/{t}t_{cell}"));
+        let arms = THREADS.map(|t| move || run_ci(cfg, root(workload, t, size)));
+        b.cells(ids.clone(), arms);
+        ids
+    };
+    // The propagate-heavy curve. The ids keep their `_eager` suffix so
+    // the cells join the earlier records by id.
+    curve(b, "propagate_heavy_eager", &plain, "propagate_heavy");
 
     // Turn-arbitration scaling on the sync-heavy adversary. Doubling the
     // threads doubles the turn count, so the ideal 16t/8t ratio is 2.0;
@@ -304,29 +286,25 @@ fn table(b: &mut Bench) {
     // that handoff replaced read above 4. On 2 CPUs the 16-thread run is
     // 8x oversubscribed and reads 3.3-4.2 (EXPERIMENTS.md "Host
     // caveats"), so the ceiling is judged only where it was calibrated.
-    let id = |t: usize| format!("rfdet/{t}t_sync_heavy_handoff");
-    for t in THREADS {
-        let run = || run_ci(&plain, root("sync_heavy", t, Size::Bench));
-        b.cell(&id(t), run);
-    }
-    let guard = Limit::MaxOnCpus(3.5, 1);
-    b.gate("scaling_guard", &[id(16), id(8)], false, guard);
+    let [_, _, t8, t16] = curve(b, "sync_heavy_handoff", &plain, "sync_heavy");
+    b.gate("scaling_guard", &[t16, t8], false, Limit::MaxOnCpus(3.5, 1));
 
     // Observer A/Bs on 4-thread propagate-heavy, the worst case for each
-    // (its whole runtime is the machinery they instrument). ×6: at ×2
-    // the ratio still swings ±3 % run to run, wider than these limits.
+    // (its whole runtime is the machinery they instrument). 720 rounds:
+    // on 2 CPUs a per-pass ratio swings ±15 %, and at 360 the median of
+    // `trace_overhead` (≈ 0.034) read 0.024–0.076 over ten runs.
     let traced = cfg(|c| c.trace = Some("bench.propagate_heavy".to_owned()));
     let sides = [("traced", traced), ("untraced", plain.clone())];
-    let pair = b.ab("propagate_heavy", 4, sides, 6);
+    let pair = b.ab("propagate_heavy", 4, sides, 720);
     b.gate("trace_overhead", &pair, true, Limit::Max(0.05));
     let detect = cfg(|c| c.detect_races = true);
     let sides = [("detect", detect), ("nodetect", plain.clone())];
-    let pair = b.ab("propagate_heavy", 4, sides, 6);
+    let pair = b.ab("propagate_heavy", 4, sides, 720);
     b.gate("race_detector_overhead", &pair, true, Limit::Max(0.10));
     // Metrics cost is ~2 clock reads per sample, so it scales with the
     // sample count, not the work: the gated pair is a real application
-    // (×12: a run is ~20 ms, and fewer iterations per round left the
-    // minimum unstable); the microbench is the ungated worst case.
+    // (at 360 rounds it read 0.041–0.075 over ten runs); the microbench
+    // is the ungated worst case.
     // The limit is what this estimator can resolve, re-based in PR 18
     // from 20 null A/Bs of this very pair (metrics off on both sides:
     // −3.7 … +4.5 %) around the ≈ 3 % the layer reads here in the
@@ -334,11 +312,17 @@ fn table(b: &mut Bench) {
     // EXPERIMENTS.md "Access fast path" has the readings.
     let big = |metrics| cfg(|c| (c.space_bytes, c.metrics) = (64 << 20, metrics));
     let sides = [("metered", big(true)), ("unmetered", big(false))];
-    let pair = b.ab("wordcount", 4, sides, 12);
+    let pair = b.ab("wordcount", 4, sides, 720);
     b.gate("metrics_overhead", &pair, true, Limit::Max(0.075));
     let metered = cfg(|c| c.metrics = true);
-    let sides = [("metered", metered), ("unmetered", plain)];
-    b.ab("propagate_heavy", 4, sides, 2);
+    let sides = [("metered", metered), ("unmetered", plain.clone())];
+    b.ab("propagate_heavy", 4, sides, 120);
+    // The null pair: the same config on both sides, timed like the gated
+    // pairs, so the estimator's own resolution sits beside their limits.
+    let sides = [("plain_a", plain.clone()), ("plain_b", plain.clone())];
+    let pair = b.ab("propagate_heavy", 4, sides, 720);
+    let null = quartiles(&ratios(b.series(&pair[0]), b.series(&pair[1])));
+    b.null = Some(("rfdet/4t_propagate_heavy_null".into(), null));
 
     // Sharded replay (§4.11) may cost at most 15 % over serial even
     // where shards cannot overlap; checkpoint recovery (§4.12) must beat
@@ -352,13 +336,8 @@ fn table(b: &mut Bench) {
 
     // Service throughput (§4.12): the replicated ledger; bench scale is
     // ≥ 1M requests per run (`service::requests_per_run`, pinned by a
-    // unit test there), quick mode runs test scale.
-    let size = if b.quick { Size::Test } else { Size::Bench };
-    let service = service_cfg();
-    for t in THREADS {
-        let run = || run_ci(&service, root("service.ledger", t, size));
-        b.cell(&format!("rfdet/{t}t_service_ledger"), run);
-    }
+    // unit test there).
+    curve(b, "service_ledger", &service_cfg(), "service.ledger");
 }
 
 const SLICE_PAGES: u64 = 128;
@@ -407,14 +386,14 @@ fn service_cfg() -> RunConfig {
 /// Records a checkpointed `chaos.long_haul` run in memory, then replays
 /// it serially and as parallel per-window shards through
 /// `rfdet_core::replay_chain`, which verifies every checkpoint (and the
-/// tail's output) bit-identical to the recording. Best of `reps` passes
-/// each, as single-shot run times on a shared host swing with scheduler
-/// luck; quick mode runs one test-scale pass.
-fn sharded_replay_ab(quick: bool) -> [(f64, u64); 2] {
-    let (name, every, reps) = if quick {
-        ("chaos.long_haul", 4, 1)
+/// tail's output) bit-identical to the recording. Each call is one round
+/// of both arms, in the order `replay_chain` runs them; quick mode runs
+/// test scale.
+fn sharded_replay_ab(quick: bool) -> Rounds {
+    let (name, every) = if quick {
+        ("chaos.long_haul", 4)
     } else {
-        ("chaos.long_haul.bench", 24, 3)
+        ("chaos.long_haul.bench", 24)
     };
     let params = Params::new(3, Size::Test);
     let root = || (by_name(name).expect("registered").factory)(params);
@@ -429,21 +408,25 @@ fn sharded_replay_ab(quick: bool) -> [(f64, u64); 2] {
     let chain = recording.checkpoints;
     assert!(!chain.is_empty(), "long_haul checkpoints at this cadence");
 
-    let (mut sharded_ns, mut serial_ns) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
+    // Three cells' worth of rounds: this ratio swings ±0.1 round to
+    // round, and it gates at 1.15.
+    let mut ns = vec![Vec::new(), Vec::new()];
+    for _ in 0..3 * ROUNDS {
         let replay = rfdet_core::replay_chain(&backend, &cfg, &chain, &root, &*bodies, 4)
             .unwrap_or_else(|d| panic!("{d}"));
-        serial_ns = serial_ns.min(replay.serial.as_nanos() as f64);
-        sharded_ns = sharded_ns.min(replay.sharded.as_nanos() as f64);
+        ns[0].push(replay.sharded.as_nanos() as f64);
+        ns[1].push(replay.serial.as_nanos() as f64);
     }
-    [(sharded_ns, reps), (serial_ns, reps)]
+    Rounds { ns, iters: 1 }
 }
 
-/// Kills worker 2 of the 4-worker ledger in the last request round,
-/// restores the newest checkpoint and replays the tail; times that
-/// recovery against the full unfaulted run. Cadence scales with the
-/// round count so the chain stays ~8 checkpoints deep at any scale.
-fn failover_ab(quick: bool) -> [(f64, u64); 2] {
+/// Kills worker 2 of the 4-worker ledger in the last request round and
+/// checks that `rfdet_core::run_failover` converges; then times the
+/// recovery step from that crash (`rfdet_core::recover`: restore the
+/// newest checkpoint, replay the tail) against the full unfaulted run.
+/// Cadence scales with the round count so the chain stays ~8
+/// checkpoints deep at any scale.
+fn failover_ab(quick: bool) -> Rounds {
     let workers = 4;
     let params = Params::new(workers, if quick { Size::Test } else { Size::Bench });
     let rounds = service::request_rounds_per_run(workers, params.size);
@@ -452,13 +435,23 @@ fn failover_ab(quick: bool) -> [(f64, u64); 2] {
     let mut cfg = service_cfg();
     cfg.checkpoint_every = (rounds / 8).max(2);
     cfg.trace = Some(format!("service.ledger@{workers}"));
+    let unfaulted = cfg.clone();
     cfg.fault_plan = FaultPlan::new().panic_at(2, crash_op);
     let bodies = service::ledger_resume(params);
     let root = move || service::ledger(params);
-    let report = rfdet_core::run_failover(&RfdetBackend::ci(), &cfg, &root, &*bodies);
+    let backend = RfdetBackend::ci();
+    let report = rfdet_core::run_failover(&backend, &cfg, &root, &*bodies);
     assert!(report.crash.is_some(), "the injected fault must fire");
     assert!(report.converged, "recovery must match the reference");
-    [(report.recovery_ms * 1e6, 1), (report.full_run_ms * 1e6, 1)]
+    let crashed = backend.run_traced(&cfg, root());
+    let mut recovery = || {
+        drop(rfdet_core::recover(
+            &backend, &cfg, &crashed, &root, &*bodies,
+        ))
+    };
+    let mut full_run = || drop(backend.run_traced(&unfaulted, root()));
+    let mut arms: [&mut dyn FnMut(); 2] = [&mut recovery, &mut full_run];
+    measure(ROUNDS, Duration::ZERO, &mut arms)
 }
 
 /// JSON has no NaN or infinity.
@@ -476,10 +469,13 @@ fn json_block(name: &str, [open, close]: [char; 2], lines: &[String]) -> String 
 }
 
 fn render_json(b: &Bench, counters: &str) -> String {
+    let json3 = |q: [f64; 3], decimals| q.map(|x| json_num(x, decimals));
     let cell = |c: &Cell| {
-        let ns = json_num(c.ns, 1);
-        let (id, iters) = (&c.id, c.iters);
-        format!(r#"{{"id": "{id}", "ns_per_iter": {ns}, "iters": {iters}}}"#)
+        let [q1, ns, q3] = json3(quartiles(&c.ns), 1);
+        let (id, rounds, iters) = (&c.id, c.ns.len(), c.iters);
+        format!(
+            r#"{{"id": "{id}", "ns_per_iter": {ns}, "q1": {q1}, "q3": {q3}, "rounds": {rounds}, "iters": {iters}}}"#
+        )
     };
     let budget = |g: &Budget| {
         let value = json_num(g.value, 4);
@@ -488,8 +484,12 @@ fn render_json(b: &Bench, counters: &str) -> String {
     };
     let cells: Vec<String> = b.cells.iter().map(cell).collect();
     let budgets: Vec<String> = b.budgets.iter().map(budget).collect();
+    let null = b.null.as_ref().map_or(String::new(), |(id, s)| {
+        let [q1, median, q3] = json3(*s, 4);
+        format!("  \"null_pair\": {{\"id\": \"{id}\", \"median\": {median}, \"q1\": {q1}, \"q3\": {q3}}},\n")
+    });
     format!(
-        "{{\n  \"schema\": \"rfdet-bench-json/2\",\n  \"quick\": {},\n  \"host_cpus\": {},\n{},\n{},\n{counters}\n}}\n",
+        "{{\n  \"schema\": \"rfdet-bench-json/3\",\n  \"quick\": {},\n  \"host_cpus\": {},\n{},\n{},\n{null}{counters}\n}}\n",
         b.quick,
         b.host_cpus,
         json_block("cells", ['[', ']'], &cells),
@@ -509,53 +509,47 @@ fn counters() -> String {
         ("snapshot_pool_hits", s.snapshot_pool_hits),
         ("snapshot_pool_misses", s.snapshot_pool_misses),
     ];
-    let lines: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect();
-    json_block("counters", ['{', '}'], &lines)
+    json_block(
+        "counters",
+        ['{', '}'],
+        &fields.map(|(k, v)| format!("\"{k}\": {v}")),
+    )
 }
 
 /// The two human-readable scaling curves for `results/`.
 fn write_curves(b: &Bench) {
-    let ns = |t: usize, cell: &str| b.ns(&format!("rfdet/{t}t_{cell}"));
-    let (mut propagate_rows, mut sync_rows) = (Vec::new(), Vec::new());
-    for t in THREADS {
-        propagate_rows.push(vec![
-            t.to_string(),
-            format!("{:.0}", ns(t, "propagate_heavy_eager")),
-        ]);
-        sync_rows.push(vec![
-            t.to_string(),
-            format!("{:.0}", ns(t, "sync_heavy_handoff")),
-        ]);
-    }
-    let propagate_table = render_table(&["threads", "eager_ns"], &propagate_rows);
-    let sync_table = render_table(&["threads", "handoff_ns"], &sync_rows);
-    let curves = [
-        (
-            "results/thread_scaling.txt",
-            "propagate-heavy thread scaling (RFDet-ci)",
-            propagate_table,
-        ),
-        (
-            "results/sync_heavy_scaling.txt",
-            "sync-heavy thread scaling: successor handoff (RFDet-ci)",
-            sync_table,
-        ),
-    ];
-    let quick = if b.quick {
-        " [QUICK MODE: plumbing numbers, not comparisons]"
-    } else {
-        ""
-    };
+    let quick = ["", " [QUICK MODE: plumbing numbers, not comparisons]"][usize::from(b.quick)];
     let note = format!(
-        "min-over-rounds ns per run, host_cpus = {}{quick}",
+        "median-over-rounds ns per run, host_cpus = {}{quick}",
         b.host_cpus
     );
-    for (path, title, table) in curves {
-        let text = format!("{title}\n{note}\n{table}");
-        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, text)) {
+    let curves = [
+        (
+            "thread",
+            "propagate-heavy thread scaling",
+            "propagate_heavy_eager",
+        ),
+        (
+            "sync_heavy",
+            "sync-heavy thread scaling: successor handoff",
+            "sync_heavy_handoff",
+        ),
+    ];
+    for (file, title, cell) in curves {
+        let row = |t: usize| {
+            vec![
+                t.to_string(),
+                format!(
+                    "{:.0}",
+                    quartiles(b.series(&format!("rfdet/{t}t_{cell}")))[1]
+                ),
+            ]
+        };
+        let column = cell.rsplit('_').next().expect("a suffix").to_owned() + "_ns";
+        let table = render_table(&format!("threads,{column}"), &THREADS.map(row));
+        let path = format!("results/{file}_scaling.txt");
+        let text = format!("{title} (RFDet-ci)\n{note}\n{table}");
+        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, text)) {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => eprintln!("skipping {path}: {e}"),
         }
@@ -596,6 +590,9 @@ fn main() {
         let (status, id, value, limit) = (&g.status, &g.id, g.value, g.limit);
         eprintln!("budget {status}: {id} = {value:.4} (limit {limit})");
     }
+    if let Some((id, [q1, median, q3])) = &bench.null {
+        eprintln!("null pair (ungated): {id} = {median:.4} (quartiles {q1:.4} … {q3:.4})");
+    }
     if enforce && bench.budgets.iter().any(breached) {
         eprintln!("--enforce: budget breach, failing");
         std::process::exit(1);
@@ -633,9 +630,12 @@ mod tests {
     fn a_breach_and_a_nan_fail_the_gate_and_a_skipped_row_does_not() {
         let judge = |host_cpus: usize, num: Option<f64>| {
             let mut b = Bench::new(true, host_cpus, true);
-            b.push("d", (1000.0, 1));
+            let dry = b.time(1, 1, &mut [|| {}]);
+            b.keep(["d".into()], dry.clone());
             if let Some(ns) = num {
-                b.push("n", (ns, 1));
+                let mut n = dry;
+                n.ns[0][0] = ns;
+                b.keep(["n".into()], n);
             }
             let pair = ["n", "d"].map(str::to_owned);
             b.gate("guard", &pair, false, Limit::MaxOnCpus(3.5, 1));

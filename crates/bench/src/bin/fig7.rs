@@ -10,8 +10,8 @@
 //! machine-independent structural counters: global fences (RFDet: always
 //! zero) and serial commits.
 
-use rfdet_api::DmtBackend;
-use rfdet_bench::{bench_config, geomean, ms, render_table, time_workload, BenchOpts};
+use rfdet_api::{DmtBackend, RunConfig};
+use rfdet_bench::{geomean, ms, quartiles, ratios, render_table, show, time_runs, Arm, BenchOpts};
 use rfdet_core::RfdetBackend;
 use rfdet_dthreads::{DthreadsBackend, QuantumBackend};
 use rfdet_native::NativeBackend;
@@ -21,7 +21,7 @@ fn main() {
     rfdet_bench::exit_quietly_on_broken_pipe();
     let opts = BenchOpts::from_args();
     print!("{}", rfdet_bench::provenance());
-    let cfg = bench_config();
+    let cfg = RunConfig::default();
     let backends: Vec<Box<dyn DmtBackend>> = vec![
         Box::new(RfdetBackend::ci()),
         Box::new(RfdetBackend::pf()),
@@ -29,58 +29,44 @@ fn main() {
         Box::new(QuantumBackend),
     ];
     println!(
-        "Figure 7: normalized execution time vs pthreads ({} threads, {} reps, {:?} inputs)\n",
+        "Figure 7: normalized execution time vs pthreads ({} threads, {} rounds, {:?} inputs;\n\
+         each cell the median over rounds [range], a slowdown the median per-round ratio)\n",
         opts.threads, opts.reps, opts.size
     );
     let mut rows = Vec::new();
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); backends.len()];
+    let mut slowdowns: Vec<Vec<f64>> = vec![Vec::new(); backends.len()];
     for w in opts.selected(benchmarks()) {
         let params = Params::new(opts.threads, opts.size);
-        let (base_time, base_out) = time_workload(&NativeBackend, &cfg, &w, params, opts.reps);
-        let mut row = vec![w.name.to_owned(), ms(base_time)];
+        let mut arms: Vec<Arm> = vec![(&NativeBackend, &cfg, params)];
+        arms.extend(backends.iter().map(|b| (b.as_ref(), &cfg, params)));
+        let (rounds, outs) = time_runs(&w, &arms, opts.reps);
+        let mut row = vec![w.name.to_owned(), show(&rounds.ns[0], ms)];
         for (i, b) in backends.iter().enumerate() {
-            let (t, out) = time_workload(b.as_ref(), &cfg, &w, params, opts.reps);
-            let ratio = t.as_secs_f64() / base_time.as_secs_f64();
-            ratios[i].push(ratio);
-            let fences = out.stats.global_fences;
-            row.push(format!("{ratio:.2}x"));
-            if i == backends.len() - 1 {
-                // Structural evidence columns from the last backend pass.
-                row.push(fences.to_string());
-            }
+            let ratio = ratios(&rounds.ns[i + 1], &rounds.ns[0]);
+            slowdowns[i].push(quartiles(&ratio)[1]);
+            row.push(show(&ratio, |x| format!("{x:.2}x")));
             // Sanity: deterministic backends must agree on results for
             // race-free programs.
             assert_eq!(
-                out.output,
-                base_out.output,
+                outs[i + 1].output,
+                outs[0].output,
                 "{} result mismatch on {}",
                 w.name,
                 b.name()
             );
         }
+        // Structural evidence column from the last backend's last run.
+        row.push(outs[backends.len()].stats.global_fences.to_string());
         rows.push(row);
     }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "benchmark",
-                "pthreads(ms)",
-                "RFDet-ci",
-                "RFDet-pf",
-                "DThreads",
-                "CoreDet-q",
-                "CoreDet fences",
-            ],
-            &rows
-        )
-    );
-    println!("geometric-mean slowdown vs pthreads:");
+    let headers = "benchmark,pthreads(ms),RFDet-ci,RFDet-pf,DThreads,CoreDet-q,CoreDet fences";
+    println!("{}", render_table(headers, &rows));
+    println!("geometric mean of the median slowdowns vs pthreads:");
     for (i, b) in backends.iter().enumerate() {
-        println!("  {:<10} {:.2}x", b.name(), geomean(&ratios[i]));
+        println!("  {:<10} {:.2}x", b.name(), geomean(&slowdowns[i]));
     }
-    let ci = geomean(&ratios[0]);
-    let pf = geomean(&ratios[1]);
+    let ci = geomean(&slowdowns[0]);
+    let pf = geomean(&slowdowns[1]);
     println!(
         "\nshape checks: RFDet-ci {} RFDet-pf (paper: ci < pf) — {}",
         if ci < pf { "<" } else { ">=" },

@@ -8,8 +8,8 @@
 //! tracks pthreads'", i.e. the RFDet/pthreads ratio stays roughly flat
 //! across thread counts (see EXPERIMENTS.md).
 
-use rfdet_api::DmtBackend;
-use rfdet_bench::{bench_config, ms, render_table, time_workload, BenchOpts};
+use rfdet_api::{DmtBackend, RunConfig};
+use rfdet_bench::{ms, ratios, render_table, show, time_runs, Arm, BenchOpts};
 use rfdet_core::RfdetBackend;
 use rfdet_native::NativeBackend;
 use rfdet_workloads::{benchmarks, Params};
@@ -18,61 +18,41 @@ fn main() {
     rfdet_bench::exit_quietly_on_broken_pipe();
     let opts = BenchOpts::from_args();
     print!("{}", rfdet_bench::provenance());
-    let cfg = bench_config();
+    let cfg = RunConfig::default();
     // Paper: dedup and ferret dropped (memory at 8 threads), lu-con
     // represents lu-non.
-    let apps: Vec<_> = opts
-        .selected(benchmarks())
-        .into_iter()
-        .filter(|w| !matches!(w.name, "dedup" | "ferret" | "lu-non"))
-        .collect();
+    let apps = opts.selected(
+        (benchmarks().into_iter())
+            .filter(|w| !matches!(w.name, "dedup" | "ferret" | "lu-non"))
+            .collect(),
+    );
     println!(
-        "Figure 8: speedup over the 2-thread run ({} reps, {:?} inputs)\n",
+        "Figure 8: speedup over the 2-thread run ({} rounds, {:?} inputs;\n\
+         each cell the median over rounds [range], a speedup the median per-round ratio)\n",
         opts.reps, opts.size
     );
+    let (ci, native) = (RfdetBackend::ci(), NativeBackend);
+    let backends: [&dyn DmtBackend; 2] = [&ci, &native];
     let mut rows = Vec::new();
     for w in apps {
+        // Six arms, interleaved in every round: each backend at 2, 4, 8.
+        let arms: Vec<Arm> = (backends.iter())
+            .flat_map(|&b| [2, 4, 8].map(|t| (b, &cfg, Params::new(t, opts.size))))
+            .collect();
+        let (rounds, _) = time_runs(&w, &arms, opts.reps);
         let mut cells = vec![w.name.to_owned()];
-        let mut base2 = [0.0f64; 2];
-        for (bi, backend) in [
-            &RfdetBackend::ci() as &dyn DmtBackend,
-            &NativeBackend as &dyn DmtBackend,
-        ]
-        .iter()
-        .enumerate()
-        {
-            for (ti, threads) in [2usize, 4, 8].iter().enumerate() {
-                let (t, _) = time_workload(
-                    *backend,
-                    &cfg,
-                    &w,
-                    Params::new(*threads, opts.size),
-                    opts.reps,
-                );
-                if ti == 0 {
-                    base2[bi] = t.as_secs_f64();
-                    cells.push(ms(t));
-                } else {
-                    cells.push(format!("{:.2}x", base2[bi] / t.as_secs_f64()));
-                }
+        for base in [0, 3] {
+            cells.push(show(&rounds.ns[base], ms));
+            for more in [base + 1, base + 2] {
+                cells.push(show(&ratios(&rounds.ns[base], &rounds.ns[more]), |x| {
+                    format!("{x:.2}x")
+                }));
             }
         }
         rows.push(cells);
     }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "benchmark",
-                "RFDet 2t(ms)",
-                "RFDet 4t",
-                "RFDet 8t",
-                "pthreads 2t(ms)",
-                "pthreads 4t",
-                "pthreads 8t",
-            ],
-            &rows
-        )
-    );
+    let headers = "benchmark,RFDet 2t(ms),RFDet 4t,RFDet 8t,pthreads 2t(ms),\
+         pthreads 4t,pthreads 8t";
+    println!("{}", render_table(headers, &rows));
     println!("(values >1x = faster than the 2-thread run of the same backend)");
 }

@@ -14,8 +14,8 @@
 //! backend families on an always-racing program); the cross-backend
 //! digest oracle lives in `tests/races.rs` against the seeded corpus.
 
-use rfdet_api::{races_digest, DmtBackend, RunError, RunOutput};
-use rfdet_bench::{bench_config, render_table, BenchOpts};
+use rfdet_api::{races_digest, DmtBackend, RunConfig, RunError, RunOutput};
+use rfdet_bench::{render_table, BenchOpts};
 use rfdet_core::RfdetBackend;
 use rfdet_dthreads::{DthreadsBackend, QuantumBackend};
 use rfdet_workloads::{by_name, Params};
@@ -44,13 +44,11 @@ fn main() {
             let mut first = String::new();
             let mut failed = false;
             for run in 0..opts.runs {
-                let mut cfg = bench_config();
-                cfg.detect_races = true;
-                // Vary physical timing run to run.
-                cfg.jitter_seed = if run % 2 == 0 {
-                    None
-                } else {
-                    Some(u64::from(run))
+                let cfg = RunConfig {
+                    detect_races: true,
+                    // Vary physical timing run to run.
+                    jitter_seed: (run % 2 == 1).then_some(u64::from(run)),
+                    ..RunConfig::default()
                 };
                 let result: Result<RunOutput, RunError> =
                     backend.run(&cfg, (racey.factory)(Params::new(threads, opts.size)));
@@ -90,22 +88,8 @@ fn main() {
             ]);
         }
     }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "backend",
-                "threads",
-                "runs",
-                "distinct",
-                "races",
-                "race_digests",
-                "verdict",
-                "signature"
-            ],
-            &rows
-        )
-    );
+    let headers = "backend,threads,runs,distinct,races,race_digests,verdict,signature";
+    println!("{}", render_table(headers, &rows));
     if all_ok {
         println!(
             "PASS: every configuration produced one signature and one race digest across all runs."

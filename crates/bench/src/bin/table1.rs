@@ -9,11 +9,10 @@
 //! deterministic phase's share of attributable runtime overhead).
 
 use rfdet_api::obs::Phase;
-use rfdet_api::DmtBackend;
-use rfdet_bench::{bench_config, render_table, BenchOpts};
+use rfdet_api::{DmtBackend, RunConfig};
+use rfdet_bench::{render_table, BenchOpts};
 use rfdet_core::RfdetBackend;
 use rfdet_dthreads::DthreadsBackend;
-use rfdet_native::NativeBackend;
 use rfdet_workloads::{benchmarks, Params};
 
 fn mb(bytes: u64) -> String {
@@ -24,7 +23,7 @@ fn main() {
     rfdet_bench::exit_quietly_on_broken_pipe();
     let opts = BenchOpts::from_args();
     print!("{}", rfdet_bench::provenance());
-    let cfg = bench_config();
+    let cfg = RunConfig::default();
     println!(
         "Table 1: profiling data ({} threads, {:?} inputs)\n",
         opts.threads, opts.size
@@ -36,7 +35,6 @@ fn main() {
         let params = Params::new(opts.threads, opts.size);
         let rf = RfdetBackend::ci().run_expect(&rf_cfg, (w.factory)(params));
         let dt = DthreadsBackend.run_expect(&cfg, (w.factory)(params));
-        let nat = NativeBackend.run_expect(&cfg, (w.factory)(params));
         let s = rf.stats;
         let page = cfg.page_size;
         // Footprints: pthreads = the app's real shared footprint (the
@@ -44,7 +42,6 @@ fn main() {
         // since workloads lay out static data directly); RFDet = private
         // page copies + metadata peak; DThreads = private pages + global
         // store.
-        let _ = nat;
         let pthreads_fp = dt.stats.shared_bytes;
         let rfdet_fp = s.private_pages * page + s.peak_meta_bytes;
         let dthreads_fp = dt.stats.private_pages * page + dt.stats.shared_bytes;
@@ -81,34 +78,10 @@ fn main() {
             frac(Phase::Propagation),
         ]);
     }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "benchmark",
-                "lock/unlock",
-                "wait/signal",
-                "atomic",
-                "fork/join",
-                "mem",
-                "load",
-                "store",
-                "store w/copy",
-                "diff(MB)",
-                "snap(MB)",
-                "pool hit%",
-                "pthreads(MB)",
-                "RFDet(MB)",
-                "DThreads(MB)",
-                "GC",
-                "wait%",
-                "diff%",
-                "snap%",
-                "prop%",
-            ],
-            &rows
-        )
-    );
+    let headers = "benchmark,lock/unlock,wait/signal,atomic,fork/join,mem,load,store,\
+         store w/copy,diff(MB),snap(MB),pool hit%,pthreads(MB),RFDet(MB),\
+         DThreads(MB),GC,wait%,diff%,snap%,prop%";
+    println!("{}", render_table(headers, &rows));
     println!(
         "notes: footprints are the materialized global store (pthreads), private pages\n\
          + peak metadata (RFDet), private pages + global store (DThreads);\n\

@@ -7,6 +7,7 @@
 
 use rfdet_api::{DmtBackend, RunConfig, RunOutput};
 use rfdet_workloads::{Params, Size, Workload};
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 /// Command-line options shared by the experiment binaries.
@@ -14,7 +15,7 @@ use std::time::{Duration, Instant};
 pub struct BenchOpts {
     /// Worker thread count (paper default: 4).
     pub threads: usize,
-    /// Timed repetitions per cell (mean is reported).
+    /// Timed rounds per row ([`measure`]); median and range are reported.
     pub reps: u32,
     /// Input scale.
     pub size: Size,
@@ -28,7 +29,7 @@ impl Default for BenchOpts {
     fn default() -> Self {
         Self {
             threads: 4,
-            reps: 3,
+            reps: 5,
             size: Size::Bench,
             filter: None,
             runs: 30,
@@ -48,10 +49,7 @@ impl BenchOpts {
     #[must_use]
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&args).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n{USAGE}");
-            std::process::exit(2);
-        })
+        Self::parse(&args).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// Parses the flags of [`Self::from_args`] from `args`.
@@ -75,7 +73,7 @@ impl BenchOpts {
                 }
                 "--filter" => opts.filter = Some(value()?.to_owned()),
                 "--quick" => {
-                    opts.reps = 1;
+                    opts.reps = 2;
                     opts.runs = 5;
                     opts.size = Size::Test;
                 }
@@ -86,17 +84,29 @@ impl BenchOpts {
         Ok(opts)
     }
 
-    /// Applies the workload filter.
+    /// Applies the workload filter to `all`, the binary's population. A
+    /// filter that matches none of them is a usage error: prints it with
+    /// the names it was matched against and exits with status 2.
     #[must_use]
     pub fn selected(&self, all: Vec<Workload>) -> Vec<Workload> {
-        match &self.filter {
-            None => all,
-            Some(f) => all
-                .into_iter()
-                .filter(|w| w.name.contains(f.as_str()))
-                .collect(),
+        let f = self.filter.as_deref().unwrap_or_default();
+        let names: Vec<&str> = all.iter().map(|w| w.name).collect();
+        let picked: Vec<Workload> = all.into_iter().filter(|w| w.name.contains(f)).collect();
+        if picked.is_empty() {
+            usage_error(&format!(
+                "--filter {f:?} matches none of: {}",
+                names.join(", ")
+            ));
         }
+        picked
     }
+}
+
+/// Prints a usage error and the accepted flags to stderr and exits with
+/// status 2.
+fn usage_error(e: &str) -> ! {
+    eprintln!("error: {e}\n{USAGE}");
+    std::process::exit(2);
 }
 
 /// The one command-line walker of this crate's binaries: calls
@@ -130,31 +140,106 @@ pub fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
         .map_err(|_| format!("{flag} expects a number, got {v:?}"))
 }
 
-/// The standard experiment configuration (16 MiB space, paper-like
-/// 256 MiB metadata cap).
+/// The quartiles `[q1, median, q3]` of a nonempty sample, as Python's
+/// `statistics.quantiles(xs, n=4)` gives them (the exclusive method);
+/// one value is its own quartiles.
 #[must_use]
-pub fn bench_config() -> RunConfig {
-    RunConfig::default()
+pub fn quartiles(xs: &[f64]) -> [f64; 3] {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    if v.len() == 1 {
+        v.push(v[0]);
+    }
+    let n = v.len();
+    [1, 2, 3].map(|k| {
+        let j = (k * (n + 1) / 4).clamp(1, n - 1);
+        let delta = (k * (n + 1)) as f64 / 4.0 - j as f64;
+        v[j - 1] + (v[j] - v[j - 1]) * delta
+    })
 }
 
-/// Times `reps` runs of a workload on a backend; returns the mean wall
-/// time and the last run's output (for stats and checksums).
-pub fn time_workload(
-    backend: &dyn DmtBackend,
-    cfg: &RunConfig,
-    w: &Workload,
-    params: Params,
-    reps: u32,
-) -> (Duration, RunOutput) {
-    assert!(reps > 0);
-    let mut total = Duration::ZERO;
-    let mut last = RunOutput::default();
-    for _ in 0..reps {
-        let start = Instant::now();
-        last = backend.run_expect(cfg, (w.factory)(params));
-        total += start.elapsed();
+/// The per-round ratios `num[r] / den[r]`: both sides of a round ran
+/// under the same host state, which the ratio cancels.
+#[must_use]
+pub fn ratios(num: &[f64], den: &[f64]) -> Vec<f64> {
+    assert_eq!(num.len(), den.len(), "a ratio pairs rounds");
+    num.iter().zip(den).map(|(n, d)| n / d).collect()
+}
+
+/// `median [min, max]` of a nonempty sample, each formatted by `f`: a
+/// table cell.
+#[must_use]
+pub fn show(xs: &[f64], f: impl Fn(f64) -> String) -> String {
+    let (min, max) = xs
+        .iter()
+        .fold((xs[0], xs[0]), |(a, b), &x| (a.min(x), b.max(x)));
+    format!("{} [{}, {}]", f(quartiles(xs)[1]), f(min), f(max))
+}
+
+/// What [`measure`] yields: `ns[arm][round]` is an arm's mean time per
+/// iteration in a round, in nanoseconds.
+#[derive(Clone, Debug)]
+pub struct Rounds {
+    /// Per arm, one mean per round.
+    pub ns: Vec<Vec<f64>>,
+    /// Iterations each arm ran per round.
+    pub iters: u64,
+}
+
+/// The one timing estimator of the experiment binaries. Runs every arm
+/// once untimed, then `rounds` rounds; a round runs every arm `iters`
+/// times, alternating arms per iteration (a, b, a, b, …), and every other
+/// round reverses the arm order, so drift (thermal state, a background
+/// compile) lands on every arm alike. A zero `target` makes a round one
+/// run per arm; otherwise `iters` is calibrated so that all rounds take
+/// about `target` (at least one iteration a round).
+pub fn measure<F: FnMut()>(rounds: u32, target: Duration, arms: &mut [F]) -> Rounds {
+    assert!(rounds > 0, "at least one round");
+    arms.iter_mut().for_each(|arm| arm());
+    let mut iters = 1;
+    if !target.is_zero() {
+        let probe = Instant::now();
+        arms.iter_mut().for_each(|arm| arm());
+        let per_round = probe.elapsed().as_nanos().max(1) * u128::from(rounds);
+        iters = (target.as_nanos() / per_round).clamp(1, 1 << 20) as u64;
     }
-    (total / reps, last)
+    let mut ns = vec![Vec::new(); arms.len()];
+    let mut order: Vec<usize> = (0..arms.len()).collect();
+    for _ in 0..rounds {
+        let mut total = vec![0u128; arms.len()];
+        for _ in 0..iters {
+            for &i in &order {
+                let start = Instant::now();
+                (arms[i])();
+                total[i] += start.elapsed().as_nanos();
+            }
+        }
+        for (series, t) in ns.iter_mut().zip(total) {
+            series.push(t as f64 / iters as f64);
+        }
+        order.reverse();
+    }
+    Rounds { ns, iters }
+}
+
+/// One arm of a figure row: a backend running the row's workload at
+/// these parameters under this config.
+pub type Arm<'a> = (&'a dyn DmtBackend, &'a RunConfig, Params);
+
+/// Times `arms` on workload `w` with [`measure`], one run per arm per
+/// round; returns the rounds and each arm's last output.
+pub fn time_runs(w: &Workload, arms: &[Arm<'_>], rounds: u32) -> (Rounds, Vec<RunOutput>) {
+    let outs = RefCell::new(vec![RunOutput::default(); arms.len()]);
+    let run = |i: usize| {
+        let ((backend, cfg, params), outs) = (arms[i], &outs);
+        move || outs.borrow_mut()[i] = backend.run_expect(cfg, (w.factory)(params))
+    };
+    let rounds = measure(
+        rounds,
+        Duration::ZERO,
+        &mut (0..arms.len()).map(run).collect::<Vec<_>>(),
+    );
+    (rounds, outs.into_inner())
 }
 
 /// Geometric mean of a nonempty slice of positive ratios.
@@ -165,37 +250,29 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (log_sum / xs.len() as f64).exp()
 }
 
-/// Renders an aligned text table.
+/// Renders an aligned text table under `headers`, the column names
+/// separated by commas.
 #[must_use]
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let cols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        assert_eq!(row.len(), cols, "row width mismatch");
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+pub fn render_table(headers: &str, rows: &[Vec<String>]) -> String {
+    let header: Vec<String> = headers.split(',').map(str::to_owned).collect();
+    let mut widths = vec![0; header.len()];
+    for row in std::iter::once(&header).chain(rows) {
+        assert_eq!(row.len(), header.len(), "row width mismatch");
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = cell.len().max(*width);
         }
     }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        let mut line = String::new();
-        for (i, cell) in cells.iter().enumerate() {
-            if i > 0 {
-                line.push_str("  ");
-            }
-            line.push_str(&format!("{cell:>width$}", width = widths[i]));
-        }
-        line
+    let line = |row: &Vec<String>| {
+        let cells: Vec<String> = row
+            .iter()
+            .zip(&widths)
+            .map(|(c, &w)| format!("{c:>w$}"))
+            .collect();
+        cells.join("  ") + "\n"
     };
-    let header_cells: Vec<String> = headers.iter().map(|s| (*s).to_owned()).collect();
-    out.push_str(&fmt_row(&header_cells, &widths));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row, &widths));
-        out.push('\n');
-    }
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (header.len() - 1));
+    let mut out = line(&header) + &rule + "\n";
+    out.extend(rows.iter().map(line));
     out
 }
 
@@ -245,10 +322,10 @@ pub fn provenance() -> String {
     )
 }
 
-/// Formats a duration as fractional milliseconds.
+/// Formats nanoseconds as fractional milliseconds.
 #[must_use]
-pub fn ms(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e3)
+pub fn ms(ns: f64) -> String {
+    format!("{:.2}", ns / 1e6)
 }
 
 #[cfg(test)]
@@ -264,7 +341,7 @@ mod tests {
     #[test]
     fn table_renders_aligned() {
         let t = render_table(
-            &["name", "x"],
+            "name,x",
             &[
                 vec!["a".into(), "1.0".into()],
                 vec!["longer".into(), "2".into()],
@@ -307,7 +384,7 @@ mod tests {
         assert_eq!(o.size, Size::Test);
         assert_eq!(o.filter.as_deref(), Some("fft"));
         let quick = parse(&["--quick"]).expect("well-formed");
-        assert_eq!((quick.reps, quick.runs, quick.size), (1, 5, Size::Test));
+        assert_eq!((quick.reps, quick.runs, quick.size), (2, 5, Size::Test));
         assert_eq!(parse(&[]).expect("empty is fine").threads, 4);
     }
 
@@ -332,7 +409,71 @@ mod tests {
     }
 
     #[test]
+    fn arm_order_reverses_every_other_round() {
+        let log = RefCell::new(Vec::new());
+        let arm = |i: usize| {
+            let log = &log;
+            move || log.borrow_mut().push(i)
+        };
+        let mut arms = [arm(0), arm(1), arm(2)];
+        let rounds = measure(4, Duration::ZERO, &mut arms);
+        let log = log.into_inner();
+        let (warm, timed) = log.split_at(3);
+        assert_eq!(warm, [0, 1, 2]);
+        assert_eq!(timed, [0, 1, 2, 2, 1, 0, 0, 1, 2, 2, 1, 0]);
+        assert_eq!(
+            (rounds.ns.len(), rounds.ns[0].len(), rounds.iters),
+            (3, 4, 1)
+        );
+    }
+
+    #[test]
+    fn a_round_alternates_arms_per_iteration() {
+        let log = RefCell::new(Vec::new());
+        let arm = |i: usize| {
+            let log = &log;
+            move || {
+                log.borrow_mut().push(i);
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        };
+        let mut arms = [arm(0), arm(1)];
+        let rounds = measure(2, Duration::from_millis(8), &mut arms);
+        assert!(rounds.iters > 1, "the target buys several iterations");
+        let log = log.into_inner();
+        let timed = &log[4..]; // warm-up and calibration pass first
+        let n = 2 * rounds.iters as usize;
+        assert_eq!(timed.len(), 2 * n);
+        let expect = |first: usize| (0..n).map(move |k| if k % 2 == 0 { first } else { 1 - first });
+        assert!(timed[..n].iter().copied().eq(expect(0)));
+        assert!(timed[n..].iter().copied().eq(expect(1)));
+    }
+
+    #[test]
+    fn quartiles_match_python_exclusive() {
+        // statistics.quantiles([1..10], n=4) == [2.75, 5.5, 8.25]
+        let xs: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(quartiles(&xs), [2.75, 5.5, 8.25]);
+        assert_eq!(quartiles(&[3.0, 1.0, 2.0])[1], 2.0);
+        assert_eq!(quartiles(&[4.0, 1.0, 2.0, 3.0])[1], 2.5);
+        assert_eq!(quartiles(&[7.0]), [7.0; 3]);
+    }
+
+    #[test]
+    fn the_median_of_per_round_ratios_is_not_the_ratio_of_medians() {
+        let rounds = Rounds {
+            ns: vec![vec![1.0, 10.0, 100.0], vec![2.0, 5.0, 200.0]],
+            iters: 1,
+        };
+        assert_eq!(
+            quartiles(&rounds.ns[0])[1] / quartiles(&rounds.ns[1])[1],
+            2.0
+        );
+        assert_eq!(quartiles(&ratios(&rounds.ns[0], &rounds.ns[1]))[1], 0.5);
+    }
+
+    #[test]
     fn ms_formats() {
-        assert_eq!(ms(Duration::from_millis(1500)), "1500.00");
+        assert_eq!(ms(1.5e9), "1500.00");
     }
 }

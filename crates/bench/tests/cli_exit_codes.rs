@@ -214,6 +214,27 @@ fn a_sweep_without_out_writes_its_report_into_the_trace_dir() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// A filter that matches no workload is a usage error naming the filter
+/// and the workloads, not a panic in the geometric mean of nothing.
+#[test]
+fn a_filter_that_matches_nothing_exits_usage_without_a_backtrace() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig7"))
+        .args(["--quick", "--filter", "zzz"])
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("spawn fig7 binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("\"zzz\"") && stderr.contains("ocean"),
+        "{stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains("backtrace"),
+        "{stderr}"
+    );
+}
+
 /// A reader that stops early (`table1 --quick | head -1`) closes the
 /// pipe under the binary; its next print must end it quietly with the
 /// shell's `SIGPIPE` status, not panic with a backtrace.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Emits the in-repo perf record (schema rfdet-bench-json/2) and the two
+# Emits the in-repo perf record (schema rfdet-bench-json/3) and the two
 # results/*_scaling.txt curves. The table in
 # crates/bench/src/bin/bench_json.rs is the list of cells and budgets.
 #
