@@ -134,6 +134,13 @@ pub fn join_twice(tid: Tid, target: Tid) -> String {
     format!("thread {tid} joining thread {target}, which was already joined")
 }
 
+/// The misuse of `tid` joining `target`, a tid no spawn has handed out,
+/// in the one wording every backend panics with.
+#[must_use]
+pub fn join_never_spawned(tid: Tid, target: Tid) -> String {
+    format!("thread {tid} joining thread {target}, which was never spawned")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

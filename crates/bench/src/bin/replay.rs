@@ -454,11 +454,11 @@ fn cmd_shard(path: &str, f: Flags) -> i32 {
         }
         Err(ChainDivergence::Diverged { .. }) => EXIT_DIVERGED,
     };
-    let r = replay.unwrap_or_else(|divergence| die(code, divergence));
-    let (serial_ms, sharded_ms) = (r.serial.as_millis(), r.sharded.as_millis());
+    if let Err(divergence) = replay {
+        die(code, divergence);
+    }
     println!(
-        "SHARD OK: {} shards (j={jobs}) digest-identical to serial; \
-         serial {serial_ms} ms, sharded {sharded_ms} ms",
+        "SHARD OK: {} shards (j={jobs}) digest-identical to serial",
         n + 1
     );
     0
@@ -508,12 +508,6 @@ fn cmd_failover(spec: &str, f: Flags) -> i32 {
     println!(
         "reference digest {:#018x}, recovered digest {:#018x}",
         report.reference_digest, report.recovered_digest
-    );
-    println!(
-        "full run {:.1} ms, recovery {:.1} ms (ratio {:.2})",
-        report.full_run_ms,
-        report.recovery_ms,
-        report.recovery_ratio()
     );
     if report.converged {
         println!("FAILOVER CONVERGED");

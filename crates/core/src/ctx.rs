@@ -12,12 +12,6 @@ use rfdet_meta::{MetaSpace, SliceRef, ThreadMeta};
 use rfdet_vclock::VClock;
 use std::sync::Arc;
 
-/// Page buffers a thread's snapshot pool keeps across slices, so
-/// steady-state slices open page snapshots with zero allocations. The
-/// pool itself is measured as needed (`page-sparse` is 2.3× slower
-/// without it, DESIGN.md §4.6); nothing has needed a second size.
-pub(crate) const SNAP_POOL_PAGES: usize = 256;
-
 /// The per-thread view of the RFDet runtime.
 ///
 /// Owns the thread's private memory space, the in-progress slice (line
@@ -36,7 +30,7 @@ pub struct RfdetCtx {
     pub(crate) vc: VClock,
     pub(crate) slice_seq: u64,
     /// The in-progress slice's snapshots, per dirty line, in buffers
-    /// recycled across slices (up to [`SNAP_POOL_PAGES`]).
+    /// recycled across slices (up to [`rfdet_mem::SNAP_POOL_PAGES`]).
     /// Invariant: between a page's first recorded store and `end_slice`
     /// nothing but the store path mutates the page — propagation runs
     /// between slices.
@@ -161,7 +155,7 @@ impl RfdetCtx {
         let tid = kendo.tid();
         let cfg = &shared.run.cfg;
         let space = space.unwrap_or_else(|| PrivateSpace::new(cfg.space_bytes, cfg.page_size));
-        let snaps = SliceSnapshots::new(space.num_pages(), space.page_size(), SNAP_POOL_PAGES);
+        let snaps = SliceSnapshots::for_space(&space);
         let pf = shared.pf;
         let track_reads = cfg.detect_races;
         let heap = shared.strips.heap_for(tid);

@@ -15,7 +15,6 @@
 
 use crate::RfdetBackend;
 use rfdet_api::{DmtBackend, FailureReport, FaultPlan, RunConfig, ThreadFn, Tid, TracedRun};
-use std::time::Instant;
 
 /// What one record/kill/restore/replay cycle produced.
 #[derive(Clone, Debug)]
@@ -35,25 +34,6 @@ pub struct FailoverReport {
     /// checkpoint sealed after the restore point matches the reference
     /// chain bit-for-bit.
     pub converged: bool,
-    /// Wall time of the full unfaulted reference run.
-    pub full_run_ms: f64,
-    /// Wall time of the recovery leg alone (resume-and-replay, or the
-    /// from-scratch re-run when no checkpoint existed).
-    pub recovery_ms: f64,
-}
-
-impl FailoverReport {
-    /// `recovery_ms / full_run_ms` — the time-to-converge ratio that
-    /// `bench_json`'s `failover_recovery` row budgets (small when the
-    /// crash lands late enough that the checkpoint skips most of the
-    /// run).
-    #[must_use]
-    pub fn recovery_ratio(&self) -> f64 {
-        if self.full_run_ms <= 0.0 {
-            return f64::NAN;
-        }
-        self.recovery_ms / self.full_run_ms
-    }
 }
 
 /// The one recovery step: finishes `failed`'s run the way a standby
@@ -84,10 +64,10 @@ pub fn recover(
 /// `cfg` carries the fault plan and checkpoint cadence; `root` builds a
 /// fresh root body (called once per full run); `bodies` supplies the
 /// per-tid resume bodies for the restored threads. The reference
-/// replica runs first under `cfg` minus the fault plan; its wall time
-/// is the baseline the recovery leg ([`recover`]) is measured against.
-/// Both replicas persist their chains into `cfg.checkpoint_dir` when it
-/// is set; recovery reads only the crashed replica's own chain.
+/// replica runs first under `cfg` minus the fault plan; the recovery leg
+/// is [`recover`]. Both replicas persist their chains into
+/// `cfg.checkpoint_dir` when it is set; recovery reads only the crashed
+/// replica's own chain.
 ///
 /// # Panics
 /// Panics when the *unfaulted* reference run fails — the driver
@@ -101,9 +81,7 @@ pub fn run_failover(
 ) -> FailoverReport {
     let mut unfaulted = cfg.clone();
     unfaulted.fault_plan = FaultPlan::new();
-    let t0 = Instant::now();
     let reference = backend.run_traced(&unfaulted, root());
-    let full_run_ms = t0.elapsed().as_secs_f64() * 1e3;
     let reference_out = reference
         .result
         .expect("unfaulted reference replica must complete");
@@ -120,14 +98,10 @@ pub fn run_failover(
                 recovered_from_epoch: None,
                 recovered_digest: out.output_digest(),
                 converged: out.output == reference_out.output,
-                full_run_ms,
-                recovery_ms: full_run_ms,
             };
         }
     };
-    let t1 = Instant::now();
     let (recovered, recovered_from_epoch) = recover(backend, cfg, &faulted, root, bodies);
-    let recovery_ms = t1.elapsed().as_secs_f64() * 1e3;
     let out = recovered
         .result
         .expect("fault-free recovery replay must complete");
@@ -145,7 +119,5 @@ pub fn run_failover(
         recovered_from_epoch,
         recovered_digest: out.output_digest(),
         converged: out.output == reference_out.output && tail_ok,
-        full_run_ms,
-        recovery_ms,
     }
 }

@@ -381,8 +381,9 @@ pub(crate) fn join_impl(ctx: &mut RfdetCtx, h: ThreadHandle) {
     ctx.enter_op(SyncOp::Join(target));
     // Finished: the edge to its exit. Running: the caller joins its queue.
     let finished = {
+        let spawned = ctx.shared.meta.num_threads();
         let mut table = ctx.shared.meta.sync_in_turn();
-        raise(table.join(ctx.tid, target)).map(|exit| exit.edge(ctx.tid))
+        raise(table.join(ctx.tid, target, spawned)).map(|exit| exit.edge(ctx.tid))
     };
     end_op_slice(ctx);
     match finished {

@@ -6,9 +6,8 @@ use rfdet_api::{
     Addr, AtomicOp, BarrierId, CondId, DmtCtx, FailureKind, MutexId, SyncOp, ThreadFn,
     ThreadHandle, ThreadHarness, Tid,
 };
-use rfdet_mem::race::{ReadRun, ReadTracker};
-use rfdet_mem::{diff, ModRun, PrivateSpace, ThreadHeap};
-use std::collections::BTreeMap;
+use rfdet_mem::race::ReadTracker;
+use rfdet_mem::{Page, PrivateSpace, RunBuilder, SliceSnapshots, ThreadHeap};
 use std::sync::Arc;
 
 /// Per-thread context: a private view of the global store plus the store
@@ -17,10 +16,12 @@ pub(crate) struct DtCtx {
     pub engine: Arc<Engine>,
     pub tid: Tid,
     pub space: PrivateSpace,
-    /// Pages snapshotted this parallel interval (first-write snapshot, as
-    /// in RFDet's `ci` monitoring — DThreads itself uses `mprotect`
-    /// twins; the collected diff is identical).
-    snapshots: BTreeMap<usize, Box<[u8]>>,
+    /// Pages snapshotted this parallel interval: the whole page at its
+    /// first store, RFDet's `pf` capture minus the simulated fault —
+    /// DThreads' `mprotect` twins, in buffers recycled across intervals.
+    snaps: SliceSnapshots,
+    /// Where the seal packs the interval's runs, its capacity kept.
+    runs: RunBuilder,
     /// Remaining tick budget in quantum mode.
     budget: u64,
     /// Whether the engine is detecting races (word-read sets are sealed
@@ -49,11 +50,13 @@ impl DtCtx {
         let h = ThreadHarness::new(&engine.run, tid);
         let track_reads = engine.run.cfg.detect_races;
         let page_size = space.page_size() as u64;
+        let snaps = SliceSnapshots::for_space(&space);
         Self {
             engine,
             tid,
             space,
-            snapshots: BTreeMap::new(),
+            snaps,
+            runs: RunBuilder::default(),
             budget,
             track_reads,
             reads: ReadTracker::new(),
@@ -89,43 +92,23 @@ impl DtCtx {
         value
     }
 
-    /// Ends the parallel interval: diff all snapshotted pages.
-    fn take_diff(&mut self) -> Vec<ModRun> {
-        let t0 = self.h.start();
-        let mut mods = Vec::new();
-        for (page, snap) in std::mem::take(&mut self.snapshots) {
-            if let Some(current) = self.space.page(page) {
-                diff::diff_page(
-                    self.space.page_base(page),
-                    &snap,
-                    current.bytes(),
-                    &mut mods,
-                );
-            }
-        }
-        self.h.since(Phase::Diff, t0);
-        mods
-    }
-
-    /// Seals the current interval's word-read set (empty when detection
-    /// is off).
-    fn take_reads(&mut self) -> Vec<ReadRun> {
-        if self.track_reads {
-            self.reads.seal(self.page_size)
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Ends the parallel interval: its diff and word-read set, stamped
-    /// with the thread's report — the sync-op coordinate race reports
-    /// carry, and the culprit state of a panic or misuse the serial phase
-    /// charges to this op.
+    /// Ends the parallel interval: its diff (every snapshotted page, in
+    /// page-index order, in one run list) and word-read set (empty when
+    /// detection is off), stamped with the thread's report — the sync-op
+    /// coordinate race reports carry, and the culprit state of a panic
+    /// or misuse the serial phase charges to this op.
     fn seal_interval(&mut self, op: PendingOp, planned: Option<String>) -> Arrival {
+        let t0 = self.h.start();
+        self.snaps.seal(&self.space, &mut self.runs);
+        self.h.since(Phase::Diff, t0);
+        let diff = self.runs.finish().unwrap_or_default();
+        let reads = match self.track_reads {
+            true => self.reads.seal(self.page_size),
+            false => Vec::new(),
+        };
         Arrival {
             op,
-            diff: Some(self.take_diff()),
-            reads: Some(self.take_reads()),
+            interval: Some((diff, reads)),
             report: self.h.report(),
             planned,
         }
@@ -205,12 +188,13 @@ impl DtCtx {
             .expect("atomic op returns a value")
     }
 
-    /// First-write snapshot of `page` for the interval's diff.
+    /// First-write snapshot of the whole of `page` for the interval's
+    /// diff.
     #[inline]
     fn record_store(&mut self, page: usize) {
-        if !self.snapshots.contains_key(&page) {
-            let snap = self.space.snapshot_page(page);
-            self.snapshots.insert(page, snap);
+        if !self.snaps.is_open(page) {
+            let current = self.space.page(page).map(Page::bytes);
+            self.snaps.record(page, self.snaps.full_mask(), current);
             self.h.stats.stores_with_copy += 1;
         }
     }

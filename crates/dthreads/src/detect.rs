@@ -30,7 +30,7 @@
 
 use rfdet_api::{RaceReport, Tid};
 use rfdet_mem::race::{RaceCollector, ReadRun, SliceAccess};
-use rfdet_mem::ModRun;
+use rfdet_mem::RunList;
 use rfdet_vclock::VClock;
 
 /// Shadow vector-clock state for the lockstep engine, living inside the
@@ -68,7 +68,7 @@ impl EngineDetect {
         tid: Tid,
         sync_op: u64,
         reads: &[ReadRun],
-        writes: &[ModRun],
+        writes: &RunList,
     ) -> VClock {
         self.ensure(tid);
         let sealed = self.vcs[tid as usize].clone();

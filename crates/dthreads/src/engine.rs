@@ -7,7 +7,7 @@ use rfdet_api::{
     Tid, WaitEdge,
 };
 use rfdet_mem::race::ReadRun;
-use rfdet_mem::{ModRun, PrivateSpace};
+use rfdet_mem::{PrivateSpace, RunList, Runs};
 use rfdet_meta::SyncTable;
 use rfdet_vclock::VClock;
 use std::collections::{BTreeMap, HashSet};
@@ -65,15 +65,15 @@ impl PendingOp {
     }
 }
 
-/// The diff a thread computed for its just-ended parallel interval.
+/// A thread at its synchronization operation, with what it computed for
+/// its just-ended parallel interval.
 pub(crate) struct Arrival {
     pub op: PendingOp,
-    /// Taken (applied to the global store) at most once, on the first
-    /// serial phase that processes this arrival.
-    pub diff: Option<Vec<ModRun>>,
-    /// The interval's word-read set, sealed alongside the diff for race
-    /// detection. Empty unless [`RunConfig::detect_races`] is on.
-    pub reads: Option<Vec<ReadRun>>,
+    /// The interval's diff and its word-read set (empty unless
+    /// [`RunConfig::detect_races`] is on), taken — the diff applied to the
+    /// global store — at most once, on the first serial phase that
+    /// processes this arrival. `None` for a re-arm.
+    pub interval: Option<(RunList, Vec<ReadRun>)>,
     /// The thread's state at the op: its sync-op count is the coordinate
     /// race reports carry, and it is the culprit of a panic or misuse.
     pub report: ThreadReport,
@@ -88,8 +88,7 @@ impl Arrival {
     fn rearm(tid: Tid, op: PendingOp) -> Self {
         Self {
             op,
-            diff: None,
-            reads: None,
+            interval: None,
             report: ThreadReport {
                 tid,
                 ..ThreadReport::default()
@@ -355,21 +354,17 @@ impl Engine {
     /// without detection or on a retried `Lock` (acquire-only).
     fn commit(&self, st: &mut EngineState, tid: Tid) -> VClock {
         let a = st.arrived.get_mut(&tid).expect("arrival present");
-        let Some(diff) = a.diff.take() else {
+        let Some((diff, reads)) = a.interval.take() else {
             return VClock::new();
         };
         let sealed = match st.detect.as_mut() {
-            Some(det) => {
-                let reads = a.reads.take().unwrap_or_default();
-                det.seal_interval(tid, a.report.sync_ops, &reads, &diff)
-            }
+            Some(det) => det.seal_interval(tid, a.report.sync_ops, &reads, &diff),
             None => VClock::new(),
         };
-        if !diff.is_empty() {
+        if diff.count() > 0 {
             self.run.stats.serial_commits.fetch_add(1, Relaxed);
-            let bytes: u64 = diff.iter().map(|r| r.len() as u64).sum();
+            let bytes = st.global.apply(&diff);
             self.run.stats.mod_bytes_applied.fetch_add(bytes, Relaxed);
-            st.global.apply_runs(&diff);
         }
         sealed
     }
@@ -468,7 +463,7 @@ impl Engine {
                 });
                 done.push(tid);
             }
-            PendingOp::Join(target) => match sync.join(tid, target)? {
+            PendingOp::Join(target) => match sync.join(tid, target, slots.len())? {
                 Some(exit) => {
                     acquire(detect, tid, &exit.last_time);
                     done.push(tid);

@@ -97,6 +97,10 @@ pub trait Runs {
     }
 }
 
+/// Boxed runs as [`Runs`]. No runtime path holds boxed runs; this serves
+/// [`PrivateSpace::apply_runs`](crate::PrivateSpace::apply_runs), the
+/// frozen benchmark's probes and the property tests' [`diff_page_scalar`]
+/// oracle (ROADMAP item 8(v)).
 impl Runs for [ModRun] {
     fn count(&self) -> usize {
         self.len()
@@ -281,6 +285,12 @@ fn next_same(snapshot: &[u8], current: &[u8], mut i: usize) -> usize {
 /// byte-for-byte identical output (differentially property-tested), word
 ///-at-a-time scan speed. [`diff_lines`] over a full mask (the whole
 /// buffer is one dirty line).
+///
+/// No runtime calls it: every backend diffs through
+/// [`SliceSnapshots::seal`](crate::SliceSnapshots::seal). Its callers are
+/// the frozen benchmark's `mem.diff_*` probes, `bench_json`'s `diff/`
+/// cells and the property tests; it goes with the next benchmark
+/// revision (ROADMAP item 8(v)).
 pub fn diff_page(page_base: Addr, snapshot: &[u8], current: &[u8], out: &mut Vec<ModRun>) {
     diff_lines(
         page_base,

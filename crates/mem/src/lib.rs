@@ -8,7 +8,8 @@
 //! * [`diff`] — byte-granularity page diffing that converts a page snapshot
 //!   plus the current page into a modification list (§4.2, §4.6);
 //! * [`SliceSnapshots`] — the open slice's snapshots at dirty-line
-//!   granularity: copy and diff only the lines a slice stored to;
+//!   granularity: copy and diff only the lines a slice stored to (or, with
+//!   a full mask, whole pages), for every deterministic backend;
 //! * [`StripAllocator`]/[`ThreadHeap`] — the deterministic shared allocator
 //!   replacing the paper's modified Hoard (§4.4): every thread allocates
 //!   from a statically assigned strip of the heap area, so allocation is
@@ -30,7 +31,7 @@ pub use alloc::{HeapState, StripAllocator, ThreadHeap, MAX_HEAP_THREADS};
 pub use diff::{page_groups, ModRun, RunBuilder, RunList, Runs};
 pub use page::Page;
 pub use race::{RaceCollector, ReadRun, ReadTracker, SliceAccess, WORD_BYTES};
-pub use snap::{Recorded, SliceSnapshots};
+pub use snap::{Recorded, SliceSnapshots, SNAP_POOL_PAGES};
 pub use space::PrivateSpace;
 
 /// The maximal spans of consecutive set bits of `mask`, in ascending

@@ -14,7 +14,9 @@
 //!
 //! A full mask ([`SliceSnapshots::full_mask`]) degenerates to the paper's
 //! whole-page snapshot and scan; that is what `pf` monitoring records,
-//! since a protection fault reveals the page but not the bytes.
+//! since a protection fault reveals the page but not the bytes, and what
+//! the lockstep engine records at a page's first store in an interval,
+//! the twin DThreads takes at its `mprotect` fault.
 
 use crate::bit_spans;
 use crate::diff::{diff_lines, RunBuilder};
@@ -24,6 +26,13 @@ use crate::space::PrivateSpace;
 /// 64-byte lines; larger pages get `page_size / 64` so the mask stays one
 /// word.
 const MIN_LINE_BYTES: usize = 64;
+
+/// Page buffers a thread's [`SliceSnapshots`] keeps across seals, so
+/// steady-state slices open page snapshots with zero allocations; one
+/// bound for the DLRC core and the lockstep engine alike. The pool itself
+/// is measured as needed (`page-sparse` is 2.3× slower without it,
+/// DESIGN.md §4.6); nothing has needed a second size.
+pub const SNAP_POOL_PAGES: usize = 256;
 
 /// What [`SliceSnapshots::record`] did, for the caller's accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,6 +95,13 @@ impl SliceSnapshots {
             bufs: Vec::new(),
             pool_cap,
         }
+    }
+
+    /// An empty tracker for `space`'s pages that recycles up to
+    /// [`SNAP_POOL_PAGES`] buffers.
+    #[must_use]
+    pub fn for_space(space: &PrivateSpace) -> Self {
+        Self::new(space.num_pages(), space.page_size(), SNAP_POOL_PAGES)
     }
 
     /// Bytes per dirty line: `max(64, page_size / 64)`, clipped to the

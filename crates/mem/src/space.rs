@@ -265,7 +265,10 @@ impl PrivateSpace {
         applied
     }
 
-    /// [`apply`](Self::apply) for boxed runs.
+    /// [`apply`](Self::apply) for boxed runs. No runtime calls it: its
+    /// callers are the frozen benchmark's `mem.apply_*` probes and the
+    /// tests; it goes with the next benchmark revision (ROADMAP item
+    /// 8(v)).
     pub fn apply_runs(&mut self, runs: &[ModRun]) -> u64 {
         self.apply(runs)
     }

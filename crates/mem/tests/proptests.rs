@@ -88,23 +88,32 @@ fn resolve(raw: &RawStore, page_size: usize, line: usize, space: &PrivateSpace) 
 }
 
 /// The runtime's instrumented store: per page, snapshot the missing
-/// lines, then write.
+/// lines — or, `whole_page`, the whole page at its first touch, as `pf`
+/// monitoring and the lockstep engine record — then write.
 fn tracked_store(
     snaps: &mut SliceSnapshots,
     space: &mut PrivateSpace,
+    whole_page: bool,
     mut addr: u64,
     mut data: &[u8],
 ) {
     while !data.is_empty() {
         let (page, off) = (space.page_of(addr), space.page_offset(addr));
         let n = data.len().min(space.page_size() - off);
-        let need = snaps.missing_lines(page, off, n);
+        let need = match whole_page {
+            true if snaps.is_open(page) => 0,
+            true => snaps.full_mask(),
+            false => snaps.missing_lines(page, off, n),
+        };
         if need != 0 {
             let rec = snaps.record(page, need, space.page(page).map(Page::bytes));
             assert_eq!(
                 rec.bytes_copied,
                 u64::from(need.count_ones()) * snaps.line_bytes() as u64
             );
+            if whole_page {
+                assert_eq!(rec.bytes_copied, space.page_size() as u64);
+            }
         }
         space.write_page(page, off, &data[..n]);
         data = &data[n..];
@@ -180,10 +189,14 @@ proptest! {
     /// whatever ownership state a fork left the pages in, the sealed
     /// arena — packed by one builder reused across the slices — reads
     /// back, run for run, the scalar whole-page diff of every stored-to
-    /// page against a whole-page snapshot taken at the slice start.
+    /// page against a whole-page snapshot taken at the slice start. So
+    /// does whole-page recording (`whole_page`: the full mask at a page's
+    /// first touch), the capture of `pf` monitoring and the lockstep
+    /// engine.
     #[test]
     fn dirty_line_seal_matches_whole_page_scalar_diff(
         size_idx in 0usize..4,
+        whole_page in any::<bool>(),
         prefill in prop::collection::vec((0usize..DL_PAGES, any::<u8>()), 0..4),
         slices in prop::collection::vec(arb_raw_stores(), 1..4),
         pool_cap in 0usize..3,
@@ -218,12 +231,13 @@ proptest! {
             let before: Vec<Box<[u8]>> = (0..DL_PAGES).map(|p| space.snapshot_page(p)).collect();
             for raw in &stores {
                 let (addr, data) = resolve(raw, page_size, line, &space);
-                tracked_store(&mut snaps, &mut space, addr, &data);
+                tracked_store(&mut snaps, &mut space, whole_page, addr, &data);
             }
             let scanned = snaps.seal(&space, &mut builder);
             let sealed = builder.finish().unwrap_or_default();
             prop_assert_eq!(snaps.dirty_pages(), 0);
-            prop_assert_eq!(scanned % line as u64, 0);
+            let unit = if whole_page { page_size } else { line };
+            prop_assert_eq!(scanned % unit as u64, 0);
             prop_assert!(scanned <= (DL_PAGES * page_size) as u64);
 
             // The reference diffs every page whole; pages not stored to

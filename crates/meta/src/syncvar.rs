@@ -279,15 +279,24 @@ impl SyncTable {
         Ok(next)
     }
 
-    /// `tid` joins `target`: the exit release of a finished target, else
-    /// `None` with `tid` queued among its joiners.
+    /// `tid` joins `target`, where `spawned` tids (`0..spawned`) are
+    /// registered: the exit release of a finished target, else `None`
+    /// with `tid` queued among its joiners.
     ///
     /// # Errors
-    /// The misuse of a thread joining itself, or joining a thread that
-    /// was already joined.
-    pub fn join(&mut self, tid: Tid, target: Tid) -> Result<Option<&SyncVar>, String> {
+    /// The misuse of a thread joining itself, a thread that was never
+    /// spawned, or a thread that was already joined.
+    pub fn join(
+        &mut self,
+        tid: Tid,
+        target: Tid,
+        spawned: usize,
+    ) -> Result<Option<&SyncVar>, String> {
         if target == tid {
             return Err(format!("thread {tid} joining itself"));
+        }
+        if target as usize >= spawned {
+            return Err(rfdet_api::harness::join_never_spawned(tid, target));
         }
         let th = self.threads.entry(target).or_default();
         if std::mem::replace(&mut th.joined, true) {
@@ -446,9 +455,14 @@ mod tests {
         );
         assert!(t.conds.get(&3).is_none_or(|c| c.waiters.is_empty()));
         assert_eq!(
-            t.join(4, 4).err().as_deref(),
+            t.join(4, 4, 5).err().as_deref(),
             Some("thread 4 joining itself")
         );
+        assert_eq!(
+            t.join(4, 5, 5).err(),
+            Some(rfdet_api::harness::join_never_spawned(4, 5))
+        );
+        assert!(!t.threads.contains_key(&5), "no record for a misuse");
         let b = t.barriers.entry(7).or_default();
         assert_eq!(
             b.arrive(7, 0, now.clone(), 0),
@@ -482,15 +496,15 @@ mod tests {
         cell.join_release(2, &VClock::from_components(vec![3]));
         assert_eq!(cell.last_time, VClock::from_components(vec![3, 5]));
         let exit_time = |exit: Option<&SyncVar>| exit.map(|v| v.last_time.clone());
-        assert_eq!(t.join(3, 2).map(exit_time), Ok(None));
+        assert_eq!(t.join(3, 2, 5).map(exit_time), Ok(None));
         assert_eq!(t.exit(2, at(8)), [3]);
         assert_eq!(
-            t.join(4, 2).map(exit_time),
+            t.join(4, 2, 5).map(exit_time),
             Err(rfdet_api::harness::join_twice(4, 2)),
             "thread 3 joined it first"
         );
         t.threads.entry(2).or_default().joined = false;
-        assert_eq!(t.join(4, 2).map(exit_time), Ok(Some(at(8))));
+        assert_eq!(t.join(4, 2, 5).map(exit_time), Ok(Some(at(8))));
         // t1 owns mutex 0; t5 retries it (the lockstep engine's locker).
         let holder = Some(1);
         assert_eq!(

@@ -4,8 +4,8 @@ use crate::sync::{BarrierVar, CondVar, LockVar, Registry};
 use parking_lot::Mutex;
 use rfdet_api::obs::Phase;
 use rfdet_api::{
-    Addr, BarrierId, CondId, ConfigError, DmtCtx, FailureKind, MutexId, RunConfig, RunHarness,
-    SyncOp, ThreadFn, ThreadHandle, ThreadHarness, Tid,
+    harness, Addr, BarrierId, CondId, ConfigError, DmtCtx, FailureKind, MutexId, RunConfig,
+    RunHarness, SyncOp, ThreadFn, ThreadHandle, ThreadHarness, Tid,
 };
 use rfdet_mem::{StripAllocator, ThreadHeap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -226,11 +226,14 @@ impl DmtCtx for NativeCtx {
 
     fn join(&mut self, h: ThreadHandle) {
         self.sync_op(SyncOp::Join(h.0), |ctx| {
+            if h.0 >= ctx.shared.next_tid.load(Relaxed) {
+                panic!("{}", harness::join_never_spawned(ctx.tid, h.0));
+            }
             let handle = ctx
                 .shared
                 .run
                 .claim(h.0)
-                .unwrap_or_else(|| panic!("{}", rfdet_api::harness::join_twice(ctx.tid, h.0)));
+                .unwrap_or_else(|| panic!("{}", harness::join_twice(ctx.tid, h.0)));
             // The child caught its own panic (recording it as the root
             // cause), so the join itself cannot fail — but if the run is
             // now stopped the joiner must unwind too.

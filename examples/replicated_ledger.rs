@@ -98,10 +98,4 @@ fn main() {
         "recovered replica digest {:016x} == unfaulted replica digest {:016x}",
         report.recovered_digest, report.reference_digest
     );
-    println!(
-        "recovery cost {:.1} ms vs {:.1} ms for a full re-run ({:.0}% of it)",
-        report.recovery_ms,
-        report.full_run_ms,
-        report.recovery_ratio() * 100.0
-    );
 }

@@ -1,7 +1,7 @@
 //! Cross-backend semantics of the pthreads-style API surface:
 //! condition-variable wake ordering, barrier reuse, misuse panics.
 
-use rfdet::api::harness::join_twice;
+use rfdet::api::harness::{join_never_spawned, join_twice};
 use rfdet::{
     all_backends, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, DthreadsBackend, MutexId,
     NativeBackend, QuantumBackend, RfdetBackend, RunConfig, RunError, ThreadFn, ThreadHandle,
@@ -300,7 +300,10 @@ fn out_of_range_accesses_are_one_typed_error_on_every_backend() {
 /// 200 ms, it used to be named the culprit on DThreads and CoreDet-q,
 /// because the engine failed on the stack of whichever thread closed the
 /// fence. Each report digest is rerun-stable, stall or no stall, and
-/// the bystander's is the same under every jitter seed.
+/// the bystander's is the same under every jitter seed. A join of a tid
+/// no spawn handed out is checked against the spawn count before any
+/// backend indexes by it (it used to panic out of bounds on RFDet and
+/// deadlock the lockstep engine).
 #[test]
 fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
     fn bystander(stall_ms: u64) -> ThreadFn {
@@ -318,7 +321,7 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
     let not_held = |tid: u32| format!("thread {tid} unlocking mutex 5 it does not hold");
     // (what, program, culprit, message)
     type Case = (&'static str, fn() -> ThreadFn, u32, String);
-    let cases: [Case; 10] = [
+    let cases: [Case; 11] = [
         (
             "unlock of a never-locked mutex",
             || Box::new(|ctx| ctx.unlock(MutexId(5))),
@@ -393,6 +396,18 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
         ),
         ("bystander", || bystander(0), 2, not_held(2)),
         ("slow bystander", || bystander(200), 2, not_held(2)),
+        (
+            "join of a never-spawned tid",
+            || {
+                Box::new(|ctx| {
+                    let h = ctx.spawn(Box::new(|_: &mut dyn DmtCtx| {}));
+                    ctx.join(h);
+                    ctx.join(ThreadHandle(7));
+                })
+            },
+            0,
+            join_never_spawned(0, 7),
+        ),
     ];
     for backend in det_backends() {
         let name = backend.name();
@@ -440,16 +455,28 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
         }
     }
     // Native keeps no sync table, but its second join is the same misuse
-    // in the same words: the OS handle was claimed by the first.
-    let (_, join_twice_body, tid, message) = &cases[6];
-    let err = NativeBackend
-        .run(&cfg(), join_twice_body())
-        .expect_err("misuse must fail the run");
-    assert!(
-        matches!(err, RunError::WorkerPanicked(_)),
-        "pthreads: {err}"
-    );
-    assert_eq!((err.report().tid, &err.report().message), (*tid, message));
+    // in the same words (the OS handle was claimed by the first), and so
+    // is a join of a tid past its spawn count.
+    for (what, body, tid, message) in [&cases[6], &cases[10]] {
+        let runs: Vec<u64> = (0..2)
+            .map(|_| {
+                let err = NativeBackend
+                    .run(&cfg(), body())
+                    .expect_err("misuse must fail the run");
+                assert!(
+                    matches!(err, RunError::WorkerPanicked(_)),
+                    "pthreads {what}: {err}"
+                );
+                assert_eq!(
+                    (err.report().tid, &err.report().message),
+                    (*tid, message),
+                    "pthreads {what}"
+                );
+                err.report_digest()
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "pthreads {what}: rerun-stable digest");
+    }
 }
 
 #[test]
