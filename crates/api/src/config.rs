@@ -225,7 +225,23 @@ impl RunConfig {
     /// replay observes its own schedule for comparison.
     #[must_use]
     pub fn from_trace(trace: &RunTrace) -> Self {
-        let c = &trace.config;
+        let faults = FaultPlan::from_trace_faults(&trace.faults);
+        Self::recorded(&trace.config, &trace.workload, trace.seed, faults)
+    }
+
+    /// Reconstructs the configuration a checkpoint was recorded under,
+    /// from the checkpoint's own self-describing header — no trace file
+    /// needed. The fault plan comes back *empty*: resuming past a crash
+    /// means running without the fault that caused it; shard replay of a
+    /// faulted run should resume from its persisted trace instead.
+    #[must_use]
+    pub fn from_checkpoint(ckpt: &rfdet_trace::Checkpoint) -> Self {
+        Self::recorded(&ckpt.config, &ckpt.workload, ckpt.seed, FaultPlan::new())
+    }
+
+    /// The configuration of a recorded run: its determinism-relevant
+    /// projection `c`, workload, seed and fault plan, with recording on.
+    fn recorded(c: &TraceConfig, workload: &str, seed: Option<u64>, faults: FaultPlan) -> Self {
         Self {
             space_bytes: c.space_bytes,
             page_size: c.page_size,
@@ -235,10 +251,10 @@ impl RunConfig {
                 prelock: c.prelock,
                 fault_cost_spins: c.fault_cost_spins,
             },
-            jitter_seed: trace.seed,
-            fault_plan: FaultPlan::from_trace_faults(&trace.faults),
+            jitter_seed: seed,
+            fault_plan: faults,
             deadlock_after_ms: c.deadlock_after_ms,
-            trace: Some(trace.workload.clone()),
+            trace: Some(workload.to_owned()),
             // Not part of the determinism-relevant projection: metrics
             // never influence results. Checkpoint capture is likewise
             // schedule-neutral (decisions ride an existing turn, capture
@@ -254,29 +270,6 @@ impl RunConfig {
             // back on explicitly), not a recorded input.
             detect_races: false,
         }
-    }
-
-    /// Reconstructs the configuration a checkpoint was recorded under,
-    /// from the checkpoint's own self-describing header — no trace file
-    /// needed. The fault plan comes back *empty*: resuming past a crash
-    /// means running without the fault that caused it; shard replay of a
-    /// faulted run should resume from its persisted trace instead.
-    #[must_use]
-    pub fn from_checkpoint(ckpt: &rfdet_trace::Checkpoint) -> Self {
-        let synthetic = rfdet_trace::RunTrace {
-            backend: ckpt.backend.clone(),
-            workload: ckpt.workload.clone(),
-            seed: ckpt.seed,
-            config: ckpt.config.clone(),
-            faults: Vec::new(),
-            events: Vec::new(),
-            failure: rfdet_trace::FailureSummary {
-                kind: rfdet_trace::KIND_NONE,
-                tid: 0,
-                report_digest: 0,
-            },
-        };
-        Self::from_trace(&synthetic)
     }
 
     /// Checks the constraints every backend relies on. [`crate::RunHarness::new`]

@@ -397,7 +397,6 @@ fn sharded_replay_ab(quick: bool) -> Rounds {
     };
     let params = Params::new(3, Size::Test);
     let root = || (by_name(name).expect("registered").factory)(params);
-    let bodies = rfdet_workloads::resume_bodies(name, params).expect("long_haul is resumable");
     let cfg = cfg(|c| {
         c.trace = Some(format!("{name}@3"));
         c.checkpoint_every = every;
@@ -412,7 +411,7 @@ fn sharded_replay_ab(quick: bool) -> Rounds {
     // round, and it gates at 1.15.
     let mut ns = vec![Vec::new(), Vec::new()];
     for _ in 0..3 * ROUNDS {
-        let replay = rfdet_core::replay_chain(&backend, &cfg, &chain, &root, &*bodies, 4)
+        let replay = rfdet_core::replay_chain(&backend, &cfg, &chain, &root, 4)
             .unwrap_or_else(|d| panic!("{d}"));
         ns[0].push(replay.sharded.as_nanos() as f64);
         ns[1].push(replay.serial.as_nanos() as f64);
@@ -437,18 +436,16 @@ fn failover_ab(quick: bool) -> Rounds {
     cfg.trace = Some(format!("service.ledger@{workers}"));
     let unfaulted = cfg.clone();
     cfg.fault_plan = FaultPlan::new().panic_at(2, crash_op);
-    let bodies = service::ledger_resume(params);
     let root = move || service::ledger(params);
     let backend = RfdetBackend::ci();
-    let report = rfdet_core::run_failover(&backend, &cfg, &root, &*bodies);
+    let report = rfdet_core::run_failover(&backend, &cfg, &root);
     assert!(report.crash.is_some(), "the injected fault must fire");
-    assert!(report.converged, "recovery must match the reference");
+    assert!(
+        report.verdict.converged(),
+        "recovery must match the reference"
+    );
     let crashed = backend.run_traced(&cfg, root());
-    let mut recovery = || {
-        drop(rfdet_core::recover(
-            &backend, &cfg, &crashed, &root, &*bodies,
-        ))
-    };
+    let mut recovery = || drop(rfdet_core::recover(&backend, &cfg, &crashed, &root));
     let mut full_run = || drop(backend.run_traced(&unfaulted, root()));
     let mut arms: [&mut dyn FnMut(); 2] = [&mut recovery, &mut full_run];
     measure(ROUNDS, Duration::ZERO, &mut arms)

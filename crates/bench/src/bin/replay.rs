@@ -21,14 +21,16 @@
 //!
 //! `failover` runs the full crash-failover cycle (DESIGN.md §4.12): an
 //! unfaulted reference replica, a faulted replica killed at the given
-//! FaultPlan coordinate, `rfdet_core::recover` from the faulted run's
-//! last checkpoint, and a byte-identical convergence check — exit 0
-//! only when the recovered digest matches the reference. `sweep` runs a
+//! FaultPlan coordinate, and `rfdet_core::judge`'s verdict on it (a
+//! `recover` from the faulted run's last checkpoint, compared with the
+//! reference byte for byte) — exit 0 only when the replica converged or
+//! recovered, 4 when it wedged. `sweep` runs a
 //! whole fault-plan grid (panic/fail_alloc/jitter × thread × sync-op
-//! strata) under supervision, recovers failed plans the same way,
-//! classifies each outcome into {converged, recovered, diverged,
-//! wedged}, and writes a JSON report (default in the trace directory);
-//! diverged or wedged outcomes fail the sweep.
+//! strata) under supervision, judges each kill plan by the same
+//! `rfdet_core::judge` (jitter plans by rerun stability) into
+//! {converged, recovered, diverged, wedged}, and writes a JSON report
+//! (default in the trace directory); diverged or wedged outcomes fail
+//! the sweep.
 //!
 //! `metrics` runs a workload once with the deterministic-safe metrics
 //! layer enabled and prints the phase rollup — `json` (default) for
@@ -51,10 +53,10 @@
 //! wedged (the run blew its `--timeout`, or ended [`RunError::Wedged`]).
 
 use rfdet_api::trace::{persist, Checkpoint};
-use rfdet_api::{DmtBackend, FaultPlan, RunConfig, RunError, RunTrace, ThreadFn, Tid};
+use rfdet_api::{DmtBackend, FaultPlan, RunConfig, RunError, RunTrace, ThreadFn};
 use rfdet_bench::{each_flag, number};
-use rfdet_core::{recover, ChainDivergence, RfdetBackend};
-use rfdet_workloads::{by_name, Params, Size, Workload};
+use rfdet_core::{judge, recover, ChainDivergence, RfdetBackend, Verdict};
+use rfdet_workloads::{by_name, resumable, Params, Size, Workload};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::Arc;
@@ -183,15 +185,15 @@ fn backend_or_die(name: &str) -> Box<dyn DmtBackend> {
     backend_by_name(name).unwrap_or_else(|| die(EXIT_USAGE, format!("unknown backend {name:?}")))
 }
 
-/// The per-tid resume bodies of a workload a checkpoint can restore.
-fn bodies_or_die(workload: &Workload, params: Params, why: &str) -> ResumeBodies {
-    rfdet_workloads::resume_bodies(workload.name, params).unwrap_or_else(|| {
+/// Exits unless a checkpoint of `workload` can be resumed.
+fn resumable_or_die(workload: &Workload, why: &str) {
+    if !resumable(workload.name) {
         let name = workload.name;
         die(
             EXIT_USAGE,
             format!("workload {name:?} is not resumable{why}"),
-        )
-    })
+        );
+    }
 }
 
 /// Loads the trace at `path` and resolves the backend and workload it
@@ -293,7 +295,7 @@ fn load_ckpt_or_die(path: &Path) -> Checkpoint {
 
 /// Resolves a checkpoint's backend and workload, or exits: both failures
 /// are configuration errors, not divergence.
-fn resume_setup(ckpt: &Checkpoint) -> (RfdetBackend, Workload, Params, ResumeBodies) {
+fn resume_setup(ckpt: &Checkpoint) -> (RfdetBackend, Workload, Params) {
     let backend = core_backend_or_die(&ckpt.backend);
     let Some((workload, params)) = resolve_workload(&ckpt.workload) else {
         die(
@@ -301,12 +303,12 @@ fn resume_setup(ckpt: &Checkpoint) -> (RfdetBackend, Workload, Params, ResumeBod
             format!("checkpoint names unknown workload {:?}", ckpt.workload),
         );
     };
-    let why = " (its control state does not live in deterministic memory)";
-    let bodies = bodies_or_die(&workload, params, why);
-    (backend, workload, params, bodies)
+    resumable_or_die(
+        &workload,
+        " (its control state does not live in deterministic memory)",
+    );
+    (backend, workload, params)
 }
-
-type ResumeBodies = Box<dyn Fn(Tid) -> ThreadFn + Send + Sync>;
 
 fn cmd_record(spec: &str, f: Flags) -> i32 {
     let (workload, params) = workload_or_die(spec);
@@ -403,12 +405,12 @@ fn dir_of(path: &Path) -> &Path {
 fn cmd_resume(path: &str, f: Flags) -> i32 {
     let ckpt = load_ckpt_or_die(Path::new(path));
     println!("{}", ckpt.summary());
-    let (backend, _, _, bodies) = resume_setup(&ckpt);
+    let (backend, workload, params) = resume_setup(&ckpt);
     let mut cfg = RunConfig::from_checkpoint(&ckpt);
     cfg.checkpoint_every = f.every.unwrap_or(0);
     cfg.checkpoint_dir = Some(dir_of(Path::new(path)).to_owned());
     let run = run_with_timeout(f.timeout, "resume", move || {
-        backend.run_resumed(&cfg, &ckpt, &|tid| bodies(tid))
+        backend.run_resumed(&cfg, &ckpt, &|| (workload.factory)(params))
     });
     for w in &run.warnings {
         eprintln!("warning: {w}");
@@ -439,11 +441,11 @@ fn cmd_shard(path: &str, f: Flags) -> i32 {
         "chain: {n} checkpoints, cadence {cadence} (run key {:016x})",
         anchor.run_key()
     );
-    let (backend, workload, params, bodies) = resume_setup(&anchor);
+    let (backend, workload, params) = resume_setup(&anchor);
     let cfg = RunConfig::from_checkpoint(&anchor);
     let replay = run_with_timeout(f.timeout, "shard replay", move || {
         let root = move || (workload.factory)(params);
-        rfdet_core::replay_chain(&backend, &cfg, &chain, &root, &*bodies, jobs)
+        rfdet_core::replay_chain(&backend, &cfg, &chain, &root, jobs)
     });
     let code = match &replay {
         Ok(_) => 0,
@@ -483,89 +485,70 @@ fn cmd_shrink(path: &str, _: Flags) -> i32 {
 fn cmd_failover(spec: &str, f: Flags) -> i32 {
     let (workload, params) = workload_or_die(spec);
     let backend = core_backend_or_die(&f.backend);
-    let bodies = bodies_or_die(&workload, params, "");
+    resumable_or_die(&workload, "");
     let mut cfg = cli_config();
     cfg.fault_plan = f.plan;
     cfg.trace = Some(format!("{}@{}", workload.name, params.threads));
     cfg.checkpoint_every = f.every.unwrap_or(2);
     cfg.checkpoint_dir = f.ckpt_dir;
     let report = run_with_timeout(f.timeout, "failover", move || {
-        rfdet_core::run_failover(
-            &backend,
-            &cfg,
-            &move || (workload.factory)(params),
-            &*bodies,
-        )
+        rfdet_core::run_failover(&backend, &cfg, &move || (workload.factory)(params))
     });
     match &report.crash {
         Some(r) => println!("crash: tid {} ({:?})", r.tid, r.kind),
         None => println!("crash: fault plan never fired (clean run)"),
     }
-    match report.recovered_from_epoch {
-        Some(e) => println!("recovered from checkpoint epoch {e}"),
-        None => println!("recovered from scratch (no checkpoint before the crash)"),
-    }
-    println!(
-        "reference digest {:#018x}, recovered digest {:#018x}",
-        report.reference_digest, report.recovered_digest
-    );
-    if report.converged {
-        println!("FAILOVER CONVERGED");
-        0
-    } else {
-        println!("FAILOVER DIVERGED");
-        EXIT_DIVERGED
-    }
-}
-
-/// Classifies one non-jitter plan: converged (clean, digest matches the
-/// reference), recovered (typed failure, and [`recover`] matches),
-/// diverged, or wedged.
-fn classify_kill_plan(
-    backend: &RfdetBackend,
-    cfg: &RunConfig,
-    reference: &[u8],
-    root: &dyn Fn() -> ThreadFn,
-    bodies: &dyn Fn(Tid) -> ThreadFn,
-) -> (&'static str, Option<u64>) {
-    let run = backend.run_traced(cfg, root());
-    match &run.result {
-        Ok(out) if out.output == reference => ("converged", None),
-        Ok(_) => ("diverged", None),
-        Err(RunError::Wedged(_)) => ("wedged", None),
-        Err(_) => {
-            let (recovered, epoch) = recover(backend, cfg, &run, root, bodies);
-            let ok = recovered.result.is_ok_and(|out| out.output == reference);
-            (if ok { "recovered" } else { "diverged" }, epoch)
+    match report.verdict {
+        Verdict::Recovered(Some(e)) => println!("recovered from checkpoint epoch {e}"),
+        Verdict::Recovered(None) => {
+            println!("recovered from scratch (no checkpoint before the crash)");
         }
+        _ => {}
     }
+    let recovered = report
+        .recovered_digest
+        .map_or("none (the run failed)".to_owned(), |d| format!("{d:#018x}"));
+    println!(
+        "reference digest {:#018x}, recovered digest {recovered}",
+        report.reference_digest
+    );
+    let (word, code) = match report.verdict {
+        Verdict::Wedged => ("WEDGED", EXIT_WEDGED),
+        v if v.converged() => ("CONVERGED", 0),
+        _ => ("DIVERGED", EXIT_DIVERGED),
+    };
+    println!("FAILOVER {word}");
+    code
 }
 
-/// Classifies one jitter plan. Jitter legitimately perturbs the
+/// Judges one jitter plan. Jitter legitimately perturbs the
 /// deterministic schedule, so the run may differ from the unjittered
-/// reference; the contract is *rerun stability* — the identical plan
-/// run twice must produce byte-identical results. A typed failure
-/// under jitter must still [`recover`] to a clean completion.
-fn classify_jitter_plan(
+/// reference and [`judge`] cannot rule on it; the contract is *rerun
+/// stability* — the identical plan run twice must produce byte-identical
+/// results. A typed failure under jitter must still [`recover`] to a
+/// clean completion.
+fn judge_jitter_plan(
     backend: &RfdetBackend,
     cfg: &RunConfig,
     root: &dyn Fn() -> ThreadFn,
-    bodies: &dyn Fn(Tid) -> ThreadFn,
-) -> (&'static str, Option<u64>) {
+) -> Verdict {
     let a = backend.run_traced(cfg, root());
     let b = backend.run_traced(cfg, root());
     match (&a.result, &b.result) {
-        (Ok(x), Ok(y)) if x.output == y.output => ("converged", None),
-        (Err(RunError::Wedged(_)), _) | (_, Err(RunError::Wedged(_))) => ("wedged", None),
+        (Ok(x), Ok(y)) if x.output == y.output => Verdict::Converged,
+        (Err(RunError::Wedged(_)), _) | (_, Err(RunError::Wedged(_))) => Verdict::Wedged,
         (Err(x), Err(y)) if x.report().report_digest() == y.report().report_digest() => {
             if a.checkpoints.is_empty() {
-                return ("recovered", None);
+                return Verdict::Recovered(None);
             }
-            let (recovered, epoch) = recover(backend, cfg, &a, root, bodies);
-            let ok = recovered.result.is_ok();
-            (if ok { "recovered" } else { "diverged" }, epoch)
+            let (recovered, epoch) = recover(backend, cfg, &a, root);
+            if recovered.result.is_ok() {
+                Verdict::Recovered(epoch)
+            } else {
+                Verdict::Diverged
+            }
         }
-        _ => ("diverged", None),
+        _ => Verdict::Diverged,
     }
 }
 
@@ -579,27 +562,26 @@ fn cmd_sweep(spec: &str, f: Flags) -> i32 {
             format!("sweep needs a checkpoint-capable backend (RFDet*), got {backend_name:?}"),
         );
     };
-    let bodies: Arc<dyn Fn(Tid) -> ThreadFn + Send + Sync> =
-        bodies_or_die(&workload, params, "").into();
+    resumable_or_die(&workload, "");
 
     let mut cfg = cli_config();
     cfg.trace = Some(format!("{}@{}", workload.name, params.threads));
     cfg.checkpoint_every = every;
 
-    // The unfaulted reference replica every kill plan must converge to.
+    // The unfaulted reference replica every kill plan is judged against.
     let reference = {
         let cfg = cfg.clone();
         let run = try_with_timeout(Some(timeout_ms), move || {
             backend.run_traced(&cfg, (workload.factory)(params))
         })
         .unwrap_or_else(|| die(EXIT_WEDGED, "unfaulted reference run wedged"));
-        match run.result {
-            Ok(out) => out.output,
-            Err(e) => die(
+        if let Err(e) = &run.result {
+            die(
                 EXIT_DIVERGED,
                 format!("unfaulted reference run failed: {e}"),
-            ),
+            );
         }
+        Arc::new(run)
     };
 
     // The grid: every fault kind × every thread (main included) × a
@@ -636,21 +618,26 @@ fn cmd_sweep(spec: &str, f: Flags) -> i32 {
             "fail_alloc" => FaultPlan::new().fail_alloc(tid, op),
             _ => FaultPlan::new().jitter_at(tid, op, JITTER_TICKS),
         };
-        let (reference, bodies) = (reference.clone(), Arc::clone(&bodies));
-        let (outcome, epoch) = try_with_timeout(Some(timeout_ms), move || {
+        let reference = Arc::clone(&reference);
+        let verdict = try_with_timeout(Some(timeout_ms), move || {
             let root = || (workload.factory)(params);
             if kind == "jitter" {
-                classify_jitter_plan(&backend, &plan_cfg, &root, &*bodies)
+                judge_jitter_plan(&backend, &plan_cfg, &root)
             } else {
-                classify_kill_plan(&backend, &plan_cfg, &reference, &root, &*bodies)
+                let run = backend.run_traced(&plan_cfg, root());
+                judge(&backend, &plan_cfg, run, &reference, &root).0
             }
         })
-        .unwrap_or(("wedged", None));
-        if outcome == "diverged" || outcome == "wedged" {
+        .unwrap_or(Verdict::Wedged);
+        let outcome = verdict.name();
+        if !verdict.converged() {
             eprintln!("plan {kind} tid={tid} op={op}: {outcome}");
         }
         *tally.entry(outcome).or_default() += 1;
-        let epoch = epoch.map_or("null".to_owned(), |e| e.to_string());
+        let epoch = match verdict {
+            Verdict::Recovered(Some(e)) => e.to_string(),
+            _ => "null".to_owned(),
+        };
         rows.push(format!(
             "    {{\"kind\": \"{kind}\", \"tid\": {tid}, \"op\": {op}, \
              \"outcome\": \"{outcome}\", \"recovered_from_epoch\": {epoch}}}"

@@ -2,7 +2,7 @@
 
 use crate::ctx::RfdetCtx;
 use crate::shared::RuntimeShared;
-use rfdet_api::{DmtBackend, RunConfig, ThreadFn, Tid, TracedRun};
+use rfdet_api::{DmtBackend, RunConfig, ThreadFn, TracedRun};
 use rfdet_trace::Checkpoint;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -87,8 +87,8 @@ impl DmtBackend for RfdetBackend {
 pub(crate) enum Start<'a> {
     /// From the beginning, with this root body on the main thread.
     Fresh(ThreadFn),
-    /// At a checkpoint's cut, with each live thread's resume body.
-    Resume(&'a Checkpoint, &'a dyn Fn(Tid) -> ThreadFn),
+    /// At a checkpoint's cut, with every live thread on a fresh root body.
+    Resume(&'a Checkpoint, &'a dyn Fn() -> ThreadFn),
 }
 
 impl RfdetBackend {
@@ -116,7 +116,7 @@ impl RfdetBackend {
                 main.run_body(root);
                 (shared, main)
             }
-            Start::Resume(ckpt, body_for) => crate::resume::restore(shared, ckpt, body_for),
+            Start::Resume(ckpt, root) => crate::resume::restore(shared, ckpt, root),
         };
         teardown(&self.name(), &shared, main)
     }

@@ -33,11 +33,8 @@
 use crate::ctx::RfdetCtx;
 use parking_lot::Mutex;
 use rfdet_api::Tid;
-use rfdet_mem::HeapState;
 use rfdet_meta::SyncKey;
-use rfdet_trace::{
-    persist, sync_class, Checkpoint, CkptFreeList, CkptHeap, CkptPage, CkptSyncVar, CkptThread,
-};
+use rfdet_trace::{persist, sync_class, Checkpoint, CkptHeap, CkptPage, CkptSyncVar, CkptThread};
 use rfdet_vclock::VClock;
 
 /// Panic payload for the clean shard stop ([`CkptCollector::stop_at`]):
@@ -146,36 +143,6 @@ pub(crate) fn class_to_key(class: u8, id: u64) -> SyncKey {
         sync_class::BARRIER => SyncKey::Barrier(small),
         sync_class::THREAD => SyncKey::Thread(small),
         _ => SyncKey::Atomic(id),
-    }
-}
-
-fn heap_to_ckpt(s: &HeapState) -> CkptHeap {
-    CkptHeap {
-        cursor: s.cursor,
-        allocated_bytes: s.allocated_bytes,
-        free: s
-            .free
-            .iter()
-            .map(|(class, addrs)| CkptFreeList {
-                class: *class,
-                addrs: addrs.clone(),
-            })
-            .collect(),
-        live: s.live.clone(),
-    }
-}
-
-/// Inverse of [`heap_to_ckpt`], used by restore.
-pub(crate) fn ckpt_to_heap(c: &CkptHeap) -> HeapState {
-    HeapState {
-        cursor: c.cursor,
-        allocated_bytes: c.allocated_bytes,
-        free: c
-            .free
-            .iter()
-            .map(|fl| (fl.class, fl.addrs.clone()))
-            .collect(),
-        live: c.live.clone(),
     }
 }
 
@@ -293,7 +260,7 @@ pub(crate) fn contribute(ctx: &mut RfdetCtx, epoch: u64) {
         sync_ops: ctx.h.sync_ops(),
         allocs: ctx.h.allocs(),
         output: ctx.h.output().to_vec(),
-        heap: heap_to_ckpt(&ctx.heap.export_state()),
+        heap: ctx.heap.export_state(),
         pages: pages
             .into_iter()
             .map(|idx| CkptPage {
@@ -338,17 +305,6 @@ mod tests {
             let (class, id) = key_to_class(key);
             assert_eq!(class_to_key(class, id), key);
         }
-    }
-
-    #[test]
-    fn heap_state_round_trips_through_ckpt_form() {
-        let s = HeapState {
-            cursor: 0x4000,
-            allocated_bytes: 768,
-            free: vec![(6, vec![0x100, 0x140]), (8, vec![0x800])],
-            live: vec![(0x1000, 9), (0x2000, 6)],
-        };
-        assert_eq!(ckpt_to_heap(&heap_to_ckpt(&s)), s);
     }
 
     #[test]

@@ -7,14 +7,50 @@
 //! with fault injection into the recovery half of that story: run a
 //! workload with `checkpoint_every` under a [`FaultPlan`] that kills a
 //! worker mid-stream, [`recover`] from the last checkpoint the crashed
-//! run sealed, replaying the input tail through the resume bodies, and
-//! compare the recovered replica's digest against an unfaulted
-//! replica's. Determinism does all the coordination: recovery needs no
-//! interleaving log and no agreement protocol, only the input (which
-//! is baked into the workload body) and the last consistent cut.
+//! run sealed, replaying the input tail from the workload's own root,
+//! and [`judge`] the recovered replica against an unfaulted one.
+//! Determinism does all the coordination: recovery needs no interleaving
+//! log and no agreement protocol, only the input (which is baked into
+//! the workload body) and the last consistent cut.
 
 use crate::RfdetBackend;
-use rfdet_api::{DmtBackend, FailureReport, FaultPlan, RunConfig, ThreadFn, Tid, TracedRun};
+use rfdet_api::{DmtBackend, FailureReport, FaultPlan, RunConfig, RunError, ThreadFn, TracedRun};
+
+/// How a faulted run ended, judged against a clean reference run of the
+/// same config ([`judge`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// The run completed with the reference's output.
+    Converged,
+    /// The run failed, and [`recover`] from this epoch (`None`: from
+    /// scratch) completed with the reference's output, every checkpoint
+    /// it sealed matching the reference chain.
+    Recovered(Option<u64>),
+    /// Anything else: other output, or a recovery that failed or left the
+    /// reference output or chain.
+    Diverged,
+    /// The run ended [`RunError::Wedged`].
+    Wedged,
+}
+
+impl Verdict {
+    /// The verdict as reports spell it.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Converged => "converged",
+            Self::Recovered(_) => "recovered",
+            Self::Diverged => "diverged",
+            Self::Wedged => "wedged",
+        }
+    }
+
+    /// Converged outright or after a recovery.
+    #[must_use]
+    pub fn converged(self) -> bool {
+        matches!(self, Self::Converged | Self::Recovered(_))
+    }
+}
 
 /// What one record/kill/restore/replay cycle produced.
 #[derive(Clone, Debug)]
@@ -24,50 +60,78 @@ pub struct FailoverReport {
     /// The injected failure, when the fault actually fired. `None`
     /// means the faulted run completed cleanly (plan out of range).
     pub crash: Option<FailureReport>,
-    /// Epoch of the checkpoint recovery restarted from. `None` when
-    /// the crash predated the first checkpoint (recovery re-ran from
-    /// scratch) or no crash happened.
-    pub recovered_from_epoch: Option<u64>,
-    /// Output digest of the recovered (or uninterrupted) replica.
-    pub recovered_digest: u64,
-    /// Recovered output is byte-identical to the reference, and every
-    /// checkpoint sealed after the restore point matches the reference
-    /// chain bit-for-bit.
-    pub converged: bool,
+    /// The faulted replica's [`judge`]ment.
+    pub verdict: Verdict,
+    /// Output digest of the run the verdict rests on; `None` if it failed.
+    pub recovered_digest: Option<u64>,
 }
 
 /// The one recovery step: finishes `failed`'s run the way a standby
 /// replica that never saw the fault would — resumed from the crashed
-/// run's own newest sealed checkpoint, or from scratch (`root`) when it
-/// sealed none. It runs under `cfg` without the fault plan (the crash
-/// cause) and without the checkpoint directory (a recovery does not
-/// re-write the recording's chain). Returns the recovered run and the
-/// epoch it restored from.
+/// run's own newest sealed checkpoint, or from scratch, with every
+/// thread on `root()`. It runs under `cfg` without the fault plan (the
+/// crash cause) and without the checkpoint directory (a recovery does
+/// not re-write the recording's chain). Returns the recovered run and
+/// the epoch it restored from.
 pub fn recover(
     backend: &RfdetBackend,
     cfg: &RunConfig,
     failed: &TracedRun,
     root: &dyn Fn() -> ThreadFn,
-    bodies: &dyn Fn(Tid) -> ThreadFn,
 ) -> (TracedRun, Option<u64>) {
     let mut clean = cfg.clone();
     clean.fault_plan = FaultPlan::new();
     clean.checkpoint_dir = None;
     match failed.checkpoints.last() {
-        Some(ckpt) => (backend.run_resumed(&clean, ckpt, bodies), Some(ckpt.epoch)),
+        Some(ckpt) => (backend.run_resumed(&clean, ckpt, root), Some(ckpt.epoch)),
         None => (backend.run_traced(&clean, root()), None),
+    }
+}
+
+/// The one verdict on `run`, a run of `cfg` (fault plan included),
+/// against `reference`, a clean run of `cfg` without its fault plan
+/// (DESIGN.md §4.12). A run that failed other than by wedging is
+/// [`recover`]ed from `root`. Returns the verdict and the run it rests
+/// on: the recovery when there was one, else `run` itself.
+pub fn judge(
+    backend: &RfdetBackend,
+    cfg: &RunConfig,
+    run: TracedRun,
+    reference: &TracedRun,
+    root: &dyn Fn() -> ThreadFn,
+) -> (Verdict, TracedRun) {
+    let same_output = |r: &TracedRun| match (&r.result, &reference.result) {
+        (Ok(a), Ok(b)) => a.output == b.output,
+        _ => false,
+    };
+    match &run.result {
+        Ok(_) if same_output(&run) => (Verdict::Converged, run),
+        Ok(_) => (Verdict::Diverged, run),
+        Err(RunError::Wedged(_)) => (Verdict::Wedged, run),
+        Err(_) => {
+            let (recovered, epoch) = recover(backend, cfg, &run, root);
+            // The recovered replica rejoins the reference chain exactly:
+            // every checkpoint it seals lies past the restore point and is
+            // one of the reference's, bit for bit.
+            let rejoins = (recovered.checkpoints.iter())
+                .all(|c| c.epoch > epoch.unwrap_or(0) && reference.checkpoints.contains(c));
+            if same_output(&recovered) && rejoins {
+                (Verdict::Recovered(epoch), recovered)
+            } else {
+                (Verdict::Diverged, recovered)
+            }
+        }
     }
 }
 
 /// Runs the full failover cycle on the core backend.
 ///
 /// `cfg` carries the fault plan and checkpoint cadence; `root` builds a
-/// fresh root body (called once per full run); `bodies` supplies the
-/// per-tid resume bodies for the restored threads. The reference
-/// replica runs first under `cfg` minus the fault plan; the recovery leg
-/// is [`recover`]. Both replicas persist their chains into
-/// `cfg.checkpoint_dir` when it is set; recovery reads only the crashed
-/// replica's own chain.
+/// fresh root body (called once per full run and per restored thread).
+/// The reference replica runs first under `cfg` minus the fault plan,
+/// then the faulted replica, which [`judge`] rules on. Both replicas
+/// persist their chains into `cfg.checkpoint_dir` when it is set;
+/// recovery reads only the crashed replica's own chain.
 ///
 /// # Panics
 /// Panics when the *unfaulted* reference run fails — the driver
@@ -77,47 +141,20 @@ pub fn run_failover(
     backend: &RfdetBackend,
     cfg: &RunConfig,
     root: &dyn Fn() -> ThreadFn,
-    bodies: &dyn Fn(Tid) -> ThreadFn,
 ) -> FailoverReport {
     let mut unfaulted = cfg.clone();
     unfaulted.fault_plan = FaultPlan::new();
     let reference = backend.run_traced(&unfaulted, root());
-    let reference_out = reference
-        .result
-        .expect("unfaulted reference replica must complete");
-
+    let reference_digest = (reference.result.as_ref())
+        .expect("unfaulted reference replica must complete")
+        .output_digest();
     let faulted = backend.run_traced(cfg, root());
-    let crash = match &faulted.result {
-        Err(e) => e.report().clone(),
-        Ok(out) => {
-            // The plan never fired (coordinate past the end of the
-            // run): the "recovery" is the run itself.
-            return FailoverReport {
-                reference_digest: reference_out.output_digest(),
-                crash: None,
-                recovered_from_epoch: None,
-                recovered_digest: out.output_digest(),
-                converged: out.output == reference_out.output,
-            };
-        }
-    };
-    let (recovered, recovered_from_epoch) = recover(backend, cfg, &faulted, root, bodies);
-    let out = recovered
-        .result
-        .expect("fault-free recovery replay must complete");
-    // Convergence is byte equality of the final output *and* of every
-    // checkpoint sealed after the restore point — the recovered replica
-    // rejoins the reference chain exactly.
-    let resumed_from = recovered_from_epoch.unwrap_or(0);
-    let tail_ok = recovered.checkpoints.iter().all(|c| {
-        let reference = reference.checkpoints.iter().find(|r| r.epoch == c.epoch);
-        reference.is_some_and(|r| r.digest() == c.digest()) && c.epoch > resumed_from
-    });
+    let crash = faulted.result.as_ref().err().map(|e| e.report().clone());
+    let (verdict, last) = judge(backend, cfg, faulted, &reference, root);
     FailoverReport {
-        reference_digest: reference_out.output_digest(),
-        crash: Some(crash),
-        recovered_from_epoch,
-        recovered_digest: out.output_digest(),
-        converged: out.output == reference_out.output && tail_ok,
+        reference_digest,
+        crash,
+        verdict,
+        recovered_digest: last.result.ok().map(|out| out.output_digest()),
     }
 }

@@ -65,5 +65,5 @@ mod sync;
 
 pub use backend::{MonitorMode, RfdetBackend};
 pub use ctx::RfdetCtx;
-pub use failover::{recover, run_failover, FailoverReport};
+pub use failover::{judge, recover, run_failover, FailoverReport, Verdict};
 pub use resume::{replay_chain, ChainDivergence, ChainReplay};

@@ -10,22 +10,22 @@
 //! episode's upper limit and every recorded release was ≤ upper, so no
 //! future acquire can need a pre-cut slice.
 //!
-//! Thread bodies do not serialize; the caller supplies a *resume body*
-//! per tid (see `rfdet-workloads`' resumable workloads), which must
-//! continue from deterministic memory — typically a round index each
-//! thread keeps in its own private space, restored with the pages.
+//! Thread bodies do not serialize; every restored live thread starts on
+//! the workload's own root, which must continue from deterministic
+//! memory — typically a round index each thread keeps in its own private
+//! space, restored with the pages (`rfdet_workloads::resumable`).
 //!
 //! [`replay_chain`] is the one verified sharded replay of a recorded
 //! chain: the only code that schedules shards and the only code that
 //! compares replayed checkpoints with a chain.
 
 use crate::backend::Start;
-use crate::checkpoint::{ckpt_to_heap, class_to_key};
+use crate::checkpoint::class_to_key;
 use crate::ctx::RfdetCtx;
 use crate::shared::RuntimeShared;
 use crate::RfdetBackend;
 use parking_lot::Mutex;
-use rfdet_api::{DmtBackend, RunConfig, RunError, ThreadFn, Tid, TracedRun};
+use rfdet_api::{DmtBackend, RunConfig, RunError, ThreadFn, TracedRun};
 use rfdet_kendo::KendoHandle;
 use rfdet_mem::PrivateSpace;
 use rfdet_meta::ThreadMeta;
@@ -57,17 +57,17 @@ fn build_ctx(shared: Arc<RuntimeShared>, seed: LiveSeed) -> RfdetCtx {
     let mut ctx = RfdetCtx::from_parts(shared, seed.kendo, seed.meta, Some(space), seed.vc);
     let frag = seed.frag;
     ctx.slice_seq = frag.slice_seq;
-    ctx.heap.restore_state(&ckpt_to_heap(&frag.heap));
+    ctx.heap.restore_state(&frag.heap);
     ctx.h.restore(frag.sync_ops, frag.allocs, frag.output);
     ctx
 }
 
 impl RfdetBackend {
     /// Resumes a checkpointed run: rebuilds the runtime at `ckpt`'s cut
-    /// and executes each live thread's resume body (`body_for(tid)`)
-    /// under the normal protocol until completion. Determinism gives
-    /// byte-identical continuation: output, digests and later
-    /// checkpoints match the uninterrupted run's exactly.
+    /// and starts each live thread on a fresh `root()` under the normal
+    /// protocol until completion. Determinism gives byte-identical
+    /// continuation: output, digests and later checkpoints match the
+    /// uninterrupted run's exactly.
     ///
     /// `cfg` must reconstruct the recorded run's determinism-relevant
     /// configuration (use [`RunConfig::from_trace`] or the checkpoint's
@@ -82,19 +82,19 @@ impl RfdetBackend {
         &self,
         cfg: &RunConfig,
         ckpt: &Checkpoint,
-        body_for: &dyn Fn(Tid) -> ThreadFn,
+        root: &dyn Fn() -> ThreadFn,
     ) -> TracedRun {
-        self.run_from(cfg, Start::Resume(ckpt, body_for), None)
+        self.run_from(cfg, Start::Resume(ckpt, root), None)
     }
 }
 
-/// Rebuilds `shared` at `ckpt`'s cut, starts every live worker on its
-/// resume body and runs main's on the calling thread (the resume half of
+/// Rebuilds `shared` at `ckpt`'s cut, starts every live worker on
+/// `root()` and runs main's on the calling thread (the resume half of
 /// [`RfdetBackend::run_from`]).
 pub(crate) fn restore(
     shared: RuntimeShared,
     ckpt: &Checkpoint,
-    body_for: &dyn Fn(Tid) -> ThreadFn,
+    root: &dyn Fn() -> ThreadFn,
 ) -> (Arc<RuntimeShared>, RfdetCtx) {
     assert_eq!(
         ckpt.backend, shared.backend_name,
@@ -155,14 +155,14 @@ pub(crate) fn restore(
     shared.kendo.reseed_baton();
 
     let shared = Arc::new(shared);
-    let mut main_seed = None;
+    // Tids are dense and ascending, so a live main (tid 0) leads `live`.
+    let mut live = live.into_iter();
+    let main_seed = live.next().filter(|seed| seed.frag.tid == 0).expect(
+        "checkpoint has no live main thread (full membership requires main at the barrier)",
+    );
     for seed in live {
         let tid = seed.frag.tid;
-        if tid == 0 {
-            main_seed = Some(seed);
-            continue;
-        }
-        let body = body_for(tid);
+        let body = root();
         let worker_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name(format!("rfdet-{tid}"))
@@ -170,13 +170,10 @@ pub(crate) fn restore(
             .expect("failed to spawn OS thread");
         shared.run.adopt(tid, handle);
     }
-    // Main (tid 0) runs on the calling thread, like a fresh run — but
-    // rebuilt from its fragment instead of `new_main`.
-    let main_seed = main_seed.expect(
-        "checkpoint has no live main thread (full membership requires main at the barrier)",
-    );
+    // Main runs on the calling thread, like a fresh run — but rebuilt
+    // from its fragment instead of `new_main`.
     let mut main = build_ctx(Arc::clone(&shared), main_seed);
-    main.run_body(body_for(0));
+    main.run_body(root());
     (shared, main)
 }
 
@@ -249,7 +246,6 @@ pub fn replay_chain(
     cfg: &RunConfig,
     chain: &[Checkpoint],
     root: &(dyn Fn() -> ThreadFn + Sync),
-    bodies: &(dyn Fn(Tid) -> ThreadFn + Sync),
     jobs: usize,
 ) -> Result<ChainReplay, ChainDivergence> {
     let epochs: Vec<u64> = chain.iter().map(|c| c.epoch).collect();
@@ -274,7 +270,7 @@ pub fn replay_chain(
     }
 
     let t1 = Instant::now();
-    let shards = run_shards(backend, &cfg, chain, root, bodies, jobs);
+    let shards = run_shards(backend, &cfg, chain, root, jobs);
     let sharded = t1.elapsed();
     for (k, run) in shards.into_iter().enumerate() {
         let out = run.result.map_err(failed(Some(k)))?;
@@ -299,7 +295,6 @@ fn run_shards(
     cfg: &RunConfig,
     chain: &[Checkpoint],
     root: &(dyn Fn() -> ThreadFn + Sync),
-    bodies: &(dyn Fn(Tid) -> ThreadFn + Sync),
     jobs: usize,
 ) -> Vec<TracedRun> {
     let n_shards = chain.len() + 1;
@@ -314,7 +309,7 @@ fn run_shards(
                 }
                 let start = match k.checked_sub(1) {
                     None => Start::Fresh(root()),
-                    Some(from) => Start::Resume(&chain[from], bodies),
+                    Some(from) => Start::Resume(&chain[from], root),
                 };
                 let run = backend.run_from(cfg, start, chain.get(k).map(|c| c.epoch));
                 *results[k].lock() = Some(run);

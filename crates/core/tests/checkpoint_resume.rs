@@ -5,8 +5,8 @@
 //! consistent-cut checkpoint is *byte-identical* to the uninterrupted
 //! run — same output, same later checkpoints — because the cut captures
 //! every determinism-relevant input (clocks, pages, heap, sync table,
-//! fault coordinates) and the resume body replays the exact post-cut op
-//! sequence.
+//! fault coordinates) and the workload's root, restarted on every
+//! restored thread, replays the exact post-cut op sequence.
 
 use rfdet_api::{DmtBackend, FaultPlan, RunConfig, TracedRun};
 use rfdet_core::{replay_chain, ChainDivergence, RfdetBackend};
@@ -36,8 +36,7 @@ fn run_full() -> TracedRun {
 }
 
 fn resumed(cfg: &RunConfig, ckpt: &Checkpoint) -> TracedRun {
-    let bodies = chaos::long_haul_resume(params());
-    RfdetBackend::ci().run_resumed(cfg, ckpt, &|tid| bodies(tid))
+    RfdetBackend::ci().run_resumed(cfg, ckpt, &|| chaos::long_haul(params()))
 }
 
 #[test]
@@ -155,16 +154,8 @@ fn sharded_replay_reproduces_the_serial_chain_and_output() {
     // the recorded chain bit-for-bit and the tail's output the serial
     // replay's — `replay_chain` checks both, and the serial chain too.
     let root = || chaos::long_haul(params());
-    let bodies = chaos::long_haul_resume(params());
     for jobs in [1, 4] {
-        let replay = replay_chain(
-            &RfdetBackend::ci(),
-            &base_cfg(),
-            chain,
-            &root,
-            &*bodies,
-            jobs,
-        );
+        let replay = replay_chain(&RfdetBackend::ci(), &base_cfg(), chain, &root, jobs);
         if let Err(e) = replay {
             panic!("j={jobs}: {e}");
         }
@@ -172,7 +163,7 @@ fn sharded_replay_reproduces_the_serial_chain_and_output() {
 
     // A chain with a gap cannot schedule its shard stops.
     let gappy = [chain[0].clone(), chain[2].clone()];
-    match replay_chain(&RfdetBackend::ci(), &base_cfg(), &gappy, &root, &*bodies, 2) {
+    match replay_chain(&RfdetBackend::ci(), &base_cfg(), &gappy, &root, 2) {
         Err(ChainDivergence::NotUniform(epochs)) => assert_eq!(epochs, [4, 12]),
         other => panic!("a gappy chain must be refused, got {other:?}"),
     }

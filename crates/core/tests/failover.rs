@@ -4,7 +4,7 @@
 //! byte-identical to an unfaulted replica's — at 2, 4 and 8 threads.
 
 use rfdet_api::{DmtBackend, FailureKind, FaultPlan, RunConfig};
-use rfdet_core::{run_failover, RfdetBackend};
+use rfdet_core::{judge, run_failover, RfdetBackend, Verdict};
 use rfdet_trace::persist;
 use rfdet_workloads::{service, Params, Size};
 
@@ -31,13 +31,9 @@ fn late_crash_op(workers: usize) -> u64 {
 
 fn report_for(workers: usize, plan: FaultPlan) -> rfdet_core::FailoverReport {
     let p = Params::new(workers, Size::Test);
-    let bodies = service::ledger_resume(p);
-    run_failover(
-        &RfdetBackend::ci(),
-        &cfg_for(workers, plan),
-        &move || service::ledger(p),
-        &*bodies,
-    )
+    run_failover(&RfdetBackend::ci(), &cfg_for(workers, plan), &move || {
+        service::ledger(p)
+    })
 }
 
 #[test]
@@ -55,15 +51,14 @@ fn late_crash_recovers_from_the_newest_checkpoint_and_converges() {
         assert_eq!(crash.kind, FailureKind::Panic, "{workers} threads");
         assert_eq!(crash.tid, victim, "{workers} threads");
         assert_eq!(
-            r.recovered_from_epoch,
-            Some(6),
-            "{workers} threads: crash in round 6 recovers from epoch 6"
+            r.verdict,
+            Verdict::Recovered(Some(6)),
+            "{workers} threads: crash in round 6 recovers from epoch 6 \
+             (recovered digest {:x?}, reference {:016x})",
+            r.recovered_digest,
+            r.reference_digest
         );
-        assert!(
-            r.converged,
-            "{workers} threads: recovered digest {:016x} != reference {:016x}",
-            r.recovered_digest, r.reference_digest
-        );
+        assert_eq!(r.recovered_digest, Some(r.reference_digest));
     }
 }
 
@@ -73,8 +68,11 @@ fn crash_before_the_first_checkpoint_recovers_from_scratch() {
     let plan = FaultPlan::new().panic_at(1, 2);
     let r = report_for(4, plan);
     assert!(r.crash.is_some(), "early fault must fire");
-    assert_eq!(r.recovered_from_epoch, None, "no checkpoint existed yet");
-    assert!(r.converged, "from-scratch replay still converges");
+    assert_eq!(
+        r.verdict,
+        Verdict::Recovered(None),
+        "no checkpoint existed yet; the from-scratch replay still converges"
+    );
 }
 
 #[test]
@@ -82,8 +80,8 @@ fn plan_past_the_end_of_the_run_is_a_clean_convergent_noop() {
     let plan = FaultPlan::new().panic_at(2, 1_000_000);
     let r = report_for(4, plan);
     assert!(r.crash.is_none(), "coordinate never reached");
-    assert!(r.converged);
-    assert_eq!(r.recovered_digest, r.reference_digest);
+    assert_eq!(r.verdict, Verdict::Converged);
+    assert_eq!(r.recovered_digest, Some(r.reference_digest));
 }
 
 #[test]
@@ -97,17 +95,14 @@ fn failover_recovers_through_persisted_checkpoints_too() {
     );
     cfg.checkpoint_dir = Some(dir.clone());
     let p = Params::new(workers, Size::Test);
-    let bodies = service::ledger_resume(p);
-    let r = run_failover(
-        &RfdetBackend::ci(),
-        &cfg,
-        &move || service::ledger(p),
-        &*bodies,
-    );
+    let r = run_failover(&RfdetBackend::ci(), &cfg, &move || service::ledger(p));
     std::fs::remove_dir_all(&dir).ok();
     assert!(r.crash.is_some());
-    assert_eq!(r.recovered_from_epoch, Some(6));
-    assert!(r.converged, "persisting replicas converge too");
+    assert_eq!(
+        r.verdict,
+        Verdict::Recovered(Some(6)),
+        "persisting replicas converge too"
+    );
 }
 
 /// The restore point is the crashed replica's own newest checkpoint,
@@ -134,19 +129,52 @@ fn recovery_restores_the_crashed_runs_own_newest_cut_not_the_newest_file() {
     let round_3 = service::OPS_INIT_ROUND + 2 * service::ops_per_request_round(workers) + 2;
     let mut cfg = cfg_for(workers, FaultPlan::new().panic_at(2, round_3));
     cfg.checkpoint_dir = Some(dir.clone());
-    let bodies = service::ledger_resume(p);
-    let r = run_failover(
-        &RfdetBackend::ci(),
-        &cfg,
-        &move || service::ledger(p),
-        &*bodies,
-    );
+    let r = run_failover(&RfdetBackend::ci(), &cfg, &move || service::ledger(p));
     std::fs::remove_dir_all(&dir).ok();
     assert!(r.crash.is_some(), "op {round_3} must fire");
     assert_eq!(
-        r.recovered_from_epoch,
-        Some(2),
-        "the crashed replica sealed epochs up to 2 before round 3"
+        r.verdict,
+        Verdict::Recovered(Some(2)),
+        "the crashed replica sealed epochs up to 2 before round 3, \
+         and recovery from its own cut converges"
     );
-    assert!(r.converged, "recovery from its own cut converges");
+}
+
+/// A recovery that fails is a `Diverged` verdict, not a panic; so is a
+/// recovery that seals a checkpoint the reference chain does not hold,
+/// and a completed run whose output is not the reference's.
+#[test]
+fn a_failed_recovery_a_foreign_chain_or_a_foreign_output_is_diverged() {
+    let workers = 4usize;
+    let p = Params::new(workers, Size::Test);
+    let root = move || service::ledger(p);
+    let backend = RfdetBackend::ci();
+    // A crash in request round 3: recovery restores epoch 2 and seals 4, 6.
+    let round_3 = service::OPS_INIT_ROUND + 2 * service::ops_per_request_round(workers) + 2;
+    let cfg = cfg_for(workers, FaultPlan::new().panic_at(2, round_3));
+    let mut unfaulted = cfg.clone();
+    unfaulted.fault_plan = FaultPlan::new();
+    let reference = backend.run_traced(&unfaulted, root());
+    let faulted = || backend.run_traced(&cfg, root());
+
+    let (verdict, _) = judge(&backend, &cfg, faulted(), &reference, &root);
+    assert_eq!(verdict, Verdict::Recovered(Some(2)));
+
+    let broken_root = || -> rfdet_api::ThreadFn { Box::new(|_| panic!("no way back")) };
+    let (verdict, last) = judge(&backend, &cfg, faulted(), &reference, &broken_root);
+    assert_eq!(verdict, Verdict::Diverged);
+    assert!(
+        last.result.is_err(),
+        "the verdict rests on the failed recovery"
+    );
+
+    let mut chainless = backend.run_traced(&unfaulted, root());
+    chainless.checkpoints.retain(|c| c.epoch == 2);
+    let (verdict, last) = judge(&backend, &cfg, faulted(), &chainless, &root);
+    assert_eq!(verdict, Verdict::Diverged, "epochs 4 and 6 are not in it");
+    assert!(last.result.is_ok(), "the output alone matched");
+
+    let other = backend.run_traced(&unfaulted, service::ledger(Params::new(2, Size::Test)));
+    let (verdict, _) = judge(&backend, &unfaulted, other, &reference, &root);
+    assert_eq!(verdict, Verdict::Diverged);
 }

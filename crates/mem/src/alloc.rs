@@ -11,6 +11,7 @@
 //! cross-thread coordination, which also keeps allocation off the Kendo
 //! arbitration path.
 
+use rfdet_api::trace::{CkptFreeList, CkptHeap};
 use rfdet_api::Addr;
 use std::collections::HashMap;
 
@@ -132,21 +133,25 @@ impl ThreadHeap {
         self.allocated_bytes
     }
 
-    /// The allocator state in canonical order, for checkpointing: free
-    /// lists ascending by class with their LIFO order preserved (reuse
-    /// order is allocation-visible), live blocks ascending by address.
+    /// The allocator state in canonical order, in the checkpoint's own
+    /// form: free lists ascending by class with their LIFO order
+    /// preserved (reuse order is allocation-visible), live blocks
+    /// ascending by address.
     #[must_use]
-    pub fn export_state(&self) -> HeapState {
-        let mut free: Vec<(u32, Vec<Addr>)> = self
+    pub fn export_state(&self) -> CkptHeap {
+        let mut free: Vec<CkptFreeList> = self
             .free
             .iter()
             .filter(|(_, v)| !v.is_empty())
-            .map(|(&cls, v)| (cls, v.clone()))
+            .map(|(&class, addrs)| CkptFreeList {
+                class,
+                addrs: addrs.clone(),
+            })
             .collect();
-        free.sort_unstable_by_key(|&(cls, _)| cls);
+        free.sort_unstable_by_key(|list| list.class);
         let mut live: Vec<(Addr, u32)> = self.live.iter().map(|(&a, &c)| (a, c)).collect();
         live.sort_unstable();
-        HeapState {
+        CkptHeap {
             cursor: self.cursor,
             allocated_bytes: self.allocated_bytes,
             free,
@@ -161,7 +166,7 @@ impl ThreadHeap {
     ///
     /// # Panics
     /// Panics when the snapshot cursor falls outside this strip.
-    pub fn restore_state(&mut self, s: &HeapState) {
+    pub fn restore_state(&mut self, s: &CkptHeap) {
         assert!(
             s.cursor >= self.start && s.cursor <= self.end,
             "heap snapshot cursor {:#x} outside strip [{:#x}, {:#x})",
@@ -171,23 +176,9 @@ impl ThreadHeap {
         );
         self.cursor = s.cursor;
         self.allocated_bytes = s.allocated_bytes;
-        self.free = s.free.iter().cloned().collect();
-        self.live = s.live.iter().map(|&(a, c)| (a, c)).collect();
+        self.free = s.free.iter().map(|l| (l.class, l.addrs.clone())).collect();
+        self.live = s.live.iter().copied().collect();
     }
-}
-
-/// A [`ThreadHeap`]'s exported allocator state (see
-/// [`ThreadHeap::export_state`]), in canonical order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HeapState {
-    /// The bump pointer.
-    pub cursor: Addr,
-    /// Live bytes.
-    pub allocated_bytes: u64,
-    /// Free lists as `(class, addrs)`, ascending class, LIFO order kept.
-    pub free: Vec<(u32, Vec<Addr>)>,
-    /// Live blocks as `(addr, class)`, ascending address.
-    pub live: Vec<(Addr, u32)>,
 }
 
 #[cfg(test)]

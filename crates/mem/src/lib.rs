@@ -27,7 +27,7 @@ pub mod race;
 mod snap;
 mod space;
 
-pub use alloc::{HeapState, StripAllocator, ThreadHeap, MAX_HEAP_THREADS};
+pub use alloc::{StripAllocator, ThreadHeap, MAX_HEAP_THREADS};
 pub use diff::{page_groups, ModRun, RunBuilder, RunList, Runs};
 pub use page::Page;
 pub use race::{RaceCollector, ReadRun, ReadTracker, SliceAccess, WORD_BYTES};

@@ -12,7 +12,7 @@
 //! trace's workload name back to a root function.
 
 use crate::{Params, Size, Suite, Workload};
-use rfdet_api::{BarrierId, DmtCtx, DmtCtxExt, MutexId, ThreadFn, ThreadHandle, Tid};
+use rfdet_api::{BarrierId, DmtCtx, DmtCtxExt, MutexId, ThreadFn, ThreadHandle};
 
 /// Contended locked counter: every thread takes the same mutex for a
 /// fixed iteration count, so per-thread sync-op indices are stable and
@@ -147,7 +147,7 @@ fn lh_scale(size: Size) -> (u64, u64) {
 /// All control state lives in deterministic memory: each thread keeps
 /// its next round index in its own cell, advanced *before* the barrier.
 /// That makes the body self-resuming — the identical closure serves as
-/// fresh root, spawned worker, and per-tid resume body — and, because
+/// fresh root, spawned worker, and every restored thread's body — and, because
 /// the cell read also happens at the top of every fresh round, a resumed
 /// thread replays the exact post-cut op sequence (same Kendo ticks, same
 /// sync ops), which is what makes continuation digests byte-identical.
@@ -229,28 +229,6 @@ fn long_haul_body(workers: usize, rounds: u64, weight: u64, seed: u64) -> Thread
     })
 }
 
-/// Per-tid resume bodies for `chaos.long_haul`, shaped for
-/// checkpoint-restore entry points (one body per live thread). The body
-/// is tid-independent — each thread reads its own round cell from
-/// restored memory — so every tid gets the same closure.
-#[must_use]
-pub fn long_haul_resume(p: Params) -> Box<dyn Fn(Tid) -> ThreadFn + Send + Sync> {
-    let workers = p.threads.max(1);
-    let (rounds, weight) = lh_scale(p.size);
-    let seed = p.seed;
-    Box::new(move |_tid| long_haul_body(workers, rounds, weight, seed))
-}
-
-/// [`long_haul_resume`] pinned to bench scale, mirroring
-/// [`long_haul_bench`].
-#[must_use]
-pub fn long_haul_bench_resume(p: Params) -> Box<dyn Fn(Tid) -> ThreadFn + Send + Sync> {
-    let workers = p.threads.max(1);
-    let (rounds, weight) = lh_scale(Size::Bench);
-    let seed = p.seed;
-    Box::new(move |_tid| long_haul_body(workers, rounds, weight, seed))
-}
-
 /// The chaos scenario registry (names carry the `chaos.` prefix).
 #[must_use]
 pub fn scenarios() -> Vec<Workload> {
@@ -281,19 +259,6 @@ pub fn scenarios() -> Vec<Workload> {
             factory: long_haul_bench,
         },
     ]
-}
-
-/// Resolves a workload name to its per-tid resume-body provider, when
-/// the workload is resumable (keeps all control state in deterministic
-/// memory). Non-resumable workloads return `None` — resuming them would
-/// rerun pre-cut effects and silently diverge.
-#[must_use]
-pub fn resume_bodies(name: &str, p: Params) -> Option<Box<dyn Fn(Tid) -> ThreadFn + Send + Sync>> {
-    match name {
-        "chaos.long_haul" => Some(long_haul_resume(p)),
-        "chaos.long_haul.bench" => Some(long_haul_bench_resume(p)),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -330,13 +295,6 @@ mod tests {
         }
         let again = DthreadsBackend.run_expect(&rfdet_api::RunConfig::small(), long_haul(p));
         assert_eq!(base.output, again.output, "long_haul must be deterministic");
-    }
-
-    #[test]
-    fn resume_bodies_resolve_only_resumable_workloads() {
-        let p = Params::new(2, Size::Test);
-        assert!(resume_bodies("chaos.long_haul", p).is_some());
-        assert!(resume_bodies("chaos.lock_panic", p).is_none());
     }
 
     #[test]

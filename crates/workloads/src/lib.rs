@@ -98,16 +98,17 @@ impl std::fmt::Debug for Workload {
     }
 }
 
-/// Resolves a workload name to its per-tid resume-body provider, when
-/// the workload keeps all control state in deterministic memory (and so
-/// can continue from a restored checkpoint): the purpose-built
-/// `chaos.long_haul` and the `service.*` family.
+/// Whether a checkpoint of workload `name` can be resumed: the workload
+/// keeps all control state in deterministic memory, so its root, started
+/// on every restored thread, continues from the cut (DESIGN.md §4.11).
+/// Resuming any other workload would rerun pre-cut effects and silently
+/// diverge.
 #[must_use]
-pub fn resume_bodies(
-    name: &str,
-    p: Params,
-) -> Option<Box<dyn Fn(rfdet_api::Tid) -> ThreadFn + Send + Sync>> {
-    chaos::resume_bodies(name, p).or_else(|| service::resume_bodies(name, p))
+pub fn resumable(name: &str) -> bool {
+    matches!(
+        name,
+        "chaos.long_haul" | "chaos.long_haul.bench" | "service.ledger" | "service.ledger.bench"
+    )
 }
 
 /// Every benchmark application, in the paper's Table 1 order.
@@ -287,5 +288,18 @@ mod tests {
         }
         assert!(by_name("nonesuch").is_none());
         assert!(by_name("chaos.nonesuch").is_none());
+    }
+
+    #[test]
+    fn only_the_self_resuming_workloads_are_resumable() {
+        for name in ["chaos.long_haul", "chaos.long_haul.bench"] {
+            assert!(resumable(name), "{name}");
+        }
+        for w in service::scenarios() {
+            assert!(resumable(w.name), "{}", w.name);
+        }
+        for name in ["chaos.lock_panic", "racey", "ocean", "service.nonesuch"] {
+            assert!(!resumable(name), "{name}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! body is written in the `chaos.long_haul` tick-parity style (all
 //! control state in deterministic memory, spawn gate free when not
 //! taken) so the identical closure serves as fresh root, spawned
-//! worker, and per-tid resume body.
+//! worker, and the body every restored thread resumes on.
 //!
 //! Cross-stripe traffic is asynchronous: a transfer debits the source
 //! stripe synchronously and delivers the credit through the owner's
@@ -23,7 +23,7 @@
 
 use crate::{Params, Size, Suite, Workload};
 use rfdet_api::{
-    BarrierId, DetRng, DmtCtx, DmtCtxExt, MutexId, RetryPolicy, ThreadFn, ThreadHandle, Tid,
+    BarrierId, DetRng, DmtCtx, DmtCtxExt, MutexId, RetryPolicy, ThreadFn, ThreadHandle,
 };
 
 /// Per-thread round counter: one 64-byte slot per tid, owner-written.
@@ -197,28 +197,8 @@ pub fn ledger_bench(p: Params) -> ThreadFn {
     service_body(workers, sv_scale(workers, Size::Bench), p.seed)
 }
 
-/// Per-tid resume bodies for `service.ledger` (checkpoint-restore entry
-/// points). The body is tid-independent — each thread reads its own
-/// round cell from restored memory.
-#[must_use]
-pub fn ledger_resume(p: Params) -> Box<dyn Fn(Tid) -> ThreadFn + Send + Sync> {
-    let workers = p.threads.max(1);
-    let sc = sv_scale(workers, p.size);
-    let seed = p.seed;
-    Box::new(move |_tid| service_body(workers, sc, seed))
-}
-
-/// [`ledger_resume`] pinned to bench scale, mirroring [`ledger_bench`].
-#[must_use]
-pub fn ledger_bench_resume(p: Params) -> Box<dyn Fn(Tid) -> ThreadFn + Send + Sync> {
-    let workers = p.threads.max(1);
-    let sc = sv_scale(workers, Size::Bench);
-    let seed = p.seed;
-    Box::new(move |_tid| service_body(workers, sc, seed))
-}
-
-/// The shared body: fresh root, spawned worker, and resume body are the
-/// same closure. Round 0 initializes the thread's own stripe; rounds
+/// The shared body: fresh root, spawned worker, and a restored thread's
+/// body are the same closure. Round 0 initializes the thread's own stripe; rounds
 /// `1..=request_rounds` ingest; after the loop each thread reports its
 /// checksum and main audits conservation.
 fn service_body(workers: usize, sc: SvScale, seed: u64) -> ThreadFn {
@@ -468,17 +448,6 @@ pub fn scenarios() -> Vec<Workload> {
     ]
 }
 
-/// Resume-body resolver for the `service.*` family (both variants keep
-/// all control state in deterministic memory).
-#[must_use]
-pub fn resume_bodies(name: &str, p: Params) -> Option<Box<dyn Fn(Tid) -> ThreadFn + Send + Sync>> {
-    match name {
-        "service.ledger" => Some(ledger_resume(p)),
-        "service.ledger.bench" => Some(ledger_bench_resume(p)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,12 +501,8 @@ mod tests {
     }
 
     #[test]
-    fn registry_and_resume_bodies_resolve() {
+    fn registry_names_both_scales() {
         let names: Vec<&str> = scenarios().iter().map(|w| w.name).collect();
         assert_eq!(names, vec!["service.ledger", "service.ledger.bench"]);
-        let p = Params::new(2, Size::Test);
-        assert!(resume_bodies("service.ledger", p).is_some());
-        assert!(resume_bodies("service.ledger.bench", p).is_some());
-        assert!(resume_bodies("service.nonesuch", p).is_none());
     }
 }

@@ -21,7 +21,7 @@
 //! recovery story — crash a worker mid-stream, restore the newest
 //! checkpoint, replay the tail, and converge with the unfaulted replica.
 
-use rfdet::core::run_failover;
+use rfdet::core::{run_failover, Verdict};
 use rfdet::workloads::{service, Params, Size};
 use rfdet::{FaultPlan, RfdetBackend, RunConfig};
 
@@ -76,8 +76,7 @@ fn main() {
     cfg.checkpoint_every = 2;
     cfg.trace = Some(format!("service.ledger@{WORKERS}"));
     cfg.fault_plan = FaultPlan::new().panic_at(2, crash_op);
-    let bodies = service::ledger_resume(params);
-    let report = run_failover(&backend, &cfg, &move || service::ledger(params), &*bodies);
+    let report = run_failover(&backend, &cfg, &move || service::ledger(params));
     match &report.crash {
         Some(crash) => println!(
             "crash injected: {:?} on thread {} at sync op {crash_op}",
@@ -85,17 +84,18 @@ fn main() {
         ),
         None => println!("crash plan never fired (unexpected at this coordinate)"),
     }
-    match report.recovered_from_epoch {
-        Some(epoch) => println!("recovered from checkpoint epoch {epoch}, replayed the tail"),
-        None => println!("no checkpoint available; replayed from scratch"),
+    match report.verdict {
+        Verdict::Recovered(Some(epoch)) => {
+            println!("recovered from checkpoint epoch {epoch}, replayed the tail");
+        }
+        Verdict::Recovered(None) => println!("no checkpoint available; replayed from scratch"),
+        verdict => panic!("the faulted replica ended {}", verdict.name()),
     }
-    assert!(
-        report.converged,
-        "recovered replica diverged: {:016x} != {:016x}",
-        report.recovered_digest, report.reference_digest
-    );
+    let recovered = report
+        .recovered_digest
+        .expect("a recovered replica completes");
     println!(
-        "recovered replica digest {:016x} == unfaulted replica digest {:016x}",
-        report.recovered_digest, report.reference_digest
+        "recovered replica digest {recovered:016x} == unfaulted replica digest {:016x}",
+        report.reference_digest
     );
 }

@@ -50,7 +50,7 @@ pub use rfdet_core::{MonitorMode, RfdetBackend};
 pub use rfdet_dthreads::{DthreadsBackend, QuantumBackend};
 pub use rfdet_native::NativeBackend;
 
-/// All four backends, labelled as in the paper's figures.
+/// All five backends, labelled as in the paper's figures.
 #[must_use]
 pub fn all_backends() -> Vec<Box<dyn DmtBackend>> {
     vec![

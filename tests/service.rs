@@ -99,14 +99,13 @@ proptest! {
         if run.checkpoints.is_empty() {
             return; // crash preceded the first cut; covered by the failover tests
         }
-        let bodies = service::ledger_resume(params());
         let root = || service::ledger(params());
-        let (recovered, epoch) = recover(&backend, &cfg, &run, &root, &*bodies);
+        let (recovered, epoch) = recover(&backend, &cfg, &run, &root);
         prop_assert_eq!(epoch, run.checkpoints.last().map(|c| c.epoch));
         let out = recovered.result.expect("fault-free resume must complete");
         let text = String::from_utf8(out.output.clone()).expect("utf8 report");
         prop_assert!(text.contains("conserve=ok"), "recovered ledger conserves: {}", text);
-        let (again, _) = recover(&backend, &cfg, &run, &root, &*bodies);
+        let (again, _) = recover(&backend, &cfg, &run, &root);
         prop_assert_eq!(
             again.result.expect("resume is repeatable").output,
             out.output,
