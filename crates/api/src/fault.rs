@@ -110,6 +110,16 @@ impl FaultPlan {
         Self { specs }
     }
 
+    /// This plan without its kills (panics and failed allocations): its
+    /// jitter entries alone. Jitter moves the schedule, so it is part of
+    /// a run's input; a kill is the fault that recovery leaves out
+    /// (DESIGN.md §4.12).
+    #[must_use]
+    pub fn without_kills(&self) -> Self {
+        let jitter = |s: &&FaultSpec| matches!(s.action, FaultAction::JitterTicks { .. });
+        Self::from_specs(self.specs.iter().filter(jitter).copied().collect())
+    }
+
     /// A chaos-sweep plan: `count` faults drawn deterministically from
     /// `seed`, targeting tids below `threads` and sync ops below
     /// `max_op`. Roughly half the faults are panics, half are jitter
@@ -336,6 +346,18 @@ mod tests {
         let p = FaultPlan::new().panic_at(1, 3).jitter_at(2, 0, 7);
         let rebuilt = FaultPlan::from_specs(p.specs().to_vec());
         assert_eq!(rebuilt, p);
+    }
+
+    #[test]
+    fn without_kills_keeps_the_jitter_entries_in_order() {
+        let p = FaultPlan::new()
+            .jitter_at(2, 0, 7)
+            .panic_at(1, 3)
+            .fail_alloc(2, 0)
+            .jitter_at(0, 9, 41);
+        let expected = FaultPlan::new().jitter_at(2, 0, 7).jitter_at(0, 9, 41);
+        assert_eq!(p.without_kills(), expected);
+        assert!(FaultPlan::new().panic_at(0, 1).without_kills().is_empty());
     }
 
     #[test]

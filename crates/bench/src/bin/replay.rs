@@ -19,18 +19,17 @@
 //! verifies the chain by `rfdet_core::replay_chain`: serially, and as
 //! one shard per inter-checkpoint window in parallel (`-j`).
 //!
-//! `failover` runs the full crash-failover cycle (DESIGN.md §4.12): an
-//! unfaulted reference replica, a faulted replica killed at the given
-//! FaultPlan coordinate, and `rfdet_core::judge`'s verdict on it (a
-//! `recover` from the faulted run's last checkpoint, compared with the
-//! reference byte for byte) — exit 0 only when the replica converged or
-//! recovered, 4 when it wedged. `sweep` runs a
+//! `failover` runs the full crash-failover cycle (DESIGN.md §4.12): a
+//! reference replica under the plan without its kills, a faulted replica
+//! killed at the given FaultPlan coordinate, and `rfdet_core::judge`'s
+//! verdict on it (a `recover` from the faulted run's last checkpoint,
+//! compared with the reference byte for byte) — exit 0 only when the
+//! replica converged or recovered, 4 when it wedged. `sweep` runs a
 //! whole fault-plan grid (panic/fail_alloc/jitter × thread × sync-op
-//! strata) under supervision, judges each kill plan by the same
-//! `rfdet_core::judge` (jitter plans by rerun stability) into
-//! {converged, recovered, diverged, wedged}, and writes a JSON report
-//! (default in the trace directory); diverged or wedged outcomes fail
-//! the sweep.
+//! strata) under supervision, judges every plan by the same
+//! `rfdet_core::run_failover` into {converged, recovered, diverged,
+//! wedged}, and writes a JSON report (default in the trace directory);
+//! diverged or wedged outcomes fail the sweep.
 //!
 //! `metrics` runs a workload once with the deterministic-safe metrics
 //! layer enabled and prints the phase rollup — `json` (default) for
@@ -53,13 +52,13 @@
 //! wedged (the run blew its `--timeout`, or ended [`RunError::Wedged`]).
 
 use rfdet_api::trace::{persist, Checkpoint};
-use rfdet_api::{DmtBackend, FaultPlan, RunConfig, RunError, RunTrace, ThreadFn};
+use rfdet_api::{DmtBackend, FaultPlan, RunConfig, RunError, RunTrace};
 use rfdet_bench::{each_flag, number};
-use rfdet_core::{judge, recover, ChainDivergence, RfdetBackend, Verdict};
+use rfdet_core::{ChainDivergence, RfdetBackend, Verdict};
 use rfdet_workloads::{by_name, resumable, Params, Size, Workload};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::exit;
-use std::sync::Arc;
 use std::time::Duration;
 
 // The exit codes of the module header.
@@ -84,35 +83,40 @@ fn usage() -> ! {
     exit(EXIT_USAGE);
 }
 
-/// Runs `f` on a worker thread, bounding it to `ms` when given; `None`
-/// when it did not finish in time (the stuck thread is leaked).
+/// Runs `f` on a worker thread, bounding it to `ms` when given: `None`
+/// when it did not finish in time (the stuck thread is leaked),
+/// `Some(Err(payload))` when it panicked.
 fn try_with_timeout<T: Send + 'static>(
     ms: Option<u64>,
     f: impl FnOnce() -> T + Send + 'static,
-) -> Option<T> {
-    let Some(ms) = ms else { return Some(f()) };
+) -> Option<std::thread::Result<T>> {
+    let Some(ms) = ms else { return Some(Ok(f())) };
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let _ = tx.send(f());
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
     });
     rx.recv_timeout(Duration::from_millis(ms)).ok()
 }
 
 /// [`try_with_timeout`] for the single-run verbs: a run that cannot
 /// finish in time is wedged by definition here, so the process exits `4`
-/// and the stuck thread dies with it.
+/// and the stuck thread dies with it; a run that panicked panics here.
 fn run_with_timeout<T: Send + 'static>(
     ms: Option<u64>,
     what: &str,
     f: impl FnOnce() -> T + Send + 'static,
 ) -> T {
-    try_with_timeout(ms, f).unwrap_or_else(|| {
-        let ms = ms.unwrap_or(0);
-        die(
-            EXIT_WEDGED,
-            format!("{what} did not finish within {ms} ms: wedged"),
-        )
-    })
+    match try_with_timeout(ms, f) {
+        Some(Ok(v)) => v,
+        Some(Err(panic)) => resume_unwind(panic),
+        None => {
+            let ms = ms.unwrap_or(0);
+            die(
+                EXIT_WEDGED,
+                format!("{what} did not finish within {ms} ms: wedged"),
+            )
+        }
+    }
 }
 
 /// Maps a run failure to its exit code: wedged runs are a distinct
@@ -475,7 +479,7 @@ fn cmd_shrink(path: &str, _: Flags) -> i32 {
     };
     let dir = Path::new(path).parent().unwrap_or_else(|| Path::new("."));
     let out = persist::save_in(dir, &min, ".min")
-        .unwrap_or_else(|e| die(EXIT_USAGE, format!("cannot save minimized trace: {e}")));
+        .unwrap_or_else(|e| die(EXIT_IO, format!("cannot save minimized trace: {e}")));
     let (from, to) = (trace.faults.len(), min.faults.len());
     println!("shrunk fault plan {from} -> {to} entries");
     println!("MINTRACE {}", out.display());
@@ -505,12 +509,12 @@ fn cmd_failover(spec: &str, f: Flags) -> i32 {
         }
         _ => {}
     }
-    let recovered = report
-        .recovered_digest
-        .map_or("none (the run failed)".to_owned(), |d| format!("{d:#018x}"));
+    let digest =
+        |d: Option<u64>| d.map_or("none (the run failed)".to_owned(), |d| format!("{d:#018x}"));
     println!(
-        "reference digest {:#018x}, recovered digest {recovered}",
-        report.reference_digest
+        "reference digest {}, recovered digest {}",
+        digest(report.reference_digest),
+        digest(report.recovered_digest)
     );
     let (word, code) = match report.verdict {
         Verdict::Wedged => ("WEDGED", EXIT_WEDGED),
@@ -519,37 +523,6 @@ fn cmd_failover(spec: &str, f: Flags) -> i32 {
     };
     println!("FAILOVER {word}");
     code
-}
-
-/// Judges one jitter plan. Jitter legitimately perturbs the
-/// deterministic schedule, so the run may differ from the unjittered
-/// reference and [`judge`] cannot rule on it; the contract is *rerun
-/// stability* — the identical plan run twice must produce byte-identical
-/// results. A typed failure under jitter must still [`recover`] to a
-/// clean completion.
-fn judge_jitter_plan(
-    backend: &RfdetBackend,
-    cfg: &RunConfig,
-    root: &dyn Fn() -> ThreadFn,
-) -> Verdict {
-    let a = backend.run_traced(cfg, root());
-    let b = backend.run_traced(cfg, root());
-    match (&a.result, &b.result) {
-        (Ok(x), Ok(y)) if x.output == y.output => Verdict::Converged,
-        (Err(RunError::Wedged(_)), _) | (_, Err(RunError::Wedged(_))) => Verdict::Wedged,
-        (Err(x), Err(y)) if x.report().report_digest() == y.report().report_digest() => {
-            if a.checkpoints.is_empty() {
-                return Verdict::Recovered(None);
-            }
-            let (recovered, epoch) = recover(backend, cfg, &a, root);
-            if recovered.result.is_ok() {
-                Verdict::Recovered(epoch)
-            } else {
-                Verdict::Diverged
-            }
-        }
-        _ => Verdict::Diverged,
-    }
 }
 
 fn cmd_sweep(spec: &str, f: Flags) -> i32 {
@@ -567,22 +540,6 @@ fn cmd_sweep(spec: &str, f: Flags) -> i32 {
     let mut cfg = cli_config();
     cfg.trace = Some(format!("{}@{}", workload.name, params.threads));
     cfg.checkpoint_every = every;
-
-    // The unfaulted reference replica every kill plan is judged against.
-    let reference = {
-        let cfg = cfg.clone();
-        let run = try_with_timeout(Some(timeout_ms), move || {
-            backend.run_traced(&cfg, (workload.factory)(params))
-        })
-        .unwrap_or_else(|| die(EXIT_WEDGED, "unfaulted reference run wedged"));
-        if let Err(e) = &run.result {
-            die(
-                EXIT_DIVERGED,
-                format!("unfaulted reference run failed: {e}"),
-            );
-        }
-        Arc::new(run)
-    };
 
     // The grid: every fault kind × every thread (main included) × a
     // Fibonacci ladder of sync-op (or allocation) strata, so plans land
@@ -618,17 +575,16 @@ fn cmd_sweep(spec: &str, f: Flags) -> i32 {
             "fail_alloc" => FaultPlan::new().fail_alloc(tid, op),
             _ => FaultPlan::new().jitter_at(tid, op, JITTER_TICKS),
         };
-        let reference = Arc::clone(&reference);
-        let verdict = try_with_timeout(Some(timeout_ms), move || {
-            let root = || (workload.factory)(params);
-            if kind == "jitter" {
-                judge_jitter_plan(&backend, &plan_cfg, &root)
-            } else {
-                let run = backend.run_traced(&plan_cfg, root());
-                judge(&backend, &plan_cfg, run, &reference, &root).0
-            }
-        })
-        .unwrap_or(Verdict::Wedged);
+        // A plan that blew its timeout is wedged; one that panicked is a
+        // divergence, not a wedge.
+        let failover = try_with_timeout(Some(timeout_ms), move || {
+            rfdet_core::run_failover(&backend, &plan_cfg, &move || (workload.factory)(params))
+        });
+        let verdict = match failover {
+            Some(Ok(report)) => report.verdict,
+            Some(Err(_)) => Verdict::Diverged,
+            None => Verdict::Wedged,
+        };
         let outcome = verdict.name();
         if !verdict.converged() {
             eprintln!("plan {kind} tid={tid} op={op}: {outcome}");
@@ -723,7 +679,7 @@ fn cmd_metrics(spec: &str, f: Flags) -> i32 {
         }
         Err(e) => {
             eprintln!("{e}");
-            1
+            failure_code(&e)
         }
     }
 }
@@ -877,5 +833,14 @@ mod tests {
                 assert!(["1", "1:2", "1:2:3"].iter().any(parses), "{flag}");
             }
         }
+    }
+
+    /// A body that panics has finished, not blown its timeout: a sweep
+    /// books it diverged and a single-run verb re-raises it.
+    #[test]
+    fn a_panicking_body_is_not_a_timeout() {
+        let ran = try_with_timeout(Some(10_000), || -> u32 { panic!("body panicked") });
+        assert!(matches!(ran, Some(Err(_))), "read as a timeout");
+        assert!(matches!(try_with_timeout(Some(10_000), || 7), Some(Ok(7))));
     }
 }

@@ -143,6 +143,58 @@ fn unreadable_trace_exits_io() {
     assert_eq!(out.status.code(), Some(3));
 }
 
+/// Runs `replay` with `RFDET_TRACE_DIR` set to `dir`; returns the exit
+/// code and stdout.
+fn replay_in(dir: &std::path::Path, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_replay"))
+        .args(args)
+        .env("RUST_BACKTRACE", "0")
+        .env("RFDET_TRACE_DIR", dir)
+        .output()
+        .expect("spawn replay binary");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    (out.status.code(), stdout)
+}
+
+/// The path a `replay` stdout line `<tag> <path>` names.
+fn tagged_path(stdout: &str, tag: &str) -> String {
+    let line = stdout.lines().find_map(|l| l.strip_prefix(tag));
+    line.unwrap_or_else(|| panic!("no {tag}line: {stdout}"))
+        .to_owned()
+}
+
+/// A minimized trace that cannot be saved is an I/O failure (exit 3),
+/// not a usage error: with the `.min` target a non-empty directory, the
+/// rename onto it fails whoever runs the test.
+#[test]
+fn a_minimized_trace_that_cannot_be_saved_exits_io() {
+    let dir = std::env::temp_dir().join(format!("rfdet-shrink-io-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let record = [
+        "record",
+        "chaos.lock_panic@2",
+        "--panic",
+        "1:3",
+        "--jitter",
+        "0:1000:5",
+    ];
+    let (code, stdout) = replay_in(&dir, &record);
+    assert_eq!(code, Some(1), "{stdout}");
+    // A shrink re-records the minimized plan under the same report
+    // digest, over the recorded file: shrink a copy, twice.
+    let trace = dir.join("recorded.trace");
+    std::fs::copy(tagged_path(&stdout, "TRACE "), &trace).expect("copy the trace");
+    let trace = trace.to_str().expect("utf8 path");
+    let (code, stdout) = replay_in(&dir, &["shrink", trace]);
+    assert_eq!(code, Some(0), "the decoy jitter shrinks away: {stdout}");
+    let min = tagged_path(&stdout, "MINTRACE ");
+    std::fs::remove_file(&min).expect("remove the minimized trace");
+    std::fs::create_dir_all(std::path::Path::new(&min).join("occupied")).expect("block its path");
+    let (code, stdout) = replay_in(&dir, &["shrink", trace]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code, Some(3), "{stdout}");
+}
+
 #[test]
 fn failover_on_the_service_ledger_converges() {
     // Crash worker 2 in the last request round at 4 threads (op

@@ -133,18 +133,15 @@ impl RfdetCtx {
         vc.tick(0);
         let mut ctx = Self::from_parts(shared, kendo, meta_thread, None, vc);
         ctx.alone = true;
-        if ctx.shared.run.cfg.detect_races {
-            ctx.detect = Some(Box::new(crate::race::CoreDetect::new(
-                ctx.shared.run.cfg.page_size,
-            )));
-        }
         ctx.meta_thread.set_published_vc(&ctx.vc);
         ctx.begin_slice();
         ctx
     }
 
-    /// Builds a child context from pieces prepared inside the parent's
-    /// turn (see `sync::spawn_impl`).
+    /// Builds a context from its pieces: a child's, prepared inside the
+    /// parent's turn (see `sync::spawn_impl`), a restored thread's
+    /// (`resume::build_ctx`), or main's. Main — fresh or restored — gets
+    /// the race detector when `cfg.detect_races`.
     pub(crate) fn from_parts(
         shared: Arc<RuntimeShared>,
         kendo: KendoHandle,
@@ -158,6 +155,8 @@ impl RfdetCtx {
         let snaps = SliceSnapshots::for_space(&space);
         let pf = shared.pf;
         let track_reads = cfg.detect_races;
+        let detect = (track_reads && tid == 0)
+            .then(|| Box::new(crate::race::CoreDetect::new(cfg.page_size)));
         let heap = shared.strips.heap_for(tid);
         let h = ThreadHarness::new(&shared.run, tid);
         let mut ctx = Self {
@@ -186,7 +185,7 @@ impl RfdetCtx {
             pf,
             read_set: rfdet_mem::ReadTracker::new(),
             in_atomic: false,
-            detect: None,
+            detect,
             alone: false,
             exited: false,
         };

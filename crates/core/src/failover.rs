@@ -5,19 +5,22 @@
 //! replicas fed the same input converge byte-for-byte with no
 //! interleaving log shipped. This module composes checkpoints (§4.11)
 //! with fault injection into the recovery half of that story: run a
-//! workload with `checkpoint_every` under a [`FaultPlan`] that kills a
+//! workload with `checkpoint_every` under a [`FaultPlan`](rfdet_api::FaultPlan) that kills a
 //! worker mid-stream, [`recover`] from the last checkpoint the crashed
 //! run sealed, replaying the input tail from the workload's own root,
-//! and [`judge`] the recovered replica against an unfaulted one.
+//! and [`judge`] the recovered replica against the plan's kill-free run.
+//! A plan's jitter entries move the schedule, so they are input and stay
+//! in both; its kills (panics, failed allocations) are the fault, and
+//! both leave them out.
 //! Determinism does all the coordination: recovery needs no interleaving
 //! log and no agreement protocol, only the input (which is baked into
 //! the workload body) and the last consistent cut.
 
 use crate::RfdetBackend;
-use rfdet_api::{DmtBackend, FailureReport, FaultPlan, RunConfig, RunError, ThreadFn, TracedRun};
+use rfdet_api::{DmtBackend, FailureReport, RunConfig, RunError, RunOutput, ThreadFn, TracedRun};
 
-/// How a faulted run ended, judged against a clean reference run of the
-/// same config ([`judge`]).
+/// How a faulted run ended, judged against the kill-free run of the same
+/// config ([`judge`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// The run completed with the reference's output.
@@ -26,8 +29,8 @@ pub enum Verdict {
     /// scratch) completed with the reference's output, every checkpoint
     /// it sealed matching the reference chain.
     Recovered(Option<u64>),
-    /// Anything else: other output, or a recovery that failed or left the
-    /// reference output or chain.
+    /// Anything else: other output, a recovery that failed or left the
+    /// reference output or chain, or a reference that failed.
     Diverged,
     /// The run ended [`RunError::Wedged`].
     Wedged,
@@ -55,8 +58,9 @@ impl Verdict {
 /// What one record/kill/restore/replay cycle produced.
 #[derive(Clone, Debug)]
 pub struct FailoverReport {
-    /// Output digest of the unfaulted reference replica.
-    pub reference_digest: u64,
+    /// Output digest of the kill-free reference replica; `None` if it
+    /// failed.
+    pub reference_digest: Option<u64>,
     /// The injected failure, when the fault actually fired. `None`
     /// means the faulted run completed cleanly (plan out of range).
     pub crash: Option<FailureReport>,
@@ -66,21 +70,28 @@ pub struct FailoverReport {
     pub recovered_digest: Option<u64>,
 }
 
+/// `cfg` with its fault plan's kills removed: the run every faulted run
+/// of `cfg` is recovered under and judged against.
+fn kill_free(cfg: &RunConfig) -> RunConfig {
+    let mut cfg = cfg.clone();
+    cfg.fault_plan = cfg.fault_plan.without_kills();
+    cfg
+}
+
 /// The one recovery step: finishes `failed`'s run the way a standby
 /// replica that never saw the fault would — resumed from the crashed
 /// run's own newest sealed checkpoint, or from scratch, with every
-/// thread on `root()`. It runs under `cfg` without the fault plan (the
-/// crash cause) and without the checkpoint directory (a recovery does
-/// not re-write the recording's chain). Returns the recovered run and
-/// the epoch it restored from.
+/// thread on `root()`. It runs under `cfg` without the plan's kills (the
+/// crash cause; its jitter stays) and without the checkpoint directory
+/// (a recovery does not re-write the recording's chain). Returns the
+/// recovered run and the epoch it restored from.
 pub fn recover(
     backend: &RfdetBackend,
     cfg: &RunConfig,
     failed: &TracedRun,
     root: &dyn Fn() -> ThreadFn,
 ) -> (TracedRun, Option<u64>) {
-    let mut clean = cfg.clone();
-    clean.fault_plan = FaultPlan::new();
+    let mut clean = kill_free(cfg);
     clean.checkpoint_dir = None;
     match failed.checkpoints.last() {
         Some(ckpt) => (backend.run_resumed(&clean, ckpt, root), Some(ckpt.epoch)),
@@ -89,10 +100,11 @@ pub fn recover(
 }
 
 /// The one verdict on `run`, a run of `cfg` (fault plan included),
-/// against `reference`, a clean run of `cfg` without its fault plan
-/// (DESIGN.md §4.12). A run that failed other than by wedging is
-/// [`recover`]ed from `root`. Returns the verdict and the run it rests
-/// on: the recovery when there was one, else `run` itself.
+/// against `reference`, the run of `cfg` without the plan's kills
+/// (DESIGN.md §4.12). A reference that failed leaves nothing to converge
+/// to: the verdict is diverged. Otherwise a run that failed other than
+/// by wedging is [`recover`]ed from `root`. Returns the verdict and the
+/// run it rests on: the recovery when there was one, else `run` itself.
 pub fn judge(
     backend: &RfdetBackend,
     cfg: &RunConfig,
@@ -105,6 +117,7 @@ pub fn judge(
         _ => false,
     };
     match &run.result {
+        _ if reference.result.is_err() => (Verdict::Diverged, run),
         Ok(_) if same_output(&run) => (Verdict::Converged, run),
         Ok(_) => (Verdict::Diverged, run),
         Err(RunError::Wedged(_)) => (Verdict::Wedged, run),
@@ -128,26 +141,17 @@ pub fn judge(
 ///
 /// `cfg` carries the fault plan and checkpoint cadence; `root` builds a
 /// fresh root body (called once per full run and per restored thread).
-/// The reference replica runs first under `cfg` minus the fault plan,
+/// The reference replica runs first under `cfg` minus the plan's kills,
 /// then the faulted replica, which [`judge`] rules on. Both replicas
 /// persist their chains into `cfg.checkpoint_dir` when it is set;
 /// recovery reads only the crashed replica's own chain.
-///
-/// # Panics
-/// Panics when the *unfaulted* reference run fails — the driver
-/// measures recovery from injected faults, so a workload that cannot
-/// complete cleanly is a bug in the caller's setup, not an outcome.
 pub fn run_failover(
     backend: &RfdetBackend,
     cfg: &RunConfig,
     root: &dyn Fn() -> ThreadFn,
 ) -> FailoverReport {
-    let mut unfaulted = cfg.clone();
-    unfaulted.fault_plan = FaultPlan::new();
-    let reference = backend.run_traced(&unfaulted, root());
-    let reference_digest = (reference.result.as_ref())
-        .expect("unfaulted reference replica must complete")
-        .output_digest();
+    let reference = backend.run_traced(&kill_free(cfg), root());
+    let reference_digest = reference.result.as_ref().ok().map(RunOutput::output_digest);
     let faulted = backend.run_traced(cfg, root());
     let crash = faulted.result.as_ref().err().map(|e| e.report().clone());
     let (verdict, last) = judge(backend, cfg, faulted, &reference, root);

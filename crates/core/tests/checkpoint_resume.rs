@@ -8,7 +8,10 @@
 //! fault coordinates) and the workload's root, restarted on every
 //! restored thread, replays the exact post-cut op sequence.
 
-use rfdet_api::{DmtBackend, FaultPlan, RunConfig, TracedRun};
+use rfdet_api::{
+    BarrierId, DmtBackend, DmtCtx, DmtCtxExt, FaultPlan, RunConfig, ThreadFn, ThreadHandle,
+    TracedRun,
+};
 use rfdet_core::{replay_chain, ChainDivergence, RfdetBackend};
 use rfdet_trace::{persist, Checkpoint};
 use rfdet_workloads::{chaos, Params, Size};
@@ -167,4 +170,53 @@ fn sharded_replay_reproduces_the_serial_chain_and_output() {
         Err(ChainDivergence::NotUniform(epochs)) => assert_eq!(epochs, [4, 12]),
         other => panic!("a gappy chain must be refused, got {other:?}"),
     }
+}
+
+/// Two workers write one word with no lock between them, in the round
+/// after the first cut. Each thread keeps its round index in its own
+/// cell, so the one closure serves as fresh root, worker and restored
+/// thread.
+fn racy_after_the_first_cut() -> ThreadFn {
+    Box::new(|ctx: &mut dyn DmtCtx| {
+        let tid = ctx.tid();
+        let cell = 0x1000 + 0x40 * u64::from(tid);
+        loop {
+            let round: u64 = ctx.read(cell);
+            if tid == 0 && round == 0 {
+                for _ in 0..2 {
+                    ctx.spawn(racy_after_the_first_cut());
+                }
+            }
+            if round == 2 {
+                break;
+            }
+            if round == 1 && tid > 0 {
+                ctx.write(0x2000, u64::from(tid));
+            }
+            ctx.write(cell, round + 1);
+            ctx.barrier(BarrierId(1), 3);
+        }
+        if tid == 0 {
+            ctx.join(ThreadHandle(1));
+            ctx.join(ThreadHandle(2));
+        }
+    })
+}
+
+/// A resumed main detects races like a fresh one: a cut is a
+/// full-membership barrier, so no race straddles it.
+#[test]
+fn a_resumed_run_detects_the_race_past_its_cut() {
+    let mut cfg = base_cfg();
+    cfg.checkpoint_every = 1;
+    cfg.detect_races = true;
+    cfg.trace = Some("racy_after_the_first_cut@2".to_owned());
+    let backend = RfdetBackend::ci();
+    let fresh = backend.run_traced(&cfg, racy_after_the_first_cut());
+    let races = fresh.result.expect("clean fresh run").races;
+    assert_eq!(races.len(), 1, "the unlocked write pair: {races:?}");
+    let first_cut = &fresh.checkpoints[0];
+    assert_eq!(first_cut.epoch, 1);
+    let resumed = backend.run_resumed(&cfg, first_cut, &racy_after_the_first_cut);
+    assert_eq!(resumed.result.expect("clean resume").races, races);
 }

@@ -54,11 +54,11 @@ fn late_crash_recovers_from_the_newest_checkpoint_and_converges() {
             r.verdict,
             Verdict::Recovered(Some(6)),
             "{workers} threads: crash in round 6 recovers from epoch 6 \
-             (recovered digest {:x?}, reference {:016x})",
+             (recovered digest {:x?}, reference {:x?})",
             r.recovered_digest,
             r.reference_digest
         );
-        assert_eq!(r.recovered_digest, Some(r.reference_digest));
+        assert_eq!(r.recovered_digest, r.reference_digest);
     }
 }
 
@@ -81,7 +81,7 @@ fn plan_past_the_end_of_the_run_is_a_clean_convergent_noop() {
     let r = report_for(4, plan);
     assert!(r.crash.is_none(), "coordinate never reached");
     assert_eq!(r.verdict, Verdict::Converged);
-    assert_eq!(r.recovered_digest, Some(r.reference_digest));
+    assert_eq!(r.recovered_digest, r.reference_digest);
 }
 
 #[test]
@@ -177,4 +177,47 @@ fn a_failed_recovery_a_foreign_chain_or_a_foreign_output_is_diverged() {
     let other = backend.run_traced(&unfaulted, service::ledger(Params::new(2, Size::Test)));
     let (verdict, _) = judge(&backend, &unfaulted, other, &reference, &root);
     assert_eq!(verdict, Verdict::Diverged);
+}
+
+/// A plan's jitter is input and its kill is the fault, so the reference
+/// and the recovery both run the jitter without the kill. Worker 2 dies
+/// at its sync op 118 before reaching its jitter at op 130: only the
+/// reference and the recovered replica run it.
+#[test]
+fn the_reference_and_the_recovery_keep_the_plans_jitter() {
+    let workers = 4usize;
+    let kill = late_crash_op(workers);
+    let plan = FaultPlan::new()
+        .panic_at(2, kill)
+        .jitter_at(2, kill + 12, 1_000);
+    let p = Params::new(workers, Size::Test);
+    let digest = |plan: FaultPlan| {
+        let run = RfdetBackend::ci().run_traced(&cfg_for(workers, plan), service::ledger(p));
+        run.result
+            .expect("a kill-free run completes")
+            .output_digest()
+    };
+    let jittered = digest(plan.without_kills());
+    assert_ne!(
+        jittered,
+        digest(FaultPlan::new()),
+        "the jitter moves the output"
+    );
+
+    let r = report_for(workers, plan);
+    assert!(r.crash.is_some(), "the kill must fire");
+    assert_eq!(r.reference_digest, Some(jittered));
+    assert_eq!(r.verdict, Verdict::Recovered(Some(6)));
+    assert_eq!(r.recovered_digest, Some(jittered));
+}
+
+/// A workload whose kill-free run fails leaves nothing to converge to:
+/// the report reads diverged, with no reference digest.
+#[test]
+fn a_reference_that_fails_is_diverged_not_a_panic() {
+    let broken_root = || -> rfdet_api::ThreadFn { Box::new(|_| panic!("no way back")) };
+    let cfg = cfg_for(4, FaultPlan::new().panic_at(2, late_crash_op(4)));
+    let r = run_failover(&RfdetBackend::ci(), &cfg, &broken_root);
+    assert_eq!(r.verdict, Verdict::Diverged);
+    assert_eq!((r.reference_digest, r.recovered_digest), (None, None));
 }

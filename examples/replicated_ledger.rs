@@ -94,8 +94,10 @@ fn main() {
     let recovered = report
         .recovered_digest
         .expect("a recovered replica completes");
+    let reference = report
+        .reference_digest
+        .expect("the unfaulted replica completes");
     println!(
-        "recovered replica digest {recovered:016x} == unfaulted replica digest {:016x}",
-        report.reference_digest
+        "recovered replica digest {recovered:016x} == unfaulted replica digest {reference:016x}"
     );
 }
