@@ -179,7 +179,7 @@ pub trait DmtBackend: Send + Sync {
     /// workload the trace was recorded from (the trace stores only its
     /// name — closures do not serialize).
     fn replay(&self, trace: &RunTrace, root: ThreadFn) -> Replay {
-        let cfg = RunConfig::from_trace(trace);
+        let cfg = RunConfig::from_recording(&trace.recording);
         let rerun = self.run_traced(&cfg, root);
         let digest = match &rerun.result {
             Ok(out) => out.output_digest(),
@@ -215,7 +215,7 @@ pub trait DmtBackend: Send + Sync {
         if !trace.failure.is_failure() {
             return None;
         }
-        let base = RunConfig::from_trace(trace);
+        let base = RunConfig::from_recording(&trace.recording);
         let kind = trace.failure.kind;
         let mut oracle = |subset: &[TraceFault]| {
             let mut cfg = base.clone();
@@ -227,8 +227,9 @@ pub trait DmtBackend: Send + Sync {
                 Ok(_) => false,
             }
         };
-        let min = ddmin(&trace.faults, &mut oracle);
-        if min.len() >= trace.faults.len() {
+        let faults = &trace.recording.faults;
+        let min = ddmin(faults, &mut oracle);
+        if min.len() >= faults.len() {
             return None;
         }
         // One last traced run under the minimized plan produces the

@@ -1,7 +1,7 @@
 //! Run configuration shared by all backends.
 
 use crate::FaultPlan;
-use rfdet_trace::{RunTrace, TraceConfig};
+use rfdet_trace::{Recording, TraceConfig};
 use std::fmt;
 use std::time::Duration;
 
@@ -110,7 +110,8 @@ pub struct RunConfig {
     /// disables the fallback.
     pub deadlock_after_ms: Option<u64>,
     /// Flight recorder: when `Some(workload_name)`, the run records a
-    /// [`RunTrace`] of its schedule, and a failing run persists it to
+    /// [`rfdet_trace::RunTrace`] of its schedule, and a failing run
+    /// persists it to
     /// `target/rfdet-traces/<digest>.trace` (override the directory with
     /// `RFDET_TRACE_DIR`). The name labels the trace so the `replay` CLI
     /// can resolve the root function again — closures do not serialize.
@@ -204,44 +205,36 @@ impl RunConfig {
         self.deadlock_after_ms.map(Duration::from_millis)
     }
 
-    /// The determinism-relevant projection of this configuration in the
-    /// codec-stable trace form ([`TraceConfig`]). The jitter seed and
-    /// fault plan travel as separate [`RunTrace`] fields.
+    /// This run's input as the backend named `backend` records it: the
+    /// one place a trace's or checkpoint's header is assembled. The
+    /// determinism-relevant fields go into its codec-stable
+    /// [`TraceConfig`]; the jitter seed, the fault plan and the workload
+    /// label travel beside it.
     #[must_use]
-    pub fn trace_config(&self) -> TraceConfig {
-        TraceConfig {
-            space_bytes: self.space_bytes,
-            page_size: self.page_size,
-            meta_capacity_bytes: self.meta_capacity_bytes,
-            meta_max_slices: self.meta_max_slices,
-            prelock: self.rfdet.prelock,
-            fault_cost_spins: self.rfdet.fault_cost_spins,
-            deadlock_after_ms: self.deadlock_after_ms,
+    pub fn recording(&self, backend: &str) -> Recording {
+        Recording {
+            backend: backend.to_owned(),
+            workload: self.trace.clone().unwrap_or_default(),
+            seed: self.jitter_seed,
+            config: TraceConfig {
+                space_bytes: self.space_bytes,
+                page_size: self.page_size,
+                meta_capacity_bytes: self.meta_capacity_bytes,
+                meta_max_slices: self.meta_max_slices,
+                prelock: self.rfdet.prelock,
+                fault_cost_spins: self.rfdet.fault_cost_spins,
+                deadlock_after_ms: self.deadlock_after_ms,
+            },
+            faults: self.fault_plan.to_trace_faults(),
         }
     }
 
-    /// Reconstructs the configuration a trace was recorded under —
-    /// config, seed and fault plan — with recording re-enabled, so a
-    /// replay observes its own schedule for comparison.
+    /// The configuration a recording was made under — config, seed and
+    /// fault plan (a checkpoint's: its jitter) — with recording
+    /// re-enabled, so a replay observes its own schedule for comparison.
     #[must_use]
-    pub fn from_trace(trace: &RunTrace) -> Self {
-        let faults = FaultPlan::from_trace_faults(&trace.faults);
-        Self::recorded(&trace.config, &trace.workload, trace.seed, faults)
-    }
-
-    /// Reconstructs the configuration a checkpoint was recorded under,
-    /// from the checkpoint's own self-describing header — no trace file
-    /// needed. The fault plan comes back *empty*: resuming past a crash
-    /// means running without the fault that caused it; shard replay of a
-    /// faulted run should resume from its persisted trace instead.
-    #[must_use]
-    pub fn from_checkpoint(ckpt: &rfdet_trace::Checkpoint) -> Self {
-        Self::recorded(&ckpt.config, &ckpt.workload, ckpt.seed, FaultPlan::new())
-    }
-
-    /// The configuration of a recorded run: its determinism-relevant
-    /// projection `c`, workload, seed and fault plan, with recording on.
-    fn recorded(c: &TraceConfig, workload: &str, seed: Option<u64>, faults: FaultPlan) -> Self {
+    pub fn from_recording(rec: &Recording) -> Self {
+        let c = &rec.config;
         Self {
             space_bytes: c.space_bytes,
             page_size: c.page_size,
@@ -251,10 +244,10 @@ impl RunConfig {
                 prelock: c.prelock,
                 fault_cost_spins: c.fault_cost_spins,
             },
-            jitter_seed: seed,
-            fault_plan: faults,
+            jitter_seed: rec.seed,
+            fault_plan: FaultPlan::from_trace_faults(&rec.faults),
             deadlock_after_ms: c.deadlock_after_ms,
-            trace: Some(workload.to_owned()),
+            trace: Some(rec.workload.clone()),
             // Not part of the determinism-relevant projection: metrics
             // never influence results. Checkpoint capture is likewise
             // schedule-neutral (decisions ride an existing turn, capture
@@ -269,6 +262,17 @@ impl RunConfig {
             // on replay is the replayer's choice (`replay races` turns it
             // back on explicitly), not a recorded input.
             detect_races: false,
+        }
+    }
+
+    /// This configuration with its fault plan's kills removed
+    /// ([`FaultPlan::without_kills`]): what a checkpoint records, and
+    /// what every faulted run is recovered under and judged against.
+    #[must_use]
+    pub fn without_kills(&self) -> Self {
+        Self {
+            fault_plan: self.fault_plan.without_kills(),
+            ..self.clone()
         }
     }
 
@@ -314,21 +318,9 @@ impl RunConfig {
 mod tests {
     use super::*;
 
-    /// `cfg` as a replay reconstructs it from a clean run's trace.
-    fn through_a_trace(cfg: &RunConfig) -> RunConfig {
-        RunConfig::from_trace(&rfdet_trace::RunTrace {
-            backend: "b".into(),
-            workload: "w".into(),
-            seed: None,
-            config: cfg.trace_config(),
-            faults: Vec::new(),
-            events: Vec::new(),
-            failure: rfdet_trace::FailureSummary {
-                kind: rfdet_trace::KIND_NONE,
-                tid: 0,
-                report_digest: 0,
-            },
-        })
+    /// `cfg` as a replay reconstructs it from its recording.
+    fn through_a_recording(cfg: &RunConfig) -> RunConfig {
+        RunConfig::from_recording(&cfg.recording("b"))
     }
 
     #[test]
@@ -379,9 +371,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_config_round_trips_through_a_trace() {
+    fn a_recording_round_trips_through_from_recording() {
         // Every projected field away from its default, so a field that
-        // `from_trace` drops shows up in the comparison.
+        // `from_recording` drops shows up in the comparison.
         let mut cfg = RunConfig {
             space_bytes: 1 << 19,
             page_size: 256,
@@ -397,21 +389,9 @@ mod tests {
         cfg.jitter_seed = Some(99);
         cfg.fault_plan = FaultPlan::new().panic_at(1, 3).jitter_at(2, 0, 7);
         cfg.trace = Some("w".to_owned());
-        let trace = rfdet_trace::RunTrace {
-            backend: "b".into(),
-            workload: "w".into(),
-            seed: cfg.jitter_seed,
-            config: cfg.trace_config(),
-            faults: cfg.fault_plan.to_trace_faults(),
-            events: Vec::new(),
-            failure: rfdet_trace::FailureSummary {
-                kind: rfdet_trace::KIND_PANIC,
-                tid: 1,
-                report_digest: 0,
-            },
-        };
-        let back = RunConfig::from_trace(&trace);
-        assert_eq!(back.trace_config(), cfg.trace_config());
+        let recording = cfg.recording("b");
+        let back = RunConfig::from_recording(&recording);
+        assert_eq!(back.recording("b"), recording);
         assert_eq!(back.jitter_seed, Some(99));
         assert_eq!(back.fault_plan, cfg.fault_plan);
         assert_eq!(back.trace.as_deref(), Some("w"));
@@ -424,7 +404,7 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.metrics = true;
         cfg.trace = Some("w".to_owned());
-        let back = through_a_trace(&cfg);
+        let back = through_a_recording(&cfg);
         assert!(!back.metrics, "replays run with metrics off by default");
     }
 
@@ -434,7 +414,7 @@ mod tests {
         cfg.checkpoint_every = 4;
         cfg.checkpoint_dir = Some(std::path::PathBuf::from("/tmp/nowhere"));
         cfg.trace = Some("w".to_owned());
-        let back = through_a_trace(&cfg);
+        let back = through_a_recording(&cfg);
         assert_eq!(back.checkpoint_every, 0, "capture is replay-side policy");
         assert_eq!(back.checkpoint_dir, None, "a replay persists nothing");
     }
@@ -444,7 +424,7 @@ mod tests {
         let mut cfg = RunConfig::small();
         cfg.detect_races = true;
         cfg.trace = Some("w".to_owned());
-        let back = through_a_trace(&cfg);
+        let back = through_a_recording(&cfg);
         assert!(
             !back.detect_races,
             "detection is digest-neutral: re-detecting is replay-side policy"

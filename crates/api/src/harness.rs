@@ -563,9 +563,9 @@ mod tests {
         std::env::remove_var("RFDET_TRACE_DIR");
 
         let trace = done.trace.expect("trace");
-        assert_eq!(trace.workload, "wl");
-        assert_eq!(trace.seed, Some(5));
-        assert_eq!(trace.faults.len(), 1);
+        assert_eq!(trace.recording.workload, "wl");
+        assert_eq!(trace.recording.seed, Some(5));
+        assert_eq!(trace.recording.faults.len(), 1);
         assert_eq!(trace.failure.kind, KIND_PANIC);
         let err = done.result.expect_err("failed");
         assert_eq!(trace.failure.report_digest, err.report_digest());

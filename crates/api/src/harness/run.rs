@@ -408,11 +408,7 @@ impl RunHarness {
             },
         };
         let trace = RunTrace {
-            backend: backend.to_owned(),
-            workload: self.cfg.trace.clone().unwrap_or_default(),
-            seed: self.cfg.jitter_seed,
-            config: self.cfg.trace_config(),
-            faults: self.cfg.fault_plan.to_trace_faults(),
+            recording: self.cfg.recording(backend),
             events: sink.drain_sorted(),
             failure,
         };

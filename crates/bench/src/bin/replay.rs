@@ -51,7 +51,7 @@
 //! or unsupported configuration, `3` file I/O or codec failure, `4`
 //! wedged (the run blew its `--timeout`, or ended [`RunError::Wedged`]).
 
-use rfdet_api::trace::{persist, Checkpoint};
+use rfdet_api::trace::{persist, Checkpoint, Recording};
 use rfdet_api::{DmtBackend, FaultPlan, RunConfig, RunError, RunTrace};
 use rfdet_bench::{each_flag, number};
 use rfdet_core::{ChainDivergence, RfdetBackend, Verdict};
@@ -172,17 +172,13 @@ fn core_backend_or_die(name: &str) -> RfdetBackend {
 }
 
 /// Resolves a `name[@threads]` workload string (the form `record` puts
-/// in the trace) to its registry entry and parameters.
-fn resolve_workload(spec: &str) -> Option<(Workload, Params)> {
-    let (name, threads) = match spec.split_once('@') {
-        Some((n, t)) => (n, t.parse().ok()?),
-        None => (spec, 2),
-    };
-    Some((by_name(name)?, Params::new(threads, Size::Test)))
-}
-
+/// in a recording) to its registry entry and parameters, or exits.
 fn workload_or_die(spec: &str) -> (Workload, Params) {
-    resolve_workload(spec).unwrap_or_else(|| die(EXIT_USAGE, format!("unknown workload {spec:?}")))
+    let (name, threads) = spec.split_once('@').unwrap_or((spec, "2"));
+    match (by_name(name), threads.parse()) {
+        (Some(workload), Ok(threads)) => (workload, Params::new(threads, Size::Test)),
+        _ => die(EXIT_USAGE, format!("unknown workload {spec:?}")),
+    }
 }
 
 fn backend_or_die(name: &str) -> Box<dyn DmtBackend> {
@@ -200,17 +196,21 @@ fn resumable_or_die(workload: &Workload, why: &str) {
     }
 }
 
+/// Resolves the workload a recording names and its backend, through
+/// `backend` (the full registry or the core-only one); either exits
+/// with a usage error on a name this build does not know.
+fn resolve<B>(rec: &Recording, backend: fn(&str) -> B) -> (B, Workload, Params) {
+    let (workload, params) = workload_or_die(&rec.workload);
+    (backend(&rec.backend), workload, params)
+}
+
 /// Loads the trace at `path` and resolves the backend and workload it
 /// names.
 fn trace_setup(path: &str) -> (RunTrace, Box<dyn DmtBackend>, Workload, Params) {
     let trace = persist::load(Path::new(path))
         .unwrap_or_else(|e| die(EXIT_IO, format!("cannot load trace {path}: {e}")));
     println!("{}", trace.summary());
-    let (name, spec) = (&trace.backend, &trace.workload);
-    let backend = backend_by_name(name)
-        .unwrap_or_else(|| die(EXIT_USAGE, format!("trace names unknown backend {name:?}")));
-    let (workload, params) = resolve_workload(spec)
-        .unwrap_or_else(|| die(EXIT_USAGE, format!("trace names unknown workload {spec:?}")));
+    let (backend, workload, params) = resolve(&trace.recording, backend_or_die);
     (trace, backend, workload, params)
 }
 
@@ -300,13 +300,7 @@ fn load_ckpt_or_die(path: &Path) -> Checkpoint {
 /// Resolves a checkpoint's backend and workload, or exits: both failures
 /// are configuration errors, not divergence.
 fn resume_setup(ckpt: &Checkpoint) -> (RfdetBackend, Workload, Params) {
-    let backend = core_backend_or_die(&ckpt.backend);
-    let Some((workload, params)) = resolve_workload(&ckpt.workload) else {
-        die(
-            EXIT_USAGE,
-            format!("checkpoint names unknown workload {:?}", ckpt.workload),
-        );
-    };
+    let (backend, workload, params) = resolve(&ckpt.recording, core_backend_or_die);
     resumable_or_die(
         &workload,
         " (its control state does not live in deterministic memory)",
@@ -403,14 +397,15 @@ fn dir_of(path: &Path) -> &Path {
         .unwrap_or(Path::new("."))
 }
 
-/// Resumes under the recorded config minus the fault plan, because the
-/// plan is what killed the run. New checkpoints continue the resumed
-/// checkpoint's chain, in its directory.
+/// Resumes under the checkpoint's recording, whose plan is already
+/// kill-free: its jitter stays, the kill that crashed the run is not
+/// there. New checkpoints continue the resumed checkpoint's chain, in
+/// its directory.
 fn cmd_resume(path: &str, f: Flags) -> i32 {
     let ckpt = load_ckpt_or_die(Path::new(path));
     println!("{}", ckpt.summary());
     let (backend, workload, params) = resume_setup(&ckpt);
-    let mut cfg = RunConfig::from_checkpoint(&ckpt);
+    let mut cfg = RunConfig::from_recording(&ckpt.recording);
     cfg.checkpoint_every = f.every.unwrap_or(0);
     cfg.checkpoint_dir = Some(dir_of(Path::new(path)).to_owned());
     let run = run_with_timeout(f.timeout, "resume", move || {
@@ -446,7 +441,7 @@ fn cmd_shard(path: &str, f: Flags) -> i32 {
         anchor.run_key()
     );
     let (backend, workload, params) = resume_setup(&anchor);
-    let cfg = RunConfig::from_checkpoint(&anchor);
+    let cfg = RunConfig::from_recording(&anchor.recording);
     let replay = run_with_timeout(f.timeout, "shard replay", move || {
         let root = move || (workload.factory)(params);
         rfdet_core::replay_chain(&backend, &cfg, &chain, &root, jobs)
@@ -480,7 +475,7 @@ fn cmd_shrink(path: &str, _: Flags) -> i32 {
     let dir = Path::new(path).parent().unwrap_or_else(|| Path::new("."));
     let out = persist::save_in(dir, &min, ".min")
         .unwrap_or_else(|e| die(EXIT_IO, format!("cannot save minimized trace: {e}")));
-    let (from, to) = (trace.faults.len(), min.faults.len());
+    let (from, to) = (trace.recording.faults.len(), min.recording.faults.len());
     println!("shrunk fault plan {from} -> {to} entries");
     println!("MINTRACE {}", out.display());
     0

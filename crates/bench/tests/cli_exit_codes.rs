@@ -143,6 +143,27 @@ fn unreadable_trace_exits_io() {
     assert_eq!(out.status.code(), Some(3));
 }
 
+/// A file that is no checkpoint is an I/O failure (exit 3) whose message
+/// names what `resume` was loading: a checkpoint and its `RFCK` magic,
+/// not a trace.
+#[test]
+fn a_garbage_checkpoint_exits_io_naming_a_checkpoint() {
+    let path = std::env::temp_dir().join(format!("rfdet-garbage-{}.ckpt", std::process::id()));
+    std::fs::write(&path, b"this is not a checkpoint file").expect("write the garbage");
+    let out = replay(&["resume", path.to_str().expect("utf8 path")]);
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint file") && stderr.contains("RFCK"),
+        "{stderr}"
+    );
+    assert!(
+        !stderr.contains("trace") && !stderr.contains("RFDT"),
+        "{stderr}"
+    );
+}
+
 /// Runs `replay` with `RFDET_TRACE_DIR` set to `dir`; returns the exit
 /// code and stdout.
 fn replay_in(dir: &std::path::Path, args: &[&str]) -> (Option<i32>, String) {

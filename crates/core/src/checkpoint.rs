@@ -210,7 +210,6 @@ pub(crate) fn decide(ctx: &mut RfdetCtx, arrivals: &[(Tid, VClock)]) -> Option<u
     // Dead threads' deterministic residue is their output stream (their
     // writes are, by eligibility, already propagated everywhere). Safe
     // to read in-turn: dead threads no longer mutate anything.
-    let cfg = &ctx.shared.run.cfg;
     let mut threads: Vec<CkptThread> = Vec::with_capacity(ctx.shared.meta.num_threads());
     for &tid in &finished {
         threads.push(CkptThread {
@@ -230,10 +229,7 @@ pub(crate) fn decide(ctx: &mut RfdetCtx, arrivals: &[(Tid, VClock)]) -> Option<u
         expected: arrivals.len(),
         ckpt: Checkpoint {
             epoch,
-            backend: ctx.shared.backend_name.clone(),
-            workload: cfg.trace.clone().unwrap_or_default(),
-            seed: cfg.jitter_seed,
-            config: cfg.trace_config(),
+            recording: ctx.shared.ckpt_recording(),
             upper: upper.components(),
             sync_vars,
             finished,
@@ -316,10 +312,7 @@ mod tests {
                 expected: 2,
                 ckpt: Checkpoint {
                     epoch: 1,
-                    backend: "RFDet-ci".into(),
-                    workload: "w".into(),
-                    seed: None,
-                    config: rfdet_api::RunConfig::small().trace_config(),
+                    recording: rfdet_api::RunConfig::small().recording("RFDet-ci"),
                     upper: vec![1, 1],
                     sync_vars: Vec::new(),
                     finished: Vec::new(),

@@ -70,14 +70,6 @@ pub struct FailoverReport {
     pub recovered_digest: Option<u64>,
 }
 
-/// `cfg` with its fault plan's kills removed: the run every faulted run
-/// of `cfg` is recovered under and judged against.
-fn kill_free(cfg: &RunConfig) -> RunConfig {
-    let mut cfg = cfg.clone();
-    cfg.fault_plan = cfg.fault_plan.without_kills();
-    cfg
-}
-
 /// The one recovery step: finishes `failed`'s run the way a standby
 /// replica that never saw the fault would — resumed from the crashed
 /// run's own newest sealed checkpoint, or from scratch, with every
@@ -91,7 +83,7 @@ pub fn recover(
     failed: &TracedRun,
     root: &dyn Fn() -> ThreadFn,
 ) -> (TracedRun, Option<u64>) {
-    let mut clean = kill_free(cfg);
+    let mut clean = cfg.without_kills();
     clean.checkpoint_dir = None;
     match failed.checkpoints.last() {
         Some(ckpt) => (backend.run_resumed(&clean, ckpt, root), Some(ckpt.epoch)),
@@ -150,7 +142,7 @@ pub fn run_failover(
     cfg: &RunConfig,
     root: &dyn Fn() -> ThreadFn,
 ) -> FailoverReport {
-    let reference = backend.run_traced(&kill_free(cfg), root());
+    let reference = backend.run_traced(&cfg.without_kills(), root());
     let reference_digest = reference.result.as_ref().ok().map(RunOutput::output_digest);
     let faulted = backend.run_traced(cfg, root());
     let crash = faulted.result.as_ref().err().map(|e| e.report().clone());

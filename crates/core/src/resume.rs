@@ -69,15 +69,16 @@ impl RfdetBackend {
     /// continuation: output, digests and later checkpoints match the
     /// uninterrupted run's exactly.
     ///
-    /// `cfg` must reconstruct the recorded run's determinism-relevant
-    /// configuration (use [`RunConfig::from_trace`] or the checkpoint's
-    /// own config); the checkpoint knobs on top of it are the caller's
+    /// `cfg` without its kills must record what `ckpt` recorded:
+    /// backend, workload, seed, configuration and jitter
+    /// ([`RunConfig::from_recording`] of the checkpoint's own recording
+    /// is one); the checkpoint knobs on top of it are the caller's
     /// policy.
     ///
     /// # Panics
-    /// Panics when the checkpoint does not belong to this backend/config
-    /// pair — resuming under a different protocol would silently
-    /// diverge, which is strictly worse than failing loudly.
+    /// Panics when the checkpoint's recording differs — resuming under
+    /// another protocol or another schedule would silently diverge,
+    /// which is strictly worse than failing loudly.
     pub fn run_resumed(
         &self,
         cfg: &RunConfig,
@@ -97,14 +98,9 @@ pub(crate) fn restore(
     root: &dyn Fn() -> ThreadFn,
 ) -> (Arc<RuntimeShared>, RfdetCtx) {
     assert_eq!(
-        ckpt.backend, shared.backend_name,
-        "checkpoint was recorded by backend {:?}, resuming under {:?}",
-        ckpt.backend, shared.backend_name
-    );
-    assert_eq!(
-        ckpt.config,
-        shared.run.cfg.trace_config(),
-        "checkpoint config does not match the resume config"
+        ckpt.recording,
+        shared.ckpt_recording(),
+        "checkpoint was not recorded by this backend under the resume config without its kills"
     );
     // Continue the original epoch numbering, so the resumed run's
     // next checkpoints land at the same epochs with the same ids.

@@ -4,6 +4,7 @@ use rfdet_api::{ConfigError, RunConfig, RunHarness};
 use rfdet_kendo::KendoState;
 use rfdet_mem::StripAllocator;
 use rfdet_meta::{MetaSpace, GC_THRESHOLD};
+use rfdet_trace::Recording;
 use rfdet_vclock::Tid;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::SeqCst};
 
@@ -69,6 +70,14 @@ impl RuntimeShared {
             gc_host: AtomicU32::new(NO_HOST),
             gc_owed: AtomicBool::new(false),
         })
+    }
+
+    /// What a checkpoint of this run records, and what a checkpoint
+    /// must have recorded to resume here: the run's input without its
+    /// fault plan's kills (jitter decides the schedule; a kill is what
+    /// recovery leaves out).
+    pub(crate) fn ckpt_recording(&self) -> Recording {
+        self.run.cfg.without_kills().recording(&self.backend_name)
     }
 
     /// Makes `tid`, blocked in `join`, the GC host unless another joiner

@@ -53,7 +53,7 @@ fn full_run_collects_the_checkpoint_chain() {
         assert_eq!(c.threads.len(), WORKERS + 1, "full membership");
         assert!(c.threads.iter().all(|t| t.alive));
         assert!(c.finished.is_empty());
-        assert_eq!(c.backend, "RFDet-ci");
+        assert_eq!(c.recording.backend, "RFDet-ci");
     }
     assert!(run.warnings.is_empty(), "no persistence warnings in-memory");
     // 3 checkpoints × 4 threads contributed.
@@ -219,4 +219,76 @@ fn a_resumed_run_detects_the_race_past_its_cut() {
     assert_eq!(first_cut.epoch, 1);
     let resumed = backend.run_resumed(&cfg, first_cut, &racy_after_the_first_cut);
     assert_eq!(resumed.result.expect("clean resume").races, races);
+}
+
+/// The recording under test for a jittered chain: 1000 extra ticks at
+/// worker 1's 30th sync op (round 10), which moves the schedule and the
+/// output digest.
+fn jittered_cfg() -> RunConfig {
+    let mut cfg = base_cfg();
+    cfg.fault_plan = FaultPlan::new().jitter_at(1, 30, 1000);
+    cfg
+}
+
+fn run_jittered() -> TracedRun {
+    RfdetBackend::ci().run_traced(&jittered_cfg(), chaos::long_haul(params()))
+}
+
+/// A checkpoint carries its run's jitter, so the config read back from
+/// its own recording resumes the jittered run, not the unjittered one.
+#[test]
+fn a_jittered_checkpoint_resumes_under_its_own_recording() {
+    let jittered = run_jittered();
+    let digest = jittered.result.expect("clean jittered run").output_digest();
+    let plain = run_full().result.expect("clean baseline").output_digest();
+    assert_ne!(digest, plain, "the jitter moves the output");
+    for ckpt in &jittered.checkpoints {
+        assert_eq!(ckpt.recording.faults.len(), 1, "epoch {}", ckpt.epoch);
+        let cfg = RunConfig::from_recording(&ckpt.recording);
+        let out = resumed(&cfg, ckpt).result.expect("resumed run completes");
+        assert_eq!(
+            out.output_digest(),
+            digest,
+            "resumed from epoch {}",
+            ckpt.epoch
+        );
+    }
+}
+
+#[test]
+fn the_jittered_chain_replays_serially_and_sharded() {
+    let jittered = run_jittered();
+    jittered.result.expect("clean jittered run");
+    let chain = &jittered.checkpoints;
+    let cfg = RunConfig::from_recording(&chain[0].recording);
+    let root = || chaos::long_haul(params());
+    if let Err(e) = replay_chain(&RfdetBackend::ci(), &cfg, chain, &root, 2) {
+        panic!("{e}");
+    }
+}
+
+/// The run key covers the jitter, which is input, and not the kills,
+/// which a checkpoint does not record: a jittered chain never shares a
+/// key with an unjittered one, and a crashed jittered attempt shares
+/// its key with the jitter-only re-record that recovery resumes.
+#[test]
+fn a_run_key_covers_the_jitter_and_not_the_kills() {
+    let key = |run: &TracedRun| run.checkpoints.first().expect("a chain").run_key();
+    let jittered = run_jittered();
+    assert_ne!(key(&jittered), key(&run_full()));
+    let mut crashing = jittered_cfg();
+    crashing.fault_plan = crashing.fault_plan.panic_at(2, 30);
+    let crashed = RfdetBackend::ci().run_traced(&crashing, chaos::long_haul(params()));
+    assert!(crashed.result.is_err(), "the planned panic fires");
+    assert_eq!(key(&crashed), key(&jittered));
+    assert_eq!(crashed.checkpoints[0], jittered.checkpoints[0]);
+}
+
+/// Resuming a jittered checkpoint under a config without its jitter
+/// would finish some other run; `run_resumed` refuses it loudly.
+#[test]
+#[should_panic(expected = "checkpoint was not recorded")]
+fn a_jittered_checkpoint_does_not_resume_without_its_jitter() {
+    let jittered = run_jittered();
+    let _ = resumed(&base_cfg(), &jittered.checkpoints[0]);
 }

@@ -11,22 +11,24 @@
 //! verify each shard against the recorded chain instead of re-running
 //! the whole schedule serially.
 //!
-//! Layout mirrors the [`RunTrace`](crate::RunTrace) codec: magic
-//! `RFCK` | version | payload | trailing FNV-1a checksum, all integers
-//! little-endian, decode rejecting torn, bit-flipped, trailing-garbage
-//! and future-version buffers with a typed [`TraceError`].
+//! The file is the [`RunTrace`](crate::RunTrace)'s envelope with magic
+//! `RFCK`, around `epoch | recording | cut state`: the codec module's
+//! one writer lays out the [`Recording`], and the envelope's decode
+//! rejects torn, bit-flipped, trailing-garbage and other-version
+//! buffers with a typed [`TraceError`].
 
-use crate::codec::{read_config, write_config, Reader, Writer};
+use crate::codec::{open, read_recording, seal, write_recording, Reader, Writer};
 use crate::digest::fnv1a;
-use crate::{TraceConfig, TraceError};
+use crate::{Recording, TraceError};
 use rfdet_vclock::Tid;
 
 /// Checkpoint file magic.
 pub const CKPT_MAGIC: [u8; 4] = *b"RFCK";
 /// Current checkpoint format version. Version 1 embedded the 17-field
-/// [`TraceConfig`], version 2 the 12-field one with the retired
-/// `slice_merging` flag; their checkpoints are rejected, not migrated.
-pub const CKPT_VERSION: u32 = 3;
+/// [`TraceConfig`](crate::TraceConfig), version 2 the 12-field one with
+/// the retired `slice_merging` flag, version 3 no fault plan; their
+/// checkpoints are rejected, not migrated.
+pub const CKPT_VERSION: u32 = 4;
 
 /// Sync-var class codes (mirror `rfdet_meta::SyncKey`, kept numeric so
 /// this crate stays meta-independent).
@@ -123,14 +125,10 @@ pub struct Checkpoint {
     /// The eligible-episode counter value at capture (1-based; the Nth
     /// eligible full-membership barrier episode).
     pub epoch: u64,
-    /// Recording backend name.
-    pub backend: String,
-    /// Workload label (resume resolves restartable bodies by this name).
-    pub workload: String,
-    /// The jitter seed.
-    pub seed: Option<u64>,
-    /// The determinism-relevant configuration.
-    pub config: TraceConfig,
+    /// The run's input with its fault plan's kills left out — the plan
+    /// a recovery from this cut runs under: jitter decides the
+    /// schedule, a kill is the fault recovery drops.
+    pub recording: Recording,
     /// The barrier episode's merged upper limit, stored components exact.
     pub upper: Vec<u64>,
     /// Every sync var with a recorded release, sorted by `(class, id)`.
@@ -143,18 +141,16 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// A stable identity for the *run* this checkpoint belongs to: the
-    /// FNV of the schedule-determining inputs (backend, workload, seed,
-    /// config). Checkpoints of the same logical run — including a crashed
-    /// attempt and its re-record — share a key, which is how crash
+    /// FNV of its encoded [`Recording`]. Checkpoints of the same logical
+    /// run — including a crashed attempt and its re-record, since the
+    /// recording holds no kills — share a key, which is how crash
     /// recovery finds "the latest checkpoint of this run" on disk
-    /// without knowing the (yet-unwritten) trace digest.
+    /// without knowing the (yet-unwritten) trace digest; a jittered and
+    /// an unjittered run do not.
     #[must_use]
     pub fn run_key(&self) -> u64 {
         let mut w = Writer { buf: Vec::new() };
-        w.str(&self.backend);
-        w.str(&self.workload);
-        w.opt_u64(self.seed);
-        write_config(&mut w, &self.backend, &self.config);
+        write_recording(&mut w, &self.recording);
         fnv1a(&w.buf)
     }
 
@@ -169,69 +165,7 @@ impl Checkpoint {
     /// Serializes the checkpoint (see the module docs for the layout).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(&CKPT_MAGIC);
-        w.u32(CKPT_VERSION);
-        w.u64(self.epoch);
-        w.str(&self.backend);
-        w.str(&self.workload);
-        w.opt_u64(self.seed);
-        write_config(&mut w, &self.backend, &self.config);
-        w.u64(self.upper.len() as u64);
-        for &c in &self.upper {
-            w.u64(c);
-        }
-        w.u64(self.sync_vars.len() as u64);
-        for v in &self.sync_vars {
-            w.u8(v.class);
-            w.u64(v.id);
-            w.u32(v.last_tid);
-            w.u64(v.last_time.len() as u64);
-            for &c in &v.last_time {
-                w.u64(c);
-            }
-        }
-        w.u64(self.finished.len() as u64);
-        for &t in &self.finished {
-            w.u32(t);
-        }
-        w.u64(self.threads.len() as u64);
-        for t in &self.threads {
-            w.u32(t.tid);
-            w.boolean(t.alive);
-            w.u64(t.clock);
-            w.u64(t.vc.len() as u64);
-            for &c in &t.vc {
-                w.u64(c);
-            }
-            w.u64(t.slice_seq);
-            w.u64(t.sync_ops);
-            w.u64(t.allocs);
-            w.bytes(&t.output);
-            w.u64(t.heap.cursor);
-            w.u64(t.heap.allocated_bytes);
-            w.u64(t.heap.free.len() as u64);
-            for fl in &t.heap.free {
-                w.u32(fl.class);
-                w.u64(fl.addrs.len() as u64);
-                for &a in &fl.addrs {
-                    w.u64(a);
-                }
-            }
-            w.u64(t.heap.live.len() as u64);
-            for &(addr, class) in &t.heap.live {
-                w.u64(addr);
-                w.u32(class);
-            }
-            w.u64(t.pages.len() as u64);
-            for p in &t.pages {
-                w.u64(p.index);
-                w.bytes(&p.data);
-            }
-        }
-        let checksum = fnv1a(&w.buf);
-        w.u64(checksum);
-        w.buf
+        seal(CKPT_MAGIC, CKPT_VERSION, |w| self.write_body(w))
     }
 
     /// Decodes a buffer produced by [`Checkpoint::encode`].
@@ -240,139 +174,94 @@ impl Checkpoint {
     /// Returns a [`TraceError`] for any malformed input: wrong magic or
     /// version, truncation, checksum mismatch, or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
-        if bytes.len() < CKPT_MAGIC.len() + 4 + 8 {
-            return Err(
-                if bytes.starts_with(&CKPT_MAGIC) || CKPT_MAGIC.starts_with(bytes) {
-                    TraceError::Truncated
-                } else {
-                    TraceError::BadMagic
-                },
-            );
-        }
-        if bytes[..4] != CKPT_MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let body = &bytes[..bytes.len() - 8];
-        let mut tail = [0u8; 8];
-        tail.copy_from_slice(&bytes[bytes.len() - 8..]);
-        if fnv1a(body) != u64::from_le_bytes(tail) {
-            return Err(TraceError::BadChecksum);
-        }
-        let mut r = Reader { buf: body, pos: 4 };
-        let version = r.u32()?;
-        if version != CKPT_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let epoch = r.u64()?;
-        let backend = r.str()?;
-        let workload = r.str()?;
-        let seed = r.opt_u64()?;
-        let config = read_config(&mut r)?;
-        let n_upper = r.list_len(8)?;
-        let mut upper = Vec::with_capacity(n_upper);
-        for _ in 0..n_upper {
-            upper.push(r.u64()?);
-        }
-        let n_vars = r.list_len(21)?;
-        let mut sync_vars = Vec::with_capacity(n_vars);
-        for _ in 0..n_vars {
-            let class = r.u8()?;
-            let id = r.u64()?;
-            let narrow = class < sync_class::ATOMIC && u32::try_from(id).is_ok();
-            if !(narrow || class == sync_class::ATOMIC) {
-                return Err(TraceError::BadSyncVar(class, id));
-            }
-            let last_tid = r.u32()?;
-            let n = r.list_len(8)?;
-            let mut last_time = Vec::with_capacity(n);
-            for _ in 0..n {
-                last_time.push(r.u64()?);
-            }
-            sync_vars.push(CkptSyncVar {
-                class,
-                id,
-                last_tid,
-                last_time,
+        open(CKPT_MAGIC, CKPT_VERSION, bytes, Self::read_body)
+    }
+
+    fn write_body(&self, w: &mut Writer) {
+        w.u64(self.epoch);
+        write_recording(w, &self.recording);
+        w.list(&self.upper, |w, &c| w.u64(c));
+        w.list(&self.sync_vars, |w, v| {
+            w.u8(v.class);
+            w.u64(v.id);
+            w.u32(v.last_tid);
+            w.list(&v.last_time, |w, &c| w.u64(c));
+        });
+        w.list(&self.finished, |w, &t| w.u32(t));
+        w.list(&self.threads, |w, t| {
+            w.u32(t.tid);
+            w.boolean(t.alive);
+            w.u64(t.clock);
+            w.list(&t.vc, |w, &c| w.u64(c));
+            w.u64(t.slice_seq);
+            w.u64(t.sync_ops);
+            w.u64(t.allocs);
+            w.bytes(&t.output);
+            w.u64(t.heap.cursor);
+            w.u64(t.heap.allocated_bytes);
+            w.list(&t.heap.free, |w, fl| {
+                w.u32(fl.class);
+                w.list(&fl.addrs, |w, &a| w.u64(a));
             });
-        }
-        let n_fin = r.list_len(4)?;
-        let mut finished = Vec::with_capacity(n_fin);
-        for _ in 0..n_fin {
-            finished.push(r.u32()?);
-        }
-        let n_threads = r.list_len(8)?;
-        let mut threads = Vec::with_capacity(n_threads);
-        for _ in 0..n_threads {
-            let tid = r.u32()?;
-            let alive = r.boolean()?;
-            let clock = r.u64()?;
-            let n = r.list_len(8)?;
-            let mut vc = Vec::with_capacity(n);
-            for _ in 0..n {
-                vc.push(r.u64()?);
-            }
-            let slice_seq = r.u64()?;
-            let sync_ops = r.u64()?;
-            let allocs = r.u64()?;
-            let output = r.bytes()?;
-            let cursor = r.u64()?;
-            let allocated_bytes = r.u64()?;
-            let n_free = r.list_len(12)?;
-            let mut free = Vec::with_capacity(n_free);
-            for _ in 0..n_free {
-                let class = r.u32()?;
-                let n = r.list_len(8)?;
-                let mut addrs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    addrs.push(r.u64()?);
-                }
-                free.push(CkptFreeList { class, addrs });
-            }
-            let n_live = r.list_len(12)?;
-            let mut live = Vec::with_capacity(n_live);
-            for _ in 0..n_live {
-                let addr = r.u64()?;
-                let class = r.u32()?;
-                live.push((addr, class));
-            }
-            let n_pages = r.list_len(16)?;
-            let mut pages = Vec::with_capacity(n_pages);
-            for _ in 0..n_pages {
-                let index = r.u64()?;
-                let data = r.bytes()?;
-                pages.push(CkptPage { index, data });
-            }
-            threads.push(CkptThread {
-                tid,
-                alive,
-                clock,
-                vc,
-                slice_seq,
-                sync_ops,
-                allocs,
-                output,
-                heap: CkptHeap {
-                    cursor,
-                    allocated_bytes,
-                    free,
-                    live,
-                },
-                pages,
+            w.list(&t.heap.live, |w, &(addr, class)| {
+                w.u64(addr);
+                w.u32(class);
             });
-        }
-        if r.pos != body.len() {
-            return Err(TraceError::TrailingBytes);
-        }
+            w.list(&t.pages, |w, p| {
+                w.u64(p.index);
+                w.bytes(&p.data);
+            });
+        });
+    }
+
+    fn read_body(r: &mut Reader<'_>) -> Result<Self, TraceError> {
         Ok(Checkpoint {
-            epoch,
-            backend,
-            workload,
-            seed,
-            config,
-            upper,
-            sync_vars,
-            finished,
-            threads,
+            epoch: r.u64()?,
+            recording: read_recording(r)?,
+            upper: r.list(8, Reader::u64)?,
+            sync_vars: r.list(21, |r| {
+                let (class, id) = (r.u8()?, r.u64()?);
+                let narrow = class < sync_class::ATOMIC && u32::try_from(id).is_ok();
+                if !(narrow || class == sync_class::ATOMIC) {
+                    return Err(TraceError::BadSyncVar(class, id));
+                }
+                Ok(CkptSyncVar {
+                    class,
+                    id,
+                    last_tid: r.u32()?,
+                    last_time: r.list(8, Reader::u64)?,
+                })
+            })?,
+            finished: r.list(4, Reader::u32)?,
+            threads: r.list(8, |r| {
+                Ok(CkptThread {
+                    tid: r.u32()?,
+                    alive: r.boolean()?,
+                    clock: r.u64()?,
+                    vc: r.list(8, Reader::u64)?,
+                    slice_seq: r.u64()?,
+                    sync_ops: r.u64()?,
+                    allocs: r.u64()?,
+                    output: r.bytes()?,
+                    heap: CkptHeap {
+                        cursor: r.u64()?,
+                        allocated_bytes: r.u64()?,
+                        free: r.list(12, |r| {
+                            Ok(CkptFreeList {
+                                class: r.u32()?,
+                                addrs: r.list(8, Reader::u64)?,
+                            })
+                        })?,
+                        live: r.list(12, |r| Ok((r.u64()?, r.u32()?)))?,
+                    },
+                    pages: r.list(16, |r| {
+                        Ok(CkptPage {
+                            index: r.u64()?,
+                            data: r.bytes()?,
+                        })
+                    })?,
+                })
+            })?,
         })
     }
 
@@ -382,10 +271,12 @@ impl Checkpoint {
         let live = self.threads.iter().filter(|t| t.alive).count();
         let pages: usize = self.threads.iter().map(|t| t.pages.len()).sum();
         format!(
-            "checkpoint: epoch={} workload={:?} threads={} ({live} live) pages={pages} digest={:#018x}",
+            "checkpoint: epoch={} workload={:?} threads={} ({live} live) pages={pages} faults={} \
+             digest={:#018x}",
             self.epoch,
-            self.workload,
+            self.recording.workload,
             self.threads.len(),
+            self.recording.faults.len(),
             self.digest(),
         )
     }
@@ -395,14 +286,23 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::tests::test_config;
+    use crate::{TraceFault, FAULT_JITTER};
 
     pub(crate) fn sample() -> Checkpoint {
         Checkpoint {
             epoch: 3,
-            backend: "RFDet-ci".into(),
-            workload: "chaos.long_haul@4".into(),
-            seed: Some(7),
-            config: test_config(),
+            recording: Recording {
+                backend: "RFDet-ci".into(),
+                workload: "chaos.long_haul@4".into(),
+                seed: Some(7),
+                config: test_config(),
+                faults: vec![TraceFault {
+                    tid: 1,
+                    code: FAULT_JITTER,
+                    a: 30,
+                    b: 1000,
+                }],
+            },
             upper: vec![10, 22, 0, 31],
             sync_vars: vec![
                 CkptSyncVar {
@@ -483,24 +383,28 @@ mod tests {
         b.upper.clear();
         assert_eq!(a.run_key(), b.run_key(), "same run inputs, same key");
         let mut c = sample();
-        c.seed = Some(8);
+        c.recording.seed = Some(8);
         assert_ne!(a.run_key(), c.run_key(), "different seed, different run");
+        let mut d = sample();
+        d.recording.faults.clear();
+        assert_ne!(a.run_key(), d.run_key(), "different jitter, different run");
     }
 
     #[test]
     fn rejects_bad_magic_and_trace_magic() {
         let mut bytes = sample().encode();
         bytes[0] = b'X';
-        assert_eq!(Checkpoint::decode(&bytes), Err(TraceError::BadMagic));
+        let bad_magic = Err(TraceError::BadMagic(CKPT_MAGIC));
+        assert_eq!(Checkpoint::decode(&bytes), bad_magic);
         // A RunTrace buffer must not decode as a checkpoint.
         let mut t = bytes.clone();
         t[..4].copy_from_slice(b"RFDT");
-        assert_eq!(Checkpoint::decode(&t), Err(TraceError::BadMagic));
+        assert_eq!(Checkpoint::decode(&t), bad_magic);
     }
 
     #[test]
     fn rejects_retired_and_unknown_versions() {
-        for version in [1, 2, 99] {
+        for version in [1, 2, 3, 99] {
             let mut bytes = sample().encode();
             bytes[4] = version;
             let body_len = bytes.len() - 8;

@@ -1,10 +1,16 @@
-//! Serde-free binary codec for [`RunTrace`].
+//! Serde-free binary codec for [`RunTrace`] and [`Checkpoint`].
 //!
-//! Layout (all integers little-endian):
+//! [`Checkpoint`]: crate::Checkpoint
+//!
+//! Both file kinds share one envelope (all integers little-endian):
 //!
 //! ```text
-//! magic "RFDT" | version u32 | payload | checksum u64
+//! magic | version u32 | body | checksum u64
 //! ```
+//!
+//! and both bodies hold the run's [`Recording`], written by one
+//! [`write_recording`]: a trace's body is `recording | events | failure`,
+//! a checkpoint's `epoch | recording | cut state`.
 //!
 //! The checksum is FNV-1a over every preceding byte, so a torn or
 //! bit-flipped file fails decoding even if the length happens to line
@@ -14,7 +20,7 @@
 //! long-term archive format.
 
 use crate::digest::fnv1a;
-use crate::{FailureSummary, RunTrace, TraceConfig, TraceEvent, TraceFault};
+use crate::{FailureSummary, Recording, RunTrace, TraceConfig, TraceEvent, TraceFault};
 use std::fmt;
 
 /// File magic.
@@ -24,11 +30,13 @@ pub const MAGIC: [u8; 4] = *b"RFDT";
 /// traces are rejected, not migrated.
 pub const VERSION: u32 = 3;
 
-/// Why a byte buffer failed to decode as a [`RunTrace`].
+/// Why a byte buffer failed to decode as a [`RunTrace`] or a
+/// [`Checkpoint`](crate::Checkpoint).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceError {
-    /// The buffer does not start with the `RFDT` magic.
-    BadMagic,
+    /// The buffer does not start with the magic its kind expects (held
+    /// here: `RFDT` for a trace, `RFCK` for a checkpoint).
+    BadMagic([u8; 4]),
     /// The format version is not the one this build reads and writes.
     UnsupportedVersion(u32),
     /// The buffer ended mid-field (torn file).
@@ -48,12 +56,14 @@ pub enum TraceError {
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceError::BadMagic => write!(f, "not a RFDT trace file (bad magic)"),
-            TraceError::UnsupportedVersion(v) => write!(f, "unsupported trace version {v}"),
-            TraceError::Truncated => write!(f, "truncated trace file"),
-            TraceError::BadChecksum => write!(f, "trace checksum mismatch (corrupt file)"),
-            TraceError::TrailingBytes => write!(f, "trailing bytes after trace checksum"),
-            TraceError::BadLength => write!(f, "implausible length prefix in trace file"),
+            TraceError::BadMagic(m) => {
+                write!(f, "not an {} file (bad magic)", String::from_utf8_lossy(m))
+            }
+            TraceError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
+            TraceError::Truncated => write!(f, "truncated file"),
+            TraceError::BadChecksum => write!(f, "checksum mismatch (corrupt file)"),
+            TraceError::TrailingBytes => write!(f, "trailing bytes after the checksum"),
+            TraceError::BadLength => write!(f, "implausible length prefix"),
             TraceError::BadSyncVar(c, id) => write!(f, "invalid checkpoint sync var ({c}, {id})"),
         }
     }
@@ -94,6 +104,13 @@ impl Writer {
     pub(crate) fn bytes(&mut self, b: &[u8]) {
         self.u64(b.len() as u64);
         self.buf.extend_from_slice(b);
+    }
+    /// A length-prefixed list, each item written by `each`.
+    pub(crate) fn list<T>(&mut self, items: &[T], mut each: impl FnMut(&mut Self, &T)) {
+        self.u64(items.len() as u64);
+        for item in items {
+            each(self, item);
+        }
     }
 }
 
@@ -146,12 +163,26 @@ impl<'a> Reader<'a> {
     }
     /// Guards list length prefixes against absurd values before any
     /// allocation: each element needs at least `min_elem` bytes.
-    pub(crate) fn list_len(&mut self, min_elem: usize) -> Result<usize, TraceError> {
+    fn list_len(&mut self, min_elem: usize) -> Result<usize, TraceError> {
         let len = self.u64()? as usize;
         if len.saturating_mul(min_elem.max(1)) > self.buf.len() {
             return Err(TraceError::BadLength);
         }
         Ok(len)
+    }
+    /// A length-prefixed list of items of at least `min_elem` bytes
+    /// each, each read by `each`.
+    pub(crate) fn list<T>(
+        &mut self,
+        min_elem: usize,
+        mut each: impl FnMut(&mut Self) -> Result<T, TraceError>,
+    ) -> Result<Vec<T>, TraceError> {
+        let len = self.list_len(min_elem)?;
+        let mut items = Vec::with_capacity(len);
+        for _ in 0..len {
+            items.push(each(self)?);
+        }
+        Ok(items)
     }
 }
 
@@ -167,7 +198,7 @@ const QUANTUM_SLOT: u64 = 10_000;
 const JITTER_SLOT: u64 = 50;
 
 /// Writes `c` as recorded by the backend named `backend`.
-pub(crate) fn write_config(w: &mut Writer, backend: &str, c: &TraceConfig) {
+fn write_config(w: &mut Writer, backend: &str, c: &TraceConfig) {
     w.u64(c.space_bytes);
     w.u64(c.page_size);
     w.u64(c.meta_capacity_bytes);
@@ -181,7 +212,7 @@ pub(crate) fn write_config(w: &mut Writer, backend: &str, c: &TraceConfig) {
     w.opt_u64(c.deadlock_after_ms);
 }
 
-pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<TraceConfig, TraceError> {
+fn read_config(r: &mut Reader<'_>) -> Result<TraceConfig, TraceError> {
     Ok(TraceConfig {
         space_bytes: r.u64()?,
         page_size: r.u64()?,
@@ -196,38 +227,103 @@ pub(crate) fn read_config(r: &mut Reader<'_>) -> Result<TraceConfig, TraceError>
     })
 }
 
+/// Writes a run's input, the shared head of both bodies.
+pub(crate) fn write_recording(w: &mut Writer, rec: &Recording) {
+    w.str(&rec.backend);
+    w.str(&rec.workload);
+    w.opt_u64(rec.seed);
+    write_config(w, &rec.backend, &rec.config);
+    w.list(&rec.faults, |w, f| {
+        w.u32(f.tid);
+        w.u8(f.code);
+        w.u64(f.a);
+        w.u64(f.b);
+    });
+}
+
+pub(crate) fn read_recording(r: &mut Reader<'_>) -> Result<Recording, TraceError> {
+    Ok(Recording {
+        backend: r.str()?,
+        workload: r.str()?,
+        seed: r.opt_u64()?,
+        config: read_config(r)?,
+        faults: r.list(21, |r| {
+            Ok(TraceFault {
+                tid: r.u32()?,
+                code: r.u8()?,
+                a: r.u64()?,
+                b: r.u64()?,
+            })
+        })?,
+    })
+}
+
+/// The envelope of both file kinds: `magic | version | body | checksum`,
+/// the body written by `body`.
+pub(crate) fn seal(magic: [u8; 4], version: u32, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer { buf: Vec::new() };
+    w.buf.extend_from_slice(&magic);
+    w.u32(version);
+    body(&mut w);
+    let checksum = fnv1a(&w.buf);
+    w.u64(checksum);
+    w.buf
+}
+
+/// Checks the magic, the checksum and the version of a [`seal`]ed
+/// buffer, then reads its body with `body`, which must consume all of
+/// it.
+pub(crate) fn open<T>(
+    magic: [u8; 4],
+    version: u32,
+    bytes: &[u8],
+    body: impl FnOnce(&mut Reader<'_>) -> Result<T, TraceError>,
+) -> Result<T, TraceError> {
+    if bytes.len() < magic.len() + 4 + 8 {
+        return Err(if bytes.starts_with(&magic) || magic.starts_with(bytes) {
+            TraceError::Truncated
+        } else {
+            TraceError::BadMagic(magic)
+        });
+    }
+    if bytes[..4] != magic {
+        return Err(TraceError::BadMagic(magic));
+    }
+    let (head, tail) = bytes.split_at(bytes.len() - 8);
+    let mut sum = [0u8; 8];
+    sum.copy_from_slice(tail);
+    if fnv1a(head) != u64::from_le_bytes(sum) {
+        return Err(TraceError::BadChecksum);
+    }
+    let mut r = Reader { buf: head, pos: 4 };
+    let found = r.u32()?;
+    if found != version {
+        return Err(TraceError::UnsupportedVersion(found));
+    }
+    let value = body(&mut r)?;
+    if r.pos != head.len() {
+        return Err(TraceError::TrailingBytes);
+    }
+    Ok(value)
+}
+
 impl RunTrace {
     /// Serializes the trace (see the module docs for the layout).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(&MAGIC);
-        w.u32(VERSION);
-        w.str(&self.backend);
-        w.str(&self.workload);
-        w.opt_u64(self.seed);
-        write_config(&mut w, &self.backend, &self.config);
-        w.u64(self.faults.len() as u64);
-        for f in &self.faults {
-            w.u32(f.tid);
-            w.u8(f.code);
-            w.u64(f.a);
-            w.u64(f.b);
-        }
-        w.u64(self.events.len() as u64);
-        for e in &self.events {
-            w.u32(e.tid);
-            w.u64(e.op);
-            w.u8(e.kind);
-            w.opt_u64(e.arg);
-            w.u64(e.clock);
-        }
-        w.u8(self.failure.kind);
-        w.u32(self.failure.tid);
-        w.u64(self.failure.report_digest);
-        let checksum = fnv1a(&w.buf);
-        w.u64(checksum);
-        w.buf
+        seal(MAGIC, VERSION, |w| {
+            write_recording(w, &self.recording);
+            w.list(&self.events, |w, e| {
+                w.u32(e.tid);
+                w.u64(e.op);
+                w.u8(e.kind);
+                w.opt_u64(e.arg);
+                w.u64(e.clock);
+            });
+            w.u8(self.failure.kind);
+            w.u32(self.failure.tid);
+            w.u64(self.failure.report_digest);
+        })
     }
 
     /// Decodes a buffer produced by [`RunTrace::encode`].
@@ -236,68 +332,24 @@ impl RunTrace {
     /// Returns a [`TraceError`] for any malformed input: wrong magic or
     /// version, truncation, checksum mismatch, or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
-        if bytes.len() < MAGIC.len() + 4 + 8 {
-            return Err(if bytes.starts_with(&MAGIC) || MAGIC.starts_with(bytes) {
-                TraceError::Truncated
-            } else {
-                TraceError::BadMagic
-            });
-        }
-        if bytes[..4] != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let body = &bytes[..bytes.len() - 8];
-        let mut tail = [0u8; 8];
-        tail.copy_from_slice(&bytes[bytes.len() - 8..]);
-        if fnv1a(body) != u64::from_le_bytes(tail) {
-            return Err(TraceError::BadChecksum);
-        }
-        let mut r = Reader { buf: body, pos: 4 };
-        let version = r.u32()?;
-        if version != VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let backend = r.str()?;
-        let workload = r.str()?;
-        let seed = r.opt_u64()?;
-        let config = read_config(&mut r)?;
-        let n_faults = r.list_len(21)?;
-        let mut faults = Vec::with_capacity(n_faults);
-        for _ in 0..n_faults {
-            faults.push(TraceFault {
-                tid: r.u32()?,
-                code: r.u8()?,
-                a: r.u64()?,
-                b: r.u64()?,
-            });
-        }
-        let n_events = r.list_len(22)?;
-        let mut events = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            events.push(TraceEvent {
-                tid: r.u32()?,
-                op: r.u64()?,
-                kind: r.u8()?,
-                arg: r.opt_u64()?,
-                clock: r.u64()?,
-            });
-        }
-        let failure = FailureSummary {
-            kind: r.u8()?,
-            tid: r.u32()?,
-            report_digest: r.u64()?,
-        };
-        if r.pos != body.len() {
-            return Err(TraceError::TrailingBytes);
-        }
-        Ok(RunTrace {
-            backend,
-            workload,
-            seed,
-            config,
-            faults,
-            events,
-            failure,
+        open(MAGIC, VERSION, bytes, |r| {
+            Ok(RunTrace {
+                recording: read_recording(r)?,
+                events: r.list(22, |r| {
+                    Ok(TraceEvent {
+                        tid: r.u32()?,
+                        op: r.u64()?,
+                        kind: r.u8()?,
+                        arg: r.opt_u64()?,
+                        clock: r.u64()?,
+                    })
+                })?,
+                failure: FailureSummary {
+                    kind: r.u8()?,
+                    tid: r.u32()?,
+                    report_digest: r.u64()?,
+                },
+            })
         })
     }
 }
@@ -305,29 +357,31 @@ impl RunTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::test_config;
+    use crate::tests::{test_config, test_recording};
     use crate::{op, FAULT_JITTER, FAULT_PANIC, KIND_PANIC};
 
     fn sample() -> RunTrace {
         RunTrace {
-            backend: "RFDet-ci".into(),
-            workload: "lock_panic".into(),
-            seed: Some(42),
-            config: test_config(),
-            faults: vec![
-                TraceFault {
-                    tid: 1,
-                    code: FAULT_PANIC,
-                    a: 4,
-                    b: 0,
-                },
-                TraceFault {
-                    tid: 2,
-                    code: FAULT_JITTER,
-                    a: 1,
-                    b: 50,
-                },
-            ],
+            recording: Recording {
+                backend: "RFDet-ci".into(),
+                workload: "lock_panic".into(),
+                seed: Some(42),
+                config: test_config(),
+                faults: vec![
+                    TraceFault {
+                        tid: 1,
+                        code: FAULT_PANIC,
+                        a: 4,
+                        b: 0,
+                    },
+                    TraceFault {
+                        tid: 2,
+                        code: FAULT_JITTER,
+                        a: 1,
+                        b: 50,
+                    },
+                ],
+            },
             events: vec![
                 TraceEvent {
                     tid: 0,
@@ -370,7 +424,7 @@ mod tests {
     fn rejects_bad_magic() {
         let mut bytes = sample().encode();
         bytes[0] = b'X';
-        assert_eq!(RunTrace::decode(&bytes), Err(TraceError::BadMagic));
+        assert_eq!(RunTrace::decode(&bytes), Err(TraceError::BadMagic(MAGIC)));
     }
 
     #[test]
@@ -426,17 +480,19 @@ mod tests {
     #[test]
     fn empty_lists_round_trip() {
         let mut t = sample();
-        t.faults.clear();
+        t.recording.faults.clear();
         t.events.clear();
-        t.seed = None;
+        t.recording.seed = None;
         assert_eq!(RunTrace::decode(&t.encode()).unwrap(), t);
     }
 
     /// The version-3 config block, retired slots included, as written
     /// before the monitor mode and CoreDet-q's quantum left the config:
-    /// the bytes and the whole-file digests below were generated by that
-    /// build. A moved retired slot, or a monitor byte that stops reading
-    /// 1 exactly for RFDet-pf, fails here before any recorded artifact
+    /// the bytes and the trace digests below were generated by that
+    /// build, the checkpoint digests by the first version-4 one (the
+    /// checkpoint's recording gained its fault list after the config). A
+    /// moved retired slot, or a monitor byte that stops reading 1
+    /// exactly for RFDet-pf, fails here before any recorded artifact
     /// changes its digest.
     #[test]
     fn config_bytes_keep_the_version_3_layout() {
@@ -455,30 +511,26 @@ mod tests {
                 "RFDet-ci",
                 "00",
                 0x89f6_5369_2c53_1fae,
-                0xf0ce_668a_2dcc_6edb,
+                0xdbe8_1216_63b5_8a20,
             ),
             (
                 "RFDet-pf",
                 "01",
                 0xa6fe_5f5d_2b8a_cdf8,
-                0xdf54_bdaf_4fe0_9651,
+                0x8730_fe3a_a083_5191,
             ),
             (
                 "CoreDet-q",
                 "00",
                 0x9816_769c_d3f2_2f52,
-                0x9c4e_5fb4_4cd7_a8fb,
+                0x987b_7ab1_975a_ee0f,
             ),
         ];
         let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
         for (backend, monitor, trace_digest, ckpt_digest) in goldens {
             let block = BLOCK.replace("{monitor}", monitor);
             let trace = RunTrace {
-                backend: backend.into(),
-                workload: "w@2".into(),
-                seed: None,
-                config: test_config(),
-                faults: vec![],
+                recording: test_recording(backend, vec![]),
                 events: vec![],
                 failure: FailureSummary {
                     kind: crate::KIND_NONE,
@@ -488,10 +540,7 @@ mod tests {
             };
             let ckpt = crate::Checkpoint {
                 epoch: 1,
-                backend: backend.into(),
-                workload: "w@2".into(),
-                seed: None,
-                config: test_config(),
+                recording: test_recording(backend, vec![]),
                 upper: vec![],
                 sync_vars: vec![],
                 finished: vec![],
@@ -521,7 +570,8 @@ mod tests {
         let written = t.encode();
         // Magic, version, the two strings and the seed precede the
         // config; the lazy byte follows four u64s, monitor and prelock.
-        let lazy_at = 8 + 4 + t.backend.len() + 4 + t.workload.len() + 9 + 32 + 2;
+        let rec = &t.recording;
+        let lazy_at = 8 + 4 + rec.backend.len() + 4 + rec.workload.len() + 9 + 32 + 2;
         assert_eq!(written[lazy_at], 0);
         let mut lazy = written.clone();
         lazy[lazy_at] = 1;

@@ -13,10 +13,13 @@
 //! * the terminal failure digest ([`FailureSummary`]), the rerun-stable
 //!   projection of the `FailureReport`.
 //!
-//! Traces serialize through a serde-free little-endian binary codec
-//! ([`RunTrace::encode`] / [`RunTrace::decode`]) with a magic, a version
-//! and a trailing checksum, and persist via atomic rename so a crashing
-//! process never leaves a torn `.trace` file (see [`persist`]).
+//! Traces and checkpoints serialize through one serde-free little-endian
+//! binary codec ([`RunTrace::encode`] / [`RunTrace::decode`],
+//! [`Checkpoint::encode`] / [`Checkpoint::decode`]): one envelope (a
+//! magic, a version and a trailing checksum) around a body that opens,
+//! in both, with the run's [`Recording`]. Files persist via atomic
+//! rename so a crashing process never leaves a torn one (see
+//! [`persist`]).
 //!
 //! This crate deliberately depends only on `rfdet-vclock` (for [`Tid`]):
 //! `rfdet-api` layers the `RunConfig`/`FaultPlan` conversions and the
@@ -198,10 +201,13 @@ impl FailureSummary {
     }
 }
 
-/// A complete recording of one run: every input that determines the
-/// schedule, the observed schedule itself, and the terminal digest.
+/// A recorded run's input: everything that decides its schedule. Both
+/// artifacts carry one — a [`RunTrace`] with the full fault plan, a
+/// [`Checkpoint`] with the plan's kills left out — and it is encoded,
+/// in both, by one writer (`RunConfig::recording` builds it,
+/// `RunConfig::from_recording` reads it back).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RunTrace {
+pub struct Recording {
     /// `DmtBackend::name()` of the recording backend.
     pub backend: String,
     /// Workload label (`RunConfig::trace`); closures are not
@@ -213,6 +219,15 @@ pub struct RunTrace {
     pub config: TraceConfig,
     /// The injected fault plan.
     pub faults: Vec<TraceFault>,
+}
+
+/// A complete recording of one run: every input that determines the
+/// schedule, the observed schedule itself, and the terminal digest.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunTrace {
+    /// The run's input, its whole fault plan included: a replay must
+    /// reproduce the failure.
+    pub recording: Recording,
     /// The recorded schedule, sorted by [`TraceEvent::sort_key`].
     pub events: Vec<TraceEvent>,
     /// How the run ended.
@@ -252,10 +267,10 @@ impl RunTrace {
     pub fn summary(&self) -> String {
         format!(
             "trace: backend={} workload={:?} events={} faults={} kind={} digest={:#018x}",
-            self.backend,
-            self.workload,
+            self.recording.backend,
+            self.recording.workload,
             self.events.len(),
-            self.faults.len(),
+            self.recording.faults.len(),
             self.failure.kind,
             self.failure.report_digest,
         )
@@ -314,11 +329,7 @@ mod tests {
             clock: 0,
         };
         let t = RunTrace {
-            backend: "b".into(),
-            workload: "w".into(),
-            seed: None,
-            config: test_config(),
-            faults: vec![],
+            recording: test_recording("b", vec![]),
             events: vec![ev(0), ev(1), ev(1), ev(2)],
             failure: FailureSummary {
                 kind: KIND_PANIC,
@@ -328,6 +339,17 @@ mod tests {
         };
         assert_eq!(t.culprit_events().len(), 2);
         assert!(t.failure.is_failure());
+    }
+
+    /// A recording of workload `w@2`, unseeded, under [`test_config`].
+    pub(crate) fn test_recording(backend: &str, faults: Vec<TraceFault>) -> Recording {
+        Recording {
+            backend: backend.into(),
+            workload: "w@2".into(),
+            seed: None,
+            config: test_config(),
+            faults,
+        }
     }
 
     pub(crate) fn test_config() -> TraceConfig {

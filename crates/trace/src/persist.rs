@@ -100,8 +100,7 @@ pub fn save_checkpoint_in(dir: &Path, ckpt: &Checkpoint) -> std::io::Result<Path
 /// Returns [`LoadError::Io`] when the file cannot be read and
 /// [`LoadError::Codec`] when its contents are not a valid checkpoint.
 pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, LoadError> {
-    let bytes = std::fs::read(path).map_err(LoadError::Io)?;
-    Checkpoint::decode(&bytes).map_err(LoadError::Codec)
+    load_as(path, "checkpoint", Checkpoint::decode)
 }
 
 /// The on-disk checkpoint chain of one run in `dir`: every
@@ -131,20 +130,21 @@ pub fn checkpoint_chain(dir: &Path, run_key: u64) -> Vec<(u64, PathBuf)> {
     out
 }
 
-/// Why a trace file failed to load.
+/// Why a trace or checkpoint file failed to load; each variant names
+/// the kind of file that was being loaded (`"trace"`, `"checkpoint"`).
 #[derive(Debug)]
 pub enum LoadError {
     /// The file could not be read.
-    Io(std::io::Error),
-    /// The bytes did not decode as a trace.
-    Codec(TraceError),
+    Io(&'static str, std::io::Error),
+    /// The bytes did not decode as that kind of file.
+    Codec(&'static str, TraceError),
 }
 
 impl fmt::Display for LoadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LoadError::Io(e) => write!(f, "cannot read trace file: {e}"),
-            LoadError::Codec(e) => write!(f, "cannot decode trace file: {e}"),
+            LoadError::Io(what, e) => write!(f, "cannot read {what} file: {e}"),
+            LoadError::Codec(what, e) => write!(f, "cannot decode {what} file: {e}"),
         }
     }
 }
@@ -157,23 +157,28 @@ impl std::error::Error for LoadError {}
 /// Returns [`LoadError::Io`] when the file cannot be read and
 /// [`LoadError::Codec`] when its contents are not a valid trace.
 pub fn load(path: &Path) -> Result<RunTrace, LoadError> {
-    let bytes = std::fs::read(path).map_err(LoadError::Io)?;
-    RunTrace::decode(&bytes).map_err(LoadError::Codec)
+    load_as(path, "trace", RunTrace::decode)
+}
+
+/// Reads `path` and decodes it with `decode` as a `what` file.
+fn load_as<T>(
+    path: &Path,
+    what: &'static str,
+    decode: fn(&[u8]) -> Result<T, TraceError>,
+) -> Result<T, LoadError> {
+    let bytes = std::fs::read(path).map_err(|e| LoadError::Io(what, e))?;
+    decode(&bytes).map_err(|e| LoadError::Codec(what, e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::test_config;
+    use crate::tests::test_recording;
     use crate::{FailureSummary, KIND_DEADLOCK};
 
     fn sample(digest: u64) -> RunTrace {
         RunTrace {
-            backend: "RFDet-ci".into(),
-            workload: "abba".into(),
-            seed: None,
-            config: test_config(),
-            faults: Vec::new(),
+            recording: test_recording("RFDet-ci", Vec::new()),
             events: Vec::new(),
             failure: FailureSummary {
                 kind: KIND_DEADLOCK,
@@ -240,7 +245,7 @@ mod tests {
         let path = save_in(&dir, &t, "").unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(matches!(load(&path), Err(LoadError::Codec(_))));
+        assert!(matches!(load(&path), Err(LoadError::Codec("trace", _))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -248,17 +253,14 @@ mod tests {
     fn missing_file_is_an_io_error() {
         assert!(matches!(
             load(Path::new("/nonexistent/zzz.trace")),
-            Err(LoadError::Io(_))
+            Err(LoadError::Io("trace", _))
         ));
     }
 
     fn sample_ckpt(epoch: u64) -> Checkpoint {
         Checkpoint {
             epoch,
-            backend: "RFDet-ci".into(),
-            workload: "chaos.long_haul@4".into(),
-            seed: Some(1),
-            config: test_config(),
+            recording: test_recording("RFDet-ci", Vec::new()),
             upper: vec![1, 2],
             sync_vars: Vec::new(),
             finished: Vec::new(),
@@ -288,7 +290,7 @@ mod tests {
         }
         // A foreign run's checkpoint and junk files are not chain members.
         let mut other = sample_ckpt(9);
-        other.seed = Some(99);
+        other.recording.seed = Some(99);
         save_checkpoint_in(&dir, &other).unwrap();
         std::fs::write(dir.join("junk.ckpt"), b"x").unwrap();
         let key = sample_ckpt(1).run_key();

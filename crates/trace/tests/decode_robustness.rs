@@ -18,7 +18,8 @@
 use proptest::prelude::*;
 use rfdet_trace::{
     op, Checkpoint, CkptFreeList, CkptHeap, CkptPage, CkptSyncVar, CkptThread, FailureSummary,
-    RunTrace, TraceConfig, TraceError, TraceEvent, TraceFault, FAULT_PANIC, KIND_PANIC,
+    Recording, RunTrace, TraceConfig, TraceError, TraceEvent, TraceFault, FAULT_JITTER,
+    FAULT_PANIC, KIND_PANIC,
 };
 
 fn config() -> TraceConfig {
@@ -37,16 +38,18 @@ fn config() -> TraceConfig {
 /// without args, a failure summary) so corruption lands on all of them.
 fn sample_trace() -> RunTrace {
     RunTrace {
-        backend: "RFDet-ci".into(),
-        workload: "chaos.long_haul@3".into(),
-        seed: Some(7),
-        config: config(),
-        faults: vec![TraceFault {
-            tid: 2,
-            code: FAULT_PANIC,
-            a: 30,
-            b: 0,
-        }],
+        recording: Recording {
+            backend: "RFDet-ci".into(),
+            workload: "chaos.long_haul@3".into(),
+            seed: Some(7),
+            config: config(),
+            faults: vec![TraceFault {
+                tid: 2,
+                code: FAULT_PANIC,
+                a: 30,
+                b: 0,
+            }],
+        },
         events: vec![
             TraceEvent {
                 tid: 0,
@@ -71,16 +74,25 @@ fn sample_trace() -> RunTrace {
     }
 }
 
-/// A checkpoint with every nested structure populated — sync vars,
-/// live and dead threads, heap free lists, pages — so truncation points
-/// and bit flips exercise every reader path.
+/// A checkpoint with every nested structure populated — a jitter
+/// entry in its recording, sync vars, live and dead threads, heap free
+/// lists, pages — so truncation points and bit flips exercise every
+/// reader path.
 fn sample_checkpoint() -> Checkpoint {
     Checkpoint {
         epoch: 8,
-        backend: "RFDet-ci".into(),
-        workload: "chaos.long_haul@3".into(),
-        seed: None,
-        config: config(),
+        recording: Recording {
+            backend: "RFDet-ci".into(),
+            workload: "chaos.long_haul@3".into(),
+            seed: None,
+            config: config(),
+            faults: vec![TraceFault {
+                tid: 1,
+                code: FAULT_JITTER,
+                a: 30,
+                b: 1000,
+            }],
+        },
         upper: vec![12, 9, 9, 9],
         sync_vars: vec![CkptSyncVar {
             class: 0,

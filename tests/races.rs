@@ -255,7 +255,7 @@ fn race_digest_survives_record_and_replay() {
         let recorded = b.run_traced(&cfg, (w.factory)(Params::new(4, Size::Test)));
         let out = recorded.result.expect("recorded run succeeds");
         let trace = recorded.trace.expect("recording on");
-        let mut replay_cfg = RunConfig::from_trace(&trace);
+        let mut replay_cfg = RunConfig::from_recording(&trace.recording);
         assert!(
             !replay_cfg.detect_races,
             "detect_races must stay out of the trace projection"

@@ -112,7 +112,7 @@ fn persisted_trace_loads_and_replays() {
         assert!(path.is_file(), "{name}: {} must exist", path.display());
         let loaded = trace::persist::load(&path)
             .unwrap_or_else(|e| panic!("{name}: trace must decode: {e:?}"));
-        assert_eq!(loaded.backend, name);
+        assert_eq!(loaded.recording.backend, name);
         assert_eq!(loaded.failure.report_digest, err.report_digest());
         let replay = backend.replay(&loaded, lock_panic_root());
         assert!(
@@ -142,18 +142,22 @@ fn shrinker_minimizes_the_fault_plan() {
         let cfg = traced_cfg(plan, None);
         let recorded = backend.run_traced(&cfg, lock_panic_root());
         let trace = recorded.trace.expect("recording was on");
-        assert_eq!(trace.faults.len(), 4);
+        assert_eq!(trace.recording.faults.len(), 4);
 
         let mut mk = lock_panic_root;
         let min = backend
             .shrink_plan(&trace, &mut mk)
             .unwrap_or_else(|| panic!("{name}: a 4-entry plan with decoys must shrink"));
         assert!(
-            min.faults.len() < trace.faults.len(),
+            min.recording.faults.len() < trace.recording.faults.len(),
             "{name}: shrunk plan must be strictly smaller"
         );
-        assert_eq!(min.faults.len(), 1, "{name}: only the panic survives");
-        assert_eq!(min.faults[0].code, trace::FAULT_PANIC);
+        assert_eq!(
+            min.recording.faults.len(),
+            1,
+            "{name}: only the panic survives"
+        );
+        assert_eq!(min.recording.faults[0].code, trace::FAULT_PANIC);
         assert_eq!(
             min.failure.kind, trace.failure.kind,
             "{name}: minimized repro must fail the same way"
