@@ -135,6 +135,11 @@ stats! {
     // ---- DLRC internals ----
     /// Slices created (one per synchronization-free interval).
     sum slices,
+    /// Byte runs sealed, over every slice (RFDet) or interval (lockstep
+    /// engines): a function of the input. With the modified bytes and
+    /// the window groups it sizes a run arena — data + 4 per run + 8 per
+    /// group (DESIGN.md §4.6).
+    sum runs_sealed,
     /// Always 0 since slice merging (§4.5) was removed; kept only for
     /// the frozen benchmark's `core.slices_merged` probe.
     sum slices_merged,

@@ -65,6 +65,7 @@ fn main() {
             s.loads.to_string(),
             s.stores.to_string(),
             s.stores_with_copy.to_string(),
+            format!("{:.1}", s.runs_sealed as f64 / s.slices.max(1) as f64),
             mb(s.diff_bytes_scanned),
             mb(s.snapshot_bytes_copied),
             format!("{:.0}", s.snapshot_pool_hit_rate() * 100.0),
@@ -79,12 +80,14 @@ fn main() {
         ]);
     }
     let headers = "benchmark,lock/unlock,wait/signal,atomic,fork/join,mem,load,store,\
-         store w/copy,diff(MB),snap(MB),pool hit%,pthreads(MB),RFDet(MB),\
+         store w/copy,runs/slice,diff(MB),snap(MB),pool hit%,pthreads(MB),RFDet(MB),\
          DThreads(MB),GC,wait%,diff%,snap%,prop%";
     println!("{}", render_table(headers, &rows));
     println!(
         "notes: footprints are the materialized global store (pthreads), private pages\n\
          + peak metadata (RFDet), private pages + global store (DThreads);\n\
+         runs/slice is runs sealed per slice: a slice's run arena is its modified\n\
+         bytes + 4 per run + 8 per 64 KiB window its runs fall in;\n\
          diff(MB)/snap(MB) are bytes the end-slice diff kernel scanned and bytes the\n\
          first-write instrumentation snapshotted; pool hit% is how often a snapshot\n\
          buffer came from the recycling pool instead of a fresh allocation;\n\

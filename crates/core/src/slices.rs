@@ -9,7 +9,7 @@
 
 use crate::ctx::RfdetCtx;
 use rfdet_api::obs::Phase;
-use rfdet_mem::RunList;
+use rfdet_mem::{RunList, Runs};
 use rfdet_meta::SliceRec;
 
 impl RfdetCtx {
@@ -46,6 +46,7 @@ impl RfdetCtx {
         let (mods, scanned) = self.sealed.take().unwrap_or_else(|| self.seal_slice());
         self.h.stats.diff_bytes_scanned += scanned;
         self.h.stats.slices += 1;
+        self.h.stats.runs_sealed += mods.as_ref().map_or(0, |m| m.count() as u64);
         // Race detection seals the slice's word-read set alongside the
         // diff. Read-only slices must then publish too — a remote read
         // can race a write, and the detecting thread only sees accesses

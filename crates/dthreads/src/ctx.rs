@@ -7,7 +7,7 @@ use rfdet_api::{
     ThreadHandle, ThreadHarness, Tid,
 };
 use rfdet_mem::race::ReadTracker;
-use rfdet_mem::{Page, PrivateSpace, RunBuilder, SliceSnapshots, ThreadHeap};
+use rfdet_mem::{Page, PrivateSpace, RunBuilder, Runs, SliceSnapshots, ThreadHeap};
 use std::sync::Arc;
 
 /// Per-thread context: a private view of the global store plus the store
@@ -102,6 +102,7 @@ impl DtCtx {
         self.snaps.seal(&self.space, &mut self.runs);
         self.h.since(Phase::Diff, t0);
         let diff = self.runs.finish().unwrap_or_default();
+        self.h.stats.runs_sealed += diff.count() as u64;
         let reads = match self.track_reads {
             true => self.reads.seal(self.page_size),
             false => Vec::new(),

@@ -3,7 +3,8 @@
 //!
 //! At the end of each slice, the snapshotted part of every stored-to page
 //! is compared with its current contents and runs of differing bytes are
-//! packed into the slice's one [`RunList`] arena. A byte overwritten with
+//! packed into the slice's one [`RunList`] arena (4 bytes of table a run,
+//! grouped by 64 KiB address window, read in order). A byte overwritten with
 //! the *same* value produces no run — that is load-bearing: it implements
 //! the paper's "prefer local writes when the remote write is redundant"
 //! conflict policy (§4.6), and the modification granularity of one byte
@@ -28,7 +29,6 @@
 
 use crate::bit_spans;
 use rfdet_api::Addr;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// A contiguous run of modified bytes: "a write of the value `data` to
@@ -76,20 +76,15 @@ impl ModRun {
     }
 }
 
-/// Runs read as `(first address, new bytes)` pairs: the one view that
-/// applying and race detection read, whether the runs are
+/// Runs read in order as `(first address, new bytes)` pairs: the one
+/// view that applying and race detection read, whether the runs are
 /// boxed [`ModRun`]s or packed in a [`RunList`].
 pub trait Runs {
     /// Number of runs.
     fn count(&self) -> usize;
 
-    /// Run `i`.
-    fn run(&self, i: usize) -> (Addr, &[u8]);
-
     /// Every run, in order.
-    fn iter_runs(&self) -> impl Iterator<Item = (Addr, &[u8])> {
-        (0..self.count()).map(|i| self.run(i))
-    }
+    fn iter_runs(&self) -> impl Iterator<Item = (Addr, &[u8])>;
 
     /// Total modified bytes.
     fn byte_len(&self) -> usize {
@@ -97,30 +92,34 @@ pub trait Runs {
     }
 }
 
-/// Boxed runs as [`Runs`]. No runtime path holds boxed runs; this serves
-/// [`PrivateSpace::apply_runs`](crate::PrivateSpace::apply_runs), the
-/// frozen benchmark's probes and the property tests' [`diff_page_scalar`]
-/// oracle (ROADMAP item 8(v)).
+/// Boxed runs as [`Runs`], which no runtime path holds: only
+/// `PrivateSpace::apply_runs`, the frozen benchmark's probes and the
+/// tests' [`diff_page_scalar`] oracle (ROADMAP item 8(v)).
 impl Runs for [ModRun] {
     fn count(&self) -> usize {
         self.len()
     }
 
-    fn run(&self, i: usize) -> (Addr, &[u8]) {
-        (self[i].addr, &self[i].data)
+    fn iter_runs(&self) -> impl Iterator<Item = (Addr, &[u8])> {
+        self.iter().map(|r| (r.addr, &*r.data))
     }
 }
 
-/// Bytes per [`RunList`] table entry: `addr: u64, off: u32, len: u32`, LE.
-const ENTRY: usize = 16;
+/// A [`RunList`] groups runs by `1 << WINDOW_BITS`-byte address window.
+const WINDOW_BITS: u32 = 16;
+/// Group header: `window | run count << 48` (a window fits in 48 bits),
+/// LE. Run entry: `off in the window | (len - 1) << 16`, LE.
+const HEADER: usize = 8;
+const ENTRY: usize = 4;
 
-/// A sealed slice's runs in one allocation: the runs' bytes back to back,
-/// then one 16-byte entry per run. Its consumers (every acquiring
-/// thread, transitive propagation) share it by `Arc`.
+/// A sealed slice's runs in one allocation, shared by `Arc` (every acquiring
+/// thread, transitive propagation): the runs' bytes back to back, then a
+/// header per group of consecutive runs in one window and an entry a run.
 #[derive(Clone, Debug, Default)]
 pub struct RunList {
     buf: Arc<[u8]>,
     runs: u32,
+    data_len: u32,
 }
 
 impl RunList {
@@ -134,7 +133,7 @@ impl RunList {
         b.finish().unwrap_or_default()
     }
 
-    /// The arena's exact size: the modified bytes plus 16 per run.
+    /// The arena's exact size: the bytes, 4 per run and 8 per group.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.buf.len()
@@ -146,16 +145,25 @@ impl Runs for RunList {
         self.runs as usize
     }
 
-    #[inline]
-    fn run(&self, i: usize) -> (Addr, &[u8]) {
-        let e = &self.buf[self.byte_len() + ENTRY * i..][..ENTRY];
-        let field = |at: usize| u32::from_le_bytes(e[at..at + 4].try_into().expect("u32")) as usize;
-        let addr = u64::from_le_bytes(e[..8].try_into().expect("u64"));
-        (addr, &self.buf[field(8)..field(8) + field(12)])
+    fn iter_runs(&self) -> impl Iterator<Item = (Addr, &[u8])> {
+        let (mut data, mut table) = self.buf.split_at(self.data_len as usize);
+        let (mut base, mut left) = (0, 0);
+        std::iter::from_fn(move || {
+            if left == 0 {
+                let (h, rest) = table.split_first_chunk::<HEADER>()?;
+                let h = u64::from_le_bytes(*h);
+                (base, left, table) = ((h & ((1 << 48) - 1)) << WINDOW_BITS, h >> 48, rest);
+            }
+            let (e, rest) = table.split_first_chunk::<ENTRY>()?;
+            let e = u32::from_le_bytes(*e);
+            let (run, tail) = data.split_at((e >> 16) as usize + 1);
+            (table, data, left) = (rest, tail, left - 1);
+            Some((base + u64::from(e as u16), run))
+        })
     }
 
     fn byte_len(&self) -> usize {
-        self.buf.len() - ENTRY * self.count()
+        self.data_len as usize
     }
 }
 
@@ -165,57 +173,52 @@ impl Runs for RunList {
 pub struct RunBuilder {
     bytes: Vec<u8>,
     table: Vec<u8>,
+    runs: u32,
+    /// The last group (none while `table` is empty): header offset, window, count.
+    group: (usize, u64, u16),
 }
 
 impl RunBuilder {
-    /// Appends a run (never empty, see [`ModRun::new`]).
+    /// Appends a run (never empty, see [`ModRun::new`]), cut at a window
+    /// boundary into runs of the same bytes (diffing makes no run that
+    /// crosses one at pages of 64 KiB or less).
     pub fn push(&mut self, addr: Addr, data: &[u8]) {
         debug_assert!(!data.is_empty(), "empty run pushed");
-        let end = u32::try_from(self.bytes.len() + data.len()).expect("slice arena past 4 GiB");
-        let len = data.len() as u32; // fits: `end` does
-        self.table.extend_from_slice(&addr.to_le_bytes());
-        self.table.extend_from_slice(&(end - len).to_le_bytes());
-        self.table.extend_from_slice(&len.to_le_bytes());
+        let room = (1 << WINDOW_BITS) - (addr as usize & ((1 << WINDOW_BITS) - 1));
+        if data.len() > room {
+            self.push(addr, &data[..room]);
+            return self.push(addr + room as u64, &data[room..]);
+        }
+        let (window, (at, w, n)) = (addr >> WINDOW_BITS, &mut self.group);
+        if self.table.is_empty() || *w != window || *n == u16::MAX {
+            (*at, *w, *n) = (self.table.len(), window, 0);
+            self.table.extend_from_slice(&window.to_le_bytes());
+        }
+        *n += 1;
+        self.table[*at + 6..*at + 8].copy_from_slice(&n.to_le_bytes());
+        let entry = u32::from(addr as u16) | (data.len() as u32 - 1) << 16;
+        self.table.extend_from_slice(&entry.to_le_bytes());
         self.bytes.extend_from_slice(data);
+        self.runs += 1;
     }
 
     /// Freezes the runs pushed since the last call into one allocation
     /// (`None`, allocating nothing, if there were none) and empties the
     /// builder.
     pub fn finish(&mut self) -> Option<RunList> {
-        let runs = (self.table.len() / ENTRY) as u32;
+        let runs = std::mem::take(&mut self.runs);
+        let data_len = u32::try_from(self.bytes.len()).expect("slice arena past 4 GiB");
         (runs > 0).then(|| {
             self.bytes.append(&mut self.table);
             let buf = Arc::from(&self.bytes[..]);
             self.bytes.clear();
-            RunList { buf, runs }
+            RunList {
+                buf,
+                runs,
+                data_len,
+            }
         })
     }
-}
-
-/// `runs` cut into page groups: maximal index ranges of consecutive runs
-/// lying wholly inside one page of `page_size` bytes (a power of two). A
-/// run crossing a page boundary (diffing, which works per page, never
-/// makes one) is a group of its own. The grouping loop behind
-/// [`PrivateSpace::apply`](crate::PrivateSpace::apply).
-pub fn page_groups<R: Runs + ?Sized>(
-    runs: &R,
-    page_size: usize,
-) -> impl Iterator<Item = Range<usize>> + '_ {
-    let shift = page_size.trailing_zeros();
-    let page = move |i| {
-        let (addr, data): (Addr, &[u8]) = runs.run(i);
-        Some(addr >> shift).filter(|&p| p == (addr + data.len() as u64 - 1) >> shift)
-    };
-    let mut k = 0;
-    std::iter::from_fn(move || {
-        let (start, first) = (k, (k < runs.count()).then(|| page(k))?);
-        k += 1;
-        while first.is_some() && k < runs.count() && page(k) == first {
-            k += 1;
-        }
-        Some(start..k)
-    })
 }
 
 const WORD: usize = std::mem::size_of::<u64>();
@@ -458,18 +461,61 @@ mod tests {
             ModRun::new(0, vec![1].into()),
             ModRun::new(8, vec![2, 3].into()),
             ModRun::new(4096, vec![4].into()),
+            ModRun::new(3 << 16, vec![5; 3].into()),
+            ModRun::new(100, vec![6].into()),
         ]
     }
 
+    /// Any runs' `(addr, bytes)` view, owned.
+    fn view<R: Runs + ?Sized>(runs: &R) -> Vec<(Addr, Vec<u8>)> {
+        runs.iter_runs().map(|(a, d)| (a, d.to_vec())).collect()
+    }
+
     #[test]
-    fn arena_reads_back_the_runs_it_packed_in_16_bytes_each() {
+    fn arena_reads_back_the_runs_it_packed_in_4_bytes_each_and_8_a_window_group() {
         let runs = sample();
         let list = RunList::pack(&runs);
-        assert_eq!((list.count(), list.byte_len()), (3, 4));
-        assert_eq!(list.heap_bytes(), 4 + 16 * 3, "bytes plus one entry a run");
-        let view: Vec<(Addr, &[u8])> = list.iter_runs().collect();
-        assert_eq!(view, runs[..].iter_runs().collect::<Vec<_>>());
-        assert_eq!(view[1], (8, &[2u8, 3][..]));
+        assert_eq!((list.count(), list.byte_len()), (5, 8));
+        // Windows 0, 3, 0: a group for each change of window.
+        assert_eq!(
+            list.heap_bytes(),
+            8 + 4 * 5 + 8 * 3,
+            "bytes, entries, headers"
+        );
+        assert_eq!(view(&list), view(&runs[..]));
+        assert_eq!(list.iter_runs().nth(1), Some((8, &[2u8, 3][..])));
+    }
+
+    #[test]
+    fn a_run_crossing_a_window_boundary_is_cut_there() {
+        let list = RunList::pack(&[ModRun::new(0xFFFE, vec![1, 2, 3, 4].into())]);
+        assert_eq!(
+            view(&list),
+            vec![(0xFFFE, vec![1, 2]), (0x1_0000, vec![3, 4])]
+        );
+        assert_eq!(list.heap_bytes(), 4 + 4 * 2 + 8 * 2);
+        let long = ModRun::new(5 << 16, vec![9; 1 << 16].into());
+        let list = RunList::pack(std::slice::from_ref(&long));
+        assert_eq!(view(&list), view(&[long][..]), "a whole window is one run");
+        assert_eq!(list.heap_bytes(), (1 << 16) + 4 + 8);
+    }
+
+    #[test]
+    fn the_densest_window_is_one_group_and_a_full_count_opens_another() {
+        let dense: Vec<ModRun> = (0..1u64 << 15)
+            .map(|i| ModRun::new((7 << 16) | (2 * i), vec![i as u8].into()))
+            .collect();
+        let list = RunList::pack(&dense);
+        assert_eq!(view(&list), view(&dense[..]));
+        assert_eq!(list.heap_bytes(), (1 << 15) * 5 + 8, "one header");
+        // Packed boxed runs may overlap; past u16::MAX runs a window's
+        // runs go on in a second group.
+        let over: Vec<ModRun> = (0..1u64 << 16)
+            .map(|i| ModRun::new(i & 0xFF, vec![1].into()))
+            .collect();
+        let list = RunList::pack(&over);
+        assert_eq!(view(&list), view(&over[..]));
+        assert_eq!(list.heap_bytes(), (1 << 16) * 5 + 8 * 2);
     }
 
     #[test]
@@ -482,20 +528,9 @@ mod tests {
         b.push(64, &[8; 10]);
         let second = b.finish().expect("one run");
         assert_eq!((b.bytes.capacity(), b.table.capacity()), cap);
-        assert_eq!(first.run(0), (64, &[7u8; 100][..]));
-        assert_eq!(second.run(0), (64, &[8u8; 10][..]));
+        assert_eq!(view(&first), vec![(64, vec![7; 100])]);
+        assert_eq!(view(&second), vec![(64, vec![8; 10])], "a fresh group");
         assert_eq!(RunList::pack(&[]).count(), 0);
-    }
-
-    #[test]
-    fn page_groups_split_at_page_changes_and_isolate_straddlers() {
-        let mut runs = sample();
-        runs.push(ModRun::new(4100, vec![5].into()));
-        runs.push(ModRun::new(8190, vec![6; 4].into())); // crosses 8192
-        runs.push(ModRun::new(8180, vec![7].into()));
-        let groups: Vec<_> = page_groups(&runs[..], 4096).collect();
-        assert_eq!(groups, vec![0..2, 2..4, 4..5, 5..6]);
-        assert_eq!(page_groups(&RunList::pack(&runs), 4096).count(), 4);
     }
 
     #[test]

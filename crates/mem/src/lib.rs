@@ -28,7 +28,7 @@ mod snap;
 mod space;
 
 pub use alloc::{StripAllocator, ThreadHeap, MAX_HEAP_THREADS};
-pub use diff::{page_groups, ModRun, RunBuilder, RunList, Runs};
+pub use diff::{ModRun, RunBuilder, RunList, Runs};
 pub use page::Page;
 pub use race::{RaceCollector, ReadRun, ReadTracker, SliceAccess, WORD_BYTES};
 pub use snap::{Recorded, SliceSnapshots, SNAP_POOL_PAGES};

@@ -1,6 +1,6 @@
 //! Per-thread private views of the logical shared space.
 
-use crate::diff::{page_groups, ModRun, Runs};
+use crate::diff::{ModRun, Runs};
 use crate::page::Page;
 use rfdet_api::Addr;
 
@@ -239,28 +239,25 @@ impl PrivateSpace {
     /// conflicting addresses, the deterministic "remote wins" policy. This
     /// is the `copyToLocalMemory` step of paper Figure 5.
     ///
-    /// Batched per page: each [`page_groups`] group resolves (and, under
-    /// COW sharing, copies) its page once. Slice run lists arrive sorted by
-    /// address, so in the propagation hot path a group is a slice's whole
-    /// cluster of runs on one page. Returns the total bytes written.
+    /// Batched per page: a page is resolved (and, under COW sharing,
+    /// copied) only when the page index changes from the run before —
+    /// once per slice per page, as diffing emits runs address-sorted.
+    /// Returns the total bytes written.
     pub fn apply<R: Runs + ?Sized>(&mut self, runs: &R) -> u64 {
         let mut applied: u64 = 0;
-        for group in page_groups(runs, self.page_size) {
-            let (addr, data) = runs.run(group.start);
-            if self.page_offset(addr) + data.len() > self.page_size {
+        // (page index, its position in `bufs`) of the last resolved page.
+        let mut last = (usize::MAX, 0);
+        for (addr, data) in runs.iter_runs() {
+            applied += data.len() as u64;
+            let Some((idx, off)) = self.in_page(addr, data.len()) else {
                 self.write(addr, data);
-                applied += data.len() as u64;
                 continue;
+            };
+            if idx != last.0 {
+                self.ensure_page(idx);
+                last = (idx, self.table[idx] as usize - 1);
             }
-            self.check_range(addr, data.len());
-            let idx = self.page_of(addr);
-            let base = self.page_base(idx);
-            let bytes = self.ensure_page(idx).bytes_mut();
-            for (addr, data) in group.map(|i| runs.run(i)) {
-                let off = (addr - base) as usize;
-                bytes[off..off + data.len()].copy_from_slice(data);
-                applied += data.len() as u64;
-            }
+            self.bufs[last.1].bytes_mut()[off..off + data.len()].copy_from_slice(data);
         }
         applied
     }
@@ -317,6 +314,7 @@ fn copy_access(dst: &mut [u8], src: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunList;
 
     const SPACE_BYTES: u64 = 64 * 1024;
 
@@ -446,6 +444,35 @@ mod tests {
         batched.read(0, &mut a);
         serial.read(0, &mut b);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_128_kib_page_run_crossing_a_window_is_cut_and_applies_identically() {
+        let page = 128 * 1024;
+        let old = vec![0u8; page];
+        let mut new = old.clone();
+        new[65530..65540].fill(3);
+        let mut runs = Vec::new();
+        crate::diff::diff_page(page as u64, &old, &new, &mut runs);
+        assert_eq!(runs.len(), 1, "diffing makes one run");
+        let list = RunList::pack(&runs);
+        let cut: Vec<(Addr, usize)> = list.iter_runs().map(|(a, d)| (a, d.len())).collect();
+        let edge = page as u64 + 65536;
+        assert_eq!(
+            cut,
+            vec![(edge - 6, 6), (edge, 4)],
+            "cut at the window edge"
+        );
+        let (mut packed, mut boxed) = (
+            PrivateSpace::new(2 * page as u64, page as u64),
+            PrivateSpace::new(2 * page as u64, page as u64),
+        );
+        assert_eq!((packed.apply(&list), boxed.apply_runs(&runs)), (10, 10));
+        assert_eq!(packed.page(1).unwrap().bytes(), &new[..]);
+        assert_eq!(
+            packed.page(1).unwrap().bytes(),
+            boxed.page(1).unwrap().bytes()
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rfdet_mem::{
-    diff, ModRun, Page, PrivateSpace, RunBuilder, Runs, SliceSnapshots, StripAllocator,
+    diff, ModRun, Page, PrivateSpace, RunBuilder, RunList, Runs, SliceSnapshots, StripAllocator,
 };
 
 const SPACE: u64 = 16 * 4096;
@@ -182,7 +182,84 @@ fn arb_tree_op() -> impl Strategy<Value = TreeOp> {
         })
 }
 
+/// A run arena's exact size for `runs`, none crossing a 64 KiB window:
+/// the bytes, 4 per run and 8 per group of consecutive runs sharing a
+/// window.
+fn arena_bytes(runs: &[ModRun]) -> usize {
+    let windows = runs.iter().map(|r| r.addr >> 16);
+    let groups = windows
+        .clone()
+        .zip(windows.skip(1))
+        .filter(|(a, b)| a != b)
+        .count();
+    let groups = groups + usize::from(!runs.is_empty());
+    runs.iter().map(ModRun::len).sum::<usize>() + 4 * runs.len() + 8 * groups
+}
+
+/// Runs as the byte writes they make, in order.
+fn byte_writes<R: Runs + ?Sized>(runs: &R) -> Vec<(u64, u8)> {
+    runs.iter_runs()
+        .flat_map(|(addr, data)| (addr..).zip(data.iter().copied()))
+        .collect()
+}
+
 proptest! {
+    /// The arena format at every page size from 64 B to 256 KiB: packing
+    /// the diff of two pages keeps every byte write, in order; at pages
+    /// of 64 KiB or less the run view is the boxed one, run for run; and
+    /// applying the arena writes what writing the boxed runs one by one
+    /// does, whether or not a run crossed a window and was cut.
+    #[test]
+    fn arena_carries_the_boxed_runs_bytes_at_every_page_size(
+        shift in 6u32..=18,
+        seed in any::<u8>(),
+        stores in prop::collection::vec((any::<u32>(), any::<bool>(), 1usize..300, any::<u8>()), 0..20),
+    ) {
+        let page = 1usize << shift;
+        let span = 2 * page;
+        let before: Vec<u8> = (0..span).map(|i| seed.wrapping_mul(31).wrapping_add(i as u8)).collect();
+        let mut current = before.clone();
+        for (x, near_edge, len, fill) in stores {
+            // Near an edge: just before a page or window boundary.
+            let unit = page.min(1 << 16);
+            let mut pos = x as usize % span;
+            if near_edge {
+                pos = (pos / unit * unit + span - 3) % span;
+            }
+            let end = (pos + len).min(span);
+            for (i, b) in current[pos..end].iter_mut().enumerate() {
+                *b = fill.wrapping_add(i as u8);
+            }
+        }
+        let mut boxed = Vec::new();
+        for p in 0..2 {
+            let r = p * page..(p + 1) * page;
+            diff::diff_page(r.start as u64, &before[r.clone()], &current[r], &mut boxed);
+        }
+        let list = RunList::pack(&boxed);
+        prop_assert_eq!(byte_writes(&list), byte_writes(&boxed[..]));
+        prop_assert_eq!(list.byte_len(), boxed[..].byte_len());
+        if page <= 1 << 16 {
+            prop_assert_eq!(list.iter_runs().collect::<Vec<_>>(), boxed[..].iter_runs().collect::<Vec<_>>());
+            prop_assert_eq!(list.heap_bytes(), arena_bytes(&boxed));
+        }
+        let start = || {
+            let mut s = PrivateSpace::new(span as u64, page as u64);
+            s.write(0, &before);
+            s
+        };
+        let (mut applied, mut serial) = (start(), start());
+        prop_assert_eq!(applied.apply(&list), list.byte_len() as u64);
+        for r in &boxed {
+            serial.write(r.addr, &r.data);
+        }
+        let (mut a, mut b) = (vec![0; span], vec![0; span]);
+        applied.read(0, &mut a);
+        serial.read(0, &mut b);
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(a, current);
+    }
+
     /// Differential pin of dirty-line tracking: whatever the store
     /// sequence — line- and page-straddling stores, zero-length stores,
     /// same-value overwrites, several slices over recycled buffers — and
@@ -249,7 +326,7 @@ proptest! {
             }
             let view: Vec<(u64, &[u8])> = sealed.iter_runs().collect();
             prop_assert_eq!(view, whole[..].iter_runs().collect::<Vec<_>>());
-            prop_assert_eq!(sealed.heap_bytes(), sealed.byte_len() + 16 * whole.len());
+            prop_assert_eq!(sealed.heap_bytes(), arena_bytes(&whole));
         }
     }
 

@@ -50,8 +50,8 @@ impl SliceRec {
     }
 
     /// A slice of runs already sealed into their arena. Its metadata
-    /// footprint is exact: the arena (bytes plus 16 per run), the clock's
-    /// heap and the record itself.
+    /// footprint is exact: the arena (bytes, 4 per run and 8 per window
+    /// group), the clock's heap and the record itself.
     #[must_use]
     pub fn sealed(tid: Tid, seq: u64, time: VClock, mods: RunList) -> Self {
         let heap_bytes = mods.heap_bytes() + time.heap_bytes() + std::mem::size_of::<Self>();
@@ -118,7 +118,8 @@ mod tests {
         assert_eq!(s.mod_bytes(), 4);
         assert_eq!(
             s.heap_bytes(),
-            4 + 16 * 2 + clock + std::mem::size_of::<SliceRec>()
+            4 + 4 * 2 + 8 + clock + std::mem::size_of::<SliceRec>(),
+            "bytes, an entry a run, one window header"
         );
         assert!(!s.is_empty());
     }

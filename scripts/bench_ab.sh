@@ -35,12 +35,33 @@
 # and lower-wins line, without a bound verdict (per-layer metrics have
 # no bound).
 #
-# Usage: scripts/bench_ab.sh <parent-ref> <workload> [pairs] [seed] [seconds] [layers]
+# The optional leading flag --null=F,B adds a third side, the null
+# change: the parent rebuilt with its code layout perturbed and its
+# semantics untouched,
+#
+#   RUSTFLAGS="-C llvm-args=-align-all-functions=F
+#              -C llvm-args=-align-all-nofallthru-blocks=B"
+#
+# (log2 alignments: 6 aligns every function on 64 bytes), built into
+# target/ab/bin/<commit>-null-F-B/. The three sides are interleaved, the
+# first side rotating every pair, and each metric line also prints the
+# null side's median [Q1,Q3], null/parent, the band - |null/parent - 1|
+# or the parent's IQR share, whichever is wider - and whether
+# change/parent clears it ("resolved") or not. Without the flag the output
+# is that of the two-sided script.
+#
+# Usage: scripts/bench_ab.sh [--null=F,B] <parent-ref> <workload> [pairs] [seed] [seconds] [layers]
 #   defaults: 10 pairs, seed 20140215 (held-out: 77003121), 10 seconds,
-#   no per-layer metrics
+#   no per-layer metrics, no null side
 set -euo pipefail
 
-usage="usage: scripts/bench_ab.sh <parent-ref> <workload> [pairs] [seed] [seconds] [layers]"
+usage="usage: scripts/bench_ab.sh [--null=F,B] <parent-ref> <workload> [pairs] [seed] [seconds] [layers]"
+null=
+if [[ ${1:-} == --null=* ]]; then
+    null=${1#--null=}
+    [[ $null =~ ^[0-9]+,[0-9]+$ ]] || { echo "$usage" >&2; exit 2; }
+    shift
+fi
 base=${1:?$usage}
 workload=${2:?$usage}
 pairs=${3:-10}
@@ -51,30 +72,41 @@ root=$(git rev-parse --show-toplevel)
 ab=$root/target/ab
 mkdir -p "$ab/run"
 
-# Prints the short hash of $1, building its benchmark binary first if
+# Prints the short hash of $1 (with -null-F-B appended when the layout
+# flags F,B are given as $2), building its benchmark binary first if
 # target/ab/bin/ does not hold it yet.
 build() {
-    local sha tree
+    local sha tree key build=$ab/build
     sha=$(git -C "$root" rev-parse --short=12 "$1^{commit}")
-    if [ ! -x "$ab/bin/$sha/benchmark" ]; then
-        tree=$ab/tree-$sha
+    key=$sha${2:+-null-${2/,/-}}
+    if [ ! -x "$ab/bin/$key/benchmark" ]; then
+        tree=$ab/tree-$key
         git -C "$root" worktree add --force --detach "$tree" "$sha" >&2
-        CARGO_TARGET_DIR=$ab/build cargo build --release --offline --quiet \
+        if [ -n "${2:-}" ]; then
+            build=$ab/build-null
+            export RUSTFLAGS="-C llvm-args=-align-all-functions=${2%,*} \
+-C llvm-args=-align-all-nofallthru-blocks=${2#*,}"
+        fi
+        CARGO_TARGET_DIR=$build cargo build --release --offline --quiet \
             --manifest-path "$tree/benchmark/Cargo.toml" >&2
-        mkdir -p "$ab/bin/$sha"
-        cp "$ab/build/release/benchmark" "$ab/bin/$sha/"
+        mkdir -p "$ab/bin/$key"
+        cp "$build/release/benchmark" "$ab/bin/$key/"
         git -C "$root" worktree remove --force "$tree"
     fi
-    echo "$sha"
+    echo "$key"
 }
 
 parent=$(build "$base")
 change=$(build HEAD)
+if [ -n "$null" ]; then nullside=$(build "$base" "$null"); fi
 # Provenance, before the first pair, so every results/*_ab.txt opens
 # with it: when, where, which commits, which compiler, which arguments.
 echo "== provenance  $(date -u +%Y-%m-%dT%H:%M:%SZ)  nproc $(nproc)  $(rustc -V)"
 echo "== parent $(git -C "$root" rev-parse "$base^{commit}")  change $(git -C "$root" rev-parse HEAD)"
-echo "== args: scripts/bench_ab.sh $base $workload $pairs $seed $secs ${layers:-(no layers)}"
+if [ -n "$null" ]; then
+    echo "== null: $nullside (parent, -align-all-functions=${null%,*} -align-all-nofallthru-blocks=${null#*,})"
+fi
+echo "== args: scripts/bench_ab.sh ${null:+--null=$null }$base $workload $pairs $seed $secs ${layers:-(no layers)}"
 log=$ab/run/$workload-$seed-$parent-$change-$(date -u +%Y%m%dT%H%M%SZ)-$$.log
 echo "== raw log: $log"
 : >"$log"
@@ -85,6 +117,7 @@ cd "$ab/run"
 run() {
     local sha=$parent status=0 json medians
     if [ "$2" = change ]; then sha=$change; fi
+    if [ "$2" = null ]; then sha=$nullside; fi
     json=$("$ab/bin/$sha/benchmark" --workload "$workload" --seed "$seed" \
         --seconds "$secs" --trace "$4" 2>stderr.txt) || status=$?
     medians=$(grep -o 'RFDet-ci median.*' stderr.txt || true)
@@ -93,6 +126,10 @@ run() {
 for ((i = 0; i < pairs; i++)); do
     order="parent change"
     if ((i % 2 == 1)); then order="change parent"; fi
+    if [ -n "$null" ]; then
+        orders=("parent change null" "change null parent" "null parent change")
+        order=${orders[i % 3]}
+    fi
     for side in $order; do run "$i" "$side" "${order%% *}" 0 "$log"; done
     if [ -n "$layers" ]; then
         for side in $order; do run "$i" "$side" "${order%% *}" 1 "$log.layers"; done
@@ -100,10 +137,11 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 python3 - "$log" "$root/BENCHMARK.json" "$workload" "$seed" "$pairs" "$parent" "$change" \
-    "$layers" <<'EOF'
+    "$layers" "${nullside:-}" <<'EOF'
 import json, re, statistics, sys
 
-log, manifest, workload, seed, pairs, parent, change, layers = sys.argv[1:]
+log, manifest, workload, seed, pairs, parent, change, layers, null = sys.argv[1:]
+sides = ("parent", "change", "null") if null else ("parent", "change")
 bounds = {m["name"]: m["bound"] for m in json.load(open(manifest))["end_to_end"]}
 
 def read(path):
@@ -136,9 +174,10 @@ def side(rows, s, key):
     return {r["pair"]: r["v"][key] for r in rows if r["side"] == s and key in r["v"]}
 
 fa = {s: [sum(r["r"].get(k, 0) for r in rows if r["side"] == s) for k in ("failed", "attempted")]
-      for s in ("parent", "change")}
+      for s in sides}
 print(f"== seed {seed} {workload}  pairs={pairs}  parent {parent} change {change}  "
-      f"failed/attempted parent {fa['parent']} change {fa['change']}")
+      f"failed/attempted parent {fa['parent']} change {fa['change']}"
+      + (f"  null {null} {fa['null']}" if null else ""))
 keys = [(rows, k) for k in ["slowdown_x", "footprint_mb", "setup_s", "RFDet-ci ms", "pthreads ms"]]
 keys += [(traced, k) for k in layers.split(",") if k]
 for src, key in keys:
@@ -158,6 +197,15 @@ for src, key in keys:
                    f"unresolved (parent range {100 * rng:.0f}% > bound)" if rng > b else
                    "inside bound")
         line += f" bound {100 * b:.0f}% -> {verdict}"
+    n = side(src, "null", key)
+    if n:
+        # The band: the layout-only move or the parent's own IQR share,
+        # whichever is wider.
+        n1, nm, n3 = q(n.values())
+        band = max(abs(nm / pm - 1), iqr)
+        line += (f"\n  {'':<13} null {fmt(nm)} [{fmt(n1)},{fmt(n3)}] null/parent {nm / pm:.3f} "
+                 f"change/parent {cm / pm:.3f} band ±{100 * band:.1f}% -> "
+                 + ("resolved" if abs(cm / pm - 1) > band else "inside null band"))
     print(line)
 bad = sum(1 for r in rows + traced if r["status"] or not r["r"].get("correct"))
 print(f"processes not `correct` or non-zero exit: {bad} of {len(rows) + len(traced)}")
