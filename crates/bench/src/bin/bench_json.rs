@@ -324,12 +324,8 @@ fn table(b: &mut Bench) {
     let null = quartiles(&ratios(b.series(&pair[0]), b.series(&pair[1])));
     b.null = Some(("rfdet/4t_propagate_heavy_null".into(), null));
 
-    // Sharded replay (§4.11) may cost at most 15 % over serial even
-    // where shards cannot overlap; checkpoint recovery (§4.12) must beat
-    // the full re-run it replaces by a wide margin.
-    let ids = ["replay/long_haul_sharded", "replay/long_haul_serial"];
-    let pair = b.bespoke(ids, sharded_replay_ab);
-    b.gate("sharded_replay", &pair, false, Limit::Max(1.15));
+    // Checkpoint recovery (§4.12) must beat the full re-run it replaces
+    // by a wide margin.
     let ids = ["failover/ledger_recovery", "failover/ledger_full_run"];
     let pair = b.bespoke(ids, failover_ab);
     b.gate("failover_recovery", &pair, false, Limit::Max(0.6));
@@ -381,42 +377,6 @@ fn hammer_mutex(ctx: &mut dyn DmtCtx, mutex: u64) {
 
 fn service_cfg() -> RunConfig {
     cfg(|c| c.space_bytes = 4 << 20)
-}
-
-/// Records a checkpointed `chaos.long_haul` run in memory, then replays
-/// it serially and as parallel per-window shards through
-/// `rfdet_core::replay_chain`, which verifies every checkpoint (and the
-/// tail's output) bit-identical to the recording. Each call is one round
-/// of both arms, in the order `replay_chain` runs them; quick mode runs
-/// test scale.
-fn sharded_replay_ab(quick: bool) -> Rounds {
-    let (name, every) = if quick {
-        ("chaos.long_haul", 4)
-    } else {
-        ("chaos.long_haul.bench", 24)
-    };
-    let params = Params::new(3, Size::Test);
-    let root = || (by_name(name).expect("registered").factory)(params);
-    let cfg = cfg(|c| {
-        c.trace = Some(format!("{name}@3"));
-        c.checkpoint_every = every;
-    });
-    let backend = RfdetBackend::ci();
-    let recording = backend.run_traced(&cfg, root());
-    recording.result.expect("clean recording");
-    let chain = recording.checkpoints;
-    assert!(!chain.is_empty(), "long_haul checkpoints at this cadence");
-
-    // Three cells' worth of rounds: this ratio swings ±0.1 round to
-    // round, and it gates at 1.15.
-    let mut ns = vec![Vec::new(), Vec::new()];
-    for _ in 0..3 * ROUNDS {
-        let replay = rfdet_core::replay_chain(&backend, &cfg, &chain, &root, 4)
-            .unwrap_or_else(|d| panic!("{d}"));
-        ns[0].push(replay.sharded.as_nanos() as f64);
-        ns[1].push(replay.serial.as_nanos() as f64);
-    }
-    Rounds { ns, iters: 1 }
 }
 
 /// Kills worker 2 of the 4-worker ledger in the last request round and
@@ -616,7 +576,7 @@ mod tests {
         }
         // `--enforce` reads `budgets` itself, so a stated limit cannot be
         // missing from it; the JSON carries each cell and budget once.
-        assert_eq!(b.budgets.len(), 6);
+        assert_eq!(b.budgets.len(), 5);
         let json = render_json(&b, "");
         for id in ids {
             assert_eq!(json.matches(&format!("\"{id}\"")).count(), 1, "{id}");

@@ -15,9 +15,9 @@
 //! original with a `.min` tag.
 //!
 //! `resume` restarts a run from one persisted checkpoint and lets it
-//! finish — crash recovery. `shard` takes any checkpoint of a chain and
-//! verifies the chain by `rfdet_core::replay_chain`: serially, and as
-//! one shard per inter-checkpoint window in parallel (`-j`).
+//! finish — crash recovery. `verify` takes any checkpoint of a chain and
+//! verifies the chain by `rfdet_core::replay_chain`: one replay from the
+//! start that must seal every checkpoint of the chain, digest for digest.
 //!
 //! `failover` runs the full crash-failover cycle (DESIGN.md §4.12): a
 //! reference replica under the plan without its kills, a faulted replica
@@ -225,7 +225,6 @@ struct Flags {
     every: Option<u64>,
     ckpt_dir: Option<PathBuf>,
     plan: FaultPlan,
-    jobs: Option<usize>,
     plans: Option<usize>,
     out: Option<PathBuf>,
     format: Option<String>,
@@ -267,7 +266,6 @@ fn parse_flags(accepted: &[&str], args: &[String]) -> Result<Flags, String> {
             "--timeout" => f.timeout = Some(val(value())?),
             "--every" | "--checkpoint-every" => f.every = Some(val(value())?),
             "--ckpt-dir" => f.ckpt_dir = Some(val(value())?),
-            "-j" => f.jobs = Some(val(value())?),
             "--plans" => f.plans = Some(val(value())?),
             "--out" => f.out = Some(val(value())?),
             "--format" => f.format = Some(val(value())?),
@@ -430,8 +428,7 @@ fn cmd_resume(path: &str, f: Flags) -> i32 {
     }
 }
 
-fn cmd_shard(path: &str, f: Flags) -> i32 {
-    let jobs = f.jobs.unwrap_or(4);
+fn cmd_verify(path: &str, f: Flags) -> i32 {
     let anchor = load_ckpt_or_die(Path::new(path));
     let files = persist::checkpoint_chain(dir_of(Path::new(path)), anchor.run_key());
     let chain: Vec<Checkpoint> = files.iter().map(|(_, p)| load_ckpt_or_die(p)).collect();
@@ -442,27 +439,22 @@ fn cmd_shard(path: &str, f: Flags) -> i32 {
     );
     let (backend, workload, params) = resume_setup(&anchor);
     let cfg = RunConfig::from_recording(&anchor.recording);
-    let replay = run_with_timeout(f.timeout, "shard replay", move || {
-        let root = move || (workload.factory)(params);
-        rfdet_core::replay_chain(&backend, &cfg, &chain, &root, jobs)
+    let verified = run_with_timeout(f.timeout, "chain verify", move || {
+        rfdet_core::replay_chain(&backend, &cfg, &chain, &|| (workload.factory)(params))
     });
-    let code = match &replay {
-        Ok(_) => 0,
-        Err(ChainDivergence::NotUniform(_)) => EXIT_USAGE,
-        Err(ChainDivergence::Failed { error, .. }) => {
+    let Err(divergence) = verified else {
+        println!("CHAIN OK: {n} checkpoints reproduced");
+        return 0;
+    };
+    let code = match &divergence {
+        ChainDivergence::NotUniform(_) => EXIT_USAGE,
+        ChainDivergence::Failed(error) => {
             println!("{error}");
             failure_code(error)
         }
-        Err(ChainDivergence::Diverged { .. }) => EXIT_DIVERGED,
+        ChainDivergence::Diverged(_) => EXIT_DIVERGED,
     };
-    if let Err(divergence) = replay {
-        die(code, divergence);
-    }
-    println!(
-        "SHARD OK: {} shards (j={jobs}) digest-identical to serial",
-        n + 1
-    );
-    0
+    die(code, divergence)
 }
 
 fn cmd_shrink(path: &str, _: Flags) -> i32 {
@@ -769,7 +761,7 @@ const VERBS: &[(&str, &[&str], Body)] = &[
     ("replay <trace-file> [--timeout MS]", &["--timeout"], cmd_replay),
     ("shrink <trace-file>", &[], cmd_shrink),
     ("resume <ckpt-file> [--every N] [--timeout MS]", &["--every", "--timeout"], cmd_resume),
-    ("shard  <ckpt-file> [-j N] [--timeout MS]", &["-j", "--timeout"], cmd_shard),
+    ("verify <ckpt-file> [--timeout MS]", &["--timeout"], cmd_verify),
     (
         "failover <workload>[@threads] [--backend NAME] [--every N]\n    \
          [--ckpt-dir DIR] [--timeout MS] [--panic TID:OP]... [--fail-alloc TID:NTH]...",

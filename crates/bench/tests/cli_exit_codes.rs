@@ -104,14 +104,14 @@ fn non_numeric_seed_exits_usage_instead_of_recording_unjittered() {
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
-/// `resume`, `shard`, `failover` and `races` used to read `--timeout 5s`
-/// as "no timeout" and run with no watchdog at all; `shrink` ignored
-/// whatever followed its file. Every verb parses the same way now.
+/// `resume`, `failover` and `races` used to read `--timeout 5s` as "no
+/// timeout" and run with no watchdog at all; `shrink` ignored whatever
+/// followed its file. Every verb parses the same way now.
 #[test]
 fn an_unparsable_or_unaccepted_flag_is_a_usage_error_on_every_verb() {
     let cases: [&[&str]; 6] = [
         &["resume", "/nonexistent/x.ckpt", "--timeout", "5s"],
-        &["shard", "/nonexistent/x.ckpt", "--timeout", "5s"],
+        &["verify", "/nonexistent/x.ckpt", "--timeout", "5s"],
         &["failover", "service.ledger@2", "--timeout", "5s"],
         &["races", "chaos.lock_panic@2", "--timeout", "5s"],
         &["shrink", "/nonexistent/trace.bin", "--timeout", "500"],
@@ -214,6 +214,40 @@ fn a_minimized_trace_that_cannot_be_saved_exits_io() {
     let (code, stdout) = replay_in(&dir, &["shrink", trace]);
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(code, Some(3), "{stdout}");
+}
+
+/// `verify` reproduces a whole recorded chain (exit 0) and refuses one
+/// with a missing file (exit 2): a gap is not a divergence.
+#[test]
+fn verify_passes_a_whole_chain_and_refuses_a_gappy_one() {
+    let dir = std::env::temp_dir().join(format!("rfdet-verify-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let ckpt_dir = dir.to_str().expect("utf8 path");
+    let record = [
+        "record",
+        "chaos.long_haul@3",
+        "--checkpoint-every",
+        "4",
+        "--ckpt-dir",
+        ckpt_dir,
+    ];
+    let (code, stdout) = replay_in(&dir, &record);
+    assert_eq!(code, Some(0), "{stdout}");
+    let key = stdout.split("run key ").nth(1).and_then(|k| k.get(..16));
+    let key = key.unwrap_or_else(|| panic!("no run key: {stdout}"));
+    let file = |epoch: u64| dir.join(format!("{key}.e{epoch:06}.ckpt"));
+    let first = file(4);
+    let first = first.to_str().expect("utf8 path");
+    let (code, stdout) = replay_in(&dir, &["verify", first]);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(
+        stdout.contains("CHAIN OK: 3 checkpoints reproduced"),
+        "{stdout}"
+    );
+    std::fs::remove_file(file(8)).expect("remove the middle checkpoint");
+    let (code, stdout) = replay_in(&dir, &["verify", first]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code, Some(2), "{stdout}");
 }
 
 #[test]

@@ -94,8 +94,8 @@ pub(crate) enum Start<'a> {
 impl RfdetBackend {
     /// The one entry to a core-backend run, fresh or resumed. With
     /// `stop_at`, the run stops cleanly once every participant has
-    /// contributed to the checkpoint of that epoch — the boundary of a
-    /// shard ([`crate::replay_chain`], the only caller that sets it).
+    /// contributed to the checkpoint of that epoch — the end of a chain
+    /// check ([`crate::replay_chain`], the only caller that sets it).
     pub(crate) fn run_from(
         &self,
         cfg: &RunConfig,

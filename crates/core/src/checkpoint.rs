@@ -27,8 +27,8 @@
 //!
 //! The episode counter advances only on eligible episodes, so epoch
 //! numbering is itself deterministic: the same run always checkpoints at
-//! the same episodes with the same contents, which is what lets sharded
-//! replay compare checkpoint digests byte-for-byte.
+//! the same episodes with the same contents, which is what lets a chain
+//! check compare checkpoint digests byte-for-byte.
 
 use crate::ctx::RfdetCtx;
 use parking_lot::Mutex;
@@ -37,7 +37,7 @@ use rfdet_meta::SyncKey;
 use rfdet_trace::{persist, sync_class, Checkpoint, CkptHeap, CkptPage, CkptSyncVar, CkptThread};
 use rfdet_vclock::VClock;
 
-/// Panic payload for the clean shard stop ([`CkptCollector::stop_at`]):
+/// Panic payload for the clean stop at an epoch ([`CkptCollector::stop_at`]):
 /// after contributing to the target epoch every participant unwinds with
 /// this token, the backend recognizes it and finishes the thread without
 /// recording a failure. Partial output plus the terminal checkpoint *are*
@@ -74,8 +74,8 @@ struct CkptInner {
 #[derive(Default)]
 pub(crate) struct CkptCollector {
     inner: Mutex<CkptInner>,
-    /// The epoch a shard stops at (set before the run starts, only by
-    /// the shard runner): every participant unwinds with [`CkptStop`]
+    /// The epoch a chain check stops at (set before the run starts, only
+    /// by [`crate::replay_chain`]): every participant unwinds with [`CkptStop`]
     /// right after contributing to it.
     pub stop_at: Option<u64>,
 }

@@ -459,7 +459,7 @@ impl RfdetCtx {
     }
 
     /// Routes this thread's unwind: a [`CkptStop`](crate::checkpoint::CkptStop)
-    /// token is a clean shard stop (§4.11) — the thread contributed its
+    /// token is a clean stop at an epoch (§4.11) — the thread contributed its
     /// fragment to the target epoch and is done, so just finish the slot
     /// and let arbitration ignore it; anything else is recorded with the
     /// thread's deterministic state, and aborts the protocol. Either way

@@ -66,4 +66,4 @@ mod sync;
 pub use backend::{MonitorMode, RfdetBackend};
 pub use ctx::RfdetCtx;
 pub use failover::{judge, recover, run_failover, FailoverReport, Verdict};
-pub use resume::{replay_chain, ChainDivergence, ChainReplay};
+pub use resume::{replay_chain, ChainDivergence};

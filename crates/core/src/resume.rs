@@ -15,26 +15,22 @@
 //! memory — typically a round index each thread keeps in its own private
 //! space, restored with the pages (`rfdet_workloads::resumable`).
 //!
-//! [`replay_chain`] is the one verified sharded replay of a recorded
-//! chain: the only code that schedules shards and the only code that
-//! compares replayed checkpoints with a chain.
+//! [`replay_chain`] verifies a recorded chain by one replay from the
+//! start: the only code that compares replayed checkpoints with a chain.
 
 use crate::backend::Start;
 use crate::checkpoint::class_to_key;
 use crate::ctx::RfdetCtx;
 use crate::shared::RuntimeShared;
 use crate::RfdetBackend;
-use parking_lot::Mutex;
-use rfdet_api::{DmtBackend, RunConfig, RunError, ThreadFn, TracedRun};
+use rfdet_api::{RunConfig, RunError, ThreadFn, TracedRun};
 use rfdet_kendo::KendoHandle;
 use rfdet_mem::PrivateSpace;
 use rfdet_meta::ThreadMeta;
 use rfdet_trace::{Checkpoint, CkptThread};
 use rfdet_vclock::VClock;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Everything a live thread needs to rebuild its context, prepared in
 /// registration order on the coordinating thread before any worker runs.
@@ -173,77 +169,47 @@ pub(crate) fn restore(
     (shared, main)
 }
 
-/// What a verified [`replay_chain`] measured.
-#[derive(Clone, Copy, Debug)]
-pub struct ChainReplay {
-    /// Wall time of the serial replay, start to finish.
-    pub serial: Duration,
-    /// Wall time of the sharded replay, all shards.
-    pub sharded: Duration,
-}
-
-/// Why [`replay_chain`] refused or failed a chain. `shard: None` is the
-/// serial replay; shard `chain.len()` is the tail shard.
+/// Why [`replay_chain`] refused or failed a chain.
 #[derive(Debug)]
 pub enum ChainDivergence {
     /// The epochs (listed) are not one cadence `c, 2c, 3c, …` — a file
-    /// of the chain is missing — so the shard stops cannot be scheduled.
+    /// of the chain is missing — so the replay's checkpoints cannot be
+    /// paired with the chain's.
     NotUniform(Vec<u64>),
-    /// A replay run ended in a failure.
-    Failed {
-        /// The failed run.
-        shard: Option<usize>,
-        /// Its failure.
-        error: RunError,
-    },
-    /// A run did not reproduce the chain's checkpoint at `epoch` — or,
-    /// for the tail shard (`epoch: None`), the serial replay's output.
-    Diverged {
-        /// The diverged run.
-        shard: Option<usize>,
-        /// The checkpoint it missed or changed.
-        epoch: Option<u64>,
-    },
+    /// The replay ended in a failure.
+    Failed(RunError),
+    /// The replay did not reproduce the chain's checkpoint at this epoch,
+    /// or sealed one the chain does not have.
+    Diverged(u64),
 }
 
 impl fmt::Display for ChainDivergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let run =
-            |shard: Option<usize>| shard.map_or("serial replay".into(), |k| format!("shard {k}"));
-        match *self {
-            Self::NotUniform(ref epochs) => write!(
+        match self {
+            Self::NotUniform(epochs) => write!(
                 f,
-                "checkpoint chain is not a uniform cadence (epochs {epochs:?}); cannot shard"
+                "checkpoint chain is not a uniform cadence (epochs {epochs:?}); cannot verify"
             ),
-            Self::Failed { shard, .. } => {
-                write!(f, "{} failed; chain is not replayable", run(shard))
-            }
-            Self::Diverged { shard, epoch } => match epoch {
-                Some(e) => write!(f, "{} diverged at epoch {e}", run(shard)),
-                None => write!(f, "tail shard output diverged from serial replay"),
-            },
+            Self::Failed(_) => write!(f, "chain replay failed; chain is not replayable"),
+            Self::Diverged(epoch) => write!(f, "chain replay diverged at epoch {epoch}"),
         }
     }
 }
 
-/// Verified sharded replay of a recorded checkpoint `chain` (DESIGN.md
-/// §4.11): refuses a chain whose epochs are not one cadence; runs the
-/// serial replay from `root` and compares every checkpoint it seals with
-/// the chain; runs the `chain.len() + 1` shards on up to `jobs` threads
-/// and compares each stopping shard's terminal checkpoint with the
-/// chain, and the tail shard's output with the serial replay's. `cfg`
-/// is the recording's configuration; the cadence comes from the chain,
-/// and nothing is persisted.
+/// Verifies a recorded checkpoint `chain` (DESIGN.md §4.11): refuses a
+/// chain whose epochs are not one cadence, then replays `root` from the
+/// start at that cadence, stopping at the chain's last epoch, and
+/// requires the checkpoints it seals to be the chain's, digest for
+/// digest. `cfg` is the recording's configuration; nothing is persisted.
 ///
 /// # Errors
-/// The first [`ChainDivergence`], in that order.
+/// The first [`ChainDivergence`].
 pub fn replay_chain(
     backend: &RfdetBackend,
     cfg: &RunConfig,
     chain: &[Checkpoint],
-    root: &(dyn Fn() -> ThreadFn + Sync),
-    jobs: usize,
-) -> Result<ChainReplay, ChainDivergence> {
+    root: &dyn Fn() -> ThreadFn,
+) -> Result<(), ChainDivergence> {
     let epochs: Vec<u64> = chain.iter().map(|c| c.epoch).collect();
     let every = epochs.first().copied().unwrap_or(0);
     if every == 0 || epochs.iter().zip(1..).any(|(&e, k)| e != every * k) {
@@ -252,69 +218,14 @@ pub fn replay_chain(
     let mut cfg = cfg.clone();
     cfg.checkpoint_every = every;
     cfg.checkpoint_dir = None;
-    let failed = |shard| move |error| ChainDivergence::Failed { shard, error };
-    let diverged = |shard, epoch| Err(ChainDivergence::Diverged { shard, epoch });
-
-    let t0 = Instant::now();
-    let serial_run = backend.run_traced(&cfg, root());
-    let serial = t0.elapsed();
-    let serial_out = serial_run.result.map_err(failed(None))?;
-    for (k, cut) in chain.iter().enumerate() {
-        if serial_run.checkpoints.get(k).map(Checkpoint::digest) != Some(cut.digest()) {
-            return diverged(None, Some(cut.epoch));
-        }
-    }
-
-    let t1 = Instant::now();
-    let shards = run_shards(backend, &cfg, chain, root, jobs);
-    let sharded = t1.elapsed();
-    for (k, run) in shards.into_iter().enumerate() {
-        let out = run.result.map_err(failed(Some(k)))?;
-        let cut = chain.get(k);
-        let reproduced = match cut {
-            Some(cut) => run.checkpoints.last().map(Checkpoint::digest) == Some(cut.digest()),
-            None => out.output == serial_out.output,
-        };
-        if !reproduced {
-            return diverged(Some(k), cut.map(|c| c.epoch));
-        }
-    }
-    Ok(ChainReplay { serial, sharded })
-}
-
-/// Runs the shards of `chain` on up to `jobs` threads: shard 0 runs
-/// `root` from the start to the first checkpoint, shard `k` resumes
-/// checkpoint `k - 1` and stops at checkpoint `k`, and the tail shard
-/// runs to completion. Returns their runs in shard order.
-fn run_shards(
-    backend: &RfdetBackend,
-    cfg: &RunConfig,
-    chain: &[Checkpoint],
-    root: &(dyn Fn() -> ThreadFn + Sync),
-    jobs: usize,
-) -> Vec<TracedRun> {
-    let n_shards = chain.len() + 1;
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<TracedRun>>> = (0..n_shards).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs.clamp(1, n_shards) {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= n_shards {
-                    break;
-                }
-                let start = match k.checked_sub(1) {
-                    None => Start::Fresh(root()),
-                    Some(from) => Start::Resume(&chain[from], root),
-                };
-                let run = backend.run_from(cfg, start, chain.get(k).map(|c| c.epoch));
-                *results[k].lock() = Some(run);
-            });
-        }
-    });
-    let runs = results.into_iter().map(Mutex::into_inner);
-    runs.map(|run| run.expect("every shard index was claimed"))
-        .collect()
+    let run = backend.run_from(&cfg, Start::Fresh(root()), epochs.last().copied());
+    run.result.map_err(ChainDivergence::Failed)?;
+    let sealed = &run.checkpoints;
+    let missed = (0..chain.len().max(sealed.len()))
+        .find(|&k| sealed.get(k).map(Checkpoint::digest) != chain.get(k).map(Checkpoint::digest));
+    missed.map_or(Ok(()), |k| {
+        Err(ChainDivergence::Diverged(every * (k as u64 + 1)))
+    })
 }
 
 #[cfg(test)]
@@ -323,14 +234,14 @@ mod tests {
     use rfdet_workloads::{chaos, Params, Size};
 
     #[test]
-    fn a_shard_stop_is_a_clean_partial_stop() {
+    fn a_stop_epoch_is_a_clean_partial_stop() {
         let mut cfg = RunConfig::small();
         cfg.rfdet.fault_cost_spins = 0;
         cfg.checkpoint_every = 4;
         cfg.trace = Some("chaos.long_haul@3".to_owned());
         let root = chaos::long_haul(Params::new(3, Size::Test));
         let run = RfdetBackend::ci().run_from(&cfg, Start::Fresh(root), Some(4));
-        let out = run.result.expect("a shard stop is not a failure");
+        let out = run.result.expect("a stop is not a failure");
         assert!(
             out.output.is_empty(),
             "long_haul emits only after its final round"

@@ -47,7 +47,7 @@ pub(crate) fn filter_control_unwinds() {
 }
 
 /// `true` for this family's unwinds that stop a thread rather than
-/// report a fault: the clean shard stop and Kendo's abort.
+/// report a fault: the clean stop at an epoch and Kendo's abort.
 fn control_flow(payload: &(dyn Any + Send)) -> bool {
     payload.is::<CkptStop>() || payload.is::<Aborted>()
 }

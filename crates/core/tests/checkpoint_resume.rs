@@ -1,4 +1,4 @@
-//! End-to-end checkpoint/restore and sharded-replay tests (DESIGN.md
+//! End-to-end checkpoint/restore and chain-check tests (DESIGN.md
 //! §4.11), driven through the resumable `chaos.long_haul` workload.
 //!
 //! The invariant under test everywhere: a run continued from a
@@ -144,31 +144,45 @@ fn unwritable_checkpoint_dir_degrades_to_warnings_not_failure() {
     }
 }
 
+fn check(chain: &[Checkpoint]) -> Result<(), ChainDivergence> {
+    replay_chain(&RfdetBackend::ci(), &base_cfg(), chain, &|| {
+        chaos::long_haul(params())
+    })
+}
+
+/// `replay_chain` replays from the start and requires exactly the
+/// chain's checkpoints, digest for digest, up to the chain's last epoch.
 #[test]
-fn sharded_replay_reproduces_the_serial_chain_and_output() {
+fn the_chain_check_verifies_refuses_and_pins_the_divergence() {
     let baseline = run_full();
     baseline.result.expect("clean baseline");
     let chain = &baseline.checkpoints;
     assert_eq!(chain.len(), 3);
-
-    // Shard 0 replays from the start up to the first checkpoint; each
-    // later shard resumes at checkpoint k and stops at k+1; the tail
-    // shard runs to completion. Terminal checkpoint digests must match
-    // the recorded chain bit-for-bit and the tail's output the serial
-    // replay's — `replay_chain` checks both, and the serial chain too.
-    let root = || chaos::long_haul(params());
-    for jobs in [1, 4] {
-        let replay = replay_chain(&RfdetBackend::ci(), &base_cfg(), chain, &root, jobs);
-        if let Err(e) = replay {
-            panic!("j={jobs}: {e}");
-        }
+    if let Err(e) = check(chain) {
+        panic!("a clean chain verifies: {e}");
     }
 
-    // A chain with a gap cannot schedule its shard stops.
+    // A chain with a gap cannot be paired with the replay's checkpoints.
     let gappy = [chain[0].clone(), chain[2].clone()];
-    match replay_chain(&RfdetBackend::ci(), &base_cfg(), &gappy, &root, 2) {
+    match check(&gappy) {
         Err(ChainDivergence::NotUniform(epochs)) => assert_eq!(epochs, [4, 12]),
         other => panic!("a gappy chain must be refused, got {other:?}"),
+    }
+
+    // One page byte of the middle checkpoint changed.
+    let mut tampered = chain.clone();
+    let threads = tampered[1].threads.iter_mut();
+    let page = threads.flat_map(|t| &mut t.pages).next().expect("a page");
+    page.data[0] ^= 1;
+    match check(&tampered) {
+        Err(ChainDivergence::Diverged(epoch)) => assert_eq!(epoch, 8),
+        other => panic!("a changed checkpoint must diverge, got {other:?}"),
+    }
+
+    // The replay stops at the chain's last epoch: a replay that ran on
+    // would seal epoch 12, which this prefix does not have.
+    if let Err(e) = check(&chain[..2]) {
+        panic!("the replay seals nothing past the chain: {e}");
     }
 }
 
@@ -255,14 +269,16 @@ fn a_jittered_checkpoint_resumes_under_its_own_recording() {
     }
 }
 
+/// The config read back from a jittered chain's own recording replays
+/// that chain.
 #[test]
-fn the_jittered_chain_replays_serially_and_sharded() {
+fn the_jittered_chain_verifies_under_its_own_recording() {
     let jittered = run_jittered();
     jittered.result.expect("clean jittered run");
     let chain = &jittered.checkpoints;
     let cfg = RunConfig::from_recording(&chain[0].recording);
     let root = || chaos::long_haul(params());
-    if let Err(e) = replay_chain(&RfdetBackend::ci(), &cfg, chain, &root, 2) {
+    if let Err(e) = replay_chain(&RfdetBackend::ci(), &cfg, chain, &root) {
         panic!("{e}");
     }
 }

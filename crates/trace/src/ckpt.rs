@@ -7,9 +7,8 @@
 //! heaps, emitted output, and the materialized pages of each private
 //! space. Because the runtime is deterministic, resuming from a
 //! checkpoint and running to the next one reproduces that next
-//! checkpoint *byte-identically* — which is what lets sharded replay
-//! verify each shard against the recorded chain instead of re-running
-//! the whole schedule serially.
+//! checkpoint *byte-identically* — which is what lets one replay from
+//! the start verify every checkpoint of a recorded chain.
 //!
 //! The file is the [`RunTrace`](crate::RunTrace)'s envelope with magic
 //! `RFCK`, around `epoch | recording | cut state`: the codec module's
@@ -154,9 +153,9 @@ impl Checkpoint {
         fnv1a(&w.buf)
     }
 
-    /// FNV digest of the encoded checkpoint — the shard-verification
-    /// token: a replayed shard's terminal checkpoint must reproduce the
-    /// recorded one's digest exactly.
+    /// FNV digest of the encoded checkpoint — the chain-verification
+    /// token: each checkpoint a chain check's replay seals must reproduce
+    /// the recorded one's digest exactly.
     #[must_use]
     pub fn digest(&self) -> u64 {
         fnv1a(&self.encode())

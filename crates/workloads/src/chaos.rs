@@ -116,8 +116,7 @@ const LH_ACC: u64 = 0x2000;
 /// Per-thread racy scratch word (owner-written, owner-read).
 const LH_SCRATCH_BASE: u64 = 0x3000;
 /// Per-thread compute array: one page per tid, 64 words touched per
-/// round — the bulk of the wall time at bench scale, so shard-replay
-/// windows dwarf per-shard runtime construction.
+/// round — pure per-thread work between the rounds' sync ops.
 const LH_ARR_BASE: u64 = 0x8000;
 const LH_ARR_WORDS: u64 = 64;
 
@@ -156,15 +155,6 @@ pub fn long_haul(p: Params) -> ThreadFn {
     long_haul_body(p.threads.max(1), rounds, weight, p.seed)
 }
 
-/// `chaos.long_haul.bench`: the same program pinned to bench scale
-/// regardless of `p.size`. Registered separately because checkpoints
-/// and traces record only `name@threads` — a resume must rederive the
-/// round count from the name alone, so the scale has to live in it.
-pub fn long_haul_bench(p: Params) -> ThreadFn {
-    let (rounds, weight) = lh_scale(Size::Bench);
-    long_haul_body(p.threads.max(1), rounds, weight, p.seed)
-}
-
 /// The shared body. `workers` excludes main; barrier parties are
 /// `workers + 1`. The `tid == 0 && r == 0` spawn gate costs zero ops
 /// when not taken, preserving tick parity between a fresh thread's round
@@ -189,9 +179,8 @@ fn long_haul_body(workers: usize, rounds: u64, weight: u64, seed: u64) -> Thread
                 break;
             }
             // Compute phase: `weight` read-modify-write passes over the
-            // thread's own array page. Pure per-thread work — the knob
-            // that makes bench-scale shard windows dominate per-shard
-            // runtime-construction cost.
+            // thread's own array page, which a checkpoint captures and a
+            // resume must restore exactly.
             for i in 0..weight {
                 let a = arr + 8 * (i % LH_ARR_WORDS);
                 let v: u64 = ctx.read(a);
@@ -252,11 +241,6 @@ pub fn scenarios() -> Vec<Workload> {
             name: "chaos.long_haul",
             suite: Suite::Stress,
             factory: long_haul,
-        },
-        Workload {
-            name: "chaos.long_haul.bench",
-            suite: Suite::Stress,
-            factory: long_haul_bench,
         },
     ]
 }

@@ -107,7 +107,7 @@ impl std::fmt::Debug for Workload {
 pub fn resumable(name: &str) -> bool {
     matches!(
         name,
-        "chaos.long_haul" | "chaos.long_haul.bench" | "service.ledger" | "service.ledger.bench"
+        "chaos.long_haul" | "service.ledger" | "service.ledger.bench"
     )
 }
 
@@ -292,9 +292,7 @@ mod tests {
 
     #[test]
     fn only_the_self_resuming_workloads_are_resumable() {
-        for name in ["chaos.long_haul", "chaos.long_haul.bench"] {
-            assert!(resumable(name), "{name}");
-        }
+        assert!(resumable("chaos.long_haul"));
         for w in service::scenarios() {
             assert!(resumable(w.name), "{}", w.name);
         }

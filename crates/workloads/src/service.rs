@@ -1,4 +1,4 @@
-//! `service.*`: a sharded in-memory ledger service (DESIGN.md §4.12).
+//! `service.*`: a striped in-memory ledger service (DESIGN.md §4.12).
 //!
 //! The promotion of `examples/replicated_ledger.rs` into a real
 //! workload: `threads` workers *plus the main thread* each own one
@@ -183,7 +183,7 @@ fn gen_requests(rng: &mut DetRng, batch: u64, total_accts: u64) -> Vec<Req> {
         .collect()
 }
 
-/// `service.ledger`: the sharded ledger at the run's requested scale.
+/// `service.ledger`: the striped ledger at the run's requested scale.
 pub fn ledger(p: Params) -> ThreadFn {
     let workers = p.threads.max(1);
     service_body(workers, sv_scale(workers, p.size), p.seed)

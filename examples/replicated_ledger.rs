@@ -7,7 +7,7 @@
 //! ```
 //!
 //! The replica program is the registered `service.ledger` workload
-//! (DESIGN.md §4.12): a sharded in-memory ledger where N workers and the
+//! (DESIGN.md §4.12): a striped in-memory ledger where N workers and the
 //! main thread each own an account stripe, ingesting a deterministic
 //! request stream of point gets, puts, cross-shard transfers and scans.
 //! Three replicas run the same program with the same input on separate

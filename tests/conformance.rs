@@ -61,18 +61,9 @@ fn table() -> Vec<Workload> {
     let mut t = benchmarks();
     t.push(rfdet::workloads::by_name("racey").expect("racey registered"));
     t.push(rfdet::workloads::by_name("propagate_heavy").expect("stress registered"));
-    // Visible opt-out: `chaos.long_haul.bench` is `chaos.long_haul`
-    // pinned to bench scale (240 rounds × 1024-word working set) for the
-    // BENCH_9 sharded-replay cell. The test-scale variant already covers
-    // the program in every cell below; re-running the same body at bench
-    // scale adds minutes per backend and zero conformance signal.
-    t.extend(
-        chaos::scenarios()
-            .into_iter()
-            .filter(|w| w.name != "chaos.long_haul.bench"),
-    );
-    // Same visible opt-out for `service.ledger.bench`: ≥1M requests per
-    // run is a throughput cell, not a conformance cell.
+    t.extend(chaos::scenarios());
+    // Visible opt-out: `service.ledger.bench` (≥1M requests per run) is
+    // a throughput cell, not a conformance cell.
     t.extend(
         service::scenarios()
             .into_iter()
