@@ -69,25 +69,20 @@ impl std::error::Error for ConfigError {}
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// Size of the logical shared memory space, in bytes: a multiple of
-    /// `page_size`, at least [`MIN_SPACE_BYTES`]. With `page_size`,
-    /// `meta_capacity_bytes` and `meta_max_slices`, one of the four
-    /// resource limits hostile-configuration sweeps vary.
+    /// `page_size`, at least [`MIN_SPACE_BYTES`]. Also the DLRC core's
+    /// metadata budget: GC runs once live slices exceed
+    /// `rfdet_meta::GC_THRESHOLD` (the paper's 0.9) of it (§4.5).
     pub space_bytes: u64,
     /// Page size (power of two). The paper uses the OS page size, 4096.
     pub page_size: u64,
-    /// Capacity of the metadata space in bytes (the paper evaluates 256 MB
-    /// and 512 MB, §5.4). Slices are garbage-collected when usage crosses
-    /// `rfdet_meta::GC_THRESHOLD` (the paper's 0.9) of this capacity.
-    /// Read by the DLRC core alone — the only backend with a metadata
-    /// space; the lockstep and native backends ignore it.
-    pub meta_capacity_bytes: u64,
     /// Additional GC trigger: live-slice count. The paper's metadata
     /// pressure comes mostly from 4 KiB page snapshots, so its byte
     /// threshold fires early; our sealed slices store only byte diffs,
     /// so a pure byte threshold would let slice-pointer lists grow until
     /// the Figure-5 scan dominates. Bounding live slices keeps
     /// propagation amortized-O(live slices) exactly as in the paper.
-    /// DLRC core only, like `meta_capacity_bytes`.
+    /// Read by the DLRC core alone — the only backend with a metadata
+    /// space; the lockstep and native backends ignore it.
     pub meta_max_slices: u64,
     /// RFDet-specific options (ignored by other backends).
     pub rfdet: RfdetOpts,
@@ -167,7 +162,6 @@ impl Default for RunConfig {
         Self {
             space_bytes: 16 << 20,
             page_size: 4096,
-            meta_capacity_bytes: 256 << 20,
             meta_max_slices: 1024,
             rfdet: RfdetOpts::default(),
             jitter_seed: None,
@@ -188,7 +182,6 @@ impl RunConfig {
     pub fn small() -> Self {
         Self {
             space_bytes: 1 << 20,
-            meta_capacity_bytes: 4 << 20,
             ..Self::default()
         }
     }
@@ -219,7 +212,6 @@ impl RunConfig {
             config: TraceConfig {
                 space_bytes: self.space_bytes,
                 page_size: self.page_size,
-                meta_capacity_bytes: self.meta_capacity_bytes,
                 meta_max_slices: self.meta_max_slices,
                 prelock: self.rfdet.prelock,
                 fault_cost_spins: self.rfdet.fault_cost_spins,
@@ -238,7 +230,6 @@ impl RunConfig {
         Self {
             space_bytes: c.space_bytes,
             page_size: c.page_size,
-            meta_capacity_bytes: c.meta_capacity_bytes,
             meta_max_slices: c.meta_max_slices,
             rfdet: RfdetOpts {
                 prelock: c.prelock,
@@ -377,7 +368,6 @@ mod tests {
         let mut cfg = RunConfig {
             space_bytes: 1 << 19,
             page_size: 256,
-            meta_capacity_bytes: 1 << 18,
             meta_max_slices: 7,
             rfdet: RfdetOpts {
                 prelock: false,
@@ -436,6 +426,5 @@ mod tests {
         let small = RunConfig::small();
         let full = RunConfig::default();
         assert!(small.space_bytes < full.space_bytes);
-        assert!(small.meta_capacity_bytes < full.meta_capacity_bytes);
     }
 }

@@ -261,7 +261,9 @@ mod tests {
     fn published_mods(seed: Option<u64>) -> Vec<(u32, u64, Vec<rfdet_mem::ModRun>)> {
         let mut cfg = small();
         cfg.jitter_seed = seed;
-        cfg.meta_capacity_bytes = 64 << 20; // headroom: no GC pruning mid-run
+        // Headroom: no GC pruning mid-run, by bytes or by slice count.
+        cfg.space_bytes = 64 << 20;
+        cfg.meta_max_slices = 1 << 20;
         let shared = Arc::new(RuntimeShared::new(&cfg).expect("valid config"));
         let mut main = RfdetCtx::new_main(Arc::clone(&shared));
         let m = MutexId(3);

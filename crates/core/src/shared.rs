@@ -61,7 +61,7 @@ impl RuntimeShared {
             ckpt: crate::checkpoint::CkptCollector::default(),
             kendo,
             meta: MetaSpace::with_max_slices(
-                cfg.meta_capacity_bytes as usize,
+                cfg.space_bytes as usize,
                 GC_THRESHOLD,
                 cfg.meta_max_slices as usize,
             ),
@@ -85,6 +85,11 @@ impl RuntimeShared {
     pub(crate) fn host_gc(&self, tid: Tid) -> bool {
         let won = self.gc_host.compare_exchange(NO_HOST, tid, SeqCst, SeqCst);
         won.is_ok()
+    }
+
+    /// Whether a joiner hosts the GC passes publishers owe.
+    pub(crate) fn gc_hosted(&self) -> bool {
+        self.gc_host.load(SeqCst) != NO_HOST
     }
 
     /// Ends the host's term (it woke); publishers sweep inline again. A

@@ -116,6 +116,10 @@ fn park(ctx: &mut RfdetCtx, premerge_source: Option<Tid>, hosts_gc: bool) {
     let blocked_vc = ctx.vc.clone();
     ctx.shared.kendo.block(&ctx.kendo);
     let host = hosts_gc && ctx.shared.host_gc(ctx.tid);
+    // No GC host: run this op's pass now, before a peer can publish again.
+    if !ctx.shared.gc_hosted() {
+        ctx.run_pending_gc();
+    }
     ctx.release_turn();
     let kendo_handle = ctx.kendo.clone();
     let shared = Arc::clone(&ctx.shared);

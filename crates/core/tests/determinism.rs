@@ -7,6 +7,7 @@
 
 use rfdet_api::{AtomicOp, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, MutexId, RunConfig};
 use rfdet_core::RfdetBackend;
+use rfdet_meta::GC_THRESHOLD;
 
 fn cfg(jitter_seed: Option<u64>) -> RunConfig {
     let mut c = RunConfig::small();
@@ -314,6 +315,15 @@ fn unsynchronized_thread_never_blocks_on_others_locks() {
     assert!(a.output.starts_with(b"400,"));
 }
 
+/// [`cfg`] with room enough that no GC pass fires: a 64 MiB space (its
+/// byte budget) and a million live slices.
+fn roomy() -> RunConfig {
+    let mut c = cfg(None);
+    c.space_bytes = 64 << 20;
+    c.meta_max_slices = 1 << 20;
+    c
+}
+
 #[test]
 fn gc_reclaims_under_pressure_without_changing_results() {
     fn root(ctx: &mut dyn DmtCtx) {
@@ -339,12 +349,10 @@ fn gc_reclaims_under_pressure_without_changing_results() {
         ctx.emit_str(&format!("{v}"));
     }
     let mut tight = cfg(None);
-    tight.meta_capacity_bytes = 8 << 10; // force GC
+    tight.meta_max_slices = 8; // force GC
     let out = RfdetBackend::ci().run_expect(&tight, Box::new(root));
     assert!(out.stats.gc_count > 0, "GC must have triggered");
-    let mut roomy = cfg(None);
-    roomy.meta_capacity_bytes = 64 << 20;
-    let out2 = RfdetBackend::ci().run_expect(&roomy, Box::new(root));
+    let out2 = RfdetBackend::ci().run_expect(&roomy(), Box::new(root));
     assert_eq!(out.output, out2.output, "GC must be invisible to results");
     assert_eq!(out2.stats.gc_count, 0);
 }
@@ -389,10 +397,10 @@ fn a_parked_joiner_does_not_hold_gc_back_until_its_idle_poll() {
 
 #[test]
 fn barrier_reused_across_episodes_survives_gc() {
-    // The same BarrierId runs many episodes while a tight metadata budget
-    // forces GC passes between them. Barrier propagation re-walks slice
-    // lists from cursor 0, so it must cope with pruned prefixes: the
-    // result has to match a run with no GC at all.
+    // The same BarrierId runs many episodes while a tight live-slice
+    // budget forces GC passes between them. Barrier propagation re-walks
+    // slice lists from cursor 0, so it must cope with pruned prefixes:
+    // the result has to match a run with no GC at all.
     fn root(ctx: &mut dyn DmtCtx) {
         let b = BarrierId(7);
         let n = 2u64;
@@ -426,18 +434,85 @@ fn barrier_reused_across_episodes_survives_gc() {
         ctx.emit_str(&format!("{a},{c}"));
     }
     let mut tight = cfg(None);
-    tight.meta_capacity_bytes = 8 << 10;
+    tight.meta_max_slices = 8;
     let out = RfdetBackend::ci().run_expect(&tight, Box::new(root));
     assert!(out.stats.gc_count > 0, "GC must trigger between episodes");
     assert_eq!(out.stats.barriers, 2 * 20 * 2);
-    let mut roomy = cfg(None);
-    roomy.meta_capacity_bytes = 64 << 20;
-    let out2 = RfdetBackend::ci().run_expect(&roomy, Box::new(root));
+    let out2 = RfdetBackend::ci().run_expect(&roomy(), Box::new(root));
     assert_eq!(out2.stats.gc_count, 0);
     assert_eq!(
         out.output, out2.output,
         "pruning between barrier episodes changed the barrier's result"
     );
+}
+
+/// `page-dense` in miniature: 2 workers fold a 32 KiB array, then rewrite
+/// their 16 KiB stripes, over 12 barrier phases. Every byte of a stripe
+/// changes each phase, so each worker publishes one same-sized slice per
+/// phase and nothing else, and usage is always a whole number of slices.
+const PD_BASE: u64 = 4096;
+const PD_WORDS: u64 = (32 << 10) / 8;
+const PD_STRIPE: u64 = PD_WORDS / 2;
+
+fn page_dense_worker(ctx: &mut dyn DmtCtx, w: u64) {
+    let b = BarrierId(0);
+    let mut fold = 0u64;
+    for phase in 1..=12u64 {
+        for i in 0..PD_WORDS {
+            let v: u64 = ctx.read_idx(PD_BASE, i);
+            fold = (fold ^ v).wrapping_mul(0x0100_0000_01B3).rotate_left(23);
+        }
+        ctx.barrier(b, 2);
+        for i in w * PD_STRIPE..(w + 1) * PD_STRIPE {
+            ctx.write_idx::<u64>(PD_BASE, i, phase * 0x0101_0101_0101_0101);
+        }
+        ctx.barrier(b, 2);
+    }
+    ctx.emit_str(&format!("w{w} fold={fold:016x}\n"));
+}
+
+/// Main is worker 0, so no joiner hosts GC while the slices are
+/// published: the publisher that crosses the byte budget sweeps before
+/// its peer can publish again (in turn when its op parks). A host's
+/// pass races the workers' next publishes instead, its timing not yet
+/// deterministic, and that moves the peak.
+fn page_dense_root(ctx: &mut dyn DmtCtx) {
+    let peer = ctx.spawn(Box::new(|ctx: &mut dyn DmtCtx| page_dense_worker(ctx, 1)));
+    page_dense_worker(ctx, 0);
+    ctx.join(peer);
+    let sum = (0..PD_WORDS).fold(0u64, |s, i| s.wrapping_add(ctx.read_idx(PD_BASE, i)));
+    ctx.emit_str(&format!("sum={sum:016x}\n"));
+}
+
+#[test]
+fn a_space_sized_byte_budget_reclaims_applied_barrier_slices() {
+    // A 128 KiB space is a byte budget of 0.9 × 128 KiB, about seven
+    // stripes; the run publishes 24.
+    let space = 128 << 10;
+    let tight = |seed| {
+        let mut c = cfg(seed);
+        c.space_bytes = space;
+        RfdetBackend::ci().run_expect(&c, Box::new(page_dense_root))
+    };
+    let out = tight(None);
+    assert!(out.stats.gc_count >= 2, "{:?}", out.stats);
+    let want = RfdetBackend::ci().run_expect(&roomy(), Box::new(page_dense_root));
+    assert_eq!(want.stats.gc_count, 0, "{:?}", want.stats);
+    assert_eq!(out.output, want.output, "GC must be invisible to results");
+    // The largest slice: a stripe, a run a page, a window header, the
+    // record.
+    let budget = (GC_THRESHOLD * space as f64) as u64;
+    let bound = budget + PD_STRIPE * 8 + 512;
+    assert!(out.stats.peak_meta_bytes <= bound, "{:?}", out.stats);
+    assert!(out.stats.peak_meta_bytes * 2 < want.stats.peak_meta_bytes);
+    for seed in 1..=4 {
+        let jittered = tight(Some(seed));
+        assert_eq!(jittered.output, want.output, "jitter seed {seed}");
+        assert_eq!(
+            jittered.stats.peak_meta_bytes, out.stats.peak_meta_bytes,
+            "jitter seed {seed}"
+        );
+    }
 }
 
 #[test]

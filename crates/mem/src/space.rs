@@ -78,7 +78,8 @@ impl PrivateSpace {
         self.table.len()
     }
 
-    /// Number of pages this space has materialized (its private footprint).
+    /// Page handles this space holds, shared ones included: a forked child
+    /// counts its parent's pages, so this is an upper bound on its own.
     #[must_use]
     pub fn materialized_pages(&self) -> usize {
         self.bufs.len()

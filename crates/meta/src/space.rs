@@ -133,9 +133,9 @@ pub struct GcOutcome {
 /// The shared metadata space.
 ///
 /// Sized like the paper's reserved shared-memory region: publication
-/// charges each slice's footprint against `capacity_bytes`, and crossing
-/// `gc_trigger_bytes` makes the *publishing* thread run a GC pass
-/// (§4.5 "Garbage Collection").
+/// charges each slice's footprint against a capacity, and crossing
+/// `gc_trigger_bytes` (or `max_slices` live slices) makes the
+/// publication request a GC pass (§4.5 "Garbage Collection").
 #[derive(Debug)]
 pub struct MetaSpace {
     /// Every registered thread; each holds its own live published slices,
@@ -143,13 +143,14 @@ pub struct MetaSpace {
     threads: RwLock<Vec<Arc<ThreadMeta>>>,
     usage: AtomicUsize,
     live_slices: AtomicUsize,
-    capacity_bytes: usize,
     gc_trigger_bytes: usize,
     max_slices: usize,
     /// Adaptive slice-count floor for the next GC trigger: raised after a
     /// pass that could not reclaim much (some thread lags behind), so an
     /// uncollectable backlog does not cause a GC scan per publish.
     gc_floor: AtomicUsize,
+    /// The byte trigger's floor, re-armed the same way.
+    gc_byte_floor: AtomicUsize,
     /// Every sync object's queue and last release (§4.1). Only the
     /// Kendo turn holder touches it, so its one lock is never contended.
     sync: Mutex<SyncTable>,
@@ -181,10 +182,10 @@ impl MetaSpace {
             threads: RwLock::new(Vec::new()),
             usage: AtomicUsize::new(0),
             live_slices: AtomicUsize::new(0),
-            capacity_bytes,
             gc_trigger_bytes: trigger,
             max_slices,
             gc_floor: AtomicUsize::new(max_slices),
+            gc_byte_floor: AtomicUsize::new(trigger),
             sync: Mutex::new(SyncTable::default()),
             stats: AtomicStats::default(),
         }
@@ -222,12 +223,6 @@ impl MetaSpace {
         self.usage.load(Relaxed)
     }
 
-    /// Configured capacity in bytes.
-    #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
     /// Publishes a sealed slice: keeps it among the owner's published
     /// slices, appends it to the owner's slice-pointer list, accounts
     /// usage, and reports whether the GC trigger was crossed.
@@ -250,7 +245,7 @@ impl MetaSpace {
         let new_usage = self.usage.fetch_add(bytes, Relaxed) + bytes;
         let live = self.live_slices.fetch_add(1, Relaxed) + 1;
         self.stats.note_meta_bytes(new_usage as u64);
-        new_usage > self.gc_trigger_bytes || live > self.gc_floor.load(Relaxed)
+        new_usage > self.gc_byte_floor.load(Relaxed) || live > self.gc_floor.load(Relaxed)
     }
 
     /// Snapshot of a thread's slice-pointer list, in list order.
@@ -340,18 +335,23 @@ impl MetaSpace {
             drop(list);
             freed.clear();
         }
-        self.usage
-            .fetch_sub(outcome.reclaimed_bytes as usize, Relaxed);
+        let usage_after = self
+            .usage
+            .fetch_sub(outcome.reclaimed_bytes as usize, Relaxed)
+            - outcome.reclaimed_bytes as usize;
         let live_after = self
             .live_slices
             .fetch_sub(outcome.reclaimed_slices as usize, Relaxed)
             - outcome.reclaimed_slices as usize;
-        // Re-arm the count trigger above whatever could not be collected,
+        // Re-arm both triggers above whatever could not be collected,
         // with a minimum slack so an uncollectable backlog never causes a
         // GC request per publish.
         let slack = (self.max_slices / 4).max(4);
         self.gc_floor
             .store(self.max_slices.max(live_after + slack), Relaxed);
+        let byte_floor = usage_after.saturating_add(self.gc_trigger_bytes / 4);
+        self.gc_byte_floor
+            .store(self.gc_trigger_bytes.max(byte_floor), Relaxed);
         self.stats.gc_count.fetch_add(1, Relaxed);
         self.stats
             .gc_reclaimed_slices
@@ -464,6 +464,31 @@ mod tests {
         assert_eq!(m.run_gc().reclaimed_slices, 0);
         m.mark_dead(1);
         assert_eq!(m.run_gc().reclaimed_slices, 1);
+    }
+
+    #[test]
+    fn a_pinned_glb_rearms_the_byte_trigger_above_what_a_pass_left() {
+        // A byte trigger of 5 000 and a slack of 1 250; no count trigger.
+        let m = MetaSpace::with_max_slices(10_000, 0.5, 1 << 20);
+        m.register_thread();
+        // Alive, and its published clock never moves: no pass reclaims.
+        m.register_thread();
+        let slack = 1_250;
+        let (mut crossed_at, mut passes) = (None, 0);
+        for seq in 0..400 {
+            if m.publish_slice(slice(0, seq, &[seq + 1], 100)) {
+                crossed_at.get_or_insert(m.usage_bytes());
+                assert_eq!(m.run_gc().reclaimed_slices, 0, "the glb is pinned");
+                passes += 1;
+            }
+        }
+        let crossed_at = crossed_at.expect("the byte trigger fired");
+        assert!(crossed_at > 5_000 && crossed_at < 5_500, "{crossed_at}");
+        // One pass at the crossing, then one per slack's worth of bytes;
+        // without the re-arm every publish past the crossing requests one.
+        let bound = 1 + (m.usage_bytes() - crossed_at) / slack;
+        assert!(passes >= 2, "{passes}");
+        assert!(passes <= bound, "{passes} passes, at most {bound}");
     }
 
     #[test]

@@ -25,9 +25,10 @@ use rfdet_vclock::Tid;
 pub const CKPT_MAGIC: [u8; 4] = *b"RFCK";
 /// Current checkpoint format version. Version 1 embedded the 17-field
 /// [`TraceConfig`](crate::TraceConfig), version 2 the 12-field one with
-/// the retired `slice_merging` flag, version 3 no fault plan; their
-/// checkpoints are rejected, not migrated.
-pub const CKPT_VERSION: u32 = 4;
+/// the retired `slice_merging` flag, version 3 no fault plan, version 4
+/// the retired `meta_capacity_bytes`; their checkpoints are rejected,
+/// not migrated.
+pub const CKPT_VERSION: u32 = 5;
 
 /// Sync-var class codes (mirror `rfdet_meta::SyncKey`, kept numeric so
 /// this crate stays meta-independent).
@@ -403,7 +404,7 @@ mod tests {
 
     #[test]
     fn rejects_retired_and_unknown_versions() {
-        for version in [1, 2, 3, 99] {
+        for version in [1, 2, 3, 4, 99] {
             let mut bytes = sample().encode();
             bytes[4] = version;
             let body_len = bytes.len() - 8;

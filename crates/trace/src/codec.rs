@@ -26,9 +26,9 @@ use std::fmt;
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"RFDT";
 /// Current format version. Version 1 carried a 17-field [`TraceConfig`],
-/// version 2 a 12-field one with the retired `slice_merging` flag; their
-/// traces are rejected, not migrated.
-pub const VERSION: u32 = 3;
+/// version 2 a 12-field one with the retired `slice_merging` flag,
+/// version 3 `meta_capacity_bytes`; their traces are rejected, not migrated.
+pub const VERSION: u32 = 4;
 
 /// Why a byte buffer failed to decode as a [`RunTrace`] or a
 /// [`Checkpoint`](crate::Checkpoint).
@@ -187,8 +187,8 @@ impl<'a> Reader<'a> {
 }
 
 /// The config's four retired slots, each written with the value its
-/// field last held and skipped on read, so the version-3 layout and
-/// every digest over it stay as they were: `monitor` (a byte, 1 iff the
+/// field last held and skipped on read, so they kept the version-3
+/// layout and every digest over it as they were: `monitor` (a byte, 1 iff the
 /// recording backend is RFDet-pf — the mode is the backend's now, so
 /// the name says it), `lazy_writes` (a byte, 0: every acquire applies
 /// what it propagates), `quantum_ticks` (CoreDet-q's quantum, now
@@ -201,7 +201,6 @@ const JITTER_SLOT: u64 = 50;
 fn write_config(w: &mut Writer, backend: &str, c: &TraceConfig) {
     w.u64(c.space_bytes);
     w.u64(c.page_size);
-    w.u64(c.meta_capacity_bytes);
     w.u64(c.meta_max_slices);
     w.u8(u8::from(backend == "RFDet-pf"));
     w.boolean(c.prelock);
@@ -216,7 +215,6 @@ fn read_config(r: &mut Reader<'_>) -> Result<TraceConfig, TraceError> {
     Ok(TraceConfig {
         space_bytes: r.u64()?,
         page_size: r.u64()?,
-        meta_capacity_bytes: r.u64()?,
         meta_max_slices: r.u64()?,
         // Skips the `monitor` byte first.
         prelock: r.take(1).and_then(|_| r.boolean())?,
@@ -429,7 +427,7 @@ mod tests {
 
     #[test]
     fn rejects_retired_and_unknown_versions() {
-        for version in [1, 2, 99] {
+        for version in [1, 2, 3, 99] {
             let mut bytes = sample().encode();
             bytes[4] = version;
             // Fix up the checksum so the version check is what fires.
@@ -486,48 +484,72 @@ mod tests {
         assert_eq!(RunTrace::decode(&t.encode()).unwrap(), t);
     }
 
-    /// The version-3 config block, retired slots included, as written
-    /// before the monitor mode and CoreDet-q's quantum left the config:
-    /// the bytes and the trace digests below were generated by that
-    /// build, the checkpoint digests by the first version-4 one (the
-    /// checkpoint's recording gained its fault list after the config). A
-    /// moved retired slot, or a monitor byte that stops reading 1
+    /// `bytes` as the build before this format wrote it: the retired
+    /// `meta_capacity_bytes` slot back after `page_size` (the config
+    /// starts at `config_at`), the version set to `version` and the
+    /// checksum recomputed.
+    fn with_the_capacity_slot(bytes: &[u8], config_at: usize, version: u32) -> Vec<u8> {
+        let mut old = bytes[..bytes.len() - 8].to_vec();
+        old[4..8].copy_from_slice(&version.to_le_bytes());
+        let slot = config_at + 16;
+        // What `test_config` held: 4 MiB.
+        old.splice(slot..slot, (4u64 << 20).to_le_bytes());
+        let sum = crate::digest::fnv1a(&old);
+        old.extend_from_slice(&sum.to_le_bytes());
+        old
+    }
+
+    /// The version-4 config block (trace version 4, checkpoint version
+    /// 5), retired slots included: the bytes and the digests below were
+    /// generated by the first build without `meta_capacity_bytes`. Each
+    /// file with that slot put back (`with_the_capacity_slot`) hashes to
+    /// the previous layout's golden: the trace digests generated before
+    /// the monitor mode and CoreDet-q's quantum left the config, the
+    /// checkpoint digests by the first version-4 checkpoint build (the
+    /// checkpoint's recording gained its fault list after the config).
+    /// A moved retired slot, or a monitor byte that stops reading 1
     /// exactly for RFDet-pf, fails here before any recorded artifact
     /// changes its digest.
     #[test]
-    fn config_bytes_keep_the_version_3_layout() {
+    fn config_bytes_keep_the_version_4_layout() {
         const BLOCK: &str = "0000100000000000\
                              0010000000000000\
-                             0000400000000000\
                              0004000000000000\
                              {monitor}0100\
                              00000000\
                              1027000000000000\
                              3200000000000000\
                              013075000000000000";
-        // (backend, monitor byte, trace digest, checkpoint digest)
+        // (backend, monitor byte, trace digest, checkpoint digest, and
+        // the version-3 trace and version-4 checkpoint digests)
         let goldens = [
             (
                 "RFDet-ci",
                 "00",
+                0xc860_4a5b_2be4_bd17,
+                0xb69d_ed28_b3a0_2525,
                 0x89f6_5369_2c53_1fae,
                 0xdbe8_1216_63b5_8a20,
             ),
             (
                 "RFDet-pf",
                 "01",
+                0xae13_72ba_aa4c_7bde,
+                0xbe2d_1c48_3eb9_e121,
                 0xa6fe_5f5d_2b8a_cdf8,
                 0x8730_fe3a_a083_5191,
             ),
             (
                 "CoreDet-q",
                 "00",
+                0x224c_66e4_ee10_550f,
+                0xda49_62e9_0c43_3a5b,
                 0x9816_769c_d3f2_2f52,
                 0x987b_7ab1_975a_ee0f,
             ),
         ];
         let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
-        for (backend, monitor, trace_digest, ckpt_digest) in goldens {
+        for (backend, monitor, trace_digest, ckpt_digest, old_trace, old_ckpt) in goldens {
             let block = BLOCK.replace("{monitor}", monitor);
             let trace = RunTrace {
                 recording: test_recording(backend, vec![]),
@@ -549,29 +571,32 @@ mod tests {
             // Magic, version (and a checkpoint's epoch), the two strings
             // and the absent seed precede the config.
             let at = |header: usize| header + 4 + backend.len() + 4 + 3 + 1;
-            for (bytes, header, digest) in [
-                (trace.encode(), 8, trace_digest),
-                (ckpt.encode(), 16, ckpt_digest),
+            for (bytes, header, digest, old_version, old_digest) in [
+                (trace.encode(), 8, trace_digest, 3, old_trace),
+                (ckpt.encode(), 16, ckpt_digest, 4, old_ckpt),
             ] {
                 let start = at(header);
-                assert_eq!(hex(&bytes[start..start + 64]), block, "{backend}");
+                assert_eq!(hex(&bytes[start..start + 56]), block, "{backend}");
                 assert_eq!(crate::digest::fnv1a(&bytes), digest, "{backend}");
+                let old = with_the_capacity_slot(&bytes, start, old_version);
+                assert_eq!(crate::digest::fnv1a(&old), old_digest, "{backend}");
             }
             assert_eq!(RunTrace::decode(&trace.encode()), Ok(trace));
             assert_eq!(crate::Checkpoint::decode(&ckpt.encode()), Ok(ckpt));
         }
     }
 
-    /// A version-3 trace recorded with lazy writes on carries a lazy byte
-    /// of 1. It still decodes, and re-encodes with the retired slot's 0.
+    /// A config block whose lazy byte reads 1, as a run with lazy writes
+    /// on wrote it, still decodes, and re-encodes with the retired
+    /// slot's 0.
     #[test]
     fn a_config_block_with_the_lazy_byte_set_decodes_and_reencodes_with_0() {
         let t = sample();
         let written = t.encode();
         // Magic, version, the two strings and the seed precede the
-        // config; the lazy byte follows four u64s, monitor and prelock.
+        // config; the lazy byte follows three u64s, monitor and prelock.
         let rec = &t.recording;
-        let lazy_at = 8 + 4 + rec.backend.len() + 4 + rec.workload.len() + 9 + 32 + 2;
+        let lazy_at = 8 + 4 + rec.backend.len() + 4 + rec.workload.len() + 9 + 24 + 2;
         assert_eq!(written[lazy_at], 0);
         let mut lazy = written.clone();
         lazy[lazy_at] = 1;

@@ -173,7 +173,6 @@ pub struct TraceFault {
 pub struct TraceConfig {
     pub space_bytes: u64,
     pub page_size: u64,
-    pub meta_capacity_bytes: u64,
     pub meta_max_slices: u64,
     pub prelock: bool,
     pub fault_cost_spins: u32,
@@ -356,7 +355,6 @@ mod tests {
         TraceConfig {
             space_bytes: 1 << 20,
             page_size: 4096,
-            meta_capacity_bytes: 4 << 20,
             meta_max_slices: 1024,
             prelock: true,
             fault_cost_spins: 0,

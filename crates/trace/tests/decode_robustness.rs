@@ -26,7 +26,6 @@ fn config() -> TraceConfig {
     TraceConfig {
         space_bytes: 1 << 20,
         page_size: 4096,
-        meta_capacity_bytes: 1 << 16,
         meta_max_slices: 64,
         prelock: false,
         fault_cost_spins: 50,

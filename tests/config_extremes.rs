@@ -1,12 +1,12 @@
 //! The retained `RunConfig` knobs at their extremes.
 //!
-//! The four resource limits (`page_size`, `meta_max_slices`,
-//! `meta_capacity_bytes`, and `space_bytes` through `validate`) and the
-//! jitter seed stay configurable, so their edge values must stay
-//! harmless: a legal extreme changes how often the runtime snapshots,
-//! diffs and collects, never what the program computes, and an illegal
-//! value is a typed error before any thread starts — on every backend,
-//! with no panic crossing `run()`.
+//! The three resource limits (`page_size`, `meta_max_slices`, and
+//! `space_bytes` through `validate`) and the jitter seed stay
+//! configurable, so their edge values must stay harmless: a legal
+//! extreme changes how often the runtime snapshots, diffs and collects,
+//! never what the program computes, and an illegal value is a typed
+//! error before any thread starts — on every backend, with no panic
+//! crossing `run()`.
 
 use rfdet::api::obs::Phase;
 use rfdet::workloads::{by_name, Params, Size};
@@ -46,10 +46,6 @@ fn legal_extremes_leave_the_output_digest_alone() {
         extremes.push((
             format!("meta_max_slices={n}"),
             edited(|c| c.meta_max_slices = n),
-        ));
-        extremes.push((
-            format!("meta_capacity_bytes={n}"),
-            edited(|c| c.meta_capacity_bytes = n),
         ));
     }
     extremes.push((
