@@ -4,7 +4,7 @@ use crate::{
     ConfigError, FailureKind, FailureReport, FaultPlan, RaceReport, RunConfig, RunError, Stats,
     ThreadFn,
 };
-use rfdet_trace::{ddmin, Checkpoint, RunTrace, TraceFault};
+use rfdet_trace::{ddmin, Checkpoint, FaultSpec, RunTrace};
 
 /// The result of running a workload to completion under some backend.
 #[derive(Clone, Debug, Default)]
@@ -217,13 +217,13 @@ pub trait DmtBackend: Send + Sync {
         }
         let base = RunConfig::from_recording(&trace.recording);
         let kind = trace.failure.kind;
-        let mut oracle = |subset: &[TraceFault]| {
+        let mut oracle = |subset: &[FaultSpec]| {
             let mut cfg = base.clone();
             // Probes skip recording: no event collection, no disk churn.
             cfg.trace = None;
-            cfg.fault_plan = FaultPlan::from_trace_faults(subset);
+            cfg.fault_plan = FaultPlan::from_specs(subset.to_vec());
             match self.run_traced(&cfg, make_root()).result {
-                Err(e) => e.report().kind.code() == kind,
+                Err(e) => Some(e.report().kind) == kind,
                 Ok(_) => false,
             }
         };
@@ -235,7 +235,7 @@ pub trait DmtBackend: Send + Sync {
         // One last traced run under the minimized plan produces the
         // minimal trace (and persists it, as any failing traced run).
         let mut cfg = base;
-        cfg.fault_plan = FaultPlan::from_trace_faults(&min);
+        cfg.fault_plan = FaultPlan::from_specs(min);
         self.run_traced(&cfg, make_root())
             .trace
             .filter(|t| t.failure.kind == kind)

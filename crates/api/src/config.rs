@@ -217,7 +217,7 @@ impl RunConfig {
                 fault_cost_spins: self.rfdet.fault_cost_spins,
                 deadlock_after_ms: self.deadlock_after_ms,
             },
-            faults: self.fault_plan.to_trace_faults(),
+            faults: self.fault_plan.specs().to_vec(),
         }
     }
 
@@ -236,7 +236,7 @@ impl RunConfig {
                 fault_cost_spins: c.fault_cost_spins,
             },
             jitter_seed: rec.seed,
-            fault_plan: FaultPlan::from_trace_faults(&rec.faults),
+            fault_plan: FaultPlan::from_specs(rec.faults.clone()),
             deadlock_after_ms: c.deadlock_after_ms,
             trace: Some(rec.workload.clone()),
             // Not part of the determinism-relevant projection: metrics

@@ -18,55 +18,10 @@
 //! reported in [`FailureReport::peers`] but excluded from the digest.
 
 use crate::Tid;
+use rfdet_trace::FailureKind;
 use rfdet_vclock::VClock;
 use std::fmt;
 use std::path::PathBuf;
-
-/// How a run failed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailureKind {
-    /// A thread panicked (application bug or injected fault).
-    Panic,
-    /// Every live thread is blocked on another — proven from sync-queue
-    /// state, not a wall-clock timeout.
-    Deadlock,
-    /// The run stopped making progress for the configured wall-clock
-    /// bound without a provable deadlock (e.g. a starved arbitration
-    /// slot). Unlike the other two kinds this is detected by physical
-    /// time, so *when* it fires is not deterministic — only that the
-    /// underlying schedule never finishes is.
-    Wedged,
-    /// [`crate::RunConfig::validate`] rejected the configuration: no
-    /// thread ran, the report's message is the [`crate::ConfigError`].
-    InvalidConfig,
-}
-
-impl FailureKind {
-    /// The codec-stable code recorded in traces ([`rfdet_trace::KIND_PANIC`]
-    /// and friends).
-    #[must_use]
-    pub fn code(self) -> u8 {
-        match self {
-            FailureKind::Panic => rfdet_trace::KIND_PANIC,
-            FailureKind::Deadlock => rfdet_trace::KIND_DEADLOCK,
-            FailureKind::Wedged => rfdet_trace::KIND_WEDGED,
-            FailureKind::InvalidConfig => rfdet_trace::KIND_INVALID_CONFIG,
-        }
-    }
-
-    /// Inverse of [`Self::code`]. `None` for unknown codes and for
-    /// [`rfdet_trace::KIND_NONE`] (a clean run has no failure kind).
-    #[must_use]
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            rfdet_trace::KIND_PANIC => Some(FailureKind::Panic),
-            rfdet_trace::KIND_DEADLOCK => Some(FailureKind::Deadlock),
-            rfdet_trace::KIND_WEDGED => Some(FailureKind::Wedged),
-            rfdet_trace::KIND_INVALID_CONFIG => Some(FailureKind::InvalidConfig),
-            _ => None,
-        }
-    }
-}
 
 /// What a blocked thread is waiting on.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -613,19 +568,6 @@ mod tests {
             "I/O health must not perturb the reproducibility digest"
         );
         assert!(b.render().contains("warning: trace not persisted"));
-    }
-
-    #[test]
-    fn kind_codes_round_trip() {
-        for k in [
-            FailureKind::Panic,
-            FailureKind::Deadlock,
-            FailureKind::Wedged,
-        ] {
-            assert_eq!(FailureKind::from_code(k.code()), Some(k));
-        }
-        assert_eq!(FailureKind::from_code(rfdet_trace::KIND_NONE), None);
-        assert_eq!(FailureKind::from_code(42), None);
     }
 
     #[test]

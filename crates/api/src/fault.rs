@@ -11,43 +11,7 @@
 //! seed for chaos sweeps — random across seeds, reproducible per seed.
 
 use crate::{DetRng, Tid};
-use rfdet_trace::{TraceFault, FAULT_FAIL_ALLOC, FAULT_JITTER, FAULT_PANIC};
-
-/// What to inject at a trigger point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Panic when the thread starts its `op`-th synchronization
-    /// operation (0-based count over lock/unlock/wait/signal/barrier/
-    /// spawn/join/atomic/exit, in program order).
-    PanicAtSyncOp {
-        /// 0-based sync-op index within the thread.
-        op: u64,
-    },
-    /// Fail (panic in) the thread's `nth` allocation, 0-based.
-    FailAlloc {
-        /// 0-based allocation index within the thread.
-        nth: u64,
-    },
-    /// Charge `ticks` extra logical-clock ticks when the thread starts
-    /// its `op`-th synchronization operation. Perturbs the deterministic
-    /// schedule (turn order is a function of clocks) without failing
-    /// anything — two runs with the same jitter plan still agree.
-    JitterTicks {
-        /// 0-based sync-op index within the thread.
-        op: u64,
-        /// Extra ticks to charge.
-        ticks: u64,
-    },
-}
-
-/// One fault: a target thread plus an action.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// The thread the fault applies to.
-    pub tid: Tid,
-    /// What happens and when.
-    pub action: FaultAction,
-}
+use rfdet_trace::{FaultAction, FaultSpec};
 
 /// What a backend must do at one sync-op trigger point (the merged view
 /// of every matching [`FaultSpec`]).
@@ -103,8 +67,8 @@ impl FaultPlan {
         self
     }
 
-    /// A plan built from explicit specs. The shrinker uses this to probe
-    /// subsets of a recorded plan.
+    /// A plan built from explicit specs: a recording's plan, or a subset
+    /// of it the shrinker probes.
     #[must_use]
     pub fn from_specs(specs: Vec<FaultSpec>) -> Self {
         Self { specs }
@@ -185,57 +149,6 @@ impl FaultPlan {
         self.specs.iter().any(|s| {
             s.tid == tid && matches!(s.action, FaultAction::FailAlloc { nth: n } if n == nth)
         })
-    }
-
-    /// This plan in the codec-stable numeric form recorded into a
-    /// [`rfdet_trace::RunTrace`].
-    #[must_use]
-    pub fn to_trace_faults(&self) -> Vec<TraceFault> {
-        self.specs
-            .iter()
-            .map(|s| match s.action {
-                FaultAction::PanicAtSyncOp { op } => TraceFault {
-                    tid: s.tid,
-                    code: FAULT_PANIC,
-                    a: op,
-                    b: 0,
-                },
-                FaultAction::FailAlloc { nth } => TraceFault {
-                    tid: s.tid,
-                    code: FAULT_FAIL_ALLOC,
-                    a: nth,
-                    b: 0,
-                },
-                FaultAction::JitterTicks { op, ticks } => TraceFault {
-                    tid: s.tid,
-                    code: FAULT_JITTER,
-                    a: op,
-                    b: ticks,
-                },
-            })
-            .collect()
-    }
-
-    /// Rebuilds a plan from recorded faults. Unknown fault codes (from a
-    /// newer trace version) are dropped rather than misinterpreted.
-    #[must_use]
-    pub fn from_trace_faults(faults: &[TraceFault]) -> Self {
-        let specs = faults
-            .iter()
-            .filter_map(|f| {
-                let action = match f.code {
-                    FAULT_PANIC => FaultAction::PanicAtSyncOp { op: f.a },
-                    FAULT_FAIL_ALLOC => FaultAction::FailAlloc { nth: f.a },
-                    FAULT_JITTER => FaultAction::JitterTicks {
-                        op: f.a,
-                        ticks: f.b,
-                    },
-                    _ => return None,
-                };
-                Some(FaultSpec { tid: f.tid, action })
-            })
-            .collect();
-        Self { specs }
     }
 
     /// The canonical panic message for an injected sync-op fault (stable
@@ -319,26 +232,6 @@ mod tests {
         // Clamping is per-argument: a real count with zero ops still
         // produces `count` faults, all at op 0.
         assert_eq!(FaultPlan::random(8, 4, 0, 5).specs().len(), 5);
-    }
-
-    #[test]
-    fn trace_faults_round_trip() {
-        let p = FaultPlan::new()
-            .panic_at(1, 3)
-            .fail_alloc(2, 0)
-            .jitter_at(0, 9, 41);
-        let faults = p.to_trace_faults();
-        assert_eq!(faults.len(), 3);
-        assert_eq!(FaultPlan::from_trace_faults(&faults), p);
-        // Unknown codes are dropped, not misread.
-        let mut with_unknown = faults.clone();
-        with_unknown.push(TraceFault {
-            tid: 0,
-            code: 99,
-            a: 0,
-            b: 0,
-        });
-        assert_eq!(FaultPlan::from_trace_faults(&with_unknown), p);
     }
 
     #[test]

@@ -149,7 +149,7 @@ mod tests {
         TracedRun, JITTER_MAX_US,
     };
     use rfdet_obs::Phase;
-    use rfdet_trace::{persist, TraceEvent, KIND_NONE, KIND_PANIC};
+    use rfdet_trace::{persist, TraceEvent};
     use std::any::Any;
     use std::time::{Duration, Instant};
 
@@ -460,18 +460,29 @@ mod tests {
     #[test]
     fn the_bound_is_quiet_time_so_a_notified_wait_may_outlast_it() {
         let run = harness(&cfg(|c| c.deadlock_after_ms = Some(200)));
-        let (m, cv) = (parking_lot::Mutex::new(false), parking_lot::Condvar::new());
+        let (m, cv) = (parking_lot::Mutex::new(0), parking_lot::Condvar::new());
         std::thread::scope(|s| {
             s.spawn(|| {
-                // Three bounds of peers' progress, then the outcome.
-                for _ in 0..60 {
+                // Three bounds of peers' progress, then the outcome. Each
+                // step changes the waiter's state under its mutex, then
+                // notifies, as the runtime's callers do: the waiter holds
+                // `m` between its polls, so a step waits for it to poll.
+                // A bare notify on this 10 ms period, the poll's own, can
+                // expire in the waiter's timeout tick and land between
+                // its polls, round after round, for a whole bound.
+                for _ in 0..=60 {
                     std::thread::sleep(std::time::Duration::from_millis(10));
+                    *m.lock() += 1;
                     cv.notify_all();
                 }
-                *m.lock() = true;
-                cv.notify_all();
             });
-            run.wait_until(&cv, &mut m.lock(), 0, |open| *open, |_| unreachable!());
+            run.wait_until(
+                &cv,
+                &mut m.lock(),
+                0,
+                |steps| *steps > 60,
+                |_| unreachable!(),
+            );
         });
         assert!(!run.is_stopped());
     }
@@ -528,7 +539,7 @@ mod tests {
         let done = finish(&run, h);
         let trace = done.trace.expect("trace");
         let mut out = done.result.expect("clean");
-        assert_eq!(trace.failure.kind, KIND_NONE);
+        assert_eq!(trace.failure.kind, None);
         assert!(!trace.failure.is_failure());
         assert_eq!(trace.failure.report_digest, out.output_digest());
         let snap = out.metrics.take().expect("snapshot attached");
@@ -566,7 +577,7 @@ mod tests {
         assert_eq!(trace.recording.workload, "wl");
         assert_eq!(trace.recording.seed, Some(5));
         assert_eq!(trace.recording.faults.len(), 1);
-        assert_eq!(trace.failure.kind, KIND_PANIC);
+        assert_eq!(trace.failure.kind, Some(FailureKind::Panic));
         let err = done.result.expect_err("failed");
         assert_eq!(trace.failure.report_digest, err.report_digest());
         let path = err.report().trace_path.clone().expect("path stamped");

@@ -9,7 +9,7 @@ use crate::{
 };
 use parking_lot::Condvar;
 use rfdet_obs::ObsSink;
-use rfdet_trace::{persist, FailureSummary, RunTrace, TraceSink, KIND_NONE};
+use rfdet_trace::{persist, FailureSummary, RunTrace, TraceSink};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::panic_any;
@@ -397,12 +397,12 @@ impl RunHarness {
         let sink = self.trace_sink.as_ref()?;
         let failure = match result {
             Ok(out) => FailureSummary {
-                kind: KIND_NONE,
+                kind: None,
                 tid: 0,
                 report_digest: out.output_digest(),
             },
             Err(e) => FailureSummary {
-                kind: e.report().kind.code(),
+                kind: Some(e.report().kind),
                 tid: e.report().tid,
                 report_digest: e.report_digest(),
             },

@@ -36,8 +36,8 @@ mod stats;
 pub use backend::{DmtBackend, Replay, RunOutput, TracedRun};
 pub use config::{ConfigError, RfdetOpts, RunConfig, JITTER_MAX_US, MIN_SPACE_BYTES};
 pub use ctx::{AtomicOp, BarrierId, CondId, DmtCtx, DmtCtxExt, MutexId, ThreadFn, ThreadHandle};
-pub use error::{FailureKind, FailureReport, RunError, ThreadReport, WaitEdge, WaitTarget};
-pub use fault::{FaultAction, FaultPlan, FaultSpec, SyncOpFault};
+pub use error::{FailureReport, RunError, ThreadReport, WaitEdge, WaitTarget};
+pub use fault::{FaultPlan, SyncOpFault};
 pub use harness::{RunHarness, SyncOp, ThreadHarness};
 pub use pod::Pod;
 pub use race::{races_digest, render_races, AccessKind, RaceReport, RaceSite};
@@ -48,7 +48,7 @@ pub use stats::{AtomicStats, Stats};
 pub use rfdet_obs as obs;
 pub use rfdet_trace as trace;
 pub use rfdet_trace::digest;
-pub use rfdet_trace::RunTrace;
+pub use rfdet_trace::{FailureKind, FaultAction, FaultSpec, RunTrace};
 pub use rfdet_vclock::Tid;
 
 /// A byte address in the logical shared memory space.

@@ -32,8 +32,8 @@
 //! diverged or wedged outcomes fail the sweep.
 //!
 //! `metrics` runs a workload once with the deterministic-safe metrics
-//! layer enabled and prints the phase rollup — `json` (default) for
-//! tooling, `prom` for a Prometheus text-format scrape body.
+//! layer enabled and prints the phase rollup as JSON (schema
+//! `rfdet-metrics/1`).
 //!
 //! `races` runs a workload under the deterministic race detector
 //! (DESIGN.md §4.13) and prints every typed report. The report text is
@@ -227,7 +227,6 @@ struct Flags {
     plan: FaultPlan,
     plans: Option<usize>,
     out: Option<PathBuf>,
-    format: Option<String>,
 }
 
 /// A fault-plan coordinate `TID:A[:B]` with exactly `N` numbers after
@@ -268,7 +267,6 @@ fn parse_flags(accepted: &[&str], args: &[String]) -> Result<Flags, String> {
             "--ckpt-dir" => f.ckpt_dir = Some(val(value())?),
             "--plans" => f.plans = Some(val(value())?),
             "--out" => f.out = Some(val(value())?),
-            "--format" => f.format = Some(val(value())?),
             "--panic" | "--fail-alloc" => {
                 let (tid, [n]) = value().ok().and_then(coord).ok_or_else(String::new)?;
                 let plan = std::mem::take(&mut f.plan);
@@ -642,13 +640,6 @@ fn cmd_sweep(spec: &str, f: Flags) -> i32 {
 
 fn cmd_metrics(spec: &str, f: Flags) -> i32 {
     let (workload, params) = workload_or_die(spec);
-    let format = f.format.unwrap_or_else(|| "json".to_owned());
-    if format != "json" && format != "prom" {
-        die(
-            EXIT_USAGE,
-            format!("unknown format {format:?} (expected json or prom)"),
-        );
-    }
     let backend = backend_or_die(&f.backend);
     let mut cfg = cli_config();
     cfg.metrics = true;
@@ -657,11 +648,7 @@ fn cmd_metrics(spec: &str, f: Flags) -> i32 {
             let Some(snap) = out.metrics else {
                 die(EXIT_USAGE, "metrics requested but no snapshot attached");
             };
-            if format == "prom" {
-                print!("{}", snap.to_prometheus());
-            } else {
-                println!("{}", snap.to_json());
-            }
+            println!("{}", snap.to_json());
             0
         }
         Err(e) => {
@@ -775,8 +762,8 @@ const VERBS: &[(&str, &[&str], Body)] = &[
         cmd_sweep,
     ),
     (
-        "metrics <workload>[@threads] [--backend NAME] [--format json|prom]",
-        &["--backend", "--format"],
+        "metrics <workload>[@threads] [--backend NAME]",
+        &["--backend"],
         cmd_metrics,
     ),
     (

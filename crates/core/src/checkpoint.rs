@@ -33,8 +33,7 @@
 use crate::ctx::RfdetCtx;
 use parking_lot::Mutex;
 use rfdet_api::Tid;
-use rfdet_meta::SyncKey;
-use rfdet_trace::{persist, sync_class, Checkpoint, CkptHeap, CkptPage, CkptSyncVar, CkptThread};
+use rfdet_trace::{persist, Checkpoint, CkptHeap, CkptPage, CkptSyncVar, CkptThread};
 use rfdet_vclock::VClock;
 
 /// Panic payload for the clean stop at an epoch ([`CkptCollector::stop_at`]):
@@ -121,31 +120,6 @@ impl CkptCollector {
     }
 }
 
-fn key_to_class(key: SyncKey) -> (u8, u64) {
-    match key {
-        SyncKey::Mutex(id) => (sync_class::MUTEX, u64::from(id)),
-        SyncKey::Cond(id) => (sync_class::COND, u64::from(id)),
-        SyncKey::Barrier(id) => (sync_class::BARRIER, u64::from(id)),
-        SyncKey::Thread(tid) => (sync_class::THREAD, u64::from(tid)),
-        SyncKey::Atomic(addr) => (sync_class::ATOMIC, addr),
-    }
-}
-
-/// Inverse of [`key_to_class`], used by restore. Total: a checkpoint
-/// reaches restore either from [`decide`] or through `Checkpoint::decode`,
-/// which admits only the five classes, each with an id its key holds.
-pub(crate) fn class_to_key(class: u8, id: u64) -> SyncKey {
-    #[allow(clippy::cast_possible_truncation)]
-    let small = id as u32;
-    match class {
-        sync_class::MUTEX => SyncKey::Mutex(small),
-        sync_class::COND => SyncKey::Cond(small),
-        sync_class::BARRIER => SyncKey::Barrier(small),
-        sync_class::THREAD => SyncKey::Thread(small),
-        _ => SyncKey::Atomic(id),
-    }
-}
-
 /// Decides, inside the last arriver's turn, whether the barrier episode
 /// with these `(tid, release time)` arrivals seeds a checkpoint. Returns
 /// the epoch to stamp into every woken participant's
@@ -187,15 +161,13 @@ pub(crate) fn decide(ctx: &mut RfdetCtx, arrivals: &[(Tid, VClock)]) -> Option<u
             // empty-slice-list restore would lose them.
             return None;
         }
-        let (class, id) = key_to_class(key);
         sync_vars.push(CkptSyncVar {
-            class,
-            id,
+            key,
             last_tid,
             last_time: last_time.components(),
         });
     }
-    sync_vars.sort_by_key(|v| (v.class, v.id));
+    sync_vars.sort_by_key(|v| v.key);
 
     let mut inner = ctx.shared.ckpt.inner.lock();
     inner.episodes += 1;
@@ -288,20 +260,6 @@ pub(crate) fn contribute(ctx: &mut RfdetCtx, epoch: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn key_class_round_trips() {
-        for key in [
-            SyncKey::Mutex(7),
-            SyncKey::Cond(1),
-            SyncKey::Barrier(0),
-            SyncKey::Thread(3),
-            SyncKey::Atomic(0xdead_beef),
-        ] {
-            let (class, id) = key_to_class(key);
-            assert_eq!(class_to_key(class, id), key);
-        }
-    }
 
     #[test]
     fn collector_seals_after_last_fragment_in_tid_order() {

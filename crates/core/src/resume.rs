@@ -19,7 +19,6 @@
 //! start: the only code that compares replayed checkpoints with a chain.
 
 use crate::backend::Start;
-use crate::checkpoint::class_to_key;
 use crate::ctx::RfdetCtx;
 use crate::shared::RuntimeShared;
 use crate::RfdetBackend;
@@ -135,7 +134,7 @@ pub(crate) fn restore(
     let mut table = shared.meta.sync_in_turn();
     for v in &ckpt.sync_vars {
         table
-            .var_mut(class_to_key(v.class, v.id))
+            .var_mut(v.key)
             .record_release(v.last_tid, VClock::from_components(v.last_time.clone()));
     }
     for &tid in &ckpt.finished {

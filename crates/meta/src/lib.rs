@@ -34,6 +34,7 @@ mod space;
 mod syncvar;
 
 pub use handoff::{AcquireSource, Mailbox};
+pub use rfdet_trace::SyncKey;
 pub use slice::{SliceRec, SliceRef};
 pub use space::{GcOutcome, MetaSpace, ThreadMeta, GC_THRESHOLD};
-pub use syncvar::{BarrierRec, CondRec, MutexRec, SyncKey, SyncTable, SyncVar, ThreadRec};
+pub use syncvar::{BarrierRec, CondRec, MutexRec, SyncTable, SyncVar, ThreadRec};

@@ -2,7 +2,8 @@
 
 use crate::handoff::Mailbox;
 use crate::slice::{SliceRec, SliceRef};
-use crate::syncvar::{SyncKey, SyncTable, SyncVar};
+use crate::syncvar::{SyncTable, SyncVar};
+use crate::SyncKey;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use rfdet_api::AtomicStats;
 use rfdet_vclock::{Tid, VClock};

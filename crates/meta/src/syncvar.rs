@@ -18,6 +18,7 @@
 //! the misusing thread and the engine records for it in token order.
 
 use rfdet_api::WaitEdge;
+use rfdet_trace::SyncKey;
 use rfdet_vclock::{Tid, VClock};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -51,23 +52,6 @@ impl Hasher for IntHasher {
 
 /// A map keyed by a small integer, hashed by [`IntHasher`].
 pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
-
-/// Key of an internal synchronization variable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum SyncKey {
-    /// An application mutex.
-    Mutex(u32),
-    /// An application condition variable.
-    Cond(u32),
-    /// An application barrier.
-    Barrier(u32),
-    /// The implicit sync var of a thread's lifetime: *release* at exit,
-    /// *acquire* at join.
-    Thread(Tid),
-    /// A low-level atomic cell, keyed by its address (the §4.6 extension:
-    /// every atomic operation acquires *and* releases this variable).
-    Atomic(u64),
-}
 
 /// The release bookkeeping of one internal synchronization variable.
 #[derive(Clone, Debug, Default)]

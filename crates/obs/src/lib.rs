@@ -17,7 +17,7 @@
 //!   histograms, merged into the run-wide [`ObsSink`] on drop (panic
 //!   unwinds included), mirroring the flight recorder's `TraceBuf`.
 //! * [`MetricsSnapshot`] — the per-run rollup with phase attribution,
-//!   exporting as JSON and Prometheus text exposition.
+//!   exporting as JSON.
 //!
 //! # The off-decision-path invariant
 //!

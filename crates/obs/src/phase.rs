@@ -101,8 +101,8 @@ impl Phase {
         }
     }
 
-    /// Stable snake_case metric name (Prometheus metric stem and JSON
-    /// key), unit suffix included.
+    /// Stable snake_case metric name (the JSON export's phase name),
+    /// unit suffix included.
     #[must_use]
     pub fn metric_name(self) -> &'static str {
         match self {
@@ -118,25 +118,6 @@ impl Phase {
             Phase::SerialApply => "serial_apply_ns",
             Phase::Arbitration => "arbitration_ns",
             Phase::Gc => "gc_pass_ns",
-        }
-    }
-
-    /// One-line description (Prometheus `# HELP`).
-    #[must_use]
-    pub fn help(self) -> &'static str {
-        match self {
-            Phase::WaitTurn => "Stall waiting for the deterministic turn",
-            Phase::SyncOp => "Synchronization operation end-to-end",
-            Phase::SliceOps => "Slice length in sync-free operations",
-            Phase::SliceWall => "Slice length in wall time",
-            Phase::Diff => "End-of-slice byte diff over snapshots",
-            Phase::Snapshot => "Copy-on-first-write page snapshot",
-            Phase::Propagation => "Propagation and modification apply",
-            Phase::IdleWakeups => "Idle re-checks per blocking park",
-            Phase::FenceWait => "Wait at the lockstep global fence",
-            Phase::SerialApply => "Per-thread diff apply in the serial phase",
-            Phase::Arbitration => "Turn release: successor scan and handoff",
-            Phase::Gc => "Metadata GC pass: sweep and parked-thread nudge",
         }
     }
 

@@ -29,8 +29,7 @@ pub struct PhaseSnapshot {
 
 /// A run's complete metrics rollup: every phase's histogram summary,
 /// labelled with the backend that produced it. Attached to `RunOutput`
-/// when `RunConfig::metrics` is on; exports as JSON and Prometheus text
-/// exposition.
+/// when `RunConfig::metrics` is on; exports as JSON.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsSnapshot {
     /// Name of the backend that ran the workload.
@@ -140,41 +139,6 @@ impl MetricsSnapshot {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// Prometheus text exposition (format version 0.0.4): one histogram
-    /// family per phase, cumulative `le` buckets ending at `+Inf`, with
-    /// the backend as a label.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(8192);
-        for p in &self.phases {
-            let stem = format!("rfdet_{}", p.name);
-            out.push_str(&format!("# HELP {stem} {}\n", prom_help(&p.name)));
-            out.push_str(&format!("# TYPE {stem} histogram\n"));
-            let labels = format!("backend=\"{}\"", escape(&self.backend));
-            let mut cumulative = 0u64;
-            for &(le, c) in &p.buckets {
-                cumulative += c;
-                out.push_str(&format!(
-                    "{stem}_bucket{{{labels},le=\"{le}\"}} {cumulative}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "{stem}_bucket{{{labels},le=\"+Inf\"}} {}\n",
-                p.count
-            ));
-            out.push_str(&format!("{stem}_sum{{{labels}}} {}\n", p.sum));
-            out.push_str(&format!("{stem}_count{{{labels}}} {}\n", p.count));
-        }
-        out
-    }
-}
-
-fn prom_help(name: &str) -> &'static str {
-    Phase::ALL
-        .iter()
-        .find(|p| p.metric_name() == name)
-        .map_or("rfdet phase histogram", |p| p.help())
 }
 
 fn escape(s: &str) -> String {
@@ -232,32 +196,9 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_buckets_are_cumulative_and_end_at_inf() {
-        let prom = sample_snapshot().to_prometheus();
-        for p in Phase::ALL {
-            let stem = format!("rfdet_{}", p.metric_name());
-            assert!(prom.contains(&format!("# TYPE {stem} histogram")));
-            assert!(prom.contains(&format!(
-                "{stem}_bucket{{backend=\"RFDet-ci\",le=\"+Inf\"}}"
-            )));
-        }
-        // Cumulative counts never decrease within a family.
-        let mut last = 0u64;
-        for line in prom.lines() {
-            if line.starts_with("rfdet_wait_turn_stall_ns_bucket") {
-                let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-                assert!(v >= last, "cumulative bucket counts must be monotone");
-                last = v;
-            }
-        }
-        assert_eq!(last, 2, "+Inf bucket equals the sample count");
-    }
-
-    #[test]
-    fn exports_escape_quotes_in_backend_names() {
+    fn json_escapes_quotes_in_backend_names() {
         let sink = ObsSink::default();
         let snap = sink.snapshot("we\"ird");
         assert!(snap.to_json().contains("we\\\"ird"));
-        assert!(snap.to_prometheus().contains("we\\\"ird"));
     }
 }

@@ -16,7 +16,9 @@
 //! rejects torn, bit-flipped, trailing-garbage and other-version
 //! buffers with a typed [`TraceError`].
 
-use crate::codec::{open, read_recording, seal, write_recording, Reader, Writer};
+use crate::codec::{
+    open, read_recording, read_sync_key, seal, write_recording, write_sync_key, Reader, Writer,
+};
 use crate::digest::fnv1a;
 use crate::{Recording, TraceError};
 use rfdet_vclock::Tid;
@@ -30,28 +32,31 @@ pub const CKPT_MAGIC: [u8; 4] = *b"RFCK";
 /// not migrated.
 pub const CKPT_VERSION: u32 = 5;
 
-/// Sync-var class codes (mirror `rfdet_meta::SyncKey`, kept numeric so
-/// this crate stays meta-independent).
-pub mod sync_class {
-    /// `SyncKey::Mutex`.
-    pub const MUTEX: u8 = 0;
-    /// `SyncKey::Cond`.
-    pub const COND: u8 = 1;
-    /// `SyncKey::Barrier`.
-    pub const BARRIER: u8 = 2;
-    /// `SyncKey::Thread`.
-    pub const THREAD: u8 = 3;
-    /// `SyncKey::Atomic`.
-    pub const ATOMIC: u8 = 4;
+/// Key of an internal synchronization variable. A checkpoint records
+/// its variant as a class byte (the declaration order, 0 to 4) and its
+/// id as a u64; the derived `Ord` (class, then id) is the order a
+/// checkpoint lists its sync vars in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum SyncKey {
+    /// An application mutex.
+    Mutex(u32),
+    /// An application condition variable.
+    Cond(u32),
+    /// An application barrier.
+    Barrier(u32),
+    /// The implicit sync var of a thread's lifetime: *release* at exit,
+    /// *acquire* at join.
+    Thread(Tid),
+    /// A low-level atomic cell, keyed by its address (the §4.6 extension:
+    /// every atomic operation acquires *and* releases this variable).
+    Atomic(u64),
 }
 
 /// One internal sync variable's `(lastTid, lastTime)` at the cut.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CkptSyncVar {
-    /// Class code (see [`sync_class`]).
-    pub class: u8,
-    /// The id within the class (mutex/cond/barrier id, tid, address).
-    pub id: u64,
+    /// The variable.
+    pub key: SyncKey,
     /// The last releasing thread.
     pub last_tid: Tid,
     /// Its vector time at the release (stored components, exact).
@@ -131,7 +136,7 @@ pub struct Checkpoint {
     pub recording: Recording,
     /// The barrier episode's merged upper limit, stored components exact.
     pub upper: Vec<u64>,
-    /// Every sync var with a recorded release, sorted by `(class, id)`.
+    /// Every sync var with a recorded release, sorted by key.
     pub sync_vars: Vec<CkptSyncVar>,
     /// Tids that had exited before the cut, ascending.
     pub finished: Vec<Tid>,
@@ -172,7 +177,8 @@ impl Checkpoint {
     ///
     /// # Errors
     /// Returns a [`TraceError`] for any malformed input: wrong magic or
-    /// version, truncation, checksum mismatch, or trailing bytes.
+    /// version, truncation, checksum mismatch, trailing bytes, or a code
+    /// that names no variant of its type.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
         open(CKPT_MAGIC, CKPT_VERSION, bytes, Self::read_body)
     }
@@ -182,8 +188,7 @@ impl Checkpoint {
         write_recording(w, &self.recording);
         w.list(&self.upper, |w, &c| w.u64(c));
         w.list(&self.sync_vars, |w, v| {
-            w.u8(v.class);
-            w.u64(v.id);
+            write_sync_key(w, v.key);
             w.u32(v.last_tid);
             w.list(&v.last_time, |w, &c| w.u64(c));
         });
@@ -220,14 +225,8 @@ impl Checkpoint {
             recording: read_recording(r)?,
             upper: r.list(8, Reader::u64)?,
             sync_vars: r.list(21, |r| {
-                let (class, id) = (r.u8()?, r.u64()?);
-                let narrow = class < sync_class::ATOMIC && u32::try_from(id).is_ok();
-                if !(narrow || class == sync_class::ATOMIC) {
-                    return Err(TraceError::BadSyncVar(class, id));
-                }
                 Ok(CkptSyncVar {
-                    class,
-                    id,
+                    key: read_sync_key(r)?,
                     last_tid: r.u32()?,
                     last_time: r.list(8, Reader::u64)?,
                 })
@@ -286,7 +285,7 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::tests::test_config;
-    use crate::{TraceFault, FAULT_JITTER};
+    use crate::{FaultAction, FaultSpec};
 
     pub(crate) fn sample() -> Checkpoint {
         Checkpoint {
@@ -296,24 +295,23 @@ mod tests {
                 workload: "chaos.long_haul@4".into(),
                 seed: Some(7),
                 config: test_config(),
-                faults: vec![TraceFault {
+                faults: vec![FaultSpec {
                     tid: 1,
-                    code: FAULT_JITTER,
-                    a: 30,
-                    b: 1000,
+                    action: FaultAction::JitterTicks {
+                        op: 30,
+                        ticks: 1000,
+                    },
                 }],
             },
             upper: vec![10, 22, 0, 31],
             sync_vars: vec![
                 CkptSyncVar {
-                    class: sync_class::MUTEX,
-                    id: 0,
+                    key: SyncKey::Mutex(0),
                     last_tid: 2,
                     last_time: vec![4, 9],
                 },
                 CkptSyncVar {
-                    class: sync_class::BARRIER,
-                    id: 1,
+                    key: SyncKey::Barrier(1),
                     last_tid: 3,
                     last_time: vec![10, 22, 0, 31],
                 },

@@ -10,7 +10,13 @@
 //!
 //! and both bodies hold the run's [`Recording`], written by one
 //! [`write_recording`]: a trace's body is `recording | events | failure`,
-//! a checkpoint's `epoch | recording | cut state`.
+//! a checkpoint's `epoch | recording | cut state`. The runtime's types
+//! are written directly, each variant as one code byte: a [`FaultSpec`]
+//! as `tid u32 | code u8 | a u64 | b u64` (panic 0 with `a` = op, failed
+//! allocation 1 with `a` = index, jitter 2 with `a` = op and `b` =
+//! ticks), a [`FailureKind`] as its discriminant (255 for a clean run),
+//! a [`SyncKey`] as `class u8 | id u64`. A code that names no variant
+//! fails decoding.
 //!
 //! The checksum is FNV-1a over every preceding byte, so a torn or
 //! bit-flipped file fails decoding even if the length happens to line
@@ -20,7 +26,10 @@
 //! long-term archive format.
 
 use crate::digest::fnv1a;
-use crate::{FailureSummary, Recording, RunTrace, TraceConfig, TraceEvent, TraceFault};
+use crate::{
+    FailureKind, FailureSummary, FaultAction, FaultSpec, Recording, RunTrace, SyncKey, TraceConfig,
+    TraceEvent,
+};
 use std::fmt;
 
 /// File magic.
@@ -51,6 +60,11 @@ pub enum TraceError {
     /// or an id its class cannot hold (only an atomic's is wider than 32
     /// bits).
     BadSyncVar(u8, u64),
+    /// A fault's `(code, b)` names no fault action: an unknown code, or a
+    /// second operand on a kill (only jitter has one).
+    BadFault(u8, u64),
+    /// A trace's failure byte names no failure kind (nor a clean run).
+    BadFailureKind(u8),
 }
 
 impl fmt::Display for TraceError {
@@ -65,6 +79,8 @@ impl fmt::Display for TraceError {
             TraceError::TrailingBytes => write!(f, "trailing bytes after the checksum"),
             TraceError::BadLength => write!(f, "implausible length prefix"),
             TraceError::BadSyncVar(c, id) => write!(f, "invalid checkpoint sync var ({c}, {id})"),
+            TraceError::BadFault(code, b) => write!(f, "invalid fault (code {code}, operand {b})"),
+            TraceError::BadFailureKind(k) => write!(f, "invalid failure kind {k}"),
         }
     }
 }
@@ -232,10 +248,15 @@ pub(crate) fn write_recording(w: &mut Writer, rec: &Recording) {
     w.opt_u64(rec.seed);
     write_config(w, &rec.backend, &rec.config);
     w.list(&rec.faults, |w, f| {
+        let (code, a, b) = match f.action {
+            FaultAction::PanicAtSyncOp { op } => (0, op, 0),
+            FaultAction::FailAlloc { nth } => (1, nth, 0),
+            FaultAction::JitterTicks { op, ticks } => (2, op, ticks),
+        };
         w.u32(f.tid);
-        w.u8(f.code);
-        w.u64(f.a);
-        w.u64(f.b);
+        w.u8(code);
+        w.u64(a);
+        w.u64(b);
     });
 }
 
@@ -246,13 +267,56 @@ pub(crate) fn read_recording(r: &mut Reader<'_>) -> Result<Recording, TraceError
         seed: r.opt_u64()?,
         config: read_config(r)?,
         faults: r.list(21, |r| {
-            Ok(TraceFault {
-                tid: r.u32()?,
-                code: r.u8()?,
-                a: r.u64()?,
-                b: r.u64()?,
-            })
+            let (tid, code, a, b) = (r.u32()?, r.u8()?, r.u64()?, r.u64()?);
+            let action = match (code, b) {
+                (0, 0) => FaultAction::PanicAtSyncOp { op: a },
+                (1, 0) => FaultAction::FailAlloc { nth: a },
+                (2, ticks) => FaultAction::JitterTicks { op: a, ticks },
+                _ => return Err(TraceError::BadFault(code, b)),
+            };
+            Ok(FaultSpec { tid, action })
         })?,
+    })
+}
+
+/// The failure byte of a trace: the kind's discriminant, 255 for a clean
+/// run.
+pub(crate) fn failure_byte(kind: Option<FailureKind>) -> u8 {
+    kind.map_or(u8::MAX, |k| k as u8)
+}
+
+fn read_failure_kind(r: &mut Reader<'_>) -> Result<Option<FailureKind>, TraceError> {
+    Ok(Some(match r.u8()? {
+        0 => FailureKind::Panic,
+        1 => FailureKind::Deadlock,
+        2 => FailureKind::Wedged,
+        3 => FailureKind::InvalidConfig,
+        u8::MAX => return Ok(None),
+        b => return Err(TraceError::BadFailureKind(b)),
+    }))
+}
+
+pub(crate) fn write_sync_key(w: &mut Writer, key: SyncKey) {
+    let (class, id) = match key {
+        SyncKey::Mutex(id) => (0, u64::from(id)),
+        SyncKey::Cond(id) => (1, u64::from(id)),
+        SyncKey::Barrier(id) => (2, u64::from(id)),
+        SyncKey::Thread(tid) => (3, u64::from(tid)),
+        SyncKey::Atomic(addr) => (4, addr),
+    };
+    w.u8(class);
+    w.u64(id);
+}
+
+pub(crate) fn read_sync_key(r: &mut Reader<'_>) -> Result<SyncKey, TraceError> {
+    let (class, id) = (r.u8()?, r.u64()?);
+    Ok(match (class, u32::try_from(id)) {
+        (0, Ok(id)) => SyncKey::Mutex(id),
+        (1, Ok(id)) => SyncKey::Cond(id),
+        (2, Ok(id)) => SyncKey::Barrier(id),
+        (3, Ok(tid)) => SyncKey::Thread(tid),
+        (4, _) => SyncKey::Atomic(id),
+        _ => return Err(TraceError::BadSyncVar(class, id)),
     })
 }
 
@@ -318,7 +382,7 @@ impl RunTrace {
                 w.opt_u64(e.arg);
                 w.u64(e.clock);
             });
-            w.u8(self.failure.kind);
+            w.u8(failure_byte(self.failure.kind));
             w.u32(self.failure.tid);
             w.u64(self.failure.report_digest);
         })
@@ -328,7 +392,8 @@ impl RunTrace {
     ///
     /// # Errors
     /// Returns a [`TraceError`] for any malformed input: wrong magic or
-    /// version, truncation, checksum mismatch, or trailing bytes.
+    /// version, truncation, checksum mismatch, trailing bytes, or a code
+    /// that names no variant of its type.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
         open(MAGIC, VERSION, bytes, |r| {
             Ok(RunTrace {
@@ -343,7 +408,7 @@ impl RunTrace {
                     })
                 })?,
                 failure: FailureSummary {
-                    kind: r.u8()?,
+                    kind: read_failure_kind(r)?,
                     tid: r.u32()?,
                     report_digest: r.u64()?,
                 },
@@ -355,8 +420,8 @@ impl RunTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op;
     use crate::tests::{test_config, test_recording};
-    use crate::{op, FAULT_JITTER, FAULT_PANIC, KIND_PANIC};
 
     fn sample() -> RunTrace {
         RunTrace {
@@ -366,17 +431,13 @@ mod tests {
                 seed: Some(42),
                 config: test_config(),
                 faults: vec![
-                    TraceFault {
+                    FaultSpec {
                         tid: 1,
-                        code: FAULT_PANIC,
-                        a: 4,
-                        b: 0,
+                        action: FaultAction::PanicAtSyncOp { op: 4 },
                     },
-                    TraceFault {
+                    FaultSpec {
                         tid: 2,
-                        code: FAULT_JITTER,
-                        a: 1,
-                        b: 50,
+                        action: FaultAction::JitterTicks { op: 1, ticks: 50 },
                     },
                 ],
             },
@@ -404,7 +465,7 @@ mod tests {
                 },
             ],
             failure: FailureSummary {
-                kind: KIND_PANIC,
+                kind: Some(FailureKind::Panic),
                 tid: 1,
                 report_digest: 0xdead_beef_cafe_f00d,
             },
@@ -555,7 +616,7 @@ mod tests {
                 recording: test_recording(backend, vec![]),
                 events: vec![],
                 failure: FailureSummary {
-                    kind: crate::KIND_NONE,
+                    kind: None,
                     tid: 0,
                     report_digest: 0,
                 },
@@ -584,6 +645,170 @@ mod tests {
             assert_eq!(RunTrace::decode(&trace.encode()), Ok(trace));
             assert_eq!(crate::Checkpoint::decode(&ckpt.encode()), Ok(ckpt));
         }
+    }
+
+    /// `bytes` with `patch` written at `at` and the checksum recomputed:
+    /// a well-sealed file holding a value its codec never writes.
+    fn resealed(bytes: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
+        let mut out = bytes[..bytes.len() - 8].to_vec();
+        out[at..at + patch.len()].copy_from_slice(patch);
+        let sum = crate::digest::fnv1a(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    /// Every variant of the runtime types a recording holds, written as
+    /// the build that still encoded them through numeric mirrors wrote
+    /// them: the literals below are that build's bytes. A code byte that
+    /// names no variant is a typed error, not a dropped fault or a
+    /// misread kind.
+    #[test]
+    fn recorded_variants_keep_their_bytes_and_unknown_codes_are_errors() {
+        use crate::{Checkpoint, CkptSyncVar, SyncKey};
+        const TRACE: &str =
+            "52464454040000000800000052464465742d63690300000077403201070000000000000000001000\
+            00000000001000000000000000040000000000000001000000000010270000000000003200000000\
+            00000001307500000000000003000000000000000100000000040000000000000000000000000000\
+            00000000000102000000000000000000000000000000020000000201000000000000003200000000\
+            0000000100000000000000010000000400000000000000000103000000000000000c000000000000\
+            000001000000efcdab89674523017e3dc86c7d25a5fc";
+        // The failure byte, culprit, digest and checksum of each outcome.
+        let tails = [
+            (
+                Some(FailureKind::Panic),
+                "0001000000efcdab89674523017e3dc86c7d25a5fc",
+            ),
+            (
+                Some(FailureKind::Deadlock),
+                "0101000000efcdab89674523012d24f2c742a251e3",
+            ),
+            (
+                Some(FailureKind::Wedged),
+                "0201000000efcdab8967452301c4af7849705af6b3",
+            ),
+            (
+                Some(FailureKind::InvalidConfig),
+                "0301000000efcdab896745230123edeaa2a4b13d77",
+            ),
+            (None, "ff01000000efcdab89674523015f5af7c4ac20baf1"),
+        ];
+        const CKPT: &str =
+            "5246434b0500000002000000000000000800000052464465742d6369030000007740320000001000\
+            00000000001000000000000000040000000000000001000000000010270000000000003200000000\
+            00000001307500000000000000000000000000000200000000000000030000000000000004000000\
+            00000000050000000000000000010000000000000001000000010000000000000005000000000000\
+            00010200000000000000010000000100000000000000050000000000000002030000000000000001\
+            00000001000000000000000500000000000000030400000000000000010000000100000000000000\
+            05000000000000000408000000010000000100000001000000000000000500000000000000000000\
+            0000000000000000000000000030c3bd1d946485d7";
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let spec = |tid, action| FaultSpec { tid, action };
+        let recording = Recording {
+            seed: Some(7),
+            faults: vec![
+                spec(1, FaultAction::PanicAtSyncOp { op: 4 }),
+                spec(0, FaultAction::FailAlloc { nth: 2 }),
+                spec(2, FaultAction::JitterTicks { op: 1, ticks: 50 }),
+            ],
+            ..test_recording("RFDet-ci", vec![])
+        };
+        let trace = |kind| RunTrace {
+            recording: recording.clone(),
+            events: vec![TraceEvent {
+                tid: 1,
+                op: 4,
+                kind: op::LOCK,
+                arg: Some(3),
+                clock: 12,
+            }],
+            failure: FailureSummary {
+                kind,
+                tid: 1,
+                report_digest: 0x0123_4567_89ab_cdef,
+            },
+        };
+        let bytes = trace(Some(FailureKind::Panic)).encode();
+        assert_eq!(hex(&bytes), TRACE);
+        for (kind, tail) in tails {
+            let t = trace(kind);
+            let b = t.encode();
+            assert_eq!(hex(&b[..b.len() - 21]), hex(&bytes[..bytes.len() - 21]));
+            assert_eq!(hex(&b[b.len() - 21..]), tail, "{kind:?}");
+            assert_eq!(RunTrace::decode(&b), Ok(t));
+        }
+        let var = |key| CkptSyncVar {
+            key,
+            last_tid: 1,
+            last_time: vec![5],
+        };
+        let ckpt = Checkpoint {
+            epoch: 2,
+            recording: test_recording("RFDet-ci", vec![]),
+            upper: vec![3, 4],
+            sync_vars: vec![
+                var(SyncKey::Mutex(1)),
+                var(SyncKey::Cond(2)),
+                var(SyncKey::Barrier(3)),
+                var(SyncKey::Thread(4)),
+                var(SyncKey::Atomic(0x1_0000_0008)),
+            ],
+            finished: vec![],
+            threads: vec![],
+        };
+        let cbytes = ckpt.encode();
+        assert_eq!(hex(&cbytes), CKPT);
+        assert_eq!(Checkpoint::decode(&cbytes), Ok(ckpt));
+
+        // The derived key order is the (class, id) order of the bytes.
+        let mut keys = [
+            SyncKey::Atomic(0),
+            SyncKey::Thread(9),
+            SyncKey::Mutex(u32::MAX),
+            SyncKey::Cond(0),
+            SyncKey::Atomic(u64::MAX),
+            SyncKey::Mutex(0),
+        ];
+        let class_id = |&k: &SyncKey| {
+            let mut w = Writer { buf: Vec::new() };
+            write_sync_key(&mut w, k);
+            let mut id = [0u8; 8];
+            id.copy_from_slice(&w.buf[1..]);
+            (w.buf[0], u64::from_le_bytes(id))
+        };
+        keys.sort_unstable();
+        let pairs: Vec<_> = keys.iter().map(class_id).collect();
+        assert!(pairs.windows(2).all(|p| p[0] < p[1]), "{keys:?}");
+
+        // The first fault's code and second operand follow the header,
+        // the two strings, the seed, the config, the list length and its
+        // tid; the failure byte opens the last 21; the first sync var
+        // follows the checkpoint's header, its recording and `upper`.
+        let fault_at = 8 + 12 + 7 + 9 + 56 + 8 + 4;
+        let kind_at = bytes.len() - 21;
+        let var_at = 16 + 12 + 7 + 1 + 56 + 8 + 24 + 8;
+        assert_eq!(
+            RunTrace::decode(&resealed(&bytes, fault_at, &[3])),
+            Err(TraceError::BadFault(3, 0))
+        );
+        assert_eq!(
+            RunTrace::decode(&resealed(&bytes, fault_at + 9, &[1])),
+            Err(TraceError::BadFault(0, 1)),
+            "a panic has no second operand"
+        );
+        assert_eq!(
+            RunTrace::decode(&resealed(&bytes, kind_at, &[4])),
+            Err(TraceError::BadFailureKind(4))
+        );
+        assert_eq!(
+            Checkpoint::decode(&resealed(&cbytes, var_at, &[5])),
+            Err(TraceError::BadSyncVar(5, 1))
+        );
+        let wide = (1u64 << 40).to_le_bytes();
+        assert_eq!(
+            Checkpoint::decode(&resealed(&cbytes, var_at + 1, &wide)),
+            Err(TraceError::BadSyncVar(0, 1 << 40)),
+            "a mutex id is 32 bits"
+        );
     }
 
     /// A config block whose lazy byte reads 1, as a run with lazy writes

@@ -1,7 +1,7 @@
 //! The flight recorder: compact, versioned traces of one run.
 //!
 //! A deterministic run is a pure function of its inputs — configuration,
-//! jitter seed and [`FaultPlan`](struct@crate::TraceFault) — so a
+//! jitter seed and fault plan ([`FaultSpec`]s) — so a
 //! "recording" does not need instruction-level logging the way replay
 //! systems for nondeterministic runtimes do. A [`RunTrace`] captures
 //! exactly those inputs plus two derived artifacts that make the trace
@@ -21,9 +21,12 @@
 //! rename so a crashing process never leaves a torn one (see
 //! [`persist`]).
 //!
-//! This crate deliberately depends only on `rfdet-vclock` (for [`Tid`]):
-//! `rfdet-api` layers the `RunConfig`/`FaultPlan` conversions and the
-//! `DmtBackend::replay` / shrink drivers on top.
+//! The codec writes the runtime's own types: [`FaultSpec`] for the fault
+//! plan, [`FailureKind`] for how a run ended and [`SyncKey`] for a
+//! checkpoint's sync vars are defined here and re-exported where the
+//! runtime uses them (`rfdet_api`, `rfdet_meta`). This crate depends only
+//! on `rfdet-vclock` (for [`Tid`]): `rfdet-api` layers the `RunConfig`
+//! conversion and the `DmtBackend::replay` / shrink drivers on top.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +40,7 @@ mod shrink;
 mod sink;
 
 pub use ckpt::{
-    sync_class, Checkpoint, CkptFreeList, CkptHeap, CkptPage, CkptSyncVar, CkptThread, CKPT_MAGIC,
+    Checkpoint, CkptFreeList, CkptHeap, CkptPage, CkptSyncVar, CkptThread, SyncKey, CKPT_MAGIC,
     CKPT_VERSION,
 };
 pub use codec::TraceError;
@@ -46,18 +49,27 @@ pub use sink::{TraceBuf, TraceSink};
 
 use rfdet_vclock::Tid;
 
-/// Failure-kind code: a thread panicked.
-pub const KIND_PANIC: u8 = 0;
-/// Failure-kind code: provable deadlock.
-pub const KIND_DEADLOCK: u8 = 1;
-/// Failure-kind code: wall-clock wedge.
-pub const KIND_WEDGED: u8 = 2;
-/// Failure-kind code: the configuration was rejected before any thread
-/// ran (such a run records no trace; the code keeps the kind table total).
-pub const KIND_INVALID_CONFIG: u8 = 3;
-/// Failure-kind code: the run completed cleanly (the trace's digest is
-/// then the output digest, not a report digest).
-pub const KIND_NONE: u8 = 255;
+/// How a run failed. A trace records the variant's discriminant as its
+/// failure byte (a clean run is 255), and `FailureReport::report_digest`
+/// hashes it: the values are part of both formats.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FailureKind {
+    /// A thread panicked (application bug or injected fault).
+    Panic = 0,
+    /// Every live thread is blocked on another — proven from sync-queue
+    /// state, not a wall-clock timeout.
+    Deadlock = 1,
+    /// The run stopped making progress for the configured wall-clock
+    /// bound without a provable deadlock (e.g. a starved arbitration
+    /// slot). Unlike the other two kinds this is detected by physical
+    /// time, so *when* it fires is not deterministic — only that the
+    /// underlying schedule never finishes is.
+    Wedged = 2,
+    /// `RunConfig::validate` rejected the configuration: no thread ran
+    /// (and no trace was recorded), the report's message is the
+    /// `ConfigError`.
+    InvalidConfig = 3,
+}
 
 /// Operation-kind codes for [`TraceEvent::kind`].
 pub mod op {
@@ -145,26 +157,40 @@ impl TraceEvent {
     }
 }
 
-/// Fault-code for [`TraceFault`]: panic at a sync op (`a` = op index).
-pub const FAULT_PANIC: u8 = 0;
-/// Fault-code for [`TraceFault`]: fail an allocation (`a` = alloc index).
-pub const FAULT_FAIL_ALLOC: u8 = 1;
-/// Fault-code for [`TraceFault`]: jitter ticks (`a` = op, `b` = ticks).
-pub const FAULT_JITTER: u8 = 2;
-
-/// One serialized `FaultSpec` (the codec-stable mirror of
-/// `rfdet_api::FaultAction`, kept numeric so this crate stays
-/// api-independent).
+/// What to inject at a trigger point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceFault {
-    /// Target thread.
+pub enum FaultAction {
+    /// Panic when the thread starts its `op`-th synchronization
+    /// operation (0-based count over lock/unlock/wait/signal/barrier/
+    /// spawn/join/atomic/exit, in program order).
+    PanicAtSyncOp {
+        /// 0-based sync-op index within the thread.
+        op: u64,
+    },
+    /// Fail (panic in) the thread's `nth` allocation, 0-based.
+    FailAlloc {
+        /// 0-based allocation index within the thread.
+        nth: u64,
+    },
+    /// Charge `ticks` extra logical-clock ticks when the thread starts
+    /// its `op`-th synchronization operation. Perturbs the deterministic
+    /// schedule (turn order is a function of clocks) without failing
+    /// anything — two runs with the same jitter plan still agree.
+    JitterTicks {
+        /// 0-based sync-op index within the thread.
+        op: u64,
+        /// Extra ticks to charge.
+        ticks: u64,
+    },
+}
+
+/// One fault: a target thread plus an action.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FaultSpec {
+    /// The thread the fault applies to.
     pub tid: Tid,
-    /// One of [`FAULT_PANIC`], [`FAULT_FAIL_ALLOC`], [`FAULT_JITTER`].
-    pub code: u8,
-    /// First operand (op / alloc index).
-    pub a: u64,
-    /// Second operand (jitter ticks; zero otherwise).
-    pub b: u64,
+    /// What happens and when.
+    pub action: FaultAction,
 }
 
 /// The determinism-relevant `RunConfig` fields, codec-stable.
@@ -182,9 +208,8 @@ pub struct TraceConfig {
 /// The terminal state of the recorded run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FailureSummary {
-    /// [`KIND_PANIC`], [`KIND_DEADLOCK`], [`KIND_WEDGED`] or
-    /// [`KIND_NONE`] for a clean run.
-    pub kind: u8,
+    /// How the run failed; `None` for a clean run.
+    pub kind: Option<FailureKind>,
     /// The culprit thread (0 for clean runs).
     pub tid: Tid,
     /// `FailureReport::report_digest()` for failed runs,
@@ -196,7 +221,7 @@ impl FailureSummary {
     /// `true` when the recorded run failed.
     #[must_use]
     pub fn is_failure(&self) -> bool {
-        self.kind != KIND_NONE
+        self.kind.is_some()
     }
 }
 
@@ -217,7 +242,7 @@ pub struct Recording {
     /// The determinism-relevant configuration.
     pub config: TraceConfig,
     /// The injected fault plan.
-    pub faults: Vec<TraceFault>,
+    pub faults: Vec<FaultSpec>,
 }
 
 /// A complete recording of one run: every input that determines the
@@ -270,7 +295,7 @@ impl RunTrace {
             self.recording.workload,
             self.events.len(),
             self.recording.faults.len(),
-            self.failure.kind,
+            codec::failure_byte(self.failure.kind),
             self.failure.report_digest,
         )
     }
@@ -331,7 +356,7 @@ mod tests {
             recording: test_recording("b", vec![]),
             events: vec![ev(0), ev(1), ev(1), ev(2)],
             failure: FailureSummary {
-                kind: KIND_PANIC,
+                kind: Some(FailureKind::Panic),
                 tid: 1,
                 report_digest: 7,
             },
@@ -341,7 +366,7 @@ mod tests {
     }
 
     /// A recording of workload `w@2`, unseeded, under [`test_config`].
-    pub(crate) fn test_recording(backend: &str, faults: Vec<TraceFault>) -> Recording {
+    pub(crate) fn test_recording(backend: &str, faults: Vec<FaultSpec>) -> Recording {
         Recording {
             backend: backend.into(),
             workload: "w@2".into(),

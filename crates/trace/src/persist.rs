@@ -174,14 +174,14 @@ fn load_as<T>(
 mod tests {
     use super::*;
     use crate::tests::test_recording;
-    use crate::{FailureSummary, KIND_DEADLOCK};
+    use crate::{FailureKind, FailureSummary};
 
     fn sample(digest: u64) -> RunTrace {
         RunTrace {
             recording: test_recording("RFDet-ci", Vec::new()),
             events: Vec::new(),
             failure: FailureSummary {
-                kind: KIND_DEADLOCK,
+                kind: Some(FailureKind::Deadlock),
                 tid: 1,
                 report_digest: digest,
             },

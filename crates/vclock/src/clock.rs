@@ -1,6 +1,5 @@
 //! The [`VClock`] type.
 
-use crate::order::CausalOrder;
 use crate::{LTime, Tid};
 use std::fmt;
 
@@ -226,14 +225,6 @@ impl VClock {
         }
     }
 
-    /// Returns `self ⊔ other` without mutating either operand.
-    #[must_use]
-    pub fn joined(&self, other: &Self) -> Self {
-        let mut out = self.clone();
-        out.join(other);
-        out
-    }
-
     /// Componentwise minimum: `self ⊓= other`.
     ///
     /// The greatest-lower-bound over all live threads' clocks identifies
@@ -250,14 +241,6 @@ impl VClock {
             }
         }
         self.trim();
-    }
-
-    /// Returns `self ⊓ other` without mutating either operand.
-    #[must_use]
-    pub fn met(&self, other: &Self) -> Self {
-        let mut out = self.clone();
-        out.meet(other);
-        out
     }
 
     /// `true` iff every component of `self` is ≤ the matching component of
@@ -278,20 +261,6 @@ impl VClock {
         mine.iter().zip(theirs).all(|(a, b)| a <= b)
     }
 
-    /// Strict happens-before: `self ≤ other` and `self ≠ other`.
-    #[inline]
-    #[must_use]
-    pub fn lt(&self, other: &Self) -> bool {
-        self.leq(other) && !other.leq(self)
-    }
-
-    /// `true` iff neither clock happens-before the other (and they differ).
-    #[inline]
-    #[must_use]
-    pub fn concurrent(&self, other: &Self) -> bool {
-        !self.leq(other) && !other.leq(self)
-    }
-
     /// Scalar-epoch inclusion: `true` iff an event stamped `time` on
     /// `tid`'s clock happens-before-or-at this clock — FastTrack's
     /// `e ⊑ V` check, the race detector's one comparison per epoch. An
@@ -303,17 +272,6 @@ impl VClock {
     #[must_use]
     pub fn includes(&self, tid: Tid, time: LTime) -> bool {
         self.get(tid) >= time
-    }
-
-    /// Full causal comparison.
-    #[must_use]
-    pub fn causal_cmp(&self, other: &Self) -> CausalOrder {
-        match (self.leq(other), other.leq(self)) {
-            (true, true) => CausalOrder::Equal,
-            (true, false) => CausalOrder::Before,
-            (false, true) => CausalOrder::After,
-            (false, false) => CausalOrder::Concurrent,
-        }
     }
 
     /// Number of stored components (threads this clock has heard of).
@@ -417,10 +375,8 @@ mod tests {
         let z = VClock::new();
         let a = vc(&[1, 2]);
         assert!(z.leq(&a));
-        assert!(z.lt(&a));
         assert!(!a.leq(&z));
         assert!(z.leq(&z));
-        assert!(!z.lt(&z));
     }
 
     #[test]
@@ -464,15 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_detection() {
-        let a = vc(&[2, 0]);
-        let b = vc(&[0, 2]);
-        assert!(a.concurrent(&b));
-        assert!(b.concurrent(&a));
-        assert_eq!(a.causal_cmp(&b), CausalOrder::Concurrent);
-    }
-
-    #[test]
     fn join_is_lub() {
         let mut a = vc(&[3, 1]);
         let b = vc(&[2, 5, 7]);
@@ -486,22 +433,11 @@ mod tests {
     fn meet_is_glb() {
         let a = vc(&[3, 1, 9]);
         let b = vc(&[2, 5]);
-        let m = a.met(&b);
+        let mut m = a.clone();
+        m.meet(&b);
         assert_eq!(m, vc(&[2, 1]));
         assert!(m.leq(&a));
         assert!(m.leq(&b));
-    }
-
-    #[test]
-    fn causal_cmp_all_cases() {
-        let a = vc(&[1, 2]);
-        assert_eq!(a.causal_cmp(&a.clone()), CausalOrder::Equal);
-        assert_eq!(a.causal_cmp(&vc(&[2, 2])), CausalOrder::Before);
-        assert_eq!(vc(&[2, 2]).causal_cmp(&a), CausalOrder::After);
-        assert_eq!(
-            vc(&[0, 3]).causal_cmp(&vc(&[1, 1])),
-            CausalOrder::Concurrent
-        );
     }
 
     #[test]
@@ -560,12 +496,14 @@ mod tests {
         // join an inline clock into a heap clock and vice versa.
         let big: VClock = (0..20).map(|t| (t as Tid, t as LTime + 1)).collect();
         let small = vc(&[100, 0, 3]);
-        let j1 = big.joined(&small);
-        let j2 = small.joined(&big);
+        let (mut j1, mut j2) = (big.clone(), small.clone());
+        j1.join(&small);
+        j2.join(&big);
         assert_eq!(j1, j2);
         assert_eq!(j1.get(0), 100);
         assert_eq!(j1.get(19), 20);
-        let m = big.met(&small);
+        let mut m = big.clone();
+        m.meet(&small);
         assert_eq!(m, vc(&[1, 0, 3]), "meet truncates to the shorter clock");
     }
 

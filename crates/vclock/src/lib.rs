@@ -13,10 +13,8 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod clock;
-mod order;
 
 pub use clock::VClock;
-pub use order::CausalOrder;
 
 /// Thread identifier used throughout the runtime.
 ///

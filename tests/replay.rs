@@ -17,8 +17,8 @@
 use proptest::prelude::*;
 use rfdet::workloads::{chaos, Params, Size};
 use rfdet::{
-    trace, DmtBackend, DthreadsBackend, FaultPlan, NativeBackend, QuantumBackend, RfdetBackend,
-    RunConfig, ThreadFn,
+    trace, DmtBackend, DthreadsBackend, FaultAction, FaultPlan, NativeBackend, QuantumBackend,
+    RfdetBackend, RunConfig, ThreadFn,
 };
 
 const THREADS: usize = 3;
@@ -157,7 +157,10 @@ fn shrinker_minimizes_the_fault_plan() {
             1,
             "{name}: only the panic survives"
         );
-        assert_eq!(min.recording.faults[0].code, trace::FAULT_PANIC);
+        assert!(matches!(
+            min.recording.faults[0].action,
+            FaultAction::PanicAtSyncOp { .. }
+        ));
         assert_eq!(
             min.failure.kind, trace.failure.kind,
             "{name}: minimized repro must fail the same way"
