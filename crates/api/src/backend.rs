@@ -72,7 +72,7 @@ impl TracedRun {
             warnings: Vec::new(),
         };
         Self {
-            result: Err(RunError::from_report(report)),
+            result: Err(report.into()),
             trace: None,
             checkpoints: Vec::new(),
             warnings: Vec::new(),
@@ -183,7 +183,7 @@ pub trait DmtBackend: Send + Sync {
         let rerun = self.run_traced(&cfg, root);
         let digest = match &rerun.result {
             Ok(out) => out.output_digest(),
-            Err(e) => e.report_digest(),
+            Err(e) => e.report().report_digest(),
         };
         let digest_match = digest == trace.failure.report_digest;
         let schedule_match = match &rerun.trace {

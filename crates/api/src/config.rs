@@ -17,8 +17,8 @@ pub struct RfdetOpts {
     /// Simulated cost, in no-op iterations, of one page fault on RFDet-pf
     /// (trap + two `mprotect` calls). Zero disables the cost model. A
     /// knob because callers differ: fig7, table1 and the repo benchmark's
-    /// pf comparator charge the default 2000, `bench_json` measures the
-    /// runtime itself at 0.
+    /// pf comparator charge the default 2000; `bench_json`'s cells and
+    /// the `replay` CLI's runs set 0.
     pub fault_cost_spins: u32,
 }
 
@@ -269,7 +269,8 @@ impl RunConfig {
 
     /// Checks the constraints every backend relies on. [`crate::RunHarness::new`]
     /// calls it, so a backend returns a rejected configuration as
-    /// [`crate::RunError::InvalidConfig`] before any thread starts.
+    /// a [`crate::RunError`] of kind `InvalidConfig` before any thread
+    /// starts.
     ///
     /// # Errors
     /// The first broken constraint, as a [`ConfigError`].

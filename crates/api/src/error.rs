@@ -2,8 +2,8 @@
 //!
 //! A deterministic runtime's killer feature is that *failing* runs
 //! reproduce exactly, so failures must be artifacts, not hangs or
-//! free-form panics. Every way a run can end abnormally maps to a
-//! [`RunError`] variant carrying a [`FailureReport`]: who failed, at
+//! free-form panics. Every way a run can end abnormally is a
+//! [`RunError`], its [`FailureReport`]: how the run ended, who failed, at
 //! which point of the deterministic schedule, and — for deadlocks — the
 //! wait-for cycle reconstructed from the runtime's own sync-queue state.
 //!
@@ -159,8 +159,7 @@ impl fmt::Display for ThreadReport {
 pub struct FailureReport {
     /// Backend name (`DmtBackend::name`).
     pub backend: String,
-    /// Failure classification (redundant with the `RunError` variant so
-    /// the report is self-contained).
+    /// Failure classification ([`RunError::kind`]).
     pub kind: FailureKind,
     /// The culprit thread: the panicking/starved thread, or the smallest
     /// tid in the blocked set for a deadlock.
@@ -304,59 +303,35 @@ impl FailureReport {
     }
 }
 
-/// Why [`crate::DmtBackend::run`] did not produce a [`crate::RunOutput`].
+/// Why [`crate::DmtBackend::run`] did not produce a [`crate::RunOutput`]:
+/// its failure report, whose [`FailureReport::kind`] says how the run
+/// ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RunError {
-    /// A worker (or the root) panicked; the supervisor woke all parked
-    /// peers and tore the run down.
-    WorkerPanicked(Box<FailureReport>),
-    /// All live threads were provably blocked on each other.
-    Deadlock(Box<FailureReport>),
-    /// No progress for the configured wall-clock bound, without a
-    /// provable deadlock.
-    Wedged(Box<FailureReport>),
-    /// The configuration was rejected before any thread ran.
-    InvalidConfig(Box<FailureReport>),
-}
+pub struct RunError(Box<FailureReport>);
 
 impl RunError {
-    /// The failure report, regardless of variant.
+    /// How the run ended.
+    #[must_use]
+    pub fn kind(&self) -> FailureKind {
+        self.0.kind
+    }
+
+    /// The failure report.
     #[must_use]
     pub fn report(&self) -> &FailureReport {
-        match self {
-            RunError::WorkerPanicked(r)
-            | RunError::Deadlock(r)
-            | RunError::Wedged(r)
-            | RunError::InvalidConfig(r) => r,
-        }
+        &self.0
     }
 
     /// Mutable access to the report (the flight recorder stamps
     /// [`FailureReport::trace_path`] after persisting).
     pub fn report_mut(&mut self) -> &mut FailureReport {
-        match self {
-            RunError::WorkerPanicked(r)
-            | RunError::Deadlock(r)
-            | RunError::Wedged(r)
-            | RunError::InvalidConfig(r) => r,
-        }
+        &mut self.0
     }
+}
 
-    /// Digest of the deterministic projection of the report.
-    #[must_use]
-    pub fn report_digest(&self) -> u64 {
-        self.report().report_digest()
-    }
-
-    /// Wraps a report in the variant matching its [`FailureKind`].
-    #[must_use]
-    pub fn from_report(report: FailureReport) -> Self {
-        match report.kind {
-            FailureKind::Panic => RunError::WorkerPanicked(Box::new(report)),
-            FailureKind::Deadlock => RunError::Deadlock(Box::new(report)),
-            FailureKind::Wedged => RunError::Wedged(Box::new(report)),
-            FailureKind::InvalidConfig => RunError::InvalidConfig(Box::new(report)),
-        }
+impl From<FailureReport> for RunError {
+    fn from(report: FailureReport) -> Self {
+        Self(Box::new(report))
     }
 }
 
@@ -366,19 +341,17 @@ impl RunError {
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let r = self.report();
-        match self {
-            RunError::WorkerPanicked(_) => {
-                writeln!(f, "worker t{} panicked: {}", r.tid, r.message)?;
-            }
-            RunError::Deadlock(_) => writeln!(f, "deadlock: {}", r.message)?,
-            RunError::Wedged(_) => writeln!(f, "run wedged: {}", r.message)?,
-            RunError::InvalidConfig(_) => writeln!(f, "run not started: {}", r.message)?,
+        match r.kind {
+            FailureKind::Panic => writeln!(f, "worker t{} panicked: {}", r.tid, r.message)?,
+            FailureKind::Deadlock => writeln!(f, "deadlock: {}", r.message)?,
+            FailureKind::Wedged => writeln!(f, "run wedged: {}", r.message)?,
+            FailureKind::InvalidConfig => writeln!(f, "run not started: {}", r.message)?,
         }
         write!(
             f,
             "  backend: {}\n  report digest: {:#018x}",
             r.backend,
-            self.report_digest()
+            r.report_digest()
         )?;
         if let Some(p) = &r.trace_path {
             write!(
@@ -524,19 +497,16 @@ mod tests {
     }
 
     #[test]
-    fn from_report_picks_matching_variant() {
-        assert!(matches!(
-            RunError::from_report(report(FailureKind::Panic)),
-            RunError::WorkerPanicked(_)
-        ));
-        assert!(matches!(
-            RunError::from_report(report(FailureKind::Deadlock)),
-            RunError::Deadlock(_)
-        ));
-        assert!(matches!(
-            RunError::from_report(report(FailureKind::Wedged)),
-            RunError::Wedged(_)
-        ));
+    fn the_error_is_its_report() {
+        for kind in [
+            FailureKind::Panic,
+            FailureKind::Deadlock,
+            FailureKind::Wedged,
+            FailureKind::InvalidConfig,
+        ] {
+            let e = RunError::from(report(kind));
+            assert_eq!((e.kind(), e.report()), (kind, &report(kind)));
+        }
     }
 
     #[test]
@@ -572,7 +542,7 @@ mod tests {
 
     #[test]
     fn display_is_multi_line_and_actionable() {
-        let mut e = RunError::from_report(report(FailureKind::Panic));
+        let mut e = RunError::from(report(FailureKind::Panic));
         let s = e.to_string();
         assert!(s.contains("panicked"));
         assert!(s.contains("report digest: 0x"));

@@ -127,16 +127,38 @@ impl SyncOp {
     }
 }
 
-/// The misuse of `tid` joining `target` after `target` was already
-/// joined, in the one wording every backend panics with.
-#[must_use]
+// API misuse, worded once for every backend.
+
+/// The misuse of `tid` locking mutex `m`, which it already holds.
+pub fn recursive_lock(m: u32, tid: Tid) -> String {
+    format!("recursive lock of mutex {m} by thread {tid}")
+}
+
+/// The misuse of `tid` releasing mutex `m`, which it does not hold: an
+/// unlock, or a `cond_wait` on `cond`.
+pub fn not_held(tid: Tid, m: u32, cond: Option<u32>) -> String {
+    match cond {
+        None => format!("thread {tid} unlocking mutex {m} it does not hold"),
+        Some(c) => format!("thread {tid} waiting on cond {c} without holding mutex {m}"),
+    }
+}
+
+/// The misuse of a barrier `b` of zero parties.
+pub fn zero_parties(b: u32) -> String {
+    format!("barrier {b} with zero parties")
+}
+
+/// The misuse of `tid` joining itself.
+pub fn join_self(tid: Tid) -> String {
+    format!("thread {tid} joining itself")
+}
+
+/// The misuse of `tid` joining `target`, which was already joined.
 pub fn join_twice(tid: Tid, target: Tid) -> String {
     format!("thread {tid} joining thread {target}, which was already joined")
 }
 
-/// The misuse of `tid` joining `target`, a tid no spawn has handed out,
-/// in the one wording every backend panics with.
-#[must_use]
+/// The misuse of `tid` joining `target`, a tid no spawn has handed out.
 pub fn join_never_spawned(tid: Tid, target: Tid) -> String {
     format!("thread {tid} joining thread {target}, which was never spawned")
 }
@@ -145,8 +167,8 @@ pub fn join_never_spawned(tid: Tid, target: Tid) -> String {
 mod tests {
     use super::*;
     use crate::{
-        DetRng, FailureKind, FaultPlan, RunConfig, RunError, RunOutput, SyncOpFault, ThreadReport,
-        TracedRun, JITTER_MAX_US,
+        DetRng, FailureKind, FaultPlan, RunConfig, RunOutput, SyncOpFault, ThreadReport, TracedRun,
+        JITTER_MAX_US,
     };
     use rfdet_obs::Phase;
     use rfdet_trace::{persist, TraceEvent};
@@ -369,7 +391,7 @@ mod tests {
         run.record_deadlock(2, 1, Vec::new());
         let err = run.take_run_error("test").expect("failure recorded");
         let r = err.report();
-        assert!(matches!(err, RunError::WorkerPanicked(_)));
+        assert_eq!(err.kind(), FailureKind::Panic);
         assert_eq!(
             (r.kind, r.tid, r.message.as_str()),
             (FailureKind::Panic, 0, "first")
@@ -396,7 +418,7 @@ mod tests {
         // payload that is no string still names its thread.
         run.record_unwind(0, Box::new(42u32), None, Some(FailureKind::Wedged));
         let err = run.take_run_error("test").expect("wedge recorded");
-        assert!(matches!(err, RunError::Wedged(_)));
+        assert_eq!(err.kind(), FailureKind::Wedged);
         assert_eq!(err.report().message, "panic with non-string payload");
         assert_eq!(
             err.report().peers.len(),
@@ -416,7 +438,8 @@ mod tests {
             std::thread::spawn(move || {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let mut open = gate.0.lock();
-                    run.wait_until(&gate.1, &mut open, 1, |open| *open, |_| unreachable!());
+                    let shut = |open: &bool| (!*open).then_some(0);
+                    run.wait_until(&gate.1, &mut open, 1, shut, |_| unreachable!());
                 }))
             })
         };
@@ -442,7 +465,7 @@ mod tests {
                 &cv,
                 &mut m.lock(),
                 3,
-                |_| false,
+                |_| Some(0),
                 |v| (format!("stuck on {v}"), Vec::new()),
             );
         }));
@@ -450,7 +473,7 @@ mod tests {
             .expect_err("unwinds on the next poll")
             .is::<Stopped>());
         let err = run.take_run_error("test").expect("wedge recorded");
-        assert!(matches!(err, RunError::Wedged(_)));
+        assert_eq!(err.kind(), FailureKind::Wedged);
         assert_eq!(
             (err.report().tid, err.report().message.as_str()),
             (3, "stuck on 7")
@@ -460,18 +483,14 @@ mod tests {
     #[test]
     fn the_bound_is_quiet_time_so_a_notified_wait_may_outlast_it() {
         let run = harness(&cfg(|c| c.deadlock_after_ms = Some(200)));
-        let (m, cv) = (parking_lot::Mutex::new(0), parking_lot::Condvar::new());
+        let (m, cv) = (parking_lot::Mutex::new(0u64), parking_lot::Condvar::new());
         std::thread::scope(|s| {
             s.spawn(|| {
                 // Three bounds of peers' progress, then the outcome. Each
                 // step changes the waiter's state under its mutex, then
-                // notifies, as the runtime's callers do: the waiter holds
-                // `m` between its polls, so a step waits for it to poll.
-                // A bare notify on this 10 ms period, the poll's own, can
-                // expire in the waiter's timeout tick and land between
-                // its polls, round after round, for a whole bound.
+                // notifies, as the runtime's callers do.
                 for _ in 0..=60 {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    std::thread::sleep(super::run::POLL);
                     *m.lock() += 1;
                     cv.notify_all();
                 }
@@ -480,11 +499,43 @@ mod tests {
                 &cv,
                 &mut m.lock(),
                 0,
-                |steps| *steps > 60,
+                |steps| (*steps <= 60).then_some(*steps),
                 |_| unreachable!(),
             );
         });
         assert!(!run.is_stopped());
+    }
+
+    /// The bound restarts from the guarded state's generation, not from
+    /// a notified wake-up, so a peer's step counts wherever it lands
+    /// between the waiter's polls. This peer steps on the poll's own
+    /// period and never notifies, over five bounds.
+    #[test]
+    fn a_peer_s_progress_restarts_the_bound_without_a_notify() {
+        let run = harness(&cfg(|c| c.deadlock_after_ms = Some(200)));
+        let (m, cv) = (parking_lot::Mutex::new(0u64), parking_lot::Condvar::new());
+        let waited = std::thread::scope(|s| {
+            s.spawn(|| {
+                // Five bounds of steps, then the outcome.
+                for _ in 0..=100 {
+                    std::thread::sleep(super::run::POLL);
+                    *m.lock() += 1;
+                }
+            });
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run.wait_until(
+                    &cv,
+                    &mut m.lock(),
+                    0,
+                    |steps| (*steps <= 100).then_some(*steps),
+                    |steps| (format!("stuck at step {steps}"), Vec::new()),
+                );
+            }))
+        });
+        let report = run
+            .take_run_error("test")
+            .map(|e| e.report().message.clone());
+        assert!(waited.is_ok() && report.is_none(), "{report:?}");
     }
 
     #[test]
@@ -494,7 +545,7 @@ mod tests {
         let rejected = TracedRun::rejected("test", &err);
         assert!(rejected.trace.is_none() && rejected.checkpoints.is_empty());
         let run_err = rejected.result.expect_err("typed");
-        assert!(matches!(run_err, RunError::InvalidConfig(_)));
+        assert_eq!(run_err.kind(), FailureKind::InvalidConfig);
         let r = run_err.report();
         assert_eq!(
             (r.kind, r.backend.as_str()),
@@ -579,14 +630,14 @@ mod tests {
         assert_eq!(trace.recording.faults.len(), 1);
         assert_eq!(trace.failure.kind, Some(FailureKind::Panic));
         let err = done.result.expect_err("failed");
-        assert_eq!(trace.failure.report_digest, err.report_digest());
+        assert_eq!(trace.failure.report_digest, err.report().report_digest());
         let path = err.report().trace_path.clone().expect("path stamped");
         assert_eq!(persist::load(&path).expect("loads back"), *trace);
         // Timing never reaches a failure report: its digest is the bare
         // report's.
         let mut bare = err.report().clone();
         bare.trace_path = None;
-        assert_eq!(bare.report_digest(), err.report_digest());
+        assert_eq!(bare.report_digest(), err.report().report_digest());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,7 +19,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Poll period of [`RunHarness::wait_until`].
-const POLL: Duration = Duration::from_millis(10);
+pub(super) const POLL: Duration = Duration::from_millis(10);
 
 /// The unwind payload of a thread torn down because the run has already
 /// failed ([`RunHarness::check_stop`]): a secondary unwind, never a root
@@ -180,41 +180,37 @@ impl RunHarness {
         }
     }
 
-    /// The one supervised wait loop: blocks on `cv` until `done` holds
-    /// for the guarded state, polling on a short period — so a stopped
-    /// run unwinds the waiter with a [`Stopped`] token within `POLL`
-    /// even if nobody notifies `cv`. The wedge bound measures *quiet*
-    /// time: every notify of `cv` is progress by some peer and restarts
-    /// it (at the first quiet poll after the notify, so a wake-up reads
-    /// no clock), so a thread parked for long (a join, a barrier) while
-    /// its peers keep running is not wedged. A wait nobody notifies for
-    /// the bound records a `Wedged` failure with the message and
-    /// wait-for graph `stuck` reads off the guarded state (then unwinds
-    /// on the next poll).
+    /// The one supervised wait loop: blocks on `cv` while `pending`
+    /// reads a progress generation off the guarded state (`None` once the
+    /// wait is over), polling on a short period — so a stopped run
+    /// unwinds the waiter with a [`Stopped`] token within `POLL` even if
+    /// nobody notifies `cv`. The wedge bound measures *quiet* time: every
+    /// caller bumps the generation under the mutex when a peer makes
+    /// progress, and a timed-out poll that finds it moved restarts the
+    /// bound, notified or not — so a thread parked for long (a join, a
+    /// barrier) while its peers keep running is not wedged. A wait whose
+    /// generation stays put for the bound records a `Wedged` failure with
+    /// the message and wait-for graph `stuck` reads off the guarded
+    /// state, and unwinds.
     pub fn wait_until<T>(
         &self,
         cv: &Condvar,
         guard: &mut parking_lot::MutexGuard<'_, T>,
         tid: Tid,
-        done: impl Fn(&T) -> bool,
+        pending: impl Fn(&T) -> Option<u64>,
         stuck: impl Fn(&T) -> (String, Vec<WaitEdge>),
     ) {
         // Native takes this path on every lock, contended or not, and is
         // the denominator of every slowdown: one clock read on entry
-        // (ROADMAP, open item 8) and none on a notified wake-up — a notify
-        // only marks the bound stale, and the next quiet poll restarts it.
+        // (ROADMAP, open item 8) and none on a notified wake-up — only a
+        // timed-out poll reads the clock.
         let mut deadline = self.wedge_after.map(|d| Instant::now() + d);
-        let mut notified = false;
-        while !done(guard) {
-            self.check_stop();
-            if !cv.wait_for(guard, POLL).timed_out() {
-                notified = true;
-            } else if done(guard) {
-                break;
-            } else if notified {
-                notified = false;
+        let (mut seen, mut timed_out) = (pending(guard), false);
+        while let Some(now) = pending(guard) {
+            if timed_out && seen != Some(now) {
+                seen = Some(now);
                 deadline = self.wedge_after.map(|d| Instant::now() + d);
-            } else if deadline.is_some_and(|d| Instant::now() >= d) {
+            } else if timed_out && deadline.is_some_and(|d| Instant::now() >= d) {
                 let (message, wait_graph) = stuck(guard);
                 self.record_failure(
                     FailureKind::Wedged,
@@ -225,6 +221,8 @@ impl RunHarness {
                     Vec::new(),
                 );
             }
+            self.check_stop();
+            timed_out = cv.wait_for(guard, POLL).timed_out();
         }
     }
 
@@ -313,7 +311,7 @@ impl RunHarness {
             .filter(|&(t, _)| t != culprit)
             .map(|(_, r)| r)
             .collect();
-        Some(RunError::from_report(f))
+        Some(f.into())
     }
 
     /// The run tail, once the main thread's body has returned or
@@ -404,7 +402,7 @@ impl RunHarness {
             Err(e) => FailureSummary {
                 kind: Some(e.report().kind),
                 tid: e.report().tid,
-                report_digest: e.report_digest(),
+                report_digest: e.report().report_digest(),
             },
         };
         let trace = RunTrace {

@@ -184,8 +184,8 @@ fn run_ci(cfg: &RunConfig, root: ThreadFn) {
     black_box(RfdetBackend::ci().run_expect(cfg, root));
 }
 
-/// The list of cells and budgets. A cell BENCH_10 already carried keeps
-/// its id, so the files join by id.
+/// The list of cells and budgets. A cell keeps its id from run to run,
+/// so the `BENCH_*.json` files join by id.
 fn table(b: &mut Bench) {
     let plain = cfg(|_| {});
 
@@ -284,8 +284,8 @@ fn table(b: &mut Bench) {
     // threads doubles the turn count, so the ideal 16t/8t ratio is 2.0;
     // the 1-CPU reference host reads 2.0-2.4, the broadcast spin-scan
     // that handoff replaced read above 4. On 2 CPUs the 16-thread run is
-    // 8x oversubscribed and reads 3.3-4.2 (EXPERIMENTS.md "Host
-    // caveats"), so the ceiling is judged only where it was calibrated.
+    // 8x oversubscribed and reads 3.3-4.2 (EXPERIMENTS.md "Host caveats"
+    // item 1), so the ceiling is judged only where it was calibrated.
     let [_, _, t8, t16] = curve(b, "sync_heavy_handoff", &plain, "sync_heavy");
     b.gate("scaling_guard", &[t16, t8], false, Limit::MaxOnCpus(3.5, 1));
 
@@ -305,11 +305,11 @@ fn table(b: &mut Bench) {
     // sample count, not the work: the gated pair is a real application
     // (at 360 rounds it read 0.041–0.075 over ten runs); the microbench
     // is the ungated worst case.
-    // The limit is what this estimator can resolve, re-based in PR 18
-    // from 20 null A/Bs of this very pair (metrics off on both sides:
-    // −3.7 … +4.5 %) around the ≈ 3 % the layer reads here in the
-    // median; the 2 % design budget stands in DESIGN.md §4.9, and
-    // EXPERIMENTS.md "Access fast path" has the readings.
+    // The limit is what this estimator can resolve, re-based from 20
+    // null A/Bs of this very pair (metrics off on both sides: −3.7 …
+    // +4.5 %) around the ≈ 3 % the layer reads here in the median; the
+    // 2 % design budget stands in DESIGN.md §4.9, and EXPERIMENTS.md
+    // "Change ledger" (the access-fast-path row) has the readings.
     let big = |metrics| cfg(|c| (c.space_bytes, c.metrics) = (64 << 20, metrics));
     let sides = [("metered", big(true)), ("unmetered", big(false))];
     let pair = b.ab("wordcount", 4, sides, 720);

@@ -6,7 +6,7 @@
 //! RFDet-pf 1.73×, DThreads ~2.5× (geometric aggregate), with worst
 //! cases 2.6× (ocean) vs ~10× (lu-non). On a single-CPU host the
 //! *parallel-overlap* component of RFDet's advantage cannot appear in
-//! wall clock (see EXPERIMENTS.md); the table therefore also reports the
+//! wall clock (EXPERIMENTS.md "Figure 7"); the table therefore also reports the
 //! machine-independent structural counters: global fences (RFDet: always
 //! zero) and serial commits.
 

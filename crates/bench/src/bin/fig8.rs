@@ -6,7 +6,7 @@
 //! NOTE: on a single-CPU host neither backend can show real speedup;
 //! the reproducible claim becomes "RFDet's thread-count scaling curve
 //! tracks pthreads'", i.e. the RFDet/pthreads ratio stays roughly flat
-//! across thread counts (see EXPERIMENTS.md).
+//! across thread counts (EXPERIMENTS.md "Figure 8").
 
 use rfdet_api::{DmtBackend, RunConfig};
 use rfdet_bench::{ms, ratios, render_table, show, time_runs, Arm, BenchOpts};

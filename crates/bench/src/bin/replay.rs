@@ -49,10 +49,10 @@
 //! Exit codes are distinct per failure class so scripts can branch:
 //! `0` success, `1` divergence (digest or schedule mismatch), `2` usage
 //! or unsupported configuration, `3` file I/O or codec failure, `4`
-//! wedged (the run blew its `--timeout`, or ended [`RunError::Wedged`]).
+//! wedged (the run blew its `--timeout`, or ended `Wedged`).
 
 use rfdet_api::trace::{persist, Checkpoint, Recording};
-use rfdet_api::{DmtBackend, FaultPlan, RunConfig, RunError, RunTrace};
+use rfdet_api::{DmtBackend, FailureKind, FaultPlan, RunConfig, RunError, RunTrace};
 use rfdet_bench::{each_flag, number};
 use rfdet_core::{ChainDivergence, RfdetBackend, Verdict};
 use rfdet_workloads::{by_name, resumable, Params, Size, Workload};
@@ -122,7 +122,7 @@ fn run_with_timeout<T: Send + 'static>(
 /// Maps a run failure to its exit code: wedged runs are a distinct
 /// class (retryable, usually environmental) from divergence.
 fn failure_code(e: &RunError) -> i32 {
-    if matches!(e, RunError::Wedged(_)) {
+    if e.kind() == FailureKind::Wedged {
         EXIT_WEDGED
     } else {
         EXIT_DIVERGED
@@ -363,7 +363,7 @@ fn cmd_replay(path: &str, f: Flags) -> i32 {
     };
     let digest = match &replay.result {
         Ok(out) => out.output_digest(),
-        Err(e) => e.report_digest(),
+        Err(e) => e.report().report_digest(),
     };
     let verdict = |matched| if matched { "MATCH" } else { "DIVERGED" };
     println!(

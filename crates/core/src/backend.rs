@@ -157,7 +157,7 @@ fn teardown(name: &str, shared: &Arc<RuntimeShared>, main: RfdetCtx) -> TracedRu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfdet_api::{DmtCtx as _, DmtCtxExt, MutexId, RunError};
+    use rfdet_api::{DmtCtx as _, DmtCtxExt, FailureKind, MutexId};
 
     fn small() -> RunConfig {
         let mut cfg = RunConfig::small();
@@ -331,7 +331,7 @@ mod tests {
                 }),
             )
             .expect_err("worker panic must fail the run");
-        assert!(matches!(err, RunError::WorkerPanicked(_)));
+        assert_eq!(err.kind(), FailureKind::Panic);
         let r = err.report();
         assert_eq!(r.tid, 1, "the worker, not the joining main thread");
         assert_eq!(r.message, "worker exploded");

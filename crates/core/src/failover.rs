@@ -17,7 +17,7 @@
 //! the workload body) and the last consistent cut.
 
 use crate::RfdetBackend;
-use rfdet_api::{DmtBackend, FailureReport, RunConfig, RunError, RunOutput, ThreadFn, TracedRun};
+use rfdet_api::{DmtBackend, FailureReport, RunConfig, RunOutput, ThreadFn, TracedRun};
 
 /// How a faulted run ended, judged against the kill-free run of the same
 /// config ([`judge`]).
@@ -32,7 +32,7 @@ pub enum Verdict {
     /// Anything else: other output, a recovery that failed or left the
     /// reference output or chain, or a reference that failed.
     Diverged,
-    /// The run ended [`RunError::Wedged`].
+    /// The run ended `Wedged`.
     Wedged,
 }
 
@@ -112,7 +112,7 @@ pub fn judge(
         _ if reference.result.is_err() => (Verdict::Diverged, run),
         Ok(_) if same_output(&run) => (Verdict::Converged, run),
         Ok(_) => (Verdict::Diverged, run),
-        Err(RunError::Wedged(_)) => (Verdict::Wedged, run),
+        Err(e) if e.kind() == rfdet_api::FailureKind::Wedged => (Verdict::Wedged, run),
         Err(_) => {
             let (recovered, epoch) = recover(backend, cfg, &run, root);
             // The recovered replica rejoins the reference chain exactly:

@@ -108,7 +108,7 @@ impl RuntimeShared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfdet_api::{RunConfig, RunError};
+    use rfdet_api::{FailureKind, RunConfig};
 
     fn shared() -> RuntimeShared {
         let mut cfg = RunConfig::small();
@@ -153,7 +153,7 @@ mod tests {
         let starving = s.kendo.register(10);
         s.record_panic(1, unwind_of(|| s.kendo.wait_for_turn(&starving)), None);
         let err = s.run.take_run_error("test").expect("wedge recorded");
-        assert!(matches!(err, RunError::Wedged(_)));
+        assert_eq!(err.kind(), FailureKind::Wedged);
         let (message, diagnosis) = (
             &err.report().message,
             "kendo: thread 1 starved waiting for its turn for 50ms",
@@ -165,7 +165,7 @@ mod tests {
             let _h = s.kendo.register(0);
             s.record_panic(0, Box::new(lookalike.to_owned()), None);
             let err = s.run.take_run_error("test").expect("root cause recorded");
-            assert!(matches!(err, RunError::WorkerPanicked(_)), "{lookalike}");
+            assert_eq!(err.kind(), FailureKind::Panic, "{lookalike}");
             assert_eq!(err.report().message, lookalike);
         }
     }
@@ -208,7 +208,7 @@ mod tests {
         s.check_deadlock();
         let err = s.run.take_run_error("test").expect("deadlock detected");
         let r = err.report().clone();
-        assert!(matches!(err, RunError::Deadlock(_)));
+        assert_eq!(err.kind(), FailureKind::Deadlock);
         assert_eq!(r.cycle, vec![0, 1]);
         assert_eq!(r.wait_graph.len(), 2);
         assert!(s.kendo.aborted());

@@ -9,8 +9,8 @@
 //! restored thread, replays the exact post-cut op sequence.
 
 use rfdet_api::{
-    BarrierId, DmtBackend, DmtCtx, DmtCtxExt, FaultPlan, RunConfig, ThreadFn, ThreadHandle,
-    TracedRun,
+    BarrierId, DmtBackend, DmtCtx, DmtCtxExt, FaultPlan, MutexId, RunConfig, ThreadFn,
+    ThreadHandle, TracedRun,
 };
 use rfdet_core::{replay_chain, ChainDivergence, RfdetBackend};
 use rfdet_trace::{persist, Checkpoint};
@@ -233,6 +233,35 @@ fn a_resumed_run_detects_the_race_past_its_cut() {
     assert_eq!(first_cut.epoch, 1);
     let resumed = backend.run_resumed(&cfg, first_cut, &racy_after_the_first_cut);
     assert_eq!(resumed.result.expect("clean resume").races, races);
+}
+
+/// A cut needs every mutex free: a full-membership barrier episode
+/// while main holds a mutex is no checkpoint, even at a cadence of one.
+/// Of three episodes, main holds mutex 7 across the middle one, so only
+/// the first and the third seal (epochs count eligible episodes).
+#[test]
+fn a_mutex_held_across_a_full_membership_barrier_is_no_cut() {
+    let mut cfg = base_cfg();
+    cfg.checkpoint_every = 1;
+    cfg.trace = Some("held_mutex_barriers@1".to_owned());
+    let root: ThreadFn = Box::new(|ctx: &mut dyn DmtCtx| {
+        let b = BarrierId(1);
+        let worker = ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
+            for _ in 0..3 {
+                ctx.barrier(b, 2);
+            }
+        }));
+        ctx.barrier(b, 2);
+        ctx.lock(MutexId(7));
+        ctx.barrier(b, 2);
+        ctx.unlock(MutexId(7));
+        ctx.barrier(b, 2);
+        ctx.join(worker);
+    });
+    let run = RfdetBackend::ci().run_traced(&cfg, root);
+    run.result.expect("clean run");
+    let epochs: Vec<u64> = run.checkpoints.iter().map(|c| c.epoch).collect();
+    assert_eq!(epochs, [1, 2], "the held-mutex episode is not eligible");
 }
 
 /// The recording under test for a jittered chain: 1000 extra ticks at

@@ -232,12 +232,16 @@ impl Engine {
         self.maybe_phases(&mut st);
         // The wall-clock fallback of the supervised wait: the run stalled
         // without tripping the structural detector (e.g. an active thread
-        // spinning forever).
+        // spinning forever). Its progress is the fence count, bumped under
+        // the state lock.
         self.run.wait_until(
             &self.cv,
             &mut st,
             tid,
-            |st| st.slots[tid as usize].done.is_some(),
+            |st| {
+                let fences = || self.run.stats.global_fences.load(Relaxed);
+                st.slots[tid as usize].done.is_none().then(fences)
+            },
             |st| {
                 let message = format!(
                     "dthreads engine stalled: tid={tid} phase={} active={:?} arrived={:?}",

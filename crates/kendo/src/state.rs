@@ -182,8 +182,8 @@ const MAX_YIELDS: u32 = 1 << 14;
 /// off-turn publication crosses a boundary and pays the single baton load
 /// that keeps a compute-bound designated thread from stranding waiters.
 /// A larger chunk bought no wall time on any workload (EXPERIMENTS.md
-/// "Access fast path"); a smaller one puts the shared `lock xadd` back on
-/// the access path.
+/// "Change ledger", `results/access_fast_path_ab.txt`); a smaller one
+/// puts the shared `lock xadd` back on the access path.
 pub const PUBLISH_STRIDE: u64 = 64;
 
 /// A thread's unpublished off-turn ticks: a plain counter beside the

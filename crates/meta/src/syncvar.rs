@@ -17,7 +17,7 @@
 //! records: each returns the misuse's message, which the core raises on
 //! the misusing thread and the engine records for it in token order.
 
-use rfdet_api::WaitEdge;
+use rfdet_api::{harness, WaitEdge};
 use rfdet_trace::SyncKey;
 use rfdet_vclock::{Tid, VClock};
 use std::collections::{HashMap, VecDeque};
@@ -109,7 +109,7 @@ impl MutexRec {
     /// The misuse when `tid` already holds `m`.
     pub fn try_lock(&mut self, m: u32, tid: Tid) -> Result<bool, String> {
         if self.owner == Some(tid) {
-            return Err(format!("recursive lock of mutex {m} by thread {tid}"));
+            return Err(harness::recursive_lock(m, tid));
         }
         let free = self.owner.is_none() && self.queue.is_empty();
         if free {
@@ -165,7 +165,7 @@ impl BarrierRec {
         parties: usize,
     ) -> Result<Option<Vec<(Tid, VClock)>>, String> {
         if parties == 0 {
-            return Err(format!("barrier {b} with zero parties"));
+            return Err(harness::zero_parties(b));
         }
         self.release.record_release(tid, time.clone());
         self.arrivals.push((tid, time));
@@ -249,10 +249,7 @@ impl SyncTable {
     ) -> Result<Option<(Tid, VClock)>, String> {
         let mx = self.mutexes.entry(m).or_default();
         if mx.owner != Some(tid) {
-            return Err(match cond {
-                None => format!("thread {tid} unlocking mutex {m} it does not hold"),
-                Some(c) => format!("thread {tid} waiting on cond {c} without holding mutex {m}"),
-            });
+            return Err(harness::not_held(tid, m, cond));
         }
         mx.release.record_release(tid, time);
         mx.owner = mx.queue.pop_front();
@@ -277,14 +274,14 @@ impl SyncTable {
         spawned: usize,
     ) -> Result<Option<&SyncVar>, String> {
         if target == tid {
-            return Err(format!("thread {tid} joining itself"));
+            return Err(harness::join_self(tid));
         }
         if target as usize >= spawned {
-            return Err(rfdet_api::harness::join_never_spawned(tid, target));
+            return Err(harness::join_never_spawned(tid, target));
         }
         let th = self.threads.entry(target).or_default();
         if std::mem::replace(&mut th.joined, true) {
-            return Err(rfdet_api::harness::join_twice(tid, target));
+            return Err(harness::join_twice(tid, target));
         }
         if th.finished {
             Ok(Some(&th.release))

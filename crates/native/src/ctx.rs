@@ -174,19 +174,22 @@ impl DmtCtx for NativeCtx {
 
     fn lock(&mut self, m: MutexId) {
         self.sync_op(SyncOp::Lock(m), |ctx| {
-            ctx.shared.locks.get(m.0).lock(&ctx.shared.run, ctx.tid);
+            let lock = ctx.shared.locks.get(m.0);
+            lock.lock(&ctx.shared.run, ctx.tid, m.0);
         });
     }
 
     fn unlock(&mut self, m: MutexId) {
-        self.sync_op(SyncOp::Unlock(m), |ctx| ctx.shared.locks.get(m.0).unlock());
+        self.sync_op(SyncOp::Unlock(m), |ctx| {
+            ctx.shared.locks.get(m.0).unlock(ctx.tid, m.0, None)
+        });
     }
 
     fn cond_wait(&mut self, c: CondId, m: MutexId) {
         self.sync_op(SyncOp::CondWait(c), |ctx| {
             let cond = ctx.shared.conds.get(c.0);
             let mutex = ctx.shared.locks.get(m.0);
-            cond.wait(&mutex, &ctx.shared.run, ctx.tid);
+            cond.wait((c.0, m.0), &mutex, &ctx.shared.run, ctx.tid);
         });
     }
 
@@ -207,7 +210,7 @@ impl DmtCtx for NativeCtx {
             ctx.shared
                 .barriers
                 .get(b.0)
-                .wait(parties, &ctx.shared.run, ctx.tid);
+                .wait((b.0, parties), &ctx.shared.run, ctx.tid);
         });
     }
 
@@ -226,9 +229,9 @@ impl DmtCtx for NativeCtx {
 
     fn join(&mut self, h: ThreadHandle) {
         self.sync_op(SyncOp::Join(h.0), |ctx| {
-            if h.0 >= ctx.shared.next_tid.load(Relaxed) {
-                panic!("{}", harness::join_never_spawned(ctx.tid, h.0));
-            }
+            assert!(h.0 != ctx.tid, "{}", harness::join_self(ctx.tid));
+            let never = || harness::join_never_spawned(ctx.tid, h.0);
+            assert!(h.0 < ctx.shared.next_tid.load(Relaxed), "{}", never());
             let handle = ctx
                 .shared
                 .run

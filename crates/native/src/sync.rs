@@ -3,14 +3,14 @@
 //! The native backend has no arbitration protocol to abort, so
 //! supervision is cooperative: every blocking wait goes through
 //! [`RunHarness::wait_until`], which polls the run's stop flag — a failed
-//! run unwinds its parked peers within a poll period, and a wait nobody
-//! notifies for `RunConfig::deadlock_after_ms` records `Wedged`. Unlike the
+//! run unwinds its parked peers within a poll period, and a wait that sees
+//! no progress for `RunConfig::deadlock_after_ms` records `Wedged`. Unlike the
 //! deterministic backends there is no structural deadlock detector —
 //! without a logical clock the blocked-set scan cannot be made stable —
 //! so deadlocks surface as `Wedged` here.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use rfdet_api::{RunHarness, Tid};
+use rfdet_api::{harness, RunHarness, Tid};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -21,32 +21,33 @@ fn wait_until<T>(
     guard: &mut MutexGuard<'_, T>,
     tid: Tid,
     stuck: &str,
-    done: impl Fn(&T) -> bool,
+    pending: impl Fn(&T) -> Option<u64>,
 ) {
     let wedge = |_: &T| (format!("native: thread {tid} stuck {stuck}"), Vec::new());
-    run.wait_until(cv, guard, tid, done, wedge);
+    run.wait_until(cv, guard, tid, pending, wedge);
 }
 
-/// A pthreads-style mutex usable through split `lock`/`unlock` calls.
+/// A pthreads-style mutex: its owner and its unlocks (a waiter's progress).
 #[derive(Debug, Default)]
 pub(crate) struct LockVar {
-    locked: Mutex<bool>,
+    state: Mutex<(Option<Tid>, u64)>,
     cv: Condvar,
 }
 
 impl LockVar {
-    pub fn lock(&self, run: &RunHarness, tid: Tid) {
-        let mut g = self.locked.lock();
-        wait_until(run, &self.cv, &mut g, tid, "acquiring a mutex", |held| {
-            !*held
-        });
-        *g = true;
+    pub fn lock(&self, run: &RunHarness, tid: Tid, m: u32) {
+        let mut g = self.state.lock();
+        assert!(g.0 != Some(tid), "{}", harness::recursive_lock(m, tid));
+        let owned = |s: &(Option<Tid>, u64)| s.0.map(|_| s.1);
+        wait_until(run, &self.cv, &mut g, tid, "acquiring a mutex", owned);
+        g.0 = Some(tid);
     }
 
-    pub fn unlock(&self) {
-        let mut g = self.locked.lock();
-        assert!(*g, "unlock of unlocked mutex");
-        *g = false;
+    /// `tid` releases mutex `m`: an unlock, or a `cond_wait` on `cond`.
+    pub fn unlock(&self, tid: Tid, m: u32, cond: Option<u32>) {
+        let mut g = self.state.lock();
+        assert!(g.0 == Some(tid), "{}", harness::not_held(tid, m, cond));
+        *g = (None, g.1 + 1);
         drop(g);
         self.cv.notify_one();
     }
@@ -61,17 +62,16 @@ pub(crate) struct CondVar {
 }
 
 impl CondVar {
-    /// Atomically releases `mutex` and waits for a signal; re-acquires
-    /// `mutex` before returning.
-    pub fn wait(&self, mutex: &LockVar, run: &RunHarness, tid: Tid) {
+    /// Atomically releases mutex `m` and waits on this cond `c` for a
+    /// signal; re-acquires `m` before returning.
+    pub fn wait(&self, (c, m): (u32, u32), mutex: &LockVar, run: &RunHarness, tid: Tid) {
         let mut g = self.gen.lock();
         let my_gen = *g;
-        mutex.unlock();
-        wait_until(run, &self.cv, &mut g, tid, "in cond_wait", |gen| {
-            *gen != my_gen
-        });
+        mutex.unlock(tid, m, Some(c));
+        let signalled = |gen: &u64| (*gen == my_gen).then_some(0);
+        wait_until(run, &self.cv, &mut g, tid, "in cond_wait", signalled);
         drop(g);
-        mutex.lock(run, tid);
+        mutex.lock(run, tid, m);
     }
 
     pub fn signal(&self) {
@@ -93,7 +93,8 @@ pub(crate) struct BarrierVar {
 }
 
 impl BarrierVar {
-    pub fn wait(&self, parties: usize, run: &RunHarness, tid: Tid) {
+    pub fn wait(&self, (b, parties): (u32, usize), run: &RunHarness, tid: Tid) {
+        assert!(parties > 0, "{}", harness::zero_parties(b));
         let mut g = self.state.lock();
         g.0 += 1;
         if g.0 >= parties {
@@ -103,7 +104,8 @@ impl BarrierVar {
             self.cv.notify_all();
         } else {
             let gen = g.1;
-            wait_until(run, &self.cv, &mut g, tid, "at a barrier", |st| st.1 != gen);
+            let open = |st: &(usize, u64)| (st.1 == gen).then_some(0);
+            wait_until(run, &self.cv, &mut g, tid, "at a barrier", open);
         }
     }
 }
@@ -144,11 +146,11 @@ mod tests {
                 let sup = Arc::clone(&sup);
                 std::thread::spawn(move || {
                     for _ in 0..200 {
-                        lv.lock(&sup, i);
+                        lv.lock(&sup, i, 0);
                         assert_eq!(inside.fetch_add(1, Ordering::SeqCst), 0);
                         counter.fetch_add(1, Ordering::SeqCst);
                         inside.fetch_sub(1, Ordering::SeqCst);
-                        lv.unlock();
+                        lv.unlock(i, 0, None);
                     }
                 })
             })
@@ -160,9 +162,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unlock of unlocked")]
+    #[should_panic(expected = "thread 0 unlocking mutex 4 it does not hold")]
     fn unlock_without_lock_panics() {
-        LockVar::default().unlock();
+        LockVar::default().unlock(0, 4, None);
     }
 
     #[test]
@@ -176,7 +178,7 @@ mod tests {
                 let released = Arc::clone(&released);
                 let sup = Arc::clone(&sup);
                 std::thread::spawn(move || {
-                    b.wait(3, &sup, i);
+                    b.wait((0, 3), &sup, i);
                     released.fetch_add(1, Ordering::SeqCst);
                 })
             })
@@ -191,13 +193,13 @@ mod tests {
     fn stopping_the_run_releases_a_parked_lock_waiter() {
         let lv = Arc::new(LockVar::default());
         let sup = sup();
-        lv.lock(&sup, 0);
+        lv.lock(&sup, 0, 0);
         let h = {
             let lv = Arc::clone(&lv);
             let sup = Arc::clone(&sup);
             std::thread::spawn(move || {
                 let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    lv.lock(&sup, 1);
+                    lv.lock(&sup, 1, 0);
                 }));
                 assert!(r.is_err(), "waiter must unwind once the run is stopped");
             })

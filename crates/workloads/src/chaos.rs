@@ -288,6 +288,6 @@ mod tests {
         let err = DthreadsBackend
             .run(&cfg, abba_deadlock(Params::new(2, Size::Test)))
             .expect_err("AB-BA must deadlock");
-        assert!(matches!(err, rfdet_api::RunError::Deadlock(_)));
+        assert_eq!(err.kind(), rfdet_api::FailureKind::Deadlock);
     }
 }

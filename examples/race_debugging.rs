@@ -13,7 +13,9 @@
 //! re-run without losing the bug. The paper: strong determinism makes
 //! "the most severe races reproducible, and thus, debuggable" (§2).
 
-use rfdet::{trace, DmtBackend, DmtCtx, DmtCtxExt, FaultPlan, RfdetBackend, RunConfig, RunError};
+use rfdet::{
+    trace, DmtBackend, DmtCtx, DmtCtxExt, FailureKind, FaultPlan, RfdetBackend, RunConfig,
+};
 
 const READY_FLAG: u64 = 4096;
 const PAYLOAD: u64 = 4104; // 8 u64s
@@ -99,8 +101,8 @@ fn main() {
         let err = backend
             .run(&c, Box::new(buggy_program))
             .expect_err("the injected fault must fail the run");
-        assert!(matches!(err, RunError::WorkerPanicked(_)));
-        digests.insert(err.report_digest());
+        assert_eq!(err.kind(), FailureKind::Panic);
+        digests.insert(err.report().report_digest());
         if attempt == 0 {
             println!("{}", err.report().render());
         }

@@ -3,8 +3,8 @@
 
 use rfdet::api::harness::{join_never_spawned, join_twice};
 use rfdet::{
-    all_backends, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, DthreadsBackend, MutexId,
-    NativeBackend, QuantumBackend, RfdetBackend, RunConfig, RunError, ThreadFn, ThreadHandle,
+    all_backends, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, DthreadsBackend, FailureKind,
+    MutexId, NativeBackend, QuantumBackend, RfdetBackend, RunConfig, ThreadFn, ThreadHandle,
 };
 
 fn cfg() -> RunConfig {
@@ -137,6 +137,60 @@ fn a_signal_after_unlock_hands_the_waiter_the_mutexs_last_release() {
     }
 }
 
+/// The signal is a release, and the woken waiter acquires it. Here the
+/// signaler stores `x` after its last unlock, then signals: the waiter is
+/// granted the free mutex at the signal, and the mutex's last release
+/// predates the store, so only the signal's own edge carries `x`. The
+/// signaler polls `waiting` under the mutex, so it signals only once the
+/// waiter has released the mutex into its `cond_wait`.
+#[test]
+fn a_signal_is_a_release_the_woken_waiter_acquires() {
+    let (m, cv) = (MutexId(0), CondId(0));
+    let (waiting, ready, x) = (0u64, 8u64, 16u64);
+    for b in det_backends() {
+        for seed in 0..16 {
+            let jittered = RunConfig {
+                jitter_seed: Some(seed),
+                ..cfg()
+            };
+            let out = b.run_expect(
+                &jittered,
+                Box::new(move |ctx| {
+                    let waiter = ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
+                        ctx.lock(m);
+                        ctx.write::<u64>(waiting, 1);
+                        while ctx.read::<u64>(ready) == 0 {
+                            ctx.cond_wait(cv, m);
+                        }
+                        let v: u64 = ctx.read(x);
+                        ctx.unlock(m);
+                        ctx.emit_str(&format!("x={v}"));
+                    }));
+                    let signaler = ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
+                        loop {
+                            ctx.lock(m);
+                            let w: u64 = ctx.read(waiting);
+                            ctx.unlock(m);
+                            if w == 1 {
+                                break;
+                            }
+                        }
+                        ctx.lock(m);
+                        ctx.write::<u64>(ready, 1);
+                        ctx.unlock(m);
+                        ctx.write::<u64>(x, 42);
+                        ctx.cond_signal(cv);
+                    }));
+                    ctx.join(waiter);
+                    ctx.join(signaler);
+                }),
+            );
+            let out = String::from_utf8_lossy(&out.output);
+            assert_eq!(out, "x=42", "{} jitter seed {seed}", b.name());
+        }
+    }
+}
+
 #[test]
 fn barriers_are_reusable_across_generations() {
     for b in det_backends() {
@@ -233,7 +287,7 @@ fn rfdet_rejects_unlock_of_unheld_mutex() {
             }),
         )
         .expect_err("unlocking an unheld mutex must fail the run");
-    assert!(matches!(err, RunError::WorkerPanicked(_)));
+    assert_eq!(err.kind(), FailureKind::Panic);
     assert_eq!(err.report().tid, 0);
 }
 
@@ -272,7 +326,7 @@ fn out_of_range_accesses_are_one_typed_error_on_every_backend() {
                         }),
                     )
                     .expect_err(&name);
-                assert!(matches!(err, RunError::WorkerPanicked(_)), "{name}: {err}");
+                assert_eq!(err.kind(), FailureKind::Panic, "{name}: {err}");
                 let msg = &err.report().message;
                 let mut want = vec![
                     "shared-memory access out of bounds".to_owned(),
@@ -419,13 +473,10 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
                         let err = backend
                             .run(&cfg(), body())
                             .expect_err("misuse must fail the run");
-                        assert!(
-                            matches!(err, RunError::WorkerPanicked(_)),
-                            "{name} {what}: {err}"
-                        );
+                        assert_eq!(err.kind(), FailureKind::Panic, "{name} {what}: {err}");
                         let r = err.report();
                         assert_eq!((r.tid, &r.message), (*tid, message), "{name} {what}");
-                        err.report_digest()
+                        err.report().report_digest()
                     })
                     .collect();
                 assert_eq!(runs[0], runs[1], "{name} {what}: rerun-stable digest");
@@ -448,31 +499,29 @@ fn misuse_is_one_panic_charged_to_the_misusing_thread_on_every_backend() {
                 .expect_err("misuse must fail the run");
             let r = err.report();
             assert_eq!(
-                (r.tid, &r.message, err.report_digest()),
+                (r.tid, &r.message, err.report().report_digest()),
                 (2, &not_held(2), digests[8]),
                 "{name} bystander under jitter seed {seed}"
             );
         }
     }
-    // Native keeps no sync table, but its second join is the same misuse
-    // in the same words (the OS handle was claimed by the first), and so
-    // is a join of a tid past its spawn count.
-    for (what, body, tid, message) in [&cases[6], &cases[10]] {
+    // Native keeps no sync table, but each misuse is the same panic in
+    // the same words: its mutex records its owner, its second join finds
+    // the OS handle claimed by the first, and a join of a tid past its
+    // spawn count is checked against that count.
+    for (what, body, tid, message) in &cases {
         let runs: Vec<u64> = (0..2)
             .map(|_| {
                 let err = NativeBackend
                     .run(&cfg(), body())
                     .expect_err("misuse must fail the run");
-                assert!(
-                    matches!(err, RunError::WorkerPanicked(_)),
-                    "pthreads {what}: {err}"
-                );
+                assert_eq!(err.kind(), FailureKind::Panic, "pthreads {what}: {err}");
                 assert_eq!(
                     (err.report().tid, &err.report().message),
                     (*tid, message),
                     "pthreads {what}"
                 );
-                err.report_digest()
+                err.report().report_digest()
             })
             .collect();
         assert_eq!(runs[0], runs[1], "pthreads {what}: rerun-stable digest");
@@ -513,7 +562,7 @@ fn deadlock_is_detected_not_hung() {
             }),
         )
         .expect_err("deadlock must be detected");
-    assert!(matches!(err, RunError::Deadlock(_)), "typed: {err}");
+    assert_eq!(err.kind(), FailureKind::Deadlock, "typed: {err}");
     let r = err.report();
     assert!(!r.cycle.is_empty(), "wait-for cycle identified: {r:?}");
     assert!(

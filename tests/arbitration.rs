@@ -9,7 +9,7 @@
 //! engages and that parked waiters do not hide a deadlock.
 
 use rfdet::workloads::{chaos, stress, Params, Size};
-use rfdet::{DmtBackend, RfdetBackend, RunConfig, RunError};
+use rfdet::{DmtBackend, FailureKind, RfdetBackend, RunConfig};
 
 fn cfg(seed: Option<u64>) -> RunConfig {
     let mut c = RunConfig::small();
@@ -48,10 +48,14 @@ fn parked_waiters_do_not_mask_deadlock_detection() {
     let elapsed = t0.elapsed();
     let rerun = backend.run(&cfg(Some(7)), mk());
     let (a, b) = match (&first, &rerun) {
-        (Err(a @ RunError::Deadlock(_)), Err(b @ RunError::Deadlock(_))) => (a, b),
+        (Err(a), Err(b))
+            if a.kind() == FailureKind::Deadlock && b.kind() == FailureKind::Deadlock =>
+        {
+            (a, b)
+        }
         other => panic!("expected two Deadlock errors, got {other:?}"),
     };
-    assert_eq!(a.report_digest(), b.report_digest());
+    assert_eq!(a.report().report_digest(), b.report().report_digest());
     assert!(
         elapsed < std::time::Duration::from_secs(15),
         "structural detection must beat the wall-clock fallback (took {elapsed:?})"

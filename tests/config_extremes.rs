@@ -12,7 +12,7 @@ use rfdet::api::obs::Phase;
 use rfdet::workloads::{by_name, Params, Size};
 use rfdet::{
     all_backends, ConfigError, DmtBackend, DmtCtx, DmtCtxExt, FailureKind, MutexId, RfdetBackend,
-    RunConfig, RunError,
+    RunConfig,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -94,7 +94,7 @@ fn rejected_configs_are_typed_errors_on_every_backend() {
             let err = outcome
                 .unwrap_or_else(|_| panic!("{}: {want} unwound out of run()", b.name()))
                 .expect_err("rejected");
-            assert!(matches!(err, RunError::InvalidConfig(_)), "{err}");
+            assert_eq!(err.kind(), FailureKind::InvalidConfig, "{err}");
             let report = err.report();
             assert_eq!(report.kind, FailureKind::InvalidConfig);
             assert_eq!(report.backend, b.name());

@@ -261,7 +261,7 @@ fn deadlock_scenario_fails_identically_on_deterministic_backends() {
                     "{} misclassified the deadlock",
                     b.name()
                 );
-                err.report_digest()
+                err.report().report_digest()
             })
             .collect();
         assert_eq!(

@@ -10,8 +10,8 @@
 //! the suite.
 
 use rfdet::{
-    all_backends, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, FaultPlan, MutexId, RunConfig,
-    RunError, RunOutput, ThreadFn, ThreadHandle, Tid,
+    all_backends, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, FailureKind, FaultPlan,
+    MutexId, RunConfig, RunError, RunOutput, ThreadFn, ThreadHandle, Tid,
 };
 use std::sync::mpsc;
 use std::time::Duration;
@@ -49,9 +49,10 @@ fn assert_injected_panic(name: &str, result: Result<RunOutput, RunError>, victim
         Ok(_) => panic!("{name}: the injected fault must fail the run"),
         Err(e) => e,
     };
-    assert!(
-        matches!(err, RunError::WorkerPanicked(_)),
-        "{name}: expected WorkerPanicked, got {err}"
+    assert_eq!(
+        err.kind(),
+        FailureKind::Panic,
+        "{name}: expected a Panic, got {err}"
     );
     let r = err.report();
     assert_eq!(r.tid, victim, "{name}: wrong culprit tid in {r:?}");
@@ -247,8 +248,9 @@ fn abba_deadlock_is_typed_cyclic_and_reproducible() {
             let name = backend.name();
             let result = run_bounded(backend, small_cfg(FaultPlan::new()), abba_scenario());
             let err = result.expect_err("AB-BA must deadlock");
-            assert!(
-                matches!(err, RunError::Deadlock(_)),
+            assert_eq!(
+                err.kind(),
+                FailureKind::Deadlock,
                 "{name}: expected Deadlock, got {err}"
             );
             let r = err.report();
@@ -260,7 +262,7 @@ fn abba_deadlock_is_typed_cyclic_and_reproducible() {
                 !r.wait_graph.is_empty(),
                 "{name}: deadlock report must carry the wait graph"
             );
-            digests.push(err.report_digest());
+            digests.push(err.report().report_digest());
         }
         assert_eq!(
             digests[0], digests[1],
@@ -288,9 +290,9 @@ fn abba_deadlock_report_matches_the_golden() {
             let name = backend.name();
             let err = run_bounded(backend, small_cfg(FaultPlan::new()), abba_scenario())
                 .expect_err("AB-BA must deadlock");
-            assert!(matches!(err, RunError::Deadlock(_)), "{name}: {err}");
+            assert_eq!(err.kind(), FailureKind::Deadlock, "{name}: {err}");
             assert_eq!(err.report().cycle, [1, 2], "{name}: {err}");
-            (name, err.report_digest())
+            (name, err.report().report_digest())
         })
         .collect();
     let golden: Vec<(String, u64)> = golden.iter().map(|&(n, d)| (n.to_owned(), d)).collect();
@@ -306,8 +308,9 @@ fn native_abba_surfaces_as_wedged_within_the_configured_bound() {
     cfg.deadlock_after_ms = Some(300);
     let result = run_bounded(Box::new(rfdet::NativeBackend), cfg, abba_scenario());
     let err = result.expect_err("native AB-BA must trip the wedge fallback");
-    assert!(
-        matches!(err, RunError::Wedged(_)),
+    assert_eq!(
+        err.kind(),
+        FailureKind::Wedged,
         "expected Wedged, got {err}"
     );
     assert!(err.report().message.contains("stuck"));
@@ -351,9 +354,10 @@ fn a_worker_panic_is_a_panic_whatever_its_payload_says() {
                 ),
                 Err(e) => e,
             };
-            assert!(
-                matches!(err, RunError::WorkerPanicked(_)),
-                "{name}: {message:?}: expected WorkerPanicked, got {err}"
+            assert_eq!(
+                err.kind(),
+                FailureKind::Panic,
+                "{name}: {message:?}: expected a Panic, got {err}"
             );
             assert_eq!(
                 (err.report().tid, err.report().message.as_str()),
@@ -380,8 +384,9 @@ fn a_real_kendo_starvation_still_ends_wedged() {
             ctx.join(h);
         });
         let err = run_bounded(Box::new(backend), cfg, root).expect_err("main starves");
-        assert!(
-            matches!(err, RunError::Wedged(_)),
+        assert_eq!(
+            err.kind(),
+            FailureKind::Wedged,
             "{name}: expected Wedged, got {err}"
         );
         let r = err.report();
@@ -440,9 +445,10 @@ fn failed_allocation_is_an_injected_typed_panic() {
         let cfg = small_cfg(FaultPlan::new().fail_alloc(1, 1));
         let result = run_bounded(backend, cfg, root);
         let err = result.expect_err("the failed allocation must fail the run");
-        assert!(
-            matches!(err, RunError::WorkerPanicked(_)),
-            "{name}: expected WorkerPanicked, got {err}"
+        assert_eq!(
+            err.kind(),
+            FailureKind::Panic,
+            "{name}: expected a Panic, got {err}"
         );
         assert!(
             err.report().message.contains("allocation"),
@@ -544,7 +550,7 @@ fn the_ordered_panic_is_the_root_cause_whichever_thread_is_slow() {
                     1,
                     "{name} (A stalled: {stall_a}): the logically earlier panic is the root cause"
                 );
-                err.report_digest()
+                err.report().report_digest()
             })
             .collect();
         assert_eq!(digests[0], digests[1], "{name}: one failure, one digest");
@@ -605,7 +611,11 @@ fn a_stall_between_the_seal_and_the_turn_changes_no_digest() {
         )
         .expect_err("the planned panic fails the run");
         assert_eq!(err.report().tid, 2, "{name}");
-        assert_eq!(err.report_digest(), lock_panic, "{name}/chaos.lock_panic");
+        assert_eq!(
+            err.report().report_digest(),
+            lock_panic,
+            "{name}/chaos.lock_panic"
+        );
     }
 }
 

@@ -19,8 +19,8 @@ use rfdet::trace::digest::Fnv1a;
 use rfdet::trace::{op, TraceEvent};
 use rfdet::workloads::{by_name, Params, Size};
 use rfdet::{
-    all_backends, AtomicOp, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, FaultPlan, MutexId,
-    RfdetBackend, RunConfig, RunError, ThreadFn, Tid,
+    all_backends, AtomicOp, BarrierId, CondId, DmtBackend, DmtCtx, DmtCtxExt, FailureKind,
+    FaultPlan, MutexId, RfdetBackend, RunConfig, ThreadFn, Tid,
 };
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -193,7 +193,7 @@ fn one_fault_plan_names_the_same_operation_on_every_backend() {
             )
             .result
             .expect_err("the planned panic fails the run");
-        assert!(matches!(err, RunError::WorkerPanicked(_)), "{name}: {err}");
+        assert_eq!(err.kind(), FailureKind::Panic, "{name}: {err}");
         let r = err.report();
         assert_eq!(r.message, FaultPlan::panic_message(1, 2), "{name}");
         let culprit = r

@@ -40,7 +40,7 @@ fn cfg(plan: FaultPlan, seed: Option<u64>, metrics: bool, trace: bool) -> RunCon
 fn terminal_digest(result: &Result<RunOutput, RunError>) -> (bool, u64) {
     match result {
         Ok(out) => (true, out.output_digest()),
-        Err(err) => (false, err.report_digest()),
+        Err(err) => (false, err.report().report_digest()),
     }
 }
 
@@ -118,8 +118,8 @@ fn failing_runs_attach_no_snapshot_and_keep_digests() {
             .run(&cfg(plan.clone(), None, true, false), root())
             .expect_err("plan injects a panic");
         assert_eq!(
-            off.report_digest(),
-            on.report_digest(),
+            off.report().report_digest(),
+            on.report().report_digest(),
             "{name}: metrics changed a failure report digest"
         );
     }

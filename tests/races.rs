@@ -141,7 +141,7 @@ fn detection_moves_no_failure_report() {
                 };
                 let root = (w.factory)(Params::new(*threads, Size::Test));
                 let err = b.run(&cfg, root).expect_err("the run fails");
-                err.report_digest()
+                err.report().report_digest()
             };
             assert_eq!(
                 report(true),
@@ -359,8 +359,8 @@ proptest! {
                     b.run(&cfg, (w.factory)(p)).expect_err("main panics")
                 };
                 prop_assert_eq!(
-                    failing(&on).report_digest(),
-                    failing(&off).report_digest(),
+                    failing(&on).report().report_digest(),
+                    failing(&off).report().report_digest(),
                     "{} on {}: detection moved the failure report", name, b.name()
                 );
             }

@@ -182,7 +182,7 @@ fn run_program_faulted(
     );
     match out {
         Ok(out) => Ok(out.output),
-        Err(err) => Err(err.report_digest()),
+        Err(err) => Err(err.report().report_digest()),
     }
 }
 

@@ -72,7 +72,7 @@ proptest! {
             let err = recorded.result.expect_err("one thread must panic");
             let trace = recorded.trace.expect("recording was on");
             prop_assert_eq!(
-                trace.failure.report_digest, err.report_digest(),
+                trace.failure.report_digest, err.report().report_digest(),
                 "{}: trace digest must be the report digest", &name
             );
             prop_assert!(!trace.culprit_events().is_empty(),
@@ -84,9 +84,9 @@ proptest! {
                 &name, first.digest_match, first.schedule_match);
             let again = backend.replay(&trace, lock_panic_root());
             prop_assert!(again.reproduced(), "{}: second replay diverged", &name);
-            let d1 = first.result.expect_err("replay reproduces the panic").report_digest();
-            let d2 = again.result.expect_err("replay reproduces the panic").report_digest();
-            prop_assert_eq!(err.report_digest(), d1, "{}: record vs replay", &name);
+            let d1 = first.result.expect_err("replay reproduces the panic").report().report_digest();
+            let d2 = again.result.expect_err("replay reproduces the panic").report().report_digest();
+            prop_assert_eq!(err.report().report_digest(), d1, "{}: record vs replay", &name);
             prop_assert_eq!(d1, d2, "{}: replay vs replay", &name);
         }
     }
@@ -113,7 +113,7 @@ fn persisted_trace_loads_and_replays() {
         let loaded = trace::persist::load(&path)
             .unwrap_or_else(|e| panic!("{name}: trace must decode: {e:?}"));
         assert_eq!(loaded.recording.backend, name);
-        assert_eq!(loaded.failure.report_digest, err.report_digest());
+        assert_eq!(loaded.failure.report_digest, err.report().report_digest());
         let replay = backend.replay(&loaded, lock_panic_root());
         assert!(
             replay.reproduced(),

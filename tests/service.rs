@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rfdet::core::recover;
 use rfdet::workloads::{service, Params, Size};
-use rfdet::{DmtBackend, FaultPlan, RfdetBackend, RunConfig, RunError, ThreadFn};
+use rfdet::{DmtBackend, FailureKind, FaultPlan, RfdetBackend, RunConfig, ThreadFn};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -54,7 +54,7 @@ fn run_bounded(backend: Box<dyn DmtBackend>, cfg: RunConfig, root: ThreadFn) -> 
         Ok(out) => Ok(out.output_digest()),
         Err(e) => {
             assert!(
-                !matches!(e, RunError::Wedged(_)),
+                e.kind() != FailureKind::Wedged,
                 "{name}: deterministic backends must classify, not wedge: {e}"
             );
             Err(e.report().report_digest())
