@@ -7,14 +7,14 @@ use crate::{
     AtomicStats, ConfigError, FailureKind, FailureReport, FaultPlan, RaceReport, RunConfig,
     RunError, RunOutput, ThreadReport, Tid, TracedRun, WaitEdge,
 };
-use parking_lot::Condvar;
+use parking_lot::{Condvar, Mutex};
 use rfdet_obs::ObsSink;
 use rfdet_trace::{persist, FailureSummary, RunTrace, TraceSink};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -52,12 +52,6 @@ fn filter_stopped_unwinds() {
 /// `true` for the unwinds [`filter_stopped_unwinds`] keeps off stderr.
 pub(super) fn quiet_unwind(payload: &(dyn Any + Send)) -> bool {
     payload.is::<Stopped>() || payload.is::<InjectedFault>()
-}
-
-/// The harness mutexes guard plain data that stays coherent when some
-/// unrelated panic unwinds past a guard.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Extracts a printable message from a panic payload.
@@ -138,14 +132,14 @@ impl RunHarness {
     /// Hands the harness a spawned thread's OS handle; [`Self::finish`]
     /// joins whatever was not claimed back.
     pub fn adopt(&self, tid: Tid, handle: JoinHandle<()>) {
-        lock(&self.handles).insert(tid, handle);
+        self.handles.lock().insert(tid, handle);
     }
 
     /// Claims `tid`'s OS handle back (a backend whose `join` is the OS
     /// join). `None` when unknown or already claimed.
     #[must_use]
     pub fn claim(&self, tid: Tid) -> Option<JoinHandle<()>> {
-        lock(&self.handles).remove(&tid)
+        self.handles.lock().remove(&tid)
     }
 
     /// A thread's exit op: takes its output stream and folds its counters
@@ -159,13 +153,13 @@ impl RunHarness {
     /// The output half of [`Self::retire`], for a restored run's threads
     /// that had exited at its checkpoint.
     pub fn retire_output(&self, tid: Tid, output: Vec<u8>) {
-        lock(&self.outputs).insert(tid, output);
+        self.outputs.lock().insert(tid, output);
     }
 
     /// Retired thread `tid`'s output stream (empty before it retires).
     #[must_use]
     pub fn output_of(&self, tid: Tid) -> Vec<u8> {
-        lock(&self.outputs).get(&tid).cloned().unwrap_or_default()
+        self.outputs.lock().get(&tid).cloned().unwrap_or_default()
     }
 
     /// `true` once a failure has been recorded.
@@ -239,7 +233,7 @@ impl RunHarness {
         wait_graph: Vec<WaitEdge>,
         cycle: Vec<Tid>,
     ) {
-        let mut slot = lock(&self.failure);
+        let mut slot = self.failure.lock();
         if slot.is_none() {
             *slot = Some(FailureReport {
                 backend: String::new(),
@@ -254,7 +248,7 @@ impl RunHarness {
                 warnings: Vec::new(),
             });
         } else if let Some(c) = culprit {
-            lock(&self.peers).entry(tid).or_insert(c);
+            self.peers.lock().entry(tid).or_insert(c);
         }
         drop(slot);
         self.stopped.store(true, SeqCst);
@@ -295,7 +289,7 @@ impl RunHarness {
             }
             None => {
                 if let Some(r) = report {
-                    lock(&self.peers).entry(tid).or_insert(r);
+                    self.peers.lock().entry(tid).or_insert(r);
                 }
             }
         }
@@ -303,10 +297,10 @@ impl RunHarness {
 
     /// Assembles the final [`RunError`] at teardown, if the run failed.
     pub fn take_run_error(&self, backend: &str) -> Option<RunError> {
-        let mut f = lock(&self.failure).take()?;
+        let mut f = self.failure.lock().take()?;
         f.backend = backend.to_owned();
         let culprit = f.tid;
-        f.peers = std::mem::take(&mut *lock(&self.peers))
+        f.peers = std::mem::take(&mut *self.peers.lock())
             .into_iter()
             .filter(|&(t, _)| t != culprit)
             .map(|(_, r)| r)
@@ -332,7 +326,7 @@ impl RunHarness {
         races: impl FnOnce(&mut C) -> (Vec<RaceReport>, bool),
     ) -> TracedRun {
         loop {
-            let handles: Vec<_> = lock(&self.handles).drain().map(|(_, h)| h).collect();
+            let handles: Vec<_> = self.handles.lock().drain().map(|(_, h)| h).collect();
             if handles.is_empty() {
                 break;
             }
@@ -356,7 +350,7 @@ impl RunHarness {
             }
             None => {
                 let mut output = Vec::new();
-                for stream in lock(&self.outputs).values() {
+                for stream in self.outputs.lock().values() {
                     output.extend_from_slice(stream);
                 }
                 Ok(RunOutput {

@@ -89,10 +89,14 @@ fn a_planned_panic_prints_its_report_and_no_panic_message() {
     }
 }
 
+/// An unknown name, and a thread count of 0: a program with no workers
+/// (`dedup@0` used to deadlock, `ocean@0` to print a run that did no work).
 #[test]
 fn unknown_workload_exits_usage() {
-    let out = replay(&["record", "nonesuch@2"]);
-    assert_eq!(out.status.code(), Some(2));
+    for spec in ["nonesuch@2", "dedup@0"] {
+        let out = replay(&["record", spec]);
+        assert_eq!(out.status.code(), Some(2), "{spec}");
+    }
 }
 
 #[test]

@@ -13,9 +13,10 @@
 //!   sync-op end-to-end, slice length in ops and wall time, end-of-slice
 //!   diff, snapshot, propagation/apply, idle wakeups, lockstep fence
 //!   wait and serial apply).
-//! * [`ObsRecorder`] — a per-thread sample ring draining into private
-//!   histograms, merged into the run-wide [`ObsSink`] on drop (panic
-//!   unwinds included), mirroring the flight recorder's `TraceBuf`.
+//! * [`ObsRecorder`] — a thread's private histograms: each sample goes
+//!   straight into its phase's histogram, and the histograms merge into
+//!   the run-wide [`ObsSink`] on drop (panic unwinds included),
+//!   mirroring the flight recorder's `TraceBuf`.
 //! * [`MetricsSnapshot`] — the per-run rollup with phase attribution,
 //!   exporting as JSON.
 //!

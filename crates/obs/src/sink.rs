@@ -12,7 +12,8 @@
 //! effectively uncontended there.
 
 use crate::{Histogram, MetricsSnapshot, Phase, NUM_PHASES};
-use std::sync::{Arc, Mutex, MutexGuard};
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 #[derive(Debug)]
 struct SinkInner {
@@ -24,12 +25,6 @@ struct SinkInner {
 #[derive(Debug)]
 pub struct ObsSink {
     inner: Mutex<SinkInner>,
-}
-
-/// A poisoned sink mutex only means some unrelated panic unwound past a
-/// guard; histogram merges are commutative increments and stay coherent.
-fn lock(m: &Mutex<SinkInner>) -> MutexGuard<'_, SinkInner> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Default for ObsSink {
@@ -47,12 +42,12 @@ impl ObsSink {
     /// Records one sample directly (for single-threaded runtime
     /// sections; per-thread paths go through [`ObsRecorder`]).
     pub fn record(&self, phase: Phase, value: u64) {
-        lock(&self.inner).hists[phase.idx()].record(value);
+        self.inner.lock().hists[phase.idx()].record(value);
     }
 
     /// Folds one thread's per-phase histograms into the run rollup.
     pub fn merge(&self, hists: &[Histogram]) {
-        let mut inner = lock(&self.inner);
+        let mut inner = self.inner.lock();
         inner.threads += 1;
         for (agg, h) in inner.hists.iter_mut().zip(hists) {
             agg.merge(h);
@@ -62,14 +57,14 @@ impl ObsSink {
     /// Number of thread recorders merged so far.
     #[must_use]
     pub fn threads_merged(&self) -> u64 {
-        lock(&self.inner).threads
+        self.inner.lock().threads
     }
 
     /// Rolls the collected histograms up into an exportable
     /// [`MetricsSnapshot`] labelled with the backend's name.
     #[must_use]
     pub fn snapshot(&self, backend: &str) -> MetricsSnapshot {
-        let inner = lock(&self.inner);
+        let inner = self.inner.lock();
         MetricsSnapshot::from_histograms(backend, inner.threads, &inner.hists)
     }
 }

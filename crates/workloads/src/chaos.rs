@@ -11,6 +11,7 @@
 //! `chaos.lock_panic`) so the replay CLI can resolve a persisted
 //! trace's workload name back to a root function.
 
+use crate::util::fork_join;
 use crate::{Params, Size, Suite, Workload};
 use rfdet_api::{BarrierId, DmtCtx, DmtCtxExt, MutexId, ThreadFn, ThreadHandle};
 
@@ -18,24 +19,17 @@ use rfdet_api::{BarrierId, DmtCtx, DmtCtxExt, MutexId, ThreadFn, ThreadHandle};
 /// fixed iteration count, so per-thread sync-op indices are stable and
 /// a `FaultPlan` panic lands on the same program point every run.
 pub fn lock_panic(p: Params) -> ThreadFn {
-    let threads = p.threads.max(1);
+    let threads = p.threads.max(1) as u64;
     Box::new(move |ctx: &mut dyn DmtCtx| {
         let m = MutexId(1);
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                    for _ in 0..32 {
-                        ctx.lock(m);
-                        let v: u64 = ctx.read(128);
-                        ctx.write(128, v + 1);
-                        ctx.unlock(m);
-                    }
-                }))
-            })
-            .collect();
-        for h in handles {
-            ctx.join(h);
-        }
+        fork_join(ctx, threads, move |ctx, _| {
+            for _ in 0..32 {
+                ctx.lock(m);
+                let v: u64 = ctx.read(128);
+                ctx.write(128, v + 1);
+                ctx.unlock(m);
+            }
+        });
         let v: u64 = ctx.read(128);
         ctx.emit_str(&format!("count={v}"));
     })
@@ -74,22 +68,15 @@ pub fn abba_deadlock(_p: Params) -> ThreadFn {
 /// Allocation churn: every thread allocates, touches, and frees a run
 /// of heap blocks, giving `FaultPlan::fail_alloc` a dense target space.
 pub fn alloc_storm(p: Params) -> ThreadFn {
-    let threads = p.threads.max(1);
+    let threads = p.threads.max(1) as u64;
     Box::new(move |ctx: &mut dyn DmtCtx| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                    for k in 0..16u64 {
-                        let addr = ctx.alloc(64, 8);
-                        ctx.write(addr, k);
-                        ctx.dealloc(addr);
-                    }
-                }))
-            })
-            .collect();
-        for h in handles {
-            ctx.join(h);
-        }
+        fork_join(ctx, threads, |ctx, _| {
+            for k in 0..16u64 {
+                let addr = ctx.alloc(64, 8);
+                ctx.write(addr, k);
+                ctx.dealloc(addr);
+            }
+        });
         ctx.emit_str("allocs done");
     })
 }
@@ -218,31 +205,11 @@ fn long_haul_body(workers: usize, rounds: u64, weight: u64, seed: u64) -> Thread
     })
 }
 
-/// The chaos scenario registry (names carry the `chaos.` prefix).
+/// The chaos scenarios (names carry the `chaos.` prefix), a view of
+/// the registry.
 #[must_use]
 pub fn scenarios() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "chaos.lock_panic",
-            suite: Suite::Stress,
-            factory: lock_panic,
-        },
-        Workload {
-            name: "chaos.abba_deadlock",
-            suite: Suite::Stress,
-            factory: abba_deadlock,
-        },
-        Workload {
-            name: "chaos.alloc_storm",
-            suite: Suite::Stress,
-            factory: alloc_storm,
-        },
-        Workload {
-            name: "chaos.long_haul",
-            suite: Suite::Stress,
-            factory: long_haul,
-        },
-    ]
+    crate::view(&[Suite::Chaos])
 }
 
 #[cfg(test)]

@@ -65,7 +65,8 @@ impl Params {
     }
 }
 
-/// Benchmark-suite provenance, for experiment tables.
+/// The suite a workload comes from. The registry's views each list
+/// one or more suites.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Suite {
     /// SPLASH-2 (c.m4.null.POSIX configuration).
@@ -74,8 +75,14 @@ pub enum Suite {
     Phoenix,
     /// PARSEC applications.
     Parsec,
-    /// The racey determinism stress test.
+    /// racey and the synthetic adversaries: resolvable by name only.
     Stress,
+    /// The `chaos.*` failure scenarios ([`chaos::scenarios`]).
+    Chaos,
+    /// The `service.*` ledger ([`service::scenarios`]).
+    Service,
+    /// The `races.*` seeded-race corpus ([`races::corpus`]).
+    Races,
 }
 
 /// A registered workload.
@@ -98,153 +105,96 @@ impl std::fmt::Debug for Workload {
     }
 }
 
-/// Whether a checkpoint of workload `name` can be resumed: the workload
-/// keeps all control state in deterministic memory, so its root, started
-/// on every restored thread, continues from the cut (DESIGN.md §4.11).
-/// Resuming any other workload would rerun pre-cut effects and silently
-/// diverge.
+const fn w(name: &'static str, suite: Suite, factory: fn(Params) -> ThreadFn) -> Workload {
+    Workload {
+        name,
+        suite,
+        factory,
+    }
+}
+
+/// Every workload but the race corpus, whose rows come from its own
+/// table of variants ([`races`]): the paper's applications in Table 1
+/// order, then the rest.
+const WORKLOADS: &[Workload] = &[
+    w("ocean", Suite::Splash2, splash::ocean::root),
+    w("water-ns", Suite::Splash2, splash::water::root_ns),
+    w("water-sp", Suite::Splash2, splash::water::root_sp),
+    w("fft", Suite::Splash2, splash::fft::root),
+    w("radix", Suite::Splash2, splash::radix::root),
+    w("lu-con", Suite::Splash2, splash::lu::root_contiguous),
+    w("lu-non", Suite::Splash2, splash::lu::root_noncontiguous),
+    w(
+        "linear_regression",
+        Suite::Phoenix,
+        phoenix::linear_regression::root,
+    ),
+    w(
+        "matrix_multiply",
+        Suite::Phoenix,
+        phoenix::matrix_multiply::root,
+    ),
+    w("pca", Suite::Phoenix, phoenix::pca::root),
+    w("wordcount", Suite::Phoenix, phoenix::wordcount::root),
+    w("string_match", Suite::Phoenix, phoenix::string_match::root),
+    w("blackscholes", Suite::Parsec, parsec::blackscholes::root),
+    w("swaptions", Suite::Parsec, parsec::swaptions::root),
+    w("dedup", Suite::Parsec, parsec::dedup::root),
+    w("ferret", Suite::Parsec, parsec::ferret::root),
+    w("racey", Suite::Stress, racey::root),
+    w("propagate_heavy", Suite::Stress, stress::propagate_heavy),
+    w("sync_heavy", Suite::Stress, stress::sync_heavy),
+    // Never terminates: resolvable for the replay CLI's `--timeout`
+    // wedged-exit path, but listed in no view, so nothing that
+    // enumerates one (conformance, sweeps) ever runs it.
+    w("chaos.hang", Suite::Stress, chaos::hang),
+    w("chaos.lock_panic", Suite::Chaos, chaos::lock_panic),
+    w("chaos.abba_deadlock", Suite::Chaos, chaos::abba_deadlock),
+    w("chaos.alloc_storm", Suite::Chaos, chaos::alloc_storm),
+    w("chaos.long_haul", Suite::Chaos, chaos::long_haul),
+    w("service.ledger", Suite::Service, service::ledger),
+    w(
+        "service.ledger.bench",
+        Suite::Service,
+        service::ledger_bench,
+    ),
+];
+
+/// Every registered workload, in table order.
+fn registry() -> impl Iterator<Item = Workload> {
+    WORKLOADS.iter().copied().chain(races::entries())
+}
+
+/// The registered workloads of `suites`, in table order.
+pub(crate) fn view(suites: &[Suite]) -> Vec<Workload> {
+    registry().filter(|w| suites.contains(&w.suite)).collect()
+}
+
+/// The workloads whose checkpoints can be resumed: each keeps all
+/// control state in deterministic memory, so its root, started on every
+/// restored thread, continues from the cut (DESIGN.md §4.11).
+const RESUMABLE: [&str; 3] = ["chaos.long_haul", "service.ledger", "service.ledger.bench"];
+
+/// Whether a checkpoint of workload `name` can be resumed
+/// ([`RESUMABLE`]). Resuming any other workload would rerun pre-cut
+/// effects and silently diverge.
 #[must_use]
 pub fn resumable(name: &str) -> bool {
-    matches!(
-        name,
-        "chaos.long_haul" | "service.ledger" | "service.ledger.bench"
-    )
+    RESUMABLE.contains(&name)
 }
 
 /// Every benchmark application, in the paper's Table 1 order.
 #[must_use]
 pub fn benchmarks() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "ocean",
-            suite: Suite::Splash2,
-            factory: splash::ocean::root,
-        },
-        Workload {
-            name: "water-ns",
-            suite: Suite::Splash2,
-            factory: splash::water::root_ns,
-        },
-        Workload {
-            name: "water-sp",
-            suite: Suite::Splash2,
-            factory: splash::water::root_sp,
-        },
-        Workload {
-            name: "fft",
-            suite: Suite::Splash2,
-            factory: splash::fft::root,
-        },
-        Workload {
-            name: "radix",
-            suite: Suite::Splash2,
-            factory: splash::radix::root,
-        },
-        Workload {
-            name: "lu-con",
-            suite: Suite::Splash2,
-            factory: splash::lu::root_contiguous,
-        },
-        Workload {
-            name: "lu-non",
-            suite: Suite::Splash2,
-            factory: splash::lu::root_noncontiguous,
-        },
-        Workload {
-            name: "linear_regression",
-            suite: Suite::Phoenix,
-            factory: phoenix::linear_regression::root,
-        },
-        Workload {
-            name: "matrix_multiply",
-            suite: Suite::Phoenix,
-            factory: phoenix::matrix_multiply::root,
-        },
-        Workload {
-            name: "pca",
-            suite: Suite::Phoenix,
-            factory: phoenix::pca::root,
-        },
-        Workload {
-            name: "wordcount",
-            suite: Suite::Phoenix,
-            factory: phoenix::wordcount::root,
-        },
-        Workload {
-            name: "string_match",
-            suite: Suite::Phoenix,
-            factory: phoenix::string_match::root,
-        },
-        Workload {
-            name: "blackscholes",
-            suite: Suite::Parsec,
-            factory: parsec::blackscholes::root,
-        },
-        Workload {
-            name: "swaptions",
-            suite: Suite::Parsec,
-            factory: parsec::swaptions::root,
-        },
-        Workload {
-            name: "dedup",
-            suite: Suite::Parsec,
-            factory: parsec::dedup::root,
-        },
-        Workload {
-            name: "ferret",
-            suite: Suite::Parsec,
-            factory: parsec::ferret::root,
-        },
-    ]
+    view(&[Suite::Splash2, Suite::Phoenix, Suite::Parsec])
 }
 
-/// Looks a workload up by name (`racey` and the `chaos.*` failure
-/// scenarios included) — the resolver the replay CLI uses to turn a
-/// persisted trace's workload name back into a root function.
+/// Looks a workload up by name — any registered workload, `chaos.hang`
+/// included — the resolver the replay CLI uses to turn a persisted
+/// trace's workload name back into a root function.
 #[must_use]
 pub fn by_name(name: &str) -> Option<Workload> {
-    if name == "racey" {
-        return Some(Workload {
-            name: "racey",
-            suite: Suite::Stress,
-            factory: racey::root,
-        });
-    }
-    if name == "propagate_heavy" {
-        return Some(Workload {
-            name: "propagate_heavy",
-            suite: Suite::Stress,
-            factory: stress::propagate_heavy,
-        });
-    }
-    if name == "sync_heavy" {
-        return Some(Workload {
-            name: "sync_heavy",
-            suite: Suite::Stress,
-            factory: stress::sync_heavy,
-        });
-    }
-    if name == "chaos.hang" {
-        // Deliberately never terminates — resolvable by name for the
-        // replay CLI's `--timeout` wedged-exit path, but kept out of
-        // `chaos::scenarios()` so nothing that enumerates the registry
-        // (conformance, sweeps) ever runs it.
-        return Some(Workload {
-            name: "chaos.hang",
-            suite: Suite::Stress,
-            factory: chaos::hang,
-        });
-    }
-    if name.starts_with("chaos.") {
-        return chaos::scenarios().into_iter().find(|w| w.name == name);
-    }
-    if name.starts_with("races.") {
-        return races::corpus().into_iter().find(|w| w.name == name);
-    }
-    if name.starts_with("service.") {
-        return service::scenarios().into_iter().find(|w| w.name == name);
-    }
-    benchmarks().into_iter().find(|w| w.name == name)
+    registry().find(|w| w.name == name)
 }
 
 #[cfg(test)]
@@ -279,15 +229,33 @@ mod tests {
 
     #[test]
     fn by_name_finds_everything() {
-        assert!(by_name("racey").is_some());
-        for w in benchmarks() {
-            assert_eq!(by_name(w.name).unwrap().name, w.name);
+        let views = [
+            benchmarks(),
+            chaos::scenarios(),
+            service::scenarios(),
+            races::corpus(),
+        ];
+        let mut seen = std::collections::HashSet::new();
+        for w in views.iter().flatten() {
+            let found = by_name(w.name).unwrap_or_else(|| panic!("{} unresolved", w.name));
+            assert_eq!((found.name, found.suite), (w.name, w.suite));
+            assert!(seen.insert(w.name), "{} listed twice", w.name);
         }
-        for w in chaos::scenarios() {
-            assert_eq!(by_name(w.name).unwrap().name, w.name);
+        assert_eq!(seen.len(), 16 + 4 + 2 + 16);
+        for name in ["racey", "propagate_heavy", "sync_heavy", "chaos.hang"] {
+            assert_eq!(
+                by_name(name).map(|w| w.suite),
+                Some(Suite::Stress),
+                "{name}"
+            );
+            assert!(!seen.contains(name), "{name} must be in no view");
+        }
+        for name in RESUMABLE {
+            assert!(by_name(name).is_some(), "resumable {name} is unregistered");
         }
         assert!(by_name("nonesuch").is_none());
         assert!(by_name("chaos.nonesuch").is_none());
+        assert!(by_name("races.nonesuch_clean").is_none());
     }
 
     #[test]

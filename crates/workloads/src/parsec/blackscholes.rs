@@ -2,7 +2,7 @@
 //! portfolio, split across workers; one lock-guarded reduction per wave
 //! accounts for the couple dozen locks Table 1 reports.
 
-use crate::util::{add_fixed, chunk, ids, read_fixed};
+use crate::util::{add_fixed, chunk, fork_join, ids, read_fixed};
 use crate::{Params, Size};
 use rfdet_api::{Addr, DmtCtx, DmtCtxExt, ThreadFn};
 
@@ -57,32 +57,25 @@ pub fn root(p: Params) -> ThreadFn {
             ctx.write::<f64>(base + 32, 0.25 + rng.next_f64() * 2.0); // T
         }
         for w in 0..WAVES {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                        let my = chunk(n, WAVES * threads, w * threads + t);
-                        let mut sum = 0.0f64;
-                        for i in my {
-                            let base = OPT_BASE + i * 40;
-                            let s: f64 = ctx.read(base);
-                            let k: f64 = ctx.read(base + 8);
-                            let r: f64 = ctx.read(base + 16);
-                            let v: f64 = ctx.read(base + 24);
-                            let t_: f64 = ctx.read(base + 32);
-                            sum += price(s, k, r, v, t_);
-                            ctx.tick(40);
-                        }
-                        // Fixed-point cell: schedule-invariant sum
-                        // under any reduction order (util::to_fixed).
-                        ctx.lock(ids::data_mutex(0));
-                        add_fixed(ctx, SUM_CELL, sum);
-                        ctx.unlock(ids::data_mutex(0));
-                    }))
-                })
-                .collect();
-            for h in handles {
-                ctx.join(h);
-            }
+            fork_join(ctx, threads, move |ctx, t| {
+                let my = chunk(n, WAVES * threads, w * threads + t);
+                let mut sum = 0.0f64;
+                for i in my {
+                    let base = OPT_BASE + i * 40;
+                    let s: f64 = ctx.read(base);
+                    let k: f64 = ctx.read(base + 8);
+                    let r: f64 = ctx.read(base + 16);
+                    let v: f64 = ctx.read(base + 24);
+                    let t_: f64 = ctx.read(base + 32);
+                    sum += price(s, k, r, v, t_);
+                    ctx.tick(40);
+                }
+                // Fixed-point cell: schedule-invariant sum
+                // under any reduction order (util::to_fixed).
+                ctx.lock(ids::data_mutex(0));
+                add_fixed(ctx, SUM_CELL, sum);
+                ctx.unlock(ids::data_mutex(0));
+            });
         }
         let total = read_fixed(ctx, SUM_CELL);
         ctx.emit_str(&format!("blackscholes n={n} sum={total:.6}\n"));

@@ -2,7 +2,7 @@
 //! floating-point compute per item, almost no synchronization. Store
 //! traffic is high relative to sync traffic, matching Table 1 row 14.
 
-use crate::util::{checksum_f64s, chunk, ids};
+use crate::util::{checksum_f64s, chunk, fork_join, ids};
 use crate::{Params, Size};
 use rfdet_api::{Addr, DmtCtx, DmtCtxExt, ThreadFn};
 
@@ -47,31 +47,24 @@ pub fn root(p: Params) -> ThreadFn {
             ctx.write::<f64>(base + 16, 1.0 + rng.next_f64() * 9.0); // maturity
         }
         for w in 0..WAVES {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                        let my = chunk(n, WAVES * threads, w * threads + t);
-                        for i in my {
-                            let base = SWAPTION_BASE + i * 24;
-                            let strike: f64 = ctx.read(base);
-                            let vol: f64 = ctx.read(base + 8);
-                            let maturity: f64 = ctx.read(base + 16);
-                            // Per-swaption RNG: the price is independent
-                            // of which thread computes it.
-                            let mut prng = rfdet_api::DetRng::new(0xABCD ^ i);
-                            let mut sum = 0.0f64;
-                            for _ in 0..paths {
-                                sum += simulate(strike, vol, maturity, &mut prng);
-                                ctx.tick(60);
-                            }
-                            ctx.write_idx::<f64>(PRICE_BASE, i, sum / paths as f64);
-                        }
-                    }))
-                })
-                .collect();
-            for h in handles {
-                ctx.join(h);
-            }
+            fork_join(ctx, threads, move |ctx, t| {
+                let my = chunk(n, WAVES * threads, w * threads + t);
+                for i in my {
+                    let base = SWAPTION_BASE + i * 24;
+                    let strike: f64 = ctx.read(base);
+                    let vol: f64 = ctx.read(base + 8);
+                    let maturity: f64 = ctx.read(base + 16);
+                    // Per-swaption RNG: the price is independent
+                    // of which thread computes it.
+                    let mut prng = rfdet_api::DetRng::new(0xABCD ^ i);
+                    let mut sum = 0.0f64;
+                    for _ in 0..paths {
+                        sum += simulate(strike, vol, maturity, &mut prng);
+                        ctx.tick(60);
+                    }
+                    ctx.write_idx::<f64>(PRICE_BASE, i, sum / paths as f64);
+                }
+            });
         }
         // Tiny lock-guarded epilogue (the original aggregates results).
         ctx.lock(ids::data_mutex(0));

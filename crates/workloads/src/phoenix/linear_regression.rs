@@ -5,7 +5,7 @@
 //! *relative* memory overhead under RFDet (§5.4 discusses why: no
 //! synchronization means slices are never propagated or collected).
 
-use crate::util::chunk;
+use crate::util::{chunk, fork_join};
 use crate::{Params, Size};
 use rfdet_api::{Addr, DmtCtx, DmtCtxExt, ThreadFn};
 
@@ -41,32 +41,25 @@ pub fn root(p: Params) -> ThreadFn {
         }
         // Waves of workers: wave w, worker t reduces chunk (w*T + t).
         for w in 0..WAVES {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                        let slice = chunk(n, WAVES * threads, w * threads + t);
-                        let (mut sx, mut sy, mut sxx, mut syy, mut sxy) =
-                            (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
-                        for i in slice {
-                            let x: f64 = ctx.read(POINTS_BASE + i * 16);
-                            let y: f64 = ctx.read(POINTS_BASE + i * 16 + 8);
-                            sx += x;
-                            sy += y;
-                            sxx += x * x;
-                            syy += y * y;
-                            sxy += x * y;
-                            ctx.tick(5);
-                        }
-                        let slot = w * threads + t;
-                        for (k, v) in [sx, sy, sxx, syy, sxy].into_iter().enumerate() {
-                            ctx.write(partial(slot, k as u64), v);
-                        }
-                    }))
-                })
-                .collect();
-            for h in handles {
-                ctx.join(h);
-            }
+            fork_join(ctx, threads, move |ctx, t| {
+                let slice = chunk(n, WAVES * threads, w * threads + t);
+                let (mut sx, mut sy, mut sxx, mut syy, mut sxy) =
+                    (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
+                for i in slice {
+                    let x: f64 = ctx.read(POINTS_BASE + i * 16);
+                    let y: f64 = ctx.read(POINTS_BASE + i * 16 + 8);
+                    sx += x;
+                    sy += y;
+                    sxx += x * x;
+                    syy += y * y;
+                    sxy += x * y;
+                    ctx.tick(5);
+                }
+                let slot = w * threads + t;
+                for (k, v) in [sx, sy, sxx, syy, sxy].into_iter().enumerate() {
+                    ctx.write(partial(slot, k as u64), v);
+                }
+            });
         }
         let mut sums = [0.0f64; 5];
         for slot in 0..WAVES * threads {

@@ -2,7 +2,7 @@
 //! waves. Table 1: zero locks, load-dominated (A and B are read n times
 //! each, C written once).
 
-use crate::util::{checksum_f64s, chunk};
+use crate::util::{checksum_f64s, chunk, fork_join};
 use crate::{Params, Size};
 use rfdet_api::{Addr, DmtCtx, DmtCtxExt, ThreadFn};
 
@@ -30,28 +30,21 @@ pub fn root(p: Params) -> ThreadFn {
             ctx.write::<f64>(b_base + i * 8, rng.next_f64());
         }
         for w in 0..WAVES {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                        let rows = chunk(n, WAVES * threads, w * threads + t);
-                        for r in rows {
-                            for c in 0..n {
-                                let mut acc = 0.0f64;
-                                for k in 0..n {
-                                    let a: f64 = ctx.read(A_BASE + (r * n + k) * 8);
-                                    let b: f64 = ctx.read(b_base + (k * n + c) * 8);
-                                    acc += a * b;
-                                }
-                                ctx.write(c_base + (r * n + c) * 8, acc);
-                                ctx.tick(2 * n);
-                            }
+            fork_join(ctx, threads, move |ctx, t| {
+                let rows = chunk(n, WAVES * threads, w * threads + t);
+                for r in rows {
+                    for c in 0..n {
+                        let mut acc = 0.0f64;
+                        for k in 0..n {
+                            let a: f64 = ctx.read(A_BASE + (r * n + k) * 8);
+                            let b: f64 = ctx.read(b_base + (k * n + c) * 8);
+                            acc += a * b;
                         }
-                    }))
-                })
-                .collect();
-            for h in handles {
-                ctx.join(h);
-            }
+                        ctx.write(c_base + (r * n + c) * 8, acc);
+                        ctx.tick(2 * n);
+                    }
+                }
+            });
         }
         let sig = checksum_f64s(ctx, c_base, n * n);
         ctx.emit_str(&format!("matrix_multiply n={n} sig={sig:016x}\n"));

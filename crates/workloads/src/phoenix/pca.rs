@@ -6,7 +6,7 @@
 //! `util::to_fixed`); a plain `f64 +=` here made pthreads output flap
 //! run-to-run once multiple waves contended per column.
 
-use crate::util::{add_fixed, checksum_f64s, chunk, ids, read_fixed};
+use crate::util::{add_fixed, checksum_f64s, chunk, fork_join, ids, read_fixed};
 use crate::{Params, Size};
 use rfdet_api::{Addr, DmtCtx, DmtCtxExt, ThreadFn};
 
@@ -36,32 +36,25 @@ pub fn root(p: Params) -> ThreadFn {
         }
         // Phase 1: column sums via per-column locks.
         for w in 0..WAVES_MEAN {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                        let my_rows = chunk(rows, WAVES_MEAN * threads, w * threads + t);
-                        let mut local = vec![0.0f64; cols as usize];
-                        for r in my_rows {
-                            for c in 0..cols {
-                                let v: f64 = ctx.read(DATA_BASE + (r * cols + c) * 8);
-                                local[c as usize] += v;
-                                ctx.tick(2);
-                            }
-                        }
-                        // Fixed-point cells: lock order must not leak
-                        // into the sum (util::to_fixed).
-                        for (c, s) in local.iter().enumerate() {
-                            let lock = ids::data_mutex(c as u32);
-                            ctx.lock(lock);
-                            add_fixed(ctx, MEAN_BASE + (c as u64) * 8, *s);
-                            ctx.unlock(lock);
-                        }
-                    }))
-                })
-                .collect();
-            for h in handles {
-                ctx.join(h);
-            }
+            fork_join(ctx, threads, move |ctx, t| {
+                let my_rows = chunk(rows, WAVES_MEAN * threads, w * threads + t);
+                let mut local = vec![0.0f64; cols as usize];
+                for r in my_rows {
+                    for c in 0..cols {
+                        let v: f64 = ctx.read(DATA_BASE + (r * cols + c) * 8);
+                        local[c as usize] += v;
+                        ctx.tick(2);
+                    }
+                }
+                // Fixed-point cells: lock order must not leak
+                // into the sum (util::to_fixed).
+                for (c, s) in local.iter().enumerate() {
+                    let lock = ids::data_mutex(c as u32);
+                    ctx.lock(lock);
+                    add_fixed(ctx, MEAN_BASE + (c as u64) * 8, *s);
+                    ctx.unlock(lock);
+                }
+            });
         }
         for c in 0..cols {
             let s = read_fixed(ctx, MEAN_BASE + c * 8);
@@ -70,38 +63,31 @@ pub fn root(p: Params) -> ThreadFn {
         // Phase 2: covariance, owner-computes per (c1, c2) pair.
         let pairs: u64 = cols * (cols + 1) / 2;
         for w in 0..WAVES_COV {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                        let my = chunk(pairs, WAVES_COV * threads, w * threads + t);
-                        for pair in my {
-                            // Unrank the (c1 ≤ c2) pair.
-                            let mut c1 = 0u64;
-                            let mut acc = 0u64;
-                            while acc + (cols - c1) <= pair {
-                                acc += cols - c1;
-                                c1 += 1;
-                            }
-                            let c2 = c1 + (pair - acc);
-                            let m1: f64 = ctx.read(MEAN_BASE + c1 * 8);
-                            let m2: f64 = ctx.read(MEAN_BASE + c2 * 8);
-                            let mut cov = 0.0f64;
-                            for r in 0..rows {
-                                let a: f64 = ctx.read(DATA_BASE + (r * cols + c1) * 8);
-                                let b: f64 = ctx.read(DATA_BASE + (r * cols + c2) * 8);
-                                cov += (a - m1) * (b - m2);
-                                ctx.tick(3);
-                            }
-                            cov /= (rows - 1) as f64;
-                            ctx.write(cov_base + (c1 * cols + c2) * 8, cov);
-                            ctx.write(cov_base + (c2 * cols + c1) * 8, cov);
-                        }
-                    }))
-                })
-                .collect();
-            for h in handles {
-                ctx.join(h);
-            }
+            fork_join(ctx, threads, move |ctx, t| {
+                let my = chunk(pairs, WAVES_COV * threads, w * threads + t);
+                for pair in my {
+                    // Unrank the (c1 ≤ c2) pair.
+                    let mut c1 = 0u64;
+                    let mut acc = 0u64;
+                    while acc + (cols - c1) <= pair {
+                        acc += cols - c1;
+                        c1 += 1;
+                    }
+                    let c2 = c1 + (pair - acc);
+                    let m1: f64 = ctx.read(MEAN_BASE + c1 * 8);
+                    let m2: f64 = ctx.read(MEAN_BASE + c2 * 8);
+                    let mut cov = 0.0f64;
+                    for r in 0..rows {
+                        let a: f64 = ctx.read(DATA_BASE + (r * cols + c1) * 8);
+                        let b: f64 = ctx.read(DATA_BASE + (r * cols + c2) * 8);
+                        cov += (a - m1) * (b - m2);
+                        ctx.tick(3);
+                    }
+                    cov /= (rows - 1) as f64;
+                    ctx.write(cov_base + (c1 * cols + c2) * 8, cov);
+                    ctx.write(cov_base + (c2 * cols + c1) * 8, cov);
+                }
+            });
         }
         let sig = checksum_f64s(ctx, cov_base, cols * cols);
         ctx.emit_str(&format!("pca rows={rows} cols={cols} sig={sig:016x}\n"));

@@ -2,7 +2,7 @@
 //! of search keys (modelled as 64-bit fingerprints). Pure fork/join with
 //! 8 forks (2 waves), read-dominated — the lightest workload in Table 1.
 
-use crate::util::chunk;
+use crate::util::{chunk, fork_join};
 use crate::{Params, Size};
 use rfdet_api::{Addr, DmtCtx, DmtCtxExt, ThreadFn};
 
@@ -37,26 +37,19 @@ pub fn root(p: Params) -> ThreadFn {
         }
         let slots = WAVES * threads;
         for w in 0..WAVES {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                        let slot = w * threads + t;
-                        let my = chunk(n, slots, slot);
-                        let mut hits = 0u64;
-                        for i in my {
-                            let v: u64 = ctx.read_idx(DB_BASE, i);
-                            if KEYS.contains(&v) {
-                                hits += 1;
-                            }
-                            ctx.tick(2);
-                        }
-                        ctx.write_idx::<u64>(RESULT_BASE, slot, hits);
-                    }))
-                })
-                .collect();
-            for h in handles {
-                ctx.join(h);
-            }
+            fork_join(ctx, threads, move |ctx, t| {
+                let slot = w * threads + t;
+                let my = chunk(n, slots, slot);
+                let mut hits = 0u64;
+                for i in my {
+                    let v: u64 = ctx.read_idx(DB_BASE, i);
+                    if KEYS.contains(&v) {
+                        hits += 1;
+                    }
+                    ctx.tick(2);
+                }
+                ctx.write_idx::<u64>(RESULT_BASE, slot, hits);
+            });
         }
         let total: u64 = (0..slots)
             .map(|s| ctx.read_idx::<u64>(RESULT_BASE, s))

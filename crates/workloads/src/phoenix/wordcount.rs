@@ -3,7 +3,7 @@
 //! per-worker tables, main folds. Table 1: zero locks, 60 forks (15
 //! waves × 4 threads).
 
-use crate::util::{checksum_u64s, chunk};
+use crate::util::{checksum_u64s, chunk, fork_join};
 use crate::{Params, Size};
 use rfdet_api::{Addr, DmtCtx, DmtCtxExt, ThreadFn};
 
@@ -38,28 +38,21 @@ pub fn root(p: Params) -> ThreadFn {
         }
         let slots = WAVES * threads;
         for w in 0..WAVES {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                        let slot = w * threads + t;
-                        let my = chunk(n, slots, slot);
-                        let mut local = vec![0u64; DICT_WORDS as usize];
-                        for i in my {
-                            let word: u32 = ctx.read(TEXT_BASE + i * 4);
-                            local[word as usize] += 1;
-                            ctx.tick(1);
-                        }
-                        for (word, &c) in local.iter().enumerate() {
-                            if c > 0 {
-                                ctx.write_idx::<u64>(slot_table(slot), word as u64, c);
-                            }
-                        }
-                    }))
-                })
-                .collect();
-            for h in handles {
-                ctx.join(h);
-            }
+            fork_join(ctx, threads, move |ctx, t| {
+                let slot = w * threads + t;
+                let my = chunk(n, slots, slot);
+                let mut local = vec![0u64; DICT_WORDS as usize];
+                for i in my {
+                    let word: u32 = ctx.read(TEXT_BASE + i * 4);
+                    local[word as usize] += 1;
+                    ctx.tick(1);
+                }
+                for (word, &c) in local.iter().enumerate() {
+                    if c > 0 {
+                        ctx.write_idx::<u64>(slot_table(slot), word as u64, c);
+                    }
+                }
+            });
         }
         // Fold into the final table (slot index == slots).
         let final_table = slot_table(slots);

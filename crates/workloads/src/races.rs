@@ -29,6 +29,7 @@
 //! found with all workers enabled is still the digest the minimized
 //! reproducer reports. `replay races` ddmin-shrinks over this mask.
 
+use crate::util::fork;
 use crate::{Params, Suite, Workload};
 use rfdet_api::{BarrierId, DmtCtx, DmtCtxExt, MutexId, ThreadFn};
 
@@ -38,8 +39,8 @@ const BASE: u64 = 4096;
 /// All-workers-enabled mask.
 const ALL: u64 = u64::MAX;
 
-fn on(mask: u64, t: usize) -> bool {
-    mask & (1u64 << (t as u32 & 63)) != 0
+fn on(mask: u64, t: u64) -> bool {
+    mask & (1 << (t & 63)) != 0
 }
 
 /// A nonzero, per-worker, seed-derived value — never equal to current
@@ -52,32 +53,25 @@ fn val(seed: u64, t: u64, salt: u64) -> u64 {
         | 1
 }
 
-/// Spawns `threads` workers in tid order, joins them in tid order, then
-/// emits a checksum of the raced-on region (read after every join, so
-/// the checksum reads are ordered with everything).
+/// Forks `threads` workers (a masked-off one runs nothing), runs `peek`
+/// on main before any join, joins, then emits a checksum of the
+/// raced-on region (read after every join, so the checksum reads are
+/// ordered with everything).
 fn scaffold(
     p: Params,
     mask: u64,
     words: u64,
-    body: impl Fn(&mut dyn DmtCtx, usize) + Send + Sync + Clone + 'static,
-    pre: impl Fn(&mut dyn DmtCtx) + Send + 'static,
+    body: impl Fn(&mut dyn DmtCtx, u64) + Send + Sync + Clone + 'static,
     peek: impl Fn(&mut dyn DmtCtx) + Send + 'static,
 ) -> ThreadFn {
     Box::new(move |ctx: &mut dyn DmtCtx| {
-        pre(ctx);
-        let handles: Vec<_> = (0..p.threads)
-            .map(|t| {
-                let body = body.clone();
-                let enabled = on(mask, t);
-                ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                    if enabled {
-                        body(ctx, t);
-                    }
-                }))
-            })
-            .collect();
+        let workers = fork(ctx, p.threads as u64, move |ctx, t| {
+            if on(mask, t) {
+                body(ctx, t);
+            }
+        });
         peek(ctx);
-        for h in handles {
+        for h in workers {
             ctx.join(h);
         }
         let sig = crate::util::checksum_u64s(ctx, BASE, words);
@@ -85,36 +79,34 @@ fn scaffold(
     })
 }
 
-fn no_pre(_: &mut dyn DmtCtx) {}
 fn no_peek(_: &mut dyn DmtCtx) {}
 
 /// `counter` — the classic unsynchronized shared counter: each worker
 /// pair read-modify-writes one word with no synchronization at all.
 /// One report per pair (the survivors' slices arrive in tid order, so
 /// the recorded conflict is the lower tid's write against the higher
-/// tid's read on every backend).
-fn counter(p: Params, mask: u64, locked: bool) -> ThreadFn {
+/// tid's read on every backend). The clean twin locks the pair's mutex.
+fn counter(p: Params, mask: u64, racy: bool) -> ThreadFn {
     let seed = p.seed;
     scaffold(
         p,
         mask,
         (p.threads as u64).div_ceil(2),
         move |ctx, t| {
-            let pair = (t / 2) as u64;
+            let pair = t / 2;
             let w = BASE + 8 * pair;
-            let bump = val(seed, t as u64, 1);
-            if locked {
+            let bump = val(seed, t, 1);
+            if racy {
+                let v: u64 = ctx.read(w);
+                ctx.write(w, v.wrapping_add(bump));
+            } else {
                 let m = MutexId(pair as u32);
                 ctx.lock(m);
                 let v: u64 = ctx.read(w);
                 ctx.write(w, v.wrapping_add(bump));
                 ctx.unlock(m);
-            } else {
-                let v: u64 = ctx.read(w);
-                ctx.write(w, v.wrapping_add(bump));
             }
         },
-        no_pre,
         no_peek,
     )
 }
@@ -124,38 +116,31 @@ fn counter(p: Params, mask: u64, locked: bool) -> ThreadFn {
 /// and reads the data unconditionally. Two reports per pair (flag and
 /// data, each writer-vs-reader). The clean twin does both sides under
 /// the pair's mutex.
-fn handoff(p: Params, mask: u64, locked: bool) -> ThreadFn {
+fn handoff(p: Params, mask: u64, racy: bool) -> ThreadFn {
     let seed = p.seed;
     scaffold(
         p,
         mask,
         2 * (p.threads as u64).div_ceil(2),
         move |ctx, t| {
-            let pair = (t / 2) as u64;
+            let pair = t / 2;
             let data = BASE + 16 * pair;
             let flag = data + 8;
             let m = MutexId(pair as u32);
+            if !racy {
+                ctx.lock(m);
+            }
             if t % 2 == 0 {
-                if locked {
-                    ctx.lock(m);
-                }
-                ctx.write(data, val(seed, t as u64, 2));
+                ctx.write(data, val(seed, t, 2));
                 ctx.write(flag, 1u64);
-                if locked {
-                    ctx.unlock(m);
-                }
             } else {
-                if locked {
-                    ctx.lock(m);
-                }
                 let _f: u64 = ctx.read(flag);
                 let _d: u64 = ctx.read(data);
-                if locked {
-                    ctx.unlock(m);
-                }
+            }
+            if !racy {
+                ctx.unlock(m);
             }
         },
-        no_pre,
         no_peek,
     )
 }
@@ -164,30 +149,29 @@ fn handoff(p: Params, mask: u64, locked: bool) -> ThreadFn {
 /// pair peek the init word, see it unset, and both initialize it plus a
 /// value word. Two reports per pair (init word and value word). The
 /// clean twin does the check-and-set under a mutex.
-fn lazy_init(p: Params, mask: u64, locked: bool) -> ThreadFn {
+fn lazy_init(p: Params, mask: u64, racy: bool) -> ThreadFn {
     let seed = p.seed;
     scaffold(
         p,
         mask,
         2 * (p.threads as u64).div_ceil(2),
         move |ctx, t| {
-            let pair = (t / 2) as u64;
+            let pair = t / 2;
             let init = BASE + 16 * pair;
             let value = init + 8;
             let m = MutexId(pair as u32);
-            if locked {
+            if !racy {
                 ctx.lock(m);
             }
             let seen: u64 = ctx.read(init);
             if seen == 0 {
-                ctx.write(value, val(seed, t as u64, 3));
+                ctx.write(value, val(seed, t, 3));
                 ctx.write(init, 1u64);
             }
-            if locked {
+            if !racy {
                 ctx.unlock(m);
             }
         },
-        no_pre,
         no_peek,
     )
 }
@@ -198,28 +182,23 @@ fn lazy_init(p: Params, mask: u64, locked: bool) -> ThreadFn {
 /// only counts themselves), so exactly two edges are missing: worker
 /// 0's read of word 1, and the last worker's read of word 0. Two
 /// reports at any thread count.
-fn barrier_miss(p: Params, mask: u64, everyone: bool) -> ThreadFn {
+fn barrier_miss(p: Params, mask: u64, racy: bool) -> ThreadFn {
     let seed = p.seed;
-    let n = p.threads;
+    let n = p.threads as u64;
     // Barrier parties = the enabled workers that will actually arrive;
     // computed from the mask so a shrunk run still releases the wall.
-    let parties = (0..n)
-        .filter(|&t| on(mask, t) && (everyone || t != 0))
-        .count();
+    let parties = (0..n).filter(|&t| on(mask, t) && (!racy || t != 0)).count();
     scaffold(
         p,
         mask,
-        n as u64,
+        n,
         move |ctx, t| {
-            let mine = BASE + 8 * t as u64;
-            let next = BASE + 8 * (((t + 1) % n) as u64);
-            ctx.write(mine, val(seed, t as u64, 4));
-            if (everyone || t != 0) && parties > 0 {
+            ctx.write(BASE + 8 * t, val(seed, t, 4));
+            if (!racy || t != 0) && parties > 0 {
                 ctx.barrier(BarrierId(0), parties);
             }
-            let _peek: u64 = ctx.read(next);
+            let _peek: u64 = ctx.read(BASE + 8 * ((t + 1) % n));
         },
-        no_pre,
         no_peek,
     )
 }
@@ -228,28 +207,26 @@ fn barrier_miss(p: Params, mask: u64, everyone: bool) -> ThreadFn {
 /// 16-byte "struct" (two adjacent words) with no synchronization. Two
 /// write/write reports per pair; single-combination, so observation
 /// order never matters. The clean twin stores under the pair's mutex.
-fn torn_write(p: Params, mask: u64, locked: bool) -> ThreadFn {
+fn torn_write(p: Params, mask: u64, racy: bool) -> ThreadFn {
     let seed = p.seed;
     scaffold(
         p,
         mask,
         2 * (p.threads as u64).div_ceil(2),
         move |ctx, t| {
-            let pair = (t / 2) as u64;
+            let pair = t / 2;
             let lo = BASE + 16 * pair;
-            let hi = lo + 8;
-            let v = val(seed, t as u64, 5);
+            let v = val(seed, t, 5);
             let m = MutexId(pair as u32);
-            if locked {
+            if !racy {
                 ctx.lock(m);
             }
             ctx.write(lo, v);
-            ctx.write(hi, v ^ 0xFFFF);
-            if locked {
+            ctx.write(lo + 8, v ^ 0xFFFF);
+            if !racy {
                 ctx.unlock(m);
             }
         },
-        no_pre,
         no_peek,
     )
 }
@@ -259,28 +236,28 @@ fn torn_write(p: Params, mask: u64, locked: bool) -> ThreadFn {
 /// the count without the lock, then re-reads it properly inside the
 /// lock. One report per pair: the producer's locked count write against
 /// the consumer's unlocked peek. The clean twin peeks under the lock.
-fn mailbox_peek(p: Params, mask: u64, locked_peek: bool) -> ThreadFn {
+fn mailbox_peek(p: Params, mask: u64, racy: bool) -> ThreadFn {
     let seed = p.seed;
     scaffold(
         p,
         mask,
         2 * (p.threads as u64).div_ceil(2),
         move |ctx, t| {
-            let pair = (t / 2) as u64;
+            let pair = t / 2;
             let slot = BASE + 16 * pair;
             let count = slot + 8;
             let m = MutexId(pair as u32);
             if t % 2 == 0 {
                 ctx.lock(m);
-                ctx.write(slot, val(seed, t as u64, 6));
+                ctx.write(slot, val(seed, t, 6));
                 ctx.write(count, 1u64);
                 ctx.unlock(m);
             } else {
-                if locked_peek {
+                if !racy {
                     ctx.lock(m);
                 }
                 let _peek: u64 = ctx.read(count);
-                if !locked_peek {
+                if racy {
                     ctx.lock(m);
                 }
                 let _s: u64 = ctx.read(slot);
@@ -288,7 +265,6 @@ fn mailbox_peek(p: Params, mask: u64, locked_peek: bool) -> ThreadFn {
                 ctx.unlock(m);
             }
         },
-        no_pre,
         no_peek,
     )
 }
@@ -297,7 +273,7 @@ fn mailbox_peek(p: Params, mask: u64, locked_peek: bool) -> ThreadFn {
 /// four-word shard, but the racy variant's bounds overlap each shard's
 /// first word with its left neighbour's last. One write/write report
 /// per adjacent worker pair (`threads - 1` total).
-fn shard_overlap(p: Params, mask: u64, disjoint: bool) -> ThreadFn {
+fn shard_overlap(p: Params, mask: u64, racy: bool) -> ThreadFn {
     let seed = p.seed;
     const SHARD: u64 = 4;
     scaffold(
@@ -305,17 +281,15 @@ fn shard_overlap(p: Params, mask: u64, disjoint: bool) -> ThreadFn {
         mask,
         SHARD * p.threads as u64,
         move |ctx, t| {
-            let t = t as u64;
-            let start = if disjoint || t == 0 {
-                SHARD * t
-            } else {
+            let start = if racy && t > 0 {
                 SHARD * t - 1 // overlaps the left neighbour's last word
+            } else {
+                SHARD * t
             };
             for i in start..SHARD * (t + 1) {
                 ctx.write(BASE + 8 * i, val(seed, t, 7 + i));
             }
         },
-        no_pre,
         no_peek,
     )
 }
@@ -324,78 +298,82 @@ fn shard_overlap(p: Params, mask: u64, disjoint: bool) -> ThreadFn {
 /// writes its result word; the racy main peeks worker 0's result
 /// *before* any join. One report (main's read vs worker 0's write),
 /// and a 1-minimal reproducer of a single worker.
-fn result_peek(p: Params, mask: u64, peek_early: bool) -> ThreadFn {
+fn result_peek(p: Params, mask: u64, racy: bool) -> ThreadFn {
     let seed = p.seed;
     scaffold(
         p,
         mask,
         p.threads as u64,
-        move |ctx, t| {
-            ctx.write(BASE + 8 * t as u64, val(seed, t as u64, 20));
-        },
-        no_pre,
+        move |ctx, t| ctx.write(BASE + 8 * t, val(seed, t, 20)),
         move |ctx| {
-            if peek_early {
+            if racy {
                 let _early: u64 = ctx.read(BASE);
             }
         },
     )
 }
 
-macro_rules! corpus_entry {
-    ($fn_name:ident, $builder:ident, $flag:expr) => {
-        fn $fn_name(p: Params) -> ThreadFn {
-            $builder(p, ALL, $flag)
-        }
+/// One corpus variant: its racy program and clean twin as registry
+/// rows, the builder both come from (`racy` picks which; `mask` enables
+/// workers), and how many race reports the racy program must produce at
+/// `threads` workers with every worker enabled — the corpus's ground
+/// truth. Clean twins must produce none.
+struct Variant {
+    racy: Workload,
+    clean: Workload,
+    build: fn(p: Params, mask: u64, racy: bool) -> ThreadFn,
+    races: fn(threads: usize) -> usize,
+}
+
+/// Writes each variant's name once: `races.<builder>` is the racy
+/// program, `races.<builder>_clean` its twin.
+macro_rules! variants {
+    ($($build:ident: $races:expr,)*) => {
+        const VARIANTS: &[Variant] = &[$(Variant {
+            racy: Workload {
+                name: concat!("races.", stringify!($build)),
+                suite: Suite::Races,
+                factory: |p| $build(p, ALL, true),
+            },
+            clean: Workload {
+                name: concat!("races.", stringify!($build), "_clean"),
+                suite: Suite::Races,
+                factory: |p| $build(p, ALL, false),
+            },
+            build: $build,
+            races: $races,
+        }),*];
     };
 }
 
-corpus_entry!(counter_racy, counter, false);
-corpus_entry!(counter_clean, counter, true);
-corpus_entry!(handoff_racy, handoff, false);
-corpus_entry!(handoff_clean, handoff, true);
-corpus_entry!(lazy_init_racy, lazy_init, false);
-corpus_entry!(lazy_init_clean, lazy_init, true);
-corpus_entry!(barrier_miss_racy, barrier_miss, false);
-corpus_entry!(barrier_miss_clean, barrier_miss, true);
-corpus_entry!(torn_write_racy, torn_write, false);
-corpus_entry!(torn_write_clean, torn_write, true);
-corpus_entry!(mailbox_peek_racy, mailbox_peek, false);
-corpus_entry!(mailbox_peek_clean, mailbox_peek, true);
-corpus_entry!(shard_overlap_racy, shard_overlap, false);
-corpus_entry!(shard_overlap_clean, shard_overlap, true);
-corpus_entry!(result_peek_racy, result_peek, true);
-corpus_entry!(result_peek_clean, result_peek, false);
+variants! {
+    counter: |t| t / 2,
+    handoff: |t| 2 * (t / 2),
+    lazy_init: |t| 2 * (t / 2),
+    barrier_miss: |_| 2,
+    torn_write: |t| 2 * (t / 2),
+    mailbox_peek: |t| t / 2,
+    shard_overlap: |t| t.saturating_sub(1),
+    result_peek: |_| 1,
+}
+
+/// The corpus's registry rows: each racy variant, then its clean twin.
+pub(crate) fn entries() -> impl Iterator<Item = Workload> {
+    VARIANTS.iter().flat_map(|v| [v.racy, v.clean])
+}
 
 /// The full corpus: eight racy variants interleaved with their clean
 /// twins (`*_clean` suffix).
 #[must_use]
 pub fn corpus() -> Vec<Workload> {
-    fn w(name: &'static str, factory: fn(Params) -> ThreadFn) -> Workload {
-        Workload {
-            name,
-            suite: Suite::Stress,
-            factory,
-        }
-    }
-    vec![
-        w("races.counter", counter_racy),
-        w("races.counter_clean", counter_clean),
-        w("races.handoff", handoff_racy),
-        w("races.handoff_clean", handoff_clean),
-        w("races.lazy_init", lazy_init_racy),
-        w("races.lazy_init_clean", lazy_init_clean),
-        w("races.barrier_miss", barrier_miss_racy),
-        w("races.barrier_miss_clean", barrier_miss_clean),
-        w("races.torn_write", torn_write_racy),
-        w("races.torn_write_clean", torn_write_clean),
-        w("races.mailbox_peek", mailbox_peek_racy),
-        w("races.mailbox_peek_clean", mailbox_peek_clean),
-        w("races.shard_overlap", shard_overlap_racy),
-        w("races.shard_overlap_clean", shard_overlap_clean),
-        w("races.result_peek", result_peek_racy),
-        w("races.result_peek_clean", result_peek_clean),
-    ]
+    crate::view(&[Suite::Races])
+}
+
+/// The variant `name` belongs to, and whether it is the racy program.
+fn variant(name: &str) -> Option<(&'static Variant, bool)> {
+    VARIANTS.iter().find_map(|v| {
+        (v.racy.name == name || v.clean.name == name).then_some((v, v.racy.name == name))
+    })
 }
 
 /// Builds a corpus workload with an explicit worker-enable `mask`
@@ -403,43 +381,14 @@ pub fn corpus() -> Vec<Workload> {
 /// ddmin over. `mask == u64::MAX` reproduces the registry entry.
 #[must_use]
 pub fn root_masked(name: &str, p: Params, mask: u64) -> Option<ThreadFn> {
-    Some(match name {
-        "races.counter" => counter(p, mask, false),
-        "races.counter_clean" => counter(p, mask, true),
-        "races.handoff" => handoff(p, mask, false),
-        "races.handoff_clean" => handoff(p, mask, true),
-        "races.lazy_init" => lazy_init(p, mask, false),
-        "races.lazy_init_clean" => lazy_init(p, mask, true),
-        "races.barrier_miss" => barrier_miss(p, mask, false),
-        "races.barrier_miss_clean" => barrier_miss(p, mask, true),
-        "races.torn_write" => torn_write(p, mask, false),
-        "races.torn_write_clean" => torn_write(p, mask, true),
-        "races.mailbox_peek" => mailbox_peek(p, mask, false),
-        "races.mailbox_peek_clean" => mailbox_peek(p, mask, true),
-        "races.shard_overlap" => shard_overlap(p, mask, false),
-        "races.shard_overlap_clean" => shard_overlap(p, mask, true),
-        "races.result_peek" => result_peek(p, mask, true),
-        "races.result_peek_clean" => result_peek(p, mask, false),
-        _ => return None,
-    })
+    variant(name).map(|(v, racy)| (v.build)(p, mask, racy))
 }
 
 /// How many race reports variant `name` must produce at `threads`
-/// workers with every worker enabled — the corpus's ground truth.
-/// Clean twins are always zero.
+/// workers with every worker enabled. Clean twins are always zero.
 #[must_use]
 pub fn expected_races(name: &str, threads: usize) -> Option<usize> {
-    let pairs = threads / 2;
-    Some(match name {
-        "races.counter" => pairs,
-        "races.handoff" | "races.lazy_init" | "races.torn_write" => 2 * pairs,
-        "races.barrier_miss" => 2,
-        "races.mailbox_peek" => pairs,
-        "races.shard_overlap" => threads.saturating_sub(1),
-        "races.result_peek" => 1,
-        n if n.starts_with("races.") && n.ends_with("_clean") => 0,
-        _ => return None,
-    })
+    variant(name).map(|(v, racy)| if racy { (v.races)(threads) } else { 0 })
 }
 
 #[cfg(test)]

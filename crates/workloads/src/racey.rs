@@ -8,6 +8,7 @@
 //! varies run to run; under strong determinism it must be bit-identical
 //! across runs (the paper verifies 1000 runs × {2,4,8} threads).
 
+use crate::util::fork_join;
 use crate::{Params, Size};
 use rfdet_api::{DmtCtx, DmtCtxExt, ThreadFn};
 
@@ -36,29 +37,22 @@ pub fn root(p: Params) -> ThreadFn {
                 p.seed.wrapping_add(i.wrapping_mul(0x1234_5678_9ABC_DEF1)),
             );
         }
-        let handles: Vec<_> = (0..p.threads as u64)
-            .map(|t| {
-                ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                    // Each thread's index walk is deterministic, but the
-                    // *interleaving* with other threads is not — unless
-                    // the runtime makes it so.
-                    let mut x = t.wrapping_mul(0x0123_4567_89AB_CDEF) | 1;
-                    for _ in 0..iters {
-                        x = mix(x, t);
-                        let i = x % SIG_WORDS;
-                        let j = (x >> 8) % SIG_WORDS;
-                        let k = (x >> 16) % SIG_WORDS;
-                        let a: u64 = ctx.read_idx(SIG_BASE, i);
-                        let b: u64 = ctx.read_idx(SIG_BASE, j);
-                        ctx.write_idx::<u64>(SIG_BASE, k, mix(a, b));
-                        ctx.tick(3);
-                    }
-                }))
-            })
-            .collect();
-        for h in handles {
-            ctx.join(h);
-        }
+        fork_join(ctx, p.threads as u64, move |ctx, t| {
+            // Each thread's index walk is deterministic, but the
+            // *interleaving* with other threads is not — unless the
+            // runtime makes it so.
+            let mut x = t.wrapping_mul(0x0123_4567_89AB_CDEF) | 1;
+            for _ in 0..iters {
+                x = mix(x, t);
+                let i = x % SIG_WORDS;
+                let j = (x >> 8) % SIG_WORDS;
+                let k = (x >> 16) % SIG_WORDS;
+                let a: u64 = ctx.read_idx(SIG_BASE, i);
+                let b: u64 = ctx.read_idx(SIG_BASE, j);
+                ctx.write_idx::<u64>(SIG_BASE, k, mix(a, b));
+                ctx.tick(3);
+            }
+        });
         let sig = crate::util::checksum_u64s(ctx, SIG_BASE, SIG_WORDS);
         ctx.emit_str(&format!("racey signature: {sig:016x}\n"));
     })

@@ -431,21 +431,11 @@ fn audit(ctx: &mut dyn DmtCtx, parties: u64) {
     ));
 }
 
-/// The service scenario registry (names carry the `service.` prefix).
+/// The service scenarios (names carry the `service.` prefix), a view
+/// of the registry.
 #[must_use]
 pub fn scenarios() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "service.ledger",
-            suite: Suite::Stress,
-            factory: ledger,
-        },
-        Workload {
-            name: "service.ledger.bench",
-            suite: Suite::Stress,
-            factory: ledger_bench,
-        },
-    ]
+    crate::view(&[Suite::Service])
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! very few synchronization operations, store-heavy, large footprint
 //! relative to the other kernels (Table 1 row 4).
 
-use crate::util::{checksum_f64s, chunk, ids, LockBarrier};
+use crate::util::{checksum_f64s, chunk, fork_join, ids, LockBarrier};
 use crate::{Params, Size};
 use rfdet_api::{Addr, DmtCtx, DmtCtxExt, ThreadFn};
 
@@ -47,43 +47,36 @@ pub fn root(p: Params) -> ThreadFn {
             ids::barrier_cond(0),
             threads,
         );
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                    for s in 1..=stages {
-                        let half = 1u64 << (s - 1);
-                        let full = 1u64 << s;
-                        let groups = n / full;
-                        // Each thread owns a contiguous range of groups.
-                        let mine = chunk(groups, threads, t);
-                        for g in mine {
-                            let base = g * full;
-                            for k in 0..half {
-                                let ang = -2.0 * std::f64::consts::PI * (k as f64) / (full as f64);
-                                let (wr, wi) = (ang.cos(), ang.sin());
-                                let a = base + k;
-                                let b = base + k + half;
-                                let ar: f64 = ctx.read(re(a));
-                                let ai: f64 = ctx.read(im(a));
-                                let br: f64 = ctx.read(re(b));
-                                let bi: f64 = ctx.read(im(b));
-                                let tr = br * wr - bi * wi;
-                                let ti = br * wi + bi * wr;
-                                ctx.write(re(a), ar + tr);
-                                ctx.write(im(a), ai + ti);
-                                ctx.write(re(b), ar - tr);
-                                ctx.write(im(b), ai - ti);
-                                ctx.tick(12);
-                            }
-                        }
-                        barrier.wait(ctx);
+        fork_join(ctx, threads, move |ctx, t| {
+            for s in 1..=stages {
+                let half = 1u64 << (s - 1);
+                let full = 1u64 << s;
+                let groups = n / full;
+                // Each thread owns a contiguous range of groups.
+                let mine = chunk(groups, threads, t);
+                for g in mine {
+                    let base = g * full;
+                    for k in 0..half {
+                        let ang = -2.0 * std::f64::consts::PI * (k as f64) / (full as f64);
+                        let (wr, wi) = (ang.cos(), ang.sin());
+                        let a = base + k;
+                        let b = base + k + half;
+                        let ar: f64 = ctx.read(re(a));
+                        let ai: f64 = ctx.read(im(a));
+                        let br: f64 = ctx.read(re(b));
+                        let bi: f64 = ctx.read(im(b));
+                        let tr = br * wr - bi * wi;
+                        let ti = br * wi + bi * wr;
+                        ctx.write(re(a), ar + tr);
+                        ctx.write(im(a), ai + ti);
+                        ctx.write(re(b), ar - tr);
+                        ctx.write(im(b), ai - ti);
+                        ctx.tick(12);
                     }
-                }))
-            })
-            .collect();
-        for h in handles {
-            ctx.join(h);
-        }
+                }
+                barrier.wait(ctx);
+            }
+        });
         let sig = checksum_f64s(ctx, DATA_BASE, n * 2);
         ctx.emit_str(&format!("fft n={n} sig={sig:016x}\n"));
     })

@@ -8,7 +8,7 @@
 //!   exactly why the paper's Figure 7 shows `lu-non` as DThreads' worst
 //!   case (~10× slowdown).
 
-use crate::util::{checksum_f64s, ids, LockBarrier};
+use crate::util::{checksum_f64s, fork_join, ids, LockBarrier};
 use crate::{Params, Size};
 use rfdet_api::{Addr, DmtCtx, DmtCtxExt, ThreadFn};
 
@@ -65,97 +65,90 @@ fn body(p: Params, layout: Layout, label: &'static str) -> ThreadFn {
             threads,
         );
         let owner = move |bi: u64, bj: u64| (bi * nb + bj) % threads;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                    let at = move |r: u64, c: u64| addr(layout, n, block, r, c);
-                    for k in 0..nb {
-                        let base = k * block;
-                        // 1. Owner factors the diagonal block in place.
-                        if owner(k, k) == t {
-                            for d in 0..block {
-                                let pivot: f64 = ctx.read(at(base + d, base + d));
-                                for r in d + 1..block {
-                                    let v: f64 = ctx.read(at(base + r, base + d));
-                                    ctx.write(at(base + r, base + d), v / pivot);
-                                }
-                                for r in d + 1..block {
-                                    let l: f64 = ctx.read(at(base + r, base + d));
-                                    for c in d + 1..block {
-                                        let u: f64 = ctx.read(at(base + d, base + c));
-                                        let v: f64 = ctx.read(at(base + r, base + c));
-                                        ctx.write(at(base + r, base + c), v - l * u);
-                                        ctx.tick(2);
-                                    }
-                                }
+        fork_join(ctx, threads, move |ctx, t| {
+            let at = move |r: u64, c: u64| addr(layout, n, block, r, c);
+            for k in 0..nb {
+                let base = k * block;
+                // 1. Owner factors the diagonal block in place.
+                if owner(k, k) == t {
+                    for d in 0..block {
+                        let pivot: f64 = ctx.read(at(base + d, base + d));
+                        for r in d + 1..block {
+                            let v: f64 = ctx.read(at(base + r, base + d));
+                            ctx.write(at(base + r, base + d), v / pivot);
+                        }
+                        for r in d + 1..block {
+                            let l: f64 = ctx.read(at(base + r, base + d));
+                            for c in d + 1..block {
+                                let u: f64 = ctx.read(at(base + d, base + c));
+                                let v: f64 = ctx.read(at(base + r, base + c));
+                                ctx.write(at(base + r, base + c), v - l * u);
+                                ctx.tick(2);
                             }
                         }
-                        barrier.wait(ctx);
-                        // 2. Perimeter: column blocks below and row
-                        // blocks right of the diagonal.
-                        for bi in k + 1..nb {
-                            if owner(bi, k) == t {
-                                let rb = bi * block;
-                                for d in 0..block {
-                                    let pivot: f64 = ctx.read(at(base + d, base + d));
-                                    for r in 0..block {
-                                        let mut v: f64 = ctx.read(at(rb + r, base + d));
-                                        for x in 0..d {
-                                            let a: f64 = ctx.read(at(rb + r, base + x));
-                                            let b: f64 = ctx.read(at(base + x, base + d));
-                                            v -= a * b;
-                                        }
-                                        ctx.write(at(rb + r, base + d), v / pivot);
-                                        ctx.tick(2);
-                                    }
-                                }
-                            }
-                            if owner(k, bi) == t {
-                                let cb = bi * block;
-                                for d in 0..block {
-                                    for c in 0..block {
-                                        let mut v: f64 = ctx.read(at(base + d, cb + c));
-                                        for x in 0..d {
-                                            let l: f64 = ctx.read(at(base + d, base + x));
-                                            let u: f64 = ctx.read(at(base + x, cb + c));
-                                            v -= l * u;
-                                        }
-                                        ctx.write(at(base + d, cb + c), v);
-                                        ctx.tick(2);
-                                    }
-                                }
-                            }
-                        }
-                        barrier.wait(ctx);
-                        // 3. Interior update A[i][j] -= L[i][k] * U[k][j].
-                        for bi in k + 1..nb {
-                            for bj in k + 1..nb {
-                                if owner(bi, bj) != t {
-                                    continue;
-                                }
-                                let (rb, cb) = (bi * block, bj * block);
-                                for r in 0..block {
-                                    for c in 0..block {
-                                        let mut v: f64 = ctx.read(at(rb + r, cb + c));
-                                        for x in 0..block {
-                                            let l: f64 = ctx.read(at(rb + r, base + x));
-                                            let u: f64 = ctx.read(at(base + x, cb + c));
-                                            v -= l * u;
-                                        }
-                                        ctx.write(at(rb + r, cb + c), v);
-                                        ctx.tick(2 * block);
-                                    }
-                                }
-                            }
-                        }
-                        barrier.wait(ctx);
                     }
-                }))
-            })
-            .collect();
-        for h in handles {
-            ctx.join(h);
-        }
+                }
+                barrier.wait(ctx);
+                // 2. Perimeter: column blocks below and row
+                // blocks right of the diagonal.
+                for bi in k + 1..nb {
+                    if owner(bi, k) == t {
+                        let rb = bi * block;
+                        for d in 0..block {
+                            let pivot: f64 = ctx.read(at(base + d, base + d));
+                            for r in 0..block {
+                                let mut v: f64 = ctx.read(at(rb + r, base + d));
+                                for x in 0..d {
+                                    let a: f64 = ctx.read(at(rb + r, base + x));
+                                    let b: f64 = ctx.read(at(base + x, base + d));
+                                    v -= a * b;
+                                }
+                                ctx.write(at(rb + r, base + d), v / pivot);
+                                ctx.tick(2);
+                            }
+                        }
+                    }
+                    if owner(k, bi) == t {
+                        let cb = bi * block;
+                        for d in 0..block {
+                            for c in 0..block {
+                                let mut v: f64 = ctx.read(at(base + d, cb + c));
+                                for x in 0..d {
+                                    let l: f64 = ctx.read(at(base + d, base + x));
+                                    let u: f64 = ctx.read(at(base + x, cb + c));
+                                    v -= l * u;
+                                }
+                                ctx.write(at(base + d, cb + c), v);
+                                ctx.tick(2);
+                            }
+                        }
+                    }
+                }
+                barrier.wait(ctx);
+                // 3. Interior update A[i][j] -= L[i][k] * U[k][j].
+                for bi in k + 1..nb {
+                    for bj in k + 1..nb {
+                        if owner(bi, bj) != t {
+                            continue;
+                        }
+                        let (rb, cb) = (bi * block, bj * block);
+                        for r in 0..block {
+                            for c in 0..block {
+                                let mut v: f64 = ctx.read(at(rb + r, cb + c));
+                                for x in 0..block {
+                                    let l: f64 = ctx.read(at(rb + r, base + x));
+                                    let u: f64 = ctx.read(at(base + x, cb + c));
+                                    v -= l * u;
+                                }
+                                ctx.write(at(rb + r, cb + c), v);
+                                ctx.tick(2 * block);
+                            }
+                        }
+                    }
+                }
+                barrier.wait(ctx);
+            }
+        });
         let sig = checksum_f64s(ctx, MAT_BASE, n * n);
         ctx.emit_str(&format!("{label} n={n} sig={sig:016x}\n"));
     })

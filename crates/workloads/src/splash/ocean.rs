@@ -4,7 +4,7 @@
 //! lock-guarded global-residual reduction. This gives the profile Table 1
 //! reports: ~a thousand locks, hundreds of waits, moderate footprint.
 
-use crate::util::{add_fixed, checksum_f64s, chunk, ids, read_fixed, LockBarrier};
+use crate::util::{add_fixed, checksum_f64s, chunk, fork_join, ids, read_fixed, LockBarrier};
 use crate::{Params, Size};
 use rfdet_api::{Addr, DmtCtx, DmtCtxExt, ThreadFn};
 
@@ -48,48 +48,41 @@ pub fn root(p: Params) -> ThreadFn {
             ids::barrier_cond(0),
             threads,
         );
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                    let rows = chunk(n - 2, threads, t);
-                    for _ in 0..steps {
-                        // Red then black sweep, barrier after each so
-                        // every thread reads a consistent neighbourhood.
-                        for colour in 0..2u64 {
-                            let mut local_residual = 0.0f64;
-                            for r in rows.clone() {
-                                let r = r + 1;
-                                for c in 1..n - 1 {
-                                    if (r + c) % 2 != colour {
-                                        continue;
-                                    }
-                                    let up: f64 = ctx.read(cell(n, r - 1, c));
-                                    let down: f64 = ctx.read(cell(n, r + 1, c));
-                                    let left: f64 = ctx.read(cell(n, r, c - 1));
-                                    let right: f64 = ctx.read(cell(n, r, c + 1));
-                                    let old: f64 = ctx.read(cell(n, r, c));
-                                    let new = old + 0.8 * ((up + down + left + right) / 4.0 - old);
-                                    ctx.write(cell(n, r, c), new);
-                                    local_residual += (new - old).abs();
-                                    ctx.tick(4);
-                                }
+        fork_join(ctx, threads, move |ctx, t| {
+            let rows = chunk(n - 2, threads, t);
+            for _ in 0..steps {
+                // Red then black sweep, barrier after each so
+                // every thread reads a consistent neighbourhood.
+                for colour in 0..2u64 {
+                    let mut local_residual = 0.0f64;
+                    for r in rows.clone() {
+                        let r = r + 1;
+                        for c in 1..n - 1 {
+                            if (r + c) % 2 != colour {
+                                continue;
                             }
-                            // Lock-guarded reduction of the residual
-                            // into a fixed-point cell, so the total is
-                            // the same under every reduction order
-                            // (util::to_fixed).
-                            ctx.lock(ids::data_mutex(RESIDUAL_LOCK));
-                            add_fixed(ctx, RESIDUAL, local_residual);
-                            ctx.unlock(ids::data_mutex(RESIDUAL_LOCK));
-                            barrier.wait(ctx);
+                            let up: f64 = ctx.read(cell(n, r - 1, c));
+                            let down: f64 = ctx.read(cell(n, r + 1, c));
+                            let left: f64 = ctx.read(cell(n, r, c - 1));
+                            let right: f64 = ctx.read(cell(n, r, c + 1));
+                            let old: f64 = ctx.read(cell(n, r, c));
+                            let new = old + 0.8 * ((up + down + left + right) / 4.0 - old);
+                            ctx.write(cell(n, r, c), new);
+                            local_residual += (new - old).abs();
+                            ctx.tick(4);
                         }
                     }
-                }))
-            })
-            .collect();
-        for h in handles {
-            ctx.join(h);
-        }
+                    // Lock-guarded reduction of the residual
+                    // into a fixed-point cell, so the total is
+                    // the same under every reduction order
+                    // (util::to_fixed).
+                    ctx.lock(ids::data_mutex(RESIDUAL_LOCK));
+                    add_fixed(ctx, RESIDUAL, local_residual);
+                    ctx.unlock(ids::data_mutex(RESIDUAL_LOCK));
+                    barrier.wait(ctx);
+                }
+            }
+        });
         let sig = checksum_f64s(ctx, GRID_BASE, n * n);
         let res = read_fixed(ctx, RESIDUAL);
         ctx.emit_str(&format!("ocean n={n} residual={res:.6} sig={sig:016x}\n"));

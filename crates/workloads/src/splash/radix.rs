@@ -2,7 +2,7 @@
 //! prefix computation, scatter. Lock-barriers separate the phases; the
 //! modest lock count matches Table 1 row 5.
 
-use crate::util::{checksum_u64s, chunk, ids, LockBarrier};
+use crate::util::{checksum_u64s, chunk, fork_join, ids, LockBarrier};
 use crate::{Params, Size};
 use rfdet_api::{Addr, DmtCtx, DmtCtxExt, ThreadFn};
 
@@ -46,61 +46,54 @@ pub fn root(p: Params) -> ThreadFn {
             ids::barrier_cond(0),
             threads,
         );
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                    let my = chunk(n, threads, t);
-                    for pass in 0..4u64 {
-                        let (src, dst) = if pass % 2 == 0 {
-                            (KEYS_A, keys_b)
-                        } else {
-                            (keys_b, KEYS_A)
-                        };
-                        let shift = pass * RADIX_BITS;
-                        // Local histogram.
-                        let mut local = vec![0u64; BUCKETS as usize];
-                        for i in my.clone() {
-                            let k: u64 = ctx.read_idx(src, i);
-                            local[((k >> shift) & (BUCKETS - 1)) as usize] += 1;
-                            ctx.tick(1);
+        fork_join(ctx, threads, move |ctx, t| {
+            let my = chunk(n, threads, t);
+            for pass in 0..4u64 {
+                let (src, dst) = if pass % 2 == 0 {
+                    (KEYS_A, keys_b)
+                } else {
+                    (keys_b, KEYS_A)
+                };
+                let shift = pass * RADIX_BITS;
+                // Local histogram.
+                let mut local = vec![0u64; BUCKETS as usize];
+                for i in my.clone() {
+                    let k: u64 = ctx.read_idx(src, i);
+                    local[((k >> shift) & (BUCKETS - 1)) as usize] += 1;
+                    ctx.tick(1);
+                }
+                for (b, &c) in local.iter().enumerate() {
+                    ctx.write(hist(t, b as u64), c);
+                }
+                barrier.wait(ctx);
+                // Thread 0 computes global scatter offsets:
+                // bucket-major, then thread order within bucket.
+                if t == 0 {
+                    let mut cursor = 0u64;
+                    for b in 0..BUCKETS {
+                        for u in 0..threads {
+                            let c: u64 = ctx.read(hist(u, b));
+                            ctx.write(offset(u, b), cursor);
+                            cursor += c;
                         }
-                        for (b, &c) in local.iter().enumerate() {
-                            ctx.write(hist(t, b as u64), c);
-                        }
-                        barrier.wait(ctx);
-                        // Thread 0 computes global scatter offsets:
-                        // bucket-major, then thread order within bucket.
-                        if t == 0 {
-                            let mut cursor = 0u64;
-                            for b in 0..BUCKETS {
-                                for u in 0..threads {
-                                    let c: u64 = ctx.read(hist(u, b));
-                                    ctx.write(offset(u, b), cursor);
-                                    cursor += c;
-                                }
-                            }
-                        }
-                        barrier.wait(ctx);
-                        // Scatter into disjoint destination ranges.
-                        let mut cursors = vec![0u64; BUCKETS as usize];
-                        for (b, c) in cursors.iter_mut().enumerate() {
-                            *c = ctx.read(offset(t, b as u64));
-                        }
-                        for i in my.clone() {
-                            let k: u64 = ctx.read_idx(src, i);
-                            let b = ((k >> shift) & (BUCKETS - 1)) as usize;
-                            ctx.write_idx::<u64>(dst, cursors[b], k);
-                            cursors[b] += 1;
-                            ctx.tick(2);
-                        }
-                        barrier.wait(ctx);
                     }
-                }))
-            })
-            .collect();
-        for h in handles {
-            ctx.join(h);
-        }
+                }
+                barrier.wait(ctx);
+                // Scatter into disjoint destination ranges.
+                let mut cursors = vec![0u64; BUCKETS as usize];
+                for (b, c) in cursors.iter_mut().enumerate() {
+                    *c = ctx.read(offset(t, b as u64));
+                }
+                for i in my.clone() {
+                    let k: u64 = ctx.read_idx(src, i);
+                    let b = ((k >> shift) & (BUCKETS - 1)) as usize;
+                    ctx.write_idx::<u64>(dst, cursors[b], k);
+                    cursors[b] += 1;
+                    ctx.tick(2);
+                }
+                barrier.wait(ctx);
+            }
+        });
         // Four passes: the result is back in KEYS_A.
         let mut prev: u64 = 0;
         let mut sorted = true;

@@ -11,7 +11,7 @@
 //! keeps the totals identical under every lock-acquisition order —
 //! plain `f64 +=` would let the pthreads schedule perturb trajectories.
 
-use crate::util::{add_fixed, checksum_f64s, chunk, ids, read_fixed, LockBarrier};
+use crate::util::{add_fixed, checksum_f64s, chunk, fork_join, ids, read_fixed, LockBarrier};
 use crate::{Params, Size};
 use rfdet_api::{Addr, DmtCtx, DmtCtxExt, ThreadFn};
 
@@ -68,108 +68,95 @@ fn body(p: Params, gran: Granularity, label: &'static str) -> ThreadFn {
             ids::barrier_cond(0),
             threads,
         );
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                    let my = chunk(m, threads, t);
-                    for _ in 0..steps {
-                        // Zero own force slots (fixed-point cells).
-                        for i in my.clone() {
-                            for d in 0..3 {
-                                ctx.write::<i64>(v3(FORCE_BASE, i, d), 0);
-                            }
-                        }
-                        barrier.wait(ctx);
-                        // Pairwise forces: thread t owns pairs (i, j)
-                        // with i in its chunk, j > i; accumulation into
-                        // molecule j crosses chunks, hence the locks.
-                        match gran {
-                            Granularity::PerMolecule => {
-                                // water-ns: a lock around every single
-                                // accumulation — the Table-1 lock-count
-                                // champion of SPLASH-2.
-                                for i in my.clone() {
-                                    for j in i + 1..m {
-                                        let (f, scale) = pair_force(ctx, i, j);
-                                        ctx.tick(8);
-                                        ctx.lock(ids::data_mutex(j as u32));
-                                        for (d, fd) in f.iter().enumerate() {
-                                            add_fixed(
-                                                ctx,
-                                                v3(FORCE_BASE, j, d as u64),
-                                                -fd * scale,
-                                            );
-                                        }
-                                        ctx.unlock(ids::data_mutex(j as u32));
-                                        ctx.lock(ids::data_mutex(i as u32));
-                                        for (d, fd) in f.iter().enumerate() {
-                                            add_fixed(ctx, v3(FORCE_BASE, i, d as u64), fd * scale);
-                                        }
-                                        ctx.unlock(ids::data_mutex(i as u32));
-                                    }
-                                }
-                            }
-                            Granularity::PerBlock => {
-                                // water-sp: accumulate a whole i-row
-                                // locally, then flush per spatial block
-                                // under one lock — roughly 6× fewer locks
-                                // than water-ns, matching the paper's
-                                // 1103-vs-6314 ratio.
-                                for i in my.clone() {
-                                    let mut local = vec![0.0f64; (m * 3) as usize];
-                                    for j in i + 1..m {
-                                        let (f, scale) = pair_force(ctx, i, j);
-                                        ctx.tick(8);
-                                        for (d, fd) in f.iter().enumerate() {
-                                            local[(j * 3) as usize + d] -= fd * scale;
-                                            local[(i * 3) as usize + d] += fd * scale;
-                                        }
-                                    }
-                                    for block in 0..threads {
-                                        let members = chunk(m, threads, block);
-                                        let touched = members.clone().any(|j| {
-                                            (0..3).any(|d| {
-                                                local[(j * 3) as usize + d as usize] != 0.0
-                                            })
-                                        });
-                                        if !touched {
-                                            continue;
-                                        }
-                                        ctx.lock(ids::data_mutex(block as u32));
-                                        for j in members {
-                                            for d in 0..3u64 {
-                                                let delta = local[(j * 3 + d) as usize];
-                                                if delta != 0.0 {
-                                                    add_fixed(ctx, v3(FORCE_BASE, j, d), delta);
-                                                }
-                                            }
-                                        }
-                                        ctx.unlock(ids::data_mutex(block as u32));
-                                    }
-                                }
-                            }
-                        }
-                        barrier.wait(ctx);
-                        // Integrate own molecules.
-                        for i in my.clone() {
-                            for d in 0..3 {
-                                let f = read_fixed(ctx, v3(FORCE_BASE, i, d));
-                                let v: f64 = ctx.read(v3(VEL_BASE, i, d));
-                                let x: f64 = ctx.read(v3(POS_BASE, i, d));
-                                let v2 = v + 0.001 * f;
-                                ctx.write(v3(VEL_BASE, i, d), v2);
-                                ctx.write(v3(POS_BASE, i, d), x + 0.001 * v2);
-                                ctx.tick(4);
-                            }
-                        }
-                        barrier.wait(ctx);
+        fork_join(ctx, threads, move |ctx, t| {
+            let my = chunk(m, threads, t);
+            for _ in 0..steps {
+                // Zero own force slots (fixed-point cells).
+                for i in my.clone() {
+                    for d in 0..3 {
+                        ctx.write::<i64>(v3(FORCE_BASE, i, d), 0);
                     }
-                }))
-            })
-            .collect();
-        for h in handles {
-            ctx.join(h);
-        }
+                }
+                barrier.wait(ctx);
+                // Pairwise forces: thread t owns pairs (i, j)
+                // with i in its chunk, j > i; accumulation into
+                // molecule j crosses chunks, hence the locks.
+                match gran {
+                    Granularity::PerMolecule => {
+                        // water-ns: a lock around every single
+                        // accumulation — the Table-1 lock-count
+                        // champion of SPLASH-2.
+                        for i in my.clone() {
+                            for j in i + 1..m {
+                                let (f, scale) = pair_force(ctx, i, j);
+                                ctx.tick(8);
+                                ctx.lock(ids::data_mutex(j as u32));
+                                for (d, fd) in f.iter().enumerate() {
+                                    add_fixed(ctx, v3(FORCE_BASE, j, d as u64), -fd * scale);
+                                }
+                                ctx.unlock(ids::data_mutex(j as u32));
+                                ctx.lock(ids::data_mutex(i as u32));
+                                for (d, fd) in f.iter().enumerate() {
+                                    add_fixed(ctx, v3(FORCE_BASE, i, d as u64), fd * scale);
+                                }
+                                ctx.unlock(ids::data_mutex(i as u32));
+                            }
+                        }
+                    }
+                    Granularity::PerBlock => {
+                        // water-sp: accumulate a whole i-row
+                        // locally, then flush per spatial block
+                        // under one lock — roughly 6× fewer locks
+                        // than water-ns, matching the paper's
+                        // 1103-vs-6314 ratio.
+                        for i in my.clone() {
+                            let mut local = vec![0.0f64; (m * 3) as usize];
+                            for j in i + 1..m {
+                                let (f, scale) = pair_force(ctx, i, j);
+                                ctx.tick(8);
+                                for (d, fd) in f.iter().enumerate() {
+                                    local[(j * 3) as usize + d] -= fd * scale;
+                                    local[(i * 3) as usize + d] += fd * scale;
+                                }
+                            }
+                            for block in 0..threads {
+                                let members = chunk(m, threads, block);
+                                let touched = members.clone().any(|j| {
+                                    (0..3).any(|d| local[(j * 3) as usize + d as usize] != 0.0)
+                                });
+                                if !touched {
+                                    continue;
+                                }
+                                ctx.lock(ids::data_mutex(block as u32));
+                                for j in members {
+                                    for d in 0..3u64 {
+                                        let delta = local[(j * 3 + d) as usize];
+                                        if delta != 0.0 {
+                                            add_fixed(ctx, v3(FORCE_BASE, j, d), delta);
+                                        }
+                                    }
+                                }
+                                ctx.unlock(ids::data_mutex(block as u32));
+                            }
+                        }
+                    }
+                }
+                barrier.wait(ctx);
+                // Integrate own molecules.
+                for i in my.clone() {
+                    for d in 0..3 {
+                        let f = read_fixed(ctx, v3(FORCE_BASE, i, d));
+                        let v: f64 = ctx.read(v3(VEL_BASE, i, d));
+                        let x: f64 = ctx.read(v3(POS_BASE, i, d));
+                        let v2 = v + 0.001 * f;
+                        ctx.write(v3(VEL_BASE, i, d), v2);
+                        ctx.write(v3(POS_BASE, i, d), x + 0.001 * v2);
+                        ctx.tick(4);
+                    }
+                }
+                barrier.wait(ctx);
+            }
+        });
         let sig = checksum_f64s(ctx, POS_BASE, m * 3);
         ctx.emit_str(&format!("{label} m={m} sig={sig:016x}\n"));
     })

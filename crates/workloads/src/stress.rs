@@ -4,6 +4,7 @@
 //! construction: each one maximizes pressure on one mechanism so its cost
 //! (and its optimizations) dominate the profile.
 
+use crate::util::fork_join;
 use crate::{Params, Size};
 use rfdet_api::{DmtCtx, DmtCtxExt, MutexId, ThreadFn};
 
@@ -29,22 +30,15 @@ pub fn propagate_heavy(p: Params) -> ThreadFn {
     };
     let threads = p.threads as u64;
     Box::new(move |ctx: &mut dyn DmtCtx| {
-        let handles: Vec<_> = (0..threads)
-            .map(|i| {
-                ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                    for k in 0..iters {
-                        ctx.lock(MutexId(0));
-                        for pg in 0..PAGES {
-                            ctx.write(PAGE_BASE + pg * PAGE_STRIDE + 8 * i, k + 1);
-                        }
-                        ctx.unlock(MutexId(0));
-                    }
-                }))
-            })
-            .collect();
-        for h in handles {
-            ctx.join(h);
-        }
+        fork_join(ctx, threads, move |ctx, i| {
+            for k in 0..iters {
+                ctx.lock(MutexId(0));
+                for pg in 0..PAGES {
+                    ctx.write(PAGE_BASE + pg * PAGE_STRIDE + 8 * i, k + 1);
+                }
+                ctx.unlock(MutexId(0));
+            }
+        });
         let mut sum = 0u64;
         for pg in 0..PAGES {
             for i in 0..threads {
@@ -74,30 +68,23 @@ pub fn sync_heavy(p: Params) -> ThreadFn {
     };
     let threads = p.threads as u64;
     Box::new(move |ctx: &mut dyn DmtCtx| {
-        let handles: Vec<_> = (0..threads)
-            .map(|i| {
-                ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| {
-                    for k in 0..iters {
-                        ctx.lock(MutexId(0));
-                        // One shared cell: the deterministic acquisition
-                        // order is observable in the final value.
-                        let shared: u64 = ctx.read(PAGE_BASE);
-                        ctx.write(
-                            PAGE_BASE,
-                            shared
-                                .wrapping_mul(6_364_136_223_846_793_005)
-                                .wrapping_add(i + 1),
-                        );
-                        // One private cell: per-worker progress.
-                        ctx.write(PAGE_BASE + 64 + 8 * i, k + 1);
-                        ctx.unlock(MutexId(0));
-                    }
-                }))
-            })
-            .collect();
-        for h in handles {
-            ctx.join(h);
-        }
+        fork_join(ctx, threads, move |ctx, i| {
+            for k in 0..iters {
+                ctx.lock(MutexId(0));
+                // One shared cell: the deterministic acquisition
+                // order is observable in the final value.
+                let shared: u64 = ctx.read(PAGE_BASE);
+                ctx.write(
+                    PAGE_BASE,
+                    shared
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(i + 1),
+                );
+                // One private cell: per-worker progress.
+                ctx.write(PAGE_BASE + 64 + 8 * i, k + 1);
+                ctx.unlock(MutexId(0));
+            }
+        });
         let mut sum: u64 = ctx.read(PAGE_BASE);
         for i in 0..threads {
             let v: u64 = ctx.read(PAGE_BASE + 64 + 8 * i);

@@ -1,7 +1,32 @@
 //! Shared-memory building blocks for the workloads.
 
 use rfdet_api::digest::Fnv1a;
-use rfdet_api::{Addr, CondId, DmtCtx, DmtCtxExt, MutexId};
+use rfdet_api::{Addr, CondId, DmtCtx, DmtCtxExt, MutexId, ThreadHandle};
+
+/// Spawns workers `0..n` in tid order, worker `t` running a clone of
+/// `body(ctx, t)`, and returns their handles in the same order.
+pub fn fork<F>(ctx: &mut dyn DmtCtx, n: u64, body: F) -> Vec<ThreadHandle>
+where
+    F: FnOnce(&mut dyn DmtCtx, u64) + Clone + Send + 'static,
+{
+    (0..n)
+        .map(|t| {
+            let body = body.clone();
+            ctx.spawn(Box::new(move |ctx: &mut dyn DmtCtx| body(ctx, t)))
+        })
+        .collect()
+}
+
+/// The fork/join idiom every kernel is written in: [`fork`] workers
+/// `0..n`, then join them in tid order.
+pub fn fork_join<F>(ctx: &mut dyn DmtCtx, n: u64, body: F)
+where
+    F: FnOnce(&mut dyn DmtCtx, u64) + Clone + Send + 'static,
+{
+    for h in fork(ctx, n, body) {
+        ctx.join(h);
+    }
+}
 
 /// A SPLASH-2 `c.m4.null.POSIX`-style barrier built from one mutex and
 /// one condition variable over shared memory — the configuration the

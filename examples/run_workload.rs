@@ -44,6 +44,10 @@ fn main() {
             std::process::exit(2);
         });
     let threads: usize = args.get(2).map_or(4, |s| s.parse().expect("threads"));
+    if threads == 0 {
+        eprintln!("thread count must be at least 1");
+        std::process::exit(2);
+    }
     let size = match args.get(3).map(String::as_str) {
         Some("test") => Size::Test,
         _ => Size::Bench,
