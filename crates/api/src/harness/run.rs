@@ -69,6 +69,10 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
 
 /// Everything one run shares across its threads that is not the
 /// backend's ordering or memory machinery.
+///
+/// Its mutexes are the `parking_lot` shim's, which swallows poison: each
+/// guards plain data that stays coherent when an unrelated panic unwinds
+/// past a guard.
 #[derive(Debug)]
 pub struct RunHarness {
     /// The caller's configuration, validated: the one copy every layer

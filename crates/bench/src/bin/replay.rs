@@ -172,16 +172,12 @@ fn core_backend_or_die(name: &str) -> RfdetBackend {
 }
 
 /// Resolves a `name[@threads]` workload string (the form `record` puts
-/// in a recording) to its registry entry and parameters, or exits: an
-/// unknown name and a thread count of 0 (a program with no workers) are
-/// usage errors.
+/// in a recording) to its registry entry and parameters, or exits on an
+/// unknown name or a thread count of 0 (a program with no workers).
 fn workload_or_die(spec: &str) -> (Workload, Params) {
     let (name, threads) = spec.split_once('@').unwrap_or((spec, "2"));
     match (by_name(name), threads.parse()) {
-        (Some(_), Ok(0)) => die(
-            EXIT_USAGE,
-            format!("{spec:?}: thread count must be at least 1"),
-        ),
+        (Some(_), Ok(0)) => die(EXIT_USAGE, format!("no threads in {spec:?}")),
         (Some(workload), Ok(threads)) => (workload, Params::new(threads, Size::Test)),
         _ => die(EXIT_USAGE, format!("unknown workload {spec:?}")),
     }

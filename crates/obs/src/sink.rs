@@ -24,6 +24,8 @@ struct SinkInner {
 /// Run-wide metrics store shared by every thread's [`ObsRecorder`].
 #[derive(Debug)]
 pub struct ObsSink {
+    /// The shim's mutex swallows poison: a merge is commutative
+    /// increments, which stay coherent when a panic unwinds past a guard.
     inner: Mutex<SinkInner>,
 }
 

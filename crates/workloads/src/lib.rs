@@ -15,7 +15,10 @@
 //!   variables ([`util::LockBarrier`]) — which is why Table 1 reports
 //!   zero `barrier` operations;
 //! * every workload emits a checksum through [`rfdet_api::DmtCtx::emit`],
-//!   so output digests decide determinism and cross-backend agreement.
+//!   so output digests decide determinism and cross-backend agreement;
+//! * the fork/join kernels fork through [`util::fork_join`] (workers in
+//!   tid order, joined in tid order), and every workload is one row of
+//!   one registry table, which [`by_name`] and the views read.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -116,6 +119,7 @@ const fn w(name: &'static str, suite: Suite, factory: fn(Params) -> ThreadFn) ->
 /// Every workload but the race corpus, whose rows come from its own
 /// table of variants ([`races`]): the paper's applications in Table 1
 /// order, then the rest.
+#[rustfmt::skip] // a table: one row per workload
 const WORKLOADS: &[Workload] = &[
     w("ocean", Suite::Splash2, splash::ocean::root),
     w("water-ns", Suite::Splash2, splash::water::root_ns),
@@ -124,16 +128,8 @@ const WORKLOADS: &[Workload] = &[
     w("radix", Suite::Splash2, splash::radix::root),
     w("lu-con", Suite::Splash2, splash::lu::root_contiguous),
     w("lu-non", Suite::Splash2, splash::lu::root_noncontiguous),
-    w(
-        "linear_regression",
-        Suite::Phoenix,
-        phoenix::linear_regression::root,
-    ),
-    w(
-        "matrix_multiply",
-        Suite::Phoenix,
-        phoenix::matrix_multiply::root,
-    ),
+    w("linear_regression", Suite::Phoenix, phoenix::linear_regression::root),
+    w("matrix_multiply", Suite::Phoenix, phoenix::matrix_multiply::root),
     w("pca", Suite::Phoenix, phoenix::pca::root),
     w("wordcount", Suite::Phoenix, phoenix::wordcount::root),
     w("string_match", Suite::Phoenix, phoenix::string_match::root),
@@ -153,11 +149,7 @@ const WORKLOADS: &[Workload] = &[
     w("chaos.alloc_storm", Suite::Chaos, chaos::alloc_storm),
     w("chaos.long_haul", Suite::Chaos, chaos::long_haul),
     w("service.ledger", Suite::Service, service::ledger),
-    w(
-        "service.ledger.bench",
-        Suite::Service,
-        service::ledger_bench,
-    ),
+    w("service.ledger.bench", Suite::Service, service::ledger_bench),
 ];
 
 /// Every registered workload, in table order.

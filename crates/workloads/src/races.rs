@@ -61,7 +61,7 @@ fn scaffold(
     p: Params,
     mask: u64,
     words: u64,
-    body: impl Fn(&mut dyn DmtCtx, u64) + Send + Sync + Clone + 'static,
+    body: impl FnOnce(&mut dyn DmtCtx, u64) + Clone + Send + 'static,
     peek: impl Fn(&mut dyn DmtCtx) + Send + 'static,
 ) -> ThreadFn {
     Box::new(move |ctx: &mut dyn DmtCtx| {
@@ -372,7 +372,8 @@ pub fn corpus() -> Vec<Workload> {
 /// The variant `name` belongs to, and whether it is the racy program.
 fn variant(name: &str) -> Option<(&'static Variant, bool)> {
     VARIANTS.iter().find_map(|v| {
-        (v.racy.name == name || v.clean.name == name).then_some((v, v.racy.name == name))
+        let racy = v.racy.name == name;
+        (racy || v.clean.name == name).then_some((v, racy))
     })
 }
 

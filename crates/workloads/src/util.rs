@@ -17,8 +17,8 @@ where
         .collect()
 }
 
-/// The fork/join idiom every kernel is written in: [`fork`] workers
-/// `0..n`, then join them in tid order.
+/// The kernels' fork/join idiom: [`fork`] workers `0..n`, then join
+/// them in tid order.
 pub fn fork_join<F>(ctx: &mut dyn DmtCtx, n: u64, body: F)
 where
     F: FnOnce(&mut dyn DmtCtx, u64) + Clone + Send + 'static,

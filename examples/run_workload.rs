@@ -43,11 +43,13 @@ fn main() {
             eprintln!("unknown backend {backend_name:?}");
             std::process::exit(2);
         });
-    let threads: usize = args.get(2).map_or(4, |s| s.parse().expect("threads"));
-    if threads == 0 {
-        eprintln!("thread count must be at least 1");
-        std::process::exit(2);
-    }
+    let threads: usize = match args.get(2).map_or(Ok(4), |s| s.parse()) {
+        Ok(threads) if threads > 0 => threads,
+        _ => {
+            eprintln!("threads must be a number of at least 1");
+            std::process::exit(2);
+        }
+    };
     let size = match args.get(3).map(String::as_str) {
         Some("test") => Size::Test,
         _ => Size::Bench,
